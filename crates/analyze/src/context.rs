@@ -135,11 +135,25 @@ impl AnalysisContext {
                 continue;
             };
             for table_name in db.table_names() {
-                let Ok(bt) = db.table(table_name) else {
-                    continue;
-                };
-                let stats = TableStats::from_block_table(bt);
-                ctx.add_table(db_name, table_name, bt.schema().clone(), stats);
+                if let Ok(bt) = db.table(table_name) {
+                    let stats = TableStats::from_block_table(bt);
+                    ctx.add_table(db_name, table_name, bt.schema().clone(), stats);
+                } else if let Ok(dt) = db.disk_table(table_name) {
+                    // Whole-table counters only, so the estimator prices
+                    // these scans with its two-sided whole-table bound. The
+                    // executor's own `PlanStats` does not see disk-backed
+                    // tables, so it runs them unprojected where the plan
+                    // analyzed here is projected; per-block detail would
+                    // price that narrower plan exactly and under-estimate
+                    // the one that runs.
+                    let stats = TableStats {
+                        rows: dt.num_rows(),
+                        blocks: dt.num_blocks(),
+                        bytes: dt.total_bytes(),
+                        ..TableStats::default()
+                    };
+                    ctx.add_table(db_name, table_name, dt.schema().clone(), stats);
+                }
             }
         }
         for (name, table) in env.saved_tables() {
@@ -388,6 +402,8 @@ mod tests {
         let t = dc_engine::csv::read_csv("region,price\nwest,1.5\neast,2.0\n").unwrap();
         let mut db = CloudDatabase::new("Main", Pricing::default_cloud());
         db.create_table_with_blocks("sales", &t, 1).unwrap();
+        let dir = std::env::temp_dir().join(format!("dc-analyze-ctx-{}", std::process::id()));
+        db.create_table_on_disk("sales_disk", &t, 1, &dir).unwrap();
         env.catalog.add_database(db).unwrap();
         env.add_file("nums.csv", "x,y\n1,2\n");
         env.snapshots
@@ -416,6 +432,14 @@ mod tests {
                 .sum::<u64>()
                 + stats.dict_bytes.iter().sum::<u64>()
         );
+        // A disk-backed table resolves too, with whole-table counters that
+        // agree with its in-memory twin and no per-block detail.
+        let (disk_schema, disk_stats) = ctx.table("Main", "sales_disk").expect("disk table");
+        assert_eq!(disk_schema, schema);
+        assert_eq!(disk_stats.rows, 2);
+        assert_eq!(disk_stats.blocks, 2);
+        assert_eq!(disk_stats.bytes, stats.bytes);
+        assert!(disk_stats.block_stats.is_empty());
         // Exact-match mirrors the catalog; bare-name resolution is the
         // case-insensitive platform path.
         assert!(ctx.table("main", "SALES").is_none());
@@ -429,6 +453,9 @@ mod tests {
         assert_eq!(ctx.snapshot_like("SNAP"), Some("snap"));
         assert!(ctx.saved("kept").is_some());
         assert!(ctx.saved("other").is_none());
+        // Dropping the catalog removes the block file it owns.
+        drop(env);
+        std::fs::remove_dir(&dir).unwrap();
     }
 
     #[test]

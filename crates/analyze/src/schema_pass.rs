@@ -7,7 +7,7 @@
 //! mismatches, invalid function composition, unresolvable sources.
 //!
 //! Soundness contract: the pass mirrors `execute_call` /
-//! `execute_pure_call` exactly for every construct it models, erring on
+//! `execute_pure_call_with_mem` exactly for every construct it models, erring on
 //! the side of *rejecting* when semantics are data-dependent. A DAG the
 //! analyzer accepts therefore fails at run time only for data-dependent
 //! reasons the schema cannot see (e.g. fewer than three valid time

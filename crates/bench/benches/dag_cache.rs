@@ -1,11 +1,9 @@
 //! Criterion bench for §2.2's caching layer: re-requesting results over a
 //! shared skill sub-DAG with the executor cache on (warm) vs a fresh
-//! executor each time (cold). Ablations: caching on/off, morsel kernels
-//! on/off (`set_min_parallel_rows`), and the pure-pointer-copy cost of a
-//! fully warm `table_of`.
+//! executor each time (cold). Ablations: caching on/off and the
+//! pure-pointer-copy cost of a fully warm `table_of`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dc_engine::parallel::set_min_parallel_rows;
 use dc_engine::{AggSpec, Column, Expr, Table};
 use dc_skills::{Env, Executor, SkillCall, SkillDag};
 use dc_storage::{CloudDatabase, Pricing};
@@ -71,20 +69,6 @@ fn bench_dag_cache(c: &mut Criterion) {
             let mut ex = Executor::new();
             ex.run(&dag, b, &mut env).expect("run b")
         })
-    });
-
-    group.bench_function("cold_no_cache_serial_kernels", |bch| {
-        let (mut env, dag, a, b) = setup();
-        // Force every engine kernel down the single-threaded path so the
-        // cold cost of the morsel kernels above is interpretable.
-        let prev = set_min_parallel_rows(usize::MAX);
-        bch.iter(|| {
-            let mut ex = Executor::new();
-            ex.run(&dag, a, &mut env).expect("run a");
-            let mut ex = Executor::new();
-            ex.run(&dag, b, &mut env).expect("run b")
-        });
-        set_min_parallel_rows(prev);
     });
 
     group.bench_function("warm_shared_subdag", |bch| {

@@ -1,16 +1,9 @@
 //! Criterion bench for the engine's core kernels — the substrate every
 //! skill bottoms out in. Not a paper figure; a regression guard for the
 //! operators whose cost the §2/§3 experiments depend on.
-//!
-//! Each kernel is measured twice: the dispatching entry point (morsel
-//! path on a default build) against its `*_serial` reference, so the
-//! morsel kernels' advantage is visible side by side.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dc_engine::ops::{
-    filter, filter_serial, group_by, group_by_serial, join, join_serial, sort_by, sort_by_serial,
-    AggFunc, AggSpec, JoinType, SortKey,
-};
+use dc_engine::ops::{filter, group_by, join, sort_by, AggFunc, AggSpec, JoinType, SortKey};
 use dc_engine::{Column, Expr, Table};
 
 fn events(n: usize) -> Table {
@@ -38,9 +31,6 @@ fn bench_engine(c: &mut Criterion) {
     group.bench_function("filter_200k", |b| {
         b.iter(|| filter(&t, &pred).expect("filters"))
     });
-    group.bench_function("filter_200k_serial", |b| {
-        b.iter(|| filter_serial(&t, &pred).expect("filters"))
-    });
     let aggs = [
         AggSpec::new(AggFunc::Sum, "v", "s"),
         AggSpec::count_records("n"),
@@ -48,21 +38,12 @@ fn bench_engine(c: &mut Criterion) {
     group.bench_function("group_by_200k_50groups", |b| {
         b.iter(|| group_by(&t, &["k"], &aggs).expect("groups"))
     });
-    group.bench_function("group_by_200k_50groups_serial", |b| {
-        b.iter(|| group_by_serial(&t, &["k"], &aggs).expect("groups"))
-    });
     let sort_keys = [SortKey::desc("v"), SortKey::asc("id")];
     group.bench_function("sort_200k", |b| {
         b.iter(|| sort_by(&t, &sort_keys).expect("sorts"))
     });
-    group.bench_function("sort_200k_serial", |b| {
-        b.iter(|| sort_by_serial(&t, &sort_keys).expect("sorts"))
-    });
     group.bench_function("hash_join_20k_x_20k", |b| {
         b.iter(|| join(&small, &small, &["id"], &["id"], JoinType::Inner).expect("joins"))
-    });
-    group.bench_function("hash_join_20k_x_20k_serial", |b| {
-        b.iter(|| join_serial(&small, &small, &["id"], &["id"], JoinType::Inner).expect("joins"))
     });
     group.bench_function("csv_roundtrip_20k", |b| {
         b.iter(|| {

@@ -1,18 +1,13 @@
-//! Morsel-parallel and dictionary-encoding kernel speedups on
-//! analytics-scale inputs, emitted as machine-readable JSON
-//! (`BENCH_engine.json`).
+//! Kernel and dictionary-encoding timings on analytics-scale inputs,
+//! emitted as machine-readable JSON (`BENCH_engine.json`).
 //!
-//! Each kernel runs at 1M rows through the dispatching entry point
-//! (morsel path on a default build) and through its single-threaded
-//! `*_serial` reference; the reported time is the minimum of three
-//! repeats. The morsel kernels win even on one core because their inner
-//! loops are cheaper — dictionary-coded group keys, borrowed join keys,
-//! and decorate-sort instead of per-comparison value extraction.
+//! Each kernel runs at 1M rows; the reported time is the minimum of
+//! three repeats and every record carries the worker count it ran on.
 //!
-//! String-keyed variants run twice more: `plain` is the serial kernel
-//! over `Column::Str` data (the pre-encoding baseline) and `dict` is the
-//! dispatching kernel over the same table dictionary-encoded, so the
-//! pair prices the end-to-end win of keeping strings encoded.
+//! String-keyed variants run twice: `plain` is the kernel over
+//! `Column::Str` data (the pre-encoding baseline) and `dict` is the same
+//! kernel over the same table dictionary-encoded, so the pair prices the
+//! end-to-end win of keeping strings encoded.
 //!
 //! The scale sweep runs join, group-by, and sort at 1M/10M/100M rows
 //! through the memory-governed entry points under a 1 GiB budget
@@ -34,8 +29,8 @@ use std::time::Instant;
 
 use dc_engine::bitmap::Bitmap;
 use dc_engine::ops::{
-    filter, filter_serial, group_by, group_by_serial, group_by_with_mem, join, join_serial,
-    join_with_mem, sort_by, sort_by_serial, sort_by_with_mem, AggFunc, AggSpec, JoinType, SortKey,
+    filter, group_by, group_by_with_mem, join, join_with_mem, sort_by, sort_by_with_mem, AggFunc,
+    AggSpec, JoinType, SortKey,
 };
 use dc_engine::{parallel, Column, Expr, MemContext, SpillSnapshot, Table, Value};
 use dc_storage::{BlockTable, DiskBlockTable, ScanOptions, ScanReceipt};
@@ -390,15 +385,14 @@ fn pruning_divergences() -> Vec<String> {
     bad
 }
 
-/// Run every string-keyed op on `plain` (serial kernels) and on its
-/// dict-encoded twin (dispatching kernels) and compare results.
-/// Returns the names of diverging ops.
+/// Run every string-keyed op on `plain` and on its dict-encoded twin
+/// and compare results. Returns the names of diverging ops.
 fn dict_divergences(plain: &Table, dim: &Table) -> Vec<&'static str> {
     let enc = plain.encode_strings();
     let enc_dim = dim.encode_strings();
     let mut bad = Vec::new();
     let pred = Expr::col("s").eq(Expr::lit("city_0042"));
-    if filter(&enc, &pred).expect("filters") != filter_serial(plain, &pred).expect("filters") {
+    if filter(&enc, &pred).expect("filters") != filter(plain, &pred).expect("filters") {
         bad.push("filter_str_eq");
     }
     let aggs = [
@@ -406,17 +400,17 @@ fn dict_divergences(plain: &Table, dim: &Table) -> Vec<&'static str> {
         AggSpec::count_records("n"),
     ];
     if group_by(&enc, &["s"], &aggs).expect("groups")
-        != group_by_serial(plain, &["s"], &aggs).expect("groups")
+        != group_by(plain, &["s"], &aggs).expect("groups")
     {
         bad.push("group_by_str_keys");
     }
     if join(&enc, &enc_dim, &["s"], &["s"], JoinType::Inner).expect("joins")
-        != join_serial(plain, dim, &["s"], &["s"], JoinType::Inner).expect("joins")
+        != join(plain, dim, &["s"], &["s"], JoinType::Inner).expect("joins")
     {
         bad.push("hash_join_str");
     }
     let keys = [SortKey::asc("s"), SortKey::asc("id")];
-    if sort_by(&enc, &keys).expect("sorts") != sort_by_serial(plain, &keys).expect("sorts") {
+    if sort_by(&enc, &keys).expect("sorts") != sort_by(plain, &keys).expect("sorts") {
         bad.push("sort_str");
     }
     bad
@@ -787,12 +781,6 @@ fn main() {
         min_ns(|| filter(&t, &pred).expect("filters")),
         &t_receipt,
     );
-    push(
-        "filter_1m",
-        "serial",
-        min_ns(|| filter_serial(&t, &pred).expect("filters")),
-        &t_receipt,
-    );
 
     let aggs = [
         AggSpec::new(AggFunc::Sum, "v", "s"),
@@ -805,23 +793,11 @@ fn main() {
         min_ns(|| group_by(&t, &["k"], &aggs).expect("groups")),
         &t_receipt,
     );
-    push(
-        "group_by_1m_50groups",
-        "serial",
-        min_ns(|| group_by_serial(&t, &["k"], &aggs).expect("groups")),
-        &t_receipt,
-    );
 
     push(
         "hash_join_1m_x_1m",
         "parallel",
         min_ns(|| join(&t, &t, &["id"], &["id"], JoinType::Inner).expect("joins")),
-        &t_receipt,
-    );
-    push(
-        "hash_join_1m_x_1m",
-        "serial",
-        min_ns(|| join_serial(&t, &t, &["id"], &["id"], JoinType::Inner).expect("joins")),
         &t_receipt,
     );
 
@@ -830,12 +806,6 @@ fn main() {
         "sort_1m",
         "parallel",
         min_ns(|| sort_by(&t, &keys).expect("sorts")),
-        &t_receipt,
-    );
-    push(
-        "sort_1m",
-        "serial",
-        min_ns(|| sort_by_serial(&t, &keys).expect("sorts")),
         &t_receipt,
     );
 
@@ -858,7 +828,7 @@ fn main() {
     push(
         "filter_1m_str_eq",
         "plain",
-        min_ns(|| filter_serial(&plain, &spred).expect("filters")),
+        min_ns(|| filter(&plain, &spred).expect("filters")),
         &plain_receipt,
     );
 
@@ -875,7 +845,7 @@ fn main() {
     push(
         "group_by_1m_str_keys",
         "plain",
-        min_ns(|| group_by_serial(&plain, &["s"], &saggs).expect("groups")),
+        min_ns(|| group_by(&plain, &["s"], &saggs).expect("groups")),
         &plain_receipt,
     );
 
@@ -888,7 +858,7 @@ fn main() {
     push(
         "hash_join_1m_str",
         "plain",
-        min_ns(|| join_serial(&plain, &dim, &["s"], &["s"], JoinType::Inner).expect("joins")),
+        min_ns(|| join(&plain, &dim, &["s"], &["s"], JoinType::Inner).expect("joins")),
         &plain_receipt,
     );
 
@@ -902,7 +872,7 @@ fn main() {
     push(
         "sort_1m_str",
         "plain",
-        min_ns(|| sort_by_serial(&plain, &skeys).expect("sorts")),
+        min_ns(|| sort_by(&plain, &skeys).expect("sorts")),
         &plain_receipt,
     );
 
@@ -1145,14 +1115,6 @@ fn main() {
             .expect("slow record");
         s.ns_per_op as f64 / f.ns_per_op as f64
     };
-    for op in [
-        "filter_1m",
-        "group_by_1m_50groups",
-        "hash_join_1m_x_1m",
-        "sort_1m",
-    ] {
-        println!("{op:<28} speedup {:>5.2}x", ratio(op, "parallel", "serial"));
-    }
     for op in [
         "filter_1m_str_eq",
         "group_by_1m_str_keys",

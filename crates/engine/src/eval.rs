@@ -19,13 +19,14 @@ use crate::value::Value;
 /// Evaluate an expression against a table, producing a column with one row
 /// per table row. Literals broadcast to the table's length.
 ///
-/// Large tables are split into row morsels that evaluate concurrently and
-/// are stitched back in order (see [`crate::parallel`]); the result is
-/// bit-identical to the serial path because every expression kernel is
-/// row-local.
+/// A table of more than one row morsel (see [`crate::parallel`]) evaluates
+/// its morsels concurrently and stitches them back in order; the result is
+/// bit-identical to [`eval_serial`] over the whole table because every
+/// expression kernel is row-local.
 pub fn eval(table: &Table, expr: &Expr) -> Result<Column> {
-    if crate::parallel::enabled(table.num_rows()) && morsel_safe(expr) {
-        return eval_morsel(table, expr);
+    let ranges = crate::parallel::morsels(table.num_rows());
+    if ranges.len() > 1 && morsel_safe(expr) {
+        return eval_morsel(table, expr, &ranges);
     }
     eval_serial(table, expr)
 }
@@ -203,13 +204,12 @@ fn pruned_chunk(cols: &[(String, &Column)], r: &std::ops::Range<usize>) -> Resul
 }
 
 /// Evaluate on row morsels and stitch the per-morsel columns in order.
-fn eval_morsel(table: &Table, expr: &Expr) -> Result<Column> {
+fn eval_morsel(table: &Table, expr: &Expr, ranges: &[std::ops::Range<usize>]) -> Result<Column> {
     let Some(cols) = referenced(table, expr)? else {
         return eval_serial(table, expr);
     };
-    let ranges = crate::parallel::morsels(table.num_rows());
     let parts =
-        crate::parallel::run_morsels(&ranges, |r| eval_serial(&pruned_chunk(&cols, &r)?, expr));
+        crate::parallel::run_morsels(ranges, |r| eval_serial(&pruned_chunk(&cols, &r)?, expr));
     let mut parts = parts.into_iter();
     let Some(first) = parts.next() else {
         return eval_serial(table, expr);
@@ -224,8 +224,8 @@ fn eval_morsel(table: &Table, expr: &Expr) -> Result<Column> {
 /// Whether an expression can be evaluated per-morsel. Everything is
 /// row-local except functions taking a constant-integer argument
 /// (`round` digits, `substring` bounds): their constant-ness check must
-/// see the whole column to reject per-row expressions, so they stay
-/// serial.
+/// see the whole column to reject per-row expressions, so they are
+/// evaluated over the whole table.
 pub(crate) fn morsel_safe(expr: &Expr) -> bool {
     match expr {
         Expr::Column(_) | Expr::Literal(_) => true,
@@ -247,9 +247,9 @@ pub(crate) fn morsel_safe(expr: &Expr) -> bool {
 /// Evaluate a predicate to a selection mask: null evaluates to "do not
 /// keep", matching SQL `WHERE`.
 pub fn eval_predicate(table: &Table, expr: &Expr) -> Result<Vec<bool>> {
-    if crate::parallel::enabled(table.num_rows()) && morsel_safe(expr) {
+    let ranges = crate::parallel::morsels(table.num_rows());
+    if ranges.len() > 1 && morsel_safe(expr) {
         if let Some(cols) = referenced(table, expr)? {
-            let ranges = crate::parallel::morsels(table.num_rows());
             let parts = crate::parallel::run_morsels(&ranges, |r| {
                 eval_predicate_serial(&pruned_chunk(&cols, &r)?, expr)
             });

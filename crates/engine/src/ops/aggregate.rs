@@ -626,74 +626,6 @@ fn agg_output_dtype(
     }
 }
 
-/// Group `table` by `keys` and compute `aggs` within each group.
-///
-/// With an empty key list the whole table forms one group (global
-/// aggregates). Output columns are the keys (original casing) followed by
-/// one column per aggregate. Groups appear in first-encounter order, which
-/// keeps results deterministic.
-///
-/// Large tables take a two-phase morsel path: each worker aggregates its
-/// own row range into morsel-local accumulators which are then folded
-/// together in morsel order, preserving the serial first-encounter group
-/// order exactly (morsels are contiguous ascending ranges).
-pub fn group_by(table: &Table, keys: &[&str], aggs: &[AggSpec]) -> Result<Table> {
-    if parallel::enabled(table.num_rows()) {
-        group_by_morsel(table, keys, aggs)
-    } else {
-        group_by_serial(table, keys, aggs)
-    }
-}
-
-/// Single-threaded group-by (also the reference for the morsel path).
-pub fn group_by_serial(table: &Table, keys: &[&str], aggs: &[AggSpec]) -> Result<Table> {
-    if aggs.is_empty() {
-        return Err(EngineError::invalid_argument(
-            "group_by requires at least one aggregate",
-        ));
-    }
-    let inputs = resolve_inputs(table, keys, aggs)?;
-    let n = table.num_rows();
-    let mut group_index: HashMap<GroupKey, usize> = HashMap::new();
-    let mut group_order: Vec<GroupKey> = Vec::new();
-    let mut accs: Vec<Vec<Acc>> = Vec::new();
-
-    if keys.is_empty() {
-        accs.push(new_accs(aggs, &inputs.agg_cols));
-        group_order.push(GroupKey(Vec::new()));
-        group_index.insert(GroupKey(Vec::new()), 0);
-    }
-
-    for row in 0..n {
-        let gid = if keys.is_empty() {
-            0
-        } else {
-            let key = GroupKey(
-                inputs
-                    .key_cols
-                    .iter()
-                    .map(|c| key_part(&c.get(row)))
-                    .collect(),
-            );
-            match group_index.get(&key) {
-                Some(&g) => g,
-                None => {
-                    let g = group_order.len();
-                    group_index.insert(key.clone(), g);
-                    group_order.push(key);
-                    accs.push(new_accs(aggs, &inputs.agg_cols));
-                    g
-                }
-            }
-        };
-        for (acc, col) in accs[gid].iter_mut().zip(&inputs.agg_cols) {
-            acc.update(*col, row);
-        }
-    }
-
-    assemble_output(&inputs, &group_order, accs, aggs)
-}
-
 /// Morsel-local phase-1 result: one representative row index per group
 /// (in first-encounter order) plus that group's accumulators.
 struct MorselGroups {
@@ -701,7 +633,20 @@ struct MorselGroups {
     accs: Vec<Vec<Acc>>,
 }
 
-fn group_by_morsel(table: &Table, keys: &[&str], aggs: &[AggSpec]) -> Result<Table> {
+/// Group `table` by `keys` and compute `aggs` within each group.
+///
+/// With an empty key list the whole table forms one group (global
+/// aggregates). Output columns are the keys (original casing) followed by
+/// one column per aggregate. Groups appear in first-encounter order, which
+/// keeps results deterministic.
+///
+/// Aggregation is two-phase over row morsels (see [`crate::parallel`]):
+/// each morsel aggregates its own row range into morsel-local accumulators
+/// which are then folded together in morsel order, so first-encounter group
+/// order never depends on the morsel count (morsels are contiguous
+/// ascending ranges). A single morsel folds into nothing, which makes its
+/// float results plain sequential accumulation.
+pub fn group_by(table: &Table, keys: &[&str], aggs: &[AggSpec]) -> Result<Table> {
     if aggs.is_empty() {
         return Err(EngineError::invalid_argument(
             "group_by requires at least one aggregate",
@@ -710,7 +655,7 @@ fn group_by_morsel(table: &Table, keys: &[&str], aggs: &[AggSpec]) -> Result<Tab
     let inputs = resolve_inputs(table, keys, aggs)?;
     let ranges = parallel::morsels(table.num_rows());
 
-    // Phase 1: every worker builds dictionary-coded group ids for its row
+    // Phase 1: every morsel builds dictionary-coded group ids for its row
     // range (no per-row key materialization) and aggregates locally.
     let parts: Vec<MorselGroups> = parallel::run_morsels(&ranges, |r| {
         let start = r.start;
@@ -765,13 +710,18 @@ fn group_by_morsel(table: &Table, keys: &[&str], aggs: &[AggSpec]) -> Result<Tab
     }
 
     // An empty key list over a non-empty table always yields exactly one
-    // group from phase 1; an empty table never reaches the morsel path.
+    // group from phase 1; an empty table has no morsels, so its single
+    // keyless group (count 0, sum/avg null) is seeded here.
+    if keys.is_empty() && accs.is_empty() {
+        group_order.push(GroupKey(Vec::new()));
+        accs.push(new_accs(aggs, &inputs.agg_cols));
+    }
     assemble_output(&inputs, &group_order, accs, aggs)
 }
 
 /// Dictionary-code the composite group key of each row in `range` into a
 /// dense id, assigned in first-encounter order.
-fn encode_groups(key_cols: &[&Column], range: Range<usize>) -> Vec<u32> {
+pub(crate) fn encode_groups(key_cols: &[&Column], range: Range<usize>) -> Vec<u32> {
     let len = range.end - range.start;
     if key_cols.is_empty() {
         return vec![0; len];
@@ -913,6 +863,134 @@ fn part_to_value(p: &KeyPart) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Row-at-a-time reference group-by: one materialized `GroupKey` per row
+    /// found by linear search, one accumulator update per row; no hashing,
+    /// no group encoding, no morsels and no merging.
+    fn group_by_reference(table: &Table, keys: &[&str], aggs: &[AggSpec]) -> Result<Table> {
+        let inputs = resolve_inputs(table, keys, aggs)?;
+        let mut group_order: Vec<GroupKey> = Vec::new();
+        let mut accs: Vec<Vec<Acc>> = Vec::new();
+        // The global group exists even when there are no rows.
+        if keys.is_empty() {
+            group_order.push(GroupKey(Vec::new()));
+            accs.push(new_accs(aggs, &inputs.agg_cols));
+        }
+        for row in 0..table.num_rows() {
+            let key = GroupKey(
+                inputs
+                    .key_cols
+                    .iter()
+                    .map(|c| key_part(&c.get(row)))
+                    .collect(),
+            );
+            let gid = match group_order.iter().position(|k| *k == key) {
+                Some(g) => g,
+                None => {
+                    group_order.push(key);
+                    accs.push(new_accs(aggs, &inputs.agg_cols));
+                    accs.len() - 1
+                }
+            };
+            for (acc, col) in accs[gid].iter_mut().zip(&inputs.agg_cols) {
+                acc.update(*col, row);
+            }
+        }
+        assemble_output(&inputs, &group_order, accs, aggs)
+    }
+
+    fn opt_int() -> impl Strategy<Value = Option<i64>> {
+        prop::option::of(-5i64..20)
+    }
+
+    fn opt_key() -> impl Strategy<Value = Option<String>> {
+        prop::option::of("[a-c]{1,2}")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        // Exact equality, Welford moments included: the generated tables
+        // are one morsel, and one morsel is sequential accumulation.
+        #[test]
+        fn group_by_parallel_body_matches_row_at_a_time_reference(
+            rows in prop::collection::vec((opt_key(), opt_int(), opt_int()), 0..300),
+        ) {
+            let t = Table::new(vec![
+                ("k", Column::from_opt_strs(rows.iter().map(|(k, _, _)| k.clone()).collect())),
+                ("v", Column::from_opt_ints(rows.iter().map(|(_, v, _)| *v).collect())),
+                (
+                    "f",
+                    Column::from_opt_floats(
+                        rows.iter().map(|(_, _, f)| f.map(|x| x as f64 / 3.0)).collect(),
+                    ),
+                ),
+            ])
+            .unwrap();
+            let aggs = [
+                AggSpec::count_records("n"),
+                AggSpec::new(AggFunc::Count, "v", "cnt"),
+                AggSpec::new(AggFunc::CountDistinct, "v", "dist"),
+                AggSpec::new(AggFunc::Sum, "v", "sum"),
+                AggSpec::new(AggFunc::Sum, "f", "fsum"),
+                AggSpec::new(AggFunc::Avg, "f", "avg"),
+                AggSpec::new(AggFunc::Min, "v", "lo"),
+                AggSpec::new(AggFunc::Max, "v", "hi"),
+                AggSpec::new(AggFunc::Median, "f", "mid"),
+                AggSpec::new(AggFunc::Variance, "f", "var"),
+                AggSpec::new(AggFunc::StdDev, "v", "sd"),
+                AggSpec::new(AggFunc::First, "v", "first"),
+                AggSpec::new(AggFunc::Last, "v", "last"),
+            ];
+            // Single key, multi-key, and the global (empty-key) group —
+            // which is one row even when `rows` is empty.
+            for keys in [&["k"][..], &["k", "v"], &[]] {
+                prop_assert_eq!(
+                    group_by(&t, keys, &aggs).unwrap(),
+                    group_by_reference(&t, keys, &aggs).unwrap()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn empty_input_global_aggregate_is_one_row() {
+        let empty = parties().head(0);
+        let aggs = [
+            AggSpec::count_records("n"),
+            AggSpec::new(AggFunc::Count, "age", "cnt"),
+            AggSpec::new(AggFunc::Sum, "age", "sum"),
+            AggSpec::new(AggFunc::Avg, "age", "avg"),
+        ];
+        let out = group_by(&empty, &[], &aggs).unwrap();
+        assert_eq!(out, group_by_reference(&empty, &[], &aggs).unwrap());
+        assert_eq!(out.num_rows(), 1);
+        assert_eq!(out.value(0, "n").unwrap(), Value::Int(0));
+        assert_eq!(out.value(0, "cnt").unwrap(), Value::Int(0));
+        assert_eq!(out.value(0, "sum").unwrap(), Value::Null);
+        assert_eq!(out.value(0, "avg").unwrap(), Value::Null);
+        // With keys, no rows means no groups.
+        let keyed = group_by(&empty, &["party_sobriety"], &aggs).unwrap();
+        assert_eq!(keyed.num_rows(), 0);
+        assert_eq!(keyed.schema().names().len(), 5);
+    }
+
+    #[test]
+    fn single_row_input() {
+        let one = parties().head(1);
+        let aggs = [
+            AggSpec::new(AggFunc::Sum, "age", "sum"),
+            AggSpec::new(AggFunc::StdDev, "age", "sd"),
+        ];
+        for keys in [&["party_sobriety"][..], &[]] {
+            let out = group_by(&one, keys, &aggs).unwrap();
+            assert_eq!(out, group_by_reference(&one, keys, &aggs).unwrap());
+            assert_eq!(out.num_rows(), 1);
+            assert_eq!(out.value(0, "sum").unwrap(), Value::Int(20));
+            assert_eq!(out.value(0, "sd").unwrap(), Value::Null);
+        }
+    }
 
     fn parties() -> Table {
         Table::new(vec![

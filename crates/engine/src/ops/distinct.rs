@@ -1,14 +1,16 @@
 //! Duplicate removal.
 
-use std::collections::HashSet;
-
 use crate::error::Result;
+use crate::ops::aggregate::encode_groups;
 use crate::table::Table;
-use crate::value::Value;
 
 /// Keep the first occurrence of each distinct combination of `columns`
 /// (all columns when the list is empty). Row order of survivors is
 /// preserved.
+///
+/// Rows are compared the way `group_by` compares keys (it is the same
+/// encoder): nulls equal each other, -0.0 equals 0.0, and all NaNs count
+/// as one value.
 pub fn distinct(table: &Table, columns: &[&str]) -> Result<Table> {
     let cols: Vec<_> = if columns.is_empty() {
         table.columns().iter().collect()
@@ -18,61 +20,17 @@ pub fn distinct(table: &Table, columns: &[&str]) -> Result<Table> {
             .map(|c| table.column(c))
             .collect::<Result<_>>()?
     };
-    // Fast path: every key column dictionary-encoded → rows compare by
-    // `u32` codes (0 reserved for null), never touching string payloads.
-    if !cols.is_empty() && cols.iter().all(|c| c.as_dict().is_some()) {
-        let n = table.num_rows();
-        let dicts: Vec<_> = cols.iter().map(|c| c.as_dict().unwrap()).collect();
-        let mut keep = Vec::with_capacity(n);
-        if let [(codes, dict, valid)] = dicts.as_slice() {
-            // Single column: a flat bitset over the dictionary suffices.
-            let mut seen = vec![false; dict.len() + 1];
-            for row in 0..n {
-                let slot = if valid.get(row) {
-                    codes[row] as usize + 1
-                } else {
-                    0
-                };
-                keep.push(!std::mem::replace(&mut seen[slot], true));
-            }
-        } else {
-            let mut seen: HashSet<Vec<u32>> = HashSet::new();
-            for row in 0..n {
-                let key: Vec<u32> = dicts
-                    .iter()
-                    .map(|(codes, _, valid)| if valid.get(row) { codes[row] + 1 } else { 0 })
-                    .collect();
-                keep.push(seen.insert(key));
-            }
-        }
-        return table.filter_mask(&keep);
-    }
-    let mut seen: HashSet<String> = HashSet::new();
-    let mut keep = Vec::with_capacity(table.num_rows());
-    let mut key = String::new();
-    for row in 0..table.num_rows() {
-        key.clear();
-        for c in &cols {
-            let v = c.get(row);
-            key.push(match v {
-                Value::Null => 'n',
-                Value::Bool(_) => 'b',
-                Value::Int(_) => 'i',
-                Value::Float(_) => 'f',
-                Value::Str(_) => 's',
-                Value::Date(_) => 'd',
-            });
-            match &v {
-                Value::Float(f) => {
-                    let f = if *f == 0.0 { 0.0 } else { *f };
-                    key.push_str(&format!("{:x}", f.to_bits()));
-                }
-                other => key.push_str(&other.render().replace('\u{1f}', "\u{1f}\u{1f}")),
-            }
-            key.push('\u{1f}');
-        }
-        keep.push(seen.insert(key.clone()));
-    }
+    // Group ids are dense and assigned in first-encounter order, so a row
+    // opens a new group iff its id equals the number of ids seen so far.
+    let mut seen = 0u32;
+    let keep: Vec<bool> = encode_groups(&cols, 0..table.num_rows())
+        .into_iter()
+        .map(|g| {
+            let first = g == seen;
+            seen += u32::from(first);
+            first
+        })
+        .collect();
     table.filter_mask(&keep)
 }
 
@@ -80,6 +38,7 @@ pub fn distinct(table: &Table, columns: &[&str]) -> Result<Table> {
 mod tests {
     use super::*;
     use crate::column::Column;
+    use crate::value::Value;
 
     fn t() -> Table {
         Table::new(vec![

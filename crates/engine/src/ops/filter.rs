@@ -8,16 +8,18 @@ use crate::table::Table;
 
 /// Keep rows satisfying the predicate (nulls drop, like SQL `WHERE`).
 ///
-/// On large tables the selection mask is computed morsel-parallel over
-/// only the columns the predicate references (see
+/// On tables of more than one morsel the selection mask is computed
+/// morsel-parallel over only the columns the predicate references (see
 /// [`eval_predicate`]); the surviving rows are then materialized in one
-/// pass, so the output matches the serial path exactly.
+/// pass, so the output matches [`filter_serial`] exactly.
 pub fn filter(table: &Table, predicate: &Expr) -> Result<Table> {
     let mask = eval_predicate(table, predicate)?;
     table.filter_mask(&mask)
 }
 
-/// Single-threaded filter (also the reference for the morsel path).
+/// Filter on the calling thread: the mask comes from the per-morsel worker
+/// [`eval_predicate_serial`] run over the whole table. Storage calls this
+/// once per block.
 pub fn filter_serial(table: &Table, predicate: &Expr) -> Result<Table> {
     let mask = eval_predicate_serial(table, predicate)?;
     table.filter_mask(&mask)

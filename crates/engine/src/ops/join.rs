@@ -1,6 +1,6 @@
 //! Hash joins.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -32,35 +32,6 @@ impl JoinType {
             JoinType::Full => "FULL OUTER JOIN",
         }
     }
-}
-
-/// Canonical hashable form of a join key row; `None` when any component is
-/// null (null keys never match, per SQL).
-fn key_of(cols: &[&Column], row: usize) -> Option<String> {
-    let mut out = String::new();
-    for c in cols {
-        let v = c.get(row);
-        if v.is_null() {
-            return None;
-        }
-        // Render with a type tag and separator so e.g. ("a","b") and
-        // ("a,b",) cannot collide.
-        out.push_str(match v {
-            Value::Bool(_) => "b:",
-            Value::Int(_) => "i:",
-            Value::Float(_) => "f:",
-            Value::Str(_) => "s:",
-            Value::Date(_) => "d:",
-            Value::Null => unreachable!(),
-        });
-        let rendered = match &v {
-            Value::Float(f) => format!("{:x}", (if *f == 0.0 { 0.0 } else { *f }).to_bits()),
-            other => other.render(),
-        };
-        out.push_str(&rendered.replace('\\', "\\\\").replace('\u{1f}', "\\u"));
-        out.push('\u{1f}');
-    }
-    Some(out)
 }
 
 /// Resolve and type-check the key columns of both sides.
@@ -95,130 +66,9 @@ fn key_columns<'a>(
     Ok((lcols, rcols))
 }
 
-/// Hash join of two tables on equally-named key pairs.
-///
-/// `left_on[i]` joins against `right_on[i]`. Non-key right columns that
-/// collide with a left column name are suffixed `_right`. Right key
-/// columns are dropped (they duplicate the left keys on matches); for
-/// right/full joins the left key columns are backfilled from the right
-/// side on unmatched right rows.
-///
-/// Large inputs take a morsel path: build and probe run per row range
-/// with typed, borrowed keys (no per-row string rendering) and the output
-/// is materialized with one gather per column. Per-morsel results are
-/// stitched in morsel order, so row order matches the serial join.
-pub fn join(
-    left: &Table,
-    right: &Table,
-    left_on: &[&str],
-    right_on: &[&str],
-    how: JoinType,
-) -> Result<Table> {
-    if parallel::enabled(left.num_rows().max(right.num_rows())) {
-        join_morsel(left, right, left_on, right_on, how)
-    } else {
-        join_serial(left, right, left_on, right_on, how)
-    }
-}
-
-/// Single-threaded join (also the reference for the morsel path).
-pub fn join_serial(
-    left: &Table,
-    right: &Table,
-    left_on: &[&str],
-    right_on: &[&str],
-    how: JoinType,
-) -> Result<Table> {
-    let (lcols, rcols) = key_columns(left, right, left_on, right_on)?;
-
-    // Build phase on the right side.
-    let mut index: HashMap<String, Vec<usize>> = HashMap::new();
-    for row in 0..right.num_rows() {
-        if let Some(k) = key_of(&rcols, row) {
-            index.entry(k).or_default().push(row);
-        }
-    }
-
-    // Probe phase.
-    let mut lidx: Vec<Option<usize>> = Vec::new();
-    let mut ridx: Vec<Option<usize>> = Vec::new();
-    let mut right_matched = vec![false; right.num_rows()];
-    for row in 0..left.num_rows() {
-        let matches = key_of(&lcols, row).and_then(|k| index.get(&k));
-        match matches {
-            Some(rows) if !rows.is_empty() => {
-                for &r in rows {
-                    lidx.push(Some(row));
-                    ridx.push(Some(r));
-                    right_matched[r] = true;
-                }
-            }
-            _ => {
-                if matches!(how, JoinType::Left | JoinType::Full) {
-                    lidx.push(Some(row));
-                    ridx.push(None);
-                }
-            }
-        }
-    }
-    if matches!(how, JoinType::Right | JoinType::Full) {
-        for (r, matched) in right_matched.iter().enumerate() {
-            if !matched {
-                lidx.push(None);
-                ridx.push(Some(r));
-            }
-        }
-    }
-
-    // Assemble output: left columns, then right non-key columns.
-    let mut out = Table::empty();
-    let key_positions_left: Vec<usize> = left_on
-        .iter()
-        .map(|k| left.schema().index_of(k).unwrap())
-        .collect();
-    for (ci, field) in left.schema().fields().iter().enumerate() {
-        let src = left.column_at(ci);
-        let mut col = Column::empty(src.dtype());
-        // Left key columns backfill from the right on right-only rows.
-        let backfill = key_positions_left
-            .iter()
-            .position(|&p| p == ci)
-            .map(|key_slot| rcols[key_slot]);
-        for (l, r) in lidx.iter().zip(&ridx) {
-            let v = match (l, r, backfill) {
-                (Some(l), _, _) => src.get(*l),
-                (None, Some(r), Some(rc)) => rc.get(*r),
-                _ => Value::Null,
-            };
-            let v = crate::column::cast_value(&v, src.dtype());
-            col.push_value(&v)?;
-        }
-        out.add_column(&field.name, col)?;
-    }
-    for (ci, field) in right.schema().fields().iter().enumerate() {
-        if right_on.iter().any(|k| field.name.eq_ignore_ascii_case(k)) {
-            continue;
-        }
-        let src = right.column_at(ci);
-        let mut col = Column::empty(src.dtype());
-        for r in &ridx {
-            let v = r.map_or(Value::Null, |r| src.get(r));
-            col.push_value(&v)?;
-        }
-        let name = if out.schema().index_of(&field.name).is_some() {
-            format!("{}_right", field.name)
-        } else {
-            field.name.clone()
-        };
-        out.add_column(&name, col)?;
-    }
-    Ok(out)
-}
-
 /// One component of a typed join key, borrowing string data from its
-/// column. Variants mirror [`key_of`]'s type tags: values of different
-/// types never compare equal, and floats match on normalized bits
-/// (-0.0 folds into 0.0, NaN payloads kept as-is).
+/// column. Values of different types never compare equal, and floats match
+/// on normalized bits (-0.0 folds into 0.0, NaN payloads kept as-is).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum RefPart<'a> {
     Bool(bool),
@@ -322,7 +172,8 @@ fn dict_code_keys(l: &Column, r: &Column) -> Option<(Column, Column)> {
     }
 }
 
-/// Typed equivalent of [`key_of`]: `None` when any component is null.
+/// The typed key of one row; `None` when any component is null (null keys
+/// never match, per SQL).
 #[inline(always)]
 fn ref_key<'a>(cols: &[&'a Column], row: usize) -> Option<Key<'a>> {
     if let [col] = cols {
@@ -335,7 +186,21 @@ fn ref_key<'a>(cols: &[&'a Column], row: usize) -> Option<Key<'a>> {
     Some(Key::Many(parts))
 }
 
-fn join_morsel(
+/// Hash join of two tables on equally-named key pairs.
+///
+/// `left_on[i]` joins against `right_on[i]`. Non-key right columns that
+/// collide with a left column name are suffixed `_right`. Right key
+/// columns are dropped (they duplicate the left keys on matches); for
+/// right/full joins the left key columns are backfilled from the right
+/// side on unmatched right rows.
+///
+/// Build and probe run per row morsel (see [`crate::parallel`]) with
+/// typed, borrowed keys (no per-row string rendering) and the output is
+/// materialized with one gather per column. Per-morsel results are stitched
+/// in morsel order, so row order never depends on the morsel count: left
+/// rows ascending, each one's matches in ascending right-row order, then
+/// unmatched right rows for right/full joins.
+pub fn join(
     left: &Table,
     right: &Table,
     left_on: &[&str],
@@ -372,73 +237,52 @@ fn join_morsel(
     // unique key touches no memory beyond the map entry itself, because
     // `head == tail` ends the walk before `next` is ever read.
     //
-    // Each worker indexes its own right-side row range; the partial chains
-    // splice together in morsel order so every key's chain stays in
-    // ascending right-row order, exactly like the serial build. With a
-    // single worker the index is built directly in one pass instead.
-    let mut next: Vec<u32> = vec![u32::MAX; right.num_rows()];
-    let index: FxHashMap<Key, (u32, u32)> = if parallel::num_threads() == 1 {
+    // Each morsel indexes its own right-side row range. The first morsel's
+    // index and links are adopted as they are and the rest splice in behind
+    // them in morsel order, so every key's chain stays in ascending
+    // right-row order and a single morsel splices nothing.
+    let mut parts = parallel::run_morsels(&parallel::morsels(right.num_rows()), |r| {
+        let base = r.start;
+        let mut local_next: Vec<u32> = vec![u32::MAX; r.len()];
         let mut map: FxHashMap<Key, (u32, u32)> =
-            FxHashMap::with_capacity_and_hasher(right.num_rows(), Default::default());
-        for row in 0..right.num_rows() {
+            FxHashMap::with_capacity_and_hasher(r.len(), Default::default());
+        for row in r {
             if let Some(k) = ref_key(&rkey, row) {
                 match map.entry(k) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
+                    Entry::Occupied(mut e) => {
                         let chain = e.get_mut();
-                        next[chain.1 as usize] = row as u32;
+                        local_next[chain.1 as usize - base] = row as u32;
                         chain.1 = row as u32;
                     }
-                    std::collections::hash_map::Entry::Vacant(e) => {
+                    Entry::Vacant(e) => {
                         e.insert((row as u32, row as u32));
                     }
                 }
             }
         }
-        map
-    } else {
-        let rranges = parallel::morsels(right.num_rows());
-        let parts = parallel::run_morsels(&rranges, |r| {
-            let base = r.start;
-            let mut local_next: Vec<u32> = vec![u32::MAX; r.len()];
-            let mut map: FxHashMap<Key, (u32, u32)> = FxHashMap::default();
-            for row in r {
-                if let Some(k) = ref_key(&rkey, row) {
-                    match map.entry(k) {
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            let chain = e.get_mut();
-                            local_next[chain.1 as usize - base] = row as u32;
-                            chain.1 = row as u32;
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert((row as u32, row as u32));
-                        }
-                    }
+        (local_next, map)
+    })
+    .into_iter();
+    let (mut next, mut index) = parts.next().unwrap_or_default();
+    for (local_next, map) in parts {
+        next.extend(local_next);
+        index.reserve(map.len());
+        for (k, chain) in map {
+            match index.entry(k) {
+                Entry::Occupied(mut e) => {
+                    let merged = e.get_mut();
+                    next[merged.1 as usize] = chain.0;
+                    merged.1 = chain.1;
                 }
-            }
-            (base, local_next, map)
-        });
-        let mut index: FxHashMap<Key, (u32, u32)> =
-            FxHashMap::with_capacity_and_hasher(right.num_rows(), Default::default());
-        for (base, local_next, map) in parts {
-            next[base..base + local_next.len()].copy_from_slice(&local_next);
-            for (k, chain) in map {
-                match index.entry(k) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        let merged = e.get_mut();
-                        next[merged.1 as usize] = chain.0;
-                        merged.1 = chain.1;
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(chain);
-                    }
+                Entry::Vacant(e) => {
+                    e.insert(chain);
                 }
             }
         }
-        index
-    };
+    }
 
     // Probe phase: per left morsel, emitting (left, right) row pairs in
-    // serial order. Matched right rows are flagged through atomics so
+    // left-row order. Matched right rows are flagged through atomics so
     // right/full joins can backfill after all workers finish.
     let track_matched = matches!(how, JoinType::Right | JoinType::Full);
     let right_matched: Vec<AtomicBool> = if track_matched {
@@ -546,6 +390,194 @@ fn join_morsel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Nested-loop reference join: no hashing, no key rendering. Keys match
+    /// on typed `Value` equality, so null matches nothing, values of
+    /// different types never match, `-0.0 == 0.0`, and NaN matches nothing.
+    /// (`join` itself matches two NaNs of identical bits; the properties
+    /// below generate no NaN keys.)
+    fn join_reference(
+        left: &Table,
+        right: &Table,
+        left_on: &[&str],
+        right_on: &[&str],
+        how: JoinType,
+    ) -> Result<Table> {
+        let (lcols, rcols) = key_columns(left, right, left_on, right_on)?;
+        let keys_match = |l: usize, r: usize| {
+            lcols
+                .iter()
+                .zip(&rcols)
+                .all(|(lc, rc)| match (lc.get(l), rc.get(r)) {
+                    (Value::Bool(a), Value::Bool(b)) => a == b,
+                    (Value::Int(a), Value::Int(b)) => a == b,
+                    (Value::Float(a), Value::Float(b)) => a == b,
+                    (Value::Str(a), Value::Str(b)) => a == b,
+                    (Value::Date(a), Value::Date(b)) => a == b,
+                    _ => false,
+                })
+        };
+        let mut pairs: Vec<(Option<usize>, Option<usize>)> = Vec::new();
+        let mut right_matched = vec![false; right.num_rows()];
+        for l in 0..left.num_rows() {
+            let before = pairs.len();
+            for (r, matched) in right_matched.iter_mut().enumerate() {
+                if keys_match(l, r) {
+                    pairs.push((Some(l), Some(r)));
+                    *matched = true;
+                }
+            }
+            if pairs.len() == before && matches!(how, JoinType::Left | JoinType::Full) {
+                pairs.push((Some(l), None));
+            }
+        }
+        if matches!(how, JoinType::Right | JoinType::Full) {
+            for (r, matched) in right_matched.iter().enumerate() {
+                if !matched {
+                    pairs.push((None, Some(r)));
+                }
+            }
+        }
+
+        // Assemble cell by cell: left columns (key columns backfilled from
+        // the right on right-only rows), then right non-key columns.
+        let mut out = Table::empty();
+        for (ci, field) in left.schema().fields().iter().enumerate() {
+            let src = left.column_at(ci);
+            let backfill = left_on
+                .iter()
+                .position(|k| left.schema().index_of(k) == Some(ci))
+                .map(|key_slot| rcols[key_slot]);
+            let mut col = Column::empty(src.dtype());
+            for pair in &pairs {
+                let v = match (pair, backfill) {
+                    ((Some(l), _), _) => src.get(*l),
+                    ((None, Some(r)), Some(rc)) => rc.get(*r),
+                    _ => Value::Null,
+                };
+                col.push_value(&crate::column::cast_value(&v, src.dtype()))?;
+            }
+            out.add_column(&field.name, col)?;
+        }
+        for (ci, field) in right.schema().fields().iter().enumerate() {
+            if right_on.iter().any(|k| field.name.eq_ignore_ascii_case(k)) {
+                continue;
+            }
+            let src = right.column_at(ci);
+            let mut col = Column::empty(src.dtype());
+            for (_, r) in &pairs {
+                col.push_value(&r.map_or(Value::Null, |r| src.get(r)))?;
+            }
+            let name = if out.schema().index_of(&field.name).is_some() {
+                format!("{}_right", field.name)
+            } else {
+                field.name.clone()
+            };
+            out.add_column(&name, col)?;
+        }
+        Ok(out)
+    }
+
+    const ALL_JOIN_TYPES: [JoinType; 4] = [
+        JoinType::Inner,
+        JoinType::Left,
+        JoinType::Right,
+        JoinType::Full,
+    ];
+
+    fn opt_key() -> impl Strategy<Value = Option<String>> {
+        prop::option::of("[a-c]{1,2}")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn join_parallel_body_matches_nested_loop_reference(
+            lrows in prop::collection::vec((prop::option::of(0i64..8), 0i64..100), 0..150),
+            rrows in prop::collection::vec((prop::option::of(0i64..8), opt_key()), 0..150),
+        ) {
+            let left = Table::new(vec![
+                ("id", Column::from_opt_ints(lrows.iter().map(|(k, _)| *k).collect())),
+                ("payload", Column::from_ints(lrows.iter().map(|(_, v)| *v).collect())),
+            ])
+            .unwrap();
+            let right = Table::new(vec![
+                ("id", Column::from_opt_ints(rrows.iter().map(|(k, _)| *k).collect())),
+                ("tag", Column::from_opt_strs(rrows.iter().map(|(_, t)| t.clone()).collect())),
+            ])
+            .unwrap();
+            for how in ALL_JOIN_TYPES {
+                prop_assert_eq!(
+                    join(&left, &right, &["id"], &["id"], how).unwrap(),
+                    join_reference(&left, &right, &["id"], &["id"], how).unwrap()
+                );
+            }
+        }
+
+        #[test]
+        fn multi_key_join_parallel_body_matches_nested_loop_reference(
+            lrows in prop::collection::vec((opt_key(), prop::option::of(0i64..4)), 0..120),
+            rrows in prop::collection::vec((opt_key(), prop::option::of(0i64..4)), 0..120),
+        ) {
+            let side = |rows: &[(Option<String>, Option<i64>)]| {
+                Table::new(vec![
+                    ("a", Column::from_opt_strs(rows.iter().map(|(a, _)| a.clone()).collect())),
+                    ("b", Column::from_opt_ints(rows.iter().map(|(_, b)| *b).collect())),
+                ])
+                .unwrap()
+            };
+            let (left, right) = (side(&lrows), side(&rrows));
+            for how in ALL_JOIN_TYPES {
+                prop_assert_eq!(
+                    join(&left, &right, &["a", "b"], &["a", "b"], how).unwrap(),
+                    join_reference(&left, &right, &["a", "b"], &["a", "b"], how).unwrap()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn empty_and_single_row_inputs() {
+        let one = Table::new(vec![
+            ("k", Column::from_ints(vec![1])),
+            ("v", Column::from_strs(vec!["x"])),
+        ])
+        .unwrap();
+        let none = one.head(0);
+        for how in ALL_JOIN_TYPES {
+            for (l, r) in [(&none, &none), (&none, &one), (&one, &none), (&one, &one)] {
+                let out = join(l, r, &["k"], &["k"], how).unwrap();
+                assert_eq!(out, join_reference(l, r, &["k"], &["k"], how).unwrap());
+                assert_eq!(out.schema().names(), vec!["k", "v", "v_right"]);
+            }
+        }
+        let out = join(&one, &none, &["k"], &["k"], JoinType::Left).unwrap();
+        assert_eq!(out.num_rows(), 1);
+        assert_eq!(out.value(0, "v_right").unwrap(), Value::Null);
+        let out = join(&none, &one, &["k"], &["k"], JoinType::Full).unwrap();
+        assert_eq!(out.num_rows(), 1);
+        assert_eq!(out.value(0, "k").unwrap(), Value::Int(1));
+        assert_eq!(out.value(0, "v").unwrap(), Value::Null);
+    }
+
+    #[test]
+    fn float_keys_fold_negative_zero() {
+        let a = Table::new(vec![("k", Column::from_floats(vec![-0.0, 1.5]))]).unwrap();
+        let b = Table::new(vec![
+            ("k", Column::from_floats(vec![0.0, 2.5])),
+            ("w", Column::from_ints(vec![7, 8])),
+        ])
+        .unwrap();
+        let out = join(&a, &b, &["k"], &["k"], JoinType::Inner).unwrap();
+        assert_eq!(
+            out,
+            join_reference(&a, &b, &["k"], &["k"], JoinType::Inner).unwrap()
+        );
+        assert_eq!(out.num_rows(), 1);
+        assert_eq!(out.value(0, "w").unwrap(), Value::Int(7));
+    }
 
     fn collisions() -> Table {
         Table::new(vec![

@@ -1,5 +1,7 @@
 //! Multi-key stable sort.
 
+use std::ops::Range;
+
 use crate::error::Result;
 use crate::parallel;
 use crate::table::Table;
@@ -33,54 +35,24 @@ impl SortKey {
 /// Stable sort by the given keys. Nulls sort first on ascending keys and
 /// last on descending ones (a consequence of the total order on values).
 ///
-/// Large tables take a decorate-sort morsel path: key values are extracted
-/// once per row (instead of twice per comparison), contiguous index chunks
-/// sort concurrently, and sorted chunks fold together through a stable
-/// left-biased merge — ties keep earlier-chunk rows first, which are
-/// exactly the earlier input rows, so stability matches the serial sort.
+/// Decorate-sort over row morsels (see [`crate::parallel`]): key values are
+/// extracted once per row (instead of twice per comparison), each morsel's
+/// index range sorts on its own, and sorted runs fold together through a
+/// stable left-biased merge — ties keep earlier-run rows first, which are
+/// exactly the earlier input rows, so the result is the stable sort
+/// whatever the morsel count. A single morsel is one run and merges nothing.
 pub fn sort_by(table: &Table, keys: &[SortKey]) -> Result<Table> {
     if keys.is_empty() {
         return Ok(table.clone());
     }
-    if parallel::enabled(table.num_rows()) {
-        sort_by_morsel(table, keys)
-    } else {
-        sort_by_serial(table, keys)
-    }
-}
-
-/// Single-threaded sort (also the reference for the morsel path).
-pub fn sort_by_serial(table: &Table, keys: &[SortKey]) -> Result<Table> {
-    if keys.is_empty() {
-        return Ok(table.clone());
-    }
     let cols: Vec<_> = keys
         .iter()
         .map(|k| table.column(&k.column))
         .collect::<Result<Vec<_>>>()?;
-    let mut indices: Vec<usize> = (0..table.num_rows()).collect();
-    indices.sort_by(|&a, &b| {
-        for (key, col) in keys.iter().zip(&cols) {
-            let ord = col.get(a).cmp_total(&col.get(b));
-            let ord = if key.ascending { ord } else { ord.reverse() };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-    Ok(table.take(&indices))
-}
+    let ranges = parallel::morsels(table.num_rows());
 
-fn sort_by_morsel(table: &Table, keys: &[SortKey]) -> Result<Table> {
-    let cols: Vec<_> = keys
-        .iter()
-        .map(|k| table.column(&k.column))
-        .collect::<Result<Vec<_>>>()?;
-    let n = table.num_rows();
-
-    // Decorate: materialize each key column's sort keys once, in parallel.
-    // Dictionary columns never touch their string payloads — the
+    // Decorate: materialize each key column's sort keys once, morsel by
+    // morsel. Dictionary columns never touch their string payloads — the
     // dictionary is sorted, so comparing (validity, code) pairs is
     // exactly the total order on the strings (nulls first ascending,
     // like `Value::cmp_total`).
@@ -88,13 +60,15 @@ fn sort_by_morsel(table: &Table, keys: &[SortKey]) -> Result<Table> {
         Vals(Vec<Value>),
         Codes(Vec<Option<u32>>),
     }
-    let decorated: Vec<SortCol> = parallel::run_indexed(cols.len(), |k| {
-        if let Some((codes, _, valid)) = cols[k].as_dict() {
-            SortCol::Codes((0..n).map(|i| valid.get(i).then(|| codes[i])).collect())
-        } else {
-            SortCol::Vals((0..n).map(|i| cols[k].get(i)).collect())
-        }
-    });
+    let decorated: Vec<SortCol> = cols
+        .iter()
+        .map(|col| match col.as_dict() {
+            Some((codes, _, valid)) => {
+                SortCol::Codes(per_row(&ranges, |i| valid.get(i).then(|| codes[i])))
+            }
+            None => SortCol::Vals(per_row(&ranges, |i| col.get(i))),
+        })
+        .collect();
     let cmp = |a: usize, b: usize| -> std::cmp::Ordering {
         for (key, col) in keys.iter().zip(&decorated) {
             let ord = match col {
@@ -113,7 +87,6 @@ fn sort_by_morsel(table: &Table, keys: &[SortKey]) -> Result<Table> {
 
     // Sort each contiguous index chunk, then merge pairwise until one
     // run remains. Both stages run on the worker pool.
-    let ranges = parallel::morsels(n);
     let mut runs: Vec<Vec<usize>> = parallel::run_morsels(&ranges, |r| {
         let mut idx: Vec<usize> = r.collect();
         idx.sort_by(|&a, &b| cmp(a, b));
@@ -131,6 +104,14 @@ fn sort_by_morsel(table: &Table, keys: &[SortKey]) -> Result<Table> {
     }
     let indices = runs.pop().unwrap_or_default();
     Ok(table.take(&indices))
+}
+
+/// `f` of every row, computed morsel by morsel and returned in row order.
+fn per_row<T: Send>(ranges: &[Range<usize>], f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    parallel::run_morsels(ranges, |r| r.map(&f).collect::<Vec<_>>())
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 /// Merge two sorted runs, taking from `a` on ties. `a` must hold earlier
@@ -168,6 +149,72 @@ mod tests {
     use super::*;
     use crate::column::Column;
     use crate::value::Value;
+    use proptest::prelude::*;
+
+    /// Row-at-a-time reference sort: the standard library's stable sort
+    /// over row indices, reading both cells on every comparison.
+    fn sort_by_reference(table: &Table, keys: &[SortKey]) -> Result<Table> {
+        let cols: Vec<_> = keys
+            .iter()
+            .map(|k| table.column(&k.column))
+            .collect::<Result<Vec<_>>>()?;
+        let mut indices: Vec<usize> = (0..table.num_rows()).collect();
+        indices.sort_by(|&a, &b| {
+            for (key, col) in keys.iter().zip(&cols) {
+                let ord = col.get(a).cmp_total(&col.get(b));
+                let ord = if key.ascending { ord } else { ord.reverse() };
+                if ord != std::cmp::Ordering::Equal {
+                    return ord;
+                }
+            }
+            std::cmp::Ordering::Equal
+        });
+        Ok(table.take(&indices))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn sort_parallel_body_matches_row_at_a_time_reference(
+            rows in prop::collection::vec(
+                (prop::option::of("[a-c]{1,2}"), prop::option::of(-5i64..20)),
+                0..300,
+            ),
+        ) {
+            // `pos` makes every row distinct, so equality of the outputs
+            // also pins stability on tied keys.
+            let t = Table::new(vec![
+                ("k", Column::from_opt_strs(rows.iter().map(|(k, _)| k.clone()).collect())),
+                ("v", Column::from_opt_ints(rows.iter().map(|(_, v)| *v).collect())),
+                ("pos", Column::from_ints((0..rows.len() as i64).collect())),
+            ])
+            .unwrap();
+            for keys in [
+                vec![SortKey::asc("k"), SortKey::desc("v")],
+                vec![SortKey::desc("v")],
+            ] {
+                prop_assert_eq!(
+                    sort_by(&t, &keys).unwrap(),
+                    sort_by_reference(&t, &keys).unwrap()
+                );
+                // The dictionary-rank comparator must order like the strings.
+                prop_assert_eq!(
+                    sort_by(&t.encode_strings(), &keys).unwrap(),
+                    sort_by_reference(&t, &keys).unwrap()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn empty_and_single_row_inputs() {
+        let keys = [SortKey::asc("g"), SortKey::desc("v")];
+        for rows in [0, 1] {
+            let input = t().head(rows);
+            assert_eq!(sort_by(&input, &keys).unwrap(), input);
+        }
+    }
 
     fn t() -> Table {
         Table::new(vec![

@@ -1,15 +1,16 @@
 //! Morsel-driven parallel execution.
 //!
-//! Large kernel inputs are split into contiguous row *morsels* which are
-//! processed by a scoped worker pool (one worker per available core) and
-//! re-assembled in morsel order, so every parallel kernel produces exactly
-//! the same table as its serial counterpart. Inputs below
-//! [`min_parallel_rows`] rows stay on the serial path: for small tables the
+//! Every kernel has one body: it splits its input into contiguous row
+//! *morsels* ([`morsels`]), processes them on a scoped worker pool (one
+//! worker per available core) and re-assembles the per-morsel results in
+//! morsel order. The only thing that varies is how many morsels there
+//! are. Inputs below [`min_parallel_rows`] rows are a single morsel, which
+//! [`run_indexed`] runs inline on the calling thread: for small tables the
 //! cost of spawning and stitching dwarfs the work itself.
 //!
-//! With `--no-default-features` (the `parallel` feature off) [`enabled`]
-//! is always `false` and every kernel runs its serial body; the morsel
-//! machinery still compiles so the two builds cannot drift apart.
+//! With `--no-default-features` (the `parallel` feature off) every input
+//! is a single morsel and [`num_threads`] is 1, so the same kernel bodies
+//! run without ever spawning a thread.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -19,7 +20,7 @@ use std::sync::OnceLock;
 /// morsel fit comfortably in L2.
 pub const MORSEL_ROWS: usize = 64 * 1024;
 
-/// Default dispatch threshold: inputs smaller than this stay serial.
+/// Default dispatch threshold: inputs smaller than this are one morsel.
 pub const DEFAULT_MIN_PARALLEL_ROWS: usize = 32 * 1024;
 
 static MIN_PARALLEL_ROWS: AtomicUsize = AtomicUsize::new(DEFAULT_MIN_PARALLEL_ROWS);
@@ -31,20 +32,19 @@ pub fn min_parallel_rows() -> usize {
 
 /// Override the dispatch threshold, returning the previous value.
 ///
-/// Process-wide; intended for tests (force the morsel path on tiny inputs)
-/// and benchmarks (pin a kernel to one path). Clamped to at least 1 so an
-/// empty input never dispatches.
+/// Process-wide; intended for tests (split tiny inputs into several
+/// morsels, or pin every input to one). It changes only the morsel count,
+/// never which code runs. Clamped to at least 1.
 pub fn set_min_parallel_rows(rows: usize) -> usize {
     MIN_PARALLEL_ROWS.swap(rows.max(1), Ordering::Relaxed)
 }
 
-/// Whether a kernel over `rows` rows should take the morsel path.
-pub fn enabled(rows: usize) -> bool {
-    cfg!(feature = "parallel") && rows >= min_parallel_rows()
-}
-
-/// Number of workers used for morsel execution.
+/// Number of workers used for morsel execution; 1 when the `parallel`
+/// feature is off.
 pub fn num_threads() -> usize {
+    if !cfg!(feature = "parallel") {
+        return 1;
+    }
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {
         std::thread::available_parallelism()
@@ -53,7 +53,9 @@ pub fn num_threads() -> usize {
     })
 }
 
-/// Split `rows` into contiguous morsel ranges.
+/// Split `rows` into contiguous morsel ranges: none for an empty input,
+/// one when `rows` is under the dispatch threshold or the `parallel`
+/// feature is off, several otherwise.
 ///
 /// Aims for several morsels per worker (for load balancing) without going
 /// below a quarter of the dispatch threshold or above [`MORSEL_ROWS`].
@@ -61,10 +63,14 @@ pub fn morsels(rows: usize) -> Vec<Range<usize>> {
     if rows == 0 {
         return Vec::new();
     }
-    let floor = (min_parallel_rows() / 4).max(1);
-    let size = rows
-        .div_ceil(num_threads() * 4)
-        .clamp(floor.min(MORSEL_ROWS), MORSEL_ROWS);
+    let threshold = min_parallel_rows();
+    let size = if !cfg!(feature = "parallel") || rows < threshold {
+        rows
+    } else {
+        let floor = (threshold / 4).max(1);
+        rows.div_ceil(num_threads() * 4)
+            .clamp(floor.min(MORSEL_ROWS), MORSEL_ROWS)
+    };
     (0..rows)
         .step_by(size)
         .map(|start| start..(start + size).min(rows))
@@ -72,8 +78,8 @@ pub fn morsels(rows: usize) -> Vec<Range<usize>> {
 }
 
 /// Run `f(i)` for `i in 0..n` on the worker pool, returning results in
-/// index order. Falls back to a plain serial loop when a single worker (or
-/// a single task) would not benefit from spawning.
+/// index order. A single task (one morsel) or a single worker runs inline
+/// on the calling thread, with no spawn.
 pub fn run_indexed<R, F>(n: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -144,22 +150,5 @@ mod tests {
     fn run_indexed_preserves_order() {
         let out = run_indexed(100, |i| i * 2);
         assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn threshold_override_roundtrip() {
-        let prev = set_min_parallel_rows(4);
-        assert_eq!(min_parallel_rows(), 4);
-        assert!(morsels(100).len() > 1);
-        set_min_parallel_rows(prev);
-        assert_eq!(min_parallel_rows(), prev);
-    }
-
-    #[test]
-    fn enabled_respects_feature_and_threshold() {
-        let prev = set_min_parallel_rows(8);
-        assert!(!enabled(7));
-        assert_eq!(enabled(8), cfg!(feature = "parallel"));
-        set_min_parallel_rows(prev);
     }
 }

@@ -4,9 +4,10 @@
 //! dictionaries and all included.
 //!
 //! Each property runs twice, once with the morsel threshold forced to
-//! 1 row and once with dispatch effectively disabled, so the dict
-//! kernels are exercised under both schedulers. Test names carry the
-//! `parallel` marker so the sanitizer matrix picks this suite up.
+//! 1 row (many morsels) and once with it at `usize::MAX` (one morsel), so
+//! the dict kernels' per-morsel work and their cross-morsel merges are
+//! both exercised. Test names carry the `parallel` marker so the sanitizer
+//! matrix picks this suite up.
 
 use dc_engine::ops::{
     concat, distinct, filter, group_by, join, sample_fraction, sort_by, AggFunc, AggSpec, JoinType,
@@ -17,9 +18,9 @@ use dc_engine::stats::describe_table;
 use dc_engine::{eval, Column, DataType, Expr, ScalarFunc, Table, Value};
 use proptest::prelude::*;
 
-/// Run `f` under the morsel scheduler (threshold 1) and then with
-/// dispatch disabled (threshold usize::MAX), so equivalence holds no
-/// matter which path a production table size selects.
+/// Run `f` with every input split into many morsels (threshold 1) and
+/// then with every input a single morsel (threshold usize::MAX), so
+/// equivalence holds whatever morsel count a production table size gets.
 fn on_both_schedulers(
     f: impl Fn() -> std::result::Result<(), TestCaseError>,
 ) -> std::result::Result<(), TestCaseError> {

@@ -1,24 +1,41 @@
-//! Property tests asserting the morsel-parallel kernel paths produce
-//! exactly the same tables as their serial counterparts, including on
-//! null-heavy columns.
+//! Property tests asserting that the morsel count never changes a result:
+//! every public kernel returns the same table when its input is split into
+//! many morsels (dispatch threshold 1) as when it is a single morsel
+//! (threshold `usize::MAX`), including on null-heavy columns.
 //!
-//! The dispatch threshold is forced down to 1 row so even tiny generated
-//! tables split into several morsels and exercise the merge logic. Under
-//! `--no-default-features` dispatch is disabled and these tests compare
-//! the serial path with itself, which keeps the suite green in both
-//! builds.
+//! That each kernel at one morsel equals an independent reference is checked
+//! by the unit properties next to the `#[cfg(test)]` references in
+//! `src/ops/{join,aggregate,sort}.rs`; together the two halves give
+//! `N morsels == reference`.
+//!
+//! Under `--no-default-features` every input is one morsel whatever the
+//! threshold, so both sides are the same run and the suite stays green in
+//! both builds. Test names carry the `parallel` marker so the sanitizer
+//! matrix picks this suite up.
 
-use dc_engine::ops::{
-    filter, filter_serial, group_by, group_by_serial, join, join_serial, sort_by, sort_by_serial,
-    AggFunc, AggSpec, JoinType, SortKey,
+use std::sync::Mutex;
+
+use dc_engine::ops::{filter, group_by, join, sort_by, AggFunc, AggSpec, JoinType, SortKey};
+use dc_engine::parallel::{
+    min_parallel_rows, morsels, set_min_parallel_rows, DEFAULT_MIN_PARALLEL_ROWS,
 };
-use dc_engine::parallel::set_min_parallel_rows;
 use dc_engine::{eval, Column, Expr, Table, Value};
 use proptest::prelude::*;
 
-/// Force every kernel onto the morsel path (when the feature is on).
-fn force_morsels() {
+/// The threshold is process-wide and the tests of this file run on
+/// parallel threads; whoever changes it holds this lock until it is back.
+static THRESHOLD: Mutex<()> = Mutex::new(());
+
+/// `f` over a single morsel, then over as many morsels as the threshold
+/// allows (one per row on tiny inputs, so the merge logic always runs).
+fn one_and_many_morsels<R>(f: impl Fn() -> R) -> (R, R) {
+    let _held = THRESHOLD.lock().unwrap_or_else(|e| e.into_inner());
+    set_min_parallel_rows(usize::MAX);
+    let one = f();
     set_min_parallel_rows(1);
+    let many = f();
+    set_min_parallel_rows(DEFAULT_MIN_PARALLEL_ROWS);
+    (one, many)
 }
 
 fn opt_int() -> impl Strategy<Value = Option<i64>> {
@@ -29,36 +46,48 @@ fn opt_key() -> impl Strategy<Value = Option<String>> {
     prop::option::of("[a-c]{1,2}")
 }
 
+const ALL_JOIN_TYPES: [JoinType; 4] = [
+    JoinType::Inner,
+    JoinType::Left,
+    JoinType::Right,
+    JoinType::Full,
+];
+
+#[test]
+fn threshold_changes_only_the_parallel_morsel_count() {
+    let _held = THRESHOLD.lock().unwrap_or_else(|e| e.into_inner());
+    let prev = set_min_parallel_rows(4);
+    assert_eq!(min_parallel_rows(), 4);
+    assert_eq!(morsels(3), vec![0..3]);
+    assert_eq!(morsels(100).len() > 1, cfg!(feature = "parallel"));
+    assert_eq!(set_min_parallel_rows(prev), 4);
+    assert_eq!(min_parallel_rows(), prev);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn filter_and_eval_match_serial(
+    fn filter_and_eval_parallel_morsels_match_one_morsel(
         rows in prop::collection::vec((opt_int(), opt_key()), 0..300),
     ) {
-        force_morsels();
         let t = Table::new(vec![
             ("x", Column::from_opt_ints(rows.iter().map(|(x, _)| *x).collect())),
             ("k", Column::from_opt_strs(rows.iter().map(|(_, k)| k.clone()).collect())),
         ])
         .unwrap();
         let pred = Expr::col("x").gt(Expr::lit(3i64)).or(Expr::col("k").is_null());
-        prop_assert_eq!(
-            filter(&t, &pred).unwrap(),
-            filter_serial(&t, &pred).unwrap()
-        );
+        let (one, many) = one_and_many_morsels(|| filter(&t, &pred).unwrap());
+        prop_assert_eq!(many, one);
         let expr = Expr::col("x").mul(Expr::lit(2i64)).add(Expr::lit(1i64));
-        prop_assert_eq!(
-            eval::eval(&t, &expr).unwrap(),
-            eval::eval_serial(&t, &expr).unwrap()
-        );
+        let (one, many) = one_and_many_morsels(|| eval::eval(&t, &expr).unwrap());
+        prop_assert_eq!(many, one);
     }
 
     #[test]
-    fn group_by_matches_serial(
+    fn group_by_parallel_morsels_match_one_morsel(
         rows in prop::collection::vec((opt_key(), opt_int(), opt_int()), 0..300),
     ) {
-        force_morsels();
         // Float values are integer-valued so partial sums are exact in
         // f64 regardless of morsel association.
         let t = Table::new(vec![
@@ -85,28 +114,18 @@ proptest! {
             AggSpec::new(AggFunc::First, "v", "first"),
             AggSpec::new(AggFunc::Last, "v", "last"),
         ];
-        prop_assert_eq!(
-            group_by(&t, &["k"], &aggs).unwrap(),
-            group_by_serial(&t, &["k"], &aggs).unwrap()
-        );
-        // Multi-key grouping and the global (empty-key) group.
-        prop_assert_eq!(
-            group_by(&t, &["k", "v"], &aggs[..4]).unwrap(),
-            group_by_serial(&t, &["k", "v"], &aggs[..4]).unwrap()
-        );
-        if !rows.is_empty() {
-            prop_assert_eq!(
-                group_by(&t, &[], &aggs).unwrap(),
-                group_by_serial(&t, &[], &aggs).unwrap()
-            );
+        // Single key, multi-key, and the global (empty-key) group, which
+        // is one row even over an empty table.
+        for (keys, aggs) in [(&["k"][..], &aggs[..]), (&["k", "v"], &aggs[..4]), (&[], &aggs[..])] {
+            let (one, many) = one_and_many_morsels(|| group_by(&t, keys, aggs).unwrap());
+            prop_assert_eq!(many, one);
         }
     }
 
     #[test]
-    fn group_by_moments_match_serial_approximately(
+    fn group_by_moments_parallel_morsels_match_one_morsel_approximately(
         rows in prop::collection::vec((opt_key(), opt_int()), 0..300),
     ) {
-        force_morsels();
         let t = Table::new(vec![
             ("k", Column::from_opt_strs(rows.iter().map(|(k, _)| k.clone()).collect())),
             ("v", Column::from_opt_ints(rows.iter().map(|(_, v)| *v).collect())),
@@ -116,15 +135,16 @@ proptest! {
             AggSpec::new(AggFunc::Variance, "v", "var"),
             AggSpec::new(AggFunc::StdDev, "v", "sd"),
         ];
-        // Parallel Welford merging is not bit-identical to the serial
-        // update, so moments are compared within a tolerance.
-        let par = group_by(&t, &["k"], &aggs).unwrap();
-        let ser = group_by_serial(&t, &["k"], &aggs).unwrap();
-        prop_assert_eq!(par.num_rows(), ser.num_rows());
-        for row in 0..par.num_rows() {
-            prop_assert_eq!(par.value(row, "k").unwrap(), ser.value(row, "k").unwrap());
+        // Merging Welford accumulators across morsels is not bit-identical
+        // to updating one accumulator row by row, so moments are compared
+        // within a tolerance (and only across morsel counts: one morsel is
+        // exact against the reference).
+        let (one, many) = one_and_many_morsels(|| group_by(&t, &["k"], &aggs).unwrap());
+        prop_assert_eq!(many.num_rows(), one.num_rows());
+        for row in 0..many.num_rows() {
+            prop_assert_eq!(many.value(row, "k").unwrap(), one.value(row, "k").unwrap());
             for col in ["var", "sd"] {
-                match (par.value(row, col).unwrap(), ser.value(row, col).unwrap()) {
+                match (many.value(row, col).unwrap(), one.value(row, col).unwrap()) {
                     (Value::Null, Value::Null) => {}
                     (Value::Float(a), Value::Float(b)) => {
                         prop_assert!((a - b).abs() <= 1e-9 * (1.0 + b.abs()));
@@ -136,11 +156,10 @@ proptest! {
     }
 
     #[test]
-    fn join_matches_serial(
+    fn join_parallel_morsels_match_one_morsel(
         lrows in prop::collection::vec((prop::option::of(0i64..8), 0i64..100), 0..150),
         rrows in prop::collection::vec((prop::option::of(0i64..8), opt_key()), 0..150),
     ) {
-        force_morsels();
         let left = Table::new(vec![
             ("id", Column::from_opt_ints(lrows.iter().map(|(k, _)| *k).collect())),
             ("payload", Column::from_ints(lrows.iter().map(|(_, v)| *v).collect())),
@@ -151,57 +170,49 @@ proptest! {
             ("tag", Column::from_opt_strs(rrows.iter().map(|(_, t)| t.clone()).collect())),
         ])
         .unwrap();
-        for how in [JoinType::Inner, JoinType::Left, JoinType::Right, JoinType::Full] {
-            prop_assert_eq!(
-                join(&left, &right, &["id"], &["id"], how).unwrap(),
-                join_serial(&left, &right, &["id"], &["id"], how).unwrap()
-            );
+        for how in ALL_JOIN_TYPES {
+            let (one, many) =
+                one_and_many_morsels(|| join(&left, &right, &["id"], &["id"], how).unwrap());
+            prop_assert_eq!(many, one);
         }
     }
 
     #[test]
-    fn multi_key_join_matches_serial(
+    fn multi_key_join_parallel_morsels_match_one_morsel(
         lrows in prop::collection::vec((opt_key(), prop::option::of(0i64..4)), 0..120),
         rrows in prop::collection::vec((opt_key(), prop::option::of(0i64..4)), 0..120),
     ) {
-        force_morsels();
-        let left = Table::new(vec![
-            ("a", Column::from_opt_strs(lrows.iter().map(|(a, _)| a.clone()).collect())),
-            ("b", Column::from_opt_ints(lrows.iter().map(|(_, b)| *b).collect())),
-        ])
-        .unwrap();
-        let right = Table::new(vec![
-            ("a", Column::from_opt_strs(rrows.iter().map(|(a, _)| a.clone()).collect())),
-            ("b", Column::from_opt_ints(rrows.iter().map(|(_, b)| *b).collect())),
-        ])
-        .unwrap();
-        for how in [JoinType::Inner, JoinType::Left, JoinType::Right, JoinType::Full] {
-            prop_assert_eq!(
-                join(&left, &right, &["a", "b"], &["a", "b"], how).unwrap(),
-                join_serial(&left, &right, &["a", "b"], &["a", "b"], how).unwrap()
-            );
+        let side = |rows: &[(Option<String>, Option<i64>)]| {
+            Table::new(vec![
+                ("a", Column::from_opt_strs(rows.iter().map(|(a, _)| a.clone()).collect())),
+                ("b", Column::from_opt_ints(rows.iter().map(|(_, b)| *b).collect())),
+            ])
+            .unwrap()
+        };
+        let (left, right) = (side(&lrows), side(&rrows));
+        for how in ALL_JOIN_TYPES {
+            let (one, many) = one_and_many_morsels(|| {
+                join(&left, &right, &["a", "b"], &["a", "b"], how).unwrap()
+            });
+            prop_assert_eq!(many, one);
         }
     }
 
     #[test]
-    fn sort_matches_serial(
+    fn sort_parallel_morsels_match_one_morsel(
         rows in prop::collection::vec((opt_key(), opt_int()), 0..300),
     ) {
-        force_morsels();
+        // `pos` makes every row distinct, so equal outputs also mean ties
+        // were broken the same way (stability across run merges).
         let t = Table::new(vec![
             ("k", Column::from_opt_strs(rows.iter().map(|(k, _)| k.clone()).collect())),
             ("v", Column::from_opt_ints(rows.iter().map(|(_, v)| *v).collect())),
+            ("pos", Column::from_ints((0..rows.len() as i64).collect())),
         ])
         .unwrap();
-        let keys = [SortKey::asc("k"), SortKey::desc("v")];
-        prop_assert_eq!(
-            sort_by(&t, &keys).unwrap(),
-            sort_by_serial(&t, &keys).unwrap()
-        );
-        let keys = [SortKey::desc("v")];
-        prop_assert_eq!(
-            sort_by(&t, &keys).unwrap(),
-            sort_by_serial(&t, &keys).unwrap()
-        );
+        for keys in [vec![SortKey::asc("k"), SortKey::desc("v")], vec![SortKey::desc("v")]] {
+            let (one, many) = one_and_many_morsels(|| sort_by(&t, &keys).unwrap());
+            prop_assert_eq!(many, one);
+        }
     }
 }

@@ -2,7 +2,7 @@
 //! DAG executor with its sub-DAG cache.
 //!
 //! Execution is split along an environment boundary: most skills are pure
-//! functions of their input tables ([`execute_pure_call`]), while
+//! functions of their input tables ([`execute_pure_call_with_mem`]), while
 //! ingestion, model-registry, SQL, and platform skills need the mutable
 //! [`Env`]. The [`Executor`] exploits the split by running independent
 //! pure nodes of a wave concurrently; environment-dependent nodes always
@@ -65,7 +65,7 @@ pub fn needs_env(call: &SkillCall, has_input: bool) -> bool {
 ///
 /// `inputs[0]` is the primary dataset (when the skill needs one);
 /// `inputs[1]` the secondary for joins and concatenations. Calls that do
-/// not [`needs_env`] are delegated to [`execute_pure_call`].
+/// not [`needs_env`] are delegated to [`execute_pure_call_with_mem`].
 pub fn execute_call(call: &SkillCall, inputs: &[&Table], env: &mut Env) -> Result<SkillOutput> {
     use SkillCall::*;
     let primary = || -> Result<&Table> {
@@ -246,17 +246,10 @@ pub fn execute_call(call: &SkillCall, inputs: &[&Table], env: &mut Env) -> Resul
 /// Execute one environment-free skill call against its input tables.
 ///
 /// These skills are pure functions of `inputs`, which is what lets the
-/// executor's wave scheduler run them on worker threads. Runs without a
-/// memory budget (never spills); the executor threads one through
-/// [`execute_pure_call_with_mem`].
-pub fn execute_pure_call(call: &SkillCall, inputs: &[&Table]) -> Result<SkillOutput> {
-    execute_pure_call_with_mem(call, inputs, None)
-}
-
-/// [`execute_pure_call`] with an optional out-of-core memory context.
-/// When `mem` is set, join, group-by (`Compute`) and sort admit their
-/// transient state against the context's governor and spill to disk
-/// instead of exceeding the budget.
+/// executor's wave scheduler run them on worker threads. When `mem` is
+/// set, join, group-by (`Compute`) and sort admit their transient state
+/// against the context's governor and spill to disk instead of exceeding
+/// the budget; with `None` they never spill.
 pub fn execute_pure_call_with_mem(
     call: &SkillCall,
     inputs: &[&Table],

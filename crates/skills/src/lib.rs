@@ -35,9 +35,7 @@ pub use cache::{CacheHit, CacheStats, MaterializedCache, SharedKey, TenantCacheS
 pub use dag::{NodeId, SkillDag, SkillNode};
 pub use env::{Env, ScanTally};
 pub use error::{Result, SkillError};
-pub use exec::{
-    execute_call, execute_pure_call, needs_env, structural_ids, Executor, ExecutorStats, SubDagId,
-};
+pub use exec::{execute_call, needs_env, structural_ids, Executor, ExecutorStats, SubDagId};
 pub use exec_plan::{run_planned, PlannedStats};
 pub use optimize::{
     int_blocks_unique, join_order_advice, optimize_dag, JoinOrderAdvice, PlanStats,

@@ -5,9 +5,10 @@
 //! string columns, an all-null column, NaN floats, and empty inputs;
 //! predicates exercise every prunable leaf plus And/Or/Not nesting.
 //!
-//! The reference filter runs through both engine paths — `filter` (the
-//! morsel-parallel kernel under default features, serial without) and
-//! `filter_serial` — so the property also pins scheduler equivalence.
+//! The reference filter runs through both engine entry points — `filter`
+//! (the kernel the skills layer calls, which splits large tables into
+//! morsels) and `filter_serial` (what the scan itself calls per block) —
+//! so the property also pins that the two agree.
 
 use dc_engine::ops::{filter, filter_serial};
 use dc_engine::{Column, DataType, Expr, Table, Value};

@@ -9,10 +9,10 @@
 //! asserted via `bytes_spilled > 0` — while the hidden row-id machinery
 //! in `ops::spill` restores the exact in-memory row order.
 //!
-//! Tables stay well under the 32k-row morsel threshold so a default
-//! (parallel) build and a `--no-default-features` (serial) build take
-//! the same kernel fold paths; the property must hold bit-for-bit on
-//! either scheduler, float aggregates included.
+//! Tables stay well under the 32k-row morsel threshold, so every kernel
+//! call is a single morsel in a default (parallel) build exactly as in a
+//! `--no-default-features` (single-worker) build; the property must hold
+//! bit-for-bit in both, float aggregates included.
 
 use datachat::engine::ops::{
     group_by_with_mem, join_with_mem, sort_by_with_mem, AggFunc, AggSpec, JoinType, SortKey,
