@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 
 use dc_engine::{ColumnStats, DataType, Schema};
 use dc_skills::Env;
-use dc_storage::BlockTable;
+use dc_storage::BlockSource;
 
 /// Zone-map statistics for one stored block: the per-column stats the
 /// tri-state prune evaluator consumes, plus the block's payload bytes.
@@ -57,25 +57,26 @@ pub struct TableStats {
 }
 
 impl TableStats {
-    /// Lift the full statistics of a stored [`BlockTable`] — whole-table
-    /// counters plus the per-block zone maps the estimator prices scans
-    /// with. Reads only metadata, never block payloads.
-    pub fn from_block_table(bt: &BlockTable) -> TableStats {
-        let cols = bt.column_names().len();
-        let block_stats = (0..bt.num_blocks())
+    /// Lift the full statistics of a stored table of either backend —
+    /// whole-table counters plus the per-block zone maps the estimator
+    /// prices scans with. Reads only resident metadata, never block
+    /// payloads.
+    pub fn from_block_table(t: &dyn BlockSource) -> TableStats {
+        let cols = t.schema().fields().len();
+        let block_stats = (0..t.num_blocks())
             .map(|bi| BlockStats {
-                rows: bt.block_rows(bi) as u64,
-                data_bytes: bt.block_data_bytes(bi).to_vec(),
-                columns: (0..cols).map(|ci| bt.column_stats(bi, ci)).collect(),
+                rows: t.block_rows(bi) as u64,
+                data_bytes: t.block_data_bytes(bi),
+                columns: (0..cols).map(|ci| t.column_stats(bi, ci)).collect(),
             })
             .collect();
         TableStats {
-            rows: bt.num_rows(),
-            blocks: bt.num_blocks(),
-            bytes: bt.total_bytes(),
-            dict_sizes: bt.dict_sizes(),
+            rows: t.num_rows(),
+            blocks: t.num_blocks(),
+            bytes: t.total_bytes(),
+            dict_sizes: t.dict_sizes(),
             block_stats,
-            dict_bytes: bt.dict_byte_sizes().to_vec(),
+            dict_bytes: t.dict_byte_sizes().to_vec(),
         }
     }
 }
@@ -135,24 +136,9 @@ impl AnalysisContext {
                 continue;
             };
             for table_name in db.table_names() {
-                if let Ok(bt) = db.table(table_name) {
-                    let stats = TableStats::from_block_table(bt);
-                    ctx.add_table(db_name, table_name, bt.schema().clone(), stats);
-                } else if let Ok(dt) = db.disk_table(table_name) {
-                    // Whole-table counters only, so the estimator prices
-                    // these scans with its two-sided whole-table bound. The
-                    // executor's own `PlanStats` does not see disk-backed
-                    // tables, so it runs them unprojected where the plan
-                    // analyzed here is projected; per-block detail would
-                    // price that narrower plan exactly and under-estimate
-                    // the one that runs.
-                    let stats = TableStats {
-                        rows: dt.num_rows(),
-                        blocks: dt.num_blocks(),
-                        bytes: dt.total_bytes(),
-                        ..TableStats::default()
-                    };
-                    ctx.add_table(db_name, table_name, dt.schema().clone(), stats);
+                if let Ok(t) = db.source(table_name) {
+                    let stats = TableStats::from_block_table(t);
+                    ctx.add_table(db_name, table_name, t.schema().clone(), stats);
                 }
             }
         }
@@ -432,14 +418,11 @@ mod tests {
                 .sum::<u64>()
                 + stats.dict_bytes.iter().sum::<u64>()
         );
-        // A disk-backed table resolves too, with whole-table counters that
-        // agree with its in-memory twin and no per-block detail.
+        // A disk-backed table lifts the same statistics as its in-memory
+        // twin, per-block detail included.
         let (disk_schema, disk_stats) = ctx.table("Main", "sales_disk").expect("disk table");
         assert_eq!(disk_schema, schema);
-        assert_eq!(disk_stats.rows, 2);
-        assert_eq!(disk_stats.blocks, 2);
-        assert_eq!(disk_stats.bytes, stats.bytes);
-        assert!(disk_stats.block_stats.is_empty());
+        assert_eq!(disk_stats, stats);
         // Exact-match mirrors the catalog; bare-name resolution is the
         // case-insensitive platform path.
         assert!(ctx.table("main", "SALES").is_none());

@@ -65,6 +65,18 @@ impl Enc {
         })
     }
 
+    /// Fewest stored bytes a column of `rows` rows can take: packed
+    /// validity plus the fixed-width data (a string is at least its
+    /// 4-byte length prefix).
+    fn min_stored_len(self, rows: u64) -> u64 {
+        let data = match self {
+            Enc::Bool => rows.div_ceil(8),
+            Enc::Int | Enc::Float => rows * 8,
+            Enc::Str | Enc::Date | Enc::Dict => rows * 4,
+        };
+        rows.div_ceil(8) + data
+    }
+
     fn of(col: &Column) -> Enc {
         match col {
             Column::Bool(..) => Enc::Bool,
@@ -99,9 +111,10 @@ fn dtype_from_tag(v: u8) -> Result<DataType> {
 }
 
 /// Zone-map bounds for one block of one column, as persisted in the
-/// footer. Mirrors the storage layer's in-RAM zone maps: value bounds for
-/// numeric/date columns, code bounds into the sorted dictionary for dict
-/// columns, nothing for unsummarizable blocks.
+/// footer and as held by the storage layer's in-RAM block tables: value
+/// bounds for numeric/date columns, code bounds into the sorted dictionary
+/// for dict columns, nothing for unsummarizable blocks. Bounds cover
+/// *valid* (non-null) slots only.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ZoneBoundsIo {
     /// No usable bounds (all-null, NaN present, bool/plain-str, or zone
@@ -113,7 +126,7 @@ pub enum ZoneBoundsIo {
     DictCodes { min: u32, max: u32 },
 }
 
-/// Persisted zone map for one block of one column.
+/// Zone map for one block of one column (see [`compute_zone`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ZoneInfo {
     pub bounds: ZoneBoundsIo,
@@ -291,84 +304,57 @@ impl<'a> Cur<'a> {
     }
 }
 
-fn pack_bits(bits: impl Iterator<Item = bool>, n: usize) -> Vec<u8> {
-    let mut out = vec![0u8; n.div_ceil(8)];
-    for (i, b) in bits.enumerate() {
-        if b {
-            out[i / 8] |= 1 << (i % 8);
-        }
-    }
-    out
-}
-
-fn unpack_bits(buf: &[u8], n: usize) -> Vec<bool> {
-    (0..n).map(|i| buf[i / 8] & (1 << (i % 8)) != 0).collect()
-}
-
 // ---------------------------------------------------------------------------
-// Zone computation (mirrors the storage layer's in-RAM zone maps)
+// Zone computation
 // ---------------------------------------------------------------------------
 
-fn compute_zone(col: &Column) -> ZoneInfo {
-    let null_count = col.null_count() as u64;
-    let n = col.len();
-    if null_count as usize >= n {
-        return ZoneInfo {
-            bounds: ZoneBoundsIo::None,
-            null_count,
-        };
-    }
-    let bounds = if let Some((codes, _, validity)) = col.as_dict() {
-        let mut lo = u32::MAX;
-        let mut hi = 0u32;
-        for (i, &c) in codes.iter().enumerate() {
-            if validity.get(i) {
-                lo = lo.min(c);
-                hi = hi.max(c);
-            }
-        }
-        ZoneBoundsIo::DictCodes { min: lo, max: hi }
+/// Min and max over the valid slots of `data` (`None` when there are none).
+/// The first valid value seeds both and only a strictly smaller / greater
+/// one replaces them, so `-0.0` vs `0.0` keeps whichever came first.
+fn min_max<T: Copy + PartialOrd>(data: &[T], valid: &Bitmap) -> Option<(T, T)> {
+    let grow = |acc: Option<(T, T)>, x: T| match acc {
+        None => Some((x, x)),
+        Some((lo, hi)) => Some((if x < lo { x } else { lo }, if x > hi { x } else { hi })),
+    };
+    if valid.all_valid() {
+        data.iter().copied().fold(None, grow)
     } else {
-        match col.dtype() {
-            DataType::Int | DataType::Float | DataType::Date => {
-                let mut min: Option<Value> = None;
-                let mut max: Option<Value> = None;
-                let mut usable = true;
-                for i in 0..n {
-                    let v = col.get(i);
-                    if v.is_null() {
-                        continue;
-                    }
-                    if matches!(&v, Value::Float(f) if f.is_nan()) {
-                        usable = false;
-                        break;
-                    }
-                    let lower = match &min {
-                        None => true,
-                        Some(m) => v.partial_cmp_sql(m) == Some(std::cmp::Ordering::Less),
-                    };
-                    if lower {
-                        min = Some(v.clone());
-                    }
-                    let higher = match &max {
-                        None => true,
-                        Some(m) => v.partial_cmp_sql(m) == Some(std::cmp::Ordering::Greater),
-                    };
-                    if higher {
-                        max = Some(v);
-                    }
-                }
-                match (usable, min, max) {
-                    (true, Some(min), Some(max)) => ZoneBoundsIo::Values { min, max },
-                    _ => ZoneBoundsIo::None,
-                }
-            }
-            _ => ZoneBoundsIo::None,
+        data.iter()
+            .zip(valid.iter())
+            .filter_map(|(&x, ok)| ok.then_some(x))
+            .fold(None, grow)
+    }
+}
+
+/// The zone map of one block of one column: null count plus value bounds
+/// over the valid rows of Int / Float / Date columns and code bounds of
+/// dictionary columns. An all-null block, a float block holding a NaN
+/// (NaN breaks interval reasoning), and Bool / plain-Str columns publish
+/// no bounds. Both the block-file writer and the storage layer's in-RAM
+/// block tables build their zone maps with this.
+pub fn compute_zone(col: &Column) -> ZoneInfo {
+    let values = |(min, max)| ZoneBoundsIo::Values { min, max };
+    let bounds = match col {
+        Column::Dict(codes, _, valid) => {
+            min_max(codes, valid).map(|(min, max)| ZoneBoundsIo::DictCodes { min, max })
         }
+        Column::Int(v, valid) => {
+            min_max(v, valid).map(|(lo, hi)| values((Value::Int(lo), Value::Int(hi))))
+        }
+        Column::Date(v, valid) => {
+            min_max(v, valid).map(|(lo, hi)| values((Value::Date(lo), Value::Date(hi))))
+        }
+        Column::Float(v, valid) => {
+            let nan = v.iter().zip(valid.iter()).any(|(x, ok)| ok && x.is_nan());
+            min_max(v, valid)
+                .filter(|_| !nan)
+                .map(|(lo, hi)| values((Value::Float(lo), Value::Float(hi))))
+        }
+        Column::Bool(..) | Column::Str(..) => None,
     };
     ZoneInfo {
-        bounds,
-        null_count,
+        bounds: bounds.unwrap_or(ZoneBoundsIo::None),
+        null_count: col.null_count() as u64,
     }
 }
 
@@ -466,12 +452,12 @@ impl BlockWriter {
         let mut cols = Vec::with_capacity(block.num_columns());
         let mut written = 0u64;
         for col in block.columns() {
-            let mut buf = Vec::new();
-            let validity = pack_bits(col.validity().iter(), n);
-            buf.extend_from_slice(&validity);
+            let mut buf = Vec::with_capacity(n.div_ceil(8) + n * 8);
+            // Validity words are stored as their little-endian bytes.
+            col.validity().write_le_bytes(&mut buf);
             let mut dict_id = u32::MAX;
             match col {
-                Column::Bool(v, _) => buf.extend_from_slice(&pack_bits(v.iter().copied(), n)),
+                Column::Bool(v, _) => Bitmap::from_bools(v).write_le_bytes(&mut buf),
                 Column::Int(v, _) => {
                     for x in v {
                         buf.extend_from_slice(&x.to_le_bytes());
@@ -662,8 +648,9 @@ impl BlockFile {
             return Err(EngineError::parse("block file footer length out of range"));
         }
         let mut footer = vec![0u8; footer_len as usize];
-        read_at(&mut file, total - tail_len - footer_len, &mut footer)?;
-        let meta = parse_footer(&footer, footer_len + tail_len)?;
+        let payload_end = total - tail_len - footer_len;
+        read_at(&mut file, payload_end, &mut footer)?;
+        let meta = parse_footer(&footer, footer_len + tail_len, payload_end)?;
         Ok(BlockFile {
             file,
             meta,
@@ -695,12 +682,11 @@ impl BlockFile {
     fn read_range(&self, offset: u64, len: u64) -> Result<Vec<u8>> {
         #[cfg(feature = "mmap")]
         if let Some(map) = &self.map {
-            let start = offset as usize;
-            let end = start + len as usize;
-            if end > map.len() {
-                return Err(EngineError::parse("block range out of file bounds"));
-            }
-            return Ok(map[start..end].to_vec());
+            // `open` checked the range against the file as it was then.
+            return map
+                .get(offset as usize..(offset + len) as usize)
+                .map(<[u8]>::to_vec)
+                .ok_or_else(|| EngineError::parse("block range out of file bounds"));
         }
         let mut buf = vec![0u8; len as usize];
         read_exact_at(&self.file, offset, &mut buf)?;
@@ -735,11 +721,11 @@ impl BlockFile {
             let buf = self.read_range(cm.offset, cm.len)?;
             bytes_read += cm.len;
             let mut cur = Cur::new(&buf);
-            let validity = Bitmap::from_bools(&unpack_bits(cur.bytes(n.div_ceil(8))?, n));
+            let validity = Bitmap::from_le_bytes(cur.bytes(n.div_ceil(8))?, n);
             let col = match cm.enc {
                 Enc::Bool => {
-                    let bits = unpack_bits(cur.bytes(n.div_ceil(8))?, n);
-                    Column::Bool(bits, validity)
+                    let bits = Bitmap::from_le_bytes(cur.bytes(n.div_ceil(8))?, n);
+                    Column::Bool(bits.iter().collect(), validity)
                 }
                 Enc::Int => {
                     let raw = cur.bytes(n * 8)?;
@@ -810,7 +796,11 @@ impl BlockFile {
     }
 }
 
-fn parse_footer(buf: &[u8], meta_bytes: u64) -> Result<FileMeta> {
+/// Parse the footer. Every column's byte range comes from the file, so it
+/// is checked here, once, before any read allocates or indexes by it: it
+/// must lie inside the payload region (`MAGIC` up to `payload_end`) and be
+/// long enough for the block's row count.
+fn parse_footer(buf: &[u8], meta_bytes: u64, payload_end: u64) -> Result<FileMeta> {
     let mut cur = Cur::new(buf);
     let ncols = cur.u32()? as usize;
     let mut schema = Vec::with_capacity(ncols);
@@ -838,6 +828,18 @@ fn parse_footer(buf: &[u8], meta_bytes: u64) -> Result<FileMeta> {
             let enc = Enc::from_u8(cur.u8()?)?;
             let offset = cur.u64()?;
             let len = cur.u64()?;
+            let in_payload = offset >= MAGIC.len() as u64
+                && offset.checked_add(len).is_some_and(|end| end <= payload_end);
+            if !in_payload {
+                return Err(EngineError::parse(
+                    "column byte range lies outside the block payload region",
+                ));
+            }
+            if len < enc.min_stored_len(rows as u64) {
+                return Err(EngineError::parse(
+                    "column byte range is too short for its row count",
+                ));
+            }
             let data_bytes = cur.u64()?;
             let dict_id = cur.u32()?;
             let bounds = match cur.u8()? {
@@ -1001,6 +1003,144 @@ mod tests {
         );
         // Bool columns publish no bounds.
         assert_eq!(f.meta.blocks[0].cols[3].zone.bounds, ZoneBoundsIo::None);
+    }
+
+    #[test]
+    fn zones_publish_no_bounds_for_nan_and_all_null_and_code_ranges_for_dicts() {
+        let floats = |v: Vec<Option<f64>>| compute_zone(&Column::from_opt_floats(v));
+        assert_eq!(
+            floats(vec![Some(2.0), None, Some(-1.5)]).bounds,
+            ZoneBoundsIo::Values {
+                min: Value::Float(-1.5),
+                max: Value::Float(2.0)
+            }
+        );
+        let nan = floats(vec![Some(1.0), Some(f64::NAN), None]);
+        assert_eq!((nan.bounds, nan.null_count), (ZoneBoundsIo::None, 1));
+        let nulls = compute_zone(&Column::from_opt_ints(vec![None, None]));
+        assert_eq!((nulls.bounds, nulls.null_count), (ZoneBoundsIo::None, 2));
+        assert_eq!(
+            compute_zone(&Column::empty(DataType::Int)).bounds,
+            ZoneBoundsIo::None
+        );
+        // The null row's placeholder code 0 must not widen the range.
+        let dict = Column::Dict(
+            vec![2, 0, 1],
+            Arc::new(vec!["b".to_string(), "c".into(), "d".into()]),
+            Bitmap::from_bools(&[true, false, true]),
+        );
+        assert_eq!(
+            compute_zone(&dict).bounds,
+            ZoneBoundsIo::DictCodes { min: 1, max: 2 }
+        );
+    }
+
+    /// Every column type, with nulls, `n` rows long.
+    fn nullable(n: usize) -> Table {
+        let some = |i: usize| i % 5 != 3;
+        let strs = |i: usize| some(i).then(|| format!("s{}", i % 4));
+        Table::new(vec![
+            (
+                "i",
+                Column::from_opt_ints((0..n).map(|i| some(i).then_some(i as i64 - 40)).collect()),
+            ),
+            (
+                "f",
+                Column::from_opt_floats((0..n).map(|i| some(i + 1).then_some(i as f64 / 3.0)).collect()),
+            ),
+            ("s", Column::from_opt_strs((0..n).map(strs).collect())),
+            ("k", Column::from_opt_strs((0..n).map(strs).collect()).dict_encode()),
+            (
+                "d",
+                Column::from_opt_dates((0..n).map(|i| some(i + 2).then_some(i as i32)).collect()),
+            ),
+            (
+                "b",
+                Column::Bool(
+                    (0..n).map(|i| i % 3 == 0 && some(i + 3)).collect(),
+                    Bitmap::from_bools(&(0..n).map(|i| some(i + 3)).collect::<Vec<_>>()),
+                ),
+            ),
+        ])
+        .unwrap()
+    }
+
+    /// The bit-at-a-time packer the format was first written with.
+    fn pack_bits_reference(bits: impl Iterator<Item = bool>, n: usize) -> Vec<u8> {
+        let mut out = vec![0u8; n.div_ceil(8)];
+        for (i, b) in bits.enumerate() {
+            if b {
+                out[i / 8] |= 1 << (i % 8);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn ragged_row_counts_roundtrip_with_the_reference_packers_bytes() {
+        let dir = ScopedDir::new("blockio-ragged");
+        for n in [1, 7, 9, 63, 65, 130] {
+            let t = nullable(n);
+            let path = dir.0.join(format!("t{n}.dcb"));
+            write_table(&path, &t, 64).unwrap();
+            let f = BlockFile::open(&path).unwrap();
+            let (back, _) = f.read_all().unwrap();
+            assert_eq!(back, t, "{n} rows");
+            for (a, b) in back.columns().iter().zip(t.columns()) {
+                assert_eq!(a.null_count(), b.null_count());
+            }
+            // Stored validity (and Bool data) bytes are what the
+            // bit-at-a-time packer produced.
+            let bytes = std::fs::read(&path).unwrap();
+            for (bi, block) in f.meta.blocks.iter().enumerate() {
+                let rows = block.rows as usize;
+                let part = t.slice(bi * 64, 64);
+                for (cm, col) in block.cols.iter().zip(part.columns()) {
+                    let stored = &bytes[cm.offset as usize..(cm.offset + cm.len) as usize];
+                    let validity = pack_bits_reference(col.validity().iter(), rows);
+                    assert_eq!(&stored[..validity.len()], validity, "{n} rows, validity");
+                    if let Column::Bool(v, _) = col {
+                        let data = pack_bits_reference(v.iter().copied(), rows);
+                        assert_eq!(&stored[validity.len()..], data, "{n} rows, bools");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn column_ranges_that_lie_are_rejected_at_open() {
+        let dir = ScopedDir::new("blockio-ranges");
+        let path = dir.0.join("t.dcb");
+        let t = Table::new(vec![("x", Column::from_ints((0..10).collect()))]).unwrap();
+        write_table(&path, &t, 16).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        let footer_len = u64::from_le_bytes(good[good.len() - 12..good.len() - 4].try_into().unwrap());
+        let footer = good.len() - 12 - footer_len as usize;
+        // ncols, name "x", dtype, ndicts, nblocks, rows, enc: then offset, len.
+        let offset_at = footer + 4 + (4 + 1) + 1 + 4 + 4 + 4 + 1;
+        let len_at = offset_at + 8;
+        assert_eq!(good[offset_at..len_at], 4u64.to_le_bytes());
+        assert_eq!(good[len_at..len_at + 8], (2u64 + 80).to_le_bytes());
+        let open_with = |at: usize, v: u64| {
+            let mut bad = good.clone();
+            bad[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            std::fs::write(&path, &bad).unwrap();
+            BlockFile::open(&path).map(|_| ())
+        };
+        assert!(open_with(offset_at, 4).is_ok());
+        for (what, at, v) in [
+            ("offset + len overflows", offset_at, u64::MAX - 8),
+            ("offset inside the leading magic", offset_at, 0),
+            ("range runs into the footer", offset_at, 5),
+            ("len asks for a huge allocation", len_at, 1 << 40),
+            ("len shorter than ten ints need", len_at, 81),
+        ] {
+            assert!(
+                matches!(open_with(at, v), Err(EngineError::Parse { .. })),
+                "{what}"
+            );
+        }
     }
 
     #[test]

@@ -428,18 +428,6 @@ impl Column {
         }
     }
 
-    /// Keep rows where `mask[i]` is true. `mask` must match the column
-    /// length.
-    pub fn filter(&self, mask: &[bool]) -> Column {
-        debug_assert_eq!(mask.len(), self.len());
-        let indices: Vec<usize> = mask
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &keep)| keep.then_some(i))
-            .collect();
-        self.take(&indices)
-    }
-
     /// A contiguous slice `[start, start+count)` as a new column.
     pub fn slice(&self, start: usize, count: usize) -> Column {
         let count = count.min(self.len().saturating_sub(start));
@@ -458,6 +446,27 @@ impl Column {
         }
     }
 
+    /// Reserve room for `additional` more rows, so a run of `extend`s
+    /// with a known total grows each buffer once.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        match self {
+            Column::Bool(v, _) => v.reserve(additional),
+            Column::Int(v, _) => v.reserve(additional),
+            Column::Float(v, _) => v.reserve(additional),
+            Column::Str(v, _) => v.reserve(additional),
+            Column::Dict(v, _, _) => v.reserve(additional),
+            Column::Date(v, _) => v.reserve(additional),
+        }
+        match self {
+            Column::Bool(_, b)
+            | Column::Int(_, b)
+            | Column::Float(_, b)
+            | Column::Str(_, b)
+            | Column::Date(_, b)
+            | Column::Dict(_, _, b) => b.reserve(additional),
+        }
+    }
+
     /// Append all rows of another column of the same type.
     ///
     /// Appending to an empty column adopts the other column's physical
@@ -472,9 +481,18 @@ impl Column {
                 context: "extend".into(),
             });
         }
+        // An empty column takes on the other's encoding: a clone when the
+        // encodings differ, else just its dictionary, so that buffers
+        // reserved for a known total survive the first append.
         if self.is_empty() {
-            *self = other.clone();
-            return Ok(());
+            match (&mut *self, other) {
+                (Column::Dict(_, dict, _), Column::Dict(_, od, _)) => *dict = Arc::clone(od),
+                (a, b) if std::mem::discriminant(&*a) != std::mem::discriminant(b) => {
+                    *self = other.clone();
+                    return Ok(());
+                }
+                _ => {}
+            }
         }
         if other.is_empty() {
             return Ok(());
@@ -896,14 +914,6 @@ mod tests {
         assert_eq!(t.get(0), Value::Str("c".into()));
         assert_eq!(t.get(1), Value::Str("a".into()));
         assert_eq!(t.get(2), Value::Str("a".into()));
-    }
-
-    #[test]
-    fn filter_mask() {
-        let c = Column::from_ints(vec![10, 20, 30, 40]);
-        let f = c.filter(&[true, false, false, true]);
-        assert_eq!(f.len(), 2);
-        assert_eq!(f.get(1), Value::Int(40));
     }
 
     #[test]

@@ -265,13 +265,13 @@ pub fn eval_predicate(table: &Table, expr: &Expr) -> Result<Vec<bool>> {
 
 /// Serial predicate evaluation (also the per-morsel worker body).
 pub fn eval_predicate_serial(table: &Table, expr: &Expr) -> Result<Vec<bool>> {
-    let c = eval_serial(table, expr)?;
-    match &c {
-        Column::Bool(data, valid) => Ok(data
-            .iter()
-            .zip(valid.iter())
-            .map(|(&b, v)| v && b)
-            .collect()),
+    match eval_serial(table, expr)? {
+        Column::Bool(mut data, valid) => {
+            for i in valid.null_indices() {
+                data[i] = false;
+            }
+            Ok(data)
+        }
         other => Err(EngineError::TypeMismatch {
             expected: DataType::Bool,
             actual: other.dtype(),
@@ -294,30 +294,96 @@ fn broadcast(v: &Value, n: usize) -> Column {
     }
 }
 
+/// Combine two operand columns slot by slot. The result is null where
+/// either operand is (validity ANDed word-wise, so null-free operands give
+/// an all-valid result without a per-row test) and where `f` returns
+/// `None`; `f` therefore runs on null slots' placeholders too and must not
+/// panic on them. Null slots hold `T::default()`, the canonical
+/// placeholder `Column: PartialEq` compares.
+fn zip_with<A, B, T: Default>(
+    (a, av): (impl Iterator<Item = A>, &Bitmap),
+    (b, bv): (impl Iterator<Item = B>, &Bitmap),
+    f: impl Fn(A, B) -> Option<T>,
+) -> (Vec<T>, Bitmap) {
+    let mut valid = av.and(bv);
+    let mut data: Vec<T> = a
+        .zip(b)
+        .enumerate()
+        .map(|(i, (x, y))| {
+            f(x, y).unwrap_or_else(|| {
+                valid.set(i, false);
+                T::default()
+            })
+        })
+        .collect();
+    for i in valid.null_indices() {
+        data[i] = T::default();
+    }
+    (data, valid)
+}
+
+/// A typed slice and its validity as a [`zip_with`] operand.
+fn slots<'a, T: Copy>(
+    data: &'a [T],
+    valid: &'a Bitmap,
+) -> (impl Iterator<Item = T> + 'a, &'a Bitmap) {
+    (data.iter().copied(), valid)
+}
+
+/// A string column of either encoding as a [`zip_with`] operand; null
+/// rows yield `None` (a null dict row's code may not be in the dictionary).
+fn str_slots(c: &Column) -> (impl Iterator<Item = Option<&str>> + '_, &Bitmap) {
+    ((0..c.len()).map(|i| c.str_at(i)), c.validity())
+}
+
+/// Any column as a [`zip_with`] operand of scalar [`Value`]s: the slow
+/// path for type pairs without a typed kernel.
+fn value_slots(c: &Column) -> (impl Iterator<Item = Value> + '_, &Bitmap) {
+    ((0..c.len()).map(|i| c.get(i)), c.validity())
+}
+
+/// The numeric widening rule of [`Value::partial_cmp_sql`] and mixed
+/// arithmetic: ints become `f64`.
+trait Widen: Copy {
+    fn widen(self) -> f64;
+}
+
+impl Widen for i64 {
+    fn widen(self) -> f64 {
+        self as f64
+    }
+}
+
+impl Widen for f64 {
+    fn widen(self) -> f64 {
+        self
+    }
+}
+
 fn eval_logical(l: &Column, op: BinaryOp, r: &Column) -> Result<Column> {
     let (ld, lv) = l.as_bools().ok_or_else(|| type_err(l, "logical operand"))?;
     let (rd, rv) = r.as_bools().ok_or_else(|| type_err(r, "logical operand"))?;
     check_len(l, r)?;
-    let n = ld.len();
-    let mut data = Vec::with_capacity(n);
-    let mut valid = Bitmap::new_null(n);
-    for i in 0..n {
-        let a = lv.get(i).then(|| ld[i]);
-        let b = rv.get(i).then(|| rd[i]);
-        let out = match op {
-            BinaryOp::And => kleene_and(a, b),
-            BinaryOp::Or => kleene_or(a, b),
-            _ => unreachable!(),
-        };
-        match out {
-            Some(x) => {
-                data.push(x);
-                valid.set(i, true);
-            }
-            None => data.push(false),
-        }
+    let and = op == BinaryOp::And;
+    if lv.all_valid() && rv.all_valid() {
+        let data = ld
+            .iter()
+            .zip(rd)
+            .map(|(&a, &b)| if and { a && b } else { a || b })
+            .collect();
+        return Ok(Column::Bool(data, Bitmap::new_valid(ld.len())));
     }
-    Ok(Column::Bool(data, valid))
+    // Kleene logic: a null operand still decides nothing, but a known
+    // `false` (AND) or `true` (OR) on the other side decides the row.
+    let kleene = if and { kleene_and } else { kleene_or };
+    let out = ld
+        .iter()
+        .zip(lv.iter())
+        .zip(rd.iter().zip(rv.iter()))
+        .map(|((&a, av), (&b, bv))| kleene(av.then_some(a), bv.then_some(b)));
+    let (data, known): (Vec<bool>, Vec<bool>) =
+        out.map(|o| (o.unwrap_or(false), o.is_some())).unzip();
+    Ok(Column::Bool(data, Bitmap::from_bools(&known)))
 }
 
 fn kleene_and(a: Option<bool>, b: Option<bool>) -> Option<bool> {
@@ -355,230 +421,176 @@ fn eval_neg(c: &Column) -> Result<Column> {
     }
 }
 
+/// `a op b` per slot, where `ord` orders two operand values or returns
+/// `None` for an incomparable pair (a NaN operand), which makes the row
+/// null. One loop per operator, so the operator is not re-tested per row.
+fn compare<A, B>(
+    a: (impl Iterator<Item = A>, &Bitmap),
+    b: (impl Iterator<Item = B>, &Bitmap),
+    op: BinaryOp,
+    ord: impl Fn(A, B) -> Option<std::cmp::Ordering>,
+) -> Column {
+    use std::cmp::Ordering::*;
+    let (data, valid) = match op {
+        BinaryOp::Eq => zip_with(a, b, |x, y| ord(x, y).map(|o| o == Equal)),
+        BinaryOp::Neq => zip_with(a, b, |x, y| ord(x, y).map(|o| o != Equal)),
+        BinaryOp::Lt => zip_with(a, b, |x, y| ord(x, y).map(|o| o == Less)),
+        BinaryOp::Le => zip_with(a, b, |x, y| ord(x, y).map(|o| o != Greater)),
+        BinaryOp::Gt => zip_with(a, b, |x, y| ord(x, y).map(|o| o == Greater)),
+        BinaryOp::Ge => zip_with(a, b, |x, y| ord(x, y).map(|o| o != Less)),
+        _ => unreachable!("not a comparison operator"),
+    };
+    Column::Bool(data, valid)
+}
+
+/// Numeric comparison with at least one float side: ints widen, and a NaN
+/// on either side compares as null, exactly as [`Value::partial_cmp_sql`].
+fn compare_widened<A: Widen, B: Widen>(
+    a: (&[A], &Bitmap),
+    b: (&[B], &Bitmap),
+    op: BinaryOp,
+) -> Column {
+    compare(slots(a.0, a.1), slots(b.0, b.1), op, |x: A, y: B| {
+        x.widen().partial_cmp(&y.widen())
+    })
+}
+
 fn eval_comparison(l: &Column, op: BinaryOp, r: &Column) -> Result<Column> {
     check_len(l, r)?;
-    let n = l.len();
-    use DataType as T;
-    // Fast typed kernels for the common cases; the generic fallback covers
-    // the rest via Value comparison.
-    let cmp_ok = |ord: std::cmp::Ordering| -> bool {
-        use std::cmp::Ordering::*;
-        match op {
-            BinaryOp::Eq => ord == Equal,
-            BinaryOp::Neq => ord != Equal,
-            BinaryOp::Lt => ord == Less,
-            BinaryOp::Le => ord != Greater,
-            BinaryOp::Gt => ord == Greater,
-            BinaryOp::Ge => ord != Less,
-            _ => unreachable!(),
+    // Typed kernels for the common cases; the generic fallback covers the
+    // rest via Value comparison.
+    Ok(match (l, r) {
+        (Column::Int(a, av), Column::Int(b, bv)) => {
+            compare(slots(a, av), slots(b, bv), op, |x: i64, y: i64| {
+                Some(x.cmp(&y))
+            })
         }
+        (Column::Float(a, av), Column::Float(b, bv)) => compare_widened((a, av), (b, bv), op),
+        (Column::Int(a, av), Column::Float(b, bv)) => compare_widened((a, av), (b, bv), op),
+        (Column::Float(a, av), Column::Int(b, bv)) => compare_widened((a, av), (b, bv), op),
+        (Column::Dict(ca, da, av), Column::Dict(cb, db, bv))
+            if matches!(op, BinaryOp::Eq | BinaryOp::Neq) =>
+        {
+            // Dict × dict equality: remap the right dictionary into the
+            // left's code space once (identity when shared), then compare
+            // integers per row.
+            let eq_wanted = op == BinaryOp::Eq;
+            let remap: Vec<i64> = if Arc::ptr_eq(da, db) {
+                (0..db.len() as i64).collect()
+            } else {
+                db.iter()
+                    .map(|s| da.binary_search(s).map(|c| c as i64).unwrap_or(-1))
+                    .collect()
+            };
+            let (data, valid) = zip_with(slots(ca, av), slots(cb, bv), |x: u32, y: u32| {
+                let rc = remap.get(y as usize).copied().unwrap_or(-1);
+                Some((x as i64 == rc) == eq_wanted)
+            });
+            Column::Bool(data, valid)
+        }
+        // Sorted dictionary: code order is lexicographic order, so
+        // ordering comparisons stay on the codes.
+        (Column::Dict(ca, da, av), Column::Dict(cb, db, bv)) if Arc::ptr_eq(da, db) => {
+            compare(slots(ca, av), slots(cb, bv), op, |x: u32, y: u32| {
+                Some(x.cmp(&y))
+            })
+        }
+        _ => match (l.dtype(), r.dtype()) {
+            (DataType::Str, DataType::Str) => compare(str_slots(l), str_slots(r), op, |x, y| {
+                x.zip(y).map(|(a, b): (&str, &str)| a.cmp(b))
+            }),
+            (a, b) if a.unify(b).is_some() => {
+                compare(value_slots(l), value_slots(r), op, |x: Value, y: Value| {
+                    x.partial_cmp_sql(&y)
+                })
+            }
+            (a, b) => return Err(EngineError::eval(format!("cannot compare {a} with {b}"))),
+        },
+    })
+}
+
+/// Arithmetic that produces floats: ints widen, division and modulo by
+/// zero are null.
+fn float_arith<A: Widen, B: Widen>(
+    (a, av): (&[A], &Bitmap),
+    (b, bv): (&[B], &Bitmap),
+    op: BinaryOp,
+) -> Column {
+    let (a, b) = (slots(a, av), slots(b, bv));
+    let (data, valid) = match op {
+        BinaryOp::Add => zip_with(a, b, |x: A, y: B| Some(x.widen() + y.widen())),
+        BinaryOp::Sub => zip_with(a, b, |x: A, y: B| Some(x.widen() - y.widen())),
+        BinaryOp::Mul => zip_with(a, b, |x: A, y: B| Some(x.widen() * y.widen())),
+        BinaryOp::Div => zip_with(a, b, |x: A, y: B| {
+            (y.widen() != 0.0).then(|| x.widen() / y.widen())
+        }),
+        BinaryOp::Mod => zip_with(a, b, |x: A, y: B| {
+            (y.widen() != 0.0).then(|| x.widen() % y.widen())
+        }),
+        _ => unreachable!("not an arithmetic operator"),
     };
-    let mut data = Vec::with_capacity(n);
-    let mut valid = Bitmap::new_null(n);
-    match (l.dtype(), r.dtype()) {
-        (T::Int, T::Int) => {
-            let (a, av) = l.as_ints().unwrap();
-            let (b, bv) = r.as_ints().unwrap();
-            for i in 0..n {
-                if av.get(i) && bv.get(i) {
-                    data.push(cmp_ok(a[i].cmp(&b[i])));
-                    valid.set(i, true);
-                } else {
-                    data.push(false);
-                }
-            }
-        }
-        (T::Str, T::Str) => {
-            if let (Some((ca, da, av)), Some((cb, db, bv))) = (l.as_dict(), r.as_dict()) {
-                if matches!(op, BinaryOp::Eq | BinaryOp::Neq) {
-                    // Dict × dict equality: remap the right dictionary into
-                    // the left's code space once (identity when shared),
-                    // then compare integers per row.
-                    let eq_wanted = op == BinaryOp::Eq;
-                    let remap: Vec<i64> = if Arc::ptr_eq(da, db) {
-                        (0..db.len() as i64).collect()
-                    } else {
-                        db.iter()
-                            .map(|s| da.binary_search(s).map(|c| c as i64).unwrap_or(-1))
-                            .collect()
-                    };
-                    for i in 0..n {
-                        if av.get(i) && bv.get(i) {
-                            let rc = remap.get(cb[i] as usize).copied().unwrap_or(-1);
-                            data.push((ca[i] as i64 == rc) == eq_wanted);
-                            valid.set(i, true);
-                        } else {
-                            data.push(false);
-                        }
-                    }
-                    return Ok(Column::Bool(data, valid));
-                }
-                if Arc::ptr_eq(da, db) {
-                    // Sorted dictionary: code order is lexicographic order,
-                    // so ordering comparisons stay on the codes.
-                    for i in 0..n {
-                        if av.get(i) && bv.get(i) {
-                            data.push(cmp_ok(ca[i].cmp(&cb[i])));
-                            valid.set(i, true);
-                        } else {
-                            data.push(false);
-                        }
-                    }
-                    return Ok(Column::Bool(data, valid));
-                }
-            }
-            for i in 0..n {
-                match (l.str_at(i), r.str_at(i)) {
-                    (Some(a), Some(b)) => {
-                        data.push(cmp_ok(a.cmp(b)));
-                        valid.set(i, true);
-                    }
-                    _ => data.push(false),
-                }
-            }
-        }
-        (a, b) if a.unify(b).is_some() || (a.is_numeric() && b.is_numeric()) => {
-            for i in 0..n {
-                match l.get(i).partial_cmp_sql(&r.get(i)) {
-                    Some(ord) => {
-                        data.push(cmp_ok(ord));
-                        valid.set(i, true);
-                    }
-                    None => data.push(false),
-                }
-            }
-        }
-        (a, b) => return Err(EngineError::eval(format!("cannot compare {a} with {b}"))),
-    }
-    Ok(Column::Bool(data, valid))
+    Column::Float(data, valid)
 }
 
 fn eval_arith(l: &Column, op: BinaryOp, r: &Column) -> Result<Column> {
     check_len(l, r)?;
-    let n = l.len();
-    use DataType as T;
-    match (l.dtype(), r.dtype()) {
+    Ok(match (l, r) {
         // Integer arithmetic stays integral except division, which widens
         // to float for user-friendliness (GEL users expect 1/2 = 0.5).
-        (T::Int, T::Int) if op != BinaryOp::Div => {
-            let (a, av) = l.as_ints().unwrap();
-            let (b, bv) = r.as_ints().unwrap();
-            let mut data = Vec::with_capacity(n);
-            let mut valid = Bitmap::new_null(n);
-            for i in 0..n {
-                if av.get(i) && bv.get(i) {
-                    let out = match op {
-                        BinaryOp::Add => Some(a[i].wrapping_add(b[i])),
-                        BinaryOp::Sub => Some(a[i].wrapping_sub(b[i])),
-                        BinaryOp::Mul => Some(a[i].wrapping_mul(b[i])),
-                        BinaryOp::Mod => {
-                            if b[i] == 0 {
-                                None
-                            } else {
-                                Some(a[i].wrapping_rem(b[i]))
-                            }
-                        }
-                        _ => unreachable!(),
-                    };
-                    match out {
-                        Some(x) => {
-                            data.push(x);
-                            valid.set(i, true);
-                        }
-                        None => data.push(0),
-                    }
-                } else {
-                    data.push(0);
+        (Column::Int(a, av), Column::Int(b, bv)) if op != BinaryOp::Div => {
+            let (a, b) = (slots(a, av), slots(b, bv));
+            let (data, valid) = match op {
+                BinaryOp::Add => zip_with(a, b, |x: i64, y: i64| Some(x.wrapping_add(y))),
+                BinaryOp::Sub => zip_with(a, b, |x: i64, y: i64| Some(x.wrapping_sub(y))),
+                BinaryOp::Mul => zip_with(a, b, |x: i64, y: i64| Some(x.wrapping_mul(y))),
+                BinaryOp::Mod => {
+                    zip_with(a, b, |x: i64, y: i64| (y != 0).then(|| x.wrapping_rem(y)))
                 }
-            }
-            Ok(Column::Int(data, valid))
+                _ => unreachable!("not an arithmetic operator"),
+            };
+            Column::Int(data, valid)
         }
+        (Column::Int(a, av), Column::Int(b, bv)) => float_arith((a, av), (b, bv), op),
+        (Column::Int(a, av), Column::Float(b, bv)) => float_arith((a, av), (b, bv), op),
+        (Column::Float(a, av), Column::Int(b, bv)) => float_arith((a, av), (b, bv), op),
+        (Column::Float(a, av), Column::Float(b, bv)) => float_arith((a, av), (b, bv), op),
         // Date arithmetic: Date ± Int days; Date - Date = Int days.
-        (T::Date, T::Int) if matches!(op, BinaryOp::Add | BinaryOp::Sub) => {
-            let (a, av) = l.as_dates().unwrap();
-            let (b, bv) = r.as_ints().unwrap();
-            let mut data = Vec::with_capacity(n);
-            let mut valid = Bitmap::new_null(n);
-            for i in 0..n {
-                if av.get(i) && bv.get(i) {
-                    let delta = b[i] as i32;
-                    data.push(if op == BinaryOp::Add {
-                        a[i].wrapping_add(delta)
-                    } else {
-                        a[i].wrapping_sub(delta)
-                    });
-                    valid.set(i, true);
+        (Column::Date(a, av), Column::Int(b, bv))
+            if matches!(op, BinaryOp::Add | BinaryOp::Sub) =>
+        {
+            let add = op == BinaryOp::Add;
+            let (data, valid) = zip_with(slots(a, av), slots(b, bv), |d: i32, days: i64| {
+                let delta = days as i32;
+                Some(if add {
+                    d.wrapping_add(delta)
                 } else {
-                    data.push(0);
-                }
-            }
-            Ok(Column::Date(data, valid))
+                    d.wrapping_sub(delta)
+                })
+            });
+            Column::Date(data, valid)
         }
-        (T::Date, T::Date) if op == BinaryOp::Sub => {
-            let (a, av) = l.as_dates().unwrap();
-            let (b, bv) = r.as_dates().unwrap();
-            let mut data = Vec::with_capacity(n);
-            let mut valid = Bitmap::new_null(n);
-            for i in 0..n {
-                if av.get(i) && bv.get(i) {
-                    data.push((a[i] - b[i]) as i64);
-                    valid.set(i, true);
-                } else {
-                    data.push(0);
-                }
-            }
-            Ok(Column::Int(data, valid))
+        (Column::Date(a, av), Column::Date(b, bv)) if op == BinaryOp::Sub => {
+            let (data, valid) = zip_with(slots(a, av), slots(b, bv), |x: i32, y: i32| {
+                Some(x.wrapping_sub(y) as i64)
+            });
+            Column::Int(data, valid)
         }
         // String concatenation via `+`.
-        (T::Str, T::Str) if op == BinaryOp::Add => {
-            let mut data = Vec::with_capacity(n);
-            let mut valid = Bitmap::new_null(n);
-            for i in 0..n {
-                match (l.str_at(i), r.str_at(i)) {
-                    (Some(a), Some(b)) => {
-                        let mut s = String::with_capacity(a.len() + b.len());
-                        s.push_str(a);
-                        s.push_str(b);
-                        data.push(s);
-                        valid.set(i, true);
-                    }
-                    _ => data.push(String::new()),
-                }
-            }
-            Ok(Column::Str(data, valid))
+        _ if l.dtype() == DataType::Str && r.dtype() == DataType::Str && op == BinaryOp::Add => {
+            let (data, valid) = zip_with(str_slots(l), str_slots(r), |x, y| {
+                x.zip(y).map(|(a, b): (&str, &str)| [a, b].concat())
+            });
+            Column::Str(data, valid)
         }
-        (a, b) if a.is_numeric() && b.is_numeric() => {
-            let mut data = Vec::with_capacity(n);
-            let mut valid = Bitmap::new_null(n);
-            for i in 0..n {
-                match (l.numeric_at(i), r.numeric_at(i)) {
-                    (Some(x), Some(y)) => {
-                        let out = match op {
-                            BinaryOp::Add => Some(x + y),
-                            BinaryOp::Sub => Some(x - y),
-                            BinaryOp::Mul => Some(x * y),
-                            BinaryOp::Div => (y != 0.0).then(|| x / y),
-                            BinaryOp::Mod => (y != 0.0).then(|| x % y),
-                            _ => unreachable!(),
-                        };
-                        match out {
-                            Some(v) => {
-                                data.push(v);
-                                valid.set(i, true);
-                            }
-                            None => data.push(0.0),
-                        }
-                    }
-                    _ => data.push(0.0),
-                }
-            }
-            Ok(Column::Float(data, valid))
+        _ => {
+            return Err(EngineError::eval(format!(
+                "arithmetic {:?} not defined for {} and {}",
+                op.sql(),
+                l.dtype(),
+                r.dtype()
+            )))
         }
-        (a, b) => Err(EngineError::eval(format!(
-            "arithmetic {:?} not defined for {a} and {b}",
-            op.sql()
-        ))),
-    }
+    })
 }
 
 fn eval_func(func: ScalarFunc, cols: &[Column], n: usize) -> Result<Column> {
@@ -1143,6 +1155,143 @@ mod tests {
     #[test]
     fn predicate_requires_bool() {
         assert!(eval_predicate(&t(), &Expr::col("a")).is_err());
+    }
+
+    /// Per-row `Value` semantics of a binary operator, assembled with
+    /// `push_value` so null slots hold the canonical placeholder.
+    fn reference_binary(l: &Column, op: BinaryOp, r: &Column) -> Column {
+        use std::cmp::Ordering::*;
+        let ints = l.dtype() == DataType::Int && r.dtype() == DataType::Int;
+        let dtype = if op.is_comparison() || op.is_logical() {
+            DataType::Bool
+        } else if ints && op != BinaryOp::Div {
+            DataType::Int
+        } else {
+            DataType::Float
+        };
+        let mut out = Column::empty(dtype);
+        for i in 0..l.len() {
+            let (a, b) = (l.get(i), r.get(i));
+            let v = if op.is_logical() {
+                let f = if op == BinaryOp::And {
+                    kleene_and
+                } else {
+                    kleene_or
+                };
+                f(a.as_bool(), b.as_bool()).map_or(Value::Null, Value::Bool)
+            } else if op.is_comparison() {
+                a.partial_cmp_sql(&b).map_or(Value::Null, |o| {
+                    Value::Bool(match op {
+                        BinaryOp::Eq => o == Equal,
+                        BinaryOp::Neq => o != Equal,
+                        BinaryOp::Lt => o == Less,
+                        BinaryOp::Le => o != Greater,
+                        BinaryOp::Gt => o == Greater,
+                        _ => o != Less,
+                    })
+                })
+            } else if let (DataType::Int, Some(x), Some(y)) = (dtype, a.as_i64(), b.as_i64()) {
+                match op {
+                    BinaryOp::Add => Value::Int(x.wrapping_add(y)),
+                    BinaryOp::Sub => Value::Int(x.wrapping_sub(y)),
+                    BinaryOp::Mul => Value::Int(x.wrapping_mul(y)),
+                    _ if y == 0 => Value::Null,
+                    _ => Value::Int(x.wrapping_rem(y)),
+                }
+            } else if let (Some(x), Some(y)) = (a.as_f64(), b.as_f64()) {
+                match op {
+                    BinaryOp::Add => Value::Float(x + y),
+                    BinaryOp::Sub => Value::Float(x - y),
+                    BinaryOp::Mul => Value::Float(x * y),
+                    _ if y == 0.0 => Value::Null,
+                    BinaryOp::Div => Value::Float(x / y),
+                    _ => Value::Float(x % y),
+                }
+            } else {
+                Value::Null
+            };
+            out.push_value(&v).unwrap();
+        }
+        out
+    }
+
+    /// Equal validity and equal raw data, placeholders included; floats
+    /// by bit pattern so a NaN result equals itself.
+    fn assert_same_column(got: &Column, want: &Column, what: &str) {
+        match (got, want) {
+            (Column::Float(a, av), Column::Float(b, bv)) => {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!((bits(a), av), (bits(b), bv), "{what}");
+            }
+            _ => assert_eq!(got, want, "{what}"),
+        }
+    }
+
+    #[test]
+    fn binary_kernels_match_per_row_value_semantics_and_keep_placeholders_canonical() {
+        // 70 rows: nulls on both sides of the word boundary, NaN, zeros
+        // (division, modulo), extremes, and junk under the null slots.
+        let n = 70;
+        let valid = |k: usize| Bitmap::from_bools(&(0..n).map(|i| i % k != 1).collect::<Vec<_>>());
+        let ints = |k: usize, m: i64| {
+            let data = (0..n as i64).map(|i| match i % 9 {
+                0 => 0,
+                4 => i64::MAX - i,
+                5 => i64::MIN + i,
+                _ => (i * m) % 11 - 5,
+            });
+            Column::Int(data.collect(), valid(k))
+        };
+        let floats = |k: usize, m: f64| {
+            let data = (0..n).map(|i| match i % 8 {
+                0 => 0.0,
+                3 => f64::NAN,
+                6 => -0.0,
+                _ => (i as f64 * m) % 7.0 - 3.0,
+            });
+            Column::Float(data.collect(), valid(k))
+        };
+        let bools =
+            |k: usize, m: usize| Column::Bool((0..n).map(|i| i % m == 0).collect(), valid(k));
+        let dense_ints = Column::from_ints((0..n as i64).map(|i| i % 5 - 2).collect());
+        let dense_floats = Column::from_floats((0..n).map(|i| i as f64 % 4.0 - 1.5).collect());
+        let numeric = [
+            ints(4, 3),
+            ints(7, 5),
+            floats(5, 1.5),
+            floats(6, 0.75),
+            dense_ints,
+            dense_floats,
+        ];
+        use BinaryOp::*;
+        for l in &numeric {
+            for r in &numeric {
+                for op in [Eq, Neq, Lt, Le, Gt, Ge] {
+                    let got = eval_comparison(l, op, r).unwrap();
+                    assert_same_column(&got, &reference_binary(l, op, r), op.sql());
+                }
+                for op in [Add, Sub, Mul, Div, Mod] {
+                    let got = eval_arith(l, op, r).unwrap();
+                    assert_same_column(&got, &reference_binary(l, op, r), op.sql());
+                }
+            }
+        }
+        let logical = [bools(4, 2), bools(6, 3), Column::from_bools(vec![true; n])];
+        for l in &logical {
+            for r in &logical {
+                for op in [And, Or] {
+                    let got = eval_logical(l, op, r).unwrap();
+                    assert_same_column(&got, &reference_binary(l, op, r), op.sql());
+                }
+            }
+        }
+        // Null-free operands give an all-valid result; a predicate mask
+        // drops nulls whatever sits under them.
+        let dense = eval_comparison(&numeric[4], Lt, &numeric[5]).unwrap();
+        assert!(dense.validity().all_valid());
+        let t = Table::new(vec![("b", Column::Bool(vec![true; n], valid(4)))]).unwrap();
+        let mask = eval_predicate_serial(&t, &Expr::col("b")).unwrap();
+        assert_eq!(mask, (0..n).map(|i| i % 4 != 1).collect::<Vec<_>>());
     }
 
     #[test]

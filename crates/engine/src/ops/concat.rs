@@ -18,18 +18,25 @@ pub fn concat(tables: &[&Table], remove_duplicates: bool) -> Result<Table> {
     for t in &tables[1..] {
         schema = schema.concat_compatible(t.schema())?;
     }
-    // One casted accumulator per column, extended in place across all
-    // inputs — linear in total rows. (Rebuilding the accumulated table
-    // per input would copy everything already gathered each time, i.e.
-    // quadratic in the number of parts; block scans concatenate hundreds
-    // of parts, where that collapse matters.)
-    let names: Vec<String> = schema.names().iter().map(|s| s.to_string()).collect();
+    // One accumulator per column, sized for the total once and extended
+    // in place across all inputs — linear in total rows. (Rebuilding the
+    // accumulated table per input would copy everything already gathered
+    // each time, i.e. quadratic in the number of parts; block scans
+    // concatenate hundreds of parts, where that collapse matters.) Only a
+    // part whose dtype differs from the unified one is cast first.
+    let total: usize = tables.iter().map(|t| t.num_rows()).sum();
     let mut out = Table::empty();
-    for name in &names {
-        let field = schema.field(name).expect("unified schema has field");
+    for field in schema.fields() {
+        let name = &field.name;
         let mut acc = first.column(name)?.cast(field.dtype)?;
+        acc.reserve(total - acc.len());
         for t in &tables[1..] {
-            acc.extend(&t.column(name)?.cast(field.dtype)?)?;
+            let part = t.column(name)?;
+            if part.dtype() == field.dtype {
+                acc.extend(part)?;
+            } else {
+                acc.extend(&part.cast(field.dtype)?)?;
+            }
         }
         out.add_column(name, acc)?;
     }

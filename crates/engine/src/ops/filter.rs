@@ -18,8 +18,8 @@ pub fn filter(table: &Table, predicate: &Expr) -> Result<Table> {
 }
 
 /// Filter on the calling thread: the mask comes from the per-morsel worker
-/// [`eval_predicate_serial`] run over the whole table. Storage calls this
-/// once per block.
+/// [`eval_predicate_serial`] run over the whole table. (Storage evaluates
+/// the same worker once per block and gathers only the projected columns.)
 pub fn filter_serial(table: &Table, predicate: &Expr) -> Result<Table> {
     let mask = eval_predicate_serial(table, predicate)?;
     table.filter_mask(&mask)

@@ -140,20 +140,33 @@ impl Table {
         }
     }
 
-    /// Keep rows where the mask is true.
-    pub fn filter_mask(&self, mask: &[bool]) -> Result<Table> {
+    /// The kept-row indices of a selection mask: derived once per filter,
+    /// then every column gathers through the same vector.
+    fn selection(&self, mask: &[bool]) -> Result<Vec<usize>> {
         if mask.len() != self.rows {
             return Err(EngineError::LengthMismatch {
                 left: self.rows,
                 right: mask.len(),
             });
         }
-        let kept = mask.iter().filter(|&&b| b).count();
-        Ok(Table {
-            schema: self.schema.clone(),
-            columns: self.columns.iter().map(|c| c.filter(mask)).collect(),
-            rows: kept,
-        })
+        Ok(mask
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &keep)| keep.then_some(i))
+            .collect())
+    }
+
+    /// Keep rows where the mask is true.
+    pub fn filter_mask(&self, mask: &[bool]) -> Result<Table> {
+        Ok(self.take(&self.selection(mask)?))
+    }
+
+    /// [`Table::select`] then [`Table::filter_mask`] in one pass: only the
+    /// named columns are gathered, so columns a predicate needed but the
+    /// output does not are never copied.
+    pub fn select_filtered(&self, names: &[&str], mask: &[bool]) -> Result<Table> {
+        let kept = self.selection(mask)?;
+        self.select_with(names, kept.len(), |c| c.take(&kept))
     }
 
     /// Append the rows of `other` in place. Schemas must match by name,
@@ -256,15 +269,26 @@ impl Table {
 
     /// Keep only the named columns, in the given order.
     pub fn select(&self, names: &[&str]) -> Result<Table> {
+        self.select_with(names, self.rows, Column::clone)
+    }
+
+    /// The named columns, in the given order, each built by `build` (which
+    /// must yield `rows` rows).
+    fn select_with(
+        &self,
+        names: &[&str],
+        rows: usize,
+        build: impl Fn(&Column) -> Column,
+    ) -> Result<Table> {
         let mut out = Table::empty();
         for &name in names {
             let idx = self
                 .schema
                 .index_of(name)
                 .ok_or_else(|| EngineError::column_not_found(name))?;
-            out.add_column(&self.schema.field_at(idx).name, self.columns[idx].clone())?;
+            out.add_column(&self.schema.field_at(idx).name, build(&self.columns[idx]))?;
         }
-        out.rows = if out.columns.is_empty() { 0 } else { self.rows };
+        out.rows = if out.columns.is_empty() { 0 } else { rows };
         Ok(out)
     }
 
@@ -468,6 +492,21 @@ mod tests {
         let k = t.take(&[2, 2]);
         assert_eq!(k.num_rows(), 2);
         assert_eq!(k.value(0, "name").unwrap(), Value::Str("cid".into()));
+    }
+
+    #[test]
+    fn select_filtered_is_select_then_filter() {
+        let t = people();
+        let mask = [true, false, true];
+        let got = t.select_filtered(&["score", "name"], &mask).unwrap();
+        let want = t
+            .select(&["score", "name"])
+            .unwrap()
+            .filter_mask(&mask)
+            .unwrap();
+        assert_eq!(got, want);
+        assert!(t.select_filtered(&["nope"], &mask).is_err());
+        assert!(t.select_filtered(&["name"], &[true]).is_err());
     }
 
     #[test]

@@ -1258,12 +1258,14 @@ impl Executor {
     /// per-sub-DAG bookkeeping. (The interner must go with the cache:
     /// signatures are only ever looked up to reach cached results, so a
     /// cleared executor keeping them would leak arbitrarily many
-    /// signatures across cleared runs.)
+    /// signatures across cleared runs.) The maps' capacity is released
+    /// too: a registry holds every session it ever opened, so a cleared
+    /// session should cost its DAG and log, not its largest run.
     pub fn clear_cache(&mut self) {
-        self.cache.clear();
-        self.interner.clear();
-        self.costs.clear();
-        self.tainted.clear();
+        self.cache = HashMap::new();
+        self.interner = HashMap::new();
+        self.costs = HashMap::new();
+        self.tainted = HashSet::new();
     }
 
     /// Zero the stats counters without touching cached results.

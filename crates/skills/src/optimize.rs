@@ -28,9 +28,13 @@
 //! so pushed filters are purely an optimization.
 //!
 //! The pass is deterministic: given the same DAG and the same
-//! [`PlanStats`] answers it produces the same plan, which is how the
-//! executor (stats from [`Env`]) and the static estimator (stats from
-//! `dc-analyze`'s context) stay in agreement.
+//! [`PlanStats`] answers it produces the same plan. The executor (stats
+//! from [`Env`]) and the static estimator (stats from `dc-analyze`'s
+//! context) give the same answers for every catalog table, in-memory or
+//! disk-backed, because both read them from the table's resident
+//! [`dc_storage::BlockSource`] metadata; saved artifacts, snapshots and
+//! file loads have no statistics on either side and are never rewritten
+//! by them.
 
 use std::collections::BTreeSet;
 
@@ -91,19 +95,22 @@ pub fn int_blocks_unique(blocks: &[ColumnStats]) -> bool {
     spans.windows(2).all(|w| w[0].1 < w[1].0)
 }
 
+/// Answers come from the catalog's resident table metadata
+/// ([`dc_storage::BlockSource`]), so an in-memory and a disk-backed copy
+/// of one table plan identically.
 impl PlanStats for Env {
     fn table_schema(&self, database: &str, table: &str) -> Option<Schema> {
-        let t = self.catalog.database(database).ok()?.table(table).ok()?;
+        let t = self.catalog.database(database).ok()?.source(table).ok()?;
         Some(t.schema().clone())
     }
 
     fn table_rows(&self, database: &str, table: &str) -> Option<u64> {
-        let t = self.catalog.database(database).ok()?.table(table).ok()?;
+        let t = self.catalog.database(database).ok()?.source(table).ok()?;
         Some(t.num_rows() as u64)
     }
 
     fn column_distinct(&self, database: &str, table: &str, column: &str) -> Option<u64> {
-        let t = self.catalog.database(database).ok()?.table(table).ok()?;
+        let t = self.catalog.database(database).ok()?.source(table).ok()?;
         t.dict_sizes()
             .iter()
             .find(|(name, _)| name.eq_ignore_ascii_case(column))
@@ -114,7 +121,7 @@ impl PlanStats for Env {
         let Ok(db) = self.catalog.database(database) else {
             return false;
         };
-        let Ok(t) = db.table(table) else {
+        let Ok(t) = db.source(table) else {
             return false;
         };
         let Some(ci) = t.schema().index_of(column) else {

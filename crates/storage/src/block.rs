@@ -9,9 +9,11 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
+use dc_engine::blockio::{compute_zone, ZoneBoundsIo, ZoneInfo};
+use dc_engine::eval::eval_predicate_serial;
 use dc_engine::expr::prune::{self, ColumnStats, Tri};
-use dc_engine::ops::{filter_serial, sample_fraction};
-use dc_engine::{Column, DataType, Expr, Table, Value};
+use dc_engine::ops::sample_fraction;
+use dc_engine::{Expr, Table, Value};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -20,86 +22,98 @@ use crate::error::{Result, StorageError};
 use crate::fault::{CancelToken, FaultInjector};
 use crate::pricing::ScanReceipt;
 
-/// Zone-map bounds for one block of one column, computed once at
-/// construction. Bounds cover *valid* (non-null) slots only.
-#[derive(Debug, Clone, PartialEq)]
-enum ZoneBounds {
-    /// No usable bounds: all-null block, a float block containing NaN,
-    /// or a dtype zone maps do not summarize (Bool, plain Str).
-    None,
-    /// Value bounds for numeric / date columns.
-    Values { min: Value, max: Value },
-    /// Bounds as codes into the column's shared *sorted* dictionary, so
-    /// code order is string order and translation is two array reads.
-    DictCodes { min: u32, max: u32 },
-}
-
-/// Zone map for one block of one column.
-#[derive(Debug, Clone, PartialEq)]
-struct ColumnZone {
-    bounds: ZoneBounds,
-    null_count: u64,
-}
-
-fn compute_zone(col: &Column) -> ColumnZone {
-    let null_count = col.null_count() as u64;
-    let n = col.len();
-    if null_count as usize >= n {
-        return ColumnZone {
-            bounds: ZoneBounds::None,
-            null_count,
-        };
+/// What one unpruned block contributes to a scan, shared by the in-RAM
+/// and the on-disk backend: row-sample, evaluate the pushed predicate once,
+/// then gather only the projected columns through that one selection, so a
+/// column only the predicate needed is never copied. `block` holds at least
+/// the projected and the predicate's columns; `predicate` is `None` when
+/// nothing was pushed or the zone maps proved every row matches.
+pub(crate) fn scan_block<'a>(
+    mut block: Cow<'a, Table>,
+    row_sample: Option<(f64, u64)>,
+    predicate: Option<&Expr>,
+    projection: Option<&[&str]>,
+) -> dc_engine::Result<Cow<'a, Table>> {
+    if let Some((fraction, seed)) = row_sample {
+        block = Cow::Owned(sample_fraction(&block, fraction, seed)?);
     }
-    let bounds = if let Some((codes, _, validity)) = col.as_dict() {
-        let mut lo = u32::MAX;
-        let mut hi = 0u32;
-        for (i, &c) in codes.iter().enumerate() {
-            if validity.get(i) {
-                lo = lo.min(c);
-                hi = hi.max(c);
-            }
-        }
-        ZoneBounds::DictCodes { min: lo, max: hi }
-    } else {
-        match col.dtype() {
-            DataType::Int | DataType::Float | DataType::Date => {
-                let mut min: Option<Value> = None;
-                let mut max: Option<Value> = None;
-                let mut usable = true;
-                for i in 0..n {
-                    let v = col.get(i);
-                    if v.is_null() {
-                        continue;
-                    }
-                    if matches!(&v, Value::Float(f) if f.is_nan()) {
-                        // NaN breaks interval reasoning; publish nothing.
-                        usable = false;
-                        break;
-                    }
-                    let lower = match &min {
-                        None => true,
-                        Some(m) => v.partial_cmp_sql(m) == Some(std::cmp::Ordering::Less),
-                    };
-                    if lower {
-                        min = Some(v.clone());
-                    }
-                    let higher = match &max {
-                        None => true,
-                        Some(m) => v.partial_cmp_sql(m) == Some(std::cmp::Ordering::Greater),
-                    };
-                    if higher {
-                        max = Some(v);
-                    }
-                }
-                match (usable, min, max) {
-                    (true, Some(min), Some(max)) => ZoneBounds::Values { min, max },
-                    _ => ZoneBounds::None,
-                }
-            }
-            _ => ZoneBounds::None,
-        }
+    // Row-level evaluation errors (e.g. cross-type comparisons) must
+    // surface from the caller's own filter for correct attribution; the
+    // block passes through unfiltered in that case.
+    let mask = predicate.and_then(|p| eval_predicate_serial(&block, p).ok());
+    // A block read with exactly the projection is already the output.
+    let schema = block.schema();
+    let is_whole_block = |cols: &[&str]| {
+        cols.len() == schema.fields().len()
+            && (cols.iter().enumerate()).all(|(i, c)| schema.index_of(c) == Some(i))
     };
-    ColumnZone { bounds, null_count }
+    Ok(match (mask, projection) {
+        (Some(mask), Some(cols)) => Cow::Owned(block.select_filtered(cols, &mask)?),
+        (Some(mask), None) => Cow::Owned(block.filter_mask(&mask)?),
+        (None, Some(cols)) if !is_whole_block(cols) => Cow::Owned(block.select(cols)?),
+        (None, _) => block,
+    })
+}
+
+/// The metadata a stored table keeps resident, whichever backend holds
+/// its blocks ([`BlockTable`] in RAM, [`crate::DiskBlockTable`] in a block
+/// file): schema, per-block row and byte counts, zone maps and dictionary
+/// sizes. The optimizer's statistics and the analyzer's snapshot read a
+/// catalog table through this ([`crate::CloudDatabase::source`]), so they
+/// answer the same for both backends. Nothing here touches block payloads.
+pub trait BlockSource {
+    /// The stored table's typed schema.
+    fn schema(&self) -> &dc_engine::Schema;
+    /// Number of blocks.
+    fn num_blocks(&self) -> usize;
+    /// Rows stored in block `bi`.
+    fn block_rows(&self, bi: usize) -> usize;
+    /// Per-column logical payload bytes of block `bi`, dictionaries
+    /// excluded.
+    fn block_data_bytes(&self, bi: usize) -> Vec<u64>;
+    /// Per-column shared-dictionary bytes (zero for non-dict columns).
+    fn dict_byte_sizes(&self) -> &[u64];
+    /// Name and dictionary cardinality of each dictionary-encoded column.
+    fn dict_sizes(&self) -> Vec<(String, usize)>;
+    /// Zone-map statistics for block `bi`, column `ci`.
+    fn column_stats(&self, bi: usize, ci: usize) -> ColumnStats;
+
+    /// Total rows stored.
+    fn num_rows(&self) -> usize {
+        (0..self.num_blocks()).map(|bi| self.block_rows(bi)).sum()
+    }
+    /// Total logical bytes: every block's payload plus each shared
+    /// dictionary once — what a full scan charges.
+    fn total_bytes(&self) -> u64 {
+        let payload: u64 = (0..self.num_blocks())
+            .map(|bi| self.block_data_bytes(bi).iter().sum::<u64>())
+            .sum();
+        payload + self.dict_byte_sizes().iter().sum::<u64>()
+    }
+}
+
+impl BlockSource for BlockTable {
+    fn schema(&self) -> &dc_engine::Schema {
+        self.schema()
+    }
+    fn num_blocks(&self) -> usize {
+        self.num_blocks()
+    }
+    fn block_rows(&self, bi: usize) -> usize {
+        self.block_rows(bi)
+    }
+    fn block_data_bytes(&self, bi: usize) -> Vec<u64> {
+        self.block_data_bytes(bi).to_vec()
+    }
+    fn dict_byte_sizes(&self) -> &[u64] {
+        self.dict_byte_sizes()
+    }
+    fn dict_sizes(&self) -> Vec<(String, usize)> {
+        self.dict_sizes()
+    }
+    fn column_stats(&self, bi: usize, ci: usize) -> ColumnStats {
+        self.column_stats(bi, ci)
+    }
 }
 
 /// A stored table split into fixed-size row blocks.
@@ -118,7 +132,7 @@ pub struct BlockTable {
     /// columns), charged at most once per scan that reads the column.
     dict_bytes: Vec<u64>,
     /// Per block, per column: zone maps for predicate pruning.
-    zones: Vec<Vec<ColumnZone>>,
+    zones: Vec<Vec<ZoneInfo>>,
     rows: usize,
     schema_names: Vec<String>,
 }
@@ -261,9 +275,9 @@ impl BlockTable {
         let block = &self.blocks[bi];
         let col = &block.columns()[ci];
         let (min, max) = match &zone.bounds {
-            ZoneBounds::None => (None, None),
-            ZoneBounds::Values { min, max } => (Some(min.clone()), Some(max.clone())),
-            ZoneBounds::DictCodes { min, max } => {
+            ZoneBoundsIo::None => (None, None),
+            ZoneBoundsIo::Values { min, max } => (Some(min.clone()), Some(max.clone())),
+            ZoneBoundsIo::DictCodes { min, max } => {
                 let (_, dict, _) = col.as_dict().expect("DictCodes zone on non-dict column");
                 (
                     Some(Value::Str(dict[*min as usize].clone())),
@@ -446,28 +460,13 @@ impl BlockTable {
             bytes += read_data_bytes(bi);
             rows_scanned += block.num_rows() as u64;
             blocks_scanned += 1;
-            let mut part = Cow::Borrowed(block.as_ref());
-            if let Some(f) = opts.row_sample {
-                part = Cow::Owned(sample_fraction(
-                    &part,
-                    f,
-                    opts.seed.wrapping_add(bi as u64),
-                )?);
-            }
-            if let Some(p) = predicate {
-                if verdict != Tri::AllTrue {
-                    // Row-level evaluation errors (e.g. cross-type
-                    // comparisons) must surface from the caller's own
-                    // filter for correct attribution; pass the block
-                    // through unfiltered in that case.
-                    if let Ok(kept) = filter_serial(&part, p) {
-                        part = Cow::Owned(kept);
-                    }
-                }
-            }
-            if let Some(cols) = &projected {
-                part = Cow::Owned(part.select(cols)?);
-            }
+            let part = scan_block(
+                Cow::Borrowed(block.as_ref()),
+                opts.row_sample
+                    .map(|f| (f, opts.seed.wrapping_add(bi as u64))),
+                predicate.filter(|_| verdict != Tri::AllTrue),
+                projected.as_deref(),
+            )?;
             parts.push(part);
         }
         // Each shared dictionary is read once per scan that touches any
@@ -508,6 +507,7 @@ impl BlockTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dc_engine::ops::filter_serial;
     use dc_engine::Column;
 
     fn t(n: usize) -> Table {

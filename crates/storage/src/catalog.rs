@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use dc_engine::Table;
 
-use crate::block::{BlockTable, ScanOptions};
+use crate::block::{BlockSource, BlockTable, ScanOptions};
 use crate::disk::DiskBlockTable;
 use crate::error::{Result, StorageError};
 use crate::fault::FaultInjector;
@@ -189,6 +189,19 @@ impl CloudDatabase {
                 database: self.name.clone(),
                 name: name.to_string(),
             })
+    }
+
+    /// The resident metadata of a stored table, whichever backend holds
+    /// it: what planning and analysis read without scanning.
+    pub fn source(&self, name: &str) -> Result<&dyn BlockSource> {
+        match (self.tables.get(name), self.disk_tables.get(name)) {
+            (Some(bt), _) => Ok(bt),
+            (None, Some(dt)) => Ok(dt),
+            (None, None) => Err(StorageError::TableNotFound {
+                database: self.name.clone(),
+                name: name.to_string(),
+            }),
+        }
     }
 
     /// Scan a table (either backend), recording the cost on the database

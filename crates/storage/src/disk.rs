@@ -23,13 +23,12 @@ use std::path::{Path, PathBuf};
 
 use dc_engine::blockio::{BlockFile, ZoneBoundsIo};
 use dc_engine::expr::prune::{self, ColumnStats, Tri};
-use dc_engine::ops::{filter_serial, sample_fraction};
 use dc_engine::{Expr, Schema, Table, Value};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
-use crate::block::ScanOptions;
+use crate::block::{scan_block, BlockSource, ScanOptions};
 use crate::error::{Result, StorageError};
 use crate::fault::FaultInjector;
 use crate::pricing::ScanReceipt;
@@ -170,18 +169,13 @@ impl DiskBlockTable {
         let (min, max) = match &col.zone.bounds {
             ZoneBoundsIo::None => (None, None),
             ZoneBoundsIo::Values { min, max } => (Some(min.clone()), Some(max.clone())),
-            ZoneBoundsIo::DictCodes { min, max } => {
-                let dict = col
-                    .dict_index()
-                    .and_then(|di| self.file.meta.dicts.get(di));
-                match dict {
-                    Some(d) => (
-                        Some(Value::Str(d[*min as usize].clone())),
-                        Some(Value::Str(d[*max as usize].clone())),
-                    ),
-                    None => (None, None),
-                }
-            }
+            ZoneBoundsIo::DictCodes { min, max } => match self.dict_of(bi, ci) {
+                Some(d) => (
+                    Some(Value::Str(d[*min as usize].clone())),
+                    Some(Value::Str(d[*max as usize].clone())),
+                ),
+                None => (None, None),
+            },
         };
         ColumnStats {
             dtype: self.schema.fields()[ci].dtype,
@@ -190,6 +184,13 @@ impl DiskBlockTable {
             null_count: col.zone.null_count,
             row_count: block.rows as u64,
         }
+    }
+
+    /// The resident dictionary block `bi` stores column `ci` against, if
+    /// it is dictionary-encoded there.
+    fn dict_of(&self, bi: usize, ci: usize) -> Option<&std::sync::Arc<Vec<String>>> {
+        let di = self.file.meta.blocks.get(bi)?.cols[ci].dict_index()?;
+        self.file.meta.dicts.get(di)
     }
 
     /// Scan under `opts`, returning the data plus a receipt. Mirrors
@@ -307,23 +308,13 @@ impl DiskBlockTable {
             bytes_read += faulted;
             rows_scanned += block_rows as u64;
             blocks_scanned += 1;
-            let mut part = Cow::Owned(table);
-            if let Some(f) = opts.row_sample {
-                part = Cow::Owned(
-                    sample_fraction(&part, f, opts.seed.wrapping_add(bi as u64))
-                        .map_err(map_engine)?,
-                );
-            }
-            if let Some(p) = predicate {
-                if verdict != Tri::AllTrue {
-                    if let Ok(kept) = filter_serial(&part, p) {
-                        part = Cow::Owned(kept);
-                    }
-                }
-            }
-            if let Some(cols) = &projected {
-                part = Cow::Owned(part.select(cols).map_err(map_engine)?);
-            }
+            let part = scan_block(
+                Cow::Owned(table),
+                opts.row_sample.map(|f| (f, opts.seed.wrapping_add(bi as u64))),
+                predicate.filter(|_| verdict != Tri::AllTrue),
+                projected.as_deref(),
+            )
+            .map_err(map_engine)?;
             parts.push(part);
         }
         // Shared dictionaries live in the footer, resident since open:
@@ -359,6 +350,37 @@ impl DiskBlockTable {
                 cost_dollars: 0.0, // filled in by the database, which knows pricing
             },
         ))
+    }
+}
+
+impl BlockSource for DiskBlockTable {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+    fn num_blocks(&self) -> usize {
+        self.num_blocks()
+    }
+    fn block_rows(&self, bi: usize) -> usize {
+        self.file.meta.blocks[bi].rows as usize
+    }
+    fn block_data_bytes(&self, bi: usize) -> Vec<u64> {
+        let cols = &self.file.meta.blocks[bi].cols;
+        cols.iter().map(|c| c.data_bytes).collect()
+    }
+    fn dict_byte_sizes(&self) -> &[u64] {
+        &self.dict_bytes
+    }
+    /// Blocks share one table-wide dictionary per string column, so the
+    /// first block's dictionaries describe the whole table.
+    fn dict_sizes(&self) -> Vec<(String, usize)> {
+        self.schema_names
+            .iter()
+            .enumerate()
+            .filter_map(|(ci, name)| Some((name.clone(), self.dict_of(0, ci)?.len())))
+            .collect()
+    }
+    fn column_stats(&self, bi: usize, ci: usize) -> ColumnStats {
+        self.column_stats(bi, ci)
     }
 }
 
@@ -507,6 +529,25 @@ mod tests {
         let (_, rm) = bt.scan(&ScanOptions::full()).unwrap();
         assert_eq!(rd.bytes_scanned, rm.bytes_scanned);
         assert_eq!(dt.total_bytes(), bt.total_bytes());
+        // Projected scan with a pushed predicate on a column outside the
+        // projection: some blocks pruned, some filtered, and the predicate
+        // column charged but not returned — alike on both backends.
+        let opts = ScanOptions {
+            columns: Some(vec!["y".into(), "cat".into()]),
+            predicate: Some(Expr::binary(Expr::col("x"), BinaryOp::Ge, Expr::lit(700i64))),
+            ..ScanOptions::default()
+        };
+        let (td, rd) = dt.scan(&opts).unwrap();
+        let (tm, rm) = bt.scan(&opts).unwrap();
+        assert_eq!(td, tm);
+        assert_eq!(td.schema().names(), vec!["y", "cat"]);
+        assert_eq!(td.num_rows(), 300);
+        assert!(rd.blocks_pruned > 0 && rd.blocks_scanned > 1);
+        assert_eq!(
+            (rd.bytes_scanned, rd.bytes_pruned, rd.rows_scanned, rd.blocks_pruned),
+            (rm.bytes_scanned, rm.bytes_pruned, rm.rows_scanned, rm.blocks_pruned)
+        );
+        assert!(rd.bytes_read <= rd.bytes_scanned);
     }
 
     #[test]

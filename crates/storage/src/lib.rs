@@ -33,7 +33,7 @@ pub mod pricing;
 pub mod snapshot;
 pub mod spill;
 
-pub use block::{BlockTable, ScanOptions};
+pub use block::{BlockSource, BlockTable, ScanOptions};
 pub use budget::{BudgetConfig, ByteBudget};
 pub use catalog::{Catalog, CloudDatabase, DatasetInfo, DEFAULT_BLOCK_ROWS};
 pub use disk::DiskBlockTable;
