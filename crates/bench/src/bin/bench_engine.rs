@@ -215,9 +215,7 @@ fn sweep_tier(n: usize, budget: u64, verify: bool, records: &mut Vec<Record>) ->
         ),
         (
             "sweep_sort",
-            Box::new(|m: Option<&MemContext>| {
-                sort_by_with_mem(&t, &skeys, m).expect("sweep sort")
-            }),
+            Box::new(|m: Option<&MemContext>| sort_by_with_mem(&t, &skeys, m).expect("sweep sort")),
         ),
     ];
     let mode = if budget > 0 { "budget" } else { "unbounded" };
@@ -239,10 +237,14 @@ fn sweep_tier(n: usize, budget: u64, verify: bool, records: &mut Vec<Record>) ->
             spilled.spill_partitions
         );
         if must_spill && spilled.bytes_spilled == 0 {
-            bad.push(format!("{op}@{n}: input exceeds the budget but nothing spilled"));
+            bad.push(format!(
+                "{op}@{n}: input exceeds the budget but nothing spilled"
+            ));
         }
         if verify && budget > 0 && out != f(None) {
-            bad.push(format!("{op}@{n}: constrained output diverges from in-memory"));
+            bad.push(format!(
+                "{op}@{n}: constrained output diverges from in-memory"
+            ));
         }
         records.push(Record {
             op,
@@ -739,7 +741,9 @@ fn main() {
                 eprintln!("smoke FAILED: out-of-core violations: {bad:?}");
                 std::process::exit(1);
             }
-            println!("smoke ok: 10M-row sweep spilled under a {budget}-byte budget, results identical");
+            println!(
+                "smoke ok: 10M-row sweep spilled under a {budget}-byte budget, results identical"
+            );
         }
         println!(
             "smoke ok: dict kernels agree, pruned scans are cheaper + identical, \

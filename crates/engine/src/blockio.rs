@@ -585,7 +585,11 @@ impl BlockWriter {
 }
 
 /// Write `table` to `path` in blocks of `block_rows` rows.
-pub fn write_table(path: impl Into<PathBuf>, table: &Table, block_rows: usize) -> Result<FileSummary> {
+pub fn write_table(
+    path: impl Into<PathBuf>,
+    table: &Table,
+    block_rows: usize,
+) -> Result<FileSummary> {
     if block_rows == 0 {
         return Err(EngineError::invalid_argument("block_rows must be positive"));
     }
@@ -712,11 +716,9 @@ impl BlockFile {
         let mut out = Table::empty();
         let mut bytes_read = 0u64;
         for &ci in cols {
-            let (name, _) = self
-                .meta
-                .schema
-                .get(ci)
-                .ok_or_else(|| EngineError::invalid_argument(format!("column {ci} out of range")))?;
+            let (name, _) = self.meta.schema.get(ci).ok_or_else(|| {
+                EngineError::invalid_argument(format!("column {ci} out of range"))
+            })?;
             let cm = &block.cols[ci];
             let buf = self.read_range(cm.offset, cm.len)?;
             bytes_read += cm.len;
@@ -789,10 +791,7 @@ impl BlockFile {
                 Some(t) => t.append(&block)?,
             }
         }
-        Ok((
-            out.unwrap_or_else(Table::empty),
-            bytes,
-        ))
+        Ok((out.unwrap_or_else(Table::empty), bytes))
     }
 }
 
@@ -829,7 +828,9 @@ fn parse_footer(buf: &[u8], meta_bytes: u64, payload_end: u64) -> Result<FileMet
             let offset = cur.u64()?;
             let len = cur.u64()?;
             let in_payload = offset >= MAGIC.len() as u64
-                && offset.checked_add(len).is_some_and(|end| end <= payload_end);
+                && offset
+                    .checked_add(len)
+                    .is_some_and(|end| end <= payload_end);
             if !in_payload {
                 return Err(EngineError::parse(
                     "column byte range lies outside the block payload region",
@@ -861,10 +862,7 @@ fn parse_footer(buf: &[u8], meta_bytes: u64, payload_end: u64) -> Result<FileMet
                 len,
                 data_bytes,
                 dict_id,
-                zone: ZoneInfo {
-                    bounds,
-                    null_count,
-                },
+                zone: ZoneInfo { bounds, null_count },
             });
         }
         blocks.push(BlockMeta { rows, cols });
@@ -892,7 +890,8 @@ fn read_exact_at(file: &File, offset: u64, buf: &mut [u8]) -> Result<()> {
         .map_err(|e| spill_error("block file clone", e))?;
     f.seek(SeekFrom::Start(offset))
         .map_err(|e| spill_error("block file seek", e))?;
-    f.read_exact(buf).map_err(|e| spill_error("block file read", e))
+    f.read_exact(buf)
+        .map_err(|e| spill_error("block file read", e))
 }
 
 /// Positional read through a `&mut File` during open (footer parsing).
@@ -932,7 +931,10 @@ mod tests {
                     Some("c".into()),
                 ]),
             ),
-            ("b", Column::from_bools(vec![true, false, true, true, false])),
+            (
+                "b",
+                Column::from_bools(vec![true, false, true, true, false]),
+            ),
             (
                 "d",
                 Column::from_opt_dates(vec![Some(10), Some(20), Some(30), None, Some(50)]),
@@ -1046,10 +1048,17 @@ mod tests {
             ),
             (
                 "f",
-                Column::from_opt_floats((0..n).map(|i| some(i + 1).then_some(i as f64 / 3.0)).collect()),
+                Column::from_opt_floats(
+                    (0..n)
+                        .map(|i| some(i + 1).then_some(i as f64 / 3.0))
+                        .collect(),
+                ),
             ),
             ("s", Column::from_opt_strs((0..n).map(strs).collect())),
-            ("k", Column::from_opt_strs((0..n).map(strs).collect()).dict_encode()),
+            (
+                "k",
+                Column::from_opt_strs((0..n).map(strs).collect()).dict_encode(),
+            ),
             (
                 "d",
                 Column::from_opt_dates((0..n).map(|i| some(i + 2).then_some(i as i32)).collect()),
@@ -1115,7 +1124,8 @@ mod tests {
         let t = Table::new(vec![("x", Column::from_ints((0..10).collect()))]).unwrap();
         write_table(&path, &t, 16).unwrap();
         let good = std::fs::read(&path).unwrap();
-        let footer_len = u64::from_le_bytes(good[good.len() - 12..good.len() - 4].try_into().unwrap());
+        let footer_len =
+            u64::from_le_bytes(good[good.len() - 12..good.len() - 4].try_into().unwrap());
         let footer = good.len() - 12 - footer_len as usize;
         // ncols, name "x", dtype, ndicts, nblocks, rows, enc: then offset, len.
         let offset_at = footer + 4 + (4 + 1) + 1 + 4 + 4 + 4 + 1;

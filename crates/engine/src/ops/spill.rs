@@ -59,9 +59,7 @@ use super::sort::{sort_by, SortKey};
 /// Hash-join transient state: the build-side index (map + chain links)
 /// plus the probe-side pair vectors.
 pub fn join_state_bytes(left: &Table, right: &Table) -> u64 {
-    right.byte_size() as u64
-        + 32 * right.num_rows() as u64
-        + 16 * left.num_rows() as u64
+    right.byte_size() as u64 + 32 * right.num_rows() as u64 + 16 * left.num_rows() as u64
 }
 
 /// Group-by transient state: key materialization plus the group index,
@@ -91,7 +89,10 @@ pub fn sort_state_bytes(table: &Table) -> u64 {
 /// partition actually redistributes it.
 fn key_hash(cols: &[&Column], row: usize, salt: u64) -> u64 {
     let mut h = FxHasher::default();
-    h.write_u64(salt.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(0x5bd1_e995));
+    h.write_u64(
+        salt.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(0x5bd1_e995),
+    );
     for col in cols {
         match col {
             Column::Bool(v, b) => {
@@ -732,11 +733,14 @@ fn merge_runs(
     let mut buffered = 0usize;
 
     let flush = |accs: &mut Vec<ColAcc>,
-                     writer: &mut Option<BlockWriter>,
-                     out: &mut Option<Table>|
+                 writer: &mut Option<BlockWriter>,
+                 out: &mut Option<Table>|
      -> Result<()> {
         let mut block = Table::empty();
-        for (acc, field) in std::mem::take(accs).into_iter().zip(proto.schema().fields()) {
+        for (acc, field) in std::mem::take(accs)
+            .into_iter()
+            .zip(proto.schema().fields())
+        {
             block.add_column(&field.name, acc.finish())?;
         }
         *accs = proto.columns().iter().map(ColAcc::for_column).collect();
@@ -811,7 +815,13 @@ mod tests {
 
     fn big_table(n: usize) -> Table {
         let keys: Vec<Option<i64>> = (0..n)
-            .map(|i| if i % 17 == 3 { None } else { Some((i % 97) as i64) })
+            .map(|i| {
+                if i % 17 == 3 {
+                    None
+                } else {
+                    Some((i % 97) as i64)
+                }
+            })
             .collect();
         let vals: Vec<Option<f64>> = (0..n)
             .map(|i| {
@@ -861,7 +871,12 @@ mod tests {
             ),
         ])
         .unwrap();
-        for how in [JoinType::Inner, JoinType::Left, JoinType::Right, JoinType::Full] {
+        for how in [
+            JoinType::Inner,
+            JoinType::Left,
+            JoinType::Right,
+            JoinType::Full,
+        ] {
             let expect = join(&left, &right, &["k"], &["k"], how).unwrap();
             let ctx = tiny_ctx();
             let got = join_with_mem(&left, &right, &["k"], &["k"], how, Some(&ctx)).unwrap();
@@ -916,13 +931,7 @@ mod tests {
         let t = big_table(2000);
         let ctx = tiny_ctx();
         let _ = sort_by_with_mem(&t, &[SortKey::asc("v")], Some(&ctx)).unwrap();
-        let _ = group_by_with_mem(
-            &t,
-            &["k"],
-            &[AggSpec::count_records("n")],
-            Some(&ctx),
-        )
-        .unwrap();
+        let _ = group_by_with_mem(&t, &["k"], &[AggSpec::count_records("n")], Some(&ctx)).unwrap();
         let leaked: Vec<_> = std::fs::read_dir(&ctx.spill_root)
             .unwrap()
             .flatten()
@@ -932,11 +941,7 @@ mod tests {
 
     #[test]
     fn helper_names_avoid_collisions() {
-        let t = Table::new(vec![(
-            "__spill_lrow",
-            Column::from_ints(vec![1, 2]),
-        )])
-        .unwrap();
+        let t = Table::new(vec![("__spill_lrow", Column::from_ints(vec![1, 2]))]).unwrap();
         let name = fresh_name(&[&t], &[], "__spill_lrow");
         assert_ne!(name, "__spill_lrow");
         assert!(t.schema().index_of(&name).is_none());

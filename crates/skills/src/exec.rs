@@ -1151,8 +1151,7 @@ impl Executor {
                                 hook(&node.call);
                             }
                             let refs: Vec<&Table> = inputs.iter().map(|t| t.as_ref()).collect();
-                            let out =
-                                execute_pure_call_with_mem(&node.call, &refs, mem.as_deref());
+                            let out = execute_pure_call_with_mem(&node.call, &refs, mem.as_deref());
                             (node, inputs, out)
                         })
                     })

@@ -545,9 +545,11 @@ fn spill_write_transient_fault_is_retried_and_cleaned_up() {
     // The very first spill write fails transiently; the retry redoes the
     // whole sort and succeeds. The injector is private to the spill
     // hooks — catalog scans never see it.
-    let inj = Arc::new(FaultInjector::new(
-        FaultConfig::disabled().schedule(FaultOp::SpillWrite, 0, InjectedFault::Transient),
-    ));
+    let inj = Arc::new(FaultInjector::new(FaultConfig::disabled().schedule(
+        FaultOp::SpillWrite,
+        0,
+        InjectedFault::Transient,
+    )));
     let ctx = Arc::new(
         MemContext::with_budget(TINY_BUDGET)
             .unwrap()
@@ -621,7 +623,10 @@ fn spill_dirs_are_cleaned_even_when_a_downstream_node_panics() {
     let root = ctx.spill_root.clone();
     env.memory = None;
     drop(ctx);
-    assert!(!root.exists(), "temp spill root must vanish with the context");
+    assert!(
+        !root.exists(),
+        "temp spill root must vanish with the context"
+    );
 }
 
 #[test]
@@ -639,9 +644,11 @@ fn spilled_and_retried_result_is_byte_identical_and_cache_admissible() {
     // shared cache installed: the recovered (non-degraded) result must
     // still be admitted, and only because it is byte-identical to what
     // an in-memory run would have produced.
-    let inj = Arc::new(FaultInjector::new(
-        FaultConfig::disabled().schedule(FaultOp::SpillWrite, 0, InjectedFault::Transient),
-    ));
+    let inj = Arc::new(FaultInjector::new(FaultConfig::disabled().schedule(
+        FaultOp::SpillWrite,
+        0,
+        InjectedFault::Transient,
+    )));
     let ctx = Arc::new(
         MemContext::with_budget(TINY_BUDGET)
             .unwrap()

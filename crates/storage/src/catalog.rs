@@ -133,8 +133,7 @@ impl CloudDatabase {
 
     /// Drop a table (either backend; disk-backed files are removed).
     pub fn drop_table(&mut self, name: &str) -> Result<()> {
-        let dropped =
-            self.tables.remove(name).is_some() || self.disk_tables.remove(name).is_some();
+        let dropped = self.tables.remove(name).is_some() || self.disk_tables.remove(name).is_some();
         if dropped {
             // Bump the counter so any future recreation under the same
             // name is distinguishable from the dropped incarnation.

@@ -80,7 +80,11 @@ impl DiskBlockTable {
     /// one table-wide sorted dictionary (persisted once in the footer) and
     /// zone maps cover string columns as code ranges. The file is removed
     /// when the returned table is dropped.
-    pub fn create(path: impl Into<PathBuf>, table: &Table, block_rows: usize) -> Result<DiskBlockTable> {
+    pub fn create(
+        path: impl Into<PathBuf>,
+        table: &Table,
+        block_rows: usize,
+    ) -> Result<DiskBlockTable> {
         if block_rows == 0 {
             return Err(StorageError::invalid("block_rows must be positive"));
         }
@@ -310,7 +314,8 @@ impl DiskBlockTable {
             blocks_scanned += 1;
             let part = scan_block(
                 Cow::Owned(table),
-                opts.row_sample.map(|f| (f, opts.seed.wrapping_add(bi as u64))),
+                opts.row_sample
+                    .map(|f| (f, opts.seed.wrapping_add(bi as u64))),
                 predicate.filter(|_| verdict != Tri::AllTrue),
                 projected.as_deref(),
             )
@@ -392,10 +397,7 @@ mod tests {
     struct TempDir(PathBuf);
     impl TempDir {
         fn new(tag: &str) -> TempDir {
-            let p = std::env::temp_dir().join(format!(
-                "dc-disk-test-{}-{tag}",
-                std::process::id()
-            ));
+            let p = std::env::temp_dir().join(format!("dc-disk-test-{}-{tag}", std::process::id()));
             std::fs::create_dir_all(&p).unwrap();
             TempDir(p)
         }
@@ -488,11 +490,7 @@ mod tests {
         // Sorted cat values: blocks of 100 rows each hold one value run.
         let t = Table::new(vec![(
             "cat",
-            Column::from_strs(
-                (0..1000)
-                    .map(|i| format!("v{:02}", i / 100))
-                    .collect(),
-            ),
+            Column::from_strs((0..1000).map(|i| format!("v{:02}", i / 100)).collect()),
         )])
         .unwrap();
         let dt = DiskBlockTable::create(dir.file("t.dcb"), &t, 100).unwrap();
@@ -534,7 +532,11 @@ mod tests {
         // column charged but not returned — alike on both backends.
         let opts = ScanOptions {
             columns: Some(vec!["y".into(), "cat".into()]),
-            predicate: Some(Expr::binary(Expr::col("x"), BinaryOp::Ge, Expr::lit(700i64))),
+            predicate: Some(Expr::binary(
+                Expr::col("x"),
+                BinaryOp::Ge,
+                Expr::lit(700i64),
+            )),
             ..ScanOptions::default()
         };
         let (td, rd) = dt.scan(&opts).unwrap();
@@ -544,8 +546,18 @@ mod tests {
         assert_eq!(td.num_rows(), 300);
         assert!(rd.blocks_pruned > 0 && rd.blocks_scanned > 1);
         assert_eq!(
-            (rd.bytes_scanned, rd.bytes_pruned, rd.rows_scanned, rd.blocks_pruned),
-            (rm.bytes_scanned, rm.bytes_pruned, rm.rows_scanned, rm.blocks_pruned)
+            (
+                rd.bytes_scanned,
+                rd.bytes_pruned,
+                rd.rows_scanned,
+                rd.blocks_pruned
+            ),
+            (
+                rm.bytes_scanned,
+                rm.bytes_pruned,
+                rm.rows_scanned,
+                rm.blocks_pruned
+            )
         );
         assert!(rd.bytes_read <= rd.bytes_scanned);
     }

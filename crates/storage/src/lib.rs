@@ -38,9 +38,9 @@ pub use budget::{BudgetConfig, ByteBudget};
 pub use catalog::{Catalog, CloudDatabase, DatasetInfo, DEFAULT_BLOCK_ROWS};
 pub use disk::DiskBlockTable;
 pub use error::{Result, StorageError};
-pub use spill::InjectedSpillHooks;
 pub use fault::{
     CancelToken, FaultConfig, FaultInjector, FaultOp, FaultStats, InjectedFault, ScheduledFault,
 };
 pub use pricing::{CostMeter, Pricing, ScanReceipt};
 pub use snapshot::{Snapshot, SnapshotStore};
+pub use spill::InjectedSpillHooks;

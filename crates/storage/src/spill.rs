@@ -56,9 +56,11 @@ mod tests {
 
     #[test]
     fn transient_spill_write_maps_to_interrupted() {
-        let inj = Arc::new(FaultInjector::new(
-            FaultConfig::disabled().schedule(FaultOp::SpillWrite, 0, InjectedFault::Transient),
-        ));
+        let inj = Arc::new(FaultInjector::new(FaultConfig::disabled().schedule(
+            FaultOp::SpillWrite,
+            0,
+            InjectedFault::Transient,
+        )));
         let hooks = InjectedSpillHooks::new(Arc::clone(&inj));
         let err = hooks.before_spill_write().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::Interrupted);
@@ -68,9 +70,11 @@ mod tests {
 
     #[test]
     fn unavailable_spill_read_maps_to_other() {
-        let inj = Arc::new(FaultInjector::new(
-            FaultConfig::disabled().schedule(FaultOp::SpillRead, 0, InjectedFault::Unavailable),
-        ));
+        let inj = Arc::new(FaultInjector::new(FaultConfig::disabled().schedule(
+            FaultOp::SpillRead,
+            0,
+            InjectedFault::Unavailable,
+        )));
         let hooks = InjectedSpillHooks::new(inj);
         let err = hooks.before_spill_read().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::Other);
@@ -78,14 +82,22 @@ mod tests {
 
     #[test]
     fn engine_spill_error_retryability_follows_io_kind() {
-        let inj = Arc::new(FaultInjector::new(
-            FaultConfig::disabled().schedule(FaultOp::SpillWrite, 0, InjectedFault::Transient),
-        ));
+        let inj = Arc::new(FaultInjector::new(FaultConfig::disabled().schedule(
+            FaultOp::SpillWrite,
+            0,
+            InjectedFault::Transient,
+        )));
         let hooks = InjectedSpillHooks::new(inj);
         let io_err = hooks.before_spill_write().unwrap_err();
         let engine_err = dc_engine::governor::spill_error("partition write", io_err);
         assert!(
-            matches!(engine_err, dc_engine::EngineError::Spill { retryable: true, .. }),
+            matches!(
+                engine_err,
+                dc_engine::EngineError::Spill {
+                    retryable: true,
+                    ..
+                }
+            ),
             "transient injected fault must stay retryable through the engine"
         );
     }
