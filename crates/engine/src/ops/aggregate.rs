@@ -4,15 +4,15 @@
 //! skill (Table 1's data-wrangling row and the Figure 3 walkthrough).
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::ops::Range;
 
+use crate::bitmap::Bitmap;
 use crate::column::Column;
 use crate::error::{EngineError, Result};
 use crate::hash::FxHashMap;
 use crate::parallel;
 use crate::table::Table;
-use crate::value::Value;
+use crate::value::cmp_f64_total;
 
 /// Aggregate functions available to the Compute skill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -170,340 +170,277 @@ fn sanitize(name: &str) -> String {
         .collect()
 }
 
-/// Hashable group key: a row of values with canonical float bits.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct GroupKey(Vec<KeyPart>);
-
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum KeyPart {
-    Null,
-    Bool(bool),
-    Int(i64),
-    Float(u64),
-    Str(String),
-    Date(i32),
+/// Column-major accumulators of one aggregate: one slot per dense group id
+/// in each vector its function uses, the other vectors stay empty.
+///
+/// | function | state |
+/// |---|---|
+/// | `Count`, `CountRecords` | `n` |
+/// | `Sum` | `n` non-null inputs (0 means a null sum), `isum` for an `Int` argument, `fsum` otherwise |
+/// | `Avg` | `fsum`, `n` |
+/// | `StdDev`, `Variance` | Welford's `n`, running mean in `fsum`, `m2` |
+/// | `Min`, `Max`, `First`, `Last` | `row`: the winning input row, so no value is held |
+/// | `Median` | `pairs`: `(group, row)` of every non-null input, in row order |
+/// | `CountDistinct` | `pairs`: `(group, first row)` of every distinct non-null `(group, value)` of a morsel |
+struct AggCols {
+    func: AggFunc,
+    groups: usize,
+    n: Vec<u64>,
+    isum: Vec<i64>,
+    fsum: Vec<f64>,
+    m2: Vec<f64>,
+    row: Vec<Option<usize>>,
+    pairs: Vec<(u32, usize)>,
 }
 
-fn key_part(v: &Value) -> KeyPart {
-    match v {
-        Value::Null => KeyPart::Null,
-        Value::Bool(b) => KeyPart::Bool(*b),
-        Value::Int(i) => KeyPart::Int(*i),
-        Value::Float(f) => {
-            // Normalize -0.0 and NaN so equal-ish keys group together.
-            let f = if *f == 0.0 { 0.0 } else { *f };
-            let f = if f.is_nan() { f64::NAN } else { f };
-            KeyPart::Float(f.to_bits())
+impl AggCols {
+    fn new(func: AggFunc, groups: usize) -> AggCols {
+        use AggFunc::*;
+        let sized = |on: bool| if on { groups } else { 0 };
+        let counted = !matches!(func, Min | Max | First | Last | Median | CountDistinct);
+        AggCols {
+            func,
+            groups,
+            n: vec![0; sized(counted)],
+            isum: vec![0; sized(func == Sum)],
+            fsum: vec![0.0; sized(matches!(func, Sum | Avg | StdDev | Variance))],
+            m2: vec![0.0; sized(matches!(func, StdDev | Variance))],
+            row: vec![None; sized(matches!(func, Min | Max | First | Last))],
+            pairs: Vec::new(),
         }
-        Value::Str(s) => KeyPart::Str(s.clone()),
-        Value::Date(d) => KeyPart::Date(*d),
     }
-}
 
-/// Incremental accumulator for one aggregate within one group.
-#[derive(Debug, Clone)]
-enum Acc {
-    Count(u64),
-    CountRecords(u64),
-    CountDistinct(Vec<KeyPart>),
-    Sum {
-        sum: f64,
-        seen: bool,
-        int: bool,
-        isum: i64,
-    },
-    Avg {
-        sum: f64,
-        n: u64,
-    },
-    MinMax {
-        best: Option<Value>,
-        is_min: bool,
-    },
-    Values(Vec<f64>),
-    Moments {
-        n: u64,
-        mean: f64,
-        m2: f64,
-    },
-    First(Option<Value>),
-    Last(Option<Value>),
-}
-
-impl Acc {
-    fn new(func: AggFunc, int_input: bool) -> Acc {
+    /// Accumulate the morsel `rows`, whose dense group ids are `gids`. The
+    /// argument column's variant is matched once, outside the row loop.
+    fn update(&mut self, col: Option<&Column>, gids: &[u32], rows: Range<usize>) {
+        use AggFunc::*;
+        let func = self.func;
+        let start = rows.start;
+        let Some(col) = col else {
+            // Only `CountRecords` takes no argument (see `resolve_inputs`).
+            gids.iter().for_each(|&g| self.n[g as usize] += 1);
+            return;
+        };
+        let valid = col.validity();
         match func {
-            AggFunc::Count => Acc::Count(0),
-            AggFunc::CountRecords => Acc::CountRecords(0),
-            AggFunc::CountDistinct => Acc::CountDistinct(Vec::new()),
-            AggFunc::Sum => Acc::Sum {
-                sum: 0.0,
-                seen: false,
-                int: int_input,
-                isum: 0,
+            Count | CountRecords => each_valid(valid, gids, start, |g, _| self.n[g] += 1),
+            Sum | Avg => match col {
+                Column::Int(v, _) if func == Sum => each_valid(valid, gids, start, |g, r| {
+                    self.isum[g] = self.isum[g].wrapping_add(v[r]);
+                    self.n[g] += 1;
+                }),
+                _ => each_numeric(col, gids, start, |g, x| {
+                    self.fsum[g] += x;
+                    self.n[g] += 1;
+                }),
             },
-            AggFunc::Avg => Acc::Avg { sum: 0.0, n: 0 },
-            AggFunc::Min => Acc::MinMax {
-                best: None,
-                is_min: true,
-            },
-            AggFunc::Max => Acc::MinMax {
-                best: None,
-                is_min: false,
-            },
-            AggFunc::Median => Acc::Values(Vec::new()),
-            AggFunc::StdDev | AggFunc::Variance => Acc::Moments {
-                n: 0,
-                mean: 0.0,
-                m2: 0.0,
-            },
-            AggFunc::First => Acc::First(None),
-            AggFunc::Last => Acc::Last(None),
-        }
-    }
-
-    fn update(&mut self, col: Option<&Column>, row: usize) {
-        match self {
-            Acc::CountRecords(n) => *n += 1,
-            Acc::Count(n) => {
-                if let Some(c) = col {
-                    if c.validity().get(row) {
-                        *n += 1;
-                    }
-                }
+            // Welford's online algorithm for numerically stable variance.
+            StdDev | Variance => each_numeric(col, gids, start, |g, x| {
+                self.n[g] += 1;
+                let delta = x - self.fsum[g];
+                self.fsum[g] += delta / self.n[g] as f64;
+                self.m2[g] += delta * (x - self.fsum[g]);
+            }),
+            Min | Max | First | Last => {
+                let cands = gids.iter().copied().zip(rows).filter(|c| valid.get(c.1));
+                fold_rows(func, col, &mut self.row, cands);
             }
-            Acc::CountDistinct(seen) => {
-                if let Some(c) = col {
-                    let v = c.get(row);
-                    if !v.is_null() {
-                        let k = key_part(&v);
-                        if !seen.contains(&k) {
-                            seen.push(k);
-                        }
-                    }
-                }
-            }
-            Acc::Sum {
-                sum,
-                seen,
-                int,
-                isum,
-            } => {
-                if let Some(x) = col.and_then(|c| c.numeric_at(row)) {
-                    *sum += x;
-                    if *int {
-                        *isum = isum.wrapping_add(x as i64);
-                    }
-                    *seen = true;
-                }
-            }
-            Acc::Avg { sum, n } => {
-                if let Some(x) = col.and_then(|c| c.numeric_at(row)) {
-                    *sum += x;
-                    *n += 1;
-                }
-            }
-            Acc::MinMax { best, is_min } => {
-                if let Some(c) = col {
-                    let v = c.get(row);
-                    if v.is_null() {
-                        return;
-                    }
-                    let replace = match best {
-                        None => true,
-                        Some(b) => {
-                            let ord = v.cmp_total(b);
-                            if *is_min {
-                                ord == std::cmp::Ordering::Less
-                            } else {
-                                ord == std::cmp::Ordering::Greater
-                            }
-                        }
-                    };
-                    if replace {
-                        *best = Some(v);
-                    }
-                }
-            }
-            Acc::Values(vals) => {
-                if let Some(x) = col.and_then(|c| c.numeric_at(row)) {
-                    vals.push(x);
-                }
-            }
-            Acc::Moments { n, mean, m2 } => {
-                // Welford's online algorithm for numerically stable variance.
-                if let Some(x) = col.and_then(|c| c.numeric_at(row)) {
-                    *n += 1;
-                    let delta = x - *mean;
-                    *mean += delta / *n as f64;
-                    *m2 += delta * (x - *mean);
-                }
-            }
-            Acc::First(v) => {
-                if v.is_none() {
-                    if let Some(c) = col {
-                        let x = c.get(row);
-                        if !x.is_null() {
-                            *v = Some(x);
-                        }
-                    }
-                }
-            }
-            Acc::Last(v) => {
-                if let Some(c) = col {
-                    let x = c.get(row);
-                    if !x.is_null() {
-                        *v = Some(x);
-                    }
-                }
+            Median => each_valid(valid, gids, start, |g, r| self.pairs.push((g as u32, r))),
+            CountDistinct => {
+                // Re-encode (group, value) pairs with the group encoder: a
+                // pair's first row stands for it, null values drop out.
+                let mut pair_ids = gids.to_vec();
+                refine(&mut pair_ids, col, rows);
+                let firsts = first_rows(&pair_ids).into_iter();
+                let firsts = firsts.filter(|&i| valid.get(start + i));
+                self.pairs.extend(firsts.map(|i| (gids[i], start + i)));
             }
         }
     }
 
-    /// Fold a morsel-local accumulator for the same group into this one.
-    /// `other` must come from rows strictly after this accumulator's rows,
-    /// so order-sensitive aggregates (first/last) stay correct.
-    fn merge(&mut self, other: Acc) {
-        match (self, other) {
-            (Acc::Count(n), Acc::Count(m)) => *n += m,
-            (Acc::CountRecords(n), Acc::CountRecords(m)) => *n += m,
-            (Acc::CountDistinct(seen), Acc::CountDistinct(more)) => {
-                for k in more {
-                    if !seen.contains(&k) {
-                        seen.push(k);
+    /// Fold in `part`, the same aggregate over a later morsel, whose local
+    /// group `l` is this state's group `map[l]`. `part`'s rows come
+    /// strictly after this state's, so first/last and tie order hold.
+    fn absorb(&mut self, col: Option<&Column>, part: AggCols, map: &[u32]) {
+        use AggFunc::*;
+        let func = self.func;
+        match func {
+            Count | CountRecords | Sum | Avg => {
+                add_into(&mut self.n, &part.n, map, |a, b| a + b);
+                add_into(&mut self.isum, &part.isum, map, i64::wrapping_add);
+                add_into(&mut self.fsum, &part.fsum, map, |a, b| a + b);
+            }
+            // Parallel Welford (Chan et al.): exact in n and mean,
+            // numerically close to the serial update in m2.
+            StdDev | Variance => {
+                for (l, &g) in map.iter().enumerate() {
+                    let g = g as usize;
+                    let (na, nb) = (self.n[g] as f64, part.n[l] as f64);
+                    if self.n[g] == 0 {
+                        self.fsum[g] = part.fsum[l];
+                        self.m2[g] = part.m2[l];
+                    } else if part.n[l] != 0 {
+                        let delta = part.fsum[l] - self.fsum[g];
+                        self.fsum[g] += delta * nb / (na + nb);
+                        self.m2[g] += part.m2[l] + delta * delta * na * nb / (na + nb);
                     }
+                    self.n[g] += part.n[l];
                 }
             }
-            (
-                Acc::Sum {
-                    sum, seen, isum, ..
-                },
-                Acc::Sum {
-                    sum: sum_b,
-                    seen: seen_b,
-                    isum: isum_b,
-                    ..
-                },
-            ) => {
-                *sum += sum_b;
-                *isum = isum.wrapping_add(isum_b);
-                *seen |= seen_b;
-            }
-            (Acc::Avg { sum, n }, Acc::Avg { sum: sum_b, n: n_b }) => {
-                *sum += sum_b;
-                *n += n_b;
-            }
-            (Acc::MinMax { best, is_min }, Acc::MinMax { best: best_b, .. }) => {
-                if let Some(v) = best_b {
-                    let replace = match best {
-                        None => true,
-                        Some(cur) => {
-                            let ord = v.cmp_total(cur);
-                            if *is_min {
-                                ord == std::cmp::Ordering::Less
-                            } else {
-                                ord == std::cmp::Ordering::Greater
-                            }
-                        }
-                    };
-                    if replace {
-                        *best = Some(v);
-                    }
+            Min | Max | First | Last => {
+                if let Some(col) = col {
+                    let cands = map.iter().zip(part.row).filter_map(|(&g, r)| Some((g, r?)));
+                    fold_rows(func, col, &mut self.row, cands);
                 }
             }
-            (Acc::Values(vals), Acc::Values(more)) => vals.extend(more),
-            (
-                Acc::Moments { n, mean, m2 },
-                Acc::Moments {
-                    n: n_b,
-                    mean: mean_b,
-                    m2: m2_b,
-                },
-            ) => {
-                // Parallel Welford (Chan et al.): exact in n and mean,
-                // numerically close to the serial update in m2.
-                if n_b == 0 {
-                    // Nothing to fold in.
-                } else if *n == 0 {
-                    *n = n_b;
-                    *mean = mean_b;
-                    *m2 = m2_b;
-                } else {
-                    let na = *n as f64;
-                    let nb = n_b as f64;
-                    let total = na + nb;
-                    let delta = mean_b - *mean;
-                    *mean += delta * nb / total;
-                    *m2 += m2_b + delta * delta * na * nb / total;
-                    *n += n_b;
-                }
+            Median | CountDistinct => {
+                let mapped = part.pairs.iter().map(|&(l, r)| (map[l as usize], r));
+                self.pairs.extend(mapped);
             }
-            (Acc::First(v), Acc::First(w)) => {
-                if v.is_none() {
-                    *v = w;
-                }
-            }
-            (Acc::Last(v), Acc::Last(w)) => {
-                if w.is_some() {
-                    *v = w;
-                }
-            }
-            _ => unreachable!("merging accumulators of different aggregates"),
         }
     }
 
-    fn finish(self, func: AggFunc) -> Value {
-        match self {
-            Acc::Count(n) | Acc::CountRecords(n) => Value::Int(n as i64),
-            Acc::CountDistinct(seen) => Value::Int(seen.len() as i64),
-            Acc::Sum {
-                sum,
-                seen,
-                int,
-                isum,
-            } => {
-                if !seen {
-                    Value::Null
-                } else if int {
-                    Value::Int(isum)
-                } else {
-                    Value::Float(sum)
+    /// The output column, one row per group; its dtype is
+    /// [`agg_output_dtype`]'s whether or not any group has a value.
+    fn finish(mut self, col: Option<&Column>) -> Column {
+        use AggFunc::*;
+        let func = self.func;
+        let counts = |n: Vec<u64>| Column::from_ints(n.into_iter().map(|n| n as i64).collect());
+        let Some(col) = col else {
+            return counts(self.n);
+        };
+        match func {
+            Count | CountRecords => counts(self.n),
+            CountDistinct => {
+                // Distinct (group, value) pairs across morsels, found by
+                // the group encoder over the pairs' rows.
+                let gids: Vec<i64> = self.pairs.iter().map(|p| p.0 as i64).collect();
+                let rows: Vec<usize> = self.pairs.iter().map(|p| p.1).collect();
+                let pair_cols = [&Column::from_ints(gids), &col.take(&rows)];
+                let mut n = vec![0; self.groups];
+                for i in first_rows(&encode_groups(&pair_cols, 0..rows.len())) {
+                    n[self.pairs[i].0 as usize] += 1;
                 }
+                Column::from_ints(n)
             }
-            Acc::Avg { sum, n } => {
-                if n == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(sum / n as f64)
-                }
+            Sum if matches!(col, Column::Int(..)) => {
+                let sums = self.isum.into_iter().zip(self.n);
+                Column::from_opt_ints(sums.map(|(s, n)| (n > 0).then_some(s)).collect())
             }
-            Acc::MinMax { best, .. } => best.map_or(Value::Null, |v| v),
-            Acc::Values(mut vals) => {
-                if vals.is_empty() {
-                    return Value::Null;
-                }
-                vals.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-                let mid = vals.len() / 2;
-                Value::Float(if vals.len() % 2 == 1 {
-                    vals[mid]
-                } else {
-                    (vals[mid - 1] + vals[mid]) / 2.0
-                })
+            Sum | Avg => {
+                let value = |s: f64, n: u64| if func == Avg { s / n as f64 } else { s };
+                let sums = self.fsum.into_iter().zip(self.n);
+                Column::from_opt_floats(sums.map(|(s, n)| (n > 0).then(|| value(s, n))).collect())
             }
-            Acc::Moments { n, m2, .. } => {
-                if n < 2 {
-                    Value::Null
-                } else {
+            StdDev | Variance => {
+                let spread = |m2: f64, n: u64| {
                     let var = m2 / (n - 1) as f64;
-                    if func == AggFunc::Variance {
-                        Value::Float(var)
+                    if func == Variance {
+                        var
                     } else {
-                        Value::Float(var.sqrt())
+                        var.sqrt()
                     }
-                }
+                };
+                let m2s = self.m2.into_iter().zip(self.n);
+                Column::from_opt_floats(m2s.map(|(m2, n)| (n > 1).then(|| spread(m2, n))).collect())
             }
-            Acc::First(v) | Acc::Last(v) => v.unwrap_or(Value::Null),
+            Min | Max | First | Last => col.take_opt(&self.row),
+            Median => {
+                // Stable, so a group's values stay in row order.
+                self.pairs.sort_by_key(|p| p.0);
+                let mut medians = vec![None; self.groups];
+                let mut vals: Vec<f64> = Vec::new();
+                for group in self.pairs.chunk_by(|a, b| a.0 == b.0) {
+                    vals.clear();
+                    vals.extend(group.iter().filter_map(|p| col.numeric_at(p.1)));
+                    // NaN last: a comparator that is not a total order may
+                    // panic inside the sort.
+                    vals.sort_by(|a, b| cmp_f64_total(*a, *b));
+                    let mid = vals.len() / 2;
+                    medians[group[0].0 as usize] = Some(if vals.len() % 2 == 1 {
+                        vals[mid]
+                    } else {
+                        (vals[mid - 1] + vals[mid]) / 2.0
+                    });
+                }
+                Column::from_opt_floats(medians)
+            }
         }
+    }
+}
+
+/// `f(group, row)` for every row of a morsel starting at `start` whose
+/// `valid` bit is set.
+#[inline]
+fn each_valid(valid: &Bitmap, gids: &[u32], start: usize, mut f: impl FnMut(usize, usize)) {
+    if valid.all_valid() {
+        for (off, &g) in gids.iter().enumerate() {
+            f(g as usize, start + off);
+        }
+    } else {
+        for (off, &g) in gids.iter().enumerate() {
+            if valid.get(start + off) {
+                f(g as usize, start + off);
+            }
+        }
+    }
+}
+
+/// `f(group, value)` for every non-null row of a numeric column.
+#[inline]
+fn each_numeric(col: &Column, gids: &[u32], start: usize, mut f: impl FnMut(usize, f64)) {
+    match col {
+        Column::Int(v, b) => each_valid(b, gids, start, |g, r| f(g, v[r] as f64)),
+        Column::Float(v, b) => each_valid(b, gids, start, |g, r| f(g, v[r])),
+        // `resolve_inputs` admits only numeric arguments here.
+        _ => {}
+    }
+}
+
+/// Offer each `(group, row)` candidate, in row order, to its group's slot
+/// in `best`: first/last keep the earliest/latest row, min/max the first
+/// row holding the extreme under the total order on values. Phase 1 feeds
+/// it a morsel's non-null rows, phase 2 the winners of a later morsel.
+fn fold_rows(
+    func: AggFunc,
+    col: &Column,
+    best: &mut [Option<usize>],
+    cands: impl Iterator<Item = (u32, usize)>,
+) {
+    use std::cmp::Ordering;
+    fn run(
+        best: &mut [Option<usize>],
+        cands: impl Iterator<Item = (u32, usize)>,
+        replaces: impl Fn(usize, usize) -> bool,
+    ) {
+        for (g, new) in cands {
+            let slot = &mut best[g as usize];
+            if slot.is_none_or(|cur| replaces(new, cur)) {
+                *slot = Some(new);
+            }
+        }
+    }
+    let want = match func {
+        AggFunc::First => return run(best, cands, |_, _| false),
+        AggFunc::Last => return run(best, cands, |_, _| true),
+        AggFunc::Min => Ordering::Less,
+        _ => Ordering::Greater,
+    };
+    match col {
+        Column::Bool(v, _) => run(best, cands, |a, b| v[a].cmp(&v[b]) == want),
+        Column::Int(v, _) => run(best, cands, |a, b| v[a].cmp(&v[b]) == want),
+        Column::Float(v, _) => run(best, cands, |a, b| cmp_f64_total(v[a], v[b]) == want),
+        Column::Str(v, _) => run(best, cands, |a, b| v[a].cmp(&v[b]) == want),
+        // The dictionary is sorted, so codes order like their strings.
+        Column::Dict(codes, _, _) => run(best, cands, |a, b| codes[a].cmp(&codes[b]) == want),
+        Column::Date(v, _) => run(best, cands, |a, b| v[a].cmp(&v[b]) == want),
+    }
+}
+
+/// `dst[map[l]] = add(dst[map[l]], src[l])` for every local group `l`.
+fn add_into<T: Copy>(dst: &mut [T], src: &[T], map: &[u32], add: impl Fn(T, T) -> T) {
+    for (&x, &g) in src.iter().zip(map) {
+        dst[g as usize] = add(dst[g as usize], x);
     }
 }
 
@@ -562,47 +499,7 @@ fn resolve_inputs<'t>(
     })
 }
 
-fn new_accs(aggs: &[AggSpec], agg_cols: &[Option<&Column>]) -> Vec<Acc> {
-    aggs.iter()
-        .zip(agg_cols)
-        .map(|(a, c)| {
-            let int_input = c.is_some_and(|c| c.dtype() == crate::dtype::DataType::Int);
-            Acc::new(a.func, int_input)
-        })
-        .collect()
-}
-
-fn assemble_output(
-    inputs: &GroupInputs<'_>,
-    group_order: &[GroupKey],
-    accs: Vec<Vec<Acc>>,
-    aggs: &[AggSpec],
-) -> Result<Table> {
-    let mut out = Table::empty();
-    for (ki, name) in inputs.key_names.iter().enumerate() {
-        let mut col = Column::empty(inputs.key_cols[ki].dtype());
-        for key in group_order {
-            let v = part_to_value(&key.0[ki]);
-            col.push_value(&v)?;
-        }
-        out.add_column(name, col)?;
-    }
-    for (ai, spec) in aggs.iter().enumerate() {
-        // Type the output from the spec, never from value inference: a
-        // group set whose aggregate values are all null (or empty) must
-        // still produce the dtype a non-null group would, so partial
-        // results from disjoint row subsets always concatenate.
-        let dtype = agg_output_dtype(spec.func, inputs.agg_cols[ai].map(|c| c.dtype()));
-        let mut col = Column::empty(dtype);
-        for group in &accs {
-            col.push_value(&group[ai].clone().finish(spec.func))?;
-        }
-        out.add_column(&spec.output, col)?;
-    }
-    Ok(out)
-}
-
-/// The dtype [`Acc::finish`] produces for `func` over an `input`-typed
+/// The dtype [`AggCols::finish`] produces for `func` over an `input`-typed
 /// argument column, independent of whether any group has a non-null
 /// result.
 fn agg_output_dtype(
@@ -626,11 +523,11 @@ fn agg_output_dtype(
     }
 }
 
-/// Morsel-local phase-1 result: one representative row index per group
-/// (in first-encounter order) plus that group's accumulators.
-struct MorselGroups {
+/// Groups of a row range: one representative row index per group (in
+/// first-encounter order) plus every aggregate's state over those groups.
+struct Groups {
     reps: Vec<usize>,
-    accs: Vec<Vec<Acc>>,
+    accs: Vec<AggCols>,
 }
 
 /// Group `table` by `keys` and compute `aggs` within each group.
@@ -638,14 +535,16 @@ struct MorselGroups {
 /// With an empty key list the whole table forms one group (global
 /// aggregates). Output columns are the keys (original casing) followed by
 /// one column per aggregate. Groups appear in first-encounter order, which
-/// keeps results deterministic.
+/// keeps results deterministic; a key cell is its group's first row's.
 ///
 /// Aggregation is two-phase over row morsels (see [`crate::parallel`]):
-/// each morsel aggregates its own row range into morsel-local accumulators
-/// which are then folded together in morsel order, so first-encounter group
-/// order never depends on the morsel count (morsels are contiguous
-/// ascending ranges). A single morsel folds into nothing, which makes its
-/// float results plain sequential accumulation.
+/// each morsel encodes its rows' keys into dense group ids and accumulates
+/// column-major, one typed vector per aggregate; the morsels' groups are
+/// then mapped to global ones by the same encoder and their accumulators
+/// folded in morsel order, so first-encounter group order never depends on
+/// the morsel count (morsels are contiguous ascending ranges). A single
+/// morsel folds into nothing, which makes its float results plain
+/// sequential accumulation.
 pub fn group_by(table: &Table, keys: &[&str], aggs: &[AggSpec]) -> Result<Table> {
     if aggs.is_empty() {
         return Err(EngineError::invalid_argument(
@@ -657,98 +556,116 @@ pub fn group_by(table: &Table, keys: &[&str], aggs: &[AggSpec]) -> Result<Table>
 
     // Phase 1: every morsel builds dictionary-coded group ids for its row
     // range (no per-row key materialization) and aggregates locally.
-    let parts: Vec<MorselGroups> = parallel::run_morsels(&ranges, |r| {
-        let start = r.start;
-        let gids = encode_groups(&inputs.key_cols, r);
-        let mut reps: Vec<usize> = Vec::new();
-        for (off, &g) in gids.iter().enumerate() {
-            // Codes are assigned densely in first-encounter order, so a
-            // group's first row is the first row whose gid == reps.len().
-            if g as usize == reps.len() {
-                reps.push(start + off);
-            }
-        }
-        let mut accs: Vec<Vec<Acc>> = (0..reps.len())
-            .map(|_| new_accs(aggs, &inputs.agg_cols))
+    let parts: Vec<Groups> = parallel::run_morsels(&ranges, |r| {
+        let gids = encode_groups(&inputs.key_cols, r.clone());
+        let reps: Vec<usize> = first_rows(&gids).iter().map(|i| r.start + i).collect();
+        let accs = aggs
+            .iter()
+            .zip(&inputs.agg_cols)
+            .map(|(spec, col)| {
+                let mut acc = AggCols::new(spec.func, reps.len());
+                acc.update(*col, &gids, r.clone());
+                acc
+            })
             .collect();
-        for (off, &g) in gids.iter().enumerate() {
-            let row = start + off;
-            for (acc, col) in accs[g as usize].iter_mut().zip(&inputs.agg_cols) {
-                acc.update(*col, row);
-            }
-        }
-        MorselGroups { reps, accs }
+        Groups { reps, accs }
     });
+    let Groups { reps, accs } = match <[Groups; 1]>::try_from(parts) {
+        Ok([only]) => only,
+        Err(parts) => fold_parts(&inputs, aggs, parts),
+    };
 
-    // Phase 2: fold morsel-local groups together in morsel order. Keys are
-    // materialized once per (morsel, group) — never per row.
-    let mut group_index: HashMap<GroupKey, usize> = HashMap::new();
-    let mut group_order: Vec<GroupKey> = Vec::new();
-    let mut accs: Vec<Vec<Acc>> = Vec::new();
+    let mut out = Table::empty();
+    for (name, col) in inputs.key_names.iter().zip(&inputs.key_cols) {
+        out.add_column(name, col.take(&reps))?;
+    }
+    for ((spec, col), acc) in aggs.iter().zip(&inputs.agg_cols).zip(accs) {
+        let values = acc.finish(*col);
+        debug_assert_eq!(
+            values.dtype(),
+            agg_output_dtype(spec.func, col.map(|c| c.dtype()))
+        );
+        out.add_column(&spec.output, values)?;
+    }
+    Ok(out)
+}
+
+/// Phase 2: fold morsel-local groups together in morsel order.
+///
+/// Local groups map to global ones through the one group encoder, run
+/// over the key columns gathered at every morsel's representatives (in
+/// morsel order, so global ids are first-encounter ids) — keys are touched
+/// once per (morsel, group), never per row, and there is one hasher and
+/// one definition of key equality.
+fn fold_parts(inputs: &GroupInputs<'_>, aggs: &[AggSpec], parts: Vec<Groups>) -> Groups {
+    let local_reps: Vec<usize> = parts.iter().flat_map(|p| p.reps.iter().copied()).collect();
+    let gathered: Vec<Column> = inputs
+        .key_cols
+        .iter()
+        .map(|c| c.take(&local_reps))
+        .collect();
+    let global = encode_groups(&gathered.iter().collect::<Vec<_>>(), 0..local_reps.len());
+    let reps: Vec<usize> = first_rows(&global).iter().map(|&i| local_reps[i]).collect();
+    // Without keys there is exactly one group, even over no morsels at all
+    // (an empty table: count 0, sum/avg null).
+    let groups = if inputs.key_cols.is_empty() {
+        1
+    } else {
+        reps.len()
+    };
+    let mut accs: Vec<AggCols> = aggs
+        .iter()
+        .map(|spec| AggCols::new(spec.func, groups))
+        .collect();
+    let mut maps = global.as_slice();
     for part in parts {
-        for (local, rep) in part.accs.into_iter().zip(part.reps) {
-            let key = GroupKey(
-                inputs
-                    .key_cols
-                    .iter()
-                    .map(|c| key_part(&c.get(rep)))
-                    .collect(),
-            );
-            match group_index.get(&key) {
-                Some(&g) => {
-                    for (dst, src) in accs[g].iter_mut().zip(local) {
-                        dst.merge(src);
-                    }
-                }
-                None => {
-                    group_index.insert(key.clone(), group_order.len());
-                    group_order.push(key);
-                    accs.push(local);
-                }
-            }
+        let (map, rest) = maps.split_at(part.reps.len());
+        maps = rest;
+        for ((acc, local), col) in accs.iter_mut().zip(part.accs).zip(&inputs.agg_cols) {
+            acc.absorb(*col, local, map);
         }
     }
-
-    // An empty key list over a non-empty table always yields exactly one
-    // group from phase 1; an empty table has no morsels, so its single
-    // keyless group (count 0, sum/avg null) is seeded here.
-    if keys.is_empty() && accs.is_empty() {
-        group_order.push(GroupKey(Vec::new()));
-        accs.push(new_accs(aggs, &inputs.agg_cols));
-    }
-    assemble_output(&inputs, &group_order, accs, aggs)
+    Groups { reps, accs }
 }
 
 /// Dictionary-code the composite group key of each row in `range` into a
 /// dense id, assigned in first-encounter order.
 pub(crate) fn encode_groups(key_cols: &[&Column], range: Range<usize>) -> Vec<u32> {
-    let len = range.end - range.start;
-    if key_cols.is_empty() {
-        return vec![0; len];
-    }
-    let mut gids = encode_key_column(key_cols[0], range.clone());
-    for col in &key_cols[1..] {
-        let codes = encode_key_column(col, range.clone());
-        let mut map: FxHashMap<u64, u32> = FxHashMap::default();
-        let mut next = 0u32;
-        for (g, c) in gids.iter_mut().zip(codes) {
-            let composite = ((*g as u64) << 32) | c as u64;
-            *g = match map.entry(composite) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => {
-                    let id = next;
-                    next += 1;
-                    *e.insert(id)
-                }
-            };
-        }
+    let Some((first, rest)) = key_cols.split_first() else {
+        return vec![0; range.end - range.start];
+    };
+    let mut gids = encode_key_column(first, range.clone());
+    for col in rest {
+        refine(&mut gids, col, range.clone());
     }
     gids
 }
 
+/// Split the groups `gids` of `range`'s rows by `col`'s values, renumbering
+/// densely in first-encounter order.
+fn refine(gids: &mut [u32], col: &Column, range: Range<usize>) {
+    let mut ids: FxHashMap<u64, u32> = FxHashMap::default();
+    for (g, c) in gids.iter_mut().zip(encode_key_column(col, range)) {
+        let next = ids.len() as u32;
+        *g = *ids.entry(((*g as u64) << 32) | c as u64).or_insert(next);
+    }
+}
+
+/// The offset of each dense first-encounter id's first occurrence: ids are
+/// assigned in order, so id `k` first appears where `k` ids came before.
+pub(crate) fn first_rows(gids: &[u32]) -> Vec<usize> {
+    let mut firsts = Vec::new();
+    for (off, &g) in gids.iter().enumerate() {
+        if g as usize == firsts.len() {
+            firsts.push(off);
+        }
+    }
+    firsts
+}
+
 /// Dictionary-code one key column over `range` without materializing
 /// values: strings are compared by reference, floats by normalized bits
-/// (matching [`key_part`]), and null gets its own code.
+/// (`-0.0` is `0.0`, every NaN is one key), and null gets its own code.
 fn encode_key_column(col: &Column, range: Range<usize>) -> Vec<u32> {
     let mut codes = Vec::with_capacity(range.end - range.start);
     let mut null_code: Option<u32> = None;
@@ -786,8 +703,7 @@ fn encode_key_column(col: &Column, range: Range<usize>) -> Vec<u32> {
         }
         Column::Float(v, b) => {
             encode!(v, b, |x: &f64| {
-                // Same normalization as key_part: -0.0 folds into 0.0 and
-                // every NaN payload groups together.
+                // -0.0 folds into 0.0 and every NaN payload groups together.
                 let f = if *x == 0.0 { 0.0 } else { *x };
                 let f = if f.is_nan() { f64::NAN } else { f };
                 f.to_bits()
@@ -849,47 +765,254 @@ fn encode_key_column(col: &Column, range: Range<usize>) -> Vec<u32> {
     codes
 }
 
-fn part_to_value(p: &KeyPart) -> Value {
-    match p {
-        KeyPart::Null => Value::Null,
-        KeyPart::Bool(b) => Value::Bool(*b),
-        KeyPart::Int(i) => Value::Int(*i),
-        KeyPart::Float(bits) => Value::Float(f64::from_bits(*bits)),
-        KeyPart::Str(s) => Value::Str(s.clone()),
-        KeyPart::Date(d) => Value::Date(*d),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dtype::DataType;
+    use crate::value::Value;
     use proptest::prelude::*;
 
-    /// Row-at-a-time reference group-by: one materialized `GroupKey` per row
-    /// found by linear search, one accumulator update per row; no hashing,
-    /// no group encoding, no morsels and no merging.
+    /// The oracle's accumulator: one aggregate within one group, fed a
+    /// `Value`-reading row at a time.
+    #[derive(Debug, Clone)]
+    enum Acc {
+        Count(u64),
+        CountRecords(u64),
+        CountDistinct(Vec<Value>),
+        Sum {
+            sum: f64,
+            seen: bool,
+            int: bool,
+            isum: i64,
+        },
+        Avg {
+            sum: f64,
+            n: u64,
+        },
+        MinMax {
+            best: Option<Value>,
+            is_min: bool,
+        },
+        Values(Vec<f64>),
+        Moments {
+            n: u64,
+            mean: f64,
+            m2: f64,
+        },
+        First(Option<Value>),
+        Last(Option<Value>),
+    }
+
+    impl Acc {
+        fn new(func: AggFunc, int_input: bool) -> Acc {
+            match func {
+                AggFunc::Count => Acc::Count(0),
+                AggFunc::CountRecords => Acc::CountRecords(0),
+                AggFunc::CountDistinct => Acc::CountDistinct(Vec::new()),
+                AggFunc::Sum => Acc::Sum {
+                    sum: 0.0,
+                    seen: false,
+                    int: int_input,
+                    isum: 0,
+                },
+                AggFunc::Avg => Acc::Avg { sum: 0.0, n: 0 },
+                AggFunc::Min => Acc::MinMax {
+                    best: None,
+                    is_min: true,
+                },
+                AggFunc::Max => Acc::MinMax {
+                    best: None,
+                    is_min: false,
+                },
+                AggFunc::Median => Acc::Values(Vec::new()),
+                AggFunc::StdDev | AggFunc::Variance => Acc::Moments {
+                    n: 0,
+                    mean: 0.0,
+                    m2: 0.0,
+                },
+                AggFunc::First => Acc::First(None),
+                AggFunc::Last => Acc::Last(None),
+            }
+        }
+
+        fn update(&mut self, col: Option<&Column>, row: usize) {
+            match self {
+                Acc::CountRecords(n) => *n += 1,
+                Acc::Count(n) => {
+                    if let Some(c) = col {
+                        if c.validity().get(row) {
+                            *n += 1;
+                        }
+                    }
+                }
+                Acc::CountDistinct(seen) => {
+                    if let Some(c) = col {
+                        let v = c.get(row);
+                        // `Value` equality is the total order's: -0.0 is 0.0
+                        // and every NaN is one value.
+                        if !v.is_null() && !seen.contains(&v) {
+                            seen.push(v);
+                        }
+                    }
+                }
+                Acc::Sum {
+                    sum, seen, isum, ..
+                } => {
+                    if let Some(x) = col.and_then(|c| c.numeric_at(row)) {
+                        *sum += x;
+                        if let Some(Value::Int(i)) = col.map(|c| c.get(row)) {
+                            *isum = isum.wrapping_add(i);
+                        }
+                        *seen = true;
+                    }
+                }
+                Acc::Avg { sum, n } => {
+                    if let Some(x) = col.and_then(|c| c.numeric_at(row)) {
+                        *sum += x;
+                        *n += 1;
+                    }
+                }
+                Acc::MinMax { best, is_min } => {
+                    if let Some(c) = col {
+                        let v = c.get(row);
+                        if v.is_null() {
+                            return;
+                        }
+                        let replace = match best {
+                            None => true,
+                            Some(b) => {
+                                let ord = v.cmp_total(b);
+                                if *is_min {
+                                    ord == std::cmp::Ordering::Less
+                                } else {
+                                    ord == std::cmp::Ordering::Greater
+                                }
+                            }
+                        };
+                        if replace {
+                            *best = Some(v);
+                        }
+                    }
+                }
+                Acc::Values(vals) => {
+                    if let Some(x) = col.and_then(|c| c.numeric_at(row)) {
+                        vals.push(x);
+                    }
+                }
+                Acc::Moments { n, mean, m2 } => {
+                    // Welford's online algorithm for numerically stable variance.
+                    if let Some(x) = col.and_then(|c| c.numeric_at(row)) {
+                        *n += 1;
+                        let delta = x - *mean;
+                        *mean += delta / *n as f64;
+                        *m2 += delta * (x - *mean);
+                    }
+                }
+                Acc::First(v) => {
+                    if v.is_none() {
+                        if let Some(c) = col {
+                            let x = c.get(row);
+                            if !x.is_null() {
+                                *v = Some(x);
+                            }
+                        }
+                    }
+                }
+                Acc::Last(v) => {
+                    if let Some(c) = col {
+                        let x = c.get(row);
+                        if !x.is_null() {
+                            *v = Some(x);
+                        }
+                    }
+                }
+            }
+        }
+
+        fn finish(self, func: AggFunc) -> Value {
+            match self {
+                Acc::Count(n) | Acc::CountRecords(n) => Value::Int(n as i64),
+                Acc::CountDistinct(seen) => Value::Int(seen.len() as i64),
+                Acc::Sum {
+                    sum,
+                    seen,
+                    int,
+                    isum,
+                } => {
+                    if !seen {
+                        Value::Null
+                    } else if int {
+                        Value::Int(isum)
+                    } else {
+                        Value::Float(sum)
+                    }
+                }
+                Acc::Avg { sum, n } => {
+                    if n == 0 {
+                        Value::Null
+                    } else {
+                        Value::Float(sum / n as f64)
+                    }
+                }
+                Acc::MinMax { best, .. } => best.map_or(Value::Null, |v| v),
+                Acc::Values(mut vals) => {
+                    if vals.is_empty() {
+                        return Value::Null;
+                    }
+                    vals.sort_by(|a, b| Value::Float(*a).cmp_total(&Value::Float(*b)));
+                    let mid = vals.len() / 2;
+                    Value::Float(if vals.len() % 2 == 1 {
+                        vals[mid]
+                    } else {
+                        (vals[mid - 1] + vals[mid]) / 2.0
+                    })
+                }
+                Acc::Moments { n, m2, .. } => {
+                    if n < 2 {
+                        Value::Null
+                    } else {
+                        let var = m2 / (n - 1) as f64;
+                        if func == AggFunc::Variance {
+                            Value::Float(var)
+                        } else {
+                            Value::Float(var.sqrt())
+                        }
+                    }
+                }
+                Acc::First(v) | Acc::Last(v) => v.unwrap_or(Value::Null),
+            }
+        }
+    }
+
+    /// Row-at-a-time reference group-by: every row's key read as `Value`s
+    /// and found by linear search under `Value` equality, one accumulator
+    /// update per row, one `push_value` per output cell into a column typed
+    /// by `agg_output_dtype`; no hashing, no group encoding, no morsels and
+    /// no merging.
     fn group_by_reference(table: &Table, keys: &[&str], aggs: &[AggSpec]) -> Result<Table> {
         let inputs = resolve_inputs(table, keys, aggs)?;
-        let mut group_order: Vec<GroupKey> = Vec::new();
+        let new_accs = || -> Vec<Acc> {
+            let int = |c: &Option<&Column>| c.is_some_and(|c| c.dtype() == DataType::Int);
+            let cols = inputs.agg_cols.iter();
+            aggs.iter()
+                .zip(cols)
+                .map(|(a, c)| Acc::new(a.func, int(c)))
+                .collect()
+        };
+        let mut group_keys: Vec<Vec<Value>> = Vec::new();
         let mut accs: Vec<Vec<Acc>> = Vec::new();
         // The global group exists even when there are no rows.
         if keys.is_empty() {
-            group_order.push(GroupKey(Vec::new()));
-            accs.push(new_accs(aggs, &inputs.agg_cols));
+            group_keys.push(Vec::new());
+            accs.push(new_accs());
         }
         for row in 0..table.num_rows() {
-            let key = GroupKey(
-                inputs
-                    .key_cols
-                    .iter()
-                    .map(|c| key_part(&c.get(row)))
-                    .collect(),
-            );
-            let gid = match group_order.iter().position(|k| *k == key) {
+            let key: Vec<Value> = inputs.key_cols.iter().map(|c| c.get(row)).collect();
+            let gid = match group_keys.iter().position(|k| *k == key) {
                 Some(g) => g,
                 None => {
-                    group_order.push(key);
-                    accs.push(new_accs(aggs, &inputs.agg_cols));
+                    group_keys.push(key);
+                    accs.push(new_accs());
                     accs.len() - 1
                 }
             };
@@ -897,7 +1020,23 @@ mod tests {
                 acc.update(*col, row);
             }
         }
-        assemble_output(&inputs, &group_order, accs, aggs)
+        let mut out = Table::empty();
+        for (ki, name) in inputs.key_names.iter().enumerate() {
+            let mut col = Column::empty(inputs.key_cols[ki].dtype());
+            for key in &group_keys {
+                col.push_value(&key[ki])?;
+            }
+            out.add_column(name, col)?;
+        }
+        for (ai, spec) in aggs.iter().enumerate() {
+            let dtype = agg_output_dtype(spec.func, inputs.agg_cols[ai].map(|c| c.dtype()));
+            let mut col = Column::empty(dtype);
+            for group in &accs {
+                col.push_value(&group[ai].clone().finish(spec.func))?;
+            }
+            out.add_column(&spec.output, col)?;
+        }
+        Ok(out)
     }
 
     fn opt_int() -> impl Strategy<Value = Option<i64>> {
@@ -908,6 +1047,36 @@ mod tests {
         prop::option::of("[a-c]{1,2}")
     }
 
+    /// Floats that tie under the total order without being the same bits
+    /// (`-0.0`/`0.0`, NaNs of two payloads) beside ordinary ones.
+    fn opt_edge_float() -> impl Strategy<Value = Option<f64>> {
+        prop::option::of(prop_oneof![
+            Just(-0.0f64),
+            Just(0.0),
+            Just(f64::NAN),
+            Just(f64::from_bits(0xfff8_0000_0000_beef)),
+            Just(f64::INFINITY),
+            (-2i64..3).prop_map(|x| x as f64 / 2.0),
+        ])
+    }
+
+    /// Same schema, same nulls and the same cells — floats to the bit, so
+    /// NaN cells compare and `-0.0` is not `0.0`; strings by content, so a
+    /// dictionary-encoded column equals its plain twin.
+    fn identical(got: &Table, want: &Table) -> bool {
+        let same_cell = |a: &Value, b: &Value| match (a, b) {
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            _ => a.dtype() == b.dtype() && a == b,
+        };
+        got.schema() == want.schema()
+            && got.num_rows() == want.num_rows()
+            && got.columns().iter().zip(want.columns()).all(|(g, w)| {
+                g.iter_values()
+                    .zip(w.iter_values())
+                    .all(|(a, b)| same_cell(&a, &b))
+            })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -915,43 +1084,93 @@ mod tests {
         // are one morsel, and one morsel is sequential accumulation.
         #[test]
         fn group_by_parallel_body_matches_row_at_a_time_reference(
-            rows in prop::collection::vec((opt_key(), opt_int(), opt_int()), 0..300),
+            rows in prop::collection::vec(
+                (
+                    (opt_key(), opt_int(), opt_int()),
+                    (opt_edge_float(), prop::option::of(-2i32..3), prop::option::of(0i64..2)),
+                ),
+                0..120,
+            ),
         ) {
+            let n = rows.len();
+            let bools: Vec<Option<i64>> = rows.iter().map(|r| r.1.2).collect();
             let t = Table::new(vec![
-                ("k", Column::from_opt_strs(rows.iter().map(|(k, _, _)| k.clone()).collect())),
-                ("v", Column::from_opt_ints(rows.iter().map(|(_, v, _)| *v).collect())),
+                ("k", Column::from_opt_strs(rows.iter().map(|r| r.0.0.clone()).collect())),
+                ("v", Column::from_opt_ints(rows.iter().map(|r| r.0.1).collect())),
                 (
                     "f",
                     Column::from_opt_floats(
-                        rows.iter().map(|(_, _, f)| f.map(|x| x as f64 / 3.0)).collect(),
+                        rows.iter().map(|r| r.0.2.map(|x| x as f64 / 3.0)).collect(),
                     ),
                 ),
+                ("e", Column::from_opt_floats(rows.iter().map(|r| r.1.0).collect())),
+                ("d", Column::from_opt_dates(rows.iter().map(|r| r.1.1).collect())),
+                ("b", Column::from_opt_ints(bools).cast(DataType::Bool).unwrap()),
+                ("zi", Column::nulls(DataType::Int, n)),
+                ("zf", Column::nulls(DataType::Float, n)),
+                ("zs", Column::nulls(DataType::Str, n)),
             ])
             .unwrap();
-            let aggs = [
+            use AggFunc::*;
+            let mut aggs = vec![
                 AggSpec::count_records("n"),
-                AggSpec::new(AggFunc::Count, "v", "cnt"),
-                AggSpec::new(AggFunc::CountDistinct, "v", "dist"),
-                AggSpec::new(AggFunc::Sum, "v", "sum"),
-                AggSpec::new(AggFunc::Sum, "f", "fsum"),
-                AggSpec::new(AggFunc::Avg, "f", "avg"),
-                AggSpec::new(AggFunc::Min, "v", "lo"),
-                AggSpec::new(AggFunc::Max, "v", "hi"),
-                AggSpec::new(AggFunc::Median, "f", "mid"),
-                AggSpec::new(AggFunc::Variance, "f", "var"),
-                AggSpec::new(AggFunc::StdDev, "v", "sd"),
-                AggSpec::new(AggFunc::First, "v", "first"),
-                AggSpec::new(AggFunc::Last, "v", "last"),
+                AggSpec::new(Count, "v", "cnt"),
+                AggSpec::new(CountDistinct, "v", "dist"),
+                AggSpec::new(CountDistinct, "e", "edist"),
+                AggSpec::new(CountDistinct, "k", "kdist"),
+                AggSpec::new(Sum, "v", "sum"),
+                AggSpec::new(Sum, "f", "fsum"),
+                AggSpec::new(Avg, "f", "avg"),
+                AggSpec::new(Median, "f", "mid"),
+                AggSpec::new(Median, "e", "emid"),
+                AggSpec::new(Variance, "f", "var"),
+                AggSpec::new(StdDev, "v", "sd"),
             ];
-            // Single key, multi-key, and the global (empty-key) group —
-            // which is one row even when `rows` is empty.
-            for keys in [&["k"][..], &["k", "v"], &[]] {
-                prop_assert_eq!(
-                    group_by(&t, keys, &aggs).unwrap(),
-                    group_by_reference(&t, keys, &aggs).unwrap()
-                );
+            // The row-valued aggregates over every argument dtype, and
+            // every aggregate over an argument that is all null: the
+            // output dtype must not depend on any group having a value.
+            for func in [Min, Max, First, Last] {
+                for arg in ["v", "k", "e", "d", "b", "zs"] {
+                    aggs.push(AggSpec::new(func, arg, format!("{}_{arg}", func.name())));
+                }
+            }
+            for func in [Count, CountDistinct, Sum, Avg, Median, StdDev, Variance, Min, Last] {
+                for arg in ["zi", "zf"] {
+                    aggs.push(AggSpec::new(func, arg, format!("{}_{arg}", func.name())));
+                }
+            }
+            // Single key, multi-key, float/date/bool keys, and the global
+            // (empty-key) group — which is one row even when `rows` is empty.
+            for keys in [&["k"][..], &["k", "v"], &[], &["e"], &["d", "b"], &["e", "k"]] {
+                let want = group_by_reference(&t, keys, &aggs).unwrap();
+                for input in [&t, &t.encode_strings()] {
+                    let got = group_by(input, keys, &aggs).unwrap();
+                    prop_assert!(identical(&got, &want), "keys {keys:?}\n{got:?}\n{want:?}");
+                }
             }
         }
+    }
+
+    /// `CountDistinct` re-encodes `(group, value)` pairs, so it is linear;
+    /// the per-group `Vec::contains` it replaces needs ~10^9 comparisons
+    /// here.
+    #[test]
+    fn count_distinct_is_linear_in_the_distinct_values() {
+        let n = 50_000;
+        let t = Table::new(vec![
+            ("i", Column::from_ints((0..n).rev().collect())),
+            (
+                "s",
+                Column::from_strs((0..n).map(|i| format!("s{i}")).collect()),
+            ),
+        ])
+        .unwrap();
+        let aggs = [
+            AggSpec::new(AggFunc::CountDistinct, "i", "ints"),
+            AggSpec::new(AggFunc::CountDistinct, "s", "strs"),
+        ];
+        let out = group_by(&t, &[], &aggs).unwrap();
+        assert_eq!(out.row(0).unwrap(), vec![Value::Int(n), Value::Int(n)]);
     }
 
     #[test]

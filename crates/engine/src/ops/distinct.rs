@@ -1,7 +1,7 @@
 //! Duplicate removal.
 
 use crate::error::Result;
-use crate::ops::aggregate::encode_groups;
+use crate::ops::aggregate::{encode_groups, first_rows};
 use crate::table::Table;
 
 /// Keep the first occurrence of each distinct combination of `columns`
@@ -20,18 +20,8 @@ pub fn distinct(table: &Table, columns: &[&str]) -> Result<Table> {
             .map(|c| table.column(c))
             .collect::<Result<_>>()?
     };
-    // Group ids are dense and assigned in first-encounter order, so a row
-    // opens a new group iff its id equals the number of ids seen so far.
-    let mut seen = 0u32;
-    let keep: Vec<bool> = encode_groups(&cols, 0..table.num_rows())
-        .into_iter()
-        .map(|g| {
-            let first = g == seen;
-            seen += u32::from(first);
-            first
-        })
-        .collect();
-    table.filter_mask(&keep)
+    let gids = encode_groups(&cols, 0..table.num_rows());
+    Ok(table.take(&first_rows(&gids)))
 }
 
 #[cfg(test)]

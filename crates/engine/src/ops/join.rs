@@ -346,8 +346,11 @@ pub fn join(
     let mut out = Table::empty();
     let key_positions_left: Vec<usize> = left_on
         .iter()
-        .map(|k| left.schema().index_of(k).unwrap())
-        .collect();
+        .map(|k| {
+            let position = left.schema().index_of(k);
+            position.ok_or_else(|| EngineError::column_not_found(*k))
+        })
+        .collect::<Result<_>>()?;
     for (ci, field) in left.schema().fields().iter().enumerate() {
         let src = left.column_at(ci);
         let backfill = key_positions_left

@@ -144,7 +144,7 @@ impl Value {
     }
 }
 
-fn cmp_f64_total(a: f64, b: f64) -> Ordering {
+pub(crate) fn cmp_f64_total(a: f64, b: f64) -> Ordering {
     // NaN compares greater than everything so sorts last.
     match (a.is_nan(), b.is_nan()) {
         (true, true) => Ordering::Equal,
