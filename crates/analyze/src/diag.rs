@@ -109,10 +109,11 @@ pub enum Code {
     /// suboptimal order: statistics bound every join's fan-out, and the
     /// best order's intermediate-row bound is at least 4× smaller.
     SuboptimalJoinOrder,
-    /// `DC0208` — an operator's *guaranteed-lower-bound* transient
-    /// state already exceeds the executor's operator-memory budget, so
-    /// the memory governor is certain to deny its reservation and the
-    /// operator will run out of core (partitioned spill to disk).
+    /// `DC0208` — an operator's *guaranteed-lower-bound* state (the
+    /// engine's own state sizes at the estimator's lower bounds) already
+    /// exceeds the executor's operator-memory budget, so the memory
+    /// governor is certain to refuse it and the operator will run out of
+    /// core (partitioned work, runs of records on disk).
     PredictedSpill,
     /// `DC0301` — the pipeline's *guaranteed-lower-bound* scan cost
     /// already exceeds the tenant's remaining byte budget, so execution

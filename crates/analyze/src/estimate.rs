@@ -34,6 +34,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use dc_engine::expr::prune::{nnf, prune_predicate, Tri};
+use dc_engine::ops::spill;
 use dc_engine::{ColumnStats, DataType, Expr, Schema, Value};
 use dc_skills::{plan_pushdown, structural_ids, NodeId, SkillCall, SkillDag};
 
@@ -61,13 +62,14 @@ pub struct NodeEstimate {
     /// Heuristic output footprint in bytes (drives DC0303); `None` when
     /// rows or schema are unknown.
     pub out_bytes: Option<u64>,
-    /// Guaranteed lower bound (under the width model) on the transient
-    /// state this operator must hold resident: the build side of a
-    /// join, the full input of a sort, the input a group-by's
-    /// admission check reserves against. Zero for streaming operators.
-    /// Against a memory-governor budget this is the "will spill"
-    /// signal — if it exceeds the budget, the governor is certain to
-    /// deny the reservation and the operator runs out of core.
+    /// Guaranteed lower bound on the state this operator books with the
+    /// memory governor for its whole input, from the engine's own
+    /// `dc_engine::ops::spill::*_state_bytes`: the records of a sort, the
+    /// index and pairs of a join, the groups a group-by is certain to
+    /// form. Zero for streaming operators. Against a budget this is the
+    /// "will spill" signal — if it exceeds the budget, the governor is
+    /// certain to refuse it and the operator bounds its state by
+    /// partitioning, releasing sort runs, id lists or join pairs to disk.
     pub state_bytes_lo: u64,
 }
 
@@ -699,25 +701,25 @@ pub fn estimate_pass(
             let schema = schemas.get(&node.id).and_then(|s| s.as_ref())?;
             bounds.hi.map(|h| h.saturating_mul(row_width(schema)))
         });
-        // Guaranteed-lower-bound resident state, mirroring the engine's
-        // spill admission checks: a sort (or group-by admission) holds
-        // its whole input, a hash join holds its build (second) side.
-        // Rows are the inputs' guaranteed lower bounds; widths come
-        // from the same model as `out_bytes`.
-        let input_state = |idx: usize| -> u64 {
-            let Some(&id) = node.inputs.get(idx) else {
-                return 0;
-            };
-            let lo = rows.get(&id).map_or(0, |b| b.lo);
-            let width = schemas
-                .get(&id)
-                .and_then(|s| s.as_ref())
-                .map_or(0, row_width);
-            lo.saturating_mul(width)
+        // Guaranteed-lower-bound operator state: the engine's own state
+        // sizes (what its kernels book with the governor), called with
+        // this pass's lower bounds. A sort holds a record per input row, a
+        // hash join an index entry per build (second-input) row and a pair
+        // per probe row, a group-by its groups — of which only the output's
+        // lower bound is certain, however many rows go in.
+        let rows_lo = |idx: usize| -> u64 {
+            let input = node.inputs.get(idx).and_then(|id| rows.get(id));
+            input.map_or(0, |b| b.lo)
         };
         let state_bytes_lo = match &node.call {
-            SkillCall::Sort { .. } | SkillCall::Compute { .. } => input_state(0),
-            SkillCall::Join { .. } => input_state(1),
+            SkillCall::Sort { keys } => spill::sort_state_bytes(rows_lo(0), keys.len() as u64),
+            SkillCall::Compute { aggs, for_each } => {
+                let widths = spill::group_widths(for_each.len(), aggs.iter().map(|a| a.func));
+                spill::group_state_bytes(0, bounds.lo, widths)
+            }
+            SkillCall::Join { left_on, .. } => {
+                spill::join_state_bytes(rows_lo(1), rows_lo(0), left_on.len() as u64)
+            }
             _ => 0,
         };
         rows.insert(node.id, bounds);
@@ -781,11 +783,11 @@ pub fn estimate_pass(
         }
     }
 
-    // DC0208: the operator's guaranteed-lower-bound resident state
-    // exceeds the executor's memory budget, so the governor is certain
-    // to deny its reservation and the operator will run out of core.
-    // Warning, not error — spilling is correct, just slower — with the
-    // estimator-backed partition fan-out the executor will use.
+    // DC0208: the operator's guaranteed-lower-bound state exceeds the
+    // executor's memory budget, so the governor is certain to refuse it
+    // and the operator will run out of core. Warning, not error —
+    // spilling is correct, just slower — with the number of budget-sized
+    // pieces that state comes to.
     if let Some(budget) = ctx.mem_budget() {
         for est in &estimates {
             if est.state_bytes_lo <= budget {
@@ -799,10 +801,10 @@ pub fn estimate_pass(
                 Diagnostic::new(
                     Code::PredictedSpill,
                     format!(
-                        "{} must hold at least {} bytes of transient state, over the \
-                         {budget}-byte operator-memory budget; the governor will deny \
-                         the reservation and the operator runs out of core, spilling \
-                         into ~{partitions} disk partitions",
+                        "{} must hold at least {} bytes of state, over the \
+                         {budget}-byte operator-memory budget; the governor will refuse \
+                         it and the operator runs out of core, in ~{partitions} \
+                         partitions or runs",
                         node.call.name(),
                         est.state_bytes_lo,
                     ),

@@ -21,9 +21,10 @@
 //! path is positional buffered reads (`pread`); the `mmap` feature
 //! switches to a memory map.
 //!
-//! Both spill files (operator partitions, sort runs) and the storage
-//! layer's on-disk tables use this format; the storage layer adds scan
-//! receipts and pricing on top.
+//! Both spill files (runs of `u64` records — sort records, row-id lists,
+//! join pairs; see `ops::spill`) and the storage layer's on-disk tables
+//! use this format; the storage layer adds scan receipts and pricing on
+//! top.
 
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};

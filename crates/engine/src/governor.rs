@@ -1,24 +1,30 @@
 //! Memory-budget governor for out-of-core operator execution.
 //!
-//! A [`MemoryGovernor`] is a process-wide budget that heavy operators
-//! (hash join, group-by, sort) reserve transient state against before
-//! choosing their in-memory fast path. When a reservation is refused the
-//! operator falls back to its partitioned spill path, writing
-//! intermediate partitions through the [`crate::blockio`] columnar block
-//! format into a scoped spill directory.
+//! A [`MemoryGovernor`] is a process-wide byte budget that the heavy
+//! operators (hash join, group-by, sort) book the state they allocate
+//! against, as they allocate it. A refused request is the signal to bound
+//! that state by partitioning the *work* — row ids, never rows — and only
+//! state that is itself O(n) (id lists, sort records, join pairs) can
+//! reach disk, as runs of `u64` records (see [`crate::ops::spill`]).
 //!
 //! The governor's contract (DESIGN.md §14):
 //!
-//! * The budget covers **transient operator state** — hash indexes,
-//!   partition buffers, sort runs — not operator inputs or outputs, which
-//!   are `Arc`-shared tables whose lifetime the session layer manages.
-//! * Reservations are RAII: dropping a [`Reservation`] returns its bytes.
-//! * Refusal is advisory pressure, not failure: operators degrade to
-//!   disk, they never error because memory was tight.
-//! * Spill recursion is depth-capped ([`MemContext::max_recursion`]); a
-//!   partition still over budget at the cap runs in memory with a forced
-//!   reservation, so skewed keys degrade to over-admission, never to
-//!   non-termination.
+//! * The budget covers **state the operator allocates** — hash index,
+//!   group table and group ids, sort records, join pairs, partition id
+//!   lists — not operator inputs or outputs, which are `Arc`-shared tables
+//!   whose lifetime the session layer manages and which are never copied
+//!   to disk.
+//! * Reservations are RAII and resizable: [`Reservation::try_grow`] asks
+//!   for more, [`Reservation::shrink_to`] settles to what is really held,
+//!   dropping a [`Reservation`] returns its bytes.
+//! * Refusal is advisory pressure, not failure: operators partition or
+//!   release a run to disk, they never error because memory was tight.
+//! * Partitioning recursion is depth-capped
+//!   ([`MemContext::max_recursion`]); a partition the hash cannot split any
+//!   further at the cap runs under a forced reservation, so skewed keys
+//!   degrade to over-admission, never to non-termination. Nothing else
+//!   takes one, so [`MemoryGovernor::peak`] stays within the budget
+//!   otherwise.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -33,6 +39,7 @@ pub struct MemoryGovernor {
     budget: u64,
     used: AtomicU64,
     peak: AtomicU64,
+    forced: AtomicU64,
 }
 
 impl MemoryGovernor {
@@ -42,6 +49,7 @@ impl MemoryGovernor {
             budget: budget_bytes,
             used: AtomicU64::new(0),
             peak: AtomicU64::new(0),
+            forced: AtomicU64::new(0),
         })
     }
 
@@ -65,27 +73,23 @@ impl MemoryGovernor {
         self.peak.load(Ordering::Relaxed)
     }
 
+    /// Bytes ever taken by [`MemoryGovernor::reserve_force`]: while this is
+    /// zero, [`MemoryGovernor::peak`] is within the budget.
+    pub fn forced(&self) -> u64 {
+        self.forced.load(Ordering::Relaxed)
+    }
+
     /// Bytes still available under the budget.
     pub fn available(&self) -> u64 {
         self.budget.saturating_sub(self.used())
     }
 
-    fn admit(self: &Arc<Self>, bytes: u64) -> Reservation {
-        let now = self.used.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.peak.fetch_max(now, Ordering::Relaxed);
-        Reservation {
-            governor: Arc::clone(self),
-            bytes,
-        }
-    }
-
-    /// Try to reserve `bytes`; `None` when the budget would be exceeded.
-    /// A refused reservation is the signal to take a spill path.
-    pub fn try_reserve(self: &Arc<Self>, bytes: u64) -> Option<Reservation> {
+    /// Book `bytes` more if they fit under the budget.
+    fn try_admit(&self, bytes: u64) -> bool {
         let mut used = self.used.load(Ordering::Relaxed);
         loop {
             if used.saturating_add(bytes) > self.budget {
-                return None;
+                return false;
             }
             match self.used.compare_exchange_weak(
                 used,
@@ -95,21 +99,33 @@ impl MemoryGovernor {
             ) {
                 Ok(_) => {
                     self.peak.fetch_max(used + bytes, Ordering::Relaxed);
-                    return Some(Reservation {
-                        governor: Arc::clone(self),
-                        bytes,
-                    });
+                    return true;
                 }
                 Err(actual) => used = actual,
             }
         }
     }
 
+    /// Try to reserve `bytes`; `None` when the budget would be exceeded.
+    /// A refused reservation is the signal to partition or spill.
+    pub fn try_reserve(self: &Arc<Self>, bytes: u64) -> Option<Reservation> {
+        self.try_admit(bytes).then(|| Reservation {
+            governor: Arc::clone(self),
+            bytes,
+        })
+    }
+
     /// Reserve `bytes` unconditionally, possibly over-admitting past the
-    /// budget. Used only at the spill recursion depth cap, where running
-    /// a skewed partition in memory is the sole remaining option.
+    /// budget. Used only at the partitioning depth cap, where running a
+    /// partition the hash cannot split is the sole remaining option.
     pub fn reserve_force(self: &Arc<Self>, bytes: u64) -> Reservation {
-        self.admit(bytes)
+        self.forced.fetch_add(bytes, Ordering::Relaxed);
+        let now = self.used.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        self.peak.fetch_max(now, Ordering::Relaxed);
+        Reservation {
+            governor: Arc::clone(self),
+            bytes,
+        }
     }
 }
 
@@ -124,6 +140,30 @@ impl Reservation {
     /// Bytes this reservation holds.
     pub fn bytes(&self) -> u64 {
         self.bytes
+    }
+
+    /// Grow by `extra` bytes if the budget admits them; `false` leaves the
+    /// reservation as it was.
+    pub fn try_grow(&mut self, extra: u64) -> bool {
+        let admitted = self.governor.try_admit(extra);
+        if admitted {
+            self.bytes += extra;
+        }
+        admitted
+    }
+
+    /// Take over what `other` holds, as one reservation.
+    pub fn absorb(&mut self, mut other: Reservation) {
+        self.bytes += std::mem::take(&mut other.bytes);
+    }
+
+    /// Return everything above `bytes` to the budget (no-op when the
+    /// reservation is already that small): settles an up-front estimate to
+    /// what the operator really holds.
+    pub fn shrink_to(&mut self, bytes: u64) {
+        let surplus = self.bytes.saturating_sub(bytes);
+        self.governor.used.fetch_sub(surplus, Ordering::Relaxed);
+        self.bytes -= surplus;
     }
 }
 
@@ -217,19 +257,20 @@ pub fn spill_error(context: &str, e: io::Error) -> EngineError {
 /// reserve against, a spill directory, shared metrics, tuning knobs, and
 /// optional chaos hooks.
 pub struct MemContext {
-    /// Budget transient operator state is admitted against.
+    /// Budget operator state is admitted against.
     pub governor: Arc<MemoryGovernor>,
     /// Root directory spill files are created under (per-operator
     /// subdirectories, removed as each operator finishes).
     pub spill_root: PathBuf,
     /// Shared spill accounting.
     pub metrics: SpillMetrics,
-    /// Rows per block in spill files.
+    /// Most records per block of a run file, and most rows per gather of
+    /// an operator that assembles its output in blocks.
     pub spill_block_rows: usize,
-    /// Partition fan-out per spill level.
+    /// Most partitions per partitioning level and most runs per merge.
     pub fanout: usize,
-    /// Maximum spill recursion depth; at the cap, partitions run in
-    /// memory under a forced reservation.
+    /// Maximum partitioning depth; at the cap, a partition the hash cannot
+    /// split runs under a forced reservation.
     pub max_recursion: u32,
     /// Chaos hooks on spill write/read.
     pub hooks: Option<Arc<dyn SpillHooks>>,
@@ -383,10 +424,28 @@ mod tests {
     }
 
     #[test]
+    fn reservations_grow_and_settle() {
+        let gov = MemoryGovernor::new(100);
+        let mut r = gov.try_reserve(40).expect("fits");
+        assert!(r.try_grow(60));
+        assert!(
+            !r.try_grow(1),
+            "a refused growth leaves the reservation alone"
+        );
+        assert_eq!((r.bytes(), gov.used()), (100, 100));
+        r.shrink_to(30);
+        r.shrink_to(50);
+        r.absorb(gov.try_reserve(5).expect("fits"));
+        assert_eq!((r.bytes(), gov.used(), gov.peak()), (35, 35, 100));
+        drop(r);
+        assert_eq!(gov.used(), 0);
+    }
+
+    #[test]
     fn force_reserve_over_admits() {
         let gov = MemoryGovernor::new(10);
         let r = gov.reserve_force(1000);
-        assert_eq!(gov.used(), 1000);
+        assert_eq!((gov.used(), gov.forced()), (1000, 1000));
         assert_eq!(r.bytes(), 1000);
         drop(r);
         assert_eq!(gov.used(), 0);

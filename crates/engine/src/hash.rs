@@ -21,10 +21,26 @@ pub struct FxHasher {
     hash: u64,
 }
 
+/// One multiply-rotate-xor step: `hash` with `word` mixed in.
+#[inline]
+pub(crate) fn mix(hash: u64, word: u64) -> u64 {
+    (hash.rotate_left(5) ^ word).wrapping_mul(SEED)
+}
+
+/// `hash` with `bytes` mixed in, eight at a time (the last word zero-padded).
+#[inline]
+pub(crate) fn mix_bytes(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.chunks(8).fold(hash, |hash, chunk| {
+        let mut buf = [0u8; 8];
+        buf[..chunk.len()].copy_from_slice(chunk);
+        mix(hash, u64::from_le_bytes(buf))
+    })
+}
+
 impl FxHasher {
     #[inline]
     fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(SEED);
+        self.hash = mix(self.hash, word);
     }
 }
 
@@ -36,11 +52,7 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(buf));
-        }
+        self.hash = mix_bytes(self.hash, bytes);
     }
 
     #[inline]

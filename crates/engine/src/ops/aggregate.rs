@@ -5,14 +5,18 @@
 
 use std::collections::hash_map::Entry;
 use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::bitmap::Bitmap;
 use crate::column::Column;
 use crate::error::{EngineError, Result};
+use crate::governor::{MemContext, Reservation};
 use crate::hash::FxHashMap;
 use crate::parallel;
 use crate::table::Table;
 use crate::value::cmp_f64_total;
+
+use super::spill::{group_state_bytes, group_widths, partition_ids, Ids, Run, Spill};
 
 /// Aggregate functions available to the Compute skill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -208,6 +212,13 @@ impl AggCols {
             row: vec![None; sized(matches!(func, Min | Max | First | Last))],
             pairs: Vec::new(),
         }
+    }
+
+    /// Bytes the accumulators occupy.
+    fn bytes(&self) -> u64 {
+        let words = self.n.capacity() + self.isum.capacity() + self.fsum.capacity();
+        let words = words + self.m2.capacity() + 2 * (self.row.capacity() + self.pairs.capacity());
+        words as u64 * 8
     }
 
     /// Accumulate the morsel `rows`, whose dense group ids are `gids`. The
@@ -530,64 +541,249 @@ struct Groups {
     accs: Vec<AggCols>,
 }
 
-/// Group `table` by `keys` and compute `aggs` within each group.
+impl Groups {
+    fn bytes(&self) -> u64 {
+        self.reps.capacity() as u64 * 8 + self.accs.iter().map(AggCols::bytes).sum::<u64>()
+    }
+}
+
+/// Finished groups: their first rows in the input, and one column per
+/// aggregate.
+type Part = (Vec<usize>, Vec<Column>);
+
+/// Group `table` by `keys` and compute `aggs` within each group:
+/// [`group_by_with_mem`] without a memory budget.
+pub fn group_by(table: &Table, keys: &[&str], aggs: &[AggSpec]) -> Result<Table> {
+    group_by_with_mem(table, keys, aggs, None)
+}
+
+/// Group `table` by `keys` and compute `aggs` within each group, booking
+/// the state against `mem`'s budget.
 ///
 /// With an empty key list the whole table forms one group (global
 /// aggregates). Output columns are the keys (original casing) followed by
 /// one column per aggregate. Groups appear in first-encounter order, which
 /// keeps results deterministic; a key cell is its group's first row's.
 ///
-/// Aggregation is two-phase over row morsels (see [`crate::parallel`]):
-/// each morsel encodes its rows' keys into dense group ids and accumulates
-/// column-major, one typed vector per aggregate; the morsels' groups are
-/// then mapped to global ones by the same encoder and their accumulators
-/// folded in morsel order, so first-encounter group order never depends on
-/// the morsel count (morsels are contiguous ascending ranges). A single
-/// morsel folds into nothing, which makes its float results plain
-/// sequential accumulation.
-pub fn group_by(table: &Table, keys: &[&str], aggs: &[AggSpec]) -> Result<Table> {
+/// Only the key and argument columns are ever touched. The whole input goes
+/// through the one body (`GroupBy::body`), which books state as it allocates
+/// it, so a handful of groups over any number of rows never leaves memory.
+/// Where the governor refuses, the attempt is dropped and the row *ids* are
+/// split by key hash into runs ([`partition_ids`]); every run gathers the
+/// columns it needs at its ids and goes through the same body as one morsel
+/// (`GroupBy::ids`). A group's rows all land in one run, in ascending order,
+/// so order-sensitive aggregates come out as they would unpartitioned;
+/// representatives map back through the ids to input rows, and sorting the
+/// groups by them restores first-encounter order.
+pub fn group_by_with_mem(
+    table: &Table,
+    keys: &[&str],
+    aggs: &[AggSpec],
+    mem: Option<&MemContext>,
+) -> Result<Table> {
     if aggs.is_empty() {
         return Err(EngineError::invalid_argument(
             "group_by requires at least one aggregate",
         ));
     }
     let inputs = resolve_inputs(table, keys, aggs)?;
-    let ranges = parallel::morsels(table.num_rows());
-
-    // Phase 1: every morsel builds dictionary-coded group ids for its row
-    // range (no per-row key materialization) and aggregates locally.
-    let parts: Vec<Groups> = parallel::run_morsels(&ranges, |r| {
-        let gids = encode_groups(&inputs.key_cols, r.clone());
-        let reps: Vec<usize> = first_rows(&gids).iter().map(|i| r.start + i).collect();
-        let accs = aggs
-            .iter()
-            .zip(&inputs.agg_cols)
-            .map(|(spec, col)| {
-                let mut acc = AggCols::new(spec.func, reps.len());
-                acc.update(*col, &gids, r.clone());
-                acc
-            })
-            .collect();
-        Groups { reps, accs }
-    });
-    let Groups { reps, accs } = match <[Groups; 1]>::try_from(parts) {
-        Ok([only]) => only,
-        Err(parts) => fold_parts(&inputs, aggs, parts),
+    let named = keys.iter().copied();
+    let named = named.chain(aggs.iter().filter_map(|a| a.column.as_deref()));
+    let needed: Vec<(&str, &Column)> = named
+        .filter_map(|n| Some((n, table.column(n).ok()?)))
+        .collect();
+    let row_bytes = |(_, c): &(&str, &Column)| (c.byte_size() / c.len().max(1) + 1) as u64;
+    let job = GroupBy {
+        keys,
+        aggs,
+        gather: 8 + needed.iter().map(row_bytes).sum::<u64>(),
+        needed,
+        widths: group_widths(keys.len(), aggs.iter().map(|a| a.func)),
     };
-
+    let (mut op, mut parts) = (Spill::new(mem, "groupby"), Vec::new());
+    let all = Ids::All(table.num_rows());
+    job.ids(&mut op, &inputs, all, (0, usize::MAX), &mut parts)?;
+    let (reps, columns) = match <[Part; 1]>::try_from(parts) {
+        Ok([whole]) => whole,
+        Err(parts) => {
+            // First-encounter order is the order of the groups' first rows.
+            let mut order: Vec<(usize, usize)> = Vec::new();
+            order.extend(parts.iter().flat_map(|p| &p.0).copied().zip(0..));
+            order.sort_unstable();
+            let (reps, order): (Vec<usize>, Vec<usize>) = order.into_iter().unzip();
+            let mut columns = Vec::with_capacity(aggs.len());
+            for (j, (spec, col)) in aggs.iter().zip(&inputs.agg_cols).enumerate() {
+                let mut all = Column::empty(agg_output_dtype(spec.func, col.map(|c| c.dtype())));
+                parts.iter().try_for_each(|p| all.extend(&p.1[j]))?;
+                columns.push(all.take(&order));
+            }
+            (reps, columns)
+        }
+    };
     let mut out = Table::empty();
     for (name, col) in inputs.key_names.iter().zip(&inputs.key_cols) {
         out.add_column(name, col.take(&reps))?;
     }
-    for ((spec, col), acc) in aggs.iter().zip(&inputs.agg_cols).zip(accs) {
-        let values = acc.finish(*col);
-        debug_assert_eq!(
-            values.dtype(),
-            agg_output_dtype(spec.func, col.map(|c| c.dtype()))
-        );
+    for (spec, values) in aggs.iter().zip(columns) {
         out.add_column(&spec.output, values)?;
     }
     Ok(out)
+}
+
+/// What a group-by is asked, and what partitioning it takes: the columns a
+/// partition gathers at its ids (`needed`; one named twice is gathered
+/// once), their bytes per row beside the id (`gather`), and the state
+/// `widths` ([`group_widths`]).
+struct GroupBy<'t> {
+    keys: &'t [&'t str],
+    aggs: &'t [AggSpec],
+    needed: Vec<(&'t str, &'t Column)>,
+    gather: u64,
+    widths: (u64, u64),
+}
+
+impl GroupBy<'_> {
+    /// Group the rows `ids` lists — produced by `depth` partitionings, the
+    /// last of `within` rows — appending their groups to `out`: through the
+    /// body at once if the governor admits it, else a hash partition of
+    /// them at a time. `inputs` are the whole input's.
+    fn ids<'a>(
+        &self,
+        op: &mut Spill<'a>,
+        inputs: &GroupInputs<'_>,
+        mut ids: Ids<'a>,
+        (depth, within): (u32, usize),
+        out: &mut Vec<Part>,
+    ) -> Result<()> {
+        let len = ids.len();
+        let rows = inputs.key_cols.first().map_or(0, |c| c.len());
+        // Work that cannot be split again — one group, the depth cap, or
+        // rows the hash kept together — runs whatever the governor says.
+        let force = self.keys.is_empty() || !(op.may_split(depth) && len < within);
+        let attempt = match &mut ids {
+            Ids::All(_) => self.body(inputs, &parallel::morsels(len), op, force),
+            Ids::Listed(run) => match op.hold(len as u64 * self.gather, force) {
+                Some(_gathered) if run.load_ids(op, rows, force)? => {
+                    let listed = run.resident().into_iter().flatten();
+                    let at: Vec<usize> = listed.map(|&id| id as usize).collect();
+                    let mut local = Table::empty();
+                    for (name, col) in &self.needed {
+                        if local.schema().index_of(name).is_none() {
+                            local.add_column(name, col.take(&at))?;
+                        }
+                    }
+                    let inputs = resolve_inputs(&local, self.keys, self.aggs)?;
+                    let part = self.body(&inputs, std::slice::from_ref(&(0..len)), op, force);
+                    part.map(|(reps, columns)| (reps.into_iter().map(|r| at[r]).collect(), columns))
+                }
+                _ => Err(len as u64),
+            },
+        };
+        let groups = match attempt {
+            Ok(part) => {
+                out.push(part);
+                return Ok(());
+            }
+            Err(expected) => expected,
+        };
+        let need = |rows, groups| group_state_bytes(rows, groups, self.widths) + rows * self.gather;
+        let parts = op.parts_for(len as u64 * 8, |p| need(len as u64 / p, groups / p));
+        let mut runs = partition_ids(op, &inputs.key_cols, ids, parts, depth as u64)?;
+        let largest = runs.iter().map(Run::len).max().unwrap_or(0) as u64;
+        op.make_room(&mut runs, need(largest, groups / parts as u64))?;
+        for run in runs.into_iter().filter(|run| run.len() > 0) {
+            self.ids(op, inputs, Ids::Listed(run), (depth + 1, len), out)?;
+        }
+        Ok(())
+    }
+
+    /// The one group-by body: the groups of `ranges` (contiguous ascending
+    /// row ranges of `inputs`) finished, or — as soon as the governor
+    /// refuses a part of its state, never with `force` — the groups to
+    /// expect among the rows.
+    ///
+    /// Two-phase over the ranges as morsels (see [`crate::parallel`]): each
+    /// morsel encodes its rows' keys into dense group ids and accumulates
+    /// column-major, one typed vector per aggregate; the morsels' groups are
+    /// then mapped to global ones by the same encoder and their accumulators
+    /// folded in morsel order, so first-encounter group order never depends
+    /// on the morsel count. A single morsel folds into nothing, which makes
+    /// its float results plain sequential accumulation. A morsel books its
+    /// scratch from its row count before encoding and its groups once it has
+    /// counted them, and settles to what the finished `Groups` occupies.
+    fn body(
+        &self,
+        inputs: &GroupInputs<'_>,
+        ranges: &[Range<usize>],
+        op: &Spill,
+        force: bool,
+    ) -> std::result::Result<Part, u64> {
+        let state =
+            |rows: usize, groups: usize| group_state_bytes(rows as u64, groups as u64, self.widths);
+        let (seen_rows, seen_groups) = (AtomicU64::new(0), AtomicU64::new(0));
+        let refused = AtomicBool::new(false);
+        let morsel = |r: Range<usize>| -> Option<(Groups, Reservation)> {
+            let mut held = op.hold(state(r.len(), 0), force)?;
+            // Phase 1: dictionary-coded group ids for the row range (no
+            // per-row key materialization), aggregated locally.
+            let gids = encode_groups(&inputs.key_cols, r.clone());
+            let reps: Vec<usize> = first_rows(&gids).iter().map(|i| r.start + i).collect();
+            seen_rows.fetch_add(r.len() as u64, Ordering::Relaxed);
+            seen_groups.fetch_add(reps.len() as u64, Ordering::Relaxed);
+            if refused.load(Ordering::Relaxed) {
+                return None;
+            }
+            held.absorb(op.hold(state(0, reps.len()), force)?);
+            let accs = self.aggs.iter().zip(&inputs.agg_cols).map(|(spec, col)| {
+                let mut acc = AggCols::new(spec.func, reps.len());
+                acc.update(*col, &gids, r.clone());
+                acc
+            });
+            let accs = accs.collect();
+            let groups = Groups { reps, accs };
+            held.shrink_to(groups.bytes());
+            Some((groups, held))
+        };
+        let parts = parallel::run_morsels(ranges, |r| {
+            let part = (!refused.load(Ordering::Relaxed)).then(|| morsel(r));
+            let part = part.flatten();
+            refused.fetch_or(part.is_none(), Ordering::Relaxed);
+            part
+        });
+        let parts: Option<Vec<_>> = parts.into_iter().collect();
+        let folded = parts.and_then(|parts| match <[_; 1]>::try_from(parts) {
+            Ok([only]) => Some(only),
+            Err(parts) => {
+                let local: usize = parts.iter().map(|p| p.0.reps.len()).sum();
+                // The local groups are phase 2's rows — their keys gathered
+                // — and at worst all distinct.
+                let key_bytes = |c: &&Column| c.byte_size() / c.len().max(1) + 9;
+                let keys = local * inputs.key_cols.iter().map(key_bytes).sum::<usize>();
+                let mut held = op.hold(state(local, local) + keys as u64, force)?;
+                let folded = fold_parts(inputs, self.aggs, parts);
+                held.shrink_to(folded.bytes());
+                Some((folded, held))
+            }
+        });
+        let Some((Groups { reps, accs }, _held)) = folded else {
+            // In the proportion seen; one per row if nothing was.
+            let rows: u64 = ranges.iter().map(|r| r.len() as u64).sum();
+            return Err(match seen_rows.into_inner() {
+                0 => rows,
+                seen => rows * seen_groups.into_inner() / seen,
+            });
+        };
+        let finished = self.aggs.iter().zip(&inputs.agg_cols).zip(accs);
+        let columns = finished.map(|((spec, col), acc)| {
+            let values = acc.finish(*col);
+            debug_assert_eq!(
+                values.dtype(),
+                agg_output_dtype(spec.func, col.map(|c| c.dtype()))
+            );
+            values
+        });
+        Ok((reps, columns.collect()))
+    }
 }
 
 /// Phase 2: fold morsel-local groups together in morsel order.
@@ -597,8 +793,15 @@ pub fn group_by(table: &Table, keys: &[&str], aggs: &[AggSpec]) -> Result<Table>
 /// morsel order, so global ids are first-encounter ids) — keys are touched
 /// once per (morsel, group), never per row, and there is one hasher and
 /// one definition of key equality.
-fn fold_parts(inputs: &GroupInputs<'_>, aggs: &[AggSpec], parts: Vec<Groups>) -> Groups {
-    let local_reps: Vec<usize> = parts.iter().flat_map(|p| p.reps.iter().copied()).collect();
+fn fold_parts(
+    inputs: &GroupInputs<'_>,
+    aggs: &[AggSpec],
+    parts: Vec<(Groups, Reservation)>,
+) -> Groups {
+    let local_reps: Vec<usize> = parts
+        .iter()
+        .flat_map(|p| p.0.reps.iter().copied())
+        .collect();
     let gathered: Vec<Column> = inputs
         .key_cols
         .iter()
@@ -618,7 +821,7 @@ fn fold_parts(inputs: &GroupInputs<'_>, aggs: &[AggSpec], parts: Vec<Groups>) ->
         .map(|spec| AggCols::new(spec.func, groups))
         .collect();
     let mut maps = global.as_slice();
-    for part in parts {
+    for (part, _held) in parts {
         let (map, rest) = maps.split_at(part.reps.len());
         maps = rest;
         for ((acc, local), col) in accs.iter_mut().zip(part.accs).zip(&inputs.agg_cols) {
@@ -1148,6 +1351,66 @@ mod tests {
                     prop_assert!(identical(&got, &want), "keys {keys:?}\n{got:?}\n{want:?}");
                 }
             }
+        }
+    }
+
+    /// `group_state_bytes` is what the body books; it must cover what the
+    /// body allocates for a morsel: the group ids and the codes that refine
+    /// them, the encoder's tables (rebuilt here as the encoder grows them,
+    /// one per key column and one more per column after the first), the
+    /// representatives and the accumulators.
+    #[test]
+    fn state_bytes_cover_the_group_ids_tables_and_accumulators() {
+        let n = 3000usize;
+        let t = Table::new(vec![
+            (
+                "lo",
+                Column::from_ints((0..n as i64).map(|i| i % 20).collect()),
+            ),
+            (
+                "hi",
+                Column::from_ints((0..n as i64).map(|i| i * 7919 % 2003).collect()),
+            ),
+            ("x", Column::from_floats((0..n).map(|i| i as f64).collect())),
+        ])
+        .unwrap();
+        use AggFunc::*;
+        for (keys, funcs) in [
+            (&["lo"][..], &[Sum, CountRecords][..]),
+            (&["hi"], &[Avg, Min, Last]),
+            (&["hi", "lo"], &[StdDev, Median, Count]),
+        ] {
+            let aggs: Vec<AggSpec> = funcs
+                .iter()
+                .map(|f| AggSpec::new(*f, "x", f.name()))
+                .collect();
+            let inputs = resolve_inputs(&t, keys, &aggs).unwrap();
+            let gids = encode_groups(&inputs.key_cols, 0..n);
+            let reps = first_rows(&gids);
+            let mut tables = 0;
+            for (at, col) in inputs.key_cols.iter().enumerate() {
+                let mut distinct: FxHashMap<i64, u32> = FxHashMap::default();
+                let values = col.as_ints().unwrap().0;
+                for value in values {
+                    distinct.insert(*value, 0);
+                }
+                let buckets = (distinct.capacity() * 8).div_ceil(7).next_power_of_two();
+                // Twice where `refine` keeps a table of pairs beside it.
+                tables += buckets * (16 + 1) * if at == 0 { 1 } else { 2 };
+            }
+            let mut accs: Vec<AggCols> =
+                funcs.iter().map(|f| AggCols::new(*f, reps.len())).collect();
+            let arg = inputs.agg_cols.iter().zip(&mut accs);
+            arg.for_each(|(col, acc)| acc.update(*col, &gids, 0..n));
+            let groups = Groups { reps, accs };
+            let allocated = 2 * gids.capacity() * 4 + tables + groups.bytes() as usize;
+            let widths = group_widths(keys.len(), funcs.iter().copied());
+            let booked = group_state_bytes(n as u64, groups.reps.len() as u64, widths) as usize;
+            assert!(booked >= allocated, "{keys:?}: {booked} < {allocated}");
+            assert!(
+                booked <= 4 * allocated,
+                "{keys:?}: {booked} for {allocated}"
+            );
         }
     }
 

@@ -8,9 +8,12 @@ use crate::hash::FxHashMap;
 
 use crate::column::Column;
 use crate::error::{EngineError, Result};
+use crate::governor::MemContext;
 use crate::parallel;
 use crate::table::Table;
 use crate::value::Value;
+
+use super::spill::{join_state_bytes, merge_runs, partition_ids, Ids, Run, Spill};
 
 /// Supported join types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -186,20 +189,8 @@ fn ref_key<'a>(cols: &[&'a Column], row: usize) -> Option<Key<'a>> {
     Some(Key::Many(parts))
 }
 
-/// Hash join of two tables on equally-named key pairs.
-///
-/// `left_on[i]` joins against `right_on[i]`. Non-key right columns that
-/// collide with a left column name are suffixed `_right`. Right key
-/// columns are dropped (they duplicate the left keys on matches); for
-/// right/full joins the left key columns are backfilled from the right
-/// side on unmatched right rows.
-///
-/// Build and probe run per row morsel (see [`crate::parallel`]) with
-/// typed, borrowed keys (no per-row string rendering) and the output is
-/// materialized with one gather per column. Per-morsel results are stitched
-/// in morsel order, so row order never depends on the morsel count: left
-/// rows ascending, each one's matches in ascending right-row order, then
-/// unmatched right rows for right/full joins.
+/// Hash join of two tables on equally-named key pairs:
+/// [`join_with_mem`] without a memory budget.
 pub fn join(
     left: &Table,
     right: &Table,
@@ -207,16 +198,56 @@ pub fn join(
     right_on: &[&str],
     how: JoinType,
 ) -> Result<Table> {
+    join_with_mem(left, right, left_on, right_on, how, None)
+}
+
+/// Hash join of two tables on equally-named key pairs, booking its state
+/// against `mem`'s budget.
+///
+/// `left_on[i]` joins against `right_on[i]`. Non-key right columns that
+/// collide with a left column name are suffixed `_right`. Right key
+/// columns are dropped (they duplicate the left keys on matches); for
+/// right/full joins the left key columns are backfilled from the right
+/// side on unmatched right rows. Output order: left rows ascending, each
+/// one's matches in ascending right-row order, then unmatched right rows
+/// for right/full joins.
+///
+/// The join reads only key columns until it knows its output as packed
+/// `(left row, right row)` pairs (`match_ids`): an index is built over the
+/// right rows and probed with the left ones, per row morsel (see
+/// [`crate::parallel`]) with typed, borrowed keys — over all rows at once
+/// where the governor admits the index ([`join_state_bytes`]), else over
+/// the row *ids* of one hash partition of both sides at a time. Every
+/// partition's pairs ascend, so merging them is the output order, and the
+/// output columns are gathered through the pairs, a block at a time.
+pub fn join_with_mem(
+    left: &Table,
+    right: &Table,
+    left_on: &[&str],
+    right_on: &[&str],
+    how: JoinType,
+    mem: Option<&MemContext>,
+) -> Result<Table> {
     let (lcols, rcols) = key_columns(left, right, left_on, right_on)?;
+    let (ln, rn) = (left.num_rows(), right.num_rows());
+    if ln.max(rn) >= NO_ROW as usize {
+        return Err(EngineError::invalid_argument(
+            "join inputs are limited to 2^32 - 2 rows",
+        ));
+    }
+    let mut op = Spill::new(mem, "join");
 
     // Dictionary-encoded key pairs are remapped into a shared integer
-    // code space once, so build and probe hash `i64`s instead of strings.
-    // Assembly below still reads the original `rcols` (the converted
-    // columns exist only for key hashing).
+    // code space once, so build and probe hash `i64`s instead of strings —
+    // where the governor admits the two code columns; hashing the strings
+    // matches the same rows. Assembly still reads the original `rcols`.
+    let is_dict = |(l, r): &(&&Column, &&Column)| l.as_dict().is_some() || r.as_dict().is_some();
+    let dict_pairs = lcols.iter().zip(&rcols).filter(is_dict).count() as u64;
+    let remapped = op.hold(dict_pairs * (ln + rn) as u64 * 9, false);
     let converted: Vec<Option<(Column, Column)>> = lcols
         .iter()
         .zip(&rcols)
-        .map(|(l, r)| dict_code_keys(l, r))
+        .map(|(l, r)| remapped.as_ref().and_then(|_| dict_code_keys(l, r)))
         .collect();
     let lkey: Vec<&Column> = lcols
         .iter()
@@ -229,121 +260,11 @@ pub fn join(
         .map(|(&c, conv)| conv.as_ref().map_or(c, |(_, r)| r))
         .collect();
 
-    // Build phase. The index stores, per key, an intrusive chain of right
-    // rows: the map value is the (head, tail) of the chain and `next[row]`
-    // links to the following right row with the same key. Compared to a
-    // `Vec<usize>` per key this needs no per-key heap allocation (mostly-
-    // unique keys would otherwise malloc once per right row) and probing a
-    // unique key touches no memory beyond the map entry itself, because
-    // `head == tail` ends the walk before `next` is ever read.
-    //
-    // Each morsel indexes its own right-side row range. The first morsel's
-    // index and links are adopted as they are and the rest splice in behind
-    // them in morsel order, so every key's chain stays in ascending
-    // right-row order and a single morsel splices nothing.
-    let mut parts = parallel::run_morsels(&parallel::morsels(right.num_rows()), |r| {
-        let base = r.start;
-        let mut local_next: Vec<u32> = vec![u32::MAX; r.len()];
-        let mut map: FxHashMap<Key, (u32, u32)> =
-            FxHashMap::with_capacity_and_hasher(r.len(), Default::default());
-        for row in r {
-            if let Some(k) = ref_key(&rkey, row) {
-                match map.entry(k) {
-                    Entry::Occupied(mut e) => {
-                        let chain = e.get_mut();
-                        local_next[chain.1 as usize - base] = row as u32;
-                        chain.1 = row as u32;
-                    }
-                    Entry::Vacant(e) => {
-                        e.insert((row as u32, row as u32));
-                    }
-                }
-            }
-        }
-        (local_next, map)
-    })
-    .into_iter();
-    let (mut next, mut index) = parts.next().unwrap_or_default();
-    for (local_next, map) in parts {
-        next.extend(local_next);
-        index.reserve(map.len());
-        for (k, chain) in map {
-            match index.entry(k) {
-                Entry::Occupied(mut e) => {
-                    let merged = e.get_mut();
-                    next[merged.1 as usize] = chain.0;
-                    merged.1 = chain.1;
-                }
-                Entry::Vacant(e) => {
-                    e.insert(chain);
-                }
-            }
-        }
-    }
+    let mut runs = Vec::new();
+    let all = (Ids::All(ln), Ids::All(rn));
+    let unsplit = (0, usize::MAX, usize::MAX);
+    match_ids(&mut op, (&lkey, &rkey), how, all, unsplit, &mut runs)?;
 
-    // Probe phase: per left morsel, emitting (left, right) row pairs in
-    // left-row order. Matched right rows are flagged through atomics so
-    // right/full joins can backfill after all workers finish.
-    let track_matched = matches!(how, JoinType::Right | JoinType::Full);
-    let right_matched: Vec<AtomicBool> = if track_matched {
-        (0..right.num_rows())
-            .map(|_| AtomicBool::new(false))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let lranges = parallel::morsels(left.num_rows());
-    let pairs = parallel::run_morsels(&lranges, |r| {
-        let mut lidx: Vec<Option<usize>> = Vec::with_capacity(r.len());
-        let mut ridx: Vec<Option<usize>> = Vec::with_capacity(r.len());
-        for row in r {
-            let matches = ref_key(&lkey, row).and_then(|k| index.get(&k));
-            match matches {
-                Some(&(head, tail)) => {
-                    let mut rr = head;
-                    loop {
-                        lidx.push(Some(row));
-                        ridx.push(Some(rr as usize));
-                        if track_matched {
-                            right_matched[rr as usize].store(true, Ordering::Relaxed);
-                        }
-                        if rr == tail {
-                            break;
-                        }
-                        rr = next[rr as usize];
-                    }
-                }
-                _ => {
-                    if matches!(how, JoinType::Left | JoinType::Full) {
-                        lidx.push(Some(row));
-                        ridx.push(None);
-                    }
-                }
-            }
-        }
-        (lidx, ridx)
-    });
-    let mut lidx: Vec<Option<usize>> = Vec::new();
-    let mut ridx: Vec<Option<usize>> = Vec::new();
-    lidx.reserve(pairs.iter().map(|(l, _)| l.len()).sum());
-    ridx.reserve(lidx.capacity());
-    for (l, r) in pairs {
-        lidx.extend(l);
-        ridx.extend(r);
-    }
-    if track_matched {
-        for (r, matched) in right_matched.iter().enumerate() {
-            if !matched.load(Ordering::Relaxed) {
-                lidx.push(None);
-                ridx.push(Some(r));
-            }
-        }
-    }
-
-    // Assembly: one gather per column instead of one push per cell. Only
-    // left key columns of right/full joins need the per-row loop, to
-    // backfill key values from the right side on unmatched right rows.
-    let mut out = Table::empty();
     let key_positions_left: Vec<usize> = left_on
         .iter()
         .map(|k| {
@@ -351,43 +272,260 @@ pub fn join(
             position.ok_or_else(|| EngineError::column_not_found(*k))
         })
         .collect::<Result<_>>()?;
-    for (ci, field) in left.schema().fields().iter().enumerate() {
-        let src = left.column_at(ci);
-        let backfill = key_positions_left
-            .iter()
-            .position(|&p| p == ci)
-            .map(|key_slot| rcols[key_slot]);
-        let col = match backfill {
-            Some(rc) if track_matched => {
-                let mut col = Column::empty(src.dtype());
-                for (l, r) in lidx.iter().zip(&ridx) {
-                    let v = match (l, r) {
-                        (Some(l), _) => src.get(*l),
-                        (None, Some(r)) => rc.get(*r),
-                        _ => Value::Null,
-                    };
-                    let v = crate::column::cast_value(&v, src.dtype());
-                    col.push_value(&v)?;
-                }
-                col
-            }
-            _ => src.take_opt(&lidx),
-        };
-        out.add_column(&field.name, col)?;
-    }
-    for (ci, field) in right.schema().fields().iter().enumerate() {
-        if right_on.iter().any(|k| field.name.eq_ignore_ascii_case(k)) {
-            continue;
+    let track_matched = matches!(how, JoinType::Right | JoinType::Full);
+    // Assembly of the output rows `pairs` name: one gather per column
+    // instead of one push per cell. Only left key columns of right/full
+    // joins need the per-row loop, to backfill key values from the right
+    // side on unmatched right rows.
+    let gather = |pairs: &[u64]| -> Result<Table> {
+        let mut lidx: Vec<Option<usize>> = Vec::with_capacity(pairs.len());
+        let mut ridx: Vec<Option<usize>> = Vec::with_capacity(pairs.len());
+        for &pair in pairs {
+            let row = |word: u64, rows: usize| match word as u32 {
+                NO_ROW => Ok(None),
+                row if (row as usize) < rows => Ok(Some(row as usize)),
+                row => Err(EngineError::spill(format!(
+                    "join pair names row {row} of a {rows}-row input"
+                ))),
+            };
+            lidx.push(row(pair >> 32, ln)?);
+            ridx.push(row(pair, rn)?);
         }
-        let col = right.column_at(ci).take_opt(&ridx);
-        let name = if out.schema().index_of(&field.name).is_some() {
-            format!("{}_right", field.name)
-        } else {
-            field.name.clone()
-        };
-        out.add_column(&name, col)?;
+        let mut out = Table::empty();
+        for (ci, field) in left.schema().fields().iter().enumerate() {
+            let src = left.column_at(ci);
+            let backfill = key_positions_left
+                .iter()
+                .position(|&p| p == ci)
+                .map(|key_slot| rcols[key_slot]);
+            let col = match backfill {
+                Some(rc) if track_matched => {
+                    let mut col = Column::empty(src.dtype());
+                    for (l, r) in lidx.iter().zip(&ridx) {
+                        let v = match (l, r) {
+                            (Some(l), _) => src.get(*l),
+                            (None, Some(r)) => rc.get(*r),
+                            _ => Value::Null,
+                        };
+                        let v = crate::column::cast_value(&v, src.dtype());
+                        col.push_value(&v)?;
+                    }
+                    col
+                }
+                _ => src.take_opt(&lidx),
+            };
+            out.add_column(&field.name, col)?;
+        }
+        for (ci, field) in right.schema().fields().iter().enumerate() {
+            if right_on.iter().any(|k| field.name.eq_ignore_ascii_case(k)) {
+                continue;
+            }
+            let col = right.column_at(ci).take_opt(&ridx);
+            let name = if out.schema().index_of(&field.name).is_some() {
+                format!("{}_right", field.name)
+            } else {
+                field.name.clone()
+            };
+            out.add_column(&name, col)?;
+        }
+        Ok(out)
+    };
+    // A block holds a pair and, in `gather`, its two optional indices.
+    let found: usize = runs.iter().map(Run::len).sum();
+    let (block_rows, _block) = op.hold_some(found.min(op.block_rows()), 8 + 32);
+    let mut out: Option<Table> = None;
+    merge_runs(&mut op, runs, block_rows, |pairs| {
+        let mut block = gather(pairs)?;
+        match &mut out {
+            Some(out) => out.append(&block),
+            None => {
+                block.reserve(found - pairs.len());
+                out = Some(block);
+                Ok(())
+            }
+        }
+    })?;
+    match out {
+        Some(out) => Ok(out),
+        None => gather(&[]),
     }
-    Ok(out)
+}
+
+/// The row half of a pair that names no row: the other side's row is
+/// unmatched. As a left half it orders unmatched right rows after every
+/// left row.
+const NO_ROW: u32 = u32::MAX;
+
+/// `(left row, right row)` as one word that orders like the join's output.
+fn pack(l: Option<usize>, r: Option<usize>) -> u64 {
+    let half = |row: Option<usize>| row.map_or(NO_ROW, |row| row as u32) as u64;
+    half(l) << 32 | half(r)
+}
+
+/// The pairs of the left rows `lids` and the right rows `rids` list —
+/// produced by `depth` partitionings, the last of `within.0` and `within.1`
+/// rows — as sorted runs appended to `out`: matched at once if the governor
+/// admits the index, else a hash partition of both sides at a time.
+fn match_ids<'a>(
+    op: &mut Spill<'a>,
+    keys: (&[&Column], &[&Column]),
+    how: JoinType,
+    (mut lids, mut rids): (Ids<'a>, Ids<'a>),
+    (depth, lwithin, rwithin): (u32, usize, usize),
+    out: &mut Vec<Run<'a>>,
+) -> Result<()> {
+    let (l, r, k) = (lids.len(), rids.len(), keys.0.len() as u64);
+    let lone_left = matches!(how, JoinType::Left | JoinType::Full);
+    let track_matched = matches!(how, JoinType::Right | JoinType::Full);
+    if !(l > 0 && (r > 0 || lone_left) || r > 0 && track_matched) {
+        return Ok(());
+    }
+    // Work that cannot be split again — the depth cap, or rows the hash kept
+    // together (one key) — runs whatever the governor says.
+    let force = !(op.may_split(depth) && (l < lwithin || r < rwithin));
+    let need = join_state_bytes(r as u64, l as u64, k);
+    let mut state = op.hold(need, false);
+    if state.is_none() {
+        // The pairs of earlier partitions may be what holds the room.
+        out.iter_mut().try_for_each(|run| run.spill(op))?;
+        state = op.hold(need, force);
+    }
+    let rows = |cols: &[&Column]| cols.first().map_or(0, |c| c.len());
+    let mut load = |ids: &mut Ids<'a>, rows: usize| match ids {
+        Ids::Listed(run) if state.is_some() => run.load_ids(op, rows, force),
+        _ => Ok(state.is_some()),
+    };
+    let loaded = load(&mut lids, rows(keys.0))? && load(&mut rids, rows(keys.1))?;
+    if let (Some(mut state), true) = (state, loaded) {
+        // Build across morsels if their tables, and the one they merge
+        // into, are admitted as well; else as one.
+        let mut build = parallel::morsels(r);
+        let tables =
+            (build.len() > 1).then(|| op.hold(2 * join_state_bytes(r as u64, 0, k), false));
+        if tables.flatten().is_none() {
+            build.clear();
+            build.push(0..r);
+        }
+        // The index stores, per key, an intrusive chain of the right
+        // *positions* holding it: the map value is the (head, tail) of the
+        // chain and `next[position]` links to the following position with
+        // the same key. Compared to a `Vec<usize>` per key this needs no
+        // per-key heap allocation (mostly-unique keys would otherwise malloc
+        // once per right row) and probing a unique key touches no memory
+        // beyond the map entry itself, because `head == tail` ends the walk
+        // before `next` is ever read.
+        //
+        // Each morsel indexes its own range of positions. The first morsel's
+        // index and links are adopted as they are and the rest splice in
+        // behind them in morsel order, so every key's chain stays in
+        // ascending position order and a single morsel splices nothing.
+        let mut parts = parallel::run_morsels(&build, |m| {
+            let base = m.start;
+            let mut local_next: Vec<u32> = vec![u32::MAX; m.len()];
+            let mut map: FxHashMap<Key, (u32, u32)> =
+                FxHashMap::with_capacity_and_hasher(m.len(), Default::default());
+            for at in m {
+                if let Some(key) = ref_key(keys.1, rids.row(at)) {
+                    match map.entry(key) {
+                        Entry::Occupied(mut e) => {
+                            let chain = e.get_mut();
+                            local_next[chain.1 as usize - base] = at as u32;
+                            chain.1 = at as u32;
+                        }
+                        Entry::Vacant(e) => {
+                            e.insert((at as u32, at as u32));
+                        }
+                    }
+                }
+            }
+            (local_next, map)
+        })
+        .into_iter();
+        let (mut next, mut index) = parts.next().unwrap_or_default();
+        for (local_next, map) in parts {
+            next.extend(local_next);
+            index.reserve(map.len());
+            for (key, chain) in map {
+                match index.entry(key) {
+                    Entry::Occupied(mut e) => {
+                        let merged = e.get_mut();
+                        next[merged.1 as usize] = chain.0;
+                        merged.1 = chain.1;
+                    }
+                    Entry::Vacant(e) => {
+                        e.insert(chain);
+                    }
+                }
+            }
+        }
+
+        // Probe phase: per morsel of left positions, emitting pairs of rows
+        // in position order, a left row's matches along its chain. Matched
+        // right positions are flagged through atomics so right/full joins
+        // can backfill after all workers finish.
+        let flags = if track_matched { r } else { 0 };
+        let matched: Vec<AtomicBool> = (0..flags).map(|_| AtomicBool::new(false)).collect();
+        let found = parallel::run_morsels(&parallel::morsels(l), |m| {
+            let mut pairs = Vec::with_capacity(m.len());
+            for at in m {
+                let row = lids.row(at);
+                match ref_key(keys.0, row).and_then(|key| index.get(&key)) {
+                    Some(&(head, tail)) => {
+                        let mut rr = head as usize;
+                        loop {
+                            pairs.push(pack(Some(row), Some(rids.row(rr))));
+                            if track_matched {
+                                matched[rr].store(true, Ordering::Relaxed);
+                            }
+                            if rr == tail as usize {
+                                break;
+                            }
+                            rr = next[rr] as usize;
+                        }
+                    }
+                    None if lone_left => pairs.push(pack(Some(row), None)),
+                    None => {}
+                }
+            }
+            pairs
+        });
+        let lone = (0..flags).filter(|&at| !matched[at].load(Ordering::Relaxed));
+        let lone: Vec<u64> = lone.map(|at| pack(None, Some(rids.row(at)))).collect();
+        let mut pairs: Vec<u64> = Vec::new();
+        pairs.reserve_exact(found.iter().map(Vec::len).sum::<usize>() + lone.len());
+        found
+            .iter()
+            .chain([&lone])
+            .for_each(|part| pairs.extend_from_slice(part));
+        drop((index, next, matched, found));
+
+        // The pairs stay where they are if the governor admits as many as
+        // there turned out to be; else they go to a run file.
+        state.shrink_to(0);
+        let fits = state.try_grow(pairs.len() as u64 * 8);
+        let mut run = op.run_of(pairs, 1, state);
+        if !fits {
+            run.spill(op)?;
+        }
+        out.push(run);
+        return Ok(());
+    }
+
+    let parts = op.parts_for((l + r) as u64 * 8, |p| {
+        join_state_bytes(r as u64 / p, l as u64 / p, k)
+    });
+    let mut lruns = partition_ids(op, keys.0, lids, parts, depth as u64)?;
+    let mut rruns = partition_ids(op, keys.1, rids, parts, depth as u64)?;
+    let largest = |runs: &[Run]| runs.iter().map(Run::len).max().unwrap_or(0) as u64;
+    let (most_l, most_r) = (largest(&lruns), largest(&rruns));
+    let need = join_state_bytes(most_r, most_l, k) + (most_l + most_r) * 8;
+    op.make_room(&mut lruns, need)?;
+    op.make_room(&mut rruns, need)?;
+    for (lrun, rrun) in lruns.into_iter().zip(rruns) {
+        let ids = (Ids::Listed(lrun), Ids::Listed(rrun));
+        match_ids(op, keys, how, ids, (depth + 1, l, r), out)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -538,6 +676,36 @@ mod tests {
                     join_reference(&left, &right, &["a", "b"], &["a", "b"], how).unwrap()
                 );
             }
+        }
+    }
+
+    /// `join_state_bytes` is what the body books; it must cover what the
+    /// body allocates: the index table (sized before the build, so by
+    /// capacity), the chain links, the match flags, a composite key's parts,
+    /// and a pair per probe row.
+    #[test]
+    fn state_bytes_cover_what_the_index_allocates() {
+        let ints = Column::from_ints((0..1000).collect());
+        let strs = Column::from_strs((0..777).map(|i| format!("k{}", i % 40)).collect());
+        let both = [&Column::from_ints((0..300).map(|i| i % 7).collect()), &strs];
+        for cols in [&[&ints][..], &[&strs], &both] {
+            let n = cols.iter().map(|c| c.len()).min().unwrap();
+            let mut map: FxHashMap<Key, (u32, u32)> =
+                FxHashMap::with_capacity_and_hasher(n, Default::default());
+            map.extend((0..n).map(|row| (ref_key(cols, row).unwrap(), (0, 0))));
+            // hashbrown: `capacity` is 7/8 of a power-of-two bucket count.
+            let buckets = (map.capacity() * 8).div_ceil(7).next_power_of_two();
+            let table = buckets * (std::mem::size_of::<(Key, (u32, u32))>() + 1) + 16;
+            let parts = if cols.len() > 1 {
+                n * cols.len() * std::mem::size_of::<RefPart>()
+            } else {
+                0
+            };
+            let (next, flags, pairs) = (n * 4, n, 2 * n * 8);
+            let booked = join_state_bytes(n as u64, 2 * n as u64, cols.len() as u64);
+            let allocated = table + parts + next + flags + pairs;
+            assert!(booked as usize >= allocated, "{booked} < {allocated}");
+            assert!(booked as usize <= 3 * allocated, "{booked} for {allocated}");
         }
     }
 

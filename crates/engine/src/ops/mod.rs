@@ -15,13 +15,12 @@ pub mod sort;
 pub mod spill;
 pub mod window;
 
-pub use aggregate::{group_by, AggFunc, AggSpec};
+pub use aggregate::{group_by, group_by_with_mem, AggFunc, AggSpec};
 pub use concat::concat;
 pub use distinct::distinct;
 pub use filter::{filter, filter_serial, limit, project};
-pub use join::{join, JoinType};
+pub use join::{join, join_with_mem, JoinType};
 pub use pivot::pivot;
 pub use sample::{sample_fraction, sample_n};
-pub use sort::{sort_by, top_n, SortKey};
-pub use spill::{group_by_with_mem, join_with_mem, sort_by_with_mem};
+pub use sort::{sort_by, sort_by_with_mem, top_n, SortKey};
 pub use window::{add_row_numbers, lag, rolling_mean};

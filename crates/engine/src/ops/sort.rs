@@ -1,12 +1,16 @@
 //! Multi-key stable sort.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::ops::Range;
 
 use crate::column::Column;
-use crate::error::Result;
+use crate::error::{EngineError, Result};
+use crate::governor::{MemContext, Reservation};
 use crate::parallel;
 use crate::table::Table;
+
+use super::spill::{merge_runs, sort_state_bytes, Spill};
 
 /// One sort key: column name plus direction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,105 +39,179 @@ impl SortKey {
 
 /// Stable sort by the given keys. Nulls sort first on ascending keys and
 /// last on descending ones (a consequence of the total order on values).
-///
-/// Decorate-sort over row morsels (see [`crate::parallel`]): every key
-/// column is normalised once into fixed-width `u64` words whose unsigned
-/// order is the column's [`crate::value::Value::cmp_total`] order
-/// (`NormKeys`), and rows are sorted on those words with the row index as
-/// the last word — no two rows tie, so an unstable sort yields the stable
-/// order. One morsel is one sort; several are a sample sort in two rounds
-/// (`sort_morsels`), so the result never depends on the morsel count.
+/// [`sort_by_with_mem`] without a memory budget.
 pub fn sort_by(table: &Table, keys: &[SortKey]) -> Result<Table> {
+    sort_by_with_mem(table, keys, None)
+}
+
+/// [`sort_by`] whose state is booked against `mem`'s budget.
+///
+/// Every key column is normalised into fixed-width `u64` words whose
+/// unsigned order is the column's [`crate::value::Value::cmp_total`] order
+/// (`NormKeys`), and what is sorted are *records* — a row's key words, then
+/// the row number, so no two tie and an unstable sort yields the stable
+/// order. When the governor admits the records of the whole input
+/// ([`sort_state_bytes`]) they are one run: sorted where they stand — across
+/// morsels (`sort_morsels`) if the scatter copies are admitted too — and
+/// gathered with one `take`. Otherwise the input is cut into runs as long
+/// as the governor admits, each sorted the same way and released to a run
+/// file, and the runs are merged on their records while the output is
+/// gathered from the resident input a block at a time.
+pub fn sort_by_with_mem(
+    table: &Table,
+    keys: &[SortKey],
+    mem: Option<&MemContext>,
+) -> Result<Table> {
     if keys.is_empty() {
         return Ok(table.clone());
     }
-    let norm = NormKeys::new(table, keys)?;
-    Ok(table.take(&norm.order(None)))
+    let mut op = Spill::new(mem, "sort");
+    let norm = NormKeys::new(table, keys, &op)?;
+    let (rows, w) = (table.num_rows(), norm.width + 1);
+    // The rows sorted records name, in the records' own allocation.
+    let into_row_ids = |mut records: Vec<u64>| -> Vec<usize> {
+        let rows = records.len() / w;
+        (0..rows).for_each(|i| records[i] = records[i * w + w - 1]);
+        records.truncate(rows);
+        records.into_iter().map(|row| row as usize).collect()
+    };
+    let per_row = sort_state_bytes(1, norm.width as u64);
+    if let Some(_whole) = op.hold(rows as u64 * per_row, false) {
+        let mut morsels = parallel::morsels(rows);
+        // The scatter copies of a sort across morsels, if there is room.
+        let copies = (morsels.len() > 1).then(|| op.hold(3 * (rows * w * 8) as u64, false));
+        let copies = copies.flatten();
+        if copies.is_none() {
+            morsels.clear();
+        }
+        let records = sort_records(norm.records(0..rows), w, &morsels, None);
+        return Ok(table.take(&into_row_ids(records)));
+    }
+
+    let mut runs = Vec::new();
+    let mut start = 0;
+    while start < rows {
+        let (len, mut held) = op.hold_some(rows - start, per_row);
+        let records = sort_records(norm.records(start..start + len), w, &[], None);
+        held.shrink_to((records.len() * 8) as u64);
+        let mut run = op.run_of(records, w, held);
+        // The next run and then the gather need the room.
+        run.spill(&mut op)?;
+        runs.push(run);
+        start += len;
+    }
+    let (block_rows, _block) = op.hold_some(rows.min(op.block_rows()), 16);
+    let mut out = table.slice(0, 0);
+    out.reserve(rows);
+    merge_runs(&mut op, runs, block_rows, |block| {
+        let ids = row_ids(block, w);
+        match ids.iter().all(|&id| id < rows) {
+            true => out.append(&table.take(&ids)),
+            false => Err(EngineError::spill("run file names a row past the input")),
+        }
+    })?;
+    Ok(out)
 }
 
 /// The `n` rows with the largest values of `column` (ties broken by input
 /// order), used by "top N" skills: `sort_by` descending, cut to `n` rows —
-/// selected on the normalised keys, so only `n` rows are ordered and
-/// gathered.
+/// selected on the records, so only `n` rows are ordered and gathered.
 pub fn top_n(table: &Table, column: &str, n: usize) -> Result<Table> {
-    let norm = NormKeys::new(table, &[SortKey::desc(column)])?;
-    Ok(table.take(&norm.order(Some(n))))
+    let norm = NormKeys::new(table, &[SortKey::desc(column)], &Spill::new(None, "top"))?;
+    let (rows, w) = (table.num_rows(), norm.width + 1);
+    let records = sort_records(norm.records(0..rows), w, &[], Some(n));
+    Ok(table.take(&row_ids(&records, w)))
 }
 
-/// Row-major normalised sort keys: `width` words per row, compared
-/// lexicographically as unsigned integers.
+/// The rows `w`-word records name, in their order.
+fn row_ids(records: &[u64], w: usize) -> Vec<usize> {
+    let rows = records.chunks_exact(w).map(|record| record[w - 1] as usize);
+    rows.collect()
+}
+
+/// Normalised sort keys: `width` words per row, compared lexicographically
+/// as unsigned integers.
 ///
 /// | column | word of a valid row | null |
 /// |---|---|---|
-/// | `Bool`, `Date`, `Dict` | `1 +` the value's offset from the type's minimum (a dictionary is sorted, so a code is a rank; a plain `Str` key is dictionary-encoded first) | `0` |
+/// | `Bool`, `Date`, `Dict`, `Str` | `1 +` the value's offset from the type's minimum (a dictionary is sorted, so a code is a rank; a plain `Str` key is dictionary-encoded first, once for all rows) | `0` |
 /// | `Float` | total-order bits (`float_word`) | `0`, below `-inf` |
 /// | `Int` | sign bit flipped; that takes all 64 bits, so a column with nulls gets a validity word (`0` null, `1` valid) in front | `0` |
 ///
 /// A descending key complements its words, which also puts its nulls last.
-struct NormKeys {
+struct NormKeys<'t> {
     width: usize,
-    words: Vec<u64>,
+    /// Every key column — never a plain `Str` — and its complement mask.
+    keys: Vec<(Cow<'t, Column>, u64)>,
+    /// What the ranks of plain string keys occupy.
+    _ranks: Vec<Reservation>,
 }
 
-impl NormKeys {
-    fn new(table: &Table, keys: &[SortKey]) -> Result<NormKeys> {
-        let mut columns: Vec<Vec<u64>> = Vec::with_capacity(keys.len());
+impl<'t> NormKeys<'t> {
+    fn new(table: &'t Table, keys: &[SortKey], op: &Spill) -> Result<NormKeys<'t>> {
+        let (mut width, mut cols, mut ranks) = (0, Vec::with_capacity(keys.len()), Vec::new());
         for key in keys {
-            let col = table.column(&key.column)?;
-            let flip = if key.ascending { 0 } else { u64::MAX };
-            if let Column::Int(_, valid) = col {
-                if !valid.all_valid() {
-                    columns.push(valid.iter().map(|ok| ok as u64 ^ flip).collect());
-                }
+            let mut col = Cow::Borrowed(table.column(&key.column)?);
+            if let Column::Str(..) = &*col {
+                // Runs are merged on their records, so a string's rank must
+                // be its rank among all rows: there is no smaller state to
+                // fall back to, and a refusal is overridden.
+                ranks.extend(op.hold(4 * col.len() as u64, true));
+                col = Cow::Owned(col.dict_encode());
             }
-            columns.push(key_words(col, flip));
+            let nullable_int = matches!(&*col, Column::Int(_, valid) if !valid.all_valid());
+            width += 1 + nullable_int as usize;
+            cols.push((col, if key.ascending { 0 } else { u64::MAX }));
         }
-        let width = columns.len();
-        let words = match <[Vec<u64>; 1]>::try_from(columns) {
-            Ok([only]) => only,
-            Err(columns) => {
-                let mut words = vec![0; table.num_rows() * width];
-                for (j, column) in columns.iter().enumerate() {
-                    for (i, w) in column.iter().enumerate() {
-                        words[i * width + j] = *w;
+        Ok(NormKeys {
+            width,
+            keys: cols,
+            _ranks: ranks,
+        })
+    }
+
+    /// The records of `rows`: `width` key words, then the row number.
+    fn records(&self, rows: Range<usize>) -> Vec<u64> {
+        const SIGN: u64 = 1 << 63;
+        let w = self.width + 1;
+        let mut records = vec![0; rows.len() * w];
+        // `word(row)` into word `at.0` of every `at.1`-word record, and the
+        // row into its last.
+        fn fill(
+            into: &mut [u64],
+            at: (usize, usize),
+            rows: &Range<usize>,
+            word: impl Fn(usize) -> u64,
+        ) {
+            let records = into.chunks_exact_mut(at.1).zip(rows.clone());
+            records.for_each(|(record, i)| (record[at.0], record[at.1 - 1]) = (word(i), i as u64));
+        }
+        let mut at = 0;
+        for (col, flip) in &self.keys {
+            let (flip, valid, into) = (*flip, col.validity(), &mut records[..]);
+            let or_null = |i: usize, word: u64| if valid.get(i) { word ^ flip } else { flip };
+            match &**col {
+                Column::Bool(v, _) => fill(into, (at, w), &rows, |i| or_null(i, 1 + v[i] as u64)),
+                Column::Int(v, _) => {
+                    if !valid.all_valid() {
+                        fill(into, (at, w), &rows, |i| valid.get(i) as u64 ^ flip);
+                        at += 1;
                     }
+                    fill(into, (at, w), &rows, |i| or_null(i, v[i] as u64 ^ SIGN));
                 }
-                words
+                Column::Float(v, _) => fill(into, (at, w), &rows, |i| or_null(i, float_word(v[i]))),
+                Column::Date(v, _) => fill(into, (at, w), &rows, |i| {
+                    or_null(i, 1 + (v[i] as i64 - i32::MIN as i64) as u64)
+                }),
+                Column::Dict(codes, _, _) => {
+                    fill(into, (at, w), &rows, |i| or_null(i, 1 + codes[i] as u64))
+                }
+                // `new` dictionary-encoded it.
+                Column::Str(..) => {}
             }
-        };
-        Ok(NormKeys { width, words })
-    }
-
-    /// Row indices in key order, ties in row order; with `limit`, only the
-    /// first `limit` of them.
-    fn order(&self, limit: Option<usize>) -> Vec<usize> {
-        let rows = self.words.len() / self.width;
-        if self.width == 1 {
-            // One word: `(word, row)` pairs sort in place, no indirection.
-            let pairs = ordered(rows, limit, |i| (self.words[i], i), Ord::cmp);
-            return pairs.into_iter().map(|(_, i)| i).collect();
+            at += 1;
         }
-        let row = |i: usize| &self.words[i * self.width..(i + 1) * self.width];
-        let by_words = |a: &usize, b: &usize| row(*a).cmp(row(*b)).then(a.cmp(b));
-        ordered(rows, limit, |i| i, by_words)
-    }
-}
-
-/// One word per row of `col` (see [`NormKeys`]), complemented by `flip`.
-fn key_words(col: &Column, flip: u64) -> Vec<u64> {
-    const SIGN: u64 = 1 << 63;
-    let valid = col.validity();
-    let word = |i: usize, w: u64| if valid.get(i) { w ^ flip } else { flip };
-    let rows = 0..col.len();
-    match col {
-        Column::Bool(v, _) => rows.map(|i| word(i, 1 + v[i] as u64)).collect(),
-        Column::Int(v, _) => rows.map(|i| word(i, v[i] as u64 ^ SIGN)).collect(),
-        Column::Float(v, _) => rows.map(|i| word(i, float_word(v[i]))).collect(),
-        Column::Date(v, _) => rows
-            .map(|i| word(i, 1 + (v[i] as i64 - i32::MIN as i64) as u64))
-            .collect(),
-        Column::Dict(codes, _, _) => rows.map(|i| word(i, 1 + codes[i] as u64)).collect(),
-        Column::Str(..) => key_words(&col.dict_encode(), flip),
+        records
     }
 }
 
@@ -152,57 +230,84 @@ fn float_word(x: f64) -> u64 {
     }
 }
 
-/// `make(row)` for every row, sorted by `cmp` — a strict total order, its
-/// last tiebreak the row — or, with `limit`, only the `limit` smallest,
-/// which selects on the calling thread in linear time.
-fn ordered<E: Copy + Send + Sync>(
-    rows: usize,
+/// Sort `w`-word records (no two equal) where they stand, or across
+/// `morsels` of them when several are given; with `limit`, keep only the
+/// `limit` smallest, which selects in linear time before it sorts.
+pub(crate) fn sort_records(
+    records: Vec<u64>,
+    w: usize,
+    morsels: &[Range<usize>],
     limit: Option<usize>,
-    make: impl Fn(usize) -> E + Sync,
-    cmp: impl Fn(&E, &E) -> Ordering + Sync,
-) -> Vec<E> {
-    let Some(n) = limit else {
-        return sort_morsels(&parallel::morsels(rows), make, cmp);
-    };
-    let mut all: Vec<E> = (0..rows).map(make).collect();
-    if (1..rows).contains(&n) {
-        all.select_nth_unstable_by(n - 1, &cmp);
+) -> Vec<u64> {
+    fn fixed<const W: usize>(
+        mut records: Vec<u64>,
+        morsels: &[Range<usize>],
+        limit: Option<usize>,
+    ) -> Vec<u64> {
+        // The first word decides nearly always; comparing it on its own
+        // sorts a sixth faster than the array's `Ord`, which goes through
+        // slices.
+        let by_words =
+            |a: &[u64; W], b: &[u64; W]| a[0].cmp(&b[0]).then_with(|| a[1..].cmp(&b[1..]));
+        let (all, _) = records.as_chunks_mut::<W>();
+        let keep = limit.map_or(all.len(), |n| n.min(all.len()));
+        if (1..all.len()).contains(&keep) {
+            all.select_nth_unstable_by(keep - 1, by_words);
+        }
+        if morsels.len() > 1 && keep == all.len() {
+            return sort_morsels(all, morsels, by_words).into_flattened();
+        }
+        all[..keep].sort_unstable_by(by_words);
+        records.truncate(keep * W);
+        records
     }
-    all.truncate(n);
-    all.sort_unstable_by(&cmp);
-    all
+    match w {
+        1 => fixed::<1>(records, morsels, limit),
+        2 => fixed::<2>(records, morsels, limit),
+        3 => fixed::<3>(records, morsels, limit),
+        4 => fixed::<4>(records, morsels, limit),
+        _ => by_index(records, w, limit),
+    }
 }
 
-/// Sort `make(row)` of every row of `morsels` (contiguous from row 0) in
-/// two rounds on the worker pool, with no merge: splitters drawn from an
-/// evenly spaced sample cut the order into one bucket per morsel, every
-/// morsel scatters its rows into the buckets, and every bucket — the
-/// morsels' shares of it, concatenated — is sorted on its own. One morsel
-/// is one bucket, sorted where it stands.
+/// [`sort_records`] for records wider than it has a fixed-size sort for:
+/// sort a row index on the records and copy them out in its order.
+fn by_index(records: Vec<u64>, w: usize, limit: Option<usize>) -> Vec<u64> {
+    let record = |i: &usize| &records[i * w..][..w];
+    let mut order: Vec<usize> = (0..records.len() / w).collect();
+    order.sort_unstable_by(|a, b| record(a).cmp(record(b)));
+    order.truncate(limit.unwrap_or(order.len()));
+    let mut sorted = Vec::with_capacity(order.len() * w);
+    order
+        .iter()
+        .for_each(|i| sorted.extend_from_slice(record(i)));
+    sorted
+}
+
+/// Sort the elements of `all` (no two equal), cut into `morsels`
+/// (contiguous from 0), in two rounds on the worker pool with no merge:
+/// splitters drawn from an evenly spaced sample cut the order into one
+/// bucket per morsel, every morsel scatters its elements into the buckets,
+/// and every bucket — the morsels' shares of it, concatenated — is sorted
+/// on its own.
 fn sort_morsels<E: Copy + Send + Sync>(
+    all: &[E],
     morsels: &[Range<usize>],
-    make: impl Fn(usize) -> E + Sync,
     cmp: impl Fn(&E, &E) -> Ordering + Sync,
 ) -> Vec<E> {
-    /// Sampled rows per bucket: evens out bucket sizes, which only balance
-    /// the second round's load.
+    /// Sampled elements per bucket: evens out bucket sizes, which only
+    /// balance the second round's load.
     const OVERSAMPLE: usize = 32;
-    let rows = morsels.last().map_or(0, |r| r.end);
     let k = morsels.len();
-    if k <= 1 {
-        let mut all: Vec<E> = (0..rows).map(make).collect();
-        all.sort_unstable_by(&cmp);
-        return all;
-    }
-    let step = (rows / (k * OVERSAMPLE)).max(1);
-    let mut sample: Vec<E> = (0..rows).step_by(step).map(&make).collect();
+    let step = (all.len() / (k * OVERSAMPLE)).max(1);
+    let mut sample: Vec<E> = all.iter().step_by(step).copied().collect();
     sample.sort_unstable_by(&cmp);
     let splitters: Vec<E> = (1..k).map(|j| sample[j * sample.len() / k]).collect();
     let scattered: Vec<Vec<Vec<E>>> = parallel::run_morsels(morsels, |r| {
         let mut buckets: Vec<Vec<E>> = vec![Vec::new(); k];
-        for e in r.map(&make) {
-            let b = splitters.partition_point(|s| cmp(s, &e) != Ordering::Greater);
-            buckets[b].push(e);
+        for e in &all[r] {
+            let bucket = splitters.partition_point(|s| cmp(s, e) != Ordering::Greater);
+            buckets[bucket].push(*e);
         }
         buckets
     });
@@ -324,14 +429,14 @@ mod tests {
                     let col = t.column(name).unwrap();
                     for ascending in [true, false] {
                         let key = SortKey { column: name.into(), ascending };
-                        let norm = NormKeys::new(t, &[key]).unwrap();
-                        let w = norm.width;
+                        let norm = NormKeys::new(t, &[key], &Spill::new(None, "test")).unwrap();
+                        let (w, records) = (norm.width, norm.records(0..rows.len()));
+                        let words = |row: usize| &records[row * (w + 1)..][..w];
                         for a in 0..rows.len() {
                             for b in 0..rows.len() {
                                 let want = col.get(a).cmp_total(&col.get(b));
                                 let want = if ascending { want } else { want.reverse() };
-                                let got = norm.words[a * w..][..w].cmp(&norm.words[b * w..][..w]);
-                                prop_assert_eq!(got, want, "{} rows {} and {}", name, a, b);
+                                prop_assert_eq!(words(a).cmp(words(b)), want, "{} rows {} and {}", name, a, b);
                             }
                         }
                     }
@@ -385,9 +490,53 @@ mod tests {
             let starts = std::iter::once(0).chain(ends.iter().copied());
             let morsels: Vec<Range<usize>> =
                 starts.zip(&ends).map(|(s, &e)| s..e).filter(|r| !r.is_empty()).collect();
-            let mut want: Vec<(u32, usize)> = vals.iter().copied().zip(0..).collect();
+            let all: Vec<(u32, usize)> = vals.iter().copied().zip(0..).collect();
+            let mut want = all.clone();
             want.sort_unstable();
-            prop_assert_eq!(sort_morsels(&morsels, |i| (vals[i], i), Ord::cmp), want);
+            if morsels.len() > 1 {
+                prop_assert_eq!(sort_morsels(&all, &morsels, Ord::cmp), want);
+            }
+        }
+    }
+
+    /// `sort_state_bytes` is what the body books; it must cover what the
+    /// body allocates: the records, and the row index they are read out into
+    /// — for records too wide for a fixed-size sort, the index they are
+    /// sorted through and the copy they come out as.
+    #[test]
+    fn state_bytes_cover_the_records_and_the_row_index() {
+        let rows: Vec<Row> = (0..500i64)
+            .map(|i| {
+                let int = (i % 7 != 0).then_some(i % 13);
+                let text = Some(format!("s{}", i % 5));
+                (text, int, Some(i as f64), Some(i as i32), Some(i % 2 == 0))
+            })
+            .collect();
+        let t = edge_table(&rows).encode_strings();
+        for (keys, width) in [
+            (vec![SortKey::asc("f")], 1),
+            (vec![SortKey::asc("i"), SortKey::desc("s")], 3),
+            (
+                vec![
+                    SortKey::asc("i"),
+                    SortKey::desc("s"),
+                    SortKey::asc("d"),
+                    SortKey::asc("b"),
+                ],
+                5,
+            ),
+        ] {
+            let norm = NormKeys::new(&t, &keys, &Spill::new(None, "test")).unwrap();
+            assert_eq!(norm.width, width);
+            let records = sort_records(norm.records(0..500), width + 1, &[], None);
+            let index: Vec<usize> = (0..500).collect();
+            let copy = if width + 1 > 4 { records.capacity() } else { 0 };
+            let allocated = (records.capacity() + copy + index.capacity()) * 8;
+            let booked = sort_state_bytes(500, width as u64) as usize;
+            assert!(
+                (allocated..=2 * allocated).contains(&booked),
+                "{booked} for {allocated}"
+            );
         }
     }
 

@@ -1,949 +1,1132 @@
-//! Memory-governed variants of the heavy operators (hash join, group-by,
-//! sort) with partitioned spill paths.
+//! What the governed join, group-by and sort share: the sizes of the state
+//! they book, and *runs* — the only thing an operator ever writes to disk.
 //!
-//! Each `*_with_mem` entry point first tries to reserve its estimated
-//! transient state against the [`MemContext`]'s governor. When the
-//! reservation is admitted, the existing in-memory kernel runs unchanged
-//! (the fast path pays only one atomic compare-exchange). When it is
-//! refused, the operator degrades to disk:
+//! The operators borrow resident inputs and never copy them. They book the
+//! state they allocate (hash index, group table, sort records, join pairs)
+//! through a [`Spill`] handle, and when the governor refuses they bound that
+//! state by partitioning their *work*: [`partition_ids`] splits row ids —
+//! not rows — by key hash, and each partition goes through the same kernel
+//! body over its ids. State that is itself O(n) — id lists, sort records,
+//! join pairs — lives in [`Run`]s: append-only sequences of `width`-word
+//! `u64` records, resident while their growing reservation is admitted and
+//! from the first refusal on a DCB1 file of `Int` columns (one per word) in
+//! the operator's [`ScopedSpillDir`], which is created with the first file.
+//! Every block written or read passes the context's chaos hooks, a sealed
+//! file is one `spill_partitions` count, an operator that wrote anything one
+//! `spill_events` count, and a file is deleted when read to its end. Sorted
+//! runs merge k ways ([`merge_runs`]); records end in a row id or are packed
+//! row pairs, so no two compare equal and the merge needs no tie rule.
 //!
-//! * **join** — Grace-style: both sides are hash-partitioned on the join
-//!   keys into spill files, each partition pair is joined independently
-//!   (recursing with a fresh hash salt if a partition is still over
-//!   budget), and the concatenated result is re-sorted by hidden row-id
-//!   columns so the output row order is byte-identical to the in-memory
-//!   join.
-//! * **group-by** — rows are hash-partitioned on the full group key, each
-//!   partition is aggregated independently with a hidden `min(row-id)`
-//!   aggregate, and the partials are stitched back in first-encounter
-//!   order by sorting on that hidden column. A group's rows all land in
-//!   one partition in their original ascending order, so per-group
-//!   accumulation sequences — and therefore results, including
-//!   order-sensitive aggregates — match the unpartitioned run.
-//! * **sort** — external merge sort: input slices are sorted in memory
-//!   and written as runs, then merged k ways (multiple passes if the run
-//!   count exceeds the fan-out) with ties taken from the lowest-numbered
-//!   run, which preserves stability because runs are input-order slices.
+//! Without a context (`mem = None`) the governor is an unlimited one, so
+//! the kernels take one partition, keep everything resident and write
+//! nothing: the unbudgeted operator is the same body.
 //!
-//! All spill files flow through [`crate::blockio`], so dictionary columns
-//! stay encoded on disk. Spill files live in per-operator
-//! [`ScopedSpillDir`]s and are removed when the operator finishes — or
-//! unwinds.
+//! Not booked: one block of at most [`MemContext::spill_block_rows`]
+//! records per run file being read or written, and [`FLOOR_RECORDS`]
+//! records where the governor admits nothing at all — bounded whatever the
+//! input.
 
-use std::hash::Hasher;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use crate::bitmap::Bitmap;
 use crate::blockio::{BlockFile, BlockWriter};
 use crate::column::Column;
-use crate::error::Result;
-use crate::governor::MemContext;
-use crate::hash::FxHasher;
+use crate::error::{EngineError, Result};
+use crate::governor::{MemContext, MemoryGovernor, Reservation, ScopedSpillDir};
+use crate::hash::{mix, mix_bytes};
+use crate::ops::aggregate::AggFunc;
+use crate::ops::sort::sort_records;
 use crate::table::Table;
-use crate::value::Value;
-
-use super::aggregate::{group_by, AggFunc, AggSpec};
-use super::concat::concat;
-use super::join::{join, JoinType};
-use super::sort::{sort_by, SortKey};
 
 // ---------------------------------------------------------------------------
-// State estimates
-//
-// Deliberately conservative (upper-bound-ish) byte estimates of the
-// transient state each in-memory kernel allocates. Refusal only degrades
-// to disk, so overestimating costs speed, never correctness.
+// State sizes: upper bounds, as pure functions of counts, of what a kernel
+// body allocates for one morsel. The kernels book exactly these (their unit
+// tests compare them with the capacities really allocated) and `dc-analyze`
+// calls them with its lower bounds to predict a spill.
 // ---------------------------------------------------------------------------
 
-/// Hash-join transient state: the build-side index (map + chain links)
-/// plus the probe-side pair vectors.
-pub fn join_state_bytes(left: &Table, right: &Table) -> u64 {
-    right.byte_size() as u64 + 32 * right.num_rows() as u64 + 16 * left.num_rows() as u64
+/// Bytes per key of a hash table of `entry`-byte entries (and a control
+/// byte each) at its emptiest: just after doubling it is 7/16 full.
+const fn table_bytes_per_key(entry: u64) -> u64 {
+    (entry + 1) * 16 / 7 + 1
 }
 
-/// Group-by transient state: key materialization plus the group index,
-/// bounded by every row forming its own group.
-pub fn group_state_bytes(table: &Table) -> u64 {
-    table.byte_size() as u64 + 32 * table.num_rows() as u64
+/// The join index maps a typed key (up to 32 bytes) to a chain's two ends.
+const INDEX_BYTES_PER_KEY: u64 = table_bytes_per_key(40);
+
+/// The group encoder maps a value or a `(group, code)` pair (up to 16
+/// bytes) to an id, in a table that grows as it fills: while it doubles,
+/// the old half is still there.
+const ENCODER_BYTES_PER_KEY: u64 = table_bytes_per_key(24) * 3 / 2;
+
+/// Hash-join state on `keys` key columns: the index over `build_rows` (a
+/// table entry, a chain link and a match flag per row, and a composite
+/// key's parts on the heap) and one packed pair per probe row.
+pub fn join_state_bytes(build_rows: u64, probe_rows: u64, keys: u64) -> u64 {
+    let parts = if keys > 1 { keys * 24 } else { 0 };
+    build_rows * (INDEX_BYTES_PER_KEY + parts + 4 + 1) + probe_rows * 8
 }
 
-/// Sort transient state: decorated keys plus the index permutation and
-/// the gathered output copy.
-pub fn sort_state_bytes(table: &Table) -> u64 {
-    table.byte_size() as u64 + 16 * table.num_rows() as u64
+/// Sort state: a record of `key_words + 1` words per row, and the row index
+/// the records are sorted through or read out into; records of more than
+/// four words are sorted through the index into a copy.
+pub fn sort_state_bytes(rows: u64, key_words: u64) -> u64 {
+    let copy = if key_words > 3 { key_words + 1 } else { 0 };
+    rows * 8 * (key_words + 2 + copy)
 }
 
-// ---------------------------------------------------------------------------
-// Row partitioning
-// ---------------------------------------------------------------------------
-
-/// Hash the key columns of one row for partition placement.
-///
-/// Placement must be consistent with key equality in *both* the join
-/// (`RefPart`) and group-by (`KeyPart`) senses: equal keys must land in
-/// the same partition. Floats fold `-0.0` into `0.0` and every NaN into
-/// one canonical NaN (joins never match NaN-to-NaN anyway; group-by
-/// groups all NaNs together). Dict and plain strings hash by content.
-/// `salt` varies per recursion depth so re-partitioning a skewed
-/// partition actually redistributes it.
-fn key_hash(cols: &[&Column], row: usize, salt: u64) -> u64 {
-    let mut h = FxHasher::default();
-    h.write_u64(
-        salt.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(0x5bd1_e995),
-    );
-    for col in cols {
-        match col {
-            Column::Bool(v, b) => {
-                if b.get(row) {
-                    h.write_u8(1);
-                    h.write_u8(v[row] as u8);
-                } else {
-                    h.write_u8(0);
-                }
-            }
-            Column::Int(v, b) => {
-                if b.get(row) {
-                    h.write_u8(2);
-                    h.write_u64(v[row] as u64);
-                } else {
-                    h.write_u8(0);
-                }
-            }
-            Column::Float(v, b) => {
-                if b.get(row) {
-                    let f = if v[row] == 0.0 { 0.0 } else { v[row] };
-                    let f = if f.is_nan() { f64::NAN } else { f };
-                    h.write_u8(3);
-                    h.write_u64(f.to_bits());
-                } else {
-                    h.write_u8(0);
-                }
-            }
-            Column::Str(v, b) => {
-                if b.get(row) {
-                    h.write_u8(4);
-                    h.write_u64(v[row].len() as u64);
-                    h.write(v[row].as_bytes());
-                } else {
-                    h.write_u8(0);
-                }
-            }
-            Column::Dict(codes, dict, b) => {
-                if b.get(row) {
-                    let s = dict[codes[row] as usize].as_str();
-                    h.write_u8(4);
-                    h.write_u64(s.len() as u64);
-                    h.write(s.as_bytes());
-                } else {
-                    h.write_u8(0);
-                }
-            }
-            Column::Date(v, b) => {
-                if b.get(row) {
-                    h.write_u8(5);
-                    h.write_u64(v[row] as u64);
-                } else {
-                    h.write_u8(0);
-                }
-            }
+/// Per-row and per-group bytes of a group-by over `keys` key columns
+/// computing `aggs`. Per row: group ids and the codes that refine them, and
+/// what `Median` and `CountDistinct` keep of every input. Per group: the
+/// representative row, the accumulators, and the key encoder's tables — a
+/// column has at most as many distinct values as there are groups, and each
+/// key column after the first adds a table of `(group, code)` pairs.
+pub fn group_widths(keys: usize, aggs: impl Iterator<Item = AggFunc>) -> (u64, u64) {
+    use AggFunc::*;
+    let tables = (2 * keys as u64).saturating_sub(1);
+    let (mut per_row, mut per_group) = (8, 8 + tables * ENCODER_BYTES_PER_KEY);
+    for func in aggs {
+        match func {
+            Count | CountRecords => per_group += 8,
+            Avg | Min | Max | First | Last => per_group += 16,
+            Sum | StdDev | Variance => per_group += 24,
+            Median => per_row += 16,
+            CountDistinct => per_row += 40 + 2 * ENCODER_BYTES_PER_KEY,
         }
     }
-    h.finish()
+    (per_row, per_group)
 }
 
-/// One spilled partition file.
-struct SpillPart {
-    path: PathBuf,
-    rows: usize,
+/// Group-by state over `rows` rows forming `groups` groups, with the widths
+/// [`group_widths`] gives.
+pub fn group_state_bytes(rows: u64, groups: u64, (per_row, per_group): (u64, u64)) -> u64 {
+    rows * per_row + groups * per_group
 }
 
-/// Hash-partition `table` on `key_idx` columns into `ctx.fanout` spill
-/// files under `dir`, processing input in chunks of `spill_block_rows`
-/// rows so the transient buffers stay small. Every partition file starts
-/// with a schema-defining empty block, so empty partitions read back as
-/// zero-row tables with the right schema.
-fn partition_table(
-    table: &Table,
-    key_idx: &[usize],
-    ctx: &MemContext,
-    dir: &Path,
-    salt: u64,
-    tag: &str,
-) -> Result<Vec<SpillPart>> {
-    let fanout = ctx.fanout.max(2);
-    let mut writers = Vec::with_capacity(fanout);
-    let empty = table.slice(0, 0);
-    for p in 0..fanout {
-        let mut w = BlockWriter::create(dir.join(format!("{tag}-p{p}.dcb")))?.without_zones();
-        ctx.check_spill_write()?;
-        w.append(&empty)?;
-        writers.push(w);
-    }
-    let n = table.num_rows();
-    let mut rows_per_part = vec![0usize; fanout];
-    let mut start = 0;
-    while start < n {
-        let chunk = table.slice(start, ctx.spill_block_rows.max(1));
-        let kcols: Vec<&Column> = key_idx.iter().map(|&i| chunk.column_at(i)).collect();
-        let mut idx: Vec<Vec<usize>> = vec![Vec::new(); fanout];
-        for row in 0..chunk.num_rows() {
-            let p = (key_hash(&kcols, row, salt) % fanout as u64) as usize;
-            idx[p].push(row);
+// ---------------------------------------------------------------------------
+// The operator's handle on the budget and the spill directory
+// ---------------------------------------------------------------------------
+
+/// Records an operator works with where the governor admits nothing: a
+/// run's buffer, a gather block. Below the budget's resolution, so unbooked.
+pub(crate) const FLOOR_RECORDS: usize = 64;
+
+/// One operator execution's view of its [`MemContext`]: what it asks the
+/// governor through, and where its run files go.
+pub(crate) struct Spill<'a> {
+    ctx: Option<&'a MemContext>,
+    governor: Arc<MemoryGovernor>,
+    label: &'static str,
+    dir: Option<ScopedSpillDir>,
+    files: usize,
+}
+
+impl<'a> Spill<'a> {
+    pub(crate) fn new(ctx: Option<&'a MemContext>, label: &'static str) -> Spill<'a> {
+        let governor = ctx.map_or_else(MemoryGovernor::unlimited, |c| Arc::clone(&c.governor));
+        Spill {
+            ctx,
+            governor,
+            label,
+            dir: None,
+            files: 0,
         }
-        for (p, rows) in idx.iter().enumerate() {
-            if rows.is_empty() {
-                continue;
+    }
+
+    /// `bytes` of the budget, `None` when the governor refuses them; with
+    /// `force`, a refusal is overridden.
+    pub(crate) fn hold(&self, bytes: u64, force: bool) -> Option<Reservation> {
+        let held = self.governor.try_reserve(bytes);
+        held.or_else(|| force.then(|| self.governor.reserve_force(bytes)))
+    }
+
+    /// Room for as many of `want` items of `each` bytes as the governor has
+    /// now; [`FLOOR_RECORDS`] (unbooked) when it has less than that.
+    pub(crate) fn hold_some(&self, want: usize, each: u64) -> (usize, Reservation) {
+        let n = want.min((self.governor.available() / each.max(1)) as usize);
+        match self.hold(n as u64 * each, false) {
+            Some(held) if n >= want.min(FLOOR_RECORDS) => (n, held),
+            _ => (want.min(FLOOR_RECORDS), self.governor.reserve_force(0)),
+        }
+    }
+
+    /// How many partitions bring `need(parts)` — the state of one of `parts`
+    /// equal partitions — under half of what the governor has left beside
+    /// `resident` bytes of id lists: at least 2, at most `fanout`.
+    pub(crate) fn parts_for(&self, resident: u64, need: impl Fn(u64) -> u64) -> usize {
+        let room = self.governor.available().saturating_sub(resident) / 2;
+        let fanout = self.fanout();
+        (2..fanout)
+            .find(|&p| need(p as u64) <= room)
+            .unwrap_or(fanout)
+    }
+
+    /// Most partitions per level and most runs per merge.
+    fn fanout(&self) -> usize {
+        self.ctx.map_or(2, |c| c.fanout.max(2))
+    }
+
+    /// Release the id lists `runs` to disk unless, beside them, the
+    /// governor has the `need` bytes of their largest partition's state.
+    pub(crate) fn make_room(&mut self, runs: &mut [Run<'a>], need: u64) -> Result<()> {
+        if self.governor.available() < need {
+            runs.iter_mut().try_for_each(|run| run.spill(self))?;
+        }
+        Ok(())
+    }
+
+    /// Whether work that `depth` partitionings produced may be split again.
+    pub(crate) fn may_split(&self, depth: u32) -> bool {
+        self.ctx.is_some_and(|c| depth < c.max_recursion)
+    }
+
+    /// Most records per run-file block and rows per gather.
+    pub(crate) fn block_rows(&self) -> usize {
+        self.ctx.map_or(usize::MAX, |c| c.spill_block_rows.max(1))
+    }
+
+    /// A run of `width`-word records: the sorted `records`, which occupy
+    /// `held`, to begin with.
+    pub(crate) fn run_of(&self, records: Vec<u64>, width: usize, held: Reservation) -> Run<'a> {
+        Run {
+            width,
+            len: records.len() / width,
+            buf: records,
+            at: 0,
+            held,
+            file: RunFile::None,
+        }
+    }
+
+    /// An empty run of `width`-word records.
+    pub(crate) fn run(&self, width: usize) -> Run<'a> {
+        self.run_of(Vec::new(), width, self.governor.reserve_force(0))
+    }
+
+    /// The next run file of this operator; the first one creates the
+    /// operator's directory and counts the spill event.
+    fn create(&mut self) -> Result<(&'a MemContext, BlockWriter)> {
+        let no_context = || EngineError::spill("a run without a memory context cannot spill");
+        let ctx = self.ctx.ok_or_else(no_context)?;
+        let dir = match &self.dir {
+            Some(dir) => dir,
+            None => {
+                ctx.metrics.record_event();
+                self.dir.insert(ctx.op_dir(self.label)?)
             }
-            let part = chunk.take(rows);
-            ctx.check_spill_write()?;
-            writers[p].append(&part)?;
-            rows_per_part[p] += rows.len();
-        }
-        start += chunk.num_rows().max(1);
-    }
-    let mut parts = Vec::with_capacity(fanout);
-    for (p, w) in writers.into_iter().enumerate() {
-        let path = w.path().to_path_buf();
-        let summary = w.finish()?;
-        ctx.metrics.record_file(summary.total_bytes);
-        parts.push(SpillPart {
-            path,
-            rows: rows_per_part[p],
-        });
-    }
-    Ok(parts)
-}
-
-/// Read a whole spill file back, then delete it (partitions are consumed
-/// exactly once; eager removal bounds peak disk usage).
-fn consume_spill(ctx: &MemContext, path: &Path) -> Result<Table> {
-    ctx.check_spill_read()?;
-    let f = BlockFile::open(path)?;
-    let (t, _) = f.read_all()?;
-    drop(f);
-    let _ = std::fs::remove_file(path);
-    Ok(t)
-}
-
-/// A helper-column name absent from every given schema and the extra
-/// reserved names.
-fn fresh_name(tables: &[&Table], extra: &[&str], base: &str) -> String {
-    let taken = |name: &str| {
-        tables.iter().any(|t| t.schema().index_of(name).is_some())
-            || extra.iter().any(|e| e.eq_ignore_ascii_case(name))
-    };
-    if !taken(base) {
-        return base.to_string();
-    }
-    let mut n = 0u64;
-    loop {
-        let candidate = format!("{base}{n}");
-        if !taken(&candidate) {
-            return candidate;
-        }
-        n += 1;
-    }
-}
-
-/// A dense 0..n row-id column.
-fn rowid_column(n: usize) -> Column {
-    Column::Int((0..n as i64).collect(), Bitmap::new_valid(n))
-}
-
-// ---------------------------------------------------------------------------
-// Join
-// ---------------------------------------------------------------------------
-
-/// [`join`] with an optional memory governor. Under budget (or with no
-/// context) this is exactly the in-memory join; over budget it degrades
-/// to a Grace-style partitioned join with identical output.
-pub fn join_with_mem(
-    left: &Table,
-    right: &Table,
-    left_on: &[&str],
-    right_on: &[&str],
-    how: JoinType,
-    mem: Option<&MemContext>,
-) -> Result<Table> {
-    let Some(ctx) = mem else {
-        return join(left, right, left_on, right_on, how);
-    };
-    let est = join_state_bytes(left, right);
-    if let Some(_admitted) = ctx.governor.try_reserve(est) {
-        return join(left, right, left_on, right_on, how);
-    }
-    // Surface validation errors (unknown keys, incompatible types) before
-    // any spill I/O happens.
-    join(&left.head(0), &right.head(0), left_on, right_on, how)?;
-    ctx.metrics.record_event();
-
-    let lrow = fresh_name(&[left, right], &[], "__spill_lrow");
-    let rrow = fresh_name(&[left, right], &[&lrow], "__spill_rrow");
-    let left2 = left.with_column(&lrow, rowid_column(left.num_rows()))?;
-    let right2 = right.with_column(&rrow, rowid_column(right.num_rows()))?;
-
-    let out = grace_join(&left2, &right2, left_on, right_on, how, ctx, 0)?;
-    let out = restore_join_order(&out, &lrow, &rrow);
-    out.drop_column(&lrow)?.drop_column(&rrow)
-}
-
-fn grace_join(
-    left: &Table,
-    right: &Table,
-    left_on: &[&str],
-    right_on: &[&str],
-    how: JoinType,
-    ctx: &MemContext,
-    depth: u32,
-) -> Result<Table> {
-    let dir = ctx.op_dir(&format!("join-d{depth}"))?;
-    let lkey_idx: Vec<usize> = left_on
-        .iter()
-        .map(|k| left.schema().index_of(k).expect("validated join key"))
-        .collect();
-    let rkey_idx: Vec<usize> = right_on
-        .iter()
-        .map(|k| right.schema().index_of(k).expect("validated join key"))
-        .collect();
-    let lparts = partition_table(left, &lkey_idx, ctx, dir.path(), depth as u64, "l")?;
-    let rparts = partition_table(right, &rkey_idx, ctx, dir.path(), depth as u64, "r")?;
-
-    let mut results: Vec<Table> = Vec::new();
-    for (lp, rp) in lparts.iter().zip(&rparts) {
-        if lp.rows == 0 && rp.rows == 0 {
-            let _ = std::fs::remove_file(&lp.path);
-            let _ = std::fs::remove_file(&rp.path);
-            continue;
-        }
-        let lt = consume_spill(ctx, &lp.path)?;
-        let rt = consume_spill(ctx, &rp.path)?;
-        let est = join_state_bytes(&lt, &rt);
-        let sub = if let Some(_admitted) = ctx.governor.try_reserve(est) {
-            join(&lt, &rt, left_on, right_on, how)?
-        } else if depth + 1 < ctx.max_recursion
-            && (lt.num_rows() < left.num_rows() || rt.num_rows() < right.num_rows())
-        {
-            grace_join(&lt, &rt, left_on, right_on, how, ctx, depth + 1)?
-        } else {
-            // Recursion cap, or a partition the hash cannot split further
-            // (every key identical): over-admit rather than not terminate.
-            let _forced = ctx.governor.reserve_force(est);
-            join(&lt, &rt, left_on, right_on, how)?
         };
-        results.push(sub);
+        let path = dir.path().join(format!("run-{}.dcb", self.files));
+        self.files += 1;
+        Ok((ctx, BlockWriter::create(path)?.without_zones()))
     }
-    if results.is_empty() {
-        return join(&left.head(0), &right.head(0), left_on, right_on, how);
-    }
-    let refs: Vec<&Table> = results.iter().collect();
-    concat(&refs, false)
-}
-
-/// Re-establish the in-memory join's global row order from the hidden
-/// row-id columns: matched and unmatched-left rows in left-row order with
-/// right matches ascending, then unmatched-right rows in right-row order.
-fn restore_join_order(out: &Table, lrow: &str, rrow: &str) -> Table {
-    let lc = out.column(lrow).expect("helper column present");
-    let rc = out.column(rrow).expect("helper column present");
-    let key_at = |col: &Column, i: usize, null_as: i64| match col.get(i) {
-        Value::Int(v) => v,
-        _ => null_as,
-    };
-    let mut keyed: Vec<(i64, i64, usize)> = (0..out.num_rows())
-        // Unmatched-right rows (null lrow) sort after every real left row;
-        // a null rrow can never tie with anything under the same lrow.
-        .map(|i| (key_at(lc, i, i64::MAX), key_at(rc, i, -1), i))
-        .collect();
-    keyed.sort_unstable();
-    let indices: Vec<usize> = keyed.into_iter().map(|(_, _, i)| i).collect();
-    out.take(&indices)
 }
 
 // ---------------------------------------------------------------------------
-// Group-by
+// Runs
 // ---------------------------------------------------------------------------
 
-/// [`group_by`] with an optional memory governor. Results — including
-/// first-encounter group order and order-sensitive aggregates — are
-/// identical to the in-memory kernel.
-pub fn group_by_with_mem(
-    table: &Table,
-    keys: &[&str],
-    aggs: &[AggSpec],
-    mem: Option<&MemContext>,
-) -> Result<Table> {
-    let Some(ctx) = mem else {
-        return group_by(table, keys, aggs);
-    };
-    // Global aggregates hold O(1) state per aggregate — nothing to spill.
-    if keys.is_empty() {
-        return group_by(table, keys, aggs);
-    }
-    let est = group_state_bytes(table);
-    if let Some(_admitted) = ctx.governor.try_reserve(est) {
-        return group_by(table, keys, aggs);
-    }
-    // Validation pass: surfaces unknown columns / non-numeric aggregate
-    // arguments and captures the output schema for the final projection.
-    let shape = group_by(&table.head(0), keys, aggs)?;
-    ctx.metrics.record_event();
-
-    let outputs: Vec<&str> = aggs.iter().map(|a| a.output.as_str()).collect();
-    let rowid = fresh_name(&[table], &outputs, "__spill_rowid");
-    let mut reserved = outputs.clone();
-    reserved.push(&rowid);
-    let ord = fresh_name(&[table], &reserved, "__spill_ord");
-    let t2 = table.with_column(&rowid, rowid_column(table.num_rows()))?;
-    let mut specs = aggs.to_vec();
-    // Hidden aggregate: each group's minimum original row id is unique
-    // (rows belong to exactly one group) and ascending min-row-id order
-    // is exactly global first-encounter order.
-    specs.push(AggSpec::new(AggFunc::Min, rowid.clone(), ord.clone()));
-    let key_idx: Vec<usize> = keys
-        .iter()
-        .map(|k| t2.schema().index_of(k).expect("validated group key"))
-        .collect();
-
-    let partials = grace_group(&t2, keys, &specs, &key_idx, ctx, 0)?;
-    if partials.is_empty() {
-        return group_by(table, keys, aggs);
-    }
-    let refs: Vec<&Table> = partials.iter().collect();
-    let merged = concat(&refs, false)?;
-    // The merge table holds one row per group; it can itself exceed the
-    // budget, so route it through the governed sort.
-    let ordered = sort_by_with_mem(&merged, &[SortKey::asc(&ord)], Some(ctx))?;
-    let names: Vec<&str> = shape.schema().names();
-    ordered.select(&names)
+enum RunFile<'a> {
+    /// Nothing on disk: the whole run is in `buf`.
+    None,
+    /// Blocks written so far, the tail still in `buf`.
+    Open(&'a MemContext, BlockWriter),
+    /// Everything written and the footer sealed.
+    Sealed(&'a MemContext, PathBuf),
+    /// Being read back: the file and its next block; `buf` is the last.
+    Reading(&'a MemContext, BlockFile, PathBuf, usize),
 }
 
-fn grace_group(
-    table: &Table,
-    keys: &[&str],
-    specs: &[AggSpec],
-    key_idx: &[usize],
-    ctx: &MemContext,
-    depth: u32,
-) -> Result<Vec<Table>> {
-    let dir = ctx.op_dir(&format!("groupby-d{depth}"))?;
-    let parts = partition_table(table, key_idx, ctx, dir.path(), depth as u64, "g")?;
-    let mut out = Vec::new();
-    for part in parts {
-        if part.rows == 0 {
-            let _ = std::fs::remove_file(&part.path);
-            continue;
+/// An append-only sequence of `width`-word records: resident while the
+/// governor admits its growth, on file from the first refusal on; read back
+/// from its start ([`Run::rewind`]) a record at a time ([`Run::head`],
+/// [`Run::advance`]).
+pub(crate) struct Run<'a> {
+    width: usize,
+    len: usize,
+    buf: Vec<u64>,
+    /// Word offset in `buf` of the record a reader stands on.
+    at: usize,
+    held: Reservation,
+    file: RunFile<'a>,
+}
+
+impl<'a> Run<'a> {
+    /// Records appended.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The records, if none of them is on disk.
+    pub(crate) fn resident(&self) -> Option<&[u64]> {
+        matches!(self.file, RunFile::None).then_some(&self.buf[..])
+    }
+
+    /// Append one record. The buffer grows by half while the governor
+    /// admits it; from the first refusal on it is written out whenever full.
+    #[inline]
+    pub(crate) fn push(&mut self, op: &mut Spill<'a>, record: &[u64]) -> Result<()> {
+        debug_assert_eq!(record.len(), self.width);
+        if self.buf.len() + self.width > self.buf.capacity() {
+            self.make_room(op)?;
         }
-        let pt = consume_spill(ctx, &part.path)?;
-        let est = group_state_bytes(&pt);
-        if let Some(_admitted) = ctx.governor.try_reserve(est) {
-            out.push(group_by(&pt, keys, specs)?);
-        } else if depth + 1 < ctx.max_recursion && pt.num_rows() < table.num_rows() {
-            out.extend(grace_group(&pt, keys, specs, key_idx, ctx, depth + 1)?);
+        self.buf.extend_from_slice(record);
+        self.len += 1;
+        Ok(())
+    }
+
+    #[cold]
+    fn make_room(&mut self, op: &mut Spill<'a>) -> Result<()> {
+        let floor = FLOOR_RECORDS * self.width;
+        let more = (self.buf.capacity() / 2).max(floor);
+        if self.resident().is_some() && self.held.try_grow(more as u64 * 8) {
+            self.buf.reserve_exact(more);
+        } else if self.buf.capacity() < floor {
+            self.buf.reserve_exact(floor);
         } else {
-            let _forced = ctx.governor.reserve_force(est);
-            out.push(group_by(&pt, keys, specs)?);
+            self.flush(op)?;
         }
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// Sort
-// ---------------------------------------------------------------------------
-
-/// [`sort_by`] with an optional memory governor: external merge sort when
-/// the decorate-sort working set does not fit the budget. Output order is
-/// identical (stable) either way.
-pub fn sort_by_with_mem(
-    table: &Table,
-    keys: &[SortKey],
-    mem: Option<&MemContext>,
-) -> Result<Table> {
-    let Some(ctx) = mem else {
-        return sort_by(table, keys);
-    };
-    if keys.is_empty() {
-        return Ok(table.clone());
-    }
-    let est = sort_state_bytes(table);
-    if let Some(_admitted) = ctx.governor.try_reserve(est) {
-        return sort_by(table, keys);
-    }
-    // Validate keys before any I/O.
-    for k in keys {
-        table.column(&k.column)?;
-    }
-    ctx.metrics.record_event();
-    external_sort(table, keys, ctx)
-}
-
-fn external_sort(table: &Table, keys: &[SortKey], ctx: &MemContext) -> Result<Table> {
-    let dir = ctx.op_dir("sort")?;
-    let n = table.num_rows();
-    let bytes_per_row = (table.byte_size() / n.max(1)).max(1);
-    // A run must fit in memory while being sorted (input slice + index
-    // decoration + gathered copy ≈ 4x), and the run count is capped so
-    // the merge finishes in at most two passes over the fan-out.
-    let budget_rows = (ctx.governor.available().max(1) / 4) as usize / bytes_per_row;
-    let max_runs = ctx.fanout.max(2) * ctx.fanout.max(2);
-    let run_rows = budget_rows
-        .max(n.div_ceil(max_runs))
-        .max(1024)
-        .min(n.max(1));
-
-    // Phase 1: sorted runs. Each run is a contiguous input slice, so run
-    // index order == input order, which the tie-breaking below relies on.
-    let mut runs: Vec<PathBuf> = Vec::new();
-    let mut start = 0;
-    let mut run_no = 0usize;
-    while start < n {
-        let chunk = table.slice(start, run_rows);
-        let sorted = sort_by(&chunk, keys)?;
-        let path = dir.path().join(format!("run-{run_no}.dcb"));
-        write_run(ctx, &path, &sorted)?;
-        runs.push(path);
-        start += chunk.num_rows();
-        run_no += 1;
-    }
-    if runs.is_empty() {
-        return Ok(table.slice(0, 0));
+        Ok(())
     }
 
-    let key_cis: Vec<(usize, bool)> = keys
-        .iter()
-        .map(|k| {
-            (
-                table.schema().index_of(&k.column).expect("validated key"),
-                k.ascending,
-            )
-        })
-        .collect();
-
-    // Phase 2: k-way merges. While more runs remain than the fan-out,
-    // merge groups of `fanout` runs into longer runs (concatenating merge
-    // groups in run order keeps ties resolvable by run index).
-    let fanout = ctx.fanout.max(2);
-    let mut gen = 0usize;
-    while runs.len() > fanout {
-        let mut next: Vec<PathBuf> = Vec::new();
-        for (gi, group) in runs.chunks(fanout).enumerate() {
-            if group.len() == 1 {
-                next.push(group[0].clone());
-                continue;
-            }
-            let path = dir.path().join(format!("merge-{gen}-{gi}.dcb"));
-            merge_runs(ctx, group, &key_cis, table, MergeSink::File(&path))?;
-            for p in group {
-                let _ = std::fs::remove_file(p);
-            }
-            next.push(path);
+    /// Write the buffered records out as blocks and empty the buffer.
+    fn flush(&mut self, op: &mut Spill<'a>) -> Result<()> {
+        if self.resident().is_some() {
+            let (ctx, writer) = op.create()?;
+            self.file = RunFile::Open(ctx, writer);
         }
-        runs = next;
-        gen += 1;
-    }
-    match merge_runs(ctx, &runs, &key_cis, table, MergeSink::Memory)? {
-        Some(out) => Ok(out),
-        None => unreachable!("memory sink always yields a table"),
-    }
-}
-
-fn write_run(ctx: &MemContext, path: &Path, run: &Table) -> Result<()> {
-    let mut w = BlockWriter::create(path)?.without_zones();
-    let n = run.num_rows();
-    if n == 0 {
-        ctx.check_spill_write()?;
-        w.append(run)?;
-    } else {
-        let mut start = 0;
-        while start < n {
+        let RunFile::Open(ctx, writer) = &mut self.file else {
+            return Err(EngineError::spill("append to a sealed run file"));
+        };
+        for block in self.buf.chunks(op.block_rows().saturating_mul(self.width)) {
             ctx.check_spill_write()?;
-            w.append(&run.slice(start, ctx.spill_block_rows.max(1)))?;
-            start += ctx.spill_block_rows.max(1);
+            let mut table = Table::empty();
+            for word in 0..self.width {
+                let column = block.iter().skip(word).step_by(self.width);
+                let column = column.map(|&w| w as i64).collect();
+                let valid = Bitmap::new_valid(block.len() / self.width);
+                table.add_column(&format!("w{word}"), Column::Int(column, valid))?;
+            }
+            writer.append(&table)?;
+        }
+        self.buf.clear();
+        Ok(())
+    }
+
+    /// Release a resident run to a file and give its bytes back.
+    pub(crate) fn spill(&mut self, op: &mut Spill<'a>) -> Result<()> {
+        if self.resident().is_some() && self.len > 0 {
+            self.flush(op)?;
+        }
+        self.seal(op)
+    }
+
+    /// No more appends: a run with a file writes its tail and the footer
+    /// and frees its buffer; a resident one settles to what it holds.
+    pub(crate) fn seal(&mut self, op: &mut Spill<'a>) -> Result<()> {
+        if matches!(self.file, RunFile::Open(..)) {
+            self.flush(op)?;
+        }
+        match std::mem::replace(&mut self.file, RunFile::None) {
+            RunFile::Open(ctx, writer) => {
+                let path = writer.path().to_path_buf();
+                ctx.metrics.record_file(writer.finish()?.total_bytes);
+                self.buf = Vec::new();
+                self.held.shrink_to(0);
+                self.file = RunFile::Sealed(ctx, path);
+            }
+            RunFile::None => {
+                self.buf.shrink_to_fit();
+                self.held.shrink_to(self.buf.capacity() as u64 * 8);
+            }
+            other => self.file = other,
+        }
+        Ok(())
+    }
+
+    /// Seal the run and stand on its first record: for a run on file, read
+    /// its first block.
+    pub(crate) fn rewind(&mut self, op: &mut Spill<'a>) -> Result<()> {
+        self.seal(op)?;
+        if let RunFile::Sealed(ctx, path) = std::mem::replace(&mut self.file, RunFile::None) {
+            ctx.check_spill_read()?;
+            self.file = RunFile::Reading(ctx, BlockFile::open(&path)?, path, 0);
+            self.refill()?;
+        }
+        Ok(())
+    }
+
+    /// The record the reader stands on; `None` past the end.
+    pub(crate) fn head(&self) -> Option<&[u64]> {
+        self.buf.get(self.at..self.at + self.width)
+    }
+
+    /// Step to the next record.
+    pub(crate) fn advance(&mut self) -> Result<()> {
+        self.at += self.width;
+        if self.at >= self.buf.len() {
+            self.refill()?;
+        }
+        Ok(())
+    }
+
+    /// Replace the buffer with the file's next non-empty block; past the
+    /// last one — when the file is deleted — or for a resident run, with
+    /// nothing.
+    pub(crate) fn refill(&mut self) -> Result<()> {
+        self.at = 0;
+        self.buf.clear();
+        while self.buf.is_empty() {
+            let RunFile::Reading(ctx, file, path, next) = &mut self.file else {
+                return Ok(());
+            };
+            if *next == file.num_blocks() {
+                let _ = std::fs::remove_file(path);
+                self.file = RunFile::None;
+                return Ok(());
+            }
+            ctx.check_spill_read()?;
+            let (table, _) = file.read_block(*next)?;
+            *next += 1;
+            // A run file is `width` all-valid `Int` columns; anything else
+            // is not one of ours.
+            if table.num_columns() != self.width {
+                return Err(EngineError::parse(format!(
+                    "run file block has {} columns, its records {} words",
+                    table.num_columns(),
+                    self.width
+                )));
+            }
+            self.buf.resize(table.num_rows() * self.width, 0);
+            for (word, column) in table.columns().iter().enumerate() {
+                let Column::Int(values, valid) = column else {
+                    return Err(EngineError::parse("run file column is not Int"));
+                };
+                if !valid.all_valid() {
+                    return Err(EngineError::parse("run file record has a null word"));
+                }
+                let slots = self.buf.iter_mut().skip(word).step_by(self.width);
+                slots.zip(values).for_each(|(slot, v)| *slot = *v as u64);
+            }
+        }
+        Ok(())
+    }
+
+    /// Bring a run of row ids into memory, each checked to name one of
+    /// `rows` rows; `false` if the governor refuses them (never with
+    /// `force`), which leaves the run on file.
+    pub(crate) fn load_ids(
+        &mut self,
+        op: &mut Spill<'a>,
+        rows: usize,
+        force: bool,
+    ) -> Result<bool> {
+        self.seal(op)?;
+        if self.resident().is_none() {
+            let Some(held) = op.hold((self.len * self.width * 8) as u64, force) else {
+                return Ok(false);
+            };
+            let mut all = Vec::with_capacity(self.len * self.width);
+            self.rewind(op)?;
+            while !self.buf.is_empty() {
+                all.extend_from_slice(&self.buf);
+                self.refill()?;
+            }
+            (self.buf, self.held) = (all, held);
+        }
+        check_ids(&self.buf, rows).map(|()| true)
+    }
+}
+
+/// Merge sorted `runs` (no record in two of them) into `emit`, smallest
+/// record first, `block_rows` records at most at a time. More than `fanout`
+/// runs are first merged, `fanout` at a time, into longer runs.
+pub(crate) fn merge_runs<'a>(
+    op: &mut Spill<'a>,
+    mut runs: Vec<Run<'a>>,
+    block_rows: usize,
+    mut emit: impl FnMut(&[u64]) -> Result<()>,
+) -> Result<()> {
+    let Some(w) = runs.first().map(|run| run.width) else {
+        return Ok(());
+    };
+    // One resident run is in order as it is; several are sorted as one —
+    // where there is room for the copy — which beats merging them.
+    let (words, block_words) = (
+        runs.iter().map(|run| run.len * w).sum(),
+        block_rows.max(1).saturating_mul(w),
+    );
+    let resident = runs.iter().all(|run| run.resident().is_some());
+    if let ([only], true) = (&runs[..], resident) {
+        return only.buf.chunks(block_words).try_for_each(emit);
+    }
+    if let Some(_copy) = resident.then(|| op.hold(words as u64 * 8, false)).flatten() {
+        let mut all = Vec::with_capacity(words);
+        runs.iter().for_each(|run| all.extend_from_slice(&run.buf));
+        drop(runs);
+        let all = sort_records(all, w, &[], None);
+        return all.chunks(block_words).try_for_each(emit);
+    }
+    let fanout = op.fanout();
+    while runs.len() > fanout {
+        let mut longer = Vec::with_capacity(runs.len().div_ceil(fanout));
+        let mut rest = runs.into_iter();
+        loop {
+            let mut group: Vec<Run> = rest.by_ref().take(fanout).collect();
+            if group.len() <= 1 {
+                longer.append(&mut group);
+                break;
+            }
+            let mut out = op.run(w);
+            group.iter_mut().try_for_each(|run| run.rewind(op))?;
+            merge(group, |record| out.push(op, record))?;
+            longer.push(out);
+        }
+        runs = longer;
+    }
+    runs.iter_mut().try_for_each(|run| run.rewind(op))?;
+    let mut block = Vec::with_capacity(block_words.min(words));
+    merge(runs, |record| {
+        block.extend_from_slice(record);
+        if block.len() >= block_words {
+            emit(&block)?;
+            block.clear();
+        }
+        Ok(())
+    })?;
+    emit(&block)
+}
+
+/// K-way merge over a binary heap of the runs that still have a record,
+/// ordered by that record.
+fn merge(mut runs: Vec<Run>, mut emit: impl FnMut(&[u64]) -> Result<()>) -> Result<()> {
+    fn sift(heap: &mut [usize], mut at: usize, runs: &[Run]) {
+        loop {
+            let mut least = at;
+            for child in [2 * at + 1, 2 * at + 2] {
+                if child < heap.len() && runs[heap[child]].head() < runs[heap[least]].head() {
+                    least = child;
+                }
+            }
+            if least == at {
+                return;
+            }
+            heap.swap(at, least);
+            at = least;
         }
     }
-    let summary = w.finish()?;
-    ctx.metrics.record_file(summary.total_bytes);
+    let live = |i: &usize| runs[*i].head().is_some();
+    let mut heap: Vec<usize> = (0..runs.len()).filter(live).collect();
+    for at in (0..heap.len() / 2).rev() {
+        sift(&mut heap, at, &runs);
+    }
+    while let Some(&top) = heap.first() {
+        if let Some(record) = runs[top].head() {
+            emit(record)?;
+        }
+        runs[top].advance()?;
+        if runs[top].head().is_none() {
+            heap.swap_remove(0);
+        }
+        sift(&mut heap, 0, &runs);
+    }
     Ok(())
 }
 
-/// Streaming cursor over one sorted run.
-struct RunCursor {
-    file: BlockFile,
-    bi: usize,
-    row: usize,
-    block: Table,
+// ---------------------------------------------------------------------------
+// Partitioning row ids
+// ---------------------------------------------------------------------------
+
+/// The rows a kernel body works on: all `n` of its input, or those a run
+/// lists (ascending, as every partition of ascending ids is).
+pub(crate) enum Ids<'a> {
+    All(usize),
+    Listed(Run<'a>),
 }
 
-impl RunCursor {
-    fn open(ctx: &MemContext, path: &Path) -> Result<Option<RunCursor>> {
-        ctx.check_spill_read()?;
-        let file = BlockFile::open(path)?;
-        if file.num_rows() == 0 {
-            return Ok(None);
-        }
-        let (block, _) = file.read_block(0)?;
-        let mut cur = RunCursor {
-            file,
-            bi: 0,
-            row: 0,
-            block,
-        };
-        cur.skip_empty_blocks(ctx)?;
-        Ok(Some(cur))
-    }
-
-    fn skip_empty_blocks(&mut self, ctx: &MemContext) -> Result<()> {
-        while self.row >= self.block.num_rows() {
-            if self.bi + 1 >= self.file.num_blocks() {
-                return Ok(());
-            }
-            self.bi += 1;
-            ctx.check_spill_read()?;
-            let (block, _) = self.file.read_block(self.bi)?;
-            self.block = block;
-            self.row = 0;
-        }
-        Ok(())
-    }
-
-    fn exhausted(&self) -> bool {
-        self.row >= self.block.num_rows()
-    }
-
-    fn advance(&mut self, ctx: &MemContext) -> Result<()> {
-        self.row += 1;
-        self.skip_empty_blocks(ctx)
-    }
-
-    fn key(&self, ci: usize) -> Value {
-        self.block.column_at(ci).get(self.row)
-    }
-}
-
-/// Compare the current rows of two cursors under the sort keys.
-fn cmp_cursors(a: &RunCursor, b: &RunCursor, key_cis: &[(usize, bool)]) -> std::cmp::Ordering {
-    for &(ci, asc) in key_cis {
-        let ord = a.key(ci).cmp_total(&b.key(ci));
-        let ord = if asc { ord } else { ord.reverse() };
-        if ord != std::cmp::Ordering::Equal {
-            return ord;
-        }
-    }
-    std::cmp::Ordering::Equal
-}
-
-enum MergeSink<'a> {
-    /// Write the merged run to a spill file.
-    File(&'a Path),
-    /// Materialize the merged result as the final output table.
-    Memory,
-}
-
-/// Typed per-column output accumulator; dict columns copy codes directly
-/// and keep their shared dictionary rather than re-encoding strings.
-enum ColAcc {
-    Plain(Column),
-    Dict {
-        codes: Vec<u32>,
-        dict: Arc<Vec<String>>,
-        validity: Bitmap,
-    },
-}
-
-impl ColAcc {
-    fn for_column(proto: &Column) -> ColAcc {
-        match proto {
-            Column::Dict(_, dict, _) => ColAcc::Dict {
-                codes: Vec::new(),
-                dict: Arc::clone(dict),
-                validity: Bitmap::new_valid(0),
-            },
-            other => ColAcc::Plain(Column::empty(other.dtype())),
-        }
-    }
-
-    fn push(&mut self, src: &Column, row: usize) -> Result<()> {
+impl Ids<'_> {
+    pub(crate) fn len(&self) -> usize {
         match self {
-            ColAcc::Dict {
-                codes,
-                dict,
-                validity,
-            } => match src {
-                // Runs are slices of one table, so every run block shares
-                // the prototype's dictionary contents (blockio restores
-                // one Arc per file; contents are identical).
-                Column::Dict(src_codes, src_dict, b)
-                    if Arc::ptr_eq(dict, src_dict) || **src_dict == **dict =>
-                {
-                    let valid = b.get(row);
-                    codes.push(if valid { src_codes[row] } else { 0 });
-                    validity.push(valid);
-                    Ok(())
-                }
-                other => {
-                    // Defensive fallback: re-encode through the value path.
-                    let v = other.get(row);
-                    let mut col = Column::Dict(
-                        std::mem::take(codes),
-                        Arc::clone(dict),
-                        std::mem::replace(validity, Bitmap::new_valid(0)),
-                    );
-                    col.push_value(&v)?;
-                    *self = ColAcc::Plain(col);
-                    Ok(())
-                }
-            },
-            ColAcc::Plain(col) => col.push_value(&src.get(row)),
+            Ids::All(n) => *n,
+            Ids::Listed(run) => run.len(),
         }
     }
 
-    fn finish(self) -> Column {
+    /// The row at `position`, of a list that is resident.
+    #[inline]
+    pub(crate) fn row(&self, position: usize) -> usize {
         match self {
-            ColAcc::Plain(col) => col,
-            ColAcc::Dict {
-                codes,
-                dict,
-                validity,
-            } => Column::Dict(codes, dict, validity),
+            Ids::All(_) => position,
+            Ids::Listed(run) => run.buf[position] as usize,
         }
     }
 }
 
-/// Merge sorted runs. Ties take from the lowest-numbered run, preserving
-/// global stability. Returns the merged table for [`MergeSink::Memory`].
-fn merge_runs(
-    ctx: &MemContext,
-    run_paths: &[PathBuf],
-    key_cis: &[(usize, bool)],
-    proto: &Table,
-    sink: MergeSink<'_>,
-) -> Result<Option<Table>> {
-    let mut cursors: Vec<Option<RunCursor>> = Vec::with_capacity(run_paths.len());
-    for p in run_paths {
-        cursors.push(RunCursor::open(ctx, p)?);
+/// `Err` unless every id names one of `rows` rows: ids read back from a
+/// file index the resident input.
+pub(crate) fn check_ids(ids: &[u64], rows: usize) -> Result<()> {
+    match ids.iter().find(|&&id| id >= rows as u64) {
+        Some(id) => Err(EngineError::spill(format!(
+            "run file names row {id} of a {rows}-row input"
+        ))),
+        None => Ok(()),
     }
-    let mut writer = match &sink {
-        MergeSink::File(path) => Some(BlockWriter::create(*path)?.without_zones()),
-        MergeSink::Memory => None,
-    };
-    let mut out: Option<Table> = None;
-    let mut accs: Vec<ColAcc> = proto.columns().iter().map(ColAcc::for_column).collect();
-    let mut buffered = 0usize;
+}
 
-    let flush = |accs: &mut Vec<ColAcc>,
-                 writer: &mut Option<BlockWriter>,
-                 out: &mut Option<Table>|
-     -> Result<()> {
-        let mut block = Table::empty();
-        for (acc, field) in std::mem::take(accs)
+/// Split `ids` into `parts` runs of row ids by the hash of their key in
+/// `cols` ([`key_hashes`]): equal keys share a run, and every run lists its
+/// rows in the order they came.
+pub(crate) fn partition_ids<'a>(
+    op: &mut Spill<'a>,
+    cols: &[&Column],
+    ids: Ids<'a>,
+    parts: usize,
+    salt: u64,
+) -> Result<Vec<Run<'a>>> {
+    /// Rows hashed at a time, a column at a time.
+    const CHUNK: usize = 256;
+    let rows = cols.first().map_or(0, |c| c.len());
+    let mut runs: Vec<Run> = (0..parts).map(|_| op.run(1)).collect();
+    let mut hashes = [0; CHUNK];
+    let mut place = |op: &mut Spill<'a>, ids: &[u64]| {
+        key_hashes(cols, ids, salt, &mut hashes[..ids.len()]);
+        let placed = ids.iter().zip(&hashes);
+        placed
             .into_iter()
-            .zip(proto.schema().fields())
-        {
-            block.add_column(&field.name, acc.finish())?;
-        }
-        *accs = proto.columns().iter().map(ColAcc::for_column).collect();
-        if let Some(w) = writer {
-            ctx.check_spill_write()?;
-            w.append(&block)?;
-        } else {
-            match out {
-                None => *out = Some(block),
-                Some(t) => t.append(&block)?,
-            }
-        }
-        Ok(())
+            .try_for_each(|(id, hash)| runs[(hash % parts as u64) as usize].push(op, &[*id]))
     };
-
-    loop {
-        let mut best: Option<usize> = None;
-        for i in 0..cursors.len() {
-            let Some(c) = &cursors[i] else { continue };
-            if c.exhausted() {
-                continue;
+    match ids {
+        Ids::All(n) => {
+            let (n, mut chunk) = (n.min(rows) as u64, Vec::with_capacity(CHUNK));
+            for start in (0..n).step_by(CHUNK) {
+                chunk.clear();
+                chunk.extend(start..(start + CHUNK as u64).min(n));
+                place(op, &chunk)?;
             }
-            best = match best {
-                None => Some(i),
-                // Strictly-less keeps the lowest run index on ties.
-                Some(j) => {
-                    let cj = cursors[j].as_ref().unwrap();
-                    if cmp_cursors(c, cj, key_cis) == std::cmp::Ordering::Less {
-                        Some(i)
-                    } else {
-                        Some(j)
-                    }
-                }
+        }
+        Ids::Listed(mut run) => {
+            run.rewind(op)?;
+            while !run.buf.is_empty() {
+                check_ids(&run.buf, rows)?;
+                run.buf.chunks(CHUNK).try_for_each(|ids| place(op, ids))?;
+                run.refill()?;
+            }
+        }
+    }
+    runs.iter_mut().try_for_each(|run| run.seal(op))?;
+    Ok(runs)
+}
+
+/// Hash the key `cols` hold at each of `rows` for partition placement,
+/// into `hashes` (as long as `rows`), a column at a time.
+///
+/// Placement must be consistent with key equality in *both* the join
+/// (`RefPart`) and group-by (`encode_key_column`) senses: equal keys must
+/// land in the same partition. Floats fold `-0.0` into `0.0` and every NaN
+/// into one canonical NaN (joins never match NaN-to-NaN anyway; group-by
+/// groups all NaNs together). Dict and plain strings hash by content.
+/// `salt` varies per recursion depth so re-partitioning a skewed
+/// partition actually redistributes it, at any partition count.
+pub(crate) fn key_hashes(cols: &[&Column], rows: &[u64], salt: u64, hashes: &mut [u64]) {
+    // A valid cell mixes in its type's tag, then `words(row)`; a null a 0.
+    fn each(
+        (hashes, rows): (&mut [u64], &[u64]),
+        (valid, tag): (&Bitmap, u64),
+        words: impl Fn(u64, usize) -> u64,
+    ) {
+        for (hash, &row) in hashes.iter_mut().zip(rows) {
+            let row = row as usize;
+            *hash = match valid.get(row) {
+                true => words(mix(*hash, tag), row),
+                false => mix(*hash, 0),
             };
         }
-        let Some(bi) = best else { break };
-        {
-            let c = cursors[bi].as_ref().unwrap();
-            for (ci, acc) in accs.iter_mut().enumerate() {
-                acc.push(c.block.column_at(ci), c.row)?;
+    }
+    let text = |hash: u64, s: &str| mix_bytes(mix(hash, s.len() as u64), s.as_bytes());
+    hashes.fill(salt.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    for col in cols {
+        let at = (&mut *hashes, rows);
+        match col {
+            Column::Bool(v, b) => each(at, (b, 1), |h, row| mix(h, v[row] as u64)),
+            Column::Int(v, b) => each(at, (b, 2), |h, row| mix(h, v[row] as u64)),
+            Column::Float(v, b) => each(at, (b, 3), |h, row| {
+                let f = if v[row] == 0.0 { 0.0 } else { v[row] };
+                mix(h, if f.is_nan() { f64::NAN } else { f }.to_bits())
+            }),
+            Column::Str(v, b) => each(at, (b, 4), |h, row| text(h, &v[row])),
+            Column::Dict(codes, dict, b) => {
+                each(at, (b, 4), |h, row| text(h, &dict[codes[row] as usize]))
             }
-        }
-        buffered += 1;
-        if buffered >= ctx.spill_block_rows.max(1) {
-            flush(&mut accs, &mut writer, &mut out)?;
-            buffered = 0;
-        }
-        let c = cursors[bi].as_mut().unwrap();
-        c.advance(ctx)?;
-        if c.exhausted() {
-            cursors[bi] = None;
+            Column::Date(v, b) => each(at, (b, 5), |h, row| mix(h, v[row] as u64)),
         }
     }
-    if buffered > 0 || (writer.is_none() && out.is_none()) {
-        flush(&mut accs, &mut writer, &mut out)?;
+    // The multiply leaves the low bits weak, and they pick the partition:
+    // fold the high half in.
+    for hash in hashes {
+        let h = (*hash ^ *hash >> 32).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        *hash = h ^ h >> 29;
     }
-    if let Some(w) = writer {
-        let summary = w.finish()?;
-        ctx.metrics.record_file(summary.total_bytes);
-        return Ok(None);
-    }
-    // The memory sink builds columns bottom-up; align the empty case to
-    // the proto schema.
-    Ok(Some(out.unwrap_or_else(|| proto.slice(0, 0))))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::governor::MemContext;
-    use crate::ops::aggregate::{AggFunc, AggSpec};
+    use crate::governor::SpillHooks;
+    use crate::ops::{
+        group_by, group_by_with_mem, join, join_with_mem, sort_by, sort_by_with_mem, AggSpec,
+        JoinType, SortKey,
+    };
+    use crate::value::Value;
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
-    fn big_table(n: usize) -> Table {
-        let keys: Vec<Option<i64>> = (0..n)
-            .map(|i| {
-                if i % 17 == 3 {
-                    None
-                } else {
-                    Some((i % 97) as i64)
-                }
-            })
-            .collect();
-        let vals: Vec<Option<f64>> = (0..n)
-            .map(|i| {
-                if i % 13 == 5 {
-                    None
-                } else {
-                    Some((i as f64) * 0.25 - 40.0)
-                }
-            })
-            .collect();
-        let cats: Vec<Option<String>> = (0..n)
-            .map(|i| {
-                if i % 11 == 7 {
-                    None
-                } else {
-                    Some(format!("cat{}", i % 23))
-                }
-            })
-            .collect();
-        Table::new(vec![
-            ("k", Column::from_opt_ints(keys)),
-            ("v", Column::from_opt_floats(vals)),
-            ("c", Column::from_opt_strs(cats)),
-        ])
-        .unwrap()
-        .encode_strings()
-    }
+    const KIB: u64 = 1024;
 
-    fn tiny_ctx() -> MemContext {
-        let mut ctx = MemContext::with_budget(4 * 1024).unwrap();
-        ctx.spill_block_rows = 256;
+    /// A context sized for miri: tiny blocks, narrow fan-out.
+    fn ctx(budget: u64) -> MemContext {
+        let mut ctx = MemContext::with_budget(budget).unwrap();
+        ctx.spill_block_rows = 128;
         ctx.fanout = 4;
         ctx
     }
 
-    #[test]
-    fn spilled_join_matches_in_memory() {
-        let left = big_table(3000);
-        let right = Table::new(vec![
+    /// Entries left under the context's spill root.
+    fn leaked(ctx: &MemContext) -> usize {
+        std::fs::read_dir(&ctx.spill_root).map_or(0, |dir| dir.count())
+    }
+
+    /// Same schema and the same cells, floats to the bit (so NaN cells
+    /// compare and `-0.0` is not `0.0`).
+    fn identical(got: &Table, want: &Table) -> bool {
+        let same_cell = |a: &Value, b: &Value| match (a, b) {
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            _ => a.dtype() == b.dtype() && a == b,
+        };
+        got.schema() == want.schema()
+            && got.num_rows() == want.num_rows()
+            && got.columns().iter().zip(want.columns()).all(|(g, w)| {
+                g.iter_values()
+                    .zip(w.iter_values())
+                    .all(|(a, b)| same_cell(&a, &b))
+            })
+    }
+
+    /// `n` wide rows: a nullable int key of 37 values, a 20-value
+    /// dictionary column, a nullable float with `NaN`, `-0.0` and `0.0`
+    /// among its values, a nullable plain string, and filler.
+    fn facts(n: usize) -> Table {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let mut draw = |null_every: u64, f: &dyn Fn(u64) -> Value| {
+            let cells: Vec<Value> = (0..n)
+                .map(|_| {
+                    let x = next();
+                    if x % null_every == 0 {
+                        Value::Null
+                    } else {
+                        f(x)
+                    }
+                })
+                .collect();
+            cells
+        };
+        let float = |x: u64| match x % 29 {
+            1 => Value::Float(f64::NAN),
+            2 => Value::Float(-0.0),
+            3 => Value::Float(0.0),
+            _ => Value::Float((x % 400) as f64 * 0.25 - 30.0),
+        };
+        let col = |cells: Vec<Value>, like: &Column| {
+            let mut col = Column::empty(like.dtype());
+            cells.iter().for_each(|v| col.push_value(v).unwrap());
+            col
+        };
+        let ints = Column::from_ints(vec![]);
+        let floats = Column::from_floats(vec![]);
+        let strs = Column::from_strs(Vec::<String>::new());
+        Table::new(vec![
+            ("k", col(draw(17, &|x| Value::Int((x % 37) as i64)), &ints)),
             (
-                "k",
-                Column::from_opt_ints((0..200).map(|i| Some(i % 50)).collect()),
+                "g",
+                col(
+                    draw(u64::MAX, &|x| Value::Str(format!("g{:02}", x % 20))),
+                    &strs,
+                )
+                .dict_encode(),
             ),
+            ("v", col(draw(11, &float), &floats)),
             (
-                "w",
-                Column::from_opt_ints((0..200).map(|i| Some(i * 10)).collect()),
+                "s",
+                col(draw(7, &|x| Value::Str(format!("s{}", x % 40))), &strs),
+            ),
+            ("id", Column::from_ints((0..n as i64).collect())),
+            ("w1", col(draw(u64::MAX, &|x| Value::Int(x as i64)), &ints)),
+            (
+                "w2",
+                col(draw(u64::MAX, &|x| Value::Float(x as f64)), &floats),
             ),
         ])
-        .unwrap();
-        for how in [
-            JoinType::Inner,
-            JoinType::Left,
-            JoinType::Right,
-            JoinType::Full,
+        .unwrap()
+    }
+
+    // (a) A handful of groups fits whatever the input's size: no disk.
+    #[test]
+    fn few_groups_over_a_table_larger_than_the_budget_never_touch_disk() {
+        let t = facts(3000);
+        let aggs = [
+            AggSpec::new(AggFunc::Sum, "v", "sum"),
+            AggSpec::new(AggFunc::Min, "s", "least"),
+            AggSpec::count_records("n"),
+        ];
+        let c = ctx(32 * KIB);
+        assert!(t.byte_size() as u64 > 4 * c.governor.budget());
+        let got = group_by_with_mem(&t, &["g"], &aggs, Some(&c)).unwrap();
+        assert_eq!(got.num_rows(), 20);
+        assert!(identical(&got, &group_by(&t, &["g"], &aggs).unwrap()));
+        assert_eq!(c.metrics.snapshot(), Default::default());
+        assert_eq!(c.governor.forced(), 0);
+        budget_held(&c);
+    }
+
+    const ALL_JOIN_TYPES: [JoinType; 4] = [
+        JoinType::Inner,
+        JoinType::Left,
+        JoinType::Right,
+        JoinType::Full,
+    ];
+
+    /// The budget held unless something was taken by force, and all of it
+    /// is back.
+    fn budget_held(c: &MemContext) {
+        let gov = &c.governor;
+        assert!(gov.forced() > 0 || gov.peak() <= gov.budget(), "{gov:?}");
+        assert_eq!((leaked(c), gov.used()), (0, 0));
+    }
+
+    /// Every join type under `budget` equals the unbudgeted join, within the
+    /// budget unless something was taken by force, and nothing is left
+    /// behind. Returns the bytes taken by force and the bytes spilled.
+    fn joins_match(left: &Table, right: &Table, on: &str, budget: u64) -> (u64, u64) {
+        let c = ctx(budget);
+        for how in ALL_JOIN_TYPES {
+            let want = join(left, right, &[on], &[on], how).unwrap();
+            let got = join_with_mem(left, right, &[on], &[on], how, Some(&c)).unwrap();
+            assert!(
+                identical(&got, &want),
+                "{how:?} on {on} under {budget} bytes"
+            );
+            budget_held(&c);
+        }
+        (c.governor.forced(), c.metrics.snapshot().bytes_spilled)
+    }
+
+    // (b) Join shapes, with the pairs forced to file and resident.
+    #[test]
+    fn governed_join_equals_unbudgeted_join() {
+        let (left, right) = (facts(600), facts(60));
+        // Unique keys: the hash splits them as far as it has to.
+        let (forced, spilled) = joins_match(&left, &right, "id", 4 * KIB);
+        assert!(
+            forced == 0 && spilled > 0,
+            "{forced} forced, {spilled} spilled"
+        );
+        // Null keys on both sides and few values: every row matches many.
+        assert!(joins_match(&left, &right, "k", 4 * KIB).1 > 0);
+        let fifth = |t: &Table| {
+            let k = t.column("k").unwrap().iter_values().map(|v| match v {
+                Value::Int(x) => Value::Int(x % 5),
+                null => null,
+            });
+            let k: Vec<Value> = k.collect();
+            t.with_column("k5", Column::from_values(&k).unwrap())
+                .unwrap()
+        };
+        assert!(joins_match(&fifth(&left), &fifth(&right), "k5", 4 * KIB).1 > 0);
+        // Dictionary strings against plain ones, both ways round.
+        let coded = left.encode_strings();
+        assert!(joins_match(&coded, &right, "s", 4 * KIB).1 > 0);
+        assert!(joins_match(&right, &coded, "s", 4 * KIB).1 > 0);
+        // One key throughout: no hash splits it, so it is forced through.
+        let one = |t: &Table| {
+            let ones = Column::from_ints(vec![7; t.num_rows()]);
+            t.with_column("one", ones).unwrap()
+        };
+        let (forced, spilled) = joins_match(&one(&left.head(200)), &one(&right), "one", 4 * KIB);
+        assert!(
+            forced > 0 && spilled > 0,
+            "{forced} forced, {spilled} spilled"
+        );
+        // A large build side under a budget that refuses its index but
+        // admits a partition's, the id lists and the pairs: nothing on disk.
+        assert_eq!(joins_match(&right, &left, "id", 40 * KIB), (0, 0));
+    }
+
+    // (c) Group-by: order-sensitive and row-valued aggregates, multi-key
+    // with null, NaN and -0.0 keys, in first-encounter order.
+    #[test]
+    fn governed_group_by_equals_unbudgeted_group_by() {
+        let t = facts(1500);
+        use AggFunc::*;
+        let aggs = [
+            AggSpec::new(First, "s", "first"),
+            AggSpec::new(Last, "s", "last"),
+            AggSpec::new(Median, "v", "mid"),
+            AggSpec::new(CountDistinct, "k", "kinds"),
+            AggSpec::new(StdDev, "w2", "sd"),
+            AggSpec::new(Min, "s", "least"),
+            AggSpec::new(Sum, "v", "sum"),
+        ];
+        for keys in [&["k", "v"][..], &["s"], &["k"], &["id"]] {
+            let c = ctx(4 * KIB);
+            let want = group_by(&t, keys, &aggs).unwrap();
+            let got = group_by_with_mem(&t, keys, &aggs, Some(&c)).unwrap();
+            assert!(identical(&got, &want), "keys {keys:?}");
+            assert!(c.metrics.snapshot().bytes_spilled > 0);
+            budget_held(&c);
+        }
+        // Cheap state over unique keys splits down to the budget.
+        let c = ctx(16 * KIB);
+        let counts = [AggSpec::count_records("n"), AggSpec::new(Max, "v", "most")];
+        let got = group_by_with_mem(&t, &["id"], &counts, Some(&c)).unwrap();
+        assert!(identical(&got, &group_by(&t, &["id"], &counts).unwrap()));
+        assert_eq!(c.governor.forced(), 0);
+        budget_held(&c);
+        // One group cannot be split: it is taken as it comes.
+        let got = group_by_with_mem(&t, &[], &aggs, Some(&c)).unwrap();
+        assert!(identical(&got, &group_by(&t, &[], &aggs).unwrap()));
+        let one = t
+            .with_column("one", Column::from_ints(vec![7; 1500]))
+            .unwrap();
+        let got = group_by_with_mem(&one, &["one"], &aggs, Some(&c)).unwrap();
+        assert!(identical(&got, &group_by(&one, &["one"], &aggs).unwrap()));
+        assert!(c.governor.forced() > 0);
+        budget_held(&c);
+    }
+
+    // (d) Sort: records of two, three and five words; far more runs than
+    // the fan-out, so runs are merged to longer runs on file first.
+    #[test]
+    fn governed_sort_equals_unbudgeted_sort() {
+        let t = facts(3000);
+        for keys in [
+            vec![SortKey::asc("k"), SortKey::desc("g"), SortKey::asc("v")],
+            vec![SortKey::desc("g"), SortKey::asc("v")],
+            vec![SortKey::desc("v")],
         ] {
-            let expect = join(&left, &right, &["k"], &["k"], how).unwrap();
-            let ctx = tiny_ctx();
-            let got = join_with_mem(&left, &right, &["k"], &["k"], how, Some(&ctx)).unwrap();
-            assert_eq!(got, expect, "join {how:?} diverged under spill");
-            let snap = ctx.metrics.snapshot();
-            assert!(snap.bytes_spilled > 0, "join {how:?} did not spill");
+            let c = ctx(4 * KIB);
+            let want = sort_by(&t, &keys).unwrap();
+            let got = sort_by_with_mem(&t, &keys, Some(&c)).unwrap();
+            assert!(identical(&got, &want), "keys {keys:?}");
+            let snap = c.metrics.snapshot();
+            assert!(snap.spill_partitions > 2 * c.fanout as u64, "{snap:?}");
+            assert_eq!(snap.spill_events, 1);
+            assert_eq!(c.governor.forced(), 0);
+            budget_held(&c);
+        }
+        // A plain string key is ranked over all rows whatever the budget.
+        let c = ctx(4 * KIB);
+        let keys = [SortKey::asc("s"), SortKey::desc("id")];
+        let got = sort_by_with_mem(&t, &keys, Some(&c)).unwrap();
+        assert!(identical(&got, &sort_by(&t, &keys).unwrap()));
+        assert!(c.governor.forced() > 0);
+        budget_held(&c);
+    }
+
+    #[test]
+    fn an_unlimited_budget_spills_nothing() {
+        let t = facts(500);
+        let c = MemContext::with_budget(u64::MAX).unwrap();
+        let keys = [SortKey::asc("v")];
+        let sorted = sort_by_with_mem(&t, &keys, Some(&c)).unwrap();
+        assert!(identical(&sorted, &sort_by(&t, &keys).unwrap()));
+        let joined = join_with_mem(&t, &t, &["k"], &["k"], JoinType::Full, Some(&c)).unwrap();
+        assert!(identical(
+            &joined,
+            &join(&t, &t, &["k"], &["k"], JoinType::Full).unwrap()
+        ));
+        assert_eq!(c.metrics.snapshot(), Default::default());
+        assert_eq!(leaked(&c), 0);
+    }
+
+    /// Fails the `write`-th spill write or the `read`-th spill read, once,
+    /// as an interrupted (retryable) I/O error; counts both.
+    #[derive(Default)]
+    struct FailAt {
+        write: Option<u64>,
+        read: Option<u64>,
+        writes: AtomicU64,
+        reads: AtomicU64,
+    }
+
+    impl SpillHooks for FailAt {
+        fn before_spill_write(&self) -> std::io::Result<()> {
+            let n = self.writes.fetch_add(1, Ordering::Relaxed);
+            match self.write {
+                Some(at) if at == n => Err(std::io::ErrorKind::Interrupted.into()),
+                _ => Ok(()),
+            }
+        }
+
+        fn before_spill_read(&self) -> std::io::Result<()> {
+            let n = self.reads.fetch_add(1, Ordering::Relaxed);
+            match self.read {
+                Some(at) if at == n => Err(std::io::ErrorKind::Interrupted.into()),
+                _ => Ok(()),
+            }
+        }
+    }
+
+    // (e) A fault on any spill write or read is a retryable error that
+    // leaves no file behind.
+    #[test]
+    fn injected_spill_faults_are_retryable_and_leave_nothing_behind() {
+        let t = facts(800);
+        let dim = facts(80);
+        type Op<'a> = Box<dyn Fn(&MemContext) -> Result<Table> + 'a>;
+        let ops: Vec<Op> = vec![
+            Box::new(|c| sort_by_with_mem(&t, &[SortKey::desc("v"), SortKey::asc("id")], Some(c))),
+            Box::new(|c| join_with_mem(&t, &dim, &["k"], &["k"], JoinType::Full, Some(c))),
+            Box::new(|c| group_by_with_mem(&t, &["id"], &[AggSpec::count_records("n")], Some(c))),
+        ];
+        for op in &ops {
+            let clean = Arc::new(FailAt::default());
+            let c = ctx(4 * KIB).with_hooks(clean.clone());
+            let want = op(&c).unwrap();
+            let writes = clean.writes.load(Ordering::Relaxed);
+            let reads = clean.reads.load(Ordering::Relaxed);
+            assert!(writes > 2 && reads > 2, "{writes} writes, {reads} reads");
+            let faults = [0, 1, writes - 1].map(|k| (Some(k), None));
+            let faults = faults
+                .into_iter()
+                .chain([0, 1, reads - 1].map(|k| (None, Some(k))));
+            for (write, read) in faults {
+                let hooks = Arc::new(FailAt {
+                    write,
+                    read,
+                    ..FailAt::default()
+                });
+                let c = ctx(4 * KIB).with_hooks(hooks);
+                let err = op(&c).unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        EngineError::Spill {
+                            retryable: true,
+                            ..
+                        }
+                    ),
+                    "write {write:?} read {read:?}: {err}"
+                );
+                budget_held(&c);
+                // The retry, on the same context, goes through.
+                assert!(identical(&op(&c).unwrap(), &want));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        // (f) A dictionary column and a plain one place equal strings alike.
+        #[test]
+        fn dict_and_plain_strings_share_a_partition_for_every_salt(
+            cells in prop::collection::vec(prop::option::of("[a-d]{0,3}"), 1..40),
+            salt in 0u64..1_000_000,
+        ) {
+            let plain = Column::from_opt_strs(cells.clone());
+            let coded = plain.dict_encode();
+            let other = Column::from_ints((0..cells.len() as i64).map(|i| i % 3).collect());
+            for row in 0..cells.len() {
+                for salt in [0, 1, salt] {
+                    let (mut plain_hash, mut coded_hash) = ([0], [0]);
+                    key_hashes(&[&other, &plain], &[row as u64], salt, &mut plain_hash);
+                    key_hashes(&[&other, &coded], &[row as u64], salt, &mut coded_hash);
+                    prop_assert_eq!(plain_hash, coded_hash);
+                }
+            }
+        }
+
+        // Runs of any width come back as they were pushed, resident or not,
+        // and merge in record order.
+        #[test]
+        fn runs_round_trip_and_merge_in_order(
+            words in prop::collection::vec(0u64..50, 0..400),
+            width in 1usize..4,
+            budget in prop_oneof![Just(0u64), Just(2 * KIB), Just(u64::MAX)],
+        ) {
+            let c = ctx(budget);
+            let mut op = Spill::new(Some(&c), "test");
+            // Distinct records: the position is the last word.
+            let records: Vec<Vec<u64>> = words
+                .chunks_exact(width)
+                .zip(0..)
+                .map(|(r, i)| r.iter().copied().chain([i]).collect())
+                .collect();
+            let mut runs = Vec::new();
+            for share in records.chunks(records.len() / 6 + 1) {
+                let mut sorted = share.to_vec();
+                sorted.sort_unstable();
+                let mut run = op.run(width + 1);
+                sorted.iter().try_for_each(|r| run.push(&mut op, r)).unwrap();
+                prop_assert_eq!(run.len(), sorted.len());
+                runs.push(run);
+            }
+            let mut merged = Vec::new();
+            merge_runs(&mut op, runs, 7, |block| {
+                assert!(block.len() <= 7 * (width + 1));
+                merged.extend(block.chunks(width + 1).map(<[u64]>::to_vec));
+                Ok(())
+            })
+            .unwrap();
+            let mut want = records.clone();
+            want.sort_unstable();
+            prop_assert_eq!(merged, want);
+            prop_assert!(budget == 0 || c.governor.peak() <= budget);
+            // Every file was deleted as its last block was read.
+            let dirs = std::fs::read_dir(&c.spill_root).unwrap().flatten();
+            for dir in dirs {
+                prop_assert_eq!(std::fs::read_dir(dir.path()).unwrap().count(), 0);
+            }
         }
     }
 
     #[test]
-    fn spilled_group_by_matches_in_memory() {
-        let t = big_table(3000);
-        let aggs = vec![
-            AggSpec::new(AggFunc::Sum, "v", "s"),
-            AggSpec::new(AggFunc::Avg, "v", "a"),
-            AggSpec::new(AggFunc::First, "c", "f"),
-            AggSpec::new(AggFunc::Last, "c", "l"),
-            AggSpec::count_records("n"),
-        ];
-        let expect = group_by(&t, &["k", "c"], &aggs).unwrap();
-        let ctx = tiny_ctx();
-        let got = group_by_with_mem(&t, &["k", "c"], &aggs, Some(&ctx)).unwrap();
-        assert_eq!(got, expect);
-        assert!(ctx.metrics.snapshot().bytes_spilled > 0);
-    }
+    fn a_run_file_of_another_width_or_a_row_past_the_input_is_an_error() {
+        let c = ctx(0);
+        let mut op = Spill::new(Some(&c), "test");
+        let mut run = op.run(2);
+        (0..200u64)
+            .try_for_each(|i| run.push(&mut op, &[i, i]))
+            .unwrap();
+        run.seal(&mut op).unwrap();
+        assert!(run.resident().is_none());
+        run.width = 3;
+        let err = run.rewind(&mut op).unwrap_err();
+        assert!(matches!(err, EngineError::Parse { .. }), "{err}");
 
-    #[test]
-    fn spilled_sort_matches_in_memory() {
-        let t = big_table(3000);
-        let keys = [SortKey::asc("k"), SortKey::desc("v")];
-        let expect = sort_by(&t, &keys).unwrap();
-        let mut ctx = tiny_ctx();
-        ctx.spill_block_rows = 128;
-        let got = sort_by_with_mem(&t, &keys, Some(&ctx)).unwrap();
-        assert_eq!(got, expect);
-        assert!(ctx.metrics.snapshot().bytes_spilled > 0);
-    }
-
-    #[test]
-    fn under_budget_paths_do_not_spill() {
-        let t = big_table(500);
-        let ctx = MemContext::with_budget(u64::MAX).unwrap();
-        let sorted = sort_by_with_mem(&t, &[SortKey::asc("v")], Some(&ctx)).unwrap();
-        assert_eq!(sorted, sort_by(&t, &[SortKey::asc("v")]).unwrap());
-        let snap = ctx.metrics.snapshot();
-        assert_eq!(snap.bytes_spilled, 0);
-        assert_eq!(snap.spill_events, 0);
-    }
-
-    #[test]
-    fn spill_files_removed_after_ops() {
-        let t = big_table(2000);
-        let ctx = tiny_ctx();
-        let _ = sort_by_with_mem(&t, &[SortKey::asc("v")], Some(&ctx)).unwrap();
-        let _ = group_by_with_mem(&t, &["k"], &[AggSpec::count_records("n")], Some(&ctx)).unwrap();
-        let leaked: Vec<_> = std::fs::read_dir(&ctx.spill_root)
-            .unwrap()
-            .flatten()
-            .collect();
-        assert!(leaked.is_empty(), "spill dirs leaked: {leaked:?}");
-    }
-
-    #[test]
-    fn helper_names_avoid_collisions() {
-        let t = Table::new(vec![("__spill_lrow", Column::from_ints(vec![1, 2]))]).unwrap();
-        let name = fresh_name(&[&t], &[], "__spill_lrow");
-        assert_ne!(name, "__spill_lrow");
-        assert!(t.schema().index_of(&name).is_none());
+        let key = Column::from_ints(vec![1, 2, 3]);
+        let mut ids = op.run(1);
+        [0u64, 2, 3]
+            .iter()
+            .try_for_each(|id| ids.push(&mut op, &[*id]))
+            .unwrap();
+        let err = partition_ids(&mut op, &[&key], Ids::Listed(ids), 2, 0).map(|_| ());
+        assert!(
+            matches!(
+                err,
+                Err(EngineError::Spill {
+                    retryable: false,
+                    ..
+                })
+            ),
+            "{err:?}"
+        );
+        assert!(check_ids(&[0, 2], 3).is_ok());
     }
 }

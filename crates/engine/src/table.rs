@@ -186,6 +186,14 @@ impl Table {
         Ok(())
     }
 
+    /// Reserve room for `additional` more rows, so a run of `append`s
+    /// with a known total grows each column once.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.columns
+            .iter_mut()
+            .for_each(|col| col.reserve(additional));
+    }
+
     /// A contiguous window of rows.
     pub fn slice(&self, start: usize, count: usize) -> Table {
         let start = start.min(self.rows);

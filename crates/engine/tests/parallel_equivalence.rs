@@ -216,3 +216,54 @@ proptest! {
         }
     }
 }
+
+/// A governed group-by whose refusal arrives mid-attempt: with a small
+/// dispatch threshold 3 000 rows are several morsels, the budget admits the
+/// first of them and refuses a later one, and the dropped attempt gives way
+/// to hash partitions — each grouped as one morsel, so the result is the
+/// unbudgeted *one-morsel* result to the bit, order-sensitive aggregates
+/// and float moments included, in first-encounter order.
+#[test]
+fn governed_group_by_refused_among_parallel_morsels_matches_one_morsel() {
+    use dc_engine::ops::group_by_with_mem;
+    use dc_engine::MemContext;
+    let n = 3000i64;
+    let key = |i: i64| (i * 7919 % 1201 != 7).then_some(i * 7919 % 1201);
+    let t = Table::new(vec![
+        ("k", Column::from_opt_ints((0..n).map(key).collect())),
+        (
+            "v",
+            Column::from_floats((0..n).map(|i| (i % 97) as f64 * 0.37 - 11.0).collect()),
+        ),
+        (
+            "s",
+            Column::from_strs((0..n).map(|i| format!("s{}", i % 13)).collect()),
+        ),
+    ])
+    .unwrap();
+    use AggFunc::*;
+    let aggs: Vec<AggSpec> = [First, Last, Median, CountDistinct, StdDev, Sum]
+        .iter()
+        .map(|f| AggSpec::new(*f, if *f == First { "s" } else { "v" }, f.name()))
+        .collect();
+    let _held = THRESHOLD.lock().unwrap_or_else(|e| e.into_inner());
+    set_min_parallel_rows(usize::MAX);
+    let want = group_by(&t, &["k"], &aggs).unwrap();
+    set_min_parallel_rows(512);
+    let morsels = morsels(n as usize).len();
+    // Room for the scratch of the morsels in flight and the groups of the
+    // first ones, not for all of them.
+    let mut ctx = MemContext::with_budget(160 * 1024).unwrap();
+    (ctx.fanout, ctx.spill_block_rows) = (4, 128);
+    let got = group_by_with_mem(&t, &["k"], &aggs, Some(&ctx));
+    set_min_parallel_rows(DEFAULT_MIN_PARALLEL_ROWS);
+    assert_eq!(got.unwrap(), want);
+    assert_eq!(morsels > 1, cfg!(feature = "parallel"));
+    let gov = &ctx.governor;
+    assert!(gov.peak() <= gov.budget() && gov.forced() == 0, "{gov:?}");
+    assert!(
+        gov.peak() > 64 * 1024,
+        "the attempt was not underway: {gov:?}"
+    );
+    assert_eq!(std::fs::read_dir(&ctx.spill_root).unwrap().count(), 0);
+}
