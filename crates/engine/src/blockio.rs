@@ -457,7 +457,7 @@ impl BlockWriter {
             // Validity words are stored as their little-endian bytes.
             col.validity().write_le_bytes(&mut buf);
             let mut dict_id = u32::MAX;
-            match col {
+            match &**col {
                 Column::Bool(v, _) => Bitmap::from_bools(v).write_le_bytes(&mut buf),
                 Column::Int(v, _) => {
                     for x in v {
@@ -1109,7 +1109,7 @@ mod tests {
                     let stored = &bytes[cm.offset as usize..(cm.offset + cm.len) as usize];
                     let validity = pack_bits_reference(col.validity().iter(), rows);
                     assert_eq!(&stored[..validity.len()], validity, "{n} rows, validity");
-                    if let Column::Bool(v, _) = col {
+                    if let Column::Bool(v, _) = &**col {
                         let data = pack_bits_reference(v.iter().copied(), rows);
                         assert_eq!(&stored[validity.len()..], data, "{n} rows, bools");
                     }

@@ -1,5 +1,6 @@
 //! Dataset concatenation (the GEL `Concatenate the datasets ...` skill).
 
+use crate::column::Column;
 use crate::error::Result;
 use crate::table::Table;
 
@@ -11,35 +12,47 @@ use super::distinct::distinct;
 /// duplicates"), exact duplicate rows are dropped, keeping first
 /// occurrences.
 pub fn concat(tables: &[&Table], remove_duplicates: bool) -> Result<Table> {
-    let Some(first) = tables.first() else {
-        return Ok(Table::empty());
-    };
-    let mut schema = first.schema().clone();
-    for t in &tables[1..] {
-        schema = schema.concat_compatible(t.schema())?;
-    }
-    // One accumulator per column, sized for the total once and extended
-    // in place across all inputs — linear in total rows. (Rebuilding the
-    // accumulated table per input would copy everything already gathered
-    // each time, i.e. quadratic in the number of parts; block scans
-    // concatenate hundreds of parts, where that collapse matters.) Only a
-    // part whose dtype differs from the unified one is cast first.
-    let total: usize = tables.iter().map(|t| t.num_rows()).sum();
-    let mut out = Table::empty();
-    for field in schema.fields() {
-        let name = &field.name;
-        let mut acc = first.column(name)?.cast(field.dtype)?;
-        acc.reserve(total - acc.len());
-        for t in &tables[1..] {
-            let part = t.column(name)?;
-            if part.dtype() == field.dtype {
-                acc.extend(part)?;
-            } else {
-                acc.extend(&part.cast(field.dtype)?)?;
+    let out = match tables {
+        [] => return Ok(Table::empty()),
+        // A lone part is its own concatenation: shared, not copied.
+        [only] => (*only).clone(),
+        [first, rest @ ..] => {
+            let mut schema = first.schema().clone();
+            for t in rest {
+                schema = schema.concat_compatible(t.schema())?;
             }
+            // One accumulator per column, allocated once at the total and
+            // extended in place across all inputs — linear in total rows.
+            // (Rebuilding the accumulated table per input would copy
+            // everything already gathered each time, i.e. quadratic in the
+            // number of parts; block scans concatenate hundreds of parts,
+            // where that collapse matters.) Only a part whose dtype differs
+            // from the unified one is cast first.
+            let total: usize = tables.iter().map(|t| t.num_rows()).sum();
+            let mut out = Table::empty();
+            for field in schema.fields() {
+                let name = &field.name;
+                // Start from the first part's encoding, so dictionary codes
+                // stay codes and the reservation survives the first append.
+                let head = first.column(name)?;
+                let mut acc = match head.dtype() == field.dtype {
+                    true => head.slice(0, 0),
+                    false => Column::empty(field.dtype),
+                };
+                acc.reserve(total);
+                for t in tables {
+                    let part = t.column(name)?;
+                    if part.dtype() == field.dtype {
+                        acc.extend(part)?;
+                    } else {
+                        acc.extend(&part.cast(field.dtype)?)?;
+                    }
+                }
+                out.add_column(name, acc)?;
+            }
+            out
         }
-        out.add_column(name, acc)?;
-    }
+    };
     if remove_duplicates {
         distinct(&out, &[])
     } else {

@@ -1,5 +1,6 @@
 //! Duplicate removal.
 
+use crate::column::Column;
 use crate::error::Result;
 use crate::ops::aggregate::{encode_groups, first_rows};
 use crate::table::Table;
@@ -12,8 +13,8 @@ use crate::table::Table;
 /// encoder): nulls equal each other, -0.0 equals 0.0, and all NaNs count
 /// as one value.
 pub fn distinct(table: &Table, columns: &[&str]) -> Result<Table> {
-    let cols: Vec<_> = if columns.is_empty() {
-        table.columns().iter().collect()
+    let cols: Vec<&Column> = if columns.is_empty() {
+        table.columns().iter().map(|c| &**c).collect()
     } else {
         columns
             .iter()

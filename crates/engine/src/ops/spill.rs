@@ -399,7 +399,7 @@ impl<'a> Run<'a> {
             }
             self.buf.resize(table.num_rows() * self.width, 0);
             for (word, column) in table.columns().iter().enumerate() {
-                let Column::Int(values, valid) = column else {
+                let Column::Int(values, valid) = &**column else {
                     return Err(EngineError::parse("run file column is not Int"));
                 };
                 if !valid.all_valid() {

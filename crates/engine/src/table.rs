@@ -1,6 +1,32 @@
 //! The in-memory table: a schema plus equal-length columns.
+//!
+//! ## Ownership
+//!
+//! A [`Table`] holds each column behind an [`Arc`], and a column held by
+//! a table is never mutated while it is shared. That makes every operation that
+//! does not change a column's *contents* a pointer copy of that column:
+//! `clone`, [`Table::select`], [`Table::with_column`] (the untouched
+//! columns), [`Table::drop_column`], [`Table::rename_column`], the string
+//! re-encoders (the non-string columns), a [`Table::slice`] /
+//! [`Table::head`] that covers every row, a [`Table::filter_mask`] /
+//! [`Table::select_filtered`] whose mask keeps every row, and a
+//! one-part `ops::concat`. A storage block, a cache entry and the table
+//! a chat reply carries may therefore all alias the same buffers.
+//!
+//! What still copies, because the rows themselves change: gathers
+//! ([`Table::take`], a filter that drops rows), a partial `slice`, and a
+//! multi-part `concat` (one contiguous allocation per output column).
+//!
+//! The only writers of a table-held column are [`Table::append`] and
+//! `Table::reserve`; both go through [`Arc::make_mut`], so a column
+//! another table still points at is copied first (copy-on-write) and the
+//! other holder never observes the write. Equality ([`PartialEq`]) and
+//! [`Table::byte_size`] are by value: sharing is unobservable except
+//! through [`Table::shares_columns_with`] and `Arc::ptr_eq` on
+//! [`Table::columns`].
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::column::Column;
 use crate::error::{EngineError, Result};
@@ -13,10 +39,12 @@ use crate::value::Value;
 /// the unit every relational operator consumes and produces. Operators
 /// never mutate tables in place; they build new ones, which keeps the
 /// lazy skill-DAG executor free to cache and share intermediate results.
+/// Cloning copies the schema and one pointer per column (see the module
+/// docs for the ownership rules).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     schema: Schema,
-    columns: Vec<Column>,
+    columns: Vec<Arc<Column>>,
     rows: usize,
 }
 
@@ -52,15 +80,18 @@ impl Table {
             columns: schema
                 .fields()
                 .iter()
-                .map(|f| Column::empty(f.dtype))
+                .map(|f| Arc::new(Column::empty(f.dtype)))
                 .collect(),
             rows: 0,
         }
     }
 
-    /// Append a named column. Must match the table's row count (the first
-    /// column fixes it).
-    pub fn add_column(&mut self, name: &str, col: Column) -> Result<()> {
+    /// Append a named column — an owned [`Column`], or an `Arc<Column>`
+    /// another table already holds, which is then shared rather than
+    /// copied. Must match the table's row count (the first column fixes
+    /// it).
+    pub fn add_column(&mut self, name: &str, col: impl Into<Arc<Column>>) -> Result<()> {
+        let col = col.into();
         if !self.columns.is_empty() && col.len() != self.rows {
             return Err(EngineError::LengthMismatch {
                 left: self.rows,
@@ -90,9 +121,18 @@ impl Table {
         self.columns.len()
     }
 
-    /// All columns in schema order.
-    pub fn columns(&self) -> &[Column] {
+    /// All columns in schema order, as the shared handles the table
+    /// holds.
+    pub fn columns(&self) -> &[Arc<Column>] {
         &self.columns
+    }
+
+    /// Whether `other` holds exactly this table's columns — the same
+    /// allocations in the same order, not merely equal values. Lets an
+    /// owner of both count the buffers once.
+    pub fn shares_columns_with(&self, other: &Table) -> bool {
+        self.columns.len() == other.columns.len()
+            && (self.columns.iter().zip(&other.columns)).all(|(a, b)| Arc::ptr_eq(a, b))
     }
 
     /// Column by case-insensitive name.
@@ -135,38 +175,51 @@ impl Table {
     pub fn take(&self, indices: &[usize]) -> Table {
         Table {
             schema: self.schema.clone(),
-            columns: self.columns.iter().map(|c| c.take(indices)).collect(),
+            columns: (self.columns.iter())
+                .map(|c| Arc::new(c.take(indices)))
+                .collect(),
             rows: indices.len(),
         }
     }
 
     /// The kept-row indices of a selection mask: derived once per filter,
-    /// then every column gathers through the same vector.
-    fn selection(&self, mask: &[bool]) -> Result<Vec<usize>> {
+    /// then every column gathers through the same vector. `None` when the
+    /// mask keeps every row, in which case the columns are the output as
+    /// they stand and nothing needs gathering.
+    fn selection(&self, mask: &[bool]) -> Result<Option<Vec<usize>>> {
         if mask.len() != self.rows {
             return Err(EngineError::LengthMismatch {
                 left: self.rows,
                 right: mask.len(),
             });
         }
-        Ok(mask
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &keep)| keep.then_some(i))
-            .collect())
+        if mask.iter().all(|&keep| keep) {
+            return Ok(None);
+        }
+        Ok(Some(
+            mask.iter()
+                .enumerate()
+                .filter_map(|(i, &keep)| keep.then_some(i))
+                .collect(),
+        ))
     }
 
     /// Keep rows where the mask is true.
     pub fn filter_mask(&self, mask: &[bool]) -> Result<Table> {
-        Ok(self.take(&self.selection(mask)?))
+        Ok(match self.selection(mask)? {
+            Some(kept) => self.take(&kept),
+            None => self.clone(),
+        })
     }
 
     /// [`Table::select`] then [`Table::filter_mask`] in one pass: only the
     /// named columns are gathered, so columns a predicate needed but the
     /// output does not are never copied.
     pub fn select_filtered(&self, names: &[&str], mask: &[bool]) -> Result<Table> {
-        let kept = self.selection(mask)?;
-        self.select_with(names, kept.len(), |c| c.take(&kept))
+        match self.selection(mask)? {
+            Some(kept) => self.select_with(names, kept.len(), |c| Arc::new(c.take(&kept))),
+            None => self.select(names),
+        }
     }
 
     /// Append the rows of `other` in place. Schemas must match by name,
@@ -180,7 +233,7 @@ impl Table {
             )));
         }
         for (col, more) in self.columns.iter_mut().zip(&other.columns) {
-            col.extend(more)?;
+            Arc::make_mut(col).extend(more)?;
         }
         self.rows += other.rows;
         Ok(())
@@ -191,16 +244,22 @@ impl Table {
     pub(crate) fn reserve(&mut self, additional: usize) {
         self.columns
             .iter_mut()
-            .for_each(|col| col.reserve(additional));
+            .for_each(|col| Arc::make_mut(col).reserve(additional));
     }
 
-    /// A contiguous window of rows.
+    /// A contiguous window of rows. A window covering every row shares
+    /// the columns; any other copies its rows out.
     pub fn slice(&self, start: usize, count: usize) -> Table {
         let start = start.min(self.rows);
         let count = count.min(self.rows - start);
+        if count == self.rows {
+            return self.clone();
+        }
         Table {
             schema: self.schema.clone(),
-            columns: self.columns.iter().map(|c| c.slice(start, count)).collect(),
+            columns: (self.columns.iter())
+                .map(|c| Arc::new(c.slice(start, count)))
+                .collect(),
             rows: count,
         }
     }
@@ -211,8 +270,9 @@ impl Table {
     }
 
     /// Replace (or create) a column, keeping schema order; replacing keeps
-    /// the original position.
-    pub fn with_column(&self, name: &str, col: Column) -> Result<Table> {
+    /// the original position. Every other column is shared with `self`.
+    pub fn with_column(&self, name: &str, col: impl Into<Arc<Column>>) -> Result<Table> {
+        let col = col.into();
         if col.len() != self.rows && !self.columns.is_empty() {
             return Err(EngineError::LengthMismatch {
                 left: self.rows,
@@ -275,9 +335,10 @@ impl Table {
         })
     }
 
-    /// Keep only the named columns, in the given order.
+    /// Keep only the named columns, in the given order (shared, not
+    /// copied).
     pub fn select(&self, names: &[&str]) -> Result<Table> {
-        self.select_with(names, self.rows, Column::clone)
+        self.select_with(names, self.rows, Arc::clone)
     }
 
     /// The named columns, in the given order, each built by `build` (which
@@ -286,7 +347,7 @@ impl Table {
         &self,
         names: &[&str],
         rows: usize,
-        build: impl Fn(&Column) -> Column,
+        build: impl Fn(&Arc<Column>) -> Arc<Column>,
     ) -> Result<Table> {
         let mut out = Table::empty();
         for &name in names {
@@ -300,7 +361,8 @@ impl Table {
         Ok(out)
     }
 
-    /// Approximate in-memory size in bytes.
+    /// Approximate in-memory size in bytes: the logical bytes of this
+    /// table's own columns, whoever else shares them.
     pub fn byte_size(&self) -> usize {
         self.columns.iter().map(|c| c.byte_size()).sum()
     }
@@ -311,8 +373,8 @@ impl Table {
     pub fn encode_strings(&self) -> Table {
         let mut out = self.clone();
         for col in out.columns.iter_mut() {
-            if matches!(col, Column::Str(..)) {
-                *col = col.dict_encode();
+            if matches!(**col, Column::Str(..)) {
+                *col = Arc::new(col.dict_encode());
             }
         }
         out
@@ -323,8 +385,8 @@ impl Table {
     pub fn materialize_strings(&self) -> Table {
         let mut out = self.clone();
         for col in out.columns.iter_mut() {
-            if matches!(col, Column::Dict(..)) {
-                *col = col.materialize();
+            if matches!(**col, Column::Dict(..)) {
+                *col = Arc::new(col.materialize());
             }
         }
         out
@@ -412,7 +474,7 @@ impl TableBuilder {
         let rows = self.columns.first().map_or(0, |c| c.len());
         Table {
             schema: self.schema,
-            columns: self.columns,
+            columns: self.columns.into_iter().map(Arc::new).collect(),
             rows,
         }
     }

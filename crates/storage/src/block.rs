@@ -6,7 +6,6 @@
 //! a real mechanism: sampling 10% of *blocks* scans ~10% of the bytes,
 //! whereas row-level Bernoulli sampling still scans everything.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use dc_engine::blockio::{compute_zone, ZoneBoundsIo, ZoneInfo};
@@ -25,34 +24,34 @@ use crate::pricing::ScanReceipt;
 /// What one unpruned block contributes to a scan, shared by the in-RAM
 /// and the on-disk backend: row-sample, evaluate the pushed predicate once,
 /// then gather only the projected columns through that one selection, so a
-/// column only the predicate needed is never copied. `block` holds at least
-/// the projected and the predicate's columns; `predicate` is `None` when
-/// nothing was pushed or the zone maps proved every row matches.
-pub(crate) fn scan_block<'a>(
-    mut block: Cow<'a, Table>,
+/// column only the predicate needed is never copied — and a block no row of
+/// which is dropped contributes its columns as they stand, shared. `block`
+/// holds at least the projected and the predicate's columns; `predicate` is
+/// `None` when nothing was pushed or the zone maps proved every row matches.
+pub(crate) fn scan_block(
+    block: &Table,
     row_sample: Option<(f64, u64)>,
     predicate: Option<&Expr>,
     projection: Option<&[&str]>,
-) -> dc_engine::Result<Cow<'a, Table>> {
-    if let Some((fraction, seed)) = row_sample {
-        block = Cow::Owned(sample_fraction(&block, fraction, seed)?);
-    }
+) -> dc_engine::Result<Table> {
+    let sampled;
+    let block = match row_sample {
+        Some((fraction, seed)) => {
+            sampled = sample_fraction(block, fraction, seed)?;
+            &sampled
+        }
+        None => block,
+    };
     // Row-level evaluation errors (e.g. cross-type comparisons) must
     // surface from the caller's own filter for correct attribution; the
     // block passes through unfiltered in that case.
-    let mask = predicate.and_then(|p| eval_predicate_serial(&block, p).ok());
-    // A block read with exactly the projection is already the output.
-    let schema = block.schema();
-    let is_whole_block = |cols: &[&str]| {
-        cols.len() == schema.fields().len()
-            && (cols.iter().enumerate()).all(|(i, c)| schema.index_of(c) == Some(i))
-    };
-    Ok(match (mask, projection) {
-        (Some(mask), Some(cols)) => Cow::Owned(block.select_filtered(cols, &mask)?),
-        (Some(mask), None) => Cow::Owned(block.filter_mask(&mask)?),
-        (None, Some(cols)) if !is_whole_block(cols) => Cow::Owned(block.select(cols)?),
-        (None, _) => block,
-    })
+    let mask = predicate.and_then(|p| eval_predicate_serial(block, p).ok());
+    match (mask, projection) {
+        (Some(mask), Some(cols)) => block.select_filtered(cols, &mask),
+        (Some(mask), None) => block.filter_mask(&mask),
+        (None, Some(cols)) => block.select(cols),
+        (None, None) => Ok(block.clone()),
+    }
 }
 
 /// The metadata a stored table keeps resident, whichever backend holds
@@ -232,7 +231,7 @@ impl BlockTable {
             .collect();
         let zones = blocks
             .iter()
-            .map(|b| b.columns().iter().map(compute_zone).collect())
+            .map(|b| b.columns().iter().map(|c| compute_zone(c)).collect())
             .collect();
         Ok(BlockTable {
             data_bytes,
@@ -418,10 +417,10 @@ impl BlockTable {
         let read_data_bytes =
             |bi: usize| -> u64 { read_cols.iter().map(|&ci| self.data_bytes[bi][ci]).sum() };
 
-        // Unprojected, unsampled blocks are borrowed as-is — a full scan
-        // never deep-clones block data, it only concatenates borrowed
-        // parts into the output table.
-        let mut parts: Vec<Cow<'_, Table>> = Vec::with_capacity(chosen.len());
+        // A block nothing is dropped from contributes its own columns, so
+        // a scan that ends with one such part returns them shared; several
+        // parts pay the one contiguous `concat`.
+        let mut parts: Vec<Table> = Vec::with_capacity(chosen.len());
         let mut bytes = 0u64;
         let mut rows_scanned = 0u64;
         let mut blocks_scanned = 0u64;
@@ -461,7 +460,7 @@ impl BlockTable {
             rows_scanned += block.num_rows() as u64;
             blocks_scanned += 1;
             let part = scan_block(
-                Cow::Borrowed(block.as_ref()),
+                block,
                 opts.row_sample
                     .map(|f| (f, opts.seed.wrapping_add(bi as u64))),
                 predicate.filter(|_| verdict != Tri::AllTrue),
@@ -484,8 +483,7 @@ impl BlockTable {
             }
             empty
         } else {
-            let refs: Vec<&Table> = parts.iter().map(|p| p.as_ref()).collect();
-            dc_engine::ops::concat(&refs, false)?
+            dc_engine::ops::concat(&parts.iter().collect::<Vec<_>>(), false)?
         };
         Ok((
             out,

@@ -18,7 +18,6 @@
 //! Reads go through a buffered positional-read path by default; the
 //! `mmap` feature maps the file instead (same format, same receipts).
 
-use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 
 use dc_engine::blockio::{BlockFile, ZoneBoundsIo};
@@ -269,7 +268,7 @@ impl DiskBlockTable {
             .as_ref()
             .map(|cols| cols.iter().map(|s| s.as_str()).collect());
 
-        let mut parts: Vec<Cow<'_, Table>> = Vec::with_capacity(chosen.len());
+        let mut parts: Vec<Table> = Vec::with_capacity(chosen.len());
         let mut bytes = 0u64;
         let mut bytes_read = 0u64;
         let mut rows_scanned = 0u64;
@@ -313,7 +312,7 @@ impl DiskBlockTable {
             rows_scanned += block_rows as u64;
             blocks_scanned += 1;
             let part = scan_block(
-                Cow::Owned(table),
+                &table,
                 opts.row_sample
                     .map(|f| (f, opts.seed.wrapping_add(bi as u64))),
                 predicate.filter(|_| verdict != Tri::AllTrue),
@@ -338,8 +337,7 @@ impl DiskBlockTable {
                 None => empty,
             }
         } else {
-            let refs: Vec<&Table> = parts.iter().map(|p| p.as_ref()).collect();
-            dc_engine::ops::concat(&refs, false).map_err(map_engine)?
+            dc_engine::ops::concat(&parts.iter().collect::<Vec<_>>(), false).map_err(map_engine)?
         };
         debug_assert!(bytes_read <= bytes, "faulted more than charged");
         Ok((
