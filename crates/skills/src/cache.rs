@@ -105,6 +105,8 @@ struct Entry {
     output: SkillOutput,
     table: Arc<Table>,
     footprint: u64,
+    /// Bytes this entry is charged for: the flow table, plus the output
+    /// when it holds buffers of its own (see `admit_as`).
     resident: u64,
     last_used: u64,
 }
@@ -135,8 +137,17 @@ struct Inner {
 }
 
 impl Inner {
+    /// The tenant's counters; the name is allocated only on the tenant's
+    /// first touch, not on every attributed probe (this runs under the
+    /// cache mutex).
     fn tenant(&mut self, who: &str) -> &mut TenantCacheStats {
-        self.per_tenant.entry(who.to_string()).or_default()
+        if !self.per_tenant.contains_key(who) {
+            self.per_tenant
+                .insert(who.to_string(), TenantCacheStats::default());
+        }
+        self.per_tenant
+            .get_mut(who)
+            .expect("present or just inserted")
     }
 }
 
@@ -259,18 +270,23 @@ impl MaterializedCache {
         footprint: u64,
         who: Option<&str>,
     ) {
+        // What the entry keeps resident: its flow table, plus its output
+        // unless that *is* the flow table (a transforming node's flow is a
+        // pointer copy of its output), in which case the buffers exist
+        // once and are charged once. Buffers shared with other entries or
+        // with a storage block are charged to every entry that holds them,
+        // so the counted total never understates what is resident.
         let resident = (table.byte_size() as u64)
             + match &output {
-                // The flow table usually aliases the output table's data
-                // shape; counting both is deliberately conservative.
+                SkillOutput::Table(t) if t.shares_columns_with(&table) => 0,
                 SkillOutput::Table(t) => t.byte_size() as u64,
                 _ => 64,
             };
+        let mut inner = self.lock();
         if resident > self.capacity_bytes {
-            self.lock().rejected += 1;
+            inner.rejected += 1;
             return;
         }
-        let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
         if let Some(old) = inner.entries.remove(&key) {
@@ -393,9 +409,11 @@ mod tests {
 
     #[test]
     fn eviction_prefers_high_footprint_per_byte() {
-        // Capacity fits roughly two of the three entries.
+        // Capacity fits roughly two of the three entries. (An entry whose
+        // output is its flow table is charged once — this was `2 *` while
+        // admission counted the two handles separately.)
         let (out, t) = entry(1000);
-        let resident = 2 * t.byte_size() as u64;
+        let resident = t.byte_size() as u64;
         let cache = MaterializedCache::new(resident * 2 + resident / 2);
         // Entry 1: huge footprint per byte (expensive to recompute).
         cache.admit(1, out, t, 1 << 40);
@@ -414,7 +432,8 @@ mod tests {
     #[test]
     fn lru_breaks_footprint_ties() {
         let (out, t) = entry(1000);
-        let resident = 2 * t.byte_size() as u64;
+        // Charged once, as above.
+        let resident = t.byte_size() as u64;
         let cache = MaterializedCache::new(resident * 2 + resident / 2);
         cache.admit(1, out, t, 500);
         let (out, t) = entry(1000);
@@ -425,6 +444,29 @@ mod tests {
         cache.admit(3, out, t, 500);
         assert!(cache.get(1).is_some());
         assert!(cache.get(2).is_none());
+    }
+
+    #[test]
+    fn an_output_that_is_the_flow_table_is_charged_once() {
+        let cache = MaterializedCache::new(1 << 20);
+        let (out, t) = entry(100);
+        let bytes = t.byte_size() as u64;
+        assert!(out.as_table().unwrap().shares_columns_with(&t));
+        cache.admit(1, out, Arc::clone(&t), 1);
+        assert_eq!(cache.stats().resident_bytes, bytes);
+        // An output with buffers of its own (equal values, different
+        // allocation) is resident beside the flow table: both count.
+        let own = SkillOutput::Table(table(100).as_ref().clone());
+        cache.admit(2, own, Arc::clone(&t), 1);
+        assert_eq!(cache.stats().resident_bytes, 3 * bytes);
+        // Sharing across entries stays uncounted: entry 3 is charged in
+        // full although entry 1 already holds the same columns.
+        let again = SkillOutput::Table(t.as_ref().clone());
+        cache.admit(3, again, Arc::clone(&t), 1);
+        assert_eq!(cache.stats().resident_bytes, 4 * bytes);
+        // Non-table outputs are a flat 64 bytes beside the flow table.
+        cache.admit(4, SkillOutput::Text("n".into()), t, 1);
+        assert_eq!(cache.stats().resident_bytes, 5 * bytes + 64);
     }
 
     #[test]
