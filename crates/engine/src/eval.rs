@@ -5,6 +5,7 @@
 //! `IS NULL` / `COALESCE` are the only constructs that observe nullness
 //! directly.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::bitmap::Bitmap;
@@ -33,26 +34,33 @@ pub fn eval(table: &Table, expr: &Expr) -> Result<Column> {
 
 /// Serial expression evaluation (also the per-morsel worker body).
 pub fn eval_serial(table: &Table, expr: &Expr) -> Result<Column> {
+    eval_ref(table, expr).map(Cow::into_owned)
+}
+
+/// [`eval_serial`], except that a bare column reference borrows the
+/// table's column: operators only read their operands, so `price * qty`
+/// allocates its result and nothing else.
+fn eval_ref<'t>(table: &'t Table, expr: &Expr) -> Result<Cow<'t, Column>> {
     let n = table.num_rows();
-    match expr {
-        Expr::Column(name) => Ok(table.column(name)?.clone()),
-        Expr::Literal(v) => Ok(broadcast(v, n)),
+    let computed = match expr {
+        Expr::Column(name) => return Ok(Cow::Borrowed(table.column(name)?)),
+        Expr::Literal(v) => broadcast(v, n),
         Expr::Binary { left, op, right } => {
-            let l = eval_serial(table, left)?;
-            let r = eval_serial(table, right)?;
+            let l = eval_ref(table, left)?;
+            let r = eval_ref(table, right)?;
             if op.is_logical() {
-                eval_logical(&l, *op, &r)
+                eval_logical(&l, *op, &r)?
             } else if op.is_comparison() {
-                eval_comparison(&l, *op, &r)
+                eval_comparison(&l, *op, &r)?
             } else {
-                eval_arith(&l, *op, &r)
+                eval_arith(&l, *op, &r)?
             }
         }
         Expr::Unary { op, expr } => {
-            let c = eval_serial(table, expr)?;
+            let c = eval_ref(table, expr)?;
             match op {
-                UnaryOp::Not => eval_not(&c),
-                UnaryOp::Neg => eval_neg(&c),
+                UnaryOp::Not => eval_not(&c)?,
+                UnaryOp::Neg => eval_neg(&c)?,
             }
         }
         Expr::Func { func, args } => {
@@ -69,29 +77,28 @@ pub fn eval_serial(table: &Table, expr: &Expr) -> Result<Column> {
                     args.len()
                 )));
             }
-            let cols: Vec<Column> = args
+            let cols: Vec<Cow<'t, Column>> = args
                 .iter()
-                .map(|a| eval_serial(table, a))
+                .map(|a| eval_ref(table, a))
                 .collect::<Result<_>>()?;
-            eval_func(*func, &cols, n)
+            let cols: Vec<&Column> = cols.iter().map(|c| &**c).collect();
+            eval_func(*func, &cols, n)?
         }
-        Expr::Cast { expr, to } => eval_serial(table, expr)?.cast(*to),
+        Expr::Cast { expr, to } => eval_ref(table, expr)?.cast(*to)?,
         Expr::IsNull(e) => {
-            let c = eval_serial(table, e)?;
-            Ok(Column::from_bools(
-                c.validity().iter().map(|v| !v).collect(),
-            ))
+            let c = eval_ref(table, e)?;
+            Column::from_bools(c.validity().iter().map(|v| !v).collect())
         }
         Expr::IsNotNull(e) => {
-            let c = eval_serial(table, e)?;
-            Ok(Column::from_bools(c.validity().iter().collect()))
+            let c = eval_ref(table, e)?;
+            Column::from_bools(c.validity().iter().collect())
         }
         Expr::InList {
             expr,
             list,
             negated,
         } => {
-            let c = eval_serial(table, expr)?;
+            let c = eval_ref(table, expr)?;
             let list_has_null = list.iter().any(|v| v.is_null());
             let mut data = Vec::with_capacity(n);
             let mut valid = Bitmap::new_null(n);
@@ -121,7 +128,7 @@ pub fn eval_serial(table: &Table, expr: &Expr) -> Result<Column> {
                         valid.set(i, true);
                     }
                 }
-                return Ok(Column::Bool(data, valid));
+                return Ok(Cow::Owned(Column::Bool(data, valid)));
             }
             for i in 0..n {
                 let v = c.get(i);
@@ -141,7 +148,7 @@ pub fn eval_serial(table: &Table, expr: &Expr) -> Result<Column> {
                     valid.set(i, true);
                 }
             }
-            Ok(Column::Bool(data, valid))
+            Column::Bool(data, valid)
         }
         Expr::Between {
             expr,
@@ -165,12 +172,13 @@ pub fn eval_serial(table: &Table, expr: &Expr) -> Result<Column> {
             };
             let c = eval_serial(table, &inner)?;
             if *negated {
-                eval_not(&c)
+                eval_not(&c)?
             } else {
-                Ok(c)
+                c
             }
         }
-    }
+    };
+    Ok(Cow::Owned(computed))
 }
 
 /// Resolve the columns `expr` references, so morsel workers can build
@@ -593,7 +601,7 @@ fn eval_arith(l: &Column, op: BinaryOp, r: &Column) -> Result<Column> {
     })
 }
 
-fn eval_func(func: ScalarFunc, cols: &[Column], n: usize) -> Result<Column> {
+fn eval_func(func: ScalarFunc, cols: &[&Column], n: usize) -> Result<Column> {
     use ScalarFunc::*;
     match func {
         Abs | Ceil | Floor | Sqrt | Ln | Exp => {
@@ -625,14 +633,14 @@ fn eval_func(func: ScalarFunc, cols: &[Column], n: usize) -> Result<Column> {
         }
         Round => {
             let digits = if cols.len() == 2 {
-                scalar_int(&cols[1], "round digits")?
+                scalar_int(cols[1], "round digits")?
             } else {
                 0
             };
             let factor = 10f64.powi(digits as i32);
-            map_numeric(&cols[0], n, move |x| Some((x * factor).round() / factor))
+            map_numeric(cols[0], n, move |x| Some((x * factor).round() / factor))
         }
-        Pow => binary_numeric(&cols[0], &cols[1], n, |a, b| {
+        Pow => binary_numeric(cols[0], cols[1], n, |a, b| {
             let y = a.powf(b);
             y.is_finite().then_some(y)
         }),
@@ -652,11 +660,9 @@ fn eval_func(func: ScalarFunc, cols: &[Column], n: usize) -> Result<Column> {
                 }
                 return Ok(Column::Int(data, valid));
             }
-            binary_numeric(c, &cols[1], n, |x, w| {
-                (w > 0.0).then(|| (x / w).floor() * w)
-            })
+            binary_numeric(c, cols[1], n, |x, w| (w > 0.0).then(|| (x / w).floor() * w))
         }
-        Lower | Upper | Trim => map_str(&cols[0], n, |s| match func {
+        Lower | Upper | Trim => map_str(cols[0], n, |s| match func {
             Lower => s.to_lowercase(),
             Upper => s.to_uppercase(),
             Trim => s.trim().to_string(),
@@ -741,10 +747,10 @@ fn eval_func(func: ScalarFunc, cols: &[Column], n: usize) -> Result<Column> {
         Substring => {
             // substring(s, start_1_based, len)
             if cols[0].dtype() != DataType::Str {
-                return Err(type_err(&cols[0], "substring"));
+                return Err(type_err(cols[0], "substring"));
             }
-            let start = scalar_int(&cols[1], "substring start")?;
-            let len = scalar_int(&cols[2], "substring length")?;
+            let start = scalar_int(cols[1], "substring start")?;
+            let len = scalar_int(cols[2], "substring length")?;
             let mut data = Vec::with_capacity(n);
             let mut valid = Bitmap::new_null(n);
             for i in 0..n {
@@ -764,7 +770,7 @@ fn eval_func(func: ScalarFunc, cols: &[Column], n: usize) -> Result<Column> {
         Year | Month | Day => {
             let (d, dv) = cols[0]
                 .as_dates()
-                .ok_or_else(|| type_err(&cols[0], func.name()))?;
+                .ok_or_else(|| type_err(cols[0], func.name()))?;
             let mut data = Vec::with_capacity(n);
             for &days in d {
                 let (y, m, dd) = ymd_from_days(days);
@@ -798,7 +804,7 @@ fn eval_func(func: ScalarFunc, cols: &[Column], n: usize) -> Result<Column> {
         If => {
             let (cond, cv) = cols[0]
                 .as_bools()
-                .ok_or_else(|| type_err(&cols[0], "if condition"))?;
+                .ok_or_else(|| type_err(cols[0], "if condition"))?;
             let dtype = cols[1].dtype().unify(cols[2].dtype()).ok_or_else(|| {
                 EngineError::eval(format!(
                     "if branches have incompatible types {} and {}",

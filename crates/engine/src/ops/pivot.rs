@@ -1,9 +1,10 @@
 //! Pivot (cross-tabulation).
 
+use std::collections::HashMap;
+
 use crate::error::{EngineError, Result};
-use crate::ops::aggregate::{group_by, AggFunc, AggSpec};
+use crate::ops::aggregate::{encode_groups, first_rows, group_by, AggFunc, AggSpec};
 use crate::table::Table;
-use crate::value::Value;
 
 /// Pivot `table`: one output row per distinct `index` value, one output
 /// column per distinct `columns` value, cells holding `agg` of `values`.
@@ -31,28 +32,31 @@ pub fn pivot(
     let idx_col = grouped.column_at(0);
     let hdr_col = grouped.column_at(1);
     let cell_col = grouped.column_at(2);
+    let n = grouped.num_rows();
 
-    // Distinct index values and headers, in first-encounter order.
-    let mut row_keys: Vec<Value> = Vec::new();
+    // Number the distinct index values and headers densely, in
+    // first-encounter order. Index values are told apart the way `distinct`
+    // tells rows apart (the group-by encoder); headers by their rendered
+    // text, so a null and the string `null` share one header.
+    let row_of = encode_groups(&[idx_col], 0..n);
+    let row_firsts = first_rows(&row_of);
     let mut headers: Vec<String> = Vec::new();
-    for r in 0..grouped.num_rows() {
-        let iv = idx_col.get(r);
-        if !row_keys.contains(&iv) {
-            row_keys.push(iv);
-        }
-        let h = hdr_col.get(r).render();
-        if !headers.contains(&h) {
-            headers.push(h);
-        }
-    }
+    let mut by_text: HashMap<String, usize> = HashMap::new();
+    let hdr_of: Vec<usize> = (0..n)
+        .map(|r| {
+            *by_text
+                .entry(hdr_col.get(r).render())
+                .or_insert_with_key(|text| {
+                    headers.push(text.clone());
+                    headers.len() - 1
+                })
+        })
+        .collect();
 
-    let mut cells: Vec<Vec<Value>> = vec![vec![Value::Null; headers.len()]; row_keys.len()];
-    for r in 0..grouped.num_rows() {
-        let iv = idx_col.get(r);
-        let h = hdr_col.get(r).render();
-        let ri = row_keys.iter().position(|k| *k == iv).unwrap();
-        let ci = headers.iter().position(|k| *k == h).unwrap();
-        cells[ri][ci] = cell_col.get(r);
+    // Scatter: which grouped row fills each (header, index value) cell.
+    let mut picks: Vec<Vec<Option<usize>>> = vec![vec![None; row_firsts.len()]; headers.len()];
+    for r in 0..n {
+        picks[hdr_of[r]][row_of[r] as usize] = Some(r);
     }
 
     let mut out = Table::empty();
@@ -61,11 +65,10 @@ pub fn pivot(
         .field(index)
         .map(|f| f.name.clone())
         .unwrap_or_else(|| index.to_string());
-    out.add_column(&index_name, crate::column::Column::from_values(&row_keys)?)?;
-    for (ci, header) in headers.iter().enumerate() {
-        let col_vals: Vec<Value> = cells.iter().map(|row| row[ci].clone()).collect();
+    out.add_column(&index_name, idx_col.take(&row_firsts))?;
+    for (header, pick) in headers.iter().zip(&picks) {
         let name = out.schema().fresh_name(header);
-        out.add_column(&name, crate::column::Column::from_values(&col_vals)?)?;
+        out.add_column(&name, cell_col.take_opt(pick))?;
     }
     Ok(out)
 }
@@ -74,6 +77,7 @@ pub fn pivot(
 mod tests {
     use super::*;
     use crate::column::Column;
+    use crate::value::Value;
 
     fn t() -> Table {
         Table::new(vec![
@@ -85,6 +89,125 @@ mod tests {
             ("n", Column::from_ints(vec![1, 1, 1, 1, 1])),
         ])
         .unwrap()
+    }
+
+    /// The loop `pivot` used to scatter with: distinct index values and
+    /// headers found by linear search over `Vec<Value>` / `Vec<String>`,
+    /// cells placed by `position` — quadratic in the distinct values, kept
+    /// as the reference the dense-id scatter must reproduce.
+    fn pivot_reference(
+        table: &Table,
+        index: &str,
+        columns: &str,
+        values: &str,
+        agg: AggFunc,
+    ) -> Table {
+        let spec = [AggSpec::new(agg, values, "__cell")];
+        let grouped = group_by(table, &[index, columns], &spec).unwrap();
+        let (idx_col, hdr_col, cell_col) = (
+            grouped.column_at(0),
+            grouped.column_at(1),
+            grouped.column_at(2),
+        );
+        let mut row_keys: Vec<Value> = Vec::new();
+        let mut headers: Vec<String> = Vec::new();
+        for r in 0..grouped.num_rows() {
+            let iv = idx_col.get(r);
+            if !row_keys.contains(&iv) {
+                row_keys.push(iv);
+            }
+            let h = hdr_col.get(r).render();
+            if !headers.contains(&h) {
+                headers.push(h);
+            }
+        }
+        let mut cells = vec![vec![Value::Null; headers.len()]; row_keys.len()];
+        for r in 0..grouped.num_rows() {
+            let (iv, h) = (idx_col.get(r), hdr_col.get(r).render());
+            let ri = row_keys.iter().position(|k| *k == iv).unwrap();
+            let ci = headers.iter().position(|k| *k == h).unwrap();
+            cells[ri][ci] = cell_col.get(r);
+        }
+        let mut out = Table::empty();
+        let index_name = &table.schema().field(index).unwrap().name;
+        out.add_column(index_name, Column::from_values(&row_keys).unwrap())
+            .unwrap();
+        for (ci, header) in headers.iter().enumerate() {
+            let col: Vec<Value> = cells.iter().map(|row| row[ci].clone()).collect();
+            let name = out.schema().fresh_name(header);
+            out.add_column(&name, Column::from_values(&col).unwrap())
+                .unwrap();
+        }
+        out
+    }
+
+    /// 300 rows with null index values, null headers beside the string
+    /// `null`, `-0.0` beside `0.0` and repeated (index, header) pairs.
+    fn mixed(n: usize) -> Table {
+        let idx = (0..n).map(|i| match i % 11 {
+            0 => None,
+            1 => Some(-0.0),
+            2 => Some(0.0),
+            k => Some((i % 37) as f64 + k as f64 / 16.0),
+        });
+        let hdr = (0..n).map(|i| match i % 7 {
+            0 => None,
+            1 => Some("null".to_string()),
+            k => Some(format!("h{k}")),
+        });
+        Table::new(vec![
+            ("idx", Column::from_opt_floats(idx.collect())),
+            ("hdr", Column::from_opt_strs(hdr.collect())),
+            ("v", Column::from_ints((0..n as i64).collect())),
+        ])
+        .unwrap()
+    }
+
+    #[test]
+    fn dense_id_scatter_matches_the_search_loop_cell_for_cell() {
+        let t = mixed(300);
+        for agg in [AggFunc::Sum, AggFunc::Count, AggFunc::Max] {
+            let got = pivot(&t, "idx", "hdr", "v", agg).unwrap();
+            assert_eq!(got, pivot_reference(&t, "idx", "hdr", "v", agg), "{agg:?}");
+        }
+        // Dictionary-encoded inputs number and render alike.
+        let got = pivot(&t.encode_strings(), "hdr", "idx", "v", AggFunc::Sum).unwrap();
+        assert_eq!(got, pivot_reference(&t, "hdr", "idx", "v", AggFunc::Sum));
+    }
+
+    /// Index values and headers are numbered through hash maps, so the
+    /// scatter is linear; the `contains` / `position` searches it replaces
+    /// need ~10^9 `Value` comparisons here.
+    #[test]
+    #[cfg_attr(miri, ignore = "50 000 rows; the 300-row case covers the same code")]
+    fn pivot_is_linear_in_the_distinct_index_values() {
+        let n = 50_000;
+        let t = Table::new(vec![
+            (
+                "k",
+                Column::from_strs((0..n).rev().map(|i| format!("k{i}")).collect()),
+            ),
+            ("p", Column::from_ints((0..n).map(|i| i % 8).collect())),
+            ("v", Column::from_ints((0..n).collect())),
+        ])
+        .unwrap();
+        let out = pivot(&t, "k", "p", "v", AggFunc::Sum).unwrap();
+        assert_eq!((out.num_rows(), out.num_columns()), (n as usize, 9));
+        // Row r is input row r: index k{n-1-r}, its one cell under header
+        // r % 8 holding r.
+        for r in [0, 1, 7, 12_345, n - 1] {
+            let at = r as usize;
+            let key = Value::Str(format!("k{}", n - 1 - r));
+            assert_eq!(out.value(at, "k").unwrap(), key);
+            for h in 0..8 {
+                let want = if h == r % 8 {
+                    Value::Int(r)
+                } else {
+                    Value::Null
+                };
+                assert_eq!(out.value(at, &h.to_string()).unwrap(), want);
+            }
+        }
     }
 
     #[test]

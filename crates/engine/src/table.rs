@@ -2,28 +2,19 @@
 //!
 //! ## Ownership
 //!
-//! A [`Table`] holds each column behind an [`Arc`], and a column held by
-//! a table is never mutated while it is shared. That makes every operation that
-//! does not change a column's *contents* a pointer copy of that column:
-//! `clone`, [`Table::select`], [`Table::with_column`] (the untouched
-//! columns), [`Table::drop_column`], [`Table::rename_column`], the string
-//! re-encoders (the non-string columns), a [`Table::slice`] /
-//! [`Table::head`] that covers every row, a [`Table::filter_mask`] /
-//! [`Table::select_filtered`] whose mask keeps every row, and a
-//! one-part `ops::concat`. A storage block, a cache entry and the table
-//! a chat reply carries may therefore all alias the same buffers.
-//!
-//! What still copies, because the rows themselves change: gathers
-//! ([`Table::take`], a filter that drops rows), a partial `slice`, and a
-//! multi-part `concat` (one contiguous allocation per output column).
-//!
-//! The only writers of a table-held column are [`Table::append`] and
-//! `Table::reserve`; both go through [`Arc::make_mut`], so a column
-//! another table still points at is copied first (copy-on-write) and the
-//! other holder never observes the write. Equality ([`PartialEq`]) and
-//! [`Table::byte_size`] are by value: sharing is unobservable except
-//! through [`Table::shares_columns_with`] and `Arc::ptr_eq` on
-//! [`Table::columns`].
+//! A [`Table`] holds each column behind an [`Arc`], and a column a table
+//! holds is never written while anyone else holds it. Whatever leaves a
+//! column's contents alone therefore shares it: `clone`, `select`,
+//! `with_column`, `drop_column`, `rename_column`, the string re-encoders
+//! (the other columns), a `slice` / `head` or a filter mask that keeps
+//! every row, a one-part `ops::concat`. Storage blocks, cache entries and
+//! replies may alias the same buffers. Gathers, a partial `slice` and a
+//! multi-part `concat` build new rows and copy. The only writers,
+//! [`Table::append`] and `Table::reserve`, go through [`Arc::make_mut`]:
+//! a shared column is copied first, so no other holder sees the write.
+//! Equality and [`Table::byte_size`] are by value; only
+//! [`Table::shares_columns_with`] and `Arc::ptr_eq` on [`Table::columns`]
+//! can tell a shared column from an equal one. (DESIGN.md §5.2.)
 
 use std::fmt;
 use std::sync::Arc;
@@ -39,8 +30,7 @@ use crate::value::Value;
 /// the unit every relational operator consumes and produces. Operators
 /// never mutate tables in place; they build new ones, which keeps the
 /// lazy skill-DAG executor free to cache and share intermediate results.
-/// Cloning copies the schema and one pointer per column (see the module
-/// docs for the ownership rules).
+/// Cloning copies the schema and one pointer per column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     schema: Schema,
@@ -86,10 +76,9 @@ impl Table {
         }
     }
 
-    /// Append a named column — an owned [`Column`], or an `Arc<Column>`
-    /// another table already holds, which is then shared rather than
-    /// copied. Must match the table's row count (the first column fixes
-    /// it).
+    /// Append a named column: an owned [`Column`], or an `Arc<Column>`
+    /// another table holds, which is shared. Must match the table's row
+    /// count (the first column fixes it).
     pub fn add_column(&mut self, name: &str, col: impl Into<Arc<Column>>) -> Result<()> {
         let col = col.into();
         if !self.columns.is_empty() && col.len() != self.rows {
@@ -121,15 +110,13 @@ impl Table {
         self.columns.len()
     }
 
-    /// All columns in schema order, as the shared handles the table
-    /// holds.
+    /// All columns in schema order, as the handles the table holds.
     pub fn columns(&self) -> &[Arc<Column>] {
         &self.columns
     }
 
-    /// Whether `other` holds exactly this table's columns — the same
-    /// allocations in the same order, not merely equal values. Lets an
-    /// owner of both count the buffers once.
+    /// Whether `other` holds this table's very columns — the same
+    /// allocations in the same order — so an owner of both counts them once.
     pub fn shares_columns_with(&self, other: &Table) -> bool {
         self.columns.len() == other.columns.len()
             && (self.columns.iter().zip(&other.columns)).all(|(a, b)| Arc::ptr_eq(a, b))
@@ -184,8 +171,7 @@ impl Table {
 
     /// The kept-row indices of a selection mask: derived once per filter,
     /// then every column gathers through the same vector. `None` when the
-    /// mask keeps every row, in which case the columns are the output as
-    /// they stand and nothing needs gathering.
+    /// mask keeps every row: the columns are the output as they stand.
     fn selection(&self, mask: &[bool]) -> Result<Option<Vec<usize>>> {
         if mask.len() != self.rows {
             return Err(EngineError::LengthMismatch {
@@ -335,8 +321,7 @@ impl Table {
         })
     }
 
-    /// Keep only the named columns, in the given order (shared, not
-    /// copied).
+    /// Keep only the named columns (shared), in the given order.
     pub fn select(&self, names: &[&str]) -> Result<Table> {
         self.select_with(names, self.rows, Arc::clone)
     }
@@ -361,8 +346,8 @@ impl Table {
         Ok(out)
     }
 
-    /// Approximate in-memory size in bytes: the logical bytes of this
-    /// table's own columns, whoever else shares them.
+    /// Approximate in-memory size in bytes of this table's own columns,
+    /// whoever else shares them.
     pub fn byte_size(&self) -> usize {
         self.columns.iter().map(|c| c.byte_size()).sum()
     }
@@ -585,6 +570,184 @@ mod tests {
         assert_eq!(t.head(2).num_rows(), 2);
         assert_eq!(t.slice(2, 5).num_rows(), 1);
         assert_eq!(t.slice(9, 5).num_rows(), 0);
+    }
+
+    /// Every column kind, with nulls — small enough for miri.
+    fn kinds(n: usize) -> Table {
+        let opt = |i: usize, every: usize| i % every != 1;
+        let strs = |tag: &str| {
+            (0..n)
+                .map(|i| opt(i, 5).then(|| format!("{tag}{}", i % 7)))
+                .collect::<Vec<_>>()
+        };
+        Table::new(vec![
+            (
+                "b",
+                Column::from_values(
+                    &(0..n)
+                        .map(|i| match opt(i, 3) {
+                            true => Value::Bool(i % 2 == 0),
+                            false => Value::Null,
+                        })
+                        .collect::<Vec<_>>(),
+                )
+                .unwrap(),
+            ),
+            (
+                "i",
+                Column::from_opt_ints((0..n).map(|i| opt(i, 4).then_some(i as i64)).collect()),
+            ),
+            (
+                "f",
+                Column::from_opt_floats(
+                    (0..n)
+                        .map(|i| opt(i, 6).then_some(i as f64 / 4.0))
+                        .collect(),
+                ),
+            ),
+            ("s", Column::from_opt_strs(strs("s"))),
+            ("d", Column::from_opt_strs(strs("d")).dict_encode()),
+            (
+                "t",
+                Column::from_opt_dates(
+                    (0..n).map(|i| opt(i, 7).then_some(i as i32 * 30)).collect(),
+                ),
+            ),
+        ])
+        .unwrap()
+    }
+
+    /// A table with equal contents and no buffer in common: what every
+    /// operation produced before columns were shared.
+    fn deep_copy(t: &Table) -> Table {
+        let names = t.schema().names();
+        let cols = t.columns().iter().map(|c| Column::clone(c));
+        let copy = Table::new(names.into_iter().zip(cols).collect()).unwrap();
+        assert!(t.num_columns() == 0 || !copy.shares_columns_with(t));
+        copy
+    }
+
+    /// Which of `out`'s columns are the very allocations `src` holds under
+    /// the same (case-insensitive) name.
+    fn shared_names(out: &Table, src: &Table) -> Vec<String> {
+        let mut names = Vec::new();
+        for (field, col) in out.schema().fields().iter().zip(out.columns()) {
+            let at = src.schema().index_of(&field.name);
+            if at.is_some_and(|at| Arc::ptr_eq(col, &src.columns()[at])) {
+                names.push(field.name.clone());
+            }
+        }
+        names
+    }
+
+    #[test]
+    fn operations_that_keep_a_column_share_it() {
+        let t = kinds(40);
+        let reference = deep_copy(&t);
+        let all = ["b", "i", "f", "s", "d", "t"];
+        let fresh = || Column::from_ints((0..40).collect());
+
+        let out = t.clone();
+        assert!(out.shares_columns_with(&t));
+        assert_eq!(out, reference);
+
+        let out = t.select(&["t", "s", "i"]).unwrap();
+        assert_eq!(shared_names(&out, &t), ["t", "s", "i"]);
+        assert_eq!(out, reference.select(&["t", "s", "i"]).unwrap());
+
+        let out = t.with_column("extra", fresh()).unwrap();
+        assert_eq!(shared_names(&out, &t), all);
+        assert_eq!(out, reference.with_column("extra", fresh()).unwrap());
+
+        let out = t.with_column("F", fresh()).unwrap();
+        assert_eq!(shared_names(&out, &t), ["b", "i", "s", "d", "t"]);
+        assert_eq!(out, reference.with_column("F", fresh()).unwrap());
+        assert_eq!(out.schema().names(), all);
+
+        let out = t.drop_column("s").unwrap();
+        assert_eq!(shared_names(&out, &t), ["b", "i", "f", "d", "t"]);
+        assert_eq!(out, reference.drop_column("s").unwrap());
+
+        let out = t.rename_column("d", "dict").unwrap();
+        assert!(out.shares_columns_with(&t));
+        assert_eq!(out, reference.rename_column("d", "dict").unwrap());
+
+        for out in [t.slice(0, 40), t.slice(0, 99), t.head(40)] {
+            assert!(out.shares_columns_with(&t));
+            assert_eq!(out, reference);
+        }
+        // A window that merely has as many rows as it asked for is a copy.
+        assert!(shared_names(&t.slice(1, 39), &t).is_empty());
+        assert!(shared_names(&t.head(39), &t).is_empty());
+
+        let keep_all = vec![true; 40];
+        let out = t.filter_mask(&keep_all).unwrap();
+        assert!(out.shares_columns_with(&t));
+        assert_eq!(out, reference);
+        let out = t.select_filtered(&["f", "b"], &keep_all).unwrap();
+        assert_eq!(shared_names(&out, &t), ["f", "b"]);
+        assert_eq!(out, reference.select(&["f", "b"]).unwrap());
+        // One dropped row, and every column is gathered afresh.
+        let mut but_one = keep_all.clone();
+        but_one[17] = false;
+        let out = t.filter_mask(&but_one).unwrap();
+        assert!(shared_names(&out, &t).is_empty());
+        let kept: Vec<usize> = (0..40).filter(|&i| i != 17).collect();
+        assert_eq!(out, reference.take(&kept));
+
+        let out = crate::ops::concat(&[&t], false).unwrap();
+        assert!(out.shares_columns_with(&t));
+        assert_eq!(out, reference);
+        let out = crate::ops::concat(&[&t, &t], false).unwrap();
+        assert!(shared_names(&out, &t).is_empty());
+        let mut twice = deep_copy(&reference);
+        twice.append(&reference).unwrap();
+        assert_eq!(out, twice);
+    }
+
+    #[test]
+    fn string_reencoding_shares_the_other_columns() {
+        let t = kinds(40);
+        let reference = deep_copy(&t);
+        let enc = t.encode_strings();
+        assert_eq!(shared_names(&enc, &t), ["b", "i", "f", "d", "t"]);
+        assert!(enc.column("s").unwrap().as_dict().is_some());
+        assert_eq!(enc, reference);
+        let plain = enc.materialize_strings();
+        assert_eq!(shared_names(&plain, &enc), ["b", "i", "f", "t"]);
+        assert!(plain.column("d").unwrap().as_strs().is_some());
+        assert_eq!(plain, reference);
+        // The source tables still hold what they held.
+        assert!(t.column("s").unwrap().as_strs().is_some());
+        assert!(enc.column("d").unwrap().as_dict().is_some());
+    }
+
+    #[test]
+    fn writes_to_a_sharing_table_copy_first() {
+        let t = kinds(40);
+        let reference = deep_copy(&t);
+        let more = kinds(9);
+
+        let mut grown = t.clone();
+        grown.append(&more).unwrap();
+        assert_eq!(grown.num_rows(), 49);
+        assert!(shared_names(&grown, &t).is_empty());
+        assert_eq!(grown.slice(0, 40), reference);
+        assert_eq!(grown.slice(40, 9), more);
+
+        let mut roomy = t.select(&["i", "s"]).unwrap();
+        roomy.reserve(1_000);
+        assert_eq!(roomy, reference.select(&["i", "s"]).unwrap());
+        roomy.append(&more.select(&["i", "s"]).unwrap()).unwrap();
+
+        // Whatever was written through the copies, the source is as it was
+        // — and an unshared table is appended to in place.
+        assert_eq!(t, reference);
+        let mut own = deep_copy(&t);
+        let before: Vec<*const Column> = own.columns().iter().map(Arc::as_ptr).collect();
+        own.append(&more).unwrap();
+        let after: Vec<*const Column> = own.columns().iter().map(Arc::as_ptr).collect();
+        assert_eq!(before, after);
     }
 
     #[test]

@@ -364,7 +364,7 @@ fn estimate_scan_bytes(env: &Env, steps: &[SkillCall]) -> u64 {
                 env.catalog
                     .database(database)
                     .ok()
-                    .and_then(|db| db.table(table).ok())
+                    .and_then(|db| db.source(table).ok())
                     .map_or(0, |t| t.total_bytes())
             }
             _ => 0,
@@ -575,4 +575,38 @@ fn run_slice(
         }
     }
     SliceEnd::Done
+}
+
+#[cfg(test)]
+mod tests {
+    use dc_storage::{CloudDatabase, Pricing};
+
+    use super::*;
+
+    /// A `FullBytes` reservation reads a table's size through
+    /// `BlockSource`, so the same rows reserve the same bytes whichever
+    /// backend stores them (a disk-backed table used to be priced at 0 and
+    /// admitted for free).
+    #[test]
+    fn full_bytes_estimate_prices_both_backends_alike() {
+        let rows = dc_storage::demo::sales(1_000, 7);
+        let dir = std::env::temp_dir().join(format!("dc-serve-estimate-{}", std::process::id()));
+        let mut db = CloudDatabase::new("cloud", Pricing::default_cloud());
+        db.create_table_with_blocks("ram", &rows, 128).unwrap();
+        db.create_table_on_disk("disk", &rows, 128, &dir).unwrap();
+        let mut env = Env::new();
+        env.catalog.add_database(db).unwrap();
+        let load = |table: &str| SkillCall::LoadTable {
+            database: "cloud".into(),
+            table: table.into(),
+        };
+        let ram = estimate_scan_bytes(&env, &[load("ram")]);
+        assert!(ram > 0);
+        assert_eq!(estimate_scan_bytes(&env, &[load("disk")]), ram);
+        // Distinct tables add up; a table loaded twice is charged once.
+        let program = [load("ram"), load("disk"), load("disk")];
+        assert_eq!(estimate_scan_bytes(&env, &program), 2 * ram);
+        drop(env);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

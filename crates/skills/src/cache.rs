@@ -27,6 +27,15 @@
 //! rely on. Degraded (block-sampled) results are excluded by the
 //! executor before admission — see `Executor::finish`.
 //!
+//! ## What an entry holds, and what it is charged
+//!
+//! The node's output plus the table that flows on to its consumers. Tables
+//! share column buffers, and a transforming node's flow table *is* its
+//! output, so such an entry is charged for those buffers once. A hit clones
+//! handles, never buffers; the columns are immutable, whichever threads
+//! hold them. Buffers two entries (or an entry and a storage block) share
+//! are charged to each, so the counted total never understates residency.
+//!
 //! ## Eviction
 //!
 //! Cost-aware: each entry records the scan footprint
@@ -68,8 +77,9 @@ pub struct TenantCacheStats {
     pub bytes_saved: u64,
 }
 
-/// One cache hit: the node output, the downstream-facing table (shared,
-/// zero-copy), and the scan footprint the hit avoided recomputing.
+/// One cache hit: the node output and the downstream-facing table (both
+/// sharing the resident entry's columns), and the scan footprint the hit
+/// avoided recomputing.
 #[derive(Debug, Clone)]
 pub struct CacheHit {
     pub output: SkillOutput,
@@ -137,9 +147,8 @@ struct Inner {
 }
 
 impl Inner {
-    /// The tenant's counters; the name is allocated only on the tenant's
-    /// first touch, not on every attributed probe (this runs under the
-    /// cache mutex).
+    /// The tenant's counters; its name is allocated on first touch only
+    /// (this runs under the cache mutex on every attributed probe).
     fn tenant(&mut self, who: &str) -> &mut TenantCacheStats {
         if !self.per_tenant.contains_key(who) {
             self.per_tenant
@@ -207,9 +216,9 @@ impl MaterializedCache {
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Probe for `key`. A hit hands back the stored output plus the
-    /// downstream-facing table as a shared `Arc` — a pointer copy of the
-    /// resident allocation, never a data copy.
+    /// Probe for `key`. A hit hands back the stored output and the
+    /// downstream-facing table as pointer copies of the resident columns,
+    /// never a data copy.
     pub fn get(&self, key: SharedKey) -> Option<CacheHit> {
         self.get_as(key, None)
     }
@@ -270,12 +279,8 @@ impl MaterializedCache {
         footprint: u64,
         who: Option<&str>,
     ) {
-        // What the entry keeps resident: its flow table, plus its output
-        // unless that *is* the flow table (a transforming node's flow is a
-        // pointer copy of its output), in which case the buffers exist
-        // once and are charged once. Buffers shared with other entries or
-        // with a storage block are charged to every entry that holds them,
-        // so the counted total never understates what is resident.
+        // The flow table, plus the output unless that *is* the flow table
+        // (see the module docs): buffers that exist once are charged once.
         let resident = (table.byte_size() as u64)
             + match &output {
                 SkillOutput::Table(t) if t.shares_columns_with(&table) => 0,

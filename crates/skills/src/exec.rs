@@ -7,6 +7,12 @@
 //! [`Env`]. The [`Executor`] exploits the split by running independent
 //! pure nodes of a wave concurrently; environment-dependent nodes always
 //! run serially.
+//!
+//! Nothing here copies a column buffer. A `Table` shares its columns
+//! (`dc_engine::table`), so the skills that leave a column alone pass it
+//! through, a node's flow table is a pointer copy of its output, and what
+//! [`Executor::run`] returns, what the session tier keeps and what the
+//! shared tier admits are one set of buffers.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -78,42 +84,18 @@ pub fn execute_call(call: &SkillCall, inputs: &[&Table], env: &mut Env) -> Resul
         // ----- ingestion -----
         LoadFile { path } => Ok(SkillOutput::Table(read_csv(env.file(path)?)?)),
         LoadUrl { url } => Ok(SkillOutput::Table(read_csv(env.url(url)?)?)),
-        LoadTable { database, table } => {
-            let db = env.catalog.database(database)?;
-            let mut opts = ScanOptions::full();
-            opts.cancel = Some(env.cancel.clone());
-            let (data, receipt) = db.scan(table, &opts)?;
-            env.scan_tally.record(&receipt);
-            Ok(SkillOutput::Table(data))
-        }
+        LoadTable { database, table } => scan(env, database, table, None, None),
         LoadTableFiltered {
             database,
             table,
             predicate,
-        } => {
-            let db = env.catalog.database(database)?;
-            let mut opts = ScanOptions::full();
-            opts.predicate = Some(predicate.clone());
-            opts.cancel = Some(env.cancel.clone());
-            let (data, receipt) = db.scan(table, &opts)?;
-            env.scan_tally.record(&receipt);
-            Ok(SkillOutput::Table(data))
-        }
+        } => scan(env, database, table, None, Some(predicate)),
         LoadTableProjected {
             database,
             table,
             columns,
             predicate,
-        } => {
-            let db = env.catalog.database(database)?;
-            let mut opts = ScanOptions::full();
-            opts.columns = Some(columns.clone());
-            opts.predicate = predicate.clone();
-            opts.cancel = Some(env.cancel.clone());
-            let (data, receipt) = db.scan(table, &opts)?;
-            env.scan_tally.record(&receipt);
-            Ok(SkillOutput::Table(data))
-        }
+        } => scan(env, database, table, Some(columns), predicate.as_ref()),
         UseDataset { name, .. } if inputs.is_empty() => {
             Ok(SkillOutput::Table(env.saved_table(name)?.clone()))
         }
@@ -243,6 +225,25 @@ pub fn execute_call(call: &SkillCall, inputs: &[&Table], env: &mut Env) -> Resul
     }
 }
 
+/// Scan a catalog table for a load skill — projected to `columns` and
+/// filtered by `predicate` inside storage when given — tallying the receipt.
+fn scan(
+    env: &mut Env,
+    database: &str,
+    table: &str,
+    columns: Option<&Vec<String>>,
+    predicate: Option<&Expr>,
+) -> Result<SkillOutput> {
+    let db = env.catalog.database(database)?;
+    let mut opts = ScanOptions::full();
+    opts.columns = columns.cloned();
+    opts.predicate = predicate.cloned();
+    opts.cancel = Some(env.cancel.clone());
+    let (data, receipt) = db.scan(table, &opts)?;
+    env.scan_tally.record(&receipt);
+    Ok(SkillOutput::Table(data))
+}
+
 /// Execute one environment-free skill call against its input tables.
 ///
 /// These skills are pure functions of `inputs`, which is what lets the
@@ -267,6 +268,13 @@ pub fn execute_pure_call_with_mem(
             .get(1)
             .copied()
             .ok_or_else(|| SkillError::invalid(format!("{} needs a second dataset", call.name())))
+    };
+    // The input with one column made or replaced by `expr`; every other
+    // column is shared with the input, not copied.
+    let derive = |name: &str, expr: &Expr| -> Result<SkillOutput> {
+        let t = primary()?;
+        let col = dc_engine::eval::eval(t, expr)?;
+        Ok(SkillOutput::Table(t.with_column(name, col)?))
     };
     match call {
         // The DAG wired the named dataset's node as our input.
@@ -364,16 +372,8 @@ pub fn execute_pure_call_with_mem(
             Ok(SkillOutput::Table(t))
         }
         RenameColumn { from, to } => Ok(SkillOutput::Table(primary()?.rename_column(from, to)?)),
-        CreateColumn { name, expr } => {
-            let t = primary()?;
-            let col = dc_engine::eval::eval(t, expr)?;
-            Ok(SkillOutput::Table(t.with_column(name, col)?))
-        }
-        CreateConstantColumn { name, value } => {
-            let t = primary()?;
-            let col = dc_engine::eval::eval(t, &Expr::Literal(value.clone()))?;
-            Ok(SkillOutput::Table(t.with_column(name, col)?))
-        }
+        CreateColumn { name, expr } => derive(name, expr),
+        CreateConstantColumn { name, value } => derive(name, &Expr::Literal(value.clone())),
         Compute { aggs, for_each } => {
             let keys: Vec<&str> = for_each.iter().map(|s| s.as_str()).collect();
             Ok(SkillOutput::Table(group_by_with_mem(
@@ -452,28 +452,16 @@ pub fn execute_pure_call_with_mem(
             Ok(SkillOutput::Table(filter(t, &pred)?))
         }
         FillMissing { column, value } => {
-            let t = primary()?;
-            let filled = dc_engine::eval::eval(
-                t,
-                &Expr::func(
-                    ScalarFunc::Coalesce,
-                    vec![Expr::col(column.clone()), Expr::Literal(value.clone())],
-                ),
-            )?;
-            Ok(SkillOutput::Table(t.with_column(column, filled)?))
+            let args = vec![Expr::col(column.clone()), Expr::Literal(value.clone())];
+            derive(column, &Expr::func(ScalarFunc::Coalesce, args))
         }
         ReplaceValues { column, from, to } => {
-            let t = primary()?;
-            let expr = Expr::func(
-                ScalarFunc::If,
-                vec![
-                    Expr::col(column.clone()).eq(Expr::Literal(from.clone())),
-                    Expr::Literal(to.clone()),
-                    Expr::col(column.clone()),
-                ],
-            );
-            let replaced = dc_engine::eval::eval(t, &expr)?;
-            Ok(SkillOutput::Table(t.with_column(column, replaced)?))
+            let args = vec![
+                Expr::col(column.clone()).eq(Expr::Literal(from.clone())),
+                Expr::Literal(to.clone()),
+                Expr::col(column.clone()),
+            ];
+            derive(column, &Expr::func(ScalarFunc::If, args))
         }
         CastColumn { column, to } => {
             let t = primary()?;
@@ -485,21 +473,13 @@ pub fn execute_pure_call_with_mem(
             width,
             name,
         } => {
-            let t = primary()?;
             let out_name = name
                 .clone()
                 .unwrap_or_else(|| format!("{column}Int{width}"));
-            let binned = dc_engine::eval::eval(
-                t,
-                &Expr::func(
-                    ScalarFunc::Bin,
-                    vec![Expr::col(column.clone()), Expr::lit(*width)],
-                ),
-            )?;
-            Ok(SkillOutput::Table(t.with_column(&out_name, binned)?))
+            let args = vec![Expr::col(column.clone()), Expr::lit(*width)];
+            derive(&out_name, &Expr::func(ScalarFunc::Bin, args))
         }
         ExtractDatePart { column, part, name } => {
-            let t = primary()?;
             let func = match part {
                 DatePart::Year => ScalarFunc::Year,
                 DatePart::Month => ScalarFunc::Month,
@@ -508,17 +488,14 @@ pub fn execute_pure_call_with_mem(
             let out_name = name
                 .clone()
                 .unwrap_or_else(|| format!("{column}_{}", part.name()));
-            let extracted =
-                dc_engine::eval::eval(t, &Expr::func(func, vec![Expr::col(column.clone())]))?;
-            Ok(SkillOutput::Table(t.with_column(&out_name, extracted)?))
+            derive(
+                &out_name,
+                &Expr::func(func, vec![Expr::col(column.clone())]),
+            )
         }
         TrimColumn { column } => {
-            let t = primary()?;
-            let trimmed = dc_engine::eval::eval(
-                t,
-                &Expr::func(ScalarFunc::Trim, vec![Expr::col(column.clone())]),
-            )?;
-            Ok(SkillOutput::Table(t.with_column(column, trimmed)?))
+            let trim = Expr::func(ScalarFunc::Trim, vec![Expr::col(column.clone())]);
+            derive(column, &trim)
         }
         Sample { fraction, seed } => Ok(SkillOutput::Table(sample_fraction(
             primary()?,
@@ -882,9 +859,9 @@ pub(crate) type BeforeExecuteHook = Arc<dyn Fn(&SkillCall) + Send + Sync>;
 /// Nodes run in topological *waves*: every uncached node whose inputs are
 /// materialized belongs to the current wave, and the wave's pure nodes
 /// ([`needs_env`] = false) execute concurrently on scoped threads when
-/// the `parallel` feature is on. Cached tables are held behind
-/// [`Arc`], so cache hits and fan-out reuse are pointer copies, never
-/// deep clones.
+/// the `parallel` feature is on. A cached output and its flow table
+/// share their columns, so cache hits, fan-out reuse and the value
+/// [`Executor::run`] returns are pointer copies, never deep clones.
 pub struct Executor {
     /// Whether the cost-based optimizer pass ([`crate::optimize`]) runs
     /// over each DAG before pushdown planning. On by default; turn off
@@ -937,7 +914,8 @@ impl Executor {
         Executor::default()
     }
 
-    /// Approximate heap bytes held by checkpointed sub-DAG results. The
+    /// Approximate heap bytes held by checkpointed sub-DAG results: each
+    /// entry's flow table, which is also its output table's buffers. The
     /// serving layer polls this to keep long-lived session executors
     /// memory-bounded.
     pub fn cache_bytes(&self) -> u64 {
@@ -948,7 +926,8 @@ impl Executor {
     }
 
     /// Execute `target` (and any un-cached ancestors), returning its
-    /// output. Non-transforming skills pass their input table through to
+    /// output — a table output shares its columns with the cached entry.
+    /// Non-transforming skills pass their input table through to
     /// downstream consumers.
     pub fn run(&mut self, dag: &SkillDag, target: NodeId, env: &mut Env) -> Result<SkillOutput> {
         let id = self.materialize(dag, target, env)?;
@@ -1017,8 +996,8 @@ impl Executor {
     }
 
     /// Probe the cross-session cache for sub-DAG `id`, installing a hit
-    /// into the local cache (zero-copy table, inherited footprint) and
-    /// counting it. Returns whether the probe hit.
+    /// into the local cache (output and flow table both zero-copy,
+    /// inherited footprint) and counting it. Returns whether the probe hit.
     pub(crate) fn probe_shared(&mut self, env: &Env, interned: &Interned, id: SubDagId) -> bool {
         let Some(shared) = env.shared_cache.as_deref() else {
             return false;
@@ -1097,9 +1076,9 @@ impl Executor {
     /// Execute one wave. Environment-dependent nodes run serially (they
     /// need `&mut Env`); the pure remainder runs concurrently, one scoped
     /// thread per node, when the `parallel` feature is on.
-    fn run_wave(
+    fn run_wave<'d>(
         &mut self,
-        dag: &SkillDag,
+        dag: &'d SkillDag,
         wave: &[NodeId],
         interned: &Interned,
         env: &mut Env,
@@ -1137,24 +1116,21 @@ impl Executor {
             .map(|node| (node, self.input_tables(node, ids)))
             .collect();
         type JobResult<'d> = (&'d SkillNode, Vec<Arc<Table>>, Result<SkillOutput>);
-        let mem = env.memory.clone();
-        let results: Vec<JobResult<'_>> = if cfg!(feature = "parallel") && jobs.len() > 1 {
-            let hook = self.before_execute.clone();
+        let (mem, hook) = (env.memory.clone(), self.before_execute.clone());
+        let run_job = |(node, inputs): (&'d SkillNode, Vec<Arc<Table>>)| {
+            if let Some(hook) = &hook {
+                hook(&node.call);
+            }
+            let refs: Vec<&Table> = inputs.iter().map(|t| t.as_ref()).collect();
+            let out = execute_pure_call_with_mem(&node.call, &refs, mem.as_deref());
+            (node, inputs, out)
+        };
+        let results: Vec<JobResult<'d>> = if cfg!(feature = "parallel") && jobs.len() > 1 {
             std::thread::scope(|scope| {
+                let run_job = &run_job;
                 let handles: Vec<_> = jobs
                     .into_iter()
-                    .map(|(node, inputs)| {
-                        let hook = hook.clone();
-                        let mem = mem.clone();
-                        scope.spawn(move || {
-                            if let Some(hook) = &hook {
-                                hook(&node.call);
-                            }
-                            let refs: Vec<&Table> = inputs.iter().map(|t| t.as_ref()).collect();
-                            let out = execute_pure_call_with_mem(&node.call, &refs, mem.as_deref());
-                            (node, inputs, out)
-                        })
-                    })
+                    .map(|job| scope.spawn(move || run_job(job)))
                     .collect();
                 handles
                     .into_iter()
@@ -1162,16 +1138,7 @@ impl Executor {
                     .collect()
             })
         } else {
-            jobs.into_iter()
-                .map(|(node, inputs)| {
-                    if let Some(hook) = &self.before_execute {
-                        hook(&node.call);
-                    }
-                    let refs: Vec<&Table> = inputs.iter().map(|t| t.as_ref()).collect();
-                    let out = execute_pure_call_with_mem(&node.call, &refs, mem.as_deref());
-                    (node, inputs, out)
-                })
-                .collect()
+            jobs.into_iter().map(run_job).collect()
         };
 
         // Commit in DAG order so the first error (by node id) wins, like

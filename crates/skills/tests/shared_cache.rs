@@ -268,23 +268,26 @@ fn parallel_sessions_share_one_cache_consistently() {
     let shared = Arc::new(MaterializedCache::new(64 << 20));
     let (dag, target) = pipeline();
     let dag = Arc::new(dag);
-    let outputs: Vec<_> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                let dag = Arc::clone(&dag);
-                scope.spawn(move || {
-                    // Each session has its own environment view of the
-                    // same logical catalog (identical data, identical
-                    // version history) plus the shared cache handle.
-                    let mut env = env_with_cache(&shared);
-                    let mut ex = Executor::new();
-                    ex.run(&dag, target, &mut env).unwrap()
+    let wave = || -> Vec<_> {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    let shared = Arc::clone(&shared);
+                    let dag = Arc::clone(&dag);
+                    scope.spawn(move || {
+                        // Each session has its own environment view of the
+                        // same logical catalog (identical data, identical
+                        // version history) plus the shared cache handle.
+                        let mut env = env_with_cache(&shared);
+                        let mut ex = Executor::new();
+                        ex.run(&dag, target, &mut env).unwrap()
+                    })
                 })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    };
+    let outputs = wave();
     for out in &outputs[1..] {
         assert_eq!(out, &outputs[0]);
     }
@@ -293,4 +296,14 @@ fn parallel_sessions_share_one_cache_consistently() {
     // Every probe either hit or raced the first population; nothing
     // else can happen on identical version-salted keys.
     assert_eq!(stats.hits + stats.misses, stats.hits + stats.insertions);
+
+    // A second wave finds the result resident, so four threads are handed
+    // — and read, compare and drop — one entry's column buffers at once.
+    let hits = wave();
+    assert_eq!(shared.stats().insertions, stats.insertions);
+    let first = hits[0].as_table().unwrap();
+    for out in &hits {
+        assert_eq!(out, &outputs[0]);
+        assert!(out.as_table().unwrap().shares_columns_with(first));
+    }
 }

@@ -54,6 +54,53 @@ pub(crate) fn scan_block(
     }
 }
 
+/// The blocks a scan visits: all `nblocks`, or the seeded block sample —
+/// never empty, so samples of tiny tables still return rows.
+pub(crate) fn chosen_blocks(opts: &ScanOptions, nblocks: usize) -> Result<Vec<usize>> {
+    let Some(f) = opts.block_sample else {
+        return Ok((0..nblocks).collect());
+    };
+    if !(f > 0.0 && f <= 1.0) {
+        return Err(StorageError::invalid(format!(
+            "block sample fraction must be in (0, 1], got {f}"
+        )));
+    }
+    let mut rng = StdRng::seed_from_u64(opts.seed);
+    let picked: Vec<usize> = (0..nblocks).filter(|_| rng.random::<f64>() < f).collect();
+    Ok(match picked.is_empty() && nblocks > 0 {
+        true => vec![opts.seed as usize % nblocks],
+        false => picked,
+    })
+}
+
+/// The pushed predicate a scan honours and the columns (by schema index) it
+/// must read: the projection — every column when absent — plus whatever the
+/// predicate consults. A predicate naming a column the table does not have
+/// would error differently here than in the caller's own filter; it is
+/// ignored, and the caller surfaces the problem.
+pub(crate) fn scan_columns<'a>(
+    opts: &'a ScanOptions,
+    schema: &dc_engine::Schema,
+) -> (Option<&'a Expr>, Vec<usize>) {
+    let mut pred_cols = Vec::new();
+    let predicate = opts.predicate.as_ref().filter(|p| {
+        p.referenced_columns(&mut pred_cols);
+        pred_cols.iter().all(|c| schema.index_of(c).is_some())
+    });
+    let mut read_cols: Vec<usize> = match &opts.columns {
+        Some(cols) => cols.iter().filter_map(|c| schema.index_of(c)).collect(),
+        None => (0..schema.fields().len()).collect(),
+    };
+    if predicate.is_some() {
+        for i in pred_cols.iter().filter_map(|c| schema.index_of(c)) {
+            if !read_cols.contains(&i) {
+                read_cols.push(i);
+            }
+        }
+    }
+    (predicate, read_cols)
+}
+
 /// The metadata a stored table keeps resident, whichever backend holds
 /// its blocks ([`BlockTable`] in RAM, [`crate::DiskBlockTable`] in a block
 /// file): schema, per-block row and byte counts, zone maps and dictionary
@@ -358,62 +405,13 @@ impl BlockTable {
         if let Some(inj) = injector {
             inj.on_scan(opts.block_sample.is_some(), cancel)?;
         }
-        // Choose blocks.
-        let chosen: Vec<usize> = match opts.block_sample {
-            Some(f) => {
-                if !(f > 0.0 && f <= 1.0) {
-                    return Err(StorageError::invalid(format!(
-                        "block sample fraction must be in (0, 1], got {f}"
-                    )));
-                }
-                let mut rng = StdRng::seed_from_u64(opts.seed);
-                let picked: Vec<usize> = (0..self.blocks.len())
-                    .filter(|_| rng.random::<f64>() < f)
-                    .collect();
-                if picked.is_empty() && !self.blocks.is_empty() {
-                    // Always read at least one block so samples are never
-                    // empty on tiny tables.
-                    vec![opts.seed as usize % self.blocks.len()]
-                } else {
-                    picked
-                }
-            }
-            None => (0..self.blocks.len()).collect(),
-        };
-
-        // Column projection factor for cost accounting.
+        let chosen = chosen_blocks(opts, self.blocks.len())?;
         let projected: Option<Vec<&str>> = opts
             .columns
             .as_ref()
             .map(|cols| cols.iter().map(|s| s.as_str()).collect());
-
         let schema = self.schema();
-        // A predicate naming a column the table does not have would error
-        // differently here than in the caller's own filter; ignore it and
-        // let the caller surface the problem.
-        let predicate: Option<&Expr> = opts.predicate.as_ref().filter(|p| {
-            let mut cols = Vec::new();
-            p.referenced_columns(&mut cols);
-            cols.iter().all(|c| schema.index_of(c).is_some())
-        });
-
-        // Columns the scan must read: the projection (all columns when
-        // absent) plus every column the pushed predicate consults.
-        let mut read_cols: Vec<usize> = match &opts.columns {
-            Some(cols) => cols.iter().filter_map(|c| schema.index_of(c)).collect(),
-            None => (0..schema.fields().len()).collect(),
-        };
-        if let Some(p) = predicate {
-            let mut pred_cols = Vec::new();
-            p.referenced_columns(&mut pred_cols);
-            for c in &pred_cols {
-                if let Some(i) = schema.index_of(c) {
-                    if !read_cols.contains(&i) {
-                        read_cols.push(i);
-                    }
-                }
-            }
-        }
+        let (predicate, read_cols) = scan_columns(opts, schema);
         let read_data_bytes =
             |bi: usize| -> u64 { read_cols.iter().map(|&ci| self.data_bytes[bi][ci]).sum() };
 

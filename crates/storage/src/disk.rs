@@ -22,12 +22,9 @@ use std::path::{Path, PathBuf};
 
 use dc_engine::blockio::{BlockFile, ZoneBoundsIo};
 use dc_engine::expr::prune::{self, ColumnStats, Tri};
-use dc_engine::{Expr, Schema, Table, Value};
-use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
+use dc_engine::{Schema, Table, Value};
 
-use crate::block::{scan_block, BlockSource, ScanOptions};
+use crate::block::{chosen_blocks, scan_block, scan_columns, BlockSource, ScanOptions};
 use crate::error::{Result, StorageError};
 use crate::fault::FaultInjector;
 use crate::pricing::ScanReceipt;
@@ -217,48 +214,9 @@ impl DiskBlockTable {
             inj.on_scan(opts.block_sample.is_some(), cancel)?;
         }
         let nblocks = self.file.num_blocks();
-        let chosen: Vec<usize> = match opts.block_sample {
-            Some(f) => {
-                if !(f > 0.0 && f <= 1.0) {
-                    return Err(StorageError::invalid(format!(
-                        "block sample fraction must be in (0, 1], got {f}"
-                    )));
-                }
-                let mut rng = StdRng::seed_from_u64(opts.seed);
-                let picked: Vec<usize> = (0..nblocks).filter(|_| rng.random::<f64>() < f).collect();
-                if picked.is_empty() && nblocks > 0 {
-                    vec![opts.seed as usize % nblocks]
-                } else {
-                    picked
-                }
-            }
-            None => (0..nblocks).collect(),
-        };
-
+        let chosen = chosen_blocks(opts, nblocks)?;
         let schema = &self.schema;
-        let predicate: Option<&Expr> = opts.predicate.as_ref().filter(|p| {
-            let mut cols = Vec::new();
-            p.referenced_columns(&mut cols);
-            cols.iter().all(|c| schema.index_of(c).is_some())
-        });
-
-        // Columns the scan pages in: the projection (all when absent)
-        // plus every column the pushed predicate consults.
-        let mut read_cols: Vec<usize> = match &opts.columns {
-            Some(cols) => cols.iter().filter_map(|c| schema.index_of(c)).collect(),
-            None => (0..schema.fields().len()).collect(),
-        };
-        if let Some(p) = predicate {
-            let mut pred_cols = Vec::new();
-            p.referenced_columns(&mut pred_cols);
-            for c in &pred_cols {
-                if let Some(i) = schema.index_of(c) {
-                    if !read_cols.contains(&i) {
-                        read_cols.push(i);
-                    }
-                }
-            }
-        }
+        let (predicate, read_cols) = scan_columns(opts, schema);
         let logical_bytes = |bi: usize| -> u64 {
             let cols = &self.file.meta.blocks[bi].cols;
             read_cols.iter().map(|&ci| cols[ci].data_bytes).sum()
@@ -390,7 +348,7 @@ impl BlockSource for DiskBlockTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dc_engine::{BinaryOp, Column};
+    use dc_engine::{BinaryOp, Column, Expr};
 
     struct TempDir(PathBuf);
     impl TempDir {

@@ -10,8 +10,8 @@
 //! self-concats, so every rewrite family (projection pushdown, filter
 //! hoisting, join reordering, dedup, filter merging) gets exercised.
 
-use datachat::engine::{AggFunc, AggSpec, Column, DataType, Expr, JoinType, Table};
-use datachat::skills::{Env, ExecPolicy, Executor, SkillCall, SkillDag};
+use datachat::engine::{AggFunc, AggSpec, Column, DataType, Expr, JoinType, Table, Value};
+use datachat::skills::{execute_call, Env, ExecPolicy, Executor, SkillCall, SkillDag};
 use datachat::storage::{CloudDatabase, Pricing};
 use proptest::prelude::*;
 
@@ -79,6 +79,37 @@ enum Step {
     JoinUnique,
     JoinFanout,
     SelfConcat,
+}
+
+/// Steps that change one column or none: where a result shares the most
+/// with its input.
+fn wrangle() -> impl Strategy<Value = SkillCall> {
+    prop_oneof![
+        (column(), column()).prop_map(|(from, to)| SkillCall::RenameColumn {
+            from,
+            to: format!("{to}_2"),
+        }),
+        prop::collection::vec(column(), 1..3)
+            .prop_map(|columns| SkillCall::DropColumns { columns }),
+        (column(), column()).prop_map(|(a, b)| SkillCall::CreateColumn {
+            name: "derived".to_string(),
+            expr: Expr::col(a).add(Expr::col(b)),
+        }),
+        (column(), -5i64..5).prop_map(|(column, v)| SkillCall::FillMissing {
+            column,
+            value: Value::Int(v),
+        }),
+        (column(), 0i64..40, 0i64..40).prop_map(|(column, from, to)| SkillCall::ReplaceValues {
+            column,
+            from: Value::Int(from),
+            to: Value::Int(to),
+        }),
+    ]
+}
+
+/// [`step`], with half the chained transforms drawn from [`wrangle`].
+fn wrangling_step() -> impl Strategy<Value = Step> {
+    prop_oneof![step(), wrangle().prop_map(Step::Chain)]
 }
 
 fn step() -> impl Strategy<Value = Step> {
@@ -177,7 +208,56 @@ fn build_dag(steps: &[Step]) -> (SkillDag, datachat::skills::NodeId) {
     (dag, cur)
 }
 
+/// A table with equal contents and no buffer in common.
+fn deep_copy(t: &Table) -> Table {
+    let names = t.schema().names();
+    let cols = t.columns().iter().map(|c| Column::clone(c));
+    Table::new(names.into_iter().zip(cols).collect()).expect("a copy of a valid table")
+}
+
+/// The plan exactly as written, one `execute_call` per node, every input a
+/// deep copy of what the node before produced: what a driver that shares
+/// nothing would compute. (Every generated call transforms its data, so a
+/// node's output is what flows on.)
+fn step_by_step(dag: &SkillDag, target: datachat::skills::NodeId) -> Option<Table> {
+    let mut env = world();
+    let mut flows: Vec<Table> = Vec::new();
+    for node in dag.nodes() {
+        let inputs: Vec<Table> = node.inputs.iter().map(|&i| deep_copy(&flows[i])).collect();
+        let refs: Vec<&Table> = inputs.iter().collect();
+        let out = execute_call(&node.call, &refs, &mut env).ok()?;
+        flows.push(
+            out.into_table()
+                .expect("every generated call yields a table"),
+        );
+    }
+    Some(flows.swap_remove(target))
+}
+
 proptest! {
+    /// Results that share column buffers with their inputs, with storage
+    /// blocks and with each other are indistinguishable from results that
+    /// share nothing — under the wave scheduler and the resilient one.
+    #[test]
+    fn shared_results_match_step_by_step_on_deep_copies(
+        steps in prop::collection::vec(wrangling_step(), 1..8),
+    ) {
+        let (dag, target) = build_dag(&steps);
+        let want = step_by_step(&dag, target);
+
+        let mut env = world();
+        let got = Executor::new().run(&dag, target, &mut env).ok();
+        let got = got.map(|out| out.into_table().expect("a table"));
+        prop_assert_eq!(&got, &want, "wave scheduler diverges\nDAG:\n{:?}", dag);
+
+        let mut env = world();
+        let report = Executor::new()
+            .run_resilient(&dag, target, &mut env, &ExecPolicy::default())
+            .expect("structurally valid DAG");
+        let got = report.output.map(|out| out.into_table().expect("a table"));
+        prop_assert_eq!(&got, &want, "resilient scheduler diverges\nDAG:\n{:?}", dag);
+    }
+
     /// Serial executor: optimized and as-written runs agree exactly.
     #[test]
     fn optimized_run_matches_as_written(steps in prop::collection::vec(step(), 1..7)) {

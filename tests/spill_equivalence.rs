@@ -45,19 +45,19 @@ fn fact(n: usize, seed: u64) -> Table {
     let ks: Vec<Option<i64>> = (0..n)
         .map(|_| {
             let x = r();
-            (x % 13 != 0).then_some((x % 37) as i64)
+            (!x.is_multiple_of(13)).then_some((x % 37) as i64)
         })
         .collect();
     let vs: Vec<Option<f64>> = (0..n)
         .map(|_| {
             let x = r();
-            (x % 11 != 0).then_some((x % 1000) as f64 * 0.5 - 100.0)
+            (!x.is_multiple_of(11)).then_some((x % 1000) as f64 * 0.5 - 100.0)
         })
         .collect();
     let cs: Vec<Option<String>> = (0..n)
         .map(|_| {
             let x = r();
-            (x % 7 != 0).then_some(format!("c{}", x % 11))
+            (!x.is_multiple_of(7)).then_some(format!("c{}", x % 11))
         })
         .collect();
     Table::new(vec![
@@ -76,7 +76,7 @@ fn dim(m: usize, seed: u64, payload: &str) -> Table {
     let ks: Vec<Option<i64>> = (0..m)
         .map(|_| {
             let x = r();
-            (x % 17 != 0).then_some((x % 37) as i64)
+            (!x.is_multiple_of(17)).then_some((x % 37) as i64)
         })
         .collect();
     let ws: Vec<f64> = (0..m).map(|_| (r() % 500) as f64 * 0.25).collect();
