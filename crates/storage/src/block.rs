@@ -83,10 +83,11 @@ pub(crate) fn scan_columns<'a>(
     schema: &dc_engine::Schema,
 ) -> (Option<&'a Expr>, Vec<usize>) {
     let mut pred_cols = Vec::new();
-    let predicate = opts.predicate.as_ref().filter(|p| {
+    if let Some(p) = &opts.predicate {
         p.referenced_columns(&mut pred_cols);
-        pred_cols.iter().all(|c| schema.index_of(c).is_some())
-    });
+    }
+    let known = pred_cols.iter().all(|c| schema.index_of(c).is_some());
+    let predicate = opts.predicate.as_ref().filter(|_| known);
     let mut read_cols: Vec<usize> = match &opts.columns {
         Some(cols) => cols.iter().filter_map(|c| schema.index_of(c)).collect(),
         None => (0..schema.fields().len()).collect(),
