@@ -167,6 +167,19 @@ impl Bitmap {
         }
     }
 
+    /// Gather the bits at `indices`, null for `None`, a word at a time.
+    pub fn take_opt(&self, indices: &[Option<usize>]) -> Bitmap {
+        let all = self.all_valid();
+        let bit = |ix: &Option<usize>| ix.is_some_and(|i| all || self.get(i));
+        Bitmap {
+            words: indices
+                .chunks(64)
+                .map(|chunk| pack_word(chunk.iter().map(bit)))
+                .collect(),
+            len: indices.len(),
+        }
+    }
+
     /// Extend with the contents of another bitmap.
     pub fn extend(&mut self, other: &Bitmap) {
         let shift = self.len % 64;

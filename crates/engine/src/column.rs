@@ -387,44 +387,29 @@ impl Column {
 
     /// Gather rows at `indices`, producing null for `None` entries. This is
     /// the outer-join materialization primitive: one gather per column
-    /// instead of one `push_value` per cell.
+    /// instead of one `push_value` per cell, the validity a word at a time.
     pub fn take_opt(&self, indices: &[Option<usize>]) -> Column {
-        let n = indices.len();
-        let mut valid = Bitmap::new_null(n);
-        macro_rules! gather {
-            ($v:ident, $b:ident, $variant:ident, $default:expr, $fetch:expr) => {{
-                let mut data = Vec::with_capacity(n);
-                for (out_row, ix) in indices.iter().enumerate() {
-                    match ix {
-                        Some(i) if $b.get(*i) => {
-                            data.push($fetch(&$v[*i]));
-                            valid.set(out_row, true);
-                        }
-                        _ => data.push($default),
-                    }
-                }
-                Column::$variant(data, valid)
-            }};
+        let valid = self.validity().take_opt(indices);
+        // A null source cell holds its type's placeholder, like a `None`.
+        fn at<T: Copy + Default>(v: &[T], indices: &[Option<usize>]) -> Vec<T> {
+            let cells = indices.iter().map(|ix| ix.map_or(T::default(), |i| v[i]));
+            cells.collect()
         }
         match self {
-            Column::Bool(v, b) => gather!(v, b, Bool, false, |x: &bool| *x),
-            Column::Int(v, b) => gather!(v, b, Int, 0, |x: &i64| *x),
-            Column::Float(v, b) => gather!(v, b, Float, 0.0, |x: &f64| *x),
-            Column::Str(v, b) => gather!(v, b, Str, String::new(), |x: &String| x.clone()),
-            Column::Dict(codes, dict, b) => {
-                let mut data = Vec::with_capacity(n);
-                for (out_row, ix) in indices.iter().enumerate() {
-                    match ix {
-                        Some(i) if b.get(*i) => {
-                            data.push(codes[*i]);
-                            valid.set(out_row, true);
-                        }
-                        _ => data.push(0),
-                    }
-                }
-                Column::Dict(data, Arc::clone(dict), valid)
+            Column::Bool(v, _) => Column::Bool(at(v, indices), valid),
+            Column::Int(v, _) => Column::Int(at(v, indices), valid),
+            Column::Float(v, _) => Column::Float(at(v, indices), valid),
+            Column::Str(v, b) => {
+                let cell = |ix: &Option<usize>| match ix {
+                    Some(i) if b.get(*i) => v[*i].clone(),
+                    _ => String::new(),
+                };
+                Column::Str(indices.iter().map(cell).collect(), valid)
             }
-            Column::Date(v, b) => gather!(v, b, Date, 0, |x: &i32| *x),
+            Column::Dict(codes, dict, _) => {
+                Column::Dict(at(codes, indices), Arc::clone(dict), valid)
+            }
+            Column::Date(v, _) => Column::Date(at(v, indices), valid),
         }
     }
 

@@ -3,7 +3,6 @@
 //! Implements the `Compute the <aggregate> of <column> for each <group>`
 //! skill (Table 1's data-wrangling row and the Figure 3 walkthrough).
 
-use std::collections::hash_map::Entry;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -11,11 +10,11 @@ use crate::bitmap::Bitmap;
 use crate::column::Column;
 use crate::error::{EngineError, Result};
 use crate::governor::{MemContext, Reservation};
-use crate::hash::FxHashMap;
 use crate::parallel;
 use crate::table::Table;
 use crate::value::cmp_f64_total;
 
+use super::keys::{first_rows, Encoder, KeyCol, Rows};
 use super::spill::{group_state_bytes, group_widths, partition_ids, Ids, Run, Spill};
 
 /// Aggregate functions available to the Compute skill.
@@ -258,10 +257,13 @@ impl AggCols {
             }
             Median => each_valid(valid, gids, start, |g, r| self.pairs.push((g as u32, r))),
             CountDistinct => {
-                // Re-encode (group, value) pairs with the group encoder: a
+                // Number the (group, value) pairs with the group encoder: a
                 // pair's first row stands for it, null values drop out.
-                let mut pair_ids = gids.to_vec();
-                refine(&mut pair_ids, col, rows);
+                let pair = [
+                    KeyCol::numbered(start, gids.to_vec()),
+                    KeyCol::of(col, rows.clone()),
+                ];
+                let (_, pair_ids) = Encoder::intern(&pair, &Rows::Range(rows), true);
                 let firsts = first_rows(&pair_ids).into_iter();
                 let firsts = firsts.filter(|&i| valid.get(start + i));
                 self.pairs.extend(firsts.map(|i| (gids[i], start + i)));
@@ -831,141 +833,14 @@ fn fold_parts(
     Groups { reps, accs }
 }
 
-/// Dictionary-code the composite group key of each row in `range` into a
-/// dense id, assigned in first-encounter order.
+/// The dense first-encounter id of each row's composite key in `range`:
+/// the one key encoder ([`super::keys`]), with nulls as keys.
 pub(crate) fn encode_groups(key_cols: &[&Column], range: Range<usize>) -> Vec<u32> {
-    let Some((first, rest)) = key_cols.split_first() else {
-        return vec![0; range.end - range.start];
-    };
-    let mut gids = encode_key_column(first, range.clone());
-    for col in rest {
-        refine(&mut gids, col, range.clone());
-    }
-    gids
-}
-
-/// Split the groups `gids` of `range`'s rows by `col`'s values, renumbering
-/// densely in first-encounter order.
-fn refine(gids: &mut [u32], col: &Column, range: Range<usize>) {
-    let mut ids: FxHashMap<u64, u32> = FxHashMap::default();
-    for (g, c) in gids.iter_mut().zip(encode_key_column(col, range)) {
-        let next = ids.len() as u32;
-        *g = *ids.entry(((*g as u64) << 32) | c as u64).or_insert(next);
-    }
-}
-
-/// The offset of each dense first-encounter id's first occurrence: ids are
-/// assigned in order, so id `k` first appears where `k` ids came before.
-pub(crate) fn first_rows(gids: &[u32]) -> Vec<usize> {
-    let mut firsts = Vec::new();
-    for (off, &g) in gids.iter().enumerate() {
-        if g as usize == firsts.len() {
-            firsts.push(off);
-        }
-    }
-    firsts
-}
-
-/// Dictionary-code one key column over `range` without materializing
-/// values: strings are compared by reference, floats by normalized bits
-/// (`-0.0` is `0.0`, every NaN is one key), and null gets its own code.
-fn encode_key_column(col: &Column, range: Range<usize>) -> Vec<u32> {
-    let mut codes = Vec::with_capacity(range.end - range.start);
-    let mut null_code: Option<u32> = None;
-    let mut next = 0u32;
-    macro_rules! encode {
-        ($v:ident, $b:ident, $key:expr) => {
-            let mut map = FxHashMap::default();
-            for i in range {
-                let code = if $b.get(i) {
-                    match map.entry($key(&$v[i])) {
-                        Entry::Occupied(e) => *e.get(),
-                        Entry::Vacant(e) => {
-                            let id = next;
-                            next += 1;
-                            *e.insert(id)
-                        }
-                    }
-                } else {
-                    *null_code.get_or_insert_with(|| {
-                        let id = next;
-                        next += 1;
-                        id
-                    })
-                };
-                codes.push(code);
-            }
-        };
-    }
-    match col {
-        Column::Bool(v, b) => {
-            encode!(v, b, |x: &bool| *x);
-        }
-        Column::Int(v, b) => {
-            encode!(v, b, |x: &i64| *x);
-        }
-        Column::Float(v, b) => {
-            encode!(v, b, |x: &f64| {
-                // -0.0 folds into 0.0 and every NaN payload groups together.
-                let f = if *x == 0.0 { 0.0 } else { *x };
-                let f = if f.is_nan() { f64::NAN } else { f };
-                f.to_bits()
-            });
-        }
-        Column::Str(v, b) => {
-            // Written out (not via the macro) so the map can key on `&str`
-            // borrowed from the column without cloning.
-            let mut map: FxHashMap<&str, u32> = FxHashMap::default();
-            for i in range {
-                let code = if b.get(i) {
-                    match map.entry(v[i].as_str()) {
-                        Entry::Occupied(e) => *e.get(),
-                        Entry::Vacant(e) => {
-                            let id = next;
-                            next += 1;
-                            *e.insert(id)
-                        }
-                    }
-                } else {
-                    *null_code.get_or_insert_with(|| {
-                        let id = next;
-                        next += 1;
-                        id
-                    })
-                };
-                codes.push(code);
-            }
-            return codes;
-        }
-        Column::Dict(dict_codes, dict, b) => {
-            // The column is already dictionary-coded; remap its (dense,
-            // bounded) codes to first-encounter group ids with a flat
-            // array instead of a hash map. Slot `dict.len()` is null.
-            const UNSEEN: u32 = u32::MAX;
-            let mut remap = vec![UNSEEN; dict.len() + 1];
-            for i in range {
-                let slot = if b.get(i) {
-                    dict_codes[i] as usize
-                } else {
-                    dict.len()
-                };
-                let code = if remap[slot] == UNSEEN {
-                    let id = next;
-                    next += 1;
-                    remap[slot] = id;
-                    id
-                } else {
-                    remap[slot]
-                };
-                codes.push(code);
-            }
-            return codes;
-        }
-        Column::Date(v, b) => {
-            encode!(v, b, |x: &i32| *x);
-        }
-    }
-    codes
+    let keys: Vec<KeyCol> = key_cols
+        .iter()
+        .map(|col| KeyCol::of(col, range.clone()))
+        .collect();
+    Encoder::intern(&keys, &Rows::Range(range), true).1
 }
 
 #[cfg(test)]
@@ -1356,9 +1231,8 @@ mod tests {
 
     /// `group_state_bytes` is what the body books; it must cover what the
     /// body allocates for a morsel: the group ids and the codes that refine
-    /// them, the encoder's tables (rebuilt here as the encoder grows them,
-    /// one per key column and one more per column after the first), the
-    /// representatives and the accumulators.
+    /// them, the encoder's tables (one per key column and one more per
+    /// column after the first), the representatives and the accumulators.
     #[test]
     fn state_bytes_cover_the_group_ids_tables_and_accumulators() {
         let n = 3000usize;
@@ -1371,6 +1245,10 @@ mod tests {
                 "hi",
                 Column::from_ints((0..n as i64).map(|i| i * 7919 % 2003).collect()),
             ),
+            (
+                "wide",
+                Column::from_ints((0..n as i64).map(|i| i * 7919 % 2003 * 1_000_003).collect()),
+            ),
             ("x", Column::from_floats((0..n).map(|i| i as f64).collect())),
         ])
         .unwrap();
@@ -1378,32 +1256,32 @@ mod tests {
         for (keys, funcs) in [
             (&["lo"][..], &[Sum, CountRecords][..]),
             (&["hi"], &[Avg, Min, Last]),
+            (&["wide"], &[Avg, Min, Last]),
             (&["hi", "lo"], &[StdDev, Median, Count]),
+            (&["wide", "lo"], &[StdDev, Median, Count]),
         ] {
             let aggs: Vec<AggSpec> = funcs
                 .iter()
                 .map(|f| AggSpec::new(*f, "x", f.name()))
                 .collect();
             let inputs = resolve_inputs(&t, keys, &aggs).unwrap();
-            let gids = encode_groups(&inputs.key_cols, 0..n);
+            let key_cols: Vec<KeyCol> = (inputs.key_cols.iter())
+                .map(|col| KeyCol::of(col, 0..n))
+                .collect();
+            let (encoder, gids) = Encoder::intern(&key_cols, &Rows::Range(0..n), true);
             let reps = first_rows(&gids);
-            let mut tables = 0;
-            for (at, col) in inputs.key_cols.iter().enumerate() {
-                let mut distinct: FxHashMap<i64, u32> = FxHashMap::default();
-                let values = col.as_ints().unwrap().0;
-                for value in values {
-                    distinct.insert(*value, 0);
-                }
-                let buckets = (distinct.capacity() * 8).div_ceil(7).next_power_of_two();
-                // Twice where `refine` keeps a table of pairs beside it.
-                tables += buckets * (16 + 1) * if at == 0 { 1 } else { 2 };
-            }
+            let codes = if keys.len() > 1 {
+                gids.capacity() * 4
+            } else {
+                0
+            };
             let mut accs: Vec<AggCols> =
                 funcs.iter().map(|f| AggCols::new(*f, reps.len())).collect();
             let arg = inputs.agg_cols.iter().zip(&mut accs);
             arg.for_each(|(col, acc)| acc.update(*col, &gids, 0..n));
             let groups = Groups { reps, accs };
-            let allocated = 2 * gids.capacity() * 4 + tables + groups.bytes() as usize;
+            let tables = encoder.bytes() as usize;
+            let allocated = gids.capacity() * 4 + codes + tables + groups.bytes() as usize;
             let widths = group_widths(keys.len(), funcs.iter().copied());
             let booked = group_state_bytes(n as u64, groups.reps.len() as u64, widths) as usize;
             assert!(booked >= allocated, "{keys:?}: {booked} < {allocated}");

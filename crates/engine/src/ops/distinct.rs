@@ -2,7 +2,8 @@
 
 use crate::column::Column;
 use crate::error::Result;
-use crate::ops::aggregate::{encode_groups, first_rows};
+use crate::ops::aggregate::encode_groups;
+use crate::ops::keys::first_rows;
 use crate::table::Table;
 
 /// Keep the first occurrence of each distinct combination of `columns`

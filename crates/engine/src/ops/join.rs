@@ -1,18 +1,20 @@
 //! Hash joins.
+//!
+//! One body, budgeted or not: the key columns of both sides become words
+//! ([`super::keys`]), the build (right) side's keys are numbered densely in
+//! one pass and its rows laid out by key id, the probe (left) side looks
+//! its keys up a morsel at a time and emits packed `(left row, right row)`
+//! pairs, and the output columns are gathered through the pairs.
 
-use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
-use crate::hash::FxHashMap;
 
 use crate::column::Column;
 use crate::error::{EngineError, Result};
 use crate::governor::MemContext;
 use crate::parallel;
 use crate::table::Table;
-use crate::value::Value;
 
+use super::keys::{Encoder, KeyCol, NO_ID};
 use super::spill::{join_state_bytes, merge_runs, partition_ids, Ids, Run, Spill};
 
 /// Supported join types.
@@ -49,14 +51,10 @@ fn key_columns<'a>(
             "join requires equal, non-empty key lists",
         ));
     }
-    let lcols: Vec<&Column> = left_on
-        .iter()
-        .map(|k| left.column(k))
-        .collect::<Result<_>>()?;
-    let rcols: Vec<&Column> = right_on
-        .iter()
-        .map(|k| right.column(k))
-        .collect::<Result<_>>()?;
+    let named = |table: &'a Table, on: &[&str]| -> Result<Vec<&'a Column>> {
+        on.iter().map(|k| table.column(k)).collect()
+    };
+    let (lcols, rcols) = (named(left, left_on)?, named(right, right_on)?);
     for (l, r) in lcols.iter().zip(&rcols) {
         if l.dtype().unify(r.dtype()).is_none() {
             return Err(EngineError::schema_mismatch(format!(
@@ -67,126 +65,6 @@ fn key_columns<'a>(
         }
     }
     Ok((lcols, rcols))
-}
-
-/// One component of a typed join key, borrowing string data from its
-/// column. Values of different types never compare equal, and floats match
-/// on normalized bits (-0.0 folds into 0.0, NaN payloads kept as-is).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum RefPart<'a> {
-    Bool(bool),
-    Int(i64),
-    Float(u64),
-    Str(&'a str),
-    Date(i32),
-}
-
-/// A full typed join key. Single-column keys — the common case — carry
-/// no heap allocation at all; the `One`/`Many` split can't alias because
-/// construction is determined by the key-column count.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Key<'a> {
-    One(RefPart<'a>),
-    Many(Vec<RefPart<'a>>),
-}
-
-// `inline(always)`: called once per row from the build and probe loops;
-// without forced inlining the optimizer keeps the enum construction and
-// hashing behind a call and the loops run ~3x slower.
-#[inline(always)]
-fn ref_part<'a>(col: &'a Column, row: usize) -> Option<RefPart<'a>> {
-    match col {
-        Column::Bool(v, b) => b.get(row).then(|| RefPart::Bool(v[row])),
-        Column::Int(v, b) => b.get(row).then(|| RefPart::Int(v[row])),
-        Column::Float(v, b) => b.get(row).then(|| {
-            let f = if v[row] == 0.0 { 0.0 } else { v[row] };
-            RefPart::Float(f.to_bits())
-        }),
-        Column::Str(v, b) => b.get(row).then(|| RefPart::Str(v[row].as_str())),
-        Column::Dict(codes, dict, b) => b
-            .get(row)
-            .then(|| RefPart::Str(dict[codes[row] as usize].as_str())),
-        Column::Date(v, b) => b.get(row).then(|| RefPart::Date(v[row])),
-    }
-}
-
-/// When either side of a key-column pair is dictionary-encoded, translate
-/// both sides into one shared integer code space so the hash join builds
-/// and probes on `i64` codes instead of hashing string payloads per row.
-/// The left dictionary is the base space; right-side strings it doesn't
-/// contain get fresh codes past it (distinct per string, so composite
-/// keys still distinguish unmatched values). Returns `None` when neither
-/// side is a dictionary — the plain path has nothing to gain.
-fn dict_code_keys(l: &Column, r: &Column) -> Option<(Column, Column)> {
-    match (l, r) {
-        (Column::Dict(lc, ld, lb), Column::Dict(rc, rd, rb)) => {
-            let remap: Vec<i64> = if Arc::ptr_eq(ld, rd) {
-                (0..rd.len() as i64).collect()
-            } else {
-                rd.iter()
-                    .enumerate()
-                    .map(|(i, s)| match ld.binary_search(s) {
-                        Ok(c) => c as i64,
-                        Err(_) => (ld.len() + i) as i64,
-                    })
-                    .collect()
-            };
-            let lvals: Vec<i64> = lc.iter().map(|&c| c as i64).collect();
-            let rvals: Vec<i64> = rc
-                .iter()
-                .map(|&c| remap.get(c as usize).copied().unwrap_or(-1))
-                .collect();
-            Some((
-                Column::Int(lvals, lb.clone()),
-                Column::Int(rvals, rb.clone()),
-            ))
-        }
-        (Column::Dict(lc, ld, lb), Column::Str(rv, rb)) => {
-            let mut fresh: FxHashMap<&str, i64> = FxHashMap::default();
-            let mut next = ld.len() as i64;
-            let rvals: Vec<i64> = rv
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    if !rb.get(i) {
-                        return 0;
-                    }
-                    match ld.binary_search_by(|d| d.as_str().cmp(s.as_str())) {
-                        Ok(c) => c as i64,
-                        Err(_) => *fresh.entry(s.as_str()).or_insert_with(|| {
-                            let c = next;
-                            next += 1;
-                            c
-                        }),
-                    }
-                })
-                .collect();
-            let lvals: Vec<i64> = lc.iter().map(|&c| c as i64).collect();
-            Some((
-                Column::Int(lvals, lb.clone()),
-                Column::Int(rvals, rb.clone()),
-            ))
-        }
-        (Column::Str(..), Column::Dict(..)) => {
-            let (r2, l2) = dict_code_keys(r, l)?;
-            Some((l2, r2))
-        }
-        _ => None,
-    }
-}
-
-/// The typed key of one row; `None` when any component is null (null keys
-/// never match, per SQL).
-#[inline(always)]
-fn ref_key<'a>(cols: &[&'a Column], row: usize) -> Option<Key<'a>> {
-    if let [col] = cols {
-        return ref_part(col, row).map(Key::One);
-    }
-    let mut parts = Vec::with_capacity(cols.len());
-    for col in cols {
-        parts.push(ref_part(col, row)?);
-    }
-    Some(Key::Many(parts))
 }
 
 /// Hash join of two tables on equally-named key pairs:
@@ -204,22 +82,23 @@ pub fn join(
 /// Hash join of two tables on equally-named key pairs, booking its state
 /// against `mem`'s budget.
 ///
-/// `left_on[i]` joins against `right_on[i]`. Non-key right columns that
-/// collide with a left column name are suffixed `_right`. Right key
-/// columns are dropped (they duplicate the left keys on matches); for
-/// right/full joins the left key columns are backfilled from the right
-/// side on unmatched right rows. Output order: left rows ascending, each
-/// one's matches in ascending right-row order, then unmatched right rows
-/// for right/full joins.
+/// `left_on[i]` joins against `right_on[i]`. Keys match as typed values:
+/// a null or a NaN matches nothing, `-0.0` matches `0.0`, values of
+/// different types never match, and strings match by content whatever
+/// their encoding. Non-key right columns that collide with a left column
+/// name are suffixed `_right`. Right key columns are dropped (they
+/// duplicate the left keys on matches); for right/full joins the left key
+/// columns are backfilled from the right side on unmatched right rows.
+/// Output order: left rows ascending, each one's matches in ascending
+/// right-row order, then unmatched right rows for right/full joins.
 ///
 /// The join reads only key columns until it knows its output as packed
-/// `(left row, right row)` pairs (`match_ids`): an index is built over the
-/// right rows and probed with the left ones, per row morsel (see
-/// [`crate::parallel`]) with typed, borrowed keys — over all rows at once
-/// where the governor admits the index ([`join_state_bytes`]), else over
-/// the row *ids* of one hash partition of both sides at a time. Every
-/// partition's pairs ascend, so merging them is the output order, and the
-/// output columns are gathered through the pairs, a block at a time.
+/// `(left row, right row)` pairs (`match_ids`): the right rows are indexed
+/// ([`Index`]) and the left ones looked up — over all rows at once where
+/// the governor admits the index ([`join_state_bytes`]), else over the row
+/// *ids* of one hash partition of both sides at a time. Every partition's
+/// pairs ascend, so merging them is the output order, and the output
+/// columns are gathered through the pairs, a block at a time.
 pub fn join_with_mem(
     left: &Table,
     right: &Table,
@@ -237,33 +116,22 @@ pub fn join_with_mem(
     }
     let mut op = Spill::new(mem, "join");
 
-    // Dictionary-encoded key pairs are remapped into a shared integer
-    // code space once, so build and probe hash `i64`s instead of strings —
-    // where the governor admits the two code columns; hashing the strings
-    // matches the same rows. Assembly still reads the original `rcols`.
-    let is_dict = |(l, r): &(&&Column, &&Column)| l.as_dict().is_some() || r.as_dict().is_some();
-    let dict_pairs = lcols.iter().zip(&rcols).filter(is_dict).count() as u64;
-    let remapped = op.hold(dict_pairs * (ln + rn) as u64 * 9, false);
-    let converted: Vec<Option<(Column, Column)>> = lcols
-        .iter()
-        .zip(&rcols)
-        .map(|(l, r)| remapped.as_ref().and_then(|_| dict_code_keys(l, r)))
-        .collect();
-    let lkey: Vec<&Column> = lcols
-        .iter()
-        .zip(&converted)
-        .map(|(&c, conv)| conv.as_ref().map_or(c, |(l, _)| l))
-        .collect();
-    let rkey: Vec<&Column> = rcols
-        .iter()
-        .zip(&converted)
-        .map(|(&c, conv)| conv.as_ref().map_or(c, |(_, r)| r))
-        .collect();
+    // The key pairs as words. The strings of a pair are numbered in one
+    // code space over all rows, whatever the governor says: partitions
+    // match on the same numbers, so there is no smaller state to fall back
+    // to.
+    let (lkeys, rkeys): (Vec<KeyCol>, Vec<KeyCol>) = (lcols.iter().zip(&rcols))
+        .map(|(l, r)| KeyCol::pair(l, r))
+        .unzip();
+    let numbers = lkeys.iter().chain(&rkeys).map(KeyCol::bytes).sum();
+    let _numbers = op.hold(numbers, true);
 
     let mut runs = Vec::new();
+    let side = |keys, cols| Side { keys, cols };
+    let sides = (side(&lkeys, &lcols), side(&rkeys, &rcols));
     let all = (Ids::All(ln), Ids::All(rn));
     let unsplit = (0, usize::MAX, usize::MAX);
-    match_ids(&mut op, (&lkey, &rkey), how, all, unsplit, &mut runs)?;
+    match_ids(&mut op, sides, how, all, unsplit, &mut runs)?;
 
     let key_positions_left: Vec<usize> = left_on
         .iter()
@@ -272,47 +140,27 @@ pub fn join_with_mem(
             position.ok_or_else(|| EngineError::column_not_found(*k))
         })
         .collect::<Result<_>>()?;
-    let track_matched = matches!(how, JoinType::Right | JoinType::Full);
-    // Assembly of the output rows `pairs` name: one gather per column
-    // instead of one push per cell. Only left key columns of right/full
-    // joins need the per-row loop, to backfill key values from the right
-    // side on unmatched right rows.
+    // Assembly of the output rows `pairs` name: one gather per column.
     let gather = |pairs: &[u64]| -> Result<Table> {
-        let mut lidx: Vec<Option<usize>> = Vec::with_capacity(pairs.len());
-        let mut ridx: Vec<Option<usize>> = Vec::with_capacity(pairs.len());
-        for &pair in pairs {
-            let row = |word: u64, rows: usize| match word as u32 {
-                NO_ROW => Ok(None),
-                row if (row as usize) < rows => Ok(Some(row as usize)),
-                row => Err(EngineError::spill(format!(
-                    "join pair names row {row} of a {rows}-row input"
-                ))),
-            };
-            lidx.push(row(pair >> 32, ln)?);
-            ridx.push(row(pair, rn)?);
-        }
+        let (lrows, rrows) = (Gather::of(pairs, 32, ln)?, Gather::of(pairs, 0, rn)?);
+        // Pairs without a left row come last: right rows nothing matched.
+        let paired = pairs.partition_point(|&pair| (pair >> 32) as u32 != NO_ROW);
         let mut out = Table::empty();
         for (ci, field) in left.schema().fields().iter().enumerate() {
             let src = left.column_at(ci);
-            let backfill = key_positions_left
-                .iter()
-                .position(|&p| p == ci)
-                .map(|key_slot| rcols[key_slot]);
-            let col = match backfill {
-                Some(rc) if track_matched => {
-                    let mut col = Column::empty(src.dtype());
-                    for (l, r) in lidx.iter().zip(&ridx) {
-                        let v = match (l, r) {
-                            (Some(l), _) => src.get(*l),
-                            (None, Some(r)) => rc.get(*r),
-                            _ => Value::Null,
-                        };
-                        let v = crate::column::cast_value(&v, src.dtype());
-                        col.push_value(&v)?;
+            let key_slot = key_positions_left.iter().position(|&p| p == ci);
+            let col = match key_slot {
+                // A key cell of such a row is the right side's.
+                Some(key_slot) if paired < pairs.len() => {
+                    let mut col = src.take(&lrows.named(0..paired));
+                    let lone = rcols[key_slot].take(&rrows.named(paired..pairs.len()));
+                    match lone.dtype() == src.dtype() {
+                        true => col.extend(&lone)?,
+                        false => col.extend(&lone.cast(src.dtype())?)?,
                     }
                     col
                 }
-                _ => src.take_opt(&lidx),
+                _ => lrows.gather(src),
             };
             out.add_column(&field.name, col)?;
         }
@@ -320,7 +168,7 @@ pub fn join_with_mem(
             if right_on.iter().any(|k| field.name.eq_ignore_ascii_case(k)) {
                 continue;
             }
-            let col = right.column_at(ci).take_opt(&ridx);
+            let col = rrows.gather(right.column_at(ci));
             let name = if out.schema().index_of(&field.name).is_some() {
                 format!("{}_right", field.name)
             } else {
@@ -330,9 +178,14 @@ pub fn join_with_mem(
         }
         Ok(out)
     };
-    // A block holds a pair and, in `gather`, its two optional indices.
+    // A block holds a pair and, in `gather`, its two row indices: optional
+    // ones on a side where a pair may name no row.
     let found: usize = runs.iter().map(Run::len).sum();
-    let (block_rows, _block) = op.hold_some(found.min(op.block_rows()), 8 + 32);
+    let index_bytes = |lone: bool| if lone { 16 } else { 8 };
+    let lone_left = matches!(how, JoinType::Left | JoinType::Full);
+    let lone_right = matches!(how, JoinType::Right | JoinType::Full);
+    let block_bytes = 8 + index_bytes(lone_left) + index_bytes(lone_right);
+    let (block_rows, _block) = op.hold_some(found.min(op.block_rows()), block_bytes);
     let mut out: Option<Table> = None;
     merge_runs(&mut op, runs, block_rows, |pairs| {
         let mut block = gather(pairs)?;
@@ -351,15 +204,151 @@ pub fn join_with_mem(
     }
 }
 
-/// The row half of a pair that names no row: the other side's row is
-/// unmatched. As a left half it orders unmatched right rows after every
-/// left row.
+/// The half of a packed `left row << 32 | right row` pair that names no
+/// row: the other side's row is unmatched. As a left half it orders
+/// unmatched right rows after every left row.
 const NO_ROW: u32 = u32::MAX;
 
-/// `(left row, right row)` as one word that orders like the join's output.
-fn pack(l: Option<usize>, r: Option<usize>) -> u64 {
-    let half = |row: Option<usize>| row.map_or(NO_ROW, |row| row as u32) as u64;
-    half(l) << 32 | half(r)
+/// One side's rows of a block of pairs, as the indices a column is gathered
+/// through: dense where every pair names a row on that side.
+enum Gather {
+    Dense(Vec<usize>),
+    Sparse(Vec<Option<usize>>),
+}
+
+impl Gather {
+    /// The halves `pairs` hold `shift` bits up, each checked to name one of
+    /// `rows` rows or none.
+    fn of(pairs: &[u64], shift: u32, rows: usize) -> Result<Gather> {
+        // The greatest row named, and whether some pair names none.
+        let (mut most, mut lone) = (0, false);
+        let halves = pairs.iter().map(|pair| {
+            let half = (pair >> shift) as u32;
+            lone |= half == NO_ROW;
+            most = most.max(half.wrapping_add(1));
+            half as usize
+        });
+        let dense: Vec<usize> = halves.collect();
+        if most as usize > rows {
+            return Err(EngineError::spill(format!(
+                "join pair names row {} of a {rows}-row input",
+                most - 1
+            )));
+        }
+        let named = |&row: &usize| (row != NO_ROW as usize).then_some(row);
+        Ok(match lone {
+            true => Gather::Sparse(dense.iter().map(named).collect()),
+            false => Gather::Dense(dense),
+        })
+    }
+
+    /// `col` at the rows, null where a pair names none.
+    fn gather(&self, col: &Column) -> Column {
+        match self {
+            Gather::Dense(rows) => col.take(rows),
+            Gather::Sparse(rows) => col.take_opt(rows),
+        }
+    }
+
+    /// The rows the pairs at `positions` name.
+    fn named(&self, positions: std::ops::Range<usize>) -> Vec<usize> {
+        match self {
+            Gather::Dense(rows) => rows[positions].to_vec(),
+            Gather::Sparse(rows) => rows[positions].iter().flatten().copied().collect(),
+        }
+    }
+}
+
+/// One side of a join: its key columns as words, and as the columns they
+/// are (partitioning hashes strings by content).
+#[derive(Clone, Copy)]
+struct Side<'k, 't> {
+    keys: &'k [KeyCol<'t>],
+    cols: &'k [&'t Column],
+}
+
+/// The build side of one match: its keys numbered densely, and its rows
+/// laid out by key id by a counting sort — so each key's rows ascend.
+struct Index {
+    encoder: Encoder,
+    /// The rows of key `id` are `rows[starts[id]..starts[id + 1]]`.
+    starts: Vec<u32>,
+    rows: Vec<u32>,
+    /// Right and full joins only: the key id of every build position, and
+    /// whether a probe row matched that id.
+    ids: Vec<u32>,
+    matched: Vec<AtomicBool>,
+}
+
+impl Index {
+    fn build(keys: &[KeyCol], rows: &Ids, track_matched: bool) -> Index {
+        let n = rows.len();
+        let (encoder, mut ids) = Encoder::intern(keys, &rows.rows(0..n), false);
+        // Count each id two slots up, so that once the counts are summed
+        // `starts[id + 1]` is where id's rows begin, and once they are
+        // placed, where they end.
+        let mut starts = vec![0u32; encoder.len() + 2];
+        let keyed = |id: &&u32| **id != NO_ID;
+        ids.iter()
+            .filter(keyed)
+            .for_each(|&id| starts[id as usize + 2] += 1);
+        (1..starts.len()).for_each(|at| starts[at] += starts[at - 1]);
+        let mut by_id = vec![0u32; starts[starts.len() - 1] as usize];
+        for (at, id) in ids.iter().enumerate().filter(|(_, id)| keyed(id)) {
+            let next = &mut starts[*id as usize + 1];
+            by_id[*next as usize] = rows.row(at) as u32;
+            *next += 1;
+        }
+        let flags = if track_matched { encoder.len() } else { 0 };
+        if !track_matched {
+            ids = Vec::new();
+        }
+        Index {
+            matched: (0..flags).map(|_| AtomicBool::new(false)).collect(),
+            ids,
+            rows: by_id,
+            starts,
+            encoder,
+        }
+    }
+
+    /// The pairs of the probe rows at `positions` of `rows`, in their order:
+    /// a row's matches in ascending build-row order; with `lone`, a pair
+    /// without a build row for a row that matches nothing.
+    fn probe(
+        &self,
+        keys: &[KeyCol],
+        rows: &Ids,
+        positions: std::ops::Range<usize>,
+        lone: bool,
+    ) -> Vec<u64> {
+        let ids = self.encoder.find(keys, &rows.rows(positions.clone()));
+        let mut pairs = Vec::with_capacity(positions.len());
+        for (at, id) in positions.zip(ids) {
+            let row = (rows.row(at) as u64) << 32;
+            if id == NO_ID {
+                if lone {
+                    pairs.push(row | NO_ROW as u64);
+                }
+                continue;
+            }
+            let (from, to) = (self.starts[id as usize], self.starts[id as usize + 1]);
+            let matches = &self.rows[from as usize..to as usize];
+            pairs.extend(matches.iter().map(|&build| row | build as u64));
+            if let Some(flag) = self.matched.get(id as usize) {
+                flag.store(true, Ordering::Relaxed);
+            }
+        }
+        pairs
+    }
+
+    /// The build rows no probe row matched, as pairs without a probe row.
+    fn unmatched(&self, rows: &Ids) -> Vec<u64> {
+        let lone = |id: u32| id == NO_ID || !self.matched[id as usize].load(Ordering::Relaxed);
+        let lone = self.ids.iter().enumerate().filter(|(_, &id)| lone(id));
+        lone.map(|(at, _)| (NO_ROW as u64) << 32 | rows.row(at) as u64)
+            .collect()
+    }
 }
 
 /// The pairs of the left rows `lids` and the right rows `rids` list —
@@ -368,13 +357,13 @@ fn pack(l: Option<usize>, r: Option<usize>) -> u64 {
 /// admits the index, else a hash partition of both sides at a time.
 fn match_ids<'a>(
     op: &mut Spill<'a>,
-    keys: (&[&Column], &[&Column]),
+    (left, right): (Side, Side),
     how: JoinType,
     (mut lids, mut rids): (Ids<'a>, Ids<'a>),
     (depth, lwithin, rwithin): (u32, usize, usize),
     out: &mut Vec<Run<'a>>,
 ) -> Result<()> {
-    let (l, r, k) = (lids.len(), rids.len(), keys.0.len() as u64);
+    let (l, r, k) = (lids.len(), rids.len(), left.keys.len() as u64);
     let lone_left = matches!(how, JoinType::Left | JoinType::Full);
     let track_matched = matches!(how, JoinType::Right | JoinType::Full);
     if !(l > 0 && (r > 0 || lone_left) || r > 0 && track_matched) {
@@ -390,114 +379,28 @@ fn match_ids<'a>(
         out.iter_mut().try_for_each(|run| run.spill(op))?;
         state = op.hold(need, force);
     }
-    let rows = |cols: &[&Column]| cols.first().map_or(0, |c| c.len());
     let mut load = |ids: &mut Ids<'a>, rows: usize| match ids {
         Ids::Listed(run) if state.is_some() => run.load_ids(op, rows, force),
         _ => Ok(state.is_some()),
     };
-    let loaded = load(&mut lids, rows(keys.0))? && load(&mut rids, rows(keys.1))?;
+    let loaded = load(&mut lids, left.cols[0].len())? && load(&mut rids, right.cols[0].len())?;
     if let (Some(mut state), true) = (state, loaded) {
-        // Build across morsels if their tables, and the one they merge
-        // into, are admitted as well; else as one.
-        let mut build = parallel::morsels(r);
-        let tables =
-            (build.len() > 1).then(|| op.hold(2 * join_state_bytes(r as u64, 0, k), false));
-        if tables.flatten().is_none() {
-            build.clear();
-            build.push(0..r);
-        }
-        // The index stores, per key, an intrusive chain of the right
-        // *positions* holding it: the map value is the (head, tail) of the
-        // chain and `next[position]` links to the following position with
-        // the same key. Compared to a `Vec<usize>` per key this needs no
-        // per-key heap allocation (mostly-unique keys would otherwise malloc
-        // once per right row) and probing a unique key touches no memory
-        // beyond the map entry itself, because `head == tail` ends the walk
-        // before `next` is ever read.
-        //
-        // Each morsel indexes its own range of positions. The first morsel's
-        // index and links are adopted as they are and the rest splice in
-        // behind them in morsel order, so every key's chain stays in
-        // ascending position order and a single morsel splices nothing.
-        let mut parts = parallel::run_morsels(&build, |m| {
-            let base = m.start;
-            let mut local_next: Vec<u32> = vec![u32::MAX; m.len()];
-            let mut map: FxHashMap<Key, (u32, u32)> =
-                FxHashMap::with_capacity_and_hasher(m.len(), Default::default());
-            for at in m {
-                if let Some(key) = ref_key(keys.1, rids.row(at)) {
-                    match map.entry(key) {
-                        Entry::Occupied(mut e) => {
-                            let chain = e.get_mut();
-                            local_next[chain.1 as usize - base] = at as u32;
-                            chain.1 = at as u32;
-                        }
-                        Entry::Vacant(e) => {
-                            e.insert((at as u32, at as u32));
-                        }
-                    }
-                }
-            }
-            (local_next, map)
-        })
-        .into_iter();
-        let (mut next, mut index) = parts.next().unwrap_or_default();
-        for (local_next, map) in parts {
-            next.extend(local_next);
-            index.reserve(map.len());
-            for (key, chain) in map {
-                match index.entry(key) {
-                    Entry::Occupied(mut e) => {
-                        let merged = e.get_mut();
-                        next[merged.1 as usize] = chain.0;
-                        merged.1 = chain.1;
-                    }
-                    Entry::Vacant(e) => {
-                        e.insert(chain);
-                    }
-                }
-            }
-        }
-
-        // Probe phase: per morsel of left positions, emitting pairs of rows
-        // in position order, a left row's matches along its chain. Matched
-        // right positions are flagged through atomics so right/full joins
-        // can backfill after all workers finish.
-        let flags = if track_matched { r } else { 0 };
-        let matched: Vec<AtomicBool> = (0..flags).map(|_| AtomicBool::new(false)).collect();
+        // Build on this thread, in one pass; probe per morsel of left
+        // positions, emitting pairs in position order. Matched keys are
+        // flagged through atomics so right/full joins can list the
+        // unmatched right rows after all workers finish.
+        let index = Index::build(right.keys, &rids, track_matched);
         let found = parallel::run_morsels(&parallel::morsels(l), |m| {
-            let mut pairs = Vec::with_capacity(m.len());
-            for at in m {
-                let row = lids.row(at);
-                match ref_key(keys.0, row).and_then(|key| index.get(&key)) {
-                    Some(&(head, tail)) => {
-                        let mut rr = head as usize;
-                        loop {
-                            pairs.push(pack(Some(row), Some(rids.row(rr))));
-                            if track_matched {
-                                matched[rr].store(true, Ordering::Relaxed);
-                            }
-                            if rr == tail as usize {
-                                break;
-                            }
-                            rr = next[rr] as usize;
-                        }
-                    }
-                    None if lone_left => pairs.push(pack(Some(row), None)),
-                    None => {}
-                }
-            }
-            pairs
+            index.probe(left.keys, &lids, m, lone_left)
         });
-        let lone = (0..flags).filter(|&at| !matched[at].load(Ordering::Relaxed));
-        let lone: Vec<u64> = lone.map(|at| pack(None, Some(rids.row(at)))).collect();
+        let lone = index.unmatched(&rids);
         let mut pairs: Vec<u64> = Vec::new();
         pairs.reserve_exact(found.iter().map(Vec::len).sum::<usize>() + lone.len());
         found
             .iter()
             .chain([&lone])
             .for_each(|part| pairs.extend_from_slice(part));
-        drop((index, next, matched, found));
+        drop((index, found));
 
         // The pairs stay where they are if the governor admits as many as
         // there turned out to be; else they go to a run file.
@@ -514,8 +417,8 @@ fn match_ids<'a>(
     let parts = op.parts_for((l + r) as u64 * 8, |p| {
         join_state_bytes(r as u64 / p, l as u64 / p, k)
     });
-    let mut lruns = partition_ids(op, keys.0, lids, parts, depth as u64)?;
-    let mut rruns = partition_ids(op, keys.1, rids, parts, depth as u64)?;
+    let mut lruns = partition_ids(op, left.cols, lids, parts, depth as u64)?;
+    let mut rruns = partition_ids(op, right.cols, rids, parts, depth as u64)?;
     let largest = |runs: &[Run]| runs.iter().map(Run::len).max().unwrap_or(0) as u64;
     let (most_l, most_r) = (largest(&lruns), largest(&rruns));
     let need = join_state_bytes(most_r, most_l, k) + (most_l + most_r) * 8;
@@ -523,7 +426,7 @@ fn match_ids<'a>(
     op.make_room(&mut rruns, need)?;
     for (lrun, rrun) in lruns.into_iter().zip(rruns) {
         let ids = (Ids::Listed(lrun), Ids::Listed(rrun));
-        match_ids(op, keys, how, ids, (depth + 1, l, r), out)?;
+        match_ids(op, (left, right), how, ids, (depth + 1, l, r), out)?;
     }
     Ok(())
 }
@@ -531,13 +434,12 @@ fn match_ids<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Value;
     use proptest::prelude::*;
 
     /// Nested-loop reference join: no hashing, no key rendering. Keys match
     /// on typed `Value` equality, so null matches nothing, values of
     /// different types never match, `-0.0 == 0.0`, and NaN matches nothing.
-    /// (`join` itself matches two NaNs of identical bits; the properties
-    /// below generate no NaN keys.)
     fn join_reference(
         left: &Table,
         right: &Table,
@@ -631,29 +533,60 @@ mod tests {
         prop::option::of("[a-c]{1,2}")
     }
 
+    /// A float key that is often a NaN (of either payload), a zero of
+    /// either sign, or null.
+    fn opt_float_key() -> impl Strategy<Value = Option<f64>> {
+        prop::option::of(prop_oneof![
+            Just(f64::NAN),
+            Just(f64::from_bits(0xfff8_0000_0000_beef)),
+            Just(-0.0f64),
+            Just(0.0),
+            (0i64..4).prop_map(|x| x as f64 / 2.0),
+        ])
+    }
+
+    /// Same schema and the same cells, floats to the bit: NaN cells compare,
+    /// and a `-0.0` is not a `0.0`.
+    fn identical(got: &Table, want: &Table) -> bool {
+        let same_cell = |a: &Value, b: &Value| match (a, b) {
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            _ => a == b,
+        };
+        got.schema() == want.schema()
+            && got.num_rows() == want.num_rows()
+            && got.columns().iter().zip(want.columns()).all(|(g, w)| {
+                g.iter_values()
+                    .zip(w.iter_values())
+                    .all(|(a, b)| same_cell(&a, &b))
+            })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         #[test]
         fn join_parallel_body_matches_nested_loop_reference(
-            lrows in prop::collection::vec((prop::option::of(0i64..8), 0i64..100), 0..150),
-            rrows in prop::collection::vec((prop::option::of(0i64..8), opt_key()), 0..150),
+            lrows in prop::collection::vec((prop::option::of(0i64..8), opt_float_key(), 0i64..100), 0..150),
+            rrows in prop::collection::vec((prop::option::of(0i64..8), opt_float_key(), opt_key()), 0..150),
         ) {
             let left = Table::new(vec![
-                ("id", Column::from_opt_ints(lrows.iter().map(|(k, _)| *k).collect())),
-                ("payload", Column::from_ints(lrows.iter().map(|(_, v)| *v).collect())),
+                ("id", Column::from_opt_ints(lrows.iter().map(|r| r.0).collect())),
+                ("f", Column::from_opt_floats(lrows.iter().map(|r| r.1).collect())),
+                ("payload", Column::from_ints(lrows.iter().map(|r| r.2).collect())),
             ])
             .unwrap();
             let right = Table::new(vec![
-                ("id", Column::from_opt_ints(rrows.iter().map(|(k, _)| *k).collect())),
-                ("tag", Column::from_opt_strs(rrows.iter().map(|(_, t)| t.clone()).collect())),
+                ("id", Column::from_opt_ints(rrows.iter().map(|r| r.0).collect())),
+                ("f", Column::from_opt_floats(rrows.iter().map(|r| r.1).collect())),
+                ("tag", Column::from_opt_strs(rrows.iter().map(|r| r.2.clone()).collect())),
             ])
             .unwrap();
             for how in ALL_JOIN_TYPES {
-                prop_assert_eq!(
-                    join(&left, &right, &["id"], &["id"], how).unwrap(),
-                    join_reference(&left, &right, &["id"], &["id"], how).unwrap()
-                );
+                for on in [&["id"][..], &["f"], &["id", "f"]] {
+                    let got = join(&left, &right, on, on, how).unwrap();
+                    let want = join_reference(&left, &right, on, on, how).unwrap();
+                    prop_assert!(identical(&got, &want), "{:?} on {:?}:\n{}\n{}", how, on, got, want);
+                }
             }
         }
 
@@ -679,33 +612,128 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        // String keys in every mix of encodings (one dictionary shared by
+        // both sides, a dictionary each, a dictionary against plain strings
+        // either way round, plain strings) and an int key against a float
+        // one, which never matches: all four join types equal the reference,
+        // whole and — under a budget that refuses the index — over listed
+        // partitions of row ids.
+        #[test]
+        fn string_and_mixed_key_pairs_parallel_match_the_reference_whole_and_partitioned(
+            lrows in prop::collection::vec((opt_key(), prop::option::of(0i64..3)), 0..150),
+            rrows in prop::collection::vec((opt_key(), prop::option::of(0i64..3)), 0..150),
+        ) {
+            let strs = |rows: &[(Option<String>, Option<i64>)]| {
+                Column::from_opt_strs(rows.iter().map(|r| r.0.clone()).collect())
+            };
+            let (lplain, rplain) = (strs(&lrows), strs(&rrows));
+            let mut both = lplain.clone();
+            both.extend(&rplain).unwrap();
+            let both = both.dict_encode();
+            let shared = (both.slice(0, lrows.len()), both.slice(lrows.len(), rrows.len()));
+            let ints = |rows: &[(Option<String>, Option<i64>)]| rows.iter().map(|r| r.1).collect();
+            let floats = Column::from_opt_ints(ints(&rrows)).cast(crate::dtype::DataType::Float).unwrap();
+            let side = |s: &Column, x: Column| Table::new(vec![("s", s.clone()), ("x", x)]).unwrap();
+            let left = |s: &Column| side(s, Column::from_opt_ints(ints(&lrows)));
+            let right = |s: &Column| side(s, Column::from_opt_ints(ints(&rrows)));
+            let mut cases = vec![
+                (left(&shared.0), right(&shared.1), vec!["s"]),
+                (left(&lplain.dict_encode()), right(&rplain.dict_encode()), vec!["s", "x"]),
+                (left(&lplain.dict_encode()), right(&rplain), vec!["s"]),
+                (left(&lplain), right(&rplain.dict_encode()), vec!["x", "s"]),
+                (left(&lplain), right(&rplain), vec!["s"]),
+            ];
+            cases.push((left(&lplain), side(&rplain, floats), vec!["x"]));
+            let mut ctx = MemContext::with_budget(4 * 1024).unwrap();
+            (ctx.fanout, ctx.spill_block_rows) = (4, 128);
+            for (left, right, on) in &cases {
+                for how in ALL_JOIN_TYPES {
+                    let want = join_reference(left, right, on, on, how).unwrap();
+                    prop_assert_eq!(&join(left, right, on, on, how).unwrap(), &want, "{:?} on {:?}", how, on);
+                    let got = join_with_mem(left, right, on, on, how, Some(&ctx)).unwrap();
+                    prop_assert_eq!(&got, &want, "{:?} on {:?} under a budget", how, on);
+                    prop_assert_eq!(ctx.governor.used(), 0);
+                }
+            }
+        }
+    }
+
     /// `join_state_bytes` is what the body books; it must cover what the
-    /// body allocates: the index table (sized before the build, so by
-    /// capacity), the chain links, the match flags, a composite key's parts,
-    /// and a pair per probe row.
+    /// body allocates: the encoder's tables (sized before the build, so by
+    /// capacity), the ids and the codes that refine them, the rows laid out
+    /// by id, the match flags, and per probe row an id, a refining code and
+    /// a pair.
     #[test]
     fn state_bytes_cover_what_the_index_allocates() {
         let ints = Column::from_ints((0..1000).collect());
+        let spread = Column::from_ints((0..1000).map(|i| i * 7919).collect());
         let strs = Column::from_strs((0..777).map(|i| format!("k{}", i % 40)).collect());
         let both = [&Column::from_ints((0..300).map(|i| i % 7).collect()), &strs];
-        for cols in [&[&ints][..], &[&strs], &both] {
+        for cols in [&[&ints][..], &[&spread], &[&strs], &both] {
             let n = cols.iter().map(|c| c.len()).min().unwrap();
-            let mut map: FxHashMap<Key, (u32, u32)> =
-                FxHashMap::with_capacity_and_hasher(n, Default::default());
-            map.extend((0..n).map(|row| (ref_key(cols, row).unwrap(), (0, 0))));
-            // hashbrown: `capacity` is 7/8 of a power-of-two bucket count.
-            let buckets = (map.capacity() * 8).div_ceil(7).next_power_of_two();
-            let table = buckets * (std::mem::size_of::<(Key, (u32, u32))>() + 1) + 16;
-            let parts = if cols.len() > 1 {
-                n * cols.len() * std::mem::size_of::<RefPart>()
-            } else {
-                0
-            };
-            let (next, flags, pairs) = (n * 4, n, 2 * n * 8);
+            let keys: Vec<KeyCol> = cols.iter().map(|c| KeyCol::pair(c, c).1).collect();
+            let index = Index::build(&keys, &Ids::All(n), true);
+            let codes = if cols.len() > 1 { n * 4 } else { 0 };
+            let build = index.encoder.bytes() as usize
+                + (index.ids.capacity() + index.starts.capacity() + index.rows.capacity()) * 4
+                + index.matched.capacity()
+                + codes;
+            let probe = 2 * (n * 4 + codes + n * 8);
             let booked = join_state_bytes(n as u64, 2 * n as u64, cols.len() as u64);
-            let allocated = table + parts + next + flags + pairs;
+            let allocated = build + probe;
             assert!(booked as usize >= allocated, "{booked} < {allocated}");
             assert!(booked as usize <= 3 * allocated, "{booked} for {allocated}");
+        }
+    }
+
+    /// `n` left rows keyed `2i` and `n` right rows keyed `3i`, with a string
+    /// key beside (dictionary-coded on the left, plain on the right) that
+    /// agrees wherever the numbers do.
+    fn strided(n: i64) -> (Table, Table) {
+        let side = |step: i64, payload: &str| {
+            let keys: Vec<i64> = (0..n).map(|i| i * step).collect();
+            let names = keys.iter().map(|k| format!("s{}", k % 7)).collect();
+            Table::new(vec![
+                ("k", Column::from_ints(keys)),
+                ("s", Column::from_strs::<String>(names)),
+                (payload, Column::from_ints((0..n).collect())),
+            ])
+            .unwrap()
+        };
+        (side(2, "l").encode_strings(), side(3, "r"))
+    }
+
+    /// The key columns of unmatched right rows are two gathers and a
+    /// select, not a `Value` per cell: the 300-row case pins the cells
+    /// against the reference, the 50 000-row one the shape — the tail of
+    /// the output is the unmatched right rows in order, keys filled in.
+    #[test]
+    #[cfg_attr(miri, ignore = "50 000 rows; the 300-row case covers the same code")]
+    fn full_join_parallel_backfill_is_two_gathers_and_a_select() {
+        let on = ["k", "s"];
+        let (left, right) = strided(300);
+        for how in ALL_JOIN_TYPES {
+            let got = join(&left, &right, &on, &on, how).unwrap();
+            assert_eq!(got, join_reference(&left, &right, &on, &on, how).unwrap());
+        }
+        let n = 50_000;
+        let (left, right) = strided(n);
+        let out = join(&left, &right, &on, &on, JoinType::Full).unwrap();
+        // Keys 6i below 2n match; every other row of either side is alone.
+        let matched = (2 * n - 1) / 6 + 1;
+        assert_eq!(out.num_rows() as i64, 2 * n - matched);
+        let tail = out.num_rows() - (n - matched) as usize;
+        assert_eq!(out.value(tail - 1, "r").unwrap(), Value::Null);
+        let lone_right = (0..n).filter(|i| 3 * i >= 2 * n || i % 2 == 1);
+        for (at, i) in (tail..).zip(lone_right).step_by(997) {
+            assert_eq!(out.value(at, "r").unwrap(), Value::Int(i));
+            assert_eq!(out.value(at, "l").unwrap(), Value::Null);
+            assert_eq!(out.value(at, "k").unwrap(), Value::Int(3 * i));
+            let name = Value::Str(format!("s{}", 3 * i % 7));
+            assert_eq!(out.value(at, "s").unwrap(), name);
         }
     }
 

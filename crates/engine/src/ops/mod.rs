@@ -9,6 +9,7 @@ pub mod concat;
 pub mod distinct;
 pub mod filter;
 pub mod join;
+mod keys;
 pub mod pivot;
 pub mod sample;
 pub mod sort;

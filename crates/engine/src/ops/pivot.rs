@@ -3,7 +3,8 @@
 use std::collections::HashMap;
 
 use crate::error::{EngineError, Result};
-use crate::ops::aggregate::{encode_groups, first_rows, group_by, AggFunc, AggSpec};
+use crate::ops::aggregate::{encode_groups, group_by, AggFunc, AggSpec};
+use crate::ops::keys::first_rows;
 use crate::table::Table;
 
 /// Pivot `table`: one output row per distinct `index` value, one output

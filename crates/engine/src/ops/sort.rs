@@ -10,6 +10,7 @@ use crate::governor::{MemContext, Reservation};
 use crate::parallel;
 use crate::table::Table;
 
+use super::keys::{KeyCol, Rows};
 use super::spill::{merge_runs, sort_state_bytes, Spill};
 
 /// One sort key: column name plus direction.
@@ -48,7 +49,7 @@ pub fn sort_by(table: &Table, keys: &[SortKey]) -> Result<Table> {
 ///
 /// Every key column is normalised into fixed-width `u64` words whose
 /// unsigned order is the column's [`crate::value::Value::cmp_total`] order
-/// (`NormKeys`), and what is sorted are *records* — a row's key words, then
+/// (`NormKeys`, out of the words of [`super::keys`]), and what is sorted are *records* — a row's key words, then
 /// the row number, so no two tie and an unstable sort yields the stable
 /// order. When the governor admits the records of the whole input
 /// ([`sort_state_bytes`]) they are one run: sorted where they stand — across
@@ -132,13 +133,12 @@ fn row_ids(records: &[u64], w: usize) -> Vec<usize> {
 /// Normalised sort keys: `width` words per row, compared lexicographically
 /// as unsigned integers.
 ///
-/// | column | word of a valid row | null |
-/// |---|---|---|
-/// | `Bool`, `Date`, `Dict`, `Str` | `1 +` the value's offset from the type's minimum (a dictionary is sorted, so a code is a rank; a plain `Str` key is dictionary-encoded first, once for all rows) | `0` |
-/// | `Float` | total-order bits (`float_word`) | `0`, below `-inf` |
-/// | `Int` | sign bit flipped; that takes all 64 bits, so a column with nulls gets a validity word (`0` null, `1` valid) in front | `0` |
-///
-/// A descending key complements its words, which also puts its nulls last.
+/// A valid cell's word is the key encoder's ([`super::keys`]), which is
+/// never `0` except for an `Int`; a null's is `0`. An `Int`'s word takes all
+/// 64 bits, so an `Int` column with nulls gets a validity word (`0` null,
+/// `1` valid) in front. A plain `Str` key is dictionary-encoded first, once
+/// for all rows, so that its words are ranks. A descending key complements
+/// its words, which also puts its nulls last.
 struct NormKeys<'t> {
     width: usize,
     /// Every key column — never a plain `Str` — and its complement mask.
@@ -172,61 +172,29 @@ impl<'t> NormKeys<'t> {
 
     /// The records of `rows`: `width` key words, then the row number.
     fn records(&self, rows: Range<usize>) -> Vec<u64> {
-        const SIGN: u64 = 1 << 63;
         let w = self.width + 1;
         let mut records = vec![0; rows.len() * w];
-        // `word(row)` into word `at.0` of every `at.1`-word record, and the
-        // row into its last.
-        fn fill(
-            into: &mut [u64],
-            at: (usize, usize),
-            rows: &Range<usize>,
-            word: impl Fn(usize) -> u64,
-        ) {
-            let records = into.chunks_exact_mut(at.1).zip(rows.clone());
-            records.for_each(|(record, i)| (record[at.0], record[at.1 - 1]) = (word(i), i as u64));
-        }
         let mut at = 0;
         for (col, flip) in &self.keys {
-            let (flip, valid, into) = (*flip, col.validity(), &mut records[..]);
-            let or_null = |i: usize, word: u64| if valid.get(i) { word ^ flip } else { flip };
-            match &**col {
-                Column::Bool(v, _) => fill(into, (at, w), &rows, |i| or_null(i, 1 + v[i] as u64)),
-                Column::Int(v, _) => {
-                    if !valid.all_valid() {
-                        fill(into, (at, w), &rows, |i| valid.get(i) as u64 ^ flip);
-                        at += 1;
-                    }
-                    fill(into, (at, w), &rows, |i| or_null(i, v[i] as u64 ^ SIGN));
-                }
-                Column::Float(v, _) => fill(into, (at, w), &rows, |i| or_null(i, float_word(v[i]))),
-                Column::Date(v, _) => fill(into, (at, w), &rows, |i| {
-                    or_null(i, 1 + (v[i] as i64 - i32::MIN as i64) as u64)
-                }),
-                Column::Dict(codes, _, _) => {
-                    fill(into, (at, w), &rows, |i| or_null(i, 1 + codes[i] as u64))
-                }
-                // `new` dictionary-encoded it.
-                Column::Str(..) => {}
+            let (flip, valid) = (*flip, col.validity());
+            if matches!(&**col, Column::Int(..)) && !valid.all_valid() {
+                let words = records.iter_mut().skip(at).step_by(w);
+                words
+                    .zip(rows.clone())
+                    .for_each(|(word, i)| *word = valid.get(i) as u64 ^ flip);
+                at += 1;
             }
+            // A null's word is 0, below every valid cell's; `new`
+            // dictionary-encoded a plain string key, so its words are ranks.
+            let mut words = records.iter_mut().skip(at).step_by(w);
+            KeyCol::of(col, 0..0).each(&Rows::Range(rows.clone()), |word| {
+                *words.next().expect("a record per row") = word.unwrap_or(0) ^ flip;
+            });
             at += 1;
         }
+        let ids = records.iter_mut().skip(w - 1).step_by(w);
+        ids.zip(rows).for_each(|(id, i)| *id = i as u64);
         records
-    }
-}
-
-/// Order-preserving bits of a float under `cmp_total`: `-0.0` and `0.0`
-/// tie, every NaN ties with every other and sorts above `+inf`; the result
-/// is never `0`, which is the null word.
-fn float_word(x: f64) -> u64 {
-    if x.is_nan() {
-        return u64::MAX;
-    }
-    let bits = (x + 0.0).to_bits();
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | 1 << 63
     }
 }
 

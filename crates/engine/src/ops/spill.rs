@@ -26,6 +26,7 @@
 //! records where the governor admits nothing at all — bounded whatever the
 //! input.
 
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -36,6 +37,7 @@ use crate::error::{EngineError, Result};
 use crate::governor::{MemContext, MemoryGovernor, Reservation, ScopedSpillDir};
 use crate::hash::{mix, mix_bytes};
 use crate::ops::aggregate::AggFunc;
+use crate::ops::keys::{KeyCol, Rows};
 use crate::ops::sort::sort_records;
 use crate::table::Table;
 
@@ -46,26 +48,25 @@ use crate::table::Table;
 // calls them with its lower bounds to predict a spill.
 // ---------------------------------------------------------------------------
 
-/// Bytes per key of a hash table of `entry`-byte entries (and a control
-/// byte each) at its emptiest: just after doubling it is 7/16 full.
-const fn table_bytes_per_key(entry: u64) -> u64 {
-    (entry + 1) * 16 / 7 + 1
-}
+/// An id table sized for its rows at once ([`super::keys`]): at most four
+/// `u32` slots a row and, where it is not indexed directly, the row's word.
+const TABLE_BYTES_PER_ROW: u64 = 4 * 4 + 8;
 
-/// The join index maps a typed key (up to 32 bytes) to a chain's two ends.
-const INDEX_BYTES_PER_KEY: u64 = table_bytes_per_key(40);
+/// An id table that grows with its keys: between doublings it holds at most
+/// four slots and two words of capacity a key, and while either doubles its
+/// old half is still there.
+const TABLE_BYTES_PER_KEY: u64 = (4 * 4 + 2 * 8) * 3 / 2;
 
-/// The group encoder maps a value or a `(group, code)` pair (up to 16
-/// bytes) to an id, in a table that grows as it fills: while it doubles,
-/// the old half is still there.
-const ENCODER_BYTES_PER_KEY: u64 = table_bytes_per_key(24) * 3 / 2;
-
-/// Hash-join state on `keys` key columns: the index over `build_rows` (a
-/// table entry, a chain link and a match flag per row, and a composite
-/// key's parts on the heap) and one packed pair per probe row.
+/// Hash-join state on `keys` key columns. Per build row: an id table per
+/// key column and one of id pairs per column after the first, the row's id
+/// and the codes that refine it, its place among the rows laid out by id,
+/// that id's first place and its match flag. Per probe row: its id, the
+/// codes that refine it, and one packed pair.
 pub fn join_state_bytes(build_rows: u64, probe_rows: u64, keys: u64) -> u64 {
-    let parts = if keys > 1 { keys * 24 } else { 0 };
-    build_rows * (INDEX_BYTES_PER_KEY + parts + 4 + 1) + probe_rows * 8
+    let tables = (2 * keys).saturating_sub(1);
+    let codes = if keys > 1 { 4 } else { 0 };
+    build_rows * (tables * TABLE_BYTES_PER_ROW + 4 + codes + 4 + 4 + 1)
+        + probe_rows * (4 + codes + 8)
 }
 
 /// Sort state: a record of `key_words + 1` words per row, and the row index
@@ -77,22 +78,24 @@ pub fn sort_state_bytes(rows: u64, key_words: u64) -> u64 {
 }
 
 /// Per-row and per-group bytes of a group-by over `keys` key columns
-/// computing `aggs`. Per row: group ids and the codes that refine them, and
-/// what `Median` and `CountDistinct` keep of every input. Per group: the
-/// representative row, the accumulators, and the key encoder's tables — a
-/// column has at most as many distinct values as there are groups, and each
-/// key column after the first adds a table of `(group, code)` pairs.
+/// computing `aggs`. Per row: the group id, the code that refines it, the
+/// two slots of an id table indexed directly, and what `Median` and
+/// `CountDistinct` keep of every input. Per group: the representative row,
+/// the accumulators, and the key encoder's growing tables — a column has
+/// at most as many distinct values as there are groups, and each key column
+/// after the first adds a table of `(group, code)` pairs.
 pub fn group_widths(keys: usize, aggs: impl Iterator<Item = AggFunc>) -> (u64, u64) {
     use AggFunc::*;
     let tables = (2 * keys as u64).saturating_sub(1);
-    let (mut per_row, mut per_group) = (8, 8 + tables * ENCODER_BYTES_PER_KEY);
+    let codes = if keys > 1 { 4 } else { 0 };
+    let (mut per_row, mut per_group) = (4 + codes + 8, 8 + tables * TABLE_BYTES_PER_KEY);
     for func in aggs {
         match func {
             Count | CountRecords => per_group += 8,
             Avg | Min | Max | First | Last => per_group += 16,
             Sum | StdDev | Variance => per_group += 24,
             Median => per_row += 16,
-            CountDistinct => per_row += 40 + 2 * ENCODER_BYTES_PER_KEY,
+            CountDistinct => per_row += 40 + 2 * TABLE_BYTES_PER_KEY,
         }
     }
     (per_row, per_group)
@@ -560,6 +563,14 @@ impl Ids<'_> {
             Ids::Listed(run) => run.buf[position] as usize,
         }
     }
+
+    /// The rows at `positions`, of a list that is resident.
+    pub(crate) fn rows(&self, positions: Range<usize>) -> Rows<'_> {
+        match self {
+            Ids::All(_) => Rows::Range(positions),
+            Ids::Listed(run) => Rows::Listed(&run.buf[positions]),
+        }
+    }
 }
 
 /// `Err` unless every id names one of `rows` rows: ids read back from a
@@ -620,44 +631,29 @@ pub(crate) fn partition_ids<'a>(
 /// Hash the key `cols` hold at each of `rows` for partition placement,
 /// into `hashes` (as long as `rows`), a column at a time.
 ///
-/// Placement must be consistent with key equality in *both* the join
-/// (`RefPart`) and group-by (`encode_key_column`) senses: equal keys must
-/// land in the same partition. Floats fold `-0.0` into `0.0` and every NaN
-/// into one canonical NaN (joins never match NaN-to-NaN anyway; group-by
-/// groups all NaNs together). Dict and plain strings hash by content.
-/// `salt` varies per recursion depth so re-partitioning a skewed
-/// partition actually redistributes it, at any partition count.
+/// What is hashed is the key encoder's word of each cell ([`KeyCol`]), so
+/// keys that are equal to the join or to group-by share a partition by
+/// construction (`-0.0` and `0.0`, every NaN, nulls). Only strings are not
+/// hashed as their words: a word numbers a string within one pass of the
+/// encoder, and a partitioning pass has none to share with the other side
+/// of a join, so dictionary and plain strings hash by content. `salt`
+/// varies per recursion depth so re-partitioning a skewed partition
+/// actually redistributes it, at any partition count.
 pub(crate) fn key_hashes(cols: &[&Column], rows: &[u64], salt: u64, hashes: &mut [u64]) {
-    // A valid cell mixes in its type's tag, then `words(row)`; a null a 0.
-    fn each(
-        (hashes, rows): (&mut [u64], &[u64]),
-        (valid, tag): (&Bitmap, u64),
-        words: impl Fn(u64, usize) -> u64,
-    ) {
-        for (hash, &row) in hashes.iter_mut().zip(rows) {
-            let row = row as usize;
-            *hash = match valid.get(row) {
-                true => words(mix(*hash, tag), row),
-                false => mix(*hash, 0),
-            };
-        }
-    }
     let text = |hash: u64, s: &str| mix_bytes(mix(hash, s.len() as u64), s.as_bytes());
     hashes.fill(salt.wrapping_mul(0x9e37_79b9_7f4a_7c15));
     for col in cols {
-        let at = (&mut *hashes, rows);
+        let mut slots = hashes.iter_mut();
+        let mut next = |cell: Option<u64>| {
+            let hash = slots.next().expect("a hash per row");
+            *hash = cell.map_or(mix(*hash, 0), |cell| mix(mix(*hash, 1), cell));
+        };
         match col {
-            Column::Bool(v, b) => each(at, (b, 1), |h, row| mix(h, v[row] as u64)),
-            Column::Int(v, b) => each(at, (b, 2), |h, row| mix(h, v[row] as u64)),
-            Column::Float(v, b) => each(at, (b, 3), |h, row| {
-                let f = if v[row] == 0.0 { 0.0 } else { v[row] };
-                mix(h, if f.is_nan() { f64::NAN } else { f }.to_bits())
-            }),
-            Column::Str(v, b) => each(at, (b, 4), |h, row| text(h, &v[row])),
-            Column::Dict(codes, dict, b) => {
-                each(at, (b, 4), |h, row| text(h, &dict[codes[row] as usize]))
-            }
-            Column::Date(v, b) => each(at, (b, 5), |h, row| mix(h, v[row] as u64)),
+            Column::Str(v, b) => (rows.iter().map(|&row| row as usize))
+                .for_each(|row| next(b.get(row).then(|| text(0, &v[row])))),
+            Column::Dict(codes, dict, b) => (rows.iter().map(|&row| row as usize))
+                .for_each(|row| next(b.get(row).then(|| text(0, &dict[codes[row] as usize])))),
+            _ => KeyCol::of(col, 0..0).each(&Rows::Listed(rows), next),
         }
     }
     // The multiply leaves the low bits weak, and they pick the partition:
@@ -784,7 +780,8 @@ mod tests {
             AggSpec::new(AggFunc::Min, "s", "least"),
             AggSpec::count_records("n"),
         ];
-        let c = ctx(32 * KIB);
+        // 12 bytes a row of scratch: a group id and a direct table's two slots.
+        let c = ctx(40 * KIB);
         assert!(t.byte_size() as u64 > 4 * c.governor.budget());
         let got = group_by_with_mem(&t, &["g"], &aggs, Some(&c)).unwrap();
         assert_eq!(got.num_rows(), 20);
