@@ -161,6 +161,53 @@ fn results_exist_once() {
     executor_and_both_cache_tiers(&t);
     session_artifact_and_serve(&t);
     wrangling_chain(&t);
+    join_state_and_output();
+}
+
+/// An inner join of the benchmark's selfjoin shape (a quarter of 36 000
+/// fact rows against two columns of all of them, ~n/4 customers) allocates
+/// the state it books and its output: no map per morsel, no optional
+/// indices, no second copy of a column.
+fn join_state_and_output() {
+    use datachat::engine::ops::{join, spill::join_state_bytes, JoinType};
+    let n = 36_000usize;
+    let cust = |i: usize| {
+        (i as u64)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(17)
+            % 9_000
+    };
+    let facts = Table::new(vec![
+        (
+            "day",
+            Column::from_ints((0..n).map(|i| (i * 365 / n) as i64).collect()),
+        ),
+        (
+            "region",
+            Column::from_strs((0..n).map(|i| format!("region_{}", i % 20)).collect()).dict_encode(),
+        ),
+        (
+            "cust",
+            Column::from_ints((0..n).map(|i| cust(i) as i64).collect()),
+        ),
+        (
+            "qty",
+            Column::from_ints((0..n).map(|i| (i % 21) as i64).collect()),
+        ),
+    ])
+    .unwrap();
+    let left = facts.head(n / 4);
+    let right = facts.select(&["cust", "qty"]).unwrap();
+    let (out, bytes) = allocated(|| join(&left, &right, &["cust"], &["cust"], JoinType::Inner));
+    let out = out.unwrap();
+    assert!(out.num_rows() > 4 * left.num_rows() - left.num_rows() / 2);
+    let state = join_state_bytes(right.num_rows() as u64, left.num_rows() as u64, 1);
+    let bound = state + out.byte_size() as u64 * 3 / 2;
+    assert!(
+        bytes <= bound,
+        "join allocated {bytes} bytes, {state} of state booked, {} of output",
+        out.byte_size()
+    );
 }
 
 /// `execute_call` on steps that change no column's contents.
