@@ -1,7 +1,9 @@
 //! Group-by aggregation.
 //!
 //! Implements the `Compute the <aggregate> of <column> for each <group>`
-//! skill (Table 1's data-wrangling row and the Figure 3 walkthrough).
+//! skill (Table 1's data-wrangling row and the Figure 3 walkthrough). Group
+//! ids — here, in `distinct` and in `pivot` — are the key encoder's
+//! ([`super::keys`]) with nulls as keys: dense, in first-encounter order.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -133,27 +133,29 @@ pub fn join_with_mem(
     let unsplit = (0, usize::MAX, usize::MAX);
     match_ids(&mut op, sides, how, all, unsplit, &mut runs)?;
 
-    let key_positions_left: Vec<usize> = left_on
-        .iter()
-        .map(|k| {
-            let position = left.schema().index_of(k);
-            position.ok_or_else(|| EngineError::column_not_found(*k))
-        })
-        .collect::<Result<_>>()?;
+    // `key_columns` found every key column.
+    let key_positions_left: Vec<usize> = (left_on.iter())
+        .filter_map(|k| left.schema().index_of(k))
+        .collect();
     // Assembly of the output rows `pairs` name: one gather per column.
     let gather = |pairs: &[u64]| -> Result<Table> {
         let (lrows, rrows) = (Gather::of(pairs, 32, ln)?, Gather::of(pairs, 0, rn)?);
         // Pairs without a left row come last: right rows nothing matched.
         let paired = pairs.partition_point(|&pair| (pair >> 32) as u32 != NO_ROW);
+        let halves = |pairs: &[u64], shift: u32| -> Vec<usize> {
+            let halves = pairs.iter().map(|pair| (pair >> shift) as u32 as usize);
+            halves.collect()
+        };
         let mut out = Table::empty();
         for (ci, field) in left.schema().fields().iter().enumerate() {
             let src = left.column_at(ci);
             let key_slot = key_positions_left.iter().position(|&p| p == ci);
             let col = match key_slot {
-                // A key cell of such a row is the right side's.
+                // A key cell of such a row is the right side's: two gathers
+                // and, as those rows come last, a cut for a select.
                 Some(key_slot) if paired < pairs.len() => {
-                    let mut col = src.take(&lrows.named(0..paired));
-                    let lone = rcols[key_slot].take(&rrows.named(paired..pairs.len()));
+                    let mut col = src.take(&halves(&pairs[..paired], 32));
+                    let lone = rcols[key_slot].take(&halves(&pairs[paired..], 0));
                     match lone.dtype() == src.dtype() {
                         true => col.extend(&lone)?,
                         false => col.extend(&lone.cast(src.dtype())?)?,
@@ -247,14 +249,6 @@ impl Gather {
         match self {
             Gather::Dense(rows) => col.take(rows),
             Gather::Sparse(rows) => col.take_opt(rows),
-        }
-    }
-
-    /// The rows the pairs at `positions` name.
-    fn named(&self, positions: std::ops::Range<usize>) -> Vec<usize> {
-        match self {
-            Gather::Dense(rows) => rows[positions].to_vec(),
-            Gather::Sparse(rows) => rows[positions].iter().flatten().copied().collect(),
         }
     }
 }

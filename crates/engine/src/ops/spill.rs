@@ -5,8 +5,8 @@
 //! state they allocate (hash index, group table, sort records, join pairs)
 //! through a [`Spill`] handle, and when the governor refuses they bound that
 //! state by partitioning their *work*: [`partition_ids`] splits row ids —
-//! not rows — by key hash, and each partition goes through the same kernel
-//! body over its ids. State that is itself O(n) — id lists, sort records,
+//! not rows — by a hash of the key encoder's words (`key_hashes`), and each
+//! partition goes through the same kernel body over its ids. State that is itself O(n) — id lists, sort records,
 //! join pairs — lives in [`Run`]s: append-only sequences of `width`-word
 //! `u64` records, resident while their growing reservation is admitted and
 //! from the first refusal on a DCB1 file of `Int` columns (one per word) in
