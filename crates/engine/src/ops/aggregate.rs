@@ -1272,8 +1272,9 @@ mod tests {
                 .collect();
             let (encoder, gids) = Encoder::intern(&key_cols, &Rows::Range(0..n), true);
             let reps = first_rows(&gids);
+            // A code and a pair word a row, where ids are refined.
             let codes = if keys.len() > 1 {
-                gids.capacity() * 4
+                gids.capacity() * (4 + 8)
             } else {
                 0
             };

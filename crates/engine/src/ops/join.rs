@@ -657,9 +657,9 @@ mod tests {
 
     /// `join_state_bytes` is what the body books; it must cover what the
     /// body allocates: the encoder's tables (sized before the build, so by
-    /// capacity), the ids and the codes that refine them, the rows laid out
-    /// by id, the match flags, and per probe row an id, a refining code and
-    /// a pair.
+    /// capacity), the ids and what refines them (a code and a pair word a
+    /// row), the rows laid out by id, the match flags, and per probe row an
+    /// id, what refines it and a pair.
     #[test]
     fn state_bytes_cover_what_the_index_allocates() {
         let ints = Column::from_ints((0..1000).collect());
@@ -670,7 +670,7 @@ mod tests {
             let n = cols.iter().map(|c| c.len()).min().unwrap();
             let keys: Vec<KeyCol> = cols.iter().map(|c| KeyCol::pair(c, c).1).collect();
             let index = Index::build(&keys, &Ids::All(n), true);
-            let codes = if cols.len() > 1 { n * 4 } else { 0 };
+            let codes = if cols.len() > 1 { n * (4 + 8) } else { 0 };
             let build = index.encoder.bytes() as usize
                 + (index.ids.capacity() + index.starts.capacity() + index.rows.capacity()) * 4
                 + index.matched.capacity()

@@ -37,7 +37,6 @@ use crate::hash::FxHashMap;
 pub(crate) const NO_ID: u32 = u32::MAX;
 
 /// The rows a pass reads, in order.
-#[derive(Clone)]
 pub(crate) enum Rows<'a> {
     Range(Range<usize>),
     Listed(&'a [u64]),

@@ -49,9 +49,9 @@ pub fn sort_by(table: &Table, keys: &[SortKey]) -> Result<Table> {
 ///
 /// Every key column is normalised into fixed-width `u64` words whose
 /// unsigned order is the column's [`crate::value::Value::cmp_total`] order
-/// (`NormKeys`, out of the words of [`super::keys`]), and what is sorted are *records* — a row's key words, then
-/// the row number, so no two tie and an unstable sort yields the stable
-/// order. When the governor admits the records of the whole input
+/// (`NormKeys`, out of the words of [`super::keys`]), and what is sorted are
+/// *records* — a row's key words, then the row number, so no two tie and an
+/// unstable sort yields the stable order. When the governor admits the records of the whole input
 /// ([`sort_state_bytes`]) they are one run: sorted where they stand — across
 /// morsels (`sort_morsels`) if the scatter copies are admitted too — and
 /// gathered with one `take`. Otherwise the input is cut into runs as long

@@ -6,7 +6,8 @@
 //! through a [`Spill`] handle, and when the governor refuses they bound that
 //! state by partitioning their *work*: [`partition_ids`] splits row ids —
 //! not rows — by a hash of the key encoder's words (`key_hashes`), and each
-//! partition goes through the same kernel body over its ids. State that is itself O(n) — id lists, sort records,
+//! partition goes through the same kernel body over its ids. State that is
+//! itself O(n) — id lists, sort records,
 //! join pairs — lives in [`Run`]s: append-only sequences of `width`-word
 //! `u64` records, resident while their growing reservation is admitted and
 //! from the first refusal on a DCB1 file of `Int` columns (one per word) in
@@ -57,16 +58,26 @@ const TABLE_BYTES_PER_ROW: u64 = 4 * 4 + 8;
 /// old half is still there.
 const TABLE_BYTES_PER_KEY: u64 = (4 * 4 + 2 * 8) * 3 / 2;
 
+/// What refining the ids of a composite key takes a row: the next column's
+/// code, and the `(id, code)` pair as a word.
+const fn refine_bytes_per_row(keys: u64) -> u64 {
+    if keys > 1 {
+        4 + 8
+    } else {
+        0
+    }
+}
+
 /// Hash-join state on `keys` key columns. Per build row: an id table per
 /// key column and one of id pairs per column after the first, the row's id
-/// and the codes that refine it, its place among the rows laid out by id,
-/// that id's first place and its match flag. Per probe row: its id, the
-/// codes that refine it, and one packed pair.
+/// and what refines it, its place among the rows laid out by id, that id's
+/// first place and its match flag. Per probe row: its id, what refines it,
+/// and one packed pair.
 pub fn join_state_bytes(build_rows: u64, probe_rows: u64, keys: u64) -> u64 {
     let tables = (2 * keys).saturating_sub(1);
-    let codes = if keys > 1 { 4 } else { 0 };
-    build_rows * (tables * TABLE_BYTES_PER_ROW + 4 + codes + 4 + 4 + 1)
-        + probe_rows * (4 + codes + 8)
+    let refine = refine_bytes_per_row(keys);
+    build_rows * (tables * TABLE_BYTES_PER_ROW + 4 + refine + 4 + 4 + 1)
+        + probe_rows * (4 + refine + 8)
 }
 
 /// Sort state: a record of `key_words + 1` words per row, and the row index
@@ -78,8 +89,8 @@ pub fn sort_state_bytes(rows: u64, key_words: u64) -> u64 {
 }
 
 /// Per-row and per-group bytes of a group-by over `keys` key columns
-/// computing `aggs`. Per row: the group id, the code that refines it, the
-/// two slots of an id table indexed directly, and what `Median` and
+/// computing `aggs`. Per row: the group id, what refines it, the two slots
+/// of an id table indexed directly, and what `Median` and
 /// `CountDistinct` keep of every input. Per group: the representative row,
 /// the accumulators, and the key encoder's growing tables — a column has
 /// at most as many distinct values as there are groups, and each key column
@@ -87,8 +98,8 @@ pub fn sort_state_bytes(rows: u64, key_words: u64) -> u64 {
 pub fn group_widths(keys: usize, aggs: impl Iterator<Item = AggFunc>) -> (u64, u64) {
     use AggFunc::*;
     let tables = (2 * keys as u64).saturating_sub(1);
-    let codes = if keys > 1 { 4 } else { 0 };
-    let (mut per_row, mut per_group) = (4 + codes + 8, 8 + tables * TABLE_BYTES_PER_KEY);
+    let refine = refine_bytes_per_row(keys as u64);
+    let (mut per_row, mut per_group) = (4 + refine + 8, 8 + tables * TABLE_BYTES_PER_KEY);
     for func in aggs {
         match func {
             Count | CountRecords => per_group += 8,
@@ -649,10 +660,9 @@ pub(crate) fn key_hashes(cols: &[&Column], rows: &[u64], salt: u64, hashes: &mut
             *hash = cell.map_or(mix(*hash, 0), |cell| mix(mix(*hash, 1), cell));
         };
         match col {
-            Column::Str(v, b) => (rows.iter().map(|&row| row as usize))
-                .for_each(|row| next(b.get(row).then(|| text(0, &v[row])))),
-            Column::Dict(codes, dict, b) => (rows.iter().map(|&row| row as usize))
-                .for_each(|row| next(b.get(row).then(|| text(0, &dict[codes[row] as usize])))),
+            Column::Str(..) | Column::Dict(..) => {
+                (rows.iter()).for_each(|&row| next(col.str_at(row as usize).map(|s| text(0, s))))
+            }
             _ => KeyCol::of(col, 0..0).each(&Rows::Listed(rows), next),
         }
     }
