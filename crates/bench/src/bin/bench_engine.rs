@@ -641,8 +641,8 @@ fn wide_dag() -> (dc_skills::SkillDag, dc_skills::NodeId) {
     (dag, g)
 }
 
-/// Run one optimizer-phase pipeline to completion through the resilient
-/// scheduler with the optimizer on or off; returns (ns, bytes_scanned,
+/// Run one optimizer-phase pipeline to completion under the default
+/// (retrying) policy with the optimizer on or off; returns (ns, bytes_scanned,
 /// output). A fresh executor per run keeps the sub-DAG cache cold.
 fn run_plan(
     env_of: &dyn Fn() -> dc_skills::Env,
@@ -652,16 +652,14 @@ fn run_plan(
 ) -> (u128, u64, dc_skills::SkillOutput) {
     use dc_skills::resilient::ExecPolicy;
     use dc_skills::Executor;
-    let policy = ExecPolicy {
-        optimize,
-        ..ExecPolicy::default()
-    };
+    let policy = ExecPolicy::default();
     let mut best_ns = u128::MAX;
     let mut bytes = 0;
     let mut output = None;
     for _ in 0..REPEATS {
         let mut env = env_of();
         let mut ex = Executor::new();
+        ex.optimize = optimize;
         let start = Instant::now();
         let report = ex
             .run_resilient(dag, target, &mut env, &policy)

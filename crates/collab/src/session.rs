@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dc_skills::resilient::{ExecPolicy, ExecReport, NodeOutcome};
+use dc_skills::resilient::{ExecPolicy, ExecReport};
 use dc_skills::{Env, Executor, NodeId, SkillCall, SkillDag, SkillOutput};
 use parking_lot::Mutex;
 
@@ -215,13 +215,10 @@ impl Session {
         let out = {
             let mut ex = self.executor.lock();
             let dag = self.dag.lock();
-            match &policy {
-                None => with_env(|env| ex.run(&dag, node, env))?,
-                Some(p) => {
-                    let report = with_env(|env| ex.run_resilient(&dag, node, env, p))?;
-                    report_output(report)?
-                }
-            }
+            with_env(|env| match &policy {
+                None => ex.run(&dag, node, env),
+                Some(p) => ex.run_resilient(&dag, node, env, p)?.into_output(),
+            })?
         };
         self.current.store(node as u64, Ordering::Release);
         self.has_current.store(true, Ordering::Release);
@@ -326,21 +323,6 @@ pub fn install_env(handle: &EnvHandle) {
 /// The current thread's environment handle.
 pub fn current_env() -> EnvHandle {
     ENV.with(|h| h.borrow().clone())
-}
-
-/// The target's output, or the run's first node failure as the
-/// submission error.
-fn report_output(report: ExecReport) -> Result<SkillOutput> {
-    let ExecReport { output, nodes, .. } = report;
-    if let Some(out) = output {
-        return Ok(out);
-    }
-    for n in nodes {
-        if let NodeOutcome::Failed(e) = n.outcome {
-            return Err(CollabError::Skill(e));
-        }
-    }
-    Err(CollabError::invalid("execution produced no output"))
 }
 
 /// Registry of sessions (the platform's server-side tracking).

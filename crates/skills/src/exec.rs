@@ -1,12 +1,13 @@
 //! The skill interpreter: one function per skill semantics, plus the
-//! DAG executor with its sub-DAG cache.
+//! [`Executor`] — the sub-DAG cache and the entry points of the one DAG
+//! driver ([`crate::resilient`]).
 //!
 //! Execution is split along an environment boundary: most skills are pure
 //! functions of their input tables ([`execute_pure_call_with_mem`]), while
 //! ingestion, model-registry, SQL, and platform skills need the mutable
-//! [`Env`]. The [`Executor`] exploits the split by running independent
-//! pure nodes of a wave concurrently; environment-dependent nodes always
-//! run serially.
+//! [`Env`]. The driver exploits the split by running independent pure
+//! nodes of a wave concurrently; environment-dependent nodes always run
+//! serially.
 //!
 //! Nothing here copies a column buffer. A `Table` shares its columns
 //! (`dc_engine::table`), so the skills that leave a column alone pass it
@@ -31,11 +32,12 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::cache::{MaterializedCache, SharedKey};
+use crate::cache::SharedKey;
 use crate::dag::{NodeId, SkillDag, SkillNode};
 use crate::env::Env;
 use crate::error::{Result, SkillError};
 use crate::output::SkillOutput;
+use crate::resilient::ExecPolicy;
 use crate::skill::{DatePart, SkillCall};
 
 /// Whether `call` must execute against the mutable [`Env`] (catalog,
@@ -725,8 +727,8 @@ pub struct ExecutorStats {
     /// Scan footprint (`bytes_scanned + bytes_pruned`) that cache hits
     /// avoided re-charging against storage.
     pub bytes_saved: u64,
-    /// Extra attempts spent absorbing retryable failures (resilient
-    /// execution only; [`Executor::run`] never retries).
+    /// Extra attempts spent absorbing retryable failures (under a policy
+    /// that retries; [`Executor::run`] never does).
     pub retries: u64,
 }
 
@@ -856,17 +858,19 @@ pub(crate) type BeforeExecuteHook = Arc<dyn Fn(&SkillCall) + Send + Sync>;
 /// that can execute directly on previous results based on a shared skill
 /// sub-DAG").
 ///
-/// Nodes run in topological *waves*: every uncached node whose inputs are
-/// materialized belongs to the current wave, and the wave's pure nodes
-/// ([`needs_env`] = false) execute concurrently on scoped threads when
-/// the `parallel` feature is on. A cached output and its flow table
+/// Nodes run in topological *waves* ([`Executor::run_resilient_with_preflight`]
+/// is the one body that walks a DAG): every uncached node whose inputs
+/// are materialized belongs to the current wave, and the wave's pure
+/// nodes ([`needs_env`] = false) execute concurrently on scoped threads
+/// when the `parallel` feature is on. A cached output and its flow table
 /// share their columns, so cache hits, fan-out reuse and the value
 /// [`Executor::run`] returns are pointer copies, never deep clones.
 pub struct Executor {
-    /// Whether the cost-based optimizer pass ([`crate::optimize`]) runs
-    /// over each DAG before pushdown planning. On by default; turn off
-    /// to execute plans exactly as written (the rewrites are invisible
-    /// to results either way).
+    /// Whether the driver plans each DAG with the cost-based optimizer
+    /// ([`crate::optimize::optimize_dag`]) before walking it — the one
+    /// switch, whichever entry point is used. On by default; turn off to
+    /// execute plans exactly as written (the rewrites are invisible to
+    /// results either way).
     pub optimize: bool,
     /// Structural signature → interned sub-DAG id.
     pub(crate) interner: HashMap<KeySig, SubDagId>,
@@ -929,17 +933,25 @@ impl Executor {
     /// output — a table output shares its columns with the cached entry.
     /// Non-transforming skills pass their input table through to
     /// downstream consumers.
+    /// A failed or panicking node arrives as its error — the first in
+    /// topological order — and everything that completed beside it stays
+    /// checkpointed, so running the target again executes only the failed
+    /// node and its dependents.
     pub fn run(&mut self, dag: &SkillDag, target: NodeId, env: &mut Env) -> Result<SkillOutput> {
-        let id = self.materialize(dag, target, env)?;
-        Ok(self.cache[&id].0.clone())
+        self.run_resilient(dag, target, env, &ExecPolicy::plain())?
+            .into_output()
     }
 
-    /// The downstream-facing table of a node executed by
-    /// [`Executor::run`]. The table is shared with the cache: on a warm
-    /// cache this is a pointer copy, not a deep clone.
+    /// The downstream-facing table of a node, executed as
+    /// [`Executor::run`] would. The table is shared with the cache: on a
+    /// warm cache this is a pointer copy, not a deep clone.
     pub fn table_of(&mut self, dag: &SkillDag, node: NodeId, env: &mut Env) -> Result<Arc<Table>> {
-        let id = self.materialize(dag, node, env)?;
-        Ok(Arc::clone(&self.cache[&id].1))
+        let (report, id) = self.drive(dag, node, env, &ExecPolicy::plain(), &[], &[])?;
+        report.into_output()?;
+        match self.cache.get(&id) {
+            Some((_, flow)) => Ok(Arc::clone(flow)),
+            None => Err(SkillError::invalid("execution produced no table")),
+        }
     }
 
     /// Install an instrumentation hook invoked just before every node
@@ -1016,148 +1028,6 @@ impl Executor {
         true
     }
 
-    /// Ensure `target`'s sub-DAG result is in the cache, returning its id.
-    fn materialize(&mut self, dag: &SkillDag, target: NodeId, env: &mut Env) -> Result<SubDagId> {
-        // Cost-based rewrites first (projection pushdown, filter
-        // hoisting, join reordering, dedup), then fuse single-consumer
-        // filters into their scans so zone maps can prune blocks. Both
-        // passes preserve node ids and filter nodes, so caching,
-        // reporting, and error attribution are unaffected.
-        let optimized = if self.optimize {
-            crate::optimize::optimize_dag(dag, &[target], &[], env)
-        } else {
-            None
-        };
-        let dag = optimized.as_ref().unwrap_or(dag);
-        let planned = crate::pushdown::plan_pushdown(dag, &[target], &[]);
-        let dag = planned.as_ref().unwrap_or(dag);
-        let order = dag.ancestors(target)?;
-        let interned = self.intern_ids(dag, &order, env)?;
-        let ids = &interned.ids;
-
-        // Nodes whose sub-DAG result is not cached yet. Structurally
-        // identical duplicates execute once; the rest count as hits. The
-        // local cache is probed first, then the cross-session tier.
-        let mut pending: Vec<NodeId> = Vec::new();
-        for &nid in &order {
-            let id = ids[&nid];
-            if self.cache.contains_key(&id) {
-                self.stats.cache_hits += 1;
-                self.stats.bytes_saved += self.costs.get(&id).copied().unwrap_or(0);
-            } else if pending.iter().any(|p| ids[p] == id) {
-                self.stats.cache_hits += 1;
-            } else if self.probe_shared(env, &interned, id) {
-                // Installed into the local cache by the probe.
-            } else {
-                pending.push(nid);
-            }
-        }
-
-        // Wave scheduler: repeatedly execute every pending node whose
-        // inputs are all materialized.
-        while !pending.is_empty() {
-            let mut wave = Vec::new();
-            let mut rest = Vec::new();
-            for nid in pending {
-                let node = dag.node(nid)?;
-                if node.inputs.iter().all(|i| self.cache.contains_key(&ids[i])) {
-                    wave.push(nid);
-                } else {
-                    rest.push(nid);
-                }
-            }
-            debug_assert!(!wave.is_empty(), "ancestors are topologically ordered");
-            pending = rest;
-            self.run_wave(dag, &wave, &interned, env)?;
-        }
-        Ok(interned.id(target))
-    }
-
-    /// Execute one wave. Environment-dependent nodes run serially (they
-    /// need `&mut Env`); the pure remainder runs concurrently, one scoped
-    /// thread per node, when the `parallel` feature is on.
-    fn run_wave<'d>(
-        &mut self,
-        dag: &'d SkillDag,
-        wave: &[NodeId],
-        interned: &Interned,
-        env: &mut Env,
-    ) -> Result<()> {
-        let ids = &interned.ids;
-        let mut pure: Vec<&SkillNode> = Vec::new();
-        for &nid in wave {
-            let node = dag.node(nid)?;
-            if needs_env(&node.call, !node.inputs.is_empty()) {
-                let inputs = self.input_tables(node, ids);
-                let refs: Vec<&Table> = inputs.iter().map(|t| t.as_ref()).collect();
-                if let Some(hook) = &self.before_execute {
-                    hook(&node.call);
-                }
-                let tally_before = env.scan_tally;
-                let output = execute_call(&node.call, &refs, env)?;
-                let scan = env.scan_tally.delta_since(tally_before);
-                self.finish(
-                    node,
-                    interned,
-                    inputs,
-                    output,
-                    scan.bytes_scanned + scan.bytes_pruned,
-                    false,
-                    env.shared_cache.as_deref(),
-                    env.attribution.as_deref(),
-                );
-            } else {
-                pure.push(node);
-            }
-        }
-
-        let jobs: Vec<(&SkillNode, Vec<Arc<Table>>)> = pure
-            .into_iter()
-            .map(|node| (node, self.input_tables(node, ids)))
-            .collect();
-        type JobResult<'d> = (&'d SkillNode, Vec<Arc<Table>>, Result<SkillOutput>);
-        let (mem, hook) = (env.memory.clone(), self.before_execute.clone());
-        let run_job = |(node, inputs): (&'d SkillNode, Vec<Arc<Table>>)| {
-            if let Some(hook) = &hook {
-                hook(&node.call);
-            }
-            let refs: Vec<&Table> = inputs.iter().map(|t| t.as_ref()).collect();
-            let out = execute_pure_call_with_mem(&node.call, &refs, mem.as_deref());
-            (node, inputs, out)
-        };
-        let results: Vec<JobResult<'d>> = if cfg!(feature = "parallel") && jobs.len() > 1 {
-            std::thread::scope(|scope| {
-                let run_job = &run_job;
-                let handles: Vec<_> = jobs
-                    .into_iter()
-                    .map(|job| scope.spawn(move || run_job(job)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            })
-        } else {
-            jobs.into_iter().map(run_job).collect()
-        };
-
-        // Commit in DAG order so the first error (by node id) wins, like
-        // the serial walk this replaced.
-        for (node, inputs, out) in results {
-            self.finish(
-                node,
-                interned,
-                inputs,
-                out?,
-                0,
-                false,
-                env.shared_cache.as_deref(),
-                env.attribution.as_deref(),
-            );
-        }
-        Ok(())
-    }
-
     /// A node's input tables as shared handles (pointer copies).
     pub(crate) fn input_tables(
         &self,
@@ -1185,8 +1055,7 @@ impl Executor {
         output: SkillOutput,
         own_scan_bytes: u64,
         degraded: bool,
-        shared: Option<&MaterializedCache>,
-        who: Option<&str>,
+        env: &Env,
     ) {
         self.stats.nodes_executed += 1;
         let id = interned.id(node.id);
@@ -1213,7 +1082,8 @@ impl Executor {
                 .unwrap_or_else(|| Arc::new(Table::empty())),
         };
         if !tainted && footprint > 0 {
-            if let (Some(shared), Some(key)) = (shared, interned.shared_key(id)) {
+            if let (Some(shared), Some(key)) = (&env.shared_cache, interned.shared_key(id)) {
+                let who = env.attribution.as_deref();
                 shared.admit_as(key, output.clone(), Arc::clone(&flow), footprint, who);
             }
         }
@@ -1606,14 +1476,9 @@ mod tests {
         assert_eq!(ex.cache_len(), 6);
     }
 
-    /// Two independent slow branches of a diamond must overlap: total
-    /// latency stays near one branch's latency, not the sum.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn diamond_waves_overlap_slow_branches() {
-        use std::time::{Duration, Instant};
-
-        let mut env = env_with_table();
+    /// `x < 50` and `x >= 50` over one load, concatenated:
+    /// `(dag, left, right, both)`.
+    fn diamond() -> (SkillDag, NodeId, NodeId, NodeId) {
         let (mut dag, load) = load_dag();
         let left = dag
             .add(
@@ -1640,7 +1505,18 @@ mod tests {
                 vec![left, right],
             )
             .unwrap();
+        (dag, left, right, both)
+    }
 
+    /// Two independent slow branches of a diamond must overlap: total
+    /// latency stays near one branch's latency, not the sum.
+    #[cfg(feature = "parallel")]
+    #[test]
+    fn diamond_waves_overlap_slow_branches() {
+        use std::time::{Duration, Instant};
+
+        let mut env = env_with_table();
+        let (dag, _, _, both) = diamond();
         let mut ex = Executor::new();
         ex.set_before_execute(|call| {
             if matches!(call, SkillCall::KeepRows { .. }) {
@@ -1658,6 +1534,47 @@ mod tests {
             elapsed < Duration::from_millis(220),
             "branches did not overlap: {elapsed:?}"
         );
+    }
+
+    /// A skill that panics under `run` arrives as `SkillError::Panic` and
+    /// takes nothing with it: its sibling is checkpointed, and a second
+    /// `run` executes the failed node and its dependent only.
+    #[test]
+    fn a_panicking_node_fails_typed_and_spares_its_sibling() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        let mut env = env_with_table();
+        let (dag, left, _, both) = diamond();
+        let doomed = dag.node(left).unwrap().call.clone();
+        let armed = Arc::new(AtomicBool::new(true));
+        let mut ex = Executor::new();
+        let flag = Arc::clone(&armed);
+        ex.set_before_execute(move |call| {
+            if flag.load(Ordering::SeqCst) && *call == doomed {
+                panic!("injected");
+            }
+        });
+
+        match ex.run(&dag, both, &mut env) {
+            Err(SkillError::Panic { skill, message }) => {
+                assert_eq!((skill.as_str(), message.as_str()), ("KeepRows", "injected"));
+            }
+            other => panic!("expected a typed panic, got {other:?}"),
+        }
+        assert_eq!(
+            ex.stats.nodes_executed, 2,
+            "the load and the sibling filter"
+        );
+        assert_eq!(ex.cache_len(), 2);
+
+        armed.store(false, Ordering::SeqCst);
+        let out = ex.run(&dag, both, &mut env).unwrap().into_table().unwrap();
+        assert_eq!(out.num_rows(), 100);
+        assert_eq!(
+            ex.stats.nodes_executed, 4,
+            "the failed filter and the concat"
+        );
+        assert_eq!(ex.stats.cache_hits, 2);
     }
 
     /// Warm `table_of` calls share one allocation with the cache — a

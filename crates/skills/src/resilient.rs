@@ -1,10 +1,14 @@
-//! Resilient DAG execution: retry, timeouts, panic isolation, degraded
-//! scans, and checkpointed resume.
+//! The DAG driver: the one body that plans and walks a [`SkillDag`], and
+//! the policy it walks it under — retry, timeouts, panic isolation,
+//! degraded scans, and checkpointed resume.
 //!
-//! [`Executor::run`] assumes every node either succeeds or is fatally
-//! wrong — one transient storage fault kills the whole recipe.
-//! [`Executor::run_resilient`] executes the same waves under an
-//! [`ExecPolicy`]:
+//! Every run goes through [`Executor::run_resilient_with_preflight`]:
+//! plan once with [`crate::optimize::optimize_dag`], intern structural
+//! sub-DAG ids, serve what a cache tier holds, then execute the rest in
+//! topological *waves* under an [`ExecPolicy`]. [`Executor::run`] and
+//! [`Executor::table_of`] are that body under a one-attempt policy with no
+//! budget, returning the target's output or the first failure; the other
+//! policies add:
 //!
 //! * **retry** — nodes failing with a retryable error (see
 //!   [`SkillError::is_retryable`]) re-execute with exponential backoff
@@ -13,18 +17,19 @@
 //!   observe it cooperatively through the environment's
 //!   [`dc_storage::CancelToken`], pure compute is timed post-hoc; either
 //!   way an over-budget attempt becomes a retryable timeout;
-//! * **panic isolation** — every attempt runs under `catch_unwind`, so a
-//!   panicking skill poisons its node (and dependents), never the
-//!   scheduler or sibling nodes in the same wave;
 //! * **degraded scans** — after `degrade_after` failed full-scan
 //!   attempts, a `LoadTable` node falls back to a block-sampled scan
-//!   (§3's cheap path) and its result is flagged `degraded`;
-//! * **checkpointed resume** — completed results stay in the structural
-//!   sub-DAG cache, so calling [`Executor::resume`] after a failure
-//!   re-executes exactly the failed frontier and its dependents.
+//!   (§3's cheap path) and its result is flagged `degraded`.
+//!
+//! Under every policy, each attempt runs under `catch_unwind`, so a
+//! panicking skill poisons its node (and dependents), never the driver,
+//! its caller, or sibling nodes in the same wave; and completed results
+//! stay in the structural sub-DAG cache, so running the same target again
+//! ([`Executor::resume`]) re-executes exactly the failed frontier and its
+//! dependents.
 //!
 //! The whole run is summarized in an [`ExecReport`]: per-node attempts,
-//! faults absorbed, degraded flags, and wall time.
+//! faults absorbed, degraded flags, scan and spill bytes, and wall time.
 
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -34,9 +39,8 @@ use std::time::{Duration, Instant};
 use dc_engine::{MemContext, SpillSnapshot, Table};
 use dc_storage::{CancelToken, ScanOptions};
 
-use crate::cache::MaterializedCache;
-use crate::dag::{NodeId, SkillDag};
-use crate::env::Env;
+use crate::dag::{NodeId, SkillDag, SkillNode};
+use crate::env::{Env, ScanTally};
 use crate::error::{Result, SkillError};
 use crate::exec::{
     execute_call, execute_pure_call_with_mem, needs_env, BeforeExecuteHook, Executor, Interned,
@@ -96,7 +100,7 @@ impl RetryPolicy {
     }
 }
 
-/// Everything the resilient executor is allowed to do about failure.
+/// Everything the driver is allowed to do about failure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecPolicy {
     /// Retry schedule for retryable errors.
@@ -122,11 +126,6 @@ pub struct ExecPolicy {
     pub degraded_fraction: f64,
     /// Seed for degraded-scan block choices.
     pub degraded_seed: u64,
-    /// Whether the cost-based optimizer pass ([`crate::optimize`]) runs
-    /// over the DAG before pushdown planning. On by default; the
-    /// rewrites are invisible to results and preserve node ids, so
-    /// per-node reporting and preflight estimates are unaffected.
-    pub optimize: bool,
     /// Out-of-core memory budget in bytes for operator state (hash
     /// tables, aggregation state, sort buffers). When set and the
     /// environment carries no [`MemContext`] of its own, the run installs
@@ -145,8 +144,21 @@ impl Default for ExecPolicy {
             degrade_after: None,
             degraded_fraction: 0.2,
             degraded_seed: 7,
-            optimize: true,
             mem_budget: None,
+        }
+    }
+}
+
+impl ExecPolicy {
+    /// What [`Executor::run`] and [`Executor::table_of`] run under: one
+    /// attempt, no node, run or memory budget, no degradation.
+    pub(crate) fn plain() -> ExecPolicy {
+        ExecPolicy {
+            retry: RetryPolicy {
+                max_attempts: 1,
+                ..RetryPolicy::default()
+            },
+            ..ExecPolicy::default()
         }
     }
 }
@@ -190,7 +202,7 @@ pub struct NodeReport {
     /// `bytes_scanned` gives the estimator's q-error per node.
     pub bytes_estimated: u64,
     /// Bytes this node's operators wrote to spill files (all attempts).
-    /// Under the parallel wave scheduler attribution is best-effort:
+    /// With the `parallel` feature attribution is best-effort:
     /// concurrently spilling siblings may book into each other's delta,
     /// but [`ExecReport::bytes_spilled`] stays exact run-wide.
     pub bytes_spilled: u64,
@@ -199,10 +211,10 @@ pub struct NodeReport {
 }
 
 impl NodeReport {
-    fn new(node: NodeId, skill: &str, outcome: NodeOutcome) -> NodeReport {
+    fn new(node: &SkillNode, outcome: NodeOutcome) -> NodeReport {
         NodeReport {
-            node,
-            skill: skill.to_string(),
+            node: node.id,
+            skill: node.call.name().to_string(),
             outcome,
             attempts: 0,
             faults_absorbed: 0,
@@ -217,7 +229,7 @@ impl NodeReport {
     }
 }
 
-/// The observable summary of one resilient run.
+/// The observable summary of one run.
 #[derive(Debug)]
 pub struct ExecReport {
     /// The requested node.
@@ -310,6 +322,22 @@ impl ExecReport {
             _ => None,
         })
     }
+
+    /// The target's output, or the run's first failure in topological
+    /// order as the error.
+    pub fn into_output(self) -> Result<SkillOutput> {
+        let ExecReport { output, nodes, .. } = self;
+        if let Some(out) = output {
+            return Ok(out);
+        }
+        Err(nodes
+            .into_iter()
+            .find_map(|n| match n.outcome {
+                NodeOutcome::Failed(e) => Some(e),
+                _ => None,
+            })
+            .unwrap_or_else(|| SkillError::invalid("execution produced no output")))
+    }
 }
 
 /// What one node's attempt loop produced.
@@ -321,13 +349,27 @@ struct AttemptOutcome {
     wall: Duration,
 }
 
+/// The error of a skill that panicked with `payload`.
+fn panic_error(call: &SkillCall, payload: Box<dyn std::any::Any + Send>) -> SkillError {
+    let message = if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    };
+    SkillError::Panic {
+        skill: call.name().to_string(),
+        message,
+    }
+}
+
 /// Run one node's attempt loop. `exec(degraded)` performs a single
 /// attempt; `token` (when present) is armed with the budget around each
 /// attempt so storage scans can cancel cooperatively.
 fn run_attempts<F>(
     policy: &ExecPolicy,
-    node: NodeId,
-    call: &SkillCall,
+    node: &SkillNode,
     token: Option<&CancelToken>,
     run_deadline: Option<Instant>,
     mut exec: F,
@@ -335,6 +377,7 @@ fn run_attempts<F>(
 where
     F: FnMut(bool) -> Result<SkillOutput>,
 {
+    let call = &node.call;
     let can_degrade = matches!(
         call,
         SkillCall::LoadTable { .. }
@@ -359,12 +402,8 @@ where
             t.arm(budget);
         }
         let attempt_start = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| exec(degraded))).unwrap_or_else(|payload| {
-            Err(SkillError::Panic {
-                skill: call.name().to_string(),
-                message: panic_message(payload),
-            })
-        });
+        let result = catch_unwind(AssertUnwindSafe(|| exec(degraded)))
+            .unwrap_or_else(|payload| Err(panic_error(call, payload)));
         if let Some(t) = token {
             t.disarm();
         }
@@ -378,15 +417,6 @@ where
             (r, _) => r,
         };
         match result {
-            Ok(out) => {
-                return AttemptOutcome {
-                    result: Ok(out),
-                    attempts: attempt,
-                    faults_absorbed,
-                    degraded,
-                    wall: started.elapsed(),
-                }
-            }
             // Retrying past the run slice would burn backoff sleeps on a
             // job that is about to be preempted anyway; surface the
             // (retryable) error instead so resume can finish the node.
@@ -396,14 +426,14 @@ where
                     && run_deadline.is_none_or(|d| Instant::now() < d) =>
             {
                 faults_absorbed += 1;
-                std::thread::sleep(policy.retry.backoff(node, attempt));
+                std::thread::sleep(policy.retry.backoff(node.id, attempt));
             }
-            Err(e) => {
+            result => {
                 return AttemptOutcome {
-                    result: Err(e),
+                    degraded: degraded && result.is_ok(),
+                    result,
                     attempts: attempt,
                     faults_absorbed,
-                    degraded: false,
                     wall: started.elapsed(),
                 }
             }
@@ -411,18 +441,15 @@ where
     }
 }
 
-/// Render a panic payload for the node error.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+/// The traffic on `mem`'s spill metrics since `before` was captured.
+fn spill_since(mem: Option<&MemContext>, before: Option<SpillSnapshot>) -> SpillSnapshot {
+    mem.zip(before)
+        .map(|(m, before)| m.metrics.snapshot().delta_since(before))
+        .unwrap_or_default()
 }
 
-type PureJobResult = (NodeId, Vec<Arc<Table>>, AttemptOutcome, SpillSnapshot);
+/// A pure node of a wave with its input tables.
+type PureJob<'d> = (&'d SkillNode, Vec<Arc<Table>>);
 
 /// One pure node's whole attempt loop, suitable for a worker thread.
 /// Pure compute cannot observe a cancel token, so its budget is enforced
@@ -431,26 +458,19 @@ type PureJobResult = (NodeId, Vec<Arc<Table>>, AttemptOutcome, SpillSnapshot);
 /// when siblings spill concurrently).
 fn run_pure_job(
     policy: &ExecPolicy,
-    nid: NodeId,
-    inputs: Vec<Arc<Table>>,
-    hook: Option<BeforeExecuteHook>,
-    call: &SkillCall,
-    mem: Option<Arc<MemContext>>,
-) -> PureJobResult {
-    let spill_before = mem.as_ref().map(|m| m.metrics.snapshot());
-    let att = run_attempts(policy, nid, call, None, None, |_| {
-        if let Some(h) = &hook {
-            h(call);
+    (node, inputs): &PureJob<'_>,
+    hook: Option<&BeforeExecuteHook>,
+    mem: Option<&MemContext>,
+) -> (AttemptOutcome, SpillSnapshot) {
+    let spill_before = mem.map(|m| m.metrics.snapshot());
+    let att = run_attempts(policy, node, None, None, |_| {
+        if let Some(h) = hook {
+            h(&node.call);
         }
         let refs: Vec<&Table> = inputs.iter().map(|t| t.as_ref()).collect();
-        execute_pure_call_with_mem(call, &refs, mem.as_deref())
+        execute_pure_call_with_mem(&node.call, &refs, mem)
     });
-    let spill = mem
-        .as_ref()
-        .zip(spill_before)
-        .map(|(m, before)| m.metrics.snapshot().delta_since(before))
-        .unwrap_or_default();
-    (nid, inputs, att, spill)
+    (att, spill_since(mem, spill_before))
 }
 
 /// Degraded `LoadTable`: a block-sampled scan instead of the full scan.
@@ -470,7 +490,7 @@ fn degraded_load(call: &SkillCall, env: &mut Env, policy: &ExecPolicy) -> Result
             columns,
             predicate,
         } => (database, table, predicate.as_ref(), Some(columns)),
-        _ => unreachable!("degradation only applies to table-load nodes"),
+        _ => return Err(SkillError::invalid("only a table load can degrade")),
     };
     let db = env.catalog.database(database)?;
     let mut opts = ScanOptions::block_sampled(policy.degraded_fraction, policy.degraded_seed);
@@ -482,6 +502,63 @@ fn degraded_load(call: &SkillCall, env: &mut Env, policy: &ExecPolicy) -> Result
     Ok(SkillOutput::Table(data))
 }
 
+/// What one drive over a DAG accumulates beside the executor's cache.
+struct Run<'p> {
+    policy: &'p ExecPolicy,
+    /// When the whole-run slice ends.
+    deadline: Option<Instant>,
+    interned: Interned,
+    reports: HashMap<NodeId, NodeReport>,
+    /// Sub-DAGs that failed, were rejected, or sit downstream of one.
+    /// Tracked by sub-DAG id, not node id, so a failed (or rejected)
+    /// representative also poisons its structural duplicates.
+    unusable: HashSet<SubDagId>,
+}
+
+impl Run<'_> {
+    fn id(&self, node: NodeId) -> SubDagId {
+        self.interned.id(node)
+    }
+
+    /// Book how a node ended up; a failure or a skip poisons its sub-DAG.
+    fn book(&mut self, report: NodeReport) {
+        if matches!(
+            report.outcome,
+            NodeOutcome::Failed(_) | NodeOutcome::Skipped { .. }
+        ) {
+            self.unusable.insert(self.id(report.node));
+        }
+        self.reports.insert(report.node, report);
+    }
+
+    /// [`Run::book`] for a node that made no attempt.
+    fn record(&mut self, node: &SkillNode, outcome: NodeOutcome) {
+        self.book(NodeReport::new(node, outcome));
+    }
+
+    /// The first input of `node` that cannot be used, if any.
+    fn blocked_on(&self, node: &SkillNode) -> Option<NodeId> {
+        let blocked = |i: &&NodeId| self.unusable.contains(&self.id(**i));
+        node.inputs.iter().find(blocked).copied()
+    }
+
+    fn expired(&self) -> bool {
+        self.deadline.is_some_and(|d| Instant::now() >= d)
+    }
+
+    /// A node the expired run slice preempted before it started: a
+    /// retryable timeout at zero attempts, so a later resume() call
+    /// picks it up as the frontier without any retry budget spent.
+    fn preempt(&mut self, node: &SkillNode) {
+        let skill = node.call.name().to_string();
+        let budget_ms = self.policy.run_budget.unwrap_or_default().as_millis() as u64;
+        self.record(
+            node,
+            NodeOutcome::Failed(SkillError::Timeout { skill, budget_ms }),
+        );
+    }
+}
+
 impl Executor {
     /// Execute `target` under `policy`, absorbing retryable faults,
     /// isolating panics, and degrading scans as configured. Never aborts
@@ -490,8 +567,9 @@ impl Executor {
     /// in the cache. Structural errors (unknown node ids) still return
     /// `Err`.
     ///
-    /// With the default policy, no injected faults, and no panics, the
-    /// result is identical to [`Executor::run`].
+    /// Under a one-attempt policy with no budget, `report.output` is what
+    /// [`Executor::run`] returns, with the same stats and the same
+    /// shared-cache admissions: they are one body.
     pub fn run_resilient(
         &mut self,
         dag: &SkillDag,
@@ -499,33 +577,21 @@ impl Executor {
         env: &mut Env,
         policy: &ExecPolicy,
     ) -> Result<ExecReport> {
-        self.run_resilient_with_rejections(dag, target, env, policy, &[])
+        self.run_resilient_with_preflight(dag, target, env, policy, &[], &[])
     }
 
-    /// [`Executor::run_resilient`] with an analyzer preflight folded in:
+    /// [`Executor::run_resilient`] with an analyzer preflight folded in.
     /// `rejections` lists nodes a static analysis pass refused (with the
     /// reason rendered as text, so this crate stays independent of the
     /// analyzer). Rejected nodes are classified as permanently failed
     /// with **zero attempts** — no retry budget, no backoff sleeps, no
     /// execution — and poison their dependents (and structural
-    /// duplicates) exactly like a runtime failure would.
-    pub fn run_resilient_with_rejections(
-        &mut self,
-        dag: &SkillDag,
-        target: NodeId,
-        env: &mut Env,
-        policy: &ExecPolicy,
-        rejections: &[(NodeId, String)],
-    ) -> Result<ExecReport> {
-        self.run_resilient_with_preflight(dag, target, env, policy, rejections, &[])
-    }
-
-    /// [`Executor::run_resilient_with_rejections`] plus the analyzer's
-    /// per-node scan-byte estimates, recorded on each [`NodeReport`] as
-    /// `bytes_estimated` so callers can compare predicted against actual
-    /// scan charges (estimate-vs-actual q-error). Estimates are keyed by
-    /// the *original* DAG's node ids — pushdown preserves ids, so they
-    /// transfer to the fused plan unchanged.
+    /// duplicates) exactly like a runtime failure would. `estimates` are
+    /// the analyzer's per-node scan-byte estimates, recorded on each
+    /// [`NodeReport`] as `bytes_estimated` so callers can compare
+    /// predicted against actual scan charges (estimate-vs-actual
+    /// q-error). Both are keyed by the DAG's node ids as written — the
+    /// optimizer preserves ids.
     pub fn run_resilient_with_preflight(
         &mut self,
         dag: &SkillDag,
@@ -538,32 +604,32 @@ impl Executor {
         // Install a run-scoped memory context when the policy budgets one
         // and the environment carries none of its own. The context owns a
         // temp spill directory that is removed when it drops below.
-        let installed = env.memory.is_none() && policy.mem_budget.is_some();
-        if installed {
-            let budget = policy.mem_budget.expect("checked");
-            env.memory = Some(Arc::new(MemContext::with_budget(budget)?));
-        }
+        let installed = match policy.mem_budget {
+            Some(budget) if env.memory.is_none() => {
+                env.memory = Some(Arc::new(MemContext::with_budget(budget)?));
+                true
+            }
+            _ => false,
+        };
         let spill_before = env.memory.as_ref().map(|m| m.metrics.snapshot());
-        let result = self.run_resilient_inner(dag, target, env, policy, rejections, estimates);
-        let spill_delta = env
-            .memory
-            .as_ref()
-            .zip(spill_before)
-            .map(|(m, before)| m.metrics.snapshot().delta_since(before))
-            .unwrap_or_default();
+        let result = self.drive(dag, target, env, policy, rejections, estimates);
+        let spill = spill_since(env.memory.as_deref(), spill_before);
         if installed {
             // Drop the run-scoped context (and its spill directory) even
             // when the run errored structurally.
             env.memory = None;
         }
-        result.map(|mut report| {
-            report.bytes_spilled = spill_delta.bytes_spilled;
-            report.spill_partitions = spill_delta.spill_partitions;
+        result.map(|(mut report, _)| {
+            report.bytes_spilled = spill.bytes_spilled;
+            report.spill_partitions = spill.spill_partitions;
             report
         })
     }
 
-    fn run_resilient_inner(
+    /// The one body that plans and walks a DAG. Returns the report (its
+    /// run-wide spill totals are the caller's to fill in) and the
+    /// target's sub-DAG id.
+    pub(crate) fn drive(
         &mut self,
         dag: &SkillDag,
         target: NodeId,
@@ -571,170 +637,133 @@ impl Executor {
         policy: &ExecPolicy,
         rejections: &[(NodeId, String)],
         estimates: &[(NodeId, u64)],
-    ) -> Result<ExecReport> {
+    ) -> Result<(ExecReport, SubDagId)> {
         // The whole-run slice starts now: planning, interning, and every
         // wave all count against it.
-        let run_deadline = policy.run_budget.map(|b| Instant::now() + b);
-        // Same optimizer + pushdown rewrites as the fast path, with one
-        // extra guard: a rejected filter must keep its load un-fused,
-        // since its predicate never earned the right to run anywhere.
+        let deadline = policy.run_budget.map(|b| Instant::now() + b);
+        // Cost-based rewrites (projection pushdown, filter hoisting into
+        // scans, join reordering, dedup) preserve node ids and filter
+        // nodes, so caching, reporting and error attribution are
+        // unaffected. A rejected node is vetoed: its predicate never
+        // earned the right to run anywhere, a scan included.
         let vetoed: Vec<NodeId> = rejections.iter().map(|(n, _)| *n).collect();
-        let optimized = if policy.optimize {
+        let optimized = if self.optimize {
             crate::optimize::optimize_dag(dag, &[target], &vetoed, env)
         } else {
             None
         };
-        let dag = optimized.as_ref().unwrap_or(dag);
-        let planned = crate::pushdown::plan_pushdown(dag, &[target], &vetoed);
-        let dag = planned.as_ref().unwrap_or(dag);
+        let planned =
+            crate::pushdown::plan_pushdown(optimized.as_ref().unwrap_or(dag), &[target], &vetoed);
+        let dag = planned.as_ref().or(optimized.as_ref()).unwrap_or(dag);
         let order = dag.ancestors(target)?;
         let interned = self.intern_ids(dag, &order, env)?;
-        let ids = &interned.ids;
-        let hits_before = self.stats.cache_hits;
-        let saved_before = self.stats.bytes_saved;
+        let (hits_before, saved_before) = (self.stats.cache_hits, self.stats.bytes_saved);
+        let mut run = Run {
+            policy,
+            deadline,
+            interned,
+            reports: HashMap::with_capacity(order.len()),
+            unusable: HashSet::new(),
+        };
 
-        let mut reports: HashMap<NodeId, NodeReport> = HashMap::with_capacity(order.len());
-        // Unusability is tracked by sub-DAG id, not node id, so a failed
-        // (or rejected) representative also poisons its structural
-        // duplicates.
-        let mut unusable: HashSet<SubDagId> = HashSet::new();
         // Structurally identical duplicates execute once; the aliases are
         // resolved against the cache after the run. Rejection trumps the
         // cache: a statically invalid node must not serve a stale result.
-        let mut pending: Vec<NodeId> = Vec::new();
-        let mut aliases: Vec<(NodeId, NodeId)> = Vec::new();
+        // The local cache is probed first, then the cross-session tier.
+        let mut pending: Vec<&SkillNode> = Vec::new();
+        let mut aliases: Vec<(&SkillNode, NodeId)> = Vec::new();
         let mut rejected_reps: HashMap<SubDagId, NodeId> = HashMap::new();
         for &nid in &order {
-            let id = ids[&nid];
             let node = dag.node(nid)?;
-            let skill = node.call.name();
+            let id = run.id(nid);
             if let Some((_, reason)) = rejections.iter().find(|(r, _)| *r == nid) {
-                reports.insert(
-                    nid,
-                    NodeReport::new(
-                        nid,
-                        skill,
-                        NodeOutcome::Failed(SkillError::invalid(format!(
-                            "rejected by static analysis: {reason}"
-                        ))),
-                    ),
-                );
-                unusable.insert(id);
+                let why = format!("rejected by static analysis: {reason}");
+                run.record(node, NodeOutcome::Failed(SkillError::invalid(why)));
                 rejected_reps.entry(id).or_insert(nid);
-            } else if let Some(&blocked_on) =
-                node.inputs.iter().find(|i| unusable.contains(&ids[i]))
-            {
+            } else if let Some(blocked_on) = run.blocked_on(node) {
                 // Downstream of a rejection: even a checkpointed result
                 // derives from the rejected computation, so skip it.
-                reports.insert(
-                    nid,
-                    NodeReport::new(nid, skill, NodeOutcome::Skipped { blocked_on }),
-                );
-                unusable.insert(id);
+                run.record(node, NodeOutcome::Skipped { blocked_on });
             } else if let Some(&rep) = rejected_reps.get(&id) {
                 // Structural duplicate of a rejected node: the same
                 // computation is equally invalid, so it never runs.
-                reports.insert(
-                    nid,
-                    NodeReport::new(nid, skill, NodeOutcome::Skipped { blocked_on: rep }),
-                );
+                run.record(node, NodeOutcome::Skipped { blocked_on: rep });
             } else if self.cache.contains_key(&id) {
                 self.stats.cache_hits += 1;
                 self.stats.bytes_saved += self.costs.get(&id).copied().unwrap_or(0);
-                reports.insert(nid, NodeReport::new(nid, skill, NodeOutcome::CacheHit));
-            } else if let Some(&rep) = pending.iter().find(|p| ids[p] == id) {
+                run.record(node, NodeOutcome::CacheHit);
+            } else if let Some(rep) = pending.iter().find(|p| run.id(p.id) == id) {
                 self.stats.cache_hits += 1;
-                aliases.push((nid, rep));
-            } else if self.probe_shared(env, &interned, id) {
-                reports.insert(nid, NodeReport::new(nid, skill, NodeOutcome::CacheHit));
+                aliases.push((node, rep.id));
+            } else if self.probe_shared(env, &run.interned, id) {
+                run.record(node, NodeOutcome::CacheHit);
             } else {
-                pending.push(nid);
+                pending.push(node);
             }
         }
 
-        // Wave loop: execute every ready node, skip nodes blocked on a
-        // failure, repeat. Topological order guarantees progress.
+        // Wave loop: execute every node whose inputs are materialized,
+        // skip nodes blocked on a failure, repeat.
         while !pending.is_empty() {
-            let mut wave = Vec::new();
-            let mut rest = Vec::new();
-            let mut progressed = false;
-            for nid in pending {
-                let node = dag.node(nid)?;
-                if let Some(&blocked_on) = node.inputs.iter().find(|i| unusable.contains(&ids[i])) {
-                    let skill = node.call.name();
-                    reports.insert(
-                        nid,
-                        NodeReport::new(nid, skill, NodeOutcome::Skipped { blocked_on }),
-                    );
-                    unusable.insert(ids[&nid]);
-                    progressed = true;
-                } else if node.inputs.iter().all(|i| self.cache.contains_key(&ids[i])) {
-                    wave.push(nid);
+            let waiting = pending.len();
+            let (mut wave, mut rest) = (Vec::new(), Vec::new());
+            for node in pending {
+                if let Some(blocked_on) = run.blocked_on(node) {
+                    run.record(node, NodeOutcome::Skipped { blocked_on });
+                } else if node
+                    .inputs
+                    .iter()
+                    .all(|i| self.cache.contains_key(&run.id(*i)))
+                {
+                    wave.push(node);
                 } else {
-                    rest.push(nid);
+                    rest.push(node);
                 }
             }
             pending = rest;
-            if !wave.is_empty() {
-                progressed = true;
-                self.run_wave_resilient(
-                    dag,
-                    &wave,
-                    &interned,
-                    env,
-                    policy,
-                    run_deadline,
-                    &mut reports,
-                    &mut unusable,
-                )?;
-            }
-            debug_assert!(
-                progressed,
-                "wave loop must make progress (topological order)"
-            );
-            if !progressed {
+            self.run_wave(wave, env, &mut run);
+            debug_assert!(pending.len() < waiting, "topological order makes progress");
+            if pending.len() == waiting {
                 break;
             }
         }
 
         // Aliases inherit their representative's fate.
-        for (nid, rep) in aliases {
-            let skill = dag.node(nid)?.call.name();
-            let outcome = if self.cache.contains_key(&ids[&nid]) {
+        for (node, rep) in aliases {
+            let outcome = if self.cache.contains_key(&run.id(node.id)) {
                 NodeOutcome::CacheHit
             } else {
                 NodeOutcome::Skipped { blocked_on: rep }
             };
-            reports.insert(nid, NodeReport::new(nid, skill, outcome));
+            run.record(node, outcome);
         }
-        let cache_hits = self.stats.cache_hits - hits_before;
-        let bytes_saved = self.stats.bytes_saved - saved_before;
 
         // A rejected (or failed) target never yields an output, even when
         // an earlier run checkpointed a result for its sub-DAG.
-        let output = if unusable.contains(&ids[&target]) {
-            None
-        } else {
-            self.cache.get(&ids[&target]).map(|(out, _)| out.clone())
+        let id = run.id(target);
+        let output = match self.cache.get(&id) {
+            Some((out, _)) if !run.unusable.contains(&id) => Some(out.clone()),
+            _ => None,
         };
         let mut nodes: Vec<NodeReport> = Vec::with_capacity(order.len());
-        for &nid in &order {
-            if let Some(mut r) = reports.remove(&nid) {
-                if let Some(&(_, est)) = estimates.iter().find(|(n, _)| *n == nid) {
+        for nid in &order {
+            if let Some(mut r) = run.reports.remove(nid) {
+                if let Some(&(_, est)) = estimates.iter().find(|(n, _)| n == nid) {
                     r.bytes_estimated = est;
                 }
                 nodes.push(r);
             }
         }
-        Ok(ExecReport {
+        let report = ExecReport {
             target,
             output,
             nodes,
-            cache_hits,
-            bytes_saved,
-            bytes_spilled: 0,    // filled in by the outer preflight wrapper
-            spill_partitions: 0, // likewise
-        })
+            cache_hits: self.stats.cache_hits - hits_before,
+            bytes_saved: self.stats.bytes_saved - saved_before,
+            bytes_spilled: 0,
+            spill_partitions: 0,
+        };
+        Ok((report, id))
     }
 
     /// Re-run `target` after a partial failure. Completed sub-DAG results
@@ -751,159 +780,81 @@ impl Executor {
     }
 
     /// Execute one wave under the policy. Environment-dependent nodes run
-    /// serially; pure nodes run concurrently (with the `parallel`
-    /// feature), each worker owning its node's whole attempt loop.
-    #[allow(clippy::too_many_arguments)]
-    fn run_wave_resilient(
-        &mut self,
-        dag: &SkillDag,
-        wave: &[NodeId],
-        interned: &Interned,
-        env: &mut Env,
-        policy: &ExecPolicy,
-        run_deadline: Option<Instant>,
-        reports: &mut HashMap<NodeId, NodeReport>,
-        unusable: &mut HashSet<SubDagId>,
-    ) -> Result<()> {
-        let ids = &interned.ids;
-        // A node the expired run slice preempted before it started: a
-        // retryable timeout at zero attempts, so a later resume() call
-        // picks it up as the frontier without any retry budget spent.
-        let preempt = |nid: NodeId, skill: &str| {
-            NodeReport::new(
-                nid,
-                skill,
-                NodeOutcome::Failed(SkillError::Timeout {
-                    skill: skill.to_string(),
-                    budget_ms: policy.run_budget.unwrap_or_default().as_millis() as u64,
-                }),
-            )
-        };
-        let expired = |d: Option<Instant>| d.is_some_and(|d| Instant::now() >= d);
-        let mut pure: Vec<NodeId> = Vec::new();
-        for &nid in wave {
-            let node = dag.node(nid)?;
+    /// serially (they need `&mut Env`); pure nodes run concurrently, one
+    /// scoped thread per node, when the `parallel` feature is on, each
+    /// worker owning its node's whole attempt loop.
+    fn run_wave(&mut self, wave: Vec<&SkillNode>, env: &mut Env, run: &mut Run<'_>) {
+        let policy = run.policy;
+        let mut pure: Vec<PureJob<'_>> = Vec::new();
+        for node in wave {
+            let inputs = self.input_tables(node, &run.interned.ids);
             if !needs_env(&node.call, !node.inputs.is_empty()) {
-                pure.push(nid);
+                pure.push((node, inputs));
                 continue;
             }
-            if expired(run_deadline) {
-                reports.insert(nid, preempt(nid, node.call.name()));
-                unusable.insert(ids[&nid]);
+            if run.expired() {
+                run.preempt(node);
                 continue;
             }
-            let inputs = self.input_tables(node, ids);
             let hook = self.before_execute.clone();
             let token = env.cancel.clone();
             let tally_before = env.scan_tally;
             let spill_before = env.memory.as_ref().map(|m| m.metrics.snapshot());
-            let att = run_attempts(
-                policy,
-                nid,
-                &node.call,
-                Some(&token),
-                run_deadline,
-                |degraded| {
-                    if let Some(h) = &hook {
-                        h(&node.call);
-                    }
-                    if degraded {
-                        degraded_load(&node.call, env, policy)
-                    } else {
-                        let refs: Vec<&Table> = inputs.iter().map(|t| t.as_ref()).collect();
-                        execute_call(&node.call, &refs, env)
-                    }
-                },
-            );
+            let att = run_attempts(policy, node, Some(&token), run.deadline, |degraded| {
+                if let Some(h) = &hook {
+                    h(&node.call);
+                }
+                if degraded {
+                    degraded_load(&node.call, env, policy)
+                } else {
+                    let refs: Vec<&Table> = inputs.iter().map(|t| t.as_ref()).collect();
+                    execute_call(&node.call, &refs, env)
+                }
+            });
             let scan = env.scan_tally.delta_since(tally_before);
-            let spill = env
-                .memory
-                .as_ref()
-                .zip(spill_before)
-                .map(|(m, before)| m.metrics.snapshot().delta_since(before))
-                .unwrap_or_default();
-            self.commit_attempt(
-                dag,
-                nid,
-                interned,
-                inputs,
-                att,
-                scan.bytes_scanned + scan.bytes_pruned,
-                env.shared_cache.as_deref(),
-                env.attribution.as_deref(),
-                reports,
-                unusable,
-            )?;
-            if let Some(r) = reports.get_mut(&nid) {
-                r.bytes_scanned = scan.bytes_scanned;
-                r.bytes_pruned = scan.bytes_pruned;
-                r.bytes_spilled = spill.bytes_spilled;
-                r.spill_partitions = spill.spill_partitions;
-            }
+            let spill = spill_since(env.memory.as_deref(), spill_before);
+            self.commit_attempt(node, inputs, att, scan, spill, env, run);
         }
 
         // Pure nodes are gated on the slice as a batch: once dispatched
         // they run to completion and commit (post-hoc node budgets aside),
         // so an expired slice preempts only work that has not started.
-        if expired(run_deadline) {
-            for nid in pure {
-                let node = dag.node(nid)?;
-                reports.insert(nid, preempt(nid, node.call.name()));
-                unusable.insert(ids[&nid]);
+        if run.expired() {
+            for (node, _) in pure {
+                run.preempt(node);
             }
-            return Ok(());
+            return;
         }
-        let jobs: Vec<(NodeId, Vec<Arc<Table>>)> = pure
-            .iter()
-            .map(|&nid| (nid, self.input_tables(dag.node(nid).expect("checked"), ids)))
-            .collect();
-        let hook = self.before_execute.clone();
-        let mem = env.memory.clone();
-        let results: Vec<PureJobResult> = if cfg!(feature = "parallel") && jobs.len() > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = jobs
-                    .into_iter()
-                    .map(|(nid, inputs)| {
-                        let hook = hook.clone();
-                        let mem = mem.clone();
-                        let call = &dag.node(nid).expect("checked").call;
-                        scope.spawn(move || run_pure_job(policy, nid, inputs, hook, call, mem))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // Worker panics cannot reach here: every attempt runs
-                    // under catch_unwind inside run_attempts.
-                    .map(|h| h.join().expect("attempt loop catches panics"))
-                    .collect()
-            })
-        } else {
-            jobs.into_iter()
-                .map(|(nid, inputs)| {
-                    let call = &dag.node(nid).expect("checked").call;
-                    run_pure_job(policy, nid, inputs, hook.clone(), call, mem.clone())
+        let (hook, mem) = (self.before_execute.as_ref(), env.memory.as_deref());
+        let run_job = |job: &PureJob<'_>| run_pure_job(policy, job, hook, mem);
+        let results: Vec<(AttemptOutcome, SpillSnapshot)> =
+            if cfg!(feature = "parallel") && pure.len() > 1 {
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = pure.iter().map(|j| scope.spawn(|| run_job(j))).collect();
+                    // Every attempt runs under catch_unwind, so a worker
+                    // that still unwinds failed outside its skill; its
+                    // node fails like any other panic.
+                    (handles.into_iter().zip(&pure))
+                        .map(|(h, (node, _))| {
+                            h.join().unwrap_or_else(|payload| {
+                                let att = AttemptOutcome {
+                                    result: Err(panic_error(&node.call, payload)),
+                                    attempts: 1,
+                                    faults_absorbed: 0,
+                                    degraded: false,
+                                    wall: Duration::ZERO,
+                                };
+                                (att, SpillSnapshot::default())
+                            })
+                        })
+                        .collect()
                 })
-                .collect()
-        };
-        for (nid, inputs, att, spill) in results {
-            self.commit_attempt(
-                dag,
-                nid,
-                interned,
-                inputs,
-                att,
-                0,
-                env.shared_cache.as_deref(),
-                env.attribution.as_deref(),
-                reports,
-                unusable,
-            )?;
-            if let Some(r) = reports.get_mut(&nid) {
-                r.bytes_spilled = spill.bytes_spilled;
-                r.spill_partitions = spill.spill_partitions;
-            }
+            } else {
+                pure.iter().map(run_job).collect()
+            };
+        for ((node, inputs), (att, spill)) in pure.into_iter().zip(results) {
+            self.commit_attempt(node, inputs, att, ScanTally::default(), spill, env, run);
         }
-        Ok(())
     }
 
     /// Fold one node's attempt outcome into cache, stats, and reports. A
@@ -914,43 +865,40 @@ impl Executor {
     #[allow(clippy::too_many_arguments)]
     fn commit_attempt(
         &mut self,
-        dag: &SkillDag,
-        nid: NodeId,
-        interned: &Interned,
+        node: &SkillNode,
         inputs: Vec<Arc<Table>>,
         att: AttemptOutcome,
-        own_scan_bytes: u64,
-        shared: Option<&MaterializedCache>,
-        who: Option<&str>,
-        reports: &mut HashMap<NodeId, NodeReport>,
-        unusable: &mut HashSet<SubDagId>,
-    ) -> Result<()> {
-        let node = dag.node(nid)?;
+        scan: ScanTally,
+        spill: SpillSnapshot,
+        env: &Env,
+        run: &mut Run<'_>,
+    ) {
         self.stats.retries += (att.attempts.saturating_sub(1)) as u64;
-        let mut report = NodeReport::new(nid, node.call.name(), NodeOutcome::Ok);
-        report.attempts = att.attempts;
-        report.faults_absorbed = att.faults_absorbed;
-        report.degraded = att.degraded;
-        report.wall = att.wall;
-        match att.result {
+        let outcome = match att.result {
             Ok(output) => {
+                let own_scan_bytes = scan.bytes_scanned + scan.bytes_pruned;
                 self.finish(
                     node,
-                    interned,
+                    &run.interned,
                     inputs,
                     output,
                     own_scan_bytes,
                     att.degraded,
-                    shared,
-                    who,
+                    env,
                 );
+                NodeOutcome::Ok
             }
-            Err(e) => {
-                report.outcome = NodeOutcome::Failed(e);
-                unusable.insert(interned.id(nid));
-            }
-        }
-        reports.insert(nid, report);
-        Ok(())
+            Err(e) => NodeOutcome::Failed(e),
+        };
+        let mut report = NodeReport::new(node, outcome);
+        report.attempts = att.attempts;
+        report.faults_absorbed = att.faults_absorbed;
+        report.degraded = att.degraded;
+        report.wall = att.wall;
+        report.bytes_scanned = scan.bytes_scanned;
+        report.bytes_pruned = scan.bytes_pruned;
+        report.bytes_spilled = spill.bytes_spilled;
+        report.spill_partitions = spill.spill_partitions;
+        run.book(report);
     }
 }

@@ -371,11 +371,9 @@ fn failed_representative_poisons_structural_duplicates() {
     // The optimizer would dedup l2 onto l1 at plan time; keep it off so
     // the wave scheduler still sees the structural-duplicate shape this
     // test exists to poison correctly.
-    let policy = ExecPolicy {
-        optimize: false,
-        ..ExecPolicy::default()
-    };
+    let policy = ExecPolicy::default();
     let mut ex = Executor::new();
+    ex.optimize = false;
     let report = ex.run_resilient(&dag, j, &mut env, &policy).unwrap();
     assert!(!report.succeeded());
     assert_eq!(report.failed_nodes().len(), 1);
@@ -418,7 +416,7 @@ fn analyzer_rejections_fail_permanently_without_retry_budget() {
     let mut ex = Executor::new();
     let rejections = vec![(f, "DC0002: unknown column \"bogus\"".to_string())];
     let report = ex
-        .run_resilient_with_rejections(&dag, f, &mut env, &ExecPolicy::default(), &rejections)
+        .run_resilient_with_preflight(&dag, f, &mut env, &ExecPolicy::default(), &rejections, &[])
         .unwrap();
 
     assert!(!report.succeeded());
@@ -457,7 +455,7 @@ fn rejection_poisons_dependents_and_trumps_cache() {
     // cached result: the rejection wins and the dependent is skipped.
     let rejections = vec![(l, "DC0001: unknown table".to_string())];
     let report = ex
-        .run_resilient_with_rejections(&dag, f, &mut env, &ExecPolicy::default(), &rejections)
+        .run_resilient_with_preflight(&dag, f, &mut env, &ExecPolicy::default(), &rejections, &[])
         .unwrap();
     assert!(!report.succeeded());
     assert!(matches!(
@@ -723,7 +721,7 @@ fn structural_duplicates_of_rejected_nodes_are_skipped() {
     let mut ex = Executor::new();
     let rejections = vec![(f1, "DC0003: type mismatch".to_string())];
     let report = ex
-        .run_resilient_with_rejections(&dag, j, &mut env, &ExecPolicy::default(), &rejections)
+        .run_resilient_with_preflight(&dag, j, &mut env, &ExecPolicy::default(), &rejections, &[])
         .unwrap();
 
     assert!(!report.succeeded());

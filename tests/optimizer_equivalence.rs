@@ -1,9 +1,13 @@
 //! The cost-based optimizer's defining property, fuzzed: for any DAG,
 //! executing with the optimizer on must produce exactly the output of
-//! executing the plan as written — under both the serial executor and
-//! the resilient wave scheduler. Programs that fail must fail either
-//! way (the optimizer never rescues or invents an error), though the
-//! failing node's attribution may shift when adjacent filters merge.
+//! executing the plan as written (`Executor::optimize = false`: no
+//! rewrite at all). Programs that fail must fail either way (the
+//! optimizer never rescues or invents an error), though the failing
+//! node's attribution may shift when adjacent filters merge.
+//!
+//! There is one driver, so each property runs it once; the last property
+//! pins the contract of its two public doors, `Executor::run` and
+//! `Executor::run_resilient` under a one-attempt policy with no budget.
 //!
 //! The generator mixes plain column transforms with inner-join chains
 //! against a unique-key dimension and a fan-out dimension, plus
@@ -11,9 +15,12 @@
 //! hoisting, join reordering, dedup, filter merging) gets exercised.
 
 use datachat::engine::{AggFunc, AggSpec, Column, DataType, Expr, JoinType, Table, Value};
-use datachat::skills::{execute_call, Env, ExecPolicy, Executor, SkillCall, SkillDag};
+use datachat::skills::{
+    execute_call, Env, ExecPolicy, Executor, MaterializedCache, RetryPolicy, SkillCall, SkillDag,
+};
 use datachat::storage::{CloudDatabase, Pricing};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Mostly-real columns with a couple of ghosts, so the error path (both
 /// plans must fail) is exercised alongside the success path.
@@ -234,10 +241,21 @@ fn step_by_step(dag: &SkillDag, target: datachat::skills::NodeId) -> Option<Tabl
     Some(flows.swap_remove(target))
 }
 
+/// The policy `Executor::run` runs under, spelled with public fields.
+fn one_attempt_no_budget() -> ExecPolicy {
+    ExecPolicy {
+        retry: RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        },
+        ..ExecPolicy::default()
+    }
+}
+
 proptest! {
     /// Results that share column buffers with their inputs, with storage
     /// blocks and with each other are indistinguishable from results that
-    /// share nothing — under the wave scheduler and the resilient one.
+    /// share nothing.
     #[test]
     fn shared_results_match_step_by_step_on_deep_copies(
         steps in prop::collection::vec(wrangling_step(), 1..8),
@@ -248,17 +266,10 @@ proptest! {
         let mut env = world();
         let got = Executor::new().run(&dag, target, &mut env).ok();
         let got = got.map(|out| out.into_table().expect("a table"));
-        prop_assert_eq!(&got, &want, "wave scheduler diverges\nDAG:\n{:?}", dag);
-
-        let mut env = world();
-        let report = Executor::new()
-            .run_resilient(&dag, target, &mut env, &ExecPolicy::default())
-            .expect("structurally valid DAG");
-        let got = report.output.map(|out| out.into_table().expect("a table"));
-        prop_assert_eq!(&got, &want, "resilient scheduler diverges\nDAG:\n{:?}", dag);
+        prop_assert_eq!(&got, &want, "driver diverges\nDAG:\n{:?}", dag);
     }
 
-    /// Serial executor: optimized and as-written runs agree exactly.
+    /// Optimized and as-written runs agree exactly.
     #[test]
     fn optimized_run_matches_as_written(steps in prop::collection::vec(step(), 1..7)) {
         let (dag, target) = build_dag(&steps);
@@ -283,33 +294,34 @@ proptest! {
         }
     }
 
-    /// Resilient wave scheduler: same property, through the
-    /// preflight/poisoning path.
+    /// The contract of the public pair: `run` is `run_resilient` under a
+    /// one-attempt policy with no budget — same output or same failure,
+    /// same executor stats, same admissions to the shared cache.
     #[test]
-    fn optimized_resilient_matches_as_written(steps in prop::collection::vec(step(), 1..7)) {
+    fn run_is_one_attempt_run_resilient(steps in prop::collection::vec(step(), 1..7)) {
         let (dag, target) = build_dag(&steps);
+        let shared = || Some(Arc::new(MaterializedCache::new(1 << 24)));
 
-        let mut env_on = world();
-        let mut on = Executor::new();
-        let report_on = on
-            .run_resilient(&dag, target, &mut env_on, &ExecPolicy::default())
+        let mut env_run = world();
+        env_run.shared_cache = shared();
+        let mut plain = Executor::new();
+        let got = plain.run(&dag, target, &mut env_run);
+
+        let mut env_report = world();
+        env_report.shared_cache = shared();
+        let mut resilient = Executor::new();
+        let report = resilient
+            .run_resilient(&dag, target, &mut env_report, &one_attempt_no_budget())
             .expect("structurally valid DAG");
 
-        let mut env_off = world();
-        let mut off = Executor::new();
-        let policy_off = ExecPolicy { optimize: false, ..ExecPolicy::default() };
-        let report_off = off
-            .run_resilient(&dag, target, &mut env_off, &policy_off)
-            .expect("structurally valid DAG");
-
-        prop_assert_eq!(
-            report_on.output.is_some(),
-            report_off.output.is_some(),
-            "one plan reached the target, the other did not\nDAG:\n{:?}",
-            dag
-        );
-        if let (Some(a), Some(b)) = (&report_on.output, &report_off.output) {
-            prop_assert_eq!(a, b, "outputs diverge\nDAG:\n{:?}", dag);
+        prop_assert_eq!(got.as_ref().ok(), report.output.as_ref(), "DAG:\n{:?}", dag);
+        if let Err(e) = &got {
+            let first = report.first_error().map(|e| e.to_string());
+            prop_assert_eq!(Some(e.to_string()), first, "DAG:\n{:?}", dag);
         }
+        prop_assert_eq!(plain.stats, resilient.stats, "DAG:\n{:?}", dag);
+        let admitted = |env: &Env| env.shared_cache.as_ref().map(|c| c.stats());
+        prop_assert_eq!(admitted(&env_run), admitted(&env_report), "DAG:\n{:?}", dag);
+        prop_assert_eq!(env_run.scan_tally, env_report.scan_tally, "DAG:\n{:?}", dag);
     }
 }
