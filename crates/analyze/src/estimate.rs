@@ -2,10 +2,10 @@
 //!
 //! Propagates **row-count intervals** and **scan-byte bounds** through
 //! the whole planned DAG, priced with the same per-block `ColumnStats`
-//! the storage scan prunes by. The pass mirrors the executor's plan
-//! exactly: predicate pushdown is applied first (so a filter directly
-//! above a load is priced as the fused `LoadTableFiltered` scan the
-//! executor actually runs), block verdicts come from the same tri-state
+//! the storage scan prunes by. The pass prices the driver's plan
+//! exactly: the DAG goes through the driver's one plan step first (so a
+//! filter above a load is priced as the fused `LoadTableFiltered` scan the
+//! driver actually runs), block verdicts come from the same tri-state
 //! evaluator `BlockTable::scan_with` consults, and totals are deduped by
 //! the executor's own structural sub-DAG ids (a repeated sub-DAG runs —
 //! and charges — once).
@@ -471,20 +471,18 @@ pub fn estimate_pass(
     schemas: &HashMap<NodeId, Option<Schema>>,
     diags: &mut Vec<Diagnostic>,
 ) -> DagEstimates {
-    // Price the plan the executor actually runs: the cost-based
-    // optimizer first (projection pushdown, filter hoisting, join
-    // ordering — the context implements the same `PlanStats` interface
-    // the executor plans with, so both sides rewrite identically), then
-    // predicate pushdown exactly as `run_resilient` will fuse it.
-    // Whole-DAG analyses (empty target set) skip the optimizer: without
-    // targets every node is observable and nothing may be rewritten.
-    let optimized = if targets.is_empty() {
-        None
+    // Price the plan the driver actually runs by calling what it calls:
+    // `optimize_dag` (projection pushdown, filter hoisting into scans,
+    // join ordering — the context implements the same `PlanStats`
+    // interface the driver plans with, so both sides rewrite
+    // identically). Whole-DAG analyses (empty target set) have no plan to
+    // mirror — without targets every node is observable — so they price
+    // the filter-hoisting rule alone, which needs no statistics.
+    let planned = if targets.is_empty() {
+        plan_pushdown(dag, targets, &[])
     } else {
         dc_skills::optimize_dag(dag, targets, &[], ctx)
     };
-    let dag = optimized.as_ref().unwrap_or(dag);
-    let planned = plan_pushdown(dag, targets, &[]);
     let dag = planned.as_ref().unwrap_or(dag);
 
     // Reachability: union of the targets' ancestor chains (node ids are
@@ -1003,7 +1001,7 @@ pub struct StepEstimates {
 /// Price a serve request's steps directly against the live environment,
 /// reading only block *metadata* (free under the §3 meter). The steps
 /// are priced as submitted — run them through
-/// `dc_skills::pushdown::plan_linear_pushdown` first to price the fused
+/// `dc_skills::plan_linear_pushdown` first to price the fused
 /// plan the service will execute.
 pub fn estimate_steps(env: &dc_skills::Env, steps: &[SkillCall]) -> StepEstimates {
     let mut cache: HashMap<(String, String), Option<(Schema, TableStats)>> = HashMap::new();

@@ -9,13 +9,15 @@
 //!   queries (Figure 4) via `dc-sql`'s generator;
 //! * [`exec`] — the interpreter with a shared sub-DAG result cache
 //!   (§2.2's caching layer);
+//! * [`optimize`] — the one plan step: cost-based rewrites over a DAG
+//!   that preserve node ids;
 //! * [`slicing`] — dead-step elimination plus adjacent-call merging, so
 //!   saved artifacts carry minimal recipes (Figure 5);
 //! * [`env`] — the world skills run against (catalog, snapshots, virtual
 //!   files/URLs, models, phrase definitions);
-//! * [`resilient`] — fault-tolerant execution: retry with backoff,
-//!   per-node budgets, panic isolation, degraded scans, and
-//!   checkpointed resume over the same wave scheduler.
+//! * [`resilient`] — the one driver that plans and walks a DAG, and its
+//!   policy: retry with backoff, per-node budgets, panic isolation,
+//!   degraded scans, and checkpointed resume.
 
 pub mod cache;
 pub mod dag;
@@ -26,7 +28,6 @@ pub mod exec_plan;
 pub mod optimize;
 pub mod output;
 pub mod planner;
-pub mod pushdown;
 pub mod resilient;
 pub mod skill;
 pub mod slicing;
@@ -38,11 +39,11 @@ pub use error::{Result, SkillError};
 pub use exec::{execute_call, needs_env, structural_ids, Executor, ExecutorStats, SubDagId};
 pub use exec_plan::{run_planned, PlannedStats};
 pub use optimize::{
-    int_blocks_unique, join_order_advice, optimize_dag, JoinOrderAdvice, PlanStats,
+    int_blocks_unique, join_order_advice, optimize_dag, plan_linear_pushdown, plan_pushdown,
+    JoinOrderAdvice, PlanStats,
 };
 pub use output::SkillOutput;
 pub use planner::{plan, ExecutionTask};
-pub use pushdown::{plan_linear_pushdown, plan_pushdown};
 pub use resilient::{ExecPolicy, ExecReport, NodeOutcome, NodeReport, RetryPolicy};
 pub use skill::{registry, Category, DatePart, SkillCall, SkillInfo};
 pub use slicing::{slice, sliced_recipe, SliceStats};

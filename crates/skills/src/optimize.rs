@@ -1,17 +1,21 @@
-//! Cost-based plan optimizer (ROADMAP item 4).
+//! The plan step: cost-based rewrites over a [`SkillDag`].
 //!
-//! Runs over a planned [`SkillDag`] after planning and before
-//! [`crate::pushdown::plan_pushdown`], applying four rewrite families:
+//! [`optimize_dag`] is the one pass the driver ([`crate::resilient`])
+//! runs over a DAG before walking it, and the one the static estimator
+//! runs before pricing it. Four rewrite families:
 //!
 //! 1. **Projection pushdown** — a column-liveness pass threads the
 //!    minimal live column set of every unprotected `LoadTable` /
 //!    `LoadTableFiltered` into a [`SkillCall::LoadTableProjected`], so
 //!    the storage scan never reads (or charges for) dead columns.
 //! 2. **Filter hoisting** — prunable conjuncts of `KeepRows` /
-//!    `DropRows` predicates sink below joins, concats, and group-bys
-//!    whose semantics provably pass the referenced columns through
-//!    unchanged, landing as scan predicates on the source loads. This
-//!    generalizes PR 5's sole-consumer, directly-above-load fusion.
+//!    `DropRows` predicates sink below joins, concats, group-bys and the
+//!    wrangling steps whose semantics provably pass the referenced
+//!    columns through unchanged, landing as scan predicates on the
+//!    source loads, where per-block zone maps skip blocks that cannot
+//!    contain a matching row. [`plan_pushdown`] and
+//!    [`plan_linear_pushdown`] are this rule alone, for callers with no
+//!    statistics (a request's step list, a whole-DAG analysis).
 //! 3. **Join-order selection** — chains/stars of 2–4 inner joins are
 //!    re-ordered by estimator-style interval upper bounds (dictionary
 //!    cardinalities and provable key uniqueness); the written order is
@@ -20,15 +24,15 @@
 //!    conjunction (so deeper predicates reach the scan), and duplicate
 //!    load nodes dedup by redirecting consumers to the first copy.
 //!
-//! Every rewrite preserves the PR 5 discipline: node ids and node count
-//! never change (calls are swapped in place, edges only redirect to
-//! structural twins), targets / vetoed nodes / name-bound nodes are
-//! never rewritten and never observe different bytes, and the filter
-//! nodes above hoisted predicates still evaluate their full predicate,
-//! so pushed filters are purely an optimization.
+//! Every rewrite keeps one discipline: node ids and node count never
+//! change (calls are swapped in place, edges only redirect to structural
+//! twins), targets / vetoed nodes / name-bound nodes are never rewritten
+//! and never observe different bytes, and the filter nodes above hoisted
+//! predicates still evaluate their full predicate, so pushed filters are
+//! purely an optimization.
 //!
 //! The pass is deterministic: given the same DAG and the same
-//! [`PlanStats`] answers it produces the same plan. The executor (stats
+//! [`PlanStats`] answers it produces the same plan. The driver (stats
 //! from [`Env`]) and the static estimator (stats from `dc-analyze`'s
 //! context) give the same answers for every catalog table, in-memory or
 //! disk-backed, because both read them from the table's resident
@@ -38,10 +42,10 @@
 
 use std::collections::BTreeSet;
 
-use dc_engine::expr::prune::{nnf, prunable_conjuncts, ColumnStats};
+use dc_engine::expr::prune::{conjoin, nnf, prunable_conjuncts, ColumnStats};
 use dc_engine::{Expr, Schema, Value};
 
-use crate::dag::{NodeId, SkillDag};
+use crate::dag::{NodeId, SkillDag, SkillNode};
 use crate::env::Env;
 use crate::skill::SkillCall;
 
@@ -149,6 +153,8 @@ impl PlanStats for Env {
 /// Optimize `dag` for `targets`. Returns the rewritten DAG, or `None`
 /// when no rewrite applies (execute the input as written). `vetoed`
 /// nodes (analyzer rejections) are protected exactly like targets.
+///
+/// This is the driver's one plan step: what it returns is what runs.
 pub fn optimize_dag(
     dag: &SkillDag,
     targets: &[NodeId],
@@ -158,33 +164,102 @@ pub fn optimize_dag(
     let mut out = dag.clone();
     let mut changed = false;
     let protected = protected_set(&out, targets, vetoed);
-    let mut vetoed_set = vec![false; out.len()];
-    for &v in vetoed {
-        if let Some(slot) = vetoed_set.get_mut(v) {
+    let vetoed = node_mask(&out, vetoed);
+    dedup_loads(&mut out, &protected, &mut changed);
+    merge_adjacent_keeps(&mut out, &protected, &vetoed, &mut changed);
+    // Neither rewrite above moves a column name; a join reorder does.
+    let mut names = forward_names(&out, stats);
+    if reorder_joins(&mut out, &protected, stats, &names) {
+        changed = true;
+        names = forward_names(&out, stats);
+    }
+    for (load, predicate) in hoist_filters(&out, &protected, &vetoed, &names) {
+        changed |= push_into_load(&mut out, load, predicate);
+    }
+    project_loads(&mut out, targets, &protected, &names, &mut changed);
+    changed.then_some(out)
+}
+
+/// The filter-hoisting rule alone, for callers with no statistics at
+/// hand: every prunable conjunct of a `KeepRows` / `DropRows` that
+/// [`optimize_dag`] would sink into a scan without knowing a column name
+/// (so it stops at joins) lands on its load; nothing else is rewritten.
+/// Returns `None` when nothing is eligible (the caller keeps using the
+/// original DAG, uncloned) — which is the case for every DAG
+/// [`optimize_dag`] has been over, so the driver does not call this.
+///
+/// `protected` loads are never rewritten — the materialization target's
+/// observable output must stay the raw table — and neither are
+/// name-bound ones. `vetoed` nodes neither get rewritten nor push their
+/// predicate: a predicate that never earned the right to run must not
+/// sneak into a scan either.
+pub fn plan_pushdown(dag: &SkillDag, protected: &[NodeId], vetoed: &[NodeId]) -> Option<SkillDag> {
+    let names = vec![None; dag.len()];
+    let protected = protected_set(dag, protected, vetoed);
+    let pushed = hoist_filters(dag, &protected, &node_mask(dag, vetoed), &names);
+    if pushed.is_empty() {
+        return None;
+    }
+    let mut out = dag.clone();
+    for (load, predicate) in pushed {
+        push_into_load(&mut out, load, predicate);
+    }
+    Some(out)
+}
+
+/// [`plan_pushdown`] for *linear* programs (`dc-serve` requests), where
+/// each step is staged and executed one at a time and only the final
+/// step's output is observable.
+///
+/// Planning the DAG cannot help a step-at-a-time executor: by the time
+/// the filter step arrives, its load has already been materialized as a
+/// full scan (the load was that slice's target, hence protected), and the
+/// fused re-plan is a *different* structural sub-DAG — a cache miss that
+/// rescans. Fusing the step list up front fixes both: the load step
+/// itself carries the predicate and charges the pruned bytes, the filter
+/// step is a cheap re-evaluation over the reduced rows, and because no
+/// rule ever adds to a predicate a load already has, the fused load stays
+/// a structural cache hit slice after slice.
+///
+/// The step list is lowered to a linear [`SkillDag`] (each input-taking
+/// step consumes its predecessor, loads restart the chain) and planned
+/// with the final step — the program's delivered, optionally name-bound
+/// result — as the sole protected target. Returns `None` when no step is
+/// eligible.
+pub fn plan_linear_pushdown(steps: &[SkillCall]) -> Option<Vec<SkillCall>> {
+    let mut dag = SkillDag::new();
+    let mut prev: Option<NodeId> = None;
+    for call in steps {
+        let inputs = match prev {
+            Some(p) if call.needs_input() => vec![p],
+            _ => vec![],
+        };
+        prev = Some(dag.add(call.clone(), inputs).ok()?);
+    }
+    let planned = plan_pushdown(&dag, &[prev?], &[])?;
+    Some(planned.nodes().iter().map(|n| n.call.clone()).collect())
+}
+
+/// `nodes` as a per-node flag.
+fn node_mask(dag: &SkillDag, nodes: &[NodeId]) -> Vec<bool> {
+    let mut mask = vec![false; dag.len()];
+    for &n in nodes {
+        if let Some(slot) = mask.get_mut(n) {
             *slot = true;
         }
     }
-    dedup_loads(&mut out, &protected, &mut changed);
-    merge_adjacent_keeps(&mut out, &protected, &vetoed_set, &mut changed);
-    reorder_joins(&mut out, &protected, stats, &mut changed);
-    let names = forward_names(&out, stats);
-    hoist_filters(&mut out, &protected, &vetoed_set, &names, &mut changed);
-    project_loads(&mut out, targets, &protected, &names, stats, &mut changed);
-    changed.then_some(out)
+    mask
 }
 
 /// Nodes whose call and output bytes must survive every rewrite:
 /// requested targets, analyzer-vetoed nodes, and anything bound to a
 /// dataset name (addressable by `Use the dataset`).
 fn protected_set(dag: &SkillDag, targets: &[NodeId], vetoed: &[NodeId]) -> Vec<bool> {
-    let mut protected = vec![false; dag.len()];
-    for &t in targets.iter().chain(vetoed) {
-        if let Some(p) = protected.get_mut(t) {
+    let mut protected = node_mask(dag, targets);
+    for b in vetoed.iter().copied().chain(dag.bound_nodes()) {
+        if let Some(p) = protected.get_mut(b) {
             *p = true;
         }
-    }
-    for b in dag.bound_nodes() {
-        protected[b] = true;
     }
     protected
 }
@@ -200,30 +275,24 @@ fn is_load(call: &SkillCall) -> bool {
 
 /// Redirect consumers of duplicate load nodes to the first structural
 /// copy. The executor's sub-DAG cache would unify them anyway; doing it
-/// at plan time also unifies anything pushdown later fuses on top.
+/// at plan time also unifies anything hoisting later fuses on top.
 fn dedup_loads(dag: &mut SkillDag, protected: &[bool], changed: &mut bool) {
-    let n = dag.len();
-    let mut first: Vec<(SkillCall, NodeId)> = Vec::new();
-    let mut alias: Vec<Option<NodeId>> = vec![None; n];
-    for id in 0..n {
-        let node = dag.node(id).expect("id in range");
-        if !is_load(&node.call) {
-            continue;
-        }
-        match first.iter().find(|(c, _)| *c == node.call) {
-            Some(&(_, twin)) if !protected[id] => alias[id] = Some(twin),
+    let mut first: Vec<(&SkillCall, NodeId)> = Vec::new();
+    let mut alias: Vec<Option<NodeId>> = vec![None; dag.len()];
+    for node in dag.nodes().iter().filter(|n| is_load(&n.call)) {
+        match first.iter().find(|(c, _)| **c == node.call) {
+            Some(&(_, twin)) if !protected[node.id] => alias[node.id] = Some(twin),
             Some(_) => {}
-            None => first.push((node.call.clone(), id)),
+            None => first.push((&node.call, node.id)),
         }
     }
-    for id in 0..n {
-        let inputs = dag.node(id).expect("id in range").inputs.clone();
-        for from in inputs {
-            if let Some(to) = alias[from] {
-                if dag.redirect_input(id, from, to).is_ok() {
-                    *changed = true;
-                }
-            }
+    let edges = |n: &SkillNode| -> Vec<(NodeId, NodeId, NodeId)> {
+        let to = |&from: &NodeId| alias[from].map(|to| (n.id, from, to));
+        n.inputs.iter().filter_map(to).collect()
+    };
+    for (consumer, from, to) in dag.nodes().iter().flat_map(edges).collect::<Vec<_>>() {
+        if dag.redirect_input(consumer, from, to).is_ok() {
+            *changed = true;
         }
     }
 }
@@ -232,7 +301,7 @@ fn dedup_loads(dag: &mut SkillDag, protected: &[bool], changed: &mut bool) {
 /// predicates into the upstream node (descending, so whole chains
 /// cascade toward the scan). The downstream filter re-applies its own
 /// predicate, which is a row-preserving no-op, so results are
-/// unchanged; the upstream conjunction is what pushdown can now fuse
+/// unchanged; the upstream conjunction is what hoisting can now fuse
 /// into the scan.
 fn merge_adjacent_keeps(
     dag: &mut SkillDag,
@@ -248,21 +317,24 @@ fn merge_adjacent_keeps(
             // unvetoed node (and let hoisting sink it into a scan).
             continue;
         }
-        let node = dag.node(id).expect("id in range");
-        let SkillCall::KeepRows { predicate: p2 } = &node.call else {
-            continue;
+        let keep = |id: NodeId| match dag.node(id) {
+            Ok(SkillNode {
+                call: SkillCall::KeepRows { predicate },
+                inputs,
+                ..
+            }) => Some((predicate, inputs.first().copied())),
+            _ => None,
         };
-        let p2 = p2.clone();
-        let Some(&up) = node.inputs.first() else {
+        let Some((p2, Some(up))) = keep(id) else {
             continue;
         };
         if protected[up] || counts[up] != 1 {
             continue;
         }
-        let SkillCall::KeepRows { predicate: p1 } = &dag.node(up).expect("id in range").call else {
+        let Some((p1, _)) = keep(up) else {
             continue;
         };
-        let merged = p1.clone().and(p2);
+        let merged = p1.clone().and(p2.clone());
         if dag
             .update_call(up, SkillCall::KeepRows { predicate: merged })
             .is_ok()
@@ -322,13 +394,10 @@ fn forward_names(dag: &SkillDag, stats: &dyn PlanStats) -> Vec<Option<Vec<String
             | ExportCsv
             | SaveArtifact { .. }
             | Snapshot { .. } => input(0).cloned(),
-            KeepColumns { columns } => {
-                let cur = input(0);
-                columns
-                    .iter()
-                    .map(|c| find(cur, c).map(|i| cur.expect("found").get(i).cloned().expect("i")))
-                    .collect()
-            }
+            KeepColumns { columns } => input(0).and_then(|cur| {
+                let kept = |c: &String| find(Some(cur), c).map(|i| cur[i].clone());
+                columns.iter().map(kept).collect()
+            }),
             DropColumns { columns } => input(0).and_then(|cur| {
                 if columns.iter().any(|c| find(Some(cur), c).is_none()) {
                     return None;
@@ -458,9 +527,8 @@ fn demands(dag: &SkillDag, protected: &[bool], names: &[Option<Vec<String>>]) ->
             demand[id] = Demand::All;
         }
     }
-    for id in (0..dag.len()).rev() {
-        let node = dag.node(id).expect("id in range");
-        let d = demand[id].clone();
+    for node in dag.nodes().iter().rev() {
+        let d = demand[node.id].clone();
         let low = |v: &[String]| v.iter().map(|c| c.to_ascii_lowercase()).collect::<Vec<_>>();
         let per_input: Vec<Demand> = match &node.call {
             KeepRows { predicate } | DropRows { predicate } => {
@@ -597,17 +665,17 @@ fn demands(dag: &SkillDag, protected: &[bool], names: &[Option<Vec<String>>]) ->
 /// are emitted in schema order (projection never reorders), demands
 /// that fail to resolve against the schema veto the rewrite, and an
 /// empty live set keeps the first column so row counts survive.
+/// `names` may predate filter hoisting: a pushed predicate renames
+/// nothing, and a load's names are its table's schema.
 fn project_loads(
     dag: &mut SkillDag,
     targets: &[NodeId],
     protected: &[bool],
     names: &[Option<Vec<String>>],
-    stats: &dyn PlanStats,
     changed: &mut bool,
 ) {
-    let _ = names;
     let counts = dag.consumer_counts();
-    let demand = demands(dag, protected, &forward_names(dag, stats));
+    let demand = demands(dag, protected, names);
     for id in 0..dag.len() {
         if protected[id] {
             continue;
@@ -617,43 +685,30 @@ fn project_loads(
             // rewriting it would only obscure DC0101's report.
             continue;
         }
-        let node = dag.node(id).expect("id in range");
-        let (database, table, predicate) = match &node.call {
-            SkillCall::LoadTable { database, table } => (database.clone(), table.clone(), None),
-            SkillCall::LoadTableFiltered {
+        let (database, table, predicate) = match dag.node(id).map(|n| &n.call) {
+            Ok(SkillCall::LoadTable { database, table }) => (database.clone(), table.clone(), None),
+            Ok(SkillCall::LoadTableFiltered {
                 database,
                 table,
                 predicate,
-            } => (database.clone(), table.clone(), Some(predicate.clone())),
+            }) => (database.clone(), table.clone(), Some(predicate.clone())),
             _ => continue,
         };
-        let Demand::Cols(live) = &demand[id] else {
+        let (Demand::Cols(live), Some(fields)) = (&demand[id], &names[id]) else {
             continue;
         };
-        let Some(schema) = stats.table_schema(&database, &table) else {
-            continue;
-        };
-        if schema.fields().is_empty() {
+        if !(live.iter()).all(|c| fields.iter().any(|f| f.eq_ignore_ascii_case(c))) {
             continue;
         }
-        if !live.iter().all(|c| {
-            schema
-                .fields()
-                .iter()
-                .any(|f| f.name.eq_ignore_ascii_case(c))
-        }) {
-            continue;
-        }
-        let mut columns: Vec<String> = schema
-            .fields()
+        let mut columns: Vec<String> = fields
             .iter()
-            .filter(|f| live.contains(&f.name.to_ascii_lowercase()))
-            .map(|f| f.name.clone())
+            .filter(|f| live.contains(&f.to_ascii_lowercase()))
+            .cloned()
             .collect();
         if columns.is_empty() {
-            columns.push(schema.fields()[0].name.clone());
+            columns.extend(fields.first().cloned());
         }
-        if columns.len() == schema.fields().len() {
+        if columns.len() == fields.len() {
             continue;
         }
         let call = SkillCall::LoadTableProjected {
@@ -674,24 +729,35 @@ fn project_loads(
 
 /// Sink the prunable conjuncts of every filter toward source loads,
 /// through operators that provably pass the referenced columns'
-/// values and the filter's row semantics through. Each node strictly
+/// values and the filter's row semantics through, and return the
+/// predicate each reached load should scan with. Each node strictly
 /// below the filter must be sole-consumed and unprotected (its output
-/// loses rows the filter would have dropped anyway — the same
-/// intermediate-visibility contract PR 5's pushdown established for
-/// the load itself).
+/// loses rows the filter would have dropped anyway); the filter node
+/// itself stays and re-evaluates its full predicate over the reduced
+/// rows, so a pushed predicate is purely an optimization and error
+/// attribution for a bad one is unchanged. `DropRows` keeps rows where
+/// the predicate is FALSE, so its pushable form is the Kleene
+/// negation-normal-form of `NOT predicate`.
+///
+/// A load takes one predicate, from the first filter (in node order)
+/// to reach it, and one that already carries a predicate takes none: a
+/// scan predicate is never conjoined onto, so planning a planned DAG
+/// again changes nothing.
 fn hoist_filters(
-    dag: &mut SkillDag,
+    dag: &SkillDag,
     protected: &[bool],
     vetoed: &[bool],
     names: &[Option<Vec<String>>],
-    changed: &mut bool,
-) {
-    let counts = dag.consumer_counts();
-    // Indexed loop: the body rewrites `dag` while walking it.
-    #[allow(clippy::needless_range_loop)]
-    for id in 0..dag.len() {
-        let node = dag.node(id).expect("id in range");
-        if vetoed[id] {
+) -> Vec<(NodeId, Expr)> {
+    let cx = SinkCx {
+        dag,
+        protected,
+        counts: &dag.consumer_counts(),
+        names,
+    };
+    let mut pushed = Vec::new();
+    for node in dag.nodes() {
+        if vetoed[node.id] {
             // A vetoed filter's predicate never earned the right to run
             // anywhere. Target/name-bound filters may still sink: the
             // rewrite leaves their node (and output) untouched — the
@@ -703,182 +769,133 @@ fn hoist_filters(
             SkillCall::DropRows { predicate } => nnf(predicate.clone().not()),
             _ => continue,
         };
-        let conjuncts = prunable_conjuncts(&keep);
-        if conjuncts.is_empty() {
-            continue;
+        if let Some(&below) = node.inputs.first() {
+            cx.sink(below, prunable_conjuncts(&keep), &mut pushed);
         }
-        let Some(&below) = dag.node(id).expect("id in range").inputs.first() else {
-            continue;
-        };
-        sink(dag, below, conjuncts, protected, &counts, names, changed);
     }
+    pushed
 }
 
-/// Recursive descent of one conjunct set from a filter toward loads.
-fn sink(
-    dag: &mut SkillDag,
-    id: NodeId,
-    conjuncts: Vec<Expr>,
-    protected: &[bool],
-    counts: &[usize],
-    names: &[Option<Vec<String>>],
-    changed: &mut bool,
-) {
-    use SkillCall::*;
-    if conjuncts.is_empty() || protected[id] || counts[id] != 1 {
-        return;
-    }
-    let node = dag.node(id).expect("id in range");
-    let inputs = node.inputs.clone();
-    let not_touching = |conjuncts: &[Expr], touched: &[&String]| -> Vec<Expr> {
-        conjuncts
-            .iter()
-            .filter(|c| {
-                let cols = expr_cols(c);
-                !touched
-                    .iter()
-                    .any(|t| cols.iter().any(|x| x.eq_ignore_ascii_case(t)))
-            })
-            .cloned()
-            .collect()
+/// Give load `id` the scan predicate [`hoist_filters`] found for it.
+fn push_into_load(dag: &mut SkillDag, id: NodeId, predicate: Expr) -> bool {
+    let Ok(SkillCall::LoadTable { database, table }) = dag.node(id).map(|n| &n.call) else {
+        return false;
     };
-    match node.call.clone() {
-        LoadTable { database, table } => {
-            let mut pred = conjuncts[0].clone();
-            for c in conjuncts.into_iter().skip(1) {
-                pred = pred.and(c);
-            }
-            let call = LoadTableFiltered {
-                database,
-                table,
-                predicate: pred,
+    let call = SkillCall::LoadTableFiltered {
+        database: database.clone(),
+        table: table.clone(),
+        predicate,
+    };
+    dag.update_call(id, call).is_ok()
+}
+
+/// What [`SinkCx::sink`] consults on the way down.
+struct SinkCx<'a> {
+    dag: &'a SkillDag,
+    protected: &'a [bool],
+    counts: &'a [usize],
+    /// Output column names per node; all `None` without statistics, and
+    /// then nothing sinks through a join.
+    names: &'a [Option<Vec<String>>],
+}
+
+impl SinkCx<'_> {
+    /// Recursive descent of one conjunct set from a filter toward loads.
+    fn sink(&self, id: NodeId, conjuncts: Vec<Expr>, pushed: &mut Vec<(NodeId, Expr)>) {
+        use SkillCall::*;
+        if conjuncts.is_empty() || self.protected[id] || self.counts[id] != 1 {
+            return;
+        }
+        let Ok(node) = self.dag.node(id) else {
+            return;
+        };
+        let not_touching = |conjuncts: Vec<Expr>, touched: &[&String]| -> Vec<Expr> {
+            let touches = |c: &Expr| {
+                let cols = expr_cols(c);
+                (touched.iter()).any(|t| cols.iter().any(|x| x.eq_ignore_ascii_case(t)))
             };
-            if dag.update_call(id, call).is_ok() {
-                *changed = true;
+            conjuncts.into_iter().filter(|c| !touches(c)).collect()
+        };
+        // Conjuncts that read nothing but `keys` (lowercased).
+        let only_over = |conjuncts: Vec<Expr>, keys: &[String]| -> Vec<Expr> {
+            let over = |c: &Expr| expr_cols(c).iter().all(|x| keys.contains(x));
+            conjuncts.into_iter().filter(over).collect()
+        };
+        let pass = match &node.call {
+            LoadTable { .. } => {
+                if !pushed.iter().any(|(load, _)| *load == id) {
+                    pushed.extend(conjoin(conjuncts).map(|p| (id, p)));
+                }
+                return;
             }
-        }
-        // Row-removing and row-preserving operators that keep every
-        // referenced column's values intact pass all conjuncts through.
-        KeepRows { .. } | DropRows { .. } | Sort { .. } | DropMissing { .. } => {
-            if let Some(&next) = inputs.first() {
-                sink(dag, next, conjuncts, protected, counts, names, changed);
-            }
-        }
-        Distinct { columns } => {
+            // Row-removing and row-preserving operators that keep every
+            // referenced column's values intact pass all conjuncts through.
+            KeepRows { .. } | DropRows { .. } | Sort { .. } | DropMissing { .. } => conjuncts,
             // Empty = whole-row distinct: duplicate rows agree on every
             // column, so a prefilter removes whole duplicate classes.
             // Keyed distinct keeps its first-occurrence representative
             // only if the conjunct is constant per key.
-            let pass = if columns.is_empty() {
-                conjuncts
-            } else {
-                let keys = lower(&columns);
-                conjuncts
-                    .into_iter()
-                    .filter(|c| expr_cols(c).iter().all(|x| keys.contains(x)))
-                    .collect()
-            };
-            if let Some(&next) = inputs.first() {
-                sink(dag, next, pass, protected, counts, names, changed);
-            }
-        }
-        Compute { for_each, .. } => {
+            Distinct { columns } if columns.is_empty() => conjuncts,
+            Distinct { columns } => only_over(conjuncts, &lower(columns)),
             // Group keys partition rows: a conjunct over key columns is
             // constant per group, so prefiltering removes exactly the
             // groups the filter above would drop, and aggregates of the
             // surviving groups see every one of their rows.
-            let keys = lower(&for_each);
-            let pass: Vec<Expr> = conjuncts
-                .into_iter()
-                .filter(|c| expr_cols(c).iter().all(|x| keys.contains(x)))
-                .collect();
-            if let Some(&next) = inputs.first() {
-                sink(dag, next, pass, protected, counts, names, changed);
-            }
-        }
-        Concat { .. } => {
-            for &next in &inputs {
-                sink(
-                    dag,
-                    next,
-                    conjuncts.clone(),
-                    protected,
-                    counts,
-                    names,
-                    changed,
-                );
-            }
-        }
-        Join { right_on, how, .. } => {
-            // Only inner joins: an outer join null-pads the other side
-            // for unmatched rows, so prefiltering an input with a
-            // prunable conjunct (e.g. `c IS NULL`) manufactures padded
-            // rows the upper filter then keeps — the classic left-join
-            // anti-join idiom would return wrong rows.
-            if how != dc_engine::JoinType::Inner {
-                return;
-            }
-            let (Some(l), Some(r)) = (
-                inputs.first().and_then(|&n| names[n].as_ref()),
-                inputs.get(1).and_then(|&n| names[n].as_ref()),
-            ) else {
-                return;
-            };
-            let llow = lower(l);
-            // Right columns only route when they appear unsuffixed in
-            // the join output: non-key and not shadowed by a left name.
-            let rlow: Vec<String> = lower(r)
-                .into_iter()
-                .filter(|f| {
-                    !right_on.iter().any(|k| k.eq_ignore_ascii_case(f)) && !llow.contains(f)
-                })
-                .collect();
-            let mut left_c = Vec::new();
-            let mut right_c = Vec::new();
-            for c in conjuncts {
-                let cols = expr_cols(&c);
-                if cols.iter().all(|x| llow.contains(x)) {
-                    left_c.push(c);
-                } else if cols.iter().all(|x| rlow.contains(x)) {
-                    right_c.push(c);
+            Compute { for_each, .. } => only_over(conjuncts, &lower(for_each)),
+            Concat { .. } => {
+                for &next in &node.inputs {
+                    self.sink(next, conjuncts.clone(), pushed);
                 }
+                return;
             }
-            sink(dag, inputs[0], left_c, protected, counts, names, changed);
-            if let Some(&ri) = inputs.get(1) {
-                sink(dag, ri, right_c, protected, counts, names, changed);
+            Join { right_on, how, .. } => {
+                // Only inner joins: an outer join null-pads the other side
+                // for unmatched rows, so prefiltering an input with a
+                // prunable conjunct (e.g. `c IS NULL`) manufactures padded
+                // rows the upper filter then keeps — the classic left-join
+                // anti-join idiom would return wrong rows.
+                let &[li, ri] = &node.inputs[..] else {
+                    return;
+                };
+                let (Some(l), Some(r)) = (&self.names[li], &self.names[ri]) else {
+                    return;
+                };
+                if *how != dc_engine::JoinType::Inner {
+                    return;
+                }
+                let llow = lower(l);
+                // Right columns only route when they appear unsuffixed in
+                // the join output: non-key and not shadowed by a left name.
+                let mut rlow = lower(r);
+                rlow.retain(|f| {
+                    !right_on.iter().any(|k| k.eq_ignore_ascii_case(f)) && !llow.contains(f)
+                });
+                let (left_c, rest): (Vec<Expr>, Vec<Expr>) = conjuncts
+                    .into_iter()
+                    .partition(|c| expr_cols(c).iter().all(|x| llow.contains(x)));
+                self.sink(li, left_c, pushed);
+                self.sink(ri, only_over(rest, &rlow), pushed);
+                return;
             }
+            FillMissing { column, .. } | ReplaceValues { column, .. } | TrimColumn { column } => {
+                not_touching(conjuncts, &[column])
+            }
+            CreateColumn { name, .. }
+            | CreateConstantColumn { name, .. }
+            | ExtractDatePart {
+                name: Some(name), ..
+            } => not_touching(conjuncts, &[name]),
+            RenameColumn { from, to } => not_touching(conjuncts, &[from, to]),
+            // Everything else either selects rows by position or sample
+            // (Limit/Top/Sample/ShuffleRows), can fail per-row (CastColumn,
+            // BinColumn), renders its input (display skills), is a load
+            // that already scans with a predicate, or is not modeled —
+            // prefiltering through those changes behavior.
+            _ => return,
+        };
+        if let Some(&next) = node.inputs.first() {
+            self.sink(next, pass, pushed);
         }
-        FillMissing { column, .. } | ReplaceValues { column, .. } | TrimColumn { column } => {
-            let pass = not_touching(&conjuncts, &[&column]);
-            if let Some(&next) = inputs.first() {
-                sink(dag, next, pass, protected, counts, names, changed);
-            }
-        }
-        CreateColumn { name, .. } | CreateConstantColumn { name, .. } => {
-            let pass = not_touching(&conjuncts, &[&name]);
-            if let Some(&next) = inputs.first() {
-                sink(dag, next, pass, protected, counts, names, changed);
-            }
-        }
-        RenameColumn { from, to } => {
-            let pass = not_touching(&conjuncts, &[&from, &to]);
-            if let Some(&next) = inputs.first() {
-                sink(dag, next, pass, protected, counts, names, changed);
-            }
-        }
-        ExtractDatePart {
-            name: Some(name), ..
-        } => {
-            let pass = not_touching(&conjuncts, &[&name]);
-            if let Some(&next) = inputs.first() {
-                sink(dag, next, pass, protected, counts, names, changed);
-            }
-        }
-        // Everything else either selects rows by position or sample
-        // (Limit/Top/Sample/ShuffleRows), can fail per-row (CastColumn,
-        // BinColumn), renders its input (display skills), or is not
-        // modeled — prefiltering through those changes behavior.
-        _ => {}
     }
 }
 
@@ -988,13 +1005,8 @@ fn collect_stars(dag: &SkillDag, consumers: &[Vec<NodeId>]) -> Vec<Star> {
         if joins.len() < 2 || joins.len() > 4 {
             continue;
         }
-        if !joins.iter().all(|j| {
-            is_load(
-                &dag.node(j.dim)
-                    .map(|n| n.call.clone())
-                    .unwrap_or(SkillCall::ExportCsv),
-            )
-        }) {
+        let dim_is_load = |j: &StarJoin| dag.node(j.dim).is_ok_and(|n| is_load(&n.call));
+        if !joins.iter().all(dim_is_load) {
             continue;
         }
         stars.push(Star { base, joins });
@@ -1158,7 +1170,9 @@ fn order_insensitive_downstream(
             return cur != root;
         }
         let [next] = cs[..] else { return false };
-        let node = dag.node(next).expect("consumer in range");
+        let Ok(node) = dag.node(next) else {
+            return false;
+        };
         match &node.call {
             KeepColumns { .. } | Compute { .. } => return true,
             CountRows => {
@@ -1181,17 +1195,17 @@ fn order_insensitive_downstream(
 /// Pick the cheapest join order for every eligible star and swap the
 /// dimension loads' calls (and each join's key tuple) in place — node
 /// ids and edges never change. Written order wins ties and anything
-/// the cost model cannot bound.
+/// the cost model cannot bound. Returns whether any star was reordered
+/// (`names`, the DAG's column names as given, are stale then).
 fn reorder_joins(
     dag: &mut SkillDag,
     protected: &[bool],
     stats: &dyn PlanStats,
-    changed: &mut bool,
-) {
+    names: &[Option<Vec<String>>],
+) -> bool {
     let consumers = consumer_lists(dag);
-    let names = forward_names(dag, stats);
-    let stars = collect_stars(dag, &consumers);
-    for star in stars {
+    let mut reordered = false;
+    for star in collect_stars(dag, &consumers) {
         let n = star.joins.len();
         // Safety conditions: every rewritten node unprotected, interior
         // results and dimensions sole-consumed, downstream insensitive
@@ -1251,11 +1265,10 @@ fn reorder_joins(
         if best == written {
             continue;
         }
-        let dim_calls: Vec<SkillCall> = star
-            .joins
-            .iter()
-            .map(|j| dag.node(j.dim).expect("dim in range").call.clone())
-            .collect();
+        let dim_call = |j: &StarJoin| dag.node(j.dim).map(|n| n.call.clone()).ok();
+        let Some(dim_calls) = star.joins.iter().map(dim_call).collect::<Option<Vec<_>>>() else {
+            continue;
+        };
         for (slot, &src) in best.iter().enumerate() {
             let j = &star.joins[slot];
             let s = &star.joins[src];
@@ -1270,8 +1283,9 @@ fn reorder_joins(
                 },
             );
         }
-        *changed = true;
+        reordered = true;
     }
+    reordered
 }
 
 fn consumer_lists(dag: &SkillDag) -> Vec<Vec<NodeId>> {
@@ -1961,5 +1975,226 @@ mod tests {
         assert!(int_blocks_unique(&[dense(0, 9), dense(10, 19)]));
         assert!(!int_blocks_unique(&[dense(0, 9), dense(5, 14)]));
         assert!(!int_blocks_unique(&[]));
+    }
+
+    // ----- the filter-hoisting rule alone: `plan_pushdown` -----
+
+    fn bare_load(dag: &mut SkillDag) -> NodeId {
+        dag.add(
+            SkillCall::LoadTable {
+                database: "db".into(),
+                table: "t".into(),
+            },
+            vec![],
+        )
+        .unwrap()
+    }
+
+    fn pushed_predicate(dag: &SkillDag, id: NodeId) -> Option<&Expr> {
+        match &dag.node(id).unwrap().call {
+            SkillCall::LoadTableFiltered { predicate, .. } => Some(predicate),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn keep_rows_predicate_is_pushed_verbatim() {
+        let mut dag = SkillDag::new();
+        let l = bare_load(&mut dag);
+        let pred = Expr::col("x").gt(Expr::lit(5));
+        let f = dag
+            .add(
+                SkillCall::KeepRows {
+                    predicate: pred.clone(),
+                },
+                vec![l],
+            )
+            .unwrap();
+        let planned = plan_pushdown(&dag, &[f], &[]).unwrap();
+        assert_eq!(pushed_predicate(&planned, l), Some(&pred));
+        // The filter node itself is untouched.
+        assert_eq!(planned.node(f).unwrap().call, dag.node(f).unwrap().call);
+    }
+
+    #[test]
+    fn drop_rows_pushes_the_negation() {
+        let mut dag = SkillDag::new();
+        let l = bare_load(&mut dag);
+        let f = dag
+            .add(
+                SkillCall::DropRows {
+                    predicate: Expr::col("x").le(Expr::lit(5)),
+                },
+                vec![l],
+            )
+            .unwrap();
+        let planned = plan_pushdown(&dag, &[f], &[]).unwrap();
+        assert_eq!(
+            pushed_predicate(&planned, l),
+            Some(&Expr::col("x").gt(Expr::lit(5)))
+        );
+    }
+
+    #[test]
+    fn only_prunable_conjuncts_are_pushed() {
+        let mut dag = SkillDag::new();
+        let l = bare_load(&mut dag);
+        let pred = Expr::col("x")
+            .gt(Expr::lit(5))
+            .and(Expr::col("x").add(Expr::col("y")).lt(Expr::lit(10)));
+        let f = dag
+            .add(SkillCall::KeepRows { predicate: pred }, vec![l])
+            .unwrap();
+        let planned = plan_pushdown(&dag, &[f], &[]).unwrap();
+        assert_eq!(
+            pushed_predicate(&planned, l),
+            Some(&Expr::col("x").gt(Expr::lit(5)))
+        );
+    }
+
+    #[test]
+    fn no_rewrite_without_prunable_form() {
+        let mut dag = SkillDag::new();
+        let l = bare_load(&mut dag);
+        let f = dag
+            .add(
+                SkillCall::KeepRows {
+                    predicate: Expr::col("x").add(Expr::lit(1)).gt(Expr::lit(5)),
+                },
+                vec![l],
+            )
+            .unwrap();
+        assert!(plan_pushdown(&dag, &[f], &[]).is_none());
+    }
+
+    #[test]
+    fn shared_load_is_not_rewritten() {
+        let mut dag = SkillDag::new();
+        let l = bare_load(&mut dag);
+        let f = dag
+            .add(
+                SkillCall::KeepRows {
+                    predicate: Expr::col("x").gt(Expr::lit(5)),
+                },
+                vec![l],
+            )
+            .unwrap();
+        // A second consumer needs the unfiltered rows.
+        let _head = dag.add(SkillCall::ShowHead { n: 3 }, vec![l]).unwrap();
+        assert!(plan_pushdown(&dag, &[f], &[]).is_none());
+    }
+
+    #[test]
+    fn target_and_named_loads_are_protected() {
+        let mut dag = SkillDag::new();
+        let l = bare_load(&mut dag);
+        let f = dag
+            .add(
+                SkillCall::KeepRows {
+                    predicate: Expr::col("x").gt(Expr::lit(5)),
+                },
+                vec![l],
+            )
+            .unwrap();
+        // Materializing the load itself must return unfiltered rows.
+        assert!(plan_pushdown(&dag, &[l, f], &[]).is_none());
+        // A name binding makes the load addressable later.
+        dag.bind_name("raw", l).unwrap();
+        assert!(plan_pushdown(&dag, &[f], &[]).is_none());
+    }
+
+    #[test]
+    fn linear_pushdown_fuses_interior_loads() {
+        let steps = vec![
+            SkillCall::LoadTable {
+                database: "db".into(),
+                table: "t".into(),
+            },
+            SkillCall::KeepRows {
+                predicate: Expr::col("x").gt(Expr::lit(5)),
+            },
+            SkillCall::CountRows,
+        ];
+        let fused = plan_linear_pushdown(&steps).unwrap();
+        assert_eq!(
+            fused[0],
+            SkillCall::LoadTableFiltered {
+                database: "db".into(),
+                table: "t".into(),
+                predicate: Expr::col("x").gt(Expr::lit(5)),
+            }
+        );
+        // The filter step stays in place; only the load changed.
+        assert_eq!(fused[1], steps[1]);
+        assert_eq!(fused[2], steps[2]);
+
+        // DropRows pushes the negation-normal-form of NOT pred.
+        let steps = vec![
+            SkillCall::LoadTable {
+                database: "db".into(),
+                table: "t".into(),
+            },
+            SkillCall::DropRows {
+                predicate: Expr::col("x").le(Expr::lit(5)),
+            },
+        ];
+        let fused = plan_linear_pushdown(&steps).unwrap();
+        assert_eq!(
+            fused[0],
+            SkillCall::LoadTableFiltered {
+                database: "db".into(),
+                table: "t".into(),
+                predicate: Expr::col("x").gt(Expr::lit(5)),
+            }
+        );
+    }
+
+    #[test]
+    fn linear_pushdown_leaves_ineligible_programs_alone() {
+        // A trailing load is the delivered result — untouched.
+        let steps = vec![SkillCall::LoadTable {
+            database: "db".into(),
+            table: "t".into(),
+        }];
+        assert!(plan_linear_pushdown(&steps).is_none());
+        // A non-filter consumer blocks fusion.
+        let steps = vec![
+            SkillCall::LoadTable {
+                database: "db".into(),
+                table: "t".into(),
+            },
+            SkillCall::CountRows,
+        ];
+        assert!(plan_linear_pushdown(&steps).is_none());
+        // An unprunable predicate has nothing to push.
+        let steps = vec![
+            SkillCall::LoadTable {
+                database: "db".into(),
+                table: "t".into(),
+            },
+            SkillCall::KeepRows {
+                predicate: Expr::col("x").add(Expr::lit(1)).gt(Expr::lit(5)),
+            },
+        ];
+        assert!(plan_linear_pushdown(&steps).is_none());
+    }
+
+    #[test]
+    fn rejected_filter_blocks_the_rewrite() {
+        let mut dag = SkillDag::new();
+        let l = bare_load(&mut dag);
+        let f = dag
+            .add(
+                SkillCall::KeepRows {
+                    predicate: Expr::col("x").gt(Expr::lit(5)),
+                },
+                vec![l],
+            )
+            .unwrap();
+        let t = dag.add(SkillCall::ShowHead { n: 3 }, vec![f]).unwrap();
+        // Normally pushable...
+        assert!(plan_pushdown(&dag, &[t], &[]).is_some());
+        // ...but not when the filter node is protected (e.g. rejected).
+        assert!(plan_pushdown(&dag, &[t], &[f]).is_none());
     }
 }

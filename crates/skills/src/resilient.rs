@@ -641,20 +641,19 @@ impl Executor {
         // The whole-run slice starts now: planning, interning, and every
         // wave all count against it.
         let deadline = policy.run_budget.map(|b| Instant::now() + b);
-        // Cost-based rewrites (projection pushdown, filter hoisting into
-        // scans, join reordering, dedup) preserve node ids and filter
-        // nodes, so caching, reporting and error attribution are
-        // unaffected. A rejected node is vetoed: its predicate never
-        // earned the right to run anywhere, a scan included.
+        // The one plan step. Its rewrites (projection pushdown, filter
+        // hoisting into scans, join reordering, dedup) preserve node ids
+        // and filter nodes, so caching, reporting and error attribution
+        // are unaffected. A rejected node is vetoed: its predicate never
+        // earned the right to run anywhere, a scan included. With
+        // `optimize` off the DAG runs exactly as written.
         let vetoed: Vec<NodeId> = rejections.iter().map(|(n, _)| *n).collect();
         let optimized = if self.optimize {
             crate::optimize::optimize_dag(dag, &[target], &vetoed, env)
         } else {
             None
         };
-        let planned =
-            crate::pushdown::plan_pushdown(optimized.as_ref().unwrap_or(dag), &[target], &vetoed);
-        let dag = planned.as_ref().or(optimized.as_ref()).unwrap_or(dag);
+        let dag = optimized.as_ref().unwrap_or(dag);
         let order = dag.ancestors(target)?;
         let interned = self.intern_ids(dag, &order, env)?;
         let (hits_before, saved_before) = (self.stats.cache_hits, self.stats.bytes_saved);

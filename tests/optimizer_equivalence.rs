@@ -5,8 +5,9 @@
 //! optimizer never rescues or invents an error), though the failing
 //! node's attribution may shift when adjacent filters merge.
 //!
-//! There is one driver, so each property runs it once; the last property
-//! pins the contract of its two public doors, `Executor::run` and
+//! There is one driver and it plans once (a property below is the
+//! evidence that a second walk has nothing to find), so each property runs
+//! it once; the last property pins the contract of its two public doors, `Executor::run` and
 //! `Executor::run_resilient` under a one-attempt policy with no budget.
 //!
 //! The generator mixes plain column transforms with inner-join chains
@@ -16,7 +17,8 @@
 
 use datachat::engine::{AggFunc, AggSpec, Column, DataType, Expr, JoinType, Table, Value};
 use datachat::skills::{
-    execute_call, Env, ExecPolicy, Executor, MaterializedCache, RetryPolicy, SkillCall, SkillDag,
+    execute_call, optimize_dag, plan_pushdown, Env, ExecPolicy, Executor, MaterializedCache,
+    RetryPolicy, SkillCall, SkillDag,
 };
 use datachat::storage::{CloudDatabase, Pricing};
 use proptest::prelude::*;
@@ -292,6 +294,25 @@ proptest! {
                 a.is_ok(), b.is_ok(), dag
             ),
         }
+    }
+
+    /// The driver plans once: in a DAG `optimize_dag` has been over (or
+    /// found nothing to do in), the filter-hoisting rule on its own finds
+    /// nothing either, whatever is vetoed.
+    #[test]
+    fn plan_pushdown_finds_nothing_after_optimize_dag(
+        steps in prop::collection::vec(step(), 1..7),
+        veto in 0usize..12,
+    ) {
+        let (dag, target) = build_dag(&steps);
+        let vetoed: Vec<usize> = (veto < dag.len()).then_some(veto).into_iter().collect();
+        let optimized = optimize_dag(&dag, &[target], &vetoed, &world());
+        let planned = plan_pushdown(optimized.as_ref().unwrap_or(&dag), &[target], &vetoed);
+        prop_assert!(
+            planned.is_none(),
+            "a second walk found work\nDAG:\n{:?}\noptimized:\n{:?}\nplanned:\n{:?}",
+            dag, optimized, planned
+        );
     }
 
     /// The contract of the public pair: `run` is `run_resilient` under a
