@@ -61,14 +61,10 @@ pub fn cost_pass(
 ) -> Vec<NodeCost> {
     let mut costs = Vec::new();
     for node in dag.nodes() {
-        // Filtered loads are scans too: they carry the same full-scan
-        // worst case (an unselective predicate prunes nothing), so they
-        // get a NodeCost and the same lints as plain loads.
-        if let SkillCall::LoadTable { database, table }
-        | SkillCall::LoadTableFiltered {
-            database, table, ..
-        }
-        | SkillCall::LoadTableProjected {
+        // A load with a scan predicate carries the same full-scan worst
+        // case (an unselective predicate prunes nothing), so it gets a
+        // NodeCost and the same lints as a plain one.
+        if let SkillCall::LoadTable {
             database, table, ..
         } = &node.call
         {
@@ -124,16 +120,23 @@ pub fn cost_pass(
     }
 
     // DC0204: a filter directly above a scan that pushdown cannot use.
-    // The pushdown planner takes KeepRows predicates verbatim, so only
-    // conjuncts already in column-vs-literal form reach the zone maps.
+    // The planner takes KeepRows predicates verbatim, so only conjuncts
+    // already in column-vs-literal form reach the zone maps (and only a
+    // load that scans with no predicate yet takes one).
     for node in dag.nodes() {
         let SkillCall::KeepRows { predicate } = &node.call else {
             continue;
         };
         let [input] = node.inputs[..] else { continue };
-        let feeds_scan = dag
-            .node(input)
-            .is_ok_and(|n| matches!(n.call, SkillCall::LoadTable { .. }));
+        let feeds_scan = dag.node(input).is_ok_and(|n| {
+            matches!(
+                n.call,
+                SkillCall::LoadTable {
+                    predicate: None,
+                    ..
+                }
+            )
+        });
         if !feeds_scan || !prunable_conjuncts(predicate).is_empty() {
             continue;
         }
@@ -212,12 +215,7 @@ pub fn cost_pass(
         let load_ids: Vec<NodeId> = dag
             .nodes()
             .iter()
-            .filter(|n| {
-                matches!(
-                    n.call,
-                    SkillCall::LoadTable { .. } | SkillCall::LoadTableFiltered { .. }
-                )
-            })
+            .filter(|n| matches!(n.call, SkillCall::LoadTable { .. }))
             .map(|n| n.id)
             .collect();
         for node in dag.nodes() {
@@ -261,7 +259,7 @@ pub fn cost_pass(
 ///
 /// * **DC0206** — a scan loads columns no reachable step ever reads.
 ///   Detected by running the plan optimizer and diffing which loads it
-///   narrowed to [`SkillCall::LoadTableProjected`]. Fires only with full
+///   narrowed to a column list. Fires only with full
 ///   per-block statistics and only when the dead columns' payload
 ///   (block data bytes plus their dictionaries) reaches
 ///   [`DEAD_COLUMN_BYTES`] — the executor already skips the waste, but
@@ -285,11 +283,11 @@ pub fn optimizer_lints(
     };
     if let Some(opt) = &optimized {
         for node in opt.nodes() {
-            let SkillCall::LoadTableProjected {
+            let SkillCall::LoadTable {
                 database,
                 table,
-                columns,
-                ..
+                columns: Some(columns),
+                predicate,
             } = &node.call
             else {
                 continue;
@@ -297,12 +295,7 @@ pub fn optimizer_lints(
             // Only loads the optimizer itself narrowed; a projected load
             // the author wrote is already as narrow as they asked for.
             let written = dag.node(node.id).map(|n| &n.call);
-            if !written.is_ok_and(|call| {
-                matches!(
-                    call,
-                    SkillCall::LoadTable { .. } | SkillCall::LoadTableFiltered { .. }
-                )
-            }) {
+            if !matches!(written, Ok(SkillCall::LoadTable { columns: None, .. })) {
                 continue;
             }
             let Some((schema, stats)) = ctx.table(database, table) else {
@@ -339,21 +332,13 @@ pub fn optimizer_lints(
                 .iter()
                 .map(|&ci| schema.fields()[ci].name.as_str())
                 .collect();
-            let written_name = dag.node(node.id).map_or("LoadTable", |n| n.call.name());
-            let replacement = match &node.call {
-                SkillCall::LoadTableProjected {
-                    predicate: Some(p), ..
-                } => format!(
-                    "Load the columns {} of the table {table} from the database {database} \
-                     where {}",
-                    columns.join(", "),
-                    p.to_sql()
-                ),
-                _ => format!(
-                    "Load the columns {} of the table {table} from the database {database}",
-                    columns.join(", ")
-                ),
-            };
+            let filter = predicate
+                .as_ref()
+                .map_or(String::new(), |p| format!(" where {}", p.to_sql()));
+            let replacement = format!(
+                "Load the columns {} of the table {table} from the database {database}{filter}",
+                columns.join(", ")
+            );
             diags.push(
                 Diagnostic::new(
                     Code::DeadColumnLoaded,
@@ -364,7 +349,7 @@ pub fn optimizer_lints(
                         dead_names.join(", "),
                     ),
                 )
-                .with_span(Span::node(node.id, written_name))
+                .with_span(Span::node(node.id, node.call.name()))
                 .with_fix(Fix::replace(
                     format!(
                         "load only the columns the recipe uses ({})",

@@ -4,8 +4,8 @@
 //! the whole planned DAG, priced with the same per-block `ColumnStats`
 //! the storage scan prunes by. The pass prices the driver's plan
 //! exactly: the DAG goes through the driver's one plan step first (so a
-//! filter above a load is priced as the fused `LoadTableFiltered` scan the
-//! driver actually runs), block verdicts come from the same tri-state
+//! filter above a load is priced as the load's scan predicate, the scan
+//! the driver actually runs), block verdicts come from the same tri-state
 //! evaluator `BlockTable::scan_with` consults, and totals are deduped by
 //! the executor's own structural sub-DAG ids (a repeated sub-DAG runs —
 //! and charges — once).
@@ -380,31 +380,20 @@ fn row_width(schema: &Schema) -> u64 {
 /// The `(schema, stats)` of a load node's table, when known.
 fn load_table<'a>(ctx: &'a AnalysisContext, call: &SkillCall) -> Option<&'a (Schema, TableStats)> {
     match call {
-        SkillCall::LoadTable { database, table }
-        | SkillCall::LoadTableFiltered {
-            database, table, ..
-        }
-        | SkillCall::LoadTableProjected {
+        SkillCall::LoadTable {
             database, table, ..
         } => ctx.table(database, table),
         _ => None,
     }
 }
 
-/// The load predicate already fused into a node's scan, if any.
-fn load_predicate(call: &SkillCall) -> Option<&Expr> {
+/// The predicate and the column projection planned into a load's scan.
+fn load_scan(call: &SkillCall) -> (Option<&Expr>, Option<&[String]>) {
     match call {
-        SkillCall::LoadTableFiltered { predicate, .. } => Some(predicate),
-        SkillCall::LoadTableProjected { predicate, .. } => predicate.as_ref(),
-        _ => None,
-    }
-}
-
-/// The column projection planned into a node's scan, if any.
-fn load_projection(call: &SkillCall) -> Option<&[String]> {
-    match call {
-        SkillCall::LoadTableProjected { columns, .. } => Some(columns),
-        _ => None,
+        SkillCall::LoadTable {
+            columns, predicate, ..
+        } => (predicate.as_ref(), columns.as_deref()),
+        _ => (None, None),
     }
 }
 
@@ -514,23 +503,17 @@ pub fn estimate_pass(
         let mut bytes_hi = 0u64;
         let mut out_bytes_override: Option<u64> = None;
         let bounds = match &node.call {
-            SkillCall::LoadTable { .. }
-            | SkillCall::LoadTableFiltered { .. }
-            | SkillCall::LoadTableProjected { .. } => match load_table(ctx, &node.call) {
+            SkillCall::LoadTable { .. } => match load_table(ctx, &node.call) {
                 Some((schema, stats)) => {
-                    let est = scan_estimate(
-                        schema,
-                        stats,
-                        load_predicate(&node.call),
-                        load_projection(&node.call),
-                    );
+                    let (predicate, projection) = load_scan(&node.call);
+                    let est = scan_estimate(schema, stats, predicate, projection);
                     bytes_lo = est.bytes_lo;
                     bytes_hi = est.bytes_hi;
                     // Loads re-emit stored rows: scale the stored
                     // footprint instead of the width model. Projected
                     // loads emit narrower rows — fall through to the
                     // width model over the projected schema instead.
-                    if stats.rows > 0 && load_projection(&node.call).is_none() {
+                    if stats.rows > 0 && projection.is_none() {
                         out_bytes_override = est.rows.hi.map(|h| {
                             (stats.bytes as u128 * u128::from(h) / stats.rows as u128) as u64
                         });
@@ -565,7 +548,7 @@ pub fn estimate_pass(
                     .and_then(|&i| dag.node(i).ok())
                     .and_then(|load| {
                         let (schema, stats) = load_table(ctx, &load.call)?;
-                        filter_over_scan(&keep, schema, stats, load_predicate(&load.call))
+                        filter_over_scan(&keep, schema, stats, load_scan(&load.call).0)
                     });
                 refined.unwrap_or_else(|| in_rows.filtered())
             }
@@ -1009,31 +992,26 @@ pub fn estimate_steps(env: &dc_skills::Env, steps: &[SkillCall]) -> StepEstimate
     let mut per_step = Vec::with_capacity(steps.len());
     let mut reserve = 0u64;
     for step in steps {
-        let (database, table) = match step {
-            SkillCall::LoadTable { database, table }
-            | SkillCall::LoadTableFiltered {
-                database, table, ..
-            }
-            | SkillCall::LoadTableProjected {
-                database, table, ..
-            } => (database.clone(), table.clone()),
-            _ => {
-                per_step.push(0);
-                continue;
-            }
+        let SkillCall::LoadTable {
+            database, table, ..
+        } = step
+        else {
+            per_step.push(0);
+            continue;
         };
         let entry = cache
             .entry((database.clone(), table.clone()))
             .or_insert_with(|| {
                 env.catalog
-                    .database(&database)
+                    .database(database)
                     .ok()
-                    .and_then(|db| db.table(&table).ok())
+                    .and_then(|db| db.table(table).ok())
                     .map(|bt| (bt.schema().clone(), TableStats::from_block_table(bt)))
             });
         let bytes = match entry {
             Some((schema, stats)) => {
-                scan_estimate(schema, stats, load_predicate(step), load_projection(step)).bytes_hi
+                let (predicate, projection) = load_scan(step);
+                scan_estimate(schema, stats, predicate, projection).bytes_hi
             }
             None => 0, // unknown table: the step will fail before scanning
         };
@@ -1074,10 +1052,7 @@ mod tests {
     }
 
     fn load() -> SkillCall {
-        SkillCall::LoadTable {
-            database: "db".into(),
-            table: "history".into(),
-        }
+        SkillCall::load_table("db", "history")
     }
 
     #[test]
@@ -1197,10 +1172,11 @@ mod tests {
         let mut dag = SkillDag::new();
         let l = dag
             .add(
-                SkillCall::LoadTableFiltered {
+                SkillCall::LoadTable {
                     database: "db".into(),
                     table: "t".into(),
-                    predicate: Expr::col("x").gt(Expr::lit(5i64)),
+                    columns: None,
+                    predicate: Some(Expr::col("x").gt(Expr::lit(5i64))),
                 },
                 vec![],
             )
@@ -1230,22 +1206,10 @@ mod tests {
         );
         let mut dag = SkillDag::new();
         let a1 = dag
-            .add(
-                SkillCall::LoadTable {
-                    database: "db".into(),
-                    table: "pairs".into(),
-                },
-                vec![],
-            )
+            .add(SkillCall::load_table("db", "pairs"), vec![])
             .unwrap();
         let a2 = dag
-            .add(
-                SkillCall::LoadTable {
-                    database: "db".into(),
-                    table: "pairs".into(),
-                },
-                vec![],
-            )
+            .add(SkillCall::load_table("db", "pairs"), vec![])
             .unwrap();
         let j = dag
             .add(
@@ -1334,10 +1298,11 @@ mod tests {
         assert_eq!(est.per_step, vec![full, full]);
         assert_eq!(est.reserve, full);
         // A selective fused load reserves far less than full.
-        let fused = SkillCall::LoadTableFiltered {
+        let fused = SkillCall::LoadTable {
             database: "db".into(),
             table: "history".into(),
-            predicate: Expr::col("day").ge(Expr::lit(18i64)),
+            columns: None,
+            predicate: Some(Expr::col("day").ge(Expr::lit(18i64))),
         };
         let est = estimate_steps(&env, &[fused]);
         assert!(est.reserve > 0 && est.reserve < full, "{est:?} vs {full}");

@@ -200,14 +200,8 @@ mod tests {
     }
 
     fn load(dag: &mut SkillDag) -> NodeId {
-        dag.add(
-            SkillCall::LoadTable {
-                database: "Main".into(),
-                table: "sales".into(),
-            },
-            vec![],
-        )
-        .unwrap()
+        dag.add(SkillCall::load_table("Main", "sales"), vec![])
+            .unwrap()
     }
 
     #[test]

@@ -177,38 +177,23 @@ impl Pass<'_> {
                     None
                 }
             },
-            LoadTable { database, table }
-            | LoadTableFiltered {
-                database, table, ..
-            } => match self.ctx.table(database, table) {
-                Some((schema, _stats)) => Some(schema.clone()),
-                None => {
-                    diags.push(
-                        Diagnostic::new(
-                            Code::UnknownDataset,
-                            format!("unknown table {database:?}.{table:?} in the catalog"),
-                        )
-                        .with_span(span()),
-                    );
-                    None
-                }
-            },
-            // Planner-internal projected scan: the output carries the
-            // projected columns only, in the call's column order.
-            LoadTableProjected {
+            // A load with a projection carries the projected columns
+            // only, in the call's column order.
+            LoadTable {
                 database,
                 table,
                 columns,
                 ..
-            } => match self.ctx.table(database, table) {
-                Some((schema, _stats)) => {
+            } => match (self.ctx.table(database, table), columns) {
+                (Some((schema, _stats)), None) => Some(schema.clone()),
+                (Some((schema, _stats)), Some(columns)) => {
                     let fields: Vec<_> = columns
                         .iter()
                         .filter_map(|c| schema.field(c).cloned())
                         .collect();
                     dc_engine::Schema::new(fields).ok()
                 }
-                None => {
+                (None, _) => {
                     diags.push(
                         Diagnostic::new(
                             Code::UnknownDataset,

@@ -25,13 +25,7 @@ fn setup() -> (Env, SkillDag, dc_skills::NodeId, dc_skills::NodeId) {
 
     let mut dag = SkillDag::new();
     let load = dag
-        .add(
-            SkillCall::LoadTable {
-                database: "db".into(),
-                table: "events".into(),
-            },
-            vec![],
-        )
+        .add(SkillCall::load_table("db", "events"), vec![])
         .expect("load");
     let shared = dag
         .add(

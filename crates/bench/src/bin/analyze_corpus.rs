@@ -171,13 +171,7 @@ fn qerror_sweep() {
         let cut = (ROWS as f64 * (1.0 - pct / 100.0)) as i64;
         let mut dag = SkillDag::new();
         let load = dag
-            .add(
-                SkillCall::LoadTable {
-                    database: "MainDatabase".into(),
-                    table: "big".into(),
-                },
-                vec![],
-            )
+            .add(SkillCall::load_table("MainDatabase", "big"), vec![])
             .unwrap();
         let keep = dag
             .add(

@@ -50,14 +50,8 @@ fn build_env(rows: usize, shared: Option<&Arc<MaterializedCache>>) -> Env {
 }
 
 fn load(dag: &mut SkillDag) -> usize {
-    dag.add(
-        SkillCall::LoadTable {
-            database: "warehouse".into(),
-            table: "events".into(),
-        },
-        vec![],
-    )
-    .expect("load node")
+    dag.add(SkillCall::load_table("warehouse", "events"), vec![])
+        .expect("load node")
 }
 
 fn compute(dag: &mut SkillDag, input: usize, aggs: Vec<AggSpec>) -> usize {

@@ -539,14 +539,8 @@ fn star_dag() -> (dc_skills::SkillDag, dc_skills::NodeId) {
     use dc_skills::{SkillCall, SkillDag};
     let mut dag = SkillDag::new();
     let load = |dag: &mut SkillDag, table: &str| {
-        dag.add(
-            SkillCall::LoadTable {
-                database: "bench".into(),
-                table: table.into(),
-            },
-            vec![],
-        )
-        .expect("load node")
+        dag.add(SkillCall::load_table("bench", table), vec![])
+            .expect("load node")
     };
     let fact = load(&mut dag, "fact");
     let fan = load(&mut dag, "fan");
@@ -613,13 +607,7 @@ fn wide_dag() -> (dc_skills::SkillDag, dc_skills::NodeId) {
     use dc_skills::{SkillCall, SkillDag};
     let mut dag = SkillDag::new();
     let l = dag
-        .add(
-            SkillCall::LoadTable {
-                database: "bench".into(),
-                table: "wide".into(),
-            },
-            vec![],
-        )
+        .add(SkillCall::load_table("bench", "wide"), vec![])
         .expect("load node");
     let f = dag
         .add(
@@ -980,13 +968,7 @@ fn main() {
         env.catalog.add_database(db).expect("add db");
         let mut dag = SkillDag::new();
         let l = dag
-            .add(
-                SkillCall::LoadTable {
-                    database: "bench".into(),
-                    table: "events".into(),
-                },
-                vec![],
-            )
+            .add(SkillCall::load_table("bench", "events"), vec![])
             .expect("load node");
         let f = dag
             .add(

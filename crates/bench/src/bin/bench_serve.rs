@@ -162,10 +162,7 @@ fn build_world(scale: Scale, chaos_seed: Option<u64>) -> EnvHandle {
 /// Interactive question: short filter + grouped count over tickets.
 fn interactive_request() -> Request {
     Request::new(vec![
-        SkillCall::LoadTable {
-            database: "warehouse".into(),
-            table: "tickets".into(),
-        },
+        SkillCall::load_table("warehouse", "tickets"),
         SkillCall::KeepRows {
             predicate: Expr::col("priority").gt(Expr::lit(50i64)),
         },
@@ -182,10 +179,7 @@ fn interactive_request() -> Request {
 /// pruning, while full-byte reservations still price the whole table.
 fn budget_fleet_request() -> Request {
     Request::new(vec![
-        SkillCall::LoadTable {
-            database: "warehouse".into(),
-            table: "history".into(),
-        },
+        SkillCall::load_table("warehouse", "history"),
         SkillCall::KeepRows {
             predicate: Expr::col("day").ge(Expr::lit(90i64)),
         },
@@ -200,10 +194,7 @@ fn budget_fleet_request() -> Request {
 /// dimension (bound once per session under the name `dims`), aggregate.
 fn noisy_join_request() -> Request {
     Request::new(vec![
-        SkillCall::LoadTable {
-            database: "warehouse".into(),
-            table: "events".into(),
-        },
+        SkillCall::load_table("warehouse", "events"),
         SkillCall::Join {
             other: "dims".into(),
             left_on: vec!["gid".into()],
@@ -218,11 +209,7 @@ fn noisy_join_request() -> Request {
 }
 
 fn noisy_prelude_request() -> Request {
-    Request::new(vec![SkillCall::LoadTable {
-        database: "warehouse".into(),
-        table: "dims".into(),
-    }])
-    .named("dims")
+    Request::new(vec![SkillCall::load_table("warehouse", "dims")]).named("dims")
 }
 
 struct PhaseOut {
@@ -444,10 +431,7 @@ fn run_overload(scale: Scale, chaos_seed: Option<u64>) -> OverloadOut {
     for i in 0..8 {
         match service.submit(
             "metered",
-            Request::new(vec![SkillCall::LoadTable {
-                database: "warehouse".into(),
-                table: "events".into(),
-            }]),
+            Request::new(vec![SkillCall::load_table("warehouse", "events")]),
         ) {
             Ok(h) => handles.push(h),
             Err(ServeError::Rejected { reason, .. }) => {

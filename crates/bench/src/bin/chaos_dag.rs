@@ -77,14 +77,8 @@ fn gen_dag(rng: &mut StdRng) -> (SkillDag, usize) {
     for i in 0..n_loads {
         let t = TABLES[(i + rng.random_range(0..TABLES.len())) % TABLES.len()];
         nodes.push(
-            dag.add(
-                SkillCall::LoadTable {
-                    database: "db".into(),
-                    table: t.into(),
-                },
-                vec![],
-            )
-            .expect("add load"),
+            dag.add(SkillCall::load_table("db", t), vec![])
+                .expect("add load"),
         );
     }
     let n_mid = rng.random_range(3..=8usize);

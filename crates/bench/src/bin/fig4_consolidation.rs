@@ -14,13 +14,7 @@ fn main() {
     // ----- Figure 4: Load + Filter + (app-inserted) Limit -----
     let mut dag = SkillDag::new();
     let load = dag
-        .add(
-            SkillCall::LoadTable {
-                database: "MainDatabase".into(),
-                table: "readings".into(),
-            },
-            vec![],
-        )
+        .add(SkillCall::load_table("MainDatabase", "readings"), vec![])
         .expect("dag accepts load");
     let filter = dag
         .add(

@@ -16,13 +16,7 @@ use rand::SeedableRng;
 fn exploratory_session(steps: usize, rng: &mut StdRng) -> (SkillDag, usize) {
     let mut dag = SkillDag::new();
     let mut current = dag
-        .add(
-            SkillCall::LoadTable {
-                database: "db".into(),
-                table: "events".into(),
-            },
-            vec![],
-        )
+        .add(SkillCall::load_table("db", "events"), vec![])
         .expect("load");
     for i in 0..steps {
         match rng.random_range(0..10u32) {

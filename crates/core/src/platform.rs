@@ -475,7 +475,7 @@ fn rewrite_use_dataset(call: SkillCall) -> SkillCall {
         })
     });
     match in_catalog {
-        Some((database, table)) => SkillCall::LoadTable { database, table },
+        Some((database, table)) => SkillCall::load_table(database, table),
         None => SkillCall::UseDataset { name, version },
     }
 }

@@ -57,33 +57,20 @@ pub fn format_skill(call: &SkillCall) -> String {
     match call {
         LoadFile { path } => format!("Load data from the file {path}"),
         LoadUrl { url } => format!("Load data from the URL {url}"),
-        LoadTable { database, table } => {
-            format!("Load the table {table} from the database {database}")
-        }
-        LoadTableFiltered {
-            database,
-            table,
-            predicate,
-        } => format!(
-            "Load the table {table} from the database {database} where {}",
-            format_condition(predicate)
-        ),
-        LoadTableProjected {
+        LoadTable {
             database,
             table,
             columns,
             predicate,
-        } => match predicate {
-            Some(p) => format!(
-                "Load the columns {} of the table {table} from the database {database} where {}",
-                format_list(columns),
-                format_condition(p)
-            ),
-            None => format!(
-                "Load the columns {} of the table {table} from the database {database}",
-                format_list(columns)
-            ),
-        },
+        } => {
+            let columns = columns
+                .as_ref()
+                .map_or(String::new(), |c| format!("columns {} of the ", format_list(c)));
+            let filter = predicate
+                .as_ref()
+                .map_or(String::new(), |p| format!(" where {}", format_condition(p)));
+            format!("Load the {columns}table {table} from the database {database}{filter}")
+        }
         UseDataset { name, version } => match version {
             Some(v) => format!("Use the dataset {name}, version {v}"),
             None => format!("Use the dataset {name}"),

@@ -276,41 +276,30 @@ pub fn parse_gel(sentence: &str) -> Result<SkillCall> {
     if let Some(rest) = strip_ci(s, "load data from the url") {
         return Ok(SkillCall::LoadUrl { url: rest.into() });
     }
-    if let Some(rest) = strip_ci(s, "load the columns") {
-        let (cols, rest) = split_word_ci(rest, "of the table")
-            .ok_or_else(|| GelError::bad_phrase("expected of the table <table>", rest))?;
+    // Load [the columns <columns> of] the table <table> from the
+    // database <db> [where <condition>]: the projection and the scan
+    // filter are the planner's, and parse back from what it formats.
+    let projected = strip_ci(s, "load the columns");
+    if let Some(rest) = projected.or_else(|| strip_ci(s, "load the table")) {
+        let (columns, rest) = match projected {
+            Some(_) => {
+                let (cols, rest) = split_word_ci(rest, "of the table")
+                    .ok_or_else(|| GelError::bad_phrase("expected of the table <table>", rest))?;
+                (Some(parse_list(cols)), rest)
+            }
+            None => (None, rest),
+        };
         let (table, db) = split_word_ci(rest, "from the database")
             .ok_or_else(|| GelError::bad_phrase("expected from the database <db>", rest))?;
-        let columns = parse_list(cols);
-        if let Some((db, cond)) = split_word_ci(db, "where") {
-            return Ok(SkillCall::LoadTableProjected {
-                database: db.into(),
-                table: table.into(),
-                columns,
-                predicate: Some(parse_condition(cond)?),
-            });
-        }
-        return Ok(SkillCall::LoadTableProjected {
-            database: db.into(),
-            table: table.into(),
-            columns,
-            predicate: None,
-        });
-    }
-    if let Some(rest) = strip_ci(s, "load the table") {
-        let (table, db) = split_word_ci(rest, "from the database")
-            .ok_or_else(|| GelError::bad_phrase("expected from the database <db>", rest))?;
-        // Optional pushed-down filter: "... where <condition>".
-        if let Some((db, cond)) = split_word_ci(db, "where") {
-            return Ok(SkillCall::LoadTableFiltered {
-                database: db.into(),
-                table: table.into(),
-                predicate: parse_condition(cond)?,
-            });
-        }
+        let (db, predicate) = match split_word_ci(db, "where") {
+            Some((db, cond)) => (db, Some(parse_condition(cond)?)),
+            None => (db, None),
+        };
         return Ok(SkillCall::LoadTable {
             database: db.into(),
             table: table.into(),
+            columns,
+            predicate,
         });
     }
     if let Some(rest) = strip_ci(s, "use the dataset") {
@@ -980,10 +969,11 @@ mod tests {
             parse_gel("Load the table sales from the database MainDatabase where price > 10")
                 .unwrap();
         match &call {
-            SkillCall::LoadTableFiltered {
+            SkillCall::LoadTable {
                 database,
                 table,
-                predicate,
+                columns: None,
+                predicate: Some(predicate),
             } => {
                 assert_eq!(database, "MainDatabase");
                 assert_eq!(table, "sales");
@@ -999,10 +989,50 @@ mod tests {
         let sentence = format_skill(&call);
         assert_eq!(parse_gel(&sentence).unwrap(), call);
         // Without a where clause the plain load is unchanged.
-        assert!(matches!(
+        assert_eq!(
             parse_gel("Load the table sales from the database MainDatabase").unwrap(),
-            SkillCall::LoadTable { .. }
-        ));
+            SkillCall::load_table("MainDatabase", "sales")
+        );
+    }
+
+    /// One load call, four sentences: each shape formats to its own
+    /// sentence, parses back to itself, and keys its own cache entry.
+    #[test]
+    fn the_four_load_shapes_roundtrip_and_key_apart() {
+        let columns = Some(vec!["day".to_string(), "qty".to_string()]);
+        let predicate = Some(Expr::col("day").ge(Expr::lit(330i64)));
+        let shape = |columns: &Option<Vec<String>>, predicate: &Option<Expr>| {
+            let (columns, predicate) = (columns.clone(), predicate.clone());
+            SkillCall::LoadTable {
+                database: "D".into(),
+                table: "T".into(),
+                columns,
+                predicate,
+            }
+        };
+        let shapes = [
+            (shape(&None, &None), "Load the table T from the database D"),
+            (
+                shape(&None, &predicate),
+                "Load the table T from the database D where (day >= 330)",
+            ),
+            (
+                shape(&columns, &None),
+                "Load the columns day, qty of the table T from the database D",
+            ),
+            (
+                shape(&columns, &predicate),
+                "Load the columns day, qty of the table T from the database D where (day >= 330)",
+            ),
+        ];
+        for (call, sentence) in &shapes {
+            assert_eq!(call.name(), "LoadTable");
+            assert_eq!(format_skill(call), *sentence);
+            assert_eq!(parse_gel(sentence).unwrap(), *call);
+        }
+        let keys: std::collections::BTreeSet<String> =
+            shapes.iter().map(|(call, _)| call.cache_key()).collect();
+        assert_eq!(keys.len(), shapes.len(), "{keys:?}");
     }
 
     #[test]
@@ -1169,10 +1199,7 @@ mod tests {
                 name: "fredgraph".into(),
                 version: Some(1),
             },
-            SkillCall::LoadTable {
-                database: "MainDatabase".into(),
-                table: "parties".into(),
-            },
+            SkillCall::load_table("MainDatabase", "parties"),
         ];
         for call in calls {
             let text = format_skill(&call);

@@ -102,14 +102,16 @@ fn english_of(call: &SkillCall) -> String {
     match call {
         LoadFile { path } => format!("Reads the file {path}, infers a column type for every field, and makes the result the current dataset."),
         LoadUrl { url } => format!("Downloads {url}, parses it as CSV, and makes the result the current dataset."),
-        LoadTable { database, table } => format!("Scans the table {table} in the database {database}; the scan is metered under that database's pricing."),
-        LoadTableFiltered { database, table, predicate } => format!("Scans the table {table} in the database {database} with the filter {} pushed into the scan, skipping blocks whose zone maps prove no row can match; only blocks actually read are metered.", predicate.to_sql()),
-        LoadTableProjected { database, table, columns, predicate } => {
-            let pred = match predicate {
-                Some(p) => format!(" and the filter {} pushed into the scan", p.to_sql()),
-                None => String::new(),
-            };
-            format!("Scans only the columns {} of the table {table} in the database {database}{pred}; untouched columns cost no scan bytes.", columns.join(", "))
+        LoadTable { database, table, columns, predicate } => {
+            let pushed = predicate.as_ref().map(|p| format!("the filter {} pushed into the scan", p.to_sql()));
+            match (columns, pushed) {
+                (None, None) => format!("Scans the table {table} in the database {database}; the scan is metered under that database's pricing."),
+                (None, Some(pushed)) => format!("Scans the table {table} in the database {database} with {pushed}, skipping blocks whose zone maps prove no row can match; only blocks actually read are metered."),
+                (Some(columns), pushed) => {
+                    let pred = pushed.map_or(String::new(), |p| format!(" and {p}"));
+                    format!("Scans only the columns {} of the table {table} in the database {database}{pred}; untouched columns cost no scan bytes.", columns.join(", "))
+                }
+            }
         }
         UseDataset { name, .. } => format!("Switches the current dataset back to the earlier result named {name} without recomputing it."),
         UseSnapshot { name } => format!("Reads the locally cached snapshot {name}; no cloud scan is charged."),
@@ -296,10 +298,7 @@ mod tests {
             LoadUrl {
                 url: "https://x/y.csv".into(),
             },
-            LoadTable {
-                database: "db".into(),
-                table: "t".into(),
-            },
+            SkillCall::load_table("db", "t"),
             UseDataset {
                 name: "d".into(),
                 version: None,

@@ -83,10 +83,7 @@ mod tests {
 
     fn load_and_count() -> Request {
         Request::new(vec![
-            SkillCall::LoadTable {
-                database: "cloud".into(),
-                table: "sales".into(),
-            },
+            SkillCall::load_table("cloud", "sales"),
             SkillCall::CountRows,
         ])
     }
@@ -233,10 +230,7 @@ mod tests {
         // spill traffic must land on the tenant's counters.
         let request = || {
             Request::new(vec![
-                SkillCall::LoadTable {
-                    database: "cloud".into(),
-                    table: "sales".into(),
-                },
+                SkillCall::load_table("cloud", "sales"),
                 SkillCall::Sort {
                     keys: vec![("order_id".into(), false)],
                 },
@@ -284,10 +278,7 @@ mod tests {
         service
             .register_tenant("slow", TenantConfig::new())
             .unwrap();
-        let mut steps = vec![SkillCall::LoadTable {
-            database: "cloud".into(),
-            table: "sales".into(),
-        }];
+        let mut steps = vec![SkillCall::load_table("cloud", "sales")];
         for _ in 0..20 {
             steps.push(SkillCall::CountRows);
         }

@@ -350,11 +350,7 @@ fn estimate_scan_bytes(env: &Env, steps: &[SkillCall]) -> u64 {
     steps
         .iter()
         .map(|call| match call {
-            SkillCall::LoadTable { database, table }
-            | SkillCall::LoadTableFiltered {
-                database, table, ..
-            }
-            | SkillCall::LoadTableProjected {
+            SkillCall::LoadTable {
                 database, table, ..
             } => {
                 if seen.contains(&(database.as_str(), table.as_str())) {
@@ -596,10 +592,7 @@ mod tests {
         db.create_table_on_disk("disk", &rows, 128, &dir).unwrap();
         let mut env = Env::new();
         env.catalog.add_database(db).unwrap();
-        let load = |table: &str| SkillCall::LoadTable {
-            database: "cloud".into(),
-            table: table.into(),
-        };
+        let load = |table: &str| SkillCall::load_table("cloud", table);
         let ram = estimate_scan_bytes(&env, &[load("ram")]);
         assert!(ram > 0);
         assert_eq!(estimate_scan_bytes(&env, &[load("disk")]), ram);

@@ -12,7 +12,7 @@
 //!
 //! Executors only publish (and probe) entries whose whole ancestor cone
 //! is version-addressable: pure transforms over `LoadTable` /
-//! `LoadTableFiltered` / `UseSnapshot` leaves. Each leaf's call
+//! `UseSnapshot` leaves. Each leaf's call
 //! signature is salted with the source's current storage version
 //! (`CloudDatabase::table_version`, `SnapshotStore::snapshot_version`),
 //! and a node's [`SharedKey`] hashes its salted call together with its

@@ -264,15 +264,7 @@ mod tests {
 
     fn linear_dag() -> (SkillDag, NodeId) {
         let mut dag = SkillDag::new();
-        let load = dag
-            .add(
-                SkillCall::LoadTable {
-                    database: "db".into(),
-                    table: "t".into(),
-                },
-                vec![],
-            )
-            .unwrap();
+        let load = dag.add(SkillCall::load_table("db", "t"), vec![]).unwrap();
         let f = dag
             .add(
                 SkillCall::KeepRows {

@@ -54,8 +54,6 @@ pub fn needs_env(call: &SkillCall, has_input: bool) -> bool {
         LoadFile { .. }
         | LoadUrl { .. }
         | LoadTable { .. }
-        | LoadTableFiltered { .. }
-        | LoadTableProjected { .. }
         | UseSnapshot { .. }
         | ListDatasets
         | TrainModel { .. }
@@ -86,18 +84,7 @@ pub fn execute_call(call: &SkillCall, inputs: &[&Table], env: &mut Env) -> Resul
         // ----- ingestion -----
         LoadFile { path } => Ok(SkillOutput::Table(read_csv(env.file(path)?)?)),
         LoadUrl { url } => Ok(SkillOutput::Table(read_csv(env.url(url)?)?)),
-        LoadTable { database, table } => scan(env, database, table, None, None),
-        LoadTableFiltered {
-            database,
-            table,
-            predicate,
-        } => scan(env, database, table, None, Some(predicate)),
-        LoadTableProjected {
-            database,
-            table,
-            columns,
-            predicate,
-        } => scan(env, database, table, Some(columns), predicate.as_ref()),
+        LoadTable { .. } => load_table(call, env, ScanOptions::full()),
         UseDataset { name, .. } if inputs.is_empty() => {
             Ok(SkillOutput::Table(env.saved_table(name)?.clone()))
         }
@@ -227,19 +214,30 @@ pub fn execute_call(call: &SkillCall, inputs: &[&Table], env: &mut Env) -> Resul
     }
 }
 
-/// Scan a catalog table for a load skill — projected to `columns` and
-/// filtered by `predicate` inside storage when given — tallying the receipt.
-fn scan(
+/// Scan the catalog table a [`SkillCall::LoadTable`] names — projected to
+/// its columns and filtered by its predicate inside storage when it has
+/// them — tallying the receipt. `opts` chooses the blocks: every one, or
+/// the sample a degraded load falls back to.
+pub(crate) fn load_table(
+    call: &SkillCall,
     env: &mut Env,
-    database: &str,
-    table: &str,
-    columns: Option<&Vec<String>>,
-    predicate: Option<&Expr>,
+    mut opts: ScanOptions,
 ) -> Result<SkillOutput> {
+    let SkillCall::LoadTable {
+        database,
+        table,
+        columns,
+        predicate,
+    } = call
+    else {
+        return Err(SkillError::invalid(format!(
+            "{} is not a table load",
+            call.name()
+        )));
+    };
     let db = env.catalog.database(database)?;
-    let mut opts = ScanOptions::full();
-    opts.columns = columns.cloned();
-    opts.predicate = predicate.cloned();
+    opts.columns = columns.clone();
+    opts.predicate = predicate.clone();
     opts.cancel = Some(env.cancel.clone());
     let (data, receipt) = db.scan(table, &opts)?;
     env.scan_tally.record(&receipt);
@@ -789,11 +787,7 @@ pub fn structural_ids(dag: &SkillDag) -> HashMap<NodeId, SubDagId> {
 fn versioned_call_sig(call: &SkillCall, env: &Env) -> (String, bool) {
     let base = call.cache_key();
     match call {
-        SkillCall::LoadTable { database, table }
-        | SkillCall::LoadTableFiltered {
-            database, table, ..
-        }
-        | SkillCall::LoadTableProjected {
+        SkillCall::LoadTable {
             database, table, ..
         } => {
             let version = env
@@ -1143,13 +1137,7 @@ mod tests {
     fn load_dag() -> (SkillDag, NodeId) {
         let mut dag = SkillDag::new();
         let load = dag
-            .add(
-                SkillCall::LoadTable {
-                    database: "MainDatabase".into(),
-                    table: "numbers".into(),
-                },
-                vec![],
-            )
+            .add(SkillCall::load_table("MainDatabase", "numbers"), vec![])
             .unwrap();
         (dag, load)
     }

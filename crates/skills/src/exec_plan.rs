@@ -165,13 +165,7 @@ mod tests {
     fn chain() -> (SkillDag, NodeId) {
         let mut dag = SkillDag::new();
         let l = dag
-            .add(
-                SkillCall::LoadTable {
-                    database: "db".into(),
-                    table: "events".into(),
-                },
-                vec![],
-            )
+            .add(SkillCall::load_table("db", "events"), vec![])
             .unwrap();
         let f = dag
             .add(
@@ -223,13 +217,7 @@ mod tests {
     fn planned_route_handles_ml_breaks() {
         let mut dag = SkillDag::new();
         let l = dag
-            .add(
-                SkillCall::LoadTable {
-                    database: "db".into(),
-                    table: "events".into(),
-                },
-                vec![],
-            )
+            .add(SkillCall::load_table("db", "events"), vec![])
             .unwrap();
         let f = dag
             .add(
@@ -263,22 +251,10 @@ mod tests {
     fn planned_join_uses_secondary_inputs() {
         let mut dag = SkillDag::new();
         let l = dag
-            .add(
-                SkillCall::LoadTable {
-                    database: "db".into(),
-                    table: "events".into(),
-                },
-                vec![],
-            )
+            .add(SkillCall::load_table("db", "events"), vec![])
             .unwrap();
         let other = dag
-            .add(
-                SkillCall::LoadTable {
-                    database: "db".into(),
-                    table: "events".into(),
-                },
-                vec![],
-            )
+            .add(SkillCall::load_table("db", "events"), vec![])
             .unwrap();
         let j = dag
             .add(

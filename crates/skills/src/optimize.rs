@@ -5,15 +5,15 @@
 //! runs before pricing it. Four rewrite families:
 //!
 //! 1. **Projection pushdown** — a column-liveness pass threads the
-//!    minimal live column set of every unprotected `LoadTable` /
-//!    `LoadTableFiltered` into a [`SkillCall::LoadTableProjected`], so
-//!    the storage scan never reads (or charges for) dead columns.
+//!    minimal live column set of every unprotected [`SkillCall::LoadTable`]
+//!    that reads all columns into its `columns`, so the storage scan
+//!    never reads (or charges for) dead columns.
 //! 2. **Filter hoisting** — prunable conjuncts of `KeepRows` /
 //!    `DropRows` predicates sink below joins, concats, group-bys and the
 //!    wrangling steps whose semantics provably pass the referenced
-//!    columns through unchanged, landing as scan predicates on the
-//!    source loads, where per-block zone maps skip blocks that cannot
-//!    contain a matching row. [`plan_pushdown`] and
+//!    columns through unchanged, landing as the `predicate` of the
+//!    source loads that have none, where per-block zone maps skip blocks
+//!    that cannot contain a matching row. [`plan_pushdown`] and
 //!    [`plan_linear_pushdown`] are this rule alone, for callers with no
 //!    statistics (a request's step list, a whole-DAG analysis).
 //! 3. **Join-order selection** — chains/stars of 2–4 inner joins are
@@ -174,7 +174,7 @@ pub fn optimize_dag(
         names = forward_names(&out, stats);
     }
     for (load, predicate) in hoist_filters(&out, &protected, &vetoed, &names) {
-        changed |= push_into_load(&mut out, load, predicate);
+        changed |= set_scan(&mut out, load, |_, scan| *scan = Some(predicate));
     }
     project_loads(&mut out, targets, &protected, &names, &mut changed);
     changed.then_some(out)
@@ -202,7 +202,7 @@ pub fn plan_pushdown(dag: &SkillDag, protected: &[NodeId], vetoed: &[NodeId]) ->
     }
     let mut out = dag.clone();
     for (load, predicate) in pushed {
-        push_into_load(&mut out, load, predicate);
+        set_scan(&mut out, load, |_, scan| *scan = Some(predicate));
     }
     Some(out)
 }
@@ -264,22 +264,16 @@ fn protected_set(dag: &SkillDag, targets: &[NodeId], vetoed: &[NodeId]) -> Vec<b
     protected
 }
 
-fn is_load(call: &SkillCall) -> bool {
-    matches!(
-        call,
-        SkillCall::LoadTable { .. }
-            | SkillCall::LoadTableFiltered { .. }
-            | SkillCall::LoadTableProjected { .. }
-    )
-}
-
 /// Redirect consumers of duplicate load nodes to the first structural
 /// copy. The executor's sub-DAG cache would unify them anyway; doing it
 /// at plan time also unifies anything hoisting later fuses on top.
 fn dedup_loads(dag: &mut SkillDag, protected: &[bool], changed: &mut bool) {
     let mut first: Vec<(&SkillCall, NodeId)> = Vec::new();
     let mut alias: Vec<Option<NodeId>> = vec![None; dag.len()];
-    for node in dag.nodes().iter().filter(|n| is_load(&n.call)) {
+    for node in dag.nodes() {
+        if !matches!(node.call, SkillCall::LoadTable { .. }) {
+            continue;
+        }
         match first.iter().find(|(c, _)| **c == node.call) {
             Some(&(_, twin)) if !protected[node.id] => alias[node.id] = Some(twin),
             Some(_) => {}
@@ -363,13 +357,15 @@ fn forward_names(dag: &SkillDag, stats: &dyn PlanStats) -> Vec<Option<Vec<String
             cols.and_then(|c| c.iter().position(|f| f.eq_ignore_ascii_case(name)))
         };
         let out: Option<Vec<String>> = match &node.call {
-            LoadTable { database, table }
-            | LoadTableFiltered {
+            LoadTable {
+                columns: Some(columns),
+                ..
+            } => Some(columns.clone()),
+            LoadTable {
                 database, table, ..
             } => stats
                 .table_schema(database, table)
                 .map(|s| s.fields().iter().map(|f| f.name.clone()).collect()),
-            LoadTableProjected { columns, .. } => Some(columns.clone()),
             UseDataset { .. } if !node.inputs.is_empty() => input(0).cloned(),
             KeepRows { .. }
             | DropRows { .. }
@@ -661,7 +657,7 @@ fn demands(dag: &SkillDag, protected: &[bool], names: &[Option<Vec<String>>]) ->
 }
 
 /// Rewrite unprotected loads whose live column set is a strict subset
-/// of the table schema into [`SkillCall::LoadTableProjected`]. Columns
+/// of the table schema to scan those `columns` only. Columns
 /// are emitted in schema order (projection never reorders), demands
 /// that fail to resolve against the schema veto the rewrite, and an
 /// empty live set keeps the first column so row counts survive.
@@ -685,14 +681,8 @@ fn project_loads(
             // rewriting it would only obscure DC0101's report.
             continue;
         }
-        let (database, table, predicate) = match dag.node(id).map(|n| &n.call) {
-            Ok(SkillCall::LoadTable { database, table }) => (database.clone(), table.clone(), None),
-            Ok(SkillCall::LoadTableFiltered {
-                database,
-                table,
-                predicate,
-            }) => (database.clone(), table.clone(), Some(predicate.clone())),
-            _ => continue,
+        let Ok(SkillCall::LoadTable { columns: None, .. }) = dag.node(id).map(|n| &n.call) else {
+            continue;
         };
         let (Demand::Cols(live), Some(fields)) = (&demand[id], &names[id]) else {
             continue;
@@ -711,16 +701,27 @@ fn project_loads(
         if columns.len() == fields.len() {
             continue;
         }
-        let call = SkillCall::LoadTableProjected {
-            database,
-            table,
-            columns,
-            predicate,
-        };
-        if dag.update_call(id, call).is_ok() {
-            *changed = true;
-        }
+        *changed |= set_scan(dag, id, |load_columns, _| *load_columns = Some(columns));
     }
+}
+
+/// Edit the scan of load `id` in place; whether there was a load to edit.
+fn set_scan(
+    dag: &mut SkillDag,
+    id: NodeId,
+    edit: impl FnOnce(&mut Option<Vec<String>>, &mut Option<Expr>),
+) -> bool {
+    let Ok(mut call) = dag.node(id).map(|n| n.call.clone()) else {
+        return false;
+    };
+    let SkillCall::LoadTable {
+        columns, predicate, ..
+    } = &mut call
+    else {
+        return false;
+    };
+    edit(columns, predicate);
+    dag.update_call(id, call).is_ok()
 }
 
 // ---------------------------------------------------------------------
@@ -776,19 +777,6 @@ fn hoist_filters(
     pushed
 }
 
-/// Give load `id` the scan predicate [`hoist_filters`] found for it.
-fn push_into_load(dag: &mut SkillDag, id: NodeId, predicate: Expr) -> bool {
-    let Ok(SkillCall::LoadTable { database, table }) = dag.node(id).map(|n| &n.call) else {
-        return false;
-    };
-    let call = SkillCall::LoadTableFiltered {
-        database: database.clone(),
-        table: table.clone(),
-        predicate,
-    };
-    dag.update_call(id, call).is_ok()
-}
-
 /// What [`SinkCx::sink`] consults on the way down.
 struct SinkCx<'a> {
     dag: &'a SkillDag,
@@ -822,7 +810,9 @@ impl SinkCx<'_> {
             conjuncts.into_iter().filter(over).collect()
         };
         let pass = match &node.call {
-            LoadTable { .. } => {
+            LoadTable {
+                predicate: None, ..
+            } => {
                 if !pushed.iter().any(|(load, _)| *load == id) {
                     pushed.extend(conjoin(conjuncts).map(|p| (id, p)));
                 }
@@ -1005,7 +995,10 @@ fn collect_stars(dag: &SkillDag, consumers: &[Vec<NodeId>]) -> Vec<Star> {
         if joins.len() < 2 || joins.len() > 4 {
             continue;
         }
-        let dim_is_load = |j: &StarJoin| dag.node(j.dim).is_ok_and(|n| is_load(&n.call));
+        let dim_is_load = |j: &StarJoin| {
+            dag.node(j.dim)
+                .is_ok_and(|n| matches!(n.call, SkillCall::LoadTable { .. }))
+        };
         if !joins.iter().all(dim_is_load) {
             continue;
         }
@@ -1017,11 +1010,7 @@ fn collect_stars(dag: &SkillDag, consumers: &[Vec<NodeId>]) -> Vec<Star> {
 fn dim_cost(dag: &SkillDag, j: &StarJoin, stats: &dyn PlanStats) -> Option<DimCost> {
     let node = dag.node(j.dim).ok()?;
     let (database, table) = match &node.call {
-        SkillCall::LoadTable { database, table }
-        | SkillCall::LoadTableFiltered {
-            database, table, ..
-        }
-        | SkillCall::LoadTableProjected {
+        SkillCall::LoadTable {
             database, table, ..
         } => (database.clone(), table.clone()),
         _ => return None,
@@ -1094,9 +1083,11 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
 fn dim_nonkeys(dag: &SkillDag, j: &StarJoin, stats: &dyn PlanStats) -> Option<Vec<String>> {
     let node = dag.node(j.dim).ok()?;
     let (database, table) = match &node.call {
-        SkillCall::LoadTable { database, table }
-        | SkillCall::LoadTableFiltered {
-            database, table, ..
+        SkillCall::LoadTable {
+            database,
+            table,
+            columns: None,
+            ..
         } => (database, table),
         _ => return None,
     };
@@ -1416,13 +1407,7 @@ mod tests {
         let env = env_with(&[("wide", wide_table(64), 16)]);
         let mut dag = SkillDag::new();
         let load = dag
-            .add(
-                SkillCall::LoadTable {
-                    database: "Main".into(),
-                    table: "wide".into(),
-                },
-                vec![],
-            )
+            .add(SkillCall::load_table("Main", "wide"), vec![])
             .unwrap();
         let agg = dag
             .add(
@@ -1439,7 +1424,10 @@ mod tests {
             .unwrap();
         let out = optimize_dag(&dag, &[agg], &[], &env).expect("rewrite applies");
         match &out.node(load).unwrap().call {
-            SkillCall::LoadTableProjected { columns, .. } => {
+            SkillCall::LoadTable {
+                columns: Some(columns),
+                ..
+            } => {
                 assert_eq!(columns, &["k".to_string(), "a".to_string()]);
             }
             other => panic!("expected projected load, got {other:?}"),
@@ -1451,13 +1439,7 @@ mod tests {
         let env = env_with(&[("wide", wide_table(64), 16)]);
         let mut dag = SkillDag::new();
         let load = dag
-            .add(
-                SkillCall::LoadTable {
-                    database: "Main".into(),
-                    table: "wide".into(),
-                },
-                vec![],
-            )
+            .add(SkillCall::load_table("Main", "wide"), vec![])
             .unwrap();
         assert!(optimize_dag(&dag, &[load], &[], &env).is_none());
     }
@@ -1467,22 +1449,10 @@ mod tests {
         let env = env_with(&[("wide", wide_table(64), 16), ("dims", dim_table(8), 8)]);
         let mut dag = SkillDag::new();
         let fact = dag
-            .add(
-                SkillCall::LoadTable {
-                    database: "Main".into(),
-                    table: "wide".into(),
-                },
-                vec![],
-            )
+            .add(SkillCall::load_table("Main", "wide"), vec![])
             .unwrap();
         let dim = dag
-            .add(
-                SkillCall::LoadTable {
-                    database: "Main".into(),
-                    table: "dims".into(),
-                },
-                vec![],
-            )
+            .add(SkillCall::load_table("Main", "dims"), vec![])
             .unwrap();
         let join = dag
             .add(
@@ -1505,10 +1475,9 @@ mod tests {
             .unwrap();
         let out = optimize_dag(&dag, &[filter], &[], &env).expect("rewrite applies");
         match &out.node(fact).unwrap().call {
-            SkillCall::LoadTableProjected {
+            SkillCall::LoadTable {
                 predicate: Some(_), ..
             } => {}
-            SkillCall::LoadTableFiltered { .. } => {}
             other => panic!("expected hoisted predicate on the fact load, got {other:?}"),
         }
         // The filter itself still evaluates in full.
@@ -1526,22 +1495,10 @@ mod tests {
         let env = env_with(&[("wide", wide_table(64), 16), ("dims", dim_table(8), 8)]);
         let mut dag = SkillDag::new();
         let fact = dag
-            .add(
-                SkillCall::LoadTable {
-                    database: "Main".into(),
-                    table: "wide".into(),
-                },
-                vec![],
-            )
+            .add(SkillCall::load_table("Main", "wide"), vec![])
             .unwrap();
         let dim = dag
-            .add(
-                SkillCall::LoadTable {
-                    database: "Main".into(),
-                    table: "dims".into(),
-                },
-                vec![],
-            )
+            .add(SkillCall::load_table("Main", "dims"), vec![])
             .unwrap();
         let join = dag
             .add(
@@ -1566,8 +1523,7 @@ mod tests {
         if let Some(out) = out {
             for id in [fact, dim] {
                 match &out.node(id).unwrap().call {
-                    SkillCall::LoadTable { .. } => {}
-                    SkillCall::LoadTableProjected {
+                    SkillCall::LoadTable {
                         predicate: None, ..
                     } => {}
                     other => panic!("predicate leaked through an outer join: {other:?}"),
@@ -1589,22 +1545,10 @@ mod tests {
         let env = env_with(&[("wide", wide_table(64), 16), ("shadow", shadow, 8)]);
         let mut dag = SkillDag::new();
         let fact = dag
-            .add(
-                SkillCall::LoadTable {
-                    database: "Main".into(),
-                    table: "wide".into(),
-                },
-                vec![],
-            )
+            .add(SkillCall::load_table("Main", "wide"), vec![])
             .unwrap();
         let dim = dag
-            .add(
-                SkillCall::LoadTable {
-                    database: "Main".into(),
-                    table: "shadow".into(),
-                },
-                vec![],
-            )
+            .add(SkillCall::load_table("Main", "shadow"), vec![])
             .unwrap();
         let join = dag
             .add(
@@ -1627,7 +1571,10 @@ mod tests {
             .unwrap();
         let out = optimize_dag(&dag, &[keep], &[], &env).expect("rewrite applies");
         match &out.node(fact).unwrap().call {
-            SkillCall::LoadTableProjected { columns, .. } => {
+            SkillCall::LoadTable {
+                columns: Some(columns),
+                ..
+            } => {
                 assert_eq!(columns, &["k".to_string(), "a".to_string()]);
             }
             other => panic!("expected projected fact load, got {other:?}"),
@@ -1642,13 +1589,7 @@ mod tests {
         let env = env_with(&[("wide", wide_table(64), 16)]);
         let mut dag = SkillDag::new();
         let load = dag
-            .add(
-                SkillCall::LoadTable {
-                    database: "Main".into(),
-                    table: "wide".into(),
-                },
-                vec![],
-            )
+            .add(SkillCall::load_table("Main", "wide"), vec![])
             .unwrap();
         let ren = dag
             .add(
@@ -1674,7 +1615,10 @@ mod tests {
             .unwrap();
         let out = optimize_dag(&dag, &[agg], &[], &env).expect("rewrite applies");
         match &out.node(load).unwrap().call {
-            SkillCall::LoadTableProjected { columns, .. } => {
+            SkillCall::LoadTable {
+                columns: Some(columns),
+                ..
+            } => {
                 assert_eq!(
                     columns,
                     &["k".to_string(), "a".to_string(), "b".to_string()]
@@ -1685,13 +1629,7 @@ mod tests {
         // The common case (fresh target name) still projects tightly.
         let mut dag2 = SkillDag::new();
         let load2 = dag2
-            .add(
-                SkillCall::LoadTable {
-                    database: "Main".into(),
-                    table: "wide".into(),
-                },
-                vec![],
-            )
+            .add(SkillCall::load_table("Main", "wide"), vec![])
             .unwrap();
         let ren2 = dag2
             .add(
@@ -1717,7 +1655,10 @@ mod tests {
             .unwrap();
         let out2 = optimize_dag(&dag2, &[agg2], &[], &env).expect("rewrite applies");
         match &out2.node(load2).unwrap().call {
-            SkillCall::LoadTableProjected { columns, .. } => {
+            SkillCall::LoadTable {
+                columns: Some(columns),
+                ..
+            } => {
                 assert_eq!(columns, &["k".to_string(), "a".to_string()]);
             }
             other => panic!("expected projected load, got {other:?}"),
@@ -1729,13 +1670,7 @@ mod tests {
         let env = env_with(&[("wide", wide_table(16), 8)]);
         let mut dag = SkillDag::new();
         let load = dag
-            .add(
-                SkillCall::LoadTable {
-                    database: "Main".into(),
-                    table: "wide".into(),
-                },
-                vec![],
-            )
+            .add(SkillCall::load_table("Main", "wide"), vec![])
             .unwrap();
         let f1 = dag
             .add(
@@ -1762,7 +1697,11 @@ mod tests {
             let mut cols = Vec::new();
             predicate.referenced_columns(&mut cols);
             assert_eq!(cols, vec!["a".to_string()]);
-            if let SkillCall::LoadTableFiltered { predicate, .. } = &out.node(load).unwrap().call {
+            if let SkillCall::LoadTable {
+                predicate: Some(predicate),
+                ..
+            } = &out.node(load).unwrap().call
+            {
                 let mut cols = Vec::new();
                 predicate.referenced_columns(&mut cols);
                 assert!(
@@ -1821,22 +1760,10 @@ mod tests {
         ]);
         let mut dag = SkillDag::new();
         let base = dag
-            .add(
-                SkillCall::LoadTable {
-                    database: "Main".into(),
-                    table: "fact".into(),
-                },
-                vec![],
-            )
+            .add(SkillCall::load_table("Main", "fact"), vec![])
             .unwrap();
         let d1 = dag
-            .add(
-                SkillCall::LoadTable {
-                    database: "Main".into(),
-                    table: "fan".into(),
-                },
-                vec![],
-            )
+            .add(SkillCall::load_table("Main", "fan"), vec![])
             .unwrap();
         let j1 = dag
             .add(
@@ -1850,13 +1777,7 @@ mod tests {
             )
             .unwrap();
         let d2 = dag
-            .add(
-                SkillCall::LoadTable {
-                    database: "Main".into(),
-                    table: "uni".into(),
-                },
-                vec![],
-            )
+            .add(SkillCall::load_table("Main", "uni"), vec![])
             .unwrap();
         let j2 = dag
             .add(
@@ -1877,9 +1798,7 @@ mod tests {
             other => panic!("expected join, got {other:?}"),
         }
         match &out.node(d1).unwrap().call {
-            SkillCall::LoadTable { table, .. } | SkillCall::LoadTableProjected { table, .. } => {
-                assert_eq!(table, "uni")
-            }
+            SkillCall::LoadTable { table, .. } => assert_eq!(table, "uni"),
             other => panic!("expected load of uni, got {other:?}"),
         }
         // Advice on the written DAG flags the same star.
@@ -1894,22 +1813,10 @@ mod tests {
         let env = env_with(&[("wide", wide_table(16), 8)]);
         let mut dag = SkillDag::new();
         let l1 = dag
-            .add(
-                SkillCall::LoadTable {
-                    database: "Main".into(),
-                    table: "wide".into(),
-                },
-                vec![],
-            )
+            .add(SkillCall::load_table("Main", "wide"), vec![])
             .unwrap();
         let l2 = dag
-            .add(
-                SkillCall::LoadTable {
-                    database: "Main".into(),
-                    table: "wide".into(),
-                },
-                vec![],
-            )
+            .add(SkillCall::load_table("Main", "wide"), vec![])
             .unwrap();
         let cat = dag
             .add(
@@ -1930,13 +1837,7 @@ mod tests {
         let env = env_with(&[("wide", wide_table(16), 8)]);
         let mut dag = SkillDag::new();
         let load = dag
-            .add(
-                SkillCall::LoadTable {
-                    database: "Main".into(),
-                    table: "wide".into(),
-                },
-                vec![],
-            )
+            .add(SkillCall::load_table("Main", "wide"), vec![])
             .unwrap();
         let f1 = dag
             .add(
@@ -1980,19 +1881,12 @@ mod tests {
     // ----- the filter-hoisting rule alone: `plan_pushdown` -----
 
     fn bare_load(dag: &mut SkillDag) -> NodeId {
-        dag.add(
-            SkillCall::LoadTable {
-                database: "db".into(),
-                table: "t".into(),
-            },
-            vec![],
-        )
-        .unwrap()
+        dag.add(SkillCall::load_table("db", "t"), vec![]).unwrap()
     }
 
     fn pushed_predicate(dag: &SkillDag, id: NodeId) -> Option<&Expr> {
         match &dag.node(id).unwrap().call {
-            SkillCall::LoadTableFiltered { predicate, .. } => Some(predicate),
+            SkillCall::LoadTable { predicate, .. } => predicate.as_ref(),
             _ => None,
         }
     }
@@ -2106,10 +2000,7 @@ mod tests {
     #[test]
     fn linear_pushdown_fuses_interior_loads() {
         let steps = vec![
-            SkillCall::LoadTable {
-                database: "db".into(),
-                table: "t".into(),
-            },
+            SkillCall::load_table("db", "t"),
             SkillCall::KeepRows {
                 predicate: Expr::col("x").gt(Expr::lit(5)),
             },
@@ -2118,10 +2009,11 @@ mod tests {
         let fused = plan_linear_pushdown(&steps).unwrap();
         assert_eq!(
             fused[0],
-            SkillCall::LoadTableFiltered {
+            SkillCall::LoadTable {
                 database: "db".into(),
                 table: "t".into(),
-                predicate: Expr::col("x").gt(Expr::lit(5)),
+                columns: None,
+                predicate: Some(Expr::col("x").gt(Expr::lit(5))),
             }
         );
         // The filter step stays in place; only the load changed.
@@ -2130,10 +2022,7 @@ mod tests {
 
         // DropRows pushes the negation-normal-form of NOT pred.
         let steps = vec![
-            SkillCall::LoadTable {
-                database: "db".into(),
-                table: "t".into(),
-            },
+            SkillCall::load_table("db", "t"),
             SkillCall::DropRows {
                 predicate: Expr::col("x").le(Expr::lit(5)),
             },
@@ -2141,10 +2030,11 @@ mod tests {
         let fused = plan_linear_pushdown(&steps).unwrap();
         assert_eq!(
             fused[0],
-            SkillCall::LoadTableFiltered {
+            SkillCall::LoadTable {
                 database: "db".into(),
                 table: "t".into(),
-                predicate: Expr::col("x").gt(Expr::lit(5)),
+                columns: None,
+                predicate: Some(Expr::col("x").gt(Expr::lit(5))),
             }
         );
     }
@@ -2152,26 +2042,14 @@ mod tests {
     #[test]
     fn linear_pushdown_leaves_ineligible_programs_alone() {
         // A trailing load is the delivered result — untouched.
-        let steps = vec![SkillCall::LoadTable {
-            database: "db".into(),
-            table: "t".into(),
-        }];
+        let steps = vec![SkillCall::load_table("db", "t")];
         assert!(plan_linear_pushdown(&steps).is_none());
         // A non-filter consumer blocks fusion.
-        let steps = vec![
-            SkillCall::LoadTable {
-                database: "db".into(),
-                table: "t".into(),
-            },
-            SkillCall::CountRows,
-        ];
+        let steps = vec![SkillCall::load_table("db", "t"), SkillCall::CountRows];
         assert!(plan_linear_pushdown(&steps).is_none());
         // An unprunable predicate has nothing to push.
         let steps = vec![
-            SkillCall::LoadTable {
-                database: "db".into(),
-                table: "t".into(),
-            },
+            SkillCall::load_table("db", "t"),
             SkillCall::KeepRows {
                 predicate: Expr::col("x").add(Expr::lit(1)).gt(Expr::lit(5)),
             },

@@ -97,7 +97,13 @@ pub fn plan(dag: &SkillDag, target: NodeId) -> Result<Vec<ExecutionTask>> {
     for &id in &chain {
         let node = dag.node(id)?;
         match &node.call {
-            SkillCall::LoadTable { database, table } => {
+            // A load the planner has narrowed or filtered runs as itself.
+            SkillCall::LoadTable {
+                database,
+                table,
+                columns: None,
+                predicate: None,
+            } => {
                 flush(&mut pending, &mut tasks)?;
                 pending = Some((
                     database.clone(),
@@ -134,10 +140,7 @@ mod tests {
     use dc_engine::{AggFunc, AggSpec};
 
     fn load() -> SkillCall {
-        SkillCall::LoadTable {
-            database: "MainDatabase".into(),
-            table: "readings".into(),
-        }
+        SkillCall::load_table("MainDatabase", "readings")
     }
 
     #[test]

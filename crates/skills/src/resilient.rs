@@ -43,8 +43,8 @@ use crate::dag::{NodeId, SkillDag, SkillNode};
 use crate::env::{Env, ScanTally};
 use crate::error::{Result, SkillError};
 use crate::exec::{
-    execute_call, execute_pure_call_with_mem, needs_env, BeforeExecuteHook, Executor, Interned,
-    SubDagId,
+    execute_call, execute_pure_call_with_mem, load_table, needs_env, BeforeExecuteHook, Executor,
+    Interned, SubDagId,
 };
 use crate::output::SkillOutput;
 use crate::skill::SkillCall;
@@ -378,12 +378,7 @@ where
     F: FnMut(bool) -> Result<SkillOutput>,
 {
     let call = &node.call;
-    let can_degrade = matches!(
-        call,
-        SkillCall::LoadTable { .. }
-            | SkillCall::LoadTableFiltered { .. }
-            | SkillCall::LoadTableProjected { .. }
-    );
+    let can_degrade = matches!(call, SkillCall::LoadTable { .. });
     let started = Instant::now();
     let mut faults_absorbed = 0u32;
     let mut attempt = 0u32;
@@ -471,35 +466,6 @@ fn run_pure_job(
         execute_pure_call_with_mem(&node.call, &refs, mem)
     });
     (att, spill_since(mem, spill_before))
-}
-
-/// Degraded `LoadTable`: a block-sampled scan instead of the full scan.
-/// The cost meter naturally records the cheaper path — only the blocks
-/// actually read are charged.
-fn degraded_load(call: &SkillCall, env: &mut Env, policy: &ExecPolicy) -> Result<SkillOutput> {
-    let (database, table, predicate, columns) = match call {
-        SkillCall::LoadTable { database, table } => (database, table, None, None),
-        SkillCall::LoadTableFiltered {
-            database,
-            table,
-            predicate,
-        } => (database, table, Some(predicate), None),
-        SkillCall::LoadTableProjected {
-            database,
-            table,
-            columns,
-            predicate,
-        } => (database, table, predicate.as_ref(), Some(columns)),
-        _ => return Err(SkillError::invalid("only a table load can degrade")),
-    };
-    let db = env.catalog.database(database)?;
-    let mut opts = ScanOptions::block_sampled(policy.degraded_fraction, policy.degraded_seed);
-    opts.columns = columns.cloned();
-    opts.predicate = predicate.cloned();
-    opts.cancel = Some(env.cancel.clone());
-    let (data, receipt) = db.scan(table, &opts)?;
-    env.scan_tally.record(&receipt);
-    Ok(SkillOutput::Table(data))
 }
 
 /// What one drive over a DAG accumulates beside the executor's cache.
@@ -720,7 +686,7 @@ impl Executor {
                 }
             }
             pending = rest;
-            self.run_wave(wave, env, &mut run);
+            self.execute_wave(wave, env, &mut run);
             debug_assert!(pending.len() < waiting, "topological order makes progress");
             if pending.len() == waiting {
                 break;
@@ -782,7 +748,7 @@ impl Executor {
     /// serially (they need `&mut Env`); pure nodes run concurrently, one
     /// scoped thread per node, when the `parallel` feature is on, each
     /// worker owning its node's whole attempt loop.
-    fn run_wave(&mut self, wave: Vec<&SkillNode>, env: &mut Env, run: &mut Run<'_>) {
+    fn execute_wave(&mut self, wave: Vec<&SkillNode>, env: &mut Env, run: &mut Run<'_>) {
         let policy = run.policy;
         let mut pure: Vec<PureJob<'_>> = Vec::new();
         for node in wave {
@@ -804,7 +770,11 @@ impl Executor {
                     h(&node.call);
                 }
                 if degraded {
-                    degraded_load(&node.call, env, policy)
+                    // A block-sampled scan instead of the full one. The
+                    // cost meter naturally records the cheaper path —
+                    // only the blocks actually read are charged.
+                    let (fraction, seed) = (policy.degraded_fraction, policy.degraded_seed);
+                    load_table(&node.call, env, ScanOptions::block_sampled(fraction, seed))
                 } else {
                     let refs: Vec<&Table> = inputs.iter().map(|t| t.as_ref()).collect();
                     execute_call(&node.call, &refs, env)

@@ -77,30 +77,19 @@ pub enum SkillCall {
     LoadFile { path: String },
     /// `Load data from the URL <url>` (Figure 2 step 1).
     LoadUrl { url: String },
-    /// `Load the table <table> from the database <database>`.
-    LoadTable { database: String, table: String },
-    /// `Load the table <table> from the database <database> where
-    /// <predicate>` — a [`SkillCall::LoadTable`] with a filter pushed
-    /// into the storage scan so zone maps can skip blocks. Produced by
-    /// the executor's pushdown rewrite (it is not in the user-facing
-    /// registry); the downstream filter still evaluates its full
-    /// predicate, so pushing is purely an optimization.
-    LoadTableFiltered {
+    /// `Load [the columns <columns> of] the table <table> from the
+    /// database <database> [where <predicate>]` — the one catalog scan.
+    /// As users write it, it reads every column of every row
+    /// ([`SkillCall::load_table`]). `columns` narrows the scan to the
+    /// columns the downstream plan touches and `predicate` is a filter
+    /// evaluated inside the storage scan, where zone maps can skip whole
+    /// blocks; the planner sets either on a load that has none (both
+    /// parse from GEL too). Downstream steps still evaluate their full
+    /// logic, so narrowing and pushing are purely optimizations.
+    LoadTable {
         database: String,
         table: String,
-        predicate: Expr,
-    },
-    /// `Load the columns <columns> of the table <table> from the
-    /// database <database> [where <predicate>]` — a
-    /// [`SkillCall::LoadTable`] narrowed to the columns the downstream
-    /// plan actually touches, optionally carrying a pushed filter.
-    /// Produced by the optimizer's projection-pushdown rewrite (not in
-    /// the user-facing registry); downstream steps still evaluate their
-    /// full logic, so narrowing is purely an optimization.
-    LoadTableProjected {
-        database: String,
-        table: String,
-        columns: Vec<String>,
+        columns: Option<Vec<String>>,
         predicate: Option<Expr>,
     },
     /// `Use the dataset <name>, version <v>` (Figure 2 step 5).
@@ -262,6 +251,16 @@ pub enum SkillCall {
 }
 
 impl SkillCall {
+    /// A load of every column and every row of a catalog table.
+    pub fn load_table(database: impl Into<String>, table: impl Into<String>) -> SkillCall {
+        SkillCall::LoadTable {
+            database: database.into(),
+            table: table.into(),
+            columns: None,
+            predicate: None,
+        }
+    }
+
     /// The category this call belongs to.
     pub fn category(&self) -> Category {
         use SkillCall::*;
@@ -269,8 +268,6 @@ impl SkillCall {
             LoadFile { .. }
             | LoadUrl { .. }
             | LoadTable { .. }
-            | LoadTableFiltered { .. }
-            | LoadTableProjected { .. }
             | UseDataset { .. }
             | UseSnapshot { .. } => Category::DataIngestion,
             DescribeColumn { .. }
@@ -326,8 +323,6 @@ impl SkillCall {
             LoadFile { .. } => "LoadFile",
             LoadUrl { .. } => "LoadUrl",
             LoadTable { .. } => "LoadTable",
-            LoadTableFiltered { .. } => "LoadTableFiltered",
-            LoadTableProjected { .. } => "LoadTableProjected",
             UseDataset { .. } => "UseDataset",
             UseSnapshot { .. } => "UseSnapshot",
             DescribeColumn { .. } => "DescribeColumn",
@@ -387,8 +382,6 @@ impl SkillCall {
             LoadFile { .. }
                 | LoadUrl { .. }
                 | LoadTable { .. }
-                | LoadTableFiltered { .. }
-                | LoadTableProjected { .. }
                 | UseDataset { .. }
                 | UseSnapshot { .. }
                 | ListDatasets

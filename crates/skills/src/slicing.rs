@@ -214,10 +214,7 @@ mod tests {
     use dc_engine::Expr;
 
     fn load() -> SkillCall {
-        SkillCall::LoadTable {
-            database: "db".into(),
-            table: "t".into(),
-        }
+        SkillCall::load_table("db", "t")
     }
 
     #[test]

@@ -41,15 +41,7 @@ fn base_env() -> Env {
 /// load a → filter (threshold picked by `param`) → group-count.
 fn table_pipeline(param: u8) -> (SkillDag, usize) {
     let mut dag = SkillDag::new();
-    let l = dag
-        .add(
-            SkillCall::LoadTable {
-                database: "db".into(),
-                table: "a".into(),
-            },
-            vec![],
-        )
-        .unwrap();
+    let l = dag.add(SkillCall::load_table("db", "a"), vec![]).unwrap();
     let f = dag
         .add(
             SkillCall::KeepRows {

@@ -42,14 +42,7 @@ fn inject(env: &mut Env, config: FaultConfig) -> Arc<FaultInjector> {
 }
 
 fn load(dag: &mut SkillDag, table: &str) -> usize {
-    dag.add(
-        SkillCall::LoadTable {
-            database: "db".into(),
-            table: table.into(),
-        },
-        vec![],
-    )
-    .unwrap()
+    dag.add(SkillCall::load_table("db", table), vec![]).unwrap()
 }
 
 fn filter(dag: &mut SkillDag, input: usize) -> usize {

@@ -41,15 +41,7 @@ fn env() -> Env {
 /// loadB ──────────┘
 fn dag() -> (SkillDag, usize) {
     let mut dag = SkillDag::new();
-    let la = dag
-        .add(
-            SkillCall::LoadTable {
-                database: "db".into(),
-                table: "a".into(),
-            },
-            vec![],
-        )
-        .unwrap();
+    let la = dag.add(SkillCall::load_table("db", "a"), vec![]).unwrap();
     let fa = dag
         .add(
             SkillCall::KeepRows {
@@ -58,15 +50,7 @@ fn dag() -> (SkillDag, usize) {
             vec![la],
         )
         .unwrap();
-    let lb = dag
-        .add(
-            SkillCall::LoadTable {
-                database: "db".into(),
-                table: "b".into(),
-            },
-            vec![],
-        )
-        .unwrap();
+    let lb = dag.add(SkillCall::load_table("db", "b"), vec![]).unwrap();
     let j = dag
         .add(
             SkillCall::Join {

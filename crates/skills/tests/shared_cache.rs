@@ -44,13 +44,7 @@ fn env_with_cache(shared: &Arc<MaterializedCache>) -> Env {
 fn pipeline() -> (SkillDag, usize) {
     let mut dag = SkillDag::new();
     let l = dag
-        .add(
-            SkillCall::LoadTable {
-                database: "db".into(),
-                table: "events".into(),
-            },
-            vec![],
-        )
+        .add(SkillCall::load_table("db", "events"), vec![])
         .unwrap();
     let f = dag
         .add(
@@ -234,13 +228,7 @@ fn side_effecting_nodes_stay_out_of_the_shared_cache() {
     let mut env = env_with_cache(&shared);
     let mut dag = SkillDag::new();
     let l = dag
-        .add(
-            SkillCall::LoadTable {
-                database: "db".into(),
-                table: "events".into(),
-            },
-            vec![],
-        )
+        .add(SkillCall::load_table("db", "events"), vec![])
         .unwrap();
     let t = dag
         .add(

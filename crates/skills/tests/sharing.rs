@@ -61,10 +61,7 @@ fn run(call: SkillCall, input: &Table, env: &mut Env) -> Table {
 }
 
 fn load(table: &str) -> SkillCall {
-    SkillCall::LoadTable {
-        database: "db".into(),
-        table: table.into(),
-    }
+    SkillCall::load_table("db", table)
 }
 
 #[test]
@@ -166,10 +163,10 @@ fn one_block_loads_pass_the_storage_block_through() {
         .unwrap()
         .shares_columns_with(&block(&env, "one")));
 
-    let projected = SkillCall::LoadTableProjected {
+    let projected = SkillCall::LoadTable {
         database: "db".into(),
         table: "one".into(),
-        columns: vec!["region".into(), "day".into()],
+        columns: Some(vec!["region".into(), "day".into()]),
         predicate: None,
     };
     let out = execute_call(&projected, &[], &mut env).unwrap();
@@ -177,10 +174,11 @@ fn one_block_loads_pass_the_storage_block_through() {
     assert_eq!(shared(out, &block(&env, "one")), ["region", "day"]);
 
     // A predicate every row of the block satisfies drops nothing either.
-    let all = SkillCall::LoadTableFiltered {
+    let all = SkillCall::LoadTable {
         database: "db".into(),
         table: "one".into(),
-        predicate: Expr::col("day").ge(Expr::lit(0i64)),
+        columns: None,
+        predicate: Some(Expr::col("day").ge(Expr::lit(0i64))),
     };
     let out = execute_call(&all, &[], &mut env).unwrap();
     assert!(out
@@ -200,10 +198,11 @@ fn the_filter_kept_above_a_fused_scan_shares_what_the_scan_returned() {
     let mut env = env();
     let predicate = Expr::col("day").ge(Expr::lit(200i64));
     for table in ["one", "many"] {
-        let fused = SkillCall::LoadTableFiltered {
+        let fused = SkillCall::LoadTable {
             database: "db".into(),
             table: table.into(),
-            predicate: predicate.clone(),
+            columns: None,
+            predicate: Some(predicate.clone()),
         };
         let scanned = execute_call(&fused, &[], &mut env).unwrap();
         let scanned = scanned.as_table().unwrap();

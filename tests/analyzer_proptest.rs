@@ -114,10 +114,7 @@ proptest! {
         let mut dag = SkillDag::new();
         let mut cur = dag
             .add(
-                SkillCall::LoadTable {
-                    database: "MainDatabase".into(),
-                    table: "sales".into(),
-                },
+                SkillCall::load_table("MainDatabase", "sales"),
                 vec![],
             )
             .unwrap();

@@ -89,10 +89,7 @@ fn world(dir: &std::path::Path) -> Env {
 fn recipe(backend: &str) -> (SkillDag, NodeId) {
     let mut dag = SkillDag::new();
     let load = |dag: &mut SkillDag, name: &str| {
-        let call = SkillCall::LoadTable {
-            database: DB.into(),
-            table: format!("{name}_{backend}"),
-        };
+        let call = SkillCall::load_table(DB, format!("{name}_{backend}"));
         dag.add(call, vec![]).unwrap()
     };
     let facts = load(&mut dag, "facts");
@@ -125,10 +122,7 @@ fn calls(dag: &SkillDag, backend: &str) -> Vec<SkillCall> {
     let suffix = format!("_{backend}");
     let mut calls: Vec<SkillCall> = dag.nodes().iter().map(|n| n.call.clone()).collect();
     for call in &mut calls {
-        if let SkillCall::LoadTable { table, .. }
-        | SkillCall::LoadTableFiltered { table, .. }
-        | SkillCall::LoadTableProjected { table, .. } = call
-        {
+        if let SkillCall::LoadTable { table, .. } = call {
             *table = table
                 .strip_suffix(&suffix)
                 .expect("backend suffix")
@@ -154,7 +148,7 @@ fn both_backends_and_both_stats_providers_plan_and_run_alike() {
         );
         let facts_load = &planned.nodes()[0].call;
         assert!(
-            matches!(facts_load, SkillCall::LoadTableProjected { columns, .. } if columns.len() == 3),
+            matches!(facts_load, SkillCall::LoadTable { columns: Some(columns), .. } if columns.len() == 3),
             "{backend}: facts load not narrowed to day, store, qty: {facts_load:?}"
         );
         let before = env.scan_tally;

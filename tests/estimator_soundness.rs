@@ -178,15 +178,7 @@ fn build_env(t: &GenTable, t2: &GenTable) -> Env {
 
 fn build_dag(shape: &Shape) -> (SkillDag, NodeId) {
     let mut dag = SkillDag::new();
-    let load = dag
-        .add(
-            SkillCall::LoadTable {
-                database: "Main".into(),
-                table: "t".into(),
-            },
-            vec![],
-        )
-        .unwrap();
+    let load = dag.add(SkillCall::load_table("Main", "t"), vec![]).unwrap();
     let target = match shape {
         Shape::Plain => load,
         Shape::Keep(p) => dag
@@ -207,13 +199,7 @@ fn build_dag(shape: &Shape) -> (SkillDag, NodeId) {
             .unwrap(),
         Shape::Join => {
             let right = dag
-                .add(
-                    SkillCall::LoadTable {
-                        database: "Main".into(),
-                        table: "t2".into(),
-                    },
-                    vec![],
-                )
+                .add(SkillCall::load_table("Main", "t2"), vec![])
                 .unwrap();
             dag.add(
                 SkillCall::Join {

@@ -69,15 +69,7 @@ fn sec22_flattening_reduces_blocks_and_rows() {
 #[test]
 fn fig4_three_skills_one_task() {
     let mut dag = SkillDag::new();
-    let l = dag
-        .add(
-            SkillCall::LoadTable {
-                database: "db".into(),
-                table: "t".into(),
-            },
-            vec![],
-        )
-        .unwrap();
+    let l = dag.add(SkillCall::load_table("db", "t"), vec![]).unwrap();
     let f = dag
         .add(
             SkillCall::KeepRows {
@@ -95,15 +87,7 @@ fn fig4_three_skills_one_task() {
 #[test]
 fn fig5_slicing_shrinks_exploratory_dags() {
     let mut dag = SkillDag::new();
-    let l = dag
-        .add(
-            SkillCall::LoadTable {
-                database: "db".into(),
-                table: "t".into(),
-            },
-            vec![],
-        )
-        .unwrap();
+    let l = dag.add(SkillCall::load_table("db", "t"), vec![]).unwrap();
     let _peek = dag.add(SkillCall::DescribeDataset, vec![l]).unwrap();
     let dead = dag
         .add(

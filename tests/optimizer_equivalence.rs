@@ -173,14 +173,8 @@ fn world() -> Env {
 fn build_dag(steps: &[Step]) -> (SkillDag, datachat::skills::NodeId) {
     let mut dag = SkillDag::new();
     let load = |dag: &mut SkillDag, table: &str| {
-        dag.add(
-            SkillCall::LoadTable {
-                database: "MainDatabase".into(),
-                table: table.into(),
-            },
-            vec![],
-        )
-        .unwrap()
+        dag.add(SkillCall::load_table("MainDatabase", table), vec![])
+            .unwrap()
     };
     let mut cur = load(&mut dag, "sales");
     for step in steps {

@@ -130,10 +130,7 @@ fn use_facts() -> SkillCall {
 }
 
 fn load_facts() -> SkillCall {
-    SkillCall::LoadTable {
-        database: "db".into(),
-        table: "facts".into(),
-    }
+    SkillCall::load_table("db", "facts")
 }
 
 fn rename(from: &str, to: &str) -> SkillCall {
@@ -265,11 +262,11 @@ fn pass_through_skills(t: &Table) {
         ),
         ("one-block LoadTable", load_facts()),
         (
-            "one-block LoadTableProjected",
-            SkillCall::LoadTableProjected {
+            "one-block LoadTable of two columns",
+            SkillCall::LoadTable {
                 database: "db".into(),
                 table: "facts".into(),
-                columns: strings(&["note", "price"]),
+                columns: Some(strings(&["note", "price"])),
                 predicate: None,
             },
         ),
