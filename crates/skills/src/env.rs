@@ -19,7 +19,7 @@ use crate::error::{Result, SkillError};
 /// Running totals of storage-scan traffic for one environment.
 ///
 /// Every table scan a skill performs adds its receipt here; the
-/// resilient executor snapshots the tally around each node to attribute
+/// driver snapshots the tally around each node to attribute
 /// bytes (scanned and zone-map-pruned) per node in its report.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ScanTally {
@@ -53,8 +53,8 @@ pub struct Env {
     /// The fixed-cost local snapshot store.
     pub snapshots: SnapshotStore,
     /// Cooperative-cancellation handle threaded into storage scans. The
-    /// resilient executor arms it with each node's wall-clock budget;
-    /// unarmed it never fires.
+    /// driver arms it with each node's wall-clock budget when its policy
+    /// has one; unarmed it never fires.
     pub cancel: CancelToken,
     /// Scan-traffic totals across every table load this environment ran.
     pub scan_tally: ScanTally,
@@ -73,8 +73,8 @@ pub struct Env {
     /// Out-of-core memory context: a [`MemContext`] carries the memory
     /// governor, spill directory, spill metrics and fault hooks. `None`
     /// (the default) means unbounded in-memory execution — join,
-    /// group-by and sort never spill. The resilient executor installs
-    /// one when [`crate::resilient::ExecPolicy::mem_budget`] is set.
+    /// group-by and sort never spill. The driver installs
+    /// one for the run when [`crate::resilient::ExecPolicy::mem_budget`] is set.
     ///
     /// [`MemContext`]: dc_engine::MemContext
     pub memory: Option<Arc<dc_engine::MemContext>>,

@@ -247,7 +247,7 @@ pub(crate) fn load_table(
 /// Execute one environment-free skill call against its input tables.
 ///
 /// These skills are pure functions of `inputs`, which is what lets the
-/// executor's wave scheduler run them on worker threads. When `mem` is
+/// driver run the ones of a wave on worker threads. When `mem` is
 /// set, join, group-by (`Compute`) and sort admit their transient state
 /// against the context's governor and spill to disk instead of exceeding
 /// the budget; with `None` they never spill.
@@ -604,19 +604,21 @@ fn predict_time_series(
     let times: Vec<f64> = (0..sorted.num_rows())
         .filter_map(|i| time_col.numeric_at(i))
         .collect();
-    if times.len() < 3 {
-        return Err(SkillError::Ml(dc_ml::MlError::InsufficientData {
-            needed: 3,
-            got: times.len(),
-        }));
-    }
+    let last = match times[..] {
+        [.., last] if times.len() >= 3 => last,
+        _ => {
+            return Err(SkillError::Ml(dc_ml::MlError::InsufficientData {
+                needed: 3,
+                got: times.len(),
+            }))
+        }
+    };
     // Median spacing.
     let mut deltas: Vec<f64> = times.windows(2).map(|w| w[1] - w[0]).collect();
     deltas.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     let spacing = deltas[deltas.len() / 2];
 
     // Future time values.
-    let last = *times.last().expect("non-empty");
     let future_times: Vec<Value> = (1..=horizon)
         .map(|k| {
             if is_date {
@@ -653,15 +655,9 @@ fn predict_time_series(
     for v in &future_times {
         time_out.push_value(v)?;
     }
-    out.add_column(
-        &sorted
-            .schema()
-            .field(time_column)
-            .expect("resolved above")
-            .name
-            .clone(),
-        time_out,
-    )?;
+    // Under the name the table spells it with.
+    let time_name = sorted.schema().field(time_column).map(|f| f.name.as_str());
+    out.add_column(time_name.unwrap_or(time_column), time_out)?;
     for m in measures {
         let col = sorted.column(m)?;
         if !col.dtype().is_numeric() {
@@ -758,7 +754,7 @@ pub(crate) struct KeySig {
 /// same interning the executor's cache keys use, but against a fresh
 /// interner that touches no executor state. Structurally identical
 /// sub-DAGs (same canonical call, same interned input ids) share an id —
-/// the property the resilient scheduler's alias tracking and the static
+/// the property the driver's alias tracking and the static
 /// analyzer's duplicate-sub-DAG pass are both built on.
 pub fn structural_ids(dag: &SkillDag) -> HashMap<NodeId, SubDagId> {
     let mut interner: HashMap<KeySig, SubDagId> = HashMap::new();

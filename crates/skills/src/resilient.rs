@@ -842,7 +842,7 @@ impl Executor {
         env: &Env,
         run: &mut Run<'_>,
     ) {
-        self.stats.retries += (att.attempts.saturating_sub(1)) as u64;
+        self.stats.retries += att.attempts.saturating_sub(1) as u64;
         let outcome = match att.result {
             Ok(output) => {
                 let own_scan_bytes = scan.bytes_scanned + scan.bytes_pruned;

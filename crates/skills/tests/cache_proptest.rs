@@ -3,9 +3,10 @@
 //! interleaving of pipeline runs and source mutations (table
 //! drop/recreate, snapshot create/refresh/delete), always returns
 //! exactly what a cache-free fresh executor computes over an identically
-//! mutated environment — under both the wave scheduler (`run`) and the
-//! resilient scheduler (`run_resilient`). The CI serial job re-runs this
-//! with `--no-default-features`, covering the serial scheduler too.
+//! mutated environment — through either door of the one driver (`run`,
+//! or `run_resilient` under the default retrying policy, drawn per run).
+//! The CI serial job re-runs this with `--no-default-features`, covering
+//! inline waves too.
 
 use std::sync::Arc;
 

@@ -362,7 +362,7 @@ fn failed_representative_poisons_structural_duplicates() {
         FaultConfig::disabled().schedule(FaultOp::Scan, 0, InjectedFault::Unavailable),
     );
     // The optimizer would dedup l2 onto l1 at plan time; keep it off so
-    // the wave scheduler still sees the structural-duplicate shape this
+    // the driver still sees the structural-duplicate shape this
     // test exists to poison correctly.
     let policy = ExecPolicy::default();
     let mut ex = Executor::new();
