@@ -174,7 +174,7 @@ pub fn optimize_dag(
         names = forward_names(&out, stats);
     }
     for (load, predicate) in hoist_filters(&out, &protected, &vetoed, &names) {
-        changed |= set_scan(&mut out, load, |_, scan| *scan = Some(predicate));
+        changed |= set_scan(&mut out, load, None, Some(predicate));
     }
     project_loads(&mut out, targets, &protected, &names, &mut changed);
     changed.then_some(out)
@@ -202,7 +202,7 @@ pub fn plan_pushdown(dag: &SkillDag, protected: &[NodeId], vetoed: &[NodeId]) ->
     }
     let mut out = dag.clone();
     for (load, predicate) in pushed {
-        set_scan(&mut out, load, |_, scan| *scan = Some(predicate));
+        set_scan(&mut out, load, None, Some(predicate));
     }
     Some(out)
 }
@@ -280,11 +280,13 @@ fn dedup_loads(dag: &mut SkillDag, protected: &[bool], changed: &mut bool) {
             None => first.push((&node.call, node.id)),
         }
     }
-    let edges = |n: &SkillNode| -> Vec<(NodeId, NodeId, NodeId)> {
-        let to = |&from: &NodeId| alias[from].map(|to| (n.id, from, to));
-        n.inputs.iter().filter_map(to).collect()
-    };
-    for (consumer, from, to) in dag.nodes().iter().flat_map(edges).collect::<Vec<_>>() {
+    let mut redirects: Vec<(NodeId, NodeId, NodeId)> = Vec::new();
+    for node in dag.nodes() {
+        for &from in &node.inputs {
+            redirects.extend(alias[from].map(|to| (node.id, from, to)));
+        }
+    }
+    for (consumer, from, to) in redirects {
         if dag.redirect_input(consumer, from, to).is_ok() {
             *changed = true;
         }
@@ -701,26 +703,33 @@ fn project_loads(
         if columns.len() == fields.len() {
             continue;
         }
-        *changed |= set_scan(dag, id, |load_columns, _| *load_columns = Some(columns));
+        *changed |= set_scan(dag, id, Some(columns), None);
     }
 }
 
-/// Edit the scan of load `id` in place; whether there was a load to edit.
+/// Give load `id` the column list and/or the scan predicate planned for
+/// it, keeping what it already carries; whether there was a load to edit.
 fn set_scan(
     dag: &mut SkillDag,
     id: NodeId,
-    edit: impl FnOnce(&mut Option<Vec<String>>, &mut Option<Expr>),
+    columns: Option<Vec<String>>,
+    predicate: Option<Expr>,
 ) -> bool {
-    let Ok(mut call) = dag.node(id).map(|n| n.call.clone()) else {
-        return false;
-    };
-    let SkillCall::LoadTable {
-        columns, predicate, ..
-    } = &mut call
+    let Ok(SkillCall::LoadTable {
+        database,
+        table,
+        columns: had_columns,
+        predicate: had_predicate,
+    }) = dag.node(id).map(|n| &n.call)
     else {
         return false;
     };
-    edit(columns, predicate);
+    let call = SkillCall::LoadTable {
+        database: database.clone(),
+        table: table.clone(),
+        columns: columns.or_else(|| had_columns.clone()),
+        predicate: predicate.or_else(|| had_predicate.clone()),
+    };
     dag.update_call(id, call).is_ok()
 }
 

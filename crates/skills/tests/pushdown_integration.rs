@@ -136,8 +136,7 @@ fn resilient_report_carries_per_node_scan_bytes() {
 
 /// A load *written* with a column list takes a filter like any other: the
 /// rule keys on the load having no scan predicate yet, not on how it was
-/// spelled. (With a variant per spelling, both rewrite rules matched the
-/// bare one only and this recipe read every block.)
+/// spelled.
 #[test]
 fn a_filter_over_a_written_projected_load_is_pushed() {
     let recipe = dc_gel::Recipe::parse(
