@@ -982,10 +982,10 @@ pub struct StepEstimates {
 }
 
 /// Price a serve request's steps directly against the live environment,
-/// reading only block *metadata* (free under the §3 meter). The steps
-/// are priced as submitted — run them through
-/// `dc_skills::plan_linear_pushdown` first to price the fused
-/// plan the service will execute.
+/// reading only block *metadata* (free under the §3 meter; resident for a
+/// disk-backed table too, so both backends price alike). The steps are
+/// priced as submitted — run them through `dc_skills::plan_linear` first
+/// to price the planned steps the service will execute.
 pub fn estimate_steps(env: &dc_skills::Env, steps: &[SkillCall]) -> StepEstimates {
     let mut cache: HashMap<(String, String), Option<(Schema, TableStats)>> = HashMap::new();
     let mut priced: BTreeSet<String> = BTreeSet::new();
@@ -1005,8 +1005,8 @@ pub fn estimate_steps(env: &dc_skills::Env, steps: &[SkillCall]) -> StepEstimate
                 env.catalog
                     .database(database)
                     .ok()
-                    .and_then(|db| db.table(table).ok())
-                    .map(|bt| (bt.schema().clone(), TableStats::from_block_table(bt)))
+                    .and_then(|db| db.source(table).ok())
+                    .map(|t| (t.schema().clone(), TableStats::from_block_table(t)))
             });
         let bytes = match entry {
             Some((schema, stats)) => {

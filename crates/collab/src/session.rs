@@ -31,9 +31,12 @@ pub struct Session {
     /// The §2.4 lock: set while a request executes.
     executing: AtomicBool,
     acl: Mutex<Shareable>,
-    /// Log of executed requests (user, GEL sentence), the synchronized
-    /// view collaborators see.
-    log: Mutex<Vec<(String, String)>>,
+    /// Log of executed requests, the synchronized view collaborators see:
+    /// who ran which node. The node's GEL sentence is rendered when the log
+    /// is read ([`Session::log`]); the DAG already holds the call, so a
+    /// finished step leaves no second copy of it behind, and consecutive
+    /// entries of one user share the name.
+    log: Mutex<Vec<(Arc<str>, NodeId)>>,
     /// When set, submissions run through the resilient executor under
     /// this policy (retry, per-node budgets, and the per-session
     /// wall-clock deadline `run_budget` carries). `None` uses the plain
@@ -197,10 +200,9 @@ impl Session {
             let report =
                 ex.run_resilient_with_preflight(&dag, node, env, policy, &[], estimates)?;
             if report.succeeded() {
-                let gel = dc_gel::format_skill(&dag.node(node)?.call);
                 self.current.store(node as u64, Ordering::Release);
                 self.has_current.store(true, Ordering::Release);
-                self.log.lock().push((user.to_string(), gel));
+                self.record(user, node);
             }
             Ok(report)
         })();
@@ -209,7 +211,6 @@ impl Session {
     }
 
     fn run_locked(&self, user: &str, call: SkillCall) -> Result<SkillOutput> {
-        let gel = dc_gel::format_skill(&call);
         let node = self.stage_locked(call)?;
         let policy = self.policy.lock().clone();
         let out = {
@@ -222,8 +223,18 @@ impl Session {
         };
         self.current.store(node as u64, Ordering::Release);
         self.has_current.store(true, Ordering::Release);
-        self.log.lock().push((user.to_string(), gel));
+        self.record(user, node);
         Ok(out)
+    }
+
+    /// Append "`user` ran `node`" to the log.
+    fn record(&self, user: &str, node: NodeId) {
+        let mut log = self.log.lock();
+        let user = match log.last() {
+            Some((last, _)) if **last == *user => Arc::clone(last),
+            _ => Arc::from(user),
+        };
+        log.push((user, node));
     }
 
     /// The node holding the current dataset.
@@ -261,9 +272,17 @@ impl Session {
         self.dag.lock().clone()
     }
 
-    /// The synchronized request log.
+    /// The synchronized request log: (user, GEL sentence) per executed
+    /// request, rendered from the DAG's calls as it is read.
     pub fn log(&self) -> Vec<(String, String)> {
-        self.log.lock().clone()
+        let dag = self.dag.lock();
+        let log = self.log.lock();
+        log.iter()
+            .filter_map(|(user, node)| {
+                let call = &dag.node(*node).ok()?.call;
+                Some((user.to_string(), dc_gel::format_skill(call)))
+            })
+            .collect()
     }
 }
 

@@ -55,6 +55,9 @@ pub enum ServeError {
     Evicted { preemptions: u32 },
     /// The service was shut down before the job ran.
     ShuttingDown,
+    /// The OS refused to start any of the configured worker threads, so
+    /// nothing admitted would ever run; `message` is its reason.
+    NoWorkers { message: String },
 }
 
 impl fmt::Display for ServeError {
@@ -81,6 +84,9 @@ impl fmt::Display for ServeError {
                 write!(f, "evicted after {preemptions} preemptions")
             }
             ServeError::ShuttingDown => f.write_str("service shutting down"),
+            ServeError::NoWorkers { message } => {
+                write!(f, "no worker thread could be started: {message}")
+            }
         }
     }
 }

@@ -1,5 +1,6 @@
 //! Jobs: what tenants submit, what workers carry, what callers await.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -162,9 +163,16 @@ impl JobHandle {
 pub(crate) struct Job {
     pub id: u64,
     pub tenant: String,
-    pub steps: Vec<SkillCall>,
+    /// The steps not yet staged, in order; staging moves a step into the
+    /// session's DAG.
+    pub steps: VecDeque<SkillCall>,
+    /// Whether `steps` has been through the plan step: at admission for a
+    /// metered tenant (so the reservation prices what runs), at first
+    /// dispatch otherwise.
+    pub planned: bool,
     pub name_result: Option<String>,
-    /// Next step index to stage/run; steps before it are committed.
+    /// Index (in the program) of the step to stage/run next; steps before
+    /// it are committed.
     pub next_step: usize,
     /// The staged-but-unfinished node for `steps[next_step]`, if any —
     /// re-running it resumes from the executor's checkpointed frontier.

@@ -31,6 +31,7 @@
 //! never by dropping an admitted job. Shutdown drains every queue with
 //! typed `ShuttingDown` answers.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -38,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use dc_collab::{EnvHandle, SessionRef, SessionRegistry};
 use dc_skills::resilient::{ExecPolicy, RetryPolicy};
-use dc_skills::{plan_linear_pushdown, Env, SkillCall};
+use dc_skills::{plan_linear, Env, SkillCall};
 
 use crate::error::{Result, ServeError};
 use crate::job::{Job, JobCell, JobHandle, Request};
@@ -144,10 +145,15 @@ struct Inner {
 pub struct SessionService {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
+    /// Why the pool has fewer workers than configured, if it has.
+    spawn_error: Option<String>,
 }
 
 impl SessionService {
     /// Start a worker pool serving jobs against the world behind `env`.
+    /// A worker thread the OS refuses to start is not fatal: the pool runs
+    /// with the workers it got, and with none of the configured ones every
+    /// submission is answered [`ServeError::NoWorkers`].
     pub fn start(env: EnvHandle, config: ServeConfig) -> SessionService {
         let inner = Arc::new(Inner {
             sched: Scheduler::new(
@@ -160,20 +166,30 @@ impl SessionService {
             registry: SessionRegistry::new(),
             next_job: AtomicU64::new(0),
         });
-        let workers = (0..config.workers)
-            .map(|i| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("dc-serve-{i}"))
-                    .spawn(move || {
-                        while let Some(dispatch) = inner.sched.next() {
-                            drive(&inner, dispatch);
-                        }
-                    })
-                    .expect("spawn serve worker")
-            })
-            .collect();
-        SessionService { inner, workers }
+        let mut workers = Vec::with_capacity(config.workers);
+        let mut spawn_error = None;
+        for i in 0..config.workers {
+            let inner = Arc::clone(&inner);
+            let spawned = std::thread::Builder::new()
+                .name(format!("dc-serve-{i}"))
+                .spawn(move || {
+                    while let Some(dispatch) = inner.sched.next() {
+                        drive(&inner, dispatch);
+                    }
+                });
+            match spawned {
+                Ok(worker) => workers.push(worker),
+                Err(err) => {
+                    spawn_error = Some(err.to_string());
+                    break;
+                }
+            }
+        }
+        SessionService {
+            inner,
+            workers,
+            spawn_error,
+        }
     }
 
     /// Register a tenant: opens a dedicated session owned by the tenant
@@ -193,6 +209,11 @@ impl SessionService {
                 message: "empty program".to_string(),
             });
         }
+        if let (true, Some(message)) = (self.workers.is_empty(), &self.spawn_error) {
+            return Err(ServeError::NoWorkers {
+                message: message.clone(),
+            });
+        }
         let metered =
             self.inner
                 .sched
@@ -200,29 +221,24 @@ impl SessionService {
                 .ok_or_else(|| ServeError::UnknownTenant {
                     tenant: tenant.to_string(),
                 })?;
-        // Fuse filter steps into their scans up front. A step-at-a-time
-        // session can't benefit from DAG-level pushdown (the load is each
-        // slice's protected target, and the late fused re-plan is a
-        // structural cache miss that rescans), so the step list itself is
-        // rewritten. Only the final step's output is observable, so this
-        // is outcome-preserving — and it makes the estimator's pruned
-        // bound the bytes the scan will actually charge.
-        let steps = match plan_linear_pushdown(&request.steps) {
-            Some(fused) => fused,
-            None => request.steps,
-        };
-        // Reservation against the tenant's budget. Unmetered tenants skip
-        // this so their submissions never touch the world lock.
+        // Reservation against the tenant's budget: the step list is
+        // planned here, under the one world lock admission takes, so the
+        // estimate prices the very steps the slices will run. Unmetered
+        // tenants skip this so their submissions never touch the world
+        // lock; their steps are planned at first dispatch.
+        let mut steps = VecDeque::from(request.steps);
         let (reserved, estimates) = if metered {
-            self.inner
-                .env
-                .with(|env| match self.inner.config.reservation {
+            self.inner.env.with(|env| {
+                plan_steps(env, &mut steps);
+                let steps = steps.make_contiguous();
+                match self.inner.config.reservation {
                     ReservationMode::Estimated => {
-                        let est = dc_analyze::estimate_steps(env, &steps);
+                        let est = dc_analyze::estimate_steps(env, steps);
                         (est.reserve, est.per_step)
                     }
-                    ReservationMode::FullBytes => (estimate_scan_bytes(env, &steps), Vec::new()),
-                })
+                    ReservationMode::FullBytes => (estimate_scan_bytes(env, steps), Vec::new()),
+                }
+            })
         } else {
             (0, Vec::new())
         };
@@ -237,6 +253,7 @@ impl SessionService {
             id,
             tenant: tenant.to_string(),
             steps,
+            planned: metered,
             name_result: request.name_result,
             next_step: 0,
             staged: None,
@@ -339,6 +356,22 @@ impl Drop for SessionService {
     }
 }
 
+/// Plan a request's step list once, as a whole, with the driver's whole
+/// plan step ([`plan_linear`]). A step-at-a-time session cannot benefit
+/// from planning its DAG (each load is its own slice's protected target
+/// and scans in full, and every later re-plan — the filter fused in, then
+/// the live columns — is a different structural sub-DAG that scans again),
+/// so the step list itself is rewritten: the load step carries predicate
+/// and columns from the start and stays a structural hit slice after
+/// slice. Only the final step's output is observable, so this preserves
+/// the outcome, and the planned list is both what admission prices and
+/// what runs.
+fn plan_steps(env: &Env, steps: &mut VecDeque<SkillCall>) {
+    if let Some(planned) = plan_linear(steps.make_contiguous(), env) {
+        *steps = planned.into();
+    }
+}
+
 /// Upper bound on the scan bytes `steps` could charge: the total stored
 /// bytes of every *distinct* cloud table the program loads — a program
 /// loading one table twice hits the session's structural cache on the
@@ -395,21 +428,15 @@ fn drive(inner: &Inner, dispatch: Dispatch) {
     // against the tenant's fair share.
     let (end, spent) = inner.env.with(|env| {
         let started = Instant::now();
+        if !job.planned {
+            plan_steps(env, &mut job.steps);
+            job.planned = true;
+        }
         env.attribution = Some(job.tenant.clone());
         let end = run_slice(inner, &mut job, &session, env, started);
         env.attribution = None;
         (end, started.elapsed())
     });
-    if std::env::var_os("DC_SERVE_TRACE").is_some() && spent.as_millis() > 30 {
-        eprintln!(
-            "[trace] tenant={} slice={}ms quantum={}ms step={}/{}",
-            job.tenant,
-            spent.as_millis(),
-            job.quantum.as_millis(),
-            job.next_step,
-            job.steps.len()
-        );
-    }
     job.exec += spent;
     // Memory bound: compact the session's checkpoints while the tenant
     // is still gated in-flight (no concurrent run can be mid-write).
@@ -425,19 +452,21 @@ fn drive(inner: &Inner, dispatch: Dispatch) {
             if let Some(name) = &job.name_result {
                 let _ = session.name_current(name.clone());
             }
-            inner.sched.release(
-                tenant,
-                job.reserved,
-                job.charged,
-                job.spilled,
-                spent,
-                JobEnd::Completed,
-            );
-            let output = job
-                .last_output
-                .take()
-                .expect("completed non-empty program has an output");
-            job.finish(Ok(output));
+            // `submit` refuses an empty program, so a finished one has its
+            // last step's output; were that ever untrue the job is answered
+            // as failed, not with a panic on a worker.
+            let outcome = job.last_output.take().ok_or(ServeError::Failed {
+                message: "the program completed without an output".to_string(),
+                retryable: false,
+            });
+            let end = match outcome {
+                Ok(_) => JobEnd::Completed,
+                Err(_) => JobEnd::Failed,
+            };
+            inner
+                .sched
+                .release(tenant, job.reserved, job.charged, job.spilled, spent, end);
+            job.finish(outcome);
         }
         SliceEnd::Preempted => {
             job.preemptions += 1;
@@ -494,25 +523,32 @@ fn run_slice(
     env: &mut Env,
     started: Instant,
 ) -> SliceEnd {
-    while job.next_step < job.steps.len() {
+    while job.staged.is_some() || !job.steps.is_empty() {
         let elapsed = started.elapsed();
         if elapsed >= job.quantum {
             return SliceEnd::Preempted;
         }
         let node = match job.staged {
             Some(node) => node,
-            None => match session.stage(&job.tenant, job.steps[job.next_step].clone()) {
-                Ok(node) => {
-                    job.staged = Some(node);
-                    node
+            None => {
+                // The step moves into the session's DAG, which keeps it for
+                // as long as the session lives: no second copy is made.
+                let Some(call) = job.steps.pop_front() else {
+                    break;
+                };
+                match session.stage(&job.tenant, call) {
+                    Ok(node) => {
+                        job.staged = Some(node);
+                        node
+                    }
+                    Err(err) => {
+                        return SliceEnd::Fail(ServeError::Failed {
+                            message: err.to_string(),
+                            retryable: false,
+                        })
+                    }
                 }
-                Err(err) => {
-                    return SliceEnd::Fail(ServeError::Failed {
-                        message: err.to_string(),
-                        retryable: false,
-                    })
-                }
-            },
+            }
         };
         let policy = ExecPolicy {
             retry: inner.config.retry.clone(),
@@ -578,6 +614,7 @@ mod tests {
     use dc_storage::{CloudDatabase, Pricing};
 
     use super::*;
+    use crate::Request;
 
     /// A `FullBytes` reservation reads a table's size through
     /// `BlockSource`, so the same rows reserve the same bytes whichever
@@ -601,5 +638,89 @@ mod tests {
         assert_eq!(estimate_scan_bytes(&env, &program), 2 * ram);
         drop(env);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The default `Estimated` reservation reads block metadata through
+    /// `BlockSource` as well: the same rows reserve the same bytes in both
+    /// backends, in full, pruned and projected (a disk-backed table used to
+    /// estimate 0 and be admitted for free).
+    #[test]
+    fn step_estimate_prices_both_backends_alike() {
+        let rows = dc_storage::demo::sales(1_000, 7);
+        let dir = std::env::temp_dir().join(format!("dc-serve-steps-{}", std::process::id()));
+        let mut db = CloudDatabase::new("cloud", Pricing::default_cloud());
+        db.create_table_with_blocks("ram", &rows, 128).unwrap();
+        db.create_table_on_disk("disk", &rows, 128, &dir).unwrap();
+        let mut env = Env::new();
+        env.catalog.add_database(db).unwrap();
+        let full = |table: &str| SkillCall::load_table("cloud", table);
+        let narrow = |table: &str| {
+            dc_gel::parse_gel(&format!(
+                "Load the columns order_id, quantity of the table {table} \
+                 from the database cloud where order_id < 100200"
+            ))
+            .unwrap()
+        };
+        let reserve = |step: SkillCall| dc_analyze::estimate_steps(&env, &[step]).reserve;
+        let (ram_full, ram_narrow) = (reserve(full("ram")), reserve(narrow("ram")));
+        assert!(0 < ram_narrow && ram_narrow < ram_full);
+        assert_eq!(reserve(full("disk")), ram_full);
+        assert_eq!(reserve(narrow("disk")), ram_narrow);
+        drop(env);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Load, keep a key range, aggregate two columns — the light job of a
+    /// serving fleet, over `[lo, hi)` of the sales table's order ids.
+    fn light_job(lo: i64, hi: i64) -> Request {
+        Request::gel(&format!(
+            "Load the table sales from the database cloud\n\
+             Keep the rows where order_id >= {lo} and order_id < {hi}\n\
+             Compute the sum of quantity for each region"
+        ))
+        .unwrap()
+    }
+
+    /// A job's step list is planned once, as a whole: its load step scans
+    /// with the predicate and the live columns from the first slice on, so
+    /// the table is scanned once and the job is charged what admission
+    /// estimated and reserved. (The load used to scan every column as its
+    /// own slice's target and the last step's plan scanned again, narrower:
+    /// more bytes charged than the "upper bound" reserved.)
+    #[test]
+    fn a_job_scans_once_and_is_charged_what_it_reserved() {
+        let mut db = CloudDatabase::new("cloud", Pricing::default_cloud());
+        db.create_table_with_blocks("sales", &dc_storage::demo::sales(2_000, 7), 128)
+            .unwrap();
+        let meter = db.meter();
+        let mut env = Env::new();
+        env.catalog.add_database(db).unwrap();
+        let service = SessionService::start(EnvHandle::new(env), ServeConfig::default());
+        let budget = dc_storage::BudgetConfig::fixed(u64::MAX / 4);
+        service
+            .register_tenant("metered", TenantConfig::new().budget(budget))
+            .unwrap();
+        service
+            .register_tenant("free", TenantConfig::new())
+            .unwrap();
+
+        let result = service.run("metered", light_job(100_000, 100_300));
+        let out = result.outcome.expect("the job completes");
+        assert_eq!(out.as_table().map(|t| t.num_rows()), Some(4));
+        assert_eq!(meter.queries(), 1, "one scan");
+        assert_eq!(result.bytes_charged, meter.bytes());
+        assert!(result.bytes_charged > 0);
+        assert_eq!(result.bytes_charged, result.bytes_estimated);
+        assert!(result.bytes_charged <= result.bytes_reserved);
+
+        // An unmetered tenant's steps are planned at first dispatch: the
+        // same single, narrow scan, with nothing reserved or estimated.
+        let (scans, bytes) = (meter.queries(), meter.bytes());
+        let free = service.run("free", light_job(100_300, 100_600));
+        assert!(free.outcome.is_ok(), "{:?}", free.outcome);
+        assert_eq!(meter.queries(), scans + 1, "one scan");
+        assert_eq!(free.bytes_charged, meter.bytes() - bytes);
+        assert_eq!(free.bytes_charged, result.bytes_charged);
+        assert_eq!((free.bytes_reserved, free.bytes_estimated), (0, 0));
     }
 }

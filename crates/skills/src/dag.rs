@@ -5,8 +5,17 @@
 //! computation." Nodes are skill calls; edges are dataset dependencies.
 //! Names can be bound to nodes (`Use the dataset fredgraph, version 1`),
 //! which is how recipes reference earlier results.
+//!
+//! A session's DAG only grows (§2.4 keeps it for as long as the session
+//! lives), so everything a run asks of it costs the nodes the run depends
+//! on, not the nodes the session holds: [`SkillDag::ancestors`] walks the
+//! target's cone and nothing else, the DAG keeps each node's consumer count
+//! and name-bound flag up to date as edges and names are added (nobody
+//! recounts), and [`SkillDag::cone`] cuts the compact copy — `k` nodes, ids
+//! `0..k`, a map back to this DAG's ids — that the plan step rewrites and
+//! the driver walks.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use crate::error::{Result, SkillError};
 use crate::skill::SkillCall;
@@ -32,6 +41,32 @@ pub struct SkillNode {
 pub struct SkillDag {
     nodes: Vec<SkillNode>,
     names: HashMap<String, Vec<NodeId>>,
+    /// Consumer edges pointing at each node, maintained by `add` and
+    /// `redirect_input`. In a DAG cut by [`SkillDag::cone`] these are the
+    /// counts of the DAG it was cut from.
+    consumers: Vec<usize>,
+    /// Whether a dataset name is bound to each node.
+    bound: Vec<bool>,
+}
+
+/// The nodes some targets depend on, cut out of a larger DAG: what one run
+/// plans and executes.
+#[derive(Debug, Clone)]
+pub(crate) struct Cone {
+    /// The cone's nodes in topological order with ids `0..k` and inputs
+    /// renumbered to match. Consumer counts and name-bound flags are those
+    /// of the DAG the cone was cut from, so a consumer outside the cone
+    /// still counts; the names themselves stay behind.
+    pub(crate) dag: SkillDag,
+    /// Cone id → id in the DAG the cone was cut from, ascending.
+    pub(crate) ids: Vec<NodeId>,
+}
+
+impl Cone {
+    /// The cone id of a node of the DAG the cone was cut from.
+    pub(crate) fn local(&self, id: NodeId) -> Option<NodeId> {
+        self.ids.binary_search(&id).ok()
+    }
 }
 
 impl SkillDag {
@@ -54,7 +89,12 @@ impl SkillDag {
                 call.name()
             )));
         }
+        for &i in &inputs {
+            self.consumers[i] += 1;
+        }
         self.nodes.push(SkillNode { id, call, inputs });
+        self.consumers.push(0);
+        self.bound.push(false);
         Ok(id)
     }
 
@@ -78,6 +118,11 @@ impl SkillDag {
         &self.nodes
     }
 
+    /// The calls of all nodes, in insertion order.
+    pub(crate) fn into_calls(self) -> Vec<SkillCall> {
+        self.nodes.into_iter().map(|n| n.call).collect()
+    }
+
     /// Bind a dataset name to a node, appending a new version (later
     /// bindings shadow earlier ones for unversioned lookups).
     pub fn bind_name(&mut self, name: impl Into<String>, node: NodeId) -> Result<()> {
@@ -89,6 +134,7 @@ impl SkillDag {
             .entry(name.to_lowercase())
             .or_default()
             .push(node);
+        self.bound[node] = true;
         Ok(())
     }
 
@@ -138,18 +184,67 @@ impl SkillDag {
     /// topological order — the nodes an artifact actually depends on.
     /// This is the "which steps affect the final artifact" question at
     /// the core of slicing (§2.3).
+    ///
+    /// Costs the cone, not the DAG: a session's thousandth step pays for
+    /// the nodes it depends on.
     pub fn ancestors(&self, target: NodeId) -> Result<Vec<NodeId>> {
-        self.node(target)?;
-        let mut needed = vec![false; self.nodes.len()];
-        let mut stack = vec![target];
-        while let Some(id) = stack.pop() {
-            if needed[id] {
-                continue;
-            }
-            needed[id] = true;
-            stack.extend(&self.nodes[id].inputs);
+        self.ancestors_of(&[target])
+    }
+
+    /// The union of the targets' cones, in topological order.
+    fn ancestors_of(&self, targets: &[NodeId]) -> Result<Vec<NodeId>> {
+        let mut needed: BTreeSet<NodeId> = BTreeSet::new();
+        let mut stack = Vec::with_capacity(targets.len());
+        for &target in targets {
+            self.node(target)?;
+            stack.push(target);
         }
-        Ok((0..self.nodes.len()).filter(|&i| needed[i]).collect())
+        while let Some(id) = stack.pop() {
+            if needed.insert(id) {
+                stack.extend(&self.nodes[id].inputs);
+            }
+        }
+        Ok(needed.into_iter().collect())
+    }
+
+    /// A compact copy of the targets' cones (see [`Cone`]). Copies the
+    /// cone's nodes and nothing else of this DAG.
+    pub(crate) fn cone(&self, targets: &[NodeId]) -> Result<Cone> {
+        let ids = self.ancestors_of(targets)?;
+        let mut dag = SkillDag {
+            nodes: Vec::with_capacity(ids.len()),
+            names: HashMap::new(),
+            consumers: ids.iter().map(|&id| self.consumers[id]).collect(),
+            bound: ids.iter().map(|&id| self.bound[id]).collect(),
+        };
+        for (local, &id) in ids.iter().enumerate() {
+            let node = &self.nodes[id];
+            // An ancestor set is closed under inputs, so every input is found.
+            let inputs = (node.inputs.iter())
+                .filter_map(|i| ids.binary_search(i).ok())
+                .collect();
+            dag.nodes.push(SkillNode {
+                id: local,
+                call: node.call.clone(),
+                inputs,
+            });
+        }
+        Ok(Cone { dag, ids })
+    }
+
+    /// Write a planned cone back over the nodes it was cut from: their
+    /// calls and their input edges, with the consumer counts following the
+    /// edges. Nodes outside the cone are untouched.
+    pub(crate) fn write_back(&mut self, cone: Cone) {
+        for (node, &id) in cone.dag.nodes.into_iter().zip(&cone.ids) {
+            for (slot, local) in node.inputs.into_iter().enumerate() {
+                let to = cone.ids[local];
+                let from = std::mem::replace(&mut self.nodes[id].inputs[slot], to);
+                self.consumers[from] -= 1;
+                self.consumers[to] += 1;
+            }
+            self.nodes[id].call = node.call;
+        }
     }
 
     /// Replace a node's skill call in place (§2.3: "view the skill DAG
@@ -168,14 +263,11 @@ impl SkillDag {
         Ok(())
     }
 
-    /// Every node bound to a dataset name, across all versions. These
-    /// nodes are addressable from outside the DAG (`Use the dataset`),
-    /// so plan rewrites must leave their outputs untouched.
-    pub fn bound_nodes(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.names.values().flatten().copied().collect();
-        v.sort_unstable();
-        v.dedup();
-        v
+    /// Whether any version of a dataset name is bound to `id`. Such a
+    /// node is addressable from outside the DAG (`Use the dataset`), so
+    /// plan rewrites must leave its output untouched.
+    pub fn is_bound(&self, id: NodeId) -> bool {
+        self.bound.get(id).copied().unwrap_or(false)
     }
 
     /// Repoint `consumer`'s input edges from `from` to `to`. Used by
@@ -196,23 +288,19 @@ impl SkillDag {
         for input in self.nodes[consumer].inputs.iter_mut() {
             if *input == from {
                 *input = to;
+                self.consumers[from] -= 1;
+                self.consumers[to] += 1;
             }
         }
         Ok(())
     }
 
     /// How many consumer edges point at each node (a node feeding two
-    /// inputs of one consumer counts twice). One O(edges) pass, shared
-    /// by the pushdown planner and the optimizer so neither rescans the
-    /// whole DAG per candidate node.
-    pub fn consumer_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.nodes.len()];
-        for node in &self.nodes {
-            for &input in &node.inputs {
-                counts[input] += 1;
-            }
-        }
-        counts
+    /// inputs of one consumer counts twice). Kept up to date as edges are
+    /// added and redirected, so reading it costs nothing; in a cone the
+    /// counts include the consumers left outside it.
+    pub fn consumer_counts(&self) -> &[usize] {
+        &self.consumers
     }
 
     /// Render the DAG in Graphviz dot syntax (the §2.3 graphical view).
@@ -371,6 +459,63 @@ mod tests {
         let anc = dag.ancestors(join).unwrap();
         assert!(anc.contains(&other));
         assert_eq!(anc.len(), 5);
+    }
+
+    #[test]
+    fn consumer_counts_follow_the_edges() {
+        let (mut dag, last) = linear_dag();
+        let twin = dag.add(SkillCall::load_table("db", "t"), vec![]).unwrap();
+        let cat = dag
+            .add(
+                SkillCall::Concat {
+                    other: "self".into(),
+                    remove_duplicates: false,
+                },
+                vec![twin, twin],
+            )
+            .unwrap();
+        assert_eq!(dag.consumer_counts(), &[1, 1, 0, 2, 0]);
+        dag.redirect_input(cat, twin, 0).unwrap();
+        assert_eq!(dag.consumer_counts(), &[3, 1, 0, 0, 0]);
+        assert!(!dag.is_bound(last));
+        dag.bind_name("result", last).unwrap();
+        assert!(dag.is_bound(last) && !dag.is_bound(0) && !dag.is_bound(99));
+    }
+
+    #[test]
+    fn a_cone_is_compact_and_remembers_the_dag_around_it() {
+        let (mut dag, last) = linear_dag();
+        // An unrelated branch between the chain and what consumes it.
+        let other = dag.add(SkillCall::load_table("db", "u"), vec![]).unwrap();
+        let head = dag.add(SkillCall::ShowHead { n: 3 }, vec![1]).unwrap();
+        let top = dag.add(SkillCall::CountRows, vec![last]).unwrap();
+        dag.bind_name("kept", 1).unwrap();
+
+        let cone = dag.cone(&[top]).unwrap();
+        assert_eq!(cone.ids, vec![0, 1, 2, top]);
+        assert_eq!(cone.local(top), Some(3));
+        assert_eq!(cone.local(other), None);
+        assert_eq!(cone.dag.len(), 4);
+        assert_eq!(cone.dag.node(3).unwrap().inputs, vec![2]);
+        assert_eq!(cone.dag.node(3).unwrap().call, SkillCall::CountRows);
+        // `head` stayed outside and still counts; the name stayed behind
+        // and the node still knows it is bound.
+        assert_eq!(cone.dag.consumer_counts(), &[1, 2, 1, 0]);
+        assert!(cone.dag.is_bound(1) && cone.dag.resolve_name("kept").is_err());
+        let _ = head;
+
+        // Written back, an edited cone changes its own nodes only.
+        let mut edited = dag.cone(&[top]).unwrap();
+        edited
+            .dag
+            .update_call(2, SkillCall::Limit { n: 99 })
+            .unwrap();
+        let mut out = dag.clone();
+        out.write_back(edited);
+        assert_eq!(out.node(last).unwrap().call, SkillCall::Limit { n: 99 });
+        assert_eq!(out.node(top).unwrap().inputs, vec![last]);
+        assert_eq!(out.consumer_counts(), dag.consumer_counts());
+        assert_eq!(out.node(other).unwrap(), dag.node(other).unwrap());
     }
 
     #[test]

@@ -154,30 +154,57 @@ impl PlanStats for Env {
 /// when no rewrite applies (execute the input as written). `vetoed`
 /// nodes (analyzer rejections) are protected exactly like targets.
 ///
-/// This is the driver's one plan step: what it returns is what runs.
+/// The unit that is planned is the targets' cone — the nodes they depend
+/// on — and the answer is that plan written back onto a copy of `dag`:
+/// nodes no target reaches are returned as written (nothing executes or
+/// prices them), and what the rest of `dag` holds changes the plan only
+/// through the consumer counts and name bindings of the cone's own nodes.
+/// The driver plans the same cone with the same [`plan_unit`] and walks it
+/// without the copy, so what this returns on the cone is what runs.
 pub fn optimize_dag(
     dag: &SkillDag,
     targets: &[NodeId],
     vetoed: &[NodeId],
     stats: &dyn PlanStats,
 ) -> Option<SkillDag> {
+    let mut cone = dag.cone(targets).ok()?;
+    let local =
+        |nodes: &[NodeId]| -> Vec<NodeId> { nodes.iter().filter_map(|&n| cone.local(n)).collect() };
+    let (targets, vetoed) = (local(targets), local(vetoed));
+    if !plan_unit(&mut cone.dag, &targets, &vetoed, stats) {
+        return None;
+    }
     let mut out = dag.clone();
+    out.write_back(cone);
+    Some(out)
+}
+
+/// The plan step over one unit: every rewrite family, in place. `dag` is
+/// what will run — a cone cut by [`SkillDag::cone`], whose consumer counts
+/// and name-bound flags still speak for the DAG it came from — and
+/// `targets` / `vetoed` are ids in it. Returns whether anything changed.
+pub(crate) fn plan_unit(
+    dag: &mut SkillDag,
+    targets: &[NodeId],
+    vetoed: &[NodeId],
+    stats: &dyn PlanStats,
+) -> bool {
     let mut changed = false;
-    let protected = protected_set(&out, targets, vetoed);
-    let vetoed = node_mask(&out, vetoed);
-    dedup_loads(&mut out, &protected, &mut changed);
-    merge_adjacent_keeps(&mut out, &protected, &vetoed, &mut changed);
+    let protected = protected_set(dag, targets, vetoed);
+    let vetoed = node_mask(dag, vetoed);
+    dedup_loads(dag, &protected, &mut changed);
+    merge_adjacent_keeps(dag, &protected, &vetoed, &mut changed);
     // Neither rewrite above moves a column name; a join reorder does.
-    let mut names = forward_names(&out, stats);
-    if reorder_joins(&mut out, &protected, stats, &names) {
+    let mut names = forward_names(dag, stats);
+    if reorder_joins(dag, &protected, stats, &names) {
         changed = true;
-        names = forward_names(&out, stats);
+        names = forward_names(dag, stats);
     }
-    for (load, predicate) in hoist_filters(&out, &protected, &vetoed, &names) {
-        changed |= set_scan(&mut out, load, None, Some(predicate));
+    for (load, predicate) in hoist_filters(dag, &protected, &vetoed, &names) {
+        changed |= set_scan(dag, load, None, Some(predicate));
     }
-    project_loads(&mut out, targets, &protected, &names, &mut changed);
-    changed.then_some(out)
+    project_loads(dag, targets, &protected, &names, &mut changed);
+    changed
 }
 
 /// The filter-hoisting rule alone, for callers with no statistics at
@@ -207,26 +234,45 @@ pub fn plan_pushdown(dag: &SkillDag, protected: &[NodeId], vetoed: &[NodeId]) ->
     Some(out)
 }
 
-/// [`plan_pushdown`] for *linear* programs (`dc-serve` requests), where
-/// each step is staged and executed one at a time and only the final
-/// step's output is observable.
+/// The whole plan step for a *linear* program (a `dc-serve` request),
+/// where each step is staged and executed one at a time and only the
+/// final step's output is observable.
 ///
-/// Planning the DAG cannot help a step-at-a-time executor: by the time
-/// the filter step arrives, its load has already been materialized as a
-/// full scan (the load was that slice's target, hence protected), and the
-/// fused re-plan is a *different* structural sub-DAG — a cache miss that
-/// rescans. Fusing the step list up front fixes both: the load step
-/// itself carries the predicate and charges the pruned bytes, the filter
-/// step is a cheap re-evaluation over the reduced rows, and because no
-/// rule ever adds to a predicate a load already has, the fused load stays
-/// a structural cache hit slice after slice.
+/// Planning the session DAG cannot help a step-at-a-time executor: by the
+/// time the filter step arrives, its load has already been materialized as
+/// a full scan (the load was that slice's target, hence protected), and
+/// the fused re-plan is a *different* structural sub-DAG — a cache miss
+/// that scans again; the projection the last step's plan adds is one more.
+/// Planning the step list up front, once and as a whole, fixes both: the
+/// load step itself carries the predicate and the live columns and charges
+/// exactly those bytes, the filter step is a cheap re-evaluation over the
+/// reduced rows, and because no rule adds to a predicate or a column list
+/// a load already has, the planned load stays a structural cache hit slice
+/// after slice. What this returns is the program that runs, so it is also
+/// the program to price.
 ///
 /// The step list is lowered to a linear [`SkillDag`] (each input-taking
 /// step consumes its predecessor, loads restart the chain) and planned
 /// with the final step — the program's delivered, optionally name-bound
-/// result — as the sole protected target. Returns `None` when no step is
+/// result — as the sole protected target. Returns `None` when no rewrite
+/// applies.
+pub fn plan_linear(steps: &[SkillCall], stats: &dyn PlanStats) -> Option<Vec<SkillCall>> {
+    let (mut dag, last) = lower_steps(steps)?;
+    plan_unit(&mut dag, &[last], &[], stats).then(|| dag.into_calls())
+}
+
+/// [`plan_linear`] with the filter-hoisting rule alone ([`plan_pushdown`]),
+/// for callers with no statistics at hand. Returns `None` when no step is
 /// eligible.
 pub fn plan_linear_pushdown(steps: &[SkillCall]) -> Option<Vec<SkillCall>> {
+    let (dag, last) = lower_steps(steps)?;
+    plan_pushdown(&dag, &[last], &[]).map(SkillDag::into_calls)
+}
+
+/// A step list as the linear DAG a session would stage it into, and its
+/// final step. `None` for an empty list or one that opens with a step that
+/// continues an earlier request.
+fn lower_steps(steps: &[SkillCall]) -> Option<(SkillDag, NodeId)> {
     let mut dag = SkillDag::new();
     let mut prev: Option<NodeId> = None;
     for call in steps {
@@ -236,8 +282,7 @@ pub fn plan_linear_pushdown(steps: &[SkillCall]) -> Option<Vec<SkillCall>> {
         };
         prev = Some(dag.add(call.clone(), inputs).ok()?);
     }
-    let planned = plan_pushdown(&dag, &[prev?], &[])?;
-    Some(planned.nodes().iter().map(|n| n.call.clone()).collect())
+    Some((dag, prev?))
 }
 
 /// `nodes` as a per-node flag.
@@ -255,9 +300,9 @@ fn node_mask(dag: &SkillDag, nodes: &[NodeId]) -> Vec<bool> {
 /// requested targets, analyzer-vetoed nodes, and anything bound to a
 /// dataset name (addressable by `Use the dataset`).
 fn protected_set(dag: &SkillDag, targets: &[NodeId], vetoed: &[NodeId]) -> Vec<bool> {
-    let mut protected = node_mask(dag, targets);
-    for b in vetoed.iter().copied().chain(dag.bound_nodes()) {
-        if let Some(p) = protected.get_mut(b) {
+    let mut protected: Vec<bool> = (0..dag.len()).map(|id| dag.is_bound(id)).collect();
+    for &n in targets.iter().chain(vetoed) {
+        if let Some(p) = protected.get_mut(n) {
             *p = true;
         }
     }
@@ -305,7 +350,6 @@ fn merge_adjacent_keeps(
     vetoed: &[bool],
     changed: &mut bool,
 ) {
-    let counts = dag.consumer_counts();
     for id in (0..dag.len()).rev() {
         if vetoed[id] {
             // An analyzer-rejected predicate never earned the right to
@@ -324,7 +368,7 @@ fn merge_adjacent_keeps(
         let Some((p2, Some(up))) = keep(id) else {
             continue;
         };
-        if protected[up] || counts[up] != 1 {
+        if protected[up] || dag.consumer_counts()[up] != 1 {
             continue;
         }
         let Some((p1, _)) = keep(up) else {
@@ -520,8 +564,14 @@ fn lower(names: &[String]) -> Vec<String> {
 fn demands(dag: &SkillDag, protected: &[bool], names: &[Option<Vec<String>>]) -> Vec<Demand> {
     use SkillCall::*;
     let mut demand: Vec<Demand> = vec![Demand::none(); dag.len()];
-    for (id, p) in protected.iter().enumerate() {
-        if *p {
+    // A node that someone outside the unit consumes is observable there
+    // too: whichever cone it is planned from, it keeps every column.
+    let mut inside = vec![0usize; dag.len()];
+    for &input in dag.nodes().iter().flat_map(|n| &n.inputs) {
+        inside[input] += 1;
+    }
+    for id in 0..dag.len() {
+        if protected[id] || dag.consumer_counts()[id] > inside[id] {
             demand[id] = Demand::All;
         }
     }
@@ -672,13 +722,12 @@ fn project_loads(
     names: &[Option<Vec<String>>],
     changed: &mut bool,
 ) {
-    let counts = dag.consumer_counts();
     let demand = demands(dag, protected, names);
     for id in 0..dag.len() {
         if protected[id] {
             continue;
         }
-        if counts[id] == 0 && !targets.contains(&id) {
+        if dag.consumer_counts()[id] == 0 && !targets.contains(&id) {
             // Dead branch: never executed for these targets, and
             // rewriting it would only obscure DC0101's report.
             continue;
@@ -762,7 +811,7 @@ fn hoist_filters(
     let cx = SinkCx {
         dag,
         protected,
-        counts: &dag.consumer_counts(),
+        counts: dag.consumer_counts(),
         names,
     };
     let mut pushed = Vec::new();
@@ -939,7 +988,7 @@ struct DimCost {
 /// `(inputs, other, left_on, right_on)` of an inner-join node.
 type JoinParts = (Vec<NodeId>, String, Vec<String>, Vec<String>);
 
-fn collect_stars(dag: &SkillDag, consumers: &[Vec<NodeId>]) -> Vec<Star> {
+fn collect_stars(dag: &SkillDag, consumers: &Consumers) -> Vec<Star> {
     use SkillCall::*;
     let inner_join = |id: NodeId| -> Option<JoinParts> {
         let node = dag.node(id).ok()?;
@@ -984,7 +1033,9 @@ fn collect_stars(dag: &SkillDag, consumers: &[Vec<NodeId>]) -> Vec<Star> {
         let mut cur = id;
         loop {
             in_chain[cur] = true;
-            let [next] = consumers[cur][..] else { break };
+            let Some(next) = consumers.sole(dag, cur) else {
+                break;
+            };
             let Some((inputs, other, left_on, right_on)) = inner_join(next) else {
                 break;
             };
@@ -1156,27 +1207,29 @@ fn star_semantics_ok(
 /// sole-consumed, since their outputs carry the permuted column order.
 fn order_insensitive_downstream(
     dag: &SkillDag,
-    consumers: &[Vec<NodeId>],
+    consumers: &Consumers,
     protected: &[bool],
     root: NodeId,
 ) -> bool {
     use SkillCall::*;
+    let counts = dag.consumer_counts();
     let mut cur = root;
     loop {
-        let cs = &consumers[cur];
-        if cs.is_empty() {
+        if counts[cur] == 0 {
             // Nothing observes the permuted order (the root itself is
             // already known unprotected and un-targeted).
             return cur != root;
         }
-        let [next] = cs[..] else { return false };
+        let Some(next) = consumers.sole(dag, cur) else {
+            return false;
+        };
         let Ok(node) = dag.node(next) else {
             return false;
         };
         match &node.call {
             KeepColumns { .. } | Compute { .. } => return true,
             CountRows => {
-                if consumers[next].is_empty() {
+                if counts[next] == 0 {
                     return true;
                 }
                 cur = next;
@@ -1217,13 +1270,11 @@ fn reorder_joins(
         {
             continue;
         }
-        if star.joins.iter().any(|j| consumers[j.dim].len() != 1) {
+        let counts = dag.consumer_counts();
+        if star.joins.iter().any(|j| counts[j.dim] != 1) {
             continue;
         }
-        if star.joins[..n - 1]
-            .iter()
-            .any(|j| consumers[j.join].len() != 1)
-        {
+        if star.joins[..n - 1].iter().any(|j| counts[j.join] != 1) {
             continue;
         }
         let root = star.joins[n - 1].join;
@@ -1288,14 +1339,29 @@ fn reorder_joins(
     reordered
 }
 
-fn consumer_lists(dag: &SkillDag) -> Vec<Vec<NodeId>> {
+/// The consumers of each node that are in the planned unit. The unit's
+/// consumer counts say how many there are in all.
+struct Consumers(Vec<Vec<NodeId>>);
+
+fn consumer_lists(dag: &SkillDag) -> Consumers {
     let mut consumers: Vec<Vec<NodeId>> = vec![Vec::new(); dag.len()];
     for node in dag.nodes() {
         for &input in &node.inputs {
             consumers[input].push(node.id);
         }
     }
-    consumers
+    Consumers(consumers)
+}
+
+impl Consumers {
+    /// The one consumer of a node that has exactly one, when it is in the
+    /// unit. A node whose only consumer was left outside has none here.
+    fn sole(&self, dag: &SkillDag, id: NodeId) -> Option<NodeId> {
+        match (dag.consumer_counts()[id], &self.0[id][..]) {
+            (1, &[next]) => Some(next),
+            _ => None,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1885,6 +1951,142 @@ mod tests {
         assert!(int_blocks_unique(&[dense(0, 9), dense(10, 19)]));
         assert!(!int_blocks_unique(&[dense(0, 9), dense(5, 14)]));
         assert!(!int_blocks_unique(&[]));
+    }
+
+    // ----- the unit of planning is the targets' cone -----
+
+    /// [`Env`]'s answers, counting the schema lookups.
+    struct CountingStats<'e> {
+        env: &'e Env,
+        schema_calls: std::cell::Cell<usize>,
+    }
+
+    impl PlanStats for CountingStats<'_> {
+        fn table_schema(&self, database: &str, table: &str) -> Option<Schema> {
+            self.schema_calls.set(self.schema_calls.get() + 1);
+            self.env.table_schema(database, table)
+        }
+        fn table_rows(&self, database: &str, table: &str) -> Option<u64> {
+            self.env.table_rows(database, table)
+        }
+        fn column_distinct(&self, database: &str, table: &str, column: &str) -> Option<u64> {
+            self.env.column_distinct(database, table, column)
+        }
+        fn column_unique(&self, database: &str, table: &str, column: &str) -> bool {
+            self.env.column_unique(database, table, column)
+        }
+    }
+
+    /// One load → filter → compute job over `wide`, its filter on `k > floor`.
+    fn add_job(dag: &mut SkillDag, floor: i64) -> [NodeId; 3] {
+        let load = dag
+            .add(SkillCall::load_table("Main", "wide"), vec![])
+            .unwrap();
+        let keep = dag
+            .add(
+                SkillCall::KeepRows {
+                    predicate: Expr::col("k").gt(Expr::lit(floor)),
+                },
+                vec![load],
+            )
+            .unwrap();
+        let agg = dag
+            .add(
+                SkillCall::Compute {
+                    aggs: vec![dc_engine::AggSpec {
+                        func: dc_engine::AggFunc::Sum,
+                        column: Some("a".into()),
+                        output: "sum_a".into(),
+                    }],
+                    for_each: vec!["b".into()],
+                },
+                vec![keep],
+            )
+            .unwrap();
+        [load, keep, agg]
+    }
+
+    #[test]
+    fn planning_a_cone_costs_the_cone_and_gives_the_plan_of_the_cone_alone() {
+        let env = env_with(&[("wide", wide_table(64), 16)]);
+        let mut session = SkillDag::new();
+        for job in 0..1_000 {
+            add_job(&mut session, job);
+        }
+        let cone = add_job(&mut session, 7);
+
+        let stats = CountingStats {
+            env: &env,
+            schema_calls: std::cell::Cell::new(0),
+        };
+        let planned = optimize_dag(&session, &[cone[2]], &[], &stats).expect("rewrite applies");
+        assert_eq!(stats.schema_calls.get(), 1, "one load in the cone");
+
+        let mut alone = SkillDag::new();
+        let ids = add_job(&mut alone, 7);
+        let alone = optimize_dag(&alone, &[ids[2]], &[], &env).expect("rewrite applies");
+        for (in_session, by_itself) in cone.iter().zip(ids) {
+            assert_eq!(
+                planned.node(*in_session).unwrap().call,
+                alone.node(by_itself).unwrap().call
+            );
+        }
+        // The load scans with the predicate and the live columns only.
+        assert_eq!(
+            planned.node(cone[0]).unwrap().call,
+            SkillCall::LoadTable {
+                database: "Main".into(),
+                table: "wide".into(),
+                columns: Some(vec!["k".into(), "a".into(), "b".into()]),
+                predicate: Some(Expr::col("k").gt(Expr::lit(7))),
+            }
+        );
+        // Nothing no target reaches is rewritten, equal loads included.
+        for id in 0..cone[0] {
+            assert_eq!(planned.node(id).unwrap(), session.node(id).unwrap());
+        }
+    }
+
+    #[test]
+    fn a_consumer_outside_the_cone_still_counts() {
+        let env = env_with(&[("wide", wide_table(64), 16)]);
+        let mut dag = SkillDag::new();
+        let [load, keep, agg] = add_job(&mut dag, 7);
+        // Somebody else reads the load, from outside the target's cone:
+        // the filter must not reach the scan, nor may a column go.
+        let _head = dag.add(SkillCall::ShowHead { n: 3 }, vec![load]).unwrap();
+        assert!(optimize_dag(&dag, &[agg], &[], &env).is_none());
+        // Read further up, it shields nothing below the filter.
+        let mut dag = SkillDag::new();
+        let [load, keep2, agg] = add_job(&mut dag, 7);
+        let _head = dag.add(SkillCall::ShowHead { n: 3 }, vec![keep2]).unwrap();
+        let planned = optimize_dag(&dag, &[agg], &[], &env).expect("rewrite applies");
+        assert!(pushed_predicate(&planned, load).is_some());
+        assert_eq!(keep, keep2);
+    }
+
+    #[test]
+    fn linear_plan_gives_the_load_step_its_predicate_and_its_columns() {
+        let env = env_with(&[("wide", wide_table(64), 16)]);
+        let mut dag = SkillDag::new();
+        add_job(&mut dag, 7);
+        let steps: Vec<SkillCall> = dag.nodes().iter().map(|n| n.call.clone()).collect();
+        let planned = plan_linear(&steps, &env).expect("the load step is eligible");
+        assert_eq!(
+            planned[0],
+            SkillCall::LoadTable {
+                database: "Main".into(),
+                table: "wide".into(),
+                columns: Some(vec!["k".into(), "a".into(), "b".into()]),
+                predicate: Some(Expr::col("k").gt(Expr::lit(7))),
+            }
+        );
+        assert_eq!(planned[1..], steps[1..]);
+        // Planned steps are a fixed point: staged one at a time, no later
+        // plan finds anything to add to the load.
+        assert!(plan_linear(&planned, &env).is_none());
+        // A program that continues an earlier request has no load to plan.
+        assert!(plan_linear(&steps[1..], &env).is_none());
     }
 
     // ----- the filter-hoisting rule alone: `plan_pushdown` -----

@@ -607,20 +607,32 @@ impl Executor {
         // The whole-run slice starts now: planning, interning, and every
         // wave all count against it.
         let deadline = policy.run_budget.map(|b| Instant::now() + b);
+        // The unit of a run is the target's cone: a compact copy of the
+        // nodes it depends on (ids `0..k`, `cone.ids` back to the caller's
+        // ids), so a step costs what it depends on however many nodes the
+        // session has collected. Everything below speaks cone ids; the
+        // caller's ids come back in at the edge — rejections and estimates
+        // on the way in, the report on the way out.
+        let mut cone = dag.cone(&[target])?;
+        let written = |local: NodeId| cone.ids[local];
+        let cone_target = cone
+            .local(target)
+            .ok_or(SkillError::NodeNotFound { id: target })?;
         // The one plan step. Its rewrites (projection pushdown, filter
         // hoisting into scans, join reordering, dedup) preserve node ids
         // and filter nodes, so caching, reporting and error attribution
         // are unaffected. A rejected node is vetoed: its predicate never
         // earned the right to run anywhere, a scan included. With
         // `optimize` off the DAG runs exactly as written.
-        let vetoed: Vec<NodeId> = rejections.iter().map(|(n, _)| *n).collect();
-        let optimized = if self.optimize {
-            crate::optimize::optimize_dag(dag, &[target], &vetoed, env)
-        } else {
-            None
-        };
-        let dag = optimized.as_ref().unwrap_or(dag);
-        let order = dag.ancestors(target)?;
+        if self.optimize {
+            let vetoed: Vec<NodeId> = (rejections.iter())
+                .filter_map(|(n, _)| cone.local(*n))
+                .collect();
+            crate::optimize::plan_unit(&mut cone.dag, &[cone_target], &vetoed, env);
+        }
+        let dag = &cone.dag;
+        // Load dedup can leave a twin behind, so the cone is walked again.
+        let order = dag.ancestors(cone_target)?;
         let interned = self.intern_ids(dag, &order, env)?;
         let (hits_before, saved_before) = (self.stats.cache_hits, self.stats.bytes_saved);
         let mut run = Run {
@@ -641,7 +653,7 @@ impl Executor {
         for &nid in &order {
             let node = dag.node(nid)?;
             let id = run.id(nid);
-            if let Some((_, reason)) = rejections.iter().find(|(r, _)| *r == nid) {
+            if let Some((_, reason)) = rejections.iter().find(|(r, _)| *r == written(nid)) {
                 let why = format!("rejected by static analysis: {reason}");
                 run.record(node, NodeOutcome::Failed(SkillError::invalid(why)));
                 rejected_reps.entry(id).or_insert(nid);
@@ -705,7 +717,7 @@ impl Executor {
 
         // A rejected (or failed) target never yields an output, even when
         // an earlier run checkpointed a result for its sub-DAG.
-        let id = run.id(target);
+        let id = run.id(cone_target);
         let output = match self.cache.get(&id) {
             Some((out, _)) if !run.unusable.contains(&id) => Some(out.clone()),
             _ => None,
@@ -713,7 +725,11 @@ impl Executor {
         let mut nodes: Vec<NodeReport> = Vec::with_capacity(order.len());
         for nid in &order {
             if let Some(mut r) = run.reports.remove(nid) {
-                if let Some(&(_, est)) = estimates.iter().find(|(n, _)| n == nid) {
+                r.node = written(r.node);
+                if let NodeOutcome::Skipped { blocked_on } = &mut r.outcome {
+                    *blocked_on = written(*blocked_on);
+                }
+                if let Some(&(_, est)) = estimates.iter().find(|(n, _)| *n == r.node) {
                     r.bytes_estimated = est;
                 }
                 nodes.push(r);

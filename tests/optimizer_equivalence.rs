@@ -10,6 +10,12 @@
 //! it once; the last property pins the contract of its two public doors, `Executor::run` and
 //! `Executor::run_resilient` under a one-attempt policy with no budget.
 //!
+//! What is planned is the target's cone, and two properties pin what that
+//! means: the rest of a session's DAG — jobs before and after, over the
+//! same tables — changes neither the cone's plan nor the structural
+//! identity of its result, and a consumer left outside the cone constrains
+//! the plan exactly as it would from inside it.
+//!
 //! The generator mixes plain column transforms with inner-join chains
 //! against a unique-key dimension and a fan-out dimension, plus
 //! self-concats, so every rewrite family (projection pushdown, filter
@@ -172,11 +178,17 @@ fn world() -> Env {
 
 fn build_dag(steps: &[Step]) -> (SkillDag, datachat::skills::NodeId) {
     let mut dag = SkillDag::new();
+    let target = append_steps(&mut dag, steps);
+    (dag, target)
+}
+
+/// Append a load of `sales` and `steps` over it; the last node added.
+fn append_steps(dag: &mut SkillDag, steps: &[Step]) -> datachat::skills::NodeId {
     let load = |dag: &mut SkillDag, table: &str| {
         dag.add(SkillCall::load_table("MainDatabase", table), vec![])
             .unwrap()
     };
-    let mut cur = load(&mut dag, "sales");
+    let mut cur = load(dag, "sales");
     for step in steps {
         cur = match step {
             Step::Chain(call) => dag.add(call.clone(), vec![cur]).unwrap(),
@@ -185,7 +197,7 @@ fn build_dag(steps: &[Step]) -> (SkillDag, datachat::skills::NodeId) {
                     Step::JoinUnique => "region_info",
                     _ => "region_notes",
                 };
-                let dim = load(&mut dag, table);
+                let dim = load(dag, table);
                 dag.add(
                     SkillCall::Join {
                         other: table.into(),
@@ -208,7 +220,35 @@ fn build_dag(steps: &[Step]) -> (SkillDag, datachat::skills::NodeId) {
                 .unwrap(),
         };
     }
-    (dag, cur)
+    cur
+}
+
+/// A job of somebody else's in the same session, over the same table as
+/// the generated DAG: load, keep, aggregate.
+fn append_unrelated_job(dag: &mut SkillDag, floor: i64) {
+    let steps = [
+        Step::Chain(SkillCall::KeepRows {
+            predicate: Expr::col("price").gt(Expr::lit(floor)),
+        }),
+        Step::Chain(SkillCall::Compute {
+            aggs: vec![AggSpec {
+                func: AggFunc::Sum,
+                column: Some("quantity".into()),
+                output: AggSpec::default_output(AggFunc::Sum, Some("quantity")),
+            }],
+            for_each: vec!["region".into()],
+        }),
+    ];
+    append_steps(dag, &steps);
+}
+
+/// What the executor's caches key a node's result on — its call and, in
+/// turn, its inputs' — spelled out instead of interned, so that it compares
+/// across DAGs.
+fn signature(dag: &SkillDag, id: datachat::skills::NodeId) -> String {
+    let node = dag.node(id).expect("a node of the DAG");
+    let inputs: Vec<String> = node.inputs.iter().map(|&i| signature(dag, i)).collect();
+    format!("{}({})", node.call.cache_key(), inputs.join(","))
 }
 
 /// A table with equal contents and no buffer in common.
@@ -307,6 +347,87 @@ proptest! {
             "a second walk found work\nDAG:\n{:?}\noptimized:\n{:?}\nplanned:\n{:?}",
             dag, optimized, planned
         );
+    }
+
+    /// A step's plan is a function of its cone. Jobs of the same session
+    /// before and after it — loads of the same table included, which a
+    /// whole-session plan used to merge with the cone's own — change
+    /// neither the calls and edges planned for the cone nor what the
+    /// target's result is cached as, and nothing outside the cone is
+    /// rewritten.
+    #[test]
+    fn the_rest_of_the_session_does_not_reach_a_cone(
+        steps in prop::collection::vec(step(), 1..7),
+        before in prop::collection::vec(-50i64..50, 0..4),
+        after in prop::collection::vec(-50i64..50, 0..4),
+    ) {
+        let (alone, target) = build_dag(&steps);
+        let mut session = SkillDag::new();
+        for &floor in &before {
+            append_unrelated_job(&mut session, floor);
+        }
+        let base = session.len();
+        let session_target = append_steps(&mut session, &steps);
+        for &floor in &after {
+            append_unrelated_job(&mut session, floor);
+        }
+        prop_assert_eq!(session_target, base + target);
+
+        let planned_alone = optimize_dag(&alone, &[target], &[], &world());
+        let planned_alone = planned_alone.as_ref().unwrap_or(&alone);
+        let planned = optimize_dag(&session, &[session_target], &[], &world());
+        let planned = planned.as_ref().unwrap_or(&session);
+        for id in 0..session.len() {
+            let got = planned.node(id).unwrap();
+            if (base..=session_target).contains(&id) {
+                let want = planned_alone.node(id - base).unwrap();
+                let inputs: Vec<usize> = want.inputs.iter().map(|i| i + base).collect();
+                prop_assert_eq!(&got.call, &want.call, "node {} of\n{:?}", id, session);
+                prop_assert_eq!(&got.inputs, &inputs, "node {} of\n{:?}", id, session);
+            } else {
+                prop_assert_eq!(got, session.node(id).unwrap(), "outside the cone");
+            }
+        }
+        prop_assert_eq!(
+            signature(planned, session_target),
+            signature(planned_alone, target)
+        );
+
+        // The same thing seen from the cache: what ran alone is a hit, whole,
+        // when the session asks for it.
+        let mut env = world();
+        let mut ex = Executor::new();
+        if let Ok(want) = ex.run(&alone, target, &mut env) {
+            let executed = ex.stats.nodes_executed;
+            let got = ex.run(&session, session_target, &mut env);
+            prop_assert_eq!(got.ok(), Some(want));
+            prop_assert_eq!(ex.stats.nodes_executed, executed, "nothing ran again");
+        }
+    }
+
+    /// A consumer outside the cone still counts: reading node `n` from a
+    /// branch no target reaches constrains the cone's plan exactly as the
+    /// same reader does when it is a target too — nothing is hoisted
+    /// through `n`, none of its columns is dropped.
+    #[test]
+    fn a_consumer_outside_the_cone_counts_like_one_inside(
+        steps in prop::collection::vec(step(), 1..7),
+        n in 0usize..12,
+    ) {
+        let (mut dag, target) = build_dag(&steps);
+        let n = n % dag.len();
+        let reader = dag.add(SkillCall::ShowHead { n: 3 }, vec![n]).unwrap();
+
+        let outside = optimize_dag(&dag, &[target], &[], &world());
+        let outside = outside.as_ref().unwrap_or(&dag);
+        let inside = optimize_dag(&dag, &[target, reader], &[], &world());
+        let inside = inside.as_ref().unwrap_or(&dag);
+        for id in 0..=target {
+            prop_assert_eq!(
+                outside.node(id).unwrap(), inside.node(id).unwrap(),
+                "node {} (reader on {}) of\n{:?}", id, n, dag
+            );
+        }
     }
 
     /// The contract of the public pair: `run` is `run_resilient` under a
