@@ -15,6 +15,19 @@
 //! of its tenant's queue with a doubled (capped) quantum; re-dispatch
 //! **resumes** from the checkpointed frontier rather than starting over.
 //!
+//! ## One plan per request
+//!
+//! A request's step list is planned once, as a whole, before any step is
+//! staged ([`dc_skills::plan_linear`]: the driver's whole plan step over
+//! the linear DAG the steps will become, final step the only target), so
+//! the load step carries its predicate and its live columns from the
+//! first slice and stays a structural cache hit slice after slice — one
+//! scan a job. A metered tenant's steps are planned under the world lock
+//! admission takes to price them, so the reservation is an estimate of
+//! exactly the steps that run; an unmetered tenant's are planned at first
+//! dispatch. Staging moves a step into the session's DAG: the DAG holds
+//! the only copy of a finished job's calls.
+//!
 //! ## Overload state machine
 //!
 //! ```text

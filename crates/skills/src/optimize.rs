@@ -1,8 +1,21 @@
 //! The plan step: cost-based rewrites over a [`SkillDag`].
 //!
-//! [`optimize_dag`] is the one pass the driver ([`crate::resilient`])
-//! runs over a DAG before walking it, and the one the static estimator
-//! runs before pricing it. Four rewrite families:
+//! One pass, [`plan_unit`], is what the driver ([`crate::resilient`]) runs
+//! before walking a DAG and what the static estimator runs, through
+//! [`optimize_dag`], before pricing it. **What it plans is the targets'
+//! cone** — the nodes they depend on, cut out of the DAG as a compact copy
+//! ([`SkillDag::cone`]) — never the whole DAG: a session's DAG grows for
+//! as long as the session lives (§2.4), and a step must cost what it
+//! depends on, not what the session has collected. Every pass below loops
+//! over the unit it is handed and sizes its side tables by it. The rest of
+//! the DAG reaches a cone's plan in exactly two ways, both carried by the
+//! cone itself: a cone node's consumer count includes its consumers
+//! outside the cone (a node somebody else reads is not sole-consumed:
+//! nothing hoists or merges through it, and it keeps all its columns), and
+//! a name bound to a cone node protects it. A request's step list has no
+//! DAG yet; [`plan_linear`] lowers it to one and plans that.
+//!
+//! Four rewrite families:
 //!
 //! 1. **Projection pushdown** — a column-liveness pass threads the
 //!    minimal live column set of every unprotected [`SkillCall::LoadTable`]
@@ -15,14 +28,15 @@
 //!    source loads that have none, where per-block zone maps skip blocks
 //!    that cannot contain a matching row. [`plan_pushdown`] and
 //!    [`plan_linear_pushdown`] are this rule alone, for callers with no
-//!    statistics (a request's step list, a whole-DAG analysis).
+//!    statistics (a whole-DAG analysis).
 //! 3. **Join-order selection** — chains/stars of 2–4 inner joins are
 //!    re-ordered by estimator-style interval upper bounds (dictionary
 //!    cardinalities and provable key uniqueness); the written order is
 //!    kept on ties or unbounded estimates.
 //! 4. **Flattening** — adjacent `KeepRows` pairs merge into one
 //!    conjunction (so deeper predicates reach the scan), and duplicate
-//!    load nodes dedup by redirecting consumers to the first copy.
+//!    load nodes of the unit dedup by redirecting consumers to the first
+//!    copy.
 //!
 //! Every rewrite keeps one discipline: node ids and node count never
 //! change (calls are swapped in place, edges only redirect to structural

@@ -2,10 +2,16 @@
 //! the policy it walks it under — retry, timeouts, panic isolation,
 //! degraded scans, and checkpointed resume.
 //!
-//! Every run goes through [`Executor::run_resilient_with_preflight`]:
-//! plan once with [`crate::optimize::optimize_dag`], intern structural
-//! sub-DAG ids, serve what a cache tier holds, then execute the rest in
-//! topological *waves* under an [`ExecPolicy`]. [`Executor::run`] and
+//! Every run goes through [`Executor::run_resilient_with_preflight`]: cut
+//! the target's cone out of the DAG ([`SkillDag::cone`]: a compact copy of
+//! the nodes the target depends on), plan it once with the plan step
+//! ([`crate::optimize`]), intern structural sub-DAG ids, serve what a
+//! cache tier holds, then execute the rest in topological *waves* under an
+//! [`ExecPolicy`]. The driver touches nothing outside the cone, so a run
+//! costs what its target depends on however many nodes the session's DAG
+//! has collected; the caller's node ids are translated at the driver's
+//! edge (target, rejections and estimates on the way in, the
+//! [`NodeReport`]s on the way out). [`Executor::run`] and
 //! [`Executor::table_of`] are that body under a one-attempt policy with no
 //! budget, returning the target's output or the first failure; the other
 //! policies add:
@@ -556,8 +562,9 @@ impl Executor {
     /// the analyzer's per-node scan-byte estimates, recorded on each
     /// [`NodeReport`] as `bytes_estimated` so callers can compare
     /// predicted against actual scan charges (estimate-vs-actual
-    /// q-error). Both are keyed by the DAG's node ids as written — the
-    /// optimizer preserves ids.
+    /// q-error). Both are keyed by `dag`'s node ids, as the report is; the
+    /// driver maps them onto the cone it runs. Entries for nodes outside
+    /// the target's cone are ignored.
     pub fn run_resilient_with_preflight(
         &mut self,
         dag: &SkillDag,
