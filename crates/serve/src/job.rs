@@ -1,6 +1,5 @@
 //! Jobs: what tenants submit, what workers carry, what callers await.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -165,7 +164,7 @@ pub(crate) struct Job {
     pub tenant: String,
     /// The steps not yet staged, in order; staging moves a step into the
     /// session's DAG.
-    pub steps: VecDeque<SkillCall>,
+    pub steps: std::vec::IntoIter<SkillCall>,
     /// Whether `steps` has been through the plan step: at admission for a
     /// metered tenant (so the reservation prices what runs), at first
     /// dispatch otherwise.

@@ -44,7 +44,6 @@
 //! never by dropping an admitted job. Shutdown drains every queue with
 //! typed `ShuttingDown` answers.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -239,17 +238,18 @@ impl SessionService {
         // estimate prices the very steps the slices will run. Unmetered
         // tenants skip this so their submissions never touch the world
         // lock; their steps are planned at first dispatch.
-        let mut steps = VecDeque::from(request.steps);
+        let mut steps = request.steps;
         let (reserved, estimates) = if metered {
             self.inner.env.with(|env| {
-                plan_steps(env, &mut steps);
-                let steps = steps.make_contiguous();
+                if let Some(planned) = plan_linear(&steps, env) {
+                    steps = planned;
+                }
                 match self.inner.config.reservation {
                     ReservationMode::Estimated => {
-                        let est = dc_analyze::estimate_steps(env, steps);
+                        let est = dc_analyze::estimate_steps(env, &steps);
                         (est.reserve, est.per_step)
                     }
-                    ReservationMode::FullBytes => (estimate_scan_bytes(env, steps), Vec::new()),
+                    ReservationMode::FullBytes => (estimate_scan_bytes(env, &steps), Vec::new()),
                 }
             })
         } else {
@@ -265,7 +265,7 @@ impl SessionService {
         let job = Job {
             id,
             tenant: tenant.to_string(),
-            steps,
+            steps: steps.into_iter(),
             planned: metered,
             name_result: request.name_result,
             next_step: 0,
@@ -369,22 +369,6 @@ impl Drop for SessionService {
     }
 }
 
-/// Plan a request's step list once, as a whole, with the driver's whole
-/// plan step ([`plan_linear`]). A step-at-a-time session cannot benefit
-/// from planning its DAG (each load is its own slice's protected target
-/// and scans in full, and every later re-plan — the filter fused in, then
-/// the live columns — is a different structural sub-DAG that scans again),
-/// so the step list itself is rewritten: the load step carries predicate
-/// and columns from the start and stays a structural hit slice after
-/// slice. Only the final step's output is observable, so this preserves
-/// the outcome, and the planned list is both what admission prices and
-/// what runs.
-fn plan_steps(env: &Env, steps: &mut VecDeque<SkillCall>) {
-    if let Some(planned) = plan_linear(steps.make_contiguous(), env) {
-        *steps = planned.into();
-    }
-}
-
 /// Upper bound on the scan bytes `steps` could charge: the total stored
 /// bytes of every *distinct* cloud table the program loads — a program
 /// loading one table twice hits the session's structural cache on the
@@ -441,8 +425,12 @@ fn drive(inner: &Inner, dispatch: Dispatch) {
     // against the tenant's fair share.
     let (end, spent) = inner.env.with(|env| {
         let started = Instant::now();
+        // An unmetered tenant's submission never took the world lock, so
+        // its steps are planned here, the first time the job holds it.
         if !job.planned {
-            plan_steps(env, &mut job.steps);
+            if let Some(planned) = plan_linear(job.steps.as_slice(), env) {
+                job.steps = planned.into_iter();
+            }
             job.planned = true;
         }
         env.attribution = Some(job.tenant.clone());
@@ -536,7 +524,7 @@ fn run_slice(
     env: &mut Env,
     started: Instant,
 ) -> SliceEnd {
-    while job.staged.is_some() || !job.steps.is_empty() {
+    while job.staged.is_some() || job.steps.len() > 0 {
         let elapsed = started.elapsed();
         if elapsed >= job.quantum {
             return SliceEnd::Preempted;
@@ -546,7 +534,7 @@ fn run_slice(
             None => {
                 // The step moves into the session's DAG, which keeps it for
                 // as long as the session lives: no second copy is made.
-                let Some(call) = job.steps.pop_front() else {
+                let Some(call) = job.steps.next() else {
                     break;
                 };
                 match session.stage(&job.tenant, call) {

@@ -2065,18 +2065,17 @@ mod tests {
     fn a_consumer_outside_the_cone_still_counts() {
         let env = env_with(&[("wide", wide_table(64), 16)]);
         let mut dag = SkillDag::new();
-        let [load, keep, agg] = add_job(&mut dag, 7);
+        let [load, _, agg] = add_job(&mut dag, 7);
         // Somebody else reads the load, from outside the target's cone:
         // the filter must not reach the scan, nor may a column go.
         let _head = dag.add(SkillCall::ShowHead { n: 3 }, vec![load]).unwrap();
         assert!(optimize_dag(&dag, &[agg], &[], &env).is_none());
         // Read further up, it shields nothing below the filter.
         let mut dag = SkillDag::new();
-        let [load, keep2, agg] = add_job(&mut dag, 7);
-        let _head = dag.add(SkillCall::ShowHead { n: 3 }, vec![keep2]).unwrap();
+        let [load, keep, agg] = add_job(&mut dag, 7);
+        let _head = dag.add(SkillCall::ShowHead { n: 3 }, vec![keep]).unwrap();
         let planned = optimize_dag(&dag, &[agg], &[], &env).expect("rewrite applies");
         assert!(pushed_predicate(&planned, load).is_some());
-        assert_eq!(keep, keep2);
     }
 
     #[test]
