@@ -38,42 +38,30 @@ impl Permission {
 /// An access-control list with an owner.
 #[derive(Debug, Clone, Default)]
 pub struct Shareable {
-    /// Sorted by user. Every session and artifact holds one and most name
-    /// one user, so the list is a vector, not a tree node sized for eleven.
-    grants: Vec<(String, Permission)>,
+    grants: BTreeMap<String, Permission>,
 }
 
 impl Shareable {
     /// An ACL whose owner holds [`Permission::Own`].
     pub fn owned_by(owner: impl Into<String>) -> Shareable {
-        Shareable {
-            grants: vec![(owner.into(), Permission::Own)],
-        }
-    }
-
-    fn position(&self, user: &str) -> std::result::Result<usize, usize> {
-        self.grants.binary_search_by(|(u, _)| u.as_str().cmp(user))
+        let mut s = Shareable::default();
+        s.grants.insert(owner.into(), Permission::Own);
+        s
     }
 
     /// Grant (or change) a user's permission.
     pub fn grant(&mut self, user: impl Into<String>, permission: Permission) {
-        let user = user.into();
-        match self.position(&user) {
-            Ok(at) => self.grants[at].1 = permission,
-            Err(at) => self.grants.insert(at, (user, permission)),
-        }
+        self.grants.insert(user.into(), permission);
     }
 
     /// Revoke a user's access entirely.
     pub fn revoke(&mut self, user: &str) {
-        if let Ok(at) = self.position(user) {
-            self.grants.remove(at);
-        }
+        self.grants.remove(user);
     }
 
     /// The permission a user holds.
     pub fn permission_of(&self, user: &str) -> Option<Permission> {
-        self.position(user).ok().map(|at| self.grants[at].1)
+        self.grants.get(user).copied()
     }
 
     /// All grants (sorted by user).

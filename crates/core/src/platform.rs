@@ -329,16 +329,10 @@ impl Platform {
     ) -> Result<ChatReply, PlatformError> {
         let calls: Vec<SkillCall> = calls.into_iter().map(rewrite_use_dataset).collect();
         let diagnostics = self.preflight(&calls)?;
-        let steps_gel = calls.iter().map(dc_gel::format_skill).collect();
-        // One message, one program: a session runs it a step at a time, so
-        // a load runs in full as its own step's target before the filter
-        // and the aggregate that would have narrowed it arrive, and their
-        // plans scan again. Planning the step list once, as a whole, gives
-        // the load step its predicate and live columns from the start;
-        // only the last step's output is the reply.
-        let calls = with_env(|env| dc_skills::plan_linear(&calls, env)).unwrap_or(calls);
         let mut last: Option<SkillOutput> = None;
+        let mut steps_gel = Vec::with_capacity(calls.len());
         for call in calls {
+            steps_gel.push(dc_gel::format_skill(&call));
             last = Some(handle.session.submit(&handle.user, call)?);
         }
         Ok(ChatReply {

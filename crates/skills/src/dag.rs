@@ -14,8 +14,16 @@
 //! recounts), and [`SkillDag::cone`] cuts the compact copy — `k` nodes, ids
 //! `0..k`, a map back to this DAG's ids — that the plan step rewrites and
 //! the driver walks.
+//!
+//! A load that repeats an earlier load's call is the same source, however
+//! far apart in the session the two were written: the DAG remembers each
+//! load's first copy as nodes are added, and a cone reads every later copy
+//! as the first, whose consumer count then speaks for them all.
 
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{BTreeSet, HashMap};
+use std::fmt::Write as _;
+use std::hash::Hasher;
 
 use crate::error::{Result, SkillError};
 use crate::skill::SkillCall;
@@ -37,16 +45,32 @@ pub struct SkillNode {
 /// Name bindings are versioned: binding `fredgraph` twice creates
 /// versions 1 and 2, and `Use the dataset fredgraph, version 1` resolves
 /// the first (§2.3's "Versions" sidebar in the Figure 2 editor).
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct SkillDag {
     nodes: Vec<SkillNode>,
     names: HashMap<String, Vec<NodeId>>,
-    /// Consumer edges pointing at each node, maintained by `add` and
-    /// `redirect_input`. In a DAG cut by [`SkillDag::cone`] these are the
-    /// counts of the DAG it was cut from.
+    /// Consumer edges pointing at each node, kept as edges are added. In a
+    /// DAG cut by [`SkillDag::cone`] these are the counts of the DAG it was
+    /// cut from, a first load's with those of its later copies.
     consumers: Vec<usize>,
     /// Whether a dataset name is bound to each node.
     bound: Vec<bool>,
+    /// For a load that repeats an earlier load's call, the first load with
+    /// that call; for every other node, the node itself.
+    first: Vec<NodeId>,
+    /// Per first load, the consumer edges of its later copies that no name
+    /// is bound to — the copies a cone reads as the first.
+    passed_on: Vec<usize>,
+    /// The first load carrying each load call, by the hash of the call.
+    loads: HashMap<u64, NodeId>,
+}
+
+/// Two DAGs are equal when they hold the same calls, edges and names; the
+/// rest is bookkeeping derived from those.
+impl PartialEq for SkillDag {
+    fn eq(&self, other: &SkillDag) -> bool {
+        self.nodes == other.nodes && self.names == other.names
+    }
 }
 
 /// The nodes some targets depend on, cut out of a larger DAG: what one run
@@ -60,6 +84,9 @@ pub(crate) struct Cone {
     pub(crate) dag: SkillDag,
     /// Cone id → id in the DAG the cone was cut from, ascending.
     pub(crate) ids: Vec<NodeId>,
+    /// Whether an edge of the cone was written against a later copy of a
+    /// load and now reads the first.
+    pub(crate) merged: bool,
 }
 
 impl Cone {
@@ -90,12 +117,51 @@ impl SkillDag {
             )));
         }
         for &i in &inputs {
-            self.consumers[i] += 1;
+            self.count_edge(i, 1);
         }
+        let first = match &call {
+            SkillCall::LoadTable { .. } => self.first_load(&call, id),
+            _ => id,
+        };
         self.nodes.push(SkillNode { id, call, inputs });
         self.consumers.push(0);
         self.bound.push(false);
+        self.first.push(first);
+        self.passed_on.push(0);
         Ok(id)
+    }
+
+    /// The first load carrying `call`, which is `id` itself when no earlier
+    /// node does. Calls are found by hash and compared in full.
+    fn first_load(&mut self, call: &SkillCall, id: NodeId) -> NodeId {
+        struct Hashed(DefaultHasher);
+        impl std::fmt::Write for Hashed {
+            fn write_str(&mut self, s: &str) -> std::fmt::Result {
+                self.0.write(s.as_bytes());
+                Ok(())
+            }
+        }
+        let mut hashed = Hashed(DefaultHasher::new());
+        // Writing into a hasher cannot fail.
+        let _ = write!(hashed, "{call:?}");
+        match self.loads.entry(hashed.0.finish()) {
+            Entry::Occupied(e) if self.nodes[*e.get()].call == *call => *e.get(),
+            Entry::Occupied(mut e) => {
+                e.insert(id);
+                id
+            }
+            Entry::Vacant(e) => *e.insert(id),
+        }
+    }
+
+    /// Count (`by = 1`) or stop counting (`by = -1`) one consumer edge
+    /// pointing at `to`.
+    fn count_edge(&mut self, to: NodeId, by: isize) {
+        self.consumers[to] = self.consumers[to].wrapping_add_signed(by);
+        let first = self.first[to];
+        if first != to && !self.bound[to] {
+            self.passed_on[first] = self.passed_on[first].wrapping_add_signed(by);
+        }
     }
 
     /// Number of nodes.
@@ -134,6 +200,11 @@ impl SkillDag {
             .entry(name.to_lowercase())
             .or_default()
             .push(node);
+        // A named copy of a load stays itself in every cone, so its
+        // consumers stop counting for the first.
+        if !self.bound[node] && self.first[node] != node {
+            self.passed_on[self.first[node]] -= self.consumers[node];
+        }
         self.bound[node] = true;
         Ok(())
     }
@@ -188,11 +259,12 @@ impl SkillDag {
     /// Costs the cone, not the DAG: a session's thousandth step pays for
     /// the nodes it depends on.
     pub fn ancestors(&self, target: NodeId) -> Result<Vec<NodeId>> {
-        self.ancestors_of(&[target])
+        self.reach(&[target], |input| input)
     }
 
-    /// The union of the targets' cones, in topological order.
-    fn ancestors_of(&self, targets: &[NodeId]) -> Result<Vec<NodeId>> {
+    /// The nodes `targets` reach through input edges, each edge leading to
+    /// the node `read_as` names for its input; in topological order.
+    fn reach(&self, targets: &[NodeId], read_as: impl Fn(NodeId) -> NodeId) -> Result<Vec<NodeId>> {
         let mut needed: BTreeSet<NodeId> = BTreeSet::new();
         let mut stack = Vec::with_capacity(targets.len());
         for &target in targets {
@@ -201,7 +273,7 @@ impl SkillDag {
         }
         while let Some(id) = stack.pop() {
             if needed.insert(id) {
-                stack.extend(&self.nodes[id].inputs);
+                stack.extend(self.nodes[id].inputs.iter().map(|&i| read_as(i)));
             }
         }
         Ok(needed.into_iter().collect())
@@ -209,19 +281,58 @@ impl SkillDag {
 
     /// A compact copy of the targets' cones (see [`Cone`]). Copies the
     /// cone's nodes and nothing else of this DAG.
-    pub(crate) fn cone(&self, targets: &[NodeId]) -> Result<Cone> {
-        let ids = self.ancestors_of(targets)?;
+    ///
+    /// With `merge` (the plan step's first rewrite; without it the cone is
+    /// the nodes as written), a load that repeats an earlier load's call is
+    /// read as that first load: edges written against the copy lead to the
+    /// first, and the first's count includes the copy's consumers, inside
+    /// the cone or not. A copy that is a target, `vetoed` or name-bound is
+    /// observable as itself and stays itself, with its own consumers.
+    pub(crate) fn cone(&self, targets: &[NodeId], vetoed: &[NodeId], merge: bool) -> Result<Cone> {
+        let kept: BTreeSet<NodeId> = targets.iter().chain(vetoed).copied().collect();
+        let stays = |id: NodeId| !merge || self.bound[id] || kept.contains(&id);
+        let read_as = |id: NodeId| {
+            let first = self.first[id];
+            // An edited DAG may have changed either call since.
+            if first == id || stays(id) || self.nodes[first].call != self.nodes[id].call {
+                id
+            } else {
+                first
+            }
+        };
+        let ids = self.reach(targets, read_as)?;
+        let mut consumers: Vec<usize> = (ids.iter())
+            .map(|&id| self.consumers[id] + self.passed_on[id])
+            .collect();
+        for &copy in &kept {
+            // Counted in `passed_on` like any unnamed copy, but staying put.
+            let Some(&first) = self.first.get(copy) else {
+                continue;
+            };
+            if let (true, Ok(local)) = (
+                first != copy && !self.bound[copy],
+                ids.binary_search(&first),
+            ) {
+                consumers[local] -= self.consumers[copy];
+            }
+        }
         let mut dag = SkillDag {
             nodes: Vec::with_capacity(ids.len()),
-            names: HashMap::new(),
-            consumers: ids.iter().map(|&id| self.consumers[id]).collect(),
+            consumers,
             bound: ids.iter().map(|&id| self.bound[id]).collect(),
+            first: (0..ids.len()).collect(),
+            passed_on: vec![0; ids.len()],
+            ..SkillDag::default()
         };
+        let mut merged = false;
         for (local, &id) in ids.iter().enumerate() {
             let node = &self.nodes[id];
-            // An ancestor set is closed under inputs, so every input is found.
+            // The walk above took the same edges, so every input is found.
             let inputs = (node.inputs.iter())
-                .filter_map(|i| ids.binary_search(i).ok())
+                .filter_map(|&i| {
+                    merged |= read_as(i) != i;
+                    ids.binary_search(&read_as(i)).ok()
+                })
                 .collect();
             dag.nodes.push(SkillNode {
                 id: local,
@@ -229,7 +340,7 @@ impl SkillDag {
                 inputs,
             });
         }
-        Ok(Cone { dag, ids })
+        Ok(Cone { dag, ids, merged })
     }
 
     /// Write a planned cone back over the nodes it was cut from: their
@@ -240,8 +351,8 @@ impl SkillDag {
             for (slot, local) in node.inputs.into_iter().enumerate() {
                 let to = cone.ids[local];
                 let from = std::mem::replace(&mut self.nodes[id].inputs[slot], to);
-                self.consumers[from] -= 1;
-                self.consumers[to] += 1;
+                self.count_edge(from, -1);
+                self.count_edge(to, 1);
             }
             self.nodes[id].call = node.call;
         }
@@ -270,35 +381,10 @@ impl SkillDag {
         self.bound.get(id).copied().unwrap_or(false)
     }
 
-    /// Repoint `consumer`'s input edges from `from` to `to`. Used by
-    /// plan-time rewrites (load dedup) that merge structurally identical
-    /// producers; `to` must precede `consumer` so the topological
-    /// invariant (`inputs < id`) is preserved.
-    pub fn redirect_input(&mut self, consumer: NodeId, from: NodeId, to: NodeId) -> Result<()> {
-        if self.nodes.get(consumer).is_none() || self.nodes.get(to).is_none() {
-            return Err(SkillError::NodeNotFound {
-                id: consumer.max(to),
-            });
-        }
-        if to >= consumer {
-            return Err(SkillError::invalid(format!(
-                "redirect target {to} does not precede consumer {consumer}"
-            )));
-        }
-        for input in self.nodes[consumer].inputs.iter_mut() {
-            if *input == from {
-                *input = to;
-                self.consumers[from] -= 1;
-                self.consumers[to] += 1;
-            }
-        }
-        Ok(())
-    }
-
     /// How many consumer edges point at each node (a node feeding two
     /// inputs of one consumer counts twice). Kept up to date as edges are
-    /// added and redirected, so reading it costs nothing; in a cone the
-    /// counts include the consumers left outside it.
+    /// added, so reading it costs nothing; in a cone the counts include
+    /// the consumers left outside it.
     pub fn consumer_counts(&self) -> &[usize] {
         &self.consumers
     }
@@ -475,8 +561,20 @@ mod tests {
             )
             .unwrap();
         assert_eq!(dag.consumer_counts(), &[1, 1, 0, 2, 0]);
-        dag.redirect_input(cat, twin, 0).unwrap();
-        assert_eq!(dag.consumer_counts(), &[3, 1, 0, 0, 0]);
+        // Cut with the plan step's merge, the copy's consumer reads the
+        // first load and counts there; cut as written, it does not.
+        let cone = dag.cone(&[cat], &[], true).unwrap();
+        assert!(cone.merged);
+        assert_eq!(cone.ids, vec![0, cat]);
+        assert_eq!(cone.dag.node(1).unwrap().inputs, vec![0, 0]);
+        assert_eq!(cone.dag.consumer_counts(), &[3, 0]);
+        let mut merged = dag.clone();
+        merged.write_back(cone);
+        assert_eq!(merged.consumer_counts(), &[3, 1, 0, 0, 0]);
+        let cone = dag.cone(&[cat], &[], false).unwrap();
+        assert!(!cone.merged);
+        assert_eq!(cone.ids, vec![twin, cat]);
+        assert_eq!(cone.dag.consumer_counts(), &[2, 0]);
         assert!(!dag.is_bound(last));
         dag.bind_name("result", last).unwrap();
         assert!(dag.is_bound(last) && !dag.is_bound(0) && !dag.is_bound(99));
@@ -491,7 +589,7 @@ mod tests {
         let top = dag.add(SkillCall::CountRows, vec![last]).unwrap();
         dag.bind_name("kept", 1).unwrap();
 
-        let cone = dag.cone(&[top]).unwrap();
+        let cone = dag.cone(&[top], &[], true).unwrap();
         assert_eq!(cone.ids, vec![0, 1, 2, top]);
         assert_eq!(cone.local(top), Some(3));
         assert_eq!(cone.local(other), None);
@@ -505,7 +603,7 @@ mod tests {
         let _ = head;
 
         // Written back, an edited cone changes its own nodes only.
-        let mut edited = dag.cone(&[top]).unwrap();
+        let mut edited = dag.cone(&[top], &[], true).unwrap();
         edited
             .dag
             .update_call(2, SkillCall::Limit { n: 99 })

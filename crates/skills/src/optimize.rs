@@ -8,12 +8,15 @@
 //! as long as the session lives (§2.4), and a step must cost what it
 //! depends on, not what the session has collected. Every pass below loops
 //! over the unit it is handed and sizes its side tables by it. The rest of
-//! the DAG reaches a cone's plan in exactly two ways, both carried by the
+//! the DAG reaches a cone's plan in exactly three ways, all carried by the
 //! cone itself: a cone node's consumer count includes its consumers
 //! outside the cone (a node somebody else reads is not sole-consumed:
-//! nothing hoists or merges through it, and it keeps all its columns), and
-//! a name bound to a cone node protects it. A request's step list has no
-//! DAG yet; [`plan_linear`] lowers it to one and plans that.
+//! nothing hoists or merges through it, and it keeps all its columns), a
+//! load that repeats an earlier load of the DAG is read as that first load
+//! and counted with it (the DAG knows each load's first copy, so the cut
+//! finds it without looking at the rest), and a name bound to a cone node
+//! protects it. A request's step list has no DAG yet; [`plan_linear`]
+//! lowers it to one and plans that.
 //!
 //! Four rewrite families:
 //!
@@ -34,9 +37,9 @@
 //!    cardinalities and provable key uniqueness); the written order is
 //!    kept on ties or unbounded estimates.
 //! 4. **Flattening** — adjacent `KeepRows` pairs merge into one
-//!    conjunction (so deeper predicates reach the scan), and duplicate
-//!    load nodes of the unit dedup by redirecting consumers to the first
-//!    copy.
+//!    conjunction (so deeper predicates reach the scan), and the
+//!    consumers of a duplicate load read the first copy instead (done as
+//!    the cone is cut: [`SkillDag::cone`]).
 //!
 //! Every rewrite keeps one discipline: node ids and node count never
 //! change (calls are swapped in place, edges only redirect to structural
@@ -172,7 +175,8 @@ impl PlanStats for Env {
 /// on — and the answer is that plan written back onto a copy of `dag`:
 /// nodes no target reaches are returned as written (nothing executes or
 /// prices them), and what the rest of `dag` holds changes the plan only
-/// through the consumer counts and name bindings of the cone's own nodes.
+/// through the consumer counts and name bindings of the cone's own nodes
+/// and through the earlier loads its loads repeat.
 /// The driver plans the same cone with the same [`plan_unit`] and walks it
 /// without the copy, so what this returns on the cone is what runs.
 pub fn optimize_dag(
@@ -181,11 +185,11 @@ pub fn optimize_dag(
     vetoed: &[NodeId],
     stats: &dyn PlanStats,
 ) -> Option<SkillDag> {
-    let mut cone = dag.cone(targets).ok()?;
+    let mut cone = dag.cone(targets, vetoed, true).ok()?;
     let local =
         |nodes: &[NodeId]| -> Vec<NodeId> { nodes.iter().filter_map(|&n| cone.local(n)).collect() };
     let (targets, vetoed) = (local(targets), local(vetoed));
-    if !plan_unit(&mut cone.dag, &targets, &vetoed, stats) {
+    if !plan_unit(&mut cone.dag, &targets, &vetoed, stats) && !cone.merged {
         return None;
     }
     let mut out = dag.clone();
@@ -206,7 +210,6 @@ pub(crate) fn plan_unit(
     let mut changed = false;
     let protected = protected_set(dag, targets, vetoed);
     let vetoed = node_mask(dag, vetoed);
-    dedup_loads(dag, &protected, &mut changed);
     merge_adjacent_keeps(dag, &protected, &vetoed, &mut changed);
     // Neither rewrite above moves a column name; a join reorder does.
     let mut names = forward_names(dag, stats);
@@ -271,13 +274,18 @@ pub fn plan_pushdown(dag: &SkillDag, protected: &[NodeId], vetoed: &[NodeId]) ->
 /// result — as the sole protected target. Returns `None` when no rewrite
 /// applies.
 pub fn plan_linear(steps: &[SkillCall], stats: &dyn PlanStats) -> Option<Vec<SkillCall>> {
-    let (mut dag, last) = lower_steps(steps)?;
-    plan_unit(&mut dag, &[last], &[], stats).then(|| dag.into_calls())
+    let (dag, last) = lower_steps(steps)?;
+    optimize_dag(&dag, &[last], &[], stats).map(SkillDag::into_calls)
 }
 
 /// [`plan_linear`] with the filter-hoisting rule alone ([`plan_pushdown`]),
 /// for callers with no statistics at hand. Returns `None` when no step is
 /// eligible.
+///
+/// Nothing runs or prices a request with this any more (ROADMAP 5(d): to
+/// be deleted with its integration test): a request priced with this
+/// weaker plan would not be the request `dc-serve` runs.
+#[doc(hidden)]
 pub fn plan_linear_pushdown(steps: &[SkillCall]) -> Option<Vec<SkillCall>> {
     let (dag, last) = lower_steps(steps)?;
     plan_pushdown(&dag, &[last], &[]).map(SkillDag::into_calls)
@@ -321,35 +329,6 @@ fn protected_set(dag: &SkillDag, targets: &[NodeId], vetoed: &[NodeId]) -> Vec<b
         }
     }
     protected
-}
-
-/// Redirect consumers of duplicate load nodes to the first structural
-/// copy. The executor's sub-DAG cache would unify them anyway; doing it
-/// at plan time also unifies anything hoisting later fuses on top.
-fn dedup_loads(dag: &mut SkillDag, protected: &[bool], changed: &mut bool) {
-    let mut first: Vec<(&SkillCall, NodeId)> = Vec::new();
-    let mut alias: Vec<Option<NodeId>> = vec![None; dag.len()];
-    for node in dag.nodes() {
-        if !matches!(node.call, SkillCall::LoadTable { .. }) {
-            continue;
-        }
-        match first.iter().find(|(c, _)| **c == node.call) {
-            Some(&(_, twin)) if !protected[node.id] => alias[node.id] = Some(twin),
-            Some(_) => {}
-            None => first.push((&node.call, node.id)),
-        }
-    }
-    let mut redirects: Vec<(NodeId, NodeId, NodeId)> = Vec::new();
-    for node in dag.nodes() {
-        for &from in &node.inputs {
-            redirects.extend(alias[from].map(|to| (node.id, from, to)));
-        }
-    }
-    for (consumer, from, to) in redirects {
-        if dag.redirect_input(consumer, from, to).is_ok() {
-            *changed = true;
-        }
-    }
 }
 
 /// Merge `KeepRows(p1) → KeepRows(p2)` chains by conjoining downstream
@@ -1993,8 +1972,12 @@ mod tests {
 
     /// One load → filter → compute job over `wide`, its filter on `k > floor`.
     fn add_job(dag: &mut SkillDag, floor: i64) -> [NodeId; 3] {
+        add_job_over(dag, "wide", floor)
+    }
+
+    fn add_job_over(dag: &mut SkillDag, table: &str, floor: i64) -> [NodeId; 3] {
         let load = dag
-            .add(SkillCall::load_table("Main", "wide"), vec![])
+            .add(SkillCall::load_table("Main", table), vec![])
             .unwrap();
         let keep = dag
             .add(
@@ -2022,10 +2005,10 @@ mod tests {
 
     #[test]
     fn planning_a_cone_costs_the_cone_and_gives_the_plan_of_the_cone_alone() {
-        let env = env_with(&[("wide", wide_table(64), 16)]);
+        let env = env_with(&[("wide", wide_table(64), 16), ("other", wide_table(64), 16)]);
         let mut session = SkillDag::new();
         for job in 0..1_000 {
-            add_job(&mut session, job);
+            add_job_over(&mut session, "other", job);
         }
         let cone = add_job(&mut session, 7);
 
@@ -2055,10 +2038,44 @@ mod tests {
                 predicate: Some(Expr::col("k").gt(Expr::lit(7))),
             }
         );
-        // Nothing no target reaches is rewritten, equal loads included.
+        // Nothing no target reaches is rewritten.
         for id in 0..cone[0] {
             assert_eq!(planned.node(id).unwrap(), session.node(id).unwrap());
         }
+    }
+
+    #[test]
+    fn a_repeated_load_is_the_sessions_first_copy_of_it() {
+        let env = env_with(&[("wide", wide_table(64), 16)]);
+        let mut session = SkillDag::new();
+        let [first, ..] = add_job(&mut session, 1);
+        for job in 2..200 {
+            add_job(&mut session, job);
+        }
+        let [copy, keep, agg] = add_job(&mut session, 7);
+
+        let stats = CountingStats {
+            env: &env,
+            schema_calls: std::cell::Cell::new(0),
+        };
+        // The job's filter reads the first load, which two hundred filters
+        // read: nothing is pushed into it and it keeps its columns.
+        let planned = optimize_dag(&session, &[agg], &[], &stats).expect("the edge moves");
+        assert_eq!(stats.schema_calls.get(), 1, "one load in the cone");
+        assert_eq!(planned.node(keep).unwrap().inputs, vec![first]);
+        assert_eq!(planned.node(first).unwrap(), session.node(first).unwrap());
+        assert_eq!(planned.consumer_counts()[copy], 0);
+        // Planned again, the plan has nothing left to do.
+        assert!(optimize_dag(&planned, &[agg], &[], &env).is_none());
+
+        // A copy that is the target, or that a name is bound to, is
+        // observable as itself: its consumers stay with it, and the first
+        // load is read by one filter less.
+        assert!(optimize_dag(&session, &[copy], &[], &env).is_none());
+        session.bind_name("mine", copy).unwrap();
+        assert!(optimize_dag(&session, &[agg], &[], &env).is_none());
+        let cone = session.cone(&[first], &[], true).unwrap();
+        assert_eq!(cone.dag.consumer_counts(), &[199]);
     }
 
     #[test]

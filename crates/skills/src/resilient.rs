@@ -620,26 +620,26 @@ impl Executor {
         // session has collected. Everything below speaks cone ids; the
         // caller's ids come back in at the edge — rejections and estimates
         // on the way in, the report on the way out.
-        let mut cone = dag.cone(&[target])?;
+        // The one plan step. Its rewrites (reading a repeated load as its
+        // first copy, done as the cone is cut; projection pushdown, filter
+        // hoisting into scans, join reordering) preserve node ids and
+        // filter nodes, so caching, reporting and error attribution are
+        // unaffected. A rejected node is vetoed: its predicate never
+        // earned the right to run anywhere, a scan included. With
+        // `optimize` off the DAG runs exactly as written.
+        let vetoed: Vec<NodeId> = rejections.iter().map(|(n, _)| *n).collect();
+        let mut cone = dag.cone(&[target], &vetoed, self.optimize)?;
         let written = |local: NodeId| cone.ids[local];
         let cone_target = cone
             .local(target)
             .ok_or(SkillError::NodeNotFound { id: target })?;
-        // The one plan step. Its rewrites (projection pushdown, filter
-        // hoisting into scans, join reordering, dedup) preserve node ids
-        // and filter nodes, so caching, reporting and error attribution
-        // are unaffected. A rejected node is vetoed: its predicate never
-        // earned the right to run anywhere, a scan included. With
-        // `optimize` off the DAG runs exactly as written.
         if self.optimize {
-            let vetoed: Vec<NodeId> = (rejections.iter())
-                .filter_map(|(n, _)| cone.local(*n))
-                .collect();
+            let vetoed: Vec<NodeId> = vetoed.iter().filter_map(|&n| cone.local(n)).collect();
             crate::optimize::plan_unit(&mut cone.dag, &[cone_target], &vetoed, env);
         }
         let dag = &cone.dag;
-        // Load dedup can leave a twin behind, so the cone is walked again.
-        let order = dag.ancestors(cone_target)?;
+        // Every node of the cone is one the target depends on.
+        let order: Vec<NodeId> = (0..dag.len()).collect();
         let interned = self.intern_ids(dag, &order, env)?;
         let (hits_before, saved_before) = (self.stats.cache_hits, self.stats.bytes_saved);
         let mut run = Run {

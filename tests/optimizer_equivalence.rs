@@ -138,13 +138,16 @@ fn step() -> impl Strategy<Value = Step> {
     ]
 }
 
-/// Sales facts plus a provably-unique dimension (one row per region)
-/// and a fan-out dimension (three rows per region).
+/// Sales facts (and `returns`, the same rows under another name) plus a
+/// provably-unique dimension (one row per region) and a fan-out dimension
+/// (three rows per region).
 fn world() -> Env {
     let mut env = Env::new();
     let mut db = CloudDatabase::new("MainDatabase", Pricing::default_cloud());
-    db.create_table_with_blocks("sales", &datachat::storage::demo::sales(60, 5), 10)
-        .unwrap();
+    for facts in ["sales", "returns"] {
+        db.create_table_with_blocks(facts, &datachat::storage::demo::sales(60, 5), 10)
+            .unwrap();
+    }
     let regions = ["north", "south", "east", "west"];
     let info = Table::new(vec![
         (
@@ -182,13 +185,23 @@ fn build_dag(steps: &[Step]) -> (SkillDag, datachat::skills::NodeId) {
     (dag, target)
 }
 
+fn load(dag: &mut SkillDag, table: &str) -> datachat::skills::NodeId {
+    dag.add(SkillCall::load_table("MainDatabase", table), vec![])
+        .unwrap()
+}
+
 /// Append a load of `sales` and `steps` over it; the last node added.
 fn append_steps(dag: &mut SkillDag, steps: &[Step]) -> datachat::skills::NodeId {
-    let load = |dag: &mut SkillDag, table: &str| {
-        dag.add(SkillCall::load_table("MainDatabase", table), vec![])
-            .unwrap()
-    };
-    let mut cur = load(dag, "sales");
+    let facts = load(dag, "sales");
+    append_steps_over(dag, facts, steps)
+}
+
+/// Append `steps` over the node `cur`; the last node added.
+fn append_steps_over(
+    dag: &mut SkillDag,
+    mut cur: datachat::skills::NodeId,
+    steps: &[Step],
+) -> datachat::skills::NodeId {
     for step in steps {
         cur = match step {
             Step::Chain(call) => dag.add(call.clone(), vec![cur]).unwrap(),
@@ -223,9 +236,9 @@ fn append_steps(dag: &mut SkillDag, steps: &[Step]) -> datachat::skills::NodeId 
     cur
 }
 
-/// A job of somebody else's in the same session, over the same table as
-/// the generated DAG: load, keep, aggregate.
-fn append_unrelated_job(dag: &mut SkillDag, floor: i64) {
+/// A job of somebody else's in the same session: load `table`, keep,
+/// aggregate.
+fn append_job(dag: &mut SkillDag, table: &str, floor: i64) {
     let steps = [
         Step::Chain(SkillCall::KeepRows {
             predicate: Expr::col("price").gt(Expr::lit(floor)),
@@ -239,7 +252,8 @@ fn append_unrelated_job(dag: &mut SkillDag, floor: i64) {
             for_each: vec!["region".into()],
         }),
     ];
-    append_steps(dag, &steps);
+    let facts = load(dag, table);
+    append_steps_over(dag, facts, &steps);
 }
 
 /// What the executor's caches key a node's result on — its call and, in
@@ -350,11 +364,9 @@ proptest! {
     }
 
     /// A step's plan is a function of its cone. Jobs of the same session
-    /// before and after it — loads of the same table included, which a
-    /// whole-session plan used to merge with the cone's own — change
-    /// neither the calls and edges planned for the cone nor what the
-    /// target's result is cached as, and nothing outside the cone is
-    /// rewritten.
+    /// before and after it that read other tables change neither the calls
+    /// and edges planned for the cone nor what the target's result is
+    /// cached as, and nothing outside the cone is rewritten.
     #[test]
     fn the_rest_of_the_session_does_not_reach_a_cone(
         steps in prop::collection::vec(step(), 1..7),
@@ -364,12 +376,12 @@ proptest! {
         let (alone, target) = build_dag(&steps);
         let mut session = SkillDag::new();
         for &floor in &before {
-            append_unrelated_job(&mut session, floor);
+            append_job(&mut session, "returns", floor);
         }
         let base = session.len();
         let session_target = append_steps(&mut session, &steps);
         for &floor in &after {
-            append_unrelated_job(&mut session, floor);
+            append_job(&mut session, "returns", floor);
         }
         prop_assert_eq!(session_target, base + target);
 
@@ -402,6 +414,42 @@ proptest! {
             let got = ex.run(&session, session_target, &mut env);
             prop_assert_eq!(got.ok(), Some(want));
             prop_assert_eq!(ex.stats.nodes_executed, executed, "nothing ran again");
+        }
+    }
+
+    /// A load that repeats an earlier load of the session is that load,
+    /// however much later it was written: steps over the copy get the plan,
+    /// and their result the cache key, of the same steps written over the
+    /// first load directly.
+    #[test]
+    fn a_repeated_load_plans_like_its_first_copy(
+        steps in prop::collection::vec(step(), 1..7),
+        floor in -50i64..50,
+    ) {
+        let mut copied = SkillDag::new();
+        append_job(&mut copied, "sales", floor);
+        let copied_target = append_steps(&mut copied, &steps);
+        let mut direct = SkillDag::new();
+        append_job(&mut direct, "sales", floor);
+        let direct_target = append_steps_over(&mut direct, 0, &steps);
+        // The copy is one node more, right after the job.
+        prop_assert_eq!(copied_target, direct_target + 1);
+
+        let planned_copied = optimize_dag(&copied, &[copied_target], &[], &world());
+        let planned_copied = planned_copied.as_ref().unwrap_or(&copied);
+        let planned_direct = optimize_dag(&direct, &[direct_target], &[], &world());
+        let planned_direct = planned_direct.as_ref().unwrap_or(&direct);
+        prop_assert_eq!(
+            signature(planned_copied, copied_target),
+            signature(planned_direct, direct_target),
+            "copied:\n{:?}\ndirect:\n{:?}", planned_copied, planned_direct
+        );
+        for id in 0..direct.len() {
+            let at = if id < 3 { id } else { id + 1 };
+            prop_assert_eq!(
+                &planned_copied.node(at).unwrap().call,
+                &planned_direct.node(id).unwrap().call
+            );
         }
     }
 
