@@ -244,6 +244,18 @@ impl Session {
             .then(|| self.current.load(Ordering::Acquire) as NodeId)
     }
 
+    /// Make `node` the current dataset again (`None`: no current dataset).
+    /// A caller that runs a request of several steps, only the last of
+    /// which is its answer, abandons a request that failed part-way by
+    /// going back to where the session stood before it; the DAG and the
+    /// log keep the steps that ran.
+    pub fn rewind_to(&self, node: Option<NodeId>) {
+        if let Some(node) = node {
+            self.current.store(node as u64, Ordering::Release);
+        }
+        self.has_current.store(node.is_some(), Ordering::Release);
+    }
+
     /// Bind a dataset name to the current node.
     pub fn name_current(&self, name: impl Into<String>) -> Result<()> {
         let node = self

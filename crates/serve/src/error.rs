@@ -55,9 +55,10 @@ pub enum ServeError {
     Evicted { preemptions: u32 },
     /// The service was shut down before the job ran.
     ShuttingDown,
-    /// The OS refused to start any of the configured worker threads, so
-    /// nothing admitted would ever run; `message` is its reason.
-    NoWorkers { message: String },
+    /// The OS refused to start one of the configured worker threads, and
+    /// the pool serves nothing rather than run short-handed; `message`
+    /// says how many started and why the next did not.
+    ShortOfWorkers { message: String },
 }
 
 impl fmt::Display for ServeError {
@@ -84,8 +85,8 @@ impl fmt::Display for ServeError {
                 write!(f, "evicted after {preemptions} preemptions")
             }
             ServeError::ShuttingDown => f.write_str("service shutting down"),
-            ServeError::NoWorkers { message } => {
-                write!(f, "no worker thread could be started: {message}")
+            ServeError::ShortOfWorkers { message } => {
+                write!(f, "the worker pool is short of workers: {message}")
             }
         }
     }

@@ -165,10 +165,9 @@ pub(crate) struct Job {
     /// The steps not yet staged, in order; staging moves a step into the
     /// session's DAG.
     pub steps: std::vec::IntoIter<SkillCall>,
-    /// Whether `steps` has been through the plan step: at admission for a
-    /// metered tenant (so the reservation prices what runs), at first
-    /// dispatch otherwise.
-    pub planned: bool,
+    /// The session's current dataset when the job was first dispatched:
+    /// where the session goes back to if the job does not complete.
+    pub resume_from: Option<NodeId>,
     pub name_result: Option<String>,
     /// Index (in the program) of the step to stage/run next; steps before
     /// it are committed.

@@ -358,8 +358,7 @@ impl Scheduler {
     }
 
     /// Whether the named tenant is metered (`None` = unknown tenant).
-    /// `submit` uses this to skip the scan-byte estimate — and the world
-    /// lock it needs — for unmetered tenants.
+    /// `submit` prices a request only for a tenant that is.
     pub(crate) fn has_budget(&self, name: &str) -> Option<bool> {
         let st = self.state.lock();
         st.by_name

@@ -22,11 +22,18 @@
 //! the linear DAG the steps will become, final step the only target), so
 //! the load step carries its predicate and its live columns from the
 //! first slice and stays a structural cache hit slice after slice — one
-//! scan a job. A metered tenant's steps are planned under the world lock
-//! admission takes to price them, so the reservation is an estimate of
-//! exactly the steps that run; an unmetered tenant's are planned at first
-//! dispatch. Staging moves a step into the session's DAG: the DAG holds
-//! the only copy of a finished job's calls.
+//! scan a job. That happens at admission, in one short hold of the world
+//! lock (the statistics live in the world), and a metered tenant's
+//! reservation is priced in the same hold: an estimate of exactly the
+//! steps that run. Staging moves a step into the session's DAG: the DAG
+//! holds the only copy of a finished job's calls.
+//!
+//! Only the last step's output is a request's answer, and the planned load
+//! of a request reads no more than its own later steps need. So a request
+//! is all or nothing to the session: one that fails or is evicted part-way
+//! leaves the session's current dataset where it found it, and the next
+//! request continues from the last one that completed, never from a
+//! narrowed intermediate.
 //!
 //! ## Overload state machine
 //!
@@ -158,14 +165,15 @@ pub struct SessionService {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
     /// Why the pool has fewer workers than configured, if it has.
-    spawn_error: Option<String>,
+    short_of_workers: Option<String>,
 }
 
 impl SessionService {
     /// Start a worker pool serving jobs against the world behind `env`.
-    /// A worker thread the OS refuses to start is not fatal: the pool runs
-    /// with the workers it got, and with none of the configured ones every
-    /// submission is answered [`ServeError::NoWorkers`].
+    /// A worker thread the OS refuses to start is no panic, and no pool
+    /// either: short of a worker it would serve at a fraction of what was
+    /// configured with nobody the wiser, so every submission is answered
+    /// [`ServeError::ShortOfWorkers`] instead.
     pub fn start(env: EnvHandle, config: ServeConfig) -> SessionService {
         let inner = Arc::new(Inner {
             sched: Scheduler::new(
@@ -179,7 +187,7 @@ impl SessionService {
             next_job: AtomicU64::new(0),
         });
         let mut workers = Vec::with_capacity(config.workers);
-        let mut spawn_error = None;
+        let mut short_of_workers = None;
         for i in 0..config.workers {
             let inner = Arc::clone(&inner);
             let spawned = std::thread::Builder::new()
@@ -192,7 +200,8 @@ impl SessionService {
             match spawned {
                 Ok(worker) => workers.push(worker),
                 Err(err) => {
-                    spawn_error = Some(err.to_string());
+                    let (got, of) = (workers.len(), config.workers);
+                    short_of_workers = Some(format!("started {got} of {of}: {err}"));
                     break;
                 }
             }
@@ -200,7 +209,7 @@ impl SessionService {
         SessionService {
             inner,
             workers,
-            spawn_error,
+            short_of_workers,
         }
     }
 
@@ -221,8 +230,8 @@ impl SessionService {
                 message: "empty program".to_string(),
             });
         }
-        if let (true, Some(message)) = (self.workers.is_empty(), &self.spawn_error) {
-            return Err(ServeError::NoWorkers {
+        if let Some(message) = &self.short_of_workers {
+            return Err(ServeError::ShortOfWorkers {
                 message: message.clone(),
             });
         }
@@ -233,28 +242,25 @@ impl SessionService {
                 .ok_or_else(|| ServeError::UnknownTenant {
                     tenant: tenant.to_string(),
                 })?;
-        // Reservation against the tenant's budget: the step list is
-        // planned here, under the one world lock admission takes, so the
-        // estimate prices the very steps the slices will run. Unmetered
-        // tenants skip this so their submissions never touch the world
-        // lock; their steps are planned at first dispatch.
+        // The one plan of the request, and the reservation against a
+        // metered tenant's budget, in one hold of the world lock: the
+        // estimate prices the very steps the slices will run.
         let mut steps = request.steps;
-        let (reserved, estimates) = if metered {
-            self.inner.env.with(|env| {
-                if let Some(planned) = plan_linear(&steps, env) {
-                    steps = planned;
+        let (reserved, estimates) = self.inner.env.with(|env| {
+            if let Some(planned) = plan_linear(&steps, env) {
+                steps = planned;
+            }
+            if !metered {
+                return (0, Vec::new());
+            }
+            match self.inner.config.reservation {
+                ReservationMode::Estimated => {
+                    let est = dc_analyze::estimate_steps(env, &steps);
+                    (est.reserve, est.per_step)
                 }
-                match self.inner.config.reservation {
-                    ReservationMode::Estimated => {
-                        let est = dc_analyze::estimate_steps(env, &steps);
-                        (est.reserve, est.per_step)
-                    }
-                    ReservationMode::FullBytes => (estimate_scan_bytes(env, &steps), Vec::new()),
-                }
-            })
-        } else {
-            (0, Vec::new())
-        };
+                ReservationMode::FullBytes => (estimate_scan_bytes(env, &steps), Vec::new()),
+            }
+        });
         let cell = Arc::new(JobCell::default());
         let id = self.inner.next_job.fetch_add(1, Ordering::Relaxed);
         let handle = JobHandle {
@@ -266,7 +272,7 @@ impl SessionService {
             id,
             tenant: tenant.to_string(),
             steps: steps.into_iter(),
-            planned: metered,
+            resume_from: None,
             name_result: request.name_result,
             next_step: 0,
             staged: None,
@@ -418,6 +424,9 @@ fn drive(inner: &Inner, dispatch: Dispatch) {
     } = dispatch;
     if job.first_dispatch.is_none() {
         job.first_dispatch = Some(Instant::now());
+        // A tenant runs one job at a time, so this is where the session
+        // stood when the request reached it.
+        job.resume_from = session.current_node();
     }
     // The slice clock starts only once the world lock is held: waiting
     // behind another worker's slice must not eat this job's quantum (it
@@ -425,14 +434,6 @@ fn drive(inner: &Inner, dispatch: Dispatch) {
     // against the tenant's fair share.
     let (end, spent) = inner.env.with(|env| {
         let started = Instant::now();
-        // An unmetered tenant's submission never took the world lock, so
-        // its steps are planned here, the first time the job holds it.
-        if !job.planned {
-            if let Some(planned) = plan_linear(job.steps.as_slice(), env) {
-                job.steps = planned.into_iter();
-            }
-            job.planned = true;
-        }
         env.attribution = Some(job.tenant.clone());
         let end = run_slice(inner, &mut job, &session, env, started);
         env.attribution = None;
@@ -472,6 +473,7 @@ fn drive(inner: &Inner, dispatch: Dispatch) {
         SliceEnd::Preempted => {
             job.preemptions += 1;
             if job.preemptions > inner.config.max_preemptions {
+                session.rewind_to(job.resume_from);
                 inner.sched.release(
                     tenant,
                     job.reserved,
@@ -487,6 +489,7 @@ fn drive(inner: &Inner, dispatch: Dispatch) {
             job.quantum = (job.quantum * 2).min(inner.config.max_quantum);
             if let Err(job) = inner.sched.preempt(tenant, job, spent) {
                 // The pool is draining; answer instead of re-queueing.
+                session.rewind_to(job.resume_from);
                 inner.sched.release(
                     tenant,
                     job.reserved,
@@ -499,6 +502,8 @@ fn drive(inner: &Inner, dispatch: Dispatch) {
             }
         }
         SliceEnd::Fail(err) => {
+            // Before the tenant's next job can be dispatched.
+            session.rewind_to(job.resume_from);
             inner.sched.release(
                 tenant,
                 job.reserved,
@@ -714,8 +719,8 @@ mod tests {
         assert_eq!(result.bytes_charged, result.bytes_estimated);
         assert!(result.bytes_charged <= result.bytes_reserved);
 
-        // An unmetered tenant's steps are planned at first dispatch: the
-        // same single, narrow scan, with nothing reserved or estimated.
+        // An unmetered tenant's steps are planned at admission all the
+        // same: one narrow scan, with nothing reserved or estimated.
         let (scans, bytes) = (meter.queries(), meter.bytes());
         let free = service.run("free", light_job(100_300, 100_600));
         assert!(free.outcome.is_ok(), "{:?}", free.outcome);
@@ -723,5 +728,57 @@ mod tests {
         assert_eq!(free.bytes_charged, meter.bytes() - bytes);
         assert_eq!(free.bytes_charged, result.bytes_charged);
         assert_eq!((free.bytes_reserved, free.bytes_estimated), (0, 0));
+    }
+    /// A request is all or nothing to the session. The planned load of a
+    /// job reads only what the job's own later steps need, so when the
+    /// last step fails at run time the steps before it have left a
+    /// narrowed dataset behind — which must not become what the tenant's
+    /// next request continues from.
+    #[test]
+    fn a_job_that_fails_part_way_leaves_the_session_where_it_was() {
+        let mut db = CloudDatabase::new("cloud", Pricing::default_cloud());
+        db.create_table_with_blocks("sales", &dc_storage::demo::sales(2_000, 7), 128)
+            .unwrap();
+        let mut env = Env::new();
+        env.catalog.add_database(db).unwrap();
+        let service = SessionService::start(EnvHandle::new(env), ServeConfig::default());
+        service
+            .register_tenant("analyst", TenantConfig::new())
+            .unwrap();
+        let run = |gel: &str| service.run("analyst", Request::gel(gel).unwrap()).outcome;
+        let shape = |out: dc_skills::SkillOutput| {
+            let t = out.as_table().expect("a table").clone();
+            (t.num_rows(), t.schema().names().len())
+        };
+
+        let kept = run("Load the table sales from the database cloud\n\
+                        Keep the rows where order_id < 100100");
+        assert_eq!(shape(kept.expect("completes")), (100, 8));
+        // Load and filter run — over three of the eight columns — and the
+        // aggregate cannot sum a string.
+        let failed = run("Load the table sales from the database cloud\n\
+                          Keep the rows where order_id >= 100100 and order_id < 100150\n\
+                          Compute the sum of region for each quantity");
+        assert!(
+            matches!(failed, Err(ServeError::Failed { .. })),
+            "{failed:?}"
+        );
+        // The next request continues from the hundred full rows of the
+        // first, not from the failed job's fifty narrow ones.
+        let next = run("Keep the columns order_id, price, discount");
+        assert_eq!(shape(next.expect("continues from the first job")), (100, 3));
+        // Before anything completed there is nothing to continue from.
+        service.register_tenant("new", TenantConfig::new()).unwrap();
+        let early = service.run(
+            "new",
+            Request::gel(
+                "Load the table sales from the database cloud\n\
+                          Compute the sum of region for each quantity",
+            )
+            .unwrap(),
+        );
+        assert!(early.outcome.is_err());
+        let orphan = service.run("new", Request::gel("Keep the columns price").unwrap());
+        assert!(matches!(orphan.outcome, Err(ServeError::Failed { .. })));
     }
 }
