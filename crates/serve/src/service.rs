@@ -648,8 +648,8 @@ mod tests {
 
     /// The default `Estimated` reservation reads block metadata through
     /// `BlockSource` as well: the same rows reserve the same bytes in both
-    /// backends, in full, pruned and projected (a disk-backed table used to
-    /// estimate 0 and be admitted for free).
+    /// backends, in full, pruned and projected (an estimate of 0 admits a
+    /// job for free).
     #[test]
     fn step_estimate_prices_both_backends_alike() {
         let rows = dc_storage::demo::sales(1_000, 7);
@@ -690,8 +690,8 @@ mod tests {
     /// A job's step list is planned once, as a whole: its load step scans
     /// with the predicate and the live columns from the first slice on, so
     /// the table is scanned once and the job is charged what admission
-    /// estimated and reserved. (The load used to scan every column as its
-    /// own slice's target and the last step's plan scanned again, narrower:
+    /// estimated and reserved. (A load planned as its own slice's target
+    /// scans every column, and the last step's plan scans again, narrower:
     /// more bytes charged than the "upper bound" reserved.)
     #[test]
     fn a_job_scans_once_and_is_charged_what_it_reserved() {

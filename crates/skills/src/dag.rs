@@ -23,7 +23,7 @@
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
 
 use crate::error::{Result, SkillError};
 use crate::skill::SkillCall;
@@ -119,10 +119,7 @@ impl SkillDag {
         for &i in &inputs {
             self.count_edge(i, 1);
         }
-        let first = match &call {
-            SkillCall::LoadTable { .. } => self.first_load(&call, id),
-            _ => id,
-        };
+        let first = self.first_load(&call, id);
         self.nodes.push(SkillNode { id, call, inputs });
         self.consumers.push(0);
         self.bound.push(false);
@@ -131,8 +128,9 @@ impl SkillDag {
         Ok(id)
     }
 
-    /// The first load carrying `call`, which is `id` itself when no earlier
-    /// node does. Calls are found by hash and compared in full.
+    /// The first load carrying `call`: `id` itself when no earlier node
+    /// does, or when `call` is no load. Calls are found by hash and compared
+    /// in full.
     fn first_load(&mut self, call: &SkillCall, id: NodeId) -> NodeId {
         struct Hashed(DefaultHasher);
         impl std::fmt::Write for Hashed {
@@ -142,8 +140,24 @@ impl SkillDag {
             }
         }
         let mut hashed = Hashed(DefaultHasher::new());
-        // Writing into a hasher cannot fail.
-        let _ = write!(hashed, "{call:?}");
+        match call {
+            // The load as users write it is two names; only a planned
+            // load's predicate (an `Expr` hashes through its `Debug`
+            // form alone) pays for formatting.
+            SkillCall::LoadTable {
+                database,
+                table,
+                columns,
+                predicate,
+            } => {
+                (database, table, columns).hash(&mut hashed.0);
+                if let Some(predicate) = predicate {
+                    // Writing into a hasher cannot fail.
+                    let _ = write!(hashed, "{predicate:?}");
+                }
+            }
+            _ => return id,
+        }
         match self.loads.entry(hashed.0.finish()) {
             Entry::Occupied(e) if self.nodes[*e.get()].call == *call => *e.get(),
             Entry::Occupied(mut e) => {

@@ -282,9 +282,9 @@ pub fn plan_linear(steps: &[SkillCall], stats: &dyn PlanStats) -> Option<Vec<Ski
 /// for callers with no statistics at hand. Returns `None` when no step is
 /// eligible.
 ///
-/// Nothing runs or prices a request with this any more (ROADMAP 5(d): to
-/// be deleted with its integration test): a request priced with this
-/// weaker plan would not be the request `dc-serve` runs.
+/// Has no production caller — `dc-serve` plans with [`plan_linear`], and a
+/// request priced with this weaker plan would not be the request it runs —
+/// and goes with its integration test (ROADMAP item 5, *Left*).
 #[doc(hidden)]
 pub fn plan_linear_pushdown(steps: &[SkillCall]) -> Option<Vec<SkillCall>> {
     let (dag, last) = lower_steps(steps)?;

@@ -5,7 +5,10 @@
 //! §2.4 keeps a session's DAG on the platform for as long as the session
 //! lives, so a session is meant to grow. One session is sent 500 light jobs
 //! (load a table, keep one day, sum a column by region; a fresh day every
-//! time, so nothing is a cache hit) and job #500 must allocate no more than
+//! time, so no job's answer is a cache hit — through `Session::submit`,
+//! where the load is written the same every time, the table is one from
+//! the second job on: the session's first load of it stands for every
+//! later copy) and job #500 must allocate no more than
 //! 1.25 × the bytes, and make no more than 1.25 × the allocator calls, of
 //! job #5 — through `Session::submit`, a step at a time, and through
 //! `SessionService`, a job at a time. When the driver planned the whole
