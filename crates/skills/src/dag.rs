@@ -55,14 +55,15 @@ pub struct SkillDag {
     consumers: Vec<usize>,
     /// Whether a dataset name is bound to each node.
     bound: Vec<bool>,
-    /// For a load that repeats an earlier load's call, the first load with
-    /// that call; for every other node, the node itself.
-    first: Vec<NodeId>,
-    /// Per first load, the consumer edges of its later copies that no name
-    /// is bound to — the copies a cone reads as the first.
-    passed_on: Vec<usize>,
     /// The first load carrying each load call, by the hash of the call.
     loads: HashMap<u64, NodeId>,
+    /// For each load that repeats an earlier load's call, the first load
+    /// with that call. Sparse, like `passed_on`: a session keeps these for
+    /// as long as it lives, and most nodes are no such copy.
+    copy_of: HashMap<NodeId, NodeId>,
+    /// Per first load, the consumer edges of its later copies that no name
+    /// is bound to — the copies a cone reads as the first.
+    passed_on: HashMap<NodeId, usize>,
 }
 
 /// Two DAGs are equal when they hold the same calls, edges and names; the
@@ -120,11 +121,18 @@ impl SkillDag {
             self.count_edge(i, 1);
         }
         let first = self.first_load(&call, id);
+        if first != id {
+            self.copy_of.insert(id, first);
+        }
+        if self.nodes.len() == self.nodes.capacity() {
+            // A session keeps its DAG for as long as it lives: grown by
+            // doubling, the nodes of a long session hold up to twice the
+            // memory they need, all tenants of a fleet at the same time.
+            self.nodes.reserve_exact((self.nodes.len() / 8).max(16));
+        }
         self.nodes.push(SkillNode { id, call, inputs });
         self.consumers.push(0);
         self.bound.push(false);
-        self.first.push(first);
-        self.passed_on.push(0);
         Ok(id)
     }
 
@@ -172,9 +180,9 @@ impl SkillDag {
     /// pointing at `to`.
     fn count_edge(&mut self, to: NodeId, by: isize) {
         self.consumers[to] = self.consumers[to].wrapping_add_signed(by);
-        let first = self.first[to];
-        if first != to && !self.bound[to] {
-            self.passed_on[first] = self.passed_on[first].wrapping_add_signed(by);
+        if let (false, Some(&first)) = (self.bound[to], self.copy_of.get(&to)) {
+            let passed_on = self.passed_on.entry(first).or_default();
+            *passed_on = passed_on.wrapping_add_signed(by);
         }
     }
 
@@ -216,8 +224,10 @@ impl SkillDag {
             .push(node);
         // A named copy of a load stays itself in every cone, so its
         // consumers stop counting for the first.
-        if !self.bound[node] && self.first[node] != node {
-            self.passed_on[self.first[node]] -= self.consumers[node];
+        if let (false, Some(first)) = (self.bound[node], self.copy_of.get(&node)) {
+            if let Some(passed_on) = self.passed_on.get_mut(first) {
+                *passed_on -= self.consumers[node];
+            }
         }
         self.bound[node] = true;
         Ok(())
@@ -305,37 +315,28 @@ impl SkillDag {
     pub(crate) fn cone(&self, targets: &[NodeId], vetoed: &[NodeId], merge: bool) -> Result<Cone> {
         let kept: BTreeSet<NodeId> = targets.iter().chain(vetoed).copied().collect();
         let stays = |id: NodeId| !merge || self.bound[id] || kept.contains(&id);
-        let read_as = |id: NodeId| {
-            let first = self.first[id];
+        let read_as = |id: NodeId| match self.copy_of.get(&id) {
             // An edited DAG may have changed either call since.
-            if first == id || stays(id) || self.nodes[first].call != self.nodes[id].call {
-                id
-            } else {
-                first
-            }
+            Some(&first) if !stays(id) && self.nodes[first].call == self.nodes[id].call => first,
+            _ => id,
         };
         let ids = self.reach(targets, read_as)?;
         let mut consumers: Vec<usize> = (ids.iter())
-            .map(|&id| self.consumers[id] + self.passed_on[id])
+            .map(|&id| self.consumers[id] + self.passed_on.get(&id).copied().unwrap_or(0))
             .collect();
-        for &copy in &kept {
+        for copy in &kept {
             // Counted in `passed_on` like any unnamed copy, but staying put.
-            let Some(&first) = self.first.get(copy) else {
+            let Some(first) = self.copy_of.get(copy) else {
                 continue;
             };
-            if let (true, Ok(local)) = (
-                first != copy && !self.bound[copy],
-                ids.binary_search(&first),
-            ) {
-                consumers[local] -= self.consumers[copy];
+            if let (false, Ok(local)) = (self.bound[*copy], ids.binary_search(first)) {
+                consumers[local] -= self.consumers[*copy];
             }
         }
         let mut dag = SkillDag {
             nodes: Vec::with_capacity(ids.len()),
             consumers,
             bound: ids.iter().map(|&id| self.bound[id]).collect(),
-            first: (0..ids.len()).collect(),
-            passed_on: vec![0; ids.len()],
             ..SkillDag::default()
         };
         let mut merged = false;
