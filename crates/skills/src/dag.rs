@@ -128,7 +128,9 @@ impl SkillDag {
             // A session keeps its DAG for as long as it lives: grown by
             // doubling, the nodes of a long session hold up to twice the
             // memory they need, all tenants of a fleet at the same time.
-            self.nodes.reserve_exact((self.nodes.len() / 8).max(16));
+            // (Four at a time while it is small: a platform holds many
+            // sessions of one short conversation each.)
+            self.nodes.reserve_exact((self.nodes.len() / 8).max(4));
         }
         self.nodes.push(SkillNode { id, call, inputs });
         self.consumers.push(0);
