@@ -16,20 +16,11 @@ use std::collections::BTreeMap;
 
 use dc_engine::{ColumnStats, DataType, Schema};
 use dc_skills::Env;
-use dc_storage::BlockSource;
+use dc_storage::{plan_scan, ScanOptions, ScanPlan, TableMeta};
 
-/// Zone-map statistics for one stored block: the per-column stats the
-/// tri-state prune evaluator consumes, plus the block's payload bytes.
-/// Columns follow the table's schema order.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BlockStats {
-    /// Rows stored in the block.
-    pub rows: u64,
-    /// Per-column payload bytes (shared dictionaries excluded).
-    pub data_bytes: Vec<u64>,
-    /// Per-column zone-map stats, in schema order.
-    pub columns: Vec<ColumnStats>,
-}
+/// Zone-map statistics for one stored block, as the storage layer keeps
+/// them resident.
+pub use dc_storage::BlockStats;
 
 /// Storage-layer statistics for one catalog table, lifted from
 /// `dc-storage` block metadata. This is what the cost lints price scans
@@ -61,23 +52,37 @@ impl TableStats {
     /// whole-table counters plus the per-block zone maps the estimator
     /// prices scans with. Reads only resident metadata, never block
     /// payloads.
-    pub fn from_block_table(t: &dyn BlockSource) -> TableStats {
-        let cols = t.schema().fields().len();
-        let block_stats = (0..t.num_blocks())
-            .map(|bi| BlockStats {
-                rows: t.block_rows(bi) as u64,
-                data_bytes: t.block_data_bytes(bi),
-                columns: (0..cols).map(|ci| t.column_stats(bi, ci)).collect(),
-            })
-            .collect();
+    pub fn from_block_table(t: &TableMeta) -> TableStats {
         TableStats {
             rows: t.num_rows(),
             blocks: t.num_blocks(),
             bytes: t.total_bytes(),
-            dict_sizes: t.dict_sizes(),
-            block_stats,
-            dict_bytes: t.dict_byte_sizes().to_vec(),
+            dict_sizes: t.dict_sizes().to_vec(),
+            block_stats: t.blocks().to_vec(),
+            dict_bytes: t.dict_bytes().to_vec(),
         }
+    }
+
+    /// The storage layer's own plan of a scan of this table under `opts`
+    /// ([`plan_scan`]): what it charges and each block's verdict. `None`
+    /// when the stats carry no complete per-block detail for `schema`
+    /// (builder-made contexts), which is when estimates degrade.
+    pub(crate) fn scan_plan<'a>(
+        &self,
+        schema: &Schema,
+        opts: &'a ScanOptions,
+    ) -> Option<ScanPlan<'a>> {
+        let cols = schema.fields().len();
+        let detail = !self.block_stats.is_empty()
+            && self.block_stats.len() == self.blocks
+            && self.dict_bytes.len() == cols
+            && self
+                .block_stats
+                .iter()
+                .all(|b| b.columns.len() == cols && b.data_bytes.len() == cols);
+        detail
+            .then(|| plan_scan(schema, &self.block_stats, &self.dict_bytes, opts).ok())
+            .flatten()
     }
 }
 

@@ -31,6 +31,7 @@ use std::collections::HashMap;
 
 use dc_engine::expr::prune::{nnf, prunable_conjuncts};
 use dc_skills::{structural_ids, NodeId, SkillCall, SkillDag};
+use dc_storage::ScanOptions;
 
 use crate::context::AnalysisContext;
 use crate::diag::{Code, Diagnostic, Fix, Span};
@@ -259,11 +260,12 @@ pub fn cost_pass(
 ///
 /// * **DC0206** — a scan loads columns no reachable step ever reads.
 ///   Detected by running the plan optimizer and diffing which loads it
-///   narrowed to a column list. Fires only with full
-///   per-block statistics and only when the dead columns' payload
-///   (block data bytes plus their dictionaries) reaches
-///   [`DEAD_COLUMN_BYTES`] — the executor already skips the waste, but
-///   the recipe as written over-states its own byte footprint.
+///   narrowed to a column list. Fires only with full per-block
+///   statistics and only when the dead columns add at least
+///   [`DEAD_COLUMN_BYTES`] to a full scan — the storage layer's own plan
+///   of the table's full scan against its narrowed one. The executor
+///   already skips the waste, but the recipe as written over-states its
+///   own byte footprint.
 /// * **DC0207** — an inner-join chain whose written order is provably
 ///   ≥4× worse (by the sound intermediate-row bound) than the best
 ///   order. Advised on the *written* DAG via
@@ -301,36 +303,27 @@ pub fn optimizer_lints(
             let Some((schema, stats)) = ctx.table(database, table) else {
                 continue;
             };
-            let ncols = schema.fields().len();
-            let detail = !stats.block_stats.is_empty()
-                && stats.block_stats.len() == stats.blocks
-                && stats.dict_bytes.len() == ncols
-                && stats
-                    .block_stats
-                    .iter()
-                    .all(|b| b.columns.len() == ncols && b.data_bytes.len() == ncols);
-            if !detail {
+            let narrow = ScanOptions {
+                columns: Some(columns.clone()),
+                ..ScanOptions::default()
+            };
+            let full = ScanOptions::default();
+            let (Some(all), Some(live)) = (
+                stats.scan_plan(schema, &full),
+                stats.scan_plan(schema, &narrow),
+            ) else {
                 continue;
-            }
-            let live: Vec<usize> = columns.iter().filter_map(|c| schema.index_of(c)).collect();
-            let dead: Vec<usize> = (0..ncols).filter(|ci| !live.contains(ci)).collect();
-            let dead_bytes: u64 = dead
-                .iter()
-                .map(|&ci| {
-                    stats
-                        .block_stats
-                        .iter()
-                        .map(|b| b.data_bytes[ci])
-                        .sum::<u64>()
-                        + stats.dict_bytes[ci]
-                })
-                .sum();
+            };
+            let dead_bytes = all.bytes_scanned - live.bytes_scanned;
             if dead_bytes < DEAD_COLUMN_BYTES {
                 continue;
             }
-            let dead_names: Vec<&str> = dead
+            let dead_names: Vec<&str> = schema
+                .fields()
                 .iter()
-                .map(|&ci| schema.fields()[ci].name.as_str())
+                .enumerate()
+                .filter(|(ci, _)| !live.read_cols.contains(ci))
+                .map(|(_, f)| f.name.as_str())
                 .collect();
             let filter = predicate
                 .as_ref()
@@ -345,7 +338,7 @@ pub fn optimizer_lints(
                     format!(
                         "the scan of {database:?}.{table:?} loads {} column(s) ({}) that no \
                          reachable step reads, ~{dead_bytes} wasted bytes per run",
-                        dead.len(),
+                        dead_names.len(),
                         dead_names.join(", "),
                     ),
                 )

@@ -1,14 +1,14 @@
 //! Pass 4: static cost & cardinality estimation (the DC03xx family).
 //!
 //! Propagates **row-count intervals** and **scan-byte bounds** through
-//! the whole planned DAG, priced with the same per-block `ColumnStats`
-//! the storage scan prunes by. The pass prices the driver's plan
-//! exactly: the DAG goes through the driver's one plan step first (so a
-//! filter above a load is priced as the load's scan predicate, the scan
-//! the driver actually runs), block verdicts come from the same tri-state
-//! evaluator `BlockTable::scan_with` consults, and totals are deduped by
-//! the executor's own structural sub-DAG ids (a repeated sub-DAG runs —
-//! and charges — once).
+//! the whole planned DAG. The pass prices the driver's plan exactly: the
+//! DAG goes through the driver's one plan step first (so a filter above a
+//! load is priced as the load's scan predicate, the scan the driver
+//! actually runs), a load's bytes and block verdicts are the storage
+//! layer's own scan plan (`dc_storage::plan_scan`, the function the scan
+//! itself runs — called, not mirrored), and totals are deduped by the
+//! executor's own structural sub-DAG ids (a repeated sub-DAG runs — and
+//! charges — once).
 //!
 //! ## Soundness contract
 //!
@@ -37,6 +37,7 @@ use dc_engine::expr::prune::{nnf, prune_predicate, Tri};
 use dc_engine::ops::spill;
 use dc_engine::{ColumnStats, DataType, Expr, Schema, Value};
 use dc_skills::{plan_pushdown, structural_ids, NodeId, SkillCall, SkillDag};
+use dc_storage::{plan_scan, ScanOptions};
 
 use crate::context::{AnalysisContext, TableStats};
 use crate::diag::{Code, Diagnostic, Fix, Span};
@@ -131,136 +132,45 @@ impl RowBounds {
     }
 }
 
-/// What a catalog scan will read and return, derived from per-block
-/// statistics with the same verdicts `BlockTable::scan_with` computes.
+/// What a catalog scan will read and return.
 #[derive(Debug, Clone, Copy)]
 struct ScanEstimate {
-    /// Bytes the scan charges. Exact when block detail is available
-    /// (pruning decisions are deterministic functions of stored stats):
-    /// `lo == hi`. Without detail, a filtered scan is `[0, full]`.
+    /// Bytes the scan charges: exact (`lo == hi`) when the stats carry
+    /// block detail; without it a projected or filtered scan is
+    /// `[0, full]`.
     bytes_lo: u64,
     bytes_hi: u64,
     rows: RowBounds,
 }
 
-/// Price one catalog scan. Replicates `scan_with` exactly: a predicate
-/// naming any column absent from the schema is ignored wholesale; empty
-/// blocks count as pruned under a predicate; the columns actually read
-/// are the projection (all, when absent) plus every predicate column,
-/// and each read column's shared dictionary is paid once if any block
-/// is read.
-fn scan_estimate(
-    schema: &Schema,
-    stats: &TableStats,
-    predicate: Option<&Expr>,
-    projection: Option<&[String]>,
-) -> ScanEstimate {
-    let predicate = predicate.filter(|p| {
-        let mut cols = Vec::new();
-        p.referenced_columns(&mut cols);
-        cols.iter().all(|c| schema.index_of(c).is_some())
-    });
-    let detail = !stats.block_stats.is_empty() && stats.block_stats.len() == stats.blocks && {
-        let cols = schema.fields().len();
-        stats
-            .block_stats
-            .iter()
-            .all(|b| b.columns.len() == cols && b.data_bytes.len() == cols)
-    };
-    // `None` = the scan reads every column (the pre-projection charge).
-    let read_cols: Option<Vec<usize>> = projection.map(|cols| {
-        let mut read: Vec<usize> = cols.iter().filter_map(|c| schema.index_of(c)).collect();
-        if let Some(p) = predicate {
-            let mut pred_cols = Vec::new();
-            p.referenced_columns(&mut pred_cols);
-            for c in &pred_cols {
-                if let Some(i) = schema.index_of(c) {
-                    if !read.contains(&i) {
-                        read.push(i);
-                    }
-                }
-            }
-        }
-        read
-    });
-    match (&read_cols, predicate) {
-        // No projection, no (usable) predicate: the scan reads
-        // everything and filters nothing — exact on whole-table
-        // counters alone.
-        (None, None) => ScanEstimate {
-            bytes_lo: stats.bytes,
-            bytes_hi: stats.bytes,
-            rows: RowBounds::exact(stats.rows as u64),
-        },
-        (read, p) if detail => {
-            let block_bytes = |bytes: &[u64]| -> u64 {
-                match read {
-                    Some(cols) => cols.iter().map(|&ci| bytes[ci]).sum(),
-                    None => bytes.iter().sum(),
-                }
-            };
-            let mut bytes = 0u64;
-            let mut scanned = 0usize;
-            let mut rows_lo = 0u64;
-            let mut rows_hi = 0u64;
-            for block in &stats.block_stats {
-                let verdict = match p {
-                    None => Tri::AllTrue,
-                    Some(_) if block.rows == 0 => Tri::AllFalse,
-                    Some(p) => {
-                        let lookup =
-                            |name: &str| schema.index_of(name).map(|ci| block.columns[ci].clone());
-                        prune_predicate(p, &lookup)
-                    }
-                };
-                match verdict {
-                    Tri::AllFalse => {}
-                    Tri::AllTrue => {
-                        scanned += 1;
-                        bytes += block_bytes(&block.data_bytes);
-                        rows_lo += block.rows;
-                        rows_hi += block.rows;
-                    }
-                    Tri::Unknown => {
-                        scanned += 1;
-                        bytes += block_bytes(&block.data_bytes);
-                        rows_hi += block.rows;
-                    }
-                }
-            }
-            if scanned > 0 {
-                bytes += match read {
-                    Some(cols) => cols
-                        .iter()
-                        .map(|&ci| stats.dict_bytes.get(ci).copied().unwrap_or(0))
-                        .sum(),
-                    None => stats.dict_bytes.iter().sum::<u64>(),
-                };
-            }
-            ScanEstimate {
-                bytes_lo: bytes,
-                bytes_hi: bytes,
-                rows: RowBounds {
-                    lo: rows_lo,
-                    hi: Some(rows_hi),
-                },
-            }
-        }
-        // Projection and/or predicate but no block detail (builder-made
-        // context): degrade bytes to the conservative two-sided bound.
-        // A pure projection still returns every row.
-        (_, p) => ScanEstimate {
-            bytes_lo: 0,
-            bytes_hi: stats.bytes,
-            rows: if p.is_none() {
-                RowBounds::exact(stats.rows as u64)
-            } else {
-                RowBounds {
-                    lo: 0,
-                    hi: Some(stats.rows as u64),
-                }
+/// Price one catalog scan by calling the scan's own plan: its bytes are
+/// what the scan charges, its rows those of the blocks it keeps — certain
+/// in the blocks the zone maps prove all-matching. Without block detail a
+/// plain load is still exact on whole-table counters.
+fn scan_estimate(schema: &Schema, stats: &TableStats, opts: &ScanOptions) -> ScanEstimate {
+    if let Some(plan) = stats.scan_plan(schema, opts) {
+        let certain = plan.blocks.iter().filter(|(_, v)| *v == Tri::AllTrue);
+        let lo = certain.map(|&(bi, _)| stats.block_stats[bi].rows).sum();
+        return ScanEstimate {
+            bytes_lo: plan.bytes_scanned,
+            bytes_hi: plan.bytes_scanned,
+            rows: RowBounds {
+                lo,
+                hi: Some(plan.rows_scanned),
             },
+        };
+    }
+    // A plan over no known blocks still says whether the predicate is
+    // honoured.
+    let filtered = plan_scan(schema, &[], &[], opts).is_ok_and(|p| p.predicate.is_some());
+    let rows = RowBounds::exact(stats.rows as u64);
+    ScanEstimate {
+        bytes_lo: match filtered || opts.columns.is_some() {
+            true => 0,
+            false => stats.bytes,
         },
+        bytes_hi: stats.bytes,
+        rows: if filtered { rows.filtered() } else { rows },
     }
 }
 
@@ -387,54 +297,41 @@ fn load_table<'a>(ctx: &'a AnalysisContext, call: &SkillCall) -> Option<&'a (Sch
     }
 }
 
-/// The predicate and the column projection planned into a load's scan.
-fn load_scan(call: &SkillCall) -> (Option<&Expr>, Option<&[String]>) {
+/// The scan a load runs — its planned projection and predicate — as
+/// storage options.
+fn load_scan(call: &SkillCall) -> ScanOptions {
     match call {
         SkillCall::LoadTable {
             columns, predicate, ..
-        } => (predicate.as_ref(), columns.as_deref()),
-        _ => (None, None),
+        } => ScanOptions {
+            columns: columns.clone(),
+            predicate: predicate.clone(),
+            ..ScanOptions::default()
+        },
+        _ => ScanOptions::default(),
     }
 }
 
 /// Refine a filter node's row bounds when its input is a catalog scan
-/// with block detail: evaluate the filter's keep-condition per block with
-/// the same tri-state verdicts the scan uses.
+/// with block detail: the blocks the scan's plan keeps reach the filter,
+/// and the filter's own keep-condition is evaluated per block with the
+/// same tri-state verdicts.
 fn filter_over_scan(
     keep: &Expr,
     schema: &Schema,
     stats: &TableStats,
-    scan_pred: Option<&Expr>,
+    scan: &ScanOptions,
 ) -> Option<RowBounds> {
-    if stats.block_stats.is_empty() || stats.block_stats.len() != stats.blocks {
-        return None;
-    }
-    let cols = schema.fields().len();
-    if !stats.block_stats.iter().all(|b| b.columns.len() == cols) {
-        return None;
-    }
-    // The scan ignores a predicate naming unknown columns; mirror that.
-    let scan_pred = scan_pred.filter(|p| {
-        let mut c = Vec::new();
-        p.referenced_columns(&mut c);
-        c.iter().all(|c| schema.index_of(c).is_some())
-    });
+    let plan = stats.scan_plan(schema, scan)?;
     let mut lo = 0u64;
     let mut hi = 0u64;
-    for block in &stats.block_stats {
-        if block.rows == 0 {
-            continue;
-        }
-        let lookup = |name: &str| schema.index_of(name).map(|ci| block.columns[ci].clone());
-        let scan_v = match scan_pred {
-            Some(p) => prune_predicate(p, &lookup),
-            None => Tri::AllTrue,
-        };
-        if scan_pred.is_some() && scan_v == Tri::AllFalse {
+    for &(bi, scan_v) in &plan.blocks {
+        if scan_v == Tri::AllFalse {
             continue; // block never reaches the filter
         }
-        let filter_v = prune_predicate(keep, &lookup);
-        match filter_v {
+        let block = &stats.block_stats[bi];
+        let lookup = |name: &str| schema.index_of(name).map(|ci| block.columns[ci].clone());
+        match prune_predicate(keep, &lookup) {
             Tri::AllFalse => {}
             Tri::AllTrue => {
                 hi += block.rows;
@@ -505,15 +402,15 @@ pub fn estimate_pass(
         let bounds = match &node.call {
             SkillCall::LoadTable { .. } => match load_table(ctx, &node.call) {
                 Some((schema, stats)) => {
-                    let (predicate, projection) = load_scan(&node.call);
-                    let est = scan_estimate(schema, stats, predicate, projection);
+                    let opts = load_scan(&node.call);
+                    let est = scan_estimate(schema, stats, &opts);
                     bytes_lo = est.bytes_lo;
                     bytes_hi = est.bytes_hi;
                     // Loads re-emit stored rows: scale the stored
                     // footprint instead of the width model. Projected
                     // loads emit narrower rows — fall through to the
                     // width model over the projected schema instead.
-                    if stats.rows > 0 && projection.is_none() {
+                    if stats.rows > 0 && opts.columns.is_none() {
                         out_bytes_override = est.rows.hi.map(|h| {
                             (stats.bytes as u128 * u128::from(h) / stats.rows as u128) as u64
                         });
@@ -548,7 +445,7 @@ pub fn estimate_pass(
                     .and_then(|&i| dag.node(i).ok())
                     .and_then(|load| {
                         let (schema, stats) = load_table(ctx, &load.call)?;
-                        filter_over_scan(&keep, schema, stats, load_scan(&load.call).0)
+                        filter_over_scan(&keep, schema, stats, &load_scan(&load.call))
                     });
                 refined.unwrap_or_else(|| in_rows.filtered())
             }
@@ -981,13 +878,13 @@ pub struct StepEstimates {
     pub reserve: u64,
 }
 
-/// Price a serve request's steps directly against the live environment,
-/// reading only block *metadata* (free under the §3 meter; resident for a
-/// disk-backed table too, so both backends price alike). The steps are
-/// priced as submitted — run them through `dc_skills::plan_linear` first
-/// to price the planned steps the service will execute.
+/// Price a serve request's steps directly against the live environment:
+/// each load is the storage layer's plan of its scan over the table's
+/// resident metadata (free under the §3 meter; resident for a disk-backed
+/// table too, so both backends price alike). The steps are priced as
+/// submitted — run them through `dc_skills::plan_linear` first to price
+/// the planned steps the service will execute.
 pub fn estimate_steps(env: &dc_skills::Env, steps: &[SkillCall]) -> StepEstimates {
-    let mut cache: HashMap<(String, String), Option<(Schema, TableStats)>> = HashMap::new();
     let mut priced: BTreeSet<String> = BTreeSet::new();
     let mut per_step = Vec::with_capacity(steps.len());
     let mut reserve = 0u64;
@@ -999,22 +896,15 @@ pub fn estimate_steps(env: &dc_skills::Env, steps: &[SkillCall]) -> StepEstimate
             per_step.push(0);
             continue;
         };
-        let entry = cache
-            .entry((database.clone(), table.clone()))
-            .or_insert_with(|| {
-                env.catalog
-                    .database(database)
-                    .ok()
-                    .and_then(|db| db.source(table).ok())
-                    .map(|t| (t.schema().clone(), TableStats::from_block_table(t)))
-            });
-        let bytes = match entry {
-            Some((schema, stats)) => {
-                let (predicate, projection) = load_scan(step);
-                scan_estimate(schema, stats, predicate, projection).bytes_hi
-            }
-            None => 0, // unknown table: the step will fail before scanning
-        };
+        // An unknown table: the step will fail before scanning.
+        let meta = env
+            .catalog
+            .database(database)
+            .ok()
+            .and_then(|db| db.source(table).ok());
+        let opts = load_scan(step);
+        let plan = meta.and_then(|t| t.plan(&opts).ok());
+        let bytes = plan.map_or(0, |p| p.bytes_scanned);
         per_step.push(bytes);
         // Structural identity of a zero-input load is its call; identical
         // loads hit the session cache and charge once.
@@ -1030,7 +920,7 @@ mod tests {
     use super::*;
     use crate::analyze_dag;
     use dc_engine::Field;
-    use dc_storage::BlockTable;
+    use dc_storage::{BlockSource, BlockTable};
 
     /// A table whose `day` column is monotone (0,0,1,1,2,2,...), split
     /// into 2-row blocks so zone maps genuinely prune.
@@ -1041,7 +931,7 @@ mod tests {
         }
         let t = dc_engine::csv::read_csv(&csv).unwrap().encode_strings();
         let bt = BlockTable::new(&t, 2).unwrap();
-        (bt.schema().clone(), TableStats::from_block_table(&bt))
+        (bt.schema().clone(), TableStats::from_block_table(bt.meta()))
     }
 
     fn ctx_with(rows: usize) -> AnalysisContext {
@@ -1202,7 +1092,7 @@ mod tests {
             "db",
             "pairs",
             bt.schema().clone(),
-            TableStats::from_block_table(&bt),
+            TableStats::from_block_table(bt.meta()),
         );
         let mut dag = SkillDag::new();
         let a1 = dag

@@ -17,9 +17,11 @@
 //!
 //! Block payloads store each column contiguously (validity bits, then
 //! data), and the footer records each column's absolute byte range, so a
-//! projected read faults in only the columns it needs. The default read
-//! path is positional buffered reads (`pread`); the `mmap` feature
-//! switches to a memory map.
+//! projected read faults in only the columns it needs, through positional
+//! buffered reads (`pread`). Everything read from the file is checked
+//! before it is used: the footer's byte ranges, dictionary ids and
+//! dictionary code bounds at open, each dictionary column's codes as its
+//! block is decoded — a corrupt file is a parse error, never a panic.
 //!
 //! Both spill files (runs of `u64` records — sort records, row-id lists,
 //! join pairs; see `ops::spill`) and the storage layer's on-disk tables
@@ -185,27 +187,6 @@ impl FileMeta {
     /// Total rows across blocks.
     pub fn num_rows(&self) -> usize {
         self.blocks.iter().map(|b| b.rows as usize).sum()
-    }
-
-    /// Heap bytes of dictionary `i`'s strings (0 when out of range).
-    pub fn dict_heap_bytes(&self, i: usize) -> u64 {
-        self.dicts.get(i).map_or(0, |d| {
-            d.iter()
-                .map(|s| s.len() + std::mem::size_of::<String>())
-                .sum::<usize>() as u64
-        })
-    }
-
-    /// Dictionary heap bytes for column `ci` (0 for non-dict columns),
-    /// derived from the first block that stores it dict-encoded.
-    pub fn column_dict_bytes(&self, ci: usize) -> u64 {
-        for b in &self.blocks {
-            let c = &b.cols[ci];
-            if c.enc == Enc::Dict {
-                return self.dict_heap_bytes(c.dict_id as usize);
-            }
-        }
-        0
     }
 }
 
@@ -619,8 +600,6 @@ pub struct BlockFile {
     file: File,
     /// Parsed footer.
     pub meta: FileMeta,
-    #[cfg(feature = "mmap")]
-    map: Option<memmap2::Mmap>,
 }
 
 impl std::fmt::Debug for BlockFile {
@@ -656,22 +635,7 @@ impl BlockFile {
         let payload_end = total - tail_len - footer_len;
         read_at(&mut file, payload_end, &mut footer)?;
         let meta = parse_footer(&footer, footer_len + tail_len, payload_end)?;
-        Ok(BlockFile {
-            file,
-            meta,
-            #[cfg(feature = "mmap")]
-            map: None,
-        })
-    }
-
-    /// Open with an mmap-backed read path (only with the `mmap` feature).
-    #[cfg(feature = "mmap")]
-    pub fn open_mmap(path: impl AsRef<Path>) -> Result<BlockFile> {
-        let mut bf = BlockFile::open(path)?;
-        let map = unsafe { memmap2::Mmap::map(&bf.file) }
-            .map_err(|e| spill_error("block file mmap", e))?;
-        bf.map = Some(map);
-        Ok(bf)
+        Ok(BlockFile { file, meta })
     }
 
     /// Blocks in the file.
@@ -685,14 +649,6 @@ impl BlockFile {
     }
 
     fn read_range(&self, offset: u64, len: u64) -> Result<Vec<u8>> {
-        #[cfg(feature = "mmap")]
-        if let Some(map) = &self.map {
-            // `open` checked the range against the file as it was then.
-            return map
-                .get(offset as usize..(offset + len) as usize)
-                .map(<[u8]>::to_vec)
-                .ok_or_else(|| EngineError::parse("block range out of file bounds"));
-        }
         let mut buf = vec![0u8; len as usize];
         read_exact_at(&self.file, offset, &mut buf)?;
         Ok(buf)
@@ -762,16 +718,28 @@ impl BlockFile {
                     Column::Str(v, validity)
                 }
                 Enc::Dict => {
-                    let dict = self
-                        .meta
-                        .dicts
-                        .get(cm.dict_id as usize)
-                        .ok_or_else(|| EngineError::parse("dict id out of range"))?;
+                    // `open` checked the id against the footer's dictionaries.
+                    let dict = &self.meta.dicts[cm.dict_id as usize];
                     let raw = cur.bytes(n * 4)?;
-                    let codes = raw
+                    let codes: Vec<u32> = raw
                         .chunks_exact(4)
                         .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
                         .collect();
+                    // A code past the dictionary would panic in whatever
+                    // reads the string; a null row's placeholder code is
+                    // never looked up. Without nulls, one branch-free pass
+                    // (the footer counts a dictionary in a `u32`).
+                    let len = dict.len() as u32;
+                    let past_end = match validity.all_valid() {
+                        true => codes.iter().fold(false, |past, &c| past | (c >= len)),
+                        false => codes
+                            .iter()
+                            .zip(validity.iter())
+                            .any(|(&c, ok)| ok && c >= len),
+                    };
+                    if past_end {
+                        return Err(EngineError::parse("dictionary code out of range"));
+                    }
                     Column::Dict(codes, Arc::clone(dict), validity)
                 }
             };
@@ -796,10 +764,12 @@ impl BlockFile {
     }
 }
 
-/// Parse the footer. Every column's byte range comes from the file, so it
-/// is checked here, once, before any read allocates or indexes by it: it
-/// must lie inside the payload region (`MAGIC` up to `payload_end`) and be
-/// long enough for the block's row count.
+/// Parse the footer. Everything a read or a scan will index by comes from
+/// the file, so it is checked here, once: a column's byte range must lie
+/// inside the payload region (`MAGIC` up to `payload_end`) and be long
+/// enough for the block's row count; a dictionary column's id must name a
+/// dictionary; and a code-range zone map belongs to a dictionary column and
+/// holds `min <= max < ` its dictionary's length.
 fn parse_footer(buf: &[u8], meta_bytes: u64, payload_end: u64) -> Result<FileMeta> {
     let mut cur = Cur::new(buf);
     let ncols = cur.u32()? as usize;
@@ -857,6 +827,16 @@ fn parse_footer(buf: &[u8], meta_bytes: u64, payload_end: u64) -> Result<FileMet
                 t => return Err(EngineError::parse(format!("bad zone tag {t}"))),
             };
             let null_count = cur.u64()?;
+            let dict = (enc == Enc::Dict).then(|| dicts.get(dict_id as usize));
+            if dict.is_some_and(|d| d.is_none()) {
+                return Err(EngineError::parse("dictionary id out of range"));
+            }
+            if let ZoneBoundsIo::DictCodes { min, max } = &bounds {
+                let len = dict.flatten().map_or(0, |d| d.len());
+                if min > max || *max as usize >= len {
+                    return Err(EngineError::parse("dictionary code bounds out of range"));
+                }
+            }
             cols.push(ColMeta {
                 enc,
                 offset,
@@ -1154,6 +1134,73 @@ mod tests {
         }
     }
 
+    /// Write a one-block file of dictionary column `k` over
+    /// `["a", "b", "c"]` (row 1 null) and return its bytes, the offset of
+    /// the column's dictionary id in the footer (zone tag, min and max
+    /// codes follow it), and the offset of the codes in the payload (after
+    /// the leading magic and one validity byte).
+    fn dict_file(path: &Path) -> (Vec<u8>, usize, usize) {
+        let k = Column::from_opt_strs(vec![
+            Some("b".into()),
+            None,
+            Some("c".into()),
+            Some("a".into()),
+        ]);
+        let t = Table::new(vec![("k", k.dict_encode())]).unwrap();
+        write_table(path, &t, 16).unwrap();
+        let bytes = std::fs::read(path).unwrap();
+        let footer_len =
+            u64::from_le_bytes(bytes[bytes.len() - 12..bytes.len() - 4].try_into().unwrap());
+        let footer = bytes.len() - 12 - footer_len as usize;
+        // ncols, name "k", dtype, ndicts, the dictionary, nblocks, rows,
+        // then enc, offset, len and data bytes before the id.
+        let dict_id_at = footer + 4 + (4 + 1) + 1 + 4 + (4 + 3 * (4 + 1)) + 4 + 4 + 1 + 8 + 8 + 8;
+        assert_eq!(bytes[dict_id_at..dict_id_at + 4], 0u32.to_le_bytes());
+        assert_eq!(bytes[dict_id_at + 4], 2, "a code-range zone");
+        assert_eq!(
+            bytes[dict_id_at + 5..dict_id_at + 13],
+            [0, 0, 0, 0, 2, 0, 0, 0]
+        );
+        let codes_at = MAGIC.len() + 1;
+        assert_eq!(
+            bytes[codes_at..codes_at + 4],
+            1u32.to_le_bytes(),
+            "row 0 is \"b\""
+        );
+        (bytes, dict_id_at, codes_at)
+    }
+
+    #[test]
+    fn dictionary_ids_and_codes_that_lie_are_rejected() {
+        let dir = ScopedDir::new("blockio-dict");
+        let path = dir.0.join("k.dcb");
+        let (good, dict_id_at, codes_at) = dict_file(&path);
+        let (min_at, max_at) = (dict_id_at + 5, dict_id_at + 9);
+        let read_with = |edits: &[(usize, u32)]| {
+            let mut bad = good.clone();
+            for &(at, v) in edits {
+                bad[at..at + 4].copy_from_slice(&v.to_le_bytes());
+            }
+            std::fs::write(&path, &bad).unwrap();
+            BlockFile::open(&path).and_then(|f| f.read_all())
+        };
+        let (back, _) = read_with(&[]).unwrap();
+        assert_eq!(back.column("k").unwrap().str_at(3), Some("a"));
+        // A null row's placeholder code is never looked up.
+        assert!(read_with(&[(codes_at + 4, 7)]).is_ok());
+        for (what, edits) in [
+            ("dictionary id past the dictionaries", vec![(dict_id_at, 1)]),
+            ("zone max past the dictionary", vec![(max_at, 3)]),
+            ("zone min above its max", vec![(min_at, 2), (max_at, 1)]),
+            ("payload code past the dictionary", vec![(codes_at, 3)]),
+        ] {
+            assert!(
+                matches!(read_with(&edits), Err(EngineError::Parse { .. })),
+                "{what}"
+            );
+        }
+    }
+
     #[test]
     fn empty_table_roundtrip() {
         let dir = ScopedDir::new("blockio-empty");
@@ -1172,18 +1219,6 @@ mod tests {
         let path = dir.0.join("c.dcb");
         std::fs::write(&path, b"not a block file at all....").unwrap();
         assert!(BlockFile::open(&path).is_err());
-    }
-
-    #[cfg(feature = "mmap")]
-    #[test]
-    fn mmap_read_matches_pread() {
-        let dir = ScopedDir::new("blockio-mmap");
-        let t = sample();
-        let path = dir.0.join("t.dcb");
-        write_table(&path, &t, 2).unwrap();
-        let pread = BlockFile::open(&path).unwrap().read_all().unwrap().0;
-        let mapped = BlockFile::open_mmap(&path).unwrap().read_all().unwrap().0;
-        assert_eq!(pread, mapped);
     }
 
     struct ScopedDir(PathBuf);

@@ -39,8 +39,8 @@ pub use error::{Result, SkillError};
 pub use exec::{execute_call, needs_env, structural_ids, Executor, ExecutorStats, SubDagId};
 pub use exec_plan::{run_planned, PlannedStats};
 pub use optimize::{
-    int_blocks_unique, join_order_advice, optimize_dag, plan_linear, plan_linear_pushdown,
-    plan_pushdown, JoinOrderAdvice, PlanStats,
+    int_blocks_unique, join_order_advice, optimize_dag, plan_linear, plan_pushdown,
+    JoinOrderAdvice, PlanStats,
 };
 pub use output::SkillOutput;
 pub use planner::{plan, ExecutionTask};

@@ -29,9 +29,8 @@
 //!    wrangling steps whose semantics provably pass the referenced
 //!    columns through unchanged, landing as the `predicate` of the
 //!    source loads that have none, where per-block zone maps skip blocks
-//!    that cannot contain a matching row. [`plan_pushdown`] and
-//!    [`plan_linear_pushdown`] are this rule alone, for callers with no
-//!    statistics (a whole-DAG analysis).
+//!    that cannot contain a matching row. [`plan_pushdown`] is this rule
+//!    alone, for callers with no statistics (a whole-DAG analysis).
 //! 3. **Join-order selection** — chains/stars of 2–4 inner joins are
 //!    re-ordered by estimator-style interval upper bounds (dictionary
 //!    cardinalities and provable key uniqueness); the written order is
@@ -53,7 +52,7 @@
 //! from [`Env`]) and the static estimator (stats from `dc-analyze`'s
 //! context) give the same answers for every catalog table, in-memory or
 //! disk-backed, because both read them from the table's resident
-//! [`dc_storage::BlockSource`] metadata; saved artifacts, snapshots and
+//! [`dc_storage::TableMeta`]; saved artifacts, snapshots and
 //! file loads have no statistics on either side and are never rewritten
 //! by them.
 
@@ -117,8 +116,8 @@ pub fn int_blocks_unique(blocks: &[ColumnStats]) -> bool {
 }
 
 /// Answers come from the catalog's resident table metadata
-/// ([`dc_storage::BlockSource`]), so an in-memory and a disk-backed copy
-/// of one table plan identically.
+/// ([`dc_storage::TableMeta`]), so an in-memory and a disk-backed copy of
+/// one table plan identically.
 impl PlanStats for Env {
     fn table_schema(&self, database: &str, table: &str) -> Option<Schema> {
         let t = self.catalog.database(database).ok()?.source(table).ok()?;
@@ -148,9 +147,7 @@ impl PlanStats for Env {
         let Some(ci) = t.schema().index_of(column) else {
             return false;
         };
-        let stats: Vec<ColumnStats> = (0..t.num_blocks())
-            .map(|bi| t.column_stats(bi, ci))
-            .collect();
+        let stats: Vec<ColumnStats> = t.blocks().iter().map(|b| b.columns[ci].clone()).collect();
         let nulls: u64 = stats.iter().map(|s| s.null_count).sum();
         if nulls == 0 {
             if let Some((_, dict)) = t
@@ -276,19 +273,6 @@ pub fn plan_pushdown(dag: &SkillDag, protected: &[NodeId], vetoed: &[NodeId]) ->
 pub fn plan_linear(steps: &[SkillCall], stats: &dyn PlanStats) -> Option<Vec<SkillCall>> {
     let (dag, last) = lower_steps(steps)?;
     optimize_dag(&dag, &[last], &[], stats).map(SkillDag::into_calls)
-}
-
-/// [`plan_linear`] with the filter-hoisting rule alone ([`plan_pushdown`]),
-/// for callers with no statistics at hand. Returns `None` when no step is
-/// eligible.
-///
-/// Has no production caller — `dc-serve` plans with [`plan_linear`], and a
-/// request priced with this weaker plan would not be the request it runs —
-/// and goes with its integration test (ROADMAP item 5, *Left*).
-#[doc(hidden)]
-pub fn plan_linear_pushdown(steps: &[SkillCall]) -> Option<Vec<SkillCall>> {
-    let (dag, last) = lower_steps(steps)?;
-    plan_pushdown(&dag, &[last], &[]).map(SkillDag::into_calls)
 }
 
 /// A step list as the linear DAG a session would stage it into, and its
@@ -2238,6 +2222,13 @@ mod tests {
         assert!(plan_pushdown(&dag, &[f], &[]).is_none());
     }
 
+    /// The filter-hoisting rule alone over a step list, lowered the way
+    /// [`plan_linear`] lowers it.
+    fn pushdown_steps(steps: &[SkillCall]) -> Option<Vec<SkillCall>> {
+        let (dag, last) = lower_steps(steps)?;
+        plan_pushdown(&dag, &[last], &[]).map(SkillDag::into_calls)
+    }
+
     #[test]
     fn linear_pushdown_fuses_interior_loads() {
         let steps = vec![
@@ -2247,7 +2238,7 @@ mod tests {
             },
             SkillCall::CountRows,
         ];
-        let fused = plan_linear_pushdown(&steps).unwrap();
+        let fused = pushdown_steps(&steps).unwrap();
         assert_eq!(
             fused[0],
             SkillCall::LoadTable {
@@ -2268,7 +2259,7 @@ mod tests {
                 predicate: Expr::col("x").le(Expr::lit(5)),
             },
         ];
-        let fused = plan_linear_pushdown(&steps).unwrap();
+        let fused = pushdown_steps(&steps).unwrap();
         assert_eq!(
             fused[0],
             SkillCall::LoadTable {
@@ -2284,10 +2275,10 @@ mod tests {
     fn linear_pushdown_leaves_ineligible_programs_alone() {
         // A trailing load is the delivered result — untouched.
         let steps = vec![SkillCall::load_table("db", "t")];
-        assert!(plan_linear_pushdown(&steps).is_none());
+        assert!(pushdown_steps(&steps).is_none());
         // A non-filter consumer blocks fusion.
         let steps = vec![SkillCall::load_table("db", "t"), SkillCall::CountRows];
-        assert!(plan_linear_pushdown(&steps).is_none());
+        assert!(pushdown_steps(&steps).is_none());
         // An unprunable predicate has nothing to push.
         let steps = vec![
             SkillCall::load_table("db", "t"),
@@ -2295,7 +2286,7 @@ mod tests {
                 predicate: Expr::col("x").add(Expr::lit(1)).gt(Expr::lit(5)),
             },
         ];
-        assert!(plan_linear_pushdown(&steps).is_none());
+        assert!(pushdown_steps(&steps).is_none());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use dc_engine::ops::filter;
 use dc_engine::{Column, Expr, Table};
 use dc_skills::resilient::ExecPolicy;
-use dc_skills::{execute_call, plan_linear_pushdown, Env, Executor, SkillCall, SkillDag};
+use dc_skills::{execute_call, plan_linear, Env, Executor, SkillCall, SkillDag};
 use dc_storage::{CloudDatabase, Pricing};
 
 /// 4 000 rows clustered on `x` (ascending), split into 256-row blocks,
@@ -169,7 +169,7 @@ fn a_filter_over_a_written_projected_load_is_pushed() {
 
     // The same through the step list a serve request is fused as: the
     // load keeps its columns, gains the predicate, and charges less.
-    let fused = plan_linear_pushdown(recipe.steps()).expect("the load step is eligible");
+    let fused = plan_linear(recipe.steps(), &self::env()).expect("the load step is eligible");
     assert_eq!(fused[1], recipe.steps()[1], "the filter step stays");
     let SkillCall::LoadTable {
         columns: Some(columns),

@@ -1,34 +1,41 @@
-//! Block-structured table storage.
+//! Block-structured table storage, and the one scan every stored table
+//! runs.
 //!
 //! Cloud warehouses store tables in immutable blocks (micro-partitions);
 //! scans charge for every block touched. Splitting stored tables into
 //! fixed-size row blocks here gives the paper's block-level sampling (§3)
 //! a real mechanism: sampling 10% of *blocks* scans ~10% of the bytes,
 //! whereas row-level Bernoulli sampling still scans everything.
+//!
+//! Both backends — [`BlockTable`] in RAM, [`crate::DiskBlockTable`] in a
+//! block file — keep the same resident [`TableMeta`] and differ only in how
+//! they fetch a block ([`BlockSource::read_block`]). What a scan reads and
+//! charges is decided once, from that metadata alone, by [`plan_scan`]: the
+//! scan loop runs the plan, and `dc-analyze`'s estimator prices a load by
+//! calling it.
 
 use std::sync::Arc;
 
 use dc_engine::blockio::{compute_zone, ZoneBoundsIo, ZoneInfo};
 use dc_engine::eval::eval_predicate_serial;
-use dc_engine::expr::prune::{self, ColumnStats, Tri};
+use dc_engine::expr::prune::{prune_predicate, ColumnStats, Tri};
 use dc_engine::ops::sample_fraction;
-use dc_engine::{Expr, Table, Value};
+use dc_engine::{Expr, Schema, Table, Value};
 use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use crate::error::{Result, StorageError};
-use crate::fault::{CancelToken, FaultInjector};
+use crate::fault::FaultInjector;
 use crate::pricing::ScanReceipt;
 
-/// What one unpruned block contributes to a scan, shared by the in-RAM
-/// and the on-disk backend: row-sample, evaluate the pushed predicate once,
-/// then gather only the projected columns through that one selection, so a
-/// column only the predicate needed is never copied — and a block no row of
-/// which is dropped contributes its columns as they stand, shared. `block`
-/// holds at least the projected and the predicate's columns; `predicate` is
-/// `None` when nothing was pushed or the zone maps proved every row matches.
-pub(crate) fn scan_block(
+/// What one unpruned block contributes to a scan: row-sample, evaluate the
+/// pushed predicate once, then gather only the projected columns through
+/// that one selection, so a column only the predicate needed is never
+/// copied — and a block no row of which is dropped contributes its columns
+/// as they stand, shared. `block` holds at least the projected and the
+/// predicate's columns; `predicate` is `None` when nothing was pushed or
+/// the zone maps proved every row matches.
+fn scan_block(
     block: &Table,
     row_sample: Option<(f64, u64)>,
     predicate: Option<&Expr>,
@@ -54,34 +61,202 @@ pub(crate) fn scan_block(
     }
 }
 
-/// The blocks a scan visits: all `nblocks`, or the seeded block sample —
-/// never empty, so samples of tiny tables still return rows.
-pub(crate) fn chosen_blocks(opts: &ScanOptions, nblocks: usize) -> Result<Vec<usize>> {
-    let Some(f) = opts.block_sample else {
-        return Ok((0..nblocks).collect());
-    };
-    if !(f > 0.0 && f <= 1.0) {
-        return Err(StorageError::invalid(format!(
-            "block sample fraction must be in (0, 1], got {f}"
-        )));
-    }
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let picked: Vec<usize> = (0..nblocks).filter(|_| rng.random::<f64>() < f).collect();
-    Ok(match picked.is_empty() && nblocks > 0 {
-        true => vec![opts.seed as usize % nblocks],
-        false => picked,
-    })
+/// Zone-map statistics for one stored block: the per-column stats the
+/// tri-state prune evaluator consumes, plus the block's payload bytes.
+/// Columns follow the table's schema order.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct BlockStats {
+    /// Rows stored in the block.
+    pub rows: u64,
+    /// Per-column payload bytes (shared dictionaries excluded).
+    pub data_bytes: Vec<u64>,
+    /// Per-column zone-map stats, in schema order.
+    pub columns: Vec<ColumnStats>,
 }
 
-/// The pushed predicate a scan honours and the columns (by schema index) it
-/// must read: the projection — every column when absent — plus whatever the
-/// predicate consults. A predicate naming a column the table does not have
-/// would error differently here than in the caller's own filter; it is
-/// ignored, and the caller surfaces the problem.
-pub(crate) fn scan_columns<'a>(
+/// The metadata a stored table keeps resident, whichever backend holds its
+/// blocks. Scans are planned over it, and the optimizer's statistics and
+/// the analyzer's snapshot read a catalog table through it
+/// ([`crate::CloudDatabase::source`]), so all three answer the same for
+/// both backends. Nothing here touches block payloads. Every block and
+/// `dict_bytes` hold one entry per schema column, which is what lets a
+/// plan index them by the schema.
+#[derive(Debug, Clone)]
+pub struct TableMeta {
+    schema: Schema,
+    blocks: Vec<BlockStats>,
+    dict_bytes: Vec<u64>,
+    dict_sizes: Vec<(String, usize)>,
+}
+
+/// One column of one stored block as a backend describes it: payload
+/// bytes, zone map, and the dictionary its codes index (dict columns only).
+pub(crate) type StoredColumn<'a> = (u64, ZoneInfo, Option<&'a [String]>);
+
+impl TableMeta {
+    /// Lift a stored table's metadata from each block's rows and columns.
+    /// The one place a zone map becomes the [`ColumnStats`] pruning reads:
+    /// a dictionary code range translates through the block's own sorted
+    /// dictionary, so the code range *is* the string range. Blocks share one
+    /// table-wide dictionary per string column, so the first block's
+    /// dictionaries describe the table.
+    pub(crate) fn new(schema: Schema, blocks: Vec<(u64, Vec<StoredColumn>)>) -> TableMeta {
+        let fields = schema.fields();
+        let dicts: Vec<Option<&[String]>> = match blocks.first() {
+            Some((_, cols)) => cols.iter().map(|c| c.2).collect(),
+            None => vec![None; fields.len()],
+        };
+        // `Column::dict_heap_bytes`'s accounting: each string plus its header.
+        let heap = |d: &[String]| -> u64 {
+            let bytes = d.iter().map(|s| s.len() + std::mem::size_of::<String>());
+            bytes.sum::<usize>() as u64
+        };
+        let dict_bytes = dicts.iter().map(|d| d.map_or(0, heap)).collect();
+        let dict_sizes = fields
+            .iter()
+            .zip(&dicts)
+            .filter_map(|(f, d)| Some((f.name.clone(), (*d)?.len())))
+            .collect();
+        let column = |rows: u64, (_, zone, dict): StoredColumn, dtype| {
+            let word = |code: u32| dict?.get(code as usize).map(|s| Value::Str(s.clone()));
+            let (min, max) = match zone.bounds {
+                ZoneBoundsIo::None => (None, None),
+                ZoneBoundsIo::Values { min, max } => (Some(min), Some(max)),
+                ZoneBoundsIo::DictCodes { min, max } => (word(min), word(max)),
+            };
+            ColumnStats {
+                dtype,
+                min,
+                max,
+                null_count: zone.null_count,
+                row_count: rows,
+            }
+        };
+        let blocks = blocks
+            .into_iter()
+            .map(|(rows, cols)| BlockStats {
+                rows,
+                data_bytes: cols.iter().map(|c| c.0).collect(),
+                columns: cols
+                    .into_iter()
+                    .zip(fields)
+                    .map(|(c, f)| column(rows, c, f.dtype))
+                    .collect(),
+            })
+            .collect();
+        TableMeta {
+            schema,
+            blocks,
+            dict_bytes,
+            dict_sizes,
+        }
+    }
+
+    /// The stored table's typed schema.
+    pub fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// Per block: rows, payload bytes and zone maps.
+    pub fn blocks(&self) -> &[BlockStats] {
+        &self.blocks
+    }
+
+    /// Per column: shared-dictionary heap bytes (zero for non-dict
+    /// columns), charged at most once per scan that reads the column.
+    pub fn dict_bytes(&self) -> &[u64] {
+        &self.dict_bytes
+    }
+
+    /// Name and dictionary cardinality of each dictionary-encoded column.
+    pub fn dict_sizes(&self) -> &[(String, usize)] {
+        &self.dict_sizes
+    }
+
+    /// Number of blocks.
+    pub fn num_blocks(&self) -> usize {
+        self.blocks.len()
+    }
+
+    /// Total rows stored.
+    pub fn num_rows(&self) -> usize {
+        self.blocks.iter().map(|b| b.rows as usize).sum()
+    }
+
+    /// Total logical bytes: every block's payload plus each shared
+    /// dictionary once — what a full scan charges.
+    pub fn total_bytes(&self) -> u64 {
+        let payload: u64 = self.blocks.iter().flat_map(|b| &b.data_bytes).sum();
+        payload + self.dict_bytes.iter().sum::<u64>()
+    }
+
+    /// [`plan_scan`] over this table.
+    pub fn plan<'a>(&self, opts: &'a ScanOptions) -> Result<ScanPlan<'a>> {
+        plan_scan(&self.schema, &self.blocks, &self.dict_bytes, opts)
+    }
+}
+
+/// What one scan reads and charges, decided from resident metadata alone
+/// before any block is fetched ([`plan_scan`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScanPlan<'a> {
+    /// The pushed predicate the scan honours: `None` when none was pushed
+    /// or when it names a column the table does not have — it would error
+    /// differently here than in the caller's own filter, which surfaces
+    /// the problem instead.
+    pub predicate: Option<&'a Expr>,
+    /// The columns read, by schema index: the projection (every column
+    /// when absent) plus whatever the honoured predicate consults.
+    pub read_cols: Vec<usize>,
+    /// The chosen blocks in scan order, each with its zone-map verdict:
+    /// `AllFalse` blocks are pruned (never fetched, charged nothing),
+    /// `AllTrue` ones — every block when no predicate is honoured — keep
+    /// every row without row-level filtering.
+    pub blocks: Vec<(usize, Tri)>,
+    /// What the scan charges: the read columns of every unpruned block,
+    /// plus each read column's dictionary once when any block is read.
+    pub bytes_scanned: u64,
+    /// What the pruned blocks would have charged (their dictionaries too,
+    /// when every chosen block is pruned).
+    pub bytes_pruned: u64,
+    /// Rows stored in the unpruned blocks.
+    pub rows_scanned: u64,
+    /// Unpruned blocks.
+    pub blocks_scanned: u64,
+    /// Pruned blocks.
+    pub blocks_pruned: u64,
+}
+
+/// Plan a scan of a table — `schema`, per-block statistics `blocks`,
+/// per-column dictionary bytes `dict_bytes` — under `opts`: the blocks it
+/// visits (all, or the seeded block sample, never none of a non-empty
+/// table so samples of tiny tables still return rows), the predicate it
+/// honours, the columns it reads, each block's verdict and what it
+/// charges. The scan runs this plan; the static estimator prices a load
+/// with it.
+pub fn plan_scan<'a>(
+    schema: &Schema,
+    blocks: &[BlockStats],
+    dict_bytes: &[u64],
     opts: &'a ScanOptions,
-    schema: &dc_engine::Schema,
-) -> (Option<&'a Expr>, Vec<usize>) {
+) -> Result<ScanPlan<'a>> {
+    let n = blocks.len();
+    let chosen: Vec<usize> = match opts.block_sample {
+        None => (0..n).collect(),
+        Some(f) if !(f > 0.0 && f <= 1.0) => {
+            return Err(StorageError::invalid(format!(
+                "block sample fraction must be in (0, 1], got {f}"
+            )))
+        }
+        Some(f) => {
+            let mut rng = StdRng::seed_from_u64(opts.seed);
+            let picked: Vec<usize> = (0..n).filter(|_| rng.random::<f64>() < f).collect();
+            match picked.is_empty() && n > 0 {
+                true => vec![opts.seed as usize % n],
+                false => picked,
+            }
+        }
+    };
     let mut pred_cols = Vec::new();
     if let Some(p) = &opts.predicate {
         p.referenced_columns(&mut pred_cols);
@@ -99,71 +274,135 @@ pub(crate) fn scan_columns<'a>(
             }
         }
     }
-    (predicate, read_cols)
+    let mut plan = ScanPlan {
+        predicate,
+        read_cols,
+        blocks: Vec::with_capacity(chosen.len()),
+        bytes_scanned: 0,
+        bytes_pruned: 0,
+        rows_scanned: 0,
+        blocks_scanned: 0,
+        blocks_pruned: 0,
+    };
+    for bi in chosen {
+        let block = &blocks[bi];
+        let verdict = match predicate {
+            None => Tri::AllTrue,
+            Some(_) if block.rows == 0 => Tri::AllFalse,
+            Some(p) => {
+                let lookup = |name: &str| schema.index_of(name).map(|ci| block.columns[ci].clone());
+                prune_predicate(p, &lookup)
+            }
+        };
+        let bytes: u64 = plan.read_cols.iter().map(|&ci| block.data_bytes[ci]).sum();
+        if verdict == Tri::AllFalse {
+            plan.blocks_pruned += 1;
+            plan.bytes_pruned += bytes;
+        } else {
+            plan.blocks_scanned += 1;
+            plan.bytes_scanned += bytes;
+            plan.rows_scanned += block.rows;
+        }
+        plan.blocks.push((bi, verdict));
+    }
+    // Each read column's shared dictionary is read once by a scan that
+    // reads any block; a scan that prunes every block never loads it.
+    if !plan.blocks.is_empty() {
+        let dicts: u64 = plan.read_cols.iter().map(|&ci| dict_bytes[ci]).sum();
+        match plan.blocks_scanned {
+            0 => plan.bytes_pruned += dicts,
+            _ => plan.bytes_scanned += dicts,
+        }
+    }
+    Ok(plan)
 }
 
-/// The metadata a stored table keeps resident, whichever backend holds
-/// its blocks ([`BlockTable`] in RAM, [`crate::DiskBlockTable`] in a block
-/// file): schema, per-block row and byte counts, zone maps and dictionary
-/// sizes. The optimizer's statistics and the analyzer's snapshot read a
-/// catalog table through this ([`crate::CloudDatabase::source`]), so they
-/// answer the same for both backends. Nothing here touches block payloads.
+/// A stored table as the one scan sees it: resident metadata plus a block
+/// fetch. The fetch is the only thing the two backends do differently.
 pub trait BlockSource {
-    /// The stored table's typed schema.
-    fn schema(&self) -> &dc_engine::Schema;
-    /// Number of blocks.
-    fn num_blocks(&self) -> usize;
-    /// Rows stored in block `bi`.
-    fn block_rows(&self, bi: usize) -> usize;
-    /// Per-column logical payload bytes of block `bi`, dictionaries
-    /// excluded.
-    fn block_data_bytes(&self, bi: usize) -> Vec<u64>;
-    /// Per-column shared-dictionary bytes (zero for non-dict columns).
-    fn dict_byte_sizes(&self) -> &[u64];
-    /// Name and dictionary cardinality of each dictionary-encoded column.
-    fn dict_sizes(&self) -> Vec<(String, usize)>;
-    /// Zone-map statistics for block `bi`, column `ci`.
-    fn column_stats(&self, bi: usize, ci: usize) -> ColumnStats;
-
-    /// Total rows stored.
-    fn num_rows(&self) -> usize {
-        (0..self.num_blocks()).map(|bi| self.block_rows(bi)).sum()
-    }
-    /// Total logical bytes: every block's payload plus each shared
-    /// dictionary once — what a full scan charges.
-    fn total_bytes(&self) -> u64 {
-        let payload: u64 = (0..self.num_blocks())
-            .map(|bi| self.block_data_bytes(bi).iter().sum::<u64>())
-            .sum();
-        payload + self.dict_byte_sizes().iter().sum::<u64>()
-    }
+    /// The resident metadata scans are planned over.
+    fn meta(&self) -> &TableMeta;
+    /// Block `bi` holding at least the columns `read_cols` (schema
+    /// indices), and the payload bytes faulted off storage to fetch it —
+    /// `None` for a resident block, of which a scan reads what it charges.
+    fn read_block(&self, bi: usize, read_cols: &[usize]) -> Result<(Arc<Table>, Option<u64>)>;
 }
 
-impl BlockSource for BlockTable {
-    fn schema(&self) -> &dc_engine::Schema {
-        self.schema()
+/// Scan `src` under `opts`: run its [`plan_scan`] block by block, then
+/// sample, filter and project every fetched block and stitch the parts.
+/// The cancel check runs at every block boundary; the injector sees the
+/// scan start plus every block actually fetched — pruned blocks cost
+/// nothing and never reach it.
+pub(crate) fn run_scan(
+    src: &dyn BlockSource,
+    opts: &ScanOptions,
+    injector: Option<&FaultInjector>,
+) -> Result<(Table, ScanReceipt)> {
+    let cancel = opts.cancel.as_ref();
+    if let Some(inj) = injector {
+        inj.on_scan(opts.block_sample.is_some(), cancel)?;
     }
-    fn num_blocks(&self) -> usize {
-        self.num_blocks()
+    let meta = src.meta();
+    let plan = meta.plan(opts)?;
+    let projected: Option<Vec<&str>> = opts
+        .columns
+        .as_ref()
+        .map(|cols| cols.iter().map(String::as_str).collect());
+    // A block nothing is dropped from contributes its own columns, so a
+    // scan that ends with one such part returns them shared; several
+    // parts pay the one contiguous `concat`.
+    let mut parts: Vec<Table> = Vec::with_capacity(plan.blocks_scanned as usize);
+    // Bytes faulted off storage; `None` once a resident block is read.
+    let mut faulted = Some(0u64);
+    for &(bi, verdict) in &plan.blocks {
+        if cancel.is_some_and(|token| token.is_cancelled()) {
+            return Err(StorageError::Transient {
+                operation: "scan".to_string(),
+                message: "cancelled: node budget exhausted".to_string(),
+            });
+        }
+        if verdict == Tri::AllFalse {
+            continue;
+        }
+        if let Some(inj) = injector {
+            inj.on_block_read(cancel)?;
+        }
+        let (block, bytes) = src.read_block(bi, &plan.read_cols)?;
+        faulted = faulted.zip(bytes).map(|(sum, b)| sum + b);
+        parts.push(scan_block(
+            &block,
+            opts.row_sample
+                .map(|f| (f, opts.seed.wrapping_add(bi as u64))),
+            plan.predicate.filter(|_| verdict != Tri::AllTrue),
+            projected.as_deref(),
+        )?);
     }
-    fn block_rows(&self, bi: usize) -> usize {
-        self.block_rows(bi)
-    }
-    fn block_data_bytes(&self, bi: usize) -> Vec<u64> {
-        self.block_data_bytes(bi).to_vec()
-    }
-    fn dict_byte_sizes(&self) -> &[u64] {
-        self.dict_byte_sizes()
-    }
-    fn dict_sizes(&self) -> Vec<(String, usize)> {
-        self.dict_sizes()
-    }
-    fn column_stats(&self, bi: usize, ci: usize) -> ColumnStats {
-        self.column_stats(bi, ci)
-    }
+    let out = match (parts.is_empty(), &projected) {
+        (true, Some(cols)) => Table::empty_with_schema(meta.schema()).select(cols)?,
+        (true, None) => Table::empty_with_schema(meta.schema()),
+        (false, _) => dc_engine::ops::concat(&parts.iter().collect::<Vec<_>>(), false)?,
+    };
+    let bytes_read = faulted.unwrap_or(plan.bytes_scanned);
+    debug_assert!(
+        bytes_read <= plan.bytes_scanned,
+        "faulted more than charged"
+    );
+    Ok((
+        out,
+        ScanReceipt {
+            bytes_scanned: plan.bytes_scanned,
+            bytes_read,
+            rows_scanned: plan.rows_scanned,
+            blocks_scanned: plan.blocks_scanned,
+            total_blocks: meta.num_blocks() as u64,
+            blocks_pruned: plan.blocks_pruned,
+            bytes_pruned: plan.bytes_pruned,
+            cost_dollars: 0.0, // filled in by the database, which knows pricing
+        },
+    ))
 }
 
-/// A stored table split into fixed-size row blocks.
+/// A stored table split into fixed-size row blocks held in RAM.
 ///
 /// Blocks are immutable and held behind [`Arc`], so cloning a
 /// `BlockTable` (snapshots, catalog copies) shares the block data instead
@@ -171,20 +410,10 @@ impl BlockSource for BlockTable {
 #[derive(Debug, Clone)]
 pub struct BlockTable {
     blocks: Vec<Arc<Table>>,
-    /// Per block, per column: payload bytes excluding dictionary heap
-    /// (codes + validity for dict columns). Dictionaries are accounted
-    /// separately in `dict_bytes` because blocks share them.
-    data_bytes: Vec<Vec<u64>>,
-    /// Per column: heap bytes of its shared dictionary (0 for non-dict
-    /// columns), charged at most once per scan that reads the column.
-    dict_bytes: Vec<u64>,
-    /// Per block, per column: zone maps for predicate pruning.
-    zones: Vec<Vec<ZoneInfo>>,
-    rows: usize,
-    schema_names: Vec<String>,
+    meta: TableMeta,
 }
 
-/// How to scan a [`BlockTable`].
+/// How to scan a stored table.
 #[derive(Debug, Clone, Default)]
 pub struct ScanOptions {
     /// Project to these columns at the storage layer (columnar engines
@@ -211,7 +440,7 @@ pub struct ScanOptions {
     /// Cooperative-cancellation handle: the scan checks it at block
     /// boundaries (and inside injected stalls) and aborts with a
     /// retryable [`StorageError::Transient`] once it fires.
-    pub cancel: Option<CancelToken>,
+    pub cancel: Option<crate::fault::CancelToken>,
 }
 
 impl ScanOptions {
@@ -261,44 +490,21 @@ impl BlockTable {
                 start += block_rows;
             }
         }
-        let data_bytes = blocks
-            .iter()
-            .map(|b| {
-                b.columns()
-                    .iter()
-                    .map(|c| (c.byte_size() - c.dict_heap_bytes()) as u64)
-                    .collect()
-            })
-            .collect();
-        // All blocks share one dictionary per string column, so block 0
-        // describes the whole table's dictionary footprint.
-        let dict_bytes = blocks[0]
-            .columns()
-            .iter()
-            .map(|c| c.dict_heap_bytes() as u64)
-            .collect();
-        let zones = blocks
-            .iter()
-            .map(|b| b.columns().iter().map(|c| compute_zone(c)).collect())
-            .collect();
-        Ok(BlockTable {
-            data_bytes,
-            dict_bytes,
-            zones,
-            rows,
-            schema_names: table
-                .schema()
-                .names()
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-            blocks,
-        })
+        let stored = blocks.iter().map(|b| {
+            let cols = b.columns().iter().map(|c| {
+                let data_bytes = (c.byte_size() - c.dict_heap_bytes()) as u64;
+                let dict = c.as_dict().map(|(_, d, _)| d.as_slice());
+                (data_bytes, compute_zone(c), dict)
+            });
+            (b.num_rows() as u64, cols.collect())
+        });
+        let meta = TableMeta::new(table.schema().clone(), stored.collect());
+        Ok(BlockTable { blocks, meta })
     }
 
     /// Total rows stored.
     pub fn num_rows(&self) -> usize {
-        self.rows
+        self.meta.num_rows()
     }
 
     /// Number of blocks.
@@ -309,67 +515,12 @@ impl BlockTable {
     /// Total stored bytes: every block's payload plus each shared
     /// dictionary once.
     pub fn total_bytes(&self) -> u64 {
-        self.data_bytes.iter().flatten().sum::<u64>() + self.dict_bytes.iter().sum::<u64>()
+        self.meta.total_bytes()
     }
 
-    /// Zone-map statistics for block `bi`, column `ci`, in the form the
-    /// tri-state evaluator consumes. Dictionary code bounds translate to
-    /// their strings here (the dictionary is sorted, so the code range
-    /// *is* the string range). Public so the static estimator can price a
-    /// scan with exactly the statistics the scan itself prunes by.
-    pub fn column_stats(&self, bi: usize, ci: usize) -> ColumnStats {
-        let zone = &self.zones[bi][ci];
-        let block = &self.blocks[bi];
-        let col = &block.columns()[ci];
-        let (min, max) = match &zone.bounds {
-            ZoneBoundsIo::None => (None, None),
-            ZoneBoundsIo::Values { min, max } => (Some(min.clone()), Some(max.clone())),
-            ZoneBoundsIo::DictCodes { min, max } => {
-                let (_, dict, _) = col.as_dict().expect("DictCodes zone on non-dict column");
-                (
-                    Some(Value::Str(dict[*min as usize].clone())),
-                    Some(Value::Str(dict[*max as usize].clone())),
-                )
-            }
-        };
-        ColumnStats {
-            dtype: block.schema().fields()[ci].dtype,
-            min,
-            max,
-            null_count: zone.null_count,
-            row_count: block.num_rows() as u64,
-        }
-    }
-
-    /// Column names.
-    pub fn column_names(&self) -> &[String] {
-        &self.schema_names
-    }
-
-    /// Rows stored in block `bi`.
-    pub fn block_rows(&self, bi: usize) -> usize {
-        self.blocks[bi].num_rows()
-    }
-
-    /// Per-column payload bytes of block `bi` (dictionaries excluded —
-    /// they are shared table-wide and reported by [`dict_byte_sizes`]).
-    ///
-    /// [`dict_byte_sizes`]: BlockTable::dict_byte_sizes
-    pub fn block_data_bytes(&self, bi: usize) -> &[u64] {
-        &self.data_bytes[bi]
-    }
-
-    /// Per-column shared-dictionary bytes (zero for non-dict columns),
-    /// charged once per scan that touches any block.
-    pub fn dict_byte_sizes(&self) -> &[u64] {
-        &self.dict_bytes
-    }
-
-    /// The stored table's typed schema. Constructors always push at
-    /// least one block (an empty table is stored as one empty block), so
-    /// the first block's schema is the table's schema.
-    pub fn schema(&self) -> &dc_engine::Schema {
-        self.blocks[0].schema()
+    /// The stored table's typed schema.
+    pub fn schema(&self) -> &Schema {
+        &self.meta.schema
     }
 
     /// Shared handle to block `i`'s data — a pointer copy, not a clone.
@@ -377,127 +528,21 @@ impl BlockTable {
         self.blocks.get(i).map(Arc::clone)
     }
 
-    /// Name and dictionary cardinality of each dictionary-encoded column.
-    /// Blocks share one table-wide dictionary per string column, so the
-    /// first block's dictionaries describe the whole table.
-    pub fn dict_sizes(&self) -> Vec<(String, usize)> {
-        self.schema_names
-            .iter()
-            .zip(self.blocks[0].columns())
-            .filter_map(|(name, col)| col.as_dict().map(|(_, dict, _)| (name.clone(), dict.len())))
-            .collect()
-    }
-
     /// Scan under `opts`, returning the data plus a receipt of what was
     /// actually read.
     pub fn scan(&self, opts: &ScanOptions) -> Result<(Table, ScanReceipt)> {
-        self.scan_with(opts, None)
+        run_scan(self, opts, None)
+    }
+}
+
+impl BlockSource for BlockTable {
+    fn meta(&self) -> &TableMeta {
+        &self.meta
     }
 
-    /// [`BlockTable::scan`] with an optional fault injector in the path:
-    /// the injector sees the scan start plus every block read, which is
-    /// where transient failures and slow blocks strike.
-    pub fn scan_with(
-        &self,
-        opts: &ScanOptions,
-        injector: Option<&FaultInjector>,
-    ) -> Result<(Table, ScanReceipt)> {
-        let cancel = opts.cancel.as_ref();
-        if let Some(inj) = injector {
-            inj.on_scan(opts.block_sample.is_some(), cancel)?;
-        }
-        let chosen = chosen_blocks(opts, self.blocks.len())?;
-        let projected: Option<Vec<&str>> = opts
-            .columns
-            .as_ref()
-            .map(|cols| cols.iter().map(|s| s.as_str()).collect());
-        let schema = self.schema();
-        let (predicate, read_cols) = scan_columns(opts, schema);
-        let read_data_bytes =
-            |bi: usize| -> u64 { read_cols.iter().map(|&ci| self.data_bytes[bi][ci]).sum() };
-
-        // A block nothing is dropped from contributes its own columns, so
-        // a scan that ends with one such part returns them shared; several
-        // parts pay the one contiguous `concat`.
-        let mut parts: Vec<Table> = Vec::with_capacity(chosen.len());
-        let mut bytes = 0u64;
-        let mut rows_scanned = 0u64;
-        let mut blocks_scanned = 0u64;
-        let mut blocks_pruned = 0u64;
-        let mut bytes_pruned = 0u64;
-        for &bi in &chosen {
-            if let Some(token) = cancel {
-                if token.is_cancelled() {
-                    return Err(StorageError::Transient {
-                        operation: "scan".to_string(),
-                        message: "cancelled: node budget exhausted".to_string(),
-                    });
-                }
-            }
-            let block = &self.blocks[bi];
-            // Zone-map check: a metadata-only decision made before the
-            // block is read, so pruned blocks cost nothing and never see
-            // injected block-read faults.
-            let verdict = match predicate {
-                Some(_) if block.num_rows() == 0 => Tri::AllFalse,
-                Some(p) => {
-                    let lookup =
-                        |name: &str| schema.index_of(name).map(|ci| self.column_stats(bi, ci));
-                    prune::prune_predicate(p, &lookup)
-                }
-                None => Tri::Unknown,
-            };
-            if predicate.is_some() && verdict == Tri::AllFalse {
-                blocks_pruned += 1;
-                bytes_pruned += read_data_bytes(bi);
-                continue;
-            }
-            if let Some(inj) = injector {
-                inj.on_block_read(cancel)?;
-            }
-            bytes += read_data_bytes(bi);
-            rows_scanned += block.num_rows() as u64;
-            blocks_scanned += 1;
-            let part = scan_block(
-                block,
-                opts.row_sample
-                    .map(|f| (f, opts.seed.wrapping_add(bi as u64))),
-                predicate.filter(|_| verdict != Tri::AllTrue),
-                projected.as_deref(),
-            )?;
-            parts.push(part);
-        }
-        // Each shared dictionary is read once per scan that touches any
-        // block of its column; a fully pruned column never loads it.
-        let read_dict_bytes: u64 = read_cols.iter().map(|&ci| self.dict_bytes[ci]).sum();
-        if blocks_scanned > 0 {
-            bytes += read_dict_bytes;
-        } else if blocks_pruned > 0 {
-            bytes_pruned += read_dict_bytes;
-        }
-        let out = if parts.is_empty() {
-            let mut empty = self.blocks[0].slice(0, 0);
-            if let Some(cols) = &projected {
-                empty = empty.select(cols)?;
-            }
-            empty
-        } else {
-            dc_engine::ops::concat(&parts.iter().collect::<Vec<_>>(), false)?
-        };
-        Ok((
-            out,
-            ScanReceipt {
-                bytes_scanned: bytes,
-                // In-memory blocks: every logical byte scanned is resident.
-                bytes_read: bytes,
-                rows_scanned,
-                blocks_scanned,
-                total_blocks: self.blocks.len() as u64,
-                blocks_pruned,
-                bytes_pruned,
-                cost_dollars: 0.0, // filled in by the database, which knows pricing
-            },
-        ))
+    /// The resident block itself, every column shared.
+    fn read_block(&self, bi: usize, _: &[usize]) -> Result<(Arc<Table>, Option<u64>)> {
+        Ok((Arc::clone(&self.blocks[bi]), None))
     }
 }
 
@@ -635,7 +680,7 @@ mod tests {
             let (_, dict, _) = block.column("region").unwrap().as_dict().unwrap();
             assert!(Arc::ptr_eq(first_dict, dict), "block {i} has its own dict");
         }
-        assert_eq!(bt.dict_sizes(), vec![("region".to_string(), 8)]);
+        assert_eq!(bt.meta().dict_sizes(), vec![("region".to_string(), 8)]);
         // Charging the shared dictionary once makes the stored footprint
         // smaller than the plain-string encoding of the same data.
         let plain_bytes = t.materialize_strings().byte_size() as u64;
@@ -827,7 +872,7 @@ mod tests {
     #[test]
     fn dict_sizes_empty_without_string_columns() {
         let bt = BlockTable::new(&t(100), 10).unwrap();
-        assert!(bt.dict_sizes().is_empty());
+        assert!(bt.meta().dict_sizes().is_empty());
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use dc_engine::Table;
 
-use crate::block::{BlockSource, BlockTable, ScanOptions};
+use crate::block::{run_scan, BlockSource, BlockTable, ScanOptions, TableMeta};
 use crate::disk::DiskBlockTable;
 use crate::error::{Result, StorageError};
 use crate::fault::FaultInjector;
@@ -16,15 +16,29 @@ use crate::pricing::{CostMeter, Pricing, ScanReceipt};
 /// still split into many blocks).
 pub const DEFAULT_BLOCK_ROWS: usize = 4096;
 
+/// A stored table, whichever backend holds its blocks.
+#[derive(Debug)]
+enum Stored {
+    Ram(BlockTable),
+    /// Footer resident, payload paged in per scan.
+    Disk(DiskBlockTable),
+}
+
+impl Stored {
+    fn source(&self) -> &dyn BlockSource {
+        match self {
+            Stored::Ram(t) => t,
+            Stored::Disk(t) => t,
+        }
+    }
+}
+
 /// A simulated database instance: tables, pricing, and a meter.
 #[derive(Debug)]
 pub struct CloudDatabase {
     name: String,
     pricing: Pricing,
-    tables: BTreeMap<String, BlockTable>,
-    /// Tables persisted in the on-disk block format (footer resident,
-    /// payload paged in per scan). Disjoint from `tables` by name.
-    disk_tables: BTreeMap<String, DiskBlockTable>,
+    tables: BTreeMap<String, Stored>,
     meter: Arc<CostMeter>,
     injector: Option<Arc<FaultInjector>>,
     /// Monotonic counter driving per-table versions. Never reused, so a
@@ -42,7 +56,6 @@ impl CloudDatabase {
             name: name.into(),
             pricing,
             tables: BTreeMap::new(),
-            disk_tables: BTreeMap::new(),
             meter: Arc::new(CostMeter::new()),
             injector: None,
             version_counter: 0,
@@ -93,14 +106,9 @@ impl CloudDatabase {
         table: &Table,
         block_rows: usize,
     ) -> Result<()> {
-        let name = name.into();
-        if self.tables.contains_key(&name) || self.disk_tables.contains_key(&name) {
-            return Err(StorageError::AlreadyExists { name });
-        }
-        self.tables
-            .insert(name.clone(), BlockTable::new(table, block_rows)?);
-        self.version_counter += 1;
-        self.versions.insert(name, self.version_counter);
+        let name = self.vacant(name.into())?;
+        let stored = Stored::Ram(BlockTable::new(table, block_rows)?);
+        self.insert(name, stored);
         Ok(())
     }
 
@@ -116,36 +124,40 @@ impl CloudDatabase {
         block_rows: usize,
         dir: &std::path::Path,
     ) -> Result<()> {
-        let name = name.into();
-        if self.tables.contains_key(&name) || self.disk_tables.contains_key(&name) {
-            return Err(StorageError::AlreadyExists { name });
-        }
+        let name = self.vacant(name.into())?;
         std::fs::create_dir_all(dir).map_err(|e| {
             StorageError::invalid(format!("cannot create disk-table dir {dir:?}: {e}"))
         })?;
         let path = dir.join(format!("{}.{}.dcb", self.name, name));
-        let dt = DiskBlockTable::create(path, table, block_rows)?;
-        self.disk_tables.insert(name.clone(), dt);
+        let stored = Stored::Disk(DiskBlockTable::create(path, table, block_rows)?);
+        self.insert(name, stored);
+        Ok(())
+    }
+
+    /// `name`, if no table holds it yet.
+    fn vacant(&self, name: String) -> Result<String> {
+        match self.tables.contains_key(&name) {
+            true => Err(StorageError::AlreadyExists { name }),
+            false => Ok(name),
+        }
+    }
+
+    fn insert(&mut self, name: String, stored: Stored) {
+        self.tables.insert(name.clone(), stored);
         self.version_counter += 1;
         self.versions.insert(name, self.version_counter);
-        Ok(())
     }
 
     /// Drop a table (either backend; disk-backed files are removed).
     pub fn drop_table(&mut self, name: &str) -> Result<()> {
-        let dropped = self.tables.remove(name).is_some() || self.disk_tables.remove(name).is_some();
-        if dropped {
-            // Bump the counter so any future recreation under the same
-            // name is distinguishable from the dropped incarnation.
-            self.version_counter += 1;
-            self.versions.remove(name);
-            Ok(())
-        } else {
-            Err(StorageError::TableNotFound {
-                database: self.name.clone(),
-                name: name.to_string(),
-            })
-        }
+        self.tables
+            .remove(name)
+            .ok_or_else(|| self.not_found(name))?;
+        // Bump the counter so any future recreation under the same name
+        // is distinguishable from the dropped incarnation.
+        self.version_counter += 1;
+        self.versions.remove(name);
+        Ok(())
     }
 
     /// Current version of a live table, if it exists. Versions are
@@ -160,62 +172,47 @@ impl CloudDatabase {
 
     /// Table names in sorted order (both backends).
     pub fn table_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self
-            .tables
-            .keys()
-            .chain(self.disk_tables.keys())
-            .map(|s| s.as_str())
-            .collect();
-        names.sort_unstable();
-        names
+        self.tables.keys().map(|s| s.as_str()).collect()
+    }
+
+    fn not_found(&self, name: &str) -> StorageError {
+        StorageError::TableNotFound {
+            database: self.name.clone(),
+            name: name.to_string(),
+        }
+    }
+
+    fn stored(&self, name: &str) -> Result<&Stored> {
+        self.tables.get(name).ok_or_else(|| self.not_found(name))
     }
 
     /// Access a stored in-memory table's block structure.
     pub fn table(&self, name: &str) -> Result<&BlockTable> {
-        self.tables
-            .get(name)
-            .ok_or_else(|| StorageError::TableNotFound {
-                database: self.name.clone(),
-                name: name.to_string(),
-            })
+        match self.stored(name)? {
+            Stored::Ram(t) => Ok(t),
+            Stored::Disk(_) => Err(self.not_found(name)),
+        }
     }
 
     /// Access a disk-backed table's structure, if `name` is disk-backed.
     pub fn disk_table(&self, name: &str) -> Result<&DiskBlockTable> {
-        self.disk_tables
-            .get(name)
-            .ok_or_else(|| StorageError::TableNotFound {
-                database: self.name.clone(),
-                name: name.to_string(),
-            })
+        match self.stored(name)? {
+            Stored::Disk(t) => Ok(t),
+            Stored::Ram(_) => Err(self.not_found(name)),
+        }
     }
 
     /// The resident metadata of a stored table, whichever backend holds
     /// it: what planning and analysis read without scanning.
-    pub fn source(&self, name: &str) -> Result<&dyn BlockSource> {
-        match (self.tables.get(name), self.disk_tables.get(name)) {
-            (Some(bt), _) => Ok(bt),
-            (None, Some(dt)) => Ok(dt),
-            (None, None) => Err(StorageError::TableNotFound {
-                database: self.name.clone(),
-                name: name.to_string(),
-            }),
-        }
+    pub fn source(&self, name: &str) -> Result<&TableMeta> {
+        Ok(self.stored(name)?.source().meta())
     }
 
     /// Scan a table (either backend), recording the cost on the database
     /// meter and pricing the receipt.
     pub fn scan(&self, table: &str, opts: &ScanOptions) -> Result<(Table, ScanReceipt)> {
-        let (data, mut receipt) = if let Some(bt) = self.tables.get(table) {
-            bt.scan_with(opts, self.injector.as_deref())?
-        } else if let Some(dt) = self.disk_tables.get(table) {
-            dt.scan_with(opts, self.injector.as_deref())?
-        } else {
-            return Err(StorageError::TableNotFound {
-                database: self.name.clone(),
-                name: table.to_string(),
-            });
-        };
+        let source = self.stored(table)?.source();
+        let (data, mut receipt) = run_scan(source, opts, self.injector.as_deref())?;
         receipt.cost_dollars = self.pricing.scan_cost(receipt.bytes_scanned);
         self.meter.record(
             &self.pricing,
@@ -227,28 +224,25 @@ impl CloudDatabase {
     }
 
     /// Dataset listing matching the Figure 1 UI panel: name, rows,
-    /// columns, column names.
+    /// columns, column names, sorted by name.
     pub fn dataset_listing(&self) -> Vec<DatasetInfo> {
-        let mut out: Vec<DatasetInfo> = self
-            .tables
-            .iter()
-            .map(|(name, bt)| DatasetInfo {
+        let listing = self.tables.iter().map(|(name, stored)| {
+            let meta = stored.source().meta();
+            let columns: Vec<String> = meta
+                .schema()
+                .names()
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            DatasetInfo {
                 database: self.name.clone(),
                 dataset_name: name.clone(),
-                num_rows: bt.num_rows(),
-                num_columns: bt.column_names().len(),
-                columns: bt.column_names().to_vec(),
-            })
-            .chain(self.disk_tables.iter().map(|(name, dt)| DatasetInfo {
-                database: self.name.clone(),
-                dataset_name: name.clone(),
-                num_rows: dt.num_rows(),
-                num_columns: dt.column_names().len(),
-                columns: dt.column_names().to_vec(),
-            }))
-            .collect();
-        out.sort_by(|a, b| a.dataset_name.cmp(&b.dataset_name));
-        out
+                num_rows: meta.num_rows(),
+                num_columns: columns.len(),
+                columns,
+            }
+        });
+        listing.collect()
     }
 }
 

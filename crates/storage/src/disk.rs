@@ -3,30 +3,31 @@
 //! A [`DiskBlockTable`] stores its blocks in the engine's columnar block
 //! file format ([`dc_engine::blockio`]) and keeps only the footer —
 //! schema, shared dictionaries, per-block zone maps and null counts —
-//! resident. Scans prune blocks with footer metadata *before* paging any
-//! payload in, so a pruned block costs zero logical bytes **and** zero
-//! faulted bytes. Receipts therefore split cost into two numbers:
+//! resident, lifted at open into the same [`TableMeta`] the in-RAM table
+//! holds. It runs the same scan ([`crate::block`]): the plan prunes blocks
+//! with that metadata *before* any payload is paged in, so a pruned block
+//! costs zero logical bytes **and** zero faulted bytes. The block fetch is
+//! the one thing it does differently, and why receipts split cost into two
+//! numbers:
 //!
 //! * `bytes_scanned` — the logical (in-memory) bytes the scan charged,
-//!   identical accounting to the in-RAM [`crate::BlockTable`], so pricing
-//!   is backend-independent;
-//! * `bytes_read` — the payload bytes actually faulted off storage,
-//!   which projection and pruning shrink further (stored payloads are
-//!   never larger than their logical footprint, so
-//!   `bytes_read <= bytes_scanned` always holds).
+//!   identical to the in-RAM [`crate::BlockTable`]'s, so pricing is
+//!   backend-independent;
+//! * `bytes_read` — the payload bytes actually faulted off storage, which
+//!   projection and pruning shrink further (stored payloads are never
+//!   larger than their logical footprint, and dictionaries are read once,
+//!   at open, so `bytes_read <= bytes_scanned` always holds).
 //!
-//! Reads go through a buffered positional-read path by default; the
-//! `mmap` feature maps the file instead (same format, same receipts).
+//! Reads are buffered positional reads of just the read columns' ranges.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use dc_engine::blockio::{BlockFile, ZoneBoundsIo};
-use dc_engine::expr::prune::{self, ColumnStats, Tri};
-use dc_engine::{Schema, Table, Value};
+use dc_engine::blockio::BlockFile;
+use dc_engine::{Schema, Table};
 
-use crate::block::{chosen_blocks, scan_block, scan_columns, BlockSource, ScanOptions};
+use crate::block::{run_scan, BlockSource, ScanOptions, TableMeta};
 use crate::error::{Result, StorageError};
-use crate::fault::FaultInjector;
 use crate::pricing::ScanReceipt;
 
 /// A table persisted in the engine's on-disk block format, scanned
@@ -35,10 +36,7 @@ use crate::pricing::ScanReceipt;
 pub struct DiskBlockTable {
     file: BlockFile,
     path: PathBuf,
-    schema: Schema,
-    schema_names: Vec<String>,
-    /// Per column: shared-dictionary heap bytes (0 for non-dict columns).
-    dict_bytes: Vec<u64>,
+    meta: TableMeta,
     /// Remove the backing file on drop (set by [`DiskBlockTable::create`]).
     owned: bool,
 }
@@ -92,13 +90,11 @@ impl DiskBlockTable {
         Ok(t)
     }
 
-    /// Open an existing block file. Only the footer is read; the file is
-    /// NOT removed on drop.
+    /// Open an existing block file. Only the footer is read (and checked:
+    /// a footer whose ranges, dictionary ids or code bounds lie is an
+    /// error, not a later panic); the file is NOT removed on drop.
     pub fn open(path: impl AsRef<Path>) -> Result<DiskBlockTable> {
         let path = path.as_ref().to_path_buf();
-        #[cfg(feature = "mmap")]
-        let file = BlockFile::open_mmap(&path).map_err(map_engine)?;
-        #[cfg(not(feature = "mmap"))]
         let file = BlockFile::open(&path).map_err(map_engine)?;
         let fields = file
             .meta
@@ -107,16 +103,19 @@ impl DiskBlockTable {
             .map(|(name, dtype)| dc_engine::Field::new(name.clone(), *dtype))
             .collect();
         let schema = Schema::new(fields).map_err(map_engine)?;
-        let schema_names: Vec<String> = schema.names().iter().map(|s| s.to_string()).collect();
-        let dict_bytes = (0..schema_names.len())
-            .map(|ci| file.meta.column_dict_bytes(ci))
-            .collect();
+        let footer = &file.meta;
+        let blocks = footer.blocks.iter().map(|b| {
+            let cols = b.cols.iter().map(|c| {
+                let dict = c.dict_index().and_then(|di| footer.dicts.get(di));
+                (c.data_bytes, c.zone.clone(), dict.map(|d| d.as_slice()))
+            });
+            (u64::from(b.rows), cols.collect())
+        });
+        let meta = TableMeta::new(schema, blocks.collect());
         Ok(DiskBlockTable {
             file,
             path,
-            schema,
-            schema_names,
-            dict_bytes,
+            meta,
             owned: false,
         })
     }
@@ -128,220 +127,47 @@ impl DiskBlockTable {
 
     /// Total rows stored.
     pub fn num_rows(&self) -> usize {
-        self.file.num_rows()
+        self.meta.num_rows()
     }
 
     /// Number of blocks.
     pub fn num_blocks(&self) -> usize {
-        self.file.num_blocks()
-    }
-
-    /// Column names.
-    pub fn column_names(&self) -> &[String] {
-        &self.schema_names
+        self.meta.num_blocks()
     }
 
     /// The stored table's typed schema (resident from the footer).
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        self.meta.schema()
     }
 
     /// Total *logical* bytes stored: every block's in-memory payload plus
     /// each shared dictionary once — the same accounting the in-RAM block
     /// table uses, so a full scan of either backend charges equal bytes.
     pub fn total_bytes(&self) -> u64 {
-        let payload: u64 = self
-            .file
-            .meta
-            .blocks
-            .iter()
-            .flat_map(|b| b.cols.iter().map(|c| c.data_bytes))
-            .sum();
-        payload + self.dict_bytes.iter().sum::<u64>()
+        self.meta.total_bytes()
     }
 
-    /// Zone-map statistics for block `bi`, column `ci`, straight from the
-    /// footer — no payload access. Dictionary code bounds translate
-    /// through the resident sorted dictionary.
-    pub fn column_stats(&self, bi: usize, ci: usize) -> ColumnStats {
-        let block = &self.file.meta.blocks[bi];
-        let col = &block.cols[ci];
-        let (min, max) = match &col.zone.bounds {
-            ZoneBoundsIo::None => (None, None),
-            ZoneBoundsIo::Values { min, max } => (Some(min.clone()), Some(max.clone())),
-            ZoneBoundsIo::DictCodes { min, max } => match self.dict_of(bi, ci) {
-                Some(d) => (
-                    Some(Value::Str(d[*min as usize].clone())),
-                    Some(Value::Str(d[*max as usize].clone())),
-                ),
-                None => (None, None),
-            },
-        };
-        ColumnStats {
-            dtype: self.schema.fields()[ci].dtype,
-            min,
-            max,
-            null_count: col.zone.null_count,
-            row_count: block.rows as u64,
-        }
-    }
-
-    /// The resident dictionary block `bi` stores column `ci` against, if
-    /// it is dictionary-encoded there.
-    fn dict_of(&self, bi: usize, ci: usize) -> Option<&std::sync::Arc<Vec<String>>> {
-        let di = self.file.meta.blocks.get(bi)?.cols[ci].dict_index()?;
-        self.file.meta.dicts.get(di)
-    }
-
-    /// Scan under `opts`, returning the data plus a receipt. Mirrors
-    /// [`crate::BlockTable::scan`] semantics exactly (block/row sampling,
-    /// predicate pushdown with zone pruning, projection), with
-    /// `bytes_read` additionally reporting what was faulted off disk.
+    /// Scan under `opts`, returning the data plus a receipt: the same scan
+    /// as [`crate::BlockTable::scan`], with `bytes_read` reporting what was
+    /// faulted off disk.
     pub fn scan(&self, opts: &ScanOptions) -> Result<(Table, ScanReceipt)> {
-        self.scan_with(opts, None)
-    }
-
-    /// [`DiskBlockTable::scan`] with an optional fault injector: the
-    /// injector sees the scan start plus every block actually paged in
-    /// (pruned blocks never reach it).
-    pub fn scan_with(
-        &self,
-        opts: &ScanOptions,
-        injector: Option<&FaultInjector>,
-    ) -> Result<(Table, ScanReceipt)> {
-        let cancel = opts.cancel.as_ref();
-        if let Some(inj) = injector {
-            inj.on_scan(opts.block_sample.is_some(), cancel)?;
-        }
-        let nblocks = self.file.num_blocks();
-        let chosen = chosen_blocks(opts, nblocks)?;
-        let schema = &self.schema;
-        let (predicate, read_cols) = scan_columns(opts, schema);
-        let logical_bytes = |bi: usize| -> u64 {
-            let cols = &self.file.meta.blocks[bi].cols;
-            read_cols.iter().map(|&ci| cols[ci].data_bytes).sum()
-        };
-        let projected: Option<Vec<&str>> = opts
-            .columns
-            .as_ref()
-            .map(|cols| cols.iter().map(|s| s.as_str()).collect());
-
-        let mut parts: Vec<Table> = Vec::with_capacity(chosen.len());
-        let mut bytes = 0u64;
-        let mut bytes_read = 0u64;
-        let mut rows_scanned = 0u64;
-        let mut blocks_scanned = 0u64;
-        let mut blocks_pruned = 0u64;
-        let mut bytes_pruned = 0u64;
-        for &bi in &chosen {
-            if let Some(token) = cancel {
-                if token.is_cancelled() {
-                    return Err(StorageError::Transient {
-                        operation: "scan".to_string(),
-                        message: "cancelled: node budget exhausted".to_string(),
-                    });
-                }
-            }
-            let block_rows = self.file.meta.blocks[bi].rows as usize;
-            // Footer-only pruning decision: nothing is paged in yet.
-            let verdict = match predicate {
-                Some(_) if block_rows == 0 => Tri::AllFalse,
-                Some(p) => {
-                    let lookup =
-                        |name: &str| schema.index_of(name).map(|ci| self.column_stats(bi, ci));
-                    prune::prune_predicate(p, &lookup)
-                }
-                None => Tri::Unknown,
-            };
-            if predicate.is_some() && verdict == Tri::AllFalse {
-                blocks_pruned += 1;
-                bytes_pruned += logical_bytes(bi);
-                continue;
-            }
-            if let Some(inj) = injector {
-                inj.on_block_read(cancel)?;
-            }
-            let (table, faulted) = self
-                .file
-                .read_block_projected(bi, &read_cols)
-                .map_err(map_engine)?;
-            bytes += logical_bytes(bi);
-            bytes_read += faulted;
-            rows_scanned += block_rows as u64;
-            blocks_scanned += 1;
-            let part = scan_block(
-                &table,
-                opts.row_sample
-                    .map(|f| (f, opts.seed.wrapping_add(bi as u64))),
-                predicate.filter(|_| verdict != Tri::AllTrue),
-                projected.as_deref(),
-            )
-            .map_err(map_engine)?;
-            parts.push(part);
-        }
-        // Shared dictionaries live in the footer, resident since open:
-        // they charge logical bytes like the in-RAM backend but fault
-        // nothing per scan.
-        let read_dict_bytes: u64 = read_cols.iter().map(|&ci| self.dict_bytes[ci]).sum();
-        if blocks_scanned > 0 {
-            bytes += read_dict_bytes;
-        } else if blocks_pruned > 0 {
-            bytes_pruned += read_dict_bytes;
-        }
-        let out = if parts.is_empty() {
-            let empty = Table::empty_with_schema(schema);
-            match &projected {
-                Some(cols) => empty.select(cols).map_err(map_engine)?,
-                None => empty,
-            }
-        } else {
-            dc_engine::ops::concat(&parts.iter().collect::<Vec<_>>(), false).map_err(map_engine)?
-        };
-        debug_assert!(bytes_read <= bytes, "faulted more than charged");
-        Ok((
-            out,
-            ScanReceipt {
-                bytes_scanned: bytes,
-                bytes_read,
-                rows_scanned,
-                blocks_scanned,
-                total_blocks: nblocks as u64,
-                blocks_pruned,
-                bytes_pruned,
-                cost_dollars: 0.0, // filled in by the database, which knows pricing
-            },
-        ))
+        run_scan(self, opts, None)
     }
 }
 
 impl BlockSource for DiskBlockTable {
-    fn schema(&self) -> &Schema {
-        &self.schema
+    fn meta(&self) -> &TableMeta {
+        &self.meta
     }
-    fn num_blocks(&self) -> usize {
-        self.num_blocks()
-    }
-    fn block_rows(&self, bi: usize) -> usize {
-        self.file.meta.blocks[bi].rows as usize
-    }
-    fn block_data_bytes(&self, bi: usize) -> Vec<u64> {
-        let cols = &self.file.meta.blocks[bi].cols;
-        cols.iter().map(|c| c.data_bytes).collect()
-    }
-    fn dict_byte_sizes(&self) -> &[u64] {
-        &self.dict_bytes
-    }
-    /// Blocks share one table-wide dictionary per string column, so the
-    /// first block's dictionaries describe the whole table.
-    fn dict_sizes(&self) -> Vec<(String, usize)> {
-        self.schema_names
-            .iter()
-            .enumerate()
-            .filter_map(|(ci, name)| Some((name.clone(), self.dict_of(0, ci)?.len())))
-            .collect()
-    }
-    fn column_stats(&self, bi: usize, ci: usize) -> ColumnStats {
-        self.column_stats(bi, ci)
+
+    /// Pages in only the read columns' byte ranges. Shared dictionaries
+    /// live in the footer, resident since open, and fault nothing here.
+    fn read_block(&self, bi: usize, read_cols: &[usize]) -> Result<(Arc<Table>, Option<u64>)> {
+        let (block, faulted) = self
+            .file
+            .read_block_projected(bi, read_cols)
+            .map_err(map_engine)?;
+        Ok((Arc::new(block), Some(faulted)))
     }
 }
 
@@ -516,6 +342,30 @@ mod tests {
             )
         );
         assert!(rd.bytes_read <= rd.bytes_scanned);
+    }
+
+    /// A footer whose dictionary id names no dictionary is refused at
+    /// open, before pruning or statistics could index by it.
+    #[test]
+    fn open_rejects_a_lying_dictionary_id() {
+        let dir = TempDir::new("dict-id");
+        let path = dir.file("t.dcb");
+        let t = Table::new(vec![("c", Column::from_strs(vec!["x", "y"]))]).unwrap();
+        dc_engine::blockio::write_table(&path, &t.encode_strings(), 8).unwrap();
+        assert!(DiskBlockTable::open(&path).is_ok());
+        let mut bytes = std::fs::read(&path).unwrap();
+        let footer_len = u64::from_le_bytes(bytes[bytes.len() - 12..][..8].try_into().unwrap());
+        let footer = bytes.len() - 12 - footer_len as usize;
+        // ncols, name, dtype, ndicts, ["x", "y"], nblocks, rows, enc,
+        // offset, len, data bytes: then the id.
+        let id_at = footer + 4 + 5 + 1 + 4 + (4 + 2 * 5) + 4 + 4 + 1 + 24;
+        assert_eq!(bytes[id_at..id_at + 4], 0u32.to_le_bytes());
+        bytes[id_at] = 1;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            DiskBlockTable::open(&path),
+            Err(StorageError::InvalidArgument { .. })
+        ));
     }
 
     #[test]

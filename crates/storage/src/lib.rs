@@ -3,7 +3,9 @@
 //! Reproduces the storage-facing machinery of §3 of the paper:
 //!
 //! * [`block::BlockTable`] — tables stored in fixed-size row blocks, with
-//!   scans that report exactly what they read
+//!   scans that report exactly what they read; [`block::plan_scan`] is the
+//!   one decision of what a scan reads and charges, for both backends and
+//!   for the static estimator
 //! * [`pricing`] — consumption-based vs fixed pricing, and a thread-safe
 //!   [`pricing::CostMeter`] so every experiment can report dollars
 //! * [`catalog`] — named databases and a multi-source catalog
@@ -33,7 +35,7 @@ pub mod pricing;
 pub mod snapshot;
 pub mod spill;
 
-pub use block::{BlockSource, BlockTable, ScanOptions};
+pub use block::{plan_scan, BlockSource, BlockStats, BlockTable, ScanOptions, ScanPlan, TableMeta};
 pub use budget::{BudgetConfig, ByteBudget};
 pub use catalog::{Catalog, CloudDatabase, DatasetInfo, DEFAULT_BLOCK_ROWS};
 pub use disk::DiskBlockTable;

@@ -9,11 +9,25 @@
 //! (the kernel the skills layer calls, which splits large tables into
 //! morsels) and `filter_serial` (what the scan itself calls per block) —
 //! so the property also pins that the two agree.
+//!
+//! Both properties also store the same rows on both backends — in RAM and
+//! in a block file — and scan them under full, projected, filtered,
+//! all-pruned, block-sampled and row-sampled options: the one scan must
+//! return equal tables and equal receipts (only `bytes_read`, what was
+//! faulted off storage, may differ, and never exceeds `bytes_scanned`),
+//! and make the same fault-injector calls. The static estimator prices a
+//! load with the same plan, so this pins its input too.
+
+use std::path::PathBuf;
+use std::sync::Arc;
 
 use dc_engine::ops::{filter, filter_serial};
 use dc_engine::{Column, DataType, Expr, Table, Value};
-use dc_storage::{BlockTable, ScanOptions};
+use dc_storage::{
+    BlockTable, CloudDatabase, FaultConfig, FaultInjector, Pricing, ScanOptions, ScanReceipt,
+};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 const STRINGS: [&str; 5] = ["apple", "berry", "cherry", "date", "elder"];
 const COLS: [&str; 4] = ["i", "f", "s", "n"];
@@ -119,6 +133,74 @@ fn same_table(a: &Table, b: &Table) -> bool {
         })
 }
 
+/// A directory for one case's block file, removed with the case.
+struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    fn new(tag: &str) -> ScratchDir {
+        let dir = std::env::temp_dir().join(format!("dc-pruning-{}-{tag}", std::process::id()));
+        ScratchDir(dir)
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// One database holding `t` twice — `ram` in memory, `disk` in a block
+/// file under `dir` — behind a fault injector that injects nothing and
+/// counts every call.
+fn both_backends(
+    t: &Table,
+    block_rows: usize,
+    dir: &ScratchDir,
+) -> (CloudDatabase, Arc<FaultInjector>) {
+    let mut db = CloudDatabase::new("db", Pricing::default_cloud());
+    db.create_table_with_blocks("ram", t, block_rows).unwrap();
+    db.create_table_on_disk("disk", t, block_rows, &dir.0)
+        .unwrap();
+    let injector = Arc::new(FaultInjector::new(FaultConfig::disabled()));
+    db.set_fault_injector(Arc::clone(&injector));
+    (db, injector)
+}
+
+/// Scan both backends under `opts` and require one answer: equal tables
+/// (schema and dtypes included), receipts equal field by field but for
+/// `bytes_read <= bytes_scanned`, and the same `on_scan` /
+/// `on_block_read` calls. Returns the in-memory scan.
+fn backends_agree(
+    db: &CloudDatabase,
+    injector: &FaultInjector,
+    opts: &ScanOptions,
+) -> Result<(Table, ScanReceipt), TestCaseError> {
+    let scan = |table: &str| {
+        let before = injector.stats().ops_seen;
+        let out = db.scan(table, opts).unwrap();
+        let after = injector.stats().ops_seen;
+        (out, [after[0] - before[0], after[1] - before[1]])
+    };
+    let ((ram, r), ram_calls) = scan("ram");
+    let ((disk, d), disk_calls) = scan("disk");
+    prop_assert!(
+        same_table(&ram, &disk),
+        "backends diverged under {:?}:\n  ram  {:?}\n  disk {:?}",
+        opts,
+        ram,
+        disk
+    );
+    let fields = |r: &ScanReceipt| {
+        let blocks = (r.blocks_scanned, r.blocks_pruned, r.total_blocks);
+        (r.bytes_scanned, r.bytes_pruned, r.rows_scanned, blocks)
+    };
+    prop_assert_eq!(fields(&r), fields(&d));
+    prop_assert!(r.bytes_read <= r.bytes_scanned && d.bytes_read <= d.bytes_scanned);
+    prop_assert_eq!(ram_calls, disk_calls);
+    prop_assert_eq!(ram_calls, [1, r.blocks_scanned]);
+    Ok((ram, r))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -163,6 +245,32 @@ proptest! {
             receipt.blocks_scanned + receipt.blocks_pruned,
             receipt.total_blocks
         );
+
+        // The same rows on disk answer every option alike.
+        let dir = ScratchDir::new("pruned");
+        let (db, injector) = both_backends(&t, block_rows, &dir);
+        let (out, r) = backends_agree(&db, &injector, &ScanOptions::full())?;
+        let unpriced = ScanReceipt { cost_dollars: 0.0, ..r };
+        prop_assert!(same_table(&out, &full) && unpriced == full_receipt);
+        let (out, _) = backends_agree(&db, &injector, &opts)?;
+        prop_assert!(same_table(&out, &expected));
+        let projected = ScanOptions {
+            columns: Some(vec!["s".into(), "i".into()]),
+            predicate: Some(pred.clone()),
+            ..ScanOptions::default()
+        };
+        backends_agree(&db, &injector, &projected)?;
+        let nothing = ScanOptions {
+            columns: Some(vec!["f".into()]),
+            predicate: Some(Expr::lit(false)),
+            ..ScanOptions::default()
+        };
+        let (none, r) = backends_agree(&db, &injector, &nothing)?;
+        prop_assert_eq!((none.num_rows(), r.blocks_scanned), (0, 0));
+        prop_assert_eq!(none.schema().names(), vec!["f"]);
+        let mut rows_sampled = ScanOptions::row_sampled(0.5, block_rows as u64);
+        rows_sampled.predicate = Some(pred);
+        backends_agree(&db, &injector, &rows_sampled)?;
     }
 
     /// Pruning composes with block sampling: the degraded (sampled)
@@ -188,5 +296,45 @@ proptest! {
         opts.predicate = Some(pred);
         let (out, _) = bt.scan(&opts).unwrap();
         prop_assert!(same_table(&out, &expected));
+
+        let dir = ScratchDir::new("sampled");
+        let (db, injector) = both_backends(&t, 5, &dir);
+        backends_agree(&db, &injector, &ScanOptions::block_sampled(0.5, seed))?;
+        backends_agree(&db, &injector, &opts)?;
     }
+}
+
+/// The edges the properties only sometimes draw: a zero-row table, and a
+/// scan whose every block is pruned. Both backends return the empty table
+/// of the stored (or projected) schema — `Table::empty_with_schema` — with
+/// the same dtypes, and charge nothing for an all-pruned scan.
+#[test]
+fn backends_agree_on_an_empty_table_and_an_all_pruned_scan() {
+    let check = |rows: &[RowSeed], tag: &str| -> Result<(), TestCaseError> {
+        let t = build_table(rows);
+        let dir = ScratchDir::new(tag);
+        let (db, injector) = both_backends(&t, 4, &dir);
+        let (empty, r) = backends_agree(&db, &injector, &ScanOptions::full())?;
+        prop_assert_eq!(empty.num_rows(), rows.len());
+        prop_assert_eq!(r.blocks_scanned, 1);
+        let pruned = ScanOptions {
+            predicate: Some(Expr::col("i").gt(Expr::lit(100i64))),
+            ..ScanOptions::default()
+        };
+        let (none, r) = backends_agree(&db, &injector, &pruned)?;
+        prop_assert_eq!((none.num_rows(), r.bytes_scanned), (0, 0));
+        prop_assert_eq!(none.schema(), t.schema());
+        prop_assert_eq!(r.blocks_pruned, r.total_blocks);
+        Ok(())
+    };
+    check(&[], "empty").unwrap();
+    check(
+        &[
+            (Some(1), Some(3), 0),
+            (None, None, 7),
+            (Some(-4), Some(39), 2),
+        ],
+        "pruned",
+    )
+    .unwrap();
 }

@@ -28,7 +28,7 @@ use std::path::PathBuf;
 
 use datachat::analyze::{AnalysisContext, TableStats};
 use datachat::engine::{DataType, Field, Schema};
-use datachat::storage::BlockTable;
+use datachat::storage::{BlockSource, BlockTable};
 
 fn schema(fields: &[(&str, DataType)]) -> Schema {
     Schema::new(
@@ -49,7 +49,7 @@ fn block_backed(csv: &str, block_rows: usize) -> (Schema, TableStats) {
         .expect("golden csv parses")
         .encode_strings();
     let bt = BlockTable::new(&t, block_rows).expect("blocked table builds");
-    (bt.schema().clone(), TableStats::from_block_table(&bt))
+    (bt.schema().clone(), TableStats::from_block_table(bt.meta()))
 }
 
 /// `history`: `day` rises monotonically (i / 10 over 1000 rows, 100-row

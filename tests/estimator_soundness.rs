@@ -9,11 +9,20 @@
 //!   (`Executor::run`; the default retrying policy, meeting no fault, is
 //!   checked to be the same run);
 //! - `rows_lo <= actual output rows`, and `rows_hi >= actual output
-//!   rows` whenever the estimator claims an upper bound at all.
+//!   rows` whenever the estimator claims an upper bound at all;
+//! - for a single load over a table with block detail, `bytes_lo ==
+//!   bytes_hi ==` the bytes actually charged: the estimator prices a scan
+//!   by calling the storage layer's scan plan, so exactness holds by
+//!   construction.
+//!
+//! `t` is stored in memory and `t2` in a block file, so joins read both
+//! backends.
 //!
 //! Executions that fail (e.g. type-confused predicates the analyzer
 //! flags separately) are out of scope: soundness is a statement about
 //! runs that produce an answer.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
@@ -91,8 +100,8 @@ fn gen_table(max_rows: usize) -> impl Strategy<Value = GenTable> {
 }
 
 /// A comparison leaf over a real column (or a column the table does not
-/// have — the scan ignores such predicates wholesale and the estimator
-/// must mirror that).
+/// have — the scan's plan ignores such predicates wholesale, and the
+/// estimator calls that plan).
 fn leaf() -> impl Strategy<Value = Expr> {
     let int_lit = -10i64..70;
     let float_lit = -5.0f64..110.0;
@@ -164,16 +173,36 @@ fn shape() -> impl Strategy<Value = Shape> {
     ]
 }
 
-fn build_env(t: &GenTable, t2: &GenTable) -> Env {
+/// An env whose block file lives in a directory of its own, removed with
+/// the env.
+struct DiskEnv {
+    env: Env,
+    dir: std::path::PathBuf,
+}
+
+impl Drop for DiskEnv {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// `t` in memory, `t2` in a block file.
+fn build_env(t: &GenTable, t2: &GenTable) -> DiskEnv {
+    static ENVS: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "dc-estimator-soundness-{}-{}",
+        std::process::id(),
+        ENVS.fetch_add(1, Ordering::Relaxed)
+    ));
     let mut env = Env::new();
     let mut db =
         datachat::storage::CloudDatabase::new("Main", datachat::storage::Pricing::default_cloud());
     db.create_table_with_blocks("t", &t.to_table(), t.block_rows)
         .unwrap();
-    db.create_table_with_blocks("t2", &t2.to_table(), t2.block_rows)
+    db.create_table_on_disk("t2", &t2.to_table(), t2.block_rows, &dir)
         .unwrap();
     env.catalog.add_database(db).unwrap();
-    env
+    DiskEnv { env, dir }
 }
 
 fn build_dag(shape: &Shape) -> (SkillDag, NodeId) {
@@ -225,14 +254,15 @@ proptest! {
         shape in shape(),
     ) {
         let (dag, target) = build_dag(&shape);
-        let ctx = AnalysisContext::from_env(&build_env(&t, &t2));
+        let ctx = AnalysisContext::from_env(&build_env(&t, &t2).env);
         let analysis = analyze_dag(&dag, &[target], &ctx);
         let est = analysis.estimates.get(target);
 
         // The driver plans the DAG with the call the estimator priced it
         // with (targets protected, nothing vetoed). Cold cache, no faults.
-        let mut env = build_env(&t, &t2);
-        let Ok(out) = Executor::new().run(&dag, target, &mut env) else {
+        let mut disk_env = build_env(&t, &t2);
+        let env = &mut disk_env.env;
+        let Ok(out) = Executor::new().run(&dag, target, env) else {
             // Failed runs (e.g. type-confused residual predicates) are
             // covered by the analyzer's own diagnostics, not soundness.
             return Ok(());
@@ -243,9 +273,9 @@ proptest! {
         // A retrying policy that meets no fault is the same run.
         let mut env2 = build_env(&t, &t2);
         let report = Executor::new()
-            .run_resilient(&dag, target, &mut env2, &ExecPolicy::default());
+            .run_resilient(&dag, target, &mut env2.env, &ExecPolicy::default());
         prop_assert!(report.is_ok_and(|r| r.succeeded()));
-        prop_assert_eq!(env2.scan_tally.bytes_scanned, actual);
+        prop_assert_eq!(env2.env.scan_tally.bytes_scanned, actual);
 
         let lo = analysis.estimates.scan_bytes_lo;
         let hi = analysis.estimates.scan_bytes_hi;
@@ -257,6 +287,12 @@ proptest! {
             lo <= actual,
             "guaranteed lower bound {lo} > actual {actual} bytes"
         );
+        if !matches!(shape, Shape::Join) {
+            prop_assert!(
+                lo == actual && hi == actual,
+                "a single load is priced by its scan's plan: [{lo}, {hi}] vs {actual} bytes"
+            );
+        }
 
         if let (Some(est), Some(rows)) = (est, actual_rows) {
             prop_assert!(
