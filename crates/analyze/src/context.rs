@@ -86,17 +86,8 @@ impl TableStats {
     }
 }
 
-/// A registered model's statically known surface.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ModelInfo {
-    /// The column the model predicts.
-    pub target: String,
-    /// Feature columns the model reads at prediction time.
-    pub features: Vec<String>,
-    /// Dtype of the predicted column: `Float` for regressions, `Str` for
-    /// classifiers (predicted class labels are rendered).
-    pub output: DataType,
-}
+/// A model's statically known surface (the contract's [`ModelInfo`]).
+pub use dc_skills::ModelInfo;
 
 /// The analyzer's view of the execution environment.
 #[derive(Debug, Clone, Default)]
@@ -158,11 +149,7 @@ impl AnalysisContext {
             }
         }
         for model in env.models() {
-            let output = match model.kind {
-                dc_ml::ModelKind::Regression(_) => DataType::Float,
-                dc_ml::ModelKind::Classification(_) => DataType::Str,
-            };
-            ctx.add_model(&model.name, &model.target, model.features.clone(), output);
+            ctx.models.insert(model.name.clone(), ModelInfo::of(model));
         }
         // Fixture schemas come from the same CSV reader `LoadFile`/
         // `LoadUrl` use, so inferred dtypes match execution exactly.
@@ -326,6 +313,25 @@ impl AnalysisContext {
     /// Look up a URL fixture schema.
     pub fn url(&self, url: &str) -> Option<&Schema> {
         self.urls.get(url)
+    }
+}
+
+/// The context's sources as the skill contracts read them.
+impl dc_skills::Sources for AnalysisContext {
+    fn file_schema(&self, path: &str) -> Option<Schema> {
+        self.file(path).cloned()
+    }
+    fn url_schema(&self, url: &str) -> Option<Schema> {
+        self.url(url).cloned()
+    }
+    fn saved_schema(&self, name: &str) -> Option<Schema> {
+        self.saved(name).cloned()
+    }
+    fn snapshot_schema(&self, name: &str) -> Option<Schema> {
+        self.snapshot(name).cloned()
+    }
+    fn model_info(&self, name: &str) -> Option<ModelInfo> {
+        self.model(name).cloned()
     }
 }
 

@@ -264,6 +264,20 @@ impl fmt::Display for Code {
     }
 }
 
+/// The code a skill contract's finding is reported under.
+impl From<dc_skills::FindingKind> for Code {
+    fn from(kind: dc_skills::FindingKind) -> Code {
+        use dc_skills::FindingKind::*;
+        match kind {
+            UnknownColumn => Code::UnknownColumn,
+            TypeMismatch => Code::TypeMismatch,
+            BadComposition => Code::BadComposition,
+            MissingInput => Code::MissingInput,
+            InvalidArgument => Code::InvalidArgument,
+        }
+    }
+}
+
 /// Where a diagnostic points. Layers fill what they know: the DAG
 /// analyzer sets `node`, the GEL validator remaps nodes to recipe
 /// `step`s and source `line`s, the NL checker sets program statement

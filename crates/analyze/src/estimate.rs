@@ -12,9 +12,9 @@
 //!
 //! ## Soundness contract
 //!
-//! Estimates are two-sided intervals with a *directional* guarantee,
-//! mirroring the schema pass ("anything modeled is checked exactly the
-//! way the interpreter does it; anything data-dependent degrades"):
+//! Estimates are two-sided intervals with a *directional* guarantee, in
+//! the spirit of the skill contracts the schema pass calls (what is
+//! modeled is exact; what is data-dependent degrades):
 //!
 //! * `rows_hi` / `bytes_hi` are **upper bounds**: cold-cache, non-faulty
 //!   execution never produces more rows or charges more scan bytes than

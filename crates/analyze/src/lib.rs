@@ -6,10 +6,11 @@
 //! analyzes a planned [`SkillDag`] *before* `Executor::run`, in three
 //! passes over one shared [`Diagnostic`] framework:
 //!
-//! 1. **Schema & type propagation** ([`schema_pass`]) — infers each
-//!    node's output schema from skill signatures and catalog metadata,
-//!    rejecting unknown columns (`DC0002`), dtype mismatches (`DC0003`),
-//!    and invalid composition (`DC0004`) with node-level provenance.
+//! 1. **Schema & type propagation** ([`schema_pass`]) — asks each node's
+//!    skill contract (`dc_skills::contract`) for its output schema over
+//!    its inputs' and the catalog's, rejecting unknown columns (`DC0002`),
+//!    dtype mismatches (`DC0003`), and invalid composition (`DC0004`)
+//!    with node-level provenance.
 //! 2. **Dataflow lints** ([`dataflow`]) — dead nodes (`DC0101`),
 //!    duplicate sub-DAGs (`DC0102`) via the executor's own structural
 //!    interning, use-before-define (`DC0103`).
@@ -30,10 +31,11 @@
 //! (`dc-gel`) and the NL2Code program checker (`dc-nl`), so every layer
 //! of the platform reports findings in one shape with stable codes.
 //!
-//! The analyzer is *sound for accepted pipelines*: anything it models it
-//! checks exactly the way the interpreter does (same case sensitivity,
-//! same dtype rules, same naming), so an accepted DAG only fails at run
-//! time for data-dependent reasons no schema can see. When semantics are
+//! The analyzer is *sound for accepted pipelines*: it checks each call
+//! with the contract the driver asserts every flow table against in debug
+//! builds (same case sensitivity, same dtype rules, same naming — one
+//! declaration, not a copy), so an accepted DAG only fails at run time
+//! for data-dependent reasons no schema can see. When semantics are
 //! data-dependent (`Pivot` headers, `RunSql`), the schema becomes
 //! unknown and downstream checking disables rather than guessing.
 

@@ -13,7 +13,7 @@ use crate::column::Column;
 use crate::date::{days_from_ymd, ymd_from_days};
 use crate::dtype::DataType;
 use crate::error::{EngineError, Result};
-use crate::expr::{BinaryOp, Expr, ScalarFunc, UnaryOp};
+use crate::expr::{dtype_of, BinaryOp, Expr, ExprTy, ScalarFunc, UnaryOp};
 use crate::table::Table;
 use crate::value::Value;
 
@@ -24,13 +24,26 @@ use crate::value::Value;
 /// its morsels concurrently and stitches them back in order; the result is
 /// bit-identical to [`eval_serial`] over the whole table because every
 /// expression kernel is row-local.
+///
+/// The column's dtype is the one [`dtype_of`] declares from the table's
+/// schema whenever that is known (checked in debug builds).
 pub fn eval(table: &Table, expr: &Expr) -> Result<Column> {
     let ranges = crate::parallel::morsels(table.num_rows());
-    if ranges.len() > 1 && morsel_safe(expr) {
-        return eval_morsel(table, expr, &ranges);
+    let out = if ranges.len() > 1 && morsel_safe(expr) {
+        eval_morsel(table, expr, &ranges)
+    } else {
+        eval_serial(table, expr)
+    };
+    if let (true, Ok(col)) = (cfg!(debug_assertions), &out) {
+        if let ExprTy::Known(dt) = dtype_of(expr, table.schema(), &mut Vec::new()) {
+            debug_assert_eq!(col.dtype(), dt, "eval of {expr} disagrees with dtype_of");
+        }
     }
-    eval_serial(table, expr)
+    out
 }
+
+/// The dtype a null literal broadcasts as.
+pub(crate) const NULL_LITERAL: DataType = DataType::Str;
 
 /// Serial expression evaluation (also the per-morsel worker body).
 pub fn eval_serial(table: &Table, expr: &Expr) -> Result<Column> {
@@ -290,7 +303,7 @@ pub fn eval_predicate_serial(table: &Table, expr: &Expr) -> Result<Vec<bool>> {
 
 fn broadcast(v: &Value, n: usize) -> Column {
     match v {
-        Value::Null => Column::nulls(DataType::Str, n),
+        Value::Null => Column::nulls(NULL_LITERAL, n),
         Value::Bool(x) => Column::from_bools(vec![*x; n]),
         Value::Int(x) => Column::from_ints(vec![*x; n]),
         Value::Float(x) => Column::from_floats(vec![*x; n]),

@@ -4,6 +4,7 @@
 //! computed columns, aggregate arguments, and the formulas in the Visualize
 //! skill's KPI phrases all lower to this AST, which the evaluator in
 //! [`crate::eval`] executes vectorized against a [`crate::table::Table`].
+//! [`dtype_of`] types it against a schema without evaluating it.
 
 use std::fmt;
 
@@ -11,6 +12,9 @@ use crate::dtype::DataType;
 use crate::value::Value;
 
 pub mod prune;
+mod typing;
+
+pub use typing::{dtype_of, ExprTy, TypeFinding, TypeProblem};
 
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -10,6 +10,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::bitmap::Bitmap;
 use crate::column::Column;
+use crate::dtype::DataType;
 use crate::error::{EngineError, Result};
 use crate::governor::{MemContext, Reservation};
 use crate::parallel;
@@ -112,6 +113,20 @@ impl AggFunc {
     pub fn requires_numeric(self) -> bool {
         use AggFunc::*;
         matches!(self, Sum | Avg | Median | StdDev | Variance)
+    }
+
+    /// The dtype of this aggregate's output column over an `input`-typed
+    /// argument column (`None` when it reads none), whether or not any
+    /// group has a non-null result.
+    pub fn output_dtype(self, input: Option<DataType>) -> DataType {
+        use AggFunc::*;
+        match self {
+            Count | CountRecords | CountDistinct => DataType::Int,
+            Avg | Median | StdDev | Variance => DataType::Float,
+            Sum if input == Some(DataType::Int) => DataType::Int,
+            Sum => DataType::Float,
+            Min | Max | First | Last => input.unwrap_or(DataType::Str),
+        }
     }
 }
 
@@ -316,7 +331,7 @@ impl AggCols {
     }
 
     /// The output column, one row per group; its dtype is
-    /// [`agg_output_dtype`]'s whether or not any group has a value.
+    /// [`AggFunc::output_dtype`]'s whether or not any group has a value.
     fn finish(mut self, col: Option<&Column>) -> Column {
         use AggFunc::*;
         let func = self.func;
@@ -514,30 +529,6 @@ fn resolve_inputs<'t>(
     })
 }
 
-/// The dtype [`AggCols::finish`] produces for `func` over an `input`-typed
-/// argument column, independent of whether any group has a non-null
-/// result.
-fn agg_output_dtype(
-    func: AggFunc,
-    input: Option<crate::dtype::DataType>,
-) -> crate::dtype::DataType {
-    use crate::dtype::DataType;
-    match func {
-        AggFunc::Count | AggFunc::CountRecords | AggFunc::CountDistinct => DataType::Int,
-        AggFunc::Avg | AggFunc::Median | AggFunc::StdDev | AggFunc::Variance => DataType::Float,
-        AggFunc::Sum => {
-            if input == Some(DataType::Int) {
-                DataType::Int
-            } else {
-                DataType::Float
-            }
-        }
-        AggFunc::Min | AggFunc::Max | AggFunc::First | AggFunc::Last => {
-            input.unwrap_or(DataType::Str)
-        }
-    }
-}
-
 /// Groups of a row range: one representative row index per group (in
 /// first-encounter order) plus every aggregate's state over those groups.
 struct Groups {
@@ -617,7 +608,7 @@ pub fn group_by_with_mem(
             let (reps, order): (Vec<usize>, Vec<usize>) = order.into_iter().unzip();
             let mut columns = Vec::with_capacity(aggs.len());
             for (j, (spec, col)) in aggs.iter().zip(&inputs.agg_cols).enumerate() {
-                let mut all = Column::empty(agg_output_dtype(spec.func, col.map(|c| c.dtype())));
+                let mut all = Column::empty(spec.func.output_dtype(col.map(|c| c.dtype())));
                 parts.iter().try_for_each(|p| all.extend(&p.1[j]))?;
                 columns.push(all.take(&order));
             }
@@ -782,7 +773,7 @@ impl GroupBy<'_> {
             let values = acc.finish(*col);
             debug_assert_eq!(
                 values.dtype(),
-                agg_output_dtype(spec.func, col.map(|c| c.dtype()))
+                spec.func.output_dtype(col.map(|c| c.dtype()))
             );
             values
         });
@@ -1067,7 +1058,7 @@ mod tests {
     /// Row-at-a-time reference group-by: every row's key read as `Value`s
     /// and found by linear search under `Value` equality, one accumulator
     /// update per row, one `push_value` per output cell into a column typed
-    /// by `agg_output_dtype`; no hashing, no group encoding, no morsels and
+    /// by `AggFunc::output_dtype`; no hashing, no group encoding, no morsels and
     /// no merging.
     fn group_by_reference(table: &Table, keys: &[&str], aggs: &[AggSpec]) -> Result<Table> {
         let inputs = resolve_inputs(table, keys, aggs)?;
@@ -1109,7 +1100,9 @@ mod tests {
             out.add_column(name, col)?;
         }
         for (ai, spec) in aggs.iter().enumerate() {
-            let dtype = agg_output_dtype(spec.func, inputs.agg_cols[ai].map(|c| c.dtype()));
+            let dtype = spec
+                .func
+                .output_dtype(inputs.agg_cols[ai].map(|c| c.dtype()));
             let mut col = Column::empty(dtype);
             for group in &accs {
                 col.push_value(&group[ai].clone().finish(spec.func))?;

@@ -103,6 +103,19 @@ impl Schema {
         &self.fields[i]
     }
 
+    /// The schema with a column `name` of type `dtype`: a same-named
+    /// (case-insensitively) column is retyped in place, keeping its
+    /// casing, and any other name is appended — what
+    /// [`Table::with_column`](crate::table::Table::with_column) makes.
+    pub fn with_field(&self, name: &str, dtype: DataType) -> Schema {
+        let mut fields = self.fields.clone();
+        match self.index_of(name) {
+            Some(i) => fields[i].dtype = dtype,
+            None => fields.push(Field::new(name, dtype)),
+        }
+        Schema { fields }
+    }
+
     /// Whether two schemas are compatible for concatenation: same names
     /// (case-insensitive, same order) and unifiable types.
     pub fn concat_compatible(&self, other: &Schema) -> Result<Schema> {

@@ -265,25 +265,22 @@ impl Table {
                 right: col.len(),
             });
         }
-        let mut out = self.clone();
-        match out.schema.index_of(name) {
-            Some(idx) => {
-                // Preserve the user's original column casing on replace.
-                let preserved = out.schema.field_at(idx).name.clone();
-                let mut fields: Vec<Field> = out.schema.fields().to_vec();
-                fields[idx] = Field::new(preserved, col.dtype());
-                out.schema = Schema::new(fields)?;
-                out.columns[idx] = col;
-            }
-            None => {
-                out.schema.push(Field::new(name, col.dtype()))?;
-                if out.columns.is_empty() {
-                    out.rows = col.len();
-                }
-                out.columns.push(col);
-            }
+        let schema = self.schema.with_field(name, col.dtype());
+        let rows = if self.columns.is_empty() {
+            col.len()
+        } else {
+            self.rows
+        };
+        let mut columns = self.columns.clone();
+        match self.schema.index_of(name) {
+            Some(idx) => columns[idx] = col,
+            None => columns.push(col),
         }
-        Ok(out)
+        Ok(Table {
+            schema,
+            columns,
+            rows,
+        })
     }
 
     /// Drop a column by name.

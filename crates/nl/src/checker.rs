@@ -8,6 +8,7 @@
 
 use std::collections::BTreeMap;
 
+use dc_skills::contract::{self, derived};
 use dc_skills::SkillCall;
 
 use crate::error::{NlError, Result};
@@ -62,97 +63,17 @@ impl CheckedProgram {
     }
 }
 
-/// Columns an expression references.
-fn expr_columns(e: &dc_engine::Expr) -> Vec<String> {
-    let mut out = Vec::new();
-    e.referenced_columns(&mut out);
-    out
-}
-
-/// Columns a call reads (for reference checking) and creates (tracked
-/// forward as the statement's schema evolves).
-fn call_columns(call: &SkillCall) -> (Vec<String>, Vec<String>) {
-    use SkillCall::*;
+/// Columns a call adds to its input's, tracked forward as a statement's
+/// schema evolves. What it reads is the skill contract's declaration; what
+/// it makes the checker tracks itself, by name, since it has no types.
+fn creates(call: &SkillCall) -> Vec<String> {
     match call {
-        KeepRows { predicate } | DropRows { predicate } => (expr_columns(predicate), vec![]),
-        KeepColumns { columns } | DropColumns { columns } => (columns.clone(), vec![]),
-        RenameColumn { from, to } => (vec![from.clone()], vec![to.clone()]),
-        CreateColumn { name, expr } => (expr_columns(expr), vec![name.clone()]),
-        CreateConstantColumn { name, .. } => (vec![], vec![name.clone()]),
-        Compute { aggs, for_each } => {
-            let mut reads: Vec<String> = for_each.clone();
-            let mut creates = Vec::new();
-            for a in aggs {
-                if let Some(c) = &a.column {
-                    reads.push(c.clone());
-                }
-                creates.push(a.output.clone());
-            }
-            (reads, creates)
-        }
-        Pivot {
-            index,
-            columns,
-            values,
-            ..
-        } => (vec![index.clone(), columns.clone(), values.clone()], vec![]),
-        Sort { keys } => (keys.iter().map(|(c, _)| c.clone()).collect(), vec![]),
-        Top { column, .. } => (vec![column.clone()], vec![]),
-        Join { left_on, .. } => (left_on.clone(), vec![]),
-        Distinct { columns } | DropMissing { columns } => (columns.clone(), vec![]),
-        FillMissing { column, .. } => (vec![column.clone()], vec![]),
-        BinColumn {
-            column,
-            width,
-            name,
-        } => (
-            vec![column.clone()],
-            vec![name
-                .clone()
-                .unwrap_or_else(|| format!("{column}Int{width}"))],
-        ),
-        TrainModel {
-            target, features, ..
-        } => {
-            let mut reads = vec![target.clone()];
-            reads.extend(features.clone());
-            (reads, vec![])
-        }
-        PredictTimeSeries {
-            measures,
-            time_column,
-            ..
-        } => {
-            let mut reads = measures.clone();
-            reads.push(time_column.clone());
-            (reads, vec!["RecordType".to_string()])
-        }
-        DetectOutliers { column, .. } => {
-            (vec![column.clone()], vec![format!("IsOutlier_{column}")])
-        }
-        Cluster { features, .. } => (features.clone(), vec!["Cluster".to_string()]),
-        Visualize { kpi, by } => {
-            let mut reads = vec![kpi.clone()];
-            reads.extend(by.clone());
-            (reads, vec![])
-        }
-        Plot {
-            x,
-            y,
-            color,
-            size,
-            for_each,
-            ..
-        } => (
-            [x, y, color, size, for_each]
-                .into_iter()
-                .flatten()
-                .cloned()
-                .collect(),
-            vec![],
-        ),
-        DescribeColumn { column } => (vec![column.clone()], vec![]),
-        _ => (vec![], vec![]),
+        SkillCall::DetectOutliers { column, .. } => vec![format!("IsOutlier_{column}")],
+        SkillCall::Cluster { .. } => vec!["Cluster".to_string()],
+        _ => derived(call)
+            .map(|(name, _)| name.into_owned())
+            .into_iter()
+            .collect(),
     }
 }
 
@@ -226,7 +147,7 @@ pub fn check(source: &str, schema: &SchemaHints) -> Result<CheckedProgram> {
             continue;
         };
         for call in &st.calls {
-            let (reads, creates) = call_columns(call);
+            let reads = contract::reads(call).into_iter().next().unwrap_or_default();
             for r in &reads {
                 if !cols.iter().any(|c| c.eq_ignore_ascii_case(r)) {
                     issues.push(
@@ -291,7 +212,7 @@ pub fn check(source: &str, schema: &SchemaHints) -> Result<CheckedProgram> {
                     }
                 }
                 _ => {
-                    for c in creates {
+                    for c in creates(call) {
                         if !cols.iter().any(|e| e.eq_ignore_ascii_case(&c)) {
                             cols.push(c);
                         }

@@ -24,7 +24,7 @@ use dc_engine::ops::{
     sort_by, sort_by_with_mem, top_n, SortKey,
 };
 use dc_engine::MemContext;
-use dc_engine::{Column, Expr, ScalarFunc, Table, Value};
+use dc_engine::{Column, Expr, Table, Value};
 use dc_ml::{detect_outliers, fit_kmeans, fit_time_series, predict, train_model, ModelKind};
 use dc_storage::ScanOptions;
 use dc_viz::{auto_visualize, ChartSpec};
@@ -33,12 +33,13 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::cache::SharedKey;
+use crate::contract::{contract, derived};
 use crate::dag::{NodeId, SkillDag, SkillNode};
 use crate::env::Env;
 use crate::error::{Result, SkillError};
 use crate::output::SkillOutput;
 use crate::resilient::ExecPolicy;
-use crate::skill::{DatePart, SkillCall};
+use crate::skill::SkillCall;
 
 /// Whether `call` must execute against the mutable [`Env`] (catalog,
 /// snapshot store, file/URL fixtures, model registry, definitions).
@@ -269,13 +270,13 @@ pub fn execute_pure_call_with_mem(
             .copied()
             .ok_or_else(|| SkillError::invalid(format!("{} needs a second dataset", call.name())))
     };
-    // The input with one column made or replaced by `expr`; every other
-    // column is shared with the input, not copied.
-    let derive = |name: &str, expr: &Expr| -> Result<SkillOutput> {
+    // A derived-column skill makes or replaces one column by one `eval`;
+    // every other column is shared with the input, not copied.
+    if let Some((name, expr)) = derived(call) {
         let t = primary()?;
-        let col = dc_engine::eval::eval(t, expr)?;
-        Ok(SkillOutput::Table(t.with_column(name, col)?))
-    };
+        let col = dc_engine::eval::eval(t, &expr)?;
+        return Ok(SkillOutput::Table(t.with_column(&name, col)?));
+    }
     match call {
         // The DAG wired the named dataset's node as our input.
         UseDataset { .. } => Ok(SkillOutput::Table(primary()?.clone())),
@@ -372,8 +373,6 @@ pub fn execute_pure_call_with_mem(
             Ok(SkillOutput::Table(t))
         }
         RenameColumn { from, to } => Ok(SkillOutput::Table(primary()?.rename_column(from, to)?)),
-        CreateColumn { name, expr } => derive(name, expr),
-        CreateConstantColumn { name, value } => derive(name, &Expr::Literal(value.clone())),
         Compute { aggs, for_each } => {
             let keys: Vec<&str> = for_each.iter().map(|s| s.as_str()).collect();
             Ok(SkillOutput::Table(group_by_with_mem(
@@ -451,51 +450,10 @@ pub fn execute_pure_call_with_mem(
                 .ok_or_else(|| SkillError::invalid("no columns to check"))?;
             Ok(SkillOutput::Table(filter(t, &pred)?))
         }
-        FillMissing { column, value } => {
-            let args = vec![Expr::col(column.clone()), Expr::Literal(value.clone())];
-            derive(column, &Expr::func(ScalarFunc::Coalesce, args))
-        }
-        ReplaceValues { column, from, to } => {
-            let args = vec![
-                Expr::col(column.clone()).eq(Expr::Literal(from.clone())),
-                Expr::Literal(to.clone()),
-                Expr::col(column.clone()),
-            ];
-            derive(column, &Expr::func(ScalarFunc::If, args))
-        }
         CastColumn { column, to } => {
             let t = primary()?;
             let cast = t.column(column)?.cast(*to)?;
             Ok(SkillOutput::Table(t.with_column(column, cast)?))
-        }
-        BinColumn {
-            column,
-            width,
-            name,
-        } => {
-            let out_name = name
-                .clone()
-                .unwrap_or_else(|| format!("{column}Int{width}"));
-            let args = vec![Expr::col(column.clone()), Expr::lit(*width)];
-            derive(&out_name, &Expr::func(ScalarFunc::Bin, args))
-        }
-        ExtractDatePart { column, part, name } => {
-            let func = match part {
-                DatePart::Year => ScalarFunc::Year,
-                DatePart::Month => ScalarFunc::Month,
-                DatePart::Day => ScalarFunc::Day,
-            };
-            let out_name = name
-                .clone()
-                .unwrap_or_else(|| format!("{column}_{}", part.name()));
-            derive(
-                &out_name,
-                &Expr::func(func, vec![Expr::col(column.clone())]),
-            )
-        }
-        TrimColumn { column } => {
-            let trim = Expr::func(ScalarFunc::Trim, vec![Expr::col(column.clone())]);
-            derive(column, &trim)
         }
         Sample { fraction, seed } => Ok(SkillOutput::Table(sample_fraction(
             primary()?,
@@ -1064,6 +1022,13 @@ impl Executor {
         if tainted {
             self.tainted.insert(id);
         }
+        // Every flow table has the schema the call's contract declares,
+        // whenever it declares one: checked in debug builds, where every
+        // run is an oracle for the contract the analyzer calls.
+        let declared = cfg!(debug_assertions).then(|| {
+            let schemas: Vec<_> = inputs.iter().map(|t| Some(t.schema())).collect();
+            contract(&node.call, &schemas, env, env).schema
+        });
         let flow = match output.as_table() {
             Some(t) if node.call.transforms_data() => Arc::new(t.clone()),
             _ => inputs
@@ -1071,6 +1036,14 @@ impl Executor {
                 .next()
                 .unwrap_or_else(|| Arc::new(Table::empty())),
         };
+        if let Some(Some(declared)) = declared {
+            let call = node.call.name();
+            debug_assert_eq!(
+                flow.schema(),
+                &declared,
+                "{call} flows what its contract does not declare"
+            );
+        }
         if !tainted && footprint > 0 {
             if let (Some(shared), Some(key)) = (&env.shared_cache, interned.shared_key(id)) {
                 let who = env.attribution.as_deref();

@@ -5,6 +5,9 @@
 //! Python API, or NL2Code) build a lazy [`dag::SkillDag`]; execution
 //! converts it to tasks:
 //!
+//! * [`contract`] — what each skill call makes from its inputs: its
+//!   output schema, its findings, its column reads and demand — the one
+//!   table the analyzer, the optimizer and the driver's debug check read;
 //! * [`planner`] — consolidates SQL-able runs into single flattened SQL
 //!   queries (Figure 4) via `dc-sql`'s generator;
 //! * [`exec`] — the interpreter with a shared sub-DAG result cache
@@ -20,6 +23,7 @@
 //!   degraded scans, and checkpointed resume.
 
 pub mod cache;
+pub mod contract;
 pub mod dag;
 pub mod env;
 pub mod error;
@@ -33,6 +37,7 @@ pub mod skill;
 pub mod slicing;
 
 pub use cache::{CacheHit, CacheStats, MaterializedCache, SharedKey, TenantCacheStats};
+pub use contract::{contract, Contract, Finding, FindingKind, ModelInfo, Sources};
 pub use dag::{NodeId, SkillDag, SkillNode};
 pub use env::{Env, ScanTally};
 pub use error::{Result, SkillError};

@@ -40,6 +40,10 @@
 //!    consumers of a duplicate load read the first copy instead (done as
 //!    the cone is cut: [`SkillDag::cone`]).
 //!
+//! The column names every rule reads, and the demand projection threads
+//! back to the loads, are the nodes' skill contracts ([`crate::contract`]),
+//! the ones the analyzer walks and the driver checks flow tables against.
+//!
 //! Every rewrite keeps one discipline: node ids and node count never
 //! change (calls are swapped in place, edges only redirect to structural
 //! twins), targets / vetoed nodes / name-bound nodes are never rewritten
@@ -61,6 +65,7 @@ use std::collections::BTreeSet;
 use dc_engine::expr::prune::{conjoin, nnf, prunable_conjuncts, ColumnStats};
 use dc_engine::{Expr, Schema, Value};
 
+use crate::contract::{contract, Contract, Demand};
 use crate::dag::{NodeId, SkillDag, SkillNode};
 use crate::env::Env;
 use crate::skill::SkillCall;
@@ -209,15 +214,15 @@ pub(crate) fn plan_unit(
     let vetoed = node_mask(dag, vetoed);
     merge_adjacent_keeps(dag, &protected, &vetoed, &mut changed);
     // Neither rewrite above moves a column name; a join reorder does.
-    let mut names = forward_names(dag, stats);
-    if reorder_joins(dag, &protected, stats, &names) {
+    let mut contracts = contracts_of(dag, stats);
+    if reorder_joins(dag, &protected, stats, &schemas_of(&contracts)) {
         changed = true;
-        names = forward_names(dag, stats);
+        contracts = contracts_of(dag, stats);
     }
-    for (load, predicate) in hoist_filters(dag, &protected, &vetoed, &names) {
+    for (load, predicate) in hoist_filters(dag, &protected, &vetoed, &schemas_of(&contracts)) {
         changed |= set_scan(dag, load, None, Some(predicate));
     }
-    project_loads(dag, targets, &protected, &names, &mut changed);
+    project_loads(dag, targets, &protected, &contracts, &mut changed);
     changed
 }
 
@@ -235,9 +240,9 @@ pub(crate) fn plan_unit(
 /// predicate: a predicate that never earned the right to run must not
 /// sneak into a scan either.
 pub fn plan_pushdown(dag: &SkillDag, protected: &[NodeId], vetoed: &[NodeId]) -> Option<SkillDag> {
-    let names = vec![None; dag.len()];
+    let unknown = vec![None; dag.len()];
     let protected = protected_set(dag, protected, vetoed);
-    let pushed = hoist_filters(dag, &protected, &node_mask(dag, vetoed), &names);
+    let pushed = hoist_filters(dag, &protected, &node_mask(dag, vetoed), &unknown);
     if pushed.is_empty() {
         return None;
     }
@@ -362,164 +367,31 @@ fn merge_adjacent_keeps(
 }
 
 // ---------------------------------------------------------------------
-// Forward column-name propagation
+// Column names and column demand, from the skill contracts
 // ---------------------------------------------------------------------
 
-/// Output column names per node (in order, schema casing), `None` when
-/// unknown. A miniature of `dc-analyze`'s schema pass covering exactly
-/// the calls the optimizer models; anything else is `None`, which
-/// downstream passes treat as "hands off".
-fn forward_names(dag: &SkillDag, stats: &dyn PlanStats) -> Vec<Option<Vec<String>>> {
-    use SkillCall::*;
-    let mut names: Vec<Option<Vec<String>>> = Vec::with_capacity(dag.len());
+/// Each node's [`Contract`] over the unit, in node order. A node whose
+/// contract has findings is one the analyzer rejects: its schema is
+/// dropped, so nothing downstream of it is rewritten by name.
+fn contracts_of(dag: &SkillDag, stats: &dyn PlanStats) -> Vec<Contract> {
+    let mut contracts: Vec<Contract> = Vec::with_capacity(dag.len());
     for node in dag.nodes() {
-        let input = |i: usize| -> Option<&Vec<String>> {
-            node.inputs.get(i).and_then(|&n| names[n].as_ref())
-        };
-        let find = |cols: Option<&Vec<String>>, name: &str| -> Option<usize> {
-            cols.and_then(|c| c.iter().position(|f| f.eq_ignore_ascii_case(name)))
-        };
-        let out: Option<Vec<String>> = match &node.call {
-            LoadTable {
-                columns: Some(columns),
-                ..
-            } => Some(columns.clone()),
-            LoadTable {
-                database, table, ..
-            } => stats
-                .table_schema(database, table)
-                .map(|s| s.fields().iter().map(|f| f.name.clone()).collect()),
-            UseDataset { .. } if !node.inputs.is_empty() => input(0).cloned(),
-            KeepRows { .. }
-            | DropRows { .. }
-            | Sort { .. }
-            | Top { .. }
-            | Limit { .. }
-            | Sample { .. }
-            | ShuffleRows { .. }
-            | Distinct { .. }
-            | DropMissing { .. }
-            | FillMissing { .. }
-            | ReplaceValues { .. }
-            | TrimColumn { .. }
-            | CastColumn { .. }
-            | CountRows
-            | DescribeColumn { .. }
-            | DescribeDataset
-            | ShowHead { .. }
-            | ProfileMissing
-            | Visualize { .. }
-            | Plot { .. }
-            | ExportCsv
-            | SaveArtifact { .. }
-            | Snapshot { .. } => input(0).cloned(),
-            KeepColumns { columns } => input(0).and_then(|cur| {
-                let kept = |c: &String| find(Some(cur), c).map(|i| cur[i].clone());
-                columns.iter().map(kept).collect()
-            }),
-            DropColumns { columns } => input(0).and_then(|cur| {
-                if columns.iter().any(|c| find(Some(cur), c).is_none()) {
-                    return None;
-                }
-                Some(
-                    cur.iter()
-                        .filter(|f| !columns.iter().any(|c| c.eq_ignore_ascii_case(f)))
-                        .cloned()
-                        .collect(),
-                )
-            }),
-            RenameColumn { from, to } => input(0).and_then(|cur| {
-                let i = find(Some(cur), from)?;
-                if find(Some(cur), to).is_some() {
-                    return None;
-                }
-                let mut out = cur.clone();
-                out[i] = to.clone();
-                Some(out)
-            }),
-            CreateColumn { name, .. } | CreateConstantColumn { name, .. } => {
-                input(0).and_then(|cur| {
-                    if find(Some(cur), name).is_some() {
-                        return None;
-                    }
-                    let mut out = cur.clone();
-                    out.push(name.clone());
-                    Some(out)
-                })
-            }
-            Compute { aggs, for_each } => input(0).and_then(|cur| {
-                let mut out: Vec<String> = Vec::with_capacity(for_each.len() + aggs.len());
-                for k in for_each {
-                    let i = find(Some(cur), k)?;
-                    out.push(cur[i].clone());
-                }
-                out.extend(aggs.iter().map(|a| a.output.clone()));
-                Some(out)
-            }),
-            Join { right_on, .. } => match (input(0), input(1)) {
-                (Some(l), Some(r)) => {
-                    let mut out = l.clone();
-                    for f in r {
-                        if right_on.iter().any(|k| k.eq_ignore_ascii_case(f)) {
-                            continue;
-                        }
-                        if l.iter().any(|x| x.eq_ignore_ascii_case(f)) {
-                            out.push(format!("{f}_right"));
-                        } else {
-                            out.push(f.clone());
-                        }
-                    }
-                    Some(out)
-                }
-                _ => None,
-            },
-            Concat { .. } => match (input(0), input(1)) {
-                (Some(a), Some(b))
-                    if a.len() == b.len()
-                        && a.iter().zip(b).all(|(x, y)| x.eq_ignore_ascii_case(y)) =>
-                {
-                    Some(a.clone())
-                }
-                _ => None,
-            },
-            _ => None,
-        };
-        names.push(out);
+        let inputs: Vec<Option<&Schema>> = (node.inputs.iter())
+            .map(|&i| contracts[i].schema.as_ref())
+            .collect();
+        let mut c = contract(&node.call, &inputs, stats, &());
+        if !c.findings.is_empty() {
+            c.schema = None;
+        }
+        contracts.push(c);
     }
-    names
+    contracts
 }
 
-// ---------------------------------------------------------------------
-// Column liveness (demand) and projection pushdown
-// ---------------------------------------------------------------------
-
-/// What a consumer needs from a node's output: everything, or a
-/// specific (lowercased) column set.
-#[derive(Debug, Clone, PartialEq)]
-enum Demand {
-    All,
-    Cols(BTreeSet<String>),
-}
-
-impl Demand {
-    fn none() -> Demand {
-        Demand::Cols(BTreeSet::new())
-    }
-
-    fn absorb(&mut self, other: Demand) {
-        match (&mut *self, other) {
-            (Demand::All, _) => {}
-            (_, Demand::All) => *self = Demand::All,
-            (Demand::Cols(a), Demand::Cols(b)) => a.extend(b),
-        }
-    }
-
-    fn with(mut self, cols: impl IntoIterator<Item = String>) -> Demand {
-        if let Demand::Cols(s) = &mut self {
-            s.extend(cols);
-        }
-        self
-    }
+/// Each node's output schema, `None` when unknown, which every rewrite
+/// below treats as "hands off".
+fn schemas_of(contracts: &[Contract]) -> Vec<Option<&Schema>> {
+    contracts.iter().map(|c| c.schema.as_ref()).collect()
 }
 
 fn expr_cols(e: &Expr) -> Vec<String> {
@@ -528,18 +400,20 @@ fn expr_cols(e: &Expr) -> Vec<String> {
     v.into_iter().map(|c| c.to_ascii_lowercase()).collect()
 }
 
-fn lower(names: &[String]) -> Vec<String> {
-    names.iter().map(|n| n.to_ascii_lowercase()).collect()
+fn lower<'a>(names: impl IntoIterator<Item = &'a String>) -> Vec<String> {
+    names.into_iter().map(|n| n.to_ascii_lowercase()).collect()
+}
+
+/// A schema's column names, lowercased.
+fn lower_names(schema: &Schema) -> Vec<String> {
+    lower(schema.fields().iter().map(|f| &f.name))
 }
 
 /// Reverse liveness pass: the column demand placed on every node's
 /// output. Protected nodes demand everything (their bytes are
-/// observable); each call then translates output demand into input
-/// demand, always including the columns the call itself references so
-/// projection can never turn a working plan into a missing-column
-/// error. Unmodeled calls conservatively demand everything.
-fn demands(dag: &SkillDag, protected: &[bool], names: &[Option<Vec<String>>]) -> Vec<Demand> {
-    use SkillCall::*;
+/// observable); each node's contract then turns the demand on its output
+/// into the demand on each input.
+fn demands(dag: &SkillDag, protected: &[bool], contracts: &[Contract]) -> Vec<Demand> {
     let mut demand: Vec<Demand> = vec![Demand::none(); dag.len()];
     // A node that someone outside the unit consumes is observable there
     // too: whichever cone it is planned from, it keeps every column.
@@ -553,130 +427,10 @@ fn demands(dag: &SkillDag, protected: &[bool], names: &[Option<Vec<String>>]) ->
         }
     }
     for node in dag.nodes().iter().rev() {
-        let d = demand[node.id].clone();
-        let low = |v: &[String]| v.iter().map(|c| c.to_ascii_lowercase()).collect::<Vec<_>>();
-        let per_input: Vec<Demand> = match &node.call {
-            KeepRows { predicate } | DropRows { predicate } => {
-                vec![d.with(expr_cols(predicate))]
-            }
-            KeepColumns { columns } => vec![Demand::none().with(low(columns))],
-            DropColumns { columns } => vec![d.with(low(columns))],
-            RenameColumn { from, to } => match d {
-                Demand::All => vec![Demand::All],
-                Demand::Cols(s) => {
-                    let mut s: BTreeSet<String> = s
-                        .into_iter()
-                        .filter(|c| !c.eq_ignore_ascii_case(to))
-                        .collect();
-                    s.insert(from.to_ascii_lowercase());
-                    // `Table::rename_column` fails with DuplicateColumn
-                    // when `to` already exists. Demand `to` whenever the
-                    // input provably has it (or its names are unknown)
-                    // so projection can't drop it and silently convert a
-                    // deterministic failure into a success.
-                    let input_has_to = match node.inputs.first().and_then(|&n| names[n].as_ref()) {
-                        Some(cur) => cur.iter().any(|c| c.eq_ignore_ascii_case(to)),
-                        None => true,
-                    };
-                    if input_has_to {
-                        s.insert(to.to_ascii_lowercase());
-                    }
-                    vec![Demand::Cols(s)]
-                }
-            },
-            CreateColumn { name, expr } => match d {
-                Demand::All => vec![Demand::All],
-                Demand::Cols(s) => {
-                    let mut s: BTreeSet<String> = s
-                        .into_iter()
-                        .filter(|c| !c.eq_ignore_ascii_case(name))
-                        .collect();
-                    s.extend(expr_cols(expr));
-                    vec![Demand::Cols(s)]
-                }
-            },
-            CreateConstantColumn { name, .. } => match d {
-                Demand::All => vec![Demand::All],
-                Demand::Cols(s) => vec![Demand::Cols(
-                    s.into_iter()
-                        .filter(|c| !c.eq_ignore_ascii_case(name))
-                        .collect(),
-                )],
-            },
-            Compute { aggs, for_each } => {
-                let mut need = Demand::none().with(low(for_each));
-                need = need.with(
-                    aggs.iter()
-                        .filter_map(|a| a.column.as_ref().map(|c| c.to_ascii_lowercase())),
-                );
-                vec![need]
-            }
-            Pivot {
-                index,
-                columns,
-                values,
-                ..
-            } => vec![Demand::none().with([
-                index.to_ascii_lowercase(),
-                columns.to_ascii_lowercase(),
-                values.to_ascii_lowercase(),
-            ])],
-            Sort { keys } => vec![d.with(keys.iter().map(|(k, _)| k.to_ascii_lowercase()))],
-            Top { column, .. } => vec![d.with([column.to_ascii_lowercase()])],
-            Limit { .. } | Sample { .. } | ShuffleRows { .. } | CountRows => vec![d],
-            Distinct { columns } | DropMissing { columns } => {
-                if columns.is_empty() {
-                    vec![Demand::All]
-                } else {
-                    vec![d.with(low(columns))]
-                }
-            }
-            FillMissing { column, .. }
-            | ReplaceValues { column, .. }
-            | CastColumn { column, .. }
-            | BinColumn { column, .. }
-            | ExtractDatePart { column, .. }
-            | TrimColumn { column }
-            | DescribeColumn { column } => vec![d.with([column.to_ascii_lowercase()])],
-            Join {
-                left_on, right_on, ..
-            } => {
-                let (l, r) = (
-                    node.inputs.first().and_then(|&n| names[n].as_ref()),
-                    node.inputs.get(1).and_then(|&n| names[n].as_ref()),
-                );
-                match (&d, l, r) {
-                    (Demand::Cols(s), Some(l), Some(r)) => {
-                        let llow = lower(l);
-                        let mut ld: BTreeSet<String> =
-                            left_on.iter().map(|c| c.to_ascii_lowercase()).collect();
-                        ld.extend(s.iter().filter(|c| llow.contains(c)).cloned());
-                        let mut rd: BTreeSet<String> =
-                            right_on.iter().map(|c| c.to_ascii_lowercase()).collect();
-                        for f in r {
-                            let fl = f.to_ascii_lowercase();
-                            if s.contains(&fl) {
-                                rd.insert(fl);
-                            } else if s.contains(&format!("{fl}_right")) {
-                                // The `_right` suffix only exists because
-                                // the left side also has `fl`: keep that
-                                // left column alive too, or projection
-                                // would emit the right column unsuffixed
-                                // and break the `{fl}_right` reference.
-                                if llow.contains(&fl) {
-                                    ld.insert(fl.clone());
-                                }
-                                rd.insert(fl);
-                            }
-                        }
-                        vec![Demand::Cols(ld), Demand::Cols(rd)]
-                    }
-                    _ => vec![Demand::All, Demand::All],
-                }
-            }
-            UseDataset { .. } if !node.inputs.is_empty() => vec![d],
-            _ => vec![Demand::All; node.inputs.len()],
-        };
+        let inputs: Vec<Option<&Schema>> = (node.inputs.iter())
+            .map(|&i| contracts[i].schema.as_ref())
+            .collect();
+        let per_input = contracts[node.id].demand(&demand[node.id], &inputs);
         for (slot, &input) in node.inputs.iter().enumerate() {
             let nd = per_input.get(slot).cloned().unwrap_or(Demand::All);
             demand[input].absorb(nd);
@@ -690,16 +444,16 @@ fn demands(dag: &SkillDag, protected: &[bool], names: &[Option<Vec<String>>]) ->
 /// are emitted in schema order (projection never reorders), demands
 /// that fail to resolve against the schema veto the rewrite, and an
 /// empty live set keeps the first column so row counts survive.
-/// `names` may predate filter hoisting: a pushed predicate renames
-/// nothing, and a load's names are its table's schema.
+/// `contracts` may predate filter hoisting: a pushed predicate renames
+/// nothing, and a load's schema is its table's.
 fn project_loads(
     dag: &mut SkillDag,
     targets: &[NodeId],
     protected: &[bool],
-    names: &[Option<Vec<String>>],
+    contracts: &[Contract],
     changed: &mut bool,
 ) {
-    let demand = demands(dag, protected, names);
+    let demand = demands(dag, protected, contracts);
     for id in 0..dag.len() {
         if protected[id] {
             continue;
@@ -712,19 +466,19 @@ fn project_loads(
         let Ok(SkillCall::LoadTable { columns: None, .. }) = dag.node(id).map(|n| &n.call) else {
             continue;
         };
-        let (Demand::Cols(live), Some(fields)) = (&demand[id], &names[id]) else {
+        let (Demand::Cols(live), Some(schema)) = (&demand[id], &contracts[id].schema) else {
             continue;
         };
+        let fields: Vec<&String> = schema.fields().iter().map(|f| &f.name).collect();
         if !(live.iter()).all(|c| fields.iter().any(|f| f.eq_ignore_ascii_case(c))) {
             continue;
         }
-        let mut columns: Vec<String> = fields
-            .iter()
+        let mut columns: Vec<String> = (fields.iter())
             .filter(|f| live.contains(&f.to_ascii_lowercase()))
-            .cloned()
+            .map(|f| f.to_string())
             .collect();
         if columns.is_empty() {
-            columns.extend(fields.first().cloned());
+            columns.extend(fields.first().map(|f| f.to_string()));
         }
         if columns.len() == fields.len() {
             continue;
@@ -783,13 +537,13 @@ fn hoist_filters(
     dag: &SkillDag,
     protected: &[bool],
     vetoed: &[bool],
-    names: &[Option<Vec<String>>],
+    schemas: &[Option<&Schema>],
 ) -> Vec<(NodeId, Expr)> {
     let cx = SinkCx {
         dag,
         protected,
         counts: dag.consumer_counts(),
-        names,
+        schemas,
     };
     let mut pushed = Vec::new();
     for node in dag.nodes() {
@@ -817,9 +571,9 @@ struct SinkCx<'a> {
     dag: &'a SkillDag,
     protected: &'a [bool],
     counts: &'a [usize],
-    /// Output column names per node; all `None` without statistics, and
-    /// then nothing sinks through a join.
-    names: &'a [Option<Vec<String>>],
+    /// Output schema per node; all `None` without statistics, and then
+    /// nothing sinks through a join.
+    schemas: &'a [Option<&'a Schema>],
 }
 
 impl SinkCx<'_> {
@@ -882,16 +636,16 @@ impl SinkCx<'_> {
                 let &[li, ri] = &node.inputs[..] else {
                     return;
                 };
-                let (Some(l), Some(r)) = (&self.names[li], &self.names[ri]) else {
+                let (Some(l), Some(r)) = (self.schemas[li], self.schemas[ri]) else {
                     return;
                 };
                 if *how != dc_engine::JoinType::Inner {
                     return;
                 }
-                let llow = lower(l);
+                let llow = lower_names(l);
                 // Right columns only route when they appear unsuffixed in
                 // the join output: non-key and not shadowed by a left name.
-                let mut rlow = lower(r);
+                let mut rlow = lower_names(r);
                 rlow.retain(|f| {
                     !right_on.iter().any(|k| k.eq_ignore_ascii_case(f)) && !llow.contains(f)
                 });
@@ -1149,12 +903,12 @@ fn dim_nonkeys(dag: &SkillDag, j: &StarJoin, stats: &dyn PlanStats) -> Option<Ve
 /// or the base, and at most one dimension can fan rows out.
 fn star_semantics_ok(
     star: &Star,
-    base_names: Option<&Vec<String>>,
+    base: Option<&Schema>,
     nonkeys: &[Vec<String>],
     costs: &[DimCost],
 ) -> bool {
-    let Some(base) = base_names else { return false };
-    let base_low = lower(base);
+    let Some(base) = base else { return false };
+    let base_low = lower_names(base);
     for j in &star.joins {
         if !j
             .left_on
@@ -1226,12 +980,12 @@ fn order_insensitive_downstream(
 /// dimension loads' calls (and each join's key tuple) in place — node
 /// ids and edges never change. Written order wins ties and anything
 /// the cost model cannot bound. Returns whether any star was reordered
-/// (`names`, the DAG's column names as given, are stale then).
+/// (`schemas`, the DAG's output schemas as given, are stale then).
 fn reorder_joins(
     dag: &mut SkillDag,
     protected: &[bool],
     stats: &dyn PlanStats,
-    names: &[Option<Vec<String>>],
+    schemas: &[Option<&Schema>],
 ) -> bool {
     let consumers = consumer_lists(dag);
     let mut reordered = false;
@@ -1274,7 +1028,7 @@ fn reorder_joins(
         else {
             continue;
         };
-        if !star_semantics_ok(&star, names[star.base].as_ref(), &nonkeys, &costs) {
+        if !star_semantics_ok(&star, schemas[star.base], &nonkeys, &costs) {
             continue;
         }
         let Some(mults) = costs.iter().map(|c| c.mult).collect::<Option<Vec<_>>>() else {
@@ -1370,7 +1124,8 @@ pub struct JoinOrderAdvice {
 /// multiplier is statistics-backed.
 pub fn join_order_advice(dag: &SkillDag, stats: &dyn PlanStats) -> Vec<JoinOrderAdvice> {
     let consumers = consumer_lists(dag);
-    let names = forward_names(dag, stats);
+    let contracts = contracts_of(dag, stats);
+    let schemas = schemas_of(&contracts);
     let mut advice = Vec::new();
     for star in collect_stars(dag, &consumers) {
         let n = star.joins.len();
@@ -1385,10 +1140,10 @@ pub fn join_order_advice(dag: &SkillDag, stats: &dyn PlanStats) -> Vec<JoinOrder
         if costs.iter().any(|c| !c.bounded) {
             continue;
         }
-        let Some(base) = names[star.base].as_ref() else {
+        let Some(base) = schemas[star.base] else {
             continue;
         };
-        let base_low = lower(base);
+        let base_low = lower_names(base);
         if !star.joins.iter().all(|j| {
             j.left_on
                 .iter()
