@@ -248,7 +248,7 @@ pub(crate) fn load_table(
 /// Execute one environment-free skill call against its input tables.
 ///
 /// These skills are pure functions of `inputs`, which is what lets the
-/// driver run the ones of a wave on worker threads. When `mem` is
+/// driver run the ones of a wave on the engine's pool. When `mem` is
 /// set, join, group-by (`Compute`) and sort admit their transient state
 /// against the context's governor and spill to disk instead of exceeding
 /// the budget; with `None` they never spill.
@@ -809,8 +809,9 @@ pub(crate) type BeforeExecuteHook = Arc<dyn Fn(&SkillCall) + Send + Sync>;
 /// Nodes run in topological *waves* ([`Executor::run_resilient_with_preflight`]
 /// is the one body that walks a DAG): every uncached node whose inputs
 /// are materialized belongs to the current wave, and the wave's pure
-/// nodes ([`needs_env`] = false) execute concurrently on scoped threads
-/// when the `parallel` feature is on. A cached output and its flow table
+/// nodes ([`needs_env`] = false) execute concurrently on the engine's
+/// worker pool (`dc_engine::parallel`, the calling thread included) when
+/// the `parallel` feature is on. A cached output and its flow table
 /// share their columns, so cache hits, fan-out reuse and the value
 /// [`Executor::run`] returns are pointer copies, never deep clones.
 pub struct Executor {
@@ -1491,6 +1492,65 @@ mod tests {
             elapsed < Duration::from_millis(220),
             "branches did not overlap: {elapsed:?}"
         );
+    }
+
+    /// A wave of 16 slow pure nodes draws from the pool's budget: never
+    /// more than `num_threads()` of them run at once, and the result is
+    /// the serial walk's.
+    #[cfg(feature = "parallel")]
+    #[test]
+    fn a_wide_wave_runs_at_most_num_threads_nodes_at_once_parallel() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::Duration;
+
+        let mut env = env_with_table();
+        let (mut dag, load) = load_dag();
+        let mut level: Vec<NodeId> = (0..16i64)
+            .map(|k| {
+                let predicate = Expr::col("x").ge(Expr::lit(6 * k));
+                dag.add(SkillCall::KeepRows { predicate }, vec![load])
+                    .unwrap()
+            })
+            .collect();
+        while level.len() > 1 {
+            level = level
+                .chunks(2)
+                .map(|pair| {
+                    let concat = SkillCall::Concat {
+                        other: "right".into(),
+                        remove_duplicates: false,
+                    };
+                    dag.add(concat, pair.to_vec()).unwrap()
+                })
+                .collect();
+        }
+        let top = level[0];
+
+        let (in_flight, peak) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let mut ex = Executor::new();
+        let (now, most) = (Arc::clone(&in_flight), Arc::clone(&peak));
+        ex.set_before_execute(move |call| {
+            if matches!(call, SkillCall::KeepRows { .. }) {
+                most.fetch_max(now.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(20));
+                now.fetch_sub(1, Ordering::SeqCst);
+            }
+        });
+        let out = ex.table_of(&dag, top, &mut env).unwrap();
+        let peak = peak.load(Ordering::SeqCst);
+        assert!(
+            peak <= dc_engine::parallel::num_threads(),
+            "{peak} nodes ran at once on {} threads",
+            dc_engine::parallel::num_threads()
+        );
+
+        // The serial walk: one new node per run, in id order.
+        let mut serial = Executor::new();
+        for id in 0..=top {
+            serial.run(&dag, id, &mut env).unwrap();
+        }
+        assert_eq!(out, serial.table_of(&dag, top, &mut env).unwrap());
+        assert_eq!(serial.stats.nodes_executed, ex.stats.nodes_executed);
     }
 
     /// A skill that panics under `run` arrives as `SkillError::Panic` and

@@ -42,7 +42,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dc_engine::{MemContext, SpillSnapshot, Table};
+use dc_engine::{parallel, MemContext, SpillSnapshot, Table};
 use dc_storage::{CancelToken, ScanOptions};
 
 use crate::dag::{NodeId, SkillDag, SkillNode};
@@ -452,7 +452,7 @@ fn spill_since(mem: Option<&MemContext>, before: Option<SpillSnapshot>) -> Spill
 /// A pure node of a wave with its input tables.
 type PureJob<'d> = (&'d SkillNode, Vec<Arc<Table>>);
 
-/// One pure node's whole attempt loop, suitable for a worker thread.
+/// One pure node's whole attempt loop, on whichever pool thread claims it.
 /// Pure compute cannot observe a cancel token, so its budget is enforced
 /// post-hoc inside [`run_attempts`]. The returned [`SpillSnapshot`] is
 /// this job's delta on the shared spill metrics (best-effort attribution
@@ -768,9 +768,11 @@ impl Executor {
     }
 
     /// Execute one wave under the policy. Environment-dependent nodes run
-    /// serially (they need `&mut Env`); pure nodes run concurrently, one
-    /// scoped thread per node, when the `parallel` feature is on, each
-    /// worker owning its node's whole attempt loop.
+    /// serially (they need `&mut Env`); pure nodes run through
+    /// [`parallel::run_indexed`], one index per node, so they share the
+    /// engine's pool and its [`parallel::num_threads`] budget with the
+    /// kernels they call. Whichever thread claims a node owns its whole
+    /// attempt loop.
     fn execute_wave(&mut self, wave: Vec<&SkillNode>, env: &mut Env, run: &mut Run<'_>) {
         let policy = run.policy;
         let mut pure: Vec<PureJob<'_>> = Vec::new();
@@ -818,32 +820,24 @@ impl Executor {
             return;
         }
         let (hook, mem) = (self.before_execute.as_ref(), env.memory.as_deref());
-        let run_job = |job: &PureJob<'_>| run_pure_job(policy, job, hook, mem);
         let results: Vec<(AttemptOutcome, SpillSnapshot)> =
-            if cfg!(feature = "parallel") && pure.len() > 1 {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = pure.iter().map(|j| scope.spawn(|| run_job(j))).collect();
-                    // Every attempt runs under catch_unwind, so a worker
-                    // that still unwinds failed outside its skill; its
-                    // node fails like any other panic.
-                    (handles.into_iter().zip(&pure))
-                        .map(|(h, (node, _))| {
-                            h.join().unwrap_or_else(|payload| {
-                                let att = AttemptOutcome {
-                                    result: Err(panic_error(&node.call, payload)),
-                                    attempts: 1,
-                                    faults_absorbed: 0,
-                                    degraded: false,
-                                    wall: Duration::ZERO,
-                                };
-                                (att, SpillSnapshot::default())
-                            })
-                        })
-                        .collect()
-                })
-            } else {
-                pure.iter().map(run_job).collect()
-            };
+            parallel::run_indexed(pure.len(), |i| {
+                let job = &pure[i];
+                // Every attempt runs under catch_unwind, so a node that still
+                // unwinds failed outside its skill; it fails like any other
+                // panic, alone, instead of resuming in the driver.
+                catch_unwind(AssertUnwindSafe(|| run_pure_job(policy, job, hook, mem)))
+                    .unwrap_or_else(|payload| {
+                        let att = AttemptOutcome {
+                            result: Err(panic_error(&job.0.call, payload)),
+                            attempts: 1,
+                            faults_absorbed: 0,
+                            degraded: false,
+                            wall: Duration::ZERO,
+                        };
+                        (att, SpillSnapshot::default())
+                    })
+            });
         for ((node, inputs), (att, spill)) in pure.into_iter().zip(results) {
             self.commit_attempt(node, inputs, att, ScanTally::default(), spill, env, run);
         }
