@@ -167,3 +167,71 @@ proptest! {
         prop_assert_eq!(leaked, 0, "spill files leaked");
     }
 }
+
+/// The out-of-core gate at a fixed size: 200 000 rows (an int id, a
+/// 50-value dictionary key and a float value), joined on `id` with as many
+/// probe rows, under a 3 MiB budget. The join's state over both sides' rows
+/// and the sort's records (≥ 6.4 MB) cannot stay resident, so both write
+/// run files; the 50-group `Sum` + `count_records` holds a group id per row
+/// of a morsel and fifty groups — ≈ 2.4 MB at most, when the single-worker
+/// build makes the whole input one morsel — and must not touch disk. All
+/// three return what they return without a budget, and no spill directory
+/// outlives them.
+#[test]
+fn a_budget_spills_the_join_and_the_sort_but_not_a_small_aggregate() {
+    const ROWS: usize = 200_000;
+    let t = Table::new(vec![
+        ("id", Column::from_ints((0..ROWS as i64).collect())),
+        (
+            "k",
+            Column::from_strs((0..ROWS).map(|i| format!("g{:02}", i % 50)).collect()),
+        ),
+        (
+            "v",
+            Column::from_floats((0..ROWS).map(|i| ((i * 7919) % 100_000) as f64).collect()),
+        ),
+    ])
+    .expect("facts build")
+    .encode_strings();
+    let probe = Table::new(vec![("pid", Column::from_ints((0..ROWS as i64).collect()))])
+        .expect("probe builds");
+    let aggs = [
+        AggSpec::new(AggFunc::Sum, "v", "s"),
+        AggSpec::count_records("n"),
+    ];
+    let keys = [SortKey::desc("v"), SortKey::asc("id")];
+    type Op<'a> = Box<dyn Fn(Option<&MemContext>) -> Table + 'a>;
+    let ops: [(&str, bool, Op); 3] = [
+        (
+            "join",
+            true,
+            Box::new(|mem| {
+                join_with_mem(&probe, &t, &["pid"], &["id"], JoinType::Inner, mem).expect("join")
+            }),
+        ),
+        (
+            "group-by",
+            false,
+            Box::new(|mem| group_by_with_mem(&t, &["k"], &aggs, mem).expect("group-by")),
+        ),
+        (
+            "sort",
+            true,
+            Box::new(|mem| sort_by_with_mem(&t, &keys, mem).expect("sort")),
+        ),
+    ];
+
+    let ctx = MemContext::with_budget(3 << 20).expect("spill context builds");
+    for (name, spills, op) in &ops {
+        let before = ctx.metrics.snapshot();
+        let got = op(Some(&ctx));
+        let spilled = ctx.metrics.snapshot().delta_since(before).bytes_spilled;
+        assert_eq!(spilled > 0, *spills, "{name} spilled {spilled} bytes");
+        assert!(
+            got == op(None),
+            "the budgeted {name} diverges from in-memory"
+        );
+    }
+    let left = std::fs::read_dir(&ctx.spill_root).map_or(0, |dir| dir.count());
+    assert_eq!(left, 0, "spill directories outlived the ops");
+}
