@@ -56,7 +56,7 @@ pub mod tenant;
 
 pub use error::{RejectReason, Result, ServeError};
 pub use job::{JobHandle, JobResult, Request};
-pub use service::{ReservationMode, ServeConfig, ServiceStats, SessionService};
+pub use service::{ServeConfig, ServiceStats, SessionService};
 pub use tenant::{TenantConfig, TenantStats};
 
 #[cfg(test)]

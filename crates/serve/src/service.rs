@@ -58,7 +58,7 @@ use std::time::{Duration, Instant};
 
 use dc_collab::{EnvHandle, SessionRef, SessionRegistry};
 use dc_skills::resilient::{ExecPolicy, RetryPolicy};
-use dc_skills::{plan_linear, Env, SkillCall};
+use dc_skills::{plan_linear, Env};
 
 use crate::error::{Result, ServeError};
 use crate::job::{Job, JobCell, JobHandle, Request};
@@ -87,9 +87,6 @@ pub struct ServeConfig {
     /// checkpointed results, they are dropped (the DAG survives, so
     /// continuity is re-computed, not lost). `None` = unbounded.
     pub session_cache_limit: Option<u64>,
-    /// How admission sizes the byte reservation it takes against a
-    /// metered tenant's budget.
-    pub reservation: ReservationMode,
     /// Per-slice operator-memory budget. When set, each slice runs under
     /// a [`dc_engine::MemContext`] with this many bytes of transient
     /// join/group-by/sort state; heavier operators spill to disk instead
@@ -97,22 +94,6 @@ pub struct ServeConfig {
     /// tenant ([`TenantStats::bytes_spilled`]) next to the scan bytes
     /// their budgets meter. `None` = unbounded in-memory execution.
     pub mem_budget: Option<u64>,
-}
-
-/// Admission reservation policy for metered tenants.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ReservationMode {
-    /// Reserve the `dc-analyze` estimator's scan-byte upper bound: the
-    /// fused plan priced block-by-block with zone-map prune verdicts,
-    /// deduped by load identity. Sound (scans cannot charge more under a
-    /// cold cache) yet far tighter than full bytes for selective
-    /// programs, so a fixed budget admits strictly more of them.
-    #[default]
-    Estimated,
-    /// Reserve the total stored bytes of every distinct table the
-    /// program loads — the pre-estimator behavior, kept for comparison
-    /// benchmarks and as a belt-and-suspenders mode.
-    FullBytes,
 }
 
 impl Default for ServeConfig {
@@ -125,7 +106,6 @@ impl Default for ServeConfig {
             max_preemptions: 12,
             retry: RetryPolicy::default(),
             session_cache_limit: Some(256 << 20),
-            reservation: ReservationMode::default(),
             mem_budget: None,
         }
     }
@@ -253,13 +233,8 @@ impl SessionService {
             if !metered {
                 return (0, Vec::new());
             }
-            match self.inner.config.reservation {
-                ReservationMode::Estimated => {
-                    let est = dc_analyze::estimate_steps(env, &steps);
-                    (est.reserve, est.per_step)
-                }
-                ReservationMode::FullBytes => (estimate_scan_bytes(env, &steps), Vec::new()),
-            }
+            let est = dc_analyze::estimate_steps(env, &steps);
+            (est.reserve, est.per_step)
         });
         let cell = Arc::new(JobCell::default());
         let id = self.inner.next_job.fetch_add(1, Ordering::Relaxed);
@@ -373,35 +348,6 @@ impl Drop for SessionService {
     fn drop(&mut self) {
         self.shutdown_inner();
     }
-}
-
-/// Upper bound on the scan bytes `steps` could charge: the total stored
-/// bytes of every *distinct* cloud table the program loads — a program
-/// loading one table twice hits the session's structural cache on the
-/// second load and charges it once, so reserving per mention would
-/// double-count. Snapshots and datasets already in the session are off
-/// the metered path and count zero.
-fn estimate_scan_bytes(env: &Env, steps: &[SkillCall]) -> u64 {
-    let mut seen: Vec<(&str, &str)> = Vec::new();
-    steps
-        .iter()
-        .map(|call| match call {
-            SkillCall::LoadTable {
-                database, table, ..
-            } => {
-                if seen.contains(&(database.as_str(), table.as_str())) {
-                    return 0;
-                }
-                seen.push((database, table));
-                env.catalog
-                    .database(database)
-                    .ok()
-                    .and_then(|db| db.source(table).ok())
-                    .map_or(0, |t| t.total_bytes())
-            }
-            _ => 0,
-        })
-        .sum()
 }
 
 /// How a time slice ended.
@@ -617,39 +563,16 @@ fn run_slice(
 
 #[cfg(test)]
 mod tests {
+    use dc_skills::SkillCall;
     use dc_storage::{CloudDatabase, Pricing};
 
     use super::*;
     use crate::Request;
 
-    /// A `FullBytes` reservation reads a table's size through
-    /// `BlockSource`, so the same rows reserve the same bytes whichever
-    /// backend stores them (a disk-backed table used to be priced at 0 and
-    /// admitted for free).
-    #[test]
-    fn full_bytes_estimate_prices_both_backends_alike() {
-        let rows = dc_storage::demo::sales(1_000, 7);
-        let dir = std::env::temp_dir().join(format!("dc-serve-estimate-{}", std::process::id()));
-        let mut db = CloudDatabase::new("cloud", Pricing::default_cloud());
-        db.create_table_with_blocks("ram", &rows, 128).unwrap();
-        db.create_table_on_disk("disk", &rows, 128, &dir).unwrap();
-        let mut env = Env::new();
-        env.catalog.add_database(db).unwrap();
-        let load = |table: &str| SkillCall::load_table("cloud", table);
-        let ram = estimate_scan_bytes(&env, &[load("ram")]);
-        assert!(ram > 0);
-        assert_eq!(estimate_scan_bytes(&env, &[load("disk")]), ram);
-        // Distinct tables add up; a table loaded twice is charged once.
-        let program = [load("ram"), load("disk"), load("disk")];
-        assert_eq!(estimate_scan_bytes(&env, &program), 2 * ram);
-        drop(env);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The default `Estimated` reservation reads block metadata through
-    /// `BlockSource` as well: the same rows reserve the same bytes in both
-    /// backends, in full, pruned and projected (an estimate of 0 admits a
-    /// job for free).
+    /// A metered job's reservation, the estimator's bound, reads block
+    /// metadata through `BlockSource`: the same rows reserve the same bytes
+    /// in both backends, in full, pruned and projected (an estimate of 0
+    /// admits a job for free).
     #[test]
     fn step_estimate_prices_both_backends_alike() {
         let rows = dc_storage::demo::sales(1_000, 7);
