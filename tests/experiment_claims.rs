@@ -1,5 +1,10 @@
-//! Small-scale assertions of every experiment's headline claim — the
-//! same properties the `dc-bench` binaries report at full scale.
+//! Small-scale assertions of the paper experiments' headline claims — the
+//! same properties the `dc-bench` table, figure and §3 binaries report at
+//! full scale. The engine-level gates (pruning, optimizer bytes, spilling,
+//! serving under faults) live beside the properties of their layer:
+//! `crates/storage/tests/pruning_properties.rs`,
+//! `tests/optimizer_equivalence.rs`, `tests/spill_equivalence.rs` and
+//! `tests/serve_properties.rs`.
 
 use datachat::engine::{Column, Expr, Table};
 use datachat::nl::metrics::Zone;
