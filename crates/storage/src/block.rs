@@ -20,12 +20,13 @@ use dc_engine::blockio::{compute_zone, ZoneBoundsIo, ZoneInfo};
 use dc_engine::eval::eval_predicate_serial;
 use dc_engine::expr::prune::{prune_predicate, ColumnStats, Tri};
 use dc_engine::ops::sample_fraction;
+use dc_engine::parallel::{min_parallel_rows, run_indexed};
 use dc_engine::{Expr, Schema, Table, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::error::{Result, StorageError};
-use crate::fault::FaultInjector;
+use crate::fault::{CancelToken, FaultInjector};
 use crate::pricing::ScanReceipt;
 
 /// What one unpruned block contributes to a scan: row-sample, evaluate the
@@ -318,8 +319,10 @@ pub fn plan_scan<'a>(
 }
 
 /// A stored table as the one scan sees it: resident metadata plus a block
-/// fetch. The fetch is the only thing the two backends do differently.
-pub trait BlockSource {
+/// fetch. The fetch is the only thing the two backends do differently, and
+/// it must be callable from several threads at once: a scan fetches its
+/// unpruned blocks on the worker pool.
+pub trait BlockSource: Sync {
     /// The resident metadata scans are planned over.
     fn meta(&self) -> &TableMeta;
     /// Block `bi` holding at least the columns `read_cols` (schema
@@ -328,11 +331,27 @@ pub trait BlockSource {
     fn read_block(&self, bi: usize, read_cols: &[usize]) -> Result<(Arc<Table>, Option<u64>)>;
 }
 
-/// Scan `src` under `opts`: run its [`plan_scan`] block by block, then
-/// sample, filter and project every fetched block and stitch the parts.
-/// The cancel check runs at every block boundary; the injector sees the
-/// scan start plus every block actually fetched — pruned blocks cost
-/// nothing and never reach it.
+/// The retryable error a scan returns once its token has fired.
+fn check_cancel(cancel: Option<&CancelToken>) -> Result<()> {
+    match cancel.is_some_and(|token| token.is_cancelled()) {
+        true => Err(StorageError::Transient {
+            operation: "scan".to_string(),
+            message: "cancelled: node budget exhausted".to_string(),
+        }),
+        false => Ok(()),
+    }
+}
+
+/// Scan `src` under `opts`: run its [`plan_scan`], then fetch, sample,
+/// filter and project every unpruned block and stitch the parts in plan
+/// order. The injector sees the scan start plus every unpruned block —
+/// pruned blocks cost nothing and never reach it — on the calling thread,
+/// in plan order, before any block is fetched, so a seeded schedule lands
+/// on the same blocks however the fetches run. The blocks then go through
+/// one closure each: on the worker pool when the plan scans at least
+/// [`min_parallel_rows`] rows, inline otherwise. The cancel check runs at
+/// every block boundary and again before every fetch; the first error in
+/// plan order is the scan's.
 pub(crate) fn run_scan(
     src: &dyn BlockSource,
     opts: &ScanOptions,
@@ -348,34 +367,55 @@ pub(crate) fn run_scan(
         .columns
         .as_ref()
         .map(|cols| cols.iter().map(String::as_str).collect());
-    // A block nothing is dropped from contributes its own columns, so a
-    // scan that ends with one such part returns them shared; several
-    // parts pay the one contiguous `concat`.
-    let mut parts: Vec<Table> = Vec::with_capacity(plan.blocks_scanned as usize);
-    // Bytes faulted off storage; `None` once a resident block is read.
-    let mut faulted = Some(0u64);
+    // The blocks to fetch, up to the first one the injector refused (or a
+    // cancellation). Those before it are still fetched: a fetch that fails
+    // among them comes first in plan order.
+    let mut unpruned = Vec::with_capacity(plan.blocks_scanned as usize);
+    let mut refused = None;
     for &(bi, verdict) in &plan.blocks {
-        if cancel.is_some_and(|token| token.is_cancelled()) {
-            return Err(StorageError::Transient {
-                operation: "scan".to_string(),
-                message: "cancelled: node budget exhausted".to_string(),
-            });
+        let hooks = check_cancel(cancel).and_then(|()| match (verdict, injector) {
+            (Tri::AllFalse, _) | (_, None) => Ok(()),
+            (_, Some(inj)) => inj.on_block_read(cancel),
+        });
+        if let Err(e) = hooks {
+            refused = Some(e);
+            break;
         }
-        if verdict == Tri::AllFalse {
-            continue;
+        if verdict != Tri::AllFalse {
+            unpruned.push((bi, verdict));
         }
-        if let Some(inj) = injector {
-            inj.on_block_read(cancel)?;
-        }
+    }
+    let scan = |k: usize| -> Result<(Table, Option<u64>)> {
+        let (bi, verdict) = unpruned[k];
+        check_cancel(cancel)?;
         let (block, bytes) = src.read_block(bi, &plan.read_cols)?;
-        faulted = faulted.zip(bytes).map(|(sum, b)| sum + b);
-        parts.push(scan_block(
+        let part = scan_block(
             &block,
             opts.row_sample
                 .map(|f| (f, opts.seed.wrapping_add(bi as u64))),
             plan.predicate.filter(|_| verdict != Tri::AllTrue),
             projected.as_deref(),
-        )?);
+        )?;
+        Ok((part, bytes))
+    };
+    let fan_out = plan.rows_scanned >= min_parallel_rows() as u64;
+    let scanned: Vec<Result<(Table, Option<u64>)>> = match fan_out {
+        true => run_indexed(unpruned.len(), scan),
+        false => (0..unpruned.len()).map(scan).collect(),
+    };
+    // A block nothing is dropped from contributes its own columns, so a
+    // scan that ends with one such part returns them shared; several
+    // parts pay the one contiguous `concat`.
+    let mut parts: Vec<Table> = Vec::with_capacity(scanned.len());
+    // Bytes faulted off storage; `None` once a resident block is read.
+    let mut faulted = Some(0u64);
+    for result in scanned {
+        let (part, bytes) = result?;
+        faulted = faulted.zip(bytes).map(|(sum, b)| sum + b);
+        parts.push(part);
+    }
+    if let Some(e) = refused {
+        return Err(e);
     }
     let out = match (parts.is_empty(), &projected) {
         (true, Some(cols)) => Table::empty_with_schema(meta.schema()).select(cols)?,
@@ -440,7 +480,7 @@ pub struct ScanOptions {
     /// Cooperative-cancellation handle: the scan checks it at block
     /// boundaries (and inside injected stalls) and aborts with a
     /// retryable [`StorageError::Transient`] once it fires.
-    pub cancel: Option<crate::fault::CancelToken>,
+    pub cancel: Option<CancelToken>,
 }
 
 impl ScanOptions {

@@ -162,6 +162,8 @@ impl BlockSource for DiskBlockTable {
 
     /// Pages in only the read columns' byte ranges. Shared dictionaries
     /// live in the footer, resident since open, and fault nothing here.
+    /// A scan calls this from several threads at once: each call is its own
+    /// positional read through `&File`, with no cursor to share.
     fn read_block(&self, bi: usize, read_cols: &[usize]) -> Result<(Arc<Table>, Option<u64>)> {
         let (block, faulted) = self
             .file
