@@ -12,13 +12,13 @@ use crate::bitmap::Bitmap;
 use crate::column::Column;
 use crate::dtype::DataType;
 use crate::error::{EngineError, Result};
-use crate::governor::{MemContext, Reservation};
+use crate::governor::{MemContext, MemoryGovernor, Reservation};
 use crate::parallel;
 use crate::table::Table;
 use crate::value::cmp_f64_total;
 
 use super::keys::{first_rows, Encoder, KeyCol, Rows};
-use super::spill::{group_state_bytes, group_widths, partition_ids, Ids, Run, Spill};
+use super::spill::{group_state_bytes, group_widths, split, Ids, Partitioned, Spill};
 
 /// Aggregate functions available to the Compute skill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -564,12 +564,13 @@ pub fn group_by(table: &Table, keys: &[&str], aggs: &[AggSpec]) -> Result<Table>
 /// through the one body (`GroupBy::body`), which books state as it allocates
 /// it, so a handful of groups over any number of rows never leaves memory.
 /// Where the governor refuses, the attempt is dropped and the row *ids* are
-/// split by key hash into runs ([`partition_ids`]); every run gathers the
-/// columns it needs at its ids and goes through the same body as one morsel
-/// (`GroupBy::ids`). A group's rows all land in one run, in ascending order,
-/// so order-sensitive aggregates come out as they would unpartitioned;
-/// representatives map back through the ids to input rows, and sorting the
-/// groups by them restores first-encounter order.
+/// split by key hash into runs ([`split`]); every run gathers the columns it
+/// needs at its ids and goes through the same body as one morsel, as many
+/// runs at once on the pool as the governor admits the state of. A group's
+/// rows all land in one run, in ascending order, so order-sensitive
+/// aggregates come out as they would unpartitioned; representatives map back
+/// through the ids to input rows, and ranking the groups by them restores
+/// first-encounter order.
 pub fn group_by_with_mem(
     table: &Table,
     keys: &[&str],
@@ -594,18 +595,31 @@ pub fn group_by_with_mem(
         gather: 8 + needed.iter().map(row_bytes).sum::<u64>(),
         needed,
         widths: group_widths(keys.len(), aggs.iter().map(|a| a.func)),
+        inputs,
     };
     let (mut op, mut parts) = (Spill::new(mem, "groupby"), Vec::new());
-    let all = Ids::All(table.num_rows());
-    job.ids(&mut op, &inputs, all, (0, usize::MAX), &mut parts)?;
+    let all = vec![Ids::All(table.num_rows())];
+    // One group cannot be split: it runs whatever the governor says.
+    job.run(&mut op, all, (0, keys.is_empty()), None, &mut parts)?;
+    let inputs = job.inputs;
     let (reps, columns) = match <[Part; 1]>::try_from(parts) {
         Ok([whole]) => whole,
         Err(parts) => {
-            // First-encounter order is the order of the groups' first rows.
-            let mut order: Vec<(usize, usize)> = Vec::new();
-            order.extend(parts.iter().flat_map(|p| &p.0).copied().zip(0..));
-            order.sort_unstable();
-            let (reps, order): (Vec<usize>, Vec<usize>) = order.into_iter().unzip();
+            // First-encounter order is the order of the groups' first rows: a
+            // group's place is how many of them lie below its own, counted
+            // on a bitmap of them.
+            let reps: Vec<usize> = parts.iter().flat_map(|p| &p.0).copied().collect();
+            let mut firsts = vec![0u64; table.num_rows() / 64 + 1];
+            reps.iter().for_each(|&r| firsts[r / 64] |= 1 << (r % 64));
+            let below = firsts
+                .iter()
+                .scan(0, |n, w| Some(std::mem::replace(n, *n + w.count_ones())));
+            let (below, mut order): (Vec<u32>, _) = (below.collect(), vec![0; reps.len()]);
+            for (group, &r) in reps.iter().enumerate() {
+                let rank = below[r / 64] + (firsts[r / 64] & ((1 << (r % 64)) - 1)).count_ones();
+                order[rank as usize] = group;
+            }
+            let reps = order.iter().map(|&group| reps[group]).collect();
             let mut columns = Vec::with_capacity(aggs.len());
             for (j, (spec, col)) in aggs.iter().zip(&inputs.agg_cols).enumerate() {
                 let mut all = Column::empty(spec.func.output_dtype(col.map(|c| c.dtype())));
@@ -627,49 +641,59 @@ pub fn group_by_with_mem(
 
 /// What a group-by is asked, and what partitioning it takes: the columns a
 /// partition gathers at its ids (`needed`; one named twice is gathered
-/// once), their bytes per row beside the id (`gather`), and the state
-/// `widths` ([`group_widths`]).
+/// once), their bytes per row beside the id (`gather`), the state `widths`
+/// ([`group_widths`]), and the whole input's resolved columns.
 struct GroupBy<'t> {
     keys: &'t [&'t str],
     aggs: &'t [AggSpec],
     needed: Vec<(&'t str, &'t Column)>,
     gather: u64,
     widths: (u64, u64),
+    inputs: GroupInputs<'t>,
 }
 
-impl GroupBy<'_> {
-    /// Group the rows `ids` lists — produced by `depth` partitionings, the
-    /// last of `within` rows — appending their groups to `out`: through the
-    /// body at once if the governor admits it, else a hash partition of
-    /// them at a time. `inputs` are the whole input's.
-    fn ids<'a>(
+/// A booking of state bytes, `None` when refused.
+type Hold<'h> = &'h (dyn Fn(u64) -> Option<Reservation> + Sync);
+
+impl<'a> Partitioned<'a> for GroupBy<'_> {
+    /// The groups, or `None` if the body was refused its state.
+    type Out = Option<Part>;
+    type Acc = Vec<Part>;
+
+    /// The body books its state within what was booked for it beside the
+    /// gathered columns.
+    fn body(&self, ids: &[Ids<'a>], held: u64) -> Option<Part> {
+        let at: Vec<usize> = (0..ids[0].len()).map(|i| ids[0].row(i)).collect();
+        let within = MemoryGovernor::new(held.saturating_sub(at.len() as u64 * self.gather));
+        self.listed(&at, &|bytes| within.try_reserve(bytes))
+            .ok()?
+            .ok()
+    }
+
+    /// Group the rows `ids` lists into `out`: as `done` has them, else through
+    /// the body at once if the governor admits it, else a hash partition of
+    /// them at a time.
+    fn run(
         &self,
         op: &mut Spill<'a>,
-        inputs: &GroupInputs<'_>,
-        mut ids: Ids<'a>,
-        (depth, within): (u32, usize),
+        mut ids: Vec<Ids<'a>>,
+        (depth, force): (u32, bool),
+        done: Option<Option<Part>>,
         out: &mut Vec<Part>,
     ) -> Result<()> {
-        let len = ids.len();
-        let rows = inputs.key_cols.first().map_or(0, |c| c.len());
-        // Work that cannot be split again — one group, the depth cap, or
-        // rows the hash kept together — runs whatever the governor says.
-        let force = self.keys.is_empty() || !(op.may_split(depth) && len < within);
-        let attempt = match &mut ids {
-            Ids::All(_) => self.body(inputs, &parallel::morsels(len), op, force),
-            Ids::Listed(run) => match op.hold(len as u64 * self.gather, force) {
+        let len = ids[0].len();
+        let rows = self.inputs.key_cols.first().map_or(0, |c| c.len());
+        let attempt = match (done.flatten(), &mut ids[0]) {
+            (Some(part), _) => Ok(part),
+            (None, Ids::All(_)) => {
+                let hold: Hold = &|bytes| op.hold(bytes, force);
+                self.body(&self.inputs, &parallel::morsels(len), hold)
+            }
+            (None, Ids::Listed(run)) => match op.hold(len as u64 * self.gather, force) {
                 Some(_gathered) if run.load_ids(op, rows, force)? => {
                     let listed = run.resident().into_iter().flatten();
                     let at: Vec<usize> = listed.map(|&id| id as usize).collect();
-                    let mut local = Table::empty();
-                    for (name, col) in &self.needed {
-                        if local.schema().index_of(name).is_none() {
-                            local.add_column(name, col.take(&at))?;
-                        }
-                    }
-                    let inputs = resolve_inputs(&local, self.keys, self.aggs)?;
-                    let part = self.body(&inputs, std::slice::from_ref(&(0..len)), op, force);
-                    part.map(|(reps, columns)| (reps.into_iter().map(|r| at[r]).collect(), columns))
+                    self.listed(&at, &|bytes| op.hold(bytes, force))?
                 }
                 _ => Err(len as u64),
             },
@@ -681,21 +705,35 @@ impl GroupBy<'_> {
             }
             Err(expected) => expected,
         };
-        let need = |rows, groups| group_state_bytes(rows, groups, self.widths) + rows * self.gather;
-        let parts = op.parts_for(len as u64 * 8, |p| need(len as u64 / p, groups / p));
-        let mut runs = partition_ids(op, &inputs.key_cols, ids, parts, depth as u64)?;
-        let largest = runs.iter().map(Run::len).max().unwrap_or(0) as u64;
-        op.make_room(&mut runs, need(largest, groups / parts as u64))?;
-        for run in runs.into_iter().filter(|run| run.len() > 0) {
-            self.ids(op, inputs, Ids::Listed(run), (depth + 1, len), out)?;
+        // A partition's groups are their share of those expected; a batched
+        // one books three deviations more, as the share varies.
+        let need = |rows: &[u64], batched: bool| {
+            let share = groups * rows[0] / len.max(1) as u64;
+            let share = (share + 3 * share.isqrt() * batched as u64).min(rows[0]);
+            group_state_bytes(rows[0], share, self.widths) + rows[0] * self.gather
+        };
+        split(op, (self, &[&self.inputs.key_cols]), ids, depth, need, out)
+    }
+}
+
+impl GroupBy<'_> {
+    /// The groups of the input rows `at` lists, ascending: the columns they
+    /// need gathered at them, through the body as one morsel.
+    fn listed(&self, at: &[usize], hold: Hold) -> Result<std::result::Result<Part, u64>> {
+        let mut local = Table::empty();
+        for (name, col) in &self.needed {
+            if local.schema().index_of(name).is_none() {
+                local.add_column(name, col.take(at))?;
+            }
         }
-        Ok(())
+        let inputs = resolve_inputs(&local, self.keys, self.aggs)?;
+        let part = self.body(&inputs, std::slice::from_ref(&(0..at.len())), hold);
+        Ok(part.map(|(reps, columns)| (reps.into_iter().map(|r| at[r]).collect(), columns)))
     }
 
     /// The one group-by body: the groups of `ranges` (contiguous ascending
-    /// row ranges of `inputs`) finished, or — as soon as the governor
-    /// refuses a part of its state, never with `force` — the groups to
-    /// expect among the rows.
+    /// row ranges of `inputs`) finished, or — as soon as `hold` refuses a
+    /// part of its state — the groups to expect among the rows.
     ///
     /// Two-phase over the ranges as morsels (see [`crate::parallel`]): each
     /// morsel encodes its rows' keys into dense group ids and accumulates
@@ -710,15 +748,14 @@ impl GroupBy<'_> {
         &self,
         inputs: &GroupInputs<'_>,
         ranges: &[Range<usize>],
-        op: &Spill,
-        force: bool,
+        hold: Hold,
     ) -> std::result::Result<Part, u64> {
         let state =
             |rows: usize, groups: usize| group_state_bytes(rows as u64, groups as u64, self.widths);
         let (seen_rows, seen_groups) = (AtomicU64::new(0), AtomicU64::new(0));
         let refused = AtomicBool::new(false);
         let morsel = |r: Range<usize>| -> Option<(Groups, Reservation)> {
-            let mut held = op.hold(state(r.len(), 0), force)?;
+            let mut held = hold(state(r.len(), 0))?;
             // Phase 1: dictionary-coded group ids for the row range (no
             // per-row key materialization), aggregated locally.
             let gids = encode_groups(&inputs.key_cols, r.clone());
@@ -728,7 +765,7 @@ impl GroupBy<'_> {
             if refused.load(Ordering::Relaxed) {
                 return None;
             }
-            held.absorb(op.hold(state(0, reps.len()), force)?);
+            held.absorb(hold(state(0, reps.len()))?);
             let accs = self.aggs.iter().zip(&inputs.agg_cols).map(|(spec, col)| {
                 let mut acc = AggCols::new(spec.func, reps.len());
                 acc.update(*col, &gids, r.clone());
@@ -754,7 +791,7 @@ impl GroupBy<'_> {
                 // — and at worst all distinct.
                 let key_bytes = |c: &&Column| c.byte_size() / c.len().max(1) + 9;
                 let keys = local * inputs.key_cols.iter().map(key_bytes).sum::<usize>();
-                let mut held = op.hold(state(local, local) + keys as u64, force)?;
+                let mut held = hold(state(local, local) + keys as u64)?;
                 let folded = fold_parts(inputs, self.aggs, parts);
                 held.shrink_to(folded.bytes());
                 Some((folded, held))

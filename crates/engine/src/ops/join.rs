@@ -15,7 +15,7 @@ use crate::parallel;
 use crate::table::Table;
 
 use super::keys::{Encoder, KeyCol, NO_ID};
-use super::spill::{join_state_bytes, merge_runs, partition_ids, Ids, Run, Spill};
+use super::spill::{join_state_bytes, merge_runs, split, Ids, Partitioned, Run, Spill};
 
 /// Supported join types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -93,12 +93,14 @@ pub fn join(
 /// right-row order, then unmatched right rows for right/full joins.
 ///
 /// The join reads only key columns until it knows its output as packed
-/// `(left row, right row)` pairs (`match_ids`): the right rows are indexed
+/// `(left row, right row)` pairs (`Match`): the right rows are indexed
 /// ([`Index`]) and the left ones looked up — over all rows at once where
 /// the governor admits the index ([`join_state_bytes`]), else over the row
-/// *ids* of one hash partition of both sides at a time. Every partition's
-/// pairs ascend, so merging them is the output order, and the output
-/// columns are gathered through the pairs, a block at a time.
+/// *ids* of hash partitions of both sides, as many at once on the pool as
+/// the governor admits ([`split`]). Every partition's pairs ascend and hold
+/// all of their left rows' pairs, so placing them by a count of each left
+/// row's pairs is the output order, and the output columns are gathered
+/// through the pairs, a block at a time.
 pub fn join_with_mem(
     left: &Table,
     right: &Table,
@@ -127,11 +129,9 @@ pub fn join_with_mem(
     let _numbers = op.hold(numbers, true);
 
     let mut runs = Vec::new();
-    let side = |keys, cols| Side { keys, cols };
-    let sides = (side(&lkeys, &lcols), side(&rkeys, &rcols));
-    let all = (Ids::All(ln), Ids::All(rn));
-    let unsplit = (0, usize::MAX, usize::MAX);
-    match_ids(&mut op, sides, how, all, unsplit, &mut runs)?;
+    let (keys, cols) = ([&lkeys[..], &rkeys], [&lcols[..], &rcols]);
+    let (job, all) = (Match { keys, cols, how }, vec![Ids::All(ln), Ids::All(rn)]);
+    job.run(&mut op, all, (0, false), None, &mut runs)?;
 
     // `key_columns` found every key column.
     let key_positions_left: Vec<usize> = (left_on.iter())
@@ -180,16 +180,21 @@ pub fn join_with_mem(
         }
         Ok(out)
     };
+    // Several resident runs are placed by a count of every row's pairs where
+    // the governor admits the counts; runs on file are merged.
+    let found: usize = runs.iter().map(Run::len).sum();
+    let slots = ln + if job.keeps(JoinType::Right) { rn } else { 0 };
+    let resident: Option<Vec<&[u64]>> = runs.iter().map(Run::resident).collect();
+    let resident = resident.filter(|runs| runs.len() > 1 && found < u32::MAX as usize);
+    let counts = 4 * slots as u64 + 4;
+    let counts = resident.is_some().then(|| op.hold(counts, false));
     // A block holds a pair and, in `gather`, its two row indices: optional
     // ones on a side where a pair may name no row.
-    let found: usize = runs.iter().map(Run::len).sum();
-    let index_bytes = |lone: bool| if lone { 16 } else { 8 };
-    let lone_left = matches!(how, JoinType::Left | JoinType::Full);
-    let lone_right = matches!(how, JoinType::Right | JoinType::Full);
-    let block_bytes = 8 + index_bytes(lone_left) + index_bytes(lone_right);
+    let index_bytes = |side| if job.keeps(side) { 16 } else { 8 };
+    let block_bytes = 8 + index_bytes(JoinType::Left) + index_bytes(JoinType::Right);
     let (block_rows, _block) = op.hold_some(found.min(op.block_rows()), block_bytes);
     let mut out: Option<Table> = None;
-    merge_runs(&mut op, runs, block_rows, |pairs| {
+    let mut emit = |pairs: &[u64]| {
         let mut block = gather(pairs)?;
         match &mut out {
             Some(out) => out.append(&block),
@@ -199,7 +204,11 @@ pub fn join_with_mem(
                 Ok(())
             }
         }
-    })?;
+    };
+    match (resident, counts.flatten()) {
+        (Some(resident), Some(_counts)) => place(&resident, ln, slots, block_rows, &mut emit)?,
+        _ => merge_runs(&mut op, runs, block_rows, &mut emit)?,
+    }
     match out {
         Some(out) => Ok(out),
         None => gather(&[]),
@@ -251,14 +260,6 @@ impl Gather {
             Gather::Sparse(rows) => col.take_opt(rows),
         }
     }
-}
-
-/// One side of a join: its key columns as words, and as the columns they
-/// are (partitioning hashes strings by content).
-#[derive(Clone, Copy)]
-struct Side<'k, 't> {
-    keys: &'k [KeyCol<'t>],
-    cols: &'k [&'t Column],
 }
 
 /// The build side of one match: its keys numbered densely, and its rows
@@ -345,82 +346,132 @@ impl Index {
     }
 }
 
-/// The pairs of the left rows `lids` and the right rows `rids` list —
-/// produced by `depth` partitionings, the last of `within.0` and `within.1`
-/// rows — as sorted runs appended to `out`: matched at once if the governor
-/// admits the index, else a hash partition of both sides at a time.
-fn match_ids<'a>(
-    op: &mut Spill<'a>,
-    (left, right): (Side, Side),
+/// A join as [`split`] runs it: the key columns of both sides, left then
+/// right, as words and as the columns they are (partitioning hashes strings
+/// by content).
+struct Match<'k, 't> {
+    keys: [&'k [KeyCol<'t>]; 2],
+    cols: [&'k [&'t Column]; 2],
     how: JoinType,
-    (mut lids, mut rids): (Ids<'a>, Ids<'a>),
-    (depth, lwithin, rwithin): (u32, usize, usize),
-    out: &mut Vec<Run<'a>>,
-) -> Result<()> {
-    let (l, r, k) = (lids.len(), rids.len(), left.keys.len() as u64);
-    let lone_left = matches!(how, JoinType::Left | JoinType::Full);
-    let track_matched = matches!(how, JoinType::Right | JoinType::Full);
-    if !(l > 0 && (r > 0 || lone_left) || r > 0 && track_matched) {
-        return Ok(());
-    }
-    // Work that cannot be split again — the depth cap, or rows the hash kept
-    // together (one key) — runs whatever the governor says.
-    let force = !(op.may_split(depth) && (l < lwithin || r < rwithin));
-    let need = join_state_bytes(r as u64, l as u64, k);
-    let mut state = op.hold(need, false);
-    if state.is_none() {
-        // The pairs of earlier partitions may be what holds the room.
-        out.iter_mut().try_for_each(|run| run.spill(op))?;
-        state = op.hold(need, force);
-    }
-    let mut load = |ids: &mut Ids<'a>, rows: usize| match ids {
-        Ids::Listed(run) if state.is_some() => run.load_ids(op, rows, force),
-        _ => Ok(state.is_some()),
-    };
-    let loaded = load(&mut lids, left.cols[0].len())? && load(&mut rids, right.cols[0].len())?;
-    if let (Some(mut state), true) = (state, loaded) {
-        // Build on this thread, in one pass; probe per morsel of left
-        // positions, emitting pairs in position order. Matched keys are
-        // flagged through atomics so right/full joins can list the
-        // unmatched right rows after all workers finish.
-        let index = Index::build(right.keys, &rids, track_matched);
-        let found = parallel::run_morsels(&parallel::morsels(l), |m| {
-            index.probe(left.keys, &lids, m, lone_left)
-        });
-        let lone = index.unmatched(&rids);
-        let mut pairs: Vec<u64> = Vec::new();
-        pairs.reserve_exact(found.iter().map(Vec::len).sum::<usize>() + lone.len());
-        found
-            .iter()
-            .chain([&lone])
-            .for_each(|part| pairs.extend_from_slice(part));
-        drop((index, found));
+}
 
+impl Match<'_, '_> {
+    /// Whether the join keeps the rows of `side` that match nothing.
+    fn keeps(&self, side: JoinType) -> bool {
+        self.how == side || self.how == JoinType::Full
+    }
+
+    /// Whether no pair can come of `l` left and `r` right rows.
+    fn idle(&self, l: usize, r: usize) -> bool {
+        !(l > 0 && (r > 0 || self.keeps(JoinType::Left)) || r > 0 && self.keeps(JoinType::Right))
+    }
+}
+
+impl<'a> Partitioned<'a> for Match<'_, '_> {
+    type Out = Vec<u64>;
+    type Acc = Vec<Run<'a>>;
+
+    /// Build on this thread, in one pass; probe per morsel of left positions,
+    /// emitting pairs in position order. Matched keys are flagged through
+    /// atomics so right/full joins can list the unmatched right rows after
+    /// all workers finish.
+    fn body(&self, ids: &[Ids<'a>], _: u64) -> Vec<u64> {
+        let ([left, right], lids, rids) = (self.keys, &ids[0], &ids[1]);
+        if self.idle(lids.len(), rids.len()) {
+            return Vec::new();
+        }
+        let index = Index::build(right, rids, self.keeps(JoinType::Right));
+        let mut found = parallel::run_morsels(&parallel::morsels(lids.len()), |m| {
+            index.probe(left, lids, m, self.keeps(JoinType::Left))
+        });
+        found.push(index.unmatched(rids));
+        found.concat()
+    }
+
+    /// The pairs of the left and right rows `ids` lists, as a sorted run in
+    /// `out`: those `done` holds, else matched at once if the governor admits
+    /// the index, else a hash partition of both sides at a time.
+    fn run(
+        &self,
+        op: &mut Spill<'a>,
+        mut ids: Vec<Ids<'a>>,
+        (depth, force): (u32, bool),
+        done: Option<Vec<u64>>,
+        out: &mut Vec<Run<'a>>,
+    ) -> Result<()> {
+        let (l, r, k) = (ids[0].len(), ids[1].len(), self.keys[0].len() as u64);
+        let pairs = match done {
+            Some(pairs) => pairs,
+            None if self.idle(l, r) => return Ok(()),
+            None => {
+                let need = join_state_bytes(r as u64, l as u64, k);
+                let mut state = op.hold(need, false);
+                if state.is_none() {
+                    // The pairs of earlier partitions may be what holds the room.
+                    out.iter_mut().try_for_each(|run| run.spill(op))?;
+                    state = op.hold(need, force);
+                }
+                let mut loaded = state.is_some();
+                for (ids, cols) in ids.iter_mut().zip(self.cols) {
+                    if let (Ids::Listed(run), true) = (ids, loaded) {
+                        loaded = run.load_ids(op, cols[0].len(), force)?;
+                    }
+                }
+                if !loaded {
+                    drop(state);
+                    let need = |rows: &[u64], _| join_state_bytes(rows[1], rows[0], k);
+                    return split(op, (self, &self.cols), ids, depth, need, out);
+                }
+                self.body(&ids, need)
+            }
+        };
         // The pairs stay where they are if the governor admits as many as
         // there turned out to be; else they go to a run file.
-        state.shrink_to(0);
-        let fits = state.try_grow(pairs.len() as u64 * 8);
-        let mut run = op.run_of(pairs, 1, state);
+        let mut held = op.hold(0, true).expect("a forced hold is admitted");
+        let fits = held.try_grow(pairs.len() as u64 * 8);
+        let mut run = op.run_of(pairs, 1, held);
         if !fits {
             run.spill(op)?;
         }
         out.push(run);
-        return Ok(());
+        Ok(())
     }
+}
 
-    let parts = op.parts_for((l + r) as u64 * 8, |p| {
-        join_state_bytes(r as u64 / p, l as u64 / p, k)
-    });
-    let mut lruns = partition_ids(op, left.cols, lids, parts, depth as u64)?;
-    let mut rruns = partition_ids(op, right.cols, rids, parts, depth as u64)?;
-    let largest = |runs: &[Run]| runs.iter().map(Run::len).max().unwrap_or(0) as u64;
-    let (most_l, most_r) = (largest(&lruns), largest(&rruns));
-    let need = join_state_bytes(most_r, most_l, k) + (most_l + most_r) * 8;
-    op.make_room(&mut lruns, need)?;
-    op.make_room(&mut rruns, need)?;
-    for (lrun, rrun) in lruns.into_iter().zip(rruns) {
-        let ids = (Ids::Listed(lrun), Ids::Listed(rrun));
-        match_ids(op, (left, right), how, ids, (depth + 1, l, r), out)?;
+/// Emit the pairs of resident `runs`, `block_rows` at a time, in the order a
+/// merge would: each run ascends, and all the pairs of one slot — a left row,
+/// or past `left_rows` a lone right row — lie in one run, so a count of each
+/// slot's pairs says where a run's pairs go.
+fn place(
+    runs: &[&[u64]],
+    left_rows: usize,
+    slots: usize,
+    block_rows: usize,
+    mut emit: impl FnMut(&[u64]) -> Result<()>,
+) -> Result<()> {
+    let slot = |pair: u64| match (pair >> 32) as u32 {
+        NO_ROW => left_rows + pair as u32 as usize,
+        left => left as usize,
+    };
+    // Counted a slot up, so that once summed `next[slot]` is where the
+    // slot's first pair goes.
+    let mut next = vec![0u32; slots + 1];
+    let pairs = runs.iter().flat_map(|run| run.iter());
+    pairs.for_each(|&pair| next[slot(pair) + 1] += 1);
+    (1..next.len()).for_each(|at| next[at] += next[at - 1]);
+    let (total, mut taken, mut block) = (next[slots] as usize, vec![0; runs.len()], vec![]);
+    for from in (0..total).step_by(block_rows.max(1)) {
+        block.resize(block_rows.min(total - from), 0);
+        for (run, taken) in runs.iter().zip(&mut taken) {
+            while let Some(&pair) = run.get(*taken) {
+                let at = &mut next[slot(pair)];
+                if *at as usize >= from + block.len() {
+                    break;
+                }
+                (block[*at as usize - from], *at, *taken) = (pair, *at + 1, *taken + 1);
+            }
+        }
+        emit(&block)?;
     }
     Ok(())
 }
@@ -651,6 +702,62 @@ mod tests {
                     prop_assert_eq!(&got, &want, "{:?} on {:?} under a budget", how, on);
                     prop_assert_eq!(ctx.governor.used(), 0);
                 }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // Resident runs of pairs as partitions leave them — each ascending,
+        // a left row's pairs (or its lone one) in one run, a lone right
+        // row's pair in one run — come out of the counting placement exactly
+        // as out of the merge, at any block size.
+        #[test]
+        fn placement_equals_merge(seed in 0u64..1_000_000, parts in 1usize..5) {
+            let mut state = seed | 1;
+            let mut next = |below: u64| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 33) % below
+            };
+            let (ln, rn) = (next(40) as usize, next(40) as usize);
+            let mut runs = vec![Vec::new(); parts];
+            for l in 0..ln as u64 {
+                let run = &mut runs[next(parts as u64) as usize];
+                match next(4) {
+                    0 => {}
+                    1 => run.push(l << 32 | NO_ROW as u64),
+                    _ => {
+                        let mut matched: Vec<u64> = (0..next(4) + 1).map(|_| next(rn.max(1) as u64)).collect();
+                        matched.sort_unstable();
+                        matched.dedup();
+                        run.extend(matched.into_iter().map(|r| l << 32 | r));
+                    }
+                }
+            }
+            for r in 0..rn as u64 {
+                if next(3) == 0 {
+                    runs[next(parts as u64) as usize].push((NO_ROW as u64) << 32 | r);
+                }
+            }
+            runs.iter_mut().for_each(|run| run.sort_unstable());
+            let resident: Vec<&[u64]> = runs.iter().map(Vec::as_slice).collect();
+            for block_rows in [1, 3, 7, 64] {
+                let mut placed = Vec::new();
+                place(&resident, ln, ln + rn, block_rows, |block| {
+                    assert!(block.len() <= block_rows);
+                    placed.extend_from_slice(block);
+                    Ok(())
+                }).unwrap();
+                let mut op = Spill::new(None, "test");
+                let held = || op.hold(0, true).unwrap();
+                let runs = runs.iter().map(|run| op.run_of(run.clone(), 1, held())).collect();
+                let mut merged = Vec::new();
+                merge_runs(&mut op, runs, block_rows, |block| {
+                    merged.extend_from_slice(block);
+                    Ok(())
+                }).unwrap();
+                prop_assert_eq!(&placed, &merged, "block rows {}", block_rows);
             }
         }
     }

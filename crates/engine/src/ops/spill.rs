@@ -18,6 +18,11 @@
 //! runs merge k ways ([`merge_runs`]); records end in a row id or are packed
 //! row pairs, so no two compare equal and the merge needs no tie rule.
 //!
+//! Join and group-by split their work through one function, [`split`],
+//! which runs as many resident partitions at once on the pool as the
+//! governor admits the state of; bookings, id lists and run files stay on
+//! the calling thread.
+//!
 //! Without a context (`mem = None`) the governor is an unlimited one, so
 //! the kernels take one partition, keep everything resident and write
 //! nothing: the unbudgeted operator is the same body.
@@ -39,7 +44,7 @@ use crate::governor::{MemContext, MemoryGovernor, Reservation, ScopedSpillDir};
 use crate::hash::{mix, mix_bytes};
 use crate::ops::aggregate::AggFunc;
 use crate::ops::keys::{KeyCol, Rows};
-use crate::ops::sort::sort_records;
+use crate::parallel;
 use crate::table::Table;
 
 // ---------------------------------------------------------------------------
@@ -165,34 +170,9 @@ impl<'a> Spill<'a> {
         }
     }
 
-    /// How many partitions bring `need(parts)` — the state of one of `parts`
-    /// equal partitions — under half of what the governor has left beside
-    /// `resident` bytes of id lists: at least 2, at most `fanout`.
-    pub(crate) fn parts_for(&self, resident: u64, need: impl Fn(u64) -> u64) -> usize {
-        let room = self.governor.available().saturating_sub(resident) / 2;
-        let fanout = self.fanout();
-        (2..fanout)
-            .find(|&p| need(p as u64) <= room)
-            .unwrap_or(fanout)
-    }
-
     /// Most partitions per level and most runs per merge.
     fn fanout(&self) -> usize {
         self.ctx.map_or(2, |c| c.fanout.max(2))
-    }
-
-    /// Release the id lists `runs` to disk unless, beside them, the
-    /// governor has the `need` bytes of their largest partition's state.
-    pub(crate) fn make_room(&mut self, runs: &mut [Run<'a>], need: u64) -> Result<()> {
-        if self.governor.available() < need {
-            runs.iter_mut().try_for_each(|run| run.spill(self))?;
-        }
-        Ok(())
-    }
-
-    /// Whether work that `depth` partitionings produced may be split again.
-    pub(crate) fn may_split(&self, depth: u32) -> bool {
-        self.ctx.is_some_and(|c| depth < c.max_recursion)
     }
 
     /// Most records per run-file block and rows per gather.
@@ -276,16 +256,20 @@ impl<'a> Run<'a> {
         matches!(self.file, RunFile::None).then_some(&self.buf[..])
     }
 
-    /// Append one record. The buffer grows by half while the governor
+    /// Append whole records. The buffer grows by half while the governor
     /// admits it; from the first refusal on it is written out whenever full.
-    #[inline]
-    pub(crate) fn push(&mut self, op: &mut Spill<'a>, record: &[u64]) -> Result<()> {
-        debug_assert_eq!(record.len(), self.width);
-        if self.buf.len() + self.width > self.buf.capacity() {
-            self.make_room(op)?;
+    pub(crate) fn push(&mut self, op: &mut Spill<'a>, mut records: &[u64]) -> Result<()> {
+        debug_assert_eq!(records.len() % self.width, 0);
+        while !records.is_empty() {
+            if self.buf.len() + self.width > self.buf.capacity() {
+                self.make_room(op)?;
+            }
+            let room = (self.buf.capacity() - self.buf.len()) / self.width * self.width;
+            let (now, rest) = records.split_at(room.min(records.len()));
+            self.buf.extend_from_slice(now);
+            self.len += now.len() / self.width;
+            records = rest;
         }
-        self.buf.extend_from_slice(record);
-        self.len += 1;
         Ok(())
     }
 
@@ -464,22 +448,15 @@ pub(crate) fn merge_runs<'a>(
     let Some(w) = runs.first().map(|run| run.width) else {
         return Ok(());
     };
-    // One resident run is in order as it is; several are sorted as one —
-    // where there is room for the copy — which beats merging them.
     let (words, block_words) = (
         runs.iter().map(|run| run.len * w).sum(),
         block_rows.max(1).saturating_mul(w),
     );
-    let resident = runs.iter().all(|run| run.resident().is_some());
-    if let ([only], true) = (&runs[..], resident) {
-        return only.buf.chunks(block_words).try_for_each(emit);
-    }
-    if let Some(_copy) = resident.then(|| op.hold(words as u64 * 8, false)).flatten() {
-        let mut all = Vec::with_capacity(words);
-        runs.iter().for_each(|run| all.extend_from_slice(&run.buf));
-        drop(runs);
-        let all = sort_records(all, w, &[], None);
-        return all.chunks(block_words).try_for_each(emit);
+    // One resident run is in order as it is.
+    if let [only] = &runs[..] {
+        if let Some(records) = only.resident() {
+            return records.chunks(block_words).try_for_each(emit);
+        }
     }
     let fanout = op.fanout();
     while runs.len() > fanout {
@@ -606,16 +583,26 @@ pub(crate) fn partition_ids<'a>(
     salt: u64,
 ) -> Result<Vec<Run<'a>>> {
     /// Rows hashed at a time, a column at a time.
-    const CHUNK: usize = 256;
+    const CHUNK: usize = 1024;
     let rows = cols.first().map_or(0, |c| c.len());
     let mut runs: Vec<Run> = (0..parts).map(|_| op.run(1)).collect();
-    let mut hashes = [0; CHUNK];
+    let (mut hashes, mut placed, mut ends) = ([0; CHUNK], [0; CHUNK], vec![0; parts + 1]);
+    // A chunk's ids in partition order (a counting sort), each partition's
+    // share then appended at once.
     let mut place = |op: &mut Spill<'a>, ids: &[u64]| {
         key_hashes(cols, ids, salt, &mut hashes[..ids.len()]);
-        let placed = ids.iter().zip(&hashes);
-        placed
-            .into_iter()
-            .try_for_each(|(id, hash)| runs[(hash % parts as u64) as usize].push(op, &[*id]))
+        ends.fill(0);
+        for hash in &mut hashes[..ids.len()] {
+            *hash = ((*hash as u128 * parts as u128) >> 64) as u64;
+            ends[*hash as usize + 1] += 1;
+        }
+        (1..parts).for_each(|p| ends[p] += ends[p - 1]);
+        for (&id, &part) in ids.iter().zip(&hashes) {
+            let end = &mut ends[part as usize];
+            (placed[*end], *end) = (id, *end + 1);
+        }
+        let from = |p: usize| if p == 0 { 0 } else { ends[p - 1] };
+        (0..parts).try_for_each(|p| runs[p].push(op, &placed[from(p)..ends[p]]))
     };
     match ids {
         Ids::All(n) => {
@@ -657,7 +644,10 @@ pub(crate) fn key_hashes(cols: &[&Column], rows: &[u64], salt: u64, hashes: &mut
         let mut slots = hashes.iter_mut();
         let mut next = |cell: Option<u64>| {
             let hash = slots.next().expect("a hash per row");
-            *hash = cell.map_or(mix(*hash, 0), |cell| mix(mix(*hash, 1), cell));
+            *hash = match cell {
+                Some(cell) => mix(mix(*hash, 1), cell),
+                None => mix(*hash, 0),
+            };
         };
         match col {
             Column::Str(..) | Column::Dict(..) => {
@@ -666,12 +656,105 @@ pub(crate) fn key_hashes(cols: &[&Column], rows: &[u64], salt: u64, hashes: &mut
             _ => KeyCol::of(col, 0..0).each(&Rows::Listed(rows), next),
         }
     }
-    // The multiply leaves the low bits weak, and they pick the partition:
-    // fold the high half in.
+    // The multiply leaves the low bits weak: fold the high half in.
     for hash in hashes {
         let h = (*hash ^ *hash >> 32).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         *hash = h ^ h >> 29;
     }
+}
+
+// ---------------------------------------------------------------------------
+// Splitting work into partitions
+// ---------------------------------------------------------------------------
+
+/// A join (two sides of row ids) or a group-by (one) as [`split`] runs it.
+pub(crate) trait Partitioned<'a>: Sync {
+    type Out: Send;
+    type Acc;
+    /// The pure body over one partition's resident `ids`, whose state is
+    /// booked as `held` bytes: runs on any thread.
+    fn body(&self, ids: &[Ids<'a>], held: u64) -> Self::Out;
+    /// The work of `ids`, `at.0` partitionings deep, into `acc`: what the
+    /// body made of it if `done`, else at once if the governor admits it —
+    /// whatever it says if `at.1` forces it — else through [`split`].
+    fn run(
+        &self,
+        op: &mut Spill<'a>,
+        ids: Vec<Ids<'a>>,
+        at: (u32, bool),
+        done: Option<Self::Out>,
+        acc: &mut Self::Acc,
+    ) -> Result<()>;
+}
+
+/// Split the rows `ids` lists, `depth` partitionings deep, by the hash of
+/// their `keys` into partitions whose state — `need` of their rows a side —
+/// fits half of what the governor has beside their id lists (at least 2, at
+/// most `fanout`), and run them: batches of those whose ids are resident and
+/// whose state the governor admits at once go through the body on the pool,
+/// each booked as `need(rows, true)`; one refused beside a batch starts the
+/// next, one refused alone runs alone.
+pub(crate) fn split<'a, W: Partitioned<'a>>(
+    op: &mut Spill<'a>,
+    (work, keys): (&W, &[&[&Column]]),
+    ids: Vec<Ids<'a>>,
+    depth: u32,
+    need: impl Fn(&[u64], bool) -> u64,
+    acc: &mut W::Acc,
+) -> Result<()> {
+    let within: Vec<usize> = ids.iter().map(Ids::len).collect();
+    let ids_bytes = |rows: &[u64]| rows.iter().sum::<u64>() * 8;
+    let share = |p: usize| within.iter().map(|&n| (n / p) as u64).collect::<Vec<_>>();
+    let room = op.governor.available().saturating_sub(ids_bytes(&share(1))) / 2;
+    let parts = (2..op.fanout()).find(|&p| need(&share(p), false) <= room);
+    let mut parts: Vec<Vec<Ids>> = (0..parts.unwrap_or(op.fanout())).map(|_| vec![]).collect();
+    let mut largest = Vec::with_capacity(ids.len());
+    for (keys, ids) in keys.iter().zip(ids) {
+        let runs = partition_ids(op, keys, ids, parts.len(), depth as u64)?;
+        largest.push(runs.iter().map(Run::len).max().unwrap_or(0) as u64);
+        parts
+            .iter_mut()
+            .zip(runs)
+            .for_each(|(part, run)| part.push(Ids::Listed(run)));
+    }
+    // The id lists go to disk unless the largest partition fits beside them.
+    if op.governor.available() < need(&largest, false) + ids_bytes(&largest) {
+        for ids in parts.iter_mut().flatten() {
+            if let Ids::Listed(run) = ids {
+                run.spill(op)?;
+            }
+        }
+    }
+    parts.retain(|ids| ids.iter().any(|ids| ids.len() > 0));
+    // Work that cannot be split again — the depth cap, or rows the hash kept
+    // together — runs whatever the governor says.
+    let capped = op.ctx.is_none_or(|c| depth + 1 >= c.max_recursion);
+    let kept = |rows: &[u64]| rows.iter().zip(&within).all(|(&r, &w)| r >= w as u64);
+    let at = |rows: &[u64]| (depth + 1, capped || kept(rows));
+    let (mut parts, mut next) = (parts.into_iter(), None);
+    while let Some(first) = next.take().or_else(|| parts.next()) {
+        let (mut batch, mut held, mut part) = (Vec::new(), Vec::new(), Some(first));
+        while let Some(ids) = part.take() {
+            let rows: Vec<u64> = ids.iter().map(|ids| ids.len() as u64).collect();
+            let on_file = |ids: &Ids| matches!(ids, Ids::Listed(run) if run.resident().is_none());
+            match (!ids.iter().any(on_file)).then(|| op.hold(need(&rows, true), false)) {
+                Some(Some(state)) => {
+                    batch.push((ids, rows));
+                    held.push(state);
+                    part = parts.next();
+                }
+                _ if batch.is_empty() => work.run(op, ids, at(&rows), None, acc)?,
+                _ => next = Some(ids),
+            }
+        }
+        let outs = parallel::run_indexed(batch.len(), |i| work.body(&batch[i].0, held[i].bytes()));
+        // The batch's state is released before anything is kept.
+        drop(held);
+        for ((ids, rows), out) in batch.into_iter().zip(outs) {
+            work.run(op, ids, at(&rows), Some(out), acc)?;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1100,6 +1183,112 @@ mod tests {
             for dir in dirs {
                 prop_assert_eq!(std::fs::read_dir(dir.path()).unwrap().count(), 0);
             }
+        }
+    }
+
+    /// Draws of a generator seeded by `seed`.
+    fn draws(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        }
+    }
+
+    /// A join's two sides keyed by a nullable float (`NaN`s and `-0.0`
+    /// among the keys) with unmatched rows on both, and a payload each: the
+    /// left keys spread over 120 values, the right ones over `right_keys`
+    /// values from 40 on — few of them is duplicate-heavy.
+    fn join_sides(seed: u64, right_keys: u64) -> (Table, Table) {
+        let mut next = draws(seed);
+        let mut side = |rows: usize, key: &dyn Fn(u64) -> f64| {
+            let keys = (0..rows).map(|_| match next() % 40 {
+                0..=3 => None,
+                4 | 5 => Some(f64::NAN),
+                6 => Some(-0.0),
+                _ => Some(key(next())),
+            });
+            let keys = Column::from_opt_floats(keys.collect());
+            let payload = Column::from_ints((0..rows as i64).collect());
+            Table::new(vec![("k", keys), ("p", payload)]).unwrap()
+        };
+        let left = side(240, &|x| (x % 120) as f64);
+        (left, side(160, &|x| (40 + x % right_keys) as f64))
+    }
+
+    /// `rows` rows in about 150 groups of a nullable int key, a nullable
+    /// float (`NaN`, `-0.0`) and a nullable string.
+    fn group_rows(seed: u64, rows: usize) -> Table {
+        let mut next = draws(seed);
+        let mut cells = |f: &dyn Fn(u64) -> Option<u64>| (0..rows).map(|_| f(next())).collect();
+        let k: Vec<Option<u64>> = cells(&|x| (x % 15 != 0).then_some(x % 150));
+        let v: Vec<Option<u64>> = cells(&|x| (x % 11 != 0).then_some(x % 400));
+        let s: Vec<Option<u64>> = cells(&|x| (x % 7 != 0).then_some(x % 40));
+        let v = v.iter().map(|v| {
+            v.map(|v| match v % 29 {
+                1 => f64::NAN,
+                2 => -0.0,
+                _ => v as f64 * 0.25 - 30.0,
+            })
+        });
+        Table::new(vec![
+            (
+                "k",
+                Column::from_opt_ints(k.iter().map(|k| k.map(|k| k as i64)).collect()),
+            ),
+            ("v", Column::from_opt_floats(v.collect())),
+            (
+                "s",
+                Column::from_opt_strs(s.iter().map(|s| s.map(|s| format!("s{s}"))).collect()),
+            ),
+        ])
+        .unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        // Under a budget just below the one-shot state, the join and the
+        // group-by partition — nothing forced, nothing on disk — and the
+        // partitions that fit at once run on the pool: the outputs are the
+        // unbudgeted ones, floats to the bit.
+        #[test]
+        fn resident_partitions_parallel_equal_the_unbudgeted_kernels(
+            seed in 0u64..1_000_000,
+            right_keys in prop_oneof![Just(8u64), Just(60)],
+        ) {
+            let fits = |c: &MemContext, whole: u64| {
+                let gov = &c.governor;
+                let spilled = c.metrics.snapshot().bytes_spilled;
+                assert!(gov.forced() == 0 && gov.peak() < whole && spilled == 0, "{gov:?}");
+                budget_held(c);
+            };
+            let (left, right) = join_sides(seed, right_keys);
+            let whole = join_state_bytes(right.num_rows() as u64, left.num_rows() as u64, 1);
+            for how in ALL_JOIN_TYPES {
+                let c = MemContext::with_budget(whole - 1).unwrap();
+                let want = join(&left, &right, &["k"], &["k"], how).unwrap();
+                let got = join_with_mem(&left, &right, &["k"], &["k"], how, Some(&c)).unwrap();
+                prop_assert!(identical(&got, &want), "{:?}", how);
+                fits(&c, whole);
+            }
+            use AggFunc::*;
+            let aggs = [
+                AggSpec::new(First, "s", "first"),
+                AggSpec::new(Last, "s", "last"),
+                AggSpec::new(Median, "v", "mid"),
+                AggSpec::new(Sum, "v", "sum"),
+            ];
+            let t = group_rows(seed, 600);
+            let want = group_by(&t, &["k"], &aggs).unwrap();
+            let widths = group_widths(1, aggs.iter().map(|a| a.func));
+            let whole = group_state_bytes(600, want.num_rows() as u64, widths);
+            let c = MemContext::with_budget(whole - 1).unwrap();
+            let got = group_by_with_mem(&t, &["k"], &aggs, Some(&c)).unwrap();
+            prop_assert!(identical(&got, &want));
+            fits(&c, whole);
         }
     }
 

@@ -537,4 +537,74 @@ mod tests {
             num_threads()
         );
     }
+    /// What a budget costs the join and the group-by whose partitions stay
+    /// resident: ns per input row of each under a 1 MiB budget, next to the
+    /// same call without one, at the benchmark's board sizes — an 8 877-row
+    /// left side joined on `cust` with a 36 000-row right one (≈ 44 000
+    /// pairs), and 36 000 rows grouped by `cust` (≈ 9 000 groups) for a sum
+    /// and a count. Reports, does not gate. `cargo test --release -p
+    /// dc-engine governed_cost -- --ignored --nocapture`.
+    #[test]
+    #[ignore]
+    fn governed_cost() {
+        use crate::ops::{group_by_with_mem, join_with_mem, AggFunc, AggSpec, JoinType};
+        use crate::{Column, MemContext, Table};
+        use rand::{Rng, SeedableRng};
+        use std::hint::black_box;
+        const ROWS: usize = 36_000;
+        const REPS: usize = 41;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let cust: Vec<i64> = (0..ROWS).map(|_| rng.random_range(0..9_000)).collect();
+        let region =
+            (0..ROWS).map(|_| ["north", "south", "east", "west"][rng.random_range(0..4usize)]);
+        let facts = Table::new(vec![
+            ("cust", Column::from_ints(cust.clone())),
+            ("region", Column::from_strs(region.collect()).dict_encode()),
+            (
+                "qty",
+                Column::from_ints((0..ROWS as i64).map(|i| i % 20).collect()),
+            ),
+        ])
+        .unwrap();
+        let left = facts.head(ROWS * 90 / 365);
+        let right = facts.select(&["cust", "qty"]).unwrap();
+        let aggs = [
+            AggSpec::new(AggFunc::Sum, "qty", "qty"),
+            AggSpec::count_records("n"),
+        ];
+        // The median of `REPS` timed calls, in ns per input row.
+        let time = |rows: usize, f: &mut dyn FnMut() -> usize| {
+            let mut ns: Vec<f64> = (0..REPS)
+                .map(|_| {
+                    let start = Instant::now();
+                    black_box(f());
+                    start.elapsed().as_nanos() as f64 / rows as f64
+                })
+                .collect();
+            ns.sort_by(f64::total_cmp);
+            ns[REPS / 2]
+        };
+        let mem = MemContext::with_budget(1 << 20).unwrap();
+        let (on, inner) = (["cust"], JoinType::Inner);
+        let join = |mem| join_with_mem(&left, &right, &on, &on, inner, mem).unwrap();
+        let group = |mem| group_by_with_mem(&facts, &["cust"], &aggs, mem).unwrap();
+        let join_rows = left.num_rows() + ROWS;
+        let pairs = join(None).num_rows();
+        let join_free = time(join_rows, &mut || join(None).num_rows());
+        let join_governed = time(join_rows, &mut || join(Some(&mem)).num_rows());
+        let groups = group(None).num_rows();
+        let group_free = time(ROWS, &mut || group(None).num_rows());
+        let group_governed = time(ROWS, &mut || group(Some(&mem)).num_rows());
+        assert_eq!(mem.metrics.snapshot().bytes_spilled, 0);
+        println!(
+            "governed_cost: join {join_governed:.1} ns/row governed, {join_free:.1} unbudgeted \
+             (x {:.2}; {} x {ROWS} rows, {pairs} pairs); group-by {group_governed:.1} ns/row \
+             governed, {group_free:.1} unbudgeted (x {:.2}; {ROWS} rows, {groups} groups); \
+             1 MiB, nothing spilled, {} threads, median of {REPS}",
+            join_governed / join_free,
+            left.num_rows(),
+            group_governed / group_free,
+            num_threads()
+        );
+    }
 }

@@ -267,3 +267,94 @@ fn governed_group_by_refused_among_parallel_morsels_matches_one_morsel() {
     );
     assert_eq!(std::fs::read_dir(&ctx.spill_root).unwrap().count(), 0);
 }
+
+/// Resident hash partitions run on the pool: under a budget just below the
+/// one-shot state a join (float keys with nulls, `NaN`s and duplicates,
+/// unmatched rows on both sides) and a group-by split their work with
+/// nothing forced and nothing on disk, and at any dispatch threshold they
+/// return the unbudgeted one-morsel result, floats to the bit.
+#[test]
+fn governed_resident_partitions_parallel_match_at_any_morsel_count() {
+    use dc_engine::ops::spill::{group_state_bytes, group_widths, join_state_bytes};
+    use dc_engine::ops::{group_by_with_mem, join_with_mem};
+    use dc_engine::MemContext;
+    let key = |i: i64, m: i64| match i * 7919 % 31 {
+        0 => None,
+        1 => Some(f64::NAN),
+        _ => Some((i * 104_729 % m) as f64),
+    };
+    let side = |n: i64, m: i64, shift: i64| {
+        Table::new(vec![
+            (
+                "k",
+                Column::from_opt_floats(
+                    (0..n)
+                        .map(|i| key(i, m).map(|k| k + shift as f64))
+                        .collect(),
+                ),
+            ),
+            ("p", Column::from_ints((0..n).collect())),
+        ])
+        .unwrap()
+    };
+    let (left, right) = (side(900, 450, 0), side(600, 40, 200));
+    let t = Table::new(vec![
+        (
+            "k",
+            Column::from_ints((0..2000).map(|i| i * 7919 % 500).collect()),
+        ),
+        (
+            "v",
+            Column::from_floats((0..2000).map(|i| (i % 97) as f64 * 0.37 - 11.0).collect()),
+        ),
+        (
+            "s",
+            Column::from_strs((0..2000).map(|i| format!("s{}", i % 13)).collect()),
+        ),
+    ])
+    .unwrap();
+    use AggFunc::*;
+    let aggs: Vec<AggSpec> = [First, Last, Median, Sum]
+        .iter()
+        .map(|f| {
+            AggSpec::new(
+                *f,
+                if *f == Median || *f == Sum { "v" } else { "s" },
+                f.name(),
+            )
+        })
+        .collect();
+    let shown = |t: &Table| format!("{t:?}");
+    let fits = |ctx: &MemContext| {
+        let gov = &ctx.governor;
+        assert!(gov.forced() == 0 && gov.used() == 0, "{gov:?}");
+        assert_eq!(ctx.metrics.snapshot().bytes_spilled, 0);
+    };
+    let _held = THRESHOLD.lock().unwrap_or_else(|e| e.into_inner());
+    set_min_parallel_rows(usize::MAX);
+    let joins: Vec<Table> = ALL_JOIN_TYPES
+        .iter()
+        .map(|&how| join(&left, &right, &["k"], &["k"], how).unwrap())
+        .collect();
+    let groups = group_by(&t, &["k"], &aggs).unwrap();
+    for threshold in [1, usize::MAX] {
+        set_min_parallel_rows(threshold);
+        let whole = join_state_bytes(600, 900, 1);
+        for (how, want) in ALL_JOIN_TYPES.iter().zip(&joins) {
+            let ctx = MemContext::with_budget(whole - 1).unwrap();
+            let got = join_with_mem(&left, &right, &["k"], &["k"], *how, Some(&ctx)).unwrap();
+            assert_eq!(shown(&got), shown(want), "{how:?} at threshold {threshold}");
+            fits(&ctx);
+        }
+        let widths = group_widths(1, aggs.iter().map(|a| a.func));
+        let ctx = MemContext::with_budget(group_state_bytes(2000, 500, widths) - 1).unwrap();
+        let got = group_by_with_mem(&t, &["k"], &aggs, Some(&ctx)).unwrap();
+        assert_eq!(
+            shown(&got),
+            shown(&groups),
+            "group-by at threshold {threshold}"
+        );
+        fits(&ctx);
+    }
+    set_min_parallel_rows(DEFAULT_MIN_PARALLEL_ROWS);
+}

@@ -412,7 +412,10 @@ fn lower_names(schema: &Schema) -> Vec<String> {
 /// Reverse liveness pass: the column demand placed on every node's
 /// output. Protected nodes demand everything (their bytes are
 /// observable); each node's contract then turns the demand on its output
-/// into the demand on each input.
+/// into the demand on each input. A node whose contract has findings
+/// demands everything of its inputs: narrowing under a failing node could
+/// drop the column that makes it fail, and the optimizer never rescues an
+/// error.
 fn demands(dag: &SkillDag, protected: &[bool], contracts: &[Contract]) -> Vec<Demand> {
     let mut demand: Vec<Demand> = vec![Demand::none(); dag.len()];
     // A node that someone outside the unit consumes is observable there
@@ -430,7 +433,11 @@ fn demands(dag: &SkillDag, protected: &[bool], contracts: &[Contract]) -> Vec<De
         let inputs: Vec<Option<&Schema>> = (node.inputs.iter())
             .map(|&i| contracts[i].schema.as_ref())
             .collect();
-        let per_input = contracts[node.id].demand(&demand[node.id], &inputs);
+        let contract = &contracts[node.id];
+        let per_input = match contract.findings.is_empty() {
+            true => contract.demand(&demand[node.id], &inputs),
+            false => vec![],
+        };
         for (slot, &input) in node.inputs.iter().enumerate() {
             let nd = per_input.get(slot).cloned().unwrap_or(Demand::All);
             demand[input].absorb(nd);
@@ -1392,7 +1399,8 @@ mod tests {
     fn rename_onto_an_existing_column_keeps_the_target_alive() {
         // `rename a -> b` fails with DuplicateColumn because `b` exists;
         // projection must not drop `b` and convert that deterministic
-        // failure into a silent success.
+        // failure into a silent success. Nothing under a failing node is
+        // narrowed, so the load keeps every column.
         let env = env_with(&[("wide", wide_table(64), 16)]);
         let mut dag = SkillDag::new();
         let load = dag
@@ -1420,18 +1428,10 @@ mod tests {
                 vec![ren],
             )
             .unwrap();
-        let out = optimize_dag(&dag, &[agg], &[], &env).expect("rewrite applies");
+        let out = optimize_dag(&dag, &[agg], &[], &env).unwrap_or(dag);
         match &out.node(load).unwrap().call {
-            SkillCall::LoadTable {
-                columns: Some(columns),
-                ..
-            } => {
-                assert_eq!(
-                    columns,
-                    &["k".to_string(), "a".to_string(), "b".to_string()]
-                );
-            }
-            other => panic!("expected projected load, got {other:?}"),
+            SkillCall::LoadTable { columns: None, .. } => {}
+            other => panic!("expected the whole load, got {other:?}"),
         }
         // The common case (fresh target name) still projects tightly.
         let mut dag2 = SkillDag::new();

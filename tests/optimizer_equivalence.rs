@@ -633,3 +633,31 @@ fn a_star_join_and_a_wide_projection_match_as_written_and_read_less() {
         "the optimized projection scanned {on_bytes} bytes, as written {off_bytes}"
     );
 }
+
+/// A rewrite may not drop the column that makes a plan fail. Three joins
+/// against `region_notes` after two `Distinct`s fail as written — the
+/// third join's `note_right` is a duplicate, the second already named its
+/// `note` so — and nothing downstream reads `note`, so a narrowing that
+/// reached under the failing join would let the optimized plan succeed.
+#[test]
+fn a_failing_join_fails_optimized_as_written() {
+    let distinct = || Step::Chain(SkillCall::Distinct { columns: vec![] });
+    let keep = SkillCall::KeepColumns {
+        columns: vec!["price".into(), "quantity".into()],
+    };
+    let steps = [
+        distinct(),
+        distinct(),
+        Step::JoinFanout,
+        Step::JoinFanout,
+        Step::JoinFanout,
+        Step::Chain(keep),
+    ];
+    let (dag, target) = build_dag(&steps);
+    for optimize in [false, true] {
+        let mut ex = Executor::new();
+        ex.optimize = optimize;
+        let failed = ex.run(&dag, target, &mut world()).is_err();
+        assert!(failed, "the plan succeeds with optimize = {optimize}");
+    }
+}
