@@ -105,23 +105,6 @@ impl Analysis {
         self.diagnostics.iter().map(|d| d.severity).max()
     }
 
-    /// Error findings grouped by the DAG node they reject, for the
-    /// resilient executor's preflight: each entry is a node that must
-    /// not run, with its (first) reason.
-    pub fn rejections(&self) -> Vec<(NodeId, String)> {
-        let mut seen: Vec<NodeId> = Vec::new();
-        let mut out = Vec::new();
-        for d in self.errors() {
-            if let Some(node) = d.span.node {
-                if !seen.contains(&node) {
-                    seen.push(node);
-                    out.push((node, format!("{}: {}", d.code, d.message)));
-                }
-            }
-        }
-        out
-    }
-
     /// Findings with a given code, for tests and tooling.
     pub fn with_code(&self, code: Code) -> Vec<&Diagnostic> {
         self.diagnostics.iter().filter(|d| d.code == code).collect()
@@ -255,18 +238,12 @@ mod tests {
         let dead = dag.add(SkillCall::CountRows, vec![l]).unwrap();
         let report = analyze_dag(&dag, &[bad], &ctx());
         assert!(report.has_errors());
-        assert_eq!(report.with_code(Code::UnknownColumn).len(), 1);
+        let unknown = report.with_code(Code::UnknownColumn);
+        assert_eq!(unknown.len(), 1);
+        assert_eq!(unknown[0].span.node, Some(bad));
         let dn = report.with_code(Code::DeadNode);
         assert_eq!(dn.len(), 1);
         assert_eq!(dn[0].span.node, Some(dead));
-        let rejections = report.rejections();
-        assert_eq!(rejections.len(), 1);
-        assert_eq!(rejections[0].0, bad);
-        assert!(
-            rejections[0].1.starts_with("DC0002:"),
-            "{}",
-            rejections[0].1
-        );
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //!    every DAG completes with zero user-visible failures and its result
 //!    table is identical to the fault-free run;
 //! 2. **outage + resume** — a forced non-retryable fault fails only its
-//!    dependent subgraph, and `resume()` re-executes exactly the failed
-//!    frontier (everything else is served from the checkpoint cache);
+//!    dependent subgraph, and running the target again re-executes exactly
+//!    the failed frontier (everything else is served from the checkpoint
+//!    cache);
 //! 3. **panic isolation** — a panicking skill yields a node-level error
 //!    while its wave siblings complete.
 //!
@@ -207,7 +208,7 @@ fn check_recovery(
 }
 
 /// Experiment 2: a forced outage poisons only its dependent subgraph and
-/// `resume()` re-runs exactly the failed frontier.
+/// running the target again re-runs exactly the failed frontier.
 fn check_outage_resume(
     dag: &SkillDag,
     target: usize,
@@ -254,7 +255,7 @@ fn check_outage_resume(
             NodeOutcome::Failed(_) | NodeOutcome::Ok | NodeOutcome::CacheHit => {}
         }
     }
-    let resumed = match ex.resume(dag, target, &mut env, &fast_retry(seed)) {
+    let resumed = match ex.run_resilient(dag, target, &mut env, &fast_retry(seed)) {
         Ok(r) => r,
         Err(e) => {
             violations.push(format!("resume: structural error: {e}"));

@@ -37,11 +37,10 @@ pub struct Session {
     /// finished step leaves no second copy of it behind, and consecutive
     /// entries of one user share the name.
     log: Mutex<Vec<(Arc<str>, NodeId)>>,
-    /// When set, submissions run through the resilient executor under
-    /// this policy (retry, per-node budgets, and the per-session
-    /// wall-clock deadline `run_budget` carries). `None` uses the plain
-    /// fail-fast path.
-    policy: Mutex<Option<ExecPolicy>>,
+    /// The policy submissions run under (retry, per-node budgets, and the
+    /// per-session wall-clock deadline `run_budget` carries); one attempt
+    /// and no budget, [`ExecPolicy::plain`], until one is installed.
+    policy: Mutex<ExecPolicy>,
 }
 
 /// Handle type: sessions are shared between collaborators.
@@ -61,21 +60,16 @@ impl Session {
             executing: AtomicBool::new(false),
             acl: Mutex::new(Shareable::owned_by(owner)),
             log: Mutex::new(Vec::new()),
-            policy: Mutex::new(None),
+            policy: Mutex::new(ExecPolicy::plain()),
         })
     }
 
-    /// Install (or clear) the execution policy every later submission
-    /// runs under. The platform threads the per-session deadline through
-    /// here; a serving layer installs time-sliced policies per quantum
-    /// instead via [`Session::execute_staged`].
-    pub fn set_exec_policy(&self, policy: Option<ExecPolicy>) {
+    /// Install the execution policy every later submission runs under.
+    /// The platform threads the per-session deadline through here; a
+    /// serving layer passes time-sliced policies per quantum instead via
+    /// [`Session::execute_staged`].
+    pub fn set_exec_policy(&self, policy: ExecPolicy) {
         *self.policy.lock() = policy;
-    }
-
-    /// The currently installed execution policy.
-    pub fn exec_policy(&self) -> Option<ExecPolicy> {
-        self.policy.lock().clone()
     }
 
     /// Grant a collaborator access.
@@ -99,14 +93,9 @@ impl Session {
     /// mid-flight, and with [`CollabError::PermissionDenied`] when the
     /// user cannot act in this session.
     pub fn submit(&self, user: &str, call: SkillCall) -> Result<SkillOutput> {
-        self.check_can_act(user)?;
-        // Session-level lock: atomically claim execution.
-        if self.executing.swap(true, Ordering::AcqRel) {
-            return Err(CollabError::SessionBusy { session: self.id });
-        }
-        let result = self.run_locked(user, call);
-        self.executing.store(false, Ordering::Release);
-        result
+        let policy = self.policy.lock().clone();
+        let report = self.run_locked(user, || self.stage_locked(call), None, &policy)?;
+        Ok(report.into_output()?)
     }
 
     fn check_can_act(&self, user: &str) -> Result<()> {
@@ -174,31 +163,34 @@ impl Session {
         env: &mut Env,
         policy: &ExecPolicy,
     ) -> Result<ExecReport> {
-        self.execute_staged_with_estimates(user, node, env, policy, &[])
+        self.run_locked(user, || Ok(node), Some(env), policy)
     }
 
-    /// [`Session::execute_staged`] with per-node scan-byte estimates from
-    /// a preflight analysis, recorded on the report's nodes as
-    /// `bytes_estimated` (estimate-vs-actual q-error at the serving
-    /// layer). Estimates for nodes outside the executed slice are
-    /// ignored.
-    pub fn execute_staged_with_estimates(
+    /// The one run body: check `user` may act, claim the §2.4 lock, take
+    /// the node `step` yields (staging under the lock resolves against a
+    /// current dataset no concurrent request can move), run it in `env`
+    /// (`None`: the thread's environment, taken only once the session lock
+    /// is held), and advance the current dataset and the log only when the
+    /// run produced the node's output.
+    fn run_locked(
         &self,
         user: &str,
-        node: NodeId,
-        env: &mut Env,
+        step: impl FnOnce() -> Result<NodeId>,
+        env: Option<&mut Env>,
         policy: &ExecPolicy,
-        estimates: &[(NodeId, u64)],
     ) -> Result<ExecReport> {
         self.check_can_act(user)?;
         if self.executing.swap(true, Ordering::AcqRel) {
             return Err(CollabError::SessionBusy { session: self.id });
         }
         let result = (|| {
+            let node = step()?;
             let mut ex = self.executor.lock();
             let dag = self.dag.lock();
-            let report =
-                ex.run_resilient_with_preflight(&dag, node, env, policy, &[], estimates)?;
+            let report = match env {
+                Some(env) => ex.run_resilient(&dag, node, env, policy),
+                None => with_env(|env| ex.run_resilient(&dag, node, env, policy)),
+            }?;
             if report.succeeded() {
                 self.current.store(node as u64, Ordering::Release);
                 self.has_current.store(true, Ordering::Release);
@@ -208,23 +200,6 @@ impl Session {
         })();
         self.executing.store(false, Ordering::Release);
         result
-    }
-
-    fn run_locked(&self, user: &str, call: SkillCall) -> Result<SkillOutput> {
-        let node = self.stage_locked(call)?;
-        let policy = self.policy.lock().clone();
-        let out = {
-            let mut ex = self.executor.lock();
-            let dag = self.dag.lock();
-            with_env(|env| match &policy {
-                None => ex.run(&dag, node, env),
-                Some(p) => ex.run_resilient(&dag, node, env, p)?.into_output(),
-            })?
-        };
-        self.current.store(node as u64, Ordering::Release);
-        self.has_current.store(true, Ordering::Release);
-        self.record(user, node);
-        Ok(out)
     }
 
     /// Append "`user` ran `node`" to the log.
@@ -542,6 +517,46 @@ mod tests {
         assert!(reg.get(a.id).is_ok());
         assert!(reg.get(999).is_err());
         assert_eq!(reg.len(), 2);
+    }
+
+    /// A step that fails, submitted or run staged, leaves the current
+    /// dataset and the log where they were; the next good step continues
+    /// from the old current dataset.
+    #[test]
+    fn a_failed_step_moves_neither_current_nor_log() {
+        seed_env();
+        let s = Session::new(1, "ann");
+        s.submit(
+            "ann",
+            SkillCall::LoadFile {
+                path: "d.csv".into(),
+            },
+        )
+        .unwrap();
+        s.submit(
+            "ann",
+            SkillCall::KeepRows {
+                predicate: Expr::col("x").gt(Expr::lit(1i64)),
+            },
+        )
+        .unwrap();
+        let (current, log) = (s.current_node(), s.log());
+        let bad = || SkillCall::KeepRows {
+            predicate: Expr::col("bogus").gt(Expr::lit(1i64)),
+        };
+
+        assert!(s.submit("ann", bad()).is_err());
+        assert_eq!((s.current_node(), s.log()), (current, log.clone()));
+
+        let node = s.stage("ann", bad()).unwrap();
+        let report =
+            with_env(|env| s.execute_staged("ann", node, env, &ExecPolicy::plain())).unwrap();
+        assert!(!report.succeeded());
+        assert_eq!((s.current_node(), s.log()), (current, log.clone()));
+
+        let out = s.submit("ann", SkillCall::Limit { n: 10 }).unwrap();
+        assert_eq!(out.as_table().unwrap().num_rows(), 3);
+        assert_eq!(s.log().len(), log.len() + 1);
     }
 
     #[test]

@@ -270,7 +270,7 @@ impl Platform {
         let user = user.into();
         let session = self.registry.open(user.clone());
         if let Some(deadline) = self.session_deadline {
-            session.set_exec_policy(Some(dc_skills::ExecPolicy {
+            session.set_exec_policy(dc_skills::ExecPolicy {
                 // Interactive sessions keep fail-fast error semantics:
                 // the deadline bounds time, retries stay opt-in.
                 retry: dc_skills::RetryPolicy {
@@ -280,7 +280,7 @@ impl Platform {
                 node_budget: Some(deadline),
                 run_budget: Some(deadline),
                 ..Default::default()
-            }));
+            });
         }
         SessionHandle { session, user }
     }

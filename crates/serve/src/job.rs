@@ -169,11 +169,8 @@ pub(crate) struct Job {
     /// where the session goes back to if the job does not complete.
     pub resume_from: Option<NodeId>,
     pub name_result: Option<String>,
-    /// Index (in the program) of the step to stage/run next; steps before
-    /// it are committed.
-    pub next_step: usize,
-    /// The staged-but-unfinished node for `steps[next_step]`, if any —
-    /// re-running it resumes from the executor's checkpointed frontier.
+    /// The staged-but-unfinished step's node, if any — re-running it
+    /// resumes from the executor's checkpointed frontier.
     pub staged: Option<NodeId>,
     /// Current time-slice length; doubles after each preemption so long
     /// jobs make progress instead of thrashing.
@@ -181,10 +178,9 @@ pub(crate) struct Job {
     pub preemptions: u32,
     /// Scan bytes reserved against the tenant budget at admission.
     pub reserved: u64,
-    /// Per-step scan-byte upper bounds from the admission estimator,
-    /// aligned with `steps` (empty when admission did not estimate).
-    /// Threaded into each slice so node reports carry `bytes_estimated`.
-    pub estimates: Vec<u64>,
+    /// The admission estimator's scan-byte upper bound summed over the
+    /// steps (0 when admission did not estimate).
+    pub estimated: u64,
     /// Scan bytes charged so far across slices.
     pub charged: u64,
     pub cache_hits: u64,
@@ -216,7 +212,7 @@ impl Job {
             preemptions: self.preemptions,
             bytes_reserved: self.reserved,
             bytes_charged: self.charged,
-            bytes_estimated: self.estimates.iter().sum(),
+            bytes_estimated: self.estimated,
             cache_hits: self.cache_hits,
             bytes_saved: self.bytes_saved,
             bytes_spilled: self.spilled,

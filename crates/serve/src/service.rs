@@ -226,15 +226,15 @@ impl SessionService {
         // metered tenant's budget, in one hold of the world lock: the
         // estimate prices the very steps the slices will run.
         let mut steps = request.steps;
-        let (reserved, estimates) = self.inner.env.with(|env| {
+        let (reserved, estimated) = self.inner.env.with(|env| {
             if let Some(planned) = plan_linear(&steps, env) {
                 steps = planned;
             }
             if !metered {
-                return (0, Vec::new());
+                return (0, 0);
             }
             let est = dc_analyze::estimate_steps(env, &steps);
-            (est.reserve, est.per_step)
+            (est.reserve, est.per_step.iter().sum())
         });
         let cell = Arc::new(JobCell::default());
         let id = self.inner.next_job.fetch_add(1, Ordering::Relaxed);
@@ -249,12 +249,11 @@ impl SessionService {
             steps: steps.into_iter(),
             resume_from: None,
             name_result: request.name_result,
-            next_step: 0,
             staged: None,
             quantum: self.inner.config.initial_quantum,
             preemptions: 0,
             reserved,
-            estimates,
+            estimated,
             charged: 0,
             cache_hits: 0,
             bytes_saved: 0,
@@ -508,21 +507,7 @@ fn run_slice(
             mem_budget: inner.config.mem_budget,
             ..ExecPolicy::default()
         };
-        // The admission estimate for this step, pinned to its staged node
-        // so the report's q-error accounting lines up per node.
-        let estimates: Vec<(dc_skills::NodeId, u64)> = job
-            .estimates
-            .get(job.next_step)
-            .map(|&b| (node, b))
-            .into_iter()
-            .collect();
-        let report = match session.execute_staged_with_estimates(
-            &job.tenant,
-            node,
-            env,
-            &policy,
-            &estimates,
-        ) {
+        let report = match session.execute_staged(&job.tenant, node, env, &policy) {
             Ok(report) => report,
             // Structural errors (permissions, session lock) — the
             // in-flight gate makes these unreachable in practice, but
@@ -541,7 +526,6 @@ fn run_slice(
         if report.succeeded() {
             job.last_output = report.output;
             job.staged = None;
-            job.next_step += 1;
         } else if report.first_error().is_some_and(|err| err.is_retryable()) {
             // Slice expiry surfaces as a retryable `Timeout` on the
             // unfinished frontier; exhausted transient-fault retries are

@@ -806,13 +806,13 @@ pub(crate) type BeforeExecuteHook = Arc<dyn Fn(&SkillCall) + Send + Sync>;
 /// that can execute directly on previous results based on a shared skill
 /// sub-DAG").
 ///
-/// Nodes run in topological *waves* ([`Executor::run_resilient_with_preflight`]
-/// is the one body that walks a DAG): every uncached node whose inputs
-/// are materialized belongs to the current wave, and the wave's pure
-/// nodes ([`needs_env`] = false) execute concurrently on the engine's
-/// worker pool (`dc_engine::parallel`, the calling thread included) when
-/// the `parallel` feature is on. A cached output and its flow table
-/// share their columns, so cache hits, fan-out reuse and the value
+/// Nodes run in topological *waves* ([`Executor::run_resilient`] is the
+/// one body that walks a DAG): every uncached node whose inputs are
+/// materialized belongs to the current wave, and the wave's pure nodes
+/// ([`needs_env`] = false) execute concurrently on the engine's worker
+/// pool (`dc_engine::parallel`, the calling thread included) when the
+/// `parallel` feature is on. A cached output and its flow table share
+/// their columns, so cache hits, fan-out reuse and the value
 /// [`Executor::run`] returns are pointer copies, never deep clones.
 pub struct Executor {
     /// Whether the driver plans each DAG with the cost-based optimizer
@@ -895,7 +895,7 @@ impl Executor {
     /// [`Executor::run`] would. The table is shared with the cache: on a
     /// warm cache this is a pointer copy, not a deep clone.
     pub fn table_of(&mut self, dag: &SkillDag, node: NodeId, env: &mut Env) -> Result<Arc<Table>> {
-        let (report, id) = self.drive(dag, node, env, &ExecPolicy::plain(), &[], &[])?;
+        let (report, id) = self.drive(dag, node, env, &ExecPolicy::plain())?;
         report.into_output()?;
         match self.cache.get(&id) {
             Some((_, flow)) => Ok(Arc::clone(flow)),

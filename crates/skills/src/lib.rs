@@ -28,7 +28,6 @@ pub mod dag;
 pub mod env;
 pub mod error;
 pub mod exec;
-pub mod exec_plan;
 pub mod optimize;
 pub mod output;
 pub mod planner;
@@ -42,7 +41,6 @@ pub use dag::{NodeId, SkillDag, SkillNode};
 pub use env::{Env, ScanTally};
 pub use error::{Result, SkillError};
 pub use exec::{execute_call, needs_env, structural_ids, Executor, ExecutorStats, SubDagId};
-pub use exec_plan::{run_planned, PlannedStats};
 pub use optimize::{
     int_blocks_unique, join_order_advice, optimize_dag, plan_linear, plan_pushdown,
     JoinOrderAdvice, PlanStats,

@@ -314,4 +314,77 @@ mod tests {
             .iter()
             .all(|t| matches!(t, ExecutionTask::Skill { .. })));
     }
+
+    /// A consolidated SQL task is a second implementation of the chain it
+    /// covers: the one query, run over the catalog table, returns what the
+    /// driver returns for the same DAG.
+    #[test]
+    fn consolidated_query_matches_the_driver() {
+        use crate::env::Env;
+        use crate::exec::Executor;
+        use dc_engine::{Column, Table};
+        use dc_storage::{CloudDatabase, Pricing, ScanOptions};
+
+        let n = 10_000usize;
+        let events = Table::new(vec![
+            ("x", Column::from_ints((0..n as i64).collect())),
+            (
+                "k",
+                Column::from_strs((0..n).map(|i| format!("g{}", i % 7)).collect::<Vec<_>>()),
+            ),
+        ])
+        .unwrap();
+        let mut db = CloudDatabase::new("db", Pricing::default_cloud());
+        db.create_table("events", &events).unwrap();
+        let mut env = Env::new();
+        env.catalog.add_database(db).unwrap();
+
+        let mut dag = SkillDag::new();
+        let l = dag
+            .add(SkillCall::load_table("db", "events"), vec![])
+            .unwrap();
+        let f = dag
+            .add(
+                SkillCall::KeepRows {
+                    predicate: Expr::col("x").ge(Expr::lit(100i64)),
+                },
+                vec![l],
+            )
+            .unwrap();
+        let c = dag
+            .add(
+                SkillCall::Compute {
+                    aggs: vec![AggSpec::new(AggFunc::Count, "x", "n")],
+                    for_each: vec!["k".into()],
+                },
+                vec![f],
+            )
+            .unwrap();
+        let s = dag
+            .add(
+                SkillCall::Sort {
+                    keys: vec![("n".into(), false), ("k".into(), true)],
+                },
+                vec![c],
+            )
+            .unwrap();
+
+        let tasks = plan(&dag, s).unwrap();
+        assert_eq!(tasks.len(), 1, "the whole chain is one SQL task");
+        let ExecutionTask::Sql { query, covers, .. } = &tasks[0] else {
+            panic!("expected a SQL task, got {:?}", tasks[0]);
+        };
+        assert_eq!(covers.len(), 4);
+        let (table, _) = env
+            .catalog
+            .database("db")
+            .unwrap()
+            .scan("events", &ScanOptions::full())
+            .unwrap();
+        let tables = std::collections::HashMap::from([("events".to_string(), table)]);
+        let from_sql = dc_sql::execute(query, &tables, &mut dc_sql::ExecStats::default()).unwrap();
+
+        let driven = Executor::new().run(&dag, s, &mut env).unwrap();
+        assert_eq!(&from_sql, driven.as_table().unwrap());
+    }
 }

@@ -2,19 +2,18 @@
 //! the policy it walks it under — retry, timeouts, panic isolation,
 //! degraded scans, and checkpointed resume.
 //!
-//! Every run goes through [`Executor::run_resilient_with_preflight`]: cut
-//! the target's cone out of the DAG ([`SkillDag::cone`]: a compact copy of
-//! the nodes the target depends on), plan it once with the plan step
+//! Every run goes through [`Executor::run_resilient`]: cut the target's
+//! cone out of the DAG ([`SkillDag::cone`]: a compact copy of the nodes the
+//! target depends on), plan it once with the plan step
 //! ([`crate::optimize`]), intern structural sub-DAG ids, serve what a
 //! cache tier holds, then execute the rest in topological *waves* under an
 //! [`ExecPolicy`]. The driver touches nothing outside the cone, so a run
 //! costs what its target depends on however many nodes the session's DAG
 //! has collected; the caller's node ids are translated at the driver's
-//! edge (target, rejections and estimates on the way in, the
-//! [`NodeReport`]s on the way out). [`Executor::run`] and
-//! [`Executor::table_of`] are that body under a one-attempt policy with no
-//! budget, returning the target's output or the first failure; the other
-//! policies add:
+//! edge (the target on the way in, the [`NodeReport`]s on the way out).
+//! [`Executor::run`] and [`Executor::table_of`] are that body under
+//! [`ExecPolicy::plain`] (one attempt, no budget), returning the target's
+//! output or the first failure; the other policies add:
 //!
 //! * **retry** — nodes failing with a retryable error (see
 //!   [`SkillError::is_retryable`]) re-execute with exponential backoff
@@ -31,8 +30,7 @@
 //! panicking skill poisons its node (and dependents), never the driver,
 //! its caller, or sibling nodes in the same wave; and completed results
 //! stay in the structural sub-DAG cache, so running the same target again
-//! ([`Executor::resume`]) re-executes exactly the failed frontier and its
-//! dependents.
+//! re-executes exactly the failed frontier and its dependents.
 //!
 //! The whole run is summarized in an [`ExecReport`]: per-node attempts,
 //! faults absorbed, degraded flags, scan and spill bytes, and wall time.
@@ -116,8 +114,8 @@ pub struct ExecPolicy {
     /// Whole-run wall-clock slice. Once it expires mid-run, nodes that
     /// have not started yet fail fast with a retryable
     /// [`SkillError::Timeout`] at **zero attempts**, while everything
-    /// that already completed stays checkpointed in the cache — so
-    /// [`Executor::resume`] picks up exactly where the slice ended.
+    /// that already completed stays checkpointed in the cache — so running
+    /// the same target again picks up exactly where the slice ended.
     /// Scans started inside the slice are armed with the remaining time
     /// and cancel cooperatively at block boundaries; pure compute that
     /// already started is allowed to finish and commit (work is never
@@ -158,7 +156,7 @@ impl Default for ExecPolicy {
 impl ExecPolicy {
     /// What [`Executor::run`] and [`Executor::table_of`] run under: one
     /// attempt, no node, run or memory budget, no degradation.
-    pub(crate) fn plain() -> ExecPolicy {
+    pub fn plain() -> ExecPolicy {
         ExecPolicy {
             retry: RetryPolicy {
                 max_attempts: 1,
@@ -203,10 +201,6 @@ pub struct NodeReport {
     pub bytes_scanned: u64,
     /// Storage bytes zone-map pruning saved this node's scans.
     pub bytes_pruned: u64,
-    /// Statically estimated scan-byte upper bound for this node, when a
-    /// preflight analysis supplied one (0 otherwise). Comparing against
-    /// `bytes_scanned` gives the estimator's q-error per node.
-    pub bytes_estimated: u64,
     /// Bytes this node's operators wrote to spill files (all attempts).
     /// With the `parallel` feature attribution is best-effort:
     /// concurrently spilling siblings may book into each other's delta,
@@ -228,7 +222,6 @@ impl NodeReport {
             wall: Duration::ZERO,
             bytes_scanned: 0,
             bytes_pruned: 0,
-            bytes_estimated: 0,
             bytes_spilled: 0,
             spill_partitions: 0,
         }
@@ -313,12 +306,6 @@ impl ExecReport {
     /// Total storage bytes zone-map pruning saved across all nodes.
     pub fn bytes_pruned(&self) -> u64 {
         self.nodes.iter().map(|n| n.bytes_pruned).sum()
-    }
-
-    /// Total statically estimated scan bytes across all nodes (0 when no
-    /// preflight estimates were supplied).
-    pub fn bytes_estimated(&self) -> u64 {
-        self.nodes.iter().map(|n| n.bytes_estimated).sum()
     }
 
     /// The first failure in topological order, if any.
@@ -481,9 +468,9 @@ struct Run<'p> {
     deadline: Option<Instant>,
     interned: Interned,
     reports: HashMap<NodeId, NodeReport>,
-    /// Sub-DAGs that failed, were rejected, or sit downstream of one.
-    /// Tracked by sub-DAG id, not node id, so a failed (or rejected)
-    /// representative also poisons its structural duplicates.
+    /// Sub-DAGs that failed or sit downstream of one. Tracked by sub-DAG
+    /// id, not node id, so a failed representative also poisons its
+    /// structural duplicates.
     unusable: HashSet<SubDagId>,
 }
 
@@ -519,7 +506,7 @@ impl Run<'_> {
     }
 
     /// A node the expired run slice preempted before it started: a
-    /// retryable timeout at zero attempts, so a later resume() call
+    /// retryable timeout at zero attempts, so running the target again
     /// picks it up as the frontier without any retry budget spent.
     fn preempt(&mut self, node: &SkillNode) {
         let skill = node.call.name().to_string();
@@ -541,38 +528,15 @@ impl Executor {
     ///
     /// Under a one-attempt policy with no budget, `report.output` is what
     /// [`Executor::run`] returns, with the same stats and the same
-    /// shared-cache admissions: they are one body.
+    /// shared-cache admissions: they are one body. Running the same target
+    /// again after a partial failure re-executes only the failed frontier
+    /// and its dependents: completed sub-DAG results stay checkpointed.
     pub fn run_resilient(
         &mut self,
         dag: &SkillDag,
         target: NodeId,
         env: &mut Env,
         policy: &ExecPolicy,
-    ) -> Result<ExecReport> {
-        self.run_resilient_with_preflight(dag, target, env, policy, &[], &[])
-    }
-
-    /// [`Executor::run_resilient`] with an analyzer preflight folded in.
-    /// `rejections` lists nodes a static analysis pass refused (with the
-    /// reason rendered as text, so this crate stays independent of the
-    /// analyzer). Rejected nodes are classified as permanently failed
-    /// with **zero attempts** — no retry budget, no backoff sleeps, no
-    /// execution — and poison their dependents (and structural
-    /// duplicates) exactly like a runtime failure would. `estimates` are
-    /// the analyzer's per-node scan-byte estimates, recorded on each
-    /// [`NodeReport`] as `bytes_estimated` so callers can compare
-    /// predicted against actual scan charges (estimate-vs-actual
-    /// q-error). Both are keyed by `dag`'s node ids, as the report is; the
-    /// driver maps them onto the cone it runs. Entries for nodes outside
-    /// the target's cone are ignored.
-    pub fn run_resilient_with_preflight(
-        &mut self,
-        dag: &SkillDag,
-        target: NodeId,
-        env: &mut Env,
-        policy: &ExecPolicy,
-        rejections: &[(NodeId, String)],
-        estimates: &[(NodeId, u64)],
     ) -> Result<ExecReport> {
         // Install a run-scoped memory context when the policy budgets one
         // and the environment carries none of its own. The context owns a
@@ -585,7 +549,7 @@ impl Executor {
             _ => false,
         };
         let spill_before = env.memory.as_ref().map(|m| m.metrics.snapshot());
-        let result = self.drive(dag, target, env, policy, rejections, estimates);
+        let result = self.drive(dag, target, env, policy);
         let spill = spill_since(env.memory.as_deref(), spill_before);
         if installed {
             // Drop the run-scoped context (and its spill directory) even
@@ -608,8 +572,6 @@ impl Executor {
         target: NodeId,
         env: &mut Env,
         policy: &ExecPolicy,
-        rejections: &[(NodeId, String)],
-        estimates: &[(NodeId, u64)],
     ) -> Result<(ExecReport, SubDagId)> {
         // The whole-run slice starts now: planning, interning, and every
         // wave all count against it.
@@ -618,24 +580,20 @@ impl Executor {
         // nodes it depends on (ids `0..k`, `cone.ids` back to the caller's
         // ids), so a step costs what it depends on however many nodes the
         // session has collected. Everything below speaks cone ids; the
-        // caller's ids come back in at the edge — rejections and estimates
-        // on the way in, the report on the way out.
+        // caller's ids come back in at the edge — the target on the way in,
+        // the report on the way out.
         // The one plan step. Its rewrites (reading a repeated load as its
         // first copy, done as the cone is cut; projection pushdown, filter
         // hoisting into scans, join reordering) preserve node ids and
         // filter nodes, so caching, reporting and error attribution are
-        // unaffected. A rejected node is vetoed: its predicate never
-        // earned the right to run anywhere, a scan included. With
-        // `optimize` off the DAG runs exactly as written.
-        let vetoed: Vec<NodeId> = rejections.iter().map(|(n, _)| *n).collect();
-        let mut cone = dag.cone(&[target], &vetoed, self.optimize)?;
+        // unaffected. With `optimize` off the DAG runs exactly as written.
+        let mut cone = dag.cone(&[target], &[], self.optimize)?;
         let written = |local: NodeId| cone.ids[local];
         let cone_target = cone
             .local(target)
             .ok_or(SkillError::NodeNotFound { id: target })?;
         if self.optimize {
-            let vetoed: Vec<NodeId> = vetoed.iter().filter_map(|&n| cone.local(n)).collect();
-            crate::optimize::plan_unit(&mut cone.dag, &[cone_target], &vetoed, env);
+            crate::optimize::plan_unit(&mut cone.dag, &[cone_target], &[], env);
         }
         let dag = &cone.dag;
         // Every node of the cone is one the target depends on.
@@ -651,28 +609,14 @@ impl Executor {
         };
 
         // Structurally identical duplicates execute once; the aliases are
-        // resolved against the cache after the run. Rejection trumps the
-        // cache: a statically invalid node must not serve a stale result.
-        // The local cache is probed first, then the cross-session tier.
+        // resolved against the cache after the run. The local cache is
+        // probed first, then the cross-session tier.
         let mut pending: Vec<&SkillNode> = Vec::new();
         let mut aliases: Vec<(&SkillNode, NodeId)> = Vec::new();
-        let mut rejected_reps: HashMap<SubDagId, NodeId> = HashMap::new();
         for &nid in &order {
             let node = dag.node(nid)?;
             let id = run.id(nid);
-            if let Some((_, reason)) = rejections.iter().find(|(r, _)| *r == written(nid)) {
-                let why = format!("rejected by static analysis: {reason}");
-                run.record(node, NodeOutcome::Failed(SkillError::invalid(why)));
-                rejected_reps.entry(id).or_insert(nid);
-            } else if let Some(blocked_on) = run.blocked_on(node) {
-                // Downstream of a rejection: even a checkpointed result
-                // derives from the rejected computation, so skip it.
-                run.record(node, NodeOutcome::Skipped { blocked_on });
-            } else if let Some(&rep) = rejected_reps.get(&id) {
-                // Structural duplicate of a rejected node: the same
-                // computation is equally invalid, so it never runs.
-                run.record(node, NodeOutcome::Skipped { blocked_on: rep });
-            } else if self.cache.contains_key(&id) {
+            if self.cache.contains_key(&id) {
                 self.stats.cache_hits += 1;
                 self.stats.bytes_saved += self.costs.get(&id).copied().unwrap_or(0);
                 run.record(node, NodeOutcome::CacheHit);
@@ -722,8 +666,8 @@ impl Executor {
             run.record(node, outcome);
         }
 
-        // A rejected (or failed) target never yields an output, even when
-        // an earlier run checkpointed a result for its sub-DAG.
+        // A failed target never yields an output, even when an earlier run
+        // checkpointed a result for its sub-DAG.
         let id = run.id(cone_target);
         let output = match self.cache.get(&id) {
             Some((out, _)) if !run.unusable.contains(&id) => Some(out.clone()),
@@ -735,9 +679,6 @@ impl Executor {
                 r.node = written(r.node);
                 if let NodeOutcome::Skipped { blocked_on } = &mut r.outcome {
                     *blocked_on = written(*blocked_on);
-                }
-                if let Some(&(_, est)) = estimates.iter().find(|(n, _)| *n == r.node) {
-                    r.bytes_estimated = est;
                 }
                 nodes.push(r);
             }
@@ -752,19 +693,6 @@ impl Executor {
             spill_partitions: 0,
         };
         Ok((report, id))
-    }
-
-    /// Re-run `target` after a partial failure. Completed sub-DAG results
-    /// were checkpointed in the structural cache by the failed run, so
-    /// only the failed frontier (and its skipped dependents) re-executes.
-    pub fn resume(
-        &mut self,
-        dag: &SkillDag,
-        target: NodeId,
-        env: &mut Env,
-        policy: &ExecPolicy,
-    ) -> Result<ExecReport> {
-        self.run_resilient(dag, target, env, policy)
     }
 
     /// Execute one wave under the policy. Environment-dependent nodes run

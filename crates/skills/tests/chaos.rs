@@ -167,7 +167,7 @@ fn outage_fails_only_dependent_subgraph_and_resume_reruns_frontier() {
     // the failed frontier (load → filter → join) re-executes.
     let before = ex.stats.nodes_executed;
     let resumed = ex
-        .resume(&dag, j, &mut env, &ExecPolicy::default())
+        .run_resilient(&dag, j, &mut env, &ExecPolicy::default())
         .unwrap();
     assert!(resumed.succeeded());
     assert_eq!(
@@ -376,7 +376,7 @@ fn failed_representative_poisons_structural_duplicates() {
     assert_eq!(report.skipped_nodes().len(), 4, "l2, f1, f2, join");
 
     // Resume completes once the outage has passed.
-    let resumed = ex.resume(&dag, j, &mut env, &policy).unwrap();
+    let resumed = ex.run_resilient(&dag, j, &mut env, &policy).unwrap();
     assert!(resumed.succeeded());
 }
 
@@ -400,65 +400,6 @@ fn without_faults_resilient_matches_plain_run() {
     assert!(report.degraded_nodes().is_empty());
     assert_eq!(ex.stats.retries, 0);
     assert!(report.first_error().is_none());
-}
-
-#[test]
-fn analyzer_rejections_fail_permanently_without_retry_budget() {
-    let (dag, l, f) = chain();
-    let mut env = env_with(&["events"]);
-    let mut ex = Executor::new();
-    let rejections = vec![(f, "DC0002: unknown column \"bogus\"".to_string())];
-    let report = ex
-        .run_resilient_with_preflight(&dag, f, &mut env, &ExecPolicy::default(), &rejections, &[])
-        .unwrap();
-
-    assert!(!report.succeeded());
-    // The rejected node never executes: zero attempts, zero backoffs.
-    let rejected = report.node(f).unwrap();
-    assert!(matches!(rejected.outcome, NodeOutcome::Failed(_)));
-    assert_eq!(rejected.attempts, 0);
-    assert_eq!(rejected.faults_absorbed, 0);
-    let NodeOutcome::Failed(err) = &rejected.outcome else {
-        unreachable!()
-    };
-    assert!(
-        err.to_string().contains("rejected by static analysis"),
-        "{err}"
-    );
-    assert!(err.to_string().contains("DC0002"), "{err}");
-    // Upstream of the rejection still runs (it is independently valid
-    // and stays checkpointed for a corrected resume).
-    assert!(matches!(report.node(l).unwrap().outcome, NodeOutcome::Ok));
-    assert_eq!(ex.stats.retries, 0);
-}
-
-#[test]
-fn rejection_poisons_dependents_and_trumps_cache() {
-    let (dag, l, f) = chain();
-    let mut env = env_with(&["events"]);
-    let mut ex = Executor::new();
-
-    // First run succeeds and checkpoints every sub-DAG.
-    let clean = ex
-        .run_resilient(&dag, f, &mut env, &ExecPolicy::default())
-        .unwrap();
-    assert!(clean.succeeded());
-
-    // Re-running with the load node rejected must not serve the stale
-    // cached result: the rejection wins and the dependent is skipped.
-    let rejections = vec![(l, "DC0001: unknown table".to_string())];
-    let report = ex
-        .run_resilient_with_preflight(&dag, f, &mut env, &ExecPolicy::default(), &rejections, &[])
-        .unwrap();
-    assert!(!report.succeeded());
-    assert!(matches!(
-        report.node(l).unwrap().outcome,
-        NodeOutcome::Failed(_)
-    ));
-    assert!(matches!(
-        report.node(f).unwrap().outcome,
-        NodeOutcome::Skipped { blocked_on } if blocked_on == l
-    ));
 }
 
 // ---------------------------------------------------------------------------
@@ -690,46 +631,4 @@ fn spilled_and_retried_result_is_byte_identical_and_cache_admissible() {
         shared.stats().hits > probe,
         "a second session must be served from the shared entry"
     );
-}
-
-#[test]
-fn structural_duplicates_of_rejected_nodes_are_skipped() {
-    let mut dag = SkillDag::new();
-    let l = load(&mut dag, "events");
-    let f1 = filter(&mut dag, l);
-    let f2 = filter(&mut dag, l); // structurally identical to f1
-    let j = dag
-        .add(
-            SkillCall::Join {
-                other: "self".into(),
-                left_on: vec!["x".into()],
-                right_on: vec!["x".into()],
-                how: JoinType::Inner,
-            },
-            vec![f1, f2],
-        )
-        .unwrap();
-
-    let mut env = env_with(&["events"]);
-    let mut ex = Executor::new();
-    let rejections = vec![(f1, "DC0003: type mismatch".to_string())];
-    let report = ex
-        .run_resilient_with_preflight(&dag, j, &mut env, &ExecPolicy::default(), &rejections, &[])
-        .unwrap();
-
-    assert!(!report.succeeded());
-    assert!(matches!(
-        report.node(f1).unwrap().outcome,
-        NodeOutcome::Failed(_)
-    ));
-    // The duplicate is the same computation; it must not run either.
-    assert!(matches!(
-        report.node(f2).unwrap().outcome,
-        NodeOutcome::Skipped { blocked_on } if blocked_on == f1
-    ));
-    assert!(matches!(
-        report.node(j).unwrap().outcome,
-        NodeOutcome::Skipped { .. }
-    ));
-    assert_eq!(report.node(f1).unwrap().attempts, 0);
 }
