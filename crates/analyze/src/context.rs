@@ -1,5 +1,6 @@
-//! What the analyzer knows about the world: catalog table schemas and
-//! block stats, saved artifacts, snapshots, registered models, and
+//! What the analyzer knows about the world: each catalog table's stored
+//! metadata (`dc_storage::TableMeta`: schema, block zone maps,
+//! dictionaries), saved artifacts, snapshots, registered models, and
 //! file/URL fixtures.
 //!
 //! The context is a *pure snapshot* — building it from an [`Env`] reads
@@ -14,77 +15,9 @@
 
 use std::collections::BTreeMap;
 
-use dc_engine::{ColumnStats, DataType, Schema};
+use dc_engine::{DataType, Schema};
 use dc_skills::Env;
-use dc_storage::{plan_scan, ScanOptions, ScanPlan, TableMeta};
-
-/// Zone-map statistics for one stored block, as the storage layer keeps
-/// them resident.
-pub use dc_storage::BlockStats;
-
-/// Storage-layer statistics for one catalog table, lifted from
-/// `dc-storage` block metadata. This is what the cost lints price scans
-/// with.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TableStats {
-    /// Rows stored.
-    pub rows: usize,
-    /// Immutable blocks (micro-partitions); block sampling reads a
-    /// fraction of these.
-    pub blocks: usize,
-    /// Total stored bytes — the full-scan price.
-    pub bytes: u64,
-    /// Dictionary cardinality of each dictionary-encoded string column.
-    /// High cardinality (≈ row count) means the encoding buys nothing;
-    /// the DC0203 lint flags it.
-    pub dict_sizes: Vec<(String, usize)>,
-    /// Per-block zone-map detail, in block order. Empty when unknown
-    /// (builder-made contexts); the estimator then degrades to the
-    /// whole-table bound instead of pruning.
-    pub block_stats: Vec<BlockStats>,
-    /// Per-column shared-dictionary bytes, in schema order (zero for
-    /// non-dict columns). Empty when unknown.
-    pub dict_bytes: Vec<u64>,
-}
-
-impl TableStats {
-    /// Lift the full statistics of a stored table of either backend —
-    /// whole-table counters plus the per-block zone maps the estimator
-    /// prices scans with. Reads only resident metadata, never block
-    /// payloads.
-    pub fn from_block_table(t: &TableMeta) -> TableStats {
-        TableStats {
-            rows: t.num_rows(),
-            blocks: t.num_blocks(),
-            bytes: t.total_bytes(),
-            dict_sizes: t.dict_sizes().to_vec(),
-            block_stats: t.blocks().to_vec(),
-            dict_bytes: t.dict_bytes().to_vec(),
-        }
-    }
-
-    /// The storage layer's own plan of a scan of this table under `opts`
-    /// ([`plan_scan`]): what it charges and each block's verdict. `None`
-    /// when the stats carry no complete per-block detail for `schema`
-    /// (builder-made contexts), which is when estimates degrade.
-    pub(crate) fn scan_plan<'a>(
-        &self,
-        schema: &Schema,
-        opts: &'a ScanOptions,
-    ) -> Option<ScanPlan<'a>> {
-        let cols = schema.fields().len();
-        let detail = !self.block_stats.is_empty()
-            && self.block_stats.len() == self.blocks
-            && self.dict_bytes.len() == cols
-            && self
-                .block_stats
-                .iter()
-                .all(|b| b.columns.len() == cols && b.data_bytes.len() == cols);
-        detail
-            .then(|| plan_scan(schema, &self.block_stats, &self.dict_bytes, opts).ok())
-            .flatten()
-    }
-}
+use dc_storage::TableMeta;
 
 /// A model's statically known surface (the contract's [`ModelInfo`]).
 pub use dc_skills::ModelInfo;
@@ -92,8 +25,9 @@ pub use dc_skills::ModelInfo;
 /// The analyzer's view of the execution environment.
 #[derive(Debug, Clone, Default)]
 pub struct AnalysisContext {
-    /// Catalog tables: (database, table) → typed schema + stats.
-    tables: BTreeMap<(String, String), (Schema, TableStats)>,
+    /// Catalog tables: (database, table) → the storage layer's resident
+    /// metadata (schema, block zone maps, dictionaries).
+    tables: BTreeMap<(String, String), TableMeta>,
     /// Saved artifact tables by name.
     saved: BTreeMap<String, Schema>,
     /// Snapshots by name.
@@ -123,8 +57,8 @@ impl AnalysisContext {
         AnalysisContext::default()
     }
 
-    /// Snapshot an execution environment: catalog schemas and block
-    /// stats, saved artifacts, snapshots, models, and CSV fixtures.
+    /// Snapshot an execution environment: catalog table metadata, saved
+    /// artifacts, snapshots, models, and CSV fixtures.
     pub fn from_env(env: &Env) -> AnalysisContext {
         let mut ctx = AnalysisContext::new();
         for db_name in env.catalog.database_names() {
@@ -132,9 +66,8 @@ impl AnalysisContext {
                 continue;
             };
             for table_name in db.table_names() {
-                if let Ok(t) = db.source(table_name) {
-                    let stats = TableStats::from_block_table(t);
-                    ctx.add_table(db_name, table_name, t.schema().clone(), stats);
+                if let Ok(meta) = db.source(table_name) {
+                    ctx.add_table(db_name, table_name, meta.clone());
                 }
             }
         }
@@ -210,16 +143,11 @@ impl AnalysisContext {
         self.mem_budget
     }
 
-    /// Register a catalog table.
-    pub fn add_table(
-        &mut self,
-        database: &str,
-        table: &str,
-        schema: Schema,
-        stats: TableStats,
-    ) -> &mut Self {
+    /// Register a catalog table by its stored metadata (a
+    /// `dc_storage::BlockSource::meta`), schema included.
+    pub fn add_table(&mut self, database: &str, table: &str, meta: TableMeta) -> &mut Self {
         self.tables
-            .insert((database.to_string(), table.to_string()), (schema, stats));
+            .insert((database.to_string(), table.to_string()), meta);
         self
     }
 
@@ -267,14 +195,14 @@ impl AnalysisContext {
     }
 
     /// Look up a catalog table (exact names, like the catalog itself).
-    pub fn table(&self, database: &str, table: &str) -> Option<&(Schema, TableStats)> {
+    pub fn table(&self, database: &str, table: &str) -> Option<&TableMeta> {
         self.tables.get(&(database.to_string(), table.to_string()))
     }
 
     /// Look up a catalog table by bare name across all databases,
     /// case-insensitively (the platform resolves `Use the dataset X`
     /// against the catalog when no binding or artifact matches).
-    pub fn any_table(&self, table: &str) -> Option<&(Schema, TableStats)> {
+    pub fn any_table(&self, table: &str) -> Option<&TableMeta> {
         self.tables
             .iter()
             .find(|((_, t), _)| t.eq_ignore_ascii_case(table))
@@ -335,55 +263,12 @@ impl dc_skills::Sources for AnalysisContext {
     }
 }
 
-/// The static half of the plan-time statistics contract: the analyzer's
-/// snapshot answers the optimizer's questions exactly the way the live
-/// [`Env`] does (same schema source, same dictionary cardinalities, same
-/// per-block uniqueness proof), so the estimation pass prices the *same*
-/// rewritten plan the executor runs.
+/// The optimizer reads the same catalog metadata the live [`Env`] hands
+/// out, so the estimation pass prices the *same* rewritten plan the
+/// executor runs.
 impl dc_skills::PlanStats for AnalysisContext {
-    fn table_schema(&self, database: &str, table: &str) -> Option<Schema> {
-        self.table(database, table).map(|(s, _)| s.clone())
-    }
-
-    fn table_rows(&self, database: &str, table: &str) -> Option<u64> {
-        self.table(database, table).map(|(_, st)| st.rows as u64)
-    }
-
-    fn column_distinct(&self, database: &str, table: &str, column: &str) -> Option<u64> {
-        let (_, st) = self.table(database, table)?;
-        st.dict_sizes
-            .iter()
-            .find(|(name, _)| name.eq_ignore_ascii_case(column))
-            .map(|(_, n)| *n as u64)
-    }
-
-    fn column_unique(&self, database: &str, table: &str, column: &str) -> bool {
-        let Some((schema, st)) = self.table(database, table) else {
-            return false;
-        };
-        let Some(ci) = schema.index_of(column) else {
-            return false;
-        };
-        let stats: Vec<ColumnStats> = st
-            .block_stats
-            .iter()
-            .filter_map(|b| b.columns.get(ci).cloned())
-            .collect();
-        if stats.len() != st.block_stats.len() || st.block_stats.is_empty() {
-            return false;
-        }
-        if stats.iter().map(|s| s.null_count).sum::<u64>() == 0 {
-            if let Some((_, dict)) = st
-                .dict_sizes
-                .iter()
-                .find(|(name, _)| name.eq_ignore_ascii_case(column))
-            {
-                if *dict == st.rows {
-                    return true;
-                }
-            }
-        }
-        dc_skills::int_blocks_unique(&stats)
+    fn table_meta(&self, database: &str, table: &str) -> Option<&TableMeta> {
+        self.table(database, table)
     }
 }
 
@@ -409,31 +294,19 @@ mod tests {
         env.save_table("kept", t.clone());
 
         let ctx = AnalysisContext::from_env(&env);
-        let (schema, stats) = ctx.table("Main", "sales").expect("exact lookup");
-        assert_eq!(schema.field("price").unwrap().dtype, DataType::Float);
-        assert_eq!(stats.rows, 2);
-        assert_eq!(stats.blocks, 2);
-        assert!(stats.bytes > 0);
-        assert_eq!(stats.dict_sizes, vec![("region".to_string(), 2)]);
+        let meta = ctx.table("Main", "sales").expect("exact lookup");
+        assert_eq!(meta.schema().field("price").unwrap().dtype, DataType::Float);
+        assert_eq!(meta.num_rows(), 2);
+        assert_eq!(meta.num_blocks(), 2);
+        assert!(meta.total_bytes() > 0);
+        assert_eq!(meta.dict_sizes(), [("region".to_string(), 2)]);
         // Per-block zone detail rides along for the estimator.
-        assert_eq!(stats.block_stats.len(), 2);
-        assert_eq!(stats.block_stats[0].rows, 1);
-        assert_eq!(stats.block_stats[0].columns.len(), 2);
-        assert_eq!(stats.dict_bytes.len(), 2);
-        assert_eq!(
-            stats.bytes,
-            stats
-                .block_stats
-                .iter()
-                .flat_map(|b| &b.data_bytes)
-                .sum::<u64>()
-                + stats.dict_bytes.iter().sum::<u64>()
-        );
-        // A disk-backed table lifts the same statistics as its in-memory
-        // twin, per-block detail included.
-        let (disk_schema, disk_stats) = ctx.table("Main", "sales_disk").expect("disk table");
-        assert_eq!(disk_schema, schema);
-        assert_eq!(disk_stats, stats);
+        assert_eq!(meta.blocks()[0].rows, 1);
+        assert_eq!(meta.blocks()[0].columns.len(), 2);
+        // A disk-backed table hands out the same metadata as its
+        // in-memory twin, per-block detail included.
+        let disk = ctx.table("Main", "sales_disk").expect("disk table");
+        assert_eq!(disk, meta);
         // Exact-match mirrors the catalog; bare-name resolution is the
         // case-insensitive platform path.
         assert!(ctx.table("main", "SALES").is_none());

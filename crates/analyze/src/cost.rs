@@ -1,4 +1,4 @@
-//! Pass 3: cost lints, priced with `dc-storage` block statistics.
+//! Pass 3: cost lints, priced with each table's `dc_storage::TableMeta`.
 //!
 //! §3's consumption meter charges recipes by bytes scanned. Two shapes
 //! waste scan budget without changing results, and both are visible
@@ -31,7 +31,7 @@ use std::collections::HashMap;
 
 use dc_engine::expr::prune::{nnf, prunable_conjuncts};
 use dc_skills::{structural_ids, NodeId, SkillCall, SkillDag};
-use dc_storage::ScanOptions;
+use dc_storage::{ScanOptions, TableMeta};
 
 use crate::context::AnalysisContext;
 use crate::diag::{Code, Diagnostic, Fix, Span};
@@ -42,41 +42,22 @@ use crate::schema_pass::ancestor_sets;
 /// noise, not advice.
 pub const DEAD_COLUMN_BYTES: u64 = 32 * 1024;
 
-/// Estimated scan price of one node, from block statistics. Only nodes
-/// that touch storage appear; pure transforms are free under the §3
-/// meter.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodeCost {
-    pub node: NodeId,
-    /// Bytes a full scan of the node's source reads.
-    pub bytes: u64,
-    /// Blocks backing the source (granularity of block sampling).
-    pub blocks: usize,
-}
-
-/// Run the cost lints; returns the per-node scan estimates.
-pub fn cost_pass(
-    dag: &SkillDag,
-    ctx: &AnalysisContext,
-    diags: &mut Vec<Diagnostic>,
-) -> Vec<NodeCost> {
-    let mut costs = Vec::new();
+/// Run the cost lints.
+pub fn cost_pass(dag: &SkillDag, ctx: &AnalysisContext, diags: &mut Vec<Diagnostic>) {
+    // The catalog loads and their tables' metadata, for DC0201.
+    let mut loads: Vec<(NodeId, &TableMeta)> = Vec::new();
     for node in dag.nodes() {
         // A load with a scan predicate carries the same full-scan worst
-        // case (an unselective predicate prunes nothing), so it gets a
-        // NodeCost and the same lints as a plain one.
+        // case (an unselective predicate prunes nothing), so it gets the
+        // same lints as a plain one.
         if let SkillCall::LoadTable {
             database, table, ..
         } = &node.call
         {
-            let Some((_, stats)) = ctx.table(database, table) else {
+            let Some(meta) = ctx.table(database, table) else {
                 continue; // unknown table: the schema pass already errored
             };
-            costs.push(NodeCost {
-                node: node.id,
-                bytes: stats.bytes,
-                blocks: stats.blocks,
-            });
+            loads.push((node.id, meta));
             if let Some(snap) = ctx.snapshot_like(table) {
                 diags.push(
                     Diagnostic::new(
@@ -84,7 +65,7 @@ pub fn cost_pass(
                         format!(
                             "full scan of {database:?}.{table:?} (~{} bytes) re-reads a \
                              table that snapshot {snap:?} already captures",
-                            stats.bytes
+                            meta.total_bytes()
                         ),
                     )
                     .with_span(Span::node(node.id, node.call.name()))
@@ -96,17 +77,17 @@ pub fn cost_pass(
             }
             // DC0203: a dictionary that covers ≥90% of the rows never
             // deduplicates; the 100-row floor keeps tiny fixtures quiet.
-            for (column, dict_len) in &stats.dict_sizes {
-                if stats.rows >= 100 && dict_len * 10 >= stats.rows * 9 {
+            let rows = meta.num_rows();
+            for (column, dict_len) in meta.dict_sizes() {
+                if rows >= 100 && dict_len * 10 >= rows * 9 {
                     diags.push(
                         Diagnostic::new(
                             Code::HighCardinalityDict,
                             format!(
                                 "column {column:?} of {database:?}.{table:?} has {dict_len} \
-                                 distinct values over {} rows; its dictionary deduplicates \
+                                 distinct values over {rows} rows; its dictionary deduplicates \
                                  almost nothing, so encoding adds 4 bytes/row of codes on \
-                                 top of the full string payload",
-                                stats.rows
+                                 top of the full string payload"
                             ),
                         )
                         .with_span(Span::node(node.id, node.call.name()))
@@ -172,21 +153,17 @@ pub fn cost_pass(
         let SkillCall::Sample { fraction, .. } = &node.call else {
             continue;
         };
-        for cost in &costs {
-            let upstream = ancestors
-                .get(node.id)
-                .is_some_and(|set| set.get(cost.node).copied().unwrap_or(false));
-            if upstream && cost.blocks >= 2 {
-                let sampled = ((cost.blocks as f64) * fraction).ceil() as usize;
+        for &(load, meta) in &loads {
+            let blocks = meta.num_blocks();
+            if upstream_of(node.id, load) && blocks >= 2 {
+                let sampled = ((blocks as f64) * fraction).ceil() as usize;
                 diags.push(
                     Diagnostic::new(
                         Code::FullScanCouldSample,
                         format!(
-                            "sampling {fraction} of a full scan (step {}, {} blocks, \
+                            "sampling {fraction} of a full scan (step {load}, {blocks} blocks, \
                              ~{} bytes); a block-sampled scan would read ~{} block(s)",
-                            cost.node,
-                            cost.blocks,
-                            cost.bytes,
+                            meta.total_bytes(),
                             sampled.max(1)
                         ),
                     )
@@ -251,7 +228,6 @@ pub fn cost_pass(
             );
         }
     }
-    costs
 }
 
 /// Optimizer-backed lints: rewrites the cost optimizer would apply that
@@ -259,9 +235,9 @@ pub fn cost_pass(
 /// them transparently.
 ///
 /// * **DC0206** — a scan loads columns no reachable step ever reads.
-///   Detected by running the plan optimizer and diffing which loads it
-///   narrowed to a column list. Fires only with full per-block
-///   statistics and only when the dead columns add at least
+///   Detected by diffing `planned` — the analysis's one run of the plan
+///   step over `dag` — against the written loads it narrowed to a column
+///   list. Fires only when the dead columns add at least
 ///   [`DEAD_COLUMN_BYTES`] to a full scan — the storage layer's own plan
 ///   of the table's full scan against its narrowed one. The executor
 ///   already skips the waste, but the recipe as written over-states its
@@ -273,85 +249,76 @@ pub fn cost_pass(
 ///   name-bindings block the automatic rewrite.
 pub fn optimizer_lints(
     dag: &SkillDag,
-    targets: &[NodeId],
+    planned: &SkillDag,
     ctx: &AnalysisContext,
     diags: &mut Vec<Diagnostic>,
 ) {
-    // DC0206: diff the optimizer's projected plan against the written one.
-    let optimized = if targets.is_empty() {
-        None
-    } else {
-        dc_skills::optimize_dag(dag, targets, &[], ctx)
-    };
-    if let Some(opt) = &optimized {
-        for node in opt.nodes() {
-            let SkillCall::LoadTable {
-                database,
-                table,
-                columns: Some(columns),
-                predicate,
-            } = &node.call
-            else {
-                continue;
-            };
-            // Only loads the optimizer itself narrowed; a projected load
-            // the author wrote is already as narrow as they asked for.
-            let written = dag.node(node.id).map(|n| &n.call);
-            if !matches!(written, Ok(SkillCall::LoadTable { columns: None, .. })) {
-                continue;
-            }
-            let Some((schema, stats)) = ctx.table(database, table) else {
-                continue;
-            };
-            let narrow = ScanOptions {
-                columns: Some(columns.clone()),
-                ..ScanOptions::default()
-            };
-            let full = ScanOptions::default();
-            let (Some(all), Some(live)) = (
-                stats.scan_plan(schema, &full),
-                stats.scan_plan(schema, &narrow),
-            ) else {
-                continue;
-            };
-            let dead_bytes = all.bytes_scanned - live.bytes_scanned;
-            if dead_bytes < DEAD_COLUMN_BYTES {
-                continue;
-            }
-            let dead_names: Vec<&str> = schema
-                .fields()
-                .iter()
-                .enumerate()
-                .filter(|(ci, _)| !live.read_cols.contains(ci))
-                .map(|(_, f)| f.name.as_str())
-                .collect();
-            let filter = predicate
-                .as_ref()
-                .map_or(String::new(), |p| format!(" where {}", p.to_sql()));
-            let replacement = format!(
-                "Load the columns {} of the table {table} from the database {database}{filter}",
-                columns.join(", ")
-            );
-            diags.push(
-                Diagnostic::new(
-                    Code::DeadColumnLoaded,
-                    format!(
-                        "the scan of {database:?}.{table:?} loads {} column(s) ({}) that no \
-                         reachable step reads, ~{dead_bytes} wasted bytes per run",
-                        dead_names.len(),
-                        dead_names.join(", "),
-                    ),
-                )
-                .with_span(Span::node(node.id, node.call.name()))
-                .with_fix(Fix::replace(
-                    format!(
-                        "load only the columns the recipe uses ({})",
-                        columns.join(", ")
-                    ),
-                    replacement,
-                )),
-            );
+    // DC0206: diff the planned loads against the written ones.
+    for node in planned.nodes() {
+        let SkillCall::LoadTable {
+            database,
+            table,
+            columns: Some(columns),
+            predicate,
+        } = &node.call
+        else {
+            continue;
+        };
+        // Only loads the optimizer itself narrowed; a projected load the
+        // author wrote is already as narrow as they asked for.
+        let written = dag.node(node.id).map(|n| &n.call);
+        if !matches!(written, Ok(SkillCall::LoadTable { columns: None, .. })) {
+            continue;
         }
+        let Some(meta) = ctx.table(database, table) else {
+            continue;
+        };
+        let narrow = ScanOptions {
+            columns: Some(columns.clone()),
+            ..ScanOptions::default()
+        };
+        let full = ScanOptions::default();
+        let (Ok(all), Ok(live)) = (meta.plan(&full), meta.plan(&narrow)) else {
+            continue;
+        };
+        let dead_bytes = all.bytes_scanned - live.bytes_scanned;
+        if dead_bytes < DEAD_COLUMN_BYTES {
+            continue;
+        }
+        let dead_names: Vec<&str> = meta
+            .schema()
+            .fields()
+            .iter()
+            .enumerate()
+            .filter(|(ci, _)| !live.read_cols.contains(ci))
+            .map(|(_, f)| f.name.as_str())
+            .collect();
+        let filter = predicate
+            .as_ref()
+            .map_or(String::new(), |p| format!(" where {}", p.to_sql()));
+        let replacement = format!(
+            "Load the columns {} of the table {table} from the database {database}{filter}",
+            columns.join(", ")
+        );
+        diags.push(
+            Diagnostic::new(
+                Code::DeadColumnLoaded,
+                format!(
+                    "the scan of {database:?}.{table:?} loads {} column(s) ({}) that no \
+                     reachable step reads, ~{dead_bytes} wasted bytes per run",
+                    dead_names.len(),
+                    dead_names.join(", "),
+                ),
+            )
+            .with_span(Span::node(node.id, node.call.name()))
+            .with_fix(Fix::replace(
+                format!(
+                    "load only the columns the recipe uses ({})",
+                    columns.join(", ")
+                ),
+                replacement,
+            )),
+        );
     }
 
     // DC0207: join_order_advice only returns chains whose written cost is

@@ -1,14 +1,14 @@
 //! Pass 4: static cost & cardinality estimation (the DC03xx family).
 //!
 //! Propagates **row-count intervals** and **scan-byte bounds** through
-//! the whole planned DAG. The pass prices the driver's plan exactly: the
-//! DAG goes through the driver's one plan step first (so a filter above a
+//! the whole planned DAG. The pass prices the driver's plan exactly: it is
+//! handed the DAG after the driver's one plan step (so a filter above a
 //! load is priced as the load's scan predicate, the scan the driver
 //! actually runs), a load's bytes and block verdicts are the storage
-//! layer's own scan plan (`dc_storage::plan_scan`, the function the scan
-//! itself runs — called, not mirrored), and totals are deduped by the
-//! executor's own structural sub-DAG ids (a repeated sub-DAG runs — and
-//! charges — once).
+//! layer's own scan plan (`TableMeta::plan`, the function the scan itself
+//! runs — called, not mirrored), and totals are deduped by the executor's
+//! own structural sub-DAG ids (a repeated sub-DAG runs — and charges —
+//! once).
 //!
 //! ## Soundness contract
 //!
@@ -36,10 +36,10 @@ use std::collections::{BTreeSet, HashMap};
 use dc_engine::expr::prune::{nnf, prune_predicate, Tri};
 use dc_engine::ops::spill;
 use dc_engine::{ColumnStats, DataType, Expr, Schema, Value};
-use dc_skills::{plan_pushdown, structural_ids, NodeId, SkillCall, SkillDag};
-use dc_storage::{plan_scan, ScanOptions};
+use dc_skills::{structural_ids, NodeId, PlanStats, SkillCall, SkillDag};
+use dc_storage::{ScanOptions, TableMeta};
 
-use crate::context::{AnalysisContext, TableStats};
+use crate::context::AnalysisContext;
 use crate::diag::{Code, Diagnostic, Fix, Span};
 
 /// DC0302 fires when a join's *guaranteed* output cardinality is at
@@ -114,9 +114,6 @@ struct RowBounds {
 }
 
 impl RowBounds {
-    fn exact(n: u64) -> RowBounds {
-        RowBounds { lo: n, hi: Some(n) }
-    }
     fn unknown() -> RowBounds {
         RowBounds { lo: 0, hi: None }
     }
@@ -135,53 +132,40 @@ impl RowBounds {
 /// What a catalog scan will read and return.
 #[derive(Debug, Clone, Copy)]
 struct ScanEstimate {
-    /// Bytes the scan charges: exact (`lo == hi`) when the stats carry
-    /// block detail; without it a projected or filtered scan is
-    /// `[0, full]`.
-    bytes_lo: u64,
-    bytes_hi: u64,
+    /// Bytes the scan charges, exactly.
+    bytes: u64,
     rows: RowBounds,
+    /// The stored footprint of the rows a full-width scan re-emits;
+    /// `None` for a projected scan, whose narrower rows the width model
+    /// prices instead.
+    out_bytes: Option<u64>,
 }
 
 /// Price one catalog scan by calling the scan's own plan: its bytes are
 /// what the scan charges, its rows those of the blocks it keeps — certain
-/// in the blocks the zone maps prove all-matching. Without block detail a
-/// plain load is still exact on whole-table counters.
-fn scan_estimate(schema: &Schema, stats: &TableStats, opts: &ScanOptions) -> ScanEstimate {
-    if let Some(plan) = stats.scan_plan(schema, opts) {
-        let certain = plan.blocks.iter().filter(|(_, v)| *v == Tri::AllTrue);
-        let lo = certain.map(|&(bi, _)| stats.block_stats[bi].rows).sum();
-        return ScanEstimate {
-            bytes_lo: plan.bytes_scanned,
-            bytes_hi: plan.bytes_scanned,
-            rows: RowBounds {
-                lo,
-                hi: Some(plan.rows_scanned),
-            },
-        };
-    }
-    // A plan over no known blocks still says whether the predicate is
-    // honoured.
-    let filtered = plan_scan(schema, &[], &[], opts).is_ok_and(|p| p.predicate.is_some());
-    let rows = RowBounds::exact(stats.rows as u64);
-    ScanEstimate {
-        bytes_lo: match filtered || opts.columns.is_some() {
-            true => 0,
-            false => stats.bytes,
+/// in the blocks the zone maps prove all-matching. `None` when the scan
+/// cannot be planned, and then it fails before charging anything.
+fn scan_estimate(meta: &TableMeta, opts: &ScanOptions) -> Option<ScanEstimate> {
+    let plan = meta.plan(opts).ok()?;
+    let certain = plan.blocks.iter().filter(|(_, v)| *v == Tri::AllTrue);
+    let lo = certain.map(|&(bi, _)| meta.blocks()[bi].rows).sum();
+    let stored = meta.num_rows() as u128;
+    let out_bytes = (stored > 0 && opts.columns.is_none())
+        .then(|| (u128::from(meta.total_bytes()) * u128::from(plan.rows_scanned) / stored) as u64);
+    Some(ScanEstimate {
+        bytes: plan.bytes_scanned,
+        rows: RowBounds {
+            lo,
+            hi: Some(plan.rows_scanned),
         },
-        bytes_hi: stats.bytes,
-        rows: if filtered { rows.filtered() } else { rows },
-    }
+        out_bytes,
+    })
 }
 
-/// Fold per-block stats into one whole-table [`ColumnStats`] for `col`,
-/// when block detail is available.
-fn table_column_stats(schema: &Schema, stats: &TableStats, col: &str) -> Option<ColumnStats> {
-    let ci = schema.index_of(col)?;
-    let mut blocks = stats
-        .block_stats
-        .iter()
-        .filter(|b| b.columns.len() > ci && b.rows > 0);
+/// Fold per-block stats into one whole-table [`ColumnStats`] for `col`.
+fn table_column_stats(meta: &TableMeta, col: &str) -> Option<ColumnStats> {
+    let ci = meta.schema().index_of(col)?;
+    let mut blocks = meta.blocks().iter().filter(|b| b.rows > 0);
     let first = blocks.next()?.columns[ci].clone();
     let mut folded = first;
     for b in blocks {
@@ -215,19 +199,19 @@ fn table_column_stats(schema: &Schema, stats: &TableStats, col: &str) -> Option<
 /// Upper bound on the number of distinct values (including a null
 /// group) a grouping key can take, from dictionary cardinality or
 /// zone-map ranges. `None` = unbounded by statistics.
-fn key_cardinality(schema: &Schema, stats: &TableStats, col: &str) -> Option<u64> {
+fn key_cardinality(meta: &TableMeta, col: &str) -> Option<u64> {
     let null_group = |s: &ColumnStats| u64::from(s.null_count > 0);
     // Dictionary columns: the table-wide dictionary bounds distinct
     // values no matter how the rows were filtered downstream.
-    if let Some(&(_, len)) = stats
-        .dict_sizes
+    if let Some(&(_, len)) = meta
+        .dict_sizes()
         .iter()
         .find(|(name, _)| name.eq_ignore_ascii_case(col))
     {
-        let nulls = table_column_stats(schema, stats, col).map_or(1, |s| null_group(&s));
+        let nulls = table_column_stats(meta, col).map_or(1, |s| null_group(&s));
         return Some(len as u64 + nulls);
     }
-    let s = table_column_stats(schema, stats, col)?;
+    let s = table_column_stats(meta, col)?;
     match s.dtype {
         DataType::Bool => Some(2 + null_group(&s)),
         DataType::Int | DataType::Date => match (&s.min, &s.max) {
@@ -257,8 +241,8 @@ fn key_cardinality(schema: &Schema, stats: &TableStats, col: &str) -> Option<u64
 /// Whether `col` provably holds one single non-null value across the
 /// whole table (the degenerate join key that turns a join into a cross
 /// product), and that value.
-fn constant_key(schema: &Schema, stats: &TableStats, col: &str) -> Option<Value> {
-    let s = table_column_stats(schema, stats, col)?;
+fn constant_key(meta: &TableMeta, col: &str) -> Option<Value> {
+    let s = table_column_stats(meta, col)?;
     if s.null_count > 0 {
         return None;
     }
@@ -287,8 +271,8 @@ fn row_width(schema: &Schema) -> u64 {
     w.max(1)
 }
 
-/// The `(schema, stats)` of a load node's table, when known.
-fn load_table<'a>(ctx: &'a AnalysisContext, call: &SkillCall) -> Option<&'a (Schema, TableStats)> {
+/// The metadata of a load node's table, when known.
+fn load_table<'a>(ctx: &'a AnalysisContext, call: &SkillCall) -> Option<&'a TableMeta> {
     match call {
         SkillCall::LoadTable {
             database, table, ..
@@ -312,24 +296,19 @@ fn load_scan(call: &SkillCall) -> ScanOptions {
     }
 }
 
-/// Refine a filter node's row bounds when its input is a catalog scan
-/// with block detail: the blocks the scan's plan keeps reach the filter,
-/// and the filter's own keep-condition is evaluated per block with the
-/// same tri-state verdicts.
-fn filter_over_scan(
-    keep: &Expr,
-    schema: &Schema,
-    stats: &TableStats,
-    scan: &ScanOptions,
-) -> Option<RowBounds> {
-    let plan = stats.scan_plan(schema, scan)?;
+/// Refine a filter node's row bounds when its input is a catalog scan:
+/// the blocks the scan's plan keeps reach the filter, and the filter's own
+/// keep-condition is evaluated per block with the same tri-state verdicts.
+fn filter_over_scan(keep: &Expr, meta: &TableMeta, scan: &ScanOptions) -> Option<RowBounds> {
+    let plan = meta.plan(scan).ok()?;
+    let schema = meta.schema();
     let mut lo = 0u64;
     let mut hi = 0u64;
     for &(bi, scan_v) in &plan.blocks {
         if scan_v == Tri::AllFalse {
             continue; // block never reaches the filter
         }
-        let block = &stats.block_stats[bi];
+        let block = &meta.blocks()[bi];
         let lookup = |name: &str| schema.index_of(name).map(|ci| block.columns[ci].clone());
         match prune_predicate(keep, &lookup) {
             Tri::AllFalse => {}
@@ -347,9 +326,11 @@ fn filter_over_scan(
     Some(RowBounds { lo, hi: Some(hi) })
 }
 
-/// Run the estimation pass over the planned DAG and emit the DC03xx
-/// lints. `schemas` is the schema pass's per-node result (used for the
-/// footprint model); `targets` scope reachability (empty = whole DAG).
+/// Run the estimation pass over `dag` — the plan the driver runs, i.e. the
+/// written DAG after the plan step (`analyze_dag` plans once) — and emit
+/// the DC03xx lints. `schemas` is the schema pass's per-node result (used
+/// for the footprint model); `targets` scope reachability (empty = whole
+/// DAG).
 pub fn estimate_pass(
     dag: &SkillDag,
     targets: &[NodeId],
@@ -357,20 +338,6 @@ pub fn estimate_pass(
     schemas: &HashMap<NodeId, Option<Schema>>,
     diags: &mut Vec<Diagnostic>,
 ) -> DagEstimates {
-    // Price the plan the driver actually runs by calling what it calls:
-    // `optimize_dag` (projection pushdown, filter hoisting into scans,
-    // join ordering — the context implements the same `PlanStats`
-    // interface the driver plans with, so both sides rewrite
-    // identically). Whole-DAG analyses (empty target set) have no plan to
-    // mirror — without targets every node is observable — so they price
-    // the filter-hoisting rule alone, which needs no statistics.
-    let planned = if targets.is_empty() {
-        plan_pushdown(dag, targets, &[])
-    } else {
-        dc_skills::optimize_dag(dag, targets, &[], ctx)
-    };
-    let dag = planned.as_ref().unwrap_or(dag);
-
     // Reachability: union of the targets' ancestor chains (node ids are
     // topological — inputs always precede consumers).
     let reachable: BTreeSet<NodeId> = if targets.is_empty() {
@@ -400,25 +367,19 @@ pub fn estimate_pass(
         let mut bytes_hi = 0u64;
         let mut out_bytes_override: Option<u64> = None;
         let bounds = match &node.call {
-            SkillCall::LoadTable { .. } => match load_table(ctx, &node.call) {
-                Some((schema, stats)) => {
-                    let opts = load_scan(&node.call);
-                    let est = scan_estimate(schema, stats, &opts);
-                    bytes_lo = est.bytes_lo;
-                    bytes_hi = est.bytes_hi;
-                    // Loads re-emit stored rows: scale the stored
-                    // footprint instead of the width model. Projected
-                    // loads emit narrower rows — fall through to the
-                    // width model over the projected schema instead.
-                    if stats.rows > 0 && opts.columns.is_none() {
-                        out_bytes_override = est.rows.hi.map(|h| {
-                            (stats.bytes as u128 * u128::from(h) / stats.rows as u128) as u64
-                        });
+            SkillCall::LoadTable { .. } => {
+                let meta = load_table(ctx, &node.call);
+                match meta.and_then(|m| scan_estimate(m, &load_scan(&node.call))) {
+                    Some(est) => {
+                        (bytes_lo, bytes_hi) = (est.bytes, est.bytes);
+                        // Loads re-emit stored rows: scale the stored
+                        // footprint instead of the width model.
+                        out_bytes_override = est.out_bytes;
+                        est.rows
                     }
-                    est.rows
+                    None => RowBounds::unknown(),
                 }
-                None => RowBounds::unknown(),
-            },
+            }
             // A bound `UseDataset` re-reads its producer; unbound falls
             // through to the environment (unknown to the analyzer).
             SkillCall::UseDataset { .. } => {
@@ -444,8 +405,8 @@ pub fn estimate_pass(
                     .first()
                     .and_then(|&i| dag.node(i).ok())
                     .and_then(|load| {
-                        let (schema, stats) = load_table(ctx, &load.call)?;
-                        filter_over_scan(&keep, schema, stats, &load_scan(&load.call))
+                        let meta = load_table(ctx, &load.call)?;
+                        filter_over_scan(&keep, meta, &load_scan(&load.call))
                     });
                 refined.unwrap_or_else(|| in_rows.filtered())
             }
@@ -756,10 +717,10 @@ fn group_cardinality(
     input: Option<&NodeId>,
     keys: &[String],
 ) -> Option<u64> {
-    let (schema, stats) = source_table(dag, ctx, *input?)?;
+    let meta = source_table(dag, ctx, *input?)?;
     let mut product = 1u64;
     for key in keys {
-        let card = key_cardinality(schema, stats, key)?;
+        let card = key_cardinality(meta, key)?;
         product = product.saturating_mul(card.max(1));
     }
     Some(product)
@@ -772,7 +733,7 @@ fn source_table<'a>(
     dag: &SkillDag,
     ctx: &'a AnalysisContext,
     mut node: NodeId,
-) -> Option<&'a (Schema, TableStats)> {
+) -> Option<&'a TableMeta> {
     for _ in 0..dag.nodes().len() {
         let n = dag.node(node).ok()?;
         if let Some(found) = load_table(ctx, &n.call) {
@@ -841,9 +802,9 @@ fn join_bounds(
     RowBounds { lo, hi }
 }
 
-/// When both join inputs are catalog scans with block detail, the
-/// provably constant value of every key pair (`None` if any key is not
-/// provably constant on either side).
+/// When both join inputs are catalog scans, the provably constant value
+/// of every key pair (`None` if any key is not provably constant on either
+/// side).
 fn join_key_constants(
     dag: &SkillDag,
     ctx: &AnalysisContext,
@@ -858,20 +819,21 @@ fn join_key_constants(
     let &[li, ri] = &node.inputs[..] else {
         return None;
     };
-    let (ls, lstats) = load_table(ctx, &dag.node(li).ok()?.call)?;
-    let (rs, rstats) = load_table(ctx, &dag.node(ri).ok()?.call)?;
+    let left = load_table(ctx, &dag.node(li).ok()?.call)?;
+    let right = load_table(ctx, &dag.node(ri).ok()?.call)?;
     left_on
         .iter()
         .zip(right_on)
-        .map(|(l, r)| Some((constant_key(ls, lstats, l)?, constant_key(rs, rstats, r)?)))
+        .map(|(l, r)| Some((constant_key(left, l)?, constant_key(right, r)?)))
         .collect()
 }
 
-/// Per-step admission estimates for a linear chat program (`dc-serve`).
+/// Admission estimates for a linear chat program (`dc-serve`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StepEstimates {
-    /// Scan-byte upper bound per step (zero for non-scanning steps).
-    pub per_step: Vec<u64>,
+    /// Sum of every step's scan-byte bound, each load priced as if it ran
+    /// cold.
+    pub total: u64,
     /// Total reservation: per-step bounds deduped by load identity, the
     /// same dedup the executor's structural cache applies (a program
     /// loading one table twice scans it once).
@@ -886,58 +848,51 @@ pub struct StepEstimates {
 /// the planned steps the service will execute.
 pub fn estimate_steps(env: &dc_skills::Env, steps: &[SkillCall]) -> StepEstimates {
     let mut priced: BTreeSet<String> = BTreeSet::new();
-    let mut per_step = Vec::with_capacity(steps.len());
-    let mut reserve = 0u64;
+    let (mut total, mut reserve) = (0u64, 0u64);
     for step in steps {
         let SkillCall::LoadTable {
             database, table, ..
         } = step
         else {
-            per_step.push(0);
             continue;
         };
         // An unknown table: the step will fail before scanning.
-        let meta = env
-            .catalog
-            .database(database)
-            .ok()
-            .and_then(|db| db.source(table).ok());
         let opts = load_scan(step);
-        let plan = meta.and_then(|t| t.plan(&opts).ok());
+        let plan = env
+            .table_meta(database, table)
+            .and_then(|t| t.plan(&opts).ok());
         let bytes = plan.map_or(0, |p| p.bytes_scanned);
-        per_step.push(bytes);
+        total = total.saturating_add(bytes);
         // Structural identity of a zero-input load is its call; identical
         // loads hit the session cache and charge once.
         if priced.insert(step.cache_key()) {
             reserve = reserve.saturating_add(bytes);
         }
     }
-    StepEstimates { per_step, reserve }
+    StepEstimates { total, reserve }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analyze_dag;
-    use dc_engine::Field;
     use dc_storage::{BlockSource, BlockTable};
+
+    /// The stored metadata of `csv` in blocks of `block_rows`.
+    fn meta_of(csv: &str, block_rows: usize) -> TableMeta {
+        let t = dc_engine::csv::read_csv(csv).unwrap();
+        BlockTable::new(&t, block_rows).unwrap().meta().clone()
+    }
 
     /// A table whose `day` column is monotone (0,0,1,1,2,2,...), split
     /// into 2-row blocks so zone maps genuinely prune.
-    fn clustered_table(rows: usize) -> (Schema, TableStats) {
+    fn ctx_with(rows: usize) -> AnalysisContext {
         let mut csv = String::from("day,label\n");
         for i in 0..rows {
             csv.push_str(&format!("{},r{}\n", i / 2, i % 3));
         }
-        let t = dc_engine::csv::read_csv(&csv).unwrap().encode_strings();
-        let bt = BlockTable::new(&t, 2).unwrap();
-        (bt.schema().clone(), TableStats::from_block_table(bt.meta()))
-    }
-
-    fn ctx_with(rows: usize) -> AnalysisContext {
-        let (schema, stats) = clustered_table(rows);
         let mut ctx = AnalysisContext::new();
-        ctx.add_table("db", "history", schema, stats);
+        ctx.add_table("db", "history", meta_of(&csv, 2));
         ctx
     }
 
@@ -959,7 +914,7 @@ mod tests {
             )
             .unwrap();
         let a = analyze_dag(&dag, &[f], &ctx);
-        let full = ctx.table("db", "history").unwrap().1.bytes;
+        let full = ctx.table("db", "history").unwrap().total_bytes();
         let scan = a.estimates.get(l).unwrap();
         // Blocks with day < 8 are pruned: the bound is far below full
         // scan but still nonzero (tail blocks + dictionary).
@@ -980,12 +935,12 @@ mod tests {
         let mut dag = SkillDag::new();
         let l = dag.add(load(), vec![]).unwrap();
         let a = analyze_dag(&dag, &[l], &ctx);
-        let stats = &ctx.table("db", "history").unwrap().1;
+        let meta = ctx.table("db", "history").unwrap();
         let e = a.estimates.get(l).unwrap();
-        assert_eq!(e.bytes_lo, stats.bytes);
-        assert_eq!(e.bytes_hi, stats.bytes);
-        assert_eq!(e.rows_hi, Some(stats.rows as u64));
-        assert_eq!(e.rows_lo, stats.rows as u64);
+        assert_eq!(e.bytes_lo, meta.total_bytes());
+        assert_eq!(e.bytes_hi, meta.total_bytes());
+        assert_eq!(e.rows_hi, Some(meta.num_rows() as u64));
+        assert_eq!(e.rows_lo, meta.num_rows() as u64);
     }
 
     #[test]
@@ -1004,7 +959,7 @@ mod tests {
             )
             .unwrap();
         let a = analyze_dag(&dag, &[c], &ctx);
-        let full = ctx.table("db", "history").unwrap().1.bytes;
+        let full = ctx.table("db", "history").unwrap().total_bytes();
         assert_eq!(a.estimates.scan_bytes_hi, full, "structural dedup");
         // Concat output doubles the rows.
         assert_eq!(a.estimates.get(c).unwrap().rows_hi, Some(20));
@@ -1043,22 +998,18 @@ mod tests {
 
     #[test]
     fn budget_lint_respects_lower_bound() {
-        // A filtered load's guaranteed cost without block detail is 0 —
-        // the lint must not fire on an upper bound.
+        // A filtered load is priced at what its scan charges, not at the
+        // table's size: `x > 5` prunes every block of `x ∈ [0, 4]`, so the
+        // guaranteed cost is 0 and the lint must not fire.
+        let mut csv = String::from("x\n");
+        for i in 0..1000 {
+            csv.push_str(&format!("{}\n", i % 5));
+        }
         let mut ctx = AnalysisContext::new();
-        let schema = Schema::new(vec![Field::new("x", DataType::Int)]).unwrap();
-        ctx.add_table(
-            "db",
-            "t",
-            schema,
-            TableStats {
-                rows: 1000,
-                blocks: 4,
-                bytes: 1 << 20,
-                ..TableStats::default()
-            },
-        );
+        ctx.add_table("db", "t", meta_of(&csv, 250));
         ctx.set_remaining_budget(1);
+        let full = ctx.table("db", "t").unwrap().total_bytes();
+        assert!(full > 1);
         let mut dag = SkillDag::new();
         let l = dag
             .add(
@@ -1074,8 +1025,7 @@ mod tests {
         let a = analyze_dag(&dag, &[l], &ctx);
         assert!(a.with_code(Code::PredictedBudgetExhaustion).is_empty());
         let e = a.estimates.get(l).unwrap();
-        assert_eq!(e.bytes_lo, 0);
-        assert_eq!(e.bytes_hi, 1 << 20);
+        assert_eq!((e.bytes_lo, e.bytes_hi), (0, 0));
     }
 
     #[test]
@@ -1085,15 +1035,8 @@ mod tests {
         for i in 0..40 {
             csv.push_str(&format!("7,{i}\n"));
         }
-        let t = dc_engine::csv::read_csv(&csv).unwrap();
-        let bt = BlockTable::new(&t, 8).unwrap();
         let mut ctx = AnalysisContext::new();
-        ctx.add_table(
-            "db",
-            "pairs",
-            bt.schema().clone(),
-            TableStats::from_block_table(bt.meta()),
-        );
+        ctx.add_table("db", "pairs", meta_of(&csv, 8));
         let mut dag = SkillDag::new();
         let a1 = dag
             .add(SkillCall::load_table("db", "pairs"), vec![])
@@ -1185,7 +1128,7 @@ mod tests {
             .total_bytes();
         // Duplicate full loads reserve once.
         let est = estimate_steps(&env, &[load(), load()]);
-        assert_eq!(est.per_step, vec![full, full]);
+        assert_eq!(est.total, 2 * full);
         assert_eq!(est.reserve, full);
         // A selective fused load reserves far less than full.
         let fused = SkillCall::LoadTable {

@@ -14,8 +14,8 @@
 //! 2. **Dataflow lints** ([`dataflow`]) — dead nodes (`DC0101`),
 //!    duplicate sub-DAGs (`DC0102`) via the executor's own structural
 //!    interning, use-before-define (`DC0103`).
-//! 3. **Cost lints** ([`cost`]) — bytes-scanned estimates from
-//!    `dc-storage` block stats, flagging full scans that could be block
+//! 3. **Cost lints** ([`cost`]) — priced from each table's stored
+//!    `dc_storage::TableMeta`, flagging full scans that could be block
 //!    samples (`DC0201`), snapshot reads (`DC0202`), and string columns
 //!    whose dictionaries deduplicate nothing (`DC0203`).
 //! 4. **Cost & cardinality estimation** ([`estimate`]) — propagates
@@ -48,10 +48,10 @@ pub mod schema_pass;
 
 use std::collections::HashMap;
 
-use dc_skills::{NodeId, SkillDag};
+use dc_skills::{optimize_dag, plan_pushdown, NodeId, SkillDag};
 
-pub use context::{AnalysisContext, BlockStats, ModelInfo, TableStats};
-pub use cost::{cost_pass, NodeCost};
+pub use context::{AnalysisContext, ModelInfo};
+pub use cost::cost_pass;
 pub use dataflow::dataflow_pass;
 pub use diag::{Code, Diagnostic, Fix, Severity, Span};
 pub use estimate::{estimate_pass, estimate_steps, DagEstimates, NodeEstimate, StepEstimates};
@@ -75,8 +75,6 @@ pub struct Analysis {
     pub diagnostics: Vec<Diagnostic>,
     /// Inferred output schema per node (`None` = statically unknown).
     pub schemas: HashMap<NodeId, Option<dc_engine::Schema>>,
-    /// Scan-cost estimates for storage-touching nodes.
-    pub costs: Vec<NodeCost>,
     /// Row-count and scan-byte bounds per reachable node, with
     /// structurally deduped pipeline totals.
     pub estimates: DagEstimates,
@@ -133,20 +131,30 @@ impl Analysis {
 }
 
 /// Analyze a planned DAG against `targets` — the nodes whose results the
-/// pipeline delivers (for a linear recipe, the last node). All three
-/// passes run; the report is never short-circuited, so one call yields
-/// every finding the analyzer can make.
+/// pipeline delivers (for a linear recipe, the last node). All passes run;
+/// the report is never short-circuited, so one call yields every finding
+/// the analyzer can make.
+///
+/// The plan step runs once, as the driver runs it (`optimize_dag` over the
+/// targets' cone), and both DC0206 and the estimation pass read that plan.
+/// Whole-DAG analyses (no targets) have no plan to mirror — every node is
+/// observable — so they take the filter-hoisting rule alone, which needs
+/// no statistics.
 pub fn analyze_dag(dag: &SkillDag, targets: &[NodeId], ctx: &AnalysisContext) -> Analysis {
     let mut diagnostics = Vec::new();
     let schemas = schema_pass::schema_pass(dag, ctx, &mut diagnostics);
     dataflow::dataflow_pass(dag, targets, &mut diagnostics);
-    let costs = cost::cost_pass(dag, ctx, &mut diagnostics);
-    cost::optimizer_lints(dag, targets, ctx, &mut diagnostics);
-    let estimates = estimate::estimate_pass(dag, targets, ctx, &schemas, &mut diagnostics);
+    cost::cost_pass(dag, ctx, &mut diagnostics);
+    let planned = match targets {
+        [] => plan_pushdown(dag, targets, &[]),
+        _ => optimize_dag(dag, targets, &[], ctx),
+    };
+    let plan = planned.as_ref().unwrap_or(dag);
+    cost::optimizer_lints(dag, plan, ctx, &mut diagnostics);
+    let estimates = estimate::estimate_pass(plan, targets, ctx, &schemas, &mut diagnostics);
     Analysis {
         diagnostics,
         schemas,
-        costs,
         estimates,
     }
 }
@@ -154,33 +162,35 @@ pub fn analyze_dag(dag: &SkillDag, targets: &[NodeId], ctx: &AnalysisContext) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dc_engine::{AggFunc, AggSpec, DataType, Expr, Field, Schema};
+    use dc_engine::{AggFunc, AggSpec, Column, DataType, Expr, Table};
     use dc_skills::SkillCall;
+    use dc_storage::{BlockSource, BlockTable, TableMeta};
 
-    fn sales_schema() -> Schema {
-        Schema::new(vec![
-            Field::new("order_id", DataType::Int),
-            Field::new("region", DataType::Str),
-            Field::new("price", DataType::Float),
-            Field::new("quantity", DataType::Int),
-            Field::new("order_date", DataType::Date),
+    /// `sales` stored in `blocks` blocks, its `region` a dictionary of
+    /// `regions` values.
+    fn sales(rows: usize, blocks: usize, regions: usize) -> TableMeta {
+        let n = rows as i64;
+        let region = (0..rows).map(|i| format!("r{}", i % regions));
+        let t = Table::new(vec![
+            ("order_id", Column::from_ints((0..n).collect())),
+            ("region", Column::from_strs(region.collect())),
+            (
+                "price",
+                Column::from_floats((0..n).map(|i| i as f64).collect()),
+            ),
+            (
+                "quantity",
+                Column::from_ints((0..n).map(|i| i % 7).collect()),
+            ),
+            ("order_date", Column::from_dates((0..rows as i32).collect())),
         ])
-        .unwrap()
+        .unwrap();
+        BlockTable::new(&t, rows / blocks).unwrap().meta().clone()
     }
 
     fn ctx() -> AnalysisContext {
         let mut ctx = AnalysisContext::new();
-        ctx.add_table(
-            "Main",
-            "sales",
-            sales_schema(),
-            TableStats {
-                rows: 100,
-                blocks: 4,
-                bytes: 4096,
-                ..TableStats::default()
-            },
-        );
+        ctx.add_table("Main", "sales", sales(100, 4, 4));
         ctx
     }
 
@@ -214,13 +224,20 @@ mod tests {
                 vec![f],
             )
             .unwrap();
-        let report = analyze_dag(&dag, &[g], &ctx());
+        let ctx = ctx();
+        let report = analyze_dag(&dag, &[g], &ctx);
         assert!(report.diagnostics.is_empty(), "{}", report.render());
         let schema = report.schemas[&g].as_ref().unwrap();
         assert_eq!(schema.names(), vec!["region", "total"]);
         assert_eq!(schema.field("total").unwrap().dtype, DataType::Float);
-        assert_eq!(report.costs.len(), 1);
-        assert_eq!(report.costs[0].bytes, 4096);
+        // The load is priced as the planned scan: two of five columns.
+        let scan = report.estimates.get(l).unwrap();
+        let full = ctx.table("Main", "sales").unwrap().total_bytes();
+        assert_eq!(scan.bytes_lo, scan.bytes_hi);
+        assert!(
+            0 < scan.bytes_hi && scan.bytes_hi < full,
+            "{scan:?} vs {full}"
+        );
     }
 
     #[test]
@@ -352,20 +369,9 @@ mod tests {
 
     #[test]
     fn high_cardinality_dict_flagged() {
+        // order_id-like region: ~one distinct string per row.
         let mut ctx = AnalysisContext::new();
-        ctx.add_table(
-            "Main",
-            "sales",
-            sales_schema(),
-            TableStats {
-                rows: 1000,
-                blocks: 4,
-                bytes: 65_536,
-                // order_id-like column: ~one distinct string per row.
-                dict_sizes: vec![("region".into(), 950), ("product".into(), 12)],
-                ..TableStats::default()
-            },
-        );
+        ctx.add_table("Main", "sales", sales(1000, 4, 950));
         let mut dag = SkillDag::new();
         let l = load(&mut dag);
         let c = dag.add(SkillCall::CountRows, vec![l]).unwrap();
@@ -377,18 +383,7 @@ mod tests {
         assert!(hits[0].message.contains("region"), "{}", hits[0].message);
         // Under the 100-row floor nothing fires even at full cardinality.
         let mut small = AnalysisContext::new();
-        small.add_table(
-            "Main",
-            "sales",
-            sales_schema(),
-            TableStats {
-                rows: 50,
-                blocks: 1,
-                bytes: 512,
-                dict_sizes: vec![("region".into(), 50)],
-                ..TableStats::default()
-            },
-        );
+        small.add_table("Main", "sales", sales(50, 1, 50));
         let report = analyze_dag(&dag, &[c], &small);
         assert!(report.with_code(Code::HighCardinalityDict).is_empty());
     }

@@ -124,7 +124,7 @@ impl Pass<'_> {
         if let Some(schema) = self.upstream(&self.saved, name, node) {
             return Some(schema.clone());
         }
-        let table = || self.ctx.any_table(name).map(|(schema, _)| schema);
+        let table = || self.ctx.any_table(name).map(|meta| meta.schema());
         self.ctx.saved(name).or_else(table).cloned().map(Some)
     }
 

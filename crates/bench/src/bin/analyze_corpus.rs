@@ -10,12 +10,12 @@
 //! fails the gate.
 
 //! `--qerror` instead runs the estimate-vs-actual selectivity sweep
-//! behind the EXPERIMENTS.md q-error table: a 1M-row day-clustered
-//! table filtered at 0.1/1/10% selectivity, priced twice — once with
-//! full per-block zone detail and once from summary stats only (the
-//! degraded path) — then executed for ground truth.
+//! behind the EXPERIMENTS.md q-error table: a 1M-row id-clustered table
+//! filtered at 0.1/1/10% selectivity, priced from the table's stored
+//! metadata (the per-block zone maps its scan plans with), then executed
+//! for ground truth.
 
-use dc_analyze::{AnalysisContext, TableStats};
+use dc_analyze::AnalysisContext;
 use dc_engine::{Column, Expr, Table};
 use dc_skills::{Env, Executor, SkillCall, SkillDag};
 use dc_storage::{CloudDatabase, Pricing};
@@ -121,8 +121,8 @@ fn estimate_violation(text: &str, ctx: &AnalysisContext) -> Option<String> {
 }
 
 /// Estimate-vs-actual q-error sweep (`max(est/actual, actual/est)`) for
-/// scan bytes at three selectivities, with and without per-block zone
-/// detail. Exits non-zero on any unsound (under-)estimate.
+/// scan bytes at three selectivities. Exits non-zero on any unsound
+/// (under-)estimate.
 fn qerror_sweep() {
     const ROWS: usize = 1_000_000;
     const BLOCK_ROWS: usize = 8_192;
@@ -142,29 +142,15 @@ fn qerror_sweep() {
         env.catalog.add_database(db).unwrap();
         env
     };
-    let ctx_detail = AnalysisContext::from_env(&build_env());
-    let (schema, full) = ctx_detail.table("MainDatabase", "big").expect("big table");
-    // The degraded path: same row/block/byte totals, no zone detail.
-    let mut ctx_plain = AnalysisContext::new();
-    ctx_plain.add_table(
-        "MainDatabase",
-        "big",
-        schema.clone(),
-        TableStats {
-            rows: full.rows,
-            blocks: full.blocks,
-            bytes: full.bytes,
-            ..TableStats::default()
-        },
-    );
+    let ctx = AnalysisContext::from_env(&build_env());
 
     let qerr = |est: u64, actual: u64| -> f64 {
         let (est, actual) = (est.max(1) as f64, actual.max(1) as f64);
         (est / actual).max(actual / est)
     };
     println!(
-        "{:<12} {:>12} {:>14} {:>9} {:>14} {:>9}",
-        "selectivity", "actual B", "est B (zones)", "q-error", "est B (plain)", "q-error"
+        "{:<12} {:>12} {:>14} {:>9}",
+        "selectivity", "actual B", "est B (zones)", "q-error"
     );
     let mut unsound = false;
     for pct in [0.1f64, 1.0, 10.0] {
@@ -181,22 +167,19 @@ fn qerror_sweep() {
                 vec![load],
             )
             .unwrap();
-        let detail = dc_analyze::analyze_dag(&dag, &[keep], &ctx_detail).estimates;
-        let plain = dc_analyze::analyze_dag(&dag, &[keep], &ctx_plain).estimates;
+        let est = dc_analyze::analyze_dag(&dag, &[keep], &ctx).estimates;
         let mut env = build_env();
         Executor::new()
             .run(&dag, keep, &mut env)
             .expect("sweep run");
         let actual = env.scan_tally.bytes_scanned;
-        unsound |= actual > detail.scan_bytes_hi || actual > plain.scan_bytes_hi;
+        unsound |= actual > est.scan_bytes_hi;
         println!(
-            "{:<12} {:>12} {:>14} {:>9.3} {:>14} {:>9.3}",
+            "{:<12} {:>12} {:>14} {:>9.3}",
             format!("{pct}%"),
             actual,
-            detail.scan_bytes_hi,
-            qerr(detail.scan_bytes_hi, actual),
-            plain.scan_bytes_hi,
-            qerr(plain.scan_bytes_hi, actual),
+            est.scan_bytes_hi,
+            qerr(est.scan_bytes_hi, actual),
         );
     }
     if unsound {

@@ -131,25 +131,20 @@ pub fn analyze_gel(text: &str, ctx: &AnalysisContext) -> Analysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dc_analyze::{Severity, TableStats};
-    use dc_engine::{DataType, Field, Schema};
+    use dc_analyze::Severity;
+    use dc_storage::{BlockSource, BlockTable};
 
     fn ctx() -> AnalysisContext {
+        let mut csv = String::from("region,price\n");
+        for i in 0..10 {
+            csv.push_str(&format!("r{},{}.5\n", i % 2, i));
+        }
+        let t = dc_engine::csv::read_csv(&csv).unwrap();
         let mut ctx = AnalysisContext::new();
         ctx.add_table(
             "Main",
             "sales",
-            Schema::new(vec![
-                Field::new("region", DataType::Str),
-                Field::new("price", DataType::Float),
-            ])
-            .unwrap(),
-            TableStats {
-                rows: 10,
-                blocks: 2,
-                bytes: 100,
-                ..TableStats::default()
-            },
+            BlockTable::new(&t, 5).unwrap().meta().clone(),
         );
         ctx
     }

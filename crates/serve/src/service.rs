@@ -234,7 +234,7 @@ impl SessionService {
                 return (0, 0);
             }
             let est = dc_analyze::estimate_steps(env, &steps);
-            (est.reserve, est.per_step.iter().sum())
+            (est.reserve, est.total)
         });
         let cell = Arc::new(JobCell::default());
         let id = self.inner.next_job.fetch_add(1, Ordering::Relaxed);

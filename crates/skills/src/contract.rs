@@ -31,7 +31,7 @@ use crate::optimize::PlanStats;
 use crate::skill::{DatePart, SkillCall};
 
 /// The sources a call can read beyond the catalog (whose schemas come from
-/// [`PlanStats::table_schema`]): file and URL fixtures, saved artifacts,
+/// [`PlanStats::table_meta`]): file and URL fixtures, saved artifacts,
 /// snapshots, and model signatures. Implemented by [`Env`] and by the
 /// analyzer's context; `()` resolves nothing.
 pub trait Sources {
@@ -513,10 +513,10 @@ impl Out {
                 columns,
                 ..
             } => {
-                let schema = stats.table_schema(database, table)?;
+                let schema = stats.table_meta(database, table)?.schema();
                 // A projected load carries its columns, in the call's order.
                 return match columns {
-                    None => Some(schema),
+                    None => Some(schema.clone()),
                     Some(cols) => Schema::new(
                         cols.iter()
                             .filter_map(|c| schema.field(c).cloned())
@@ -943,21 +943,18 @@ mod tests {
     use super::*;
     use dc_engine::Value;
 
-    struct Catalog(Schema);
+    /// Every catalog table is `sales`.
+    struct Catalog(dc_storage::TableMeta);
 
     impl PlanStats for Catalog {
-        fn table_schema(&self, _: &str, _: &str) -> Option<Schema> {
-            Some(self.0.clone())
+        fn table_meta(&self, _: &str, _: &str) -> Option<&dc_storage::TableMeta> {
+            Some(&self.0)
         }
-        fn table_rows(&self, _: &str, _: &str) -> Option<u64> {
-            None
-        }
-        fn column_distinct(&self, _: &str, _: &str, _: &str) -> Option<u64> {
-            None
-        }
-        fn column_unique(&self, _: &str, _: &str, _: &str) -> bool {
-            false
-        }
+    }
+
+    fn catalog() -> Catalog {
+        let table = dc_storage::BlockTable::new(&dc_storage::demo::sales(4, 1), 2).unwrap();
+        Catalog(dc_storage::BlockSource::meta(&table).clone())
     }
 
     fn sales() -> Schema {
@@ -966,7 +963,7 @@ mod tests {
 
     fn over_sales(call: SkillCall) -> Contract {
         let s = sales();
-        contract(&call, &[Some(&s)], &Catalog(s.clone()), &())
+        contract(&call, &[Some(&s)], &catalog(), &())
     }
 
     fn kinds(c: &Contract) -> Vec<FindingKind> {
@@ -1025,7 +1022,7 @@ mod tests {
     #[test]
     fn sources_and_missing_inputs() {
         let s = sales();
-        let catalog = Catalog(s.clone());
+        let catalog = catalog();
         let load = SkillCall::LoadTable {
             database: "Main".into(),
             table: "sales".into(),
@@ -1060,7 +1057,7 @@ mod tests {
             right_on: vec!["order_id".into()],
             how: dc_engine::JoinType::Inner,
         };
-        let c = contract(&join, &[Some(&s), Some(&s)], &Catalog(s.clone()), &());
+        let c = contract(&join, &[Some(&s), Some(&s)], &catalog(), &());
         let schema = c.schema.unwrap();
         assert_eq!(schema.len(), 2 * s.len() - 1);
         assert!(schema.field("price_right").is_some());

@@ -42,8 +42,7 @@ pub use env::{Env, ScanTally};
 pub use error::{Result, SkillError};
 pub use exec::{execute_call, needs_env, structural_ids, Executor, ExecutorStats, SubDagId};
 pub use optimize::{
-    int_blocks_unique, join_order_advice, optimize_dag, plan_linear, plan_pushdown,
-    JoinOrderAdvice, PlanStats,
+    join_order_advice, optimize_dag, plan_linear, plan_pushdown, JoinOrderAdvice, PlanStats,
 };
 pub use output::SkillOutput;
 pub use planner::{plan, ExecutionTask};

@@ -52,56 +52,79 @@
 //! purely an optimization.
 //!
 //! The pass is deterministic: given the same DAG and the same
-//! [`PlanStats`] answers it produces the same plan. The driver (stats
-//! from [`Env`]) and the static estimator (stats from `dc-analyze`'s
-//! context) give the same answers for every catalog table, in-memory or
-//! disk-backed, because both read them from the table's resident
-//! [`dc_storage::TableMeta`]; saved artifacts, snapshots and
-//! file loads have no statistics on either side and are never rewritten
-//! by them.
+//! [`PlanStats`] answers it produces the same plan. A provider answers one
+//! question — a catalog table's resident [`TableMeta`] — and every
+//! statistic the rules read (schema, rows, dictionary cardinality,
+//! uniqueness) is computed here from it, once. The driver ([`Env`]) and
+//! the static estimator (`dc-analyze`'s context) hand out the same meta
+//! for every catalog table, in-memory or disk-backed, so they plan alike;
+//! saved artifacts, snapshots and file loads have no statistics on either
+//! side and are never rewritten by them.
 
 use std::collections::BTreeSet;
 
 use dc_engine::expr::prune::{conjoin, nnf, prunable_conjuncts, ColumnStats};
 use dc_engine::{Expr, Schema, Value};
+use dc_storage::TableMeta;
 
 use crate::contract::{contract, Contract, Demand};
 use crate::dag::{NodeId, SkillDag, SkillNode};
 use crate::env::Env;
 use crate::skill::SkillCall;
 
-/// The statistics interface the optimizer plans against. Implemented by
-/// [`Env`] (live catalog) and by `dc-analyze`'s `AnalysisContext`
-/// (static snapshot), so plan-time and analysis-time rewrites agree.
+/// The statistics the optimizer plans against: a catalog table's resident
+/// metadata. Implemented by [`Env`] (live catalog) and by `dc-analyze`'s
+/// `AnalysisContext` (static snapshot), so plan-time and analysis-time
+/// rewrites agree.
 ///
-/// Schema answers drive the *semantic* rewrites (projection, hoisting);
-/// row counts, distinct counts, and uniqueness proofs drive only the
-/// join-order *cost* comparison, so a provider without them still
-/// produces a correct (just unreordered) plan.
+/// The schema drives the *semantic* rewrites (projection, hoisting); row
+/// counts, dictionary cardinalities and uniqueness proofs drive only the
+/// join-order *cost* comparison.
 pub trait PlanStats {
-    /// Schema of a catalog table, if known.
-    fn table_schema(&self, database: &str, table: &str) -> Option<Schema>;
-    /// Exact row count of a catalog table, if known.
-    fn table_rows(&self, database: &str, table: &str) -> Option<u64>;
-    /// Exact distinct-value count of a column (dictionary cardinality),
-    /// if known.
-    fn column_distinct(&self, database: &str, table: &str, column: &str) -> Option<u64>;
-    /// Whether every row of `column` is provably distinct and non-null.
-    /// Must only return `true` on a proof — join reordering relies on
-    /// uniqueness for exact row-order preservation, not just cost.
-    fn column_unique(&self, database: &str, table: &str, column: &str) -> bool;
+    /// The resident metadata of a catalog table, if it exists.
+    fn table_meta(&self, database: &str, table: &str) -> Option<&TableMeta>;
+}
+
+/// Answers come from the catalog's resident table metadata, so an
+/// in-memory and a disk-backed copy of one table plan identically.
+impl PlanStats for Env {
+    fn table_meta(&self, database: &str, table: &str) -> Option<&TableMeta> {
+        self.catalog.database(database).ok()?.source(table).ok()
+    }
+}
+
+/// Dictionary cardinality of a dictionary-encoded column.
+fn column_distinct(meta: &TableMeta, column: &str) -> Option<u64> {
+    meta.dict_sizes()
+        .iter()
+        .find(|(name, _)| name.eq_ignore_ascii_case(column))
+        .map(|(_, n)| *n as u64)
+}
+
+/// Whether every row of `column` is provably distinct and non-null: a
+/// null-free dictionary column with one entry per row, or an integer
+/// column [`int_blocks_unique`] proves. Only ever `true` on a proof — join
+/// reordering relies on uniqueness for exact row-order preservation, not
+/// just cost.
+fn column_unique(meta: &TableMeta, column: &str) -> bool {
+    let Some(ci) = meta.schema().index_of(column) else {
+        return false;
+    };
+    let stats = || meta.blocks().iter().map(|b| &b.columns[ci]);
+    let no_nulls = stats().all(|s| s.null_count == 0);
+    (no_nulls && column_distinct(meta, column) == Some(meta.num_rows() as u64))
+        || int_blocks_unique(stats())
 }
 
 /// Uniqueness proof for an integer column from per-block statistics:
 /// every block is a dense null-free run (`max - min + 1 == rows`) and
 /// the block ranges are pairwise disjoint, so all values are distinct.
 /// This is exactly the shape of surrogate-key columns.
-pub fn int_blocks_unique(blocks: &[ColumnStats]) -> bool {
-    if blocks.is_empty() {
-        return false;
-    }
-    let mut spans: Vec<(i64, i64)> = Vec::with_capacity(blocks.len());
+fn int_blocks_unique<'a>(blocks: impl Iterator<Item = &'a ColumnStats>) -> bool {
+    let mut spans: Vec<(i64, i64)> = Vec::new();
+    let mut any = false;
     for b in blocks {
+        any = true;
         if b.null_count != 0 {
             return false;
         }
@@ -117,56 +140,7 @@ pub fn int_blocks_unique(blocks: &[ColumnStats]) -> bool {
         spans.push((*lo, *hi));
     }
     spans.sort_unstable();
-    spans.windows(2).all(|w| w[0].1 < w[1].0)
-}
-
-/// Answers come from the catalog's resident table metadata
-/// ([`dc_storage::TableMeta`]), so an in-memory and a disk-backed copy of
-/// one table plan identically.
-impl PlanStats for Env {
-    fn table_schema(&self, database: &str, table: &str) -> Option<Schema> {
-        let t = self.catalog.database(database).ok()?.source(table).ok()?;
-        Some(t.schema().clone())
-    }
-
-    fn table_rows(&self, database: &str, table: &str) -> Option<u64> {
-        let t = self.catalog.database(database).ok()?.source(table).ok()?;
-        Some(t.num_rows() as u64)
-    }
-
-    fn column_distinct(&self, database: &str, table: &str, column: &str) -> Option<u64> {
-        let t = self.catalog.database(database).ok()?.source(table).ok()?;
-        t.dict_sizes()
-            .iter()
-            .find(|(name, _)| name.eq_ignore_ascii_case(column))
-            .map(|(_, n)| *n as u64)
-    }
-
-    fn column_unique(&self, database: &str, table: &str, column: &str) -> bool {
-        let Ok(db) = self.catalog.database(database) else {
-            return false;
-        };
-        let Ok(t) = db.source(table) else {
-            return false;
-        };
-        let Some(ci) = t.schema().index_of(column) else {
-            return false;
-        };
-        let stats: Vec<ColumnStats> = t.blocks().iter().map(|b| b.columns[ci].clone()).collect();
-        let nulls: u64 = stats.iter().map(|s| s.null_count).sum();
-        if nulls == 0 {
-            if let Some((_, dict)) = t
-                .dict_sizes()
-                .iter()
-                .find(|(name, _)| name.eq_ignore_ascii_case(column))
-            {
-                if *dict == t.num_rows() {
-                    return true;
-                }
-            }
-        }
-        int_blocks_unique(&stats)
-    }
+    any && spans.windows(2).all(|w| w[0].1 < w[1].0)
 }
 
 /// Optimize `dag` for `targets`. Returns the rewritten DAG, or `None`
@@ -807,37 +781,31 @@ fn collect_stars(dag: &SkillDag, consumers: &Consumers) -> Vec<Star> {
 
 fn dim_cost(dag: &SkillDag, j: &StarJoin, stats: &dyn PlanStats) -> Option<DimCost> {
     let node = dag.node(j.dim).ok()?;
-    let (database, table) = match &node.call {
-        SkillCall::LoadTable {
-            database, table, ..
-        } => (database.clone(), table.clone()),
-        _ => return None,
+    let SkillCall::LoadTable {
+        database, table, ..
+    } = &node.call
+    else {
+        return None;
     };
-    let unique = j.right_on.len() == 1 && stats.column_unique(&database, &table, &j.right_on[0]);
-    if unique {
-        return Some(DimCost {
-            mult: Some(1),
-            bounded: true,
-            unique,
-            table,
-        });
-    }
-    let rows = stats.table_rows(&database, &table);
-    let distinct = if j.right_on.len() == 1 {
-        stats.column_distinct(&database, &table, &j.right_on[0])
-    } else {
-        None
+    let meta = stats.table_meta(database, table);
+    let key = match &j.right_on[..] {
+        [key] => Some(key.as_str()),
+        _ => None,
     };
-    let (mult, bounded) = match (rows, distinct) {
-        (Some(r), Some(v)) => (Some(r.saturating_sub(v).saturating_add(1)), true),
-        (Some(r), None) => (Some(r), false),
-        (None, _) => (None, false),
+    let unique = meta.zip(key).is_some_and(|(m, k)| column_unique(m, k));
+    let rows = meta.map(|m| m.num_rows() as u64);
+    let distinct = meta.zip(key).and_then(|(m, k)| column_distinct(m, k));
+    let (mult, bounded) = match (unique, rows, distinct) {
+        (true, ..) => (Some(1), true),
+        (_, Some(r), Some(v)) => (Some(r.saturating_sub(v).saturating_add(1)), true),
+        (_, Some(r), None) => (Some(r), false),
+        (_, None, _) => (None, false),
     };
     Some(DimCost {
         mult,
         bounded,
         unique,
-        table,
+        table: table.clone(),
     })
 }
 
@@ -876,6 +844,20 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
     out
 }
 
+/// The join order with the least [`order_cost`] over the dimensions'
+/// multipliers, and that cost; the written order (`0..n`) wins ties.
+fn best_order(mults: &[u64]) -> (Vec<usize>, u128) {
+    let written: Vec<usize> = (0..mults.len()).collect();
+    let mut best = (written.clone(), order_cost(&written, mults));
+    for perm in permutations(mults.len()) {
+        let cost = order_cost(&perm, mults);
+        if cost < best.1 {
+            best = (perm, cost);
+        }
+    }
+    best
+}
+
 /// Columns a dimension contributes to the join output (lowercased,
 /// non-key fields), or `None` when the schema is unknown.
 fn dim_nonkeys(dag: &SkillDag, j: &StarJoin, stats: &dyn PlanStats) -> Option<Vec<String>> {
@@ -889,7 +871,7 @@ fn dim_nonkeys(dag: &SkillDag, j: &StarJoin, stats: &dyn PlanStats) -> Option<Ve
         } => (database, table),
         _ => return None,
     };
-    let schema = stats.table_schema(database, table)?;
+    let schema = stats.table_meta(database, table)?.schema();
     // Every right_on key must exist in the dimension schema.
     for k in &j.right_on {
         schema.field(k)?;
@@ -1041,17 +1023,8 @@ fn reorder_joins(
         let Some(mults) = costs.iter().map(|c| c.mult).collect::<Option<Vec<_>>>() else {
             continue;
         };
-        let written: Vec<usize> = (0..n).collect();
-        let mut best = written.clone();
-        let mut best_cost = order_cost(&written, &mults);
-        for perm in permutations(n) {
-            let cost = order_cost(&perm, &mults);
-            if cost < best_cost {
-                best_cost = cost;
-                best = perm;
-            }
-        }
-        if best == written {
+        let (best, _) = best_order(&mults);
+        if best.iter().copied().eq(0..n) {
             continue;
         }
         let dim_call = |j: &StarJoin| dag.node(j.dim).map(|n| n.call.clone()).ok();
@@ -1161,25 +1134,13 @@ pub fn join_order_advice(dag: &SkillDag, stats: &dyn PlanStats) -> Vec<JoinOrder
         let mults: Vec<u64> = costs.iter().map(|c| c.mult.unwrap_or(u64::MAX)).collect();
         let written: Vec<usize> = (0..n).collect();
         let written_cost = order_cost(&written, &mults);
-        let mut best = written.clone();
-        let mut best_cost = written_cost;
-        for perm in permutations(n) {
-            let cost = order_cost(&perm, &mults);
-            if cost < best_cost {
-                best_cost = cost;
-                best = perm;
-            }
-        }
+        let (best, best_cost) = best_order(&mults);
         if best_cost == 0 || written_cost < best_cost.saturating_mul(4) {
             continue;
         }
-        let first_diff = best
-            .iter()
-            .zip(&written)
-            .position(|(a, b)| a != b)
-            .unwrap_or(0);
+        let first_diff = best.iter().zip(&written).position(|(a, b)| a != b);
         advice.push(JoinOrderAdvice {
-            join: star.joins[first_diff].join,
+            join: star.joins[first_diff.unwrap_or(0)].join,
             written_cost: u64::try_from(written_cost).unwrap_or(u64::MAX),
             best_cost: u64::try_from(best_cost).unwrap_or(u64::MAX),
             written_tables: costs.iter().map(|c| c.table.clone()).collect(),
@@ -1680,32 +1641,62 @@ mod tests {
             null_count: 0,
             row_count: (hi - lo + 1) as u64,
         };
-        assert!(int_blocks_unique(&[dense(0, 9), dense(10, 19)]));
-        assert!(!int_blocks_unique(&[dense(0, 9), dense(5, 14)]));
-        assert!(!int_blocks_unique(&[]));
+        assert!(int_blocks_unique([dense(0, 9), dense(10, 19)].iter()));
+        assert!(!int_blocks_unique([dense(0, 9), dense(5, 14)].iter()));
+        assert!(!int_blocks_unique(std::iter::empty()));
+    }
+
+    #[test]
+    fn column_unique_reads_the_same_proof_off_either_backend() {
+        let rows = 40;
+        let names = |null_at: Option<usize>| {
+            let name = |i: usize| (Some(i) != null_at).then(|| format!("n{i}"));
+            Column::from_opt_strs((0..rows).map(name).collect())
+        };
+        let t = Table::new(vec![
+            ("dense", Column::from_ints((0..rows as i64).collect())),
+            (
+                "overlap",
+                Column::from_ints((0..rows as i64).map(|i| i % 20).collect()),
+            ),
+            ("name", names(None)),
+            ("name_null", names(Some(7))),
+        ])
+        .unwrap();
+        let dir = std::env::temp_dir().join(format!("dc-skills-unique-{}", std::process::id()));
+        let mut db = CloudDatabase::new("Main", Pricing::default_cloud());
+        db.create_table_with_blocks("mem", &t, 10).unwrap();
+        db.create_table_on_disk("disk", &t, 10, &dir).unwrap();
+        let mut env = Env::new();
+        env.catalog.add_database(db).unwrap();
+        for table in ["mem", "disk"] {
+            let meta = env.table_meta("Main", table).unwrap();
+            // Dense, disjoint 10-row int spans.
+            assert!(column_unique(meta, "dense"), "{table}");
+            // Spans 0..=9 and 10..=19, each twice.
+            assert!(!column_unique(meta, "overlap"), "{table}");
+            // A dictionary as large as the table, no nulls.
+            assert_eq!(column_distinct(meta, "name"), Some(rows as u64));
+            assert!(column_unique(meta, "name"), "{table}");
+            assert!(!column_unique(meta, "name_null"), "{table}");
+        }
+        // Dropping the catalog removes the block file it owns.
+        drop(env);
+        std::fs::remove_dir(&dir).unwrap();
     }
 
     // ----- the unit of planning is the targets' cone -----
 
-    /// [`Env`]'s answers, counting the schema lookups.
+    /// [`Env`]'s answers, counting the lookups.
     struct CountingStats<'e> {
         env: &'e Env,
-        schema_calls: std::cell::Cell<usize>,
+        meta_calls: std::cell::Cell<usize>,
     }
 
     impl PlanStats for CountingStats<'_> {
-        fn table_schema(&self, database: &str, table: &str) -> Option<Schema> {
-            self.schema_calls.set(self.schema_calls.get() + 1);
-            self.env.table_schema(database, table)
-        }
-        fn table_rows(&self, database: &str, table: &str) -> Option<u64> {
-            self.env.table_rows(database, table)
-        }
-        fn column_distinct(&self, database: &str, table: &str, column: &str) -> Option<u64> {
-            self.env.column_distinct(database, table, column)
-        }
-        fn column_unique(&self, database: &str, table: &str, column: &str) -> bool {
-            self.env.column_unique(database, table, column)
+        fn table_meta(&self, database: &str, table: &str) -> Option<&TableMeta> {
+            self.meta_calls.set(self.meta_calls.get() + 1);
+            self.env.table_meta(database, table)
         }
     }
 
@@ -1753,10 +1744,10 @@ mod tests {
 
         let stats = CountingStats {
             env: &env,
-            schema_calls: std::cell::Cell::new(0),
+            meta_calls: std::cell::Cell::new(0),
         };
         let planned = optimize_dag(&session, &[cone[2]], &[], &stats).expect("rewrite applies");
-        assert_eq!(stats.schema_calls.get(), 1, "one load in the cone");
+        assert_eq!(stats.meta_calls.get(), 1, "one load in the cone");
 
         let mut alone = SkillDag::new();
         let ids = add_job(&mut alone, 7);
@@ -1795,12 +1786,12 @@ mod tests {
 
         let stats = CountingStats {
             env: &env,
-            schema_calls: std::cell::Cell::new(0),
+            meta_calls: std::cell::Cell::new(0),
         };
         // The job's filter reads the first load, which two hundred filters
         // read: nothing is pushed into it and it keeps its columns.
         let planned = optimize_dag(&session, &[agg], &[], &stats).expect("the edge moves");
-        assert_eq!(stats.schema_calls.get(), 1, "one load in the cone");
+        assert_eq!(stats.meta_calls.get(), 1, "one load in the cone");
         assert_eq!(planned.node(keep).unwrap().inputs, vec![first]);
         assert_eq!(planned.node(first).unwrap(), session.node(first).unwrap());
         assert_eq!(planned.consumer_counts()[copy], 0);

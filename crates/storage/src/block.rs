@@ -82,7 +82,7 @@ pub struct BlockStats {
 /// both backends. Nothing here touches block payloads. Every block and
 /// `dict_bytes` hold one entry per schema column, which is what lets a
 /// plan index them by the schema.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableMeta {
     schema: Schema,
     blocks: Vec<BlockStats>,

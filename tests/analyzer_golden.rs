@@ -26,9 +26,9 @@
 use std::fs;
 use std::path::PathBuf;
 
-use datachat::analyze::{AnalysisContext, TableStats};
-use datachat::engine::{DataType, Field, Schema};
-use datachat::storage::{BlockSource, BlockTable};
+use datachat::analyze::AnalysisContext;
+use datachat::engine::{Column, DataType, Field, Schema, Table};
+use datachat::storage::{BlockSource, BlockTable, TableMeta};
 
 fn schema(fields: &[(&str, DataType)]) -> Schema {
     Schema::new(
@@ -40,21 +40,33 @@ fn schema(fields: &[(&str, DataType)]) -> Schema {
     .unwrap()
 }
 
-/// A real blocked table whose stats feed the estimation pass: the other
-/// context tables are stats-only literals (no block detail, so the
-/// estimator degrades conservatively on them), while these let goldens
-/// exercise tight, zone-map-priced bounds.
-fn block_backed(csv: &str, block_rows: usize) -> (Schema, TableStats) {
-    let t = datachat::engine::csv::read_csv(csv)
-        .expect("golden csv parses")
-        .encode_strings();
-    let bt = BlockTable::new(&t, block_rows).expect("blocked table builds");
-    (bt.schema().clone(), TableStats::from_block_table(bt.meta()))
+/// The stored metadata of `table` in blocks of `block_rows` rows — what a
+/// catalog holding it hands the analyzer.
+fn stored(table: &Table, block_rows: usize) -> TableMeta {
+    let bt = BlockTable::new(table, block_rows).expect("blocked table builds");
+    bt.meta().clone()
+}
+
+/// [`stored`] of a CSV text.
+fn block_backed(csv: &str, block_rows: usize) -> TableMeta {
+    stored(
+        &datachat::engine::csv::read_csv(csv).expect("golden csv parses"),
+        block_rows,
+    )
+}
+
+/// A string column of `rows` values cycling through `distinct` of them.
+fn strs(prefix: &str, rows: usize, distinct: usize) -> Column {
+    Column::from_strs(
+        (0..rows)
+            .map(|i| format!("{prefix}{}", i % distinct))
+            .collect(),
+    )
 }
 
 /// `history`: `day` rises monotonically (i / 10 over 1000 rows, 100-row
 /// blocks), so zone maps genuinely prune day-range filters.
-fn history_table() -> (Schema, TableStats) {
+fn history_table() -> TableMeta {
     let mut csv = String::from("day,label\n");
     for i in 0..1000 {
         csv.push_str(&format!("{},r{}\n", i / 10, i % 3));
@@ -65,7 +77,7 @@ fn history_table() -> (Schema, TableStats) {
 /// `wide_metrics`: seven numeric columns over 2500 rows. Recipes that
 /// read only a couple of them leave well over DC0206's 32 KB dead-byte
 /// floor in columns the scan pays for and nothing reads.
-fn wide_metrics_table() -> (Schema, TableStats) {
+fn wide_metrics_table() -> TableMeta {
     let mut csv = String::from("day,m1,m2,m3,m4,m5,m6\n");
     for i in 0..2500 {
         csv.push_str(&format!(
@@ -86,7 +98,7 @@ fn wide_metrics_table() -> (Schema, TableStats) {
 /// (40 rows, 10 distinct keys → ×31 intermediate-row bound) and
 /// `dim_uniq` (provably unique int key → ×1). Written fan-first, the
 /// chain's intermediate bound is 31× the unique-first order's.
-fn star_tables() -> Vec<(&'static str, (Schema, TableStats))> {
+fn star_tables() -> Vec<(&'static str, TableMeta)> {
     let mut fact = String::from("gk,uk,val\n");
     let mut fan = String::from("k,fan_rate\n");
     let mut uniq = String::from("k,u_val\n");
@@ -104,7 +116,7 @@ fn star_tables() -> Vec<(&'static str, (Schema, TableStats))> {
 
 /// A table whose `k` column provably holds one constant — the degenerate
 /// join key that turns a join into a cross product.
-fn constant_key_table(value_col: &str) -> (Schema, TableStats) {
+fn constant_key_table(value_col: &str) -> TableMeta {
     let mut csv = format!("k,{value_col}\n");
     for i in 0..40 {
         csv.push_str(&format!("7,{i}\n"));
@@ -112,107 +124,73 @@ fn constant_key_table(value_col: &str) -> (Schema, TableStats) {
     block_backed(&csv, 8)
 }
 
+/// `events`: 100 rows in one block.
+fn events_table() -> TableMeta {
+    let t = Table::new(vec![
+        ("event_id", Column::from_ints((0..100).collect())),
+        ("region", strs("r", 100, 4)),
+        ("ts", Column::from_dates((0..100).collect())),
+    ])
+    .unwrap();
+    stored(&t, 100)
+}
+
+/// `clickstream`: 50 000 rows in 8 blocks. `session_id` is almost one
+/// distinct value per row — 49 500 of them, ~99% of the row count, which
+/// is what DC0203 flags; `url` (120 values) dedups fine.
+fn clickstream_table() -> TableMeta {
+    let rows = 50_000;
+    let t = Table::new(vec![
+        ("session_id", strs("s", rows, 49_500)),
+        ("url", strs("/page/", rows, 120)),
+    ])
+    .unwrap();
+    stored(&t, rows / 8)
+}
+
 /// The world every golden scenario is analyzed against.
 fn golden_context() -> AnalysisContext {
-    let sales = schema(&[
-        ("order_id", DataType::Int),
-        ("order_date", DataType::Date),
-        ("region", DataType::Str),
-        ("product", DataType::Str),
-        ("price", DataType::Float),
-        ("discount", DataType::Float),
-        ("quantity", DataType::Int),
-        ("PurchaseStatus", DataType::Str),
-    ]);
-    let events = schema(&[
-        ("event_id", DataType::Int),
-        ("region", DataType::Str),
-        ("ts", DataType::Date),
-    ]);
-    let big_log = schema(&[("line", DataType::Str)]);
+    // `sales`: 1000 rows in 4 blocks.
+    let sales = stored(&datachat::storage::demo::sales(1000, 1), 250);
+    // `big_log`: 100 000 log lines in 16 blocks.
+    let big_log = Table::new(vec![("line", strs("line ", 100_000, 64))]).unwrap();
+    let big_log = stored(&big_log, 100_000 / 16);
     let mut ctx = AnalysisContext::new();
-    ctx.add_table(
-        "MainDatabase",
-        "sales",
-        sales.clone(),
-        TableStats {
-            rows: 1000,
-            blocks: 4,
-            bytes: 65_536,
-            ..TableStats::default()
-        },
-    )
-    .add_table(
-        "MainDatabase",
-        "events",
-        events,
-        TableStats {
-            rows: 100,
-            blocks: 1,
-            bytes: 4_096,
-            ..TableStats::default()
-        },
-    )
-    .add_table(
-        "MainDatabase",
-        "big_log",
-        big_log.clone(),
-        TableStats {
-            rows: 100_000,
-            blocks: 16,
-            bytes: 1_048_576,
-            ..TableStats::default()
-        },
-    )
-    // session_id is one-distinct-value-per-row: its dictionary is ~99% of
-    // the row count, which is what DC0203 flags. url dedups fine.
-    .add_table(
-        "MainDatabase",
-        "clickstream",
-        schema(&[("session_id", DataType::Str), ("url", DataType::Str)]),
-        TableStats {
-            rows: 50_000,
-            blocks: 8,
-            bytes: 2_097_152,
-            dict_sizes: vec![("session_id".to_string(), 49_500), ("url".to_string(), 120)],
-            ..TableStats::default()
-        },
-    )
-    // A snapshot shadowing big_log: scanning the table triggers DC0202.
-    .add_snapshot("big_log", big_log)
-    .add_snapshot(
-        "archived",
-        schema(&[("region", DataType::Str), ("total", DataType::Int)]),
-    )
-    .add_saved("sales_backup", sales)
-    .add_saved(
-        "other3col",
-        schema(&[
-            ("a", DataType::Int),
-            ("b", DataType::Int),
-            ("c", DataType::Int),
-        ]),
-    )
-    .add_model(
-        "pricer",
-        "price",
-        vec!["quantity".into(), "discount".into()],
-        DataType::Float,
-    )
-    .add_file(
-        "nums.csv",
-        schema(&[("x", DataType::Int), ("y", DataType::Int)]),
-    );
-    let (history_schema, history_stats) = history_table();
-    ctx.add_table("MainDatabase", "history", history_schema, history_stats);
-    let (pairs_schema, pairs_stats) = constant_key_table("v");
-    ctx.add_table("MainDatabase", "pairs", pairs_schema, pairs_stats);
-    let (pairs2_schema, pairs2_stats) = constant_key_table("w");
-    ctx.add_table("MainDatabase", "pairs2", pairs2_schema, pairs2_stats);
-    let (wide_schema, wide_stats) = wide_metrics_table();
-    ctx.add_table("MainDatabase", "wide_metrics", wide_schema, wide_stats);
-    for (name, (schema, stats)) in star_tables() {
-        ctx.add_table("MainDatabase", name, schema, stats);
+    ctx.add_saved("sales_backup", sales.schema().clone())
+        // A snapshot shadowing big_log: scanning the table triggers DC0202.
+        .add_snapshot("big_log", big_log.schema().clone())
+        .add_table("MainDatabase", "sales", sales)
+        .add_table("MainDatabase", "events", events_table())
+        .add_table("MainDatabase", "big_log", big_log)
+        .add_table("MainDatabase", "clickstream", clickstream_table())
+        .add_snapshot(
+            "archived",
+            schema(&[("region", DataType::Str), ("total", DataType::Int)]),
+        )
+        .add_saved(
+            "other3col",
+            schema(&[
+                ("a", DataType::Int),
+                ("b", DataType::Int),
+                ("c", DataType::Int),
+            ]),
+        )
+        .add_model(
+            "pricer",
+            "price",
+            vec!["quantity".into(), "discount".into()],
+            DataType::Float,
+        )
+        .add_file(
+            "nums.csv",
+            schema(&[("x", DataType::Int), ("y", DataType::Int)]),
+        )
+        .add_table("MainDatabase", "history", history_table())
+        .add_table("MainDatabase", "pairs", constant_key_table("v"))
+        .add_table("MainDatabase", "pairs2", constant_key_table("w"))
+        .add_table("MainDatabase", "wide_metrics", wide_metrics_table());
+    for (name, meta) in star_tables() {
+        ctx.add_table("MainDatabase", name, meta);
     }
     ctx
 }
