@@ -13,7 +13,5 @@ pub mod sharing;
 pub use artifact::{Artifact, ArtifactKind};
 pub use board::{BoardElement, FolderEntry, HomeScreen, InsightsBoard, PlacedElement};
 pub use error::{CollabError, Result};
-pub use session::{
-    current_env, install_env, with_env, EnvHandle, Session, SessionRef, SessionRegistry,
-};
+pub use session::{EnvHandle, Session, SessionRef, SessionRegistry};
 pub use sharing::{LinkIssuer, Permission, ShareLink, Shareable};

@@ -37,18 +37,24 @@ pub struct Session {
     /// finished step leaves no second copy of it behind, and consecutive
     /// entries of one user share the name.
     log: Mutex<Vec<(Arc<str>, NodeId)>>,
-    /// The policy submissions run under (retry, per-node budgets, and the
-    /// per-session wall-clock deadline `run_budget` carries); one attempt
-    /// and no budget, [`ExecPolicy::plain`], until one is installed.
-    policy: Mutex<ExecPolicy>,
+    /// The world [`Session::submit`] runs in.
+    env: EnvHandle,
+    /// The policy [`Session::submit`] runs under (retry, per-node budgets,
+    /// the wall-clock deadline `run_budget` carries), fixed at open.
+    policy: ExecPolicy,
 }
 
 /// Handle type: sessions are shared between collaborators.
 pub type SessionRef = Arc<Session>;
 
 impl Session {
-    /// Open a fresh session.
-    pub fn new(id: u64, owner: impl Into<String>) -> SessionRef {
+    /// Open a fresh session whose submissions run in `env` under `policy`.
+    pub fn new(
+        id: u64,
+        owner: impl Into<String>,
+        env: EnvHandle,
+        policy: ExecPolicy,
+    ) -> SessionRef {
         let owner = owner.into();
         Arc::new(Session {
             id,
@@ -60,16 +66,9 @@ impl Session {
             executing: AtomicBool::new(false),
             acl: Mutex::new(Shareable::owned_by(owner)),
             log: Mutex::new(Vec::new()),
-            policy: Mutex::new(ExecPolicy::plain()),
+            env,
+            policy,
         })
-    }
-
-    /// Install the execution policy every later submission runs under.
-    /// The platform threads the per-session deadline through here; a
-    /// serving layer passes time-sliced policies per quantum instead via
-    /// [`Session::execute_staged`].
-    pub fn set_exec_policy(&self, policy: ExecPolicy) {
-        *self.policy.lock() = policy;
     }
 
     /// Grant a collaborator access.
@@ -87,14 +86,14 @@ impl Session {
         self.acl.lock().permission_of(user)
     }
 
-    /// Submit one skill request on behalf of `user`.
+    /// Submit one skill request on behalf of `user`, run in the session's
+    /// world under its policy.
     ///
     /// Fails with [`CollabError::SessionBusy`] when another request is
     /// mid-flight, and with [`CollabError::PermissionDenied`] when the
     /// user cannot act in this session.
     pub fn submit(&self, user: &str, call: SkillCall) -> Result<SkillOutput> {
-        let policy = self.policy.lock().clone();
-        let report = self.run_locked(user, || self.stage_locked(call), None, &policy)?;
+        let report = self.run_locked(user, || self.stage_locked(call), None, &self.policy)?;
         Ok(report.into_output()?)
     }
 
@@ -147,8 +146,9 @@ impl Session {
         self.stage_locked(call)
     }
 
-    /// Execute a previously staged node against a caller-provided
-    /// environment under an explicit policy, returning the full
+    /// Execute a previously staged node in a caller-held environment (a
+    /// serving layer holds the world lock for a whole slice) under an
+    /// explicit policy, returning the full
     /// [`ExecReport`]. Claims the §2.4 session lock for the duration.
     ///
     /// The session's current dataset and log advance only when the run
@@ -169,9 +169,10 @@ impl Session {
     /// The one run body: check `user` may act, claim the §2.4 lock, take
     /// the node `step` yields (staging under the lock resolves against a
     /// current dataset no concurrent request can move), run it in `env`
-    /// (`None`: the thread's environment, taken only once the session lock
-    /// is held), and advance the current dataset and the log only when the
-    /// run produced the node's output.
+    /// (`None`: the session's world, locked only once the session lock is
+    /// held, so a busy session answers without waiting for the world), and
+    /// advance the current dataset and the log only when the run produced
+    /// the node's output.
     fn run_locked(
         &self,
         user: &str,
@@ -189,7 +190,9 @@ impl Session {
             let dag = self.dag.lock();
             let report = match env {
                 Some(env) => ex.run_resilient(&dag, node, env, policy),
-                None => with_env(|env| ex.run_resilient(&dag, node, env, policy)),
+                None => self
+                    .env
+                    .with(|env| ex.run_resilient(&dag, node, env, policy)),
             }?;
             if report.succeeded() {
                 self.current.store(node as u64, Ordering::Release);
@@ -280,7 +283,7 @@ impl Session {
 /// "single-writer world lock": skills take `&mut Env`, so execution
 /// against one world is serialized here; fairness across tenants is the
 /// serving layer's job (time slices bound how long one job may hold it).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct EnvHandle(Arc<Mutex<Env>>);
 
 impl EnvHandle {
@@ -294,60 +297,33 @@ impl EnvHandle {
     pub fn with<R>(&self, f: impl FnOnce(&mut Env) -> R) -> R {
         f(&mut self.0.lock())
     }
-
-    /// Whether two handles view the same environment.
-    pub fn same_env(&self, other: &EnvHandle) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
 }
 
-// Each thread holds a handle on its *current* environment so
-// Session::submit keeps a simple signature. The platform facade installs
-// its environment's handle at construction; serve workers install the
-// service's shared handle once at thread start. Two threads holding the
-// same handle share one world.
-thread_local! {
-    static ENV: std::cell::RefCell<EnvHandle> = std::cell::RefCell::new(EnvHandle::default());
-}
-
-/// Run `f` with access to the current thread's session environment.
-/// Must not be nested inside itself (the environment lock is not
-/// reentrant).
-pub fn with_env<R>(f: impl FnOnce(&mut Env) -> R) -> R {
-    // Clone the handle out of the thread-local first so `f` may call
-    // `install_env`/`current_env` without re-borrowing the RefCell.
-    let handle = ENV.with(|h| h.borrow().clone());
-    handle.with(f)
-}
-
-/// Make `handle` the current thread's environment. Later [`with_env`]
-/// calls (and every session submission on this thread) run against it.
-pub fn install_env(handle: &EnvHandle) {
-    ENV.with(|h| *h.borrow_mut() = handle.clone());
-}
-
-/// The current thread's environment handle.
-pub fn current_env() -> EnvHandle {
-    ENV.with(|h| h.borrow().clone())
-}
-
-/// Registry of sessions (the platform's server-side tracking).
-#[derive(Debug, Default)]
+/// Registry of sessions (the platform's server-side tracking). Every
+/// session it opens runs in its world under its policy.
+#[derive(Debug)]
 pub struct SessionRegistry {
     sessions: Mutex<BTreeMap<u64, SessionRef>>,
     next_id: AtomicU64,
+    env: EnvHandle,
+    policy: ExecPolicy,
 }
 
 impl SessionRegistry {
-    /// An empty registry.
-    pub fn new() -> SessionRegistry {
-        SessionRegistry::default()
+    /// An empty registry whose sessions run in `env` under `policy`.
+    pub fn new(env: EnvHandle, policy: ExecPolicy) -> SessionRegistry {
+        SessionRegistry {
+            sessions: Mutex::new(BTreeMap::new()),
+            next_id: AtomicU64::new(0),
+            env,
+            policy,
+        }
     }
 
     /// Open a session for `owner`.
     pub fn open(&self, owner: impl Into<String>) -> SessionRef {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        let s = Session::new(id, owner);
+        let s = Session::new(id, owner, self.env.clone(), self.policy.clone());
         self.sessions.lock().insert(id, Arc::clone(&s));
         s
     }
@@ -377,17 +353,15 @@ mod tests {
     use super::*;
     use dc_engine::Expr;
 
-    fn seed_env() {
-        with_env(|env| {
-            *env = Env::new();
-            env.add_file("d.csv", "x\n1\n2\n3\n4\n");
-        });
+    fn seed_env() -> EnvHandle {
+        let mut env = Env::new();
+        env.add_file("d.csv", "x\n1\n2\n3\n4\n");
+        EnvHandle::new(env)
     }
 
     #[test]
     fn linear_session_flow() {
-        seed_env();
-        let s = Session::new(1, "ann");
+        let s = Session::new(1, "ann", seed_env(), ExecPolicy::plain());
         s.submit(
             "ann",
             SkillCall::LoadFile {
@@ -410,8 +384,7 @@ mod tests {
 
     #[test]
     fn unshared_user_denied() {
-        seed_env();
-        let s = Session::new(1, "ann");
+        let s = Session::new(1, "ann", seed_env(), ExecPolicy::plain());
         let r = s.submit(
             "bob",
             SkillCall::LoadFile {
@@ -423,8 +396,7 @@ mod tests {
 
     #[test]
     fn viewer_cannot_act_editor_can() {
-        seed_env();
-        let s = Session::new(1, "ann");
+        let s = Session::new(1, "ann", seed_env(), ExecPolicy::plain());
         s.share_with("bob", Permission::View);
         assert!(matches!(
             s.submit(
@@ -451,8 +423,7 @@ mod tests {
     #[test]
     fn concurrent_requests_rejected() {
         use std::sync::atomic::AtomicUsize;
-        seed_env();
-        let s = Session::new(1, "ann");
+        let s = Session::new(1, "ann", seed_env(), ExecPolicy::plain());
         s.share_with("bob", Permission::Edit);
         s.submit(
             "ann",
@@ -479,8 +450,7 @@ mod tests {
 
     #[test]
     fn named_datasets_enable_two_input_skills() {
-        seed_env();
-        let s = Session::new(1, "ann");
+        let s = Session::new(1, "ann", seed_env(), ExecPolicy::plain());
         s.submit(
             "ann",
             SkillCall::LoadFile {
@@ -510,7 +480,7 @@ mod tests {
 
     #[test]
     fn registry_assigns_ids() {
-        let reg = SessionRegistry::new();
+        let reg = SessionRegistry::new(seed_env(), ExecPolicy::plain());
         let a = reg.open("ann");
         let b = reg.open("bob");
         assert_ne!(a.id, b.id);
@@ -519,13 +489,31 @@ mod tests {
         assert_eq!(reg.len(), 2);
     }
 
+    /// A session carries its world: submitted from a thread other than
+    /// the one that opened it, it still runs in the registry's world.
+    #[test]
+    fn a_registry_session_runs_in_the_registry_world_from_another_thread() {
+        let reg = SessionRegistry::new(seed_env(), ExecPolicy::plain());
+        let s = reg.open("ann");
+        let rows = std::thread::spawn(move || {
+            let load = SkillCall::LoadFile {
+                path: "d.csv".into(),
+            };
+            s.submit("ann", load)
+                .map(|out| out.as_table().unwrap().num_rows())
+        })
+        .join()
+        .unwrap();
+        assert_eq!(rows.unwrap(), 4);
+    }
+
     /// A step that fails, submitted or run staged, leaves the current
     /// dataset and the log where they were; the next good step continues
     /// from the old current dataset.
     #[test]
     fn a_failed_step_moves_neither_current_nor_log() {
-        seed_env();
-        let s = Session::new(1, "ann");
+        let world = seed_env();
+        let s = Session::new(1, "ann", world.clone(), ExecPolicy::plain());
         s.submit(
             "ann",
             SkillCall::LoadFile {
@@ -549,8 +537,9 @@ mod tests {
         assert_eq!((s.current_node(), s.log()), (current, log.clone()));
 
         let node = s.stage("ann", bad()).unwrap();
-        let report =
-            with_env(|env| s.execute_staged("ann", node, env, &ExecPolicy::plain())).unwrap();
+        let report = world
+            .with(|env| s.execute_staged("ann", node, env, &ExecPolicy::plain()))
+            .unwrap();
         assert!(!report.succeeded());
         assert_eq!((s.current_node(), s.log()), (current, log.clone()));
 
@@ -561,8 +550,7 @@ mod tests {
 
     #[test]
     fn transform_without_load_errors() {
-        seed_env();
-        let s = Session::new(1, "ann");
+        let s = Session::new(1, "ann", seed_env(), ExecPolicy::plain());
         assert!(s.submit("ann", SkillCall::Limit { n: 1 }).is_err());
     }
 }

@@ -6,11 +6,11 @@ use std::time::Duration;
 
 use dc_analyze::{Analysis, AnalysisContext, AnalysisPolicy, Diagnostic};
 use dc_collab::{
-    install_env, with_env, Artifact, EnvHandle, HomeScreen, InsightsBoard, LinkIssuer, Permission,
-    SessionRef, SessionRegistry, ShareLink,
+    Artifact, EnvHandle, HomeScreen, InsightsBoard, LinkIssuer, Permission, SessionRef,
+    SessionRegistry, ShareLink,
 };
 use dc_nl::{Nl2Code, SchemaHints};
-use dc_skills::{Env, SkillCall, SkillOutput};
+use dc_skills::{Env, ExecPolicy, SkillCall, SkillOutput};
 use dc_storage::CloudDatabase;
 
 use crate::forms::{ComputeForm, VisualizeForm};
@@ -99,14 +99,8 @@ pub struct Platform {
     materialized: std::sync::Arc<dc_skills::MaterializedCache>,
     /// The platform's world state, behind an `Arc`-shareable handle so a
     /// serving layer can drive this platform's sessions from a worker
-    /// pool. The constructor also installs it as the current thread's
-    /// environment.
+    /// pool. Every session the platform opens runs in it, from any thread.
     env: EnvHandle,
-    /// Default wall-clock deadline for interactive sessions, threaded
-    /// into every session [`Platform::open_session`] opens as a resilient
-    /// `run_budget`/`node_budget`. `None` = unbounded (the pre-deadline
-    /// behavior).
-    session_deadline: Option<Duration>,
 }
 
 impl std::fmt::Debug for Platform {
@@ -134,11 +128,15 @@ impl Platform {
         let mut env = Env::new();
         env.shared_cache = Some(std::sync::Arc::clone(&materialized));
         let env = EnvHandle::new(env);
-        // Make this platform's world the constructing thread's current
-        // environment, so session submissions on this thread find it.
-        install_env(&env);
+        // Interactive sessions keep fail-fast error semantics (one
+        // attempt); the deadline bounds the whole run and every node.
+        let policy = ExecPolicy {
+            node_budget: Some(Platform::DEFAULT_SESSION_DEADLINE),
+            run_budget: Some(Platform::DEFAULT_SESSION_DEADLINE),
+            ..ExecPolicy::plain()
+        };
         Platform {
-            registry: SessionRegistry::new(),
+            registry: SessionRegistry::new(env.clone(), policy),
             artifacts: BTreeMap::new(),
             boards: BTreeMap::new(),
             home: HomeScreen::new(),
@@ -147,7 +145,6 @@ impl Platform {
             analysis_policy: AnalysisPolicy::default(),
             materialized,
             env,
-            session_deadline: Some(Platform::DEFAULT_SESSION_DEADLINE),
         }
     }
 
@@ -160,18 +157,6 @@ impl Platform {
     /// sessions execute against one catalog/snapshot-store/cache world.
     pub fn env_handle(&self) -> EnvHandle {
         self.env.clone()
-    }
-
-    /// Set the wall-clock deadline sessions opened from now on run
-    /// under (`None` = unbounded). Existing sessions keep the policy
-    /// they were opened with.
-    pub fn set_session_deadline(&mut self, deadline: Option<Duration>) {
-        self.session_deadline = deadline;
-    }
-
-    /// The current per-session deadline default.
-    pub fn session_deadline(&self) -> Option<Duration> {
-        self.session_deadline
     }
 
     /// The platform's cross-session materialized cache handle.
@@ -195,7 +180,7 @@ impl Platform {
     /// schemas and block stats, saved artifacts, snapshots, models, and
     /// CSV fixtures. Pure metadata — nothing is scanned.
     pub fn analysis_context(&self) -> AnalysisContext {
-        with_env(|env| AnalysisContext::from_env(env))
+        self.env.with(|env| AnalysisContext::from_env(env))
     }
 
     /// Statically analyze a GEL program against the current environment
@@ -225,12 +210,12 @@ impl Platform {
 
     /// Register a CSV fixture.
     pub fn add_csv_file(&self, path: impl Into<String>, text: impl Into<String>) {
-        with_env(|env| env.add_file(path, text));
+        self.env.with(|env| env.add_file(path, text));
     }
 
     /// Attach a database to the catalog.
     pub fn add_database(&self, db: CloudDatabase) -> Result<(), PlatformError> {
-        with_env(|env| env.catalog.add_database(db))?;
+        self.env.with(|env| env.catalog.add_database(db))?;
         Ok(())
     }
 
@@ -243,7 +228,7 @@ impl Platform {
         config: dc_storage::FaultConfig,
     ) -> std::sync::Arc<dc_storage::FaultInjector> {
         let injector = std::sync::Arc::new(dc_storage::FaultInjector::new(config));
-        with_env(|env| {
+        self.env.with(|env| {
             env.catalog.set_fault_injector(&injector);
             env.snapshots
                 .set_fault_injector(std::sync::Arc::clone(&injector));
@@ -253,15 +238,15 @@ impl Platform {
 
     /// Disable fault injection everywhere.
     pub fn disable_fault_injection(&self) {
-        with_env(|env| {
+        self.env.with(|env| {
             env.catalog.clear_fault_injector();
             env.snapshots.clear_fault_injector();
         });
     }
 
-    /// Open a session for a user. When the platform carries a session
-    /// deadline (the default), the session's submissions run through the
-    /// resilient executor with that deadline as both the whole-run slice
+    /// Open a session for a user, in this platform's world. Its
+    /// submissions run through the resilient executor with
+    /// [`Platform::DEFAULT_SESSION_DEADLINE`] as both the whole-run slice
     /// and the per-node budget — storage scans cancel cooperatively at
     /// block boundaries, pure compute is timed post-hoc, and the
     /// over-deadline submission fails with a typed timeout instead of
@@ -269,26 +254,13 @@ impl Platform {
     pub fn open_session(&mut self, user: impl Into<String>) -> SessionHandle {
         let user = user.into();
         let session = self.registry.open(user.clone());
-        if let Some(deadline) = self.session_deadline {
-            session.set_exec_policy(dc_skills::ExecPolicy {
-                // Interactive sessions keep fail-fast error semantics:
-                // the deadline bounds time, retries stay opt-in.
-                retry: dc_skills::RetryPolicy {
-                    max_attempts: 1,
-                    ..Default::default()
-                },
-                node_budget: Some(deadline),
-                run_budget: Some(deadline),
-                ..Default::default()
-            });
-        }
         SessionHandle { session, user }
     }
 
     /// Schema hints over every catalog table plus saved datasets — what
     /// the NL2Code prompt composer sees.
     pub fn schema_hints(&self) -> SchemaHints {
-        with_env(|env| {
+        self.env.with(|env| {
             let mut hints = SchemaHints::default();
             for db_name in env.catalog.database_names() {
                 if let Ok(db) = env.catalog.database(db_name) {
@@ -327,7 +299,12 @@ impl Platform {
         calls: Vec<SkillCall>,
         path: ChatPath,
     ) -> Result<ChatReply, PlatformError> {
-        let calls: Vec<SkillCall> = calls.into_iter().map(rewrite_use_dataset).collect();
+        let calls: Vec<SkillCall> = self.env.with(|env| {
+            calls
+                .into_iter()
+                .map(|call| rewrite_use_dataset(call, env))
+                .collect()
+        });
         let diagnostics = self.preflight(&calls)?;
         let mut last: Option<SkillOutput> = None;
         let mut steps_gel = Vec::with_capacity(calls.len());
@@ -391,8 +368,9 @@ impl Platform {
             .current_node()
             .ok_or("nothing to save in this session")?;
         let dag = handle.session.dag_snapshot();
-        let artifact =
-            with_env(|env| Artifact::save(name.clone(), &handle.user, &dag, target, env))?;
+        let artifact = self
+            .env
+            .with(|env| Artifact::save(name.clone(), &handle.user, &dag, target, env))?;
         self.home
             .place("home", dc_collab::FolderEntry::Artifact(name.clone()))?;
         self.artifacts.insert(name.clone(), artifact);
@@ -410,7 +388,7 @@ impl Platform {
             .artifacts
             .get_mut(name)
             .ok_or_else(|| format!("artifact not found: {name}"))?;
-        Ok(with_env(|env| artifact.refresh(env))?)
+        Ok(self.env.with(|env| artifact.refresh(env))?)
     }
 
     /// Issue a secret share link for an artifact.
@@ -457,22 +435,20 @@ impl Default for Platform {
 /// case-insensitive (chat is forgiving) but the rewritten call carries
 /// the catalog's *exact* table name, because the storage lookup the load
 /// performs is exact-match.
-fn rewrite_use_dataset(call: SkillCall) -> SkillCall {
+fn rewrite_use_dataset(call: SkillCall, env: &Env) -> SkillCall {
     let SkillCall::UseDataset { name, version } = call else {
         return call;
     };
-    let in_catalog: Option<(String, String)> = with_env(|env| {
-        env.catalog.database_names().iter().find_map(|db| {
-            let table = env
-                .catalog
-                .database(db)
-                .ok()?
-                .table_names()
-                .iter()
-                .find(|t| t.eq_ignore_ascii_case(&name))?
-                .to_string();
-            Some((db.to_string(), table))
-        })
+    let in_catalog = env.catalog.database_names().iter().find_map(|db| {
+        let table = env
+            .catalog
+            .database(db)
+            .ok()?
+            .table_names()
+            .iter()
+            .find(|t| t.eq_ignore_ascii_case(&name))?
+            .to_string();
+        Some((db.to_string(), table))
     });
     match in_catalog {
         Some((database, table)) => SkillCall::load_table(database, table),
@@ -699,6 +675,42 @@ mod tests {
         });
         assert_eq!(queries_before, queries_after, "warm load must not scan");
         assert!(p.materialized_cache_stats().hits >= 1);
+    }
+
+    /// Two platforms on one thread each keep their own world: chat on
+    /// the first reads its own catalog after the second is built, and a
+    /// database added to the first lands in the first.
+    #[test]
+    fn two_platforms_on_one_thread_keep_their_own_worlds() {
+        let mut first = platform_with_collisions();
+        let mut second = Platform::new();
+        let (a, b) = (first.open_session("ann"), second.open_session("bob"));
+        let load = "Load the table parties from the database MainDatabase";
+        assert!(first.chat(&a, load).is_ok());
+        assert!(second.chat(&b, load).is_err(), "the second has no tables");
+
+        first
+            .add_database(CloudDatabase::new("Extra", Pricing::default_cloud()))
+            .unwrap();
+        let names = |p: &Platform| p.env(|env| env.catalog.database_names().len());
+        assert_eq!((names(&first), names(&second)), (2, 0));
+        assert!(first.chat(&a, load).is_ok());
+    }
+
+    /// A session handle moved to another thread runs in its platform's
+    /// world, not in an empty one.
+    #[test]
+    fn a_session_handle_on_another_thread_loads_its_platform_table() {
+        let mut p = platform_with_collisions();
+        let h = p.open_session("ann");
+        let rows = std::thread::spawn(move || {
+            h.run_gel("Load the table parties from the database MainDatabase")
+                .map(|out| out.as_table().unwrap().num_rows())
+                .map_err(|err| err.to_string())
+        })
+        .join()
+        .unwrap();
+        assert!(rows.unwrap() >= 300);
     }
 
     #[test]

@@ -135,6 +135,8 @@ struct Inner {
     env: EnvHandle,
     sched: Scheduler,
     config: ServeConfig,
+    /// Opens tenant sessions in `env`; workers run them under per-slice
+    /// policies, never the sessions' own.
     registry: SessionRegistry,
     next_job: AtomicU64,
 }
@@ -161,9 +163,9 @@ impl SessionService {
                 config.workers,
                 config.initial_quantum,
             ),
+            registry: SessionRegistry::new(env.clone(), ExecPolicy::plain()),
             env,
             config: config.clone(),
-            registry: SessionRegistry::new(),
             next_job: AtomicU64::new(0),
         });
         let mut workers = Vec::with_capacity(config.workers);
@@ -193,8 +195,8 @@ impl SessionService {
         }
     }
 
-    /// Register a tenant: opens a dedicated session owned by the tenant
-    /// and installs its queue, weight, and budget.
+    /// Register a tenant: opens a dedicated session owned by the tenant,
+    /// in the service's world, and installs its queue, weight, and budget.
     pub fn register_tenant(&self, name: &str, config: TenantConfig) -> Result<()> {
         let session = self.inner.registry.open(name);
         self.inner.sched.register(name, config, session)

@@ -3,32 +3,30 @@
 //! another execution was already running."
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::Duration;
 
-use datachat::collab::{CollabError, Permission, Session};
+use datachat::collab::{CollabError, EnvHandle, Permission, Session};
 use datachat::engine::{Column, Table};
-use datachat::skills::SkillCall;
+use datachat::skills::{Env, ExecPolicy, SkillCall};
 
 #[test]
 fn racing_submissions_one_wins_rest_get_busy() {
-    // The session env is thread-local, so give every thread its own data.
-    let make_table = || {
+    // One world, seeded once: every thread's submission runs in it.
+    let mut env = Env::new();
+    env.save_table(
+        "big",
         Table::new(vec![(
             "x",
             Column::from_ints((0..50_000).collect::<Vec<i64>>()),
         )])
-        .unwrap()
-    };
-
-    let session = Session::new(1, "ann");
+        .unwrap(),
+    );
+    let session = Session::new(1, "ann", EnvHandle::new(env), ExecPolicy::plain());
     for u in ["u0", "u1", "u2", "u3"] {
         session.share_with(u, Permission::Edit);
     }
-    // Seed each worker thread's env and load the dataset once from the
-    // owner so transforms have an input.
-    datachat::collab::with_env(|env| {
-        env.save_table("big", make_table());
-    });
+    // Load the dataset once from the owner so transforms have an input.
     session
         .submit(
             "ann",
@@ -50,19 +48,6 @@ fn racing_submissions_one_wins_rest_get_busy() {
         let successes = Arc::clone(&successes);
         let busies = Arc::clone(&busies);
         handles.push(std::thread::spawn(move || {
-            // Each thread needs the dataset in its own thread-local env
-            // because execution reads files/models from there — the DAG
-            // itself is shared platform-side.
-            datachat::collab::with_env(|env| {
-                env.save_table(
-                    "big",
-                    Table::new(vec![(
-                        "x",
-                        Column::from_ints((0..50_000).collect::<Vec<i64>>()),
-                    )])
-                    .unwrap(),
-                );
-            });
             barrier.wait();
             let user = format!("u{i}");
             match session.submit(
@@ -100,11 +85,9 @@ fn racing_submissions_one_wins_rest_get_busy() {
 
 #[test]
 fn sequential_retries_succeed_after_busy() {
-    datachat::collab::with_env(|env| {
-        *env = datachat::skills::Env::new();
-        env.add_file("d.csv", "x\n1\n2\n");
-    });
-    let session = Session::new(9, "ann");
+    let mut env = Env::new();
+    env.add_file("d.csv", "x\n1\n2\n");
+    let session = Session::new(9, "ann", EnvHandle::new(env), ExecPolicy::plain());
     session
         .submit(
             "ann",
@@ -118,4 +101,51 @@ fn sequential_retries_succeed_after_busy() {
         session.submit("ann", SkillCall::Limit { n: 1 }).unwrap();
     }
     assert_eq!(session.log().len(), 4);
+}
+
+/// §2.4's order: the session lock is claimed before the world lock, so a
+/// request that finds the session busy is answered while another holder
+/// keeps the world. Were the busy check behind the world lock, both
+/// submissions below would wait for it and the first `recv_timeout` would
+/// fail instead of hanging.
+#[test]
+fn a_busy_session_answers_without_waiting_for_the_world() {
+    let mut env = Env::new();
+    env.add_file("d.csv", "x\n1\n2\n");
+    let world = EnvHandle::new(env);
+    let session = Session::new(3, "ann", world.clone(), ExecPolicy::plain());
+    session
+        .submit(
+            "ann",
+            SkillCall::LoadFile {
+                path: "d.csv".into(),
+            },
+        )
+        .unwrap();
+
+    let (tx, rx) = mpsc::channel();
+    let submitters = world.with(|_| {
+        let submitters: Vec<_> = (0..2)
+            .map(|_| {
+                let (session, tx) = (Arc::clone(&session), tx.clone());
+                std::thread::spawn(move || {
+                    let _ = tx.send(session.submit("ann", SkillCall::Limit { n: 1 }));
+                })
+            })
+            .collect();
+        let first = rx.recv_timeout(Duration::from_secs(30));
+        assert!(
+            matches!(first, Ok(Err(CollabError::SessionBusy { session: 3 }))),
+            "expected SessionBusy while the world is held, got {first:?}"
+        );
+        let second = rx.recv_timeout(Duration::from_millis(50));
+        assert!(second.is_err(), "ran without the world: {second:?}");
+        submitters
+    });
+    let second = rx.recv_timeout(Duration::from_secs(30));
+    assert!(matches!(second, Ok(Ok(_))), "got {second:?}");
+    for submitter in submitters {
+        submitter.join().unwrap();
+    }
+    assert_eq!(session.log().len(), 2);
 }

@@ -21,12 +21,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use datachat::collab::{install_env, EnvHandle, Session};
+use datachat::collab::{EnvHandle, Session};
 use datachat::engine::{AggFunc, AggSpec, Expr};
 use datachat::serve::{
     RejectReason, Request, ServeConfig, ServeError, SessionService, TenantConfig,
 };
-use datachat::skills::{Env, SkillCall, SkillOutput};
+use datachat::skills::{Env, ExecPolicy, SkillCall, SkillOutput};
 use datachat::storage::{
     BudgetConfig, Catalog, CloudDatabase, FaultConfig, FaultInjector, Pricing,
 };
@@ -104,9 +104,7 @@ fn request_steps(transforms: &[u8]) -> Vec<SkillCall> {
 /// a fresh world, one step at a time, recording each request's final
 /// outcome.
 fn serial_outcomes(programs: &[Vec<u8>]) -> Vec<Option<SkillOutput>> {
-    let env = world();
-    install_env(&env);
-    let session = Session::new(0, "oracle");
+    let session = Session::new(0, "oracle", world(), ExecPolicy::plain());
     programs
         .iter()
         .map(|transforms| {

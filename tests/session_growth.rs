@@ -24,11 +24,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use datachat::collab::{install_env, EnvHandle, Session};
+use datachat::collab::{EnvHandle, Session};
 use datachat::engine::{Column, Table};
 use datachat::gel::parse_gel;
 use datachat::serve::{Request, ServeConfig, SessionService, TenantConfig};
-use datachat::skills::{Env, SkillCall};
+use datachat::skills::{Env, ExecPolicy, SkillCall};
 use datachat::storage::{BudgetConfig, CloudDatabase, Pricing};
 
 /// Bytes requested from the allocator since the process started (a
@@ -190,9 +190,7 @@ fn grow(what: &str, mut run: impl FnMut(Vec<SkillCall>), mut settle: impl FnMut(
 #[test]
 fn the_500th_job_of_a_session_costs_what_the_5th_did() {
     // A step at a time through `Session::submit`.
-    let handle = world();
-    install_env(&handle);
-    let session = Session::new(1, "ann");
+    let session = Session::new(1, "ann", world(), ExecPolicy::plain());
     let retained = grow(
         "Session::submit",
         |job| {

@@ -17,7 +17,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use datachat::collab::{install_env, Artifact, EnvHandle, Session};
+use datachat::collab::{Artifact, EnvHandle, Session};
 use datachat::engine::{Column, Expr, Table, Value};
 use datachat::serve::{Request, ServeConfig, SessionService, TenantConfig};
 use datachat::skills::resilient::ExecPolicy;
@@ -357,9 +357,8 @@ fn executor_and_both_cache_tiers(t: &Table) {
 /// completion.
 fn session_artifact_and_serve(t: &Table) {
     let handle = EnvHandle::new(world(t));
-    install_env(&handle);
 
-    let session = Session::new(1, "ann");
+    let session = Session::new(1, "ann", handle.clone(), ExecPolicy::plain());
     let steps = [
         use_facts(),
         rename("note", "memo"),
@@ -401,9 +400,7 @@ fn session_artifact_and_serve(t: &Table) {
 /// chain allocates is those columns and the scratch of evaluating them; a
 /// step that copied its input even once would add the whole table.
 fn wrangling_chain(t: &Table) {
-    let handle = EnvHandle::new(world(t));
-    install_env(&handle);
-    let session = Session::new(2, "ann");
+    let session = Session::new(2, "ann", EnvHandle::new(world(t)), ExecPolicy::plain());
     let create = |name: &str, expr: Expr| SkillCall::CreateColumn {
         name: name.into(),
         expr,
