@@ -117,8 +117,9 @@ impl Pass<'_> {
 
     /// The dataset a `UseDataset` of `name` reads at `node` (`Some(None)`:
     /// it exists, with an unknown schema). The runtime resolves saved
-    /// artifacts by exact name; a bare catalog name, which the platform
-    /// rewrites to a load before execution, matches case-insensitively so
+    /// artifacts by exact name; a bare catalog name, which chat and
+    /// `dc-serve` both rewrite to a load before execution
+    /// (`dc_skills::rewrite_use_dataset`), matches case-insensitively so
     /// pre-rewrite DAGs analyze.
     fn dataset(&self, name: &str, node: NodeId) -> Option<Option<Schema>> {
         if let Some(schema) = self.upstream(&self.saved, name, node) {

@@ -93,7 +93,8 @@ impl Session {
     /// mid-flight, and with [`CollabError::PermissionDenied`] when the
     /// user cannot act in this session.
     pub fn submit(&self, user: &str, call: SkillCall) -> Result<SkillOutput> {
-        let report = self.run_locked(user, || self.stage_locked(call), None, &self.policy)?;
+        let stage = || Ok(self.dag.lock().add_step(call, self.current_node())?);
+        let report = self.run_locked(user, stage, None, &self.policy)?;
         Ok(report.into_output()?)
     }
 
@@ -113,37 +114,14 @@ impl Session {
         Ok(())
     }
 
-    /// Add `call` to the session DAG with its inputs resolved against the
-    /// current dataset and named datasets, without executing anything.
-    fn stage_locked(&self, call: SkillCall) -> Result<NodeId> {
-        let mut dag = self.dag.lock();
-        let inputs: Vec<NodeId> = match &call {
-            SkillCall::UseDataset { name, .. } => match dag.resolve_name(name) {
-                Ok(n) => vec![n],
-                Err(_) => vec![],
-            },
-            SkillCall::Concat { other, .. } | SkillCall::Join { other, .. } => {
-                let second = dag.resolve_name(other)?;
-                let first = self.current_node().ok_or_else(|| {
-                    CollabError::invalid("no current dataset for a two-input skill")
-                })?;
-                vec![first, second]
-            }
-            c if c.needs_input() => vec![self.current_node().ok_or_else(|| {
-                CollabError::invalid(format!("{} needs a dataset; load one first", c.name()))
-            })?],
-            _ => vec![],
-        };
-        Ok(dag.add(call, inputs)?)
-    }
-
     /// Stage one call for later execution: permission check + DAG
-    /// insertion, no execution, no session lock. The serving layer stages
-    /// a job's steps as they come due, then drives each through
+    /// insertion on the current dataset ([`SkillDag::add_step`]), no
+    /// execution, no session lock. The serving layer stages a job's steps
+    /// as they come due, then drives each through
     /// [`Session::execute_staged`] — possibly across several time slices.
     pub fn stage(&self, user: &str, call: SkillCall) -> Result<NodeId> {
         self.check_can_act(user)?;
-        self.stage_locked(call)
+        Ok(self.dag.lock().add_step(call, self.current_node())?)
     }
 
     /// Execute a previously staged node in a caller-held environment (a
@@ -476,6 +454,54 @@ mod tests {
             )
             .unwrap();
         assert_eq!(out.as_table().unwrap().num_rows(), 8);
+    }
+
+    /// `Use the dataset fred, version 1` re-roots at the first result bound
+    /// to `fred`, as in a recipe, not at the latest.
+    #[test]
+    fn a_versioned_use_reads_that_version() {
+        let s = Session::new(1, "ann", seed_env(), ExecPolicy::plain());
+        let keep = |above: i64| SkillCall::KeepRows {
+            predicate: Expr::col("x").gt(Expr::lit(above)),
+        };
+        let load = SkillCall::LoadFile {
+            path: "d.csv".into(),
+        };
+        s.submit("ann", load).unwrap();
+        s.submit("ann", keep(1)).unwrap();
+        s.name_current("fred").unwrap();
+        s.submit("ann", keep(3)).unwrap();
+        s.name_current("fred").unwrap();
+        let use_fred = |version| SkillCall::UseDataset {
+            name: "fred".into(),
+            version,
+        };
+        let rows = |out: SkillOutput| out.as_table().unwrap().num_rows();
+        assert_eq!(rows(s.submit("ann", use_fred(Some(1))).unwrap()), 3);
+        assert_eq!(rows(s.submit("ann", use_fred(None)).unwrap()), 1);
+        assert!(s.submit("ann", use_fred(Some(3))).is_err());
+    }
+
+    /// A `Concat` with a dataset no name is bound to reads the stored
+    /// dataset of that name, as in a recipe.
+    #[test]
+    fn a_concat_with_an_unbound_name_reads_the_stored_dataset() {
+        let world = seed_env();
+        world.with(|env| {
+            let stored = dc_engine::csv::read_csv("x\n9\n").unwrap();
+            env.save_table("extra", stored);
+        });
+        let s = Session::new(1, "ann", world, ExecPolicy::plain());
+        let load = SkillCall::LoadFile {
+            path: "d.csv".into(),
+        };
+        s.submit("ann", load).unwrap();
+        let concat = SkillCall::Concat {
+            other: "extra".into(),
+            remove_duplicates: false,
+        };
+        let out = s.submit("ann", concat).unwrap();
+        assert_eq!(out.as_table().unwrap().num_rows(), 5);
     }
 
     #[test]

@@ -9,8 +9,9 @@ use dc_collab::{
     Artifact, EnvHandle, HomeScreen, InsightsBoard, LinkIssuer, Permission, SessionRef,
     SessionRegistry, ShareLink,
 };
+use dc_gel::Recipe;
 use dc_nl::{Nl2Code, SchemaHints};
-use dc_skills::{Env, ExecPolicy, SkillCall, SkillOutput};
+use dc_skills::{rewrite_use_dataset, Env, ExecPolicy, SkillCall, SkillOutput};
 use dc_storage::CloudDatabase;
 
 use crate::forms::{ComputeForm, VisualizeForm};
@@ -274,43 +275,46 @@ impl Platform {
     }
 
     /// The chat box: try GEL, then the phrase layer, then the LLM
-    /// pipeline; execute the resulting steps in the session.
+    /// pipeline; execute the resulting program in the session.
     pub fn chat(&mut self, handle: &SessionHandle, text: &str) -> Result<ChatReply, PlatformError> {
         // 1. Direct GEL.
         if let Ok(call) = dc_gel::parse_gel(text) {
-            return self.execute_calls(handle, vec![call], ChatPath::Gel);
+            return self.execute_calls(handle, Recipe::from(vec![call]), ChatPath::Gel);
         }
         let schema = self.schema_hints();
         // 2. Phrase-based translation (deterministic, Visualize-driven).
         if text.trim().to_lowercase().starts_with("visualize") {
             if let Ok(translation) = dc_nl::translate_visualize(text, &self.nl.semantics, &schema) {
-                return self.execute_calls(handle, translation.calls, ChatPath::Phrase);
+                let recipe = Recipe::from(translation.calls);
+                return self.execute_calls(handle, recipe, ChatPath::Phrase);
             }
         }
         // 3. LLM-based NL2Code.
         let result = self.nl.generate(text, &schema)?;
         let recipe = Nl2Code::to_recipe(&result.checked)?;
-        self.execute_calls(handle, recipe.steps().to_vec(), ChatPath::Llm)
+        self.execute_calls(handle, recipe, ChatPath::Llm)
     }
 
+    /// Run a program in the session step by step, a catalog table used by
+    /// name loaded, and a step's names bound once it has run, so that later
+    /// steps read it as [`Recipe::to_dag`] wires them.
     fn execute_calls(
         &mut self,
         handle: &SessionHandle,
-        calls: Vec<SkillCall>,
+        mut recipe: Recipe,
         path: ChatPath,
     ) -> Result<ChatReply, PlatformError> {
-        let calls: Vec<SkillCall> = self.env.with(|env| {
-            calls
-                .into_iter()
-                .map(|call| rewrite_use_dataset(call, env))
-                .collect()
-        });
-        let diagnostics = self.preflight(&calls)?;
+        self.env
+            .with(|env| recipe.rewrite_unbound_uses(|call| rewrite_use_dataset(call, env)));
+        let diagnostics = self.preflight(&recipe)?;
         let mut last: Option<SkillOutput> = None;
-        let mut steps_gel = Vec::with_capacity(calls.len());
-        for call in calls {
-            steps_gel.push(dc_gel::format_skill(&call));
-            last = Some(handle.session.submit(&handle.user, call)?);
+        let mut steps_gel = Vec::with_capacity(recipe.len());
+        for (i, call) in recipe.steps().iter().enumerate() {
+            steps_gel.push(dc_gel::format_skill(call));
+            last = Some(handle.session.submit(&handle.user, call.clone())?);
+            for name in recipe.names_bound_at(i) {
+                handle.session.name_current(name)?;
+            }
         }
         Ok(ChatReply {
             output: last.ok_or("empty program")?,
@@ -327,17 +331,11 @@ impl Platform {
     /// Error-severity finding refuses execution (the session DAG is left
     /// untouched); under [`AnalysisPolicy::Warn`], findings ride along on
     /// the reply.
-    fn preflight(&self, calls: &[SkillCall]) -> Result<Vec<Diagnostic>, PlatformError> {
-        match calls.first() {
-            None => return Ok(Vec::new()),
-            Some(first) if first.needs_input() => return Ok(Vec::new()),
-            Some(_) => {}
+    fn preflight(&self, recipe: &Recipe) -> Result<Vec<Diagnostic>, PlatformError> {
+        if recipe.steps().first().is_none_or(SkillCall::needs_input) {
+            return Ok(Vec::new());
         }
-        let mut recipe = dc_gel::Recipe::new();
-        for call in calls {
-            recipe.push(call.clone());
-        }
-        let analysis = dc_gel::validate_recipe(&recipe, &self.analysis_context());
+        let analysis = dc_gel::validate_recipe(recipe, &self.analysis_context());
         if self.analysis_policy == AnalysisPolicy::Deny && analysis.has_errors() {
             let lines: Vec<String> = analysis.errors().map(|d| d.to_string()).collect();
             return Err(format!(
@@ -431,31 +429,6 @@ impl Default for Platform {
     }
 }
 
-/// `Use the dataset X` over a catalog table becomes a load. Resolution is
-/// case-insensitive (chat is forgiving) but the rewritten call carries
-/// the catalog's *exact* table name, because the storage lookup the load
-/// performs is exact-match.
-fn rewrite_use_dataset(call: SkillCall, env: &Env) -> SkillCall {
-    let SkillCall::UseDataset { name, version } = call else {
-        return call;
-    };
-    let in_catalog = env.catalog.database_names().iter().find_map(|db| {
-        let table = env
-            .catalog
-            .database(db)
-            .ok()?
-            .table_names()
-            .iter()
-            .find(|t| t.eq_ignore_ascii_case(&name))?
-            .to_string();
-        Some((db.to_string(), table))
-    });
-    match in_catalog {
-        Some((database, table)) => SkillCall::load_table(database, table),
-        None => SkillCall::UseDataset { name, version },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,6 +487,47 @@ mod tests {
         let t = reply.output.as_table().unwrap();
         assert!(t.num_rows() >= 2);
         assert!(!reply.steps_gel.is_empty());
+    }
+
+    /// A model that answers every prompt with one program.
+    struct Fixed(&'static str);
+
+    impl dc_nl::LanguageModel for Fixed {
+        fn name(&self) -> &str {
+            "fixed"
+        }
+
+        fn complete(&self, _: &dc_nl::Prompt) -> String {
+            self.0.to_string()
+        }
+    }
+
+    /// An NL program that names an intermediate result and reads it back:
+    /// the name is the bound step's result, not a dataset to look up — not
+    /// even when it shadows the catalog table the program started from.
+    #[test]
+    fn an_nl_program_reads_back_the_result_it_binds() {
+        let mut p = Platform::new();
+        let sales = dc_storage::demo::sales(200, 1);
+        let west = (0..sales.num_rows())
+            .filter(|&i| sales.value(i, "region").unwrap() == dc_engine::Value::from("west"))
+            .count();
+        assert!(west > 0);
+        let mut db = CloudDatabase::new("MainDatabase", Pricing::default_cloud());
+        db.create_table("sales", &sales).unwrap();
+        p.add_database(db).unwrap();
+        let h = p.open_session("ann");
+        for program in [
+            "west = sales.filter(\"region = 'west'\")\nwest.compute(aggregates = [Count()])",
+            "sales = sales.filter(\"region = 'west'\")\nsales.compute(aggregates = [Count()])",
+        ] {
+            p.nl.model = Box::new(Fixed(program));
+            let reply = p.chat(&h, "how many sales were in the west").unwrap();
+            assert_eq!(reply.path, ChatPath::Llm);
+            let t = reply.output.as_table().unwrap();
+            let count = t.row(0).unwrap().last().unwrap().as_i64().unwrap();
+            assert_eq!(count, west as i64, "{program}");
+        }
     }
 
     #[test]

@@ -131,71 +131,40 @@ impl Recipe {
             .join("\n")
     }
 
-    /// Lower the recipe into a skill DAG: steps chain linearly except
-    /// `UseDataset`, which re-roots the chain at the bound node, and
-    /// two-input skills (Concat/Join), whose second input resolves from
-    /// the bound names.
+    /// Lower the recipe into a skill DAG ([`SkillDag::lower`]), with each
+    /// step's node.
     pub fn to_dag(&self) -> Result<(SkillDag, Vec<NodeId>)> {
-        let mut dag = SkillDag::new();
-        let mut node_of_step: Vec<NodeId> = Vec::with_capacity(self.steps.len());
-        let mut current: Option<NodeId> = None;
-        for (i, call) in self.steps.iter().enumerate() {
-            let inputs: Vec<NodeId> = match call {
-                SkillCall::UseDataset { name, version } => {
-                    // Re-root at the bound dataset when it exists; an
-                    // explicit version selects among repeated bindings.
-                    let resolved = match version {
-                        Some(v) => dag.resolve_version(name, *v).map(Some).or_else(|e| {
-                            // Unknown name falls back to the environment;
-                            // a known name with a bad version is an error.
-                            if dag.resolve_name(name).is_ok() {
-                                Err(e)
-                            } else {
-                                Ok(None)
-                            }
-                        })?,
-                        None => dag.resolve_name(name).ok(),
-                    };
-                    match resolved {
-                        Some(n) => vec![n],
-                        None => vec![],
-                    }
-                }
-                SkillCall::Concat { other, .. } | SkillCall::Join { other, .. } => {
-                    // An unbound name implicitly references a saved/stored
-                    // dataset: materialize a UseDataset node for it.
-                    let second = match dag.resolve_name(other) {
-                        Ok(n) => n,
-                        Err(_) => dag.add(
-                            SkillCall::UseDataset {
-                                name: other.clone(),
-                                version: None,
-                            },
-                            vec![],
-                        )?,
-                    };
-                    let first = current.ok_or_else(|| GelError::Editor {
-                        message: "two-input step with no current dataset".into(),
-                    })?;
-                    vec![first, second]
-                }
-                c if c.needs_input() => {
-                    vec![current.ok_or_else(|| GelError::Editor {
-                        message: format!("step {} needs an input dataset", i + 1),
-                    })?]
-                }
-                _ => vec![],
+        Ok(SkillDag::lower(&self.steps, &self.bindings)?)
+    }
+
+    /// The names bound to step `index`'s result.
+    pub fn names_bound_at(&self, index: usize) -> impl Iterator<Item = &str> {
+        (self.bindings.iter())
+            .filter(move |(at, _)| *at == index)
+            .map(|(_, name)| name.as_str())
+    }
+
+    /// Pass every `Use the dataset` step to `rewrite`, except one whose
+    /// name an earlier step binds: [`Recipe::to_dag`] re-roots that one at
+    /// the bound step, whatever else the name might mean.
+    pub fn rewrite_unbound_uses(&mut self, mut rewrite: impl FnMut(&mut SkillCall)) {
+        for (i, call) in self.steps.iter_mut().enumerate() {
+            let SkillCall::UseDataset { name, .. } = call else {
+                continue;
             };
-            let id = dag.add(call.clone(), inputs)?;
-            node_of_step.push(id);
-            current = Some(id);
-            for (bi, name) in &self.bindings {
-                if *bi == i {
-                    dag.bind_name(name.clone(), id)?;
-                }
+            let name = name.to_lowercase();
+            if !(self.bindings.iter()).any(|(at, b)| *at < i && b.to_lowercase() == name) {
+                rewrite(call);
             }
         }
-        Ok((dag, node_of_step))
+    }
+}
+
+impl From<Vec<SkillCall>> for Recipe {
+    /// A recipe of `steps` with no names bound.
+    fn from(steps: Vec<SkillCall>) -> Recipe {
+        let bindings = Vec::new();
+        Recipe { steps, bindings }
     }
 }
 

@@ -7,7 +7,7 @@
 //! can inspect/modify the prompt before generation and the recipe after.
 
 use dc_gel::{format_skill, Recipe};
-use dc_skills::SkillCall;
+use dc_skills::{as_query_step, SkillCall};
 use dc_sql::QueryStep;
 
 use crate::checker::{check, CheckedProgram};
@@ -196,29 +196,7 @@ fn render_sql(checked: &CheckedProgram) -> Option<String> {
         table: st.root.clone(),
     }];
     for call in &st.calls {
-        steps.push(match call {
-            SkillCall::KeepRows { predicate } => QueryStep::Filter {
-                predicate: predicate.clone(),
-            },
-            SkillCall::DropRows { predicate } => QueryStep::Filter {
-                predicate: predicate.clone().not(),
-            },
-            SkillCall::KeepColumns { columns } => QueryStep::SelectColumns {
-                columns: columns.clone(),
-            },
-            SkillCall::CreateColumn { name, expr } => QueryStep::WithColumn {
-                name: name.clone(),
-                expr: expr.clone(),
-            },
-            SkillCall::Compute { aggs, for_each } => QueryStep::Compute {
-                keys: for_each.clone(),
-                aggs: aggs.clone(),
-            },
-            SkillCall::Sort { keys } => QueryStep::Sort { keys: keys.clone() },
-            SkillCall::Limit { n } => QueryStep::Limit { n: *n },
-            SkillCall::Distinct { columns } if columns.is_empty() => QueryStep::Distinct,
-            _ => return None,
-        });
+        steps.push(as_query_step(call)?);
     }
     dc_sql::generate_sql(&steps, true).ok().map(|q| q.to_sql())
 }
@@ -292,6 +270,36 @@ mod tests {
             let parsed = dc_gel::parse_gel(line).unwrap();
             assert_eq!(&parsed, call);
         }
+    }
+
+    /// A model that answers every prompt with one program.
+    struct Fixed(&'static str);
+
+    impl LanguageModel for Fixed {
+        fn name(&self) -> &str {
+            "fixed"
+        }
+
+        fn complete(&self, _: &Prompt) -> String {
+            self.0.to_string()
+        }
+    }
+
+    /// A chain the planner consolidates into one SQL task renders as SQL,
+    /// a constant column included.
+    #[test]
+    fn a_constant_column_chain_renders_sql() {
+        let program = "sales.with_constant(\"tag\", 1).compute(aggregates = [Count()])";
+        let sys = Nl2Code {
+            model: Box::new(Fixed(program)),
+            ..system()
+        };
+        let r = sys.generate("count the orders", &schema()).unwrap();
+        let sql = r.sql.expect("a SQL-able chain has SQL");
+        assert!(
+            sql.contains("COUNT(*)") && sql.contains("FROM sales"),
+            "{sql}"
+        );
     }
 
     #[test]

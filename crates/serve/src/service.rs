@@ -19,7 +19,8 @@
 //!
 //! A request's step list is planned once, as a whole, before any step is
 //! staged ([`dc_skills::plan_linear`]: the driver's whole plan step over
-//! the linear DAG the steps will become, final step the only target), so
+//! the DAG the session will stage the steps into, final step the only
+//! target; a catalog table used by name is a load of it, as in chat), so
 //! the load step carries its predicate and its live columns from the
 //! first slice and stays a structural cache hit slice after slice — one
 //! scan a job. That happens at admission, in one short hold of the world
@@ -58,7 +59,7 @@ use std::time::{Duration, Instant};
 
 use dc_collab::{EnvHandle, SessionRef, SessionRegistry};
 use dc_skills::resilient::{ExecPolicy, RetryPolicy};
-use dc_skills::{plan_linear, Env};
+use dc_skills::{plan_linear, rewrite_use_dataset, Env};
 
 use crate::error::{Result, ServeError};
 use crate::job::{Job, JobCell, JobHandle, Request};
@@ -225,10 +226,14 @@ impl SessionService {
                     tenant: tenant.to_string(),
                 })?;
         // The one plan of the request, and the reservation against a
-        // metered tenant's budget, in one hold of the world lock: the
+        // metered tenant's budget, in one hold of the world lock: a
+        // catalog table used by name is a load of it, as in chat, and the
         // estimate prices the very steps the slices will run.
         let mut steps = request.steps;
         let (reserved, estimated) = self.inner.env.with(|env| {
+            steps
+                .iter_mut()
+                .for_each(|step| rewrite_use_dataset(step, env));
             if let Some(planned) = plan_linear(&steps, env) {
                 steps = planned;
             }
@@ -638,6 +643,29 @@ mod tests {
         assert_eq!(free.bytes_charged, result.bytes_charged);
         assert_eq!((free.bytes_reserved, free.bytes_estimated), (0, 0));
     }
+
+    /// A catalog table used by name is a load of it, as in chat: admission
+    /// plans and prices the load, and the job reads the table.
+    #[test]
+    fn a_catalog_table_used_by_name_is_loaded_and_priced() {
+        let mut db = CloudDatabase::new("cloud", Pricing::default_cloud());
+        db.create_table_with_blocks("sales", &dc_storage::demo::sales(2_000, 7), 128)
+            .unwrap();
+        let mut env = Env::new();
+        env.catalog.add_database(db).unwrap();
+        let service = SessionService::start(EnvHandle::new(env), ServeConfig::default());
+        let budget = dc_storage::BudgetConfig::fixed(u64::MAX / 4);
+        service
+            .register_tenant("metered", TenantConfig::new().budget(budget))
+            .unwrap();
+        let request = Request::gel("Use the dataset sales\nCount the rows").unwrap();
+        let result = service.run("metered", request);
+        let out = result.outcome.expect("the job completes");
+        assert_eq!(out, dc_skills::SkillOutput::Text("2000".into()));
+        assert!(result.bytes_reserved > 0);
+        assert!(result.bytes_charged <= result.bytes_reserved);
+    }
+
     /// A request is all or nothing to the session. The planned load of a
     /// job reads only what the job's own later steps need, so when the
     /// last step fails at run time the steps before it have left a

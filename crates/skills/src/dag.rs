@@ -138,6 +138,55 @@ impl SkillDag {
         Ok(id)
     }
 
+    /// Append one step of a program on `current`, the node the program
+    /// stands on: the one rule that wires recipes, session turns and
+    /// `dc-serve` admission plans alike. `UseDataset` re-roots at the node
+    /// its name is bound to (a given version of it; out of range is an
+    /// error), or takes no input when the name is unbound. `Join` and
+    /// `Concat` read `current`, then the node `other` is bound to or else a
+    /// `UseDataset` node added for the stored dataset. Every other
+    /// input-taking step reads `current`; sources read nothing.
+    pub fn add_step(&mut self, call: SkillCall, current: Option<NodeId>) -> Result<NodeId> {
+        let no_input = || SkillError::invalid(format!("{} needs an input dataset", call.name()));
+        let inputs = match &call {
+            SkillCall::UseDataset { name, version } => match (self.resolve_name(name), version) {
+                (Ok(_), Some(v)) => vec![self.resolve_version(name, *v)?],
+                (latest, _) => latest.ok().into_iter().collect(),
+            },
+            SkillCall::Concat { other, .. } | SkillCall::Join { other, .. } => {
+                let first = current.ok_or_else(no_input)?;
+                let (name, version) = (other.clone(), None);
+                let stored = SkillCall::UseDataset { name, version };
+                let second = self
+                    .resolve_name(other)
+                    .or_else(|_| self.add(stored, vec![]));
+                vec![first, second?]
+            }
+            c if c.needs_input() => vec![current.ok_or_else(no_input)?],
+            _ => vec![],
+        };
+        self.add(call, inputs)
+    }
+
+    /// A program lowered into a fresh DAG by [`SkillDag::add_step`], each
+    /// step on the one before and each `(step, name)` of `bindings` bound
+    /// as its step is added; with each step's node.
+    pub fn lower(
+        steps: &[SkillCall],
+        bindings: &[(usize, String)],
+    ) -> Result<(SkillDag, Vec<NodeId>)> {
+        let mut dag = SkillDag::new();
+        let mut node_of_step: Vec<NodeId> = Vec::with_capacity(steps.len());
+        for (i, call) in steps.iter().enumerate() {
+            let id = dag.add_step(call.clone(), node_of_step.last().copied())?;
+            node_of_step.push(id);
+            for (_, name) in bindings.iter().filter(|(at, _)| *at == i) {
+                dag.bind_name(name.clone(), id)?;
+            }
+        }
+        Ok((dag, node_of_step))
+    }
+
     /// The first load carrying `call`: `id` itself when no earlier node
     /// does, or when `call` is no load. Calls are found by hash and compared
     /// in full.
@@ -208,9 +257,12 @@ impl SkillDag {
         &self.nodes
     }
 
-    /// The calls of all nodes, in insertion order.
-    pub(crate) fn into_calls(self) -> Vec<SkillCall> {
-        self.nodes.into_iter().map(|n| n.call).collect()
+    /// The calls of the nodes `ids` (ascending), in insertion order.
+    pub(crate) fn into_calls(self, ids: &[NodeId]) -> Vec<SkillCall> {
+        (self.nodes.into_iter())
+            .filter(|n| ids.binary_search(&n.id).is_ok())
+            .map(|n| n.call)
+            .collect()
     }
 
     /// Bind a dataset name to a node, appending a new version (later

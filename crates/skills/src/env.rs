@@ -15,6 +15,7 @@ use dc_storage::{CancelToken, Catalog, ScanReceipt, SnapshotStore};
 
 use crate::cache::MaterializedCache;
 use crate::error::{Result, SkillError};
+use crate::skill::SkillCall;
 
 /// Running totals of storage-scan traffic for one environment.
 ///
@@ -220,6 +221,27 @@ impl Env {
             .ok_or_else(|| SkillError::DatasetNotFound {
                 name: name.to_string(),
             })
+    }
+}
+
+/// `Use the dataset X` of a catalog table becomes a load of it, unless a
+/// saved dataset is named `X` (the runtime reads that first, as the
+/// analyzer does). `X` matches case-insensitively (chat is forgiving), but
+/// the load carries the catalog's exact name: storage lookups are exact.
+/// Chat and `dc-serve` pass a program's steps through this before planning.
+pub fn rewrite_use_dataset(call: &mut SkillCall, env: &Env) {
+    let SkillCall::UseDataset { name, .. } = call else {
+        return;
+    };
+    let catalog = &env.catalog;
+    let load = catalog.database_names().into_iter().find_map(|db| {
+        let tables = catalog.database(db).ok()?.table_names();
+        let table = tables.into_iter().find(|t| t.eq_ignore_ascii_case(name))?;
+        Some(SkillCall::load_table(db, table))
+    });
+    match load {
+        Some(load) if !env.saved.contains_key(name.as_str()) => *call = load,
+        _ => {}
     }
 }
 

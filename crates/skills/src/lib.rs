@@ -38,14 +38,14 @@ pub mod slicing;
 pub use cache::{CacheHit, CacheStats, MaterializedCache, SharedKey, TenantCacheStats};
 pub use contract::{contract, Contract, Finding, FindingKind, ModelInfo, Sources};
 pub use dag::{NodeId, SkillDag, SkillNode};
-pub use env::{Env, ScanTally};
+pub use env::{rewrite_use_dataset, Env, ScanTally};
 pub use error::{Result, SkillError};
 pub use exec::{execute_call, needs_env, structural_ids, Executor, ExecutorStats, SubDagId};
 pub use optimize::{
     join_order_advice, optimize_dag, plan_linear, plan_pushdown, JoinOrderAdvice, PlanStats,
 };
 pub use output::SkillOutput;
-pub use planner::{plan, ExecutionTask};
+pub use planner::{as_query_step, plan, ExecutionTask};
 pub use resilient::{ExecPolicy, ExecReport, NodeOutcome, NodeReport, RetryPolicy};
 pub use skill::{registry, Category, DatePart, SkillCall, SkillInfo};
 pub use slicing::{slice, sliced_recipe, SliceStats};

@@ -244,30 +244,16 @@ pub fn plan_pushdown(dag: &SkillDag, protected: &[NodeId], vetoed: &[NodeId]) ->
 /// after slice. What this returns is the program that runs, so it is also
 /// the program to price.
 ///
-/// The step list is lowered to a linear [`SkillDag`] (each input-taking
-/// step consumes its predecessor, loads restart the chain) and planned
-/// with the final step — the program's delivered, optionally name-bound
-/// result — as the sole protected target. Returns `None` when no rewrite
+/// The step list is lowered by [`SkillDag::lower`], the rule the session
+/// stages it by, and planned with the final step — the program's
+/// delivered, optionally name-bound result — as the sole protected
+/// target. Returns the planned calls of the steps alone (a stored dataset
+/// the rule adds for a `Join` is no step), or `None` when no rewrite
 /// applies.
 pub fn plan_linear(steps: &[SkillCall], stats: &dyn PlanStats) -> Option<Vec<SkillCall>> {
-    let (dag, last) = lower_steps(steps)?;
-    optimize_dag(&dag, &[last], &[], stats).map(SkillDag::into_calls)
-}
-
-/// A step list as the linear DAG a session would stage it into, and its
-/// final step. `None` for an empty list or one that opens with a step that
-/// continues an earlier request.
-fn lower_steps(steps: &[SkillCall]) -> Option<(SkillDag, NodeId)> {
-    let mut dag = SkillDag::new();
-    let mut prev: Option<NodeId> = None;
-    for call in steps {
-        let inputs = match prev {
-            Some(p) if call.needs_input() => vec![p],
-            _ => vec![],
-        };
-        prev = Some(dag.add(call.clone(), inputs).ok()?);
-    }
-    Some((dag, prev?))
+    let (dag, node_of_step) = SkillDag::lower(steps, &[]).ok()?;
+    let planned = optimize_dag(&dag, &[*node_of_step.last()?], &[], stats)?;
+    Some(planned.into_calls(&node_of_step))
 }
 
 /// `nodes` as a per-node flag.
@@ -1971,8 +1957,9 @@ mod tests {
     /// The filter-hoisting rule alone over a step list, lowered the way
     /// [`plan_linear`] lowers it.
     fn pushdown_steps(steps: &[SkillCall]) -> Option<Vec<SkillCall>> {
-        let (dag, last) = lower_steps(steps)?;
-        plan_pushdown(&dag, &[last], &[]).map(SkillDag::into_calls)
+        let (dag, node_of_step) = SkillDag::lower(steps, &[]).ok()?;
+        let planned = plan_pushdown(&dag, &[*node_of_step.last()?], &[])?;
+        Some(planned.into_calls(&node_of_step))
     }
 
     #[test]

@@ -39,8 +39,9 @@ impl ExecutionTask {
     }
 }
 
-/// Map a skill call to its SQL step, if it is SQL-able.
-fn as_query_step(call: &SkillCall) -> Option<QueryStep> {
+/// Map a skill call to its SQL step, if it is SQL-able: the one mapping
+/// the planner consolidates by and NL2Code renders SQL with.
+pub fn as_query_step(call: &SkillCall) -> Option<QueryStep> {
     match call {
         SkillCall::KeepRows { predicate } => Some(QueryStep::Filter {
             predicate: predicate.clone(),
