@@ -253,16 +253,22 @@ impl<'a> Cur<'a> {
         Ok(s)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut a = [0u8; N];
+        a.copy_from_slice(self.bytes(N)?);
+        Ok(a)
+    }
+
     fn u8(&mut self) -> Result<u8> {
         Ok(self.bytes(1)?[0])
     }
 
     fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     fn str(&mut self) -> Result<String> {
@@ -275,12 +281,10 @@ impl<'a> Cur<'a> {
         Ok(match self.u8()? {
             0 => Value::Null,
             1 => Value::Bool(self.u8()? != 0),
-            2 => Value::Int(i64::from_le_bytes(self.bytes(8)?.try_into().unwrap())),
-            3 => Value::Float(f64::from_bits(u64::from_le_bytes(
-                self.bytes(8)?.try_into().unwrap(),
-            ))),
+            2 => Value::Int(i64::from_le_bytes(self.array()?)),
+            3 => Value::Float(f64::from_bits(self.u64()?)),
             4 => Value::Str(self.str()?),
-            5 => Value::Date(i32::from_le_bytes(self.bytes(4)?.try_into().unwrap())),
+            5 => Value::Date(i32::from_le_bytes(self.array()?)),
             t => return Err(EngineError::parse(format!("bad value tag {t}"))),
         })
     }
@@ -627,7 +631,7 @@ impl BlockFile {
         if &tail[8..] != MAGIC {
             return Err(EngineError::parse("block file trailer magic mismatch"));
         }
-        let footer_len = u64::from_le_bytes(tail[..8].try_into().unwrap());
+        let footer_len = Cur::new(&tail).u64()?;
         if footer_len + tail_len > total {
             return Err(EngineError::parse("block file footer length out of range"));
         }
@@ -687,27 +691,21 @@ impl BlockFile {
                     Column::Bool(bits.iter().collect(), validity)
                 }
                 Enc::Int => {
-                    let raw = cur.bytes(n * 8)?;
-                    let v = raw
-                        .chunks_exact(8)
-                        .map(|c| i64::from_le_bytes(c.try_into().unwrap()))
-                        .collect();
+                    let (words, _) = cur.bytes(n * 8)?.as_chunks();
+                    let v = words.iter().map(|&w| i64::from_le_bytes(w)).collect();
                     Column::Int(v, validity)
                 }
                 Enc::Float => {
-                    let raw = cur.bytes(n * 8)?;
-                    let v = raw
-                        .chunks_exact(8)
-                        .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())))
+                    let (words, _) = cur.bytes(n * 8)?.as_chunks();
+                    let v = words
+                        .iter()
+                        .map(|&w| f64::from_bits(u64::from_le_bytes(w)))
                         .collect();
                     Column::Float(v, validity)
                 }
                 Enc::Date => {
-                    let raw = cur.bytes(n * 4)?;
-                    let v = raw
-                        .chunks_exact(4)
-                        .map(|c| i32::from_le_bytes(c.try_into().unwrap()))
-                        .collect();
+                    let (words, _) = cur.bytes(n * 4)?.as_chunks();
+                    let v = words.iter().map(|&w| i32::from_le_bytes(w)).collect();
                     Column::Date(v, validity)
                 }
                 Enc::Str => {
@@ -720,11 +718,8 @@ impl BlockFile {
                 Enc::Dict => {
                     // `open` checked the id against the footer's dictionaries.
                     let dict = &self.meta.dicts[cm.dict_id as usize];
-                    let raw = cur.bytes(n * 4)?;
-                    let codes: Vec<u32> = raw
-                        .chunks_exact(4)
-                        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-                        .collect();
+                    let (words, _) = cur.bytes(n * 4)?.as_chunks();
+                    let codes: Vec<u32> = words.iter().map(|&w| u32::from_le_bytes(w)).collect();
                     // A code past the dictionary would panic in whatever
                     // reads the string; a null row's placeholder code is
                     // never looked up. Without nulls, one branch-free pass

@@ -44,8 +44,15 @@
 //! byte** first (ties broken LRU). A small aggregate that took a
 //! terabyte of scans to produce is the last thing to go; a huge raw
 //! load that was cheap per byte goes first.
+//!
+//! The entries are kept in that order: beside the map sits an ordered
+//! index of `(score bits, last_used, key)`, whose first element is the
+//! next victim. A hit re-keys its entry and an admission pops victims off
+//! the front, each in O(log n) under the mutex, whatever the number of
+//! resident entries. Evicted and replaced entries are dropped after the
+//! mutex is released, so freeing a large table never holds it.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
 use dc_engine::Table;
@@ -121,17 +128,23 @@ struct Entry {
     last_used: u64,
 }
 
+/// An entry's place in the eviction order: the bits of its score
+/// (recompute footprint per resident byte), then `last_used`, then its key.
+/// The score is never negative, so its bits sort like its value; no two
+/// entries share a `last_used`, so the key never decides.
+type Rank = (u64, u64, SharedKey);
+
 impl Entry {
-    /// Eviction value: recompute footprint per resident byte. Compared
-    /// via `f64` — precision loss only matters when two scores are
-    /// within rounding of each other, where either victim is fine.
-    fn score(&self) -> f64 {
-        self.footprint as f64 / self.resident.max(1) as f64
+    fn rank(&self, key: SharedKey) -> Rank {
+        let score = self.footprint as f64 / self.resident.max(1) as f64;
+        (score.to_bits(), self.last_used, key)
     }
 }
 
 struct Inner {
     entries: HashMap<SharedKey, Entry>,
+    /// The rank of every entry in `entries`; the first is the next victim.
+    order: BTreeSet<Rank>,
     used: u64,
     /// Logical clock for LRU tie-breaking.
     clock: u64,
@@ -191,6 +204,7 @@ impl MaterializedCache {
         MaterializedCache {
             inner: Mutex::new(Inner {
                 entries: HashMap::new(),
+                order: BTreeSet::new(),
                 used: 0,
                 clock: 0,
                 hits: 0,
@@ -227,12 +241,15 @@ impl MaterializedCache {
     /// so [`MaterializedCache::tenant_stats`] can report per-tenant hit
     /// rates and bytes saved.
     pub fn get_as(&self, key: SharedKey, who: Option<&str>) -> Option<CacheHit> {
-        let mut inner = self.lock();
+        let mut guard = self.lock();
+        let inner = &mut *guard;
         inner.clock += 1;
         let clock = inner.clock;
         match inner.entries.get_mut(&key) {
             Some(e) => {
+                inner.order.remove(&e.rank(key));
                 e.last_used = clock;
+                inner.order.insert(e.rank(key));
                 let hit = CacheHit {
                     output: e.output.clone(),
                     table: Arc::clone(&e.table),
@@ -287,35 +304,28 @@ impl MaterializedCache {
                 SkillOutput::Table(t) => t.byte_size() as u64,
                 _ => 64,
             };
-        let mut inner = self.lock();
+        let mut guard = self.lock();
+        let inner = &mut *guard;
         if resident > self.capacity_bytes {
             inner.rejected += 1;
             return;
         }
         inner.clock += 1;
         let clock = inner.clock;
+        let mut dropped = Vec::new();
         if let Some(old) = inner.entries.remove(&key) {
+            inner.order.remove(&old.rank(key));
             inner.used -= old.resident;
+            dropped.push(old);
         }
         while inner.used + resident > self.capacity_bytes {
-            // Victim: lowest footprint-per-byte; oldest on ties.
-            let victim = inner
-                .entries
-                .iter()
-                .min_by(|(_, a), (_, b)| {
-                    a.score()
-                        .partial_cmp(&b.score())
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.last_used.cmp(&b.last_used))
-                })
-                .map(|(k, _)| *k);
-            match victim {
-                Some(k) => {
-                    let e = inner.entries.remove(&k).expect("victim exists");
-                    inner.used -= e.resident;
-                    inner.evictions += 1;
-                }
-                None => break,
+            let Some((_, _, victim)) = inner.order.pop_first() else {
+                break;
+            };
+            if let Some(e) = inner.entries.remove(&victim) {
+                inner.used -= e.resident;
+                inner.evictions += 1;
+                dropped.push(e);
             }
         }
         inner.used += resident;
@@ -323,16 +333,19 @@ impl MaterializedCache {
         if let Some(who) = who {
             inner.tenant(who).insertions += 1;
         }
-        inner.entries.insert(
-            key,
-            Entry {
-                output,
-                table,
-                footprint,
-                resident,
-                last_used: clock,
-            },
-        );
+        let entry = Entry {
+            output,
+            table,
+            footprint,
+            resident,
+            last_used: clock,
+        };
+        inner.order.insert(entry.rank(key));
+        inner.entries.insert(key, entry);
+        debug_assert_eq!(inner.order.len(), inner.entries.len());
+        // Freed after the guard: dropping a large table never holds the mutex.
+        drop(guard);
+        drop(dropped);
     }
 
     /// Number of resident entries.
@@ -348,8 +361,11 @@ impl MaterializedCache {
     /// Drop every entry (counters keep accumulating).
     pub fn clear(&self) {
         let mut inner = self.lock();
-        inner.entries.clear();
+        let entries = std::mem::take(&mut inner.entries);
+        inner.order.clear();
         inner.used = 0;
+        drop(inner);
+        drop(entries);
     }
 
     /// Snapshot the attributed counters: one slice per tenant that ever
@@ -388,6 +404,7 @@ impl MaterializedCache {
 mod tests {
     use super::*;
     use dc_engine::Column;
+    use proptest::prelude::*;
 
     fn table(n: usize) -> Arc<Table> {
         Arc::new(Table::new(vec![("v", Column::from_ints((0..n as i64).collect()))]).unwrap())
@@ -518,6 +535,186 @@ mod tests {
         assert_eq!((all.hits, all.misses), (3, 1));
         let names: Vec<String> = cache.tenant_stats().into_iter().map(|(k, _)| k).collect();
         assert_eq!(names, vec!["ann", "bob"]);
+    }
+
+    /// The eviction rule as it was before the cache kept an ordered index:
+    /// a linear `min_by` over every resident entry. It is the oracle of
+    /// `eviction_order_matches_the_linear_rule`, so keep it as it is.
+    #[derive(Default)]
+    struct Linear {
+        entries: HashMap<SharedKey, Slot>,
+        used: u64,
+        clock: u64,
+        counts: CacheStats,
+    }
+
+    struct Slot {
+        footprint: u64,
+        resident: u64,
+        last_used: u64,
+    }
+
+    impl Slot {
+        fn score(&self) -> f64 {
+            self.footprint as f64 / self.resident.max(1) as f64
+        }
+    }
+
+    impl Linear {
+        fn get(&mut self, key: SharedKey) -> Option<u64> {
+            self.clock += 1;
+            match self.entries.get_mut(&key) {
+                Some(e) => {
+                    e.last_used = self.clock;
+                    self.counts.hits += 1;
+                    self.counts.bytes_saved += e.footprint;
+                    Some(e.footprint)
+                }
+                None => {
+                    self.counts.misses += 1;
+                    None
+                }
+            }
+        }
+
+        /// Admit under `capacity`; returns the evicted keys.
+        fn admit(
+            &mut self,
+            key: SharedKey,
+            resident: u64,
+            footprint: u64,
+            capacity: u64,
+        ) -> Vec<SharedKey> {
+            let mut victims = Vec::new();
+            if resident > capacity {
+                self.counts.rejected += 1;
+                return victims;
+            }
+            self.clock += 1;
+            if let Some(old) = self.entries.remove(&key) {
+                self.used -= old.resident;
+            }
+            while self.used + resident > capacity {
+                // Victim: lowest footprint-per-byte; oldest on ties.
+                let victim = self
+                    .entries
+                    .iter()
+                    .min_by(|(_, a), (_, b)| {
+                        a.score()
+                            .partial_cmp(&b.score())
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                            .then(a.last_used.cmp(&b.last_used))
+                    })
+                    .map(|(k, _)| *k);
+                match victim {
+                    Some(k) => {
+                        let e = self.entries.remove(&k).expect("victim exists");
+                        self.used -= e.resident;
+                        self.counts.evictions += 1;
+                        victims.push(k);
+                    }
+                    None => break,
+                }
+            }
+            self.used += resident;
+            self.counts.insertions += 1;
+            let slot = Slot {
+                footprint,
+                resident,
+                last_used: self.clock,
+            };
+            self.entries.insert(key, slot);
+            victims
+        }
+
+        fn clear(&mut self) {
+            self.entries.clear();
+            self.used = 0;
+        }
+
+        fn stats(&self) -> CacheStats {
+            CacheStats {
+                resident_bytes: self.used,
+                entries: self.entries.len(),
+                ..self.counts
+            }
+        }
+
+        fn keys(&self) -> Vec<SharedKey> {
+            let mut keys: Vec<_> = self.entries.keys().copied().collect();
+            keys.sort_unstable();
+            keys
+        }
+    }
+
+    fn resident_keys(cache: &MaterializedCache) -> Vec<SharedKey> {
+        let inner = cache.lock();
+        let mut keys: Vec<_> = inner.entries.keys().copied().collect();
+        keys.sort_unstable();
+        // The index holds exactly the entries' ranks, in eviction order.
+        let ranks: BTreeSet<Rank> = inner.entries.iter().map(|(k, e)| e.rank(*k)).collect();
+        assert_eq!(ranks, inner.order);
+        keys
+    }
+
+    proptest! {
+        /// Admits (re-admits of live keys, zero footprints, equal scores,
+        /// oversized entries), hits, misses and clears: after every step the
+        /// ordered index keeps the entries, victims and counters the linear
+        /// rule keeps.
+        #[test]
+        fn eviction_order_matches_the_linear_rule(
+            capacity in 1_024u64..16_384,
+            steps in prop::collection::vec(
+                ((0u8..20, 0u64..16), (0usize..600, 0u8..3), (0u8..4, 0u64..100_000)),
+                1..200,
+            ),
+        ) {
+            let cache = MaterializedCache::new(capacity);
+            let mut oracle = Linear::default();
+            for ((op, key), (rows, shape), (price, raw)) in steps {
+                let key = SharedKey::from(key);
+                match op {
+                    0..=11 => {
+                        let t = table(rows);
+                        let bytes = t.byte_size() as u64;
+                        let (output, resident) = match shape {
+                            0 => (SkillOutput::Table(t.as_ref().clone()), bytes),
+                            1 => (SkillOutput::Table(table(rows).as_ref().clone()), 2 * bytes),
+                            _ => (SkillOutput::Text("n".into()), bytes + 64),
+                        };
+                        // Zero, a score shared with every entry of the same
+                        // multiplier, a free footprint, or a whole-table load.
+                        let footprint = match price {
+                            0 => 0,
+                            1 => resident * (raw % 4),
+                            2 => raw,
+                            _ => resident,
+                        };
+                        let before = resident_keys(&cache);
+                        cache.admit(key, output, t, footprint);
+                        let mut victims = oracle.admit(key, resident, footprint, capacity);
+                        victims.sort_unstable();
+                        let after = resident_keys(&cache);
+                        let gone: Vec<_> = before
+                            .into_iter()
+                            .filter(|k| *k != key && !after.contains(k))
+                            .collect();
+                        prop_assert_eq!(gone, victims);
+                    }
+                    12..=18 => {
+                        let hit = cache.get(key).map(|h| h.footprint_bytes);
+                        prop_assert_eq!(hit, oracle.get(key));
+                    }
+                    _ => {
+                        cache.clear();
+                        oracle.clear();
+                    }
+                }
+                prop_assert_eq!(resident_keys(&cache), oracle.keys());
+                prop_assert_eq!(cache.stats(), oracle.stats());
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Integration tests for the cross-session materialized sub-DAG cache:
 //! zero-copy hits with zero charged scan bytes, versioned invalidation
 //! across catalog and snapshot mutations, degraded-result exclusion,
-//! side-effect exclusion, and concurrent hits under the wave scheduler.
+//! side-effect exclusion, concurrent hits under the wave scheduler, and
+//! concurrent admissions that evict one another's entries.
 
 use std::sync::Arc;
 
 use dc_engine::{Column, Expr, Table};
 use dc_skills::resilient::{ExecPolicy, NodeOutcome};
-use dc_skills::{Env, Executor, MaterializedCache, SkillCall, SkillDag};
+use dc_skills::{Env, Executor, MaterializedCache, SkillCall, SkillDag, SkillOutput};
 use dc_storage::{CloudDatabase, FaultConfig, FaultInjector, Pricing};
 
 fn table(n: usize, offset: i64) -> Table {
@@ -294,4 +295,53 @@ fn parallel_sessions_share_one_cache_consistently() {
         assert_eq!(out, &outputs[0]);
         assert!(out.as_table().unwrap().shares_columns_with(first));
     }
+}
+
+#[test]
+fn eviction_under_concurrent_admits_parallel_4_threads() {
+    // Each thread admits its own keys into a cache that holds about eighty
+    // entries, so the threads evict each other's entries while each probes
+    // its newest key and a neighbour's.
+    const PER_THREAD: u64 = 400;
+    let rows = |key: u64| 16 + (key % 48) as usize;
+    let footprint = |key: u64| (key % 7) * 1_000;
+    let capacity = 64 << 10;
+    let shared = MaterializedCache::new(capacity);
+    let start = std::sync::Barrier::new(4);
+    let probes: u64 = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..4u64)
+            .map(|t| {
+                let (shared, start) = (&shared, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    let mut probes = 0;
+                    for i in 0..PER_THREAD {
+                        let key = (t << 32) | i;
+                        let flow = Arc::new(table(rows(key), key as i64));
+                        let out = SkillOutput::Table(flow.as_ref().clone());
+                        shared.admit(u128::from(key), out, flow, footprint(key));
+                        let theirs = (((t + 1) % 4) << 32) | i.saturating_sub(1);
+                        for k in [key, theirs] {
+                            probes += 1;
+                            // A hit is the entry admitted under that key.
+                            if let Some(hit) = shared.get(u128::from(k)) {
+                                assert_eq!(hit.footprint_bytes, footprint(k));
+                                assert_eq!(hit.table.num_rows(), rows(k));
+                            }
+                        }
+                    }
+                    probes
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).sum()
+    });
+    let s = shared.stats();
+    assert!(s.resident_bytes <= capacity);
+    assert_eq!(s.hits + s.misses, probes);
+    assert_eq!(s.rejected, 0);
+    assert!(s.evictions > 0 && s.hits > 0);
+    // No key is admitted twice, so there are no replacements.
+    assert_eq!(s.insertions - s.evictions, s.entries as u64);
+    assert_eq!(s.insertions, 4 * PER_THREAD);
 }
