@@ -406,11 +406,15 @@ impl Expr {
     }
 }
 
-/// Quote a SQL identifier.
+/// Quote a SQL identifier: bare when it lexes back as the same column (a
+/// word that is not a digit-led token or one of the keywords `NULL`, `TRUE`,
+/// `FALSE`, `NOT` that the expression grammar reads as something else).
 pub fn quote_ident(name: &str) -> String {
-    let simple = !name.is_empty()
+    let simple = name.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
         && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-        && !name.chars().next().unwrap().is_ascii_digit();
+        && !["null", "true", "false", "not"]
+            .iter()
+            .any(|k| name.eq_ignore_ascii_case(k));
     if simple {
         name.to_string()
     } else {
@@ -424,16 +428,19 @@ pub fn sql_literal(v: &Value) -> String {
         Value::Null => "NULL".to_string(),
         Value::Bool(b) => if *b { "TRUE" } else { "FALSE" }.to_string(),
         Value::Int(i) => i.to_string(),
-        Value::Float(f) => {
-            if f.fract() == 0.0 && f.is_finite() && f.abs() < 1e15 {
-                format!("{f:.1}")
-            } else {
-                format!("{f}")
-            }
-        }
+        Value::Float(f) => format_float(*f),
         Value::Str(s) => format!("'{}'", s.replace('\'', "''")),
         Value::Date(d) => format!("DATE '{}'", crate::date::format_date(*d)),
     }
+}
+
+/// A float as text that every surface (SQL, GEL, the Python API) lexes
+/// back as the same `f64`, bit for bit: the shortest round-trip digits, with
+/// a `.0` or an exponent so it never reads as an integer (`2.0`, `0.1`,
+/// `1e20`, `1e-7`). Non-finite values print as `NaN`/`inf`, which no
+/// surface reads back; the surfaces refuse them before printing.
+pub fn format_float(f: f64) -> String {
+    format!("{f:?}")
 }
 
 impl fmt::Display for Expr {
@@ -469,12 +476,34 @@ mod tests {
         assert_eq!(sql_literal(&Value::Date(0)), "DATE '1970-01-01'");
     }
 
+    /// Every finite float prints as text that reads back bit for bit, with
+    /// a `.0` or an exponent, so an integral float never reads as an integer.
+    #[test]
+    fn float_literals_read_back_as_the_same_float() {
+        assert_eq!(sql_literal(&Value::Float(1e20)), "1e20");
+        assert_eq!(sql_literal(&Value::Float(2.0)), "2.0");
+        assert_eq!(sql_literal(&Value::Float(1e15)), "1000000000000000.0");
+        for f in [1e20, -1e20, 1e15, 1.0 / 3.0, 5e-324, f64::MAX, -0.0, 0.1] {
+            let text = sql_literal(&Value::Float(f));
+            let mut digits = text.trim_start_matches('-').chars();
+            assert!(
+                digits.all(|c| c.is_ascii_digit() || "e.-".contains(c)),
+                "{text}"
+            );
+            let back: f64 = text.parse().unwrap();
+            assert_eq!(back.to_bits(), f.to_bits(), "{text}");
+        }
+    }
+
     #[test]
     fn quote_ident_rules() {
         assert_eq!(quote_ident("party_type"), "party_type");
         assert_eq!(quote_ident("2col"), "\"2col\"");
         assert_eq!(quote_ident("has space"), "\"has space\"");
         assert_eq!(quote_ident("has\"quote"), "\"has\"\"quote\"");
+        assert_eq!(quote_ident("with.dot"), "\"with.dot\"");
+        assert_eq!(quote_ident("Null"), "\"Null\"");
+        assert_eq!(quote_ident(""), "\"\"");
     }
 
     #[test]

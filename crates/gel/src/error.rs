@@ -9,6 +9,8 @@ pub enum GelError {
     UnknownSentence { sentence: String },
     /// The sentence matched a template but a piece failed to parse.
     BadPhrase { message: String, phrase: String },
+    /// A call no GEL sentence reads back as (a non-finite float, say).
+    Unprintable { skill: String, reason: String },
     /// A recipe-editor operation was invalid (step out of range, ...).
     Editor { message: String },
     /// Propagated skill failure during recipe execution.
@@ -33,6 +35,9 @@ impl fmt::Display for GelError {
             }
             GelError::BadPhrase { message, phrase } => {
                 write!(f, "couldn't read {phrase:?}: {message}")
+            }
+            GelError::Unprintable { skill, reason } => {
+                write!(f, "cannot write {skill} in GEL: {reason}")
             }
             GelError::Editor { message } => write!(f, "editor error: {message}"),
             GelError::Skill(e) => write!(f, "skill error: {e}"),

@@ -1,353 +1,236 @@
 //! Formatting skill calls as canonical GEL sentences.
 //!
 //! GEL is the controlled natural language every recipe is shown in
-//! (Figure 2a). [`format_skill`] emits the canonical sentence for a call;
-//! [`crate::parse::parse_gel`] accepts it back (plus looser variants), so
-//! recipes round-trip.
+//! (Figure 2a). [`try_format_skill`] prints a call with the first fitting
+//! template of `dc_skills::surface::SURFACES`, and [`crate::parse::parse_gel`]
+//! reads it back (plus looser variants), so recipes round-trip. A name
+//! prints bare when the bare form reads back as the same name, and is
+//! quoted (`"a,b"`, inner quotes doubled) otherwise; a string value that
+//! would read back as another type is quoted (`'42'`), and a float prints
+//! in a form that reads back bit for bit. The printed sentence is read
+//! back before it is returned: a call that does not come back even with
+//! every name quoted is refused ([`GelError::Unprintable`]), never
+//! printed as a different call.
 
-use dc_engine::{AggFunc, AggSpec, DataType, Expr, Value};
-use dc_ml::OutlierMethod;
-use dc_skills::{DatePart, SkillCall};
-use dc_viz::ChartType;
+use dc_engine::expr::format_float;
+use dc_engine::{AggFunc, Value};
+use dc_skills::surface::{self, spelling, Hole, Item, Kind, Surface};
+use dc_skills::SkillCall;
 
-/// Render a value for a GEL sentence (strings are bare when simple,
-/// quoted when they contain commas/quotes).
-pub fn format_value(v: &Value) -> String {
-    match v {
+use crate::error::{GelError, Result};
+use crate::parse::{find_stop, parse_gel, parse_value, stops, templates};
+
+/// Quote a name: `"..."` with inner `"` doubled.
+fn quote(s: &str) -> String {
+    format!("\"{}\"", s.replace('"', "\"\""))
+}
+
+/// Whether `s` reads back as itself where a bare hole stops at `ends`.
+fn bare(s: &str, ends: &[&str], quote_all: bool) -> bool {
+    !quote_all
+        && !s.is_empty()
+        && s.trim() == s
+        && !s.starts_with(['"', '\''])
+        && !s.ends_with(['.', ','])
+        && find_stop(s, ends).is_none()
+}
+
+/// A name, bare when it reads back as itself (in a list, as one item).
+fn name(s: &str, ends: &[&str], quote_all: bool, list: bool) -> String {
+    let one_item = || !s.contains(',') && find_stop(s, &["and"]).is_none();
+    match bare(s, ends, quote_all) && (!list || one_item()) {
+        true => s.to_string(),
+        false => quote(s),
+    }
+}
+
+/// A value as a GEL literal; `None` for a float no literal reads back as.
+fn value_text(v: &Value, ends: &[&str], quote_all: bool) -> Option<String> {
+    Some(match v {
         Value::Str(s) => {
-            let simple = !s.is_empty()
-                && s.chars()
-                    .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ' ' || c == '-')
-                && s.trim() == s;
-            if simple {
-                s.clone()
-            } else {
-                format!("'{}'", s.replace('\'', "''"))
+            let simple = s
+                .chars()
+                .all(|c| c.is_ascii_alphanumeric() || " _-".contains(c));
+            let reads_back = matches!(parse_value(s), Value::Str(t) if t == *s);
+            match simple && reads_back && bare(s, ends, quote_all) {
+                true => s.clone(),
+                false => format!("'{}'", s.replace('\'', "''")),
             }
         }
+        Value::Float(f) if !f.is_finite() => return None,
+        Value::Float(f) => format_float(*f),
         other => other.render(),
+    })
+}
+
+/// A fraction as a percentage, moving the decimal point of its shortest
+/// digits rather than multiplying, so it reads back bit for bit.
+fn percent(f: f64) -> String {
+    let text = f.to_string();
+    let (sign, digits) = text
+        .strip_prefix('-')
+        .map_or(("", text.as_str()), |d| ("-", d));
+    let (int, frac) = digits.split_once('.').unwrap_or((digits, ""));
+    let frac = format!("{frac:0<2}");
+    let (moved, rest) = frac.split_at(2);
+    let int = format!("{int}{moved}");
+    let int = match int.trim_start_matches('0') {
+        "" => "0",
+        i => i,
+    };
+    match rest {
+        "" => format!("{sign}{int}%"),
+        _ => format!("{sign}{int}.{rest}%"),
     }
 }
 
-fn format_list(items: &[String]) -> String {
-    items.join(", ")
+fn hole_text(kind: Kind, hole: &Hole, ends: &[&str], quote_all: bool) -> Option<String> {
+    let join = |items: Vec<String>, sep: &str| items.join(sep);
+    Some(match (kind, hole) {
+        (_, Hole::Name(s)) => name(s, ends, quote_all, false),
+        (_, Hole::Names(v)) => join(
+            v.iter().map(|s| name(s, ends, quote_all, true)).collect(),
+            ", ",
+        ),
+        (_, Hole::Value(v)) => value_text(v, ends, quote_all)?,
+        (_, Hole::Expr(e)) => e.to_sql(),
+        (_, Hole::Int(i)) => i.to_string(),
+        (_, Hole::Frac(f)) => percent(*f),
+        (Kind::Word(words), Hole::Word(i)) => spelling(words, *i, 0).to_string(),
+        (Kind::Flag(text), _) => text.to_string(),
+        (_, Hole::Aggs(aggs)) => {
+            let ends = [ends, &["of"]].concat();
+            let phrase = |(f, col): &(AggFunc, Option<String>)| {
+                let c = match (f, col) {
+                    (AggFunc::CountRecords, None) => return Some("the count of records".into()),
+                    (_, None) => return None,
+                    (_, Some(c)) if c.eq_ignore_ascii_case("records") => quote(c),
+                    (_, Some(c)) => name(c, &ends, quote_all, true),
+                };
+                Some(format!("the {} of {c}", surface::agg_spelling(*f, 0)))
+            };
+            join(aggs.iter().map(phrase).collect::<Option<_>>()?, " and ")
+        }
+        (_, Hole::Keys(keys)) => {
+            let ends = [ends, &["descending", "desc", "ascending"]].concat();
+            let key = |(c, asc): &(String, bool)| match asc {
+                true => name(c, &ends, quote_all, true),
+                false => format!("{} descending", name(c, &ends, quote_all, true)),
+            };
+            join(keys.iter().map(key).collect(), ", ")
+        }
+        (_, Hole::Pairs(pairs)) => {
+            let side = |c: &str| match c.contains('=') {
+                true => quote(c),
+                false => name(c, ends, quote_all, true),
+            };
+            let pair = |(l, r): &(String, String)| match l == r {
+                true => side(l),
+                false => format!("{} = {}", side(l), side(r)),
+            };
+            join(pairs.iter().map(pair).collect(), ", ")
+        }
+        (_, Hole::Word(_)) => return None,
+    })
 }
 
-/// Render a predicate expression in GEL's condition syntax (the SQL
-/// fragment form, which the condition parser accepts).
-pub fn format_condition(e: &Expr) -> String {
-    e.to_sql()
-}
-
-fn format_agg(spec: &AggSpec) -> String {
-    match (spec.func, &spec.column) {
-        (AggFunc::CountRecords, _) => "the count of records".to_string(),
-        (f, Some(c)) => format!("the {} of {c}", f.gel_name()),
-        (f, None) => format!("the {}", f.gel_name()),
+/// Print `holes` with the first printable template that fits them.
+fn print(sf: &Surface, holes: &[Option<Hole>], quote_all: bool) -> Option<String> {
+    fn has(items: &[Item<'_>], f: &str) -> bool {
+        items.iter().any(|i| match i {
+            Item::Hole(g, _) => *g == f,
+            Item::Opt(g) => has(g, f),
+            Item::Lit(_) => false,
+        })
     }
+    let present = |f: &str| sf.field(f).is_some_and(|(i, _)| holes[i].is_some());
+    let fits = |items: &[Item<'_>]| {
+        let mandatory = |i: &Item<'_>| !matches!(i, Item::Hole(f, _) if !present(f));
+        items.iter().all(mandatory) && sf.fields.iter().all(|(f, _)| !present(f) || has(items, f))
+    };
+    let template = templates().1.iter().find(|t| {
+        std::ptr::eq(t.sf, sf) && t.mark.trim_start_matches('@').is_empty() && fits(&t.items)
+    })?;
+    let items = &template.items;
+    let mut out = String::new();
+    render(
+        &items.iter().collect::<Vec<_>>(),
+        sf,
+        holes,
+        quote_all,
+        &present,
+        &mut out,
+    )?;
+    Some(out)
 }
 
-fn chart_name(c: ChartType) -> &'static str {
-    c.display_name()
+fn render(
+    k: &[&Item<'_>],
+    sf: &Surface,
+    holes: &[Option<Hole>],
+    quote_all: bool,
+    present: &dyn Fn(&str) -> bool,
+    out: &mut String,
+) -> Option<()> {
+    let Some((head, rest)) = k.split_first() else {
+        return Some(());
+    };
+    match head {
+        Item::Lit(l) => out.push_str(l),
+        Item::Opt(g) => {
+            if g.iter()
+                .all(|i| !matches!(i, Item::Hole(f, _) if !present(f)))
+            {
+                let mut next: Vec<&Item<'_>> = g.iter().collect();
+                next.extend(rest);
+                return render(&next, sf, holes, quote_all, present, out);
+            }
+        }
+        Item::Hole(f, _) => {
+            let (i, kind) = sf.field(f)?;
+            let mut ends = Vec::new();
+            stops(rest, sf, &mut ends);
+            out.push_str(&hole_text(kind, holes[i].as_ref()?, &ends, quote_all)?);
+        }
+    }
+    render(rest, sf, holes, quote_all, present, out)
 }
 
-/// The canonical GEL sentence for a skill call.
+/// The canonical GEL sentence for a skill call, or why none reads back as
+/// it (a non-finite float, a name with a line break, an outlier method with
+/// non-default parameters, join keys of different lengths).
+pub fn try_format_skill(call: &SkillCall) -> Result<String> {
+    let refuse = |reason: String| GelError::Unprintable {
+        skill: call.name().to_string(),
+        reason,
+    };
+    let (sf, holes) = surface::holes(call).map_err(refuse)?;
+    for quote_all in [false, true] {
+        let Some(text) = print(sf, &holes, quote_all) else {
+            continue;
+        };
+        // A recipe holds one sentence a line.
+        if !text.contains(['\n', '\r']) && parse_gel(&text).is_ok_and(|back| back == *call) {
+            return Ok(text);
+        }
+    }
+    Err(refuse(
+        "no GEL sentence reads back as this call".to_string(),
+    ))
+}
+
+/// The canonical GEL sentence for a skill call (what recipes, logs and
+/// explanations show). A call [`try_format_skill`] refuses shows as the
+/// refusal, which reads as no sentence.
 pub fn format_skill(call: &SkillCall) -> String {
-    use SkillCall::*;
-    match call {
-        LoadFile { path } => format!("Load data from the file {path}"),
-        LoadUrl { url } => format!("Load data from the URL {url}"),
-        LoadTable {
-            database,
-            table,
-            columns,
-            predicate,
-        } => {
-            let columns = columns
-                .as_ref()
-                .map_or(String::new(), |c| format!("columns {} of the ", format_list(c)));
-            let filter = predicate
-                .as_ref()
-                .map_or(String::new(), |p| format!(" where {}", format_condition(p)));
-            format!("Load the {columns}table {table} from the database {database}{filter}")
-        }
-        UseDataset { name, version } => match version {
-            Some(v) => format!("Use the dataset {name}, version {v}"),
-            None => format!("Use the dataset {name}"),
-        },
-        UseSnapshot { name } => format!("Use the snapshot {name}"),
-        DescribeColumn { column } => format!("Describe the column {column}"),
-        DescribeDataset => "Describe the dataset".to_string(),
-        ListDatasets => "List the datasets".to_string(),
-        ShowHead { n } => format!("Show the first {n} rows"),
-        CountRows => "Count the rows".to_string(),
-        ProfileMissing => "Profile the missing values".to_string(),
-        Visualize { kpi, by } => {
-            if by.is_empty() {
-                format!("Visualize {kpi}")
-            } else {
-                format!("Visualize {kpi} by {}", format_list(by))
-            }
-        }
-        Plot {
-            chart,
-            x,
-            y,
-            color,
-            size,
-            for_each,
-        } => {
-            let mut s = format!("Plot a {} chart", chart_name(*chart));
-            let mut parts: Vec<String> = Vec::new();
-            if let Some(x) = x {
-                parts.push(format!("the x-axis {x}"));
-            }
-            if let Some(y) = y {
-                parts.push(format!("the y-axis {y}"));
-            }
-            if let Some(c) = color {
-                parts.push(format!("colored by {c}"));
-            }
-            if let Some(sz) = size {
-                parts.push(format!("sized by {sz}"));
-            }
-            if !parts.is_empty() {
-                s.push_str(" with ");
-                s.push_str(&parts.join(", "));
-            }
-            if let Some(f) = for_each {
-                s.push_str(&format!(", for each {f}"));
-            }
-            s
-        }
-        KeepRows { predicate } => format!("Keep the rows where {}", format_condition(predicate)),
-        DropRows { predicate } => format!("Drop the rows where {}", format_condition(predicate)),
-        KeepColumns { columns } => format!("Keep the columns {}", format_list(columns)),
-        DropColumns { columns } => format!("Drop the columns {}", format_list(columns)),
-        RenameColumn { from, to } => format!("Rename the column {from} to {to}"),
-        CreateColumn { name, expr } => {
-            format!("Create a new column {name} as {}", expr.to_sql())
-        }
-        CreateConstantColumn { name, value } => match value {
-            Value::Str(_) => format!(
-                "Create a new column {name} with text {}",
-                format_value(value)
-            ),
-            _ => format!(
-                "Create a new column {name} with value {}",
-                format_value(value)
-            ),
-        },
-        Compute { aggs, for_each } => {
-            let agg_text: Vec<String> = aggs.iter().map(format_agg).collect();
-            let mut s = format!("Compute {}", agg_text.join(" and "));
-            if !for_each.is_empty() {
-                s.push_str(&format!(" for each {}", format_list(for_each)));
-            }
-            let names: Vec<String> = aggs.iter().map(|a| a.output.clone()).collect();
-            let defaults: Vec<String> = aggs
-                .iter()
-                .map(|a| AggSpec::default_output(a.func, a.column.as_deref()))
-                .collect();
-            if names != defaults {
-                s.push_str(&format!(
-                    " and call the computed columns {}",
-                    format_list(&names)
-                ));
-            }
-            s
-        }
-        Pivot {
-            index,
-            columns,
-            values,
-            agg,
-        } => format!(
-            "Pivot on {index} by {columns} using the {} of {values}",
-            agg.gel_name()
-        ),
-        Sort { keys } => {
-            let parts: Vec<String> = keys
-                .iter()
-                .map(|(c, asc)| {
-                    if *asc {
-                        c.clone()
-                    } else {
-                        format!("{c} descending")
-                    }
-                })
-                .collect();
-            format!("Sort by {}", parts.join(", "))
-        }
-        Top { column, n } => format!("Keep the top {n} rows by {column}"),
-        Limit { n } => format!("Keep the first {n} rows"),
-        Concat {
-            other,
-            remove_duplicates,
-        } => {
-            let mut s = format!("Concatenate with the dataset {other}");
-            if *remove_duplicates {
-                s.push_str(" remove all duplicates");
-            }
-            s
-        }
-        Join {
-            other,
-            left_on,
-            right_on,
-            how,
-        } => {
-            let on: Vec<String> = left_on
-                .iter()
-                .zip(right_on)
-                .map(|(l, r)| {
-                    if l.eq_ignore_ascii_case(r) {
-                        l.clone()
-                    } else {
-                        format!("{l} = {r}")
-                    }
-                })
-                .collect();
-            let how_text = match how {
-                dc_engine::JoinType::Inner => "",
-                dc_engine::JoinType::Left => " as a left join",
-                dc_engine::JoinType::Right => " as a right join",
-                dc_engine::JoinType::Full => " as a full join",
-            };
-            format!(
-                "Join with the dataset {other} on {}{how_text}",
-                format_list(&on)
-            )
-        }
-        Distinct { columns } => {
-            if columns.is_empty() {
-                "Remove duplicate rows".to_string()
-            } else {
-                format!("Remove duplicate rows based on {}", format_list(columns))
-            }
-        }
-        DropMissing { columns } => {
-            if columns.is_empty() {
-                "Drop the rows with missing values".to_string()
-            } else {
-                format!("Drop the rows with missing {}", format_list(columns))
-            }
-        }
-        FillMissing { column, value } => format!(
-            "Fill the missing values of {column} with {}",
-            format_value(value)
-        ),
-        ReplaceValues { column, from, to } => format!(
-            "Replace {} with {} in the column {column}",
-            format_value(from),
-            format_value(to)
-        ),
-        CastColumn { column, to } => {
-            format!("Change the type of {column} to {}", to.name())
-        }
-        BinColumn {
-            column,
-            width,
-            name,
-        } => match name {
-            Some(n) => format!("Bin the column {column} with width {width} and call it {n}"),
-            None => format!("Bin the column {column} with width {width}"),
-        },
-        ExtractDatePart { column, part, name } => match name {
-            Some(n) => format!("Extract the {} of {column} and call it {n}", part.name()),
-            None => format!("Extract the {} of {column}", part.name()),
-        },
-        TrimColumn { column } => format!("Trim whitespace in the column {column}"),
-        Sample { fraction, seed } => {
-            // Round float noise so 0.92 prints as 92%, not 92.00000000000001%.
-            let pct = fraction * 100.0;
-            let pct_text = if (pct - pct.round()).abs() < 1e-9 {
-                format!("{}", pct.round() as i64)
-            } else {
-                format!("{pct}")
-            };
-            format!("Sample {pct_text}% of the rows with seed {seed}")
-        }
-        ShuffleRows { seed } => format!("Shuffle the rows with seed {seed}"),
-        TrainModel {
-            name,
-            target,
-            features,
-            method,
-        } => {
-            let mut s = format!("Train a model named {name} to predict {target}");
-            if !features.is_empty() {
-                s.push_str(&format!(" using {}", format_list(features)));
-            }
-            match method {
-                dc_ml::MlMethod::Auto => {}
-                dc_ml::MlMethod::Linear => s.push_str(" with linear regression"),
-                dc_ml::MlMethod::DecisionTree => s.push_str(" with a decision tree"),
-            }
-            s
-        }
-        Predict { model } => format!("Predict with the model {model}"),
-        PredictTimeSeries {
-            measures,
-            horizon,
-            time_column,
-        } => format!(
-            "Predict time series with measure columns {} for the next {horizon} values of {time_column}",
-            format_list(measures)
-        ),
-        DetectOutliers { column, method } => match method {
-            OutlierMethod::ZScore { .. } => {
-                format!("Detect outliers in the column {column} using the zscore method")
-            }
-            OutlierMethod::Iqr { .. } => {
-                format!("Detect outliers in the column {column} using the iqr method")
-            }
-        },
-        Cluster { k, features } => format!(
-            "Cluster the rows into {k} groups using {}",
-            format_list(features)
-        ),
-        EvaluateModel { model, target } => {
-            format!("Evaluate the model {model} against {target}")
-        }
-        RunSql { query } => format!("Run the SQL query {query}"),
-        ExportCsv => "Export the dataset as CSV".to_string(),
-        SaveArtifact { name } => format!("Save this as {name}"),
-        Snapshot { name } => format!("Snapshot this as {name}"),
-        Define { phrase, expansion } => format!("Define {phrase} as {expansion}"),
-        Comment { text } => format!("Comment: {text}"),
-        ShareArtifact {
-            artifact,
-            with_user,
-        } => format!("Share the artifact {artifact} with {with_user}"),
-    }
-}
-
-/// Map a cast-target name back to a type (shared with the parser).
-pub fn parse_dtype(name: &str) -> Option<DataType> {
-    match name.to_ascii_lowercase().as_str() {
-        "int" | "integer" => Some(DataType::Int),
-        "float" | "double" | "number" => Some(DataType::Float),
-        "str" | "text" | "string" => Some(DataType::Str),
-        "bool" | "boolean" => Some(DataType::Bool),
-        "date" => Some(DataType::Date),
-        _ => None,
-    }
-}
-
-/// Map a date-part name (shared with the parser).
-pub fn parse_date_part(name: &str) -> Option<DatePart> {
-    match name.to_ascii_lowercase().as_str() {
-        "year" => Some(DatePart::Year),
-        "month" => Some(DatePart::Month),
-        "day" => Some(DatePart::Day),
-        _ => None,
-    }
+    try_format_skill(call).unwrap_or_else(|e| format!("<{e}>"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dc_engine::AggSpec;
+    use dc_viz::ChartType;
 
     #[test]
     fn figure2_sentences() {
@@ -410,10 +293,37 @@ mod tests {
 
     #[test]
     fn value_quoting() {
-        assert_eq!(format_value(&Value::Str("driver".into())), "driver");
-        assert_eq!(format_value(&Value::Str("it's".into())), "'it''s'");
-        assert_eq!(format_value(&Value::Int(5)), "5");
-        assert_eq!(format_value(&Value::Str("a,b".into())), "'a,b'");
+        let text = |v: Value| value_text(&v, &[], false).unwrap();
+        assert_eq!(text(Value::Str("driver".into())), "driver");
+        assert_eq!(text(Value::Str("it's".into())), "'it''s'");
+        assert_eq!(text(Value::Int(5)), "5");
+        assert_eq!(text(Value::Str("a,b".into())), "'a,b'");
+    }
+
+    /// A float no literal reads back as is a typed refusal, and the
+    /// display form of the refusal parses as no sentence.
+    #[test]
+    fn a_non_finite_value_is_refused() {
+        let call = SkillCall::FillMissing {
+            column: "x".into(),
+            value: Value::Float(f64::INFINITY),
+        };
+        assert!(matches!(
+            try_format_skill(&call),
+            Err(GelError::Unprintable { .. })
+        ));
+        assert!(parse_gel(&format_skill(&call)).is_err());
+    }
+
+    /// A recipe is one sentence a line, so a name holding a line break has
+    /// no GEL form.
+    #[test]
+    fn a_name_with_a_line_break_is_refused() {
+        let call = SkillCall::KeepColumns {
+            columns: vec!["a\nb".into()],
+        };
+        assert!(try_format_skill(&call).is_err());
+        assert!(crate::Recipe::parse(&format_skill(&call)).is_err());
     }
 
     #[test]
@@ -446,12 +356,5 @@ mod tests {
             format_skill(&call),
             "Plot a line chart with the x-axis DATE, the y-axis GDPC1, for each RecordType"
         );
-    }
-
-    #[test]
-    fn helpers() {
-        assert_eq!(parse_dtype("INTEGER"), Some(DataType::Int));
-        assert_eq!(parse_dtype("whatever"), None);
-        assert_eq!(parse_date_part("Month"), Some(DatePart::Month));
     }
 }

@@ -21,7 +21,7 @@ pub mod validate;
 
 pub use autocomplete::{suggest, Suggestion, SuggestionKind};
 pub use error::{GelError, Result};
-pub use format::{format_condition, format_skill, format_value};
+pub use format::{format_skill, try_format_skill};
 pub use parse::{parse_condition, parse_gel, parse_list, parse_value, GEL_TODAY};
 pub use recipe::{Recipe, RecipeEditor, RunState};
 pub use validate::{analyze_gel, validate_recipe};

@@ -1,20 +1,22 @@
 //! Parsing GEL sentences into skill calls.
 //!
 //! GEL is deliberately template-shaped (§2.1: skills are "invoked through
-//! simple UI gestures" or typed with autocomplete), so the parser is a
-//! set of case-insensitive sentence templates with typed holes. Condition
-//! phrases accept both English sugar ("DATE is between the dates
-//! 01-01-2005 to 12-31-2020", "DATE is after Today - 10 years") and SQL
-//! fragments, which is also what the formatter emits.
+//! simple UI gestures" or typed with autocomplete), so the parser reads a
+//! sentence against the templates of `dc_skills::surface::SURFACES`, case
+//! insensitively, and reads each typed hole by its kind. A hole is a
+//! quoted token (`"a,b"`, `'it''s'`) or bare text up to the template's
+//! next literal. Condition phrases accept both English sugar ("DATE is
+//! between the dates 01-01-2005 to 12-31-2020", "DATE is after Today - 10
+//! years") and SQL fragments, which is also what the formatter emits.
 
 use dc_engine::date::{add_months, add_years, days_from_ymd, parse_date};
-use dc_engine::{AggFunc, AggSpec, Expr, JoinType, Value};
-use dc_ml::{MlMethod, OutlierMethod};
+use dc_engine::{AggFunc, Expr, Value};
+use std::sync::OnceLock;
+
+use dc_skills::surface::{self, build, items, marker, word, Hole, Item, Kind, Surface};
 use dc_skills::SkillCall;
-use dc_viz::ChartType;
 
 use crate::error::{GelError, Result};
-use crate::format::{parse_date_part, parse_dtype};
 
 /// The fixed "Today" used when resolving relative dates, keeping recipe
 /// replay deterministic (the paper's Figure 2 recipe says "Today - 10
@@ -27,855 +29,508 @@ fn today_days() -> i32 {
 
 /// Strip a case-insensitive prefix, also eating following whitespace.
 fn strip_ci<'a>(s: &'a str, prefix: &str) -> Option<&'a str> {
-    if s.len() >= prefix.len() && s[..prefix.len()].eq_ignore_ascii_case(prefix) {
-        Some(s[prefix.len()..].trim_start())
-    } else {
-        None
+    let head = s.get(..prefix.len())?;
+    head.eq_ignore_ascii_case(prefix)
+        .then(|| s[prefix.len()..].trim_start())
+}
+
+/// The end of the quoted token opening at `i` (quotes inside are doubled).
+pub(crate) fn quoted_end(s: &str, i: usize) -> Option<usize> {
+    let q = s.as_bytes()[i];
+    let mut j = i + 1;
+    loop {
+        j += s.as_bytes().get(j..)?.iter().position(|&b| b == q)?;
+        if s.as_bytes().get(j + 1) != Some(&q) {
+            return Some(j + 1);
+        }
+        j += 2;
     }
 }
 
-/// Find the first case-insensitive, word-bounded occurrence of `word`
-/// and split around it.
-fn split_word_ci<'a>(s: &'a str, word: &str) -> Option<(&'a str, &'a str)> {
-    let lower = s.to_lowercase();
-    let target = word.to_lowercase();
-    let mut start = 0;
-    while let Some(pos) = lower[start..].find(&target) {
-        let at = start + pos;
-        let before_ok = at == 0
-            || lower.as_bytes()[at - 1].is_ascii_whitespace()
-            || lower.as_bytes()[at - 1] == b',';
-        let end = at + target.len();
-        let after_ok = end == lower.len()
-            || lower.as_bytes()[end].is_ascii_whitespace()
-            || lower.as_bytes()[end] == b',';
-        if before_ok && after_ok {
-            return Some((
-                s[..at].trim_end().trim_end_matches(','),
-                s[end..].trim_start(),
-            ));
+fn boundary(b: Option<&u8>) -> bool {
+    b.is_none_or(|b| b.is_ascii_whitespace() || *b == b',')
+}
+
+/// Whether `w` starts at byte `i` of `s` as a whole word.
+fn word_at(s: &str, i: usize, w: &str) -> bool {
+    let b = s.as_bytes();
+    let end = i + w.len();
+    (i == 0 || boundary(b.get(i - 1)))
+        && end <= b.len()
+        && b[i..end].eq_ignore_ascii_case(w.as_bytes())
+        && (boundary(b.get(end)) || !w.ends_with(|c: char| c.is_ascii_alphanumeric()))
+}
+
+/// Every byte offset of `s` outside quoted tokens (a quote that follows
+/// whitespace, `,` or `(`), passed to `hit` until it says yes; `None` when
+/// nothing hits or a quoted token is left open.
+fn scan(s: &str, mut hit: impl FnMut(usize) -> bool) -> Option<usize> {
+    let b = s.as_bytes();
+    let mut i = 0;
+    while i < b.len() {
+        let opens = i == 0 || b[i - 1].is_ascii_whitespace() || matches!(b[i - 1], b',' | b'(');
+        if opens && matches!(b[i], b'"' | b'\'') {
+            i = quoted_end(s, i)?;
+        } else if hit(i) {
+            return Some(i);
+        } else {
+            i += 1;
         }
-        start = at + 1;
     }
     None
 }
 
-/// Like [`split_word_ci`] but the *last* occurrence.
-fn rsplit_word_ci<'a>(s: &'a str, word: &str) -> Option<(&'a str, &'a str)> {
-    let lower = s.to_lowercase();
-    let target = word.to_lowercase();
-    let mut best = None;
-    let mut start = 0;
-    while let Some(pos) = lower[start..].find(&target) {
-        let at = start + pos;
-        let before_ok = at == 0 || lower.as_bytes()[at - 1].is_ascii_whitespace();
-        let end = at + target.len();
-        let after_ok = end == lower.len() || lower.as_bytes()[end].is_ascii_whitespace();
-        if before_ok && after_ok {
-            best = Some(at);
-        }
-        start = at + 1;
-    }
-    best.map(|at| (s[..at].trim_end(), s[at + target.len()..].trim_start()))
+/// Split around the first whole-word `w` outside quotes.
+fn split_word<'a>(s: &'a str, w: &str) -> Option<(&'a str, &'a str)> {
+    let at = scan(s, |i| word_at(s, i, w))?;
+    Some((
+        s[..at].trim_end().trim_end_matches(','),
+        s[at + w.len()..].trim_start(),
+    ))
 }
 
-/// Split a GEL column/name list: commas and a final "and".
-pub fn parse_list(s: &str) -> Vec<String> {
-    let mut items: Vec<String> = Vec::new();
-    for part in s.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
+/// A quoted token's text, or the bare text as it stands.
+fn unquote(raw: &str) -> String {
+    let t = raw.trim();
+    match t.as_bytes().first() {
+        Some(&q @ (b'"' | b'\'')) if quoted_end(t, 0) == Some(t.len()) => {
+            let q = char::from(q).to_string();
+            t[1..t.len() - 1].replace(&q.repeat(2), &q)
         }
-        // A trailing "x and y" inside the final comma group.
-        if let Some((a, b)) = split_word_ci(part, "and") {
-            if !a.is_empty() {
-                items.push(a.trim().to_string());
-            }
-            if !b.is_empty() {
-                items.push(b.trim().to_string());
-            }
-        } else {
-            items.push(part.to_string());
-        }
+        _ => raw.to_string(),
     }
+}
+
+/// The raw items of a GEL list: commas, and an `and` inside the last
+/// comma group ("a, b and c"), outside quotes.
+fn list_items(s: &str) -> Vec<&str> {
+    let mut items = Vec::new();
+    let mut rest = s;
+    loop {
+        let comma = scan(rest, |i| rest.as_bytes()[i] == b',');
+        let part = rest[..comma.unwrap_or(rest.len())].trim();
+        match split_word(part, "and") {
+            Some((a, b)) => items.extend([a, b]),
+            None => items.push(part),
+        }
+        let Some(c) = comma else { break };
+        rest = &rest[c + 1..];
+    }
+    items.retain(|i| !i.is_empty());
     items
+}
+
+/// Split a GEL column/name list: commas and a final "and"; quoted items
+/// may hold either.
+pub fn parse_list(s: &str) -> Vec<String> {
+    list_items(s).into_iter().map(unquote).collect()
 }
 
 /// Parse a GEL value token: quoted string, number, date, bool, null, or a
 /// bare word-sequence string.
 pub fn parse_value(s: &str) -> Value {
     let s = s.trim();
+    if s.starts_with(['\'', '"']) && quoted_end(s, 0) == Some(s.len()) {
+        return Value::Str(unquote(s));
+    }
     if s.eq_ignore_ascii_case("null") {
         return Value::Null;
     }
-    if s.eq_ignore_ascii_case("true") {
-        return Value::Bool(true);
-    }
-    if s.eq_ignore_ascii_case("false") {
-        return Value::Bool(false);
-    }
-    if let Some(inner) = s.strip_prefix('\'').and_then(|r| r.strip_suffix('\'')) {
-        return Value::Str(inner.replace("''", "'"));
-    }
-    if let Some(inner) = s.strip_prefix('"').and_then(|r| r.strip_suffix('"')) {
-        return Value::Str(inner.to_string());
-    }
-    if let Ok(i) = s.parse::<i64>() {
-        return Value::Int(i);
-    }
-    if let Ok(f) = s.parse::<f64>() {
-        return Value::Float(f);
-    }
-    if let Ok(d) = parse_date(s) {
-        return Value::Date(d);
-    }
-    Value::Str(s.to_string())
+    let bool = s.to_ascii_lowercase().parse().ok().map(Value::Bool);
+    let number = || {
+        s.parse()
+            .ok()
+            .map(Value::Int)
+            .or_else(|| s.parse().ok().map(Value::Float))
+    };
+    let date = || parse_date(s).ok().map(Value::Date);
+    bool.or_else(number)
+        .or_else(date)
+        .unwrap_or_else(|| Value::Str(s.to_string()))
 }
 
 /// Parse a date phrase: a literal date or `Today [- N years|months|days]`.
 fn parse_date_phrase(s: &str) -> Result<i32> {
     let s = s.trim();
-    if let Some(rest) = strip_ci(s, "today") {
-        let rest = rest.trim();
-        if rest.is_empty() {
-            return Ok(today_days());
-        }
-        let (sign, rest) = if let Some(r) = rest.strip_prefix('-') {
-            (-1i32, r.trim())
-        } else if let Some(r) = rest.strip_prefix('+') {
-            (1i32, r.trim())
-        } else {
-            return Err(GelError::bad_phrase("expected +/- offset after Today", s));
-        };
-        let mut parts = rest.split_whitespace();
-        let n: i32 = parts
+    let bad = |message: &str, phrase: &str| GelError::bad_phrase(message, phrase);
+    let Some(rest) = strip_ci(s, "today") else {
+        return parse_date(s).map_err(|e| bad(&e.to_string(), s));
+    };
+    let rest = rest.trim();
+    let (sign, rest) = match (rest.strip_prefix('-'), rest.strip_prefix('+')) {
+        _ if rest.is_empty() => return Ok(today_days()),
+        (Some(r), _) => (-1i32, r.trim()),
+        (_, Some(r)) => (1, r.trim()),
+        _ => return Err(bad("expected +/- offset after Today", s)),
+    };
+    let mut parts = rest.split_whitespace();
+    let n: i32 = parts
+        .next()
+        .and_then(|t| t.parse().ok())
+        .ok_or_else(|| bad("expected a number", rest))?;
+    let (base, n) = (today_days(), sign.saturating_mul(n));
+    Ok(
+        match parts
             .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| GelError::bad_phrase("expected a number", rest))?;
-        let unit = parts.next().unwrap_or("days").to_lowercase();
-        let base = today_days();
-        return Ok(match unit.trim_end_matches('s') {
-            "year" => add_years(base, sign * n),
-            "month" => add_months(base, sign * n),
-            "day" => base + sign * n,
-            other => return Err(GelError::bad_phrase(format!("unknown unit {other:?}"), s)),
-        });
-    }
-    parse_date(s).map_err(|e| GelError::bad_phrase(e.to_string(), s))
+            .unwrap_or("days")
+            .to_lowercase()
+            .trim_end_matches('s')
+        {
+            "year" => add_years(base, n),
+            "month" => add_months(base, n),
+            "day" => base.saturating_add(n),
+            other => return Err(bad(&format!("unknown unit {other:?}"), s)),
+        },
+    )
 }
 
-/// Parse a GEL condition phrase into a predicate expression.
+/// Parse a GEL condition phrase into a predicate expression. A phrase that
+/// opens with `(` is SQL (the formatter's form); otherwise English sugar
+/// outside quotes comes first, then SQL.
 pub fn parse_condition(s: &str) -> Result<Expr> {
     let s = s.trim();
+    let sql = |s: &str| dc_sql::parse_expr(s).map_err(|e| GelError::bad_phrase(e.to_string(), s));
+    if s.starts_with('(') {
+        return sql(s);
+    }
+    let column = |c: &str| Expr::col(unquote(c));
+    let lit = |v: &str| Expr::Literal(parse_value(v));
+    let date = |v: &str| Ok::<_, GelError>(Expr::Literal(Value::Date(parse_date_phrase(v)?)));
     // "<col> is between the dates <a> to <b>"
-    if let Some((col, rest)) = split_word_ci(s, "is between the dates") {
-        let (a, b) = split_word_ci(rest, "to")
-            .or_else(|| split_word_ci(rest, "and"))
+    if let Some((col, rest)) = split_word(s, "is between the dates") {
+        let (a, b) = split_word(rest, "to")
+            .or_else(|| split_word(rest, "and"))
             .ok_or_else(|| GelError::bad_phrase("expected <a> to <b>", rest))?;
-        return Ok(Expr::col(col).between(
-            Expr::Literal(Value::Date(parse_date_phrase(a)?)),
-            Expr::Literal(Value::Date(parse_date_phrase(b)?)),
-        ));
+        return Ok(column(col).between(date(a)?, date(b)?));
     }
     // "<col> is between <a> and <b>"
-    if let Some((col, rest)) = split_word_ci(s, "is between") {
-        let (a, b) = split_word_ci(rest, "and")
+    if let Some((col, rest)) = split_word(s, "is between") {
+        let (a, b) = split_word(rest, "and")
             .ok_or_else(|| GelError::bad_phrase("expected <a> and <b>", rest))?;
-        return Ok(
-            Expr::col(col).between(Expr::Literal(parse_value(a)), Expr::Literal(parse_value(b)))
-        );
+        return Ok(column(col).between(lit(a), lit(b)));
     }
     // "<col> is after/before <date-phrase>"
-    if let Some((col, rest)) = split_word_ci(s, "is after") {
-        return Ok(Expr::col(col).gt(Expr::Literal(Value::Date(parse_date_phrase(rest)?))));
+    if let Some((col, rest)) = split_word(s, "is after") {
+        return Ok(column(col).gt(date(rest)?));
     }
-    if let Some((col, rest)) = split_word_ci(s, "is before") {
-        return Ok(Expr::col(col).lt(Expr::Literal(Value::Date(parse_date_phrase(rest)?))));
+    if let Some((col, rest)) = split_word(s, "is before") {
+        return Ok(column(col).lt(date(rest)?));
     }
     // null checks
-    if let Some((col, rest)) = split_word_ci(s, "is not") {
+    if let Some((col, rest)) = split_word(s, "is not") {
         if rest.eq_ignore_ascii_case("null") {
-            return Ok(Expr::col(col).is_not_null());
+            return Ok(column(col).is_not_null());
         }
-        return Ok(Expr::col(col).neq(Expr::Literal(parse_value(rest))));
+        return Ok(column(col).neq(lit(rest)));
     }
-    if let Some((col, rest)) = split_word_ci(s, "is") {
+    if let Some((col, rest)) = split_word(s, "is") {
         if rest.eq_ignore_ascii_case("null") {
-            return Ok(Expr::col(col).is_null());
+            return Ok(column(col).is_null());
         }
-        return Ok(Expr::col(col).eq(Expr::Literal(parse_value(rest))));
+        return Ok(column(col).eq(lit(rest)));
     }
-    if let Some((col, rest)) = split_word_ci(s, "contains") {
-        return Ok(Expr::func(
-            dc_engine::ScalarFunc::Contains,
-            vec![Expr::col(col), Expr::Literal(parse_value(rest))],
-        ));
+    for (phrase, func) in [
+        ("contains", dc_engine::ScalarFunc::Contains),
+        ("starts with", dc_engine::ScalarFunc::StartsWith),
+    ] {
+        if let Some((col, rest)) = split_word(s, phrase) {
+            return Ok(Expr::func(func, vec![column(col), lit(rest)]));
+        }
     }
-    if let Some((col, rest)) = split_word_ci(s, "starts with") {
-        return Ok(Expr::func(
-            dc_engine::ScalarFunc::StartsWith,
-            vec![Expr::col(col), Expr::Literal(parse_value(rest))],
-        ));
-    }
-    // Fall back to the SQL expression grammar.
-    dc_sql::parse_expr(s).map_err(|e| GelError::bad_phrase(e.to_string(), s))
+    sql(s)
 }
 
-fn parse_usize(s: &str, what: &str) -> Result<usize> {
-    s.trim()
-        .parse()
-        .map_err(|_| GelError::bad_phrase(format!("expected a number for {what}"), s))
+/// `<percent>%` as a fraction, moving the decimal point rather than
+/// dividing, so a printed percentage reads back as the same float.
+fn parse_percent(raw: &str) -> Option<f64> {
+    let t = raw.trim().trim_end_matches('%').trim_end();
+    let (sign, digits) = t.strip_prefix('-').map_or(("", t), |d| ("-", d));
+    let (int, frac) = digits.split_once('.').unwrap_or((digits, ""));
+    let plain = !int.is_empty() && (int.bytes().chain(frac.bytes())).all(|b| b.is_ascii_digit());
+    if !plain {
+        return t.parse::<f64>().ok().map(|p| p / 100.0);
+    }
+    let int = format!("00{int}");
+    let (hi, lo) = int.split_at(int.len() - 2);
+    format!("{sign}{hi}.{lo}{frac}").parse().ok()
 }
 
-/// Parse one aggregate phrase: "the count of case_id", "the count of
-/// records", "the average of Age".
-fn parse_agg_phrase(s: &str) -> Result<(AggFunc, Option<String>)> {
+/// One aggregate phrase: "the count of case_id", "the count of records",
+/// "the average of Age".
+fn parse_agg(s: &str) -> Result<(AggFunc, Option<String>)> {
     let s = strip_ci(s, "the").unwrap_or(s);
     if s.eq_ignore_ascii_case("count of records") {
         return Ok((AggFunc::CountRecords, None));
     }
-    let (fname, col) = rsplit_word_ci(s, "of")
-        .ok_or_else(|| GelError::bad_phrase("expected <aggregate> of <column>", s))?;
+    let mut last = None;
+    scan(s, |i| {
+        if word_at(s, i, "of") {
+            last = Some(i);
+        }
+        false
+    });
+    let at = last.ok_or_else(|| GelError::bad_phrase("expected <aggregate> of <column>", s))?;
+    let (fname, col) = (s[..at].trim(), s[at + 2..].trim());
     if col.eq_ignore_ascii_case("records") {
         return Ok((AggFunc::CountRecords, None));
     }
-    let func = AggFunc::from_name(fname)
+    let func = surface::agg_named(fname)
         .ok_or_else(|| GelError::bad_phrase(format!("unknown aggregate {fname:?}"), s))?;
-    Ok((func, Some(col.to_string())))
+    Ok((func, Some(unquote(col))))
 }
 
-fn chart_from_name(name: &str) -> Option<ChartType> {
-    match name.to_ascii_lowercase().as_str() {
-        "line" => Some(ChartType::Line),
-        "bar" => Some(ChartType::Bar),
-        "scatter" => Some(ChartType::Scatter),
-        "bubble" => Some(ChartType::Bubble),
-        "histogram" => Some(ChartType::Histogram),
-        "donut" | "pie" => Some(ChartType::Donut),
-        "box" => Some(ChartType::Box),
-        "violin" => Some(ChartType::Violin),
-        "heatmap" => Some(ChartType::Heatmap),
-        _ => None,
+/// One sort key: a column, then `descending`/`desc`/`ascending`.
+fn parse_key(item: &str) -> (String, bool) {
+    let (col, dir) = match item.starts_with(['"', '\'']) {
+        true => item.split_at(quoted_end(item, 0).unwrap_or(item.len())),
+        false => match item.rsplit_once(char::is_whitespace) {
+            Some((c, d)) if word(&["descending|desc|ascending"], d).is_some() => (c, d),
+            _ => (item, ""),
+        },
+    };
+    let (col, dir) = (col.trim(), dir.trim());
+    match dir.eq_ignore_ascii_case("ascending") || dir.is_empty() {
+        true => (unquote(col), true),
+        false if word(&["descending|desc"], dir).is_some() => (unquote(col), false),
+        false => (unquote(item), true),
     }
 }
 
-/// Parse one GEL sentence into a skill call.
-pub fn parse_gel(sentence: &str) -> Result<SkillCall> {
-    let s = sentence.trim().trim_end_matches('.');
-    if s.is_empty() {
-        return Err(GelError::UnknownSentence {
-            sentence: sentence.to_string(),
-        });
+/// One join key: `col` or `left = right`.
+fn parse_pair(item: &str) -> (String, String) {
+    match scan(item, |i| item.as_bytes()[i] == b'=') {
+        Some(at) => (unquote(item[..at].trim()), unquote(item[at + 1..].trim())),
+        None => (unquote(item), unquote(item)),
     }
+}
 
-    // ----- ingestion -----
-    if let Some(rest) = strip_ci(s, "load data from the file") {
-        return Ok(SkillCall::LoadFile { path: rest.into() });
-    }
-    if let Some(rest) = strip_ci(s, "load data from the url") {
-        return Ok(SkillCall::LoadUrl { url: rest.into() });
-    }
-    // Load [the columns <columns> of] the table <table> from the
-    // database <db> [where <condition>]: the projection and the scan
-    // filter are the planner's, and parse back from what it formats.
-    let projected = strip_ci(s, "load the columns");
-    if let Some(rest) = projected.or_else(|| strip_ci(s, "load the table")) {
-        let (columns, rest) = match projected {
-            Some(_) => {
-                let (cols, rest) = split_word_ci(rest, "of the table")
-                    .ok_or_else(|| GelError::bad_phrase("expected of the table <table>", rest))?;
-                (Some(parse_list(cols)), rest)
+/// Read a hole of `kind` from its raw text.
+fn read_hole(kind: Kind, raw: &str) -> Result<Hole> {
+    let bad = |what: &str| GelError::bad_phrase(format!("expected {what}"), raw);
+    Ok(match kind {
+        Kind::Name => Hole::Name(unquote(raw)),
+        Kind::Names => Hole::Names(parse_list(raw)),
+        Kind::Value => Hole::Value(parse_value(raw)),
+        Kind::Cond => Hole::Expr(parse_condition(raw)?),
+        Kind::Expr => Hole::Expr(
+            dc_sql::parse_expr(raw).map_err(|e| GelError::bad_phrase(e.to_string(), raw))?,
+        ),
+        Kind::Int => Hole::Int(raw.trim().parse().map_err(|_| bad("a number"))?),
+        Kind::Frac => Hole::Frac(parse_percent(raw).ok_or_else(|| bad("a percentage"))?),
+        Kind::Word(words) => Hole::Word(word(words, raw).ok_or_else(|| bad("a known word"))?),
+        Kind::Flag(_) => Hole::Word(0),
+        Kind::Aggs => {
+            let mut aggs = Vec::new();
+            let mut rest = raw;
+            while let Some((a, b)) = split_word(rest, "and") {
+                aggs.push(parse_agg(a)?);
+                rest = b;
             }
-            None => (None, rest),
-        };
-        let (table, db) = split_word_ci(rest, "from the database")
-            .ok_or_else(|| GelError::bad_phrase("expected from the database <db>", rest))?;
-        let (db, predicate) = match split_word_ci(db, "where") {
-            Some((db, cond)) => (db, Some(parse_condition(cond)?)),
-            None => (db, None),
-        };
-        return Ok(SkillCall::LoadTable {
-            database: db.into(),
-            table: table.into(),
-            columns,
-            predicate,
-        });
-    }
-    if let Some(rest) = strip_ci(s, "use the dataset") {
-        if let Some((name, v)) = split_word_ci(rest, "version") {
-            let name = name.trim_end_matches(',').trim();
-            return Ok(SkillCall::UseDataset {
-                name: name.into(),
-                version: Some(
-                    v.trim()
-                        .parse()
-                        .map_err(|_| GelError::bad_phrase("expected a version number", v))?,
-                ),
-            });
+            aggs.push(parse_agg(rest)?);
+            Hole::Aggs(aggs)
         }
-        return Ok(SkillCall::UseDataset {
-            name: rest.into(),
-            version: None,
-        });
-    }
-    if let Some(rest) = strip_ci(s, "use the snapshot") {
-        return Ok(SkillCall::UseSnapshot { name: rest.into() });
-    }
-
-    // ----- exploration -----
-    if let Some(rest) = strip_ci(s, "describe the column") {
-        return Ok(SkillCall::DescribeColumn {
-            column: rest.into(),
-        });
-    }
-    if strip_ci(s, "describe the dataset").is_some_and(|r| r.is_empty()) {
-        return Ok(SkillCall::DescribeDataset);
-    }
-    if strip_ci(s, "list the datasets").is_some_and(|r| r.is_empty()) {
-        return Ok(SkillCall::ListDatasets);
-    }
-    if let Some(rest) = strip_ci(s, "show the first") {
-        let n = rest.trim_end_matches("rows").trim_end_matches("row").trim();
-        return Ok(SkillCall::ShowHead {
-            n: parse_usize(n, "row count")?,
-        });
-    }
-    if strip_ci(s, "count the rows").is_some_and(|r| r.is_empty()) {
-        return Ok(SkillCall::CountRows);
-    }
-    if strip_ci(s, "profile the missing values").is_some_and(|r| r.is_empty()) {
-        return Ok(SkillCall::ProfileMissing);
-    }
-
-    // ----- visualization -----
-    if let Some(rest) = strip_ci(s, "visualize") {
-        // Visualize with a filter clause belongs to the §4.8 phrase layer
-        // (it needs the semantic layer); plain GEL declines it.
-        if split_word_ci(rest, "where").is_some() {
-            return Err(GelError::UnknownSentence {
-                sentence: sentence.to_string(),
-            });
-        }
-        if let Some((kpi, by)) = split_word_ci(rest, "by").or_else(|| split_word_ci(rest, "using"))
-        {
-            return Ok(SkillCall::Visualize {
-                kpi: kpi.into(),
-                by: parse_list(by),
-            });
-        }
-        return Ok(SkillCall::Visualize {
-            kpi: rest.into(),
-            by: vec![],
-        });
-    }
-    if let Some(rest) = strip_ci(s, "plot a") {
-        let (chart_name, rest) = rest
-            .split_once(' ')
-            .ok_or_else(|| GelError::bad_phrase("expected a chart type", rest))?;
-        let chart = chart_from_name(chart_name)
-            .ok_or_else(|| GelError::bad_phrase(format!("unknown chart {chart_name:?}"), s))?;
-        let rest = strip_ci(rest, "chart").unwrap_or(rest);
-        let mut x = None;
-        let mut y = None;
-        let mut color = None;
-        let mut size = None;
-        let mut for_each = None;
-        let body = strip_ci(rest, "with").unwrap_or(rest);
-        for clause in body.split(',') {
-            let clause = clause.trim();
-            if clause.is_empty() {
-                continue;
-            }
-            if let Some(v) = strip_ci(clause, "the x-axis") {
-                x = Some(v.to_string());
-            } else if let Some(v) = strip_ci(clause, "the y-axis") {
-                y = Some(v.to_string());
-            } else if let Some(v) = strip_ci(clause, "colored by") {
-                color = Some(v.to_string());
-            } else if let Some(v) = strip_ci(clause, "colored using:") {
-                color = Some(v.to_string());
-            } else if let Some(v) = strip_ci(clause, "sized by") {
-                size = Some(v.to_string());
-            } else if let Some(v) = strip_ci(clause, "sized using:") {
-                size = Some(v.to_string());
-            } else if let Some(v) = strip_ci(clause, "for each") {
-                for_each = Some(v.to_string());
-            } else {
-                return Err(GelError::bad_phrase("unknown plot clause", clause));
-            }
-        }
-        return Ok(SkillCall::Plot {
-            chart,
-            x,
-            y,
-            color,
-            size,
-            for_each,
-        });
-    }
-
-    // ----- wrangling -----
-    if let Some(rest) = strip_ci(s, "keep the rows where") {
-        return Ok(SkillCall::KeepRows {
-            predicate: parse_condition(rest)?,
-        });
-    }
-    if let Some(rest) = strip_ci(s, "drop the rows with missing") {
-        let columns = if rest.eq_ignore_ascii_case("values") {
-            vec![]
-        } else {
-            parse_list(rest)
-        };
-        return Ok(SkillCall::DropMissing { columns });
-    }
-    if let Some(rest) = strip_ci(s, "drop the rows where") {
-        return Ok(SkillCall::DropRows {
-            predicate: parse_condition(rest)?,
-        });
-    }
-    if let Some(rest) = strip_ci(s, "keep the columns") {
-        return Ok(SkillCall::KeepColumns {
-            columns: parse_list(rest),
-        });
-    }
-    if let Some(rest) = strip_ci(s, "drop the columns") {
-        return Ok(SkillCall::DropColumns {
-            columns: parse_list(rest),
-        });
-    }
-    if let Some(rest) = strip_ci(s, "rename the column") {
-        let (from, to) = split_word_ci(rest, "to")
-            .ok_or_else(|| GelError::bad_phrase("expected <from> to <to>", rest))?;
-        return Ok(SkillCall::RenameColumn {
-            from: from.into(),
-            to: to.into(),
-        });
-    }
-    if let Some(rest) = strip_ci(s, "create a new column") {
-        if let Some((name, value)) = split_word_ci(rest, "with text") {
-            return Ok(SkillCall::CreateConstantColumn {
-                name: name.into(),
-                value: Value::Str(match parse_value(value) {
-                    Value::Str(v) => v,
-                    other => other.render(),
-                }),
-            });
-        }
-        if let Some((name, value)) = split_word_ci(rest, "with value") {
-            return Ok(SkillCall::CreateConstantColumn {
-                name: name.into(),
-                value: parse_value(value),
-            });
-        }
-        if let Some((name, expr)) = split_word_ci(rest, "as") {
-            return Ok(SkillCall::CreateColumn {
-                name: name.into(),
-                expr: dc_sql::parse_expr(expr)
-                    .map_err(|e| GelError::bad_phrase(e.to_string(), expr))?,
-            });
-        }
-        return Err(GelError::bad_phrase(
-            "expected `as <expression>`, `with text <value>` or `with value <value>`",
-            rest,
-        ));
-    }
-    if let Some(rest) = strip_ci(s, "compute") {
-        // [the] <agg> of <col> [and <agg> of <col>]* [for each <keys>]
-        // [and call the computed columns <names>]
-        let (body, names) = match split_word_ci(rest, "and call the computed columns") {
-            Some((b, n)) => (b, Some(parse_list(n))),
-            None => (rest, None),
-        };
-        let (agg_part, keys) = match split_word_ci(body, "for each") {
-            Some((a, k)) => (a, parse_list(k)),
-            None => (body, vec![]),
-        };
-        // Split aggregates on " and ".
-        let mut agg_phrases: Vec<&str> = Vec::new();
-        let mut remaining = agg_part;
-        while let Some((a, b)) = split_word_ci(remaining, "and") {
-            agg_phrases.push(a);
-            remaining = b;
-        }
-        agg_phrases.push(remaining);
-        let mut aggs = Vec::new();
-        for (i, phrase) in agg_phrases.iter().enumerate() {
-            let (func, column) = parse_agg_phrase(phrase)?;
-            let output = match &names {
-                Some(ns) => ns
-                    .get(i)
-                    .cloned()
-                    .ok_or_else(|| GelError::bad_phrase("not enough output names", *phrase))?,
-                None => AggSpec::default_output(func, column.as_deref()),
-            };
-            aggs.push(AggSpec {
-                func,
-                column,
-                output,
-            });
-        }
-        return Ok(SkillCall::Compute {
-            aggs,
-            for_each: keys,
-        });
-    }
-    if let Some(rest) = strip_ci(s, "pivot on") {
-        let (index, rest) = split_word_ci(rest, "by")
-            .ok_or_else(|| GelError::bad_phrase("expected by <columns>", rest))?;
-        let (columns, rest) = split_word_ci(rest, "using")
-            .ok_or_else(|| GelError::bad_phrase("expected using the <agg> of <values>", rest))?;
-        let (func, values) = parse_agg_phrase(rest)?;
-        let values =
-            values.ok_or_else(|| GelError::bad_phrase("pivot needs a values column", rest))?;
-        return Ok(SkillCall::Pivot {
-            index: index.into(),
-            columns: columns.into(),
-            values,
-            agg: func,
-        });
-    }
-    if let Some(rest) = strip_ci(s, "sort by") {
-        let keys = parse_list(rest)
-            .into_iter()
-            .map(|item| {
-                if let Some(col) = item
-                    .to_lowercase()
-                    .strip_suffix(" descending")
-                    .map(|_| item[..item.len() - " descending".len()].to_string())
-                {
-                    (col, false)
-                } else if let Some(col) = item
-                    .to_lowercase()
-                    .strip_suffix(" desc")
-                    .map(|_| item[..item.len() - " desc".len()].to_string())
-                {
-                    (col, false)
-                } else if let Some(col) = item
-                    .to_lowercase()
-                    .strip_suffix(" ascending")
-                    .map(|_| item[..item.len() - " ascending".len()].to_string())
-                {
-                    (col, true)
-                } else {
-                    (item, true)
-                }
-            })
-            .collect();
-        return Ok(SkillCall::Sort { keys });
-    }
-    if let Some(rest) = strip_ci(s, "keep the top") {
-        let (n, col) = split_word_ci(rest, "rows by")
-            .ok_or_else(|| GelError::bad_phrase("expected <n> rows by <column>", rest))?;
-        return Ok(SkillCall::Top {
-            column: col.into(),
-            n: parse_usize(n, "row count")?,
-        });
-    }
-    if let Some(rest) = strip_ci(s, "keep the first") {
-        let n = rest.trim_end_matches("rows").trim_end_matches("row").trim();
-        return Ok(SkillCall::Limit {
-            n: parse_usize(n, "row count")?,
-        });
-    }
-    if let Some(rest) = strip_ci(s, "concatenate the datasets") {
-        // Paper form: "Concatenate the datasets A and B [remove all
-        // duplicates]" — the first dataset is the session's current one.
-        let (body, dedupe) = match split_word_ci(rest, "remove all duplicates") {
-            Some((b, _)) => (b, true),
-            None => (rest, false),
-        };
-        let names = parse_list(body);
-        let other = names
-            .last()
-            .cloned()
-            .ok_or_else(|| GelError::bad_phrase("expected dataset names", rest))?;
-        return Ok(SkillCall::Concat {
-            other,
-            remove_duplicates: dedupe,
-        });
-    }
-    if let Some(rest) = strip_ci(s, "concatenate with the dataset") {
-        let (body, dedupe) = match split_word_ci(rest, "remove all duplicates") {
-            Some((b, _)) => (b, true),
-            None => (rest, false),
-        };
-        return Ok(SkillCall::Concat {
-            other: body.trim().into(),
-            remove_duplicates: dedupe,
-        });
-    }
-    if let Some(rest) = strip_ci(s, "join with the dataset") {
-        let (other, rest) = split_word_ci(rest, "on")
-            .ok_or_else(|| GelError::bad_phrase("expected on <columns>", rest))?;
-        let (on_part, how) = if let Some((o, _)) = split_word_ci(rest, "as a left join") {
-            (o, JoinType::Left)
-        } else if let Some((o, _)) = split_word_ci(rest, "as a right join") {
-            (o, JoinType::Right)
-        } else if let Some((o, _)) = split_word_ci(rest, "as a full join") {
-            (o, JoinType::Full)
-        } else {
-            (rest, JoinType::Inner)
-        };
-        let mut left_on = Vec::new();
-        let mut right_on = Vec::new();
-        for pair in parse_list(on_part) {
-            match pair.split_once('=') {
-                Some((l, r)) => {
-                    left_on.push(l.trim().to_string());
-                    right_on.push(r.trim().to_string());
-                }
-                None => {
-                    left_on.push(pair.clone());
-                    right_on.push(pair);
-                }
-            }
-        }
-        return Ok(SkillCall::Join {
-            other: other.into(),
-            left_on,
-            right_on,
-            how,
-        });
-    }
-    if let Some(rest) = strip_ci(s, "remove duplicate rows") {
-        if let Some(cols) = strip_ci(rest, "based on") {
-            return Ok(SkillCall::Distinct {
-                columns: parse_list(cols),
-            });
-        }
-        if rest.is_empty() {
-            return Ok(SkillCall::Distinct { columns: vec![] });
-        }
-    }
-    if let Some(rest) = strip_ci(s, "fill the missing values of") {
-        let (col, value) = split_word_ci(rest, "with")
-            .ok_or_else(|| GelError::bad_phrase("expected with <value>", rest))?;
-        return Ok(SkillCall::FillMissing {
-            column: col.into(),
-            value: parse_value(value),
-        });
-    }
-    if let Some(rest) = strip_ci(s, "replace") {
-        let (from, rest2) = split_word_ci(rest, "with")
-            .ok_or_else(|| GelError::bad_phrase("expected with <value>", rest))?;
-        let (to, col) = split_word_ci(rest2, "in the column")
-            .ok_or_else(|| GelError::bad_phrase("expected in the column <column>", rest2))?;
-        return Ok(SkillCall::ReplaceValues {
-            column: col.into(),
-            from: parse_value(from),
-            to: parse_value(to),
-        });
-    }
-    if let Some(rest) = strip_ci(s, "change the type of") {
-        let (col, ty) = split_word_ci(rest, "to")
-            .ok_or_else(|| GelError::bad_phrase("expected to <type>", rest))?;
-        let to = parse_dtype(ty)
-            .ok_or_else(|| GelError::bad_phrase(format!("unknown type {ty:?}"), s))?;
-        return Ok(SkillCall::CastColumn {
-            column: col.into(),
-            to,
-        });
-    }
-    if let Some(rest) = strip_ci(s, "bin the column") {
-        let (col, rest2) = split_word_ci(rest, "with width")
-            .ok_or_else(|| GelError::bad_phrase("expected with width <n>", rest))?;
-        let (width, name) = match split_word_ci(rest2, "and call it") {
-            Some((w, n)) => (w, Some(n.to_string())),
-            None => (rest2, None),
-        };
-        return Ok(SkillCall::BinColumn {
-            column: col.into(),
-            width: width
-                .trim()
-                .parse()
-                .map_err(|_| GelError::bad_phrase("expected a bin width", width))?,
-            name,
-        });
-    }
-    if let Some(rest) = strip_ci(s, "extract the") {
-        let (part, rest2) = split_word_ci(rest, "of")
-            .ok_or_else(|| GelError::bad_phrase("expected of <column>", rest))?;
-        let part = parse_date_part(part)
-            .ok_or_else(|| GelError::bad_phrase(format!("unknown date part {part:?}"), s))?;
-        let (col, name) = match split_word_ci(rest2, "and call it") {
-            Some((c, n)) => (c, Some(n.to_string())),
-            None => (rest2, None),
-        };
-        return Ok(SkillCall::ExtractDatePart {
-            column: col.into(),
-            part,
-            name,
-        });
-    }
-    if let Some(rest) = strip_ci(s, "trim whitespace in the column") {
-        return Ok(SkillCall::TrimColumn {
-            column: rest.into(),
-        });
-    }
-    if let Some(rest) = strip_ci(s, "sample") {
-        let (pct_part, seed) = match split_word_ci(rest, "with seed") {
-            Some((p, sd)) => (
-                p,
-                sd.trim()
-                    .parse()
-                    .map_err(|_| GelError::bad_phrase("expected a seed number", sd))?,
-            ),
-            None => (rest, 42u64),
-        };
-        let pct_text = pct_part
-            .trim_end_matches("of the rows")
-            .trim()
-            .trim_end_matches('%');
-        let pct: f64 = pct_text
-            .trim()
-            .parse()
-            .map_err(|_| GelError::bad_phrase("expected a percentage", pct_part))?;
-        return Ok(SkillCall::Sample {
-            fraction: pct / 100.0,
-            seed,
-        });
-    }
-    if let Some(rest) = strip_ci(s, "shuffle the rows") {
-        let seed = match strip_ci(rest, "with seed") {
-            Some(sd) => sd
-                .trim()
-                .parse()
-                .map_err(|_| GelError::bad_phrase("expected a seed number", sd))?,
-            None => 42u64,
-        };
-        return Ok(SkillCall::ShuffleRows { seed });
-    }
-
-    // ----- machine learning -----
-    if let Some(rest) = strip_ci(s, "train a model named") {
-        let (name, rest2) = split_word_ci(rest, "to predict")
-            .ok_or_else(|| GelError::bad_phrase("expected to predict <column>", rest))?;
-        return parse_train_tail(name, rest2);
-    }
-    if let Some(rest) = strip_ci(s, "train a model to predict") {
-        return parse_train_tail("", rest);
-    }
-    if let Some(rest) = strip_ci(s, "predict time series with measure columns") {
-        let (measures, rest2) = split_word_ci(rest, "for the next").ok_or_else(|| {
-            GelError::bad_phrase("expected for the next <n> values of <col>", rest)
-        })?;
-        let (n, time) = split_word_ci(rest2, "values of")
-            .ok_or_else(|| GelError::bad_phrase("expected values of <column>", rest2))?;
-        return Ok(SkillCall::PredictTimeSeries {
-            measures: parse_list(measures),
-            horizon: parse_usize(n, "horizon")?,
-            time_column: time.into(),
-        });
-    }
-    if let Some(rest) = strip_ci(s, "predict with the model") {
-        return Ok(SkillCall::Predict { model: rest.into() });
-    }
-    if let Some(rest) = strip_ci(s, "detect outliers in the column") {
-        let (col, method) = match split_word_ci(rest, "using the") {
-            Some((c, m)) => {
-                let m = m.trim_end_matches("method").trim();
-                let method = match m.to_lowercase().as_str() {
-                    "zscore" | "z-score" => OutlierMethod::default_zscore(),
-                    "iqr" => OutlierMethod::default_iqr(),
-                    other => {
-                        return Err(GelError::bad_phrase(
-                            format!("unknown outlier method {other:?}"),
-                            s,
-                        ))
-                    }
-                };
-                (c, method)
-            }
-            None => (rest, OutlierMethod::default_zscore()),
-        };
-        return Ok(SkillCall::DetectOutliers {
-            column: col.into(),
-            method,
-        });
-    }
-    if let Some(rest) = strip_ci(s, "cluster the rows into") {
-        let (k, features) = split_word_ci(rest, "groups using")
-            .ok_or_else(|| GelError::bad_phrase("expected <k> groups using <columns>", rest))?;
-        return Ok(SkillCall::Cluster {
-            k: parse_usize(k, "cluster count")?,
-            features: parse_list(features),
-        });
-    }
-    if let Some(rest) = strip_ci(s, "evaluate the model") {
-        let (model, target) = split_word_ci(rest, "against")
-            .ok_or_else(|| GelError::bad_phrase("expected against <column>", rest))?;
-        return Ok(SkillCall::EvaluateModel {
-            model: model.into(),
-            target: target.into(),
-        });
-    }
-
-    // ----- SQL -----
-    if let Some(rest) = strip_ci(s, "run the sql query") {
-        return Ok(SkillCall::RunSql { query: rest.into() });
-    }
-    if strip_ci(s, "export the dataset as csv").is_some_and(|r| r.is_empty()) {
-        return Ok(SkillCall::ExportCsv);
-    }
-
-    // ----- collaboration -----
-    if let Some(rest) = strip_ci(s, "save this as") {
-        return Ok(SkillCall::SaveArtifact { name: rest.into() });
-    }
-    if let Some(rest) = strip_ci(s, "snapshot this as") {
-        return Ok(SkillCall::Snapshot { name: rest.into() });
-    }
-    if let Some(rest) = strip_ci(s, "define") {
-        if let Some((phrase, expansion)) = split_word_ci(rest, "as") {
-            return Ok(SkillCall::Define {
-                phrase: phrase.into(),
-                expansion: expansion.into(),
-            });
-        }
-    }
-    if let Some(rest) = strip_ci(s, "comment:") {
-        return Ok(SkillCall::Comment { text: rest.into() });
-    }
-    if let Some(rest) = strip_ci(s, "//") {
-        return Ok(SkillCall::Comment { text: rest.into() });
-    }
-    if let Some(rest) = strip_ci(s, "share the artifact") {
-        let (artifact, user) = split_word_ci(rest, "with")
-            .ok_or_else(|| GelError::bad_phrase("expected with <user>", rest))?;
-        return Ok(SkillCall::ShareArtifact {
-            artifact: artifact.into(),
-            with_user: user.into(),
-        });
-    }
-
-    Err(GelError::UnknownSentence {
-        sentence: sentence.to_string(),
+        Kind::Keys => Hole::Keys(list_items(raw).into_iter().map(parse_key).collect()),
+        Kind::Pairs => Hole::Pairs(list_items(raw).into_iter().map(parse_pair).collect()),
     })
 }
 
-fn parse_train_tail(name: &str, rest: &str) -> Result<SkillCall> {
-    let (rest, method) = if let Some((r, _)) = split_word_ci(rest, "with linear regression") {
-        (r, MlMethod::Linear)
-    } else if let Some((r, _)) = split_word_ci(rest, "with a decision tree") {
-        (r, MlMethod::DecisionTree)
-    } else {
-        (rest, MlMethod::Auto)
+/// The texts a bare hole stops at, given what follows it, and whether it
+/// may run to the end of the sentence.
+pub(crate) fn stops<'t>(rest: &[&Item<'t>], s: &Surface, out: &mut Vec<&'t str>) -> bool {
+    for item in rest {
+        match item {
+            Item::Lit(l) if l.trim().is_empty() => {}
+            Item::Lit(l) => {
+                out.push(l.trim().trim_start_matches(',').trim_start());
+                return false;
+            }
+            Item::Hole(f, _) => {
+                s.field(f)
+                    .into_iter()
+                    .flat_map(|(_, k)| k.words())
+                    .for_each(|w| out.push(w));
+                return false;
+            }
+            Item::Opt(g) => {
+                stops(&g.iter().collect::<Vec<_>>(), s, out);
+            }
+        }
+    }
+    true
+}
+
+/// The first offset of `s` at which one of `stops` starts as a word.
+pub(crate) fn find_stop(s: &str, stops: &[&str]) -> Option<usize> {
+    scan(s, |i| stops.iter().any(|w| word_at(s, i, w)))
+}
+
+/// Match a template literal at `pos`: case-insensitive, any run of
+/// whitespace for a space, and an optional leading comma.
+fn lit_at(s: &str, pos: usize, lit: &str) -> Option<usize> {
+    let skip = |p: usize| p + s[p..].len() - s[p..].trim_start().len();
+    let mut p = skip(pos);
+    let mut lit = lit.trim();
+    if let Some(l) = lit.strip_prefix(',') {
+        p = skip(p + usize::from(s[p..].starts_with(',')));
+        lit = l.trim_start();
+    }
+    for w in lit.split(' ') {
+        let end = p + w.len();
+        if !s.get(p..end)?.eq_ignore_ascii_case(w) {
+            return None;
+        }
+        p = skip(end);
+    }
+    Some(p)
+}
+
+/// Read one hole at `pos`; its raw text and where the sentence goes on.
+fn take_hole<'s>(
+    s: &'s str,
+    pos: usize,
+    kind: Kind,
+    rest: &[&Item<'_>],
+    sf: &Surface,
+) -> Option<(&'s str, usize)> {
+    let p = pos + s[pos..].len() - s[pos..].trim_start().len();
+    let here = &s[p..];
+    match kind {
+        Kind::Cond | Kind::Expr => Some((here, s.len())),
+        Kind::Word(_) | Kind::Flag(_) => {
+            let len = kind
+                .words()
+                .filter(|w| word_at(here, 0, w))
+                .map(str::len)
+                .max()?;
+            Some((&here[..len], p + len))
+        }
+        _ => {
+            let mut ends = Vec::new();
+            let to_end = stops(rest, sf, &mut ends);
+            match find_stop(here, &ends) {
+                Some(at) => Some((
+                    here[..at].trim_end().trim_end_matches(',').trim_end(),
+                    p + at,
+                )),
+                None if to_end => Some((here, s.len())),
+                None => None,
+            }
+        }
+    }
+}
+
+/// Match the items `k` against `s` from `pos`, recording each hole's raw
+/// text by field index.
+fn matches<'s>(
+    k: &[&Item<'_>],
+    s: &'s str,
+    pos: usize,
+    sf: &Surface,
+    out: &mut [Option<&'s str>],
+) -> bool {
+    let Some((head, rest)) = k.split_first() else {
+        return s[pos..].trim().is_empty();
     };
-    let (target, features) = match split_word_ci(rest, "using") {
-        Some((t, f)) => (t.to_string(), parse_list(f)),
-        None => (rest.to_string(), vec![]),
-    };
-    let name = if name.is_empty() {
-        format!("model_{}", target.to_lowercase())
-    } else {
-        name.to_string()
-    };
-    Ok(SkillCall::TrainModel {
-        name,
-        target,
-        features,
-        method,
+    match head {
+        Item::Lit(l) => lit_at(s, pos, l).is_some_and(|p| matches(rest, s, p, sf, out)),
+        Item::Hole(f, _) => {
+            let Some((i, kind)) = sf.field(f) else {
+                return false;
+            };
+            let Some((raw, p)) = take_hole(s, pos, kind, rest, sf) else {
+                return false;
+            };
+            out[i] = Some(raw);
+            matches(rest, s, p, sf, out)
+        }
+        Item::Opt(_) => {
+            // A run of adjacent groups reads in any order, each at most once.
+            let run = k.iter().take_while(|i| matches!(i, Item::Opt(_))).count();
+            for j in 0..run {
+                let Item::Opt(g) = k[j] else { continue };
+                let mut next: Vec<&Item<'_>> = g.iter().collect();
+                next.extend(
+                    k.iter()
+                        .enumerate()
+                        .filter(|(x, _)| *x != j)
+                        .map(|(_, i)| *i),
+                );
+                let saved = out.to_vec();
+                if matches(&next, s, pos, sf, out) {
+                    return true;
+                }
+                out.copy_from_slice(&saved);
+            }
+            matches(&k[run..], s, pos, sf, out)
+        }
+    }
+}
+
+/// A GEL template split once: its skill, marker, leading literal and items.
+pub(crate) struct Template {
+    pub sf: &'static Surface,
+    pub mark: &'static str,
+    lead: &'static str,
+    pub items: Vec<Item<'static>>,
+}
+
+/// Every template of the table in the order sentences are tried, and
+/// beside them each lead's first byte lower-cased: a sentence's first byte
+/// picks the few templates worth reading without touching the others.
+pub(crate) fn templates() -> &'static (Vec<u8>, Vec<Template>) {
+    static TEMPLATES: OnceLock<(Vec<u8>, Vec<Template>)> = OnceLock::new();
+    TEMPLATES.get_or_init(|| {
+        let all = surface::SURFACES
+            .iter()
+            .flat_map(|sf| sf.gel.iter().map(move |t| (sf, t)));
+        let all: Vec<Template> = all
+            .map(|(sf, t)| {
+                let (mark, body) = marker(t);
+                let lead = body[..body.find(['{', '[']).unwrap_or(body.len())].trim();
+                Template {
+                    sf,
+                    mark,
+                    lead,
+                    items: items(body),
+                }
+            })
+            .collect();
+        let first = |t: &Template| t.lead.bytes().next().unwrap_or_default();
+        (
+            all.iter().map(|t| first(t).to_ascii_lowercase()).collect(),
+            all,
+        )
+    })
+}
+
+/// Parse one GEL sentence into a skill call: the first template that
+/// matches decides, and a hole it cannot read is the error.
+pub fn parse_gel(sentence: &str) -> Result<SkillCall> {
+    let s = sentence.trim().trim_end_matches('.');
+    let first = s.bytes().next().map(|b| b.to_ascii_lowercase());
+    let (firsts, all) = templates();
+    let mut guarded: Option<&Surface> = None;
+    for (t, _) in all.iter().zip(firsts).filter(|(_, f)| Some(**f) == first) {
+        if guarded.is_some_and(|g| std::ptr::eq(g, t.sf)) || lit_at(s, 0, t.lead).is_none() {
+            continue;
+        }
+        let mut raw = vec![None; t.sf.fields.len()];
+        if !matches(&t.items.iter().collect::<Vec<_>>(), s, 0, t.sf, &mut raw) {
+            continue;
+        }
+        if t.mark.contains('!') {
+            guarded = Some(t.sf);
+            continue;
+        }
+        let kinds = t.sf.fields.iter().map(|(_, kind)| *kind);
+        let holes = kinds
+            .zip(&raw)
+            .map(|(kind, raw)| raw.map(|r| read_hole(kind, r)).transpose());
+        let holes = holes.collect::<Result<Vec<_>>>()?;
+        return build(t.sf, holes).map_err(|e| GelError::bad_phrase(e, s));
+    }
+    Err(GelError::UnknownSentence {
+        sentence: sentence.to_string(),
     })
 }
 
@@ -883,6 +538,8 @@ fn parse_train_tail(name: &str, rest: &str) -> Result<SkillCall> {
 mod tests {
     use super::*;
     use crate::format::format_skill;
+    use dc_engine::{AggSpec, JoinType};
+    use dc_ml::{MlMethod, OutlierMethod};
 
     #[test]
     fn figure2_recipe_parses() {
@@ -1290,6 +947,14 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// A word no vocabulary holds is an error, not the default word.
+    #[test]
+    fn an_unknown_aggregate_is_an_error() {
+        assert!(parse_gel("Compute the bogus of x for each y").is_err());
+        assert!(parse_gel("Pivot on a by b using the bogus of c").is_err());
+        assert!(surface::agg_named("bogus").is_none());
     }
 
     #[test]

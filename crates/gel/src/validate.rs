@@ -34,7 +34,10 @@ pub fn validate_recipe(recipe: &Recipe, ctx: &AnalysisContext) -> Analysis {
             };
         }
     };
-    let target = *node_of_step.last().expect("non-empty recipe");
+    // The recipe is not empty, so its last step lowered to a node.
+    let Some(&target) = node_of_step.last() else {
+        return Analysis::default();
+    };
     let mut analysis = analyze_dag(&dag, &[target], ctx);
     for d in &mut analysis.diagnostics {
         if let Some(step) = d

@@ -30,7 +30,7 @@ pub struct Explanation {
 pub fn explain_skill(call: &SkillCall) -> Explanation {
     Explanation {
         gel: format_skill(call),
-        python: format_call(call).map(|c| format!("dataset.{c}")),
+        python: format_call(call).ok().map(|c| format!("dataset.{c}")),
         sql: sql_fragment(call),
         english: english_of(call),
     }

@@ -197,9 +197,6 @@ fn parse_filter_phrases(
     if !current.is_empty() {
         parts.push((pending_conn, current));
     }
-    if parts.is_empty() {
-        return Err(NlError::translation("empty filter phrase"));
-    }
 
     let mut expr: Option<Expr> = None;
     for (conn, phrase) in parts {
@@ -225,7 +222,7 @@ fn parse_filter_phrases(
             (Some(acc), _) => acc.and(piece),
         });
     }
-    Ok(expr.expect("non-empty parts"))
+    expr.ok_or_else(|| NlError::translation("empty filter phrase"))
 }
 
 #[cfg(test)]

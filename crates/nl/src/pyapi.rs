@@ -2,9 +2,14 @@
 //!
 //! "We chose DataChat's Python API as the dialect for representing the
 //! analytics recipes" — a thin wrapper around skills whose calls map 1:1
-//! onto GEL. This module parses the dialect into skill calls and prints
-//! skill calls back as Python, giving the polyglot translation of §4
-//! (Python ↔ GEL ↔ SQL).
+//! onto GEL. The mapping is a fact of one table: every skill's Python
+//! method and its GEL templates are entries of `dc_skills::surface`, whose
+//! one field binding both surfaces read, so each of the 50 skills has a
+//! Python form and a GEL form of the same call. This module parses the
+//! dialect into skill calls and prints skill calls back as Python, giving
+//! the polyglot translation of §4 (Python ↔ GEL ↔ SQL). A printed call is
+//! read back before it is returned; one that would not come back (a
+//! non-finite float, `Count()` of no column) is refused.
 //!
 //! Grammar (method-chain subset of Python):
 //!
@@ -14,13 +19,15 @@
 //! chain     := ident ("." method "(" args ")")*
 //! args      := (kwarg | value) ("," ...)*
 //! value     := string | number | bool | list | aggcall
-//! aggcall   := Ident "(" string ")"        e.g. Count("case_id")
+//! aggcall   := Ident "(" [string] ")"      e.g. Count("case_id"), date("2020-01-31")
 //! ```
 
-use dc_engine::{AggFunc, AggSpec, JoinType, Value};
-use dc_ml::MlMethod;
+use std::sync::OnceLock;
+
+use dc_engine::expr::format_float;
+use dc_engine::{AggFunc, Value};
+use dc_skills::surface::{self, build, spelling, word, Hole, Kind, Surface, SURFACES};
 use dc_skills::SkillCall;
-use dc_viz::ChartType;
 
 use crate::error::{NlError, Result};
 
@@ -47,7 +54,7 @@ pub struct PyProgram {
 enum Tok {
     Ident(String),
     Str(String),
-    Int(i64),
+    Int(i128),
     Float(f64),
     Sym(char),
     Eof,
@@ -83,28 +90,25 @@ fn lex(src: &str, line_of: &mut Vec<usize>) -> Result<Vec<Tok>> {
             '\'' | '"' => {
                 let quote = c;
                 let mut s = String::new();
-                i += 1;
+                let mut chars = src[i + 1..].chars();
                 loop {
-                    if i >= bytes.len() {
+                    let Some(ch) = chars.next() else {
                         return Err(NlError::syntax("unterminated string", line));
-                    }
-                    let ch = src[i..].chars().next().expect("in bounds");
-                    i += ch.len_utf8();
+                    };
                     if ch == quote {
                         break;
                     }
-                    if ch == '\\' && i < bytes.len() {
-                        let esc = src[i..].chars().next().expect("in bounds");
-                        i += esc.len_utf8();
-                        s.push(match esc {
-                            'n' => '\n',
-                            't' => '\t',
-                            other => other,
-                        });
-                    } else {
-                        s.push(ch);
-                    }
+                    s.push(match ch {
+                        '\\' => match chars.next() {
+                            Some('n') => '\n',
+                            Some('t') => '\t',
+                            Some(other) => other,
+                            None => return Err(NlError::syntax("unterminated string", line)),
+                        },
+                        ch => ch,
+                    });
                 }
+                i = src.len() - chars.as_str().len();
                 out.push(Tok::Str(s));
                 line_of.push(line);
             }
@@ -115,27 +119,29 @@ fn lex(src: &str, line_of: &mut Vec<usize>) -> Result<Vec<Tok>> {
                         .is_some_and(|b| (*b as char).is_ascii_digit())) =>
             {
                 let start = i;
-                if c == '-' {
+                i += 1;
+                let mut is_float = false;
+                while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'.') {
+                    is_float |= bytes[i] == b'.';
                     i += 1;
                 }
-                let mut is_float = false;
-                while i < bytes.len() && ((bytes[i] as char).is_ascii_digit() || bytes[i] == b'.') {
-                    if bytes[i] == b'.' {
+                // An exponent: `1e20`, `2.5E-7`.
+                if matches!(bytes.get(i), Some(b'e' | b'E')) {
+                    let sign = usize::from(matches!(bytes.get(i + 1), Some(b'+' | b'-')));
+                    if bytes.get(i + 1 + sign).is_some_and(u8::is_ascii_digit) {
                         is_float = true;
+                        i += 1 + sign;
+                        while i < bytes.len() && bytes[i].is_ascii_digit() {
+                            i += 1;
+                        }
                     }
-                    i += 1;
                 }
                 let text = &src[start..i];
-                if is_float {
-                    out.push(Tok::Float(text.parse().map_err(|_| {
-                        NlError::syntax(format!("bad float {text}"), line)
-                    })?));
-                } else {
-                    out.push(Tok::Int(
-                        text.parse()
-                            .map_err(|_| NlError::syntax(format!("bad int {text}"), line))?,
-                    ));
-                }
+                let bad = |what| NlError::syntax(format!("bad {what} {text}"), line);
+                out.push(match is_float {
+                    true => Tok::Float(text.parse().map_err(|_| bad("float"))?),
+                    false => Tok::Int(text.parse().map_err(|_| bad("int"))?),
+                });
                 line_of.push(line);
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
@@ -148,11 +154,12 @@ fn lex(src: &str, line_of: &mut Vec<usize>) -> Result<Vec<Tok>> {
                 out.push(Tok::Ident(src[start..i].to_string()));
                 line_of.push(line);
             }
-            other => {
+            _ => {
+                let other = src[i..].chars().next().unwrap_or(c);
                 return Err(NlError::syntax(
                     format!("unexpected character {other:?}"),
                     line,
-                ))
+                ));
             }
         }
     }
@@ -163,17 +170,17 @@ fn lex(src: &str, line_of: &mut Vec<usize>) -> Result<Vec<Tok>> {
 
 // ---------- argument values ----------
 
-/// A parsed argument value.
 /// Positional and keyword arguments of one parsed call.
 type ParsedArgs = (Vec<Arg>, Vec<(String, Arg)>);
 
+/// A parsed argument value.
 #[derive(Debug, Clone, PartialEq)]
-
 enum Arg {
     Value(Value),
+    Int(i128),
     List(Vec<Arg>),
-    /// `Count("case_id")`-style aggregate constructor.
-    AggCall {
+    /// `Count("case_id")`-style aggregate constructor, or `date("...")`.
+    Call {
         func: String,
         column: Option<String>,
     },
@@ -183,8 +190,7 @@ enum Arg {
 impl Arg {
     fn as_str(&self) -> Option<String> {
         match self {
-            Arg::Value(Value::Str(s)) => Some(s.clone()),
-            Arg::Ident(s) => Some(s.clone()),
+            Arg::Value(Value::Str(s)) | Arg::Ident(s) => Some(s.clone()),
             _ => None,
         }
     }
@@ -192,31 +198,21 @@ impl Arg {
     fn as_str_list(&self) -> Option<Vec<String>> {
         match self {
             Arg::List(items) => items.iter().map(|a| a.as_str()).collect(),
-            Arg::Value(Value::Str(s)) => Some(vec![s.clone()]),
-            _ => None,
+            single => single.as_str().map(|s| vec![s]),
         }
     }
 
-    fn as_usize(&self) -> Option<usize> {
-        match self {
-            Arg::Value(Value::Int(i)) if *i >= 0 => Some(*i as usize),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Arg::Value(Value::Int(i)) => Some(*i as f64),
-            Arg::Value(Value::Float(f)) => Some(*f),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Arg::Value(Value::Bool(b)) => Some(*b),
-            _ => None,
-        }
+    fn as_value(&self) -> Option<Value> {
+        Some(match self {
+            Arg::Value(v) => v.clone(),
+            Arg::Int(i) => Value::Int(i64::try_from(*i).ok()?),
+            Arg::Ident(s) => Value::Str(s.clone()),
+            Arg::Call {
+                func,
+                column: Some(d),
+            } if func == "date" => Value::Date(dc_engine::date::parse_date(d).ok()?),
+            _ => return None,
+        })
     }
 }
 
@@ -270,7 +266,7 @@ impl Parser {
     fn parse_arg(&mut self) -> Result<Arg> {
         match self.next() {
             Tok::Str(s) => Ok(Arg::Value(Value::Str(s))),
-            Tok::Int(i) => Ok(Arg::Value(Value::Int(i))),
+            Tok::Int(i) => Ok(Arg::Int(i)),
             Tok::Float(f) => Ok(Arg::Value(Value::Float(f))),
             Tok::Sym('[') => {
                 let mut items = Vec::new();
@@ -307,7 +303,7 @@ impl Parser {
                         _ => None,
                     };
                     self.expect(')')?;
-                    Ok(Arg::AggCall { func: name, column })
+                    Ok(Arg::Call { func: name, column })
                 } else {
                     Ok(Arg::Ident(name))
                 }
@@ -330,18 +326,14 @@ impl Parser {
         }
         loop {
             self.skip_newlines();
-            // kwarg?
-            let is_kw = matches!(self.peek(), Tok::Ident(_))
-                && self.toks.get(self.pos + 1) == Some(&Tok::Sym('='));
-            if is_kw {
-                let Tok::Ident(name) = self.next() else {
-                    unreachable!()
-                };
-                self.next(); // '='
-                self.skip_newlines();
-                keyword.push((name, self.parse_arg()?));
-            } else {
-                positional.push(self.parse_arg()?);
+            match (self.peek().clone(), self.toks.get(self.pos + 1)) {
+                (Tok::Ident(name), Some(Tok::Sym('='))) => {
+                    self.next();
+                    self.next(); // '='
+                    self.skip_newlines();
+                    keyword.push((name, self.parse_arg()?));
+                }
+                _ => positional.push(self.parse_arg()?),
             }
             self.skip_newlines();
             if !self.eat(',') {
@@ -418,40 +410,160 @@ pub fn parse_pyapi(src: &str) -> Result<PyProgram> {
     Ok(program)
 }
 
-fn kw<'a>(kw_args: &'a [(String, Arg)], names: &[&str]) -> Option<&'a Arg> {
-    kw_args
-        .iter()
-        .find(|(k, _)| names.iter().any(|n| k.eq_ignore_ascii_case(n)))
+// ---------- the surface table's Python side ----------
+
+/// One parameter of a Python signature (see `dc_skills::surface`).
+struct Param<'t> {
+    /// The field it reads into, then any it may print instead.
+    fields: Vec<&'t str>,
+    kws: Vec<&'t str>,
+    keyword: bool,
+    default: Option<&'t str>,
+}
+
+/// A signature's method names and parameters.
+type Signature = (Vec<&'static str>, Vec<Param<'static>>);
+
+/// Every skill's Python signature, split once, in table order.
+fn signatures() -> &'static [Signature] {
+    static SIGNATURES: OnceLock<Vec<Signature>> = OnceLock::new();
+    SIGNATURES.get_or_init(|| SURFACES.iter().map(|sf| signature(sf.py)).collect())
+}
+
+fn signature(py: &'static str) -> Signature {
+    let (methods, params) = py.split_once('(').unwrap_or((py, ")"));
+    let params = params
+        .trim_end_matches(')')
+        .split(", ")
+        .filter(|p| !p.is_empty());
+    let params = params.map(|p| {
+        let (p, default) = p.split_once('?').map_or((p, None), |(p, d)| (p, Some(d)));
+        let (p, keyword) = p.strip_suffix('=').map_or((p, false), |p| (p, true));
+        let (fields, kws) = p.split_once(':').unwrap_or((p, p));
+        Param {
+            fields: fields.split('/').collect(),
+            kws: kws.split('|').collect(),
+            keyword,
+            default,
+        }
+    });
+    (methods.split('|').collect(), params.collect())
+}
+
+/// The argument given for keyword `name`, case-insensitively.
+fn kw<'a>(kws: &'a [(String, Arg)], name: &str) -> Option<&'a Arg> {
+    kws.iter()
+        .find(|(k, _)| k.eq_ignore_ascii_case(name))
         .map(|(_, a)| a)
 }
 
-fn agg_from_arg(a: &Arg) -> Result<AggSpec> {
-    match a {
-        Arg::AggCall { func, column } => {
-            let f = AggFunc::from_name(func)
-                .or_else(|| match func.to_ascii_lowercase().as_str() {
-                    "countrecords" => Some(AggFunc::CountRecords),
-                    "countdistinct" => Some(AggFunc::CountDistinct),
-                    "average" => Some(AggFunc::Avg),
-                    "stddev" => Some(AggFunc::StdDev),
-                    _ => None,
-                })
-                .ok_or_else(|| NlError::check(format!("unknown aggregate {func:?}")))?;
-            let f = if f == AggFunc::Count && column.is_none() {
-                AggFunc::CountRecords
-            } else {
-                f
+/// Read one argument as a hole of `kind` (a sort reads `ascending` from
+/// `kws` too).
+fn read_arg(
+    kind: Kind,
+    arg: &Arg,
+    kws: &[(String, Arg)],
+) -> std::result::Result<Option<Hole>, String> {
+    let bad = || format!("expected {kind:?}, found {arg:?}");
+    let text = || arg.as_str().ok_or_else(bad);
+    let names = || arg.as_str_list().ok_or_else(bad);
+    Ok(Some(match kind {
+        Kind::Name => Hole::Name(text()?),
+        Kind::Names => Hole::Names(names()?),
+        Kind::Value => Hole::Value(arg.as_value().ok_or_else(bad)?),
+        Kind::Cond => Hole::Expr(dc_gel::parse_condition(&text()?).map_err(|e| e.to_string())?),
+        Kind::Expr => Hole::Expr(dc_sql::parse_expr(&text()?).map_err(|e| e.to_string())?),
+        Kind::Int => match arg {
+            Arg::Int(i) => Hole::Int(*i),
+            _ => return Err(bad()),
+        },
+        Kind::Frac => match arg {
+            Arg::Int(i) => Hole::Frac(*i as f64),
+            Arg::Value(Value::Float(f)) => Hole::Frac(*f),
+            _ => return Err(bad()),
+        },
+        Kind::Word(words) => Hole::Word(word(words, &text()?).ok_or_else(bad)?),
+        Kind::Flag(_) => match arg {
+            Arg::Value(Value::Bool(true)) => Hole::Word(0),
+            Arg::Value(Value::Bool(false)) => return Ok(None),
+            _ => return Err(bad()),
+        },
+        Kind::Aggs => {
+            let items = match arg {
+                Arg::List(items) => items.as_slice(),
+                single => std::slice::from_ref(single),
             };
-            Ok(AggSpec {
-                func: f,
-                column: column.clone(),
-                output: AggSpec::default_output(f, column.as_deref()),
-            })
+            let agg = |a: &Arg| match a {
+                Arg::Call { func, column } => match (surface::agg_named(func), column) {
+                    (Some(AggFunc::Count), None) => Ok((AggFunc::CountRecords, None)),
+                    (Some(f), column) => Ok((f, column.clone())),
+                    (None, _) => Err(format!("unknown aggregate {func:?}")),
+                },
+                other => Err(format!(
+                    "expected an aggregate constructor, found {other:?}"
+                )),
+            };
+            Hole::Aggs(
+                items
+                    .iter()
+                    .map(agg)
+                    .collect::<std::result::Result<_, _>>()?,
+            )
         }
-        other => Err(NlError::check(format!(
-            "expected an aggregate constructor, found {other:?}"
-        ))),
+        Kind::Keys => {
+            let flags = match kw(kws, "ascending") {
+                Some(Arg::List(items)) => items.as_slice(),
+                Some(one) => std::slice::from_ref(one),
+                None => &[],
+            };
+            let flags = flags.iter().map(|a| match a {
+                Arg::Value(Value::Bool(b)) => Some(*b),
+                _ => None,
+            });
+            let asc: Vec<bool> = flags.collect::<Option<_>>().unwrap_or_default();
+            let asc = |i: usize| asc.get(i).or(asc.first()).copied().unwrap_or(true);
+            Hole::Keys(
+                names()?
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, c)| (c, asc(i)))
+                    .collect(),
+            )
+        }
+        Kind::Pairs => Hole::Pairs(names()?.into_iter().map(|c| (c.clone(), c)).collect()),
+    }))
+}
+
+/// The call a method with these arguments makes under surface `sf`.
+fn call_of(
+    sf: &Surface,
+    params: &[Param<'_>],
+    pos: &[Arg],
+    kws: &[(String, Arg)],
+) -> std::result::Result<SkillCall, String> {
+    let mut holes = vec![None; sf.fields.len()];
+    for (i, p) in params.iter().enumerate() {
+        let (fi, kind) = sf.field(p.fields[0]).ok_or("a parameter names no field")?;
+        let default = p.default.map(|d| Arg::Value(Value::Str(d.to_string())));
+        let arg = pos
+            .get(i)
+            .or_else(|| p.kws.iter().find_map(|k| kw(kws, k)))
+            .or(default.as_ref());
+        holes[fi] = match (arg, kind) {
+            (Some(arg), _) => read_arg(kind, arg, kws)?,
+            (None, Kind::Pairs) => match (
+                kw(kws, "left_on").and_then(Arg::as_str_list),
+                kw(kws, "right_on").and_then(Arg::as_str_list),
+            ) {
+                (Some(l), Some(r)) if l.len() == r.len() => {
+                    Some(Hole::Pairs(l.into_iter().zip(r).collect()))
+                }
+                _ => None,
+            },
+            (None, _) => None,
+        };
     }
+    build(sf, holes)
 }
 
 fn method_to_skill(
@@ -460,498 +572,146 @@ fn method_to_skill(
     kws: &[(String, Arg)],
     line: usize,
 ) -> Result<SkillCall> {
-    let need_str = |a: Option<&Arg>, what: &str| -> Result<String> {
-        a.and_then(|a| a.as_str())
-            .ok_or_else(|| NlError::syntax(format!("{method} needs {what}"), line))
-    };
-    match method {
-        "filter" | "keep_rows" => {
-            let cond = need_str(
-                pos.first().or(kw(kws, &["condition", "where"])),
-                "a condition",
-            )?;
-            let predicate =
-                dc_gel::parse_condition(&cond).map_err(|e| NlError::syntax(e.to_string(), line))?;
-            Ok(SkillCall::KeepRows { predicate })
+    let mut first_err = None;
+    for (sf, (methods, params)) in SURFACES.iter().zip(signatures()) {
+        if !methods.contains(&method) {
+            continue;
         }
-        "select" | "keep_columns" => {
-            let columns = pos
-                .first()
-                .or(kw(kws, &["columns"]))
-                .and_then(|a| a.as_str_list())
-                .or_else(|| pos.iter().map(|a| a.as_str()).collect())
-                .ok_or_else(|| NlError::syntax("select needs column names", line))?;
-            Ok(SkillCall::KeepColumns { columns })
-        }
-        "drop_columns" => {
-            let columns = pos
-                .first()
-                .or(kw(kws, &["columns"]))
-                .and_then(|a| a.as_str_list())
-                .ok_or_else(|| NlError::syntax("drop_columns needs column names", line))?;
-            Ok(SkillCall::DropColumns { columns })
-        }
-        "rename" | "rename_column" => Ok(SkillCall::RenameColumn {
-            from: need_str(pos.first().or(kw(kws, &["from_name"])), "a source name")?,
-            to: need_str(pos.get(1).or(kw(kws, &["to_name", "to"])), "a target name")?,
-        }),
-        "with_column" | "create_column" => {
-            let name = need_str(pos.first().or(kw(kws, &["name"])), "a column name")?;
-            let expr_text = need_str(
-                pos.get(1).or(kw(kws, &["expr", "expression"])),
-                "an expression",
-            )?;
-            let expr =
-                dc_sql::parse_expr(&expr_text).map_err(|e| NlError::syntax(e.to_string(), line))?;
-            Ok(SkillCall::CreateColumn { name, expr })
-        }
-        "with_constant" | "create_constant_column" => {
-            let name = need_str(pos.first().or(kw(kws, &["name"])), "a column name")?;
-            let value = match pos.get(1).or(kw(kws, &["value", "text"])) {
-                Some(Arg::Value(v)) => v.clone(),
-                Some(Arg::Ident(s)) => Value::Str(s.clone()),
-                _ => return Err(NlError::syntax("expected a constant value", line)),
-            };
-            Ok(SkillCall::CreateConstantColumn { name, value })
-        }
-        "compute" | "aggregate_data" => {
-            let agg_arg = kw(kws, &["aggregates", "aggregate", "aggregate_data"])
-                .or(pos.first())
-                .ok_or_else(|| NlError::syntax("compute needs aggregates", line))?;
-            let aggs: Vec<AggSpec> = match agg_arg {
-                Arg::List(items) => items.iter().map(agg_from_arg).collect::<Result<_>>()?,
-                single => vec![agg_from_arg(single)?],
-            };
-            let for_each = kw(kws, &["for_each", "group_by"])
-                .and_then(|a| a.as_str_list())
-                .unwrap_or_default();
-            let names = kw(kws, &["names", "call", "output_names"]).and_then(|a| a.as_str_list());
-            let mut aggs = aggs;
-            if let Some(names) = names {
-                for (a, n) in aggs.iter_mut().zip(names) {
-                    a.output = n;
-                }
+        match call_of(sf, params, pos, kws) {
+            Ok(call) => return Ok(call),
+            Err(e) => {
+                first_err.get_or_insert(format!("{method}: {e}"));
             }
-            Ok(SkillCall::Compute { aggs, for_each })
         }
-        "pivot" => Ok(SkillCall::Pivot {
-            index: need_str(kw(kws, &["index"]).or(pos.first()), "an index column")?,
-            columns: need_str(kw(kws, &["columns"]).or(pos.get(1)), "a columns column")?,
-            values: need_str(kw(kws, &["values"]).or(pos.get(2)), "a values column")?,
-            agg: kw(kws, &["agg", "aggregate"])
-                .and_then(|a| a.as_str())
-                .and_then(|s| AggFunc::from_name(&s))
-                .unwrap_or(AggFunc::Sum),
-        }),
-        "sort" | "sort_values" => {
-            let by = kw(kws, &["by"])
-                .or(pos.first())
-                .and_then(|a| a.as_str_list())
-                .ok_or_else(|| NlError::syntax("sort needs columns", line))?;
-            let ascending = kw(kws, &["ascending"])
-                .and_then(|a| match a {
-                    Arg::Value(Value::Bool(b)) => Some(vec![*b]),
-                    Arg::List(items) => items.iter().map(|x| x.as_bool()).collect(),
-                    _ => None,
-                })
-                .unwrap_or_default();
-            let keys = by
-                .into_iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    let asc = ascending
-                        .get(i)
-                        .or(ascending.first())
-                        .copied()
-                        .unwrap_or(true);
-                    (c, asc)
-                })
-                .collect();
-            Ok(SkillCall::Sort { keys })
-        }
-        "head" | "limit" => Ok(SkillCall::Limit {
-            n: pos
-                .first()
-                .or(kw(kws, &["n"]))
-                .and_then(|a| a.as_usize())
-                .ok_or_else(|| NlError::syntax("limit needs a count", line))?,
-        }),
-        "top" => Ok(SkillCall::Top {
-            column: need_str(kw(kws, &["by", "column"]).or(pos.get(1)), "a column")?,
-            n: pos
-                .first()
-                .or(kw(kws, &["n"]))
-                .and_then(|a| a.as_usize())
-                .ok_or_else(|| NlError::syntax("top needs a count", line))?,
-        }),
-        "distinct" | "drop_duplicates" => Ok(SkillCall::Distinct {
-            columns: pos
-                .first()
-                .or(kw(kws, &["columns", "subset"]))
-                .and_then(|a| a.as_str_list())
-                .unwrap_or_default(),
-        }),
-        "dropna" | "drop_missing" => Ok(SkillCall::DropMissing {
-            columns: pos
-                .first()
-                .or(kw(kws, &["columns", "subset"]))
-                .and_then(|a| a.as_str_list())
-                .unwrap_or_default(),
-        }),
-        "fillna" | "fill_missing" => {
-            let column = need_str(pos.first().or(kw(kws, &["column"])), "a column")?;
-            let value = match pos.get(1).or(kw(kws, &["value"])) {
-                Some(Arg::Value(v)) => v.clone(),
-                Some(Arg::Ident(s)) => Value::Str(s.clone()),
-                _ => return Err(NlError::syntax("fill_missing needs a value", line)),
-            };
-            Ok(SkillCall::FillMissing { column, value })
-        }
-        "sample" => Ok(SkillCall::Sample {
-            fraction: pos
-                .first()
-                .or(kw(kws, &["fraction", "frac"]))
-                .and_then(|a| a.as_f64())
-                .ok_or_else(|| NlError::syntax("sample needs a fraction", line))?,
-            seed: kw(kws, &["seed"])
-                .and_then(|a| a.as_usize())
-                .map(|s| s as u64)
-                .unwrap_or(42),
-        }),
-        "concat" => Ok(SkillCall::Concat {
-            other: need_str(pos.first().or(kw(kws, &["other"])), "another dataset")?,
-            remove_duplicates: kw(kws, &["remove_duplicates", "dedupe"])
-                .and_then(|a| a.as_bool())
-                .unwrap_or(false),
-        }),
-        "join" | "merge" => {
-            let on = kw(kws, &["on"])
-                .and_then(|a| a.as_str_list())
-                .unwrap_or_default();
-            if on.is_empty() {
-                return Err(NlError::syntax("join needs on= keys", line));
-            }
-            let how = match kw(kws, &["how"]).and_then(|a| a.as_str()).as_deref() {
-                Some("left") => JoinType::Left,
-                Some("right") => JoinType::Right,
-                Some("full") | Some("outer") => JoinType::Full,
-                _ => JoinType::Inner,
-            };
-            Ok(SkillCall::Join {
-                other: need_str(pos.first().or(kw(kws, &["other"])), "another dataset")?,
-                left_on: on.clone(),
-                right_on: on,
-                how,
-            })
-        }
-        "visualize" => Ok(SkillCall::Visualize {
-            kpi: need_str(pos.first().or(kw(kws, &["kpi"])), "a KPI column")?,
-            by: kw(kws, &["by", "using"])
-                .and_then(|a| a.as_str_list())
-                .unwrap_or_default(),
-        }),
-        "plot" => {
-            let chart = match kw(kws, &["chart", "kind"])
-                .or(pos.first())
-                .and_then(|a| a.as_str())
-                .unwrap_or_else(|| "line".into())
-                .to_ascii_lowercase()
-                .as_str()
-            {
-                "bar" => ChartType::Bar,
-                "scatter" => ChartType::Scatter,
-                "bubble" => ChartType::Bubble,
-                "histogram" => ChartType::Histogram,
-                "donut" | "pie" => ChartType::Donut,
-                "box" => ChartType::Box,
-                "violin" => ChartType::Violin,
-                "heatmap" => ChartType::Heatmap,
-                _ => ChartType::Line,
-            };
-            Ok(SkillCall::Plot {
-                chart,
-                x: kw(kws, &["x"]).and_then(|a| a.as_str()),
-                y: kw(kws, &["y"]).and_then(|a| a.as_str()),
-                color: kw(kws, &["color"]).and_then(|a| a.as_str()),
-                size: kw(kws, &["size"]).and_then(|a| a.as_str()),
-                for_each: kw(kws, &["for_each"]).and_then(|a| a.as_str()),
-            })
-        }
-        "train_model" => Ok(SkillCall::TrainModel {
-            name: kw(kws, &["name"])
-                .and_then(|a| a.as_str())
-                .unwrap_or_else(|| "model".into()),
-            target: need_str(kw(kws, &["target"]).or(pos.first()), "a target column")?,
-            features: kw(kws, &["features"])
-                .and_then(|a| a.as_str_list())
-                .unwrap_or_default(),
-            method: match kw(kws, &["method"]).and_then(|a| a.as_str()).as_deref() {
-                Some("linear") => MlMethod::Linear,
-                Some("tree") | Some("decision_tree") => MlMethod::DecisionTree,
-                _ => MlMethod::Auto,
-            },
-        }),
-        "predict" => Ok(SkillCall::Predict {
-            model: need_str(pos.first().or(kw(kws, &["model"])), "a model name")?,
-        }),
-        "predict_time_series" => Ok(SkillCall::PredictTimeSeries {
-            measures: kw(kws, &["measures", "measure_columns"])
-                .or(pos.first())
-                .and_then(|a| a.as_str_list())
-                .ok_or_else(|| NlError::syntax("predict_time_series needs measures", line))?,
-            horizon: kw(kws, &["horizon", "n"])
-                .and_then(|a| a.as_usize())
-                .ok_or_else(|| NlError::syntax("predict_time_series needs a horizon", line))?,
-            time_column: need_str(kw(kws, &["time_column", "time"]), "a time column")?,
-        }),
-        "detect_outliers" => Ok(SkillCall::DetectOutliers {
-            column: need_str(pos.first().or(kw(kws, &["column"])), "a column")?,
-            method: match kw(kws, &["method"]).and_then(|a| a.as_str()).as_deref() {
-                Some("iqr") => dc_ml::OutlierMethod::default_iqr(),
-                _ => dc_ml::OutlierMethod::default_zscore(),
-            },
-        }),
-        "cluster" => Ok(SkillCall::Cluster {
-            k: kw(kws, &["k"])
-                .or(pos.first())
-                .and_then(|a| a.as_usize())
-                .ok_or_else(|| NlError::syntax("cluster needs k", line))?,
-            features: kw(kws, &["features"])
-                .and_then(|a| a.as_str_list())
-                .unwrap_or_default(),
-        }),
-        "describe" => match pos.first().and_then(|a| a.as_str()) {
-            Some(column) => Ok(SkillCall::DescribeColumn { column }),
-            None => Ok(SkillCall::DescribeDataset),
-        },
-        "save" | "save_artifact" => Ok(SkillCall::SaveArtifact {
-            name: need_str(pos.first().or(kw(kws, &["name"])), "a name")?,
-        }),
-        "snapshot" => Ok(SkillCall::Snapshot {
-            name: need_str(pos.first().or(kw(kws, &["name"])), "a name")?,
-        }),
-        other => Err(NlError::syntax(format!("unknown method {other:?}"), line)),
     }
+    Err(NlError::syntax(
+        first_err.unwrap_or_else(|| format!("unknown method {method:?}")),
+        line,
+    ))
 }
 
 // ---------- printing ----------
 
-fn py_value(v: &Value) -> String {
-    match v {
-        Value::Null => "None".into(),
-        Value::Bool(true) => "True".into(),
-        Value::Bool(false) => "False".into(),
-        Value::Str(s) => format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\"")),
-        Value::Date(_) => format!("\"{}\"", v.render()),
-        other => other.render(),
-    }
+fn py_str(s: &str) -> String {
+    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
 }
 
-fn py_list(items: &[String]) -> String {
-    let quoted: Vec<String> = items.iter().map(|s| format!("\"{s}\"")).collect();
+fn py_list<'a>(items: impl IntoIterator<Item = &'a String>) -> String {
+    let quoted: Vec<String> = items.into_iter().map(|s| py_str(s)).collect();
     format!("[{}]", quoted.join(", "))
 }
 
-fn agg_ctor(a: &AggSpec) -> String {
-    let fname = match a.func {
-        AggFunc::Count => "Count",
-        AggFunc::CountRecords => "Count",
-        AggFunc::CountDistinct => "CountDistinct",
-        AggFunc::Sum => "Sum",
-        AggFunc::Avg => "Average",
-        AggFunc::Min => "Min",
-        AggFunc::Max => "Max",
-        AggFunc::Median => "Median",
-        AggFunc::StdDev => "StdDev",
-        AggFunc::Variance => "Variance",
-        AggFunc::First => "First",
-        AggFunc::Last => "Last",
-    };
-    match &a.column {
-        Some(c) => format!("{fname}(\"{c}\")"),
-        None => format!("{fname}()"),
-    }
+/// A value as a Python literal; `None` for a non-finite float.
+fn py_value(v: &Value) -> Option<String> {
+    Some(match v {
+        Value::Null => "None".into(),
+        Value::Bool(true) => "True".into(),
+        Value::Bool(false) => "False".into(),
+        Value::Str(s) => py_str(s),
+        Value::Date(_) => format!("date({})", py_str(&v.render())),
+        Value::Float(f) if !f.is_finite() => return None,
+        Value::Float(f) => format_float(*f),
+        Value::Int(i) => i.to_string(),
+    })
+}
+
+/// A hole as a Python argument; `None` when it has no Python literal.
+fn py_arg(kind: Kind, hole: &Hole) -> Option<String> {
+    Some(match (kind, hole) {
+        (_, Hole::Name(s)) => py_str(s),
+        (_, Hole::Names(v)) => py_list(v),
+        (_, Hole::Value(v)) => py_value(v)?,
+        (_, Hole::Expr(e)) => py_str(&e.to_sql()),
+        (_, Hole::Int(i)) => i.to_string(),
+        (_, Hole::Frac(f)) => py_value(&Value::Float(*f))?,
+        (Kind::Word(words), Hole::Word(i)) => py_str(spelling(words, *i, 1)),
+        (Kind::Flag(_), _) => "True".into(),
+        (_, Hole::Aggs(aggs)) => {
+            let ctor = |(f, col): &(AggFunc, Option<String>)| match (f, col) {
+                (AggFunc::CountRecords, None) => Some("Count()".to_string()),
+                (AggFunc::Count, None) => None,
+                (f, col) => {
+                    let col = col.as_deref().map(py_str).unwrap_or_default();
+                    Some(format!("{}({col})", surface::agg_spelling(*f, 2)))
+                }
+            };
+            format!(
+                "[{}]",
+                aggs.iter()
+                    .map(ctor)
+                    .collect::<Option<Vec<_>>>()?
+                    .join(", ")
+            )
+        }
+        _ => return None,
+    })
 }
 
 /// Print one skill call as a Python-API method invocation (without the
-/// receiver).
-pub fn format_call(call: &SkillCall) -> Option<String> {
-    use SkillCall::*;
-    Some(match call {
-        KeepRows { predicate } => format!("filter(\"{}\")", predicate.to_sql().replace('"', "'")),
-        KeepColumns { columns } => format!("select({})", py_list(columns)),
-        DropColumns { columns } => format!("drop_columns({})", py_list(columns)),
-        RenameColumn { from, to } => format!("rename(\"{from}\", \"{to}\")"),
-        CreateColumn { name, expr } => format!(
-            "with_column(\"{name}\", \"{}\")",
-            expr.to_sql().replace('"', "'")
-        ),
-        CreateConstantColumn { name, value } => {
-            format!("with_constant(\"{name}\", {})", py_value(value))
-        }
-        Compute { aggs, for_each } => {
-            let ctors: Vec<String> = aggs.iter().map(agg_ctor).collect();
-            let mut s = format!("compute(aggregates = [{}]", ctors.join(", "));
-            if !for_each.is_empty() {
-                s.push_str(&format!(", for_each = {}", py_list(for_each)));
+/// receiver), or say why it has none.
+pub fn format_call(call: &SkillCall) -> Result<String> {
+    let refuse =
+        |why: &str| NlError::translation(format!("{} has no Python API form: {why}", call.name()));
+    let (sf, holes) = surface::holes(call).map_err(|e| refuse(&e))?;
+    let at = SURFACES.iter().position(|s| std::ptr::eq(s, sf));
+    let (methods, params) = &signatures()[at.unwrap_or_default()];
+    let mut args = Vec::new();
+    let mut positional = true;
+    for p in params {
+        let hole = p.fields.iter().find_map(|f| {
+            let (i, kind) = sf.field(f)?;
+            holes[i].as_ref().map(|h| (kind, h))
+        });
+        let Some((kind, hole)) = hole else {
+            positional = false;
+            continue;
+        };
+        positional &= !p.keyword;
+        match hole {
+            Hole::Keys(keys) => {
+                let asc: Vec<&str> = keys
+                    .iter()
+                    .map(|(_, a)| if *a { "True" } else { "False" })
+                    .collect();
+                args.push(format!("by = {}", py_list(keys.iter().map(|(c, _)| c))));
+                args.push(format!("ascending = [{}]", asc.join(", ")));
             }
-            let defaults: Vec<String> = aggs
-                .iter()
-                .map(|a| AggSpec::default_output(a.func, a.column.as_deref()))
-                .collect();
-            let names: Vec<String> = aggs.iter().map(|a| a.output.clone()).collect();
-            if names != defaults {
-                s.push_str(&format!(", names = {}", py_list(&names)));
-            }
-            s.push(')');
-            s
-        }
-        Pivot {
-            index,
-            columns,
-            values,
-            agg,
-        } => format!(
-            "pivot(index = \"{index}\", columns = \"{columns}\", values = \"{values}\", agg = \"{}\")",
-            agg.name()
-        ),
-        Sort { keys } => {
-            let by: Vec<String> = keys.iter().map(|(c, _)| c.clone()).collect();
-            let asc: Vec<String> = keys
-                .iter()
-                .map(|(_, a)| if *a { "True" } else { "False" }.to_string())
-                .collect();
-            format!(
-                "sort(by = {}, ascending = [{}])",
-                py_list(&by),
-                asc.join(", ")
-            )
-        }
-        Top { column, n } => format!("top({n}, by = \"{column}\")"),
-        Limit { n } => format!("head({n})"),
-        Concat {
-            other,
-            remove_duplicates,
-        } => format!(
-            "concat(\"{other}\", remove_duplicates = {})",
-            if *remove_duplicates { "True" } else { "False" }
-        ),
-        Join {
-            other,
-            left_on,
-            how,
-            ..
-        } => format!(
-            "join(\"{other}\", on = {}, how = \"{}\")",
-            py_list(left_on),
-            match how {
-                JoinType::Inner => "inner",
-                JoinType::Left => "left",
-                JoinType::Right => "right",
-                JoinType::Full => "full",
-            }
-        ),
-        Distinct { columns } => {
-            if columns.is_empty() {
-                "distinct()".to_string()
-            } else {
-                format!("distinct({})", py_list(columns))
-            }
-        }
-        DropMissing { columns } => {
-            if columns.is_empty() {
-                "dropna()".to_string()
-            } else {
-                format!("dropna({})", py_list(columns))
-            }
-        }
-        FillMissing { column, value } => {
-            format!("fillna(\"{column}\", {})", py_value(value))
-        }
-        Sample { fraction, seed } => format!("sample({fraction}, seed = {seed})"),
-        Visualize { kpi, by } => {
-            if by.is_empty() {
-                format!("visualize(\"{kpi}\")")
-            } else {
-                format!("visualize(\"{kpi}\", by = {})", py_list(by))
-            }
-        }
-        Plot {
-            chart,
-            x,
-            y,
-            color,
-            size,
-            for_each,
-        } => {
-            let mut parts = vec![format!("chart = \"{}\"", chart.display_name())];
-            for (k, v) in [
-                ("x", x),
-                ("y", y),
-                ("color", color),
-                ("size", size),
-                ("for_each", for_each),
-            ] {
-                if let Some(v) = v {
-                    parts.push(format!("{k} = \"{v}\""));
+            Hole::Pairs(pairs) => {
+                let (left, right): (Vec<String>, Vec<String>) = pairs.iter().cloned().unzip();
+                match left == right {
+                    true => args.push(format!("on = {}", py_list(&left))),
+                    false => args.push(format!(
+                        "left_on = {}, right_on = {}",
+                        py_list(&left),
+                        py_list(&right)
+                    )),
                 }
             }
-            format!("plot({})", parts.join(", "))
-        }
-        TrainModel {
-            name,
-            target,
-            features,
-            method,
-        } => {
-            let mut s = format!("train_model(target = \"{target}\", name = \"{name}\"");
-            if !features.is_empty() {
-                s.push_str(&format!(", features = {}", py_list(features)));
+            hole => {
+                let text =
+                    py_arg(kind, hole).ok_or_else(|| refuse("a value has no Python literal"))?;
+                args.push(match positional {
+                    true => text,
+                    false => format!("{} = {text}", p.kws[0]),
+                });
             }
-            match method {
-                MlMethod::Linear => s.push_str(", method = \"linear\""),
-                MlMethod::DecisionTree => s.push_str(", method = \"tree\""),
-                MlMethod::Auto => {}
-            }
-            s.push(')');
-            s
         }
-        Predict { model } => format!("predict(\"{model}\")"),
-        PredictTimeSeries {
-            measures,
-            horizon,
-            time_column,
-        } => format!(
-            "predict_time_series(measures = {}, horizon = {horizon}, time_column = \"{time_column}\")",
-            py_list(measures)
-        ),
-        DetectOutliers { column, method } => format!(
-            "detect_outliers(\"{column}\", method = \"{}\")",
-            match method {
-                dc_ml::OutlierMethod::ZScore { .. } => "zscore",
-                dc_ml::OutlierMethod::Iqr { .. } => "iqr",
-            }
-        ),
-        Cluster { k, features } => {
-            format!("cluster(k = {k}, features = {})", py_list(features))
-        }
-        DescribeColumn { column } => format!("describe(\"{column}\")"),
-        DescribeDataset => "describe()".to_string(),
-        SaveArtifact { name } => format!("save(\"{name}\")"),
-        Snapshot { name } => format!("snapshot(\"{name}\")"),
-        _ => return None,
-    })
+    }
+    let text = format!("{}({})", methods[0], args.join(", "));
+    let back = parse_pyapi(&format!("data.{text}")).ok();
+    let back = back.and_then(|p| p.statements.into_iter().next()?.calls.into_iter().next());
+    match back {
+        Some(back) if back == *call => Ok(text),
+        _ => Err(refuse("its printed form does not read back")),
+    }
 }
 
 /// Print a chain of skill calls as one Python statement on `dataset`.
 pub fn format_program(dataset: &str, calls: &[SkillCall]) -> Result<String> {
     let mut s = dataset.to_string();
     for call in calls {
-        let piece = format_call(call).ok_or_else(|| {
-            NlError::translation(format!("{} has no Python API form", call.name()))
-        })?;
         s.push('.');
-        s.push_str(&piece);
+        s.push_str(&format_call(call)?);
     }
     Ok(s)
 }
@@ -959,6 +719,8 @@ pub fn format_program(dataset: &str, calls: &[SkillCall]) -> Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dc_engine::{AggSpec, JoinType};
+    use dc_viz::ChartType;
 
     #[test]
     fn figure3b_compute_call() {

@@ -14,6 +14,8 @@
 //!   (§2.2's caching layer);
 //! * [`optimize`] — the one plan step: cost-based rewrites over a DAG
 //!   that preserve node ids;
+//! * [`surface`] — one description of each skill's GEL and Python-API
+//!   surface, which both parsers and printers and the registry read;
 //! * [`slicing`] — dead-step elimination plus adjacent-call merging, so
 //!   saved artifacts carry minimal recipes (Figure 5);
 //! * [`env`] — the world skills run against (catalog, snapshots, virtual
@@ -34,6 +36,7 @@ pub mod planner;
 pub mod resilient;
 pub mod skill;
 pub mod slicing;
+pub mod surface;
 
 pub use cache::{CacheHit, CacheStats, MaterializedCache, SharedKey, TenantCacheStats};
 pub use contract::{contract, Contract, Finding, FindingKind, ModelInfo, Sources};
@@ -47,5 +50,6 @@ pub use optimize::{
 pub use output::SkillOutput;
 pub use planner::{as_query_step, plan, ExecutionTask};
 pub use resilient::{ExecPolicy, ExecReport, NodeOutcome, NodeReport, RetryPolicy};
-pub use skill::{registry, Category, DatePart, SkillCall, SkillInfo};
+pub use skill::{Category, DatePart, SkillCall};
 pub use slicing::{slice, sliced_recipe, SliceStats};
+pub use surface::{registry, SkillInfo};

@@ -2,7 +2,8 @@
 //!
 //! §2.1: "DataChat simplifies data science functions into a set of around
 //! 50 high-level skills." [`SkillCall`] is one parameterized invocation;
-//! [`registry`] enumerates the full catalog with categories (Table 1).
+//! [`crate::registry`] enumerates the full catalog with categories (Table
+//! 1) from the surface table.
 
 use dc_engine::{AggFunc, AggSpec, DataType, Expr, JoinType, Value};
 use dc_ml::{MlMethod, OutlierMethod};
@@ -261,61 +262,6 @@ impl SkillCall {
         }
     }
 
-    /// The category this call belongs to.
-    pub fn category(&self) -> Category {
-        use SkillCall::*;
-        match self {
-            LoadFile { .. }
-            | LoadUrl { .. }
-            | LoadTable { .. }
-            | UseDataset { .. }
-            | UseSnapshot { .. } => Category::DataIngestion,
-            DescribeColumn { .. }
-            | DescribeDataset
-            | ListDatasets
-            | ShowHead { .. }
-            | CountRows
-            | ProfileMissing => Category::DataExploration,
-            Visualize { .. } | Plot { .. } => Category::DataVisualization,
-            KeepRows { .. }
-            | DropRows { .. }
-            | KeepColumns { .. }
-            | DropColumns { .. }
-            | RenameColumn { .. }
-            | CreateColumn { .. }
-            | CreateConstantColumn { .. }
-            | Compute { .. }
-            | Pivot { .. }
-            | Sort { .. }
-            | Top { .. }
-            | Limit { .. }
-            | Concat { .. }
-            | Join { .. }
-            | Distinct { .. }
-            | DropMissing { .. }
-            | FillMissing { .. }
-            | ReplaceValues { .. }
-            | CastColumn { .. }
-            | BinColumn { .. }
-            | ExtractDatePart { .. }
-            | TrimColumn { .. }
-            | Sample { .. }
-            | ShuffleRows { .. } => Category::DataWrangling,
-            TrainModel { .. }
-            | Predict { .. }
-            | PredictTimeSeries { .. }
-            | DetectOutliers { .. }
-            | Cluster { .. }
-            | EvaluateModel { .. } => Category::MachineLearning,
-            RunSql { .. } | ExportCsv => Category::Sql,
-            SaveArtifact { .. }
-            | Snapshot { .. }
-            | Define { .. }
-            | Comment { .. }
-            | ShareArtifact { .. } => Category::Collaboration,
-        }
-    }
-
     /// Stable skill name (matches the registry).
     pub fn name(&self) -> &'static str {
         use SkillCall::*;
@@ -424,84 +370,10 @@ impl SkillCall {
     }
 }
 
-/// One registry entry: a skill the platform advertises.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SkillInfo {
-    pub name: &'static str,
-    pub category: Category,
-    /// The GEL template users see in autocomplete.
-    pub gel_template: &'static str,
-}
-
-/// The full skill catalog (Table 1's "around 50 high-level skills").
-pub fn registry() -> Vec<SkillInfo> {
-    use Category::*;
-    let e = |name, category, gel_template| SkillInfo {
-        name,
-        category,
-        gel_template,
-    };
-    vec![
-        e("LoadFile", DataIngestion, "Load data from the file <file name>"),
-        e("LoadUrl", DataIngestion, "Load data from the URL <url>"),
-        e("LoadTable", DataIngestion, "Load the table <table> from the database <database>"),
-        e("UseDataset", DataIngestion, "Use the dataset <name>, version <version>"),
-        e("UseSnapshot", DataIngestion, "Use the snapshot <name>"),
-        e("DescribeColumn", DataExploration, "Describe the column <column>"),
-        e("DescribeDataset", DataExploration, "Describe the dataset"),
-        e("ListDatasets", DataExploration, "List the datasets"),
-        e("ShowHead", DataExploration, "Show the first <n> rows"),
-        e("CountRows", DataExploration, "Count the rows"),
-        e("ProfileMissing", DataExploration, "Profile the missing values"),
-        e("Visualize", DataVisualization, "Visualize <kpi column> using <column>"),
-        e("Plot", DataVisualization, "Plot a <chart> chart with the x-axis <x>, the y-axis <y>"),
-        e("KeepRows", DataWrangling, "Keep the rows where <condition>"),
-        e("DropRows", DataWrangling, "Drop the rows where <condition>"),
-        e("KeepColumns", DataWrangling, "Keep the columns <columns>"),
-        e("DropColumns", DataWrangling, "Drop the columns <columns>"),
-        e("RenameColumn", DataWrangling, "Rename the column <from> to <to>"),
-        e("CreateColumn", DataWrangling, "Create a new column <name> as <expression>"),
-        e("CreateConstantColumn", DataWrangling, "Create a new column <name> with text <value>"),
-        e("Compute", DataWrangling, "Compute the <aggregate> of <column> for each <columns>"),
-        e("Pivot", DataWrangling, "Pivot on <index> by <columns> using the <aggregate> of <values>"),
-        e("Sort", DataWrangling, "Sort by <columns>"),
-        e("Top", DataWrangling, "Keep the top <n> rows by <column>"),
-        e("Limit", DataWrangling, "Keep the first <n> rows"),
-        e("Concat", DataWrangling, "Concatenate the datasets <a> and <b>"),
-        e("Join", DataWrangling, "Join with the dataset <other> on <columns>"),
-        e("Distinct", DataWrangling, "Remove duplicate rows"),
-        e("DropMissing", DataWrangling, "Drop the rows with missing <columns>"),
-        e("FillMissing", DataWrangling, "Fill the missing values of <column> with <value>"),
-        e("ReplaceValues", DataWrangling, "Replace <from> with <to> in the column <column>"),
-        e("CastColumn", DataWrangling, "Change the type of <column> to <type>"),
-        e("BinColumn", DataWrangling, "Bin the column <column> with width <width>"),
-        e("ExtractDatePart", DataWrangling, "Extract the <part> of <column>"),
-        e("TrimColumn", DataWrangling, "Trim whitespace in the column <column>"),
-        e("Sample", DataWrangling, "Sample <percent> of the rows"),
-        e("ShuffleRows", DataWrangling, "Shuffle the rows"),
-        e("TrainModel", MachineLearning, "Train a model to predict <column>"),
-        e("Predict", MachineLearning, "Predict with the model <model>"),
-        e(
-            "PredictTimeSeries",
-            MachineLearning,
-            "Predict time series with measure columns <columns> for the next <n> values of <column>",
-        ),
-        e("DetectOutliers", MachineLearning, "Detect outliers in the column <column>"),
-        e("Cluster", MachineLearning, "Cluster the rows into <k> groups using <columns>"),
-        e("EvaluateModel", MachineLearning, "Evaluate the model <model> against <column>"),
-        e("RunSql", Sql, "Run the SQL query <query>"),
-        e("ExportCsv", Sql, "Export the dataset as CSV"),
-        e("SaveArtifact", Collaboration, "Save this as <name>"),
-        e("Snapshot", Collaboration, "Snapshot this as <name>"),
-        e("Define", Collaboration, "Define <phrase> as <expansion>"),
-        e("Comment", Collaboration, "Comment: <text>"),
-        e("ShareArtifact", Collaboration, "Share the artifact <artifact> with <user>"),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry;
 
     #[test]
     fn registry_has_about_fifty_skills() {
