@@ -3,7 +3,7 @@
 //! DataChat plans an entire skill DAG before executing any of it, which
 //! makes the platform unusually amenable to static analysis: every
 //! dataset, column, model, and scan is named in the plan. This crate
-//! analyzes a planned [`SkillDag`] *before* `Executor::run`, in three
+//! analyzes a planned [`SkillDag`] *before* `Executor::run`, in four
 //! passes over one shared [`Diagnostic`] framework:
 //!
 //! 1. **Schema & type propagation** ([`schema_pass`]) — asks each node's
@@ -19,9 +19,11 @@
 //!    samples (`DC0201`), snapshot reads (`DC0202`), and string columns
 //!    whose dictionaries deduplicate nothing (`DC0203`).
 //! 4. **Cost & cardinality estimation** ([`estimate`]) — propagates
-//!    row-count intervals and scan-byte bounds through the planned DAG
-//!    using the storage layer's own per-block zone maps and tri-state
-//!    prune verdicts, deduped by structural sub-DAG identity. Emits
+//!    row-count intervals and scan-byte bounds through the planned DAG:
+//!    each node's rows are its skill contract's row rule
+//!    (`dc_skills::contract::rows`, the one the driver asserts every debug
+//!    run against), each load's bytes its scan's own plan, and totals are
+//!    deduped by structural sub-DAG identity. Emits
 //!    `DC0301` (guaranteed budget exhaustion), `DC0302` (join output
 //!    guaranteed to explode), and `DC0303` (result too large for the
 //!    shared materialized cache). `dc-serve` admission reserves the

@@ -4,10 +4,12 @@
 //! gate (they are advisory cost/structure lints).
 //!
 //! The gate also smoke-tests the estimation pass's soundness contract:
-//! every clean recipe is executed against a fresh demo environment and
-//! the actual scan tally must fall inside the estimator's
-//! `[scan_bytes_lo, scan_bytes_hi]` envelope. A single unsound estimate
-//! fails the gate.
+//! every clean recipe is executed against a fresh demo environment, the
+//! actual scan tally must fall inside the estimator's
+//! `[scan_bytes_lo, scan_bytes_hi]` envelope, and the final step's flow
+//! table inside its `[rows_lo, rows_hi]`. A single unsound estimate fails
+//! the gate. Run in debug, every node of every recipe is also checked
+//! against its contract's schema and row rule by the driver.
 
 //! `--qerror` instead runs the estimate-vs-actual selectivity sweep
 //! behind the EXPERIMENTS.md q-error table: a 1M-row id-clustered table
@@ -87,8 +89,9 @@ fn main() {
     }
 }
 
-/// Execute one clean recipe cold and compare the actual scan tally with
-/// the static estimate. `Some(message)` on an unsound estimate; `None`
+/// Execute one clean recipe cold and compare the actual scan tally and the
+/// final step's rows with the static estimate. `Some(message)` on an
+/// unsound estimate; `None`
 /// when the estimate bounds the run (or the recipe cannot execute
 /// against the demo world — runtime coverage belongs to other gates).
 ///
@@ -102,8 +105,7 @@ fn estimate_violation(text: &str, ctx: &AnalysisContext) -> Option<String> {
     let target = *targets.last()?;
     let analysis = dc_analyze::analyze_dag(&dag, &[target], ctx);
     let mut env = corpus_env();
-    let mut ex = Executor::new();
-    ex.run(&dag, target, &mut env).ok()?;
+    let flow = Executor::new().table_of(&dag, target, &mut env).ok()?;
     let actual = env.scan_tally.bytes_scanned;
     let hi = analysis.estimates.scan_bytes_hi;
     let lo = analysis.estimates.scan_bytes_lo;
@@ -116,6 +118,12 @@ fn estimate_violation(text: &str, ctx: &AnalysisContext) -> Option<String> {
         return Some(format!(
             "guaranteed lower bound {lo} > scanned {actual} bytes"
         ));
+    }
+    let est = analysis.estimates.get(target)?;
+    let rows = flow.num_rows() as u64;
+    if rows < est.rows_lo || est.rows_hi.is_some_and(|hi| rows > hi) {
+        let (lo, hi) = (est.rows_lo, est.rows_hi);
+        return Some(format!("{rows} rows outside the estimated [{lo}, {hi:?}]"));
     }
     None
 }

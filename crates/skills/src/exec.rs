@@ -33,7 +33,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::cache::SharedKey;
-use crate::contract::{contract, derived};
+use crate::contract::{contract, derived, load_scan, rows, RowBounds, RowInput};
 use crate::dag::{NodeId, SkillDag, SkillNode};
 use crate::env::Env;
 use crate::error::{Result, SkillError};
@@ -224,21 +224,12 @@ pub(crate) fn load_table(
     env: &mut Env,
     mut opts: ScanOptions,
 ) -> Result<SkillOutput> {
-    let SkillCall::LoadTable {
-        database,
-        table,
-        columns,
-        predicate,
-    } = call
-    else {
-        return Err(SkillError::invalid(format!(
-            "{} is not a table load",
-            call.name()
-        )));
+    let Some((database, table, scan)) = load_scan(call) else {
+        let message = format!("{} is not a table load", call.name());
+        return Err(SkillError::invalid(message));
     };
     let db = env.catalog.database(database)?;
-    opts.columns = columns.clone();
-    opts.predicate = predicate.clone();
+    (opts.columns, opts.predicate) = (scan.columns, scan.predicate);
     opts.cancel = Some(env.cancel.clone());
     let (data, receipt) = db.scan(table, &opts)?;
     env.scan_tally.record(&receipt);
@@ -998,6 +989,7 @@ impl Executor {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn finish(
         &mut self,
+        dag: &SkillDag,
         node: &SkillNode,
         interned: &Interned,
         inputs: Vec<Arc<Table>>,
@@ -1024,11 +1016,21 @@ impl Executor {
             self.tainted.insert(id);
         }
         // Every flow table has the schema the call's contract declares,
-        // whenever it declares one: checked in debug builds, where every
+        // whenever it declares one, and — unless it was computed from a
+        // degraded scan — as many rows as the call's row rule allows for the
+        // rows its inputs actually hold: checked in debug builds, where every
         // run is an oracle for the contract the analyzer calls.
         let declared = cfg!(debug_assertions).then(|| {
             let schemas: Vec<_> = inputs.iter().map(|t| Some(t.schema())).collect();
-            contract(&node.call, &schemas, env, env).schema
+            let rows_in: Vec<_> = (node.inputs.iter().zip(&inputs))
+                .map(|(&id, t)| RowInput {
+                    rows: RowBounds::exactly(t.num_rows() as u64),
+                    dag,
+                    node: id,
+                })
+                .collect();
+            let schema = contract(&node.call, &schemas, env, env).schema;
+            (schema, rows(&node.call, &rows_in, env))
         });
         let flow = match output.as_table() {
             Some(t) if node.call.transforms_data() => Arc::new(t.clone()),
@@ -1037,12 +1039,16 @@ impl Executor {
                 .next()
                 .unwrap_or_else(|| Arc::new(Table::empty())),
         };
-        if let Some(Some(declared)) = declared {
-            let call = node.call.name();
-            debug_assert_eq!(
-                flow.schema(),
-                &declared,
-                "{call} flows what its contract does not declare"
+        if let Some((schema, bounds)) = declared {
+            let (call, n) = (node.call.name(), flow.num_rows() as u64);
+            if let Some(schema) = schema {
+                let message = "flows what its contract does not declare";
+                debug_assert_eq!(flow.schema(), &schema, "{call} {message}");
+            }
+            let message = "rows, outside its contract's";
+            debug_assert!(
+                tainted || bounds.contains(n),
+                "{call} flows {n} {message} {bounds:?}"
             );
         }
         if !tainted && footprint > 0 {

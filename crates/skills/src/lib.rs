@@ -39,7 +39,9 @@ pub mod slicing;
 pub mod surface;
 
 pub use cache::{CacheHit, CacheStats, MaterializedCache, SharedKey, TenantCacheStats};
-pub use contract::{contract, Contract, Finding, FindingKind, ModelInfo, Sources};
+pub use contract::{
+    contract, load_scan, Contract, Finding, FindingKind, ModelInfo, RowBounds, RowInput, Sources,
+};
 pub use dag::{NodeId, SkillDag, SkillNode};
 pub use env::{rewrite_use_dataset, Env, ScanTally};
 pub use error::{Result, SkillError};

@@ -55,19 +55,22 @@
 //! [`PlanStats`] answers it produces the same plan. A provider answers one
 //! question — a catalog table's resident [`TableMeta`] — and every
 //! statistic the rules read (schema, rows, dictionary cardinality,
-//! uniqueness) is computed here from it, once. The driver ([`Env`]) and
+//! uniqueness) is computed here from it, once; the contract's row rule
+//! ([`crate::contract::rows`]) reads its group and constant-key bounds
+//! from the same helpers. The driver ([`Env`]) and
 //! the static estimator (`dc-analyze`'s context) hand out the same meta
 //! for every catalog table, in-memory or disk-backed, so they plan alike;
 //! saved artifacts, snapshots and file loads have no statistics on either
 //! side and are never rewritten by them.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 use dc_engine::expr::prune::{conjoin, nnf, prunable_conjuncts, ColumnStats};
-use dc_engine::{Expr, Schema, Value};
+use dc_engine::{DataType, Expr, Schema, Value};
 use dc_storage::TableMeta;
 
-use crate::contract::{contract, Contract, Demand};
+use crate::contract::{contract, load_scan, Contract, Demand};
 use crate::dag::{NodeId, SkillDag, SkillNode};
 use crate::env::Env;
 use crate::skill::SkillCall;
@@ -99,6 +102,61 @@ fn column_distinct(meta: &TableMeta, column: &str) -> Option<u64> {
         .iter()
         .find(|(name, _)| name.eq_ignore_ascii_case(column))
         .map(|(_, n)| *n as u64)
+}
+
+/// Every non-empty block's zone map of `column` folded into one for the
+/// whole table: summed counts, and the least minimum and greatest maximum
+/// when every block has them.
+fn column_stats(meta: &TableMeta, column: &str) -> Option<ColumnStats> {
+    let ci = meta.schema().index_of(column)?;
+    let mut blocks = meta.blocks().iter().filter(|b| b.rows > 0);
+    let mut folded = blocks.next()?.columns[ci].clone();
+    for s in blocks.map(|b| &b.columns[ci]) {
+        folded.null_count += s.null_count;
+        folded.row_count += s.row_count;
+        let pick = |a: Option<Value>, b: &Option<Value>, keep: Ordering| match (a, b) {
+            (Some(a), Some(b)) if a.partial_cmp_sql(b) == Some(keep) => Some(b.clone()),
+            (Some(a), Some(_)) => Some(a),
+            _ => None,
+        };
+        folded.min = pick(folded.min.take(), &s.min, Ordering::Greater);
+        folded.max = pick(folded.max.take(), &s.max, Ordering::Less);
+    }
+    Some(folded)
+}
+
+/// Upper bound on the distinct values, a null group included, that
+/// `column` can take anywhere in the table: its dictionary's size, or the
+/// span of its zone maps. `None` when neither bounds it.
+pub(crate) fn column_groups(meta: &TableMeta, column: &str) -> Option<u64> {
+    let stats = column_stats(meta, column);
+    let null_group = |s: &ColumnStats| u64::from(s.null_count > 0);
+    // The table-wide dictionary bounds the values however the rows were
+    // filtered downstream.
+    if let Some(len) = column_distinct(meta, column) {
+        return Some(len + stats.as_ref().map_or(1, null_group));
+    }
+    let s = stats?;
+    let span = match (&s.dtype, &s.min, &s.max) {
+        (DataType::Bool, ..) => 2,
+        (_, Some(Value::Int(lo)), Some(Value::Int(hi))) => hi.abs_diff(*lo).saturating_add(1),
+        (_, Some(Value::Date(lo)), Some(Value::Date(hi))) => hi.abs_diff(*lo) as u64 + 1,
+        (DataType::Int | DataType::Date, ..) => return None,
+        // A provably constant column has one value.
+        (_, Some(a), Some(b)) if a.partial_cmp_sql(b) == Some(Ordering::Equal) => 1,
+        _ => return None,
+    };
+    Some(span.saturating_add(null_group(&s)))
+}
+
+/// The one value `column` holds in every row, when the zone maps prove it
+/// constant and null-free.
+pub(crate) fn column_constant(meta: &TableMeta, column: &str) -> Option<Value> {
+    let s = column_stats(meta, column).filter(|s| s.null_count == 0)?;
+    match (s.min, &s.max) {
+        (Some(a), Some(b)) if a.partial_cmp_sql(b) == Some(Ordering::Equal) => Some(a),
+        _ => None,
+    }
 }
 
 /// Whether every row of `column` is provably distinct and non-null: a
@@ -766,13 +824,7 @@ fn collect_stars(dag: &SkillDag, consumers: &Consumers) -> Vec<Star> {
 }
 
 fn dim_cost(dag: &SkillDag, j: &StarJoin, stats: &dyn PlanStats) -> Option<DimCost> {
-    let node = dag.node(j.dim).ok()?;
-    let SkillCall::LoadTable {
-        database, table, ..
-    } = &node.call
-    else {
-        return None;
-    };
+    let (database, table, _) = load_scan(&dag.node(j.dim).ok()?.call)?;
     let meta = stats.table_meta(database, table);
     let key = match &j.right_on[..] {
         [key] => Some(key.as_str()),
@@ -791,7 +843,7 @@ fn dim_cost(dag: &SkillDag, j: &StarJoin, stats: &dyn PlanStats) -> Option<DimCo
         mult,
         bounded,
         unique,
-        table: table.clone(),
+        table: table.to_string(),
     })
 }
 

@@ -464,6 +464,8 @@ fn run_pure_job(
 /// What one drive over a DAG accumulates beside the executor's cache.
 struct Run<'p> {
     policy: &'p ExecPolicy,
+    /// The planned cone being walked.
+    dag: &'p SkillDag,
     /// When the whole-run slice ends.
     deadline: Option<Instant>,
     interned: Interned,
@@ -602,6 +604,7 @@ impl Executor {
         let (hits_before, saved_before) = (self.stats.cache_hits, self.stats.bytes_saved);
         let mut run = Run {
             policy,
+            dag,
             deadline,
             interned,
             reports: HashMap::with_capacity(order.len()),
@@ -792,6 +795,7 @@ impl Executor {
             Ok(output) => {
                 let own_scan_bytes = scan.bytes_scanned + scan.bytes_pruned;
                 self.finish(
+                    run.dag,
                     node,
                     &run.interned,
                     inputs,
