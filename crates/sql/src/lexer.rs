@@ -9,8 +9,10 @@ pub enum Token {
     Ident(String),
     /// Double-quoted identifier (exact case, quotes stripped).
     QuotedIdent(String),
-    /// Integer literal.
-    Int(i64),
+    /// Integer literal: its magnitude, since a leading `-` is a token of
+    /// its own (so `-9223372036854775808`, `i64::MIN`, has one). The
+    /// parser applies the sign and rejects what no `i64` holds.
+    Int(u64),
     /// Float literal.
     Float(f64),
     /// Single-quoted string (escapes resolved).

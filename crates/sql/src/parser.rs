@@ -205,7 +205,7 @@ impl Parser {
         }
         let limit = if self.eat_kw("limit") {
             match self.advance() {
-                Token::Int(n) if n >= 0 => Some(n as usize),
+                Token::Int(n) => Some(int_literal(n, false)? as usize),
                 t => return Err(SqlError::parse("expected non-negative LIMIT", t.describe())),
             }
         } else {
@@ -434,10 +434,16 @@ impl Parser {
 
     fn parse_unary(&mut self) -> Result<Expr> {
         if self.eat_sym(Sym::Minus) {
+            // A negative integer literal is signed before it is read, so
+            // `i64::MIN` has a literal.
+            if let Token::Int(magnitude) = *self.peek() {
+                self.advance();
+                return Ok(Expr::lit(int_literal(magnitude, true)?));
+            }
             let inner = self.parse_unary()?;
             // Fold negative literals.
             return Ok(match inner {
-                Expr::Literal(Value::Int(i)) => Expr::Literal(Value::Int(-i)),
+                Expr::Literal(Value::Int(i)) if i != i64::MIN => Expr::Literal(Value::Int(-i)),
                 Expr::Literal(Value::Float(f)) => Expr::Literal(Value::Float(-f)),
                 e => Expr::Unary {
                     op: UnaryOp::Neg,
@@ -453,7 +459,7 @@ impl Parser {
 
     fn parse_primary(&mut self) -> Result<Expr> {
         match self.advance() {
-            Token::Int(i) => Ok(Expr::lit(i)),
+            Token::Int(i) => Ok(Expr::lit(int_literal(i, false)?)),
             Token::Float(f) => Ok(Expr::lit(f)),
             Token::Str(s) => Ok(Expr::Literal(Value::Str(s))),
             Token::QuotedIdent(s) => Ok(Expr::col(s)),
@@ -523,7 +529,7 @@ impl Parser {
     fn parse_literal_value(&mut self) -> Result<Value> {
         let negate = self.eat_sym(Sym::Minus);
         match self.advance() {
-            Token::Int(i) => Ok(Value::Int(if negate { -i } else { i })),
+            Token::Int(i) => Ok(Value::Int(int_literal(i, negate)?)),
             Token::Float(f) => Ok(Value::Float(if negate { -f } else { f })),
             Token::Str(s) if !negate => Ok(Value::Str(s)),
             Token::Ident(s) if !negate && s.eq_ignore_ascii_case("null") => Ok(Value::Null),
@@ -540,6 +546,17 @@ impl Parser {
             t => Err(SqlError::parse("expected literal", t.describe())),
         }
     }
+}
+
+/// The `i64` an integer literal of this magnitude and sign denotes: a
+/// magnitude past `i64::MAX` is `i64::MIN`'s, negated, or nothing.
+fn int_literal(magnitude: u64, negate: bool) -> Result<i64> {
+    let value = match negate {
+        true => 0i64.checked_sub_unsigned(magnitude),
+        false => i64::try_from(magnitude).ok(),
+    };
+    let sign = if negate { "-" } else { "" };
+    value.ok_or_else(|| SqlError::parse("bad integer", format!("{sign}{magnitude}")))
 }
 
 fn parse_type(name: &str) -> Result<DataType> {

@@ -97,8 +97,7 @@ fn float() -> impl Strategy<Value = f64> {
 
 fn value() -> impl Strategy<Value = Value> {
     prop_oneof![
-        // i64::MIN has no SQL literal (its magnitude overflows the lexer).
-        (i64::MIN + 1..=i64::MAX).prop_map(Value::Int),
+        prop_oneof![i64::MIN..=i64::MAX, Just(i64::MIN), Just(i64::MAX)].prop_map(Value::Int),
         float().prop_map(Value::Float),
         name().prop_map(Value::Str),
         prop_oneof![

@@ -6,10 +6,11 @@
 //! surface can print must come back as an error, never as another call.
 
 use datachat::engine::{DataType, Expr, Value};
-use datachat::gel::{format_skill, parse_condition, parse_gel};
+use datachat::gel::{format_skill, parse_condition, parse_gel, try_format_skill};
 use datachat::ml::OutlierMethod;
 use datachat::nl::{format_program, parse_pyapi};
 use datachat::skills::SkillCall;
+use datachat::sql::parse_expr;
 
 fn via_gel(call: &SkillCall) -> String {
     let text = format_skill(call);
@@ -93,6 +94,20 @@ fn a_1e20_literal_reads_back_on_both_surfaces() {
         fraction: 1e-7,
         seed: 1,
     });
+}
+
+#[test]
+fn i64_min_reads_back_on_both_surfaces_and_its_magnitude_alone_is_an_error() {
+    let call = keep_rows("x", Value::Int(i64::MIN));
+    assert!(try_format_skill(&call).is_ok());
+    assert_gel_roundtrip(call.clone());
+    assert_python_roundtrip(call);
+    assert!(parse_condition("x > 9223372036854775808").is_err());
+    assert!(parse_expr("x - 9223372036854775808").is_err());
+    assert_eq!(
+        parse_expr("-9223372036854775808").unwrap(),
+        Expr::Literal(Value::Int(i64::MIN))
+    );
 }
 
 #[test]
