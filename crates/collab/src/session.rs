@@ -47,6 +47,15 @@ pub struct Session {
 /// Handle type: sessions are shared between collaborators.
 pub type SessionRef = Arc<Session>;
 
+/// A claimed §2.4 lock, released when the run ends, by a panic too.
+struct Claimed<'a>(&'a AtomicBool);
+
+impl Drop for Claimed<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::Release);
+    }
+}
+
 impl Session {
     /// Open a fresh session whose submissions run in `env` under `policy`.
     pub fn new(
@@ -162,25 +171,22 @@ impl Session {
         if self.executing.swap(true, Ordering::AcqRel) {
             return Err(CollabError::SessionBusy { session: self.id });
         }
-        let result = (|| {
-            let node = step()?;
-            let mut ex = self.executor.lock();
-            let dag = self.dag.lock();
-            let report = match env {
-                Some(env) => ex.run_resilient(&dag, node, env, policy),
-                None => self
-                    .env
-                    .with(|env| ex.run_resilient(&dag, node, env, policy)),
-            }?;
-            if report.succeeded() {
-                self.current.store(node as u64, Ordering::Release);
-                self.has_current.store(true, Ordering::Release);
-                self.record(user, node);
-            }
-            Ok(report)
-        })();
-        self.executing.store(false, Ordering::Release);
-        result
+        let _claimed = Claimed(&self.executing);
+        let node = step()?;
+        let mut ex = self.executor.lock();
+        let dag = self.dag.lock();
+        let report = match env {
+            Some(env) => ex.run_resilient(&dag, node, env, policy),
+            None => self
+                .env
+                .with(|env| ex.run_resilient(&dag, node, env, policy)),
+        }?;
+        if report.succeeded() {
+            self.current.store(node as u64, Ordering::Release);
+            self.has_current.store(true, Ordering::Release);
+            self.record(user, node);
+        }
+        Ok(report)
     }
 
     /// Append "`user` ran `node`" to the log.

@@ -19,12 +19,11 @@
 //!   dropping a [`Reservation`] returns its bytes.
 //! * Refusal is advisory pressure, not failure: operators partition or
 //!   release a run to disk, they never error because memory was tight.
-//! * Partitioning recursion is depth-capped
-//!   ([`MemContext::max_recursion`]); a partition the hash cannot split any
-//!   further at the cap runs under a forced reservation, so skewed keys
-//!   degrade to over-admission, never to non-termination. Nothing else
-//!   takes one, so [`MemoryGovernor::peak`] stays within the budget
-//!   otherwise.
+//! * Partitioning recursion is capped at four levels deep; a partition the
+//!   hash cannot split any further at the cap runs under a forced
+//!   reservation, so skewed keys degrade to over-admission, never to
+//!   non-termination. Nothing else takes one, so [`MemoryGovernor::peak`]
+//!   stays within the budget otherwise.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -269,9 +268,6 @@ pub struct MemContext {
     pub spill_block_rows: usize,
     /// Most partitions per partitioning level and most runs per merge.
     pub fanout: usize,
-    /// Maximum partitioning depth; at the cap, a partition the hash cannot
-    /// split runs under a forced reservation.
-    pub max_recursion: u32,
     /// Chaos hooks on spill write/read.
     pub hooks: Option<Arc<dyn SpillHooks>>,
     /// When the context owns its root (temp-dir construction), the guard
@@ -299,7 +295,6 @@ impl MemContext {
             metrics: SpillMetrics::default(),
             spill_block_rows: 64 * 1024,
             fanout: 16,
-            max_recursion: 4,
             hooks: None,
             _root_guard: None,
         }

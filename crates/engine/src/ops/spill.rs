@@ -687,6 +687,10 @@ pub(crate) trait Partitioned<'a>: Sync {
     ) -> Result<()>;
 }
 
+/// Partitioning depth at which a partition the hash cannot split runs under
+/// a forced reservation.
+const MAX_RECURSION: u32 = 4;
+
 /// Split the rows `ids` lists, `depth` partitionings deep, by the hash of
 /// their `keys` into partitions whose state — `need` of their rows a side —
 /// fits half of what the governor has beside their id lists (at least 2, at
@@ -728,7 +732,7 @@ pub(crate) fn split<'a, W: Partitioned<'a>>(
     parts.retain(|ids| ids.iter().any(|ids| ids.len() > 0));
     // Work that cannot be split again — the depth cap, or rows the hash kept
     // together — runs whatever the governor says.
-    let capped = op.ctx.is_none_or(|c| depth + 1 >= c.max_recursion);
+    let capped = op.ctx.is_none() || depth + 1 >= MAX_RECURSION;
     let kept = |rows: &[u64]| rows.iter().zip(&within).all(|(&r, &w)| r >= w as u64);
     let at = |rows: &[u64]| (depth + 1, capped || kept(rows));
     let (mut parts, mut next) = (parts.into_iter(), None);

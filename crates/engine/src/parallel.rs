@@ -22,9 +22,10 @@
 //! nested calls (a wave node running a multi-morsel kernel) cannot
 //! deadlock.
 //!
-//! With `--no-default-features` (the `parallel` feature off) every input
-//! is a single morsel and [`num_threads`] is 1, so the same kernel bodies
-//! run without ever starting a thread.
+//! [`num_threads`] is the core count the process finds at run time. On
+//! one core there are no helpers: a multi-morsel input's morsels run one
+//! after another on the calling thread, through the same kernel bodies,
+//! and no thread is ever started.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -57,11 +58,8 @@ pub fn set_min_parallel_rows(rows: usize) -> usize {
 }
 
 /// Number of threads that run morsels and wave nodes: the calling thread
-/// plus the pool's helpers. 1 when the `parallel` feature is off.
+/// plus the pool's helpers: the cores available to the process.
 pub fn num_threads() -> usize {
-    if !cfg!(feature = "parallel") {
-        return 1;
-    }
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {
         std::thread::available_parallelism()
@@ -71,8 +69,7 @@ pub fn num_threads() -> usize {
 }
 
 /// Split `rows` into contiguous morsel ranges: none for an empty input,
-/// one when `rows` is under the dispatch threshold or the `parallel`
-/// feature is off, several otherwise.
+/// one when `rows` is under the dispatch threshold, several otherwise.
 ///
 /// Aims for several morsels per worker (for load balancing) without going
 /// below a quarter of the dispatch threshold or above [`MORSEL_ROWS`].
@@ -81,7 +78,7 @@ pub fn morsels(rows: usize) -> Vec<Range<usize>> {
         return Vec::new();
     }
     let threshold = min_parallel_rows();
-    let size = if !cfg!(feature = "parallel") || rows < threshold {
+    let size = if rows < threshold {
         rows
     } else {
         let floor = (threshold / 4).max(1);
@@ -95,9 +92,9 @@ pub fn morsels(rows: usize) -> Vec<Range<usize>> {
 }
 
 /// Run `f(i)` for `i in 0..n` on the calling thread and the pool's
-/// helpers, returning results in index order. A single index, a
-/// one-thread build or a pool that could start no helper runs inline on
-/// the calling thread.
+/// helpers, returning results in index order. A single index, one core
+/// or a pool that could start no helper runs inline on the calling
+/// thread.
 ///
 /// A panic in any index is resumed here, with its payload, once every
 /// claimed index has returned; the pool stays usable.
@@ -427,8 +424,8 @@ mod tests {
         }
     }
 
-    /// Under `parallel` an uncontended job runs at least one index on a
-    /// helper; in a one-thread build every index runs on the caller.
+    /// With helpers an uncontended job runs at least one index on a
+    /// helper; on one core every index runs on the caller.
     #[test]
     fn pool_parallel_runs_indices_off_the_calling_thread() {
         let caller = std::thread::current().id();

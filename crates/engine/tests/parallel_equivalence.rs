@@ -8,10 +8,8 @@
 //! `src/ops/{join,aggregate,sort}.rs`; together the two halves give
 //! `N morsels == reference`.
 //!
-//! Under `--no-default-features` every input is one morsel whatever the
-//! threshold, so both sides are the same run and the suite stays green in
-//! both builds. Test names carry the `parallel` marker so the sanitizer
-//! matrix picks this suite up.
+//! Test names carry the `parallel` marker so the sanitizer matrix picks
+//! this suite up.
 
 use std::sync::Mutex;
 
@@ -59,7 +57,7 @@ fn threshold_changes_only_the_parallel_morsel_count() {
     let prev = set_min_parallel_rows(4);
     assert_eq!(min_parallel_rows(), 4);
     assert_eq!(morsels(3), vec![0..3]);
-    assert_eq!(morsels(100).len() > 1, cfg!(feature = "parallel"));
+    assert!(morsels(100).len() > 1);
     assert_eq!(set_min_parallel_rows(prev), 4);
     assert_eq!(min_parallel_rows(), prev);
 }
@@ -258,7 +256,7 @@ fn governed_group_by_refused_among_parallel_morsels_matches_one_morsel() {
     let got = group_by_with_mem(&t, &["k"], &aggs, Some(&ctx));
     set_min_parallel_rows(DEFAULT_MIN_PARALLEL_ROWS);
     assert_eq!(got.unwrap(), want);
-    assert_eq!(morsels > 1, cfg!(feature = "parallel"));
+    assert!(morsels > 1);
     let gov = &ctx.governor;
     assert!(gov.peak() <= gov.budget() && gov.forced() == 0, "{gov:?}");
     assert!(

@@ -196,6 +196,32 @@ pub(crate) struct Job {
 }
 
 impl Job {
+    /// A job of `steps` for `tenant`, admitted now, that has not run yet
+    /// and reserves nothing.
+    pub(crate) fn new(id: u64, tenant: &str, steps: Vec<SkillCall>, quantum: Duration) -> Job {
+        Job {
+            id,
+            tenant: tenant.to_string(),
+            steps: steps.into_iter(),
+            resume_from: None,
+            name_result: None,
+            staged: None,
+            quantum,
+            preemptions: 0,
+            reserved: 0,
+            estimated: 0,
+            charged: 0,
+            cache_hits: 0,
+            bytes_saved: 0,
+            spilled: 0,
+            exec: Duration::ZERO,
+            submitted: Instant::now(),
+            first_dispatch: None,
+            last_output: None,
+            cell: Arc::default(),
+        }
+    }
+
     /// Answer the job and consume it.
     pub(crate) fn finish(self, outcome: Result<SkillOutput>) {
         let now = Instant::now();

@@ -18,7 +18,7 @@
 //!    every slice, and the ready tenant with the smallest start tag
 //!    (`max(global clock, its finish tag)`) runs next. Counting
 //!    dispatches instead would let a tenant whose slices run hundreds of
-//!    milliseconds (a million-row join ramped up to `max_quantum`)
+//!    milliseconds (a million-row join ramped up to the 400 ms ceiling)
 //!    take one "turn" per round yet consume almost all wall-clock time;
 //!    charging elapsed time makes a turn's cost proportional to its
 //!    length, so a noisy tenant gets its weight's share of *time* and
@@ -364,5 +364,40 @@ impl Scheduler {
         st.by_name
             .get(name)
             .map(|&i| st.tenants[i].budget.is_some())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use dc_collab::{EnvHandle, SessionRegistry};
+    use dc_skills::resilient::ExecPolicy;
+    use dc_skills::Env;
+
+    use super::*;
+
+    /// Invariant 3: two tenants that always have a job ready, weights 1 and
+    /// 2, every slice equally long — the weight-2 tenant runs two slices in
+    /// three.
+    #[test]
+    fn weights_share_time() {
+        const N: usize = 300;
+        let sched = Scheduler::new(usize::MAX, 1, Duration::from_millis(25));
+        let registry = SessionRegistry::new(EnvHandle::new(Env::new()), ExecPolicy::plain());
+        let fresh = |tenant: &str| Job::new(0, tenant, vec![], Duration::ZERO);
+        for (name, weight) in [("light", 1), ("heavy", 2)] {
+            let config = TenantConfig::new().weight(weight);
+            sched.register(name, config, registry.open(name)).unwrap();
+            sched.admit(fresh(name)).unwrap();
+        }
+        let mut heavy = 0;
+        for _ in 0..N {
+            let Dispatch { job, tenant, .. } = sched.next().unwrap();
+            heavy += usize::from(job.tenant == "heavy");
+            // Its next job is queued before this one is released.
+            sched.admit(fresh(&job.tenant)).unwrap();
+            let spent = Duration::from_millis(10);
+            sched.release(tenant, 0, 0, 0, spent, JobEnd::Completed);
+        }
+        assert!(heavy.abs_diff(2 * N / 3) <= 1, "{heavy} of {N} slices");
     }
 }

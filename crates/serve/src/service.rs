@@ -52,19 +52,23 @@
 //! never by dropping an admitted job. Shutdown drains every queue with
 //! typed `ShuttingDown` answers.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dc_collab::{EnvHandle, SessionRef, SessionRegistry};
-use dc_skills::resilient::{ExecPolicy, RetryPolicy};
+use dc_skills::resilient::{panic_message, ExecPolicy};
 use dc_skills::{plan_linear, rewrite_use_dataset, Env};
 
 use crate::error::{Result, ServeError};
-use crate::job::{Job, JobCell, JobHandle, Request};
+use crate::job::{Job, JobHandle, Request};
 use crate::scheduler::{Dispatch, JobEnd, Scheduler};
 use crate::tenant::{TenantConfig, TenantStats};
+
+/// Ceiling for the doubling quantum of repeatedly preempted jobs.
+const MAX_QUANTUM: Duration = Duration::from_millis(400);
 
 /// Pool-wide knobs.
 #[derive(Debug, Clone)]
@@ -76,13 +80,8 @@ pub struct ServeConfig {
     pub global_queue_limit: usize,
     /// First time slice a job gets.
     pub initial_quantum: Duration,
-    /// Ceiling for the doubling quantum of repeatedly preempted jobs.
-    pub max_quantum: Duration,
     /// Preemptions after which a job is evicted instead of re-queued.
     pub max_preemptions: u32,
-    /// Per-node retry policy applied inside each slice (transient storage
-    /// faults absorbed by the resilient executor).
-    pub retry: RetryPolicy,
     /// Per-session checkpoint-memory ceiling. After a job is answered,
     /// if its session's executor holds more than this many bytes of
     /// checkpointed results, they are dropped (the DAG survives, so
@@ -103,9 +102,7 @@ impl Default for ServeConfig {
             workers: 4,
             global_queue_limit: 1024,
             initial_quantum: Duration::from_millis(25),
-            max_quantum: Duration::from_millis(400),
             max_preemptions: 12,
-            retry: RetryPolicy::default(),
             session_cache_limit: Some(256 << 20),
             mem_budget: None,
         }
@@ -243,33 +240,17 @@ impl SessionService {
             let est = dc_analyze::estimate_steps(env, &steps);
             (est.reserve, est.total)
         });
-        let cell = Arc::new(JobCell::default());
         let id = self.inner.next_job.fetch_add(1, Ordering::Relaxed);
-        let handle = JobHandle {
-            cell: Arc::clone(&cell),
-            id,
-            tenant: tenant.to_string(),
-        };
         let job = Job {
-            id,
-            tenant: tenant.to_string(),
-            steps: steps.into_iter(),
-            resume_from: None,
             name_result: request.name_result,
-            staged: None,
-            quantum: self.inner.config.initial_quantum,
-            preemptions: 0,
             reserved,
             estimated,
-            charged: 0,
-            cache_hits: 0,
-            bytes_saved: 0,
-            spilled: 0,
-            exec: Duration::ZERO,
-            submitted: Instant::now(),
-            first_dispatch: None,
-            last_output: None,
-            cell,
+            ..Job::new(id, tenant, steps, self.inner.config.initial_quantum)
+        };
+        let handle = JobHandle {
+            cell: Arc::clone(&job.cell),
+            id,
+            tenant: tenant.to_string(),
         };
         self.inner.sched.admit(job)?;
         Ok(handle)
@@ -387,7 +368,16 @@ fn drive(inner: &Inner, dispatch: Dispatch) {
     let (end, spent) = inner.env.with(|env| {
         let started = Instant::now();
         env.attribution = Some(job.tenant.clone());
-        let end = run_slice(inner, &mut job, &session, env, started);
+        // A panic no node's own guard caught (one of the driver's debug
+        // assertions, say) fails the job: unwinding on would end the worker
+        // with the job unanswered and its tenant gated in flight for good.
+        let slice = AssertUnwindSafe(|| run_slice(inner, &mut job, &session, env, started));
+        let end = catch_unwind(slice).unwrap_or_else(|payload| {
+            SliceEnd::Fail(ServeError::Failed {
+                message: panic_message(&*payload),
+                retryable: false,
+            })
+        });
         env.attribution = None;
         (end, started.elapsed())
     });
@@ -438,7 +428,7 @@ fn drive(inner: &Inner, dispatch: Dispatch) {
                 job.finish(Err(ServeError::Evicted { preemptions }));
                 return;
             }
-            job.quantum = (job.quantum * 2).min(inner.config.max_quantum);
+            job.quantum = (job.quantum * 2).min(MAX_QUANTUM);
             if let Err(job) = inner.sched.preempt(tenant, job, spent) {
                 // The pool is draining; answer instead of re-queueing.
                 session.rewind_to(job.resume_from);
@@ -508,8 +498,8 @@ fn run_slice(
                 }
             }
         };
+        // The default retry policy absorbs transient storage faults.
         let policy = ExecPolicy {
-            retry: inner.config.retry.clone(),
             run_budget: Some(job.quantum - elapsed),
             mem_budget: inner.config.mem_budget,
             ..ExecPolicy::default()
@@ -590,6 +580,17 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// One database, `cloud`, holding 2 000 rows of the demo sales table in
+    /// blocks of 128 rows.
+    fn sales_world() -> EnvHandle {
+        let mut db = CloudDatabase::new("cloud", Pricing::default_cloud());
+        db.create_table_with_blocks("sales", &dc_storage::demo::sales(2_000, 7), 128)
+            .unwrap();
+        let mut env = Env::new();
+        env.catalog.add_database(db).unwrap();
+        EnvHandle::new(env)
+    }
+
     /// Load, keep a key range, aggregate two columns — the light job of a
     /// serving fleet, over `[lo, hi)` of the sales table's order ids.
     fn light_job(lo: i64, hi: i64) -> Request {
@@ -609,13 +610,9 @@ mod tests {
     /// more bytes charged than the "upper bound" reserved.)
     #[test]
     fn a_job_scans_once_and_is_charged_what_it_reserved() {
-        let mut db = CloudDatabase::new("cloud", Pricing::default_cloud());
-        db.create_table_with_blocks("sales", &dc_storage::demo::sales(2_000, 7), 128)
-            .unwrap();
-        let meter = db.meter();
-        let mut env = Env::new();
-        env.catalog.add_database(db).unwrap();
-        let service = SessionService::start(EnvHandle::new(env), ServeConfig::default());
+        let world = sales_world();
+        let meter = world.with(|env| env.catalog.database("cloud").unwrap().meter());
+        let service = SessionService::start(world, ServeConfig::default());
         let budget = dc_storage::BudgetConfig::fixed(u64::MAX / 4);
         service
             .register_tenant("metered", TenantConfig::new().budget(budget))
@@ -648,12 +645,7 @@ mod tests {
     /// plans and prices the load, and the job reads the table.
     #[test]
     fn a_catalog_table_used_by_name_is_loaded_and_priced() {
-        let mut db = CloudDatabase::new("cloud", Pricing::default_cloud());
-        db.create_table_with_blocks("sales", &dc_storage::demo::sales(2_000, 7), 128)
-            .unwrap();
-        let mut env = Env::new();
-        env.catalog.add_database(db).unwrap();
-        let service = SessionService::start(EnvHandle::new(env), ServeConfig::default());
+        let service = SessionService::start(sales_world(), ServeConfig::default());
         let budget = dc_storage::BudgetConfig::fixed(u64::MAX / 4);
         service
             .register_tenant("metered", TenantConfig::new().budget(budget))
@@ -666,6 +658,56 @@ mod tests {
         assert!(result.bytes_charged <= result.bytes_reserved);
     }
 
+    /// A panic in a slice that no node's own guard catches fails the job
+    /// instead of ending its worker: the job is answered, its tenant and its
+    /// reservation are released, and every worker keeps serving. A slice
+    /// longer than an `Instant` can reach panics so: the driver's run
+    /// deadline overflows before any node runs.
+    #[test]
+    fn a_panicking_slice_fails_its_job_and_keeps_every_worker() {
+        let config = ServeConfig {
+            workers: 2,
+            initial_quantum: Duration::MAX,
+            ..ServeConfig::default()
+        };
+        let service = SessionService::start(sales_world(), config);
+        for tenant in ["a", "b"] {
+            let budget = dc_storage::BudgetConfig::fixed(1 << 40);
+            service
+                .register_tenant(tenant, TenantConfig::new().budget(budget))
+                .unwrap();
+        }
+        // Each job is waited on by its own thread and the test waits ten
+        // seconds at most: a job nobody answers fails the test, never hangs it.
+        let submit = |tenant: &str| {
+            let job = service.submit(tenant, light_job(100_000, 100_300)).unwrap();
+            let (tx, rx) = std::sync::mpsc::channel();
+            (rx, std::thread::spawn(move || tx.send(job.wait()).ok()))
+        };
+        let answer = |(rx, waiter): (std::sync::mpsc::Receiver<_>, JoinHandle<_>)| {
+            let result: crate::job::JobResult =
+                rx.recv_timeout(Duration::from_secs(10)).expect("answered");
+            waiter.join().unwrap();
+            match result.outcome {
+                Err(ServeError::Failed { message, .. }) => message,
+                other => panic!("expected Failed, got {other:?}"),
+            }
+        };
+
+        let first = answer(submit("a"));
+        assert!(first.contains("overflow"), "{first}");
+        // The tenant's next job is dispatched, and finds the session free.
+        assert_eq!(answer(submit("a")), first);
+        let stats = service.tenant_stats("a").unwrap();
+        assert_eq!((stats.admitted, stats.failed), (2, 2));
+        assert_eq!(service.budget_state("a"), Some((1 << 40, 1 << 40, 0)));
+        // Both tenants at once: both answered, and no worker has ended.
+        let (a, b) = (submit("a"), submit("b"));
+        assert_eq!((answer(a), answer(b)), (first.clone(), first));
+        assert_eq!(service.workers.len(), 2);
+        assert!(service.workers.iter().all(|worker| !worker.is_finished()));
+    }
+
     /// A request is all or nothing to the session. The planned load of a
     /// job reads only what the job's own later steps need, so when the
     /// last step fails at run time the steps before it have left a
@@ -673,12 +715,7 @@ mod tests {
     /// next request continues from.
     #[test]
     fn a_job_that_fails_part_way_leaves_the_session_where_it_was() {
-        let mut db = CloudDatabase::new("cloud", Pricing::default_cloud());
-        db.create_table_with_blocks("sales", &dc_storage::demo::sales(2_000, 7), 128)
-            .unwrap();
-        let mut env = Env::new();
-        env.catalog.add_database(db).unwrap();
-        let service = SessionService::start(EnvHandle::new(env), ServeConfig::default());
+        let service = SessionService::start(sales_world(), ServeConfig::default());
         service
             .register_tenant("analyst", TenantConfig::new())
             .unwrap();

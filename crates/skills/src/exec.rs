@@ -584,6 +584,10 @@ fn predict_time_series(
                     base + (spacing as i32) * k as i32
                 };
                 Value::Date(stepped)
+            } else if time_col.dtype() == dc_engine::DataType::Int {
+                // The median spacing is one difference of two integers.
+                let step = (spacing as i64).saturating_mul(k as i64);
+                Value::Int((last as i64).saturating_add(step))
             } else {
                 Value::Float(last + spacing * k as f64)
             }
@@ -801,10 +805,10 @@ pub(crate) type BeforeExecuteHook = Arc<dyn Fn(&SkillCall) + Send + Sync>;
 /// one body that walks a DAG): every uncached node whose inputs are
 /// materialized belongs to the current wave, and the wave's pure nodes
 /// ([`needs_env`] = false) execute concurrently on the engine's worker
-/// pool (`dc_engine::parallel`, the calling thread included) when the
-/// `parallel` feature is on. A cached output and its flow table share
-/// their columns, so cache hits, fan-out reuse and the value
-/// [`Executor::run`] returns are pointer copies, never deep clones.
+/// pool (`dc_engine::parallel`, the calling thread included). A cached
+/// output and its flow table share their columns, so cache hits, fan-out
+/// reuse and the value [`Executor::run`] returns are pointer copies, never
+/// deep clones.
 pub struct Executor {
     /// Whether the driver plans each DAG with the cost-based optimizer
     /// ([`crate::optimize::optimize_dag`]) before walking it — the one
@@ -1473,12 +1477,15 @@ mod tests {
     }
 
     /// Two independent slow branches of a diamond must overlap: total
-    /// latency stays near one branch's latency, not the sum.
-    #[cfg(feature = "parallel")]
+    /// latency stays near one branch's latency, not the sum. Overlap needs
+    /// a second thread, so on one core there is nothing to check.
     #[test]
     fn diamond_waves_overlap_slow_branches() {
         use std::time::{Duration, Instant};
 
+        if dc_engine::parallel::num_threads() < 2 {
+            return;
+        }
         let mut env = env_with_table();
         let (dag, _, _, both) = diamond();
         let mut ex = Executor::new();
@@ -1503,7 +1510,6 @@ mod tests {
     /// A wave of 16 slow pure nodes draws from the pool's budget: never
     /// more than `num_threads()` of them run at once, and the result is
     /// the serial walk's.
-    #[cfg(feature = "parallel")]
     #[test]
     fn a_wide_wave_runs_at_most_num_threads_nodes_at_once_parallel() {
         use std::sync::atomic::{AtomicUsize, Ordering};

@@ -104,6 +104,9 @@ impl RetryPolicy {
     }
 }
 
+/// Seed for a degraded scan's block choices.
+const DEGRADED_SEED: u64 = 7;
+
 /// Everything the driver is allowed to do about failure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecPolicy {
@@ -128,8 +131,6 @@ pub struct ExecPolicy {
     pub degrade_after: Option<u32>,
     /// Block fraction for degraded scans.
     pub degraded_fraction: f64,
-    /// Seed for degraded-scan block choices.
-    pub degraded_seed: u64,
     /// Out-of-core memory budget in bytes for operator state (hash
     /// tables, aggregation state, sort buffers). When set and the
     /// environment carries no [`MemContext`] of its own, the run installs
@@ -147,7 +148,6 @@ impl Default for ExecPolicy {
             run_budget: None,
             degrade_after: None,
             degraded_fraction: 0.2,
-            degraded_seed: 7,
             mem_budget: None,
         }
     }
@@ -202,7 +202,7 @@ pub struct NodeReport {
     /// Storage bytes zone-map pruning saved this node's scans.
     pub bytes_pruned: u64,
     /// Bytes this node's operators wrote to spill files (all attempts).
-    /// With the `parallel` feature attribution is best-effort:
+    /// On more than one core attribution is best-effort:
     /// concurrently spilling siblings may book into each other's delta,
     /// but [`ExecReport::bytes_spilled`] stays exact run-wide.
     pub bytes_spilled: u64,
@@ -342,18 +342,22 @@ struct AttemptOutcome {
     wall: Duration,
 }
 
-/// The error of a skill that panicked with `payload`.
-fn panic_error(call: &SkillCall, payload: Box<dyn std::any::Any + Send>) -> SkillError {
-    let message = if let Some(s) = payload.downcast_ref::<&str>() {
+/// The message a panic's `payload` carries.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    };
+    }
+}
+
+/// The error of a skill that panicked with `payload`.
+fn panic_error(call: &SkillCall, payload: Box<dyn std::any::Any + Send>) -> SkillError {
     SkillError::Panic {
         skill: call.name().to_string(),
-        message,
+        message: panic_message(&*payload),
     }
 }
 
@@ -729,8 +733,8 @@ impl Executor {
                     // A block-sampled scan instead of the full one. The
                     // cost meter naturally records the cheaper path —
                     // only the blocks actually read are charged.
-                    let (fraction, seed) = (policy.degraded_fraction, policy.degraded_seed);
-                    load_table(&node.call, env, ScanOptions::block_sampled(fraction, seed))
+                    let opts = ScanOptions::block_sampled(policy.degraded_fraction, DEGRADED_SEED);
+                    load_table(&node.call, env, opts)
                 } else {
                     let refs: Vec<&Table> = inputs.iter().map(|t| t.as_ref()).collect();
                     execute_call(&node.call, &refs, env)

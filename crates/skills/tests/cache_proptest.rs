@@ -5,8 +5,6 @@
 //! exactly what a cache-free fresh executor computes over an identically
 //! mutated environment — through either door of the one driver (`run`,
 //! or `run_resilient` under the default retrying policy, drawn per run).
-//! The CI serial job re-runs this with `--no-default-features`, covering
-//! inline waves too.
 
 use std::sync::Arc;
 

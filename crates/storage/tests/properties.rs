@@ -2,8 +2,7 @@
 //!
 //! The `*_parallel_*` tests scan with the dispatch threshold at 1 (every
 //! scan fetches its blocks on the worker pool) and at `usize::MAX` (every
-//! scan runs its blocks inline) and require one answer. Under
-//! `--no-default-features` both sides are the same run. The `parallel` in
+//! scan runs its blocks inline) and require one answer. The `parallel` in
 //! their names is what the sanitizer matrix selects.
 
 use std::path::PathBuf;

@@ -23,6 +23,7 @@
 //! runs that produce an answer.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -372,8 +373,12 @@ fn table(days: &[i64]) -> GenTable {
 }
 
 /// The estimated rows of `call` over `t` (and `t2` as its second input),
-/// and the rows it makes when run cold.
-fn estimate_and_run(t: &GenTable, t2: &GenTable, call: SkillCall) -> (u64, Option<u64>, u64) {
+/// and the table it makes when run cold.
+fn estimate_and_run(
+    t: &GenTable,
+    t2: &GenTable,
+    call: SkillCall,
+) -> (u64, Option<u64>, Arc<Table>) {
     let mut dag = SkillDag::new();
     let mut inputs = vec![dag.add(SkillCall::load_table("Main", "t"), vec![]).unwrap()];
     if matches!(call, SkillCall::Join { .. }) {
@@ -390,9 +395,10 @@ fn estimate_and_run(t: &GenTable, t2: &GenTable, call: SkillCall) -> (u64, Optio
         .cloned();
     let est = est.expect("the target is estimated");
     let mut env = build_env(t, t2);
-    let out = Executor::new().run(&dag, target, &mut env.env).unwrap();
-    let rows = out.as_table().unwrap().num_rows() as u64;
-    (est.rows_lo, est.rows_hi, rows)
+    let out = Executor::new()
+        .table_of(&dag, target, &mut env.env)
+        .unwrap();
+    (est.rows_lo, est.rows_hi, out)
 }
 
 fn join(how: JoinType) -> SkillCall {
@@ -409,13 +415,15 @@ fn join(how: JoinType) -> SkillCall {
 /// empty right side, and one row against three it does not match.
 #[test]
 fn an_outer_join_can_make_more_rows_than_pairs() {
-    let (lo, hi, rows) = estimate_and_run(&table(&[1, 2, 3]), &table(&[]), join(JoinType::Left));
+    let (lo, hi, out) = estimate_and_run(&table(&[1, 2, 3]), &table(&[]), join(JoinType::Left));
+    let rows = out.num_rows() as u64;
     assert_eq!(rows, 3);
     assert!(
         lo <= rows && hi.is_some_and(|hi| rows <= hi),
         "[{lo}, {hi:?}]"
     );
-    let (lo, hi, rows) = estimate_and_run(&table(&[1]), &table(&[5, 6, 7]), join(JoinType::Full));
+    let (lo, hi, out) = estimate_and_run(&table(&[1]), &table(&[5, 6, 7]), join(JoinType::Full));
+    let rows = out.num_rows() as u64;
     assert_eq!(rows, 4);
     assert!(
         lo <= rows && hi.is_some_and(|hi| rows <= hi),
@@ -424,16 +432,18 @@ fn an_outer_join_can_make_more_rows_than_pairs() {
 }
 
 /// A forecast is the predicted rows alone, one per step of the horizon,
-/// however many rows of history it was fitted on.
+/// however many rows of history it was fitted on; an `Int` time column
+/// steps on as `Int`, the type its contract declares.
 #[test]
 fn a_forecast_makes_one_row_per_step_of_its_horizon() {
     let forecast = SkillCall::PredictTimeSeries {
-        measures: vec!["day".into()],
+        measures: vec!["score".into()],
         horizon: 2,
-        time_column: "score".into(),
+        time_column: "day".into(),
     };
     let history: Vec<i64> = (0..10).collect();
-    let (lo, hi, rows) = estimate_and_run(&table(&history), &table(&[]), forecast);
-    assert_eq!(rows, 2);
+    let (lo, hi, out) = estimate_and_run(&table(&history), &table(&[]), forecast);
+    assert_eq!(out.num_rows(), 2);
+    assert_eq!(out.column("day").unwrap(), &Column::from_ints(vec![10, 11]));
     assert_eq!((lo, hi), (2, Some(2)));
 }

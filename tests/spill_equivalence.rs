@@ -16,12 +16,11 @@
 //! split any further).
 //!
 //! Tables stay well under the 32k-row morsel threshold, so every kernel
-//! body runs over a single morsel in a default (parallel) build exactly as
-//! in a `--no-default-features` (single-worker) build. Governed partitions
-//! whose ids stay resident run on the worker pool, as many at once as the
-//! governor admits, each one body over one morsel; a group's rows and a
-//! left row's pairs stay in one partition, so the property must hold
-//! bit-for-bit in both builds, float aggregates included.
+//! body runs over a single morsel. Governed partitions whose ids stay
+//! resident run on the worker pool, as many at once as the governor
+//! admits, each one body over one morsel; a group's rows and a left row's
+//! pairs stay in one partition, so the property must hold bit-for-bit
+//! whatever the core count, float aggregates included.
 
 use datachat::engine::ops::{
     group_by_with_mem, join_with_mem, sort_by_with_mem, AggFunc, AggSpec, JoinType, SortKey,
