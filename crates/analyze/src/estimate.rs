@@ -38,12 +38,12 @@
 //! `bytes_hi`; the serve layer's budget settlement absorbs that overdraft
 //! (see DESIGN.md §12 for the full degradation table).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use dc_engine::ops::spill;
 use dc_engine::{DataType, Schema};
 use dc_skills::contract::{self, load_scan, RowBounds, RowInput};
-use dc_skills::{structural_ids, NodeId, PlanStats, SkillCall, SkillDag, SkillNode};
+use dc_skills::{structural_ids, NodeId, PlanStats, SkillCall, SkillDag, SkillNode, SubDagKey};
 
 use crate::context::AnalysisContext;
 use crate::diag::{Code, Diagnostic, Fix, Span};
@@ -417,7 +417,7 @@ pub struct StepEstimates {
 /// submitted — run them through `dc_skills::plan_linear` first to price
 /// the planned steps the service will execute.
 pub fn estimate_steps(env: &dc_skills::Env, steps: &[SkillCall]) -> StepEstimates {
-    let mut priced: BTreeSet<String> = BTreeSet::new();
+    let mut priced = HashSet::new();
     let (mut total, mut reserve) = (0u64, 0u64);
     for step in steps {
         let Some((database, table, scan)) = load_scan(step) else {
@@ -429,9 +429,9 @@ pub fn estimate_steps(env: &dc_skills::Env, steps: &[SkillCall]) -> StepEstimate
             .and_then(|t| t.plan(&scan).ok());
         let bytes = plan.map_or(0, |p| p.bytes_scanned);
         total = total.saturating_add(bytes);
-        // Structural identity of a zero-input load is its call; identical
-        // loads hit the session cache and charge once.
-        if priced.insert(step.cache_key()) {
+        // Identical loads share a sub-DAG key, hit the session cache and
+        // charge once.
+        if priced.insert(SubDagKey::of(step, None, &[]).hash) {
             reserve = reserve.saturating_add(bytes);
         }
     }

@@ -428,7 +428,7 @@ fn drive(inner: &Inner, dispatch: Dispatch) {
                 job.finish(Err(ServeError::Evicted { preemptions }));
                 return;
             }
-            job.quantum = (job.quantum * 2).min(MAX_QUANTUM);
+            job.quantum = job.quantum.saturating_mul(2).min(MAX_QUANTUM);
             if let Err(job) = inner.sched.preempt(tenant, job, spent) {
                 // The pool is draining; answer instead of re-queueing.
                 session.rewind_to(job.resume_from);
@@ -471,6 +471,12 @@ fn run_slice(
     env: &mut Env,
     started: Instant,
 ) -> SliceEnd {
+    // No request reaches a panic outside every node guard; this one lets
+    // a test check that a worker survives one.
+    #[cfg(test)]
+    if job.tenant.starts_with("panicking") {
+        panic!("a slice panicked outside every node guard");
+    }
     while job.staged.is_some() || job.steps.len() > 0 {
         let elapsed = started.elapsed();
         if elapsed >= job.quantum {
@@ -660,18 +666,16 @@ mod tests {
 
     /// A panic in a slice that no node's own guard catches fails the job
     /// instead of ending its worker: the job is answered, its tenant and its
-    /// reservation are released, and every worker keeps serving. A slice
-    /// longer than an `Instant` can reach panics so: the driver's run
-    /// deadline overflows before any node runs.
+    /// reservation are released, and every worker keeps serving. A
+    /// `panicking` tenant's slices panic so (`run_slice`, test builds only).
     #[test]
     fn a_panicking_slice_fails_its_job_and_keeps_every_worker() {
         let config = ServeConfig {
             workers: 2,
-            initial_quantum: Duration::MAX,
             ..ServeConfig::default()
         };
         let service = SessionService::start(sales_world(), config);
-        for tenant in ["a", "b"] {
+        for tenant in ["panicking-a", "panicking-b"] {
             let budget = dc_storage::BudgetConfig::fixed(1 << 40);
             service
                 .register_tenant(tenant, TenantConfig::new().budget(budget))
@@ -694,18 +698,50 @@ mod tests {
             }
         };
 
-        let first = answer(submit("a"));
-        assert!(first.contains("overflow"), "{first}");
+        let first = answer(submit("panicking-a"));
+        assert!(first.contains("outside every node guard"), "{first}");
         // The tenant's next job is dispatched, and finds the session free.
-        assert_eq!(answer(submit("a")), first);
-        let stats = service.tenant_stats("a").unwrap();
+        assert_eq!(answer(submit("panicking-a")), first);
+        let stats = service.tenant_stats("panicking-a").unwrap();
         assert_eq!((stats.admitted, stats.failed), (2, 2));
-        assert_eq!(service.budget_state("a"), Some((1 << 40, 1 << 40, 0)));
+        let budget = service.budget_state("panicking-a");
+        assert_eq!(budget, Some((1 << 40, 1 << 40, 0)));
         // Both tenants at once: both answered, and no worker has ended.
-        let (a, b) = (submit("a"), submit("b"));
+        let (a, b) = (submit("panicking-a"), submit("panicking-b"));
         assert_eq!((answer(a), answer(b)), (first.clone(), first));
         assert_eq!(service.workers.len(), 2);
         assert!(service.workers.iter().all(|worker| !worker.is_finished()));
+    }
+
+    /// A quantum longer than an `Instant` can reach never preempts a job
+    /// for time, and a job such a quantum leaves for a retryable failure
+    /// doubles it without overflowing: four transient scans exhaust the
+    /// first slice's retries, and the second slice answers.
+    #[test]
+    fn an_unbounded_quantum_answers_even_after_a_preemption() {
+        use dc_storage::{FaultConfig, FaultInjector, FaultOp, InjectedFault};
+        let faults = (0..4).fold(FaultConfig::disabled(), |config, occurrence| {
+            config.schedule(FaultOp::Scan, occurrence, InjectedFault::Transient)
+        });
+        let mut db = CloudDatabase::new("cloud", Pricing::default_cloud());
+        db.create_table_with_blocks("sales", &dc_storage::demo::sales(2_000, 7), 128)
+            .unwrap();
+        db.set_fault_injector(Arc::new(FaultInjector::new(faults)));
+        let mut env = Env::new();
+        env.catalog.add_database(db).unwrap();
+        let config = ServeConfig {
+            initial_quantum: Duration::MAX,
+            ..ServeConfig::default()
+        };
+        let service = SessionService::start(EnvHandle::new(env), config);
+        service.register_tenant("a", TenantConfig::new()).unwrap();
+        // A job nobody answers fails the test after ten seconds, never hangs it.
+        let job = service.submit("a", light_job(100_000, 100_300)).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(job.wait()).ok());
+        let result = rx.recv_timeout(Duration::from_secs(10)).expect("answered");
+        assert!(result.outcome.is_ok(), "{:?}", result.outcome);
+        assert_eq!(result.preemptions, 1);
     }
 
     /// A request is all or nothing to the session. The planned load of a

@@ -1,31 +1,32 @@
-//! Cross-session materialized sub-DAG cache.
+//! Sub-DAG identity, and the cross-session materialized sub-DAG cache.
 //!
-//! Every [`crate::exec::Executor`] keeps a per-run structural cache, but
-//! that cache is born empty and dies with the executor — N collaborators
-//! asking overlapping questions against the same catalog recompute the
-//! shared plan prefixes N times. The [`MaterializedCache`] is the
-//! cross-session tier: a size-bounded, thread-safe store of materialized
-//! sub-DAG results, keyed by a *version-addressable* structural hash and
-//! handed to executors through [`crate::env::Env::shared_cache`].
+//! Every [`crate::exec::Executor`] checkpoints the sub-DAG results of its
+//! runs, but those checkpoints are born empty and die with the executor —
+//! N collaborators asking overlapping questions against the same catalog
+//! recompute the shared plan prefixes N times. The [`MaterializedCache`]
+//! is the cross-session tier: a size-bounded, thread-safe store of
+//! materialized sub-DAG results, handed to executors through
+//! [`crate::env::Env::shared_cache`].
 //!
 //! ## Keying and invalidation
 //!
-//! Executors only publish (and probe) entries whose whole ancestor cone
-//! is version-addressable: pure transforms over `LoadTable` /
-//! `UseSnapshot` leaves. Each leaf's call
-//! signature is salted with the source's current storage version
-//! (`CloudDatabase::table_version`, `SnapshotStore::snapshot_version`),
-//! and a node's [`SharedKey`] hashes its salted call together with its
-//! inputs' keys — so a `create_table`, `drop_table`, or snapshot write
-//! changes the leaf key and every ancestor key with it. Stale entries
-//! are never *served*; they simply stop being reachable and age out
-//! under eviction pressure.
+//! Both tiers, the driver's alias detection and the analyzer's structural
+//! ids ([`crate::exec::structural_ids`]) decide "same sub-DAG" by one
+//! rule, [`SubDagKey::of`]. A load's key is salted with the source's
+//! current storage version (`CloudDatabase::table_version`,
+//! `SnapshotStore::snapshot_version`), and a node's key hashes its inputs'
+//! keys — so a `create_table`, `drop_table`, or snapshot write changes the
+//! leaf key and every ancestor key with it. Stale entries are never
+//! *served*; they simply stop being reachable and age out under eviction
+//! pressure.
 //!
-//! Side-effecting or environment-reading nodes (model training, SQL,
-//! artifact saves, file/URL loads...) are never shared: replaying their
-//! result from a cache would skip the side effect that other sessions
-//! rely on. Degraded (block-sampled) results are excluded by the
-//! executor before admission — see `Executor::finish`.
+//! Only keys whose whole ancestor cone is version-addressable — pure
+//! transforms over `LoadTable` / `UseSnapshot` leaves — are
+//! [`SubDagKey::shareable`]. Side-effecting or environment-reading nodes
+//! (model training, SQL, artifact saves, file/URL loads...) are never
+//! shared: replaying their result from a cache would skip the side effect
+//! that other sessions rely on. Degraded (block-sampled) results are
+//! excluded by the executor before admission — see `Executor::finish`.
 //!
 //! ## What an entry holds, and what it is charged
 //!
@@ -57,16 +58,95 @@ use std::sync::{Arc, Mutex};
 
 use dc_engine::Table;
 
+use crate::dag::SkillDag;
+use crate::env::Env;
+use crate::exec::needs_env;
 use crate::output::SkillOutput;
+use crate::skill::SkillCall;
 
-/// Globally stable structural identity of a version-addressable sub-DAG.
-///
-/// Unlike [`crate::exec::SubDagId`] (dense ids local to one executor's
-/// interner), a `SharedKey` is a 128-bit structural hash that two
-/// independent executors compute identically for the same sub-DAG over
-/// the same storage versions — which is what lets them meet in this
-/// cache.
+/// The hash of a [`SubDagKey`]: what an executor's checkpoints and, for a
+/// shareable key, this cache are keyed by.
 pub type SharedKey = u128;
+
+/// The identity of one sub-DAG: a call over the identities of the
+/// sub-DAGs feeding it.
+///
+/// `hash` is 128-bit FNV-1a over a prefix-free encoding — the call
+/// signature's length and bytes, the storage-version salt of a
+/// `LoadTable` / `UseSnapshot`, the input count, then the inputs' hashes —
+/// so input groupings cannot alias: `T(M(p, q))` and `T(M(p), q)` encode
+/// differently. Every executor computes the same key for the same
+/// sub-DAG over the same storage versions, without sharing any state,
+/// which is what lets sessions meet in the shared tier.
+///
+/// Two sub-DAGs share a key if and only if they are structurally equal,
+/// barring a 128-bit hash collision. Every tier assumes that: a collision
+/// would serve one sub-DAG's result for another.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SubDagKey {
+    /// The FNV-1a hash of the encoding above.
+    pub hash: SharedKey,
+    /// Whether the result may be served across sessions: the call is
+    /// pure or reads versioned storage, and so is every input's.
+    pub shareable: bool,
+}
+
+/// 128-bit FNV-1a of `bytes`, continuing from `h`.
+fn fnv128(mut h: u128, bytes: &[u8]) -> u128 {
+    const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
+    for &b in bytes {
+        h ^= b as u128;
+        h = h.wrapping_mul(PRIME);
+    }
+    h
+}
+
+impl SubDagKey {
+    /// The key of `call` over inputs keyed `inputs`. `version` is the
+    /// storage version of the source a `LoadTable` / `UseSnapshot` reads;
+    /// `None` for every other call, for a missing source (its run errors
+    /// before anything is checkpointed) and for structural identity.
+    pub fn of(call: &SkillCall, version: Option<u64>, inputs: &[SubDagKey]) -> SubDagKey {
+        const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
+        let sig = call.cache_key();
+        let mut h = fnv128(FNV128_OFFSET, &(sig.len() as u64).to_le_bytes());
+        h = fnv128(h, sig.as_bytes());
+        h = match version {
+            Some(v) => fnv128(fnv128(h, &[1]), &v.to_le_bytes()),
+            None => fnv128(h, &[0]),
+        };
+        h = fnv128(h, &(inputs.len() as u64).to_le_bytes());
+        for input in inputs {
+            h = fnv128(h, &input.hash.to_le_bytes());
+        }
+        let own = version.is_some() || !needs_env(call, !inputs.is_empty());
+        SubDagKey {
+            hash: h,
+            shareable: own && inputs.iter().all(|k| k.shareable),
+        }
+    }
+}
+
+/// Every node's key, indexed by node id. With `env` each load is salted
+/// with its source's current version, so a recipe keys differently after a
+/// catalog or snapshot mutation; without, the keys are structural.
+pub fn sub_dag_keys(dag: &SkillDag, env: Option<&Env>) -> Vec<SubDagKey> {
+    let mut keys: Vec<SubDagKey> = Vec::with_capacity(dag.len());
+    // Node ids are positions and inputs come first, so every input's key
+    // is in place when its consumer is reached.
+    for node in dag.nodes() {
+        let inputs: Vec<SubDagKey> = node.inputs.iter().map(|&i| keys[i]).collect();
+        let version = env.and_then(|env| match &node.call {
+            SkillCall::LoadTable {
+                database, table, ..
+            } => env.catalog.database(database).ok()?.table_version(table),
+            SkillCall::UseSnapshot { name } => env.snapshots.snapshot_version(name),
+            _ => None,
+        });
+        keys.push(SubDagKey::of(&node.call, version, &inputs));
+    }
+    keys
+}
 
 /// Per-tenant slice of the cache counters, keyed by the attribution
 /// string executors carry in [`crate::env::Env::attribution`]. Lets a

@@ -15,7 +15,7 @@
 //! [`Executor::run`] returns, what the session tier keeps and what the
 //! shared tier admits are one set of buffers.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use dc_engine::csv::{read_csv, write_csv};
@@ -32,7 +32,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::cache::SharedKey;
+use crate::cache::{sub_dag_keys, SharedKey, SubDagKey};
 use crate::contract::{contract, derived, load_scan, rows, RowBounds, RowInput};
 use crate::dag::{NodeId, SkillDag, SkillNode};
 use crate::env::Env;
@@ -686,115 +686,39 @@ impl ExecutorStats {
     }
 }
 
-/// Interned identity of one sub-DAG (a call plus the identities of the
-/// sub-DAGs feeding it).
+/// A dense structural sub-DAG id, numbered in first-seen order.
 pub type SubDagId = u64;
 
-/// Structural cache-key signature: the canonical call description plus
-/// the interned ids of the input sub-DAGs.
-///
-/// Unlike the flat `"{call}|{input_keys}"` string this replaced, input
-/// identity is a *list of ids*, not a joined substring, so different
-/// input groupings can never alias — `T(M(p, q))` and `T(M(p), q)`
-/// render to the same legacy string but intern to different signatures.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct KeySig {
-    pub(crate) call: String,
-    pub(crate) inputs: Vec<SubDagId>,
-}
-
-/// Structural sub-DAG ids for every node of `dag`, computed with the
-/// same interning the executor's cache keys use, but against a fresh
-/// interner that touches no executor state. Structurally identical
-/// sub-DAGs (same canonical call, same interned input ids) share an id —
-/// the property the driver's alias tracking and the static
-/// analyzer's duplicate-sub-DAG pass are both built on.
+/// Structural sub-DAG ids for every node of `dag`: its unsalted
+/// [`SubDagKey`]s ([`sub_dag_keys`] without an environment) renumbered
+/// densely in first-seen order. Structurally identical sub-DAGs share an
+/// id — the property the static analyzer's duplicate-sub-DAG pass and the
+/// estimator's dedup are built on.
 pub fn structural_ids(dag: &SkillDag) -> HashMap<NodeId, SubDagId> {
-    let mut interner: HashMap<KeySig, SubDagId> = HashMap::new();
-    let mut ids: HashMap<NodeId, SubDagId> = HashMap::with_capacity(dag.len());
-    // Nodes are append-only, so insertion order is topological and every
-    // input id is already interned when its consumer is reached.
-    for node in dag.nodes() {
-        let sig = KeySig {
-            call: node.call.cache_key(),
-            inputs: node.inputs.iter().map(|i| ids[i]).collect(),
-        };
-        let next = interner.len() as SubDagId;
-        ids.insert(node.id, *interner.entry(sig).or_insert(next));
-    }
-    ids
-}
-
-/// Version-salted canonical call signature, plus whether the salt was
-/// applied. Catalog- and snapshot-reading calls fold the source's
-/// current storage version into the signature, so `create_table` /
-/// `drop_table` / snapshot writes change the key of the load — and,
-/// because input ids feed every consumer's [`KeySig`], the key of every
-/// ancestor with it. A missing source gets no salt (`false`): the run
-/// errors before anything is cached under that signature, and the
-/// unsalted key is never shareable.
-fn versioned_call_sig(call: &SkillCall, env: &Env) -> (String, bool) {
-    let base = call.cache_key();
-    match call {
-        SkillCall::LoadTable {
-            database, table, ..
-        } => {
-            let version = env
-                .catalog
-                .database(database)
-                .ok()
-                .and_then(|db| db.table_version(table));
-            match version {
-                Some(v) => (format!("{base}@v{v}"), true),
-                None => (base, false),
-            }
-        }
-        SkillCall::UseSnapshot { name } => match env.snapshots.snapshot_version(name) {
-            Some(v) => (format!("{base}@v{v}"), true),
-            None => (base, false),
-        },
-        _ => (base, false),
-    }
-}
-
-/// 128-bit FNV-1a, the mixer behind [`SharedKey`]s. Two independent
-/// executors hashing the same version-salted sub-DAG structure land on
-/// the same key without sharing an interner.
-fn fnv128(h: u128, bytes: &[u8]) -> u128 {
-    const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
-    let mut h = h;
-    for &b in bytes {
-        h ^= b as u128;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
-
-/// FNV-1a 128-bit offset basis.
-const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-
-/// The result of interning one run's node slice: executor-local ids plus
-/// the globally stable [`SharedKey`]s of every shareable sub-DAG.
-pub(crate) struct Interned {
-    pub(crate) ids: HashMap<NodeId, SubDagId>,
-    /// Present only for version-addressable cones: pure transforms over
-    /// versioned loads. Environment-reading or side-effecting nodes (and
-    /// anything downstream of them) never get a shared key.
-    pub(crate) shared: HashMap<SubDagId, SharedKey>,
-}
-
-impl Interned {
-    pub(crate) fn id(&self, nid: NodeId) -> SubDagId {
-        self.ids[&nid]
-    }
-
-    pub(crate) fn shared_key(&self, id: SubDagId) -> Option<SharedKey> {
-        self.shared.get(&id).copied()
-    }
+    let mut dense: HashMap<SharedKey, SubDagId> = HashMap::new();
+    let keys = sub_dag_keys(dag, None).into_iter().enumerate();
+    keys.map(|(node, key)| {
+        let next = dense.len() as SubDagId;
+        (node, *dense.entry(key.hash).or_insert(next))
+    })
+    .collect()
 }
 
 /// Instrumentation callback invoked just before a node executes.
 pub(crate) type BeforeExecuteHook = Arc<dyn Fn(&SkillCall) + Send + Sync>;
+
+/// One checkpointed sub-DAG result.
+pub(crate) struct Checkpoint {
+    pub(crate) output: SkillOutput,
+    /// The table that flows on to the node's consumers.
+    pub(crate) flow: Arc<Table>,
+    /// Scan footprint (`bytes_scanned + bytes_pruned`) of the whole
+    /// sub-DAG, the recompute cost a hit saves.
+    pub(crate) footprint: u64,
+    /// Degraded (block-sampled) or derived from one: it stays resumable
+    /// here but is never admitted to the shared [`MaterializedCache`].
+    pub(crate) tainted: bool,
+}
 
 /// Executes DAG nodes with a sub-DAG result cache (§2.2: "the conversion
 /// of skill calls to execution tasks is also aware of a caching layer
@@ -816,17 +740,10 @@ pub struct Executor {
     /// execute plans exactly as written (the rewrites are invisible to
     /// results either way).
     pub optimize: bool,
-    /// Structural signature → interned sub-DAG id.
-    pub(crate) interner: HashMap<KeySig, SubDagId>,
-    /// Interned id → (output, downstream-facing table).
-    pub(crate) cache: HashMap<SubDagId, (SkillOutput, Arc<Table>)>,
-    /// Interned id → scan footprint (`bytes_scanned + bytes_pruned`) of
-    /// the whole sub-DAG, the recompute cost a cache hit saves.
-    pub(crate) costs: HashMap<SubDagId, u64>,
-    /// Sub-DAGs whose cached result is degraded (block-sampled) or
-    /// derived from one. They stay resumable in the local cache but are
-    /// never admitted to the shared [`MaterializedCache`].
-    pub(crate) tainted: HashSet<SubDagId>,
+    /// Checkpointed results by [`SubDagKey`] hash.
+    pub(crate) checkpoints: HashMap<SharedKey, Checkpoint>,
+    /// The checkpoints' flow-table bytes, kept on every insert.
+    bytes: u64,
     pub stats: ExecutorStats,
     /// Test/chaos instrumentation (e.g. to make specific nodes slow or
     /// panic on demand).
@@ -837,10 +754,8 @@ impl Default for Executor {
     fn default() -> Executor {
         Executor {
             optimize: true,
-            interner: HashMap::new(),
-            cache: HashMap::new(),
-            costs: HashMap::new(),
-            tainted: HashSet::new(),
+            checkpoints: HashMap::new(),
+            bytes: 0,
             stats: ExecutorStats::default(),
             before_execute: None,
         }
@@ -850,7 +765,7 @@ impl Default for Executor {
 impl std::fmt::Debug for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Executor")
-            .field("cache_len", &self.cache.len())
+            .field("cache_len", &self.checkpoints.len())
             .field("stats", &self.stats)
             .finish()
     }
@@ -867,10 +782,15 @@ impl Executor {
     /// serving layer polls this to keep long-lived session executors
     /// memory-bounded.
     pub fn cache_bytes(&self) -> u64 {
-        self.cache
-            .values()
-            .map(|(_, table)| table.byte_size() as u64)
-            .sum()
+        self.bytes
+    }
+
+    /// Checkpoint `key`'s result, keeping the byte counter.
+    fn checkpoint(&mut self, key: SharedKey, checkpoint: Checkpoint) {
+        self.bytes += checkpoint.flow.byte_size() as u64;
+        if let Some(old) = self.checkpoints.insert(key, checkpoint) {
+            self.bytes -= old.flow.byte_size() as u64;
+        }
     }
 
     /// Execute `target` (and any un-cached ancestors), returning its
@@ -890,10 +810,10 @@ impl Executor {
     /// [`Executor::run`] would. The table is shared with the cache: on a
     /// warm cache this is a pointer copy, not a deep clone.
     pub fn table_of(&mut self, dag: &SkillDag, node: NodeId, env: &mut Env) -> Result<Arc<Table>> {
-        let (report, id) = self.drive(dag, node, env, &ExecPolicy::plain())?;
+        let (report, key) = self.drive(dag, node, env, &ExecPolicy::plain())?;
         report.into_output()?;
-        match self.cache.get(&id) {
-            Some((_, flow)) => Ok(Arc::clone(flow)),
+        match self.checkpoints.get(&key) {
+            Some(checkpoint) => Ok(Arc::clone(&checkpoint.flow)),
             None => Err(SkillError::invalid("execution produced no table")),
         }
     }
@@ -905,83 +825,33 @@ impl Executor {
         self.before_execute = Some(Arc::new(hook));
     }
 
-    /// Intern a structural id for every node in the topologically ordered
-    /// slice `order` (insertion order guarantees input ids are present),
-    /// and compute the globally stable [`SharedKey`] of every
-    /// version-addressable sub-DAG. Signatures are salted with current
-    /// storage versions, so the same recipe interns to *different* ids
-    /// after a catalog or snapshot mutation — stale local entries simply
-    /// stop being addressed.
-    pub(crate) fn intern_ids(
-        &mut self,
-        dag: &SkillDag,
-        order: &[NodeId],
-        env: &Env,
-    ) -> Result<Interned> {
-        let mut ids: HashMap<NodeId, SubDagId> = HashMap::with_capacity(order.len());
-        let mut shared: HashMap<SubDagId, SharedKey> = HashMap::new();
-        for &nid in order {
-            let node = dag.node(nid)?;
-            let (call_sig, salted) = versioned_call_sig(&node.call, env);
-            let sig = KeySig {
-                call: call_sig.clone(),
-                inputs: node.inputs.iter().map(|i| ids[i]).collect(),
-            };
-            let next = self.interner.len() as SubDagId;
-            let id = *self.interner.entry(sig).or_insert(next);
-            ids.insert(nid, id);
-
-            // A sub-DAG is shareable when its own call is pure or reads
-            // version-addressable storage, and every input sub-DAG is
-            // shareable too.
-            let own_shareable = salted || !needs_env(&node.call, !node.inputs.is_empty());
-            let input_keys: Option<Vec<SharedKey>> = node
-                .inputs
-                .iter()
-                .map(|i| shared.get(&ids[i]).copied())
-                .collect();
-            if let (true, Some(input_keys)) = (own_shareable, input_keys) {
-                let mut key = fnv128(FNV128_OFFSET, call_sig.as_bytes());
-                for ik in input_keys {
-                    key = fnv128(key, &ik.to_le_bytes());
-                }
-                shared.insert(id, key);
-            }
-        }
-        Ok(Interned { ids, shared })
-    }
-
-    /// Probe the cross-session cache for sub-DAG `id`, installing a hit
-    /// into the local cache (output and flow table both zero-copy,
-    /// inherited footprint) and counting it. Returns whether the probe hit.
-    pub(crate) fn probe_shared(&mut self, env: &Env, interned: &Interned, id: SubDagId) -> bool {
-        let Some(shared) = env.shared_cache.as_deref() else {
+    /// Probe the cross-session cache for a shareable `key`, checkpointing a
+    /// hit (output and flow table both zero-copy, inherited footprint) and
+    /// counting it. Returns whether the probe hit.
+    pub(crate) fn probe_shared(&mut self, env: &Env, key: SubDagKey) -> bool {
+        let (Some(shared), true) = (env.shared_cache.as_deref(), key.shareable) else {
             return false;
         };
-        let Some(key) = interned.shared_key(id) else {
-            return false;
-        };
-        let Some(hit) = shared.get_as(key, env.attribution.as_deref()) else {
+        let Some(hit) = shared.get_as(key.hash, env.attribution.as_deref()) else {
             return false;
         };
         self.stats.cache_hits += 1;
         self.stats.shared_hits += 1;
         self.stats.bytes_saved += hit.footprint_bytes;
-        self.costs.insert(id, hit.footprint_bytes);
-        self.cache.insert(id, (hit.output, hit.table));
+        let checkpoint = Checkpoint {
+            output: hit.output,
+            flow: hit.table,
+            footprint: hit.footprint_bytes,
+            tainted: false,
+        };
+        self.checkpoint(key.hash, checkpoint);
         true
     }
 
     /// A node's input tables as shared handles (pointer copies).
-    pub(crate) fn input_tables(
-        &self,
-        node: &SkillNode,
-        ids: &HashMap<NodeId, SubDagId>,
-    ) -> Vec<Arc<Table>> {
-        node.inputs
-            .iter()
-            .map(|i| Arc::clone(&self.cache[&ids[i]].1))
-            .collect()
+    pub(crate) fn input_tables(&self, node: &SkillNode, keys: &[SubDagKey]) -> Vec<Arc<Table>> {
+        let flow = |&i: &NodeId| Arc::clone(&self.checkpoints[&keys[i].hash].flow);
+        node.inputs.iter().map(flow).collect()
     }
 
     /// Record one executed node's output and downstream-facing table,
@@ -995,7 +865,7 @@ impl Executor {
         &mut self,
         dag: &SkillDag,
         node: &SkillNode,
-        interned: &Interned,
+        keys: &[SubDagKey],
         inputs: Vec<Arc<Table>>,
         output: SkillOutput,
         own_scan_bytes: u64,
@@ -1003,21 +873,12 @@ impl Executor {
         env: &Env,
     ) {
         self.stats.nodes_executed += 1;
-        let id = interned.id(node.id);
-        let footprint = own_scan_bytes
-            + node
-                .inputs
-                .iter()
-                .map(|i| self.costs.get(&interned.ids[i]).copied().unwrap_or(0))
-                .sum::<u64>();
-        self.costs.insert(id, footprint);
-        let tainted = degraded
-            || node
-                .inputs
-                .iter()
-                .any(|i| self.tainted.contains(&interned.ids[i]));
-        if tainted {
-            self.tainted.insert(id);
+        let key = keys[node.id];
+        let (mut footprint, mut tainted) = (own_scan_bytes, degraded);
+        for i in &node.inputs {
+            let input = &self.checkpoints[&keys[*i].hash];
+            footprint += input.footprint;
+            tainted |= input.tainted;
         }
         // Every flow table has the schema the call's contract declares,
         // whenever it declares one, and — unless it was computed from a
@@ -1055,27 +916,27 @@ impl Executor {
                 "{call} flows {n} {message} {bounds:?}"
             );
         }
-        if !tainted && footprint > 0 {
-            if let (Some(shared), Some(key)) = (&env.shared_cache, interned.shared_key(id)) {
+        if !tainted && footprint > 0 && key.shareable {
+            if let Some(shared) = &env.shared_cache {
                 let who = env.attribution.as_deref();
-                shared.admit_as(key, output.clone(), Arc::clone(&flow), footprint, who);
+                shared.admit_as(key.hash, output.clone(), Arc::clone(&flow), footprint, who);
             }
         }
-        self.cache.insert(id, (output, flow));
+        let checkpoint = Checkpoint {
+            output,
+            flow,
+            footprint,
+            tainted,
+        };
+        self.checkpoint(key.hash, checkpoint);
     }
 
-    /// Drop all cached results, the interner that keys them, and the
-    /// per-sub-DAG bookkeeping. (The interner must go with the cache:
-    /// signatures are only ever looked up to reach cached results, so a
-    /// cleared executor keeping them would leak arbitrarily many
-    /// signatures across cleared runs.) The maps' capacity is released
-    /// too: a registry holds every session it ever opened, so a cleared
-    /// session should cost its DAG and log, not its largest run.
+    /// Drop all checkpointed results. The map's capacity is released too:
+    /// a registry holds every session it ever opened, so a cleared session
+    /// should cost its DAG and log, not its largest run.
     pub fn clear_cache(&mut self) {
-        self.cache = HashMap::new();
-        self.interner = HashMap::new();
-        self.costs = HashMap::new();
-        self.tainted = HashSet::new();
+        self.checkpoints = HashMap::new();
+        self.bytes = 0;
     }
 
     /// Zero the stats counters without touching cached results.
@@ -1085,7 +946,7 @@ impl Executor {
 
     /// Number of cached sub-DAG results.
     pub fn cache_len(&self) -> usize {
-        self.cache.len()
+        self.checkpoints.len()
     }
 }
 
@@ -1604,6 +1465,52 @@ mod tests {
             "the failed filter and the concat"
         );
         assert_eq!(ex.stats.cache_hits, 2);
+    }
+
+    /// Budgets longer than an `Instant` can reach are no budget at all: the
+    /// run's deadline and the scan's cancel deadline are left unset instead
+    /// of overflowing, whichever of the two (or both) is that long.
+    #[test]
+    fn unbounded_budgets_run_to_completion() {
+        use std::time::Duration;
+
+        let mut env = env_with_table();
+        let (dag, load) = load_dag();
+        let max = Some(Duration::MAX);
+        for (node_budget, run_budget) in [(max, None), (None, max), (max, max)] {
+            let policy = ExecPolicy {
+                node_budget,
+                run_budget,
+                ..ExecPolicy::default()
+            };
+            let mut ex = Executor::new();
+            let report = ex.run_resilient(&dag, load, &mut env, &policy).unwrap();
+            let out = report.into_output().unwrap().into_table().unwrap();
+            assert_eq!(out.num_rows(), 100);
+        }
+    }
+
+    /// `cache_bytes` counts each checkpoint's flow table once, falls to
+    /// zero with `clear_cache`, and counts again from there.
+    #[test]
+    fn cache_bytes_counts_checkpoints_and_clears_to_zero() {
+        let mut env = env_with_table();
+        let (mut dag, load) = load_dag();
+        let predicate = Expr::col("x").ge(Expr::lit(50i64));
+        let kept = dag.add(SkillCall::KeepRows { predicate }, vec![load]);
+        let nodes = [load, kept.unwrap()];
+        let mut ex = Executor::new();
+        ex.optimize = false;
+        let mut flows = |ex: &mut Executor| -> u64 {
+            let tables = nodes.map(|n| ex.table_of(&dag, n, &mut env).unwrap());
+            tables.iter().map(|t| t.byte_size() as u64).sum()
+        };
+        let warm = flows(&mut ex);
+        assert_eq!((ex.cache_len(), ex.cache_bytes()), (2, warm));
+        ex.clear_cache();
+        assert_eq!((ex.cache_len(), ex.cache_bytes()), (0, 0));
+        assert_eq!(flows(&mut ex), warm);
+        assert_eq!(ex.cache_bytes(), warm);
     }
 
     /// Warm `table_of` calls share one allocation with the cache — a

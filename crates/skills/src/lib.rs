@@ -38,7 +38,9 @@ pub mod skill;
 pub mod slicing;
 pub mod surface;
 
-pub use cache::{CacheHit, CacheStats, MaterializedCache, SharedKey, TenantCacheStats};
+pub use cache::{
+    sub_dag_keys, CacheHit, CacheStats, MaterializedCache, SharedKey, SubDagKey, TenantCacheStats,
+};
 pub use contract::{
     contract, load_scan, Contract, Finding, FindingKind, ModelInfo, RowBounds, RowInput, Sources,
 };

@@ -5,9 +5,9 @@
 //! Every run goes through [`Executor::run_resilient`]: cut the target's
 //! cone out of the DAG ([`SkillDag::cone`]: a compact copy of the nodes the
 //! target depends on), plan it once with the plan step
-//! ([`crate::optimize`]), intern structural sub-DAG ids, serve what a
-//! cache tier holds, then execute the rest in topological *waves* under an
-//! [`ExecPolicy`]. The driver touches nothing outside the cone, so a run
+//! ([`crate::optimize`]), key every node ([`crate::cache::sub_dag_keys`]),
+//! serve what a cache tier holds, then execute the rest in topological
+//! *waves* under an [`ExecPolicy`]. The driver touches nothing outside the cone, so a run
 //! costs what its target depends on however many nodes the session's DAG
 //! has collected; the caller's node ids are translated at the driver's
 //! edge (the target on the way in, the [`NodeReport`]s on the way out).
@@ -29,8 +29,8 @@
 //! Under every policy, each attempt runs under `catch_unwind`, so a
 //! panicking skill poisons its node (and dependents), never the driver,
 //! its caller, or sibling nodes in the same wave; and completed results
-//! stay in the structural sub-DAG cache, so running the same target again
-//! re-executes exactly the failed frontier and its dependents.
+//! stay checkpointed under their sub-DAG keys, so running the same target
+//! again re-executes exactly the failed frontier and its dependents.
 //!
 //! The whole run is summarized in an [`ExecReport`]: per-node attempts,
 //! faults absorbed, degraded flags, scan and spill bytes, and wall time.
@@ -43,12 +43,12 @@ use std::time::{Duration, Instant};
 use dc_engine::{parallel, MemContext, SpillSnapshot, Table};
 use dc_storage::{CancelToken, ScanOptions};
 
+use crate::cache::{sub_dag_keys, SharedKey, SubDagKey};
 use crate::dag::{NodeId, SkillDag, SkillNode};
 use crate::env::{Env, ScanTally};
 use crate::error::{Result, SkillError};
 use crate::exec::{
     execute_call, execute_pure_call_with_mem, load_table, needs_env, BeforeExecuteHook, Executor,
-    Interned, SubDagId,
 };
 use crate::output::SkillOutput;
 use crate::skill::SkillCall;
@@ -472,17 +472,18 @@ struct Run<'p> {
     dag: &'p SkillDag,
     /// When the whole-run slice ends.
     deadline: Option<Instant>,
-    interned: Interned,
+    /// Every cone node's key, indexed by cone id.
+    keys: Vec<SubDagKey>,
     reports: HashMap<NodeId, NodeReport>,
     /// Sub-DAGs that failed or sit downstream of one. Tracked by sub-DAG
-    /// id, not node id, so a failed representative also poisons its
+    /// key, not node id, so a failed representative also poisons its
     /// structural duplicates.
-    unusable: HashSet<SubDagId>,
+    unusable: HashSet<SharedKey>,
 }
 
 impl Run<'_> {
-    fn id(&self, node: NodeId) -> SubDagId {
-        self.interned.id(node)
+    fn key(&self, node: NodeId) -> SharedKey {
+        self.keys[node].hash
     }
 
     /// Book how a node ended up; a failure or a skip poisons its sub-DAG.
@@ -491,7 +492,7 @@ impl Run<'_> {
             report.outcome,
             NodeOutcome::Failed(_) | NodeOutcome::Skipped { .. }
         ) {
-            self.unusable.insert(self.id(report.node));
+            self.unusable.insert(self.key(report.node));
         }
         self.reports.insert(report.node, report);
     }
@@ -503,7 +504,7 @@ impl Run<'_> {
 
     /// The first input of `node` that cannot be used, if any.
     fn blocked_on(&self, node: &SkillNode) -> Option<NodeId> {
-        let blocked = |i: &&NodeId| self.unusable.contains(&self.id(**i));
+        let blocked = |i: &&NodeId| self.unusable.contains(&self.key(**i));
         node.inputs.iter().find(blocked).copied()
     }
 
@@ -571,17 +572,20 @@ impl Executor {
 
     /// The one body that plans and walks a DAG. Returns the report (its
     /// run-wide spill totals are the caller's to fill in) and the
-    /// target's sub-DAG id.
+    /// target's sub-DAG key.
     pub(crate) fn drive(
         &mut self,
         dag: &SkillDag,
         target: NodeId,
         env: &mut Env,
         policy: &ExecPolicy,
-    ) -> Result<(ExecReport, SubDagId)> {
-        // The whole-run slice starts now: planning, interning, and every
-        // wave all count against it.
-        let deadline = policy.run_budget.map(|b| Instant::now() + b);
+    ) -> Result<(ExecReport, SharedKey)> {
+        // The whole-run slice starts now: planning, keying, and every wave
+        // all count against it. A slice longer than an `Instant` can reach
+        // has no end.
+        let deadline = policy
+            .run_budget
+            .and_then(|b| Instant::now().checked_add(b));
         // The unit of a run is the target's cone: a compact copy of the
         // nodes it depends on (ids `0..k`, `cone.ids` back to the caller's
         // ids), so a step costs what it depends on however many nodes the
@@ -604,13 +608,12 @@ impl Executor {
         let dag = &cone.dag;
         // Every node of the cone is one the target depends on.
         let order: Vec<NodeId> = (0..dag.len()).collect();
-        let interned = self.intern_ids(dag, &order, env)?;
         let (hits_before, saved_before) = (self.stats.cache_hits, self.stats.bytes_saved);
         let mut run = Run {
             policy,
             dag,
             deadline,
-            interned,
+            keys: sub_dag_keys(dag, Some(env)),
             reports: HashMap::with_capacity(order.len()),
             unusable: HashSet::new(),
         };
@@ -622,15 +625,15 @@ impl Executor {
         let mut aliases: Vec<(&SkillNode, NodeId)> = Vec::new();
         for &nid in &order {
             let node = dag.node(nid)?;
-            let id = run.id(nid);
-            if self.cache.contains_key(&id) {
+            let key = run.key(nid);
+            if let Some(checkpoint) = self.checkpoints.get(&key) {
                 self.stats.cache_hits += 1;
-                self.stats.bytes_saved += self.costs.get(&id).copied().unwrap_or(0);
+                self.stats.bytes_saved += checkpoint.footprint;
                 run.record(node, NodeOutcome::CacheHit);
-            } else if let Some(rep) = pending.iter().find(|p| run.id(p.id) == id) {
+            } else if let Some(rep) = pending.iter().find(|p| run.key(p.id) == key) {
                 self.stats.cache_hits += 1;
                 aliases.push((node, rep.id));
-            } else if self.probe_shared(env, &run.interned, id) {
+            } else if self.probe_shared(env, run.keys[nid]) {
                 run.record(node, NodeOutcome::CacheHit);
             } else {
                 pending.push(node);
@@ -648,7 +651,7 @@ impl Executor {
                 } else if node
                     .inputs
                     .iter()
-                    .all(|i| self.cache.contains_key(&run.id(*i)))
+                    .all(|i| self.checkpoints.contains_key(&run.key(*i)))
                 {
                     wave.push(node);
                 } else {
@@ -665,7 +668,7 @@ impl Executor {
 
         // Aliases inherit their representative's fate.
         for (node, rep) in aliases {
-            let outcome = if self.cache.contains_key(&run.id(node.id)) {
+            let outcome = if self.checkpoints.contains_key(&run.key(node.id)) {
                 NodeOutcome::CacheHit
             } else {
                 NodeOutcome::Skipped { blocked_on: rep }
@@ -675,11 +678,13 @@ impl Executor {
 
         // A failed target never yields an output, even when an earlier run
         // checkpointed a result for its sub-DAG.
-        let id = run.id(cone_target);
-        let output = match self.cache.get(&id) {
-            Some((out, _)) if !run.unusable.contains(&id) => Some(out.clone()),
+        let key = run.key(cone_target);
+        let output = match self.checkpoints.get(&key) {
+            Some(checkpoint) if !run.unusable.contains(&key) => Some(checkpoint.output.clone()),
             _ => None,
         };
+        let walk = self.checkpoints.values().map(|c| c.flow.byte_size() as u64);
+        debug_assert_eq!(self.cache_bytes(), walk.sum::<u64>(), "bytes counted");
         let mut nodes: Vec<NodeReport> = Vec::with_capacity(order.len());
         for nid in &order {
             if let Some(mut r) = run.reports.remove(nid) {
@@ -699,7 +704,7 @@ impl Executor {
             bytes_spilled: 0,
             spill_partitions: 0,
         };
-        Ok((report, id))
+        Ok((report, key))
     }
 
     /// Execute one wave under the policy. Environment-dependent nodes run
@@ -712,7 +717,7 @@ impl Executor {
         let policy = run.policy;
         let mut pure: Vec<PureJob<'_>> = Vec::new();
         for node in wave {
-            let inputs = self.input_tables(node, &run.interned.ids);
+            let inputs = self.input_tables(node, &run.keys);
             if !needs_env(&node.call, !node.inputs.is_empty()) {
                 pure.push((node, inputs));
                 continue;
@@ -801,7 +806,7 @@ impl Executor {
                 self.finish(
                     run.dag,
                     node,
-                    &run.interned,
+                    &run.keys,
                     inputs,
                     output,
                     own_scan_bytes,

@@ -365,10 +365,11 @@ impl CancelToken {
     }
 
     /// Arm a wall-clock deadline `budget` from now (clears any previous
-    /// explicit cancellation).
+    /// explicit cancellation). A budget longer than an `Instant` can reach
+    /// sets no deadline.
     pub fn arm(&self, budget: Duration) {
         self.inner.cancelled.store(false, Ordering::SeqCst);
-        *self.inner.deadline.lock().expect("cancel lock") = Some(Instant::now() + budget);
+        *self.inner.deadline.lock().expect("cancel lock") = Instant::now().checked_add(budget);
     }
 
     /// Clear both the deadline and any explicit cancellation.
