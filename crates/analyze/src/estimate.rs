@@ -14,7 +14,7 @@
 //! walks the DAG with it, as the schema pass walks it with the schemas,
 //! and keeps only what is its own — byte pricing, the governor state sizes
 //! behind DC0208, the structural dedup, and the DC0301/0302/0303 lints.
-//! The driver `debug_assert!`s every untainted flow table's row count
+//! The driver `debug_assert!`s every flow table's row count
 //! against the same rule for the inputs' actual rows, so every debug run
 //! checks these intervals.
 //!
@@ -28,8 +28,8 @@
 //!   estimated. Data-dependent cardinalities (joins, `RunSql`, `Pivot`
 //!   headers) degrade *up* — to every pair, or to "unknown".
 //! * `rows_lo` / `bytes_lo` are **guaranteed lower bounds** under the
-//!   same cold-cache assumption: a warm materialized cache (or a
-//!   degraded fault-injected scan) can only reduce the actual cost, so
+//!   same cold-cache assumption: a warm materialized cache can only
+//!   reduce the actual cost, so
 //!   the DC0301 budget lint — which fires on the lower bound — is
 //!   phrased as "executing this against storage must exhaust the
 //!   budget", never the other way around.

@@ -6,7 +6,7 @@
 //! analyzes a planned [`SkillDag`] *before* `Executor::run`, in four
 //! passes over one shared [`Diagnostic`] framework:
 //!
-//! 1. **Schema & type propagation** ([`schema_pass`]) — asks each node's
+//! 1. **Schema & type propagation** ([`schema_pass`](fn@schema_pass)) — asks each node's
 //!    skill contract (`dc_skills::contract`) for its output schema over
 //!    its inputs' and the catalog's, rejecting unknown columns (`DC0002`),
 //!    dtype mismatches (`DC0003`), and invalid composition (`DC0004`)

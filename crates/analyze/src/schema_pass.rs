@@ -1,7 +1,7 @@
 //! Pass 1: schema and type propagation over a planned [`SkillDag`].
 //!
 //! Walks the DAG in append (= topological) order and asks each node's
-//! skill contract ([`dc_skills::contract`]) for its *flow schema* — the
+//! skill contract ([`dc_skills::contract`](fn@dc_skills::contract)) for its *flow schema* — the
 //! typed schema of the table the executor's cache hands to consumers —
 //! and for every reason the call would fail on its inputs' schemas. The
 //! driver `debug_assert!`s each flow table it records against that same

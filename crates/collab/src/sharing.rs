@@ -98,10 +98,10 @@ fn obscure(x: u64) -> String {
     // A small deterministic scrambler — unguessable enough for tests,
     // clearly not cryptography (the product would use a real CSPRNG).
     let mut v = x.wrapping_mul(0x9E3779B97F4A7C15) ^ 0xD1B54A32D192ED03;
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(16);
     for _ in 0..16 {
-        let digit = (v & 0xF) as u32;
-        s.push(char::from_digit(digit, 16).expect("hex digit"));
+        s.push(HEX[(v & 0xF) as usize] as char);
         v = (v >> 4) ^ v.wrapping_mul(0xff51afd7ed558ccd);
     }
     s

@@ -4,7 +4,7 @@
 //! editable as GEL. This crate provides both directions plus the tooling
 //! the paper demonstrates:
 //!
-//! * [`format`] — canonical GEL sentence for every skill call;
+//! * [`format`](mod@format) — canonical GEL sentence for every skill call;
 //! * [`parse`] — sentence templates with typed holes, plus condition
 //!   sugar ("DATE is between the dates 01-01-2005 to 12-31-2020", "DATE
 //!   is after Today - 10 years") falling back to SQL expressions;

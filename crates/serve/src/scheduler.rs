@@ -232,18 +232,22 @@ impl Scheduler {
                     .map(|(idx, t)| (t.vfinish.max(vclock), idx))
                     .min();
                 if let Some((tag, idx)) = pick {
-                    st.vclock = tag;
                     let entry = &mut st.tenants[idx];
-                    entry.vstart = tag;
-                    entry.in_flight = true;
-                    let job = entry.queue.pop_front().expect("ready tenant has a job");
-                    let session = entry.session.clone();
-                    st.queued -= 1;
-                    return Some(Dispatch {
-                        job,
-                        session,
-                        tenant: idx,
-                    });
+                    // The pick only considers tenants with a queued job.
+                    let job = entry.queue.pop_front();
+                    debug_assert!(job.is_some(), "a picked tenant has a job");
+                    if let Some(job) = job {
+                        entry.vstart = tag;
+                        entry.in_flight = true;
+                        let session = entry.session.clone();
+                        st.vclock = tag;
+                        st.queued -= 1;
+                        return Some(Dispatch {
+                            job,
+                            session,
+                            tenant: idx,
+                        });
+                    }
                 }
             }
             self.work.wait(&mut st);

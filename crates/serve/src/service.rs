@@ -88,7 +88,7 @@ pub struct ServeConfig {
     /// continuity is re-computed, not lost). `None` = unbounded.
     pub session_cache_limit: Option<u64>,
     /// Per-slice operator-memory budget. When set, each slice runs under
-    /// a [`dc_engine::MemContext`] with this many bytes of transient
+    /// a `dc_engine::MemContext` with this many bytes of transient
     /// join/group-by/sort state; heavier operators spill to disk instead
     /// of growing the worker's footprint. Spill traffic is booked per
     /// tenant ([`TenantStats::bytes_spilled`]) next to the scan bytes

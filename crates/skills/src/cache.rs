@@ -25,8 +25,7 @@
 //! [`SubDagKey::shareable`]. Side-effecting or environment-reading nodes
 //! (model training, SQL, artifact saves, file/URL loads...) are never
 //! shared: replaying their result from a cache would skip the side effect
-//! that other sessions rely on. Degraded (block-sampled) results are
-//! excluded by the executor before admission — see `Executor::finish`.
+//! that other sessions rely on.
 //!
 //! ## What an entry holds, and what it is charged
 //!
@@ -240,16 +239,14 @@ struct Inner {
 }
 
 impl Inner {
-    /// The tenant's counters; its name is allocated on first touch only
-    /// (this runs under the cache mutex on every attributed probe).
-    fn tenant(&mut self, who: &str) -> &mut TenantCacheStats {
-        if !self.per_tenant.contains_key(who) {
-            self.per_tenant
-                .insert(who.to_string(), TenantCacheStats::default());
+    /// Apply `count` to the tenant's counters; its name is allocated on
+    /// first touch only (this runs under the cache mutex on every
+    /// attributed probe).
+    fn count(&mut self, who: &str, count: impl FnOnce(&mut TenantCacheStats)) {
+        match self.per_tenant.get_mut(who) {
+            Some(t) => count(t),
+            None => count(self.per_tenant.entry(who.to_string()).or_default()),
         }
-        self.per_tenant
-            .get_mut(who)
-            .expect("present or just inserted")
     }
 }
 
@@ -338,16 +335,17 @@ impl MaterializedCache {
                 inner.hits += 1;
                 inner.bytes_saved += hit.footprint_bytes;
                 if let Some(who) = who {
-                    let t = inner.tenant(who);
-                    t.hits += 1;
-                    t.bytes_saved += hit.footprint_bytes;
+                    inner.count(who, |t| {
+                        t.hits += 1;
+                        t.bytes_saved += hit.footprint_bytes;
+                    });
                 }
                 Some(hit)
             }
             None => {
                 inner.misses += 1;
                 if let Some(who) = who {
-                    inner.tenant(who).misses += 1;
+                    inner.count(who, |t| t.misses += 1);
                 }
                 None
             }
@@ -359,9 +357,8 @@ impl MaterializedCache {
     /// entry larger than the whole capacity is refused. Re-admitting an
     /// existing key replaces it.
     ///
-    /// Callers are responsible for only admitting authoritative results:
-    /// the executor never calls this for degraded (block-sampled)
-    /// outputs or for non-version-addressable sub-DAGs.
+    /// Callers are responsible for only admitting results of
+    /// version-addressable sub-DAGs ([`SubDagKey::shareable`]).
     pub fn admit(&self, key: SharedKey, output: SkillOutput, table: Arc<Table>, footprint: u64) {
         self.admit_as(key, output, table, footprint, None)
     }
@@ -411,7 +408,7 @@ impl MaterializedCache {
         inner.used += resident;
         inner.insertions += 1;
         if let Some(who) = who {
-            inner.tenant(who).insertions += 1;
+            inner.count(who, |t| t.insertions += 1);
         }
         let entry = Entry {
             output,

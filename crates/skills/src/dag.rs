@@ -31,8 +31,8 @@ use crate::skill::SkillCall;
 /// Identifier of a node within one DAG.
 pub type NodeId = usize;
 
-/// One node: a skill call plus its input dependencies (inputs[0] is the
-/// primary dataset; inputs[1] the secondary for joins/concats).
+/// One node: a skill call plus its input dependencies (`inputs[0]` is the
+/// primary dataset; `inputs[1]` the secondary for joins/concats).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SkillNode {
     pub id: NodeId,

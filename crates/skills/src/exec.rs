@@ -85,7 +85,7 @@ pub fn execute_call(call: &SkillCall, inputs: &[&Table], env: &mut Env) -> Resul
         // ----- ingestion -----
         LoadFile { path } => Ok(SkillOutput::Table(read_csv(env.file(path)?)?)),
         LoadUrl { url } => Ok(SkillOutput::Table(read_csv(env.url(url)?)?)),
-        LoadTable { .. } => load_table(call, env, ScanOptions::full()),
+        LoadTable { .. } => load_table(call, env),
         UseDataset { name, .. } if inputs.is_empty() => {
             Ok(SkillOutput::Table(env.saved_table(name)?.clone()))
         }
@@ -217,19 +217,13 @@ pub fn execute_call(call: &SkillCall, inputs: &[&Table], env: &mut Env) -> Resul
 
 /// Scan the catalog table a [`SkillCall::LoadTable`] names — projected to
 /// its columns and filtered by its predicate inside storage when it has
-/// them — tallying the receipt. `opts` chooses the blocks: every one, or
-/// the sample a degraded load falls back to.
-pub(crate) fn load_table(
-    call: &SkillCall,
-    env: &mut Env,
-    mut opts: ScanOptions,
-) -> Result<SkillOutput> {
-    let Some((database, table, scan)) = load_scan(call) else {
+/// them — tallying the receipt.
+fn load_table(call: &SkillCall, env: &mut Env) -> Result<SkillOutput> {
+    let Some((database, table, mut opts)) = load_scan(call) else {
         let message = format!("{} is not a table load", call.name());
         return Err(SkillError::invalid(message));
     };
     let db = env.catalog.database(database)?;
-    (opts.columns, opts.predicate) = (scan.columns, scan.predicate);
     opts.cancel = Some(env.cancel.clone());
     let (data, receipt) = db.scan(table, &opts)?;
     env.scan_tally.record(&receipt);
@@ -669,7 +663,8 @@ pub struct ExecutorStats {
     /// Sub-DAG results served without executing, from either cache tier.
     pub cache_hits: u64,
     /// The subset of `cache_hits` served by the cross-session
-    /// [`MaterializedCache`] rather than this executor's own cache.
+    /// [`MaterializedCache`](crate::MaterializedCache) rather than this
+    /// executor's own cache.
     pub shared_hits: u64,
     /// Scan footprint (`bytes_scanned + bytes_pruned`) that cache hits
     /// avoided re-charging against storage.
@@ -677,13 +672,6 @@ pub struct ExecutorStats {
     /// Extra attempts spent absorbing retryable failures (under a policy
     /// that retries; [`Executor::run`] never does).
     pub retries: u64,
-}
-
-impl ExecutorStats {
-    /// Zero every counter (between benchmark phases).
-    pub fn reset(&mut self) {
-        *self = ExecutorStats::default();
-    }
 }
 
 /// A dense structural sub-DAG id, numbered in first-seen order.
@@ -715,9 +703,6 @@ pub(crate) struct Checkpoint {
     /// Scan footprint (`bytes_scanned + bytes_pruned`) of the whole
     /// sub-DAG, the recompute cost a hit saves.
     pub(crate) footprint: u64,
-    /// Degraded (block-sampled) or derived from one: it stays resumable
-    /// here but is never admitted to the shared [`MaterializedCache`].
-    pub(crate) tainted: bool,
 }
 
 /// Executes DAG nodes with a sub-DAG result cache (§2.2: "the conversion
@@ -842,7 +827,6 @@ impl Executor {
             output: hit.output,
             flow: hit.table,
             footprint: hit.footprint_bytes,
-            tainted: false,
         };
         self.checkpoint(key.hash, checkpoint);
         true
@@ -855,11 +839,9 @@ impl Executor {
     }
 
     /// Record one executed node's output and downstream-facing table,
-    /// accumulate its sub-DAG scan footprint, and — for authoritative
-    /// results of version-addressable sub-DAGs — publish it to the
-    /// cross-session cache. `degraded` results (and everything computed
-    /// from one) are tainted: they stay in the local cache so resume
-    /// semantics hold, but are never shared as authoritative.
+    /// accumulate its sub-DAG scan footprint, and — for results of
+    /// version-addressable sub-DAGs — publish it to the cross-session
+    /// cache.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn finish(
         &mut self,
@@ -869,22 +851,17 @@ impl Executor {
         inputs: Vec<Arc<Table>>,
         output: SkillOutput,
         own_scan_bytes: u64,
-        degraded: bool,
         env: &Env,
     ) {
         self.stats.nodes_executed += 1;
         let key = keys[node.id];
-        let (mut footprint, mut tainted) = (own_scan_bytes, degraded);
-        for i in &node.inputs {
-            let input = &self.checkpoints[&keys[*i].hash];
-            footprint += input.footprint;
-            tainted |= input.tainted;
-        }
+        let input = |i: &NodeId| self.checkpoints[&keys[*i].hash].footprint;
+        let footprint = own_scan_bytes + node.inputs.iter().map(input).sum::<u64>();
         // Every flow table has the schema the call's contract declares,
-        // whenever it declares one, and — unless it was computed from a
-        // degraded scan — as many rows as the call's row rule allows for the
-        // rows its inputs actually hold: checked in debug builds, where every
-        // run is an oracle for the contract the analyzer calls.
+        // whenever it declares one, and as many rows as the call's row rule
+        // allows for the rows its inputs actually hold: checked in debug
+        // builds, where every run is an oracle for the contract the analyzer
+        // calls.
         let declared = cfg!(debug_assertions).then(|| {
             let schemas: Vec<_> = inputs.iter().map(|t| Some(t.schema())).collect();
             let rows_in: Vec<_> = (node.inputs.iter().zip(&inputs))
@@ -911,12 +888,9 @@ impl Executor {
                 debug_assert_eq!(flow.schema(), &schema, "{call} {message}");
             }
             let message = "rows, outside its contract's";
-            debug_assert!(
-                tainted || bounds.contains(n),
-                "{call} flows {n} {message} {bounds:?}"
-            );
+            debug_assert!(bounds.contains(n), "{call} flows {n} {message} {bounds:?}");
         }
-        if !tainted && footprint > 0 && key.shareable {
+        if footprint > 0 && key.shareable {
             if let Some(shared) = &env.shared_cache {
                 let who = env.attribution.as_deref();
                 shared.admit_as(key.hash, output.clone(), Arc::clone(&flow), footprint, who);
@@ -926,7 +900,6 @@ impl Executor {
             output,
             flow,
             footprint,
-            tainted,
         };
         self.checkpoint(key.hash, checkpoint);
     }
@@ -937,11 +910,6 @@ impl Executor {
     pub fn clear_cache(&mut self) {
         self.checkpoints = HashMap::new();
         self.bytes = 0;
-    }
-
-    /// Zero the stats counters without touching cached results.
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
     }
 
     /// Number of cached sub-DAG results.

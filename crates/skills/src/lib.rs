@@ -5,7 +5,7 @@
 //! Python API, or NL2Code) build a lazy [`dag::SkillDag`]; execution
 //! converts it to tasks:
 //!
-//! * [`contract`] — what each skill call makes from its inputs: its
+//! * [`contract`](mod@contract) — what each skill call makes from its inputs: its
 //!   output schema, its findings, its column reads and demand — the one
 //!   table the analyzer, the optimizer and the driver's debug check read;
 //! * [`planner`] — consolidates SQL-able runs into single flattened SQL
@@ -18,11 +18,11 @@
 //!   surface, which both parsers and printers and the registry read;
 //! * [`slicing`] — dead-step elimination plus adjacent-call merging, so
 //!   saved artifacts carry minimal recipes (Figure 5);
-//! * [`env`] — the world skills run against (catalog, snapshots, virtual
+//! * [`env`](mod@env) — the world skills run against (catalog, snapshots, virtual
 //!   files/URLs, models, phrase definitions);
 //! * [`resilient`] — the one driver that plans and walks a DAG, and its
-//!   policy: retry with backoff, per-node budgets, panic isolation,
-//!   degraded scans, and checkpointed resume.
+//!   policy: retry with backoff, per-node budgets, panic isolation and
+//!   checkpointed resume.
 
 pub mod cache;
 pub mod contract;

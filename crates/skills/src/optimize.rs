@@ -41,7 +41,7 @@
 //!    the cone is cut: [`SkillDag::cone`]).
 //!
 //! The column names every rule reads, and the demand projection threads
-//! back to the loads, are the nodes' skill contracts ([`crate::contract`]),
+//! back to the loads, are the nodes' skill contracts ([`crate::contract`](mod@crate::contract)),
 //! the ones the analyzer walks and the driver checks flow tables against.
 //!
 //! Every rewrite keeps one discipline: node ids and node count never

@@ -1,6 +1,6 @@
 //! The DAG driver: the one body that plans and walks a [`SkillDag`], and
-//! the policy it walks it under — retry, timeouts, panic isolation,
-//! degraded scans, and checkpointed resume.
+//! the policy it walks it under — retry, timeouts, panic isolation and
+//! checkpointed resume.
 //!
 //! Every run goes through [`Executor::run_resilient`]: cut the target's
 //! cone out of the DAG ([`SkillDag::cone`]: a compact copy of the nodes the
@@ -21,10 +21,10 @@
 //! * **budget** — each attempt gets a wall-clock budget; storage scans
 //!   observe it cooperatively through the environment's
 //!   [`dc_storage::CancelToken`], pure compute is timed post-hoc; either
-//!   way an over-budget attempt becomes a retryable timeout;
-//! * **degraded scans** — after `degrade_after` failed full-scan
-//!   attempts, a `LoadTable` node falls back to a block-sampled scan
-//!   (§3's cheap path) and its result is flagged `degraded`.
+//!   way an over-budget attempt becomes a retryable timeout.
+//!
+//! A load whose scan keeps failing fails with the scan's error once its
+//! attempts are spent.
 //!
 //! Under every policy, each attempt runs under `catch_unwind`, so a
 //! panicking skill poisons its node (and dependents), never the driver,
@@ -33,7 +33,7 @@
 //! again re-executes exactly the failed frontier and its dependents.
 //!
 //! The whole run is summarized in an [`ExecReport`]: per-node attempts,
-//! faults absorbed, degraded flags, scan and spill bytes, and wall time.
+//! faults absorbed, scan and spill bytes, and wall time.
 
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -41,14 +41,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dc_engine::{parallel, MemContext, SpillSnapshot, Table};
-use dc_storage::{CancelToken, ScanOptions};
+use dc_storage::CancelToken;
 
 use crate::cache::{sub_dag_keys, SharedKey, SubDagKey};
 use crate::dag::{NodeId, SkillDag, SkillNode};
 use crate::env::{Env, ScanTally};
 use crate::error::{Result, SkillError};
 use crate::exec::{
-    execute_call, execute_pure_call_with_mem, load_table, needs_env, BeforeExecuteHook, Executor,
+    execute_call, execute_pure_call_with_mem, needs_env, BeforeExecuteHook, Executor,
 };
 use crate::output::SkillOutput;
 use crate::skill::SkillCall;
@@ -104,11 +104,8 @@ impl RetryPolicy {
     }
 }
 
-/// Seed for a degraded scan's block choices.
-const DEGRADED_SEED: u64 = 7;
-
 /// Everything the driver is allowed to do about failure.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecPolicy {
     /// Retry schedule for retryable errors.
     pub retry: RetryPolicy,
@@ -125,12 +122,6 @@ pub struct ExecPolicy {
     /// thrown away retroactively). This is the preemption hook a serving
     /// layer uses for time-sliced fair scheduling. `None` = unbounded.
     pub run_budget: Option<Duration>,
-    /// After this many failed full-scan attempts, a `LoadTable` node
-    /// retries as a block-sampled scan and marks its result degraded.
-    /// `None` disables degradation.
-    pub degrade_after: Option<u32>,
-    /// Block fraction for degraded scans.
-    pub degraded_fraction: f64,
     /// Out-of-core memory budget in bytes for operator state (hash
     /// tables, aggregation state, sort buffers). When set and the
     /// environment carries no [`MemContext`] of its own, the run installs
@@ -140,22 +131,9 @@ pub struct ExecPolicy {
     pub mem_budget: Option<u64>,
 }
 
-impl Default for ExecPolicy {
-    fn default() -> Self {
-        ExecPolicy {
-            retry: RetryPolicy::default(),
-            node_budget: None,
-            run_budget: None,
-            degrade_after: None,
-            degraded_fraction: 0.2,
-            mem_budget: None,
-        }
-    }
-}
-
 impl ExecPolicy {
     /// What [`Executor::run`] and [`Executor::table_of`] run under: one
-    /// attempt, no node, run or memory budget, no degradation.
+    /// attempt, no node, run or memory budget.
     pub fn plain() -> ExecPolicy {
         ExecPolicy {
             retry: RetryPolicy {
@@ -186,15 +164,13 @@ pub enum NodeOutcome {
 pub struct NodeReport {
     pub node: NodeId,
     /// Skill name, for human-readable summaries.
-    pub skill: String,
+    pub skill: &'static str,
     pub outcome: NodeOutcome,
     /// Execution attempts made (0 for cache hits and skips).
     pub attempts: u32,
-    /// Retryable failures absorbed by retry/degradation instead of
-    /// surfacing to the user.
+    /// Retryable failures absorbed by retry instead of surfacing to the
+    /// user.
     pub faults_absorbed: u32,
-    /// Whether the result came from a degraded (block-sampled) scan.
-    pub degraded: bool,
     /// Wall time spent on this node across all attempts and backoffs.
     pub wall: Duration,
     /// Storage bytes this node's scans charged (all attempts).
@@ -214,11 +190,10 @@ impl NodeReport {
     fn new(node: &SkillNode, outcome: NodeOutcome) -> NodeReport {
         NodeReport {
             node: node.id,
-            skill: node.call.name().to_string(),
+            skill: node.call.name(),
             outcome,
             attempts: 0,
             faults_absorbed: 0,
-            degraded: false,
             wall: Duration::ZERO,
             bytes_scanned: 0,
             bytes_pruned: 0,
@@ -279,15 +254,6 @@ impl ExecReport {
             .collect()
     }
 
-    /// Nodes whose result came from a degraded scan.
-    pub fn degraded_nodes(&self) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .filter(|n| n.degraded)
-            .map(|n| n.node)
-            .collect()
-    }
-
     /// Total attempts across all nodes.
     pub fn total_attempts(&self) -> u64 {
         self.nodes.iter().map(|n| n.attempts as u64).sum()
@@ -338,7 +304,6 @@ struct AttemptOutcome {
     result: Result<SkillOutput>,
     attempts: u32,
     faults_absorbed: u32,
-    degraded: bool,
     wall: Duration,
 }
 
@@ -361,9 +326,9 @@ fn panic_error(call: &SkillCall, payload: Box<dyn std::any::Any + Send>) -> Skil
     }
 }
 
-/// Run one node's attempt loop. `exec(degraded)` performs a single
-/// attempt; `token` (when present) is armed with the budget around each
-/// attempt so storage scans can cancel cooperatively.
+/// Run one node's attempt loop. `exec()` performs a single attempt;
+/// `token` (when present) is armed with the budget around each attempt so
+/// storage scans can cancel cooperatively.
 fn run_attempts<F>(
     policy: &ExecPolicy,
     node: &SkillNode,
@@ -372,16 +337,14 @@ fn run_attempts<F>(
     mut exec: F,
 ) -> AttemptOutcome
 where
-    F: FnMut(bool) -> Result<SkillOutput>,
+    F: FnMut() -> Result<SkillOutput>,
 {
     let call = &node.call;
-    let can_degrade = matches!(call, SkillCall::LoadTable { .. });
     let started = Instant::now();
     let mut faults_absorbed = 0u32;
     let mut attempt = 0u32;
     loop {
         attempt += 1;
-        let degraded = can_degrade && policy.degrade_after.is_some_and(|n| attempt > n);
         // The token is armed with the tighter of the per-node budget and
         // what remains of the whole-run slice, so a scan started near the
         // end of a time slice yields at the next block boundary.
@@ -394,7 +357,7 @@ where
             t.arm(budget);
         }
         let attempt_start = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| exec(degraded)))
+        let result = catch_unwind(AssertUnwindSafe(&mut exec))
             .unwrap_or_else(|payload| Err(panic_error(call, payload)));
         if let Some(t) = token {
             t.disarm();
@@ -422,7 +385,6 @@ where
             }
             result => {
                 return AttemptOutcome {
-                    degraded: degraded && result.is_ok(),
                     result,
                     attempts: attempt,
                     faults_absorbed,
@@ -455,7 +417,7 @@ fn run_pure_job(
     mem: Option<&MemContext>,
 ) -> (AttemptOutcome, SpillSnapshot) {
     let spill_before = mem.map(|m| m.metrics.snapshot());
-    let att = run_attempts(policy, node, None, None, |_| {
+    let att = run_attempts(policy, node, None, None, || {
         if let Some(h) = hook {
             h(&node.call);
         }
@@ -526,11 +488,10 @@ impl Run<'_> {
 }
 
 impl Executor {
-    /// Execute `target` under `policy`, absorbing retryable faults,
-    /// isolating panics, and degrading scans as configured. Never aborts
-    /// the whole run for a node failure: the failure poisons exactly the
-    /// dependent sub-DAG, everything else completes and is checkpointed
-    /// in the cache. Structural errors (unknown node ids) still return
+    /// Execute `target` under `policy`, absorbing retryable faults and
+    /// isolating panics. Never aborts the whole run for a node failure: the
+    /// failure poisons exactly the dependent sub-DAG, everything else
+    /// completes and is checkpointed in the cache. Structural errors (unknown node ids) still return
     /// `Err`.
     ///
     /// Under a one-attempt policy with no budget, `report.output` is what
@@ -730,20 +691,12 @@ impl Executor {
             let token = env.cancel.clone();
             let tally_before = env.scan_tally;
             let spill_before = env.memory.as_ref().map(|m| m.metrics.snapshot());
-            let att = run_attempts(policy, node, Some(&token), run.deadline, |degraded| {
+            let att = run_attempts(policy, node, Some(&token), run.deadline, || {
                 if let Some(h) = &hook {
                     h(&node.call);
                 }
-                if degraded {
-                    // A block-sampled scan instead of the full one. The
-                    // cost meter naturally records the cheaper path —
-                    // only the blocks actually read are charged.
-                    let opts = ScanOptions::block_sampled(policy.degraded_fraction, DEGRADED_SEED);
-                    load_table(&node.call, env, opts)
-                } else {
-                    let refs: Vec<&Table> = inputs.iter().map(|t| t.as_ref()).collect();
-                    execute_call(&node.call, &refs, env)
-                }
+                let refs: Vec<&Table> = inputs.iter().map(|t| t.as_ref()).collect();
+                execute_call(&node.call, &refs, env)
             });
             let scan = env.scan_tally.delta_since(tally_before);
             let spill = spill_since(env.memory.as_deref(), spill_before);
@@ -772,7 +725,6 @@ impl Executor {
                             result: Err(panic_error(&job.0.call, payload)),
                             attempts: 1,
                             faults_absorbed: 0,
-                            degraded: false,
                             wall: Duration::ZERO,
                         };
                         (att, SpillSnapshot::default())
@@ -783,11 +735,7 @@ impl Executor {
         }
     }
 
-    /// Fold one node's attempt outcome into cache, stats, and reports. A
-    /// degraded result is committed to the *local* cache only (so resume
-    /// and downstream nodes keep working on the sampled data) and marked
-    /// tainted — `finish` never admits it, or anything derived from it,
-    /// to the shared cross-session cache as authoritative.
+    /// Fold one node's attempt outcome into cache, stats, and reports.
     #[allow(clippy::too_many_arguments)]
     fn commit_attempt(
         &mut self,
@@ -810,7 +758,6 @@ impl Executor {
                     inputs,
                     output,
                     own_scan_bytes,
-                    att.degraded,
                     env,
                 );
                 NodeOutcome::Ok
@@ -820,7 +767,6 @@ impl Executor {
         let mut report = NodeReport::new(node, outcome);
         report.attempts = att.attempts;
         report.faults_absorbed = att.faults_absorbed;
-        report.degraded = att.degraded;
         report.wall = att.wall;
         report.bytes_scanned = scan.bytes_scanned;
         report.bytes_pruned = scan.bytes_pruned;

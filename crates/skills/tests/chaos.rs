@@ -1,6 +1,6 @@
 //! Integration tests for resilient DAG execution under injected faults:
-//! retry, subgraph isolation + resume, panic isolation, budgets with
-//! cooperative cancellation, and degraded scans.
+//! retry, subgraph isolation + resume, panic isolation, and budgets with
+//! cooperative cancellation.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -91,7 +91,6 @@ fn retry_absorbs_scheduled_transient() {
     assert!(matches!(lr.outcome, NodeOutcome::Ok));
     assert_eq!(lr.attempts, 2, "one failure, one successful retry");
     assert_eq!(lr.faults_absorbed, 1);
-    assert!(!lr.degraded);
     assert_eq!(report.node(f).unwrap().attempts, 1);
     assert_eq!(ex.stats.retries, 1);
     assert_eq!(report.faults_absorbed(), 1);
@@ -271,65 +270,31 @@ fn budget_cancels_stalled_scan_cooperatively() {
 }
 
 #[test]
-fn degraded_scan_after_repeated_full_scan_failures() {
+fn a_load_whose_scans_keep_failing_fails_typed() {
     let (dag, l, f) = chain();
-
-    // Full-scan bytes of a fault-free run, for the cost comparison.
-    let mut env0 = env_with(&["events"]);
-    Executor::new().run(&dag, f, &mut env0).unwrap();
-    let full_bytes = env0.catalog.database("db").unwrap().meter().bytes();
-    assert!(full_bytes > 0);
-
     let mut env = env_with(&["events"]);
-    // Every full scan fails; block-sampled scans are spared, so only the
-    // degraded path can make progress.
-    inject(
+    let inj = inject(
         &mut env,
         FaultConfig {
             seed: 42,
             scan_transient_p: 1.0,
-            spare_sampled_scans: true,
             ..FaultConfig::disabled()
         },
     );
+    let policy = ExecPolicy::default();
+    let attempts = policy.retry.max_attempts;
     let mut ex = Executor::new();
-    let policy = ExecPolicy {
-        degrade_after: Some(2),
-        degraded_fraction: 0.25,
-        ..ExecPolicy::default()
-    };
     let report = ex.run_resilient(&dag, f, &mut env, &policy).unwrap();
 
-    assert!(
-        report.succeeded(),
-        "degraded fallback must complete the run"
-    );
+    assert!(!report.succeeded(), "a failing load is never answered");
     let lr = report.node(l).unwrap();
-    assert!(lr.degraded, "result must be flagged as degraded");
-    assert_eq!(
-        lr.attempts, 3,
-        "two full-scan failures, one sampled success"
-    );
-    assert_eq!(lr.faults_absorbed, 2);
-    assert_eq!(report.degraded_nodes(), vec![l]);
-
-    // The failed full scans were never metered (they die before reading
-    // blocks), so the bill reflects only the cheaper sampled path.
-    let degraded_bytes = env.catalog.database("db").unwrap().meter().bytes();
-    assert!(
-        degraded_bytes < full_bytes,
-        "degraded scan must cost less than the full scan \
-         ({degraded_bytes} vs {full_bytes} bytes)"
-    );
-    let out_rows = report.output.unwrap().as_table().unwrap().num_rows();
-    let mut env1 = env_with(&["events"]);
-    let full_rows = Executor::new()
-        .run(&dag, f, &mut env1)
-        .unwrap()
-        .as_table()
-        .unwrap()
-        .num_rows();
-    assert!(out_rows < full_rows, "sampled scan reads a strict subset");
+    assert!(matches!(&lr.outcome, NodeOutcome::Failed(e) if e.is_retryable()));
+    assert_eq!(lr.attempts, attempts);
+    assert_eq!(lr.faults_absorbed, attempts - 1);
+    assert_eq!(report.skipped_nodes(), vec![f]);
+    assert_eq!(inj.stats().ops_seen[0], u64::from(attempts));
+    assert_eq!(env.catalog.database("db").unwrap().meter().bytes(), 0);
+    assert_eq!(ex.cache_len(), 0, "nothing is checkpointed");
 }
 
 #[test]
@@ -397,7 +362,6 @@ fn without_faults_resilient_matches_plain_run() {
     );
     assert_eq!(report.total_attempts(), 2, "one attempt per node");
     assert_eq!(report.faults_absorbed(), 0);
-    assert!(report.degraded_nodes().is_empty());
     assert_eq!(ex.stats.retries, 0);
     assert!(report.first_error().is_none());
 }
@@ -573,7 +537,7 @@ fn spilled_and_retried_result_is_byte_identical_and_cache_admissible() {
     let expected = expected.as_table().unwrap();
 
     // Constrained run with an injected transient spill-write fault AND a
-    // shared cache installed: the recovered (non-degraded) result must
+    // shared cache installed: the recovered result must
     // still be admitted, and only because it is byte-identical to what
     // an in-memory run would have produced.
     let inj = Arc::new(FaultInjector::new(FaultConfig::disabled().schedule(

@@ -1,15 +1,13 @@
 //! Integration tests for the cross-session materialized sub-DAG cache:
 //! zero-copy hits with zero charged scan bytes, versioned invalidation
-//! across catalog and snapshot mutations, degraded-result exclusion,
-//! side-effect exclusion, concurrent hits under the wave scheduler, and
+//! across catalog and snapshot mutations, side-effect exclusion, concurrent hits under the wave scheduler, and
 //! concurrent admissions that evict one another's entries.
 
 use std::sync::Arc;
 
 use dc_engine::{Column, Expr, Table};
-use dc_skills::resilient::{ExecPolicy, NodeOutcome};
 use dc_skills::{Env, Executor, MaterializedCache, SkillCall, SkillDag, SkillOutput};
-use dc_storage::{CloudDatabase, FaultConfig, FaultInjector, Pricing};
+use dc_storage::{CloudDatabase, Pricing};
 
 fn table(n: usize, offset: i64) -> Table {
     Table::new(vec![
@@ -170,57 +168,6 @@ fn snapshot_refresh_invalidates_cached_reads() {
         .unwrap();
     let out = ex.run(&dag, count, &mut env).unwrap();
     assert_eq!(out, dc_skills::SkillOutput::Text("7".into()));
-}
-
-#[test]
-fn degraded_results_are_never_admitted_to_the_shared_cache() {
-    let shared = Arc::new(MaterializedCache::new(64 << 20));
-    let mut env = env_with_cache(&shared);
-    let (dag, target) = pipeline();
-
-    // Every full scan fails; the load only completes via the degraded
-    // (block-sampled) fallback.
-    let inj = Arc::new(FaultInjector::new(FaultConfig {
-        scan_transient_p: 1.0,
-        spare_sampled_scans: true,
-        seed: 3,
-        ..FaultConfig::disabled()
-    }));
-    env.catalog.set_fault_injector(&inj);
-    let policy = ExecPolicy {
-        degrade_after: Some(1),
-        degraded_fraction: 0.25,
-        ..ExecPolicy::default()
-    };
-    let mut ex = Executor::new();
-    let report = ex.run_resilient(&dag, target, &mut env, &policy).unwrap();
-    assert!(report.succeeded());
-    assert!(!report.degraded_nodes().is_empty(), "load must degrade");
-
-    // Neither the sampled load nor anything computed from it may be
-    // published as authoritative.
-    assert_eq!(shared.stats().insertions, 0);
-    assert_eq!(shared.len(), 0);
-
-    // The local cache keeps the degraded result for resume semantics.
-    let report2 = ex.run_resilient(&dag, target, &mut env, &policy).unwrap();
-    assert!(report2
-        .nodes
-        .iter()
-        .all(|n| matches!(n.outcome, NodeOutcome::CacheHit)));
-
-    // With faults gone, a fresh session computes the authoritative
-    // result — and only that run populates the shared tier.
-    env.catalog.clear_fault_injector();
-    let mut ex2 = Executor::new();
-    let full = ex2.run(&dag, target, &mut env).unwrap();
-    assert_eq!(ex2.stats.shared_hits, 0, "no stale degraded entry served");
-    assert!(shared.stats().insertions > 0);
-    let n_col = full.as_table().unwrap().column("n").unwrap().clone();
-    let full_n: f64 = (0..n_col.len())
-        .map(|i| n_col.numeric_at(i).unwrap_or(0.0))
-        .sum();
-    assert_eq!(full_n as i64, 3_900);
 }
 
 #[test]

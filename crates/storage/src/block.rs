@@ -359,7 +359,7 @@ pub(crate) fn run_scan(
 ) -> Result<(Table, ScanReceipt)> {
     let cancel = opts.cancel.as_ref();
     if let Some(inj) = injector {
-        inj.on_scan(opts.block_sample.is_some(), cancel)?;
+        inj.on_scan(cancel)?;
     }
     let meta = src.meta();
     let plan = meta.plan(opts)?;

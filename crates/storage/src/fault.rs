@@ -109,11 +109,6 @@ pub struct FaultConfig {
     pub spill_write_p: f64,
     /// Probability that a spill read-back stalls for `slow_block_ms`.
     pub slow_spill_read_p: f64,
-    /// When set, block-sampled scans are never injected: only full scans
-    /// are flaky. This models long scans being the ones that hit
-    /// transients, and is what makes the degraded-mode fallback (retry a
-    /// failing full scan as a cheaper block sample) observable.
-    pub spare_sampled_scans: bool,
     /// Deterministic schedule, consulted before any probability draw.
     pub schedule: Vec<ScheduledFault>,
 }
@@ -128,7 +123,6 @@ impl Default for FaultConfig {
             snapshot_write_p: 0.0,
             spill_write_p: 0.0,
             slow_spill_read_p: 0.0,
-            spare_sampled_scans: false,
             schedule: Vec::new(),
         }
     }
@@ -208,16 +202,13 @@ impl FaultInjector {
         self.state.lock().expect("injector lock").stats
     }
 
-    /// Decide the fate of the next operation of kind `op`. Bumps the
-    /// per-kind counter even when the operation is spared, so schedules
-    /// line up with operation order regardless of sampling.
-    fn decide(&self, op: FaultOp, sampled_scan: bool) -> Option<InjectedFault> {
+    /// Decide the fate of the next operation of kind `op`, bumping its
+    /// per-kind counter so schedules line up with operation order.
+    fn decide(&self, op: FaultOp) -> Option<InjectedFault> {
         let mut state = self.state.lock().expect("injector lock");
         let idx = state.counts[op.index()];
         state.counts[op.index()] += 1;
         state.stats.ops_seen[op.index()] += 1;
-
-        let spared = sampled_scan && self.config.spare_sampled_scans && op == FaultOp::Scan;
 
         let scheduled = self
             .config
@@ -238,14 +229,10 @@ impl FaultInjector {
                 InjectedFault::SlowMs(self.config.slow_block_ms),
             ),
         };
-        // Always draw so spared scans keep the RNG stream aligned with an
-        // unsampled replay of the same config.
+        // Draw even when a fault is scheduled, so a schedule entry does not
+        // shift the probability draws of later operations.
         let hit = p > 0.0 && state.rng.random::<f64>() < p;
-        let fault = if spared {
-            None
-        } else {
-            scheduled.or(hit.then_some(prob_fault))
-        };
+        let fault = scheduled.or(hit.then_some(prob_fault));
         if let Some(f) = fault {
             match f {
                 InjectedFault::Transient => state.stats.transient_injected += 1,
@@ -278,35 +265,34 @@ impl FaultInjector {
         }
     }
 
-    /// Injection point at the start of a scan. `sampled_scan` is true for
-    /// block-sampled scans (the degraded path).
-    pub fn on_scan(&self, sampled_scan: bool, cancel: Option<&CancelToken>) -> Result<()> {
-        let fault = self.decide(FaultOp::Scan, sampled_scan);
+    /// Injection point at the start of a scan, sampled or not.
+    pub fn on_scan(&self, cancel: Option<&CancelToken>) -> Result<()> {
+        let fault = self.decide(FaultOp::Scan);
         self.apply(FaultOp::Scan, fault, cancel)
     }
 
     /// Injection point per block read within a scan.
     pub fn on_block_read(&self, cancel: Option<&CancelToken>) -> Result<()> {
-        let fault = self.decide(FaultOp::BlockRead, false);
+        let fault = self.decide(FaultOp::BlockRead);
         self.apply(FaultOp::BlockRead, fault, cancel)
     }
 
     /// Injection point before a snapshot write commits.
     pub fn on_snapshot_write(&self) -> Result<()> {
-        let fault = self.decide(FaultOp::SnapshotWrite, false);
+        let fault = self.decide(FaultOp::SnapshotWrite);
         self.apply(FaultOp::SnapshotWrite, fault, None)
     }
 
     /// Injection point before each spill partition/run write.
     pub fn on_spill_write(&self) -> Result<()> {
-        let fault = self.decide(FaultOp::SpillWrite, false);
+        let fault = self.decide(FaultOp::SpillWrite);
         self.apply(FaultOp::SpillWrite, fault, None)
     }
 
     /// Injection point before each spill partition/run read-back. Slow
     /// spill reads stall cooperatively like slow blocks.
     pub fn on_spill_read(&self, cancel: Option<&CancelToken>) -> Result<()> {
-        let fault = self.decide(FaultOp::SpillRead, false);
+        let fault = self.decide(FaultOp::SpillRead);
         self.apply(FaultOp::SpillRead, fault, cancel)
     }
 }
@@ -398,7 +384,7 @@ mod tests {
     fn disabled_injector_injects_nothing() {
         let inj = FaultInjector::new(FaultConfig::disabled());
         for _ in 0..100 {
-            inj.on_scan(false, None).unwrap();
+            inj.on_scan(None).unwrap();
             inj.on_block_read(None).unwrap();
             inj.on_snapshot_write().unwrap();
             inj.on_spill_write().unwrap();
@@ -415,7 +401,7 @@ mod tests {
             ..FaultConfig::disabled()
         };
         let inj = FaultInjector::new(cfg);
-        assert!(inj.on_scan(false, None).is_ok());
+        assert!(inj.on_scan(None).is_ok());
         assert!(inj.on_spill_read(None).is_ok());
         let e = inj.on_spill_write().unwrap_err();
         assert!(e.is_retryable());
@@ -445,15 +431,15 @@ mod tests {
             .schedule(FaultOp::Scan, 2, InjectedFault::Transient)
             .schedule(FaultOp::Scan, 3, InjectedFault::Unavailable);
         let inj = FaultInjector::new(cfg);
-        assert!(inj.on_scan(false, None).is_ok());
-        assert!(inj.on_scan(false, None).is_ok());
-        let e = inj.on_scan(false, None).unwrap_err();
+        assert!(inj.on_scan(None).is_ok());
+        assert!(inj.on_scan(None).is_ok());
+        let e = inj.on_scan(None).unwrap_err();
         assert!(matches!(e, StorageError::Transient { .. }));
         assert!(e.is_retryable());
-        let e = inj.on_scan(false, None).unwrap_err();
+        let e = inj.on_scan(None).unwrap_err();
         assert!(matches!(e, StorageError::Unavailable { .. }));
         assert!(!e.is_retryable());
-        assert!(inj.on_scan(false, None).is_ok());
+        assert!(inj.on_scan(None).is_ok());
         assert_eq!(inj.stats().transient_injected, 1);
         assert_eq!(inj.stats().unavailable_injected, 1);
     }
@@ -468,7 +454,7 @@ mod tests {
         let run = || {
             let inj = FaultInjector::new(cfg.clone());
             (0..64)
-                .map(|_| inj.on_scan(false, None).is_err())
+                .map(|_| inj.on_scan(None).is_err())
                 .collect::<Vec<_>>()
         };
         let a = run();
@@ -478,16 +464,25 @@ mod tests {
     }
 
     #[test]
-    fn sampled_scans_spared_when_configured() {
-        let cfg = FaultConfig {
-            scan_transient_p: 1.0,
-            spare_sampled_scans: true,
-            ..FaultConfig::disabled()
-        };
-        let inj = FaultInjector::new(cfg);
-        assert!(inj.on_scan(false, None).is_err());
-        assert!(inj.on_scan(true, None).is_ok());
-        assert!(inj.on_scan(false, None).is_err());
+    fn a_block_sampled_scan_is_faulted_like_any_scan() {
+        use crate::{CloudDatabase, Pricing, ScanOptions};
+        use dc_engine::{Column, Table};
+
+        let rows = Table::new(vec![("id", Column::from_ints((0..4_096).collect()))]).unwrap();
+        let mut db = CloudDatabase::new("db", Pricing::default_cloud());
+        db.create_table_with_blocks("t", &rows, 256).unwrap();
+        let cfg = FaultConfig::disabled().schedule(FaultOp::Scan, 0, InjectedFault::Transient);
+        db.set_fault_injector(Arc::new(FaultInjector::new(cfg)));
+        let sampled = ScanOptions::block_sampled(0.25, 7);
+
+        let e = db.scan("t", &sampled).unwrap_err();
+        assert!(e.is_retryable());
+        assert_eq!(db.meter().bytes(), 0, "a failed scan charges nothing");
+        assert_eq!(db.meter().queries(), 0);
+
+        let (data, receipt) = db.scan("t", &sampled).unwrap();
+        assert!(data.num_rows() > 0 && data.num_rows() < rows.num_rows());
+        assert_eq!(db.meter().bytes(), receipt.bytes_scanned);
     }
 
     #[test]

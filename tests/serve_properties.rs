@@ -235,9 +235,9 @@ proptest! {
     /// its budget, every admitted job is answered exactly once with an
     /// output or a typed failure (never a skill's panic), and every job's
     /// charge and reservation are settled against its tenant's budget.
-    /// Retried scans may charge a job past its reservation and a degraded
-    /// scan may answer from sampled rows, so neither per-job bounds nor
-    /// serial equivalence are asked for here.
+    /// Retried scans may charge a job past its reservation and a faulted
+    /// job may fail where a serial run succeeds, so neither per-job bounds
+    /// nor serial equivalence are asked for here.
     #[test]
     fn faulty_storage_loses_no_job_and_overcharges_no_budget(
         tenants in prop::collection::vec(
