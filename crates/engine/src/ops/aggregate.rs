@@ -3,7 +3,7 @@
 //! Implements the `Compute the <aggregate> of <column> for each <group>`
 //! skill (Table 1's data-wrangling row and the Figure 3 walkthrough). Group
 //! ids — here, in `distinct` and in `pivot` — are the key encoder's
-//! ([`super::keys`]) with nulls as keys: dense, in first-encounter order.
+//! (`super::keys`) with nulls as keys: dense, in first-encounter order.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -126,6 +126,20 @@ impl AggFunc {
             Sum if input == Some(DataType::Int) => DataType::Int,
             Sum => DataType::Float,
             Min | Max | First | Last => input.unwrap_or(DataType::Str),
+        }
+    }
+
+    /// Whether this aggregate over an `input`-typed argument comes out the
+    /// same, bit for bit, however its rows are split into morsels or
+    /// blocks: counts, winning rows, medians and integer sums do; float
+    /// sums, averages (accumulated in `f64`) and Welford's variance add in
+    /// an order the split decides.
+    pub fn splits_exactly(self, input: Option<DataType>) -> bool {
+        use AggFunc::*;
+        match self {
+            Count | CountRecords | CountDistinct | Min | Max | First | Last | Median => true,
+            Sum => input == Some(DataType::Int),
+            Avg | StdDev | Variance => false,
         }
     }
 }
@@ -564,7 +578,7 @@ pub fn group_by(table: &Table, keys: &[&str], aggs: &[AggSpec]) -> Result<Table>
 /// through the one body (`GroupBy::body`), which books state as it allocates
 /// it, so a handful of groups over any number of rows never leaves memory.
 /// Where the governor refuses, the attempt is dropped and the row *ids* are
-/// split by key hash into runs ([`split`]); every run gathers the columns it
+/// split by key hash into runs (`split`); every run gathers the columns it
 /// needs at its ids and goes through the same body as one morsel, as many
 /// runs at once on the pool as the governor admits the state of. A group's
 /// rows all land in one run, in ascending order, so order-sensitive
@@ -577,26 +591,7 @@ pub fn group_by_with_mem(
     aggs: &[AggSpec],
     mem: Option<&MemContext>,
 ) -> Result<Table> {
-    if aggs.is_empty() {
-        return Err(EngineError::invalid_argument(
-            "group_by requires at least one aggregate",
-        ));
-    }
-    let inputs = resolve_inputs(table, keys, aggs)?;
-    let named = keys.iter().copied();
-    let named = named.chain(aggs.iter().filter_map(|a| a.column.as_deref()));
-    let needed: Vec<(&str, &Column)> = named
-        .filter_map(|n| Some((n, table.column(n).ok()?)))
-        .collect();
-    let row_bytes = |(_, c): &(&str, &Column)| (c.byte_size() / c.len().max(1) + 1) as u64;
-    let job = GroupBy {
-        keys,
-        aggs,
-        gather: 8 + needed.iter().map(row_bytes).sum::<u64>(),
-        needed,
-        widths: group_widths(keys.len(), aggs.iter().map(|a| a.func)),
-        inputs,
-    };
+    let job = GroupBy::new(table, keys, aggs)?;
     let (mut op, mut parts) = (Spill::new(mem, "groupby"), Vec::new());
     let all = vec![Ids::All(table.num_rows())];
     // One group cannot be split: it runs whatever the governor says.
@@ -629,14 +624,133 @@ pub fn group_by_with_mem(
             (reps, columns)
         }
     };
+    assemble(&inputs, aggs, &reps, columns)
+}
+
+/// The output table: the key columns at the groups' representative rows,
+/// then one column per aggregate.
+fn assemble(
+    inputs: &GroupInputs<'_>,
+    aggs: &[AggSpec],
+    reps: &[usize],
+    columns: Vec<Column>,
+) -> Result<Table> {
     let mut out = Table::empty();
     for (name, col) in inputs.key_names.iter().zip(&inputs.key_cols) {
-        out.add_column(name, col.take(&reps))?;
+        out.add_column(name, col.take(reps))?;
     }
     for (spec, values) in aggs.iter().zip(columns) {
         out.add_column(&spec.output, values)?;
     }
     Ok(out)
+}
+
+/// One block's groups, before the merge: phase 1 of the kernel run over
+/// the block's morsels, made self-contained — the key columns gathered at
+/// the groups' first rows and every aggregate's argument values at the
+/// rows its state refers to — so nothing of the block is held past it.
+/// [`merge_group_states`] folds the blocks' states in block order, the
+/// kernel's morsel merge with blocks as the morsels.
+pub struct GroupState {
+    key_names: Vec<String>,
+    keys: Vec<Column>,
+    /// Per aggregate, its argument column at the rows the state refers to:
+    /// empty (only its dtype matters) when the state refers to no row,
+    /// `None` for `CountRecords`.
+    args: Vec<Option<Column>>,
+    groups: Groups,
+}
+
+/// The groups of one block of a group-by's input by `keys`, with `aggs`'
+/// state over them (see [`GroupState`]). Errors as [`group_by`] does over
+/// the same table.
+pub fn group_state(table: &Table, keys: &[&str], aggs: &[AggSpec]) -> Result<GroupState> {
+    let job = GroupBy::new(table, keys, aggs)?;
+    // Forced bookings: a block's state is held whatever a governor says.
+    let op = Spill::new(None, "groupby");
+    let hold: Hold = &|bytes| op.hold(bytes, true);
+    let morsels = parallel::morsels(table.num_rows());
+    let (groups, _held) = job
+        .fold(&job.inputs, &morsels, hold)
+        .map_err(|_| EngineError::invalid_argument("a forced booking was refused"))?;
+    let inputs = &job.inputs;
+    let keys = inputs
+        .key_cols
+        .iter()
+        .map(|c| c.take(&groups.reps))
+        .collect();
+    let (mut accs, mut args) = (Vec::new(), Vec::new());
+    for (mut acc, col) in groups.accs.into_iter().zip(&inputs.agg_cols) {
+        // The rows a state names — winners, or median and distinct pairs;
+        // none for the others — gathered and renumbered in order.
+        let pairs = acc.pairs.iter_mut().map(|p| &mut p.1);
+        let named: Vec<&mut usize> = acc.row.iter_mut().flatten().chain(pairs).collect();
+        let rows: Vec<usize> = named.iter().map(|r| **r).collect();
+        named.into_iter().enumerate().for_each(|(i, r)| *r = i);
+        args.push(col.map(|c| c.take(&rows)));
+        accs.push(acc);
+    }
+    let n = groups.reps.len();
+    Ok(GroupState {
+        key_names: job.inputs.key_names,
+        keys,
+        args,
+        groups: Groups {
+            reps: (0..n).collect(),
+            accs,
+        },
+    })
+}
+
+/// Phase 2 over blocks: fold the blocks' [`group_state`]s of one group-by
+/// (the same `aggs`) in the order given, exactly as the kernel folds its
+/// morsels, and finish the groups. Groups come out in first-encounter
+/// order across the blocks; one state finishes as the kernel would over
+/// its block alone.
+pub fn merge_group_states(states: Vec<GroupState>, aggs: &[AggSpec]) -> Result<Table> {
+    let Some(first) = states.first() else {
+        return Err(EngineError::invalid_argument("no group states to merge"));
+    };
+    let concat = |cols: Vec<&Column>| -> Result<Column> {
+        let mut all = cols[0].slice(0, 0);
+        all.reserve(cols.iter().map(|c| c.len()).sum());
+        cols.iter().try_for_each(|c| all.extend(c))?;
+        Ok(all)
+    };
+    let keys = (0..first.keys.len())
+        .map(|k| concat(states.iter().map(|s| &s.keys[k]).collect()))
+        .collect::<Result<Vec<_>>>()?;
+    let args = (0..aggs.len())
+        .map(|j| match first.args[j] {
+            None => Ok(None),
+            Some(_) => concat(states.iter().filter_map(|s| s.args[j].as_ref()).collect()).map(Some),
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let key_names = first.key_names.clone();
+    let (mut key_at, mut arg_at) = (0, vec![0; aggs.len()]);
+    let mut parts = Vec::with_capacity(states.len());
+    for state in states {
+        let mut groups = state.groups;
+        groups.reps.iter_mut().for_each(|r| *r += key_at);
+        key_at += state.keys.first().map_or(0, Column::len);
+        for ((acc, at), arg) in groups.accs.iter_mut().zip(&mut arg_at).zip(&state.args) {
+            acc.row.iter_mut().flatten().for_each(|r| *r += *at);
+            acc.pairs.iter_mut().for_each(|p| p.1 += *at);
+            *at += arg.as_ref().map_or(0, Column::len);
+        }
+        parts.push(groups);
+    }
+    let inputs = GroupInputs {
+        key_cols: keys.iter().collect(),
+        key_names,
+        agg_cols: args.iter().map(Option::as_ref).collect(),
+    };
+    let groups = match <[_; 1]>::try_from(parts) {
+        Ok([only]) => only,
+        Err(parts) => fold_parts(&inputs, aggs, parts),
+    };
+    let (reps, columns) = finish(aggs, &inputs, groups);
+    assemble(&inputs, aggs, &reps, columns)
 }
 
 /// What a group-by is asked, and what partitioning it takes: the columns a
@@ -654,6 +768,31 @@ struct GroupBy<'t> {
 
 /// A booking of state bytes, `None` when refused.
 type Hold<'h> = &'h (dyn Fn(u64) -> Option<Reservation> + Sync);
+
+impl<'t> GroupBy<'t> {
+    fn new(table: &'t Table, keys: &'t [&'t str], aggs: &'t [AggSpec]) -> Result<GroupBy<'t>> {
+        if aggs.is_empty() {
+            return Err(EngineError::invalid_argument(
+                "group_by requires at least one aggregate",
+            ));
+        }
+        let inputs = resolve_inputs(table, keys, aggs)?;
+        let named = keys.iter().copied();
+        let named = named.chain(aggs.iter().filter_map(|a| a.column.as_deref()));
+        let needed: Vec<(&str, &Column)> = named
+            .filter_map(|n| Some((n, table.column(n).ok()?)))
+            .collect();
+        let row_bytes = |(_, c): &(&str, &Column)| (c.byte_size() / c.len().max(1) + 1) as u64;
+        Ok(GroupBy {
+            keys,
+            aggs,
+            gather: 8 + needed.iter().map(row_bytes).sum::<u64>(),
+            needed,
+            widths: group_widths(keys.len(), aggs.iter().map(|a| a.func)),
+            inputs,
+        })
+    }
+}
 
 impl<'a> Partitioned<'a> for GroupBy<'_> {
     /// The groups, or `None` if the body was refused its state.
@@ -734,6 +873,18 @@ impl GroupBy<'_> {
     /// The one group-by body: the groups of `ranges` (contiguous ascending
     /// row ranges of `inputs`) finished, or — as soon as `hold` refuses a
     /// part of its state — the groups to expect among the rows.
+    fn body(
+        &self,
+        inputs: &GroupInputs<'_>,
+        ranges: &[Range<usize>],
+        hold: Hold,
+    ) -> std::result::Result<Part, u64> {
+        let (groups, _held) = self.fold(inputs, ranges, hold)?;
+        Ok(finish(self.aggs, inputs, groups))
+    }
+
+    /// The body's groups before they are finished, with what they hold of
+    /// the budget.
     ///
     /// Two-phase over the ranges as morsels (see [`crate::parallel`]): each
     /// morsel encodes its rows' keys into dense group ids and accumulates
@@ -744,12 +895,12 @@ impl GroupBy<'_> {
     /// its float results plain sequential accumulation. A morsel books its
     /// scratch from its row count before encoding and its groups once it has
     /// counted them, and settles to what the finished `Groups` occupies.
-    fn body(
+    fn fold(
         &self,
         inputs: &GroupInputs<'_>,
         ranges: &[Range<usize>],
         hold: Hold,
-    ) -> std::result::Result<Part, u64> {
+    ) -> std::result::Result<(Groups, Reservation), u64> {
         let state =
             |rows: usize, groups: usize| group_state_bytes(rows as u64, groups as u64, self.widths);
         let (seen_rows, seen_groups) = (AtomicU64::new(0), AtomicU64::new(0));
@@ -792,30 +943,36 @@ impl GroupBy<'_> {
                 let key_bytes = |c: &&Column| c.byte_size() / c.len().max(1) + 9;
                 let keys = local * inputs.key_cols.iter().map(key_bytes).sum::<usize>();
                 let mut held = hold(state(local, local) + keys as u64)?;
+                let (parts, _held): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
                 let folded = fold_parts(inputs, self.aggs, parts);
                 held.shrink_to(folded.bytes());
                 Some((folded, held))
             }
         });
-        let Some((Groups { reps, accs }, _held)) = folded else {
+        folded.ok_or_else(|| {
             // In the proportion seen; one per row if nothing was.
             let rows: u64 = ranges.iter().map(|r| r.len() as u64).sum();
-            return Err(match seen_rows.into_inner() {
+            match seen_rows.into_inner() {
                 0 => rows,
                 seen => rows * seen_groups.into_inner() / seen,
-            });
-        };
-        let finished = self.aggs.iter().zip(&inputs.agg_cols).zip(accs);
-        let columns = finished.map(|((spec, col), acc)| {
-            let values = acc.finish(*col);
-            debug_assert_eq!(
-                values.dtype(),
-                spec.func.output_dtype(col.map(|c| c.dtype()))
-            );
-            values
-        });
-        Ok((reps, columns.collect()))
+            }
+        })
     }
+}
+
+/// Finished groups: each aggregate's state turned into its output column.
+fn finish(aggs: &[AggSpec], inputs: &GroupInputs<'_>, groups: Groups) -> Part {
+    let Groups { reps, accs } = groups;
+    let finished = aggs.iter().zip(&inputs.agg_cols).zip(accs);
+    let columns = finished.map(|((spec, col), acc)| {
+        let values = acc.finish(*col);
+        debug_assert_eq!(
+            values.dtype(),
+            spec.func.output_dtype(col.map(|c| c.dtype()))
+        );
+        values
+    });
+    (reps, columns.collect())
 }
 
 /// Phase 2: fold morsel-local groups together in morsel order.
@@ -825,15 +982,8 @@ impl GroupBy<'_> {
 /// morsel order, so global ids are first-encounter ids) — keys are touched
 /// once per (morsel, group), never per row, and there is one hasher and
 /// one definition of key equality.
-fn fold_parts(
-    inputs: &GroupInputs<'_>,
-    aggs: &[AggSpec],
-    parts: Vec<(Groups, Reservation)>,
-) -> Groups {
-    let local_reps: Vec<usize> = parts
-        .iter()
-        .flat_map(|p| p.0.reps.iter().copied())
-        .collect();
+fn fold_parts(inputs: &GroupInputs<'_>, aggs: &[AggSpec], parts: Vec<Groups>) -> Groups {
+    let local_reps: Vec<usize> = parts.iter().flat_map(|p| p.reps.iter().copied()).collect();
     let gathered: Vec<Column> = inputs
         .key_cols
         .iter()
@@ -853,7 +1003,7 @@ fn fold_parts(
         .map(|spec| AggCols::new(spec.func, groups))
         .collect();
     let mut maps = global.as_slice();
-    for (part, _held) in parts {
+    for part in parts {
         let (map, rest) = maps.split_at(part.reps.len());
         maps = rest;
         for ((acc, local), col) in accs.iter_mut().zip(part.accs).zip(&inputs.agg_cols) {
@@ -1251,11 +1401,23 @@ mod tests {
             }
             // Single key, multi-key, float/date/bool keys, and the global
             // (empty-key) group — which is one row even when `rows` is empty.
+            // Blocks are morsels: the blocks' merged states are the body
+            // over the same ranges, bit for bit.
+            let cuts = [0, n / 3, n / 2, n];
+            let ranges: Vec<Range<usize>> = cuts.windows(2).map(|w| w[0]..w[1]).collect();
             for keys in [&["k"][..], &["k", "v"], &[], &["e"], &["d", "b"], &["e", "k"]] {
                 let want = group_by_reference(&t, keys, &aggs).unwrap();
                 for input in [&t, &t.encode_strings()] {
                     let got = group_by(input, keys, &aggs).unwrap();
                     prop_assert!(identical(&got, &want), "keys {keys:?}\n{got:?}\n{want:?}");
+                    let job = GroupBy::new(input, keys, &aggs).unwrap();
+                    let op = Spill::new(None, "groupby");
+                    let (reps, cols) = job.body(&job.inputs, &ranges, &|b| op.hold(b, false)).unwrap();
+                    let morsels = assemble(&job.inputs, &aggs, &reps, cols).unwrap();
+                    let block = |r: &Range<usize>| input.slice(r.start, r.len());
+                    let states = ranges.iter().map(|r| group_state(&block(r), keys, &aggs).unwrap());
+                    let merged = merge_group_states(states.collect(), &aggs).unwrap();
+                    prop_assert!(identical(&merged, &morsels), "keys {keys:?}\n{merged:?}\n{morsels:?}");
                 }
             }
         }

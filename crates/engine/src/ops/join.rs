@@ -1,7 +1,7 @@
 //! Hash joins.
 //!
 //! One body, budgeted or not: the key columns of both sides become words
-//! ([`super::keys`]), the build (right) side's keys are numbered densely in
+//! (`super::keys`), the build (right) side's keys are numbered densely in
 //! one pass and its rows laid out by key id, the probe (left) side looks
 //! its keys up a morsel at a time and emits packed `(left row, right row)`
 //! pairs, and the output columns are gathered through the pairs.
@@ -94,10 +94,10 @@ pub fn join(
 ///
 /// The join reads only key columns until it knows its output as packed
 /// `(left row, right row)` pairs (`Match`): the right rows are indexed
-/// ([`Index`]) and the left ones looked up — over all rows at once where
+/// (`Index`) and the left ones looked up — over all rows at once where
 /// the governor admits the index ([`join_state_bytes`]), else over the row
 /// *ids* of hash partitions of both sides, as many at once on the pool as
-/// the governor admits ([`split`]). Every partition's pairs ascend and hold
+/// the governor admits (`split`). Every partition's pairs ascend and hold
 /// all of their left rows' pairs, so placing them by a count of each left
 /// row's pairs is the output order, and the output columns are gathered
 /// through the pairs, a block at a time.

@@ -16,7 +16,9 @@ pub mod sort;
 pub mod spill;
 pub mod window;
 
-pub use aggregate::{group_by, group_by_with_mem, AggFunc, AggSpec};
+pub use aggregate::{
+    group_by, group_by_with_mem, group_state, merge_group_states, AggFunc, AggSpec, GroupState,
+};
 pub use concat::concat;
 pub use distinct::distinct;
 pub use filter::{filter, filter_serial, limit, project};

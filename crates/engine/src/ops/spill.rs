@@ -3,22 +3,22 @@
 //!
 //! The operators borrow resident inputs and never copy them. They book the
 //! state they allocate (hash index, group table, sort records, join pairs)
-//! through a [`Spill`] handle, and when the governor refuses they bound that
-//! state by partitioning their *work*: [`partition_ids`] splits row ids —
+//! through a `Spill` handle, and when the governor refuses they bound that
+//! state by partitioning their *work*: `partition_ids` splits row ids —
 //! not rows — by a hash of the key encoder's words (`key_hashes`), and each
 //! partition goes through the same kernel body over its ids. State that is
 //! itself O(n) — id lists, sort records,
-//! join pairs — lives in [`Run`]s: append-only sequences of `width`-word
+//! join pairs — lives in `Run`s: append-only sequences of `width`-word
 //! `u64` records, resident while their growing reservation is admitted and
 //! from the first refusal on a DCB1 file of `Int` columns (one per word) in
 //! the operator's [`ScopedSpillDir`], which is created with the first file.
 //! Every block written or read passes the context's chaos hooks, a sealed
 //! file is one `spill_partitions` count, an operator that wrote anything one
 //! `spill_events` count, and a file is deleted when read to its end. Sorted
-//! runs merge k ways ([`merge_runs`]); records end in a row id or are packed
+//! runs merge k ways (`merge_runs`); records end in a row id or are packed
 //! row pairs, so no two compare equal and the merge needs no tie rule.
 //!
-//! Join and group-by split their work through one function, [`split`],
+//! Join and group-by split their work through one function, `split`,
 //! which runs as many resident partitions at once on the pool as the
 //! governor admits the state of; bookings, id lists and run files stay on
 //! the calling thread.
@@ -28,7 +28,7 @@
 //! nothing: the unbudgeted operator is the same body.
 //!
 //! Not booked: one block of at most [`MemContext::spill_block_rows`]
-//! records per run file being read or written, and [`FLOOR_RECORDS`]
+//! records per run file being read or written, and `FLOOR_RECORDS`
 //! records where the governor admits nothing at all — bounded whatever the
 //! input.
 

@@ -652,6 +652,70 @@ pub fn rows(call: &SkillCall, inputs: &[RowInput<'_>], stats: &dyn PlanStats) ->
     }
 }
 
+/// Whether `call` is row-local: every row it flows is made from one input
+/// row alone, so running it over a table's blocks one at a time and
+/// stitching the parts in block order makes what running it over the whole
+/// table makes. A scan's block pipeline carries these calls through every
+/// block ([`crate::resilient`]). Everything that reads across rows — sorts,
+/// limits, samples and shuffles, distinct, joins and concatenations,
+/// aggregates, models, statistics — ends a chain, and so does every call
+/// that reads the environment or produces no table.
+pub fn row_local(call: &SkillCall) -> bool {
+    use SkillCall::*;
+    match call {
+        KeepRows { .. }
+        | DropRows { .. }
+        | DropMissing { .. }
+        | KeepColumns { .. }
+        | DropColumns { .. }
+        | RenameColumn { .. }
+        | CreateColumn { .. }
+        | CreateConstantColumn { .. }
+        | FillMissing { .. }
+        | ReplaceValues { .. }
+        | CastColumn { .. }
+        | BinColumn { .. }
+        | ExtractDatePart { .. }
+        | TrimColumn { .. } => true,
+        LoadFile { .. }
+        | LoadUrl { .. }
+        | LoadTable { .. }
+        | UseDataset { .. }
+        | UseSnapshot { .. }
+        | DescribeColumn { .. }
+        | DescribeDataset
+        | ListDatasets
+        | ShowHead { .. }
+        | CountRows
+        | ProfileMissing
+        | Visualize { .. }
+        | Plot { .. }
+        | Compute { .. }
+        | Pivot { .. }
+        | Sort { .. }
+        | Top { .. }
+        | Limit { .. }
+        | Concat { .. }
+        | Join { .. }
+        | Distinct { .. }
+        | Sample { .. }
+        | ShuffleRows { .. }
+        | TrainModel { .. }
+        | Predict { .. }
+        | EvaluateModel { .. }
+        | PredictTimeSeries { .. }
+        | DetectOutliers { .. }
+        | Cluster { .. }
+        | RunSql { .. }
+        | ExportCsv
+        | SaveArtifact { .. }
+        | Snapshot { .. }
+        | Define { .. }
+        | Comment { .. }
+        | ShareArtifact { .. } => false,
+    }
+}
+
 /// A load's rows, those of its scan plan; `None` when its table is unknown
 /// or its scan cannot be planned (it then fails).
 fn load_rows(load: &SkillCall, stats: &dyn PlanStats) -> Option<RowBounds> {

@@ -11,7 +11,7 @@
 //! on, not the nodes the session holds: [`SkillDag::ancestors`] walks the
 //! target's cone and nothing else, the DAG keeps each node's consumer count
 //! and name-bound flag up to date as edges and names are added (nobody
-//! recounts), and [`SkillDag::cone`] cuts the compact copy — `k` nodes, ids
+//! recounts), and `SkillDag::cone` cuts the compact copy — `k` nodes, ids
 //! `0..k`, a map back to this DAG's ids — that the plan step rewrites and
 //! the driver walks.
 //!

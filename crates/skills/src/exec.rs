@@ -16,12 +16,13 @@
 //! shared tier admits are one set of buffers.
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use dc_engine::csv::{read_csv, write_csv};
 use dc_engine::ops::{
-    concat, distinct, filter, group_by_with_mem, join_with_mem, limit, pivot, sample_fraction,
-    sort_by, sort_by_with_mem, top_n, SortKey,
+    concat, distinct, filter, group_by_with_mem, group_state, join_with_mem, limit,
+    merge_group_states, pivot, sample_fraction, sort_by, sort_by_with_mem, top_n, SortKey,
 };
 use dc_engine::MemContext;
 use dc_engine::{Column, Expr, Table, Value};
@@ -85,7 +86,9 @@ pub fn execute_call(call: &SkillCall, inputs: &[&Table], env: &mut Env) -> Resul
         // ----- ingestion -----
         LoadFile { path } => Ok(SkillOutput::Table(read_csv(env.file(path)?)?)),
         LoadUrl { url } => Ok(SkillOutput::Table(read_csv(env.url(url)?)?)),
-        LoadTable { .. } => load_table(call, env),
+        // A load alone is a pipeline of one call: the scan, its parts
+        // stitched.
+        LoadTable { .. } => run_pipeline(&[call], env).map_err(|(_, e)| e),
         UseDataset { name, .. } if inputs.is_empty() => {
             Ok(SkillOutput::Table(env.saved_table(name)?.clone()))
         }
@@ -215,19 +218,85 @@ pub fn execute_call(call: &SkillCall, inputs: &[&Table], env: &mut Env) -> Resul
     }
 }
 
-/// Scan the catalog table a [`SkillCall::LoadTable`] names — projected to
-/// its columns and filtered by its predicate inside storage when it has
-/// them — tallying the receipt.
-fn load_table(call: &SkillCall, env: &mut Env) -> Result<SkillOutput> {
-    let Some((database, table, mut opts)) = load_scan(call) else {
-        let message = format!("{} is not a table load", call.name());
-        return Err(SkillError::invalid(message));
+/// The error of a pipeline and the index, in the chain, of the call that
+/// raised it (0 is the load).
+pub(crate) type ChainError = (usize, SkillError);
+
+/// Run a scan's block pipeline: `chain[0]` is a [`SkillCall::LoadTable`],
+/// the calls after it are [`crate::contract::row_local`] but for the last,
+/// which may be a `Compute`. Inside the pool job that fetches a block, the
+/// row-local calls run over it through [`execute_pure_call_with_mem`] under
+/// the run's [`MemContext`] — the same code that runs them as nodes — and a
+/// closing `Compute` groups it ([`group_state`], the kernel's phase 1 with
+/// the block as its morsel). The breaker then merges the blocks' group
+/// states in plan order ([`merge_group_states`]) or stitches their tables
+/// with the one `concat`. The scan is charged and tallied as the load's
+/// would be; an error names the call of the chain that raised it, and a
+/// storage error wins over a step's, as it would have failed the load
+/// first.
+pub(crate) fn run_pipeline(
+    chain: &[&SkillCall],
+    env: &mut Env,
+) -> std::result::Result<SkillOutput, ChainError> {
+    let Some((load, steps)) = chain.split_first() else {
+        return Err((0, SkillError::invalid("an empty pipeline")));
     };
-    let db = env.catalog.database(database)?;
+    let Some((database, table, mut opts)) = load_scan(load) else {
+        let message = format!("{} is not a table load", load.name());
+        return Err((0, SkillError::invalid(message)));
+    };
+    let top = chain.len() - 1;
+    let (steps, aggregate) = match steps.split_last() {
+        Some((SkillCall::Compute { aggs, for_each }, rows)) => (rows, Some((aggs, for_each))),
+        _ => (steps, None),
+    };
+    let mem = env.memory.as_deref();
+    let rows = |part: Table| -> std::result::Result<Table, ChainError> {
+        let mut t = part;
+        for (i, call) in steps.iter().enumerate() {
+            let out = catch_unwind(AssertUnwindSafe(|| {
+                execute_pure_call_with_mem(call, &[&t], mem)?.into_table()
+            }));
+            let out =
+                out.unwrap_or_else(|payload| Err(crate::resilient::panic_error(call, payload)));
+            t = out.map_err(|e| (i + 1, e))?;
+        }
+        Ok(t)
+    };
+    let db = env.catalog.database(database).map_err(|e| (0, e.into()))?;
     opts.cancel = Some(env.cancel.clone());
-    let (data, receipt) = db.scan(table, &opts)?;
-    env.scan_tally.record(&receipt);
-    Ok(SkillOutput::Table(data))
+    let tally = &mut env.scan_tally;
+    let out = match aggregate {
+        Some((aggs, for_each)) => {
+            let keys: Vec<&str> = for_each.iter().map(String::as_str).collect();
+            let states = scan_chain(db, table, &opts, tally, &|part| {
+                group_state(&rows(part)?, &keys, aggs).map_err(|e| (top, e.into()))
+            })?;
+            merge_group_states(states, aggs)
+        }
+        None => {
+            let tables = scan_chain(db, table, &opts, tally, &rows)?;
+            concat(&tables.iter().collect::<Vec<_>>(), false)
+        }
+    };
+    out.map(SkillOutput::Table).map_err(|e| (top, e.into()))
+}
+
+/// A pipeline's scan of `table`, `step` run on every block: the steps'
+/// results in plan order, the receipt tallied once the scan completed,
+/// then the first step error in plan order, if any.
+fn scan_chain<P: Send>(
+    db: &dc_storage::CloudDatabase,
+    table: &str,
+    opts: &ScanOptions,
+    tally: &mut crate::env::ScanTally,
+    step: &(dyn Fn(Table) -> std::result::Result<P, ChainError> + Sync),
+) -> std::result::Result<Vec<P>, ChainError> {
+    let (parts, receipt) = db
+        .scan_blocks(table, opts, step)
+        .map_err(|e| (0, e.into()))?;
+    tally.record(&receipt);
+    parts.into_iter().collect()
 }
 
 /// Execute one environment-free skill call against its input tables.
@@ -841,38 +910,59 @@ impl Executor {
     /// Record one executed node's output and downstream-facing table,
     /// accumulate its sub-DAG scan footprint, and — for results of
     /// version-addressable sub-DAGs — publish it to the cross-session
-    /// cache.
+    /// cache. `chain` is the pipeline the node ran at the top of (the load
+    /// first; empty for a node that ran alone): its nodes executed but keep
+    /// no checkpoint, and their scan is the node's own.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn finish(
         &mut self,
         dag: &SkillDag,
         node: &SkillNode,
+        chain: &[NodeId],
         keys: &[SubDagKey],
         inputs: Vec<Arc<Table>>,
         output: SkillOutput,
         own_scan_bytes: u64,
         env: &Env,
     ) {
-        self.stats.nodes_executed += 1;
+        self.stats.nodes_executed += 1 + chain.len() as u64;
         let key = keys[node.id];
         let input = |i: &NodeId| self.checkpoints[&keys[*i].hash].footprint;
-        let footprint = own_scan_bytes + node.inputs.iter().map(input).sum::<u64>();
+        let footprint = match chain {
+            [] => own_scan_bytes + node.inputs.iter().map(input).sum::<u64>(),
+            _ => own_scan_bytes,
+        };
         // Every flow table has the schema the call's contract declares,
         // whenever it declares one, and as many rows as the call's row rule
         // allows for the rows its inputs actually hold: checked in debug
         // builds, where every run is an oracle for the contract the analyzer
-        // calls.
+        // calls. A pipeline's flow is checked against the contract composed
+        // up its chain from the load, whose tables are never made.
         let declared = cfg!(debug_assertions).then(|| {
-            let schemas: Vec<_> = inputs.iter().map(|t| Some(t.schema())).collect();
-            let rows_in: Vec<_> = (node.inputs.iter().zip(&inputs))
+            let mut schemas: Vec<_> = inputs.iter().map(|t| Some(t.schema().clone())).collect();
+            let mut rows_in: Vec<_> = (node.inputs.iter().zip(&inputs))
                 .map(|(&id, t)| RowInput {
                     rows: RowBounds::exactly(t.num_rows() as u64),
                     dag,
                     node: id,
                 })
                 .collect();
-            let schema = contract(&node.call, &schemas, env, env).schema;
-            (schema, rows(&node.call, &rows_in, env))
+            let mut declared = (None, RowBounds::UNKNOWN);
+            for &id in chain.iter().chain([&node.id]) {
+                let call = &dag.nodes()[id].call;
+                let refs: Vec<_> = schemas.iter().map(Option::as_ref).collect();
+                declared = (
+                    contract(call, &refs, env, env).schema,
+                    rows(call, &rows_in, env),
+                );
+                schemas = vec![declared.0.clone()];
+                rows_in = vec![RowInput {
+                    rows: declared.1,
+                    dag,
+                    node: id,
+                }];
+            }
+            declared
         });
         let flow = match output.as_table() {
             Some(t) if node.call.transforms_data() => Arc::new(t.clone()),

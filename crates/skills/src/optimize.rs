@@ -1,10 +1,10 @@
 //! The plan step: cost-based rewrites over a [`SkillDag`].
 //!
-//! One pass, [`plan_unit`], is what the driver ([`crate::resilient`]) runs
+//! One pass, `plan_unit`, is what the driver ([`crate::resilient`]) runs
 //! before walking a DAG and what the static estimator runs, through
 //! [`optimize_dag`], before pricing it. **What it plans is the targets'
 //! cone** — the nodes they depend on, cut out of the DAG as a compact copy
-//! ([`SkillDag::cone`]) — never the whole DAG: a session's DAG grows for
+//! (`SkillDag::cone`) — never the whole DAG: a session's DAG grows for
 //! as long as the session lives (§2.4), and a step must cost what it
 //! depends on, not what the session has collected. Every pass below loops
 //! over the unit it is handed and sizes its side tables by it. The rest of
@@ -38,7 +38,7 @@
 //! 4. **Flattening** — adjacent `KeepRows` pairs merge into one
 //!    conjunction (so deeper predicates reach the scan), and the
 //!    consumers of a duplicate load read the first copy instead (done as
-//!    the cone is cut: [`SkillDag::cone`]).
+//!    the cone is cut: `SkillDag::cone`).
 //!
 //! The column names every rule reads, and the demand projection threads
 //! back to the loads, are the nodes' skill contracts ([`crate::contract`](mod@crate::contract)),
@@ -211,7 +211,7 @@ fn int_blocks_unique<'a>(blocks: impl Iterator<Item = &'a ColumnStats>) -> bool 
 /// prices them), and what the rest of `dag` holds changes the plan only
 /// through the consumer counts and name bindings of the cone's own nodes
 /// and through the earlier loads its loads repeat.
-/// The driver plans the same cone with the same [`plan_unit`] and walks it
+/// The driver plans the same cone with the same `plan_unit` and walks it
 /// without the copy, so what this returns on the cone is what runs.
 pub fn optimize_dag(
     dag: &SkillDag,

@@ -3,10 +3,12 @@
 //! checkpointed resume.
 //!
 //! Every run goes through [`Executor::run_resilient`]: cut the target's
-//! cone out of the DAG ([`SkillDag::cone`]: a compact copy of the nodes the
+//! cone out of the DAG (`SkillDag::cone`: a compact copy of the nodes the
 //! target depends on), plan it once with the plan step
 //! ([`crate::optimize`]), key every node ([`crate::cache::sub_dag_keys`]),
-//! serve what a cache tier holds, then execute the rest in topological
+//! serve what a cache tier holds, find the scan pipelines (a load, the
+//! row-local nodes above it and possibly a closing group-by, run per block
+//! inside the scan's pool jobs), then execute the rest in topological
 //! *waves* under an [`ExecPolicy`]. The driver touches nothing outside the cone, so a run
 //! costs what its target depends on however many nodes the session's DAG
 //! has collected; the caller's node ids are translated at the driver's
@@ -40,15 +42,16 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dc_engine::{parallel, MemContext, SpillSnapshot, Table};
+use dc_engine::{parallel, AggSpec, MemContext, SpillSnapshot, Table};
 use dc_storage::CancelToken;
 
 use crate::cache::{sub_dag_keys, SharedKey, SubDagKey};
+use crate::contract::{contract, load_scan, row_local};
 use crate::dag::{NodeId, SkillDag, SkillNode};
 use crate::env::{Env, ScanTally};
 use crate::error::{Result, SkillError};
 use crate::exec::{
-    execute_call, execute_pure_call_with_mem, needs_env, BeforeExecuteHook, Executor,
+    execute_call, execute_pure_call_with_mem, needs_env, run_pipeline, BeforeExecuteHook, Executor,
 };
 use crate::output::SkillOutput;
 use crate::skill::SkillCall;
@@ -184,6 +187,11 @@ pub struct NodeReport {
     pub bytes_spilled: u64,
     /// Spill partitions / sort runs this node wrote (same caveat).
     pub spill_partitions: u64,
+    /// The node at the top of the scan pipeline this node ran inside, for
+    /// a node absorbed into one: it ran over every block within that
+    /// node's attempts and keeps no result of its own. `None` for a node
+    /// that ran (or was served) alone, and for the top itself.
+    pub pipeline: Option<NodeId>,
 }
 
 impl NodeReport {
@@ -199,6 +207,7 @@ impl NodeReport {
             bytes_pruned: 0,
             bytes_spilled: 0,
             spill_partitions: 0,
+            pipeline: None,
         }
     }
 }
@@ -319,7 +328,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// The error of a skill that panicked with `payload`.
-fn panic_error(call: &SkillCall, payload: Box<dyn std::any::Any + Send>) -> SkillError {
+pub(crate) fn panic_error(call: &SkillCall, payload: Box<dyn std::any::Any + Send>) -> SkillError {
     SkillError::Panic {
         skill: call.name().to_string(),
         message: panic_message(&*payload),
@@ -441,6 +450,9 @@ struct Run<'p> {
     /// key, not node id, so a failed representative also poisons its
     /// structural duplicates.
     unusable: HashSet<SharedKey>,
+    /// Per scan pipeline, its top node and the nodes it absorbed, the load
+    /// first ([`pipelines`]).
+    chains: HashMap<NodeId, Vec<NodeId>>,
 }
 
 impl Run<'_> {
@@ -464,10 +476,19 @@ impl Run<'_> {
         self.book(NodeReport::new(node, outcome));
     }
 
+    /// What `node` waits for: its inputs, or for the top of a pipeline
+    /// those of the chain's load.
+    fn inputs_of<'n>(&'n self, node: &'n SkillNode) -> &'n [NodeId] {
+        match self.chains.get(&node.id) {
+            Some(chain) => &self.dag.nodes()[chain[0]].inputs,
+            None => &node.inputs,
+        }
+    }
+
     /// The first input of `node` that cannot be used, if any.
     fn blocked_on(&self, node: &SkillNode) -> Option<NodeId> {
         let blocked = |i: &&NodeId| self.unusable.contains(&self.key(**i));
-        node.inputs.iter().find(blocked).copied()
+        self.inputs_of(node).iter().find(blocked).copied()
     }
 
     fn expired(&self) -> bool {
@@ -476,15 +497,134 @@ impl Run<'_> {
 
     /// A node the expired run slice preempted before it started: a
     /// retryable timeout at zero attempts, so running the target again
-    /// picks it up as the frontier without any retry budget spent.
+    /// picks it up as the frontier without any retry budget spent. A
+    /// pipeline is preempted at its load; the rest of it waits on that.
     fn preempt(&mut self, node: &SkillNode) {
         let skill = node.call.name().to_string();
         let budget_ms = self.policy.run_budget.unwrap_or_default().as_millis() as u64;
-        self.record(
-            node,
-            NodeOutcome::Failed(SkillError::Timeout { skill, budget_ms }),
-        );
+        let timeout = SkillError::Timeout { skill, budget_ms };
+        let report = self.book_chain(node, Some((0, timeout)), (0, 0), ScanTally::default());
+        self.book(report);
     }
+
+    /// Book the nodes the pipeline topped by `top` absorbed, and return the
+    /// top's report for the caller to complete; a node that ran alone is a
+    /// pipeline that absorbed nothing. With a `failure`, the node at that
+    /// index of the chain (the top at its end or past it) failed with the
+    /// error, the nodes below it ran, and the nodes above it, the top
+    /// included, wait on it. The chain retries as a unit, on what its
+    /// load scans: the load carries the unit's `attempts`, the faults they
+    /// absorbed and the scan; every other node that ran counts one attempt.
+    fn book_chain(
+        &mut self,
+        top: &SkillNode,
+        failure: Option<(usize, SkillError)>,
+        (attempts, faults_absorbed): (u32, u32),
+        scan: ScanTally,
+    ) -> NodeReport {
+        let (dag, chain) = (self.dag, self.chains.get(&top.id).cloned());
+        let chain = chain.unwrap_or_default();
+        let at = failure.as_ref().map(|f| f.0.min(chain.len()));
+        let mut error = failure.map(|f| f.1);
+        let mut outcome = |i: usize| match at {
+            Some(at) if i == at => error.take().map_or(NodeOutcome::Ok, NodeOutcome::Failed),
+            Some(at) if i > at => NodeOutcome::Skipped {
+                blocked_on: chain[at],
+            },
+            _ => NodeOutcome::Ok,
+        };
+        let mut ran = |i: usize, node: &SkillNode| {
+            let mut report = NodeReport::new(node, outcome(i));
+            report.attempts = !matches!(report.outcome, NodeOutcome::Skipped { .. }) as u32;
+            report
+        };
+        let mut reports: Vec<NodeReport> = (chain.iter().enumerate())
+            .map(|(i, &id)| ran(i, &dag.nodes()[id]))
+            .collect();
+        let mut report = ran(chain.len(), top);
+        let load = reports.first_mut().unwrap_or(&mut report);
+        load.attempts = attempts;
+        load.faults_absorbed = faults_absorbed;
+        load.bytes_scanned = scan.bytes_scanned;
+        load.bytes_pruned = scan.bytes_pruned;
+        for mut absorbed in reports {
+            absorbed.pipeline = Some(top.id);
+            self.book(absorbed);
+        }
+        report
+    }
+}
+
+/// The scan pipelines of a cone, by top node: from each load in `pending`
+/// that scans a catalog table, the longest line of pending nodes above it
+/// that are [`row_local`], possibly closed by a `Compute` that folds per
+/// block. A `Compute` folds when the run has no [`MemContext`] (under one,
+/// the governed kernel may have to partition its whole input) and every
+/// aggregate of it [`splits_exactly`](dc_engine::AggFunc::splits_exactly)
+/// over its argument's type in the chain's schema: folded block by block,
+/// it then answers the bits the kernel answers over the stitched chain, so
+/// a sub-DAG means one result whether it ran in a pipeline or alone.
+/// Every node of the line but the top is absorbed, which it may be only
+/// when nothing else could want its result: it has one consumer in the DAG
+/// the cone came from, it is neither the `target` nor bound to a name, and
+/// no alias of it waits for its checkpoint. A cached node is not pending,
+/// so no checkpoint or shared entry answers an absorbed one.
+fn pipelines(
+    dag: &SkillDag,
+    pending: &[&SkillNode],
+    aliases: &[(&SkillNode, NodeId)],
+    target: NodeId,
+    env: &Env,
+) -> HashMap<NodeId, Vec<NodeId>> {
+    let mut runs = vec![false; dag.len()];
+    pending.iter().for_each(|n| runs[n.id] = true);
+    let mut consumer = vec![None; dag.len()];
+    for node in dag.nodes() {
+        node.inputs
+            .iter()
+            .for_each(|&i| consumer[i] = Some(node.id));
+    }
+    let absorbable = |id: NodeId| {
+        runs[id]
+            && dag.consumer_counts()[id] == 1
+            && id != target
+            && !dag.is_bound(id)
+            && !aliases.iter().any(|(_, rep)| *rep == id)
+    };
+    let scans = |call: &SkillCall| {
+        load_scan(call).is_some_and(|(db, table, _)| {
+            (env.catalog.database(db)).is_ok_and(|db| db.source(table).is_ok())
+        })
+    };
+    let mut chains = HashMap::new();
+    for load in pending.iter().filter(|n| scans(&n.call)) {
+        let (mut chain, mut top) = (Vec::new(), load.id);
+        // The schema the line declares so far.
+        let mut schema = contract(&load.call, &[], env, env).schema;
+        while let Some(next) = consumer[top].filter(|_| absorbable(top)) {
+            let node = &dag.nodes()[next];
+            let joins = match &node.call {
+                SkillCall::Compute { aggs, .. } => {
+                    let arg = |a: &AggSpec| Some(schema.as_ref()?.field(a.column.as_ref()?)?.dtype);
+                    env.memory.is_none() && aggs.iter().all(|a| a.func.splits_exactly(arg(a)))
+                }
+                call => row_local(call),
+            };
+            if !(runs[next] && joins && node.inputs == [top]) {
+                break;
+            }
+            chain.push(top);
+            top = next;
+            if matches!(node.call, SkillCall::Compute { .. }) {
+                break;
+            }
+            schema = contract(&node.call, &[schema.as_ref()], env, env).schema;
+        }
+        if !chain.is_empty() {
+            chains.insert(top, chain);
+        }
+    }
+    chains
 }
 
 impl Executor {
@@ -577,11 +717,12 @@ impl Executor {
             keys: sub_dag_keys(dag, Some(env)),
             reports: HashMap::with_capacity(order.len()),
             unusable: HashSet::new(),
+            chains: HashMap::new(),
         };
 
         // Structurally identical duplicates execute once; the aliases are
         // resolved against the cache after the run. The local cache is
-        // probed first, then the cross-session tier.
+        // probed first.
         let mut pending: Vec<&SkillNode> = Vec::new();
         let mut aliases: Vec<(&SkillNode, NodeId)> = Vec::new();
         for &nid in &order {
@@ -594,12 +735,56 @@ impl Executor {
             } else if let Some(rep) = pending.iter().find(|p| run.key(p.id) == key) {
                 self.stats.cache_hits += 1;
                 aliases.push((node, rep.id));
-            } else if self.probe_shared(env, run.keys[nid]) {
-                run.record(node, NodeOutcome::CacheHit);
             } else {
                 pending.push(node);
             }
         }
+
+        // A node runs only when the target needs it through nodes that
+        // run. Walking down from the target, the cross-session tier is
+        // probed for each node still needed, so a hit answers everything
+        // only it reads: those nodes are hits too, and never probed.
+        let mut needed = vec![false; dag.len()];
+        needed[cone_target] = true;
+        let alias_of: HashMap<NodeId, NodeId> = aliases.iter().map(|(n, r)| (n.id, *r)).collect();
+        let mut runs = vec![false; dag.len()];
+        pending.iter().for_each(|n| runs[n.id] = true);
+        for id in (0..dag.len()).rev() {
+            if !needed[id] {
+                continue;
+            }
+            if runs[id] && self.probe_shared(env, run.keys[id]) {
+                runs[id] = false;
+                run.record(&dag.nodes()[id], NodeOutcome::CacheHit);
+            } else if runs[id] {
+                dag.nodes()[id]
+                    .inputs
+                    .iter()
+                    .for_each(|&i| needed[i] = true);
+            }
+            if let Some(&rep) = alias_of.get(&id) {
+                needed[rep] = true;
+            }
+        }
+        let (mut pending, answered): (Vec<_>, Vec<_>) = (pending.into_iter())
+            .filter(|n| runs[n.id])
+            .partition(|n| needed[n.id]);
+        self.stats.cache_hits += answered.len() as u64;
+        // An alias shares its representative's fate unless neither is needed.
+        let (aliases, answered_aliases): (Vec<_>, Vec<_>) =
+            (aliases.into_iter()).partition(|(n, rep)| needed[n.id] || needed[*rep]);
+        for node in answered
+            .into_iter()
+            .chain(answered_aliases.into_iter().map(|a| a.0))
+        {
+            run.record(node, NodeOutcome::CacheHit);
+        }
+
+        // Scan pipelines run at their top: the nodes they absorb never
+        // wait in a wave of their own.
+        run.chains = pipelines(dag, &pending, &aliases, cone_target, env);
+        let absorbed: HashSet<NodeId> = run.chains.values().flatten().copied().collect();
+        pending.retain(|n| !absorbed.contains(&n.id));
 
         // Wave loop: execute every node whose inputs are materialized,
         // skip nodes blocked on a failure, repeat.
@@ -609,9 +794,7 @@ impl Executor {
             for node in pending {
                 if let Some(blocked_on) = run.blocked_on(node) {
                     run.record(node, NodeOutcome::Skipped { blocked_on });
-                } else if node
-                    .inputs
-                    .iter()
+                } else if (run.inputs_of(node).iter())
                     .all(|i| self.checkpoints.contains_key(&run.key(*i)))
                 {
                     wave.push(node);
@@ -653,6 +836,7 @@ impl Executor {
                 if let NodeOutcome::Skipped { blocked_on } = &mut r.outcome {
                     *blocked_on = written(*blocked_on);
                 }
+                r.pipeline = r.pipeline.map(written);
                 nodes.push(r);
             }
         }
@@ -668,18 +852,30 @@ impl Executor {
         Ok((report, key))
     }
 
-    /// Execute one wave under the policy. Environment-dependent nodes run
-    /// serially (they need `&mut Env`); pure nodes run through
+    /// Execute one wave under the policy. Environment-dependent nodes and
+    /// scan pipelines run serially (they need `&mut Env`; a pipeline's
+    /// blocks go to the pool inside its scan); pure nodes run through
     /// [`parallel::run_indexed`], one index per node, so they share the
     /// engine's pool and its [`parallel::num_threads`] budget with the
     /// kernels they call. Whichever thread claims a node owns its whole
-    /// attempt loop.
+    /// attempt loop; a pipeline's attempts are its top's, and each runs the
+    /// whole chain.
     fn execute_wave(&mut self, wave: Vec<&SkillNode>, env: &mut Env, run: &mut Run<'_>) {
-        let policy = run.policy;
+        let (policy, dag) = (run.policy, run.dag);
         let mut pure: Vec<PureJob<'_>> = Vec::new();
         for node in wave {
-            let inputs = self.input_tables(node, &run.keys);
-            if !needs_env(&node.call, !node.inputs.is_empty()) {
+            // A pipeline's calls, its load first and its top last; a node
+            // that runs alone is its own.
+            let pipelined = run.chains.get(&node.id);
+            let calls: Vec<&SkillCall> = (pipelined.into_iter().flatten())
+                .map(|&id| &dag.nodes()[id].call)
+                .chain([&node.call])
+                .collect();
+            let inputs = match pipelined {
+                None => self.input_tables(node, &run.keys),
+                Some(_) => Vec::new(),
+            };
+            if pipelined.is_none() && !needs_env(&node.call, !node.inputs.is_empty()) {
                 pure.push((node, inputs));
                 continue;
             }
@@ -691,16 +887,32 @@ impl Executor {
             let token = env.cancel.clone();
             let tally_before = env.scan_tally;
             let spill_before = env.memory.as_ref().map(|m| m.metrics.snapshot());
-            let att = run_attempts(policy, node, Some(&token), run.deadline, || {
-                if let Some(h) = &hook {
-                    h(&node.call);
+            // Which call the attempt failed in.
+            let mut failed_at = 0;
+            let mut att = run_attempts(policy, node, Some(&token), run.deadline, || {
+                for (i, call) in calls.iter().enumerate() {
+                    failed_at = i;
+                    if let Some(h) = &hook {
+                        h(call);
+                    }
+                }
+                if pipelined.is_some() {
+                    return run_pipeline(&calls, env).map_err(|(at, e)| {
+                        failed_at = at;
+                        e
+                    });
                 }
                 let refs: Vec<&Table> = inputs.iter().map(|t| t.as_ref()).collect();
                 execute_call(&node.call, &refs, env)
             });
+            if let (Err(SkillError::Panic { skill, .. }), Some(call)) =
+                (&mut att.result, calls.get(failed_at))
+            {
+                *skill = call.name().to_string();
+            }
             let scan = env.scan_tally.delta_since(tally_before);
             let spill = spill_since(env.memory.as_deref(), spill_before);
-            self.commit_attempt(node, inputs, att, scan, spill, env, run);
+            self.commit_attempt(node, inputs, att, failed_at, scan, spill, env, run);
         }
 
         // Pure nodes are gated on the slice as a batch: once dispatched
@@ -731,45 +943,47 @@ impl Executor {
                     })
             });
         for ((node, inputs), (att, spill)) in pure.into_iter().zip(results) {
-            self.commit_attempt(node, inputs, att, ScanTally::default(), spill, env, run);
+            self.commit_attempt(node, inputs, att, 0, ScanTally::default(), spill, env, run);
         }
     }
 
-    /// Fold one node's attempt outcome into cache, stats, and reports.
+    /// Fold one node's attempt outcome into cache, stats, and reports. For
+    /// the top of a pipeline, `failed_at` is the call of its chain a failed
+    /// attempt ended in.
     #[allow(clippy::too_many_arguments)]
     fn commit_attempt(
         &mut self,
         node: &SkillNode,
         inputs: Vec<Arc<Table>>,
         att: AttemptOutcome,
+        failed_at: usize,
         scan: ScanTally,
         spill: SpillSnapshot,
         env: &Env,
         run: &mut Run<'_>,
     ) {
         self.stats.retries += att.attempts.saturating_sub(1) as u64;
-        let outcome = match att.result {
+        let failure = match att.result {
             Ok(output) => {
                 let own_scan_bytes = scan.bytes_scanned + scan.bytes_pruned;
+                let chain = run.chains.get(&node.id).map_or(&[][..], Vec::as_slice);
+                let keys = &run.keys;
                 self.finish(
                     run.dag,
                     node,
-                    &run.keys,
+                    chain,
+                    keys,
                     inputs,
                     output,
                     own_scan_bytes,
                     env,
                 );
-                NodeOutcome::Ok
+                None
             }
-            Err(e) => NodeOutcome::Failed(e),
+            Err(e) => Some((failed_at, e)),
         };
-        let mut report = NodeReport::new(node, outcome);
-        report.attempts = att.attempts;
-        report.faults_absorbed = att.faults_absorbed;
+        let mut report = run.book_chain(node, failure, (att.attempts, att.faults_absorbed), scan);
         report.wall = att.wall;
-        report.bytes_scanned = scan.bytes_scanned;
-        report.bytes_pruned = scan.bytes_pruned;
         report.bytes_spilled = spill.bytes_spilled;
         report.spill_partitions = spill.spill_partitions;
         run.book(report);

@@ -92,8 +92,73 @@ fn retry_absorbs_scheduled_transient() {
     assert_eq!(lr.attempts, 2, "one failure, one successful retry");
     assert_eq!(lr.faults_absorbed, 1);
     assert_eq!(report.node(f).unwrap().attempts, 1);
+    assert_eq!(
+        lr.pipeline,
+        Some(f),
+        "the filter ran in the load's block pipeline"
+    );
     assert_eq!(ex.stats.retries, 1);
     assert_eq!(report.faults_absorbed(), 1);
+}
+
+/// A transient fault on a block read in the middle of a block pipeline
+/// (load → filter → derived column → group-by over sixteen blocks) fails
+/// the scan at that block; the chain retries as a unit, answers what the
+/// fault-free run answers, and the meter charges the one scan that
+/// completed, as it charges any load's.
+#[test]
+fn a_block_fault_mid_pipeline_retries_the_chain_as_a_unit() {
+    let mut dag = SkillDag::new();
+    let l = load(&mut dag, "events");
+    let f = filter(&mut dag, l);
+    let derive = SkillCall::CreateColumn {
+        name: "y".into(),
+        expr: Expr::col("x").mul(Expr::lit(3i64)),
+    };
+    let d = dag.add(derive, vec![f]).unwrap();
+    let compute = SkillCall::Compute {
+        aggs: vec![dc_engine::AggSpec::new(
+            dc_engine::AggFunc::Sum,
+            "y",
+            "total",
+        )],
+        for_each: vec!["k".into()],
+    };
+    let c = dag.add(compute, vec![d]).unwrap();
+
+    let mut env0 = env_with(&["events"]);
+    let expected = Executor::new().run(&dag, c, &mut env0).unwrap();
+    let meter0 = env0.catalog.database("db").unwrap().meter();
+
+    let mut env = env_with(&["events"]);
+    let inj = inject(
+        &mut env,
+        FaultConfig::disabled().schedule(FaultOp::BlockRead, 7, InjectedFault::Transient),
+    );
+    let mut ex = Executor::new();
+    let report = ex
+        .run_resilient(&dag, c, &mut env, &ExecPolicy::default())
+        .unwrap();
+    assert_eq!(inj.stats().transient_injected, 1);
+    assert_eq!(report.output.as_ref(), Some(&expected));
+    let lr = report.node(l).unwrap();
+    assert!(matches!(lr.outcome, NodeOutcome::Ok));
+    assert_eq!((lr.attempts, lr.faults_absorbed), (2, 1));
+    for absorbed in [l, f, d] {
+        assert_eq!(report.node(absorbed).unwrap().pipeline, Some(c));
+    }
+    assert_eq!(report.node(c).unwrap().pipeline, None);
+    // Two scans started, sixteen blocks apiece; the first stopped at the
+    // faulted block and charged nothing.
+    assert_eq!(inj.stats().ops_seen[0], 2);
+    let meter = env.catalog.database("db").unwrap().meter();
+    assert_eq!(
+        (meter.queries(), meter.bytes()),
+        (meter0.queries(), meter0.bytes())
+    );
+    assert_eq!(report.bytes_scanned(), meter.bytes());
+    // Only the pipeline's top keeps a result.
+    assert_eq!(ex.cache_len(), 1);
 }
 
 #[test]

@@ -230,8 +230,11 @@ fn parallel_sessions_share_one_cache_consistently() {
     let stats = shared.stats();
     assert!(stats.insertions >= 1);
     // Every probe either hit or raced the first population; nothing
-    // else can happen on identical version-salted keys.
-    assert_eq!(stats.hits + stats.misses, stats.hits + stats.insertions);
+    // else can happen on identical version-salted keys. A session that
+    // missed its target went on to probe the load and the filter, which
+    // then ran inside the target's block pipeline and are never admitted:
+    // three misses for each admission.
+    assert_eq!(stats.misses, 3 * stats.insertions);
 
     // A second wave finds the result resident, so four threads are handed
     // — and read, compare and drop — one entry's column buffers at once.

@@ -33,15 +33,18 @@ use crate::pricing::ScanReceipt;
 /// pushed predicate once, then gather only the projected columns through
 /// that one selection, so a column only the predicate needed is never
 /// copied — and a block no row of which is dropped contributes its columns
-/// as they stand, shared. `block` holds at least the projected and the
-/// predicate's columns; `predicate` is `None` when nothing was pushed or
-/// the zone maps proved every row matches.
-fn scan_block(
+/// as they stand, shared — and hand the part to the scan's `step`, which
+/// carries it through whatever the caller runs per block (the identity for
+/// a plain scan). `block` holds at least the projected and the predicate's
+/// columns; `predicate` is `None` when nothing was pushed or the zone maps
+/// proved every row matches.
+fn scan_block<P>(
     block: &Table,
     row_sample: Option<(f64, u64)>,
     predicate: Option<&Expr>,
     projection: Option<&[&str]>,
-) -> dc_engine::Result<Table> {
+    step: &(dyn Fn(Table) -> P + Sync),
+) -> dc_engine::Result<P> {
     let sampled;
     let block = match row_sample {
         Some((fraction, seed)) => {
@@ -54,12 +57,13 @@ fn scan_block(
     // surface from the caller's own filter for correct attribution; the
     // block passes through unfiltered in that case.
     let mask = predicate.and_then(|p| eval_predicate_serial(block, p).ok());
-    match (mask, projection) {
-        (Some(mask), Some(cols)) => block.select_filtered(cols, &mask),
-        (Some(mask), None) => block.filter_mask(&mask),
-        (None, Some(cols)) => block.select(cols),
-        (None, None) => Ok(block.clone()),
-    }
+    let part = match (mask, projection) {
+        (Some(mask), Some(cols)) => block.select_filtered(cols, &mask)?,
+        (Some(mask), None) => block.filter_mask(&mask)?,
+        (None, Some(cols)) => block.select(cols)?,
+        (None, None) => block.clone(),
+    };
+    Ok(step(part))
 }
 
 /// Zone-map statistics for one stored block: the per-column stats the
@@ -342,21 +346,38 @@ fn check_cancel(cancel: Option<&CancelToken>) -> Result<()> {
     }
 }
 
-/// Scan `src` under `opts`: run its [`plan_scan`], then fetch, sample,
-/// filter and project every unpruned block and stitch the parts in plan
-/// order. The injector sees the scan start plus every unpruned block —
-/// pruned blocks cost nothing and never reach it — on the calling thread,
-/// in plan order, before any block is fetched, so a seeded schedule lands
-/// on the same blocks however the fetches run. The blocks then go through
-/// one closure each: on the worker pool when the plan scans at least
-/// [`min_parallel_rows`] rows, inline otherwise. The cancel check runs at
-/// every block boundary and again before every fetch; the first error in
-/// plan order is the scan's.
+/// Scan `src` under `opts` into one table: [`run_blocks`] with the
+/// identity step, its parts stitched in plan order. A scan that ends with
+/// one part returns its columns shared (a block nothing is dropped from
+/// contributes its own); several parts pay the one contiguous `concat`.
 pub(crate) fn run_scan(
     src: &dyn BlockSource,
     opts: &ScanOptions,
     injector: Option<&FaultInjector>,
 ) -> Result<(Table, ScanReceipt)> {
+    let (parts, receipt) = run_blocks(src, opts, injector, &|part| part)?;
+    let out = dc_engine::ops::concat(&parts.iter().collect::<Vec<_>>(), false)?;
+    Ok((out, receipt))
+}
+
+/// Scan `src` under `opts`, carrying every part through `step`: run its
+/// [`plan_scan`], then fetch, sample, filter and project every unpruned
+/// block and hand it to `step`, returning the steps' results in plan order
+/// — one for the empty, projected table when every block is pruned. The
+/// injector sees the scan start plus every unpruned block — pruned blocks
+/// cost nothing and never reach it — on the calling thread, in plan order,
+/// before any block is fetched, so a seeded schedule lands on the same
+/// blocks however the fetches run. The blocks then go through one closure
+/// each, fetch and step together: on the worker pool when the plan scans at
+/// least [`min_parallel_rows`] rows, inline otherwise. The cancel check
+/// runs at every block boundary and again before every fetch; the first
+/// error in plan order is the scan's.
+pub(crate) fn run_blocks<P: Send>(
+    src: &dyn BlockSource,
+    opts: &ScanOptions,
+    injector: Option<&FaultInjector>,
+    step: &(dyn Fn(Table) -> P + Sync),
+) -> Result<(Vec<P>, ScanReceipt)> {
     let cancel = opts.cancel.as_ref();
     if let Some(inj) = injector {
         inj.on_scan(cancel)?;
@@ -385,7 +406,7 @@ pub(crate) fn run_scan(
             unpruned.push((bi, verdict));
         }
     }
-    let scan = |k: usize| -> Result<(Table, Option<u64>)> {
+    let scan = |k: usize| -> Result<(P, Option<u64>)> {
         let (bi, verdict) = unpruned[k];
         check_cancel(cancel)?;
         let (block, bytes) = src.read_block(bi, &plan.read_cols)?;
@@ -395,18 +416,16 @@ pub(crate) fn run_scan(
                 .map(|f| (f, opts.seed.wrapping_add(bi as u64))),
             plan.predicate.filter(|_| verdict != Tri::AllTrue),
             projected.as_deref(),
+            step,
         )?;
         Ok((part, bytes))
     };
     let fan_out = plan.rows_scanned >= min_parallel_rows() as u64;
-    let scanned: Vec<Result<(Table, Option<u64>)>> = match fan_out {
+    let scanned: Vec<Result<(P, Option<u64>)>> = match fan_out {
         true => run_indexed(unpruned.len(), scan),
         false => (0..unpruned.len()).map(scan).collect(),
     };
-    // A block nothing is dropped from contributes its own columns, so a
-    // scan that ends with one such part returns them shared; several
-    // parts pay the one contiguous `concat`.
-    let mut parts: Vec<Table> = Vec::with_capacity(scanned.len());
+    let mut parts: Vec<P> = Vec::with_capacity(scanned.len().max(1));
     // Bytes faulted off storage; `None` once a resident block is read.
     let mut faulted = Some(0u64);
     for result in scanned {
@@ -417,18 +436,20 @@ pub(crate) fn run_scan(
     if let Some(e) = refused {
         return Err(e);
     }
-    let out = match (parts.is_empty(), &projected) {
-        (true, Some(cols)) => Table::empty_with_schema(meta.schema()).select(cols)?,
-        (true, None) => Table::empty_with_schema(meta.schema()),
-        (false, _) => dc_engine::ops::concat(&parts.iter().collect::<Vec<_>>(), false)?,
-    };
+    if parts.is_empty() {
+        let empty = Table::empty_with_schema(meta.schema());
+        parts.push(step(match &projected {
+            Some(cols) => empty.select(cols)?,
+            None => empty,
+        }));
+    }
     let bytes_read = faulted.unwrap_or(plan.bytes_scanned);
     debug_assert!(
         bytes_read <= plan.bytes_scanned,
         "faulted more than charged"
     );
     Ok((
-        out,
+        parts,
         ScanReceipt {
             bytes_scanned: plan.bytes_scanned,
             bytes_read,

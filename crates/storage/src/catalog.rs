@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use dc_engine::Table;
 
-use crate::block::{run_scan, BlockSource, BlockTable, ScanOptions, TableMeta};
+use crate::block::{run_blocks, run_scan, BlockSource, BlockTable, ScanOptions, TableMeta};
 use crate::disk::DiskBlockTable;
 use crate::error::{Result, StorageError};
 use crate::fault::FaultInjector;
@@ -211,8 +211,35 @@ impl CloudDatabase {
     /// Scan a table (either backend), recording the cost on the database
     /// meter and pricing the receipt.
     pub fn scan(&self, table: &str, opts: &ScanOptions) -> Result<(Table, ScanReceipt)> {
+        self.meter_scan(|source, injector| run_scan(source, opts, injector), table)
+    }
+
+    /// [`CloudDatabase::scan`] that hands every scanned part to `step`
+    /// inside the job that fetched it, returning the steps' results in
+    /// plan order (one over the empty table when every block is pruned)
+    /// instead of stitching the parts: how a caller runs per-block work
+    /// — a block pipeline — on the scan's own pool jobs. Metered, faulted
+    /// and cancelled exactly as [`CloudDatabase::scan`].
+    pub fn scan_blocks<P: Send>(
+        &self,
+        table: &str,
+        opts: &ScanOptions,
+        step: &(dyn Fn(Table) -> P + Sync),
+    ) -> Result<(Vec<P>, ScanReceipt)> {
+        self.meter_scan(
+            |source, injector| run_blocks(source, opts, injector, step),
+            table,
+        )
+    }
+
+    /// Run one scan of `table` and charge its receipt to the meter.
+    fn meter_scan<T>(
+        &self,
+        scan: impl FnOnce(&dyn BlockSource, Option<&FaultInjector>) -> Result<(T, ScanReceipt)>,
+        table: &str,
+    ) -> Result<(T, ScanReceipt)> {
         let source = self.stored(table)?.source();
-        let (data, mut receipt) = run_scan(source, opts, self.injector.as_deref())?;
+        let (data, mut receipt) = scan(source, self.injector.as_deref())?;
         receipt.cost_dollars = self.pricing.scan_cost(receipt.bytes_scanned);
         self.meter.record(
             &self.pricing,
@@ -426,5 +453,42 @@ mod tests {
         db.scan("t", &ScanOptions::full()).unwrap();
         assert_eq!(db.meter().dollars(), 0.0);
         assert!(db.meter().bytes() > 0);
+    }
+
+    /// A token that fires between two blocks of a pipelined scan stops it
+    /// at the next block boundary with the retryable `Transient`, and the
+    /// blocks after that boundary never reach the step.
+    #[test]
+    fn a_token_fired_between_blocks_of_a_pipelined_scan_is_transient() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        let db = db();
+        let token = crate::CancelToken::new();
+        let opts = ScanOptions {
+            cancel: Some(token.clone()),
+            ..ScanOptions::full()
+        };
+        let steps = AtomicUsize::new(0);
+        let step = |part: Table| {
+            if steps.fetch_add(1, Ordering::SeqCst) == 1 {
+                token.cancel();
+            }
+            part.num_rows()
+        };
+        let rows = |part: Table| part.num_rows();
+        let (rows, _) = db
+            .scan_blocks("readings", &ScanOptions::full(), &rows)
+            .unwrap();
+        assert_eq!((rows.len(), rows.iter().sum::<usize>()), (20, 10_000));
+        let err = db.scan_blocks("readings", &opts, &step).unwrap_err();
+        assert!(
+            matches!(err, StorageError::Transient { .. }) && err.is_retryable(),
+            "{err:?}"
+        );
+        // 10 000 rows are under the dispatch threshold, so the blocks run
+        // inline in plan order: the first two ran the step, the third
+        // checked the token.
+        assert_eq!(steps.load(Ordering::SeqCst), 2);
+        assert_eq!(db.meter().queries(), 1, "a cancelled scan charges nothing");
     }
 }

@@ -18,7 +18,7 @@
 //! `Option<Arc<FaultInjector>>`, and the `None` path adds no work.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -199,13 +199,13 @@ impl FaultInjector {
 
     /// What the injector has done so far.
     pub fn stats(&self) -> FaultStats {
-        self.state.lock().expect("injector lock").stats
+        lock(&self.state).stats
     }
 
     /// Decide the fate of the next operation of kind `op`, bumping its
     /// per-kind counter so schedules line up with operation order.
     fn decide(&self, op: FaultOp) -> Option<InjectedFault> {
-        let mut state = self.state.lock().expect("injector lock");
+        let mut state = lock(&self.state);
         let idx = state.counts[op.index()];
         state.counts[op.index()] += 1;
         state.stats.ops_seen[op.index()] += 1;
@@ -297,6 +297,15 @@ impl FaultInjector {
     }
 }
 
+/// Lock an injector's or a token's state, whether or not a holder
+/// panicked. Every update under these locks is a counter bump, an RNG draw
+/// or a single store of a deadline, none of which a panic can leave half
+/// done, so a poisoned guard still holds consistent state — and a panic in
+/// one scan must not turn every later scan of the run into another.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Sleep in small slices, bailing out with a retryable cancellation error
 /// as soon as `cancel` fires. This is what makes slow blocks cooperative:
 /// a scan stuck in an injected stall notices its node budget expiring
@@ -355,13 +364,13 @@ impl CancelToken {
     /// sets no deadline.
     pub fn arm(&self, budget: Duration) {
         self.inner.cancelled.store(false, Ordering::SeqCst);
-        *self.inner.deadline.lock().expect("cancel lock") = Instant::now().checked_add(budget);
+        *lock(&self.inner.deadline) = Instant::now().checked_add(budget);
     }
 
     /// Clear both the deadline and any explicit cancellation.
     pub fn disarm(&self) {
         self.inner.cancelled.store(false, Ordering::SeqCst);
-        *self.inner.deadline.lock().expect("cancel lock") = None;
+        *lock(&self.inner.deadline) = None;
     }
 
     /// Whether the token has been cancelled or its deadline has passed.
@@ -369,7 +378,7 @@ impl CancelToken {
         if self.inner.cancelled.load(Ordering::SeqCst) {
             return true;
         }
-        match *self.inner.deadline.lock().expect("cancel lock") {
+        match *lock(&self.inner.deadline) {
             Some(deadline) => Instant::now() >= deadline,
             None => false,
         }

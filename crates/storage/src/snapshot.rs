@@ -161,17 +161,16 @@ impl SnapshotStore {
     /// Replace a snapshot's data with fresh results (a "refresh"),
     /// bumping its version.
     pub fn refresh(&mut self, name: &str, data: Table) -> Result<u64> {
-        if !self.snapshots.contains_key(name) {
+        let Some(snap) = self.snapshots.get_mut(name) else {
             return Err(StorageError::SnapshotNotFound {
                 name: name.to_string(),
             });
-        }
+        };
         // As in `create`, a failed write commits nothing: the old data
         // and version stay visible.
         if let Some(inj) = &self.injector {
             inj.on_snapshot_write()?;
         }
-        let snap = self.snapshots.get_mut(name).expect("checked above");
         snap.data = data;
         snap.version += 1;
         self.version_counter += 1;
